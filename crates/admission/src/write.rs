@@ -62,7 +62,6 @@ pub struct WriteController {
     /// Requested-bytes → physical-bytes model (§5.1.4).
     model: LinearModel,
     last_metrics: StorageMetrics,
-    last_estimate_at: SimTime,
 }
 
 impl WriteController {
@@ -78,7 +77,6 @@ impl WriteController {
             l0_capacity: Ewma::new(alpha),
             model: LinearModel::new(0.99),
             last_metrics: StorageMetrics::default(),
-            last_estimate_at: SimTime::ZERO,
         }
     }
 
@@ -115,36 +113,34 @@ impl WriteController {
     /// Re-estimates capacity from a storage metrics snapshot. Call every
     /// [`WriteConfig::estimation_interval`].
     pub fn estimate_capacity(&mut self, now: SimTime, metrics: StorageMetrics, l0_files: usize) {
-        let dt = now.duration_since(self.last_estimate_at).as_secs_f64();
-        if dt <= 0.0 {
-            return;
-        }
         let delta = metrics.delta(&self.last_metrics);
         self.last_metrics = metrics;
-        self.last_estimate_at = now;
 
-        // Observed throughputs over the interval. When the engine was idle
-        // these are zero, which must *not* collapse the estimate — an idle
-        // disk is not a slow disk — so only fold in intervals with work.
-        let flush_rate = delta.flush_bytes as f64 / dt;
-        if delta.flush_count > 0 {
-            self.flush_capacity.record(flush_rate);
+        // Capacity is what the engine moved *while it was moving it*:
+        // bytes over the time its flush (or L0 compaction) jobs were
+        // running on the disk, not over the interval. Dividing by the
+        // interval measures demand — a node given one 4 MiB memtable to
+        // flush per quarter minute would read as a 280 KB/s disk, get
+        // throttled to that, flush less, and spiral to the floor. Under
+        // saturation jobs run back to back and the two agree. An interval
+        // with no finished job says nothing and keeps the estimate — an
+        // idle disk is not a slow disk.
+        let per_busy_sec = |bytes: u64, busy_nanos: u64| bytes as f64 * 1e9 / busy_nanos as f64;
+        if delta.flush_busy_nanos > 0 {
+            self.flush_capacity.record(per_busy_sec(delta.flush_bytes, delta.flush_busy_nanos));
         }
-        let l0_rate = delta.l0_compact_bytes as f64 / dt;
-        if delta.l0_compact_bytes > 0 {
-            self.l0_capacity.record(l0_rate);
+        if delta.l0_compact_busy_nanos > 0 {
+            self.l0_capacity
+                .record(per_busy_sec(delta.l0_compact_bytes, delta.l0_compact_busy_nanos));
         }
 
         let flush_cap = self.flush_capacity.get();
         let l0_cap = self.l0_capacity.get();
-        let mut rate = match (flush_cap > 0.0, l0_cap > 0.0) {
-            (true, true) => flush_cap.min(l0_cap),
-            (true, false) => flush_cap,
-            (false, true) => l0_cap,
-            (false, false) => self.config.initial_rate,
-        };
-        // An L0 backlog means compaction is falling behind: throttle the
-        // incoming rate below the compaction capacity so L0 drains.
+        let mut rate = if flush_cap > 0.0 { flush_cap } else { self.config.initial_rate };
+        // L0 compaction binds only once L0 has a backlog: compaction is
+        // then falling behind, so throttle intake below its capacity and
+        // let L0 drain. With L0 healthy, how fast it compacts is no limit
+        // on how fast memtables may fill.
         if l0_files >= self.config.l0_overload_files && l0_cap > 0.0 {
             rate = rate.min(l0_cap * 0.5);
         }
@@ -184,11 +180,17 @@ mod tests {
         SimTime::from_secs_f64(s)
     }
 
-    fn metrics(flush_bytes: u64, flush_count: u64, l0_bytes: u64) -> StorageMetrics {
+    /// Cumulative counters of an engine that has flushed `flush_bytes` and
+    /// compacted `l0_bytes` out of L0, each in jobs that ran for
+    /// `busy_secs` in total.
+    fn metrics(flush_bytes: u64, busy_secs: f64, l0_bytes: u64) -> StorageMetrics {
+        let busy_nanos = (busy_secs * 1e9) as u64;
         StorageMetrics {
             flush_bytes,
-            flush_count,
+            flush_count: (busy_nanos > 0) as u64,
+            flush_busy_nanos: busy_nanos,
             l0_compact_bytes: l0_bytes,
+            l0_compact_busy_nanos: if l0_bytes > 0 { busy_nanos } else { 0 },
             ..Default::default()
         }
     }
@@ -209,29 +211,61 @@ mod tests {
     #[test]
     fn capacity_tracks_observed_flush_rate() {
         let mut c = WriteController::new(WriteConfig::default());
-        // 150 MB flushed in 15 s => 10 MB/s.
-        c.estimate_capacity(t(15.0), metrics(150 << 20, 10, 0), 0);
+        // Saturated: 150 MB flushed by jobs running the whole 15 s
+        // => 10 MB/s.
+        c.estimate_capacity(t(15.0), metrics(150 << 20, 15.0, 0), 0);
         let rate = c.rate();
         assert!((rate - 10.0 * (1 << 20) as f64).abs() / rate < 0.01, "{rate}");
     }
 
     #[test]
+    fn light_load_reads_as_disk_bandwidth_not_demand() {
+        // One 4 MiB memtable flushed per 15 s on a 64 MiB/s disk: each
+        // job runs 62.5 ms. Demand is 280 KB/s; capacity is the disk's.
+        let disk = 64.0 * (1 << 20) as f64;
+        let mut c = WriteController::new(WriteConfig::default());
+        for i in 1..=40u64 {
+            let m = metrics(i * (4 << 20), i as f64 * 0.0625, 0);
+            c.estimate_capacity(t(15.0 * i as f64), m, 0);
+            assert!((c.rate() - disk).abs() / disk < 0.01, "interval {i}: {}", c.rate());
+        }
+    }
+
+    #[test]
+    fn l0_capacity_binds_only_under_l0_backlog() {
+        let mut c = WriteController::new(WriteConfig::default());
+        // L0 compacts at a tenth of the flush rate, but L0 is shallow:
+        // flush capacity alone sets the rate.
+        let mut m = metrics(150 << 20, 15.0, 15 << 20);
+        c.estimate_capacity(t(15.0), m, 0);
+        let healthy = c.rate();
+        assert!((healthy - 10.0 * (1 << 20) as f64).abs() / healthy < 0.01, "{healthy}");
+        // Same speeds with L0 at the overload depth: half of L0 capacity.
+        m.flush_bytes *= 2;
+        m.flush_busy_nanos *= 2;
+        m.l0_compact_bytes *= 2;
+        m.l0_compact_busy_nanos *= 2;
+        c.estimate_capacity(t(30.0), m, WriteConfig::default().l0_overload_files);
+        assert!((c.rate() - 0.5 * (1 << 20) as f64).abs() / c.rate() < 0.01, "{}", c.rate());
+    }
+
+    #[test]
     fn l0_backlog_halves_rate() {
         let mut c = WriteController::new(WriteConfig::default());
-        c.estimate_capacity(t(15.0), metrics(150 << 20, 10, 150 << 20), 0);
+        c.estimate_capacity(t(15.0), metrics(150 << 20, 15.0, 150 << 20), 0);
         let healthy = c.rate();
-        c.estimate_capacity(t(30.0), metrics(300 << 20, 20, 300 << 20), 20);
+        c.estimate_capacity(t(30.0), metrics(300 << 20, 30.0, 300 << 20), 20);
         assert!(c.rate() < healthy, "throttled under L0 backlog: {} < {healthy}", c.rate());
     }
 
     #[test]
     fn write_stalls_throttle_rate() {
         let mut c = WriteController::new(WriteConfig::default());
-        c.estimate_capacity(t(15.0), metrics(150 << 20, 10, 0), 0);
+        c.estimate_capacity(t(15.0), metrics(150 << 20, 15.0, 0), 0);
         let healthy = c.rate();
         // Same flush throughput, but the engine reported foreground
         // stalls this interval: intake halves even with L0 looking fine.
-        let mut m = metrics(300 << 20, 20, 0);
+        let mut m = metrics(300 << 20, 30.0, 0);
         m.stall_events = 3;
         m.stall_micros = 3_000;
         c.estimate_capacity(t(30.0), m, 0);
@@ -241,7 +275,7 @@ mod tests {
             c.rate()
         );
         // A stall-free interval recovers the rate.
-        let mut m2 = metrics(450 << 20, 30, 0);
+        let mut m2 = metrics(450 << 20, 45.0, 0);
         m2.stall_events = 3; // cumulative counter unchanged vs last interval
         m2.stall_micros = 3_000;
         c.estimate_capacity(t(45.0), m2, 0);
@@ -251,10 +285,10 @@ mod tests {
     #[test]
     fn idle_interval_does_not_collapse_estimate() {
         let mut c = WriteController::new(WriteConfig::default());
-        c.estimate_capacity(t(15.0), metrics(150 << 20, 10, 0), 0);
+        c.estimate_capacity(t(15.0), metrics(150 << 20, 15.0, 0), 0);
         let rate = c.rate();
         // Nothing flushed in the next interval (idle tenant).
-        c.estimate_capacity(t(30.0), metrics(150 << 20, 10, 0), 0);
+        c.estimate_capacity(t(30.0), metrics(150 << 20, 15.0, 0), 0);
         assert_eq!(c.rate(), rate, "idle interval keeps the estimate");
     }
 
@@ -292,7 +326,7 @@ mod tests {
         let cfg = WriteConfig { min_rate: 5000.0, ..Default::default() };
         let mut c = WriteController::new(cfg);
         // Tiny observed capacity.
-        c.estimate_capacity(t(15.0), metrics(10, 1, 10), 100);
+        c.estimate_capacity(t(15.0), metrics(10, 15.0, 10), 100);
         assert!(c.rate() >= 5000.0);
     }
 }

@@ -32,8 +32,11 @@ use crdb_workload::tpcc;
 
 const COST_SCALE: f64 = 50.0;
 const NOISY_TENANTS: usize = 3;
+/// Workers (= warehouses) per noisy tenant. Sized to overload the
+/// cluster: 96 since PR 12 roughly halved the CPU a New-Order costs
+/// (48 no longer pegged the nodes, so "No Limits" had nothing to limit).
 fn noisy_workers() -> usize {
-    std::env::var("T1_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
+    std::env::var("T1_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(96)
 }
 fn measure_secs() -> u64 {
     std::env::var("T1_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(180)

@@ -271,12 +271,16 @@ impl ServerlessCluster {
         // Degradation: how hard the KV layer is working to stay up.
         let d = self.kv.degrade();
         s.counter("kv.degrade.retries", d.retries.get());
+        s.counter("kv.degrade.redirects", d.redirects.get());
         s.counter("kv.degrade.deadline_exceeded", d.deadline_exceeded.get());
         s.counter("kv.degrade.breaker_trips", d.breaker_trips.get());
         s.counter("kv.degrade.breaker_fast_fails", d.breaker_fast_fails.get());
         s.counter("kv.degrade.partition_fast_fails", d.partition_fast_fails.get());
         s.counter("kv.degrade.quorum_losses", d.quorum_losses.get());
         s.counter("kv.degrade.txn_pushes", d.txn_pushes.get());
+        // Which commit protocol transactions took.
+        s.counter("kv.txn.commits_one_phase", d.commits_one_phase.get());
+        s.counter("kv.txn.commits_two_phase", d.commits_two_phase.get());
 
         // KV nodes: storage engine counters and admission depth.
         let mut node_ids = self.kv.node_ids();

@@ -14,8 +14,8 @@ use crdb_sim::Sim;
 use crdb_util::time::dur;
 use crdb_util::RegionId;
 
-/// Connects from zero and runs one INSERT under a single trace; returns
-/// the trace and the measured end-to-end latency.
+/// Connects from zero, creates a table and runs one INSERT under a single
+/// trace; returns the trace and the measured end-to-end latency.
 fn traced_cold_start(seed: u64) -> (Trace, Duration) {
     let sim = Sim::new(seed);
     let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
@@ -36,14 +36,21 @@ fn traced_cold_start(seed: u64) -> (Trace, Duration) {
             let root3 = root2.clone();
             let sim3 = sim2.clone();
             let finished3 = Rc::clone(&finished2);
+            let cluster3 = Rc::clone(&cluster2);
+            let conn2 = conn.clone();
             cluster2.execute(
                 &conn,
                 "CREATE TABLE t (id INT PRIMARY KEY, v INT)",
                 vec![],
                 move |r| {
                     r.expect("create table");
-                    root3.end();
-                    *finished3.borrow_mut() = Some(sim3.now().duration_since(begin));
+                    let _g = root3.enter();
+                    let root4 = root3.clone();
+                    cluster3.execute(&conn2, "INSERT INTO t VALUES (1, 10)", vec![], move |r| {
+                        r.expect("insert");
+                        root4.end();
+                        *finished3.borrow_mut() = Some(sim3.now().duration_since(begin));
+                    });
                 },
             );
         });
@@ -99,6 +106,11 @@ fn cold_start_trace_has_golden_structure() {
         "sql.node.start/catalog.load/kv.send/kv.rpc/kv.serve/storage.mvcc",
         "sql.node.start/instance.register/kv.send/kv.rpc/kv.serve/replication.quorum",
         "proxy.execute/sql.execute/kv.send",
+        // The INSERT's write set lives in one range, so it commits in one
+        // phase: a single round trip under `commit.end_txn`, with
+        // one quorum wait and one group commit.
+        "sql.execute/txn.commit/commit.end_txn/kv.send/kv.rpc/kv.serve/replication.quorum",
+        "sql.execute/txn.commit/commit.end_txn/kv.send/kv.rpc/kv.serve/wal.group_commit",
     ] {
         assert!(
             paths.iter().any(|p| p.contains(needle)),
@@ -106,6 +118,23 @@ fn cold_start_trace_has_golden_structure() {
             paths.join("\n")
         );
     }
+
+    let commit = trace.find("txn.commit").expect("txn.commit span");
+    assert_eq!(commit.tag("one_phase"), Some("true"));
+    for staged in ["commit.intents", "commit.resolve"] {
+        assert!(
+            !paths.iter().any(|p| p.contains(staged)),
+            "a single-range commit has no {staged} phase; got:\n{}",
+            paths.join("\n")
+        );
+    }
+    // One RPC per range per batch: the commit's `kv.send` has one `kv.rpc`.
+    let commit_send = spans
+        .iter()
+        .position(|s| s.name == "kv.send" && spans[s.parent.unwrap()].name == "commit.end_txn")
+        .expect("the commit's kv.send");
+    let rpcs = spans.iter().filter(|s| s.parent == Some(commit_send) && s.name == "kv.rpc").count();
+    assert_eq!(rpcs, 1, "refreshes + writes + EndTxn travel as one RPC");
 
     // Every span closed, and children stay inside their parents.
     for s in &spans {

@@ -15,7 +15,7 @@
 
 use crdb_util::TenantId;
 
-use crate::batch::{BatchRequest, KvError, RequestKind};
+use crate::batch::{BatchRequest, KvError};
 use crate::keys;
 
 /// A tenant identity credential (mTLS certificate stand-in).
@@ -89,15 +89,10 @@ pub fn authorize(
     }
     let tenant = cert.tenant();
     for req in &batch.requests {
-        let ok = match req {
-            RequestKind::Scan { start, end, .. } | RequestKind::RefreshSpan { start, end, .. } => {
-                keys::span_in_tenant(tenant, start, end)
-            }
-            RequestKind::EndTxn { .. } => match &batch.txn {
-                Some(txn) => keys::in_tenant_span(tenant, &txn.anchor_key),
-                None => false,
-            },
-            other => keys::in_tenant_span(tenant, other.primary_key()),
+        let ok = match batch.routing_span(req) {
+            Some((start, Some(end))) => keys::span_in_tenant(tenant, start, end),
+            Some((key, None)) => keys::in_tenant_span(tenant, key),
+            None => false,
         };
         if !ok {
             return Err(KvError::Unauthorized);
@@ -109,6 +104,7 @@ pub fn authorize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::RequestKind;
     use crate::hlc::Timestamp;
     use bytes::Bytes;
 

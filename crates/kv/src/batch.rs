@@ -8,8 +8,9 @@
 //! estimated-CPU feature extraction.
 
 use bytes::Bytes;
-use crdb_util::{Deadline, NodeId, RangeId, TenantId};
+use crdb_util::{Deadline, TenantId};
 
+use crate::directory::RangeInfo;
 use crate::hlc::Timestamp;
 use crate::txn::TxnMeta;
 
@@ -83,6 +84,17 @@ impl RequestKind {
         )
     }
 
+    /// Whether this is one of the requests a transaction commits with:
+    /// a read refresh, a write, or `EndTxn{commit}`.
+    pub fn is_commit_step(&self) -> bool {
+        matches!(
+            self,
+            RequestKind::RefreshSpan { .. }
+                | RequestKind::WriteIntent { .. }
+                | RequestKind::EndTxn { commit: true }
+        )
+    }
+
     /// Approximate payload bytes carried by the request.
     pub fn payload_bytes(&self) -> usize {
         match self {
@@ -99,18 +111,44 @@ impl RequestKind {
         }
     }
 
-    /// The primary key this request targets (scan start for scans).
-    pub fn primary_key(&self) -> &Bytes {
+    /// The keys this request addresses: its key (the span start for span
+    /// requests) and, for span requests, the exclusive span end. `None`
+    /// for `EndTxn`, which addresses its transaction's anchor key (see
+    /// [`BatchRequest::routing_span`]).
+    pub fn span(&self) -> Option<(&Bytes, Option<&Bytes>)> {
         match self {
             RequestKind::Get { key }
             | RequestKind::Put { key, .. }
             | RequestKind::Delete { key }
             | RequestKind::WriteIntent { key, .. }
-            | RequestKind::ResolveIntent { key, .. } => key,
-            RequestKind::Scan { start, .. } | RequestKind::RefreshSpan { start, .. } => start,
-            RequestKind::EndTxn { .. } => {
-                panic!("EndTxn routes via the transaction anchor key")
+            | RequestKind::ResolveIntent { key, .. } => Some((key, None)),
+            RequestKind::Scan { start, end, .. } | RequestKind::RefreshSpan { start, end, .. } => {
+                Some((start, Some(end)))
             }
+            RequestKind::EndTxn { .. } => None,
+        }
+    }
+
+    /// Splits a span request at `at`, a range boundary strictly inside
+    /// its span, into the part below `at` and the part from `at` on.
+    /// `None` for point requests and for spans that do not cross `at`.
+    /// A scan's halves both keep the full limit: either range might
+    /// satisfy it alone, so the merged result is truncated again.
+    pub fn split_at(&self, at: &Bytes) -> Option<(RequestKind, RequestKind)> {
+        let (start, end) = match self.span() {
+            Some((start, Some(end))) if start < at && at < end => (start.clone(), end.clone()),
+            _ => return None,
+        };
+        match self {
+            RequestKind::Scan { limit, .. } => Some((
+                RequestKind::Scan { start, end: at.clone(), limit: *limit },
+                RequestKind::Scan { start: at.clone(), end, limit: *limit },
+            )),
+            RequestKind::RefreshSpan { since, .. } => Some((
+                RequestKind::RefreshSpan { start, end: at.clone(), since: *since },
+                RequestKind::RefreshSpan { start: at.clone(), end, since: *since },
+            )),
+            _ => None,
         }
     }
 }
@@ -133,6 +171,28 @@ pub struct BatchRequest {
 }
 
 impl BatchRequest {
+    /// The keys `req` (one of this batch's requests) routes by: its own
+    /// span, or the transaction's anchor key for `EndTxn`. `None` only
+    /// for an `EndTxn` in a batch without a transaction.
+    pub fn routing_span<'a>(
+        &'a self,
+        req: &'a RequestKind,
+    ) -> Option<(&'a Bytes, Option<&'a Bytes>)> {
+        req.span().or_else(|| self.txn.as_ref().map(|t| (&t.anchor_key, None)))
+    }
+
+    /// Whether the batch is a whole transaction commit in one round trip:
+    /// nothing but commit steps, among them at least one write and the
+    /// `EndTxn{commit}`. The KV client sends such a batch only when all
+    /// of it lands on one range, where the leaseholder evaluates it as a
+    /// one-phase commit.
+    pub fn is_one_phase_commit(&self) -> bool {
+        self.txn.is_some()
+            && self.requests.iter().all(RequestKind::is_commit_step)
+            && self.requests.iter().any(|r| matches!(r, RequestKind::EndTxn { .. }))
+            && self.requests.iter().any(|r| matches!(r, RequestKind::WriteIntent { .. }))
+    }
+
     /// Whether any request in the batch writes.
     pub fn is_write(&self) -> bool {
         self.requests.iter().any(|r| r.is_write())
@@ -160,14 +220,21 @@ pub enum ResponseKind {
 pub enum KvError {
     /// Request targeted a key outside the authenticated tenant's keyspace.
     Unauthorized,
-    /// The receiving node does not hold the lease; retry at the indicated
-    /// node (mirrors CockroachDB's NotLeaseHolderError redirect).
-    NotLeaseholder {
-        /// The range involved.
-        range: RangeId,
-        /// Best-known current leaseholder, if any.
-        leaseholder: Option<NodeId>,
-    },
+    /// The receiving node does not hold the lease of the range the batch
+    /// addresses; retry at the leaseholder named in the carried
+    /// authoritative range info (mirrors CockroachDB's
+    /// NotLeaseHolderError redirect).
+    NotLeaseholder(RangeInfo),
+    /// A request of the batch addresses keys outside the range that holds
+    /// the batch's first key (the sender's descriptor is stale: the range
+    /// has split). Nothing was evaluated; carries that range's
+    /// authoritative info (mirrors CockroachDB's RangeKeyMismatchError).
+    RangeKeyMismatch(RangeInfo),
+    /// Refused by the KV client before anything was sent: the batch
+    /// carries `EndTxn` alongside other requests, which commits in one
+    /// phase and therefore must land on one range, but its spans resolve
+    /// to several. The coordinator falls back to the staged protocol.
+    TxnSpansRanges,
     /// No range contains the requested key (stale directory cache).
     RangeNotFound,
     /// A write ran into a newer committed value; the transaction must
@@ -265,6 +332,71 @@ mod tests {
         };
         assert!(batch.is_write());
         assert_eq!(batch.payload_bytes(), key.len() * 2 + 3);
+    }
+
+    #[test]
+    fn span_requests_split_at_a_range_boundary() {
+        let (a, m, z) =
+            (make_key(TenantId(2), b"a"), make_key(TenantId(2), b"m"), make_key(TenantId(2), b"z"));
+        let scan = RequestKind::Scan { start: a.clone(), end: z.clone(), limit: 7 };
+        match scan.split_at(&m) {
+            Some((
+                RequestKind::Scan { start: s0, end: e0, limit: 7 },
+                RequestKind::Scan { start: s1, end: e1, limit: 7 },
+            )) => assert_eq!((s0, e0, s1, e1), (a.clone(), m.clone(), m.clone(), z.clone())),
+            other => panic!("scan split: {other:?}"),
+        }
+        let refresh =
+            RequestKind::RefreshSpan { start: a.clone(), end: z.clone(), since: Timestamp::ZERO };
+        assert!(matches!(
+            refresh.split_at(&m),
+            Some((RequestKind::RefreshSpan { .. }, RequestKind::RefreshSpan { .. }))
+        ));
+        // A boundary at either edge, or outside, leaves the span whole;
+        // point requests never split.
+        for at in [&a, &z, &make_key(TenantId(3), b"a")] {
+            assert!(scan.split_at(at).is_none());
+        }
+        assert!(RequestKind::Get { key: a }.split_at(&m).is_none());
+    }
+
+    #[test]
+    fn end_txn_routes_by_the_anchor_and_one_phase_commits_are_recognised() {
+        let key = make_key(TenantId(2), b"k");
+        let write = RequestKind::WriteIntent { key: key.clone(), value: None };
+        let refresh = RequestKind::RefreshSpan {
+            start: key.clone(),
+            end: key.clone(),
+            since: Timestamp::ZERO,
+        };
+        let end = RequestKind::EndTxn { commit: true };
+        let mut batch = BatchRequest {
+            tenant: TenantId(2),
+            read_ts: Timestamp::ZERO,
+            txn: None,
+            deadline: Deadline::NONE,
+            requests: vec![refresh, write.clone(), end.clone()],
+        };
+        assert_eq!(batch.routing_span(&end), None, "no transaction, no anchor");
+        assert!(!batch.is_one_phase_commit());
+        batch.txn = Some(TxnMeta {
+            txn_id: 1,
+            anchor_key: key.clone(),
+            start_ts: Timestamp::ZERO,
+            write_ts: Timestamp::ZERO,
+        });
+        assert_eq!(batch.routing_span(&end), Some((&key, None)));
+        assert_eq!(batch.routing_span(&write), Some((&key, None)));
+        assert!(batch.is_one_phase_commit());
+        // The staged protocol's batches are not: no EndTxn, or nothing
+        // but it, or an abort, or a stranger among the commit steps.
+        let with = |requests| BatchRequest { requests, ..batch.clone() };
+        assert!(!with(vec![write.clone()]).is_one_phase_commit());
+        assert!(!with(vec![end.clone()]).is_one_phase_commit());
+        assert!(
+            !with(vec![write.clone(), RequestKind::EndTxn { commit: false }]).is_one_phase_commit()
+        );
+        assert!(!with(vec![write, RequestKind::Get { key }, end]).is_one_phase_commit());
     }
 
     #[test]

@@ -1,14 +1,32 @@
 //! The client-side batch router (CockroachDB's DistSender equivalent).
 //!
 //! A [`KvClient`] belongs to one SQL node: it holds the tenant certificate,
-//! a [`RangeCache`] refreshed by META follower reads (§3.2.5), and the
-//! client's network location. `send` splits a batch by range, dispatches
-//! sub-batches over the simulated network to the cached leaseholders,
-//! retries on redirects / stale caches / intent conflicts, and reassembles
-//! responses in request order.
+//! a [`RangeCache`] refreshed by META follower reads (§3.2.5) and by the
+//! authoritative range info every redirect carries, and the client's
+//! network location.
+//!
+//! [`KvClient::send`] costs **one RPC per range the batch touches**: it
+//! resolves every request's range (span requests are cut at range
+//! boundaries), groups the requests by range in their original order,
+//! and sends each group as one sub-batch to the cached leaseholder, all
+//! groups concurrently. Responses are mapped back by request index and
+//! the pieces of a split scan are merged under its original limit. A
+//! sub-batch is the unit of retry: a redirect ([`KvError::NotLeaseholder`]
+//! or [`KvError::RangeKeyMismatch`], both of which mean the node evaluated
+//! nothing) installs the carried [`RangeInfo`] and re-resolves and
+//! regroups the whole sub-batch; a dead node, a lost hop or a missing
+//! range invalidates the cache and does the same after a backoff; a read
+//! that ran into a pending intent retries after a short one.
+//!
+//! A batch that carries `EndTxn` next to other requests asks for a
+//! one-phase commit, which only a single leaseholder can evaluate. When
+//! its spans resolve to more than one range the client refuses it with
+//! [`KvError::TxnSpansRanges`] before sending anything — also when that
+//! only becomes known from a redirect — and the coordinator falls back
+//! to the staged protocol (`sql::coord`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -22,7 +40,7 @@ use crdb_util::NodeId;
 use crate::auth::TenantCert;
 use crate::batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};
 use crate::cluster::KvCluster;
-use crate::directory::{CacheEntry, RangeCache};
+use crate::directory::{RangeCache, RangeInfo};
 use crate::hlc::Timestamp;
 use crate::txn::TxnMeta;
 
@@ -110,8 +128,8 @@ impl KvClient {
 
     /// Sends a batch, invoking `cb` with the merged response. All requests
     /// must belong to this client's tenant keyspace (enforced server-side
-    /// too). Sub-batches run concurrently; the whole batch fails on the
-    /// first sub-batch error.
+    /// too). The batch goes out as one sub-batch per range, concurrently;
+    /// it fails as a whole on the first sub-batch error.
     pub fn send(&self, batch: BatchRequest, cb: impl FnOnce(BatchResponse) + 'static) {
         // A batch whose deadline already passed never touches the
         // network: the typed terminal error surfaces immediately.
@@ -120,23 +138,21 @@ impl KvClient {
             cb(BatchResponse::err(KvError::DeadlineExceeded));
             return;
         }
-        // Pieces: (original request index, span-order, request)
-        let mut pieces: Vec<(usize, usize, RequestKind)> = Vec::new();
-        for (i, req) in batch.requests.iter().enumerate() {
-            pieces.push((i, 0, req.clone()));
-        }
-        let n_results = batch.requests.len();
+        let mut batch = batch;
+        let requests = std::mem::take(&mut batch.requests);
+        let n_results = requests.len();
         // Remember each scan's requested limit: a scan split across ranges
         // dispatches every piece with the full limit (any one range might
         // satisfy it alone), so the merged result must be re-truncated.
-        let limits: Vec<Option<usize>> = batch
-            .requests
+        let limits: Vec<Option<usize>> = requests
             .iter()
             .map(|r| match r {
                 RequestKind::Scan { limit, .. } => Some(*limit),
                 _ => None,
             })
             .collect();
+        let pieces: Vec<Piece> =
+            requests.into_iter().enumerate().map(|(idx, req)| Piece { idx, req }).collect();
         let outer = trace::current();
         let span = trace::child("kv.send");
         span.tag("requests", n_results);
@@ -153,18 +169,15 @@ impl KvClient {
         };
         let state = Rc::new(DispatchState {
             client: self.clone(),
-            template: BatchRequest { requests: Vec::new(), ..batch },
+            template: batch,
             results: RefCell::new(vec![Vec::new(); n_results]),
             limits,
-            outstanding: RefCell::new(0),
+            outstanding: Cell::new(1), // guard against sync completion
             finished: RefCell::new(Some(Box::new(cb))),
             span,
         });
-        *state.outstanding.borrow_mut() = 1; // guard against sync completion
-        for (idx, order, req) in pieces {
-            DispatchState::dispatch_piece(&state, idx, order, req, 0, 0);
-        }
-        DispatchState::piece_done(&state); // release the guard
+        DispatchState::dispatch(&state, pieces, Retries::default());
+        DispatchState::unit_done(&state); // release the guard
     }
 
     /// Convenience: non-transactional point read.
@@ -224,25 +237,20 @@ impl KvClient {
         });
     }
 
-    /// Resolves the range containing `key`, using the cache or a META
-    /// follower read (one network hop to the nearest *reachable* node,
-    /// §3.2.5). Fails with [`KvError::Unavailable`] when no live node
-    /// is reachable, and [`KvError::RangeNotFound`] when the directory
-    /// has no range for the key.
-    fn resolve(
+    /// Fills the cache with the range containing `key` by a META follower
+    /// read (one network hop to the nearest *reachable* node, §3.2.5).
+    /// Fails with [`KvError::Unavailable`] when no live node is reachable,
+    /// [`KvError::RangeNotFound`] when the directory has no range for the
+    /// key, and [`KvError::NodeUnavailable`] — a retryable hop failure —
+    /// when a partition dropped a META hop and no reply came within
+    /// `timeout`.
+    fn lookup_meta(
         &self,
         key: Bytes,
-        parent: trace::MaybeSpan,
-        cb: impl FnOnce(Result<CacheEntry, KvError>) + 'static,
+        parent: &trace::MaybeSpan,
+        timeout: Duration,
+        cb: impl FnOnce(Result<(), KvError>) + 'static,
     ) {
-        // Bind the lookup so the cache borrow ends before `cb` runs: the
-        // callback may synchronously re-dispatch (scan split) and re-enter
-        // this cache.
-        let cached = self.inner.cache.borrow_mut().lookup(&key);
-        if let Some(entry) = cached {
-            cb(Ok(entry));
-            return;
-        }
         let cluster = self.inner.cluster.clone();
         let this = self.clone();
         let nearest = match cluster.nearest_node(self.inner.location) {
@@ -257,27 +265,40 @@ impl KvClient {
         let sim = cluster.sim.clone();
         let my_loc = self.inner.location;
         let node_loc = nearest.location;
+        // The reply and the timeout race for the callback; whichever
+        // fires first takes it.
+        let cb: Rc<Cell<Option<MetaLookupFn>>> = Rc::new(Cell::new(Some(Box::new(cb))));
+        let timer = {
+            let cb = Rc::clone(&cb);
+            let meta_span = meta_span.clone();
+            sim.schedule_after(timeout, move || {
+                if let Some(cb) = cb.take() {
+                    meta_span.tag("timeout", true);
+                    meta_span.end();
+                    cb(Err(KvError::NodeUnavailable));
+                }
+            })
+        };
         // Request hop.
         topo.send(&sim, my_loc, node_loc, move || {
             // Follower read of META on the nearest node: the directory is
             // read as-of-now (staleness is tolerated because stale entries
             // just cause a redirect).
-            let entry = {
-                let inner = cluster.inner.borrow();
-                inner
-                    .directory
-                    .lookup(&key)
-                    .map(|r| CacheEntry { desc: r.desc.clone(), leaseholder: r.lease.holder })
-            };
+            let entry = cluster.inner.borrow().directory.lookup(&key).map(RangeInfo::from);
             let topo2 = cluster.topology();
             let sim2 = cluster.sim.clone();
             // Response hop.
             topo2.send(&sim2, node_loc, my_loc, move || {
+                let Some(cb) = cb.take() else { return };
+                cluster.sim.cancel(timer);
                 meta_span.end();
-                if let Some(e) = entry.clone() {
-                    this.inner.cache.borrow_mut().fill_from_meta(e);
-                }
-                cb(entry.ok_or(KvError::RangeNotFound));
+                cb(match entry {
+                    Some(e) => {
+                        this.inner.cache.borrow_mut().fill_from_meta(e);
+                        Ok(())
+                    }
+                    None => Err(KvError::RangeNotFound),
+                });
             });
         });
     }
@@ -285,138 +306,159 @@ impl KvClient {
 
 /// The batch completion callback, taken exactly once.
 type FinishFn = Box<dyn FnOnce(BatchResponse)>;
+/// A META lookup's callback, taken exactly once.
+type MetaLookupFn = Box<dyn FnOnce(Result<(), KvError>)>;
+
+/// One request of a client batch — or, for a span request that crosses
+/// range boundaries, the part of it inside one range — tagged with the
+/// index of the original request its response belongs to.
+struct Piece {
+    idx: usize,
+    req: RequestKind,
+}
+
+/// Requests bound for one range, in original order, with the range info
+/// they were resolved against.
+type Group = (RangeInfo, Vec<Piece>);
+
+/// How often a sub-batch has been re-sent, per retry budget.
+#[derive(Clone, Copy, Default)]
+struct Retries {
+    routing: u32,
+    conflict: u32,
+}
 
 /// In-flight state for one client batch.
 struct DispatchState {
     client: KvClient,
     /// Batch header (tenant, read_ts, txn) without requests.
     template: BatchRequest,
-    /// Per original request index: `(span_order, response)` pieces.
-    results: RefCell<Vec<Vec<(usize, ResponseKind)>>>,
+    /// Per original request index: the responses of its pieces, in
+    /// arrival order.
+    results: RefCell<Vec<Vec<ResponseKind>>>,
     /// Per original request index: the scan's requested row limit
     /// (`None` for non-scans), applied again after merging split pieces.
     limits: Vec<Option<usize>>,
-    outstanding: RefCell<usize>,
+    /// Routing passes and sub-batch RPCs still in flight.
+    outstanding: Cell<usize>,
     finished: RefCell<Option<FinishFn>>,
-    /// The batch's `kv.send` span; per-attempt `kv.rpc` spans attach here
-    /// even from scheduled retry contexts where no ambient span is active.
+    /// The batch's `kv.send` span; `meta.lookup` and per-attempt `kv.rpc`
+    /// spans attach here even from scheduled retry contexts where no
+    /// ambient span is active.
     span: trace::MaybeSpan,
 }
 
 impl DispatchState {
-    fn routing_key(template: &BatchRequest, req: &RequestKind) -> Bytes {
-        match req {
-            RequestKind::EndTxn { .. } => template
-                .txn
-                .as_ref()
-                .map(|t| t.anchor_key.clone())
-                .unwrap_or_else(|| Bytes::from_static(b"")),
-            other => other.primary_key().clone(),
-        }
+    fn routing_key(&self, req: &RequestKind) -> Bytes {
+        self.template.routing_span(req).map(|(key, _)| key.clone()).unwrap_or_default()
     }
 
-    /// Routes one piece (a single request clamped to one range).
-    fn dispatch_piece(
-        state: &Rc<Self>,
-        idx: usize,
-        order: usize,
-        req: RequestKind,
-        routing_retries: u32,
-        conflict_retries: u32,
-    ) {
-        *state.outstanding.borrow_mut() += 1;
-        // The deadline is re-checked per dispatch: a piece that expired
-        // while queued behind a backoff fails typed instead of sending.
+    /// Routes `pieces` — a whole batch, or one sub-batch being retried —
+    /// and sends one RPC per range they resolve to.
+    fn dispatch(state: &Rc<Self>, pieces: Vec<Piece>, retries: Retries) {
+        state.outstanding.set(state.outstanding.get() + 1);
+        // The deadline is re-checked per dispatch: a sub-batch that
+        // expired while queued behind a backoff fails typed instead of
+        // sending.
         let now = state.client.inner.cluster.sim.now();
         if state.template.deadline.expired(now) {
             state.client.inner.cluster.degrade().bump_deadline_exceeded();
             state.fail(KvError::DeadlineExceeded);
             return;
         }
-        let key = Self::routing_key(&state.template, &req);
-        let rpc = state.span.child("kv.rpc");
-        rpc.tag("req", idx);
-        if routing_retries + conflict_retries > 0 {
-            rpc.tag("retries", routing_retries + conflict_retries);
+        Rc::clone(state).route(pieces.into(), Vec::new(), retries);
+    }
+
+    /// Files each of `pending` under the group of the range its key
+    /// resolves to in the cache. On a miss, a META lookup fills the cache
+    /// and routing resumes from the piece that missed.
+    fn route(
+        self: Rc<Self>,
+        mut pending: VecDeque<Piece>,
+        mut groups: Vec<Group>,
+        retries: Retries,
+    ) {
+        while let Some(mut piece) = pending.pop_front() {
+            let key = self.routing_key(&piece.req);
+            // A range this pass already resolved needs no second look at
+            // the cache (nor a second copy of its descriptor).
+            let mut at = groups.iter().position(|(e, _)| e.desc.contains(&key));
+            if at.is_none() {
+                // Bind the lookup so the cache borrow ends here.
+                let cached = self.client.inner.cache.borrow_mut().lookup(&key);
+                let Some(entry) = cached else {
+                    pending.push_front(piece);
+                    self.route_after_meta_lookup(key, pending, groups, retries);
+                    return;
+                };
+                at = Some(groups.len());
+                groups.push((entry, Vec::new()));
+            }
+            let Some((entry, pieces)) = at.and_then(|at| groups.get_mut(at)) else { continue };
+            // A span crossing the range boundary splits here: the in-range
+            // part joins this range's group, the remainder routes next.
+            if let Some((head, tail)) = piece.req.split_at(&entry.desc.end) {
+                pending.push_front(Piece { idx: piece.idx, req: tail });
+                piece.req = head;
+            }
+            pieces.push(piece);
         }
-        let st = Rc::clone(state);
-        // A META hop dropped by a partition would otherwise leave this
-        // piece hanging forever: guard the resolve with an RPC timeout
-        // that converts silence into a retryable hop failure.
-        let done = Rc::new(Cell::new(false));
-        let timeout = {
-            let st = Rc::clone(state);
-            let done = Rc::clone(&done);
-            let req = req.clone();
-            let rpc = rpc.clone();
-            state.client.inner.cluster.sim.schedule_after(state.rpc_timeout(now), move || {
-                if done.replace(true) {
-                    return;
-                }
-                rpc.tag("timeout", true);
-                rpc.end();
-                st.handle_response(
-                    idx,
-                    order,
-                    req,
-                    BatchResponse::err(KvError::NodeUnavailable),
-                    routing_retries,
-                    conflict_retries,
-                );
-            })
-        };
-        let sim = state.client.inner.cluster.sim.clone();
-        state.client.clone().resolve(key, rpc.clone(), move |entry| {
-            if done.replace(true) {
-                return;
+        self.send_groups(groups, retries);
+    }
+
+    fn route_after_meta_lookup(
+        self: Rc<Self>,
+        key: Bytes,
+        pending: VecDeque<Piece>,
+        groups: Vec<Group>,
+        retries: Retries,
+    ) {
+        let client = self.client.clone();
+        let timeout = self.rpc_timeout(client.inner.cluster.sim.now());
+        let span = self.span.clone();
+        client.lookup_meta(key, &span, timeout, move |found| match found {
+            Ok(()) => self.route(pending, groups, retries),
+            Err(KvError::NodeUnavailable) => {
+                // Nothing of this pass was sent yet: back off and route
+                // all of it again, in its original order.
+                let mut all: Vec<Piece> = groups.into_iter().flat_map(|(_, ps)| ps).collect();
+                all.extend(pending);
+                all.sort_by_key(|p| p.idx);
+                self.retry_after_backoff(all, retries);
             }
-            sim.cancel(timeout);
-            let entry = match entry {
-                Ok(e) => e,
-                Err(e) => {
-                    rpc.end();
-                    st.fail(e);
-                    return;
-                }
-            };
-            // A scan crossing the range boundary splits here: the in-range
-            // prefix executes now, the remainder re-dispatches.
-            let mut req = req;
-            if let RequestKind::Scan { start, end, limit } = &req {
-                if end.as_ref() > entry.desc.end.as_ref()
-                    && start.as_ref() < entry.desc.end.as_ref()
-                {
-                    let tail = RequestKind::Scan {
-                        start: entry.desc.end.clone(),
-                        end: end.clone(),
-                        limit: *limit,
-                    };
-                    Self::dispatch_piece(&st, idx, order + 1, tail, 0, 0);
-                    req = RequestKind::Scan {
-                        start: start.clone(),
-                        end: entry.desc.end.clone(),
-                        limit: *limit,
-                    };
-                }
-            }
-            st.send_to_node(idx, order, req, entry, rpc, routing_retries, conflict_retries);
+            Err(e) => self.fail(e),
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_to_node(
-        self: Rc<Self>,
-        idx: usize,
-        order: usize,
-        req: RequestKind,
-        entry: CacheEntry,
-        rpc: trace::MaybeSpan,
-        routing_retries: u32,
-        conflict_retries: u32,
-    ) {
+    /// Sends each group as one sub-batch RPC, all concurrently.
+    fn send_groups(self: Rc<Self>, groups: Vec<Group>, retries: Retries) {
+        // `EndTxn` beside other requests commits in one phase, which only
+        // a single leaseholder can evaluate.
+        let ends_txn = |(_, pieces): &Group| {
+            pieces.iter().any(|p| matches!(p.req, RequestKind::EndTxn { .. }))
+        };
+        if groups.len() > 1 && groups.iter().any(ends_txn) {
+            self.fail(KvError::TxnSpansRanges);
+            return;
+        }
+        for (entry, pieces) in groups {
+            self.outstanding.set(self.outstanding.get() + 1);
+            Rc::clone(&self).send_to_node(entry, pieces, retries);
+        }
+        Self::unit_done(&self);
+    }
+
+    /// Sends `pieces` as one RPC to `entry`'s leaseholder.
+    fn send_to_node(self: Rc<Self>, entry: RangeInfo, pieces: Vec<Piece>, retries: Retries) {
         let client = self.client.clone();
         let cluster = client.inner.cluster.clone();
-        let node = match cluster.node(entry.leaseholder) {
+        let rpc = self.span.child("kv.rpc");
+        rpc.tag("requests", pieces.len());
+        if retries.routing + retries.conflict > 0 {
+            rpc.tag("retries", retries.routing + retries.conflict);
+        }
+        let target = entry.leaseholder;
+        let node = match cluster.node(target) {
             Some(n) => n,
             None => {
                 rpc.end();
@@ -424,7 +466,7 @@ impl DispatchState {
                 return;
             }
         };
-        rpc.tag("node", entry.leaseholder);
+        rpc.tag("node", target);
         let topo = cluster.topology();
         let sim = cluster.sim.clone();
         let my_loc = client.inner.location;
@@ -446,19 +488,12 @@ impl DispatchState {
         // wait entirely and take the routing-failure path, which backs
         // off, refreshes META, and reroutes once the lease moves.
         let now = sim.now();
-        if !self.breaker_allows(entry.leaseholder, now) {
+        if !self.breaker_allows(target, now) {
             let degrade = cluster.degrade();
             degrade.breaker_fast_fails.set(degrade.breaker_fast_fails.get() + 1);
             rpc.tag("breaker_open", true);
             rpc.end();
-            self.handle_response(
-                idx,
-                order,
-                req,
-                BatchResponse::err(KvError::NodeUnavailable),
-                routing_retries,
-                conflict_retries,
-            );
+            self.handle_response(pieces, BatchResponse::err(KvError::NodeUnavailable), retries);
             return;
         }
         let sub = BatchRequest {
@@ -466,58 +501,44 @@ impl DispatchState {
             read_ts: self.template.read_ts,
             txn: self.template.txn.clone(),
             deadline: self.template.deadline,
-            requests: vec![req.clone()],
+            requests: pieces.iter().map(|p| p.req.clone()).collect(),
         };
         let cert = client.inner.cert.clone();
-        let st = Rc::clone(&self);
         // RPC timeout: a partition starting while this request is in
         // flight drops a hop; convert the silence into a retryable hop
-        // failure so the piece never hangs. Clamped to the deadline's
-        // remaining time — waiting past it would be wasted.
-        let done = Rc::new(Cell::new(false));
-        let target = entry.leaseholder;
-        let timeout = {
+        // failure so the sub-batch never hangs. Clamped to the deadline's
+        // remaining time — waiting past it would be wasted. The reply and
+        // the timeout race for the pieces; whichever fires first takes
+        // them.
+        let pieces = Rc::new(Cell::new(Some(pieces)));
+        let timer = {
             let st = Rc::clone(&self);
-            let done = Rc::clone(&done);
-            let req = req.clone();
+            let pieces = Rc::clone(&pieces);
             let rpc = rpc.clone();
             sim.schedule_after(self.rpc_timeout(now), move || {
-                if done.replace(true) {
-                    return;
-                }
+                let Some(pieces) = pieces.take() else { return };
                 st.breaker_record(target, false);
                 rpc.tag("timeout", true);
                 rpc.end();
-                st.handle_response(
-                    idx,
-                    order,
-                    req,
-                    BatchResponse::err(KvError::NodeUnavailable),
-                    routing_retries,
-                    conflict_retries,
-                );
+                st.handle_response(pieces, BatchResponse::err(KvError::NodeUnavailable), retries);
             })
         };
         topo.send(&sim, my_loc, node_loc, move || {
-            let topo2 = st.client.inner.cluster.topology();
-            let sim2 = st.client.inner.cluster.sim.clone();
-            let st2 = Rc::clone(&st);
-            let req2 = req.clone();
+            let topo2 = self.client.inner.cluster.topology();
+            let sim2 = self.client.inner.cluster.sim.clone();
             let _g = rpc.enter();
             let rpc2 = rpc.clone();
             node.receive(&cert, sub, move |resp| {
                 // Return hop, then handle.
-                let st3 = Rc::clone(&st2);
+                let sim3 = sim2.clone();
                 topo2.send(&sim2, node_loc, my_loc, move || {
-                    if done.replace(true) {
-                        return;
-                    }
+                    let Some(pieces) = pieces.take() else { return };
                     // Any reply — even an error — proves the path and
                     // node are live enough to answer.
-                    st3.breaker_record(target, true);
+                    self.breaker_record(target, true);
                     rpc2.end();
-                    st3.client.inner.cluster.sim.cancel(timeout);
-                    st3.handle_response(idx, order, req2, resp, routing_retries, conflict_retries);
+                    sim3.cancel(timer);
+                    self.handle_response(pieces, resp, retries);
                 });
             });
         });
@@ -556,75 +577,49 @@ impl DispatchState {
         }
     }
 
-    fn handle_response(
-        self: Rc<Self>,
-        idx: usize,
-        order: usize,
-        req: RequestKind,
-        resp: BatchResponse,
-        routing_retries: u32,
-        conflict_retries: u32,
-    ) {
+    /// Handles the response (or the hop failure standing in for one) of
+    /// the sub-batch `pieces`.
+    fn handle_response(self: Rc<Self>, pieces: Vec<Piece>, resp: BatchResponse, retries: Retries) {
         match resp.error {
             None => {
-                let result = resp.results.into_iter().next().unwrap_or(ResponseKind::Ok);
-                self.results.borrow_mut()[idx].push((order, result));
-                Self::piece_done(&self);
-            }
-            Some(KvError::NotLeaseholder { leaseholder, .. }) => {
-                let key = Self::routing_key(&self.template, &req);
-                if let Some(holder) = leaseholder {
-                    self.client.inner.cache.borrow_mut().update_leaseholder(&key, holder);
-                } else {
-                    self.client.inner.cache.borrow_mut().invalidate(&key);
+                {
+                    let mut results = self.results.borrow_mut();
+                    let mut responses = resp.results.into_iter();
+                    for piece in &pieces {
+                        if let Some(slot) = results.get_mut(piece.idx) {
+                            slot.push(responses.next().unwrap_or(ResponseKind::Ok));
+                        }
+                    }
                 }
-                self.retry_routing(idx, order, req, routing_retries, conflict_retries);
+                Self::unit_done(&self);
+            }
+            Some(KvError::NotLeaseholder(info)) | Some(KvError::RangeKeyMismatch(info)) => {
+                // The node evaluated nothing and said who does: learn the
+                // authoritative descriptor (evicting whatever stale entry
+                // sent us here) and route the sub-batch again.
+                let degrade = self.client.inner.cluster.degrade();
+                degrade.redirects.set(degrade.redirects.get() + 1);
+                self.client.inner.cache.borrow_mut().insert(info);
+                self.retry_routing(pieces, retries);
             }
             Some(KvError::RangeNotFound) | Some(KvError::NodeUnavailable) => {
-                // A dead node or stale descriptor: refresh from META. The
-                // lease-check loop moves leases off dead nodes within its
-                // period, so retries back off long enough to observe that.
-                let key = Self::routing_key(&self.template, &req);
-                self.client.inner.cache.borrow_mut().invalidate(&key);
-                let sim = self.client.inner.cluster.sim.clone();
-                // The backoff must land before the batch deadline: a retry
-                // scheduled past it is never scheduled at all.
-                match routing_policy().next_delay(
-                    routing_retries,
-                    sim.now(),
-                    self.template.deadline,
-                ) {
-                    Some(backoff) => {
-                        let st = Rc::clone(&self);
-                        sim.schedule_after(backoff, move || {
-                            st.retry_routing(idx, order, req, routing_retries, conflict_retries);
-                        });
-                    }
-                    None => {
-                        self.client.inner.cluster.degrade().bump_deadline_exceeded();
-                        self.fail(KvError::DeadlineExceeded);
-                    }
-                }
+                self.retry_after_backoff(pieces, retries);
             }
-            Some(e @ KvError::IntentConflict { .. }) if !req.is_write() => {
+            Some(e @ KvError::IntentConflict { .. })
+                if pieces.iter().all(|p| !p.req.is_write()) =>
+            {
                 // Back off briefly and retry: the conflicting transaction
                 // commits or aborts shortly (short commit windows).
                 let sim = self.client.inner.cluster.sim.clone();
-                match conflict_policy().delay(conflict_retries) {
+                match conflict_policy().delay(retries.conflict) {
                     Some(backoff) if self.template.deadline.allows(sim.now(), backoff) => {
                         let degrade = self.client.inner.cluster.degrade();
                         degrade.retries.set(degrade.retries.get() + 1);
                         let st = Rc::clone(&self);
                         sim.schedule_after(backoff, move || {
-                            Self::dispatch_piece(
-                                &st,
-                                idx,
-                                order,
-                                req,
-                                routing_retries,
-                                conflict_retries + 1,
-                            );
-                            Self::piece_done(&st);
+                            let retries = Retries { conflict: retries.conflict + 1, ..retries };
+                            Self::dispatch(&st, pieces, retries);
+                            Self::unit_done(&st);
                         });
                     }
                     Some(_) => {
@@ -639,15 +634,32 @@ impl DispatchState {
         }
     }
 
-    fn retry_routing(
-        self: Rc<Self>,
-        idx: usize,
-        order: usize,
-        req: RequestKind,
-        routing_retries: u32,
-        conflict_retries: u32,
-    ) {
-        if routing_retries >= MAX_ROUTING_RETRIES {
+    /// A dead node, a lost hop or a stale descriptor: forget what the
+    /// cache says about `pieces`' ranges and route them again after a
+    /// backoff. The lease-check loop moves leases off dead nodes within
+    /// its period, so retries back off long enough to observe that.
+    fn retry_after_backoff(self: Rc<Self>, pieces: Vec<Piece>, retries: Retries) {
+        let keys: Vec<Bytes> = pieces.iter().map(|p| self.routing_key(&p.req)).collect();
+        {
+            let mut cache = self.client.inner.cache.borrow_mut();
+            keys.iter().for_each(|key| cache.invalidate(key));
+        }
+        let sim = self.client.inner.cluster.sim.clone();
+        // The backoff must land before the batch deadline: a retry
+        // scheduled past it is never scheduled at all.
+        match routing_policy().next_delay(retries.routing, sim.now(), self.template.deadline) {
+            Some(backoff) => {
+                sim.schedule_after(backoff, move || self.retry_routing(pieces, retries));
+            }
+            None => {
+                self.client.inner.cluster.degrade().bump_deadline_exceeded();
+                self.fail(KvError::DeadlineExceeded);
+            }
+        }
+    }
+
+    fn retry_routing(self: Rc<Self>, pieces: Vec<Piece>, retries: Retries) {
+        if retries.routing >= MAX_ROUTING_RETRIES {
             // The retry budget outlasts any single lease transfer; if we
             // still have no live route the range is genuinely unavailable.
             self.fail(KvError::Unavailable);
@@ -655,9 +667,8 @@ impl DispatchState {
         }
         let degrade = self.client.inner.cluster.degrade();
         degrade.retries.set(degrade.retries.get() + 1);
-        let st = Rc::clone(&self);
-        Self::dispatch_piece(&st, idx, order, req, routing_retries + 1, conflict_retries);
-        Self::piece_done(&self);
+        Self::dispatch(&self, pieces, Retries { routing: retries.routing + 1, ..retries });
+        Self::unit_done(&self);
     }
 
     fn fail(self: &Rc<Self>, error: KvError) {
@@ -667,15 +678,14 @@ impl DispatchState {
         if let Some(cb) = cb {
             cb(BatchResponse::err(error));
         }
-        Self::piece_done(self);
+        Self::unit_done(self);
     }
 
-    fn piece_done(state: &Rc<Self>) {
-        let remaining = {
-            let mut o = state.outstanding.borrow_mut();
-            *o -= 1;
-            *o
-        };
+    /// Retires one routing pass or sub-batch RPC; the last one out
+    /// merges the results and completes the batch.
+    fn unit_done(state: &Rc<Self>) {
+        let remaining = state.outstanding.get() - 1;
+        state.outstanding.set(remaining);
         if remaining > 0 {
             return;
         }
@@ -686,37 +696,36 @@ impl DispatchState {
             Some(cb) => cb,
             None => return, // already failed
         };
-        // Merge: scans concatenate their pieces in span order, then apply
-        // the original limit — each split piece carried the full limit, so
-        // a scan crossing N ranges could otherwise return up to N × limit
-        // rows.
-        let mut merged = Vec::new();
-        for (idx, pieces) in state.results.borrow_mut().iter_mut().enumerate() {
-            pieces.sort_by_key(|(order, _)| *order);
-            if pieces.len() == 1 {
-                merged.push(pieces.remove(0).1);
+        let results = state.results.take();
+        let mut merged = Vec::with_capacity(results.len());
+        for (idx, mut pieces) in results.into_iter().enumerate() {
+            if pieces.len() <= 1 {
+                merged.push(pieces.pop().unwrap_or(ResponseKind::Ok));
                 continue;
             }
+            // A span request that was split across ranges. A scan's
+            // pieces arrive in completion order, each sorted and over a
+            // disjoint key range: concatenate, sort, then apply the
+            // original limit — every piece carried the full limit, so a
+            // scan crossing N ranges could otherwise return up to
+            // N × limit rows.
             let mut pairs: Vec<(Bytes, Bytes)> = Vec::new();
-            let mut fallback = ResponseKind::Ok;
             let mut is_scan = false;
-            for (_, piece) in pieces.drain(..) {
-                match piece {
-                    ResponseKind::Pairs(p) => {
-                        is_scan = true;
-                        pairs.extend(p);
-                    }
-                    other => fallback = other,
+            for piece in pieces {
+                if let ResponseKind::Pairs(p) = piece {
+                    is_scan = true;
+                    pairs.extend(p);
                 }
             }
-            if is_scan {
-                if let Some(Some(limit)) = state.limits.get(idx) {
-                    pairs.truncate(*limit);
-                }
-                merged.push(ResponseKind::Pairs(pairs));
-            } else {
-                merged.push(fallback);
+            if !is_scan {
+                merged.push(ResponseKind::Ok);
+                continue;
             }
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            if let Some(Some(limit)) = state.limits.get(idx) {
+                pairs.truncate(*limit);
+            }
+            merged.push(ResponseKind::Pairs(pairs));
         }
         cb(BatchResponse::ok(merged));
     }

@@ -120,11 +120,23 @@ pub struct ClusterInner {
 }
 
 /// Cluster-wide degradation counters: retry, deadline, and breaker
-/// activity across every client and node, surfaced through `obs`.
+/// activity across every client and node — and, beside them, which
+/// commit protocol each transaction took — surfaced through `obs`.
 #[derive(Debug, Default)]
 pub struct DegradeCounters {
-    /// Client-side retries actually scheduled (routing + conflict).
+    /// Client-side sub-batch retries actually scheduled (routing +
+    /// conflict).
     pub retries: Cell<u64>,
+    /// Sub-batches a node turned away unevaluated (not the leaseholder,
+    /// or a key outside the addressed range); each carried the
+    /// authoritative range info the client then cached.
+    pub redirects: Cell<u64>,
+    /// Transactions committed in one phase: the whole write set and the
+    /// transaction record applied by one leaseholder in one round trip.
+    pub commits_one_phase: Cell<u64>,
+    /// Transactions committed by the staged protocol (intents, then the
+    /// transaction record, then resolution).
+    pub commits_two_phase: Cell<u64>,
     /// Batches failed because their propagated deadline expired or the
     /// next retry would have landed past it.
     pub deadline_exceeded: Cell<u64>,
@@ -714,6 +726,26 @@ impl KvCluster {
     /// Whether a node is currently marked alive.
     pub fn node_is_alive(&self, id: NodeId) -> bool {
         self.inner.borrow().nodes.get(&id).is_some_and(|n| n.is_alive())
+    }
+
+    /// Moves the lease of the range containing `key` to `to`, as the
+    /// rebalancer would. Refused (`false`) unless `to` is live and holds a
+    /// replica of the range.
+    pub fn transfer_lease(&self, key: &[u8], to: NodeId) -> bool {
+        let now = self.sim.now();
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        if !inner.liveness.is_live(to, now) {
+            return false;
+        }
+        let epoch = inner.liveness.epoch(to);
+        match inner.directory.lookup_mut(key) {
+            Some(range) if range.desc.replicas.contains(&to) => {
+                range.lease = Lease { holder: to, epoch };
+                true
+            }
+            _ => false,
+        }
     }
 
     /// The current leaseholder of the range containing `key` (ground

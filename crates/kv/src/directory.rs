@@ -128,19 +128,27 @@ impl Directory {
     }
 }
 
-/// A cached directory entry held by a client.
-#[derive(Debug, Clone)]
-pub struct CacheEntry {
-    /// The cached descriptor.
+/// A range's descriptor and leaseholder as of some read of the
+/// directory: what a META lookup returns, what a redirect carries, and
+/// what a client caches (where it may since have gone stale).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RangeInfo {
+    /// The descriptor.
     pub desc: RangeDescriptor,
-    /// Last-known leaseholder.
+    /// The leaseholder.
     pub leaseholder: NodeId,
+}
+
+impl From<&RangeState> for RangeInfo {
+    fn from(state: &RangeState) -> Self {
+        RangeInfo { desc: state.desc.clone(), leaseholder: state.lease.holder }
+    }
 }
 
 /// A client-side, possibly stale view of the directory.
 #[derive(Debug, Default)]
 pub struct RangeCache {
-    by_start: BTreeMap<Bytes, CacheEntry>,
+    by_start: BTreeMap<Bytes, RangeInfo>,
     /// Lookups that had to go to META (cold or invalidated).
     pub meta_lookups: u64,
     /// Lookups served from cache.
@@ -154,7 +162,7 @@ impl RangeCache {
     }
 
     /// A cached entry covering `key`, if present.
-    pub fn lookup(&mut self, key: &[u8]) -> Option<CacheEntry> {
+    pub fn lookup(&mut self, key: &[u8]) -> Option<RangeInfo> {
         let key_b = Bytes::copy_from_slice(key);
         let (_, entry) = self.by_start.range(..=key_b).next_back()?;
         if entry.desc.contains(key) {
@@ -165,9 +173,9 @@ impl RangeCache {
         }
     }
 
-    /// Installs an entry (from a META lookup or a redirect hint).
-    pub fn insert(&mut self, entry: CacheEntry) {
-        // Evict any entries overlapping the new descriptor (stale splits).
+    /// Installs an entry (from a META lookup or a redirect), evicting
+    /// every cached entry it overlaps.
+    pub fn insert(&mut self, entry: RangeInfo) {
         let start = entry.desc.start.clone();
         let end = entry.desc.end.clone();
         let stale: Vec<Bytes> = self
@@ -183,7 +191,7 @@ impl RangeCache {
     }
 
     /// Records a META lookup (stats) and installs the result.
-    pub fn fill_from_meta(&mut self, entry: CacheEntry) {
+    pub fn fill_from_meta(&mut self, entry: RangeInfo) {
         self.meta_lookups += 1;
         self.insert(entry);
     }
@@ -194,19 +202,6 @@ impl RangeCache {
         let found = self.by_start.range(..=key_b).next_back().map(|(k, _)| k.clone());
         if let Some(k) = found {
             self.by_start.remove(&k);
-        }
-    }
-
-    /// Updates the cached leaseholder after a redirect hint.
-    pub fn update_leaseholder(&mut self, key: &[u8], holder: NodeId) {
-        let key_b = Bytes::copy_from_slice(key);
-        let found = self.by_start.range(..=key_b).next_back().map(|(k, _)| k.clone());
-        if let Some(k) = found {
-            if let Some(e) = self.by_start.get_mut(&k) {
-                if e.desc.contains(key) {
-                    e.leaseholder = holder;
-                }
-            }
         }
     }
 
@@ -278,7 +273,7 @@ mod tests {
         let k = keys::make_key(TenantId(5), b"x");
         assert!(c.lookup(&k).is_none());
         let r = mkrange(1, 5, b"", b"");
-        c.fill_from_meta(CacheEntry { desc: r.desc.clone(), leaseholder: NodeId(2) });
+        c.fill_from_meta(RangeInfo { desc: r.desc.clone(), leaseholder: NodeId(2) });
         assert_eq!(c.lookup(&k).unwrap().leaseholder, NodeId(2));
         assert_eq!(c.meta_lookups, 1);
         assert_eq!(c.cache_hits, 1);
@@ -290,23 +285,13 @@ mod tests {
     fn stale_entries_evicted_on_split_install() {
         let mut c = RangeCache::new();
         let whole = mkrange(1, 5, b"", b"");
-        c.insert(CacheEntry { desc: whole.desc.clone(), leaseholder: NodeId(1) });
+        c.insert(RangeInfo { desc: whole.desc.clone(), leaseholder: NodeId(1) });
         // A split produced two halves; inserting one evicts the stale whole.
         let left = mkrange(2, 5, b"", b"m");
-        c.insert(CacheEntry { desc: left.desc.clone(), leaseholder: NodeId(1) });
+        c.insert(RangeInfo { desc: left.desc.clone(), leaseholder: NodeId(1) });
         let right_key = keys::make_key(TenantId(5), b"z");
         assert!(c.lookup(&right_key).is_none(), "stale whole-range entry gone");
         let left_key = keys::make_key(TenantId(5), b"a");
         assert_eq!(c.lookup(&left_key).unwrap().desc.id, RangeId(2));
-    }
-
-    #[test]
-    fn update_leaseholder_hint() {
-        let mut c = RangeCache::new();
-        let r = mkrange(1, 5, b"", b"");
-        c.insert(CacheEntry { desc: r.desc.clone(), leaseholder: NodeId(1) });
-        let k = keys::make_key(TenantId(5), b"q");
-        c.update_leaseholder(&k, NodeId(3));
-        assert_eq!(c.lookup(&k).unwrap().leaseholder, NodeId(3));
     }
 }

@@ -29,10 +29,12 @@
 //! replica, MVCC versions and intents are really written and resolved, and
 //! reads merge real versions. *Timing* is simulated: service latency comes
 //! from the cost model + admission queues + CPU scheduler, and replication
-//! waits simulated quorum round trips. Transactions use buffered writes
-//! with a two-phase commit (intents, then transaction record flip),
-//! matching CockroachDB's behaviour for the workloads evaluated; the
-//! timestamp cache is approximated by retry-on-conflict.
+//! waits simulated quorum round trips. Transactions use buffered writes;
+//! a commit whose spans live in one range is evaluated there in one
+//! phase, any other runs the staged protocol (intents, then transaction
+//! record flip, then resolution), matching CockroachDB's behaviour for
+//! the workloads evaluated; the timestamp cache is approximated by
+//! per-key read watermarks plus retry-on-conflict.
 
 #![warn(missing_docs)]
 

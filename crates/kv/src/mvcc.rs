@@ -310,21 +310,21 @@ pub enum WriteConflict {
     Intent(Intent),
 }
 
-/// Writes a provisional intent for `txn_id` at `ts`. Fails on conflicts;
-/// rewriting one's own intent is allowed (last write in the txn wins).
+/// Checks that `txn_id` may write `key` at `ts`: no other transaction
+/// holds an intent on it (one's own may be rewritten — the last write in
+/// the transaction wins) and nothing committed past the writer's view.
 ///
 /// `read_since` is the transaction's snapshot timestamp: a committed
 /// version newer than it fails the write even when it is older than the
 /// (pushed) provisional timestamp `ts`. This is the per-key atomic
 /// read-modify-write validation that closes the gap between a refresh and
-/// the intent write — the stand-in for CockroachDB's timestamp cache.
-pub fn write_intent(
+/// the write — the stand-in for CockroachDB's timestamp cache.
+pub fn check_write(
     engine: &Engine,
     key: &[u8],
     txn_id: u64,
     ts: Timestamp,
     read_since: Timestamp,
-    value: Option<&Bytes>,
 ) -> Result<(), WriteConflict> {
     if let Some(raw) = engine.get(&intent_key(key)) {
         if let Some(existing) = decode_intent(&raw) {
@@ -337,14 +337,61 @@ pub fn write_intent(
     // provisional write timestamp).
     let threshold = read_since.min(ts);
     match newest_version_ts(engine, key) {
-        Some(vts) if vts > threshold => return Err(WriteConflict::WriteTooOld(vts)),
-        _ => {}
+        Some(vts) if vts > threshold => Err(WriteConflict::WriteTooOld(vts)),
+        _ => Ok(()),
     }
+}
+
+/// Lays down `txn_id`'s provisional intent on `key` without checking
+/// anything: the caller validated with [`check_write`], or is a follower
+/// applying what its leader validated.
+pub fn put_intent(engine: &Engine, key: &[u8], txn_id: u64, ts: Timestamp, value: Option<&Bytes>) {
     let intent = Intent { txn_id, ts, value: value.cloned() };
     let mut batch = WriteBatch::new();
     batch.put(intent_key(key), encode_intent(&intent));
     engine.apply(&batch);
+}
+
+/// Writes a provisional intent for `txn_id` at `ts` if [`check_write`]
+/// allows it.
+pub fn write_intent(
+    engine: &Engine,
+    key: &[u8],
+    txn_id: u64,
+    ts: Timestamp,
+    read_since: Timestamp,
+    value: Option<&Bytes>,
+) -> Result<(), WriteConflict> {
+    check_write(engine, key, txn_id, ts, read_since)?;
+    put_intent(engine, key, txn_id, ts, value);
     Ok(())
+}
+
+/// One-phase commit: applies every write of `txn_id` as a committed
+/// version at `commit_ts`, together with the `Committed` transaction
+/// record, as **one** batch per replica engine — one WAL record, so a
+/// crash keeps all of the transaction or none of it. No intents are
+/// written; the caller validated every key with [`check_write`] first.
+/// The batch is encoded once and every engine holds the same refcounted
+/// buffers.
+pub fn commit_one_phase<'a>(
+    engines: impl IntoIterator<Item = &'a Engine>,
+    txn_id: u64,
+    commit_ts: Timestamp,
+    writes: &[(&Bytes, Option<&Bytes>)],
+) {
+    let mut batch = WriteBatch::new();
+    for (key, value) in writes {
+        batch.put(version_key(key, commit_ts), encode_value(*value));
+    }
+    let record = TxnRecord { txn_id, status: TxnStatus::Committed(commit_ts) };
+    batch.put(txn_key(txn_id), record.encode());
+    for engine in engines {
+        engine.apply(&batch);
+        for (key, _) in writes {
+            gc_key_inline(engine, key, commit_ts);
+        }
+    }
 }
 
 fn newest_version_ts(engine: &Engine, key: &[u8]) -> Option<Timestamp> {
@@ -570,6 +617,29 @@ mod tests {
         // Rewriting one's own intent succeeds.
         write_intent(&e, b"other", 1, ts(45), ts(45), Some(&b("mine2"))).unwrap();
         assert_eq!(get(&e, b"other", ts(60), Some(1)), ReadResult::Value(Some(b("mine2"))));
+    }
+
+    #[test]
+    fn one_phase_commit_is_one_wal_batch_with_record_and_no_intents() {
+        let e = engine();
+        put_version(&e, b"a", ts(10), Some(&b("old")));
+        let before = e.metrics().wal_batches;
+        assert_eq!(check_write(&e, b"a", 7, ts(30), ts(20)), Ok(()));
+        assert_eq!(check_write(&e, b"b", 7, ts(30), ts(20)), Ok(()));
+        let (ka, kb, va) = (b("a"), b("b"), b("new"));
+        commit_one_phase([&e], 7, ts(30), &[(&ka, Some(&va)), (&kb, None)]);
+        assert_eq!(e.metrics().wal_batches, before + 1, "writes + record share one WAL batch");
+        assert!(txn_has_status(&e, 7, TxnStatus::Committed(ts(30))));
+        // Committed versions, visible to anyone from the commit timestamp
+        // on and to no one below it; no intent was ever laid down.
+        assert_eq!(get(&e, b"a", ts(35), None), ReadResult::Value(Some(b("new"))));
+        assert_eq!(get(&e, b"a", ts(25), None), ReadResult::Value(Some(b("old"))));
+        assert_eq!(get(&e, b"b", ts(35), None), ReadResult::Value(None));
+        // A later writer whose snapshot predates the commit is too old.
+        assert_eq!(
+            check_write(&e, b"a", 8, ts(40), ts(20)),
+            Err(WriteConflict::WriteTooOld(ts(30)))
+        );
     }
 
     #[test]

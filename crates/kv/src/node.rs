@@ -3,8 +3,20 @@
 //! KV nodes are shared across tenants: one process serves reads and writes
 //! for every tenant whose range leases it holds. Each node owns an LSM
 //! engine, a simulated CPU, a simulated disk, and an admission controller;
-//! batches flow `network → auth → lease check → admission → CPU →
+//! batches flow `network → auth → addressing check → admission → CPU →
 //! execute → (replicate) → respond`.
+//!
+//! A batch is addressed to one range: the one holding its first key,
+//! whose lease this node must hold, and *every* request of the batch must
+//! lie inside it (`addressed_range`; checked on receipt and again
+//! when the batch leaves the admission queue, because leases move and
+//! ranges split meanwhile). A batch that fails the check is answered
+//! whole, nothing evaluated, with the range's authoritative info. That
+//! check is what lets a batch carrying a transaction's refreshes, writes
+//! and `EndTxn{commit}` together be evaluated as a **one-phase commit**:
+//! validate everything, then apply committed versions plus the
+//! transaction record in one WAL batch per replica — no intents, one
+//! quorum wait, one group commit ([`KvNode::commit_one_phase`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -26,15 +38,20 @@ use crate::auth::TenantCert;
 use crate::batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};
 use crate::cluster::ClusterInner;
 use crate::cost::TrafficStats;
+use crate::directory::Directory;
 use crate::hlc::{Hlc, Timestamp};
 use crate::mvcc;
-use crate::txn::TxnStatus;
+use crate::range::RangeState;
+use crate::txn::{TxnMeta, TxnStatus};
 
 /// How long an intent may sit untouched with its transaction still
 /// `Pending` before a conflicting reader may declare the transaction
 /// abandoned (coordinator crashed) and push-abort it. Far above any
 /// live transaction's lifetime, so only orphans are ever pushed.
 pub const TXN_ABANDON_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bytes a transaction record adds to a write batch's physical payload.
+const TXN_RECORD_PAYLOAD: usize = 32;
 
 /// An operation queued in admission: the batch plus its response path.
 pub(crate) struct PendingOp {
@@ -46,6 +63,33 @@ pub(crate) struct PendingOp {
     pub span: trace::MaybeSpan,
     /// Child of `span` covering time spent queued in admission.
     pub queue_span: trace::MaybeSpan,
+}
+
+/// The addressing check: the range holding the batch's first key must be
+/// led by `node` and must contain every request of the batch. The errors
+/// carry that range's authoritative descriptor and leaseholder, so one
+/// redirect is all a stale client needs.
+fn addressed_range<'a>(
+    node: NodeId,
+    directory: &'a Directory,
+    batch: &BatchRequest,
+) -> Result<&'a RangeState, KvError> {
+    let anchor = KvNode::anchor_key(batch).ok_or(KvError::RangeNotFound)?;
+    let range = directory.lookup(anchor).ok_or(KvError::RangeNotFound)?;
+    if range.lease.holder != node {
+        return Err(KvError::NotLeaseholder(range.into()));
+    }
+    let inside = |req| match batch.routing_span(req) {
+        Some((key, end)) => {
+            range.desc.contains(key)
+                && end.is_none_or(|end| end.as_ref() <= range.desc.end.as_ref())
+        }
+        None => false,
+    };
+    if !batch.requests.iter().all(inside) {
+        return Err(KvError::RangeKeyMismatch(range.into()));
+    }
+    Ok(range)
 }
 
 /// A shared KV storage node.
@@ -231,13 +275,20 @@ impl KvNode {
     /// node's disk: at most one memtable flush plus up to
     /// `compaction_slots` compactions on disjoint level pairs. Bytes are
     /// attributed in `StorageMetrics` when each job's disk I/O completes,
-    /// which is what the §5.1.3 write-capacity estimator samples.
+    /// together with how long the flush or L0 compaction took from claim
+    /// to completion — bytes over *that* time is what the §5.1.3
+    /// write-capacity estimator reads as capacity.
     pub(crate) fn maintain_storage(self: &Rc<Self>) {
+        let started = self.sim.now();
         if let Some(job) = self.engine.with_lsm(|lsm| lsm.begin_flush()) {
             let node = Rc::clone(self);
             let bytes = job.bytes_estimate().max(1) as f64;
             self.disk.submit(bytes, move || {
-                node.engine.with_lsm(|lsm| lsm.finish_flush(job));
+                let ran_for = node.sim.now().duration_since(started);
+                node.engine.with_lsm(|lsm| {
+                    lsm.finish_flush(job);
+                    lsm.note_flush_time(ran_for);
+                });
                 node.maintain_storage();
             });
         }
@@ -248,8 +299,15 @@ impl KvNode {
             let Some(job) = job else { break };
             let node = Rc::clone(self);
             let bytes = job.bytes_in().max(1) as f64;
+            let from_l0 = job.level() == 0;
             self.disk.submit(bytes, move || {
-                node.engine.with_lsm(|lsm| lsm.finish_compaction(job));
+                let ran_for = node.sim.now().duration_since(started);
+                node.engine.with_lsm(|lsm| {
+                    lsm.finish_compaction(job);
+                    if from_l0 {
+                        lsm.note_l0_compaction_time(ran_for);
+                    }
+                });
                 node.maintain_storage();
             });
         }
@@ -293,32 +351,10 @@ impl KvNode {
                 return;
             }
         }
-        // Lease check: the whole batch must land in a range this node
-        // holds the lease for.
-        let anchor = match Self::batch_anchor_key(&batch) {
-            Some(k) => k,
-            None => {
-                respond(BatchResponse::err(KvError::RangeNotFound));
-                return;
-            }
-        };
-        {
-            let inner = cluster.borrow();
-            match inner.directory.lookup(&anchor) {
-                None => {
-                    respond(BatchResponse::err(KvError::RangeNotFound));
-                    return;
-                }
-                Some(range) => {
-                    if range.lease.holder != self.id {
-                        respond(BatchResponse::err(KvError::NotLeaseholder {
-                            range: range.desc.id,
-                            leaseholder: Some(range.lease.holder),
-                        }));
-                        return;
-                    }
-                }
-            }
+        let addressed = addressed_range(self.id, &cluster.borrow().directory, &batch).map(|_| ());
+        if let Err(e) = addressed {
+            respond(BatchResponse::err(e));
+            return;
         }
         // Admission (§5.1): reads through the CQ, writes through WQ + CQ.
         let now = self.sim.now();
@@ -355,11 +391,9 @@ impl KvNode {
         self.pump();
     }
 
-    fn batch_anchor_key(batch: &BatchRequest) -> Option<Bytes> {
-        batch.requests.first().and_then(|r| match r {
-            RequestKind::EndTxn { .. } => batch.txn.as_ref().map(|t| t.anchor_key.clone()),
-            other => Some(other.primary_key().clone()),
-        })
+    /// The key whose range the batch is addressed to: its first request's.
+    fn anchor_key(batch: &BatchRequest) -> Option<&Bytes> {
+        batch.requests.first().and_then(|r| batch.routing_span(r)).map(|(key, _)| key)
     }
 
     /// Drains admission grants into CPU tasks. Re-schedules itself when a
@@ -418,49 +452,34 @@ impl KvNode {
             None => return,
         };
 
-        // Write-quorum gate: a write whose range has lost its
+        // Evaluation gate. The lease may have moved or the range split
+        // while the batch sat in the admission queue, so the addressing
+        // check runs again; and a write whose range has lost its
         // replication quorum (a zone/region outage downed a follower
         // majority) is rejected *before* any MVCC mutation applies — a
         // write that cannot replicate must never apply or ack.
-        if batch.is_write() {
-            let has_quorum = {
-                let inner = cluster.borrow();
-                match Self::batch_anchor_key(&batch)
-                    .and_then(|a| inner.directory.lookup(&a).map(|r| r.desc.replicas.clone()))
-                {
-                    Some(replicas) => {
-                        let live = replicas
-                            .iter()
-                            .filter(|&&n| {
-                                n == self.id || inner.nodes.get(&n).is_some_and(|f| f.is_alive())
-                            })
-                            .count();
-                        live > replicas.len() / 2
-                    }
-                    // Missing range: RangeNotFound surfaces from the
-                    // normal execution path below.
-                    None => true,
+        let gate = {
+            let inner = cluster.borrow();
+            addressed_range(self.id, &inner.directory, &batch).and_then(|range| {
+                let replicas = &range.desc.replicas;
+                let live = replicas
+                    .iter()
+                    .filter(|&&n| n == self.id || inner.nodes.get(&n).is_some_and(|f| f.is_alive()))
+                    .count();
+                if batch.is_write() && live <= replicas.len() / 2 {
+                    inner.degrade.quorum_losses.set(inner.degrade.quorum_losses.get() + 1);
+                    span.tag("quorum_loss", true);
+                    return Err(KvError::Unavailable);
                 }
-            };
-            if !has_quorum {
-                {
-                    let degrade = Rc::clone(&cluster.borrow().degrade);
-                    degrade.quorum_losses.set(degrade.quorum_losses.get() + 1);
-                }
-                self.admission.borrow_mut().complete(
-                    now,
-                    batch.tenant,
-                    class,
-                    cpu_cost,
-                    bytes,
-                    None,
-                );
-                span.tag("quorum_loss", true);
-                span.end();
-                respond(BatchResponse::err(KvError::Unavailable));
-                self.pump();
-                return;
-            }
+                Ok(())
+            })
+        };
+        if let Err(e) = gate {
+            self.admission.borrow_mut().complete(now, batch.tenant, class, cpu_cost, bytes, None);
+            span.end();
+            respond(BatchResponse::err(e));
+            self.pump();
+            return;
         }
 
         // Write-stall backpressure: a write arriving while the engine has
@@ -527,8 +546,7 @@ impl KvNode {
         let repl_delay = if write_payload > 0 {
             let (leader, followers, follower_cost) = {
                 let inner = cluster.borrow();
-                let anchor = Self::batch_anchor_key(&batch).expect("anchored");
-                let range = inner.directory.lookup(&anchor);
+                let range = Self::anchor_key(&batch).and_then(|a| inner.directory.lookup(a));
                 let followers: Vec<(Location, bool)> = range
                     .map(|r| {
                         r.desc
@@ -610,15 +628,17 @@ impl KvNode {
         batch: &BatchRequest,
     ) -> Result<(Vec<ResponseKind>, usize), KvError> {
         // Collect replica engines and bump range stats in a short borrow.
-        let anchor = Self::batch_anchor_key(batch).ok_or(KvError::RangeNotFound)?;
-        let (replica_engines, is_write) = {
+        let anchor = Self::anchor_key(batch).ok_or(KvError::RangeNotFound)?;
+        let replica_engines = {
             let mut inner = cluster.borrow_mut();
-            let is_write = batch.is_write();
             let this_id = self.id;
-            let range = inner.directory.lookup_mut(&anchor).ok_or(KvError::RangeNotFound)?;
-            if is_write {
+            let range = inner.directory.lookup_mut(anchor).ok_or(KvError::RangeNotFound)?;
+            if batch.is_write() {
+                // Only what the batch writes grows the range — not the
+                // refresh spans a commit batch carries beside its writes.
+                let written = batch.requests.iter().filter(|r| r.is_write());
                 range.writes += 1;
-                range.size_bytes += batch.payload_bytes() as u64;
+                range.size_bytes += written.map(|r| r.payload_bytes() as u64).sum::<u64>();
             } else {
                 range.reads += 1;
             }
@@ -628,8 +648,26 @@ impl KvNode {
                 .filter(|&&n| n != this_id)
                 .filter_map(|n| inner.nodes.get(n).map(|node| node.engine.clone()))
                 .collect();
-            (engines, is_write)
+            engines
         };
+
+        if let Some(txn) = &batch.txn {
+            // A commit step of a transaction whose record already says
+            // `Committed` is a replay — the reply was lost and the client
+            // sent the sub-batch again, or fell back to the staged
+            // protocol after a one-phase commit it never heard back from.
+            // Ack without evaluating: applying twice would double the
+            // write, and validating would trip over the transaction's own
+            // committed versions.
+            if batch.requests.iter().all(RequestKind::is_commit_step)
+                && self.txn_committed(cluster, txn.txn_id)
+            {
+                return Ok((vec![ResponseKind::Ok; batch.requests.len()], 0));
+            }
+            if batch.is_one_phase_commit() {
+                return self.commit_one_phase(cluster, batch, txn, &replica_engines);
+            }
+        }
 
         let own_txn = batch.txn.as_ref().map(|t| t.txn_id);
         let mut results = Vec::with_capacity(batch.requests.len());
@@ -711,61 +749,11 @@ impl KvNode {
                 }
                 RequestKind::WriteIntent { key, value } => {
                     let txn = batch.txn.as_ref().ok_or(KvError::TxnAborted)?;
-                    let watermark = self.ts_cache_read(key);
-                    if watermark >= txn.write_ts && watermark > txn.start_ts {
-                        return Err(KvError::WriteTooOld { existing: watermark });
-                    }
-                    match mvcc::write_intent(
-                        &self.engine,
-                        key,
-                        txn.txn_id,
-                        txn.write_ts,
-                        txn.start_ts,
-                        value.as_ref(),
-                    ) {
-                        Ok(()) => {}
-                        Err(mvcc::WriteConflict::WriteTooOld(existing)) => {
-                            return Err(KvError::WriteTooOld { existing })
-                        }
-                        Err(mvcc::WriteConflict::Intent(other)) => {
-                            // The other txn may already be finalized.
-                            if self
-                                .check_intent(cluster, key, &other, batch.read_ts, &replica_engines)
-                                .is_some()
-                            {
-                                // Resolved; retry once.
-                                match mvcc::write_intent(
-                                    &self.engine,
-                                    key,
-                                    txn.txn_id,
-                                    txn.write_ts,
-                                    txn.start_ts,
-                                    value.as_ref(),
-                                ) {
-                                    Ok(()) => {}
-                                    Err(mvcc::WriteConflict::WriteTooOld(existing)) => {
-                                        return Err(KvError::WriteTooOld { existing })
-                                    }
-                                    Err(mvcc::WriteConflict::Intent(o)) => {
-                                        return Err(KvError::IntentConflict { other_txn: o.txn_id })
-                                    }
-                                }
-                            } else {
-                                return Err(KvError::IntentConflict { other_txn: other.txn_id });
-                            }
-                        }
-                    }
-                    for e in &replica_engines {
-                        // Followers apply unconditionally (the leader
-                        // validated).
-                        let _ = mvcc::write_intent(
-                            e,
-                            key,
-                            txn.txn_id,
-                            txn.write_ts,
-                            Timestamp::MAX,
-                            value.as_ref(),
-                        );
+                    self.validate_write(cluster, key, txn, batch.read_ts, &replica_engines)?;
+                    // Followers apply unconditionally (the leader
+                    // validated).
+                    for e in std::iter::once(&self.engine).chain(&replica_engines) {
+                        mvcc::put_intent(e, key, txn.txn_id, txn.write_ts, value.as_ref());
                     }
                     write_payload += key.len() + value.as_ref().map_or(0, |v| v.len());
                     results.push(ResponseKind::Ok);
@@ -793,8 +781,12 @@ impl KvNode {
                         let now = self.sim.now();
                         inner.txn_status.insert(txn.txn_id, status);
                         inner.txn_finalized_at.insert(txn.txn_id, now);
+                        if *commit {
+                            let n = &inner.degrade.commits_two_phase;
+                            n.set(n.get() + 1);
+                        }
                     }
-                    write_payload += 32;
+                    write_payload += TXN_RECORD_PAYLOAD;
                     results.push(ResponseKind::Ok);
                 }
                 RequestKind::RefreshSpan { start, end, since } => {
@@ -814,8 +806,95 @@ impl KvNode {
                 }
             }
         }
-        let _ = is_write;
         Ok((results, write_payload))
+    }
+
+    /// Evaluates a batch holding a whole transaction commit — its read
+    /// refreshes, every write, and `EndTxn{commit}` — in one phase. The
+    /// addressing check guarantees all of it lies in one range this node
+    /// leads, so everything that could reject the transaction is checked
+    /// here, first: each refresh span, and per written key the
+    /// timestamp-cache watermark, foreign intents and write-too-old. Only
+    /// then does anything apply, as committed versions at `write_ts` plus
+    /// the `Committed` record in one WAL batch on the leader and on each
+    /// follower: no intents, nothing to resolve, and a failure leaves
+    /// nothing behind.
+    fn commit_one_phase(
+        &self,
+        cluster: &Rc<RefCell<ClusterInner>>,
+        batch: &BatchRequest,
+        txn: &TxnMeta,
+        replica_engines: &[Engine],
+    ) -> Result<(Vec<ResponseKind>, usize), KvError> {
+        let mut writes: Vec<(&Bytes, Option<&Bytes>)> = Vec::new();
+        let mut write_payload = TXN_RECORD_PAYLOAD;
+        for req in &batch.requests {
+            match req {
+                RequestKind::RefreshSpan { start, end, since } => {
+                    mvcc::refresh_span(&self.engine, start, end, *since, Some(txn.txn_id))
+                        .map_err(|existing| KvError::WriteTooOld { existing })?;
+                }
+                RequestKind::WriteIntent { key, value } => {
+                    self.validate_write(cluster, key, txn, batch.read_ts, replica_engines)?;
+                    writes.push((key, value.as_ref()));
+                    write_payload += key.len() + value.as_ref().map_or(0, |v| v.len());
+                }
+                // `is_one_phase_commit` admits nothing else but the
+                // `EndTxn{commit}` itself.
+                _ => {}
+            }
+        }
+        let engines = std::iter::once(&self.engine).chain(replica_engines);
+        mvcc::commit_one_phase(engines, txn.txn_id, txn.write_ts, &writes);
+        let mut inner = cluster.borrow_mut();
+        inner.txn_status.insert(txn.txn_id, TxnStatus::Committed(txn.write_ts));
+        inner.txn_finalized_at.insert(txn.txn_id, self.sim.now());
+        inner.degrade.commits_one_phase.set(inner.degrade.commits_one_phase.get() + 1);
+        Ok((vec![ResponseKind::Ok; batch.requests.len()], write_payload))
+    }
+
+    /// Whether `txn_id`'s record says `Committed`: the cluster's status
+    /// table, or — once that entry has been garbage-collected — the
+    /// record persisted in this node's engine.
+    fn txn_committed(&self, cluster: &Rc<RefCell<ClusterInner>>, txn_id: u64) -> bool {
+        let status = cluster.borrow().txn_status.get(&txn_id).copied();
+        let status =
+            status.or_else(|| mvcc::get_txn_record(&self.engine, txn_id).map(|r| r.status));
+        matches!(status, Some(TxnStatus::Committed(_)))
+    }
+
+    /// Everything that can reject `txn`'s write of `key`: a read above the
+    /// write timestamp (the timestamp-cache watermark), another
+    /// transaction's pending intent, or a version committed past the
+    /// transaction's snapshot. A foreign intent whose transaction has
+    /// finalized is resolved on the way (on all replicas).
+    fn validate_write(
+        &self,
+        cluster: &Rc<RefCell<ClusterInner>>,
+        key: &Bytes,
+        txn: &TxnMeta,
+        read_ts: Timestamp,
+        replica_engines: &[Engine],
+    ) -> Result<(), KvError> {
+        let watermark = self.ts_cache_read(key);
+        if watermark >= txn.write_ts && watermark > txn.start_ts {
+            return Err(KvError::WriteTooOld { existing: watermark });
+        }
+        let check = || mvcc::check_write(&self.engine, key, txn.txn_id, txn.write_ts, txn.start_ts);
+        let conflict = match check() {
+            // The other txn may already be finalized: resolve, check again.
+            Err(mvcc::WriteConflict::Intent(other)) => {
+                if self.check_intent(cluster, key, &other, read_ts, replica_engines).is_none() {
+                    return Err(KvError::IntentConflict { other_txn: other.txn_id });
+                }
+                check()
+            }
+            result => result,
+        };
+        conflict.map_err(|c| match c {
+            mvcc::WriteConflict::WriteTooOld(existing) => KvError::WriteTooOld { existing },
+            mvcc::WriteConflict::Intent(o) => KvError::IntentConflict { other_txn: o.txn_id },
+        })
     }
 
     fn bump_ts_cache(&self, key: &Bytes, read_ts: Timestamp) {

@@ -674,3 +674,86 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
         "a pushed txn's commit is refused"
     );
 }
+
+/// Regression: a redirect used to carry only a leaseholder hint, so after
+/// a split plus a lease move a client's stale whole-span cache entry had
+/// its leaseholder flipped back and forth by the two halves' redirects
+/// and never learned the new descriptors — every other request paid a
+/// redirect, forever. A redirect now carries the authoritative descriptor
+/// and leaseholder: one redirect per half, ever.
+#[test]
+fn split_plus_lease_move_costs_one_redirect_per_half() {
+    let sim = Sim::new(15);
+    let config = KvClusterConfig { tenant_metadata_bytes: 0, ..Default::default() };
+    let cluster = KvCluster::new(&sim, Topology::single_region("us-east1", 3), config);
+    let client = client_for(&cluster, TenantId(2));
+    let keys: Vec<Bytes> = (0..8).map(|i| k(2, &format!("row/{i}"))).collect();
+    for key in &keys {
+        client.put(key.clone(), Bytes::from_static(b"v"), |r| r.expect("put"));
+    }
+    sim.run_for(dur::secs(2));
+    let meta_lookups = client.cache_stats().0;
+
+    // Split, then move the right half's lease to another replica.
+    cluster.split_range(crdb_util::RangeId(1));
+    assert_eq!(cluster.tenant_range_count(TenantId(2)), 2);
+    let (left, right) = (&keys[0], &keys[7]);
+    let old = cluster.leaseholder_of(right).unwrap();
+    let new = cluster.node_ids().into_iter().find(|&n| n != old).unwrap();
+    assert!(cluster.transfer_lease(right, new));
+    assert_eq!(cluster.leaseholder_of(left), Some(old));
+    assert_eq!(cluster.leaseholder_of(right), Some(new));
+
+    // Alternate between the halves, one request at a time.
+    let redirects = || cluster.degrade().redirects.get();
+    let before = (redirects(), cluster.degrade().retries.get());
+    let ok = Rc::new(RefCell::new(0u32));
+    for round in 0..20 {
+        for key in [left, right] {
+            let ok = Rc::clone(&ok);
+            client.get(key.clone(), move |r| {
+                assert_eq!(r, Ok(Some(Bytes::from_static(b"v"))));
+                *ok.borrow_mut() += 1;
+            });
+            sim.run_for(dur::ms(100));
+        }
+        assert!(redirects() - before.0 <= 2, "round {round}: {} redirects", redirects() - before.0);
+    }
+    assert_eq!(*ok.borrow(), 40);
+    assert_eq!(redirects() - before.0, 1, "only the moved half ever redirects");
+    assert_eq!(cluster.degrade().retries.get() - before.1, 1);
+    // The left half's descriptor came from META once the redirect's
+    // descriptor had evicted the stale whole-span entry.
+    assert_eq!(client.cache_stats().0 - meta_lookups, 1);
+}
+
+/// Routing a batch is a loop over its requests, not a recursion: a bulk
+/// load's worth of requests in one batch must not grow the stack.
+#[test]
+fn huge_batch_is_one_rpc_and_does_not_overflow_the_stack() {
+    let (sim, cluster) = setup(16);
+    let client = client_for(&cluster, TenantId(2));
+    let requests: Vec<RequestKind> = (0..50_000)
+        .map(|i| RequestKind::Put { key: k(2, &format!("bulk/{i:06}")), value: Bytes::new() })
+        .collect();
+    let batch = BatchRequest {
+        tenant: TenantId(2),
+        read_ts: cluster.now_ts(),
+        txn: None,
+        deadline: Deadline::NONE,
+        requests,
+    };
+    let served: u64 =
+        cluster.node_ids().iter().map(|&n| cluster.node(n).unwrap().batches_served.get()).sum();
+    let done = Rc::new(RefCell::new(false));
+    let d = Rc::clone(&done);
+    client.send(batch, move |resp| {
+        assert_eq!(resp.results.len(), 50_000, "{:?}", resp.error);
+        *d.borrow_mut() = true;
+    });
+    sim.run_for(dur::secs(5));
+    assert!(*done.borrow());
+    let after: u64 =
+        cluster.node_ids().iter().map(|&n| cluster.node(n).unwrap().batches_served.get()).sum();
+    assert_eq!(after - served, 1, "one range, one RPC");
+}

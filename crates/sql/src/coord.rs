@@ -1,12 +1,30 @@
 //! The SQL-side transaction coordinator.
 //!
 //! SQL statements buffer their writes in the coordinator; reads merge the
-//! buffer over MVCC snapshots (read-your-writes). Commit runs the
-//! two-phase KV protocol: write intents for every buffered key (one
-//! batch, split per range by the KV client), flip the transaction record
-//! via `EndTxn`, then resolve intents. Conflicts surface as retryable
-//! errors — the session layer re-runs the transaction, which is also how
-//! the production system behaves under `RETRY_SERIALIZABLE`.
+//! buffer over MVCC snapshots (read-your-writes). Nothing reaches KV
+//! before commit, so a commit is the whole transaction in one batch —
+//! `[RefreshSpan…, WriteIntent…, EndTxn{commit}]` — and which protocol
+//! it takes is decided by where that batch's spans live, as the KV
+//! client resolves them:
+//!
+//! - **One range** (every transaction on a tenant that has not split,
+//!   and any whose reads and writes fall in one range): the KV client
+//!   sends the batch as one RPC and the leaseholder evaluates it as a
+//!   **one-phase commit** — refreshes and writes validated, then
+//!   committed versions and the transaction record applied in one WAL
+//!   batch per replica. One round trip, no intents, nothing to resolve,
+//!   nothing to clean up on failure.
+//! - **Several ranges**: the client refuses the batch unsent
+//!   ([`KvError::TxnSpansRanges`]) and the coordinator runs the staged
+//!   protocol: refreshes + intents as one batch (one RPC per range, in
+//!   parallel; each range validates and writes its share in one
+//!   evaluation), then `EndTxn` at the anchor range flips the transaction
+//!   record — the commit point — then intents are resolved without
+//!   waiting for the result.
+//!
+//! Conflicts surface as retryable errors — the session layer re-runs the
+//! transaction, which is also how the production system behaves under
+//! `RETRY_SERIALIZABLE`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -367,8 +385,9 @@ impl Txn {
         });
     }
 
-    /// Commits: intents → transaction record → resolution. Read-only
-    /// transactions commit locally.
+    /// Commits: in one phase when every span of the transaction lives in
+    /// one range, else intents → transaction record → resolution (see the
+    /// module docs). Read-only transactions commit locally.
     pub fn commit(&self, cb: impl FnOnce(Result<(), SqlError>) + 'static) {
         {
             let mut inner = self.inner.borrow_mut();
@@ -387,9 +406,8 @@ impl Txn {
             let inner = self.inner.borrow();
             (inner.client.clone(), inner.meta.clone(), inner.writes.clone(), inner.reads.clone())
         };
-        let tenant = self.tenant();
-        let anchor = self.prefixed(writes.keys().next().expect("non-empty"));
-        meta.anchor_key = anchor;
+        let intent_keys: Vec<Bytes> = writes.keys().map(|k| self.prefixed(k)).collect();
+        meta.anchor_key = intent_keys.first().cloned().unwrap_or_default();
         // Commit at a *fresh* timestamp (CockroachDB pushes the write
         // timestamp at commit): back-dating writes to the start timestamp
         // would make them appear inside concurrent snapshots taken after
@@ -399,9 +417,9 @@ impl Txn {
 
         // Read refresh first (§"timestamp cache" stand-in): fails with a
         // retryable error if anything this transaction read changed after
-        // its snapshot. Within a range the refresh + intents execute
-        // atomically at the leaseholder.
-        let mut intents: Vec<RequestKind> = reads
+        // its snapshot. Each range evaluates its refreshes and writes in
+        // one step at the leaseholder.
+        let mut steps: Vec<RequestKind> = reads
             .iter()
             .map(|(s0, e0)| RequestKind::RefreshSpan {
                 start: self.prefixed(s0),
@@ -409,88 +427,125 @@ impl Txn {
                 since: meta.start_ts,
             })
             .collect();
-        intents.extend(
-            writes
+        steps.extend(
+            intent_keys
                 .iter()
-                .map(|(k, v)| RequestKind::WriteIntent { key: self.prefixed(k), value: v.clone() }),
+                .zip(writes.into_values())
+                .map(|(key, value)| RequestKind::WriteIntent { key: key.clone(), value }),
         );
-        let intent_keys: Vec<Bytes> = writes.keys().map(|k| self.prefixed(k)).collect();
-        let n_batches = 3;
-        self.inner.borrow_mut().kv_batches += n_batches;
 
-        let batch = BatchRequest {
-            tenant,
-            read_ts: meta.start_ts,
-            txn: Some(meta.clone()),
-            deadline: self.deadline(),
-            requests: intents,
-        };
+        let mut whole = steps.clone();
+        whole.push(RequestKind::EndTxn { commit: true });
         let this = self.clone();
         let outer = trace::current();
         let span = trace::child("txn.commit");
         span.tag("intents", intent_keys.len());
+        let end_span = span.child("commit.end_txn");
+        let _g = end_span.enter();
+        client.send(self.commit_batch(whole), move |resp| {
+            end_span.end();
+            let outcome = match resp.error {
+                None => {
+                    span.tag("one_phase", true);
+                    Ok(())
+                }
+                Some(KvError::TxnSpansRanges) => {
+                    this.commit_two_phase(steps, intent_keys, span, outer, cb);
+                    return;
+                }
+                // Validation precedes application in a one-phase commit:
+                // a failure left nothing behind to clean up.
+                Some(e) => Err(map_kv_error(e)),
+            };
+            this.finish_commit(&outcome, &span);
+            let _g = outer.enter();
+            cb(outcome);
+        });
+    }
+
+    /// A commit-protocol batch of this transaction.
+    fn commit_batch(&self, requests: Vec<RequestKind>) -> BatchRequest {
+        let mut inner = self.inner.borrow_mut();
+        inner.kv_batches += 1;
+        BatchRequest {
+            tenant: inner.client.cert().tenant(),
+            read_ts: inner.meta.start_ts,
+            txn: Some(inner.meta.clone()),
+            deadline: inner.deadline,
+            requests,
+        }
+    }
+
+    /// Records the commit's outcome in the transaction and its span.
+    fn finish_commit(&self, outcome: &Result<(), SqlError>, span: &trace::MaybeSpan) {
+        self.inner.borrow_mut().state =
+            if outcome.is_ok() { TxnState::Committed } else { TxnState::Aborted };
+        if outcome.is_err() {
+            span.tag("error", true);
+        }
+        span.end();
+    }
+
+    /// The staged protocol for a transaction whose spans live in several
+    /// ranges: `steps` (refreshes + intents, one RPC per range), then
+    /// `EndTxn` at the anchor range, then intent resolution.
+    fn commit_two_phase(
+        &self,
+        steps: Vec<RequestKind>,
+        intent_keys: Vec<Bytes>,
+        span: trace::MaybeSpan,
+        outer: trace::MaybeSpan,
+        cb: impl FnOnce(Result<(), SqlError>) + 'static,
+    ) {
+        let client = self.inner.borrow().client.clone();
+        let this = self.clone();
         let intents_span = span.child("commit.intents");
         let _g = intents_span.enter();
-        client.send(batch, move |resp| {
+        client.clone().send(self.commit_batch(steps), move |resp| {
             intents_span.end();
             if let Some(e) = resp.error {
-                this.inner.borrow_mut().state = TxnState::Aborted;
                 // Best-effort cleanup of any intents that did land.
                 this.cleanup_intents(&intent_keys, None);
-                span.tag("error", true);
-                span.end();
+                let outcome = Err(map_kv_error(e));
+                this.finish_commit(&outcome, &span);
                 let _g = outer.enter();
-                cb(Err(map_kv_error(e)));
+                cb(outcome);
                 return;
             }
-            let (client, meta) = {
-                let inner = this.inner.borrow();
-                (inner.client.clone(), inner.meta.clone())
-            };
-            let commit = BatchRequest {
-                tenant,
-                read_ts: meta.start_ts,
-                txn: Some(meta.clone()),
-                deadline: this.deadline(),
-                requests: vec![RequestKind::EndTxn { commit: true }],
-            };
             let this2 = this.clone();
             let end_span = span.child("commit.end_txn");
             let _g = end_span.enter();
-            client.send(commit, move |resp| {
+            let end_txn = this.commit_batch(vec![RequestKind::EndTxn { commit: true }]);
+            client.send(end_txn, move |resp| {
                 end_span.end();
-                if let Some(e) = resp.error {
-                    this2.inner.borrow_mut().state = TxnState::Aborted;
-                    this2.cleanup_intents(&intent_keys, None);
-                    span.tag("error", true);
-                    span.end();
-                    let _g = outer.enter();
-                    cb(Err(map_kv_error(e)));
-                    return;
-                }
-                this2.inner.borrow_mut().state = TxnState::Committed;
-                // Resolve intents (synchronously before acking, keeping
-                // the evaluation deterministic; production resolves the
-                // non-anchor ranges asynchronously).
-                let commit_ts = this2.inner.borrow().meta.write_ts;
-                let resolve_span = span.child("commit.resolve");
-                {
-                    let _g = resolve_span.enter();
-                    this2.cleanup_intents(&intent_keys, Some(commit_ts));
-                }
-                resolve_span.end();
-                span.end();
+                let outcome = match resp.error {
+                    Some(e) => {
+                        this2.cleanup_intents(&intent_keys, None);
+                        Err(map_kv_error(e))
+                    }
+                    None => {
+                        // Resolve intents without waiting for the result
+                        // (readers that meet one first resolve it
+                        // themselves from the transaction record).
+                        let commit_ts = this2.inner.borrow().meta.write_ts;
+                        let resolve_span = span.child("commit.resolve");
+                        {
+                            let _g = resolve_span.enter();
+                            this2.cleanup_intents(&intent_keys, Some(commit_ts));
+                        }
+                        resolve_span.end();
+                        Ok(())
+                    }
+                };
+                this2.finish_commit(&outcome, &span);
                 let _g = outer.enter();
-                cb(Ok(()));
+                cb(outcome);
             });
         });
     }
 
     fn cleanup_intents(&self, keys: &[Bytes], commit_ts: Option<crdb_kv::Timestamp>) {
-        let (client, meta) = {
-            let inner = self.inner.borrow();
-            (inner.client.clone(), inner.meta.clone())
-        };
+        let client = self.inner.borrow().client.clone();
         let requests: Vec<RequestKind> =
             keys.iter().map(|k| RequestKind::ResolveIntent { key: k.clone(), commit_ts }).collect();
         if requests.is_empty() {
@@ -499,13 +554,8 @@ impl Txn {
         // Cleanup runs unbounded: resolving intents after an abort or
         // commit must not itself be abandoned mid-way by the caller's
         // deadline, or orphaned intents would block other transactions.
-        let batch = BatchRequest {
-            tenant: self.tenant(),
-            read_ts: meta.start_ts,
-            txn: Some(meta),
-            deadline: Deadline::NONE,
-            requests,
-        };
+        let mut batch = self.commit_batch(requests);
+        batch.deadline = Deadline::NONE;
         client.send(batch, |_resp| {});
     }
 

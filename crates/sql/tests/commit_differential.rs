@@ -1,0 +1,480 @@
+//! Commit-path model check: the coordinator's two commit protocols
+//! against what any serial execution would produce.
+//!
+//! Concurrent transactions — read-modify-write increments, sum-preserving
+//! transfers, whole-keyspace audits — run through [`Txn`] on a full
+//! [`KvCluster`] whose tenant keyspace starts as one range and is
+//! force-split and lease-moved mid-run. Checked: no acked increment is
+//! lost, the transfer sum never changes (not even inside a concurrent
+//! reader's snapshot), the one-phase commit is taken exactly when a
+//! transaction's spans live in one range, multi-range transactions fall
+//! back to the staged protocol and leave no intent behind when they
+//! abort. Then three targeted cases: a staged commit that aborts after
+//! laying an intent, a one-phase commit whose reply is lost, and a
+//! hostile coalesced batch addressed across a range boundary.
+
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use bytes::Bytes;
+use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
+use crdb_kv::client::KvClient;
+use crdb_kv::cluster::{KvCluster, KvClusterConfig};
+use crdb_kv::{keys, mvcc, Timestamp};
+use crdb_sim::{Location, Sim, Topology};
+use crdb_sql::coord::{SqlError, Txn};
+use crdb_util::time::dur;
+use crdb_util::{Deadline, RangeId, RegionId, TenantId};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+const TENANT: TenantId = TenantId(2);
+const ACCOUNTS: usize = 12;
+const COUNTERS: usize = 6;
+const OPENING_BALANCE: i64 = 100;
+
+fn acct(i: usize) -> Bytes {
+    Bytes::from(format!("acct/{i:02}"))
+}
+
+fn ctr(i: usize) -> Bytes {
+    Bytes::from(format!("ctr/{i:02}"))
+}
+
+fn num(v: &Option<Bytes>) -> i64 {
+    let raw = v.as_ref().expect("key exists");
+    std::str::from_utf8(raw).unwrap().parse().unwrap()
+}
+
+fn val(n: i64) -> Bytes {
+    Bytes::from(n.to_string())
+}
+
+/// A cluster whose tenant holds nothing but the test's keys (so a split
+/// lands between them), three SQL-node clients with a cache each, and
+/// every key at its opening value.
+fn setup(seed: u64, topology: Topology, client_at: Location) -> (Sim, KvCluster, Vec<KvClient>) {
+    let sim = Sim::new(seed);
+    let config = KvClusterConfig { tenant_metadata_bytes: 0, ..Default::default() };
+    let cluster = KvCluster::new(&sim, topology, config);
+    let cert = cluster.create_tenant_homed(TENANT, Some(RegionId(0)));
+    let clients: Vec<KvClient> =
+        (0..3).map(|_| KvClient::new(cluster.clone(), cert.clone(), client_at)).collect();
+    let txn = Txn::begin(&clients[0]);
+    for i in 0..ACCOUNTS {
+        txn.put(acct(i), val(OPENING_BALANCE));
+    }
+    for i in 0..COUNTERS {
+        txn.put(ctr(i), val(0));
+    }
+    txn.commit(|r| r.expect("load"));
+    sim.run_for(dur::secs(2));
+    (sim, cluster, clients)
+}
+
+fn single_region(seed: u64) -> (Sim, KvCluster, Vec<KvClient>) {
+    setup(seed, Topology::single_region("us-east1", 3), Location::new(RegionId(0), 0))
+}
+
+/// What the serial model needs from the run, plus what the protocol
+/// assertions need.
+#[derive(Default)]
+struct Tally {
+    /// Acked increments per counter.
+    increments: RefCell<BTreeMap<usize, i64>>,
+    /// Acked commits whose keys shared a leaseholder / did not, as the
+    /// directory stood when the transaction began.
+    acked_one_range: Cell<u64>,
+    acked_cross_range: Cell<u64>,
+    /// Cross-range commit attempts that aborted.
+    aborted_cross_range: Cell<u64>,
+    audits: Cell<u64>,
+    /// Operations still running.
+    in_flight: Cell<u32>,
+}
+
+struct Worker {
+    sim: Sim,
+    cluster: KvCluster,
+    client: KvClient,
+    rng: RefCell<SmallRng>,
+    tally: Rc<Tally>,
+    /// Operations left to start.
+    budget: Cell<u32>,
+}
+
+impl Worker {
+    fn same_range(&self, a: &Bytes, b: &Bytes) -> bool {
+        let holder = |k: &Bytes| self.cluster.leaseholder_of(&keys::make_key(TENANT, k));
+        holder(a) == holder(b)
+    }
+
+    /// Starts the next operation, if any budget is left.
+    fn next(self: &Rc<Self>) {
+        if self.budget.get() == 0 {
+            return;
+        }
+        self.budget.set(self.budget.get() - 1);
+        self.tally.in_flight.set(self.tally.in_flight.get() + 1);
+        let (kind, a, b, amount) = {
+            let mut rng = self.rng.borrow_mut();
+            let a = rng.gen_range(0..ACCOUNTS);
+            let b = (a + rng.gen_range(1..ACCOUNTS)) % ACCOUNTS;
+            (rng.gen_range(0..10), a, b, rng.gen_range(1..20i64))
+        };
+        match kind {
+            0..=3 => self.increment(a % COUNTERS),
+            4..=8 => self.transfer(a, b, amount),
+            _ => self.audit(),
+        }
+    }
+
+    fn done(self: &Rc<Self>) {
+        self.tally.in_flight.set(self.tally.in_flight.get() - 1);
+        // A short think time keeps workers from running in lockstep.
+        let pause = dur::us(self.rng.borrow_mut().gen_range(0..2_000));
+        let this = Rc::clone(self);
+        self.sim.schedule_after(pause, move || this.next());
+    }
+
+    /// `ctr = ctr + 1`, retried until it commits.
+    fn increment(self: &Rc<Self>, c: usize) {
+        let txn = Txn::begin(&self.client);
+        let this = Rc::clone(self);
+        let txn2 = txn.clone();
+        txn.read(ctr(c), move |r| {
+            let Ok(v) = r else { return this.increment(c) };
+            txn2.put(ctr(c), val(num(&v) + 1));
+            let this2 = Rc::clone(&this);
+            txn2.commit(move |r| match r {
+                Ok(()) => {
+                    *this2.tally.increments.borrow_mut().entry(c).or_default() += 1;
+                    let t = &this2.tally.acked_one_range;
+                    t.set(t.get() + 1);
+                    this2.done();
+                }
+                Err(e) => {
+                    assert!(e.is_retryable(), "increment: {e}");
+                    this2.increment(c);
+                }
+            });
+        });
+    }
+
+    /// Moves `amount` from account `a` to account `b`, retried until it
+    /// commits.
+    fn transfer(self: &Rc<Self>, a: usize, b: usize, amount: i64) {
+        let one_range = self.same_range(&acct(a), &acct(b));
+        let txn = Txn::begin(&self.client);
+        let this = Rc::clone(self);
+        let txn2 = txn.clone();
+        txn.read_many(vec![acct(a), acct(b)], move |r| {
+            let Ok(vs) = r else { return this.transfer(a, b, amount) };
+            txn2.put(acct(a), val(num(&vs[0]) - amount));
+            txn2.put(acct(b), val(num(&vs[1]) + amount));
+            let this2 = Rc::clone(&this);
+            txn2.commit(move |r| {
+                let t = &this2.tally;
+                match r {
+                    Ok(()) => {
+                        let n = if one_range { &t.acked_one_range } else { &t.acked_cross_range };
+                        n.set(n.get() + 1);
+                        this2.done();
+                    }
+                    Err(e) => {
+                        assert!(e.is_retryable(), "transfer: {e}");
+                        if !one_range {
+                            t.aborted_cross_range.set(t.aborted_cross_range.get() + 1);
+                        }
+                        this2.transfer(a, b, amount);
+                    }
+                }
+            });
+        });
+    }
+
+    /// Reads every account in one snapshot: a reader must never see half
+    /// of a transfer, whichever protocol committed it.
+    fn audit(self: &Rc<Self>) {
+        let txn = Txn::begin(&self.client);
+        let this = Rc::clone(self);
+        txn.scan(
+            Bytes::from_static(b"acct/"),
+            Bytes::from_static(b"acct0"),
+            usize::MAX,
+            move |r| {
+                let Ok(rows) = r else { return this.audit() };
+                assert_eq!(rows.len(), ACCOUNTS);
+                let sum: i64 = rows.iter().map(|(_, v)| num(&Some(v.clone()))).sum();
+                assert_eq!(
+                    sum,
+                    ACCOUNTS as i64 * OPENING_BALANCE,
+                    "a snapshot saw a partial commit"
+                );
+                this.tally.audits.set(this.tally.audits.get() + 1);
+                this.done();
+            },
+        );
+    }
+}
+
+/// Runs `ops_each` operations on each of six workers to completion.
+fn run_phase(
+    sim: &Sim,
+    cluster: &KvCluster,
+    clients: &[KvClient],
+    seed: u64,
+    ops_each: u32,
+) -> Rc<Tally> {
+    let tally = Rc::new(Tally::default());
+    for w in 0..6u64 {
+        let worker = Rc::new(Worker {
+            sim: sim.clone(),
+            cluster: cluster.clone(),
+            client: clients[w as usize % clients.len()].clone(),
+            rng: RefCell::new(SmallRng::seed_from_u64(seed * 1_000 + w)),
+            tally: Rc::clone(&tally),
+            budget: Cell::new(ops_each),
+        });
+        worker.next();
+    }
+    sim.run_for(dur::secs(60));
+    assert_eq!(tally.in_flight.get(), 0, "every operation finished");
+    tally
+}
+
+/// Reads `key` outside any transaction.
+fn read_now(sim: &Sim, client: &KvClient, key: &Bytes) -> i64 {
+    let out = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&out);
+    client.get(keys::make_key(TENANT, key), move |r| *o.borrow_mut() = Some(r.expect("get")));
+    sim.run_for(dur::secs(5));
+    let v = out.borrow_mut().take().expect("read finished");
+    num(&v)
+}
+
+/// No replica of any node holds an intent on any of the test's keys.
+fn assert_no_intents(cluster: &KvCluster) {
+    let all = (0..ACCOUNTS).map(acct).chain((0..COUNTERS).map(ctr));
+    for key in all.map(|k| keys::make_key(TENANT, &k)) {
+        for id in cluster.node_ids() {
+            let engine = &cluster.node(id).unwrap().engine;
+            match mvcc::get(engine, &key, Timestamp::MAX, None) {
+                mvcc::ReadResult::Value(_) => {}
+                mvcc::ReadResult::Intent(i) => {
+                    panic!("{key:?}: intent of txn {} on {id:?}", i.txn_id)
+                }
+            }
+        }
+    }
+}
+
+fn check_run(seed: u64) {
+    let (sim, cluster, clients) = single_region(seed);
+    let degrade = cluster.degrade();
+    let protocol_counts = || (degrade.commits_one_phase.get(), degrade.commits_two_phase.get());
+    let mut increments: BTreeMap<usize, i64> = BTreeMap::new();
+
+    // Phase 1: one range. Every commit is one-phase.
+    let loaded = protocol_counts();
+    assert_eq!(loaded, (1, 0), "the load itself committed in one phase");
+    let t1 = run_phase(&sim, &cluster, &clients, seed, 40);
+    assert_eq!(t1.acked_cross_range.get(), 0);
+    assert_eq!(protocol_counts(), (loaded.0 + t1.acked_one_range.get(), 0));
+    for (c, n) in t1.increments.borrow().iter() {
+        *increments.entry(*c).or_default() += n;
+    }
+
+    // Split between the keys and move the right half's lease away.
+    cluster.split_range(RangeId(1));
+    assert_eq!(cluster.tenant_range_count(TENANT), 2);
+    let right = keys::make_key(TENANT, &ctr(COUNTERS - 1));
+    let old = cluster.leaseholder_of(&right).unwrap();
+    let new = cluster.node_ids().into_iter().find(|&n| n != old).unwrap();
+    assert!(cluster.transfer_lease(&right, new));
+    let split_accounts = !(1..ACCOUNTS).all(|i| {
+        cluster.leaseholder_of(&keys::make_key(TENANT, &acct(i)))
+            == cluster.leaseholder_of(&keys::make_key(TENANT, &acct(0)))
+    });
+    assert!(split_accounts, "the split must separate accounts for cross-range transfers to exist");
+
+    // Phase 2: two ranges, every client cache stale at first. A commit is
+    // one-phase exactly when its keys share a range.
+    let before = protocol_counts();
+    let t2 = run_phase(&sim, &cluster, &clients, seed + 1, 60);
+    let after = protocol_counts();
+    assert!(t2.acked_cross_range.get() > 10, "the mix exercised cross-range transfers");
+    assert!(t2.aborted_cross_range.get() > 0, "the mix exercised cross-range aborts");
+    assert!(t1.audits.get() + t2.audits.get() > 10);
+    assert_eq!(after.0 - before.0, t2.acked_one_range.get(), "one-phase iff single-range");
+    assert_eq!(after.1 - before.1, t2.acked_cross_range.get(), "staged iff multi-range");
+    for (c, n) in t2.increments.borrow().iter() {
+        *increments.entry(*c).or_default() += n;
+    }
+
+    // The serial model: every acked increment counted once, the transfer
+    // sum untouched, nothing provisional left anywhere.
+    sim.run_for(dur::secs(5)); // let fire-and-forget resolutions land
+    for c in 0..COUNTERS {
+        let expect = increments.get(&c).copied().unwrap_or(0);
+        assert_eq!(read_now(&sim, &clients[0], &ctr(c)), expect, "counter {c}: lost update");
+    }
+    let sum: i64 = (0..ACCOUNTS).map(|i| read_now(&sim, &clients[0], &acct(i))).sum();
+    assert_eq!(sum, ACCOUNTS as i64 * OPENING_BALANCE);
+    assert_no_intents(&cluster);
+}
+
+#[test]
+fn concurrent_commits_match_the_serial_model_seed_1() {
+    check_run(1);
+}
+
+#[test]
+fn concurrent_commits_match_the_serial_model_seed_2() {
+    check_run(2);
+}
+
+/// A staged commit that fails on one range after laying an intent on the
+/// other must remove that intent.
+#[test]
+fn aborted_multi_range_commit_cleans_up_its_intents() {
+    let (sim, cluster, clients) = single_region(3);
+    cluster.split_range(RangeId(1));
+    let (left, right) = (acct(0), ctr(COUNTERS - 1));
+    let holder = |k: &Bytes| cluster.leaseholder_of(&keys::make_key(TENANT, k));
+    let other = cluster.node_ids().into_iter().find(|&n| Some(n) != holder(&right)).unwrap();
+    assert!(cluster.transfer_lease(&keys::make_key(TENANT, &right), other));
+    assert_ne!(holder(&left), holder(&right));
+
+    // B reads `left`, then A changes it and commits, then B commits a
+    // write to both halves: B's refresh fails on the left range while its
+    // blind write to the right range lands as an intent.
+    let b = Txn::begin(&clients[1]);
+    let b_read = Rc::new(Cell::new(false));
+    let flag = Rc::clone(&b_read);
+    b.read(left.clone(), move |r| flag.set(r.is_ok()));
+    sim.run_for(dur::secs(1));
+    assert!(b_read.get());
+    let a = Txn::begin(&clients[0]);
+    a.put(left.clone(), val(1));
+    a.commit(|r| r.expect("a commits"));
+    sim.run_for(dur::secs(1));
+
+    let two_phase = cluster.degrade().commits_two_phase.get();
+    b.put(left.clone(), val(2));
+    b.put(right.clone(), val(2));
+    let outcome = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&outcome);
+    b.commit(move |r| *o.borrow_mut() = Some(r));
+    sim.run_for(dur::secs(5));
+    assert_eq!(*outcome.borrow(), Some(Err(SqlError::Retry("write too old".into()))));
+    assert_eq!(cluster.degrade().commits_two_phase.get(), two_phase, "nothing committed");
+    assert_no_intents(&cluster);
+    assert_eq!(read_now(&sim, &clients[2], &left), 1);
+    assert_eq!(read_now(&sim, &clients[2], &right), 0);
+}
+
+/// A one-phase commit applies, its reply is lost to a partition, the KV
+/// client times out and sends the batch again: the leaseholder finds the
+/// transaction's own record and acks. `v = v + 1` is applied once.
+#[test]
+fn lost_one_phase_reply_is_acked_on_retry_and_applied_once() {
+    // The tenant's leaseholder lives in region 0; the SQL node in region 1.
+    let (sim, cluster, clients) = setup(4, Topology::three_region(), Location::new(RegionId(1), 0));
+    let client = &clients[0];
+    let key = ctr(0);
+    let before = read_now(&sim, client, &key);
+    let one_phase = cluster.degrade().commits_one_phase.get();
+
+    let txn = Txn::begin(client);
+    let outcome = Rc::new(RefCell::new(None));
+    {
+        let txn2 = txn.clone();
+        let key2 = key.clone();
+        let o = Rc::clone(&outcome);
+        let sim2 = sim.clone();
+        let sent_at = Rc::new(Cell::new(sim.now()));
+        let sent_at2 = Rc::clone(&sent_at);
+        let topology = cluster.topology();
+        txn.read(key.clone(), move |r| {
+            txn2.put(key2, val(num(&r.expect("read")) + 1));
+            sent_at2.set(sim2.now());
+            let sim3 = sim2.clone();
+            txn2.commit(move |r| {
+                *o.borrow_mut() = Some((r, sim3.now().duration_since(sent_at.get())))
+            });
+            // The request is in flight (~50 ms one way; the reply leaves
+            // after a ~100 ms quorum wait). Cut region 0 → region 1 once
+            // it has arrived, heal well before the client's RPC timeout.
+            let (cut, heal) = (Rc::clone(&topology), topology);
+            sim2.schedule_after(dur::ms(80), move || {
+                cut.partition_one_way(RegionId(0), RegionId(1))
+            });
+            sim2.schedule_after(dur::secs(5), move || heal.heal_one_way(RegionId(0), RegionId(1)));
+        });
+    }
+    sim.run_for(dur::secs(1));
+    assert_eq!(cluster.degrade().commits_one_phase.get(), one_phase + 1, "applied");
+    assert!(outcome.borrow().is_none(), "but the reply never arrived");
+    assert!(cluster.topology().dropped_messages() >= 1);
+
+    sim.run_for(dur::secs(30));
+    let (result, took) = outcome.borrow_mut().take().expect("the retry completed the commit");
+    assert_eq!(result, Ok(()));
+    assert!(took >= dur::secs(10), "acked by the retry after the RPC timeout: {took:?}");
+    assert_eq!(cluster.degrade().commits_one_phase.get(), one_phase + 1, "not applied again");
+    assert_eq!(cluster.degrade().commits_two_phase.get(), 0);
+    assert_eq!(read_now(&sim, client, &key), before + 1);
+}
+
+/// A coalesced batch whose second key lies outside the range of its first
+/// is rejected whole by the leaseholder, with that range's authoritative
+/// descriptor, and nothing of it is applied.
+#[test]
+fn batch_addressed_across_a_range_boundary_is_rejected_whole() {
+    let (sim, cluster, clients) = single_region(5);
+    cluster.split_range(RangeId(1));
+    let (left, right) = (acct(0), ctr(COUNTERS - 1));
+    let (pleft, pright) = (keys::make_key(TENANT, &left), keys::make_key(TENANT, &right));
+    // Both halves still share a leaseholder: only the addressing is wrong.
+    let holder = cluster.leaseholder_of(&pleft).unwrap();
+    assert_eq!(cluster.leaseholder_of(&pright), Some(holder));
+
+    let put = |key: &Bytes| RequestKind::Put { key: key.clone(), value: val(-1) };
+    let batch = BatchRequest {
+        tenant: TENANT,
+        read_ts: cluster.now_ts(),
+        txn: None,
+        deadline: Deadline::NONE,
+        requests: vec![put(&pleft), put(&pright)],
+    };
+    let response = Rc::new(RefCell::new(None));
+    let r = Rc::clone(&response);
+    let node = cluster.node(holder).unwrap();
+    node.receive(clients[0].cert(), batch, move |resp| *r.borrow_mut() = Some(resp));
+    sim.run_for(dur::secs(1));
+    let response = response.borrow_mut().take().expect("answered");
+    match response.error {
+        Some(KvError::RangeKeyMismatch(info)) => {
+            assert_eq!(info.leaseholder, holder);
+            assert!(info.desc.contains(&pleft) && !info.desc.contains(&pright));
+        }
+        other => panic!("expected a range-key mismatch, got {other:?}"),
+    }
+    assert_eq!(read_now(&sim, &clients[0], &left), OPENING_BALANCE);
+    assert_eq!(read_now(&sim, &clients[0], &right), 0);
+
+    // The same two writes through the client are regrouped per range.
+    let batch = BatchRequest {
+        tenant: TENANT,
+        read_ts: cluster.now_ts(),
+        txn: None,
+        deadline: Deadline::NONE,
+        requests: vec![put(&pleft), put(&pright)],
+    };
+    clients[0].send(batch, |resp| assert!(resp.is_ok(), "{:?}", resp.error));
+    sim.run_for(dur::secs(1));
+    assert_eq!(read_now(&sim, &clients[0], &left), -1);
+    assert_eq!(read_now(&sim, &clients[0], &right), -1);
+}

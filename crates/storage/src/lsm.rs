@@ -41,6 +41,7 @@
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
+use std::time::Duration;
 
 use crate::iter::{merge_sources, strip_tombstones, MergeIter, Source};
 use crate::memtable::{Memtable, WriteBatch};
@@ -815,6 +816,19 @@ impl Lsm {
     pub fn note_stall(&mut self, micros: u64) {
         self.metrics.stall_events += 1;
         self.metrics.stall_micros += micros;
+    }
+
+    /// Records how long a finished flush job ran on the embedder's
+    /// modeled disk, queueing included — the time base of the §5.1.3
+    /// flush-capacity estimate.
+    pub fn note_flush_time(&mut self, ran_for: Duration) {
+        self.metrics.flush_busy_nanos += ran_for.as_nanos() as u64;
+    }
+
+    /// Records how long a finished L0→L1 compaction job ran on the
+    /// embedder's modeled disk (see [`Lsm::note_flush_time`]).
+    pub fn note_l0_compaction_time(&mut self, ran_for: Duration) {
+        self.metrics.l0_compact_busy_nanos += ran_for.as_nanos() as u64;
     }
 
     // ------------------------------------------------------------------

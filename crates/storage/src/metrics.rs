@@ -38,6 +38,12 @@ pub struct StorageMetrics {
     pub flush_bytes: u64,
     /// Number of memtable flushes.
     pub flush_count: u64,
+    /// Time flush jobs were running — from claim to completion, as
+    /// metered by the embedder's modeled disk — in nanoseconds.
+    /// `flush_bytes` over this, not over wall time, is the flush
+    /// *capacity*: an engine that flushed 4 MiB in a quarter minute
+    /// because that is all it was given is not a slow engine.
+    pub flush_busy_nanos: u64,
     /// Bytes read by compactions.
     pub compact_bytes_in: u64,
     /// Bytes written by compactions.
@@ -46,6 +52,9 @@ pub struct StorageMetrics {
     pub compact_count: u64,
     /// Bytes compacted out of L0 specifically (the §5.1.3 bottleneck).
     pub l0_compact_bytes: u64,
+    /// Time L0→L1 compaction jobs were running, in nanoseconds (see
+    /// `flush_busy_nanos`).
+    pub l0_compact_busy_nanos: u64,
     /// Compaction input bytes per source level (`[0]` = L0→L1 jobs).
     pub compact_bytes_per_level: [u64; COMPACT_LEVELS_TRACKED],
     /// Point lookups served (`Lsm::get`).
@@ -140,10 +149,12 @@ impl StorageMetrics {
             compact_bytes_per_level,
             flush_bytes: self.flush_bytes - earlier.flush_bytes,
             flush_count: self.flush_count - earlier.flush_count,
+            flush_busy_nanos: self.flush_busy_nanos - earlier.flush_busy_nanos,
             compact_bytes_in: self.compact_bytes_in - earlier.compact_bytes_in,
             compact_bytes_out: self.compact_bytes_out - earlier.compact_bytes_out,
             compact_count: self.compact_count - earlier.compact_count,
             l0_compact_bytes: self.l0_compact_bytes - earlier.l0_compact_bytes,
+            l0_compact_busy_nanos: self.l0_compact_busy_nanos - earlier.l0_compact_busy_nanos,
             point_gets: self.point_gets - earlier.point_gets,
             tables_probed: self.tables_probed - earlier.tables_probed,
             bloom_probes: self.bloom_probes - earlier.bloom_probes,
