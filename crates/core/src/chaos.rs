@@ -139,9 +139,9 @@ pub fn install_chaos(
             }
             let crashed = crash_sql_pods_in(&c, region, None);
             c.pool.set_region_dark(region, true);
-            let rehomed = rehome_tenants(&c, region, false);
+            let (rehomed, pinned) = rehome_tenants(&c, region, false);
             inj.note(&format!(
-                "region outage region={}: {downed} kv nodes down, {crashed} sql pods crashed, {rehomed} tenants re-homed",
+                "region outage region={}: {downed} kv nodes down, {crashed} sql pods crashed, {rehomed} tenants re-homed ({pinned} onto a region-pinned sql_instances partition)",
                 region.raw(),
             ));
         }
@@ -153,7 +153,7 @@ pub fn install_chaos(
                 up += 1;
             }
             c.pool.set_region_dark(region, false);
-            let rehomed = rehome_tenants(&c, region, true);
+            let (rehomed, _) = rehome_tenants(&c, region, true);
             inj.note(&format!(
                 "region recovered region={}: {up} kv nodes restarted, {rehomed} tenants homed back",
                 region.raw(),
@@ -191,15 +191,21 @@ fn crash_sql_pods_in(cluster: &ServerlessCluster, region: RegionId, zone: Option
 /// tenant whose preferred placement sits in the dark `region` is pointed
 /// at the first surviving region in its own region list (zone 0); with
 /// `back == true`, tenants whose home is the recovered `region` are
-/// pointed home again. Returns the number of tenants moved.
-fn rehome_tenants(cluster: &ServerlessCluster, region: RegionId, back: bool) -> usize {
+/// pointed home again. Returns the number of tenants moved, and how many
+/// of them have a `system.sql_instances` partition pinned to where they
+/// went: their next cold start registers there on an in-region quorum
+/// (the SQL node keys its row by its own region), the others register
+/// through their main range, which has lost a replica to the outage.
+fn rehome_tenants(cluster: &ServerlessCluster, region: RegionId, back: bool) -> (usize, usize) {
     let mut moved = 0usize;
+    let mut pinned = 0usize;
     for tenant in cluster.registry.tenant_ids() {
         let Some(info) = cluster.tenant(tenant) else { continue };
         if back {
             if info.home_region == region {
                 cluster.set_preferred_location(tenant, Location::new(region, 0));
                 moved += 1;
+                pinned += info.instance_partitions.contains(&region) as usize;
             }
         } else if info.home_region == region {
             let Some(survivor) = info.regions.iter().copied().find(|&r| r != region) else {
@@ -209,9 +215,10 @@ fn rehome_tenants(cluster: &ServerlessCluster, region: RegionId, back: bool) -> 
             };
             cluster.set_preferred_location(tenant, Location::new(survivor, 0));
             moved += 1;
+            pinned += info.instance_partitions.contains(&survivor) as usize;
         }
     }
-    moved
+    (moved, pinned)
 }
 
 /// Deterministically picks a live SQL pod across all tenants: candidates

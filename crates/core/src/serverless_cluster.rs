@@ -15,6 +15,8 @@ use crdb_accounting::model::EcpuModel;
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::cost::TrafficStats;
+use crdb_kv::keys;
+use crdb_kv::range::Placement;
 use crdb_obs::metrics::Sampler;
 use crdb_obs::trace;
 use crdb_serverless::autoscaler::{Autoscaler, AutoscalerConfig};
@@ -25,7 +27,7 @@ use crdb_serverless::registry::Registry;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
-use crdb_sql::node::{ExecMode, SqlNodeConfig};
+use crdb_sql::node::{instance_partition_start, ExecMode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::slab::{Slab, Slot};
@@ -181,15 +183,10 @@ impl ServerlessCluster {
             let tenants = Rc::clone(&tenants);
             let optimized = config.multi_region_optimized;
             Rc::new(move |tenant: TenantId| {
-                let tenants = tenants.borrow();
-                let info = tenants.get(tenant);
-                let (home, regions) = info
-                    .map(|i| (i.home_region, i.regions.clone()))
-                    .unwrap_or((RegionId(0), vec![RegionId(0)]));
-                if optimized {
-                    SystemDatabase::optimized(home, regions)
-                } else {
-                    SystemDatabase::unoptimized(home, regions)
+                let info = tenants.borrow().get(tenant).cloned();
+                match info {
+                    Some(info) => info.system_db(optimized),
+                    None => SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]),
                 }
             })
         };
@@ -281,6 +278,13 @@ impl ServerlessCluster {
         // Which commit protocol transactions took.
         s.counter("kv.txn.commits_one_phase", d.commits_one_phase.get());
         s.counter("kv.txn.commits_two_phase", d.commits_two_phase.get());
+        // Region-pinned ranges (multi-region tenants' `sql_instances`
+        // partitions). A deployment without any — every single-region
+        // one — emits nothing, so its snapshot reads as it always did.
+        let pinned = self.kv.pinned_range_count();
+        if pinned > 0 {
+            s.gauge("kv.ranges.region_pinned", pinned as f64);
+        }
 
         // KV nodes: storage engine counters and admission depth.
         let mut node_ids = self.kv.node_ids();
@@ -430,8 +434,23 @@ impl ServerlessCluster {
         let id = TenantId(self.next_tenant.get());
         self.next_tenant.set(id.raw() + 1);
         let regions = if regions.is_empty() { vec![RegionId(0)] } else { regions };
+        let span = trace::child("tenant.create");
+        span.tag("tenant", id);
         let cert = self.kv.create_tenant_homed(id, regions.first().copied());
-        let info = Rc::new(TenantInfo::new(id, cert, regions, quota_vcpus));
+        let mut info = TenantInfo::new(id, cert, regions, quota_vcpus);
+        // REGIONAL BY ROW `system.sql_instances` (§3.2.5): one range per
+        // region, pinned there, cut off the top of the still-empty
+        // keyspace. Everything else stays in the region-spread range.
+        for region in info.system_db(self.config.multi_region_optimized).instance_partitions() {
+            let start = keys::make_key(id, &instance_partition_start(region));
+            if self.kv.split_at(&start, Placement::Pinned(region)).is_some() {
+                info.instance_partitions.push(region);
+            }
+        }
+        span.tag("home", info.home_region.raw());
+        span.tag("pinned_partitions", format_args!("{:?}", info.instance_partitions));
+        span.end();
+        let info = Rc::new(info);
         self.tenants.borrow_mut().insert(id, info);
         self.registry.add_tenant(id, self.sim.now());
         id

@@ -16,6 +16,7 @@ use crdb_accounting::bucket::{BucketClient, BucketServer, ClientConfig, GrantRes
 use crdb_accounting::model::EcpuModel;
 use crdb_kv::auth::TenantCert;
 use crdb_kv::cost::TrafficStats;
+use crdb_sql::system_db::SystemDatabase;
 use crdb_util::time::SimTime;
 use crdb_util::{RegionId, SqlInstanceId, TenantId};
 
@@ -29,6 +30,10 @@ pub struct TenantInfo {
     pub regions: Vec<RegionId>,
     /// Home region (primary).
     pub home_region: RegionId,
+    /// The regions whose `system.sql_instances` rows live in a range of
+    /// their own, pinned to that region (the placement chosen when the
+    /// tenant was created; empty: everything is in region-spread ranges).
+    pub instance_partitions: Vec<RegionId>,
     /// Quota state, when a CPU limit is configured.
     pub quota: Option<QuotaState>,
     /// Cumulative estimated-CPU seconds attributed to this tenant.
@@ -65,6 +70,7 @@ impl TenantInfo {
             cert,
             regions,
             home_region,
+            instance_partitions: Vec::new(),
             quota: quota_vcpus.map(|vcpus| QuotaState {
                 vcpus,
                 server: RefCell::new(BucketServer::new(vcpus)),
@@ -74,6 +80,16 @@ impl TenantInfo {
             ecpu_seconds: RefCell::new(0.0),
             last_sql_cpu: RefCell::new(HashMap::new()),
             last_traffic: RefCell::new(TrafficStats::default()),
+        }
+    }
+
+    /// The tenant's system database: multi-region localities when
+    /// `optimized`, everything regional in the home region otherwise.
+    pub fn system_db(&self, optimized: bool) -> SystemDatabase {
+        SystemDatabase {
+            multi_region_optimized: optimized,
+            home_region: self.home_region,
+            regions: self.regions.clone(),
         }
     }
 

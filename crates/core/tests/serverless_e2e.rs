@@ -252,3 +252,30 @@ fn deterministic_end_to_end() {
     };
     assert_eq!(run(42), run(42));
 }
+
+#[test]
+fn autoscaler_pass_before_the_session_opens_keeps_the_fresh_node() {
+    let sim = Sim::new(5);
+    let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
+    let tenant = cluster.create_tenant(vec![RegionId(0)], None);
+    let outcome = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&outcome);
+    cluster.connect(tenant, "10.0.0.1", "app", move |r| {
+        *o.borrow_mut() = Some(r.map(|_| ()));
+    });
+    // Step to the instant the cold start hands its node to the connect:
+    // the node is registered, and the session opens a proxy ↔ node hop
+    // later.
+    while cluster.sql_node_count(tenant) == 0 {
+        assert!(sim.step(), "the cold start finishes");
+    }
+    assert!(outcome.borrow().is_none(), "the session is not open yet");
+    // An autoscaler pass lands inside that hop. It sees a running tenant
+    // with no load; the connect in flight must count as a connection, or
+    // the pass stops the node under it ("node is Stopped").
+    cluster.autoscaler.reconcile();
+    sim.run_for(dur::secs(5));
+    assert_eq!(*outcome.borrow(), Some(Ok(())));
+    assert_eq!(cluster.sql_node_count(tenant), 1);
+    assert!(!cluster.is_suspended(tenant));
+}

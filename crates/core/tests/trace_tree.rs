@@ -8,25 +8,49 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
+use crdb_core::chaos::install_chaos;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
+use crdb_obs::trace::SpanView;
 use crdb_obs::Trace;
-use crdb_sim::Sim;
+use crdb_sim::fault::FaultSchedule;
+use crdb_sim::{Location, Sim, Topology};
 use crdb_util::time::dur;
-use crdb_util::RegionId;
+use crdb_util::{RegionId, TenantId};
 
 /// Connects from zero, creates a table and runs one INSERT under a single
 /// trace; returns the trace and the measured end-to-end latency.
 fn traced_cold_start(seed: u64) -> (Trace, Duration) {
-    let sim = Sim::new(seed);
-    let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
-    let tenant = cluster.create_tenant(vec![RegionId(0)], None);
+    traced_cold_start_in(seed, ServerlessConfig::default(), vec![RegionId(0)])
+}
 
+/// The same against `config`'s deployment, for a tenant spanning
+/// `regions` whose SQL node starts in the first of them.
+fn traced_cold_start_in(
+    seed: u64,
+    config: ServerlessConfig,
+    regions: Vec<RegionId>,
+) -> (Trace, Duration) {
+    let sim = Sim::new(seed);
+    let cluster = ServerlessCluster::new(&sim, config);
+    let home = regions[0];
+    let tenant = cluster.create_tenant(regions, None);
+    cluster.set_preferred_location(tenant, Location::new(home, 0));
+    traced_request(&sim, &cluster, tenant)
+}
+
+/// One traced request against a suspended `tenant`: connect, CREATE
+/// TABLE, INSERT.
+fn traced_request(
+    sim: &Sim,
+    cluster: &Rc<ServerlessCluster>,
+    tenant: TenantId,
+) -> (Trace, Duration) {
     let (trace, root) = Trace::start("request", sim.clock());
     let begin = sim.now();
     let finished: Rc<RefCell<Option<Duration>>> = Rc::new(RefCell::new(None));
     {
         let _g = root.enter();
-        let cluster2 = Rc::clone(&cluster);
+        let cluster2 = Rc::clone(cluster);
         let sim2 = sim.clone();
         let root2 = root.clone();
         let finished2 = Rc::clone(&finished);
@@ -155,4 +179,93 @@ fn cold_start_trace_is_deterministic() {
 
     let (c, _) = traced_cold_start(12);
     assert_ne!(a.to_json(), c.to_json(), "different seeds ⇒ different timings");
+}
+
+/// The `replication.quorum` wait under the cold start's
+/// `instance.register`, and that span itself.
+fn register_quorum(trace: &Trace) -> (SpanView, Duration) {
+    let spans = trace.spans();
+    let under_register = |mut at: usize| loop {
+        match spans[at].parent {
+            Some(p) if spans[p].name == "instance.register" => return true,
+            Some(p) => at = p,
+            None => return false,
+        }
+    };
+    let quorum: Vec<Duration> = spans
+        .iter()
+        .enumerate()
+        .filter(|(i, s)| s.name == "replication.quorum" && under_register(*i))
+        .map(|(_, s)| s.duration())
+        .collect();
+    assert_eq!(quorum.len(), 1, "registering is one replicated write");
+    (trace.find("instance.register").expect("instance.register span"), quorum[0])
+}
+
+fn three_region(optimized: bool) -> ServerlessConfig {
+    ServerlessConfig {
+        topology: Topology::three_region(),
+        multi_region_optimized: optimized,
+        ..ServerlessConfig::default()
+    }
+}
+
+#[test]
+fn multi_region_cold_start_registers_on_an_in_region_quorum() {
+    let all = [RegionId(0), RegionId(1), RegionId(2)];
+    for home in all {
+        let mut regions = vec![home];
+        regions.extend(all.iter().filter(|r| **r != home));
+        let (trace, latency) = traced_cold_start_in(7, three_region(true), regions.clone());
+        let (register, quorum) = register_quorum(&trace);
+        assert_eq!(register.tag("placement"), Some("pinned"), "region {home:?}");
+        assert_eq!(register.tag("region"), Some(home.raw().to_string().as_str()));
+        assert!(quorum < dur::ms(5), "region {home:?}: inter-zone quorum, got {quorum:?}");
+        assert!(latency < dur::secs(1), "region {home:?}: {latency:?}");
+
+        // Everything but the instance rows is still one range: the DDL
+        // and the INSERT commit in one phase, one RPC each.
+        let paths = trace.paths();
+        assert_eq!(trace.find("txn.commit").expect("txn.commit").tag("one_phase"), Some("true"));
+        for staged in ["commit.intents", "commit.resolve"] {
+            assert!(
+                !paths.iter().any(|p| p.contains(staged)),
+                "{staged} in:\n{}",
+                paths.join("\n")
+            );
+        }
+
+        // Without the optimization the row goes through the tenant's
+        // region-spread range and waits for another region.
+        let (trace, _) = traced_cold_start_in(7, three_region(false), regions);
+        let (register, quorum) = register_quorum(&trace);
+        assert_eq!(register.tag("placement"), Some("spread"));
+        assert!(quorum > dur::ms(80), "region {home:?}: cross-region quorum, got {quorum:?}");
+    }
+}
+
+#[test]
+fn rehomed_tenant_registers_in_the_survivor_regions_partition() {
+    let (lost, survivor) = (RegionId(1), RegionId(0));
+    let sim = Sim::new(9);
+    let cluster = ServerlessCluster::new(&sim, three_region(true));
+    let tenant = cluster.create_tenant(vec![lost, survivor, RegionId(2)], None);
+    cluster.set_preferred_location(tenant, Location::new(lost, 0));
+    let outage = FaultSchedule::region_loss(lost, sim.now() + dur::secs(5), dur::secs(600));
+    let injector = install_chaos(&cluster, outage);
+    // Well past the liveness TTL: the main range's lease has left the
+    // dark region, and the tenant's next SQL node starts in the survivor.
+    sim.run_for(dur::secs(30));
+    assert!(
+        injector.log().contains("1 tenants re-homed (1 onto a region-pinned sql_instances"),
+        "{}",
+        injector.log()
+    );
+
+    let (trace, latency) = traced_request(&sim, &cluster, tenant);
+    let (register, quorum) = register_quorum(&trace);
+    assert_eq!(register.tag("placement"), Some("pinned"));
+    assert_eq!(register.tag("region"), Some(survivor.raw().to_string().as_str()));
+    assert!(quorum < dur::ms(5), "the survivor's own partition, got {quorum:?}");
+    assert!(latency < dur::secs(2), "{latency:?}");
 }

@@ -474,10 +474,14 @@ impl DispatchState {
         // Fail fast across a known partition: the leaseholder cannot be
         // reached and (liveness being a global control plane) its lease
         // will not move, so surface the typed error immediately instead
-        // of letting the request time out retry after retry.
+        // of letting the request time out retry after retry. Behind a
+        // dark zone or region the node is down as well and its lease
+        // does move, where the range's placement leaves it somewhere to
+        // go: forget the route, so the caller's next request asks META.
         if !topo.is_reachable(my_loc, node_loc) {
             let degrade = cluster.degrade();
             degrade.partition_fast_fails.set(degrade.partition_fast_fails.get() + 1);
+            self.forget_routes(&pieces);
             rpc.end();
             self.fail(KvError::Unavailable);
             return;
@@ -634,16 +638,19 @@ impl DispatchState {
         }
     }
 
+    /// Drops the cached routes of `pieces`' ranges.
+    fn forget_routes(&self, pieces: &[Piece]) {
+        let keys: Vec<Bytes> = pieces.iter().map(|p| self.routing_key(&p.req)).collect();
+        let mut cache = self.client.inner.cache.borrow_mut();
+        keys.iter().for_each(|key| cache.invalidate(key));
+    }
+
     /// A dead node, a lost hop or a stale descriptor: forget what the
     /// cache says about `pieces`' ranges and route them again after a
     /// backoff. The lease-check loop moves leases off dead nodes within
     /// its period, so retries back off long enough to observe that.
     fn retry_after_backoff(self: Rc<Self>, pieces: Vec<Piece>, retries: Retries) {
-        let keys: Vec<Bytes> = pieces.iter().map(|p| self.routing_key(&p.req)).collect();
-        {
-            let mut cache = self.client.inner.cache.borrow_mut();
-            keys.iter().for_each(|key| cache.invalidate(key));
-        }
+        self.forget_routes(&pieces);
         let sim = self.client.inner.cluster.sim.clone();
         // The backoff must land before the batch deadline: a retry
         // scheduled past it is never scheduled at all.

@@ -16,8 +16,8 @@ use bytes::Bytes;
 use crdb_admission::AdmissionConfig;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_storage::{LsmConfig, WriteBatch};
-use crdb_util::time::dur;
-use crdb_util::{NodeId, RangeId, TenantId};
+use crdb_util::time::{dur, SimTime};
+use crdb_util::{NodeId, RangeId, RegionId, TenantId};
 
 use crate::auth::{CertAuthority, TenantCert};
 use crate::cost::CostModel;
@@ -26,7 +26,7 @@ use crate::hlc::{Hlc, Timestamp};
 use crate::keys;
 use crate::liveness::{Liveness, LivenessConfig};
 use crate::node::KvNode;
-use crate::range::{Lease, RangeDescriptor, RangeState};
+use crate::range::{Lease, Placement, RangeDescriptor, RangeState};
 use crate::txn::TxnStatus;
 
 /// Cluster configuration.
@@ -100,7 +100,7 @@ pub struct ClusterInner {
     /// finalization instant so old entries can be garbage-collected.
     pub(crate) txn_status: HashMap<u64, TxnStatus>,
     /// Finalized transactions with their finalization time (GC input).
-    pub(crate) txn_finalized_at: HashMap<u64, crdb_util::time::SimTime>,
+    pub(crate) txn_finalized_at: HashMap<u64, SimTime>,
     pub(crate) cost_model: CostModel,
     pub(crate) topology: Rc<Topology>,
     pub(crate) hlc: Hlc,
@@ -117,6 +117,82 @@ pub struct ClusterInner {
     /// identical filler): creating 20K tenants must not allocate
     /// 20K × rows × replicas copies of a 4 KiB payload.
     meta_row_value: Option<Bytes>,
+}
+
+impl ClusterInner {
+    /// Picks the replicas of a new range among the nodes live at `now`
+    /// that `placement` admits: one per region first, then distinct zones
+    /// (so a single zone loss never takes out two replicas of one range),
+    /// then whatever is left, up to the replication factor. `home`'s nodes
+    /// come first — the first replica takes the lease — and `rotation`
+    /// spreads first picks over them. Empty when no live node is admitted.
+    fn choose_replicas(
+        &self,
+        placement: Placement,
+        home: Option<RegionId>,
+        rotation: usize,
+        now: SimTime,
+    ) -> Vec<NodeId> {
+        let region_of = |n: &NodeId| self.nodes[n].location.region;
+        let mut live = self.liveness.live_nodes(now);
+        live.retain(|n| placement.allows(region_of(n)));
+        // Home-region nodes first, preserving id order inside each group.
+        if let Some(home) = home {
+            live.sort_by_key(|n| region_of(n) != home);
+        }
+        let mut replicas: Vec<NodeId> = Vec::new();
+        if live.is_empty() {
+            return replicas;
+        }
+        let factor = self.config.replication_factor;
+        let regions = match placement {
+            Placement::Spread => self.topology.region_count(),
+            Placement::Pinned(_) => 1,
+        };
+        // Deterministic rotation for spread (within the home group when
+        // one is set).
+        let start = match home {
+            Some(home) => rotation % live.iter().filter(|n| region_of(n) == home).count().max(1),
+            None => rotation % live.len(),
+        };
+        for i in 0..live.len() {
+            let n = live[(start + i) % live.len()];
+            let location = self.nodes[&n].location;
+            let region_covered = replicas.iter().any(|r| region_of(r) == location.region);
+            let zone_covered = replicas.iter().any(|r| self.nodes[r].location == location);
+            if !region_covered || (replicas.len() >= regions && !zone_covered) {
+                replicas.push(n);
+            }
+            if replicas.len() == factor {
+                break;
+            }
+        }
+        // Fill up if domain spreading didn't reach the factor.
+        for &n in &live {
+            if replicas.len() >= factor.min(live.len()) {
+                break;
+            }
+            if !replicas.contains(&n) {
+                replicas.push(n);
+            }
+        }
+        replicas
+    }
+
+    /// Hands range `id`'s lease to `to` under `to`'s current epoch. Every
+    /// lease move — rebalancer, liveness failover, explicit transfer —
+    /// ends here; callers pick `to` among the range's replicas, which its
+    /// placement chose, so a pinned range's lease stays in its region.
+    fn grant_lease(&mut self, id: RangeId, to: NodeId) {
+        debug_assert!(
+            self.directory.get(id).is_some_and(|r| {
+                r.desc.replicas.contains(&to) && r.placement.allows(self.nodes[&to].location.region)
+            }),
+            "lease of {id:?} granted to {to:?} outside its replicas or placement"
+        );
+        let epoch = self.liveness.epoch(to);
+        self.directory.set_lease(id, Lease { holder: to, epoch });
+    }
 }
 
 /// Cluster-wide degradation counters: retry, deadline, and breaker
@@ -243,6 +319,12 @@ impl KvCluster {
     /// holding the most to the live node holding the fewest, keeping
     /// request load spread. Operates on lease counts (a proxy for load;
     /// ranges split by size and load, so counts track bytes served).
+    ///
+    /// Load is balanced inside each region, never between regions: the
+    /// crowded node is live, so its region has a live replica of every
+    /// range it leads, and moving one of those leases abroad would
+    /// un-home its tenant ("leaseholders in their primary region",
+    /// §4.2.5) to even out a count.
     fn start_rebalancer(&self) {
         let cluster = self.clone();
         let sim = self.sim.clone();
@@ -254,29 +336,34 @@ impl KvCluster {
             if live.len() < 2 {
                 return true;
             }
-            // A sorted list, not a map: ties for most/fewest leases must
-            // break the same way every run for determinism.
-            let mut counts: Vec<(NodeId, usize)> = live.iter().map(|&n| (n, 0)).collect();
-            counts.sort_by_key(|&(n, _)| n);
-            for r in inner.directory.iter() {
-                if let Some(c) = counts.iter_mut().find(|(n, _)| *n == r.lease.holder) {
-                    c.1 += 1;
+            let regions: Vec<RegionId> = inner.topology.regions().collect();
+            for region in regions {
+                // In node-id order: ties for most/fewest leases must break
+                // the same way every run for determinism.
+                let counts: Vec<(NodeId, usize)> = live
+                    .iter()
+                    .filter(|n| inner.nodes[n].location.region == region)
+                    .map(|&n| (n, inner.directory.lease_count(n)))
+                    .collect();
+                let most = counts.iter().max_by_key(|&&(_, c)| c);
+                let fewest = counts.iter().min_by_key(|&&(_, c)| c);
+                let (Some(&(max_node, max_count)), Some(&(min_node, min_count))) = (most, fewest)
+                else {
+                    continue;
+                };
+                if max_count <= min_count + 3 {
+                    continue;
                 }
-            }
-            let &(max_node, max_count) = counts.iter().max_by_key(|&&(_, c)| c).expect("non-empty");
-            let &(min_node, min_count) = counts.iter().min_by_key(|&&(_, c)| c).expect("non-empty");
-            if max_count <= min_count + 3 {
-                return true;
-            }
-            // Move one of the crowded node's leases to the quiet node,
-            // provided it holds a replica there.
-            let epoch = inner.liveness.epoch(min_node);
-            if let Some(range) = inner
-                .directory
-                .iter_mut()
-                .find(|r| r.lease.holder == max_node && r.desc.replicas.contains(&min_node))
-            {
-                range.lease = Lease { holder: min_node, epoch };
+                // Move one of the crowded node's leases to the quiet node,
+                // provided it holds a replica there.
+                let movable = inner
+                    .directory
+                    .led_by(max_node)
+                    .find(|r| r.desc.replicas.contains(&min_node))
+                    .map(|r| r.desc.id);
+                if let Some(id) = movable {
+                    inner.grant_lease(id, min_node);
+                }
             }
             true
         });
@@ -346,7 +433,10 @@ impl KvCluster {
     }
 
     /// Periodically validates range leases against liveness epochs and
-    /// transfers invalid leases to live replicas.
+    /// transfers invalid leases to live replicas. Only the leases of
+    /// nodes that are down or came back under a new epoch since the last
+    /// pass can be invalid, so only those are looked at: a pass over a
+    /// healthy cluster touches no range.
     fn start_lease_checks(&self) {
         let cluster = self.clone();
         let sim = self.sim.clone();
@@ -354,22 +444,25 @@ impl KvCluster {
             let now = sim.now();
             let mut inner = cluster.inner.borrow_mut();
             let inner = &mut *inner;
-            let mut transfers = 0;
-            for range in inner.directory.iter_mut() {
-                let lease = range.lease;
-                if inner.liveness.lease_valid(lease.holder, lease.epoch, now) {
-                    continue;
-                }
-                // Find a live replica to take the lease.
-                let candidate =
-                    range.desc.replicas.iter().copied().find(|&n| inner.liveness.is_live(n, now));
-                if let Some(new_holder) = candidate {
-                    range.lease =
-                        Lease { holder: new_holder, epoch: inner.liveness.epoch(new_holder) };
-                    transfers += 1;
+            let suspects = inner.liveness.lease_suspects(now);
+            let mut moves: Vec<(RangeId, NodeId)> = Vec::new();
+            for &node in &suspects {
+                for range in inner.directory.led_by(node) {
+                    if inner.liveness.lease_valid(node, range.lease.epoch, now) {
+                        continue;
+                    }
+                    // Find a live replica to take the lease.
+                    let candidate =
+                        range.desc.replicas.iter().find(|&&n| inner.liveness.is_live(n, now));
+                    if let Some(&new_holder) = candidate {
+                        moves.push((range.desc.id, new_holder));
+                    }
                 }
             }
-            inner.lease_transfers += transfers;
+            inner.lease_transfers += moves.len() as u64;
+            for (id, new_holder) in moves {
+                inner.grant_lease(id, new_holder);
+            }
             true
         });
     }
@@ -385,13 +478,9 @@ impl KvCluster {
 
     fn run_split_check(&self) {
         let to_split: Vec<RangeId> = {
-            let inner = self.inner.borrow();
-            inner
-                .directory
-                .iter()
-                .filter(|r| r.size_bytes > inner.config.max_range_bytes)
-                .map(|r| r.desc.id)
-                .collect()
+            let mut inner = self.inner.borrow_mut();
+            let max_bytes = inner.config.max_range_bytes;
+            inner.directory.oversize(max_bytes)
         };
         for id in to_split {
             self.split_range(id);
@@ -403,11 +492,11 @@ impl KvCluster {
     pub fn split_range(&self, id: RangeId) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let (desc, size) = match inner.directory.get(id) {
-            Some(r) => (r.desc.clone(), r.size_bytes),
+        let (desc, size, placement, lease) = match inner.directory.get(id) {
+            Some(r) => (r.desc.clone(), r.size_bytes, r.placement, r.lease),
             None => return,
         };
-        let leader = match inner.nodes.get(&inner.directory.get(id).unwrap().lease.holder) {
+        let leader = match inner.nodes.get(&lease.holder) {
             Some(n) => Rc::clone(n),
             None => return,
         };
@@ -447,12 +536,9 @@ impl KvCluster {
         }
         let new_id = RangeId(inner.next_range_id);
         inner.next_range_id += 1;
-        let lease = inner.directory.get(id).unwrap().lease;
-        // Shrink the left half in place; install the right half.
-        if let Some(left) = inner.directory.get_mut(id) {
-            left.desc.end = mid.clone();
-            left.size_bytes = size / 2;
-        }
+        // Shrink the left half in place; install the right half, which
+        // stays where the whole was.
+        inner.directory.truncate(id, mid.clone(), size / 2);
         let right = RangeState {
             desc: RangeDescriptor {
                 id: new_id,
@@ -460,12 +546,51 @@ impl KvCluster {
                 end: desc.end,
                 replicas: desc.replicas,
             },
+            placement,
             lease,
             size_bytes: size / 2,
             writes: 0,
             reads: 0,
         };
         inner.directory.insert(right);
+    }
+
+    /// Cuts the range containing `key` at `key`: the left part is
+    /// untouched, and the keys from `key` on become a new range with
+    /// `placement` and replicas of its own. Nothing copies data between
+    /// replica sets, so the cut-off part must still be empty — this is
+    /// how a keyspace is laid out before it is used, not a way to move
+    /// data. Returns the new range, or `None` when nothing was cut: no
+    /// such range, `key` already starts one, the part holds data, or no
+    /// live node satisfies `placement`.
+    pub fn split_at(&self, key: &[u8], placement: Placement) -> Option<RangeId> {
+        let now = self.sim.now();
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let left = inner.directory.lookup(key)?;
+        let (left_id, left_size, end) = (left.desc.id, left.size_bytes, left.desc.end.clone());
+        if left.desc.start.as_ref() == key {
+            return None;
+        }
+        let holds_data = left
+            .desc
+            .replicas
+            .iter()
+            .filter_map(|n| inner.nodes.get(n))
+            .any(|n| !crate::mvcc::span_is_empty(&n.engine, key, &end));
+        if holds_data {
+            return None;
+        }
+        let rotation = keys::key_tenant(key).map_or(0, |t| t.raw() as usize);
+        let replicas = inner.choose_replicas(placement, None, rotation, now);
+        let epoch = inner.liveness.epoch(*replicas.first()?);
+        let id = RangeId(inner.next_range_id);
+        inner.next_range_id += 1;
+        let key = Bytes::copy_from_slice(key);
+        inner.directory.truncate(left_id, key.clone(), left_size);
+        let desc = RangeDescriptor { id, start: key, end, replicas };
+        inner.directory.insert(RangeState::new(desc, placement, epoch));
+        Some(id)
     }
 
     /// Creates a tenant: issues its certificate, allocates its first range
@@ -478,68 +603,12 @@ impl KvCluster {
     /// Like [`KvCluster::create_tenant`], preferring a leaseholder (first
     /// replica) in `home` — multi-region tenants keep their data
     /// leaseholders in their primary region (§4.2.5).
-    pub fn create_tenant_homed(
-        &self,
-        tenant: TenantId,
-        home: Option<crdb_util::RegionId>,
-    ) -> TenantCert {
+    pub fn create_tenant_homed(&self, tenant: TenantId, home: Option<RegionId>) -> TenantCert {
         let now = self.sim.now();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let cert = inner.ca.issue(tenant);
-        if tenant.is_system() {
-            // The system tenant's span is created like any other below.
-        }
-        // Replica placement: spread across regions, then zones.
-        let mut live = inner.liveness.live_nodes(now);
-        // Home-region nodes first, preserving rotation inside each group.
-        if let Some(home) = home {
-            live.sort_by_key(|n| inner.nodes[n].location.region != home);
-        }
-        let mut replicas: Vec<NodeId> = Vec::new();
-        if !live.is_empty() {
-            // Deterministic rotation by tenant id for spread (within the
-            // home group when one is set).
-            let start = if home.is_some() {
-                let home_count = live
-                    .iter()
-                    .filter(|n| Some(inner.nodes[n].location.region) == home)
-                    .count()
-                    .max(1);
-                (tenant.raw() as usize) % home_count
-            } else {
-                (tenant.raw() as usize) % live.len()
-            };
-            for i in 0..live.len() {
-                let n = live[(start + i) % live.len()];
-                let location = inner.nodes[&n].location;
-                let region_covered =
-                    replicas.iter().any(|r| inner.nodes[r].location.region == location.region);
-                // Domain spread: cover every region first; once all
-                // regions hold a replica, extra replicas within a region
-                // must land in a zone not already covered there — so a
-                // single zone loss can never take out two replicas of
-                // one range (the quorum-survival property).
-                let zone_covered = replicas.iter().any(|r| inner.nodes[r].location == location);
-                if !region_covered
-                    || (replicas.len() >= inner.topology.region_count() && !zone_covered)
-                {
-                    replicas.push(n);
-                }
-                if replicas.len() == inner.config.replication_factor {
-                    break;
-                }
-            }
-            // Fill up if region spreading didn't reach the factor.
-            for &n in &live {
-                if replicas.len() >= inner.config.replication_factor.min(live.len()) {
-                    break;
-                }
-                if !replicas.contains(&n) {
-                    replicas.push(n);
-                }
-            }
-        }
+        let replicas = inner.choose_replicas(Placement::Spread, home, tenant.raw() as usize, now);
         assert!(!replicas.is_empty(), "no live nodes to place tenant");
         let id = RangeId(inner.next_range_id);
         inner.next_range_id += 1;
@@ -550,7 +619,7 @@ impl KvCluster {
             end: keys::tenant_span_end(tenant),
             replicas: replicas.clone(),
         };
-        let mut state = RangeState::new(desc, epoch);
+        let mut state = RangeState::new(desc, Placement::Spread, epoch);
 
         // Fixed per-tenant system metadata (settings, descriptors, users…):
         // bulk-loaded straight into the replica engines — tenant creation
@@ -637,12 +706,18 @@ impl KvCluster {
 
     /// Number of range leases held by `node` (Fig. 12 series).
     pub fn lease_count(&self, node: NodeId) -> usize {
-        self.inner.borrow().directory.iter().filter(|r| r.lease.holder == node).count()
+        self.inner.borrow().directory.lease_count(node)
     }
 
     /// Total ranges.
     pub fn range_count(&self) -> usize {
         self.inner.borrow().directory.len()
+    }
+
+    /// Ranges pinned to one region.
+    pub fn pinned_range_count(&self) -> usize {
+        let inner = self.inner.borrow();
+        inner.directory.iter().filter(|r| r.placement != Placement::Spread).count()
     }
 
     /// Ranges owned by a tenant.
@@ -671,13 +746,13 @@ impl KvCluster {
     }
 
     /// Node IDs located in `region`, in id order.
-    pub fn nodes_in_region(&self, region: crdb_util::RegionId) -> Vec<NodeId> {
+    pub fn nodes_in_region(&self, region: RegionId) -> Vec<NodeId> {
         let inner = self.inner.borrow();
         inner.nodes.iter().filter(|(_, n)| n.location.region == region).map(|(&id, _)| id).collect()
     }
 
     /// Node IDs located in `region`'s zone `zone`, in id order.
-    pub fn nodes_in_zone(&self, region: crdb_util::RegionId, zone: u32) -> Vec<NodeId> {
+    pub fn nodes_in_zone(&self, region: RegionId, zone: u32) -> Vec<NodeId> {
         let inner = self.inner.borrow();
         inner
             .nodes
@@ -738,10 +813,10 @@ impl KvCluster {
         if !inner.liveness.is_live(to, now) {
             return false;
         }
-        let epoch = inner.liveness.epoch(to);
-        match inner.directory.lookup_mut(key) {
+        match inner.directory.lookup(key) {
             Some(range) if range.desc.replicas.contains(&to) => {
-                range.lease = Lease { holder: to, epoch };
+                let id = range.desc.id;
+                inner.grant_lease(id, to);
                 true
             }
             _ => false,
@@ -753,6 +828,12 @@ impl KvCluster {
     /// pick victims).
     pub fn leaseholder_of(&self, key: &[u8]) -> Option<NodeId> {
         self.inner.borrow().directory.lookup(key).map(|r| r.lease.holder)
+    }
+
+    /// A copy of the state of the range containing `key` (ground truth
+    /// from the directory: bounds, replicas, placement, lease).
+    pub fn range_of(&self, key: &[u8]) -> Option<RangeState> {
+        self.inner.borrow().directory.lookup(key).cloned()
     }
 }
 
@@ -846,6 +927,22 @@ mod tests {
         let min = *counts.iter().min().unwrap();
         assert!(max - min <= 4, "leases rebalanced: {counts:?}");
         assert!(min >= 1, "every node serves some leases: {counts:?}");
+    }
+
+    #[test]
+    fn rebalancer_keeps_leases_in_their_region() {
+        // Uneven load: every tenant homed in region 0, so its three nodes
+        // lead four ranges each and the other six lead none, while each
+        // of those six holds replicas it could be handed the lease of.
+        let sim = Sim::new(42);
+        let c = KvCluster::new(&sim, Topology::three_region(), KvClusterConfig::default());
+        for t in 2..14u64 {
+            c.create_tenant_homed(TenantId(t), Some(RegionId(0)));
+        }
+        let home_nodes = c.nodes_in_region(RegionId(0));
+        sim.run_for(dur::secs(300));
+        let led: usize = home_nodes.iter().map(|&n| c.lease_count(n)).sum();
+        assert_eq!(led, 12, "evening out the count must not un-home a tenant");
     }
 
     #[test]

@@ -13,20 +13,31 @@
 //! replica (follower read — no cross-region hop), which is exactly what
 //! makes multi-region cold starts cheap.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use crdb_util::{NodeId, RangeId};
 
-use crate::range::{RangeDescriptor, RangeState};
+use crate::range::{Lease, RangeDescriptor, RangeState};
 
-/// The authoritative range directory (the META range content).
+/// The authoritative range directory (the META content).
+///
+/// Range state is handed out read-only; every change goes through a
+/// method here, because two indexes must follow it: which ranges each
+/// node leads, and which ranges have grown since they were last weighed
+/// against the split threshold. They let the cluster's periodic loops
+/// visit the ranges something happened to, not the whole directory.
 #[derive(Debug, Default)]
 pub struct Directory {
     /// Range start key → range ID.
     by_start: BTreeMap<Bytes, RangeId>,
     /// Range ID → state.
     ranges: BTreeMap<RangeId, RangeState>,
+    /// Leaseholder → the ranges it leads.
+    by_holder: BTreeMap<NodeId, BTreeSet<RangeId>>,
+    /// Ranges created, cut or written since they were last found to be
+    /// within the split threshold.
+    grown: BTreeSet<RangeId>,
 }
 
 impl Directory {
@@ -37,42 +48,82 @@ impl Directory {
 
     /// Installs a new range.
     pub fn insert(&mut self, state: RangeState) {
-        self.by_start.insert(state.desc.start.clone(), state.desc.id);
-        self.ranges.insert(state.desc.id, state);
+        let id = state.desc.id;
+        self.by_start.insert(state.desc.start.clone(), id);
+        self.by_holder.entry(state.lease.holder).or_default().insert(id);
+        self.grown.insert(id);
+        self.ranges.insert(id, state);
     }
 
-    /// Removes a range (during merges/splits).
-    pub fn remove(&mut self, id: RangeId) -> Option<RangeState> {
-        let state = self.ranges.remove(&id)?;
-        self.by_start.remove(&state.desc.start);
-        Some(state)
+    fn id_of(&self, key: &[u8]) -> Option<RangeId> {
+        let upto = (std::ops::Bound::Unbounded, std::ops::Bound::Included(key));
+        let (_, &id) = self.by_start.range::<[u8], _>(upto).next_back()?;
+        self.ranges.get(&id).filter(|state| state.desc.contains(key)).map(|_| id)
     }
 
     /// The range containing `key`, if any.
     pub fn lookup(&self, key: &[u8]) -> Option<&RangeState> {
-        let key_b = Bytes::copy_from_slice(key);
-        let (_, id) = self.by_start.range(..=key_b).next_back()?;
-        let state = self.ranges.get(id)?;
-        if state.desc.contains(key) {
-            Some(state)
-        } else {
-            None
+        self.ranges.get(&self.id_of(key)?)
+    }
+
+    /// Counts one batch against the range containing `key` — a write of
+    /// `written` payload bytes, or a read when `None` — and returns the
+    /// range.
+    pub fn record_batch(&mut self, key: &[u8], written: Option<u64>) -> Option<&RangeState> {
+        let id = self.id_of(key)?;
+        let range = self.ranges.get_mut(&id)?;
+        match written {
+            Some(bytes) => {
+                range.writes += 1;
+                range.size_bytes += bytes;
+                self.grown.insert(id);
+            }
+            None => range.reads += 1,
+        }
+        Some(range)
+    }
+
+    /// Hands range `id`'s lease to `lease.holder`.
+    pub fn set_lease(&mut self, id: RangeId, lease: Lease) {
+        let Some(range) = self.ranges.get_mut(&id) else { return };
+        let old = std::mem::replace(&mut range.lease, lease).holder;
+        if old != lease.holder {
+            if let Some(led) = self.by_holder.get_mut(&old) {
+                led.remove(&id);
+            }
+            self.by_holder.entry(lease.holder).or_default().insert(id);
         }
     }
 
-    /// Mutable access to the range containing `key`.
-    pub fn lookup_mut(&mut self, key: &[u8]) -> Option<&mut RangeState> {
-        let id = {
-            let key_b = Bytes::copy_from_slice(key);
-            let (_, id) = self.by_start.range(..=key_b).next_back()?;
-            *id
-        };
-        let state = self.ranges.get_mut(&id)?;
-        if state.desc.contains(key) {
-            Some(state)
-        } else {
-            None
+    /// The ranges `node` leads, in id order.
+    pub fn led_by(&self, node: NodeId) -> impl Iterator<Item = &RangeState> {
+        self.by_holder.get(&node).into_iter().flatten().filter_map(|id| self.ranges.get(id))
+    }
+
+    /// How many ranges `node` leads.
+    pub fn lease_count(&self, node: NodeId) -> usize {
+        self.by_holder.get(&node).map_or(0, BTreeSet::len)
+    }
+
+    /// Cuts range `id` down to end at `end` holding `size_bytes` (the
+    /// left half of a split; the caller installs the right half).
+    pub fn truncate(&mut self, id: RangeId, end: Bytes, size_bytes: u64) {
+        if let Some(range) = self.ranges.get_mut(&id) {
+            range.desc.end = end;
+            range.size_bytes = size_bytes;
+            self.grown.insert(id);
         }
+    }
+
+    /// The ranges larger than `max_bytes`, in id order. Only ranges that
+    /// grew since the last call, or were oversize then, are weighed: a
+    /// range cannot outgrow the threshold without passing through
+    /// [`Directory::insert`], [`Directory::truncate`] or
+    /// [`Directory::record_batch`].
+    pub fn oversize(&mut self, max_bytes: u64) -> Vec<RangeId> {
+        let ranges = &self.ranges;
+        self.grown.retain(|id| ranges.get(id).is_some_and(|r| r.size_bytes > max_bytes));
+        self.grown.iter().copied().collect()
     }
 
     /// State of a specific range.
@@ -80,19 +131,9 @@ impl Directory {
         self.ranges.get(&id)
     }
 
-    /// Mutable state of a specific range.
-    pub fn get_mut(&mut self, id: RangeId) -> Option<&mut RangeState> {
-        self.ranges.get_mut(&id)
-    }
-
     /// Iterates all ranges.
     pub fn iter(&self) -> impl Iterator<Item = &RangeState> {
         self.ranges.values()
-    }
-
-    /// Mutably iterates all ranges.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RangeState> {
-        self.ranges.values_mut()
     }
 
     /// Number of ranges.
@@ -220,6 +261,7 @@ impl RangeCache {
 mod tests {
     use super::*;
     use crate::keys;
+    use crate::range::Placement;
     use crdb_util::TenantId;
 
     fn mkrange(id: u64, t: u64, start: &[u8], end: &[u8]) -> RangeState {
@@ -234,6 +276,7 @@ mod tests {
                 },
                 replicas: vec![NodeId(1), NodeId(2), NodeId(3)],
             },
+            Placement::Spread,
             1,
         )
     }

@@ -36,6 +36,8 @@ impl Default for LivenessConfig {
 struct Record {
     epoch: u64,
     expires: SimTime,
+    /// The epoch as of the last [`Liveness::lease_suspects`] call.
+    lease_checked_epoch: u64,
 }
 
 /// The shared liveness table.
@@ -54,14 +56,18 @@ impl Liveness {
 
     /// Registers a node with epoch 1, live until `now + ttl`.
     pub fn register(&mut self, node: NodeId, now: SimTime, ttl: Duration) {
-        self.records.insert(node, Record { epoch: 1, expires: now + ttl });
+        self.records.insert(node, Record { epoch: 1, expires: now + ttl, lease_checked_epoch: 1 });
     }
 
     /// Processes a successful heartbeat. If the node's previous record had
     /// expired, its epoch is bumped (invalidating old-epoch leases) before
     /// re-extending.
     pub fn heartbeat(&mut self, node: NodeId, now: SimTime, ttl: Duration) -> u64 {
-        let rec = self.records.entry(node).or_insert(Record { epoch: 0, expires: SimTime::ZERO });
+        let rec = self.records.entry(node).or_insert(Record {
+            epoch: 0,
+            expires: SimTime::ZERO,
+            lease_checked_epoch: 0,
+        });
         if rec.expires < now {
             rec.epoch += 1;
             self.epoch_bumps += 1;
@@ -87,6 +93,21 @@ impl Liveness {
             Some(r) => r.expires >= now && r.epoch.max(1) == lease_epoch,
             None => false,
         }
+    }
+
+    /// The nodes whose leases may have become invalid since the last
+    /// call, in node-id order: those not live at `now` and those whose
+    /// epoch moved in between. A lease is granted to a live node at its
+    /// current epoch, so every other node's leases are still valid.
+    pub fn lease_suspects(&mut self, now: SimTime) -> Vec<NodeId> {
+        let mut suspects = Vec::new();
+        for (&node, rec) in &mut self.records {
+            if rec.expires < now || rec.epoch != rec.lease_checked_epoch {
+                suspects.push(node);
+            }
+            rec.lease_checked_epoch = rec.epoch;
+        }
+        suspects
     }
 
     /// All registered nodes currently live.

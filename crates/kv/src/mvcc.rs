@@ -170,6 +170,21 @@ pub(crate) fn stage_version(
     batch.put(version_key(key, ts), encoded_value);
 }
 
+/// Whether the engine holds nothing under the user keys `[start, end)`:
+/// no version of any age and no intent.
+pub fn span_is_empty(engine: &Engine, start: &[u8], end: &[u8]) -> bool {
+    let mut empty = true;
+    for (lo, hi) in
+        [(version_prefix(start), version_prefix(end)), (intent_key(start), intent_key(end))]
+    {
+        engine.scan_visit(&lo, &hi, |_, _| {
+            empty = false;
+            false
+        });
+    }
+    empty
+}
+
 /// Writes a committed version directly (non-transactional path, and the
 /// final step of intent resolution).
 pub fn put_version(engine: &Engine, key: &[u8], ts: Timestamp, value: Option<&Bytes>) {

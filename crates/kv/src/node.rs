@@ -632,16 +632,14 @@ impl KvNode {
         let replica_engines = {
             let mut inner = cluster.borrow_mut();
             let this_id = self.id;
-            let range = inner.directory.lookup_mut(anchor).ok_or(KvError::RangeNotFound)?;
-            if batch.is_write() {
-                // Only what the batch writes grows the range — not the
-                // refresh spans a commit batch carries beside its writes.
+            // Only what the batch writes grows the range — not the
+            // refresh spans a commit batch carries beside its writes.
+            let written = batch.is_write().then(|| {
                 let written = batch.requests.iter().filter(|r| r.is_write());
-                range.writes += 1;
-                range.size_bytes += written.map(|r| r.payload_bytes() as u64).sum::<u64>();
-            } else {
-                range.reads += 1;
-            }
+                written.map(|r| r.payload_bytes() as u64).sum::<u64>()
+            });
+            let range =
+                inner.directory.record_batch(anchor, written).ok_or(KvError::RangeNotFound)?;
             let replicas = range.desc.replicas.clone();
             let engines: Vec<Engine> = replicas
                 .iter()

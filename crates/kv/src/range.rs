@@ -8,7 +8,7 @@
 //! created as whole ranges).
 
 use bytes::Bytes;
-use crdb_util::{NodeId, RangeId, TenantId};
+use crdb_util::{NodeId, RangeId, RegionId, TenantId};
 
 use crate::keys;
 
@@ -48,6 +48,31 @@ impl RangeDescriptor {
     }
 }
 
+/// Where a range's replicas — and so its lease — may live. Chosen when
+/// the range is created and never changed: every later lease move picks
+/// among the replicas, so it cannot leave the placement either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// One replica per region first, further replicas in distinct zones:
+    /// survives a region loss, and every write waits for a cross-region
+    /// quorum.
+    Spread,
+    /// Every replica in a distinct zone of one region: survives a zone
+    /// loss, is unavailable while the region is down, and commits in an
+    /// inter-zone round trip (a REGIONAL BY ROW partition, §3.2.5).
+    Pinned(RegionId),
+}
+
+impl Placement {
+    /// Whether a replica (or the lease) may sit in `region`.
+    pub fn allows(self, region: RegionId) -> bool {
+        match self {
+            Placement::Spread => true,
+            Placement::Pinned(home) => home == region,
+        }
+    }
+}
+
 /// The range lease: which node serves reads and coordinates writes.
 ///
 /// Leases are epoch-based (§"node liveness"): a lease is valid only while
@@ -67,7 +92,11 @@ pub struct Lease {
 pub struct RangeState {
     /// The descriptor.
     pub desc: RangeDescriptor,
-    /// The current lease.
+    /// Where the replicas may live.
+    pub placement: Placement,
+    /// The current lease. Changed only through
+    /// [`crate::directory::Directory::set_lease`], which keeps the
+    /// directory's by-leaseholder index in step.
     pub lease: Lease,
     /// Approximate logical bytes stored in the range.
     pub size_bytes: u64,
@@ -79,9 +108,16 @@ pub struct RangeState {
 
 impl RangeState {
     /// Creates state for a fresh range with the first replica as holder.
-    pub fn new(desc: RangeDescriptor, epoch: u64) -> Self {
+    pub fn new(desc: RangeDescriptor, placement: Placement, epoch: u64) -> Self {
         let holder = desc.replicas[0];
-        RangeState { desc, lease: Lease { holder, epoch }, size_bytes: 0, writes: 0, reads: 0 }
+        RangeState {
+            desc,
+            placement,
+            lease: Lease { holder, epoch },
+            size_bytes: 0,
+            writes: 0,
+            reads: 0,
+        }
     }
 }
 
@@ -130,7 +166,7 @@ mod tests {
 
     #[test]
     fn state_starts_with_first_replica_as_holder() {
-        let st = RangeState::new(desc(5), 3);
+        let st = RangeState::new(desc(5), Placement::Spread, 3);
         assert_eq!(st.lease.holder, NodeId(1));
         assert_eq!(st.lease.epoch, 3);
         assert_eq!(st.size_bytes, 0);

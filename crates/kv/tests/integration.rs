@@ -7,14 +7,16 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use crdb_kv::auth::TenantCert;
 use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
 use crdb_kv::client::{make_txn_meta, KvClient};
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::keys;
+use crdb_kv::range::Placement;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_util::time::dur;
 use crdb_util::time::SimTime;
-use crdb_util::{Deadline, RegionId, TenantId};
+use crdb_util::{Deadline, NodeId, RegionId, TenantId};
 
 fn setup(seed: u64) -> (Sim, KvCluster) {
     let sim = Sim::new(seed);
@@ -756,4 +758,170 @@ fn huge_batch_is_one_rpc_and_does_not_overflow_the_stack() {
     let after: u64 =
         cluster.node_ids().iter().map(|&n| cluster.node(n).unwrap().batches_served.get()).sum();
     assert_eq!(after - served, 1, "one range, one RPC");
+}
+
+/// A three-region, nine-node cluster; tenant 2 homed in region 0 with the
+/// keys from `~p/` on cut off into a range pinned to region 1.
+fn setup_pinned(seed: u64) -> (Sim, KvCluster, TenantCert) {
+    let sim = Sim::new(seed);
+    let cluster = KvCluster::new(&sim, Topology::three_region(), KvClusterConfig::default());
+    let cert = cluster.create_tenant_homed(TenantId(2), Some(RegionId(0)));
+    cluster.split_at(&k(2, "~p/"), Placement::Pinned(RegionId(1))).expect("cut");
+    (sim, cluster, cert)
+}
+
+/// Puts `key` and runs the simulation `wait_secs`; the result and how
+/// long it took.
+fn timed_put(
+    sim: &Sim,
+    client: &KvClient,
+    key: Bytes,
+    wait_secs: u64,
+) -> (Result<(), KvError>, std::time::Duration) {
+    let got = Rc::new(RefCell::new(None));
+    let g = Rc::clone(&got);
+    let (s2, start) = (sim.clone(), sim.now());
+    client.put(key, Bytes::from_static(b"v"), move |r| {
+        *g.borrow_mut() = Some((r, s2.now().duration_since(start)));
+    });
+    sim.run_for(dur::secs(wait_secs));
+    let done = got.borrow_mut().take();
+    done.expect("put finished")
+}
+
+fn region_of(cluster: &KvCluster, node: NodeId) -> RegionId {
+    cluster.node_location(node).expect("node exists").region
+}
+
+#[test]
+fn pinned_range_has_three_zones_of_one_region_and_commits_there() {
+    let (sim, cluster, cert) = setup_pinned(31);
+    let pinned = cluster.range_of(&k(2, "~p/x")).expect("pinned range");
+    assert_eq!(pinned.placement, Placement::Pinned(RegionId(1)));
+    assert_eq!(pinned.desc.start, k(2, "~p/"));
+    assert_eq!(pinned.desc.end, keys::tenant_span_end(TenantId(2)));
+    let locations: Vec<Location> =
+        pinned.desc.replicas.iter().map(|&n| cluster.node_location(n).unwrap()).collect();
+    assert!(locations.iter().all(|l| l.region == RegionId(1)), "{locations:?}");
+    let mut zones: Vec<u32> = locations.iter().map(|l| l.zone).collect();
+    zones.sort();
+    assert_eq!(zones, [0, 1, 2], "one replica per zone");
+    assert_eq!(region_of(&cluster, pinned.lease.holder), RegionId(1));
+
+    // Everything below the cut is still the tenant's one spread range.
+    let spread = cluster.range_of(&k(2, "tbl/1")).expect("main range");
+    assert_eq!(spread.placement, Placement::Spread);
+    assert_eq!(spread.desc.end, k(2, "~p/"));
+    assert_eq!(region_of(&cluster, spread.lease.holder), RegionId(0));
+    assert_eq!(cluster.tenant_range_count(TenantId(2)), 2);
+
+    // Cutting where a range already starts, or cutting off keys that
+    // hold data, is refused.
+    assert!(cluster.split_at(&k(2, "~p/"), Placement::Spread).is_none());
+    assert!(cluster.split_at(&k(2, "system/meta/0001"), Placement::Pinned(RegionId(2))).is_none());
+    assert_eq!(cluster.tenant_range_count(TenantId(2)), 2);
+
+    // A writer in region 1 commits on an inter-zone quorum; the same
+    // writer's row in the spread range waits for another region.
+    let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(1), 0));
+    let (r, local) = timed_put(&sim, &client, k(2, "~p/row"), 5);
+    r.expect("pinned write");
+    assert!(local < dur::ms(10), "in-region round trip and quorum: {local:?}");
+    let (r, remote) = timed_put(&sim, &client, k(2, "tbl/row"), 5);
+    r.expect("spread write");
+    assert!(remote > dur::ms(150), "cross-region round trip and quorum: {remote:?}");
+}
+
+#[test]
+fn pinned_range_survives_a_zone_outage() {
+    let (sim, cluster, cert) = setup_pinned(32);
+    // The leaseholder's zone goes down; the client sits in another one.
+    let holder = cluster.leaseholder_of(&k(2, "~p/a")).unwrap();
+    let zone = cluster.node_location(holder).unwrap().zone;
+    let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(1), (zone + 1) % 3));
+    timed_put(&sim, &client, k(2, "~p/a"), 2).0.expect("write before the outage");
+    cluster.topology().set_zone_dark(RegionId(1), zone, true);
+    for n in cluster.nodes_in_zone(RegionId(1), zone) {
+        cluster.set_node_alive(n, false);
+    }
+
+    // Two of three replicas are left. While the lease sits in the dark
+    // zone the write fails fast; once liveness has moved it — to another
+    // zone of the same region, there being nowhere else — it goes through.
+    assert_eq!(timed_put(&sim, &client, k(2, "~p/b"), 1).0, Err(KvError::Unavailable));
+    sim.run_for(dur::secs(15));
+    timed_put(&sim, &client, k(2, "~p/b"), 5).0.expect("write during the zone outage");
+    let after = cluster.range_of(&k(2, "~p/b")).unwrap();
+    let new_loc = cluster.node_location(after.lease.holder).unwrap();
+    assert_eq!(new_loc.region, RegionId(1));
+    assert_ne!(new_loc.zone, zone);
+    assert!(cluster.lease_transfers() >= 1);
+}
+
+#[test]
+fn pinned_range_fails_fast_under_a_region_outage_while_the_spread_range_serves() {
+    let (sim, cluster, cert) = setup_pinned(33);
+    let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(0), 0));
+    timed_put(&sim, &client, k(2, "~p/a"), 2).0.expect("pinned write before the outage");
+    timed_put(&sim, &client, k(2, "tbl/a"), 2).0.expect("spread write before the outage");
+
+    cluster.topology().set_region_dark(RegionId(1), true);
+    for n in cluster.nodes_in_region(RegionId(1)) {
+        cluster.set_node_alive(n, false);
+    }
+    // Past the liveness TTL and a lease-check pass: the pinned range has
+    // no live replica to take its lease, the spread range has two.
+    sim.run_for(dur::secs(15));
+
+    let (r, elapsed) = timed_put(&sim, &client, k(2, "~p/b"), 60);
+    assert_eq!(r, Err(KvError::Unavailable));
+    assert!(elapsed < dur::secs(2), "failed fast, not by timeout: {elapsed:?}");
+    timed_put(&sim, &client, k(2, "tbl/b"), 60).0.expect("spread range keeps serving");
+    let pinned = cluster.range_of(&k(2, "~p/b")).unwrap();
+    assert_eq!(region_of(&cluster, pinned.lease.holder), RegionId(1), "the lease stayed put");
+
+    // The region comes back: so does the partition.
+    cluster.topology().set_region_dark(RegionId(1), false);
+    for n in cluster.nodes_in_region(RegionId(1)) {
+        cluster.set_node_alive(n, true);
+    }
+    sim.run_for(dur::secs(15));
+    timed_put(&sim, &client, k(2, "~p/c"), 60).0.expect("pinned write after recovery");
+}
+
+#[test]
+fn pinned_leases_never_leave_their_region() {
+    let sim = Sim::new(34);
+    let cluster = KvCluster::new(&sim, Topology::three_region(), KvClusterConfig::default());
+    // Twelve tenants homed in region 0, each with a partition pinned to
+    // region 1: region 2's nodes lead nothing, so a rebalancer that
+    // looked across regions would have every reason to move leases there.
+    let tenants: Vec<u64> = (2..14).collect();
+    for &t in &tenants {
+        cluster.create_tenant_homed(TenantId(t), Some(RegionId(0)));
+        cluster.split_at(&k(t, "~p/"), Placement::Pinned(RegionId(1))).expect("cut");
+    }
+    let victims = cluster.nodes_in_region(RegionId(1));
+    for step in 0..30 {
+        // Node failures inside the pinned region keep the lease checks
+        // busy: one node down for 50 s, then two, then all back.
+        match step {
+            3 => cluster.set_node_alive(victims[0], false),
+            8 => cluster.set_node_alive(victims[1], false),
+            13 => victims.iter().for_each(|&n| cluster.set_node_alive(n, true)),
+            _ => {}
+        }
+        sim.run_for(dur::secs(10));
+        for &t in &tenants {
+            let pinned = cluster.range_of(&k(t, "~p/x")).unwrap();
+            assert_eq!(region_of(&cluster, pinned.lease.holder), RegionId(1), "tenant {t}");
+            let main = cluster.range_of(&k(t, "tbl/x")).unwrap();
+            assert_eq!(region_of(&cluster, main.lease.holder), RegionId(0), "tenant {t}");
+        }
+    }
+    assert!(cluster.lease_transfers() >= 1, "the failures did move leases");
+    // Inside region 1 the load evened out again.
+    let counts: Vec<usize> = victims.iter().map(|&n| cluster.lease_count(n)).collect();
+    assert!(counts.iter().all(|&c| c >= 1), "every node leads some ranges: {counts:?}");
+    assert_eq!(cluster.lease_count(cluster.nodes_in_region(RegionId(2))[0]), 0);
 }

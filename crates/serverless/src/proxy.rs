@@ -325,6 +325,12 @@ impl Proxy {
         self.with_ready_node(tenant, move |node| match node {
             Err(e) => cb(Err(e)),
             Ok(node) => {
+                // The connection counts from the moment a node is chosen
+                // for it, not from when its session opens a hop later: an
+                // autoscaler pass in between would otherwise see a tenant
+                // with a node and nobody connected, and stop the node
+                // under the connect in flight.
+                this.registry.with_tenant(tenant, |e| e.connections += 1);
                 let hop = this.config.hop_latency * 2;
                 let this2 = Rc::clone(&this);
                 let hop_span = ambient.child("network.hop");
@@ -335,6 +341,9 @@ impl Proxy {
                     let open_span = trace::child("session.open");
                     match node.open_session(&user) {
                         Err(e) => {
+                            this2.registry.with_tenant(tenant, |e| {
+                                e.connections = e.connections.saturating_sub(1);
+                            });
                             open_span.end();
                             cb(Err(ProxyError::Sql(e)))
                         }
@@ -356,7 +365,6 @@ impl Proxy {
                             let slot = this2.conns.borrow_mut().insert(Rc::clone(&conn));
                             conn.slot.set(slot.to_bits());
                             this2.registry.with_tenant(tenant, |e| {
-                                e.connections += 1;
                                 e.last_active = this2.sim.now();
                             });
                             this2.connects.set(this2.connects.get() + 1);

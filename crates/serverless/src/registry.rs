@@ -35,7 +35,7 @@ pub struct TenantEntry {
     pub draining: Vec<(Rc<SqlNode>, SimTime)>,
     /// Whether the tenant is scaled to zero.
     pub suspended: bool,
-    /// Open proxied connections.
+    /// Proxied connections, open or being opened.
     pub connections: u64,
     /// Last instant the tenant had nonzero load (for suspension).
     pub last_active: SimTime,

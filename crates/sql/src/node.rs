@@ -11,6 +11,21 @@
 //! (catalog scan, instance registration) and (b) the modeled
 //! system-database access latencies of [`crate::system_db`], which carry
 //! the multi-region locality arithmetic of Fig. 10b.
+//!
+//! # Key layout of `system.sql_instances`
+//!
+//! A tenant's keys are `desc/…`, `sqlinst/…`, `system/meta/…`, `tbl/…`
+//! and `tstat/…`, all in one region-spread range (until it splits by
+//! size). When the table is REGIONAL BY ROW
+//! ([`SystemDatabase::instance_partitions`]) a row is keyed by its region
+//! first, `~sqlinst/<region>/<instance>`, as a partitioned table's rows
+//! are, and each region's key span is a range of its own pinned to that
+//! region. `~` sorts after every other prefix, so the partitions sit at
+//! the top edge of the tenant's keyspace and everything else is still one
+//! range: DDL and DML keep their one-phase commits. Otherwise — one
+//! region, the unoptimized system database, or a node started outside the
+//! tenant's regions — the row is `sqlinst/<instance>` in the tenant's
+//! main range, written through its home-region leaseholder.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -22,7 +37,7 @@ use crdb_obs::trace;
 use crdb_sim::cpu::CpuScheduler;
 use crdb_sim::{Location, Sim};
 use crdb_util::time::{dur, SimTime};
-use crdb_util::{Deadline, SqlInstanceId, TenantId};
+use crdb_util::{Deadline, RegionId, SqlInstanceId, TenantId};
 
 use crate::coord::{SqlError, Txn};
 use crate::exec::{execute, QueryOutput};
@@ -37,6 +52,16 @@ use crate::system_db::SystemDatabase;
 /// KV pairs fetched per ANALYZE chunk: the statistics scan streams the
 /// table instead of materializing it in one response.
 const ANALYZE_CHUNK: usize = 1024;
+
+/// The first key (tenant-relative) of `region`'s partition of a REGIONAL
+/// BY ROW `system.sql_instances`; the partition runs to the next region's
+/// first key, or to the end of the tenant's keyspace.
+pub fn instance_partition_start(region: RegionId) -> Bytes {
+    let mut key = BytesMut::with_capacity(17);
+    key.put_slice(b"~sqlinst/");
+    key.put_u64(region.raw());
+    key.freeze()
+}
 
 /// Where query execution runs relative to the KV process (§6.1): the
 /// Traditional deployment fuses SQL and KV in one process; Serverless
@@ -230,6 +255,8 @@ impl SqlNode {
 
         // Total modeled latency of the blocking system-table accesses.
         let sys_latency = system_db.cold_start_latency(&topology, self.config.location);
+        let region = self.config.location.region;
+        let partitioned = system_db.instance_partitions().contains(&region);
 
         let span = trace::child("sql.node.start");
         span.tag("instance", self.instance_id);
@@ -253,9 +280,11 @@ impl SqlNode {
                         catalog_span.end();
                         // Register this instance for DistSQL discovery.
                         let reg_span = span2.child("instance.register");
+                        reg_span.tag("region", region.raw());
+                        reg_span.tag("placement", if partitioned { "pinned" } else { "spread" });
                         let node4 = Rc::clone(&node3);
                         let _scope = reg_span.enter();
-                        node3.register_instance({
+                        node3.register_instance(partitioned, {
                             let reg_span = reg_span.clone();
                             move || {
                                 reg_span.end();
@@ -328,9 +357,17 @@ impl SqlNode {
         );
     }
 
-    fn register_instance(self: &Rc<Self>, cb: impl FnOnce() + 'static) {
+    /// Writes this node's `system.sql_instances` row — into its own
+    /// region's partition when the table is `partitioned` there (see the
+    /// module docs for the two layouts).
+    fn register_instance(self: &Rc<Self>, partitioned: bool, cb: impl FnOnce() + 'static) {
         let mut key = BytesMut::new();
-        key.put_slice(b"sqlinst/");
+        if partitioned {
+            key.put_slice(&instance_partition_start(self.config.location.region));
+            key.put_u8(b'/');
+        } else {
+            key.put_slice(b"sqlinst/");
+        }
         key.put_u64(self.instance_id.raw());
         let mut value = BytesMut::new();
         value.put_u64(self.config.location.region.raw());

@@ -10,10 +10,34 @@
 //! table and `system.sql_instances` (latency-sensitive writes) to
 //! **regional by row**.
 //!
-//! This module models the *latency* of system-table accesses as a function
-//! of locality and the requesting region — the arithmetic behind Fig. 10b
-//! — while the content of the tables (descriptors, instance rows) lives in
-//! real KV keys.
+//! # What is a formula and what is real KV traffic
+//!
+//! A cold start shows both, side by side, in its span tree:
+//!
+//! - **Formula** (`systemdb.access`): [`SystemDatabase::cold_start_latency`]
+//!   sums [`SystemDatabase::access_latency`] over the six blocking
+//!   accesses of [`SystemDatabase::cold_start_accesses`] — settings,
+//!   descriptor ×2, users, the schema lease, the instance row — as a
+//!   function of each table's locality and the starting node's region.
+//!   No key is read or written. It is most of Fig. 10b's *unoptimized*
+//!   arm, and it stands in for the tables (settings, users, leases) that
+//!   have no KV content here.
+//! - **Real** (`catalog.load`, `instance.register`): the descriptors and
+//!   table statistics are scanned from, and the `system.sql_instances` row
+//!   is written to, real KV ranges, so they cost what the routing, the
+//!   leaseholder's location and the replication quorum make them cost.
+//!   The global tables have no non-voting replicas here: `catalog.load`
+//!   reads through the tenant's home-region leaseholder. REGIONAL BY ROW
+//!   is real: with [`SystemDatabase::instance_partitions`] the tenant has
+//!   one `sql_instances` range per region, pinned there
+//!   (`crdb_kv::range::Placement::Pinned`; key layout in
+//!   [`crate::node`]), and a starting node's row commits on an inter-zone
+//!   quorum in its own region. Without them the row goes to the tenant's
+//!   region-spread main range and waits for a cross-region quorum.
+//!
+//! The instance-row write is therefore counted twice, once by the formula
+//! and once for real; the formula's share is a few milliseconds when
+//! optimized and is kept so single-region cold starts cost what they did.
 
 use std::time::Duration;
 
@@ -94,6 +118,22 @@ impl SystemDatabase {
             }
             // Tables with latency-sensitive writes become regional by row.
             SystemTable::SqlInstances | SystemTable::Lease => TableLocality::RegionalByRow,
+        }
+    }
+
+    /// The regions `system.sql_instances` has a partition in, ascending:
+    /// every configured region when the table is regional by row and
+    /// there is more than one of them, none otherwise (a single region's
+    /// rows are local wherever they are stored).
+    pub fn instance_partitions(&self) -> Vec<RegionId> {
+        let mut regions = self.regions.clone();
+        regions.sort();
+        regions.dedup();
+        let by_row = self.locality(SystemTable::SqlInstances) == TableLocality::RegionalByRow;
+        if by_row && regions.len() > 1 {
+            regions
+        } else {
+            Vec::new()
         }
     }
 
