@@ -15,16 +15,12 @@
 //!   estimated CPU), SQL-node clients that pre-fetch into a local buffer,
 //!   and **trickle grants** that smooth over-quota tenants instead of
 //!   letting them oscillate stop/start.
-//! - [`ru`] — the legacy Request Unit model the service launched with and
-//!   later abandoned for eCPU (§7, "Lessons Learned").
 
 #![warn(missing_docs)]
 
 pub mod bucket;
 pub mod model;
-pub mod ru;
 pub mod training;
 
 pub use bucket::{BucketClient, BucketServer, GrantResponse};
 pub use model::{BatchFeatures, EcpuModel, WorkloadFeatures};
-pub use ru::RuModel;

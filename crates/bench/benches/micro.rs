@@ -122,13 +122,6 @@ fn bench_merge_iter(c: &mut Criterion) {
         }
         b.iter(|| black_box(lsm.scan(b"key", b"kez", 10)));
     });
-    c.bench_function("lsm/scan_limit10_eager", |b| {
-        let mut lsm = Lsm::new(LsmConfig::default());
-        for i in 0..50_000u64 {
-            lsm.put(Bytes::from(format!("key{i:012}")), Bytes::from_static(b"v"));
-        }
-        b.iter(|| black_box(lsm.scan_eager(b"key", b"kez", 10)));
-    });
 }
 
 fn bench_mvcc(c: &mut Criterion) {

@@ -1,6 +1,5 @@
 //! Paper-scale soak: Fig. 7(a) at 20,000 suspended tenants, a 1,000-idle
-//! fleet, 100,000-session proxy churn, and the scheduler hot-loop
-//! microbench — all self-gating.
+//! fleet and 100,000-session proxy churn — all self-gating.
 //!
 //! ```sh
 //! cargo run --release --bin scale_soak            # full paper scale
@@ -9,9 +8,6 @@
 //!
 //! Gates (all scales):
 //!
-//! - **scheduler speedup**: the hierarchical timer wheel sustains ≥ 5×
-//!   the retained heap model's events/sec on cancel-heavy churn over a
-//!   4K-tenant-scale pending-timer population;
 //! - **throughput floor**: the churn phase executes simulation events at
 //!   or above a fixed events/sec floor;
 //! - **memory asymptote**: resident-set growth per suspended tenant stays
@@ -20,14 +16,15 @@
 //! - **reproducibility**: running the churn phase twice with the same
 //!   seed yields byte-identical progress logs and metrics snapshots.
 //!
-//! Emits `BENCH_SCALE.json` in the working directory.
+//! Emits `BENCH_SCALE.json` in the working directory; a `--smoke` run
+//! emits `BENCH_SCALE.smoke.json` instead, so CI never overwrites the
+//! committed full-scale result.
 
 use std::fmt::Write as _;
 
 use crdb_bench::header;
 use crdb_bench::scale::{
-    rss_bytes, run_churn_phase, run_idle_phase, run_suspended_phase, scheduler_microbench,
-    ScaleOptions,
+    rss_bytes, run_churn_phase, run_idle_phase, run_suspended_phase, ScaleOptions,
 };
 
 /// Paper Fig. 7(a): per-tenant memory approaches 262 KiB at 20K tenants.
@@ -36,8 +33,6 @@ const RSS_PER_TENANT_CEILING: u64 = 262 * 1024;
 const PEAK_RSS_CEILING: u64 = 8 << 30;
 /// Churn-phase simulation throughput floor, events per wall second.
 const EVENTS_PER_SEC_FLOOR: f64 = 20_000.0;
-/// Scheduler microbench gate: wheel ≥ 5× the heap model.
-const SPEEDUP_FLOOR: f64 = 5.0;
 
 fn main() {
     let mut seed = 11u64;
@@ -83,28 +78,7 @@ fn main() {
         RSS_PER_TENANT_CEILING / 1024
     );
 
-    // Phase 2 — scheduler hot loop: wheel vs retained heap model at a
-    // 4K-tenant-scale pending population.
-    // Same 2M-op script at both scales: shorter scripts spend too large a
-    // fraction in the tax-free warmup before tombstones start coming due,
-    // and their ~0.1s timings are noise-dominated on shared CI runners.
-    let sched = scheduler_microbench(opts.seed, 4_000 * 33, 2_000_000);
-    println!(
-        "scheduler: wheel {:.0} ev/s vs heap {:.0} ev/s  ({:.1}x, gate >= {SPEEDUP_FLOOR}x, \
-         {} pending, {} ops)",
-        sched.wheel_events_per_sec,
-        sched.heap_events_per_sec,
-        sched.speedup,
-        sched.pending,
-        sched.ops
-    );
-    assert!(
-        sched.speedup >= SPEEDUP_FLOOR,
-        "scheduler speedup gate failed: {:.2}x < {SPEEDUP_FLOOR}x",
-        sched.speedup
-    );
-
-    // Phase 3 — idle fleet: one open connection per tenant, no queries.
+    // Phase 2 — idle fleet: one open connection per tenant, no queries.
     let idle = run_idle_phase(opts.seed + 1, opts.idle_tenants);
     println!(
         "idle:      {} tenants, {} connections held, {} events in {:.2}s wall",
@@ -112,7 +86,7 @@ fn main() {
     );
     assert_eq!(idle.connections, idle.tenants, "every idle tenant holds one connection");
 
-    // Phase 4 — proxy churn, run twice for the reproducibility gate.
+    // Phase 3 — proxy churn, run twice for the reproducibility gate.
     let churn = run_churn_phase(opts.seed + 2, opts.churn_sessions);
     println!(
         "churn:     {} sessions, {} connects, {} events in {:.2}s wall ({:.0} ev/s, \
@@ -160,16 +134,6 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"scheduler\": {{\"pending\": {}, \"ops\": {}, \"wheel_events_per_sec\": {:.0}, \
-         \"heap_events_per_sec\": {:.0}, \"speedup\": {:.2}}},",
-        sched.pending,
-        sched.ops,
-        sched.wheel_events_per_sec,
-        sched.heap_events_per_sec,
-        sched.speedup
-    );
-    let _ = writeln!(
-        json,
         "  \"idle\": {{\"tenants\": {}, \"connections\": {}, \"events\": {}, \"wall_secs\": {:.3}}},",
         idle.tenants, idle.connections, idle.events, idle.wall_secs
     );
@@ -181,12 +145,13 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"gates\": {{\"speedup_floor\": {SPEEDUP_FLOOR}, \"events_per_sec_floor\": \
-         {EVENTS_PER_SEC_FLOOR}, \"rss_per_tenant_ceiling\": {RSS_PER_TENANT_CEILING}, \
+        "  \"gates\": {{\"events_per_sec_floor\": {EVENTS_PER_SEC_FLOOR}, \
+         \"rss_per_tenant_ceiling\": {RSS_PER_TENANT_CEILING}, \
          \"peak_rss_ceiling\": {PEAK_RSS_CEILING}, \"peak_rss_bytes\": {peak_rss}}}"
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_SCALE.json", &json).expect("write BENCH_SCALE.json");
-    println!("\nwrote BENCH_SCALE.json");
+    let out = if smoke { "BENCH_SCALE.smoke.json" } else { "BENCH_SCALE.json" };
+    std::fs::write(out, &json).expect("write scale soak result");
+    println!("\nwrote {out}");
     println!("OK: scale soak clean ({label}, seed {seed})");
 }

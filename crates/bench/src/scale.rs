@@ -1,30 +1,22 @@
 //! Paper-scale soak harness: Fig. 7(a) at 20,000 suspended tenants, an
-//! idle-tenant fleet, and 100K-session proxy connect/disconnect churn,
-//! plus the scheduler hot-loop microbench (hierarchical timer wheel vs
-//! the retained heap model).
+//! idle-tenant fleet, and 100K-session proxy connect/disconnect churn.
 //!
 //! Everything here is driven by the `scale_soak` binary, which applies
-//! the gates (events/sec floor, ≥5× scheduler speedup, peak-RSS ceiling,
-//! byte-identical same-seed logs) and emits `BENCH_SCALE.json`.
+//! the gates (events/sec floor, peak-RSS ceiling, byte-identical same-seed
+//! logs) and emits `BENCH_SCALE.json`.
 
 // simlint: allow-file(wall-clock) — bench harness: measures real elapsed
-// time for events/sec and speedup gates; nothing simulated reads it.
+// time for the events/sec gate; nothing simulated reads it.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 
 use crdb_core::{ServerlessCluster, ServerlessConfig};
-use crdb_sim::modelheap::ModelScheduler;
-use crdb_sim::wheel::TimerWheel;
 use crdb_sim::Sim;
-use crdb_util::slab::Slot;
 use crdb_util::time::{dur, SimTime};
 use crdb_util::RegionId;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Scale knobs for one soak run.
 #[derive(Debug, Clone)]
@@ -76,210 +68,6 @@ pub fn rss_bytes() -> (u64, u64) {
         }
     }
     (peak, cur)
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler microbench: timer wheel vs the retained heap model.
-// ---------------------------------------------------------------------------
-
-/// One step of the pre-generated scheduler workload. Both structures
-/// replay the identical script, so the work differs only in data
-/// structure cost.
-enum SchedOp {
-    /// Schedule one timer `delay_us` out and retire the oldest timer in
-    /// the in-flight window — the proxy idle-timer pattern: every session
-    /// touch re-arms a deadline, so timers are almost always cancelled
-    /// (7/8 of the time; `cancel_pick` lets the rest escape and genuinely
-    /// fire) long before they come due. When `stale_recancel` is set the
-    /// op also re-cancels a long-dead handle, the defensive-cancel
-    /// pattern components use on timers that may already have fired: the
-    /// heap model grows its tombstone set forever on those (the old
-    /// engine's leak), the wheel no-ops via the slab generation check.
-    Churn { delay_us: u64, cancel_pick: usize, stale_recancel: bool },
-    /// Advance virtual time by `dt_us` and pop everything due.
-    Advance { dt_us: u64 },
-}
-
-/// In-flight window depth: a cancelled timer is ~`WINDOW` churn ops old
-/// (≈ 10 ms of virtual time), far under its 10–60 s delay, so every
-/// windowed cancel hits a still-pending timer — the heap model must
-/// later pop it as a tombstone, the wheel unlinks it in O(1).
-const WINDOW: usize = 64;
-/// Far-dated standing timers (suspended-tenant wakeups) sit this far
-/// out, beyond the script's virtual horizon: pure heap-depth ballast for
-/// the model, parked in high wheel levels that advances never touch.
-const FAR_BASE_US: u64 = 120_000_000;
-const FAR_SPAN_US: u64 = 600_000_000;
-
-/// Builds the workload script: cancel-heavy churn against a far-dated
-/// standing population sized like 4K tenants' suspension/wakeup timers,
-/// with time advancing fast enough that nearly every cancelled timer's
-/// due instant passes inside the run — the regime where the heap model
-/// sifts every near-term push past the ballast and then pops every
-/// tombstone one by one, while the wheel never touches them again.
-fn sched_script(seed: u64, ops: usize) -> Vec<SchedOp> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..ops)
-        .map(|i| {
-            if i % 64 == 63 {
-                SchedOp::Advance { dt_us: 10_000 }
-            } else {
-                SchedOp::Churn {
-                    // 10–60 s: statement deadlines and idle timeouts, far
-                    // past the ~10 ms a timer actually stays armed — and
-                    // long enough that the heap model carries a deep
-                    // backlog of not-yet-due tombstones the whole run.
-                    delay_us: rng.gen_range(10_000_000..60_000_000),
-                    cancel_pick: rng.gen(),
-                    stale_recancel: rng.gen_range(0u32..4) == 0,
-                }
-            }
-        })
-        .collect()
-}
-
-/// Result of one scheduler driver run.
-pub struct SchedDrive {
-    /// Wall-clock seconds for the whole script.
-    pub secs: f64,
-    /// Schedules + cancels + pops performed.
-    pub events: u64,
-}
-
-fn drive_wheel(pending: usize, script: &[SchedOp]) -> SchedDrive {
-    let t0 = Instant::now();
-    // 16-byte payload: the engine's heap nodes carried a boxed callback,
-    // so model entries are 32 bytes either way.
-    let mut wheel: TimerWheel<[u64; 2]> = TimerWheel::new();
-    let mut window: VecDeque<Slot> = VecDeque::with_capacity(WINDOW + 1);
-    let mut dead: Vec<Slot> = Vec::with_capacity(script.len());
-    let mut seq = 0u64;
-    let mut now_us = 0u64;
-    let mut events = 0u64;
-    for i in 0..pending {
-        let at = SimTime::from_nanos((FAR_BASE_US + (i as u64 % FAR_SPAN_US)) * 1_000);
-        wheel.insert(at, seq, [seq, 0]);
-        seq += 1;
-    }
-    for op in script {
-        match *op {
-            SchedOp::Churn { delay_us, cancel_pick, stale_recancel } => {
-                let at = SimTime::from_nanos((now_us + delay_us) * 1_000);
-                window.push_back(wheel.insert(at, seq, [seq, 0]));
-                seq += 1;
-                events += 1;
-                if window.len() > WINDOW {
-                    let token = window.pop_front().expect("window non-empty");
-                    // 1 in 8 escapes its cancel and genuinely fires.
-                    if cancel_pick % 8 != 0 {
-                        wheel.cancel(token);
-                        dead.push(token);
-                        events += 1;
-                    }
-                }
-                if stale_recancel && !dead.is_empty() {
-                    wheel.cancel(dead[cancel_pick % dead.len()]);
-                    events += 1;
-                }
-            }
-            SchedOp::Advance { dt_us } => {
-                now_us += dt_us;
-                let horizon = SimTime::from_nanos(now_us * 1_000);
-                while let Some(at) = wheel.peek_min_at() {
-                    if at > horizon {
-                        break;
-                    }
-                    wheel.pop_min();
-                    events += 1;
-                }
-            }
-        }
-    }
-    SchedDrive { secs: t0.elapsed().as_secs_f64(), events }
-}
-
-fn drive_heap(pending: usize, script: &[SchedOp]) -> SchedDrive {
-    let t0 = Instant::now();
-    let mut heap: ModelScheduler<[u64; 2]> = ModelScheduler::new();
-    let mut window: VecDeque<u64> = VecDeque::with_capacity(WINDOW + 1);
-    let mut dead: Vec<u64> = Vec::with_capacity(script.len());
-    let mut now_us = 0u64;
-    let mut events = 0u64;
-    for i in 0..pending {
-        let at = SimTime::from_nanos((FAR_BASE_US + (i as u64 % FAR_SPAN_US)) * 1_000);
-        heap.schedule(at, [i as u64, 0]);
-    }
-    for op in script {
-        match *op {
-            SchedOp::Churn { delay_us, cancel_pick, stale_recancel } => {
-                let at = SimTime::from_nanos((now_us + delay_us) * 1_000);
-                window.push_back(heap.schedule(at, [0, 0]));
-                events += 1;
-                if window.len() > WINDOW {
-                    let id = window.pop_front().expect("window non-empty");
-                    if cancel_pick % 8 != 0 {
-                        heap.cancel(id);
-                        dead.push(id);
-                        events += 1;
-                    }
-                }
-                if stale_recancel && !dead.is_empty() {
-                    heap.cancel(dead[cancel_pick % dead.len()]);
-                    events += 1;
-                }
-            }
-            SchedOp::Advance { dt_us } => {
-                now_us += dt_us;
-                let horizon = SimTime::from_nanos(now_us * 1_000);
-                while let Some(at) = heap.peek_min_at() {
-                    if at > horizon {
-                        break;
-                    }
-                    heap.pop_min();
-                    events += 1;
-                }
-            }
-        }
-    }
-    SchedDrive { secs: t0.elapsed().as_secs_f64(), events }
-}
-
-/// Scheduler microbench report.
-pub struct SchedulerBenchReport {
-    /// Pre-populated pending timers (the 4K-tenant-scale population).
-    pub pending: usize,
-    /// Script length.
-    pub ops: usize,
-    /// Wheel events/sec.
-    pub wheel_events_per_sec: f64,
-    /// Heap-model events/sec.
-    pub heap_events_per_sec: f64,
-    /// `wheel / heap`.
-    pub speedup: f64,
-}
-
-/// Runs the cancel-heavy scheduler workload against both structures.
-/// Both replay the identical script; the event counts must agree, so the
-/// ratio of rates is a pure data-structure comparison.
-pub fn scheduler_microbench(seed: u64, pending: usize, ops: usize) -> SchedulerBenchReport {
-    let script = sched_script(seed, ops);
-    // Interleave a warmup of each side before timing to stabilize the
-    // allocator, then time heap first so any residual warmup bias favors
-    // the baseline, not the wheel.
-    drive_heap(pending / 8, &script[..ops / 8]);
-    drive_wheel(pending / 8, &script[..ops / 8]);
-    let heap = drive_heap(pending, &script);
-    let wheel = drive_wheel(pending, &script);
-    assert_eq!(wheel.events, heap.events, "drivers diverged: unequal event counts");
-    let wheel_rate = wheel.events as f64 / wheel.secs.max(1e-9);
-    let heap_rate = heap.events as f64 / heap.secs.max(1e-9);
-    SchedulerBenchReport {
-        pending,
-        ops,
-        wheel_events_per_sec: wheel_rate,
-        heap_events_per_sec: heap_rate,
-        speedup: wheel_rate / heap_rate.max(1e-9),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -58,13 +58,6 @@ pub struct KvClusterConfig {
     /// Synthetic per-tenant system metadata written at tenant creation
     /// (the fixed storage overhead of §6.2; paper measures 195 KiB).
     pub tenant_metadata_bytes: usize,
-    /// Group-commit window: writes ack at the next modeled WAL fsync, at
-    /// most this long after execution. All batches that land inside one
-    /// window share a single fsync.
-    pub fsync_interval: std::time::Duration,
-    /// Concurrent background compaction jobs per node (each claims a
-    /// disjoint level pair and is charged to the node's disk).
-    pub compaction_slots: usize,
 }
 
 impl Default for KvClusterConfig {
@@ -82,8 +75,6 @@ impl Default for KvClusterConfig {
             heartbeat_cpu: 1e-3,
             cpu_contention_overhead: 0.0,
             tenant_metadata_bytes: 195 * 1024,
-            fsync_interval: dur::us(500),
-            compaction_slots: 2,
         }
     }
 }
@@ -293,8 +284,6 @@ impl KvCluster {
                         config.disk_rate,
                         config.admission.clone(),
                         config.lsm.clone(),
-                        config.fsync_interval,
-                        config.compaction_slots,
                         Rc::downgrade(&cluster.inner),
                     );
                     node.cpu.set_contention_overhead(config.cpu_contention_overhead);

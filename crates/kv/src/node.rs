@@ -53,6 +53,15 @@ pub const TXN_ABANDON_TIMEOUT: Duration = Duration::from_secs(10);
 /// Bytes a transaction record adds to a write batch's physical payload.
 const TXN_RECORD_PAYLOAD: usize = 32;
 
+/// Group-commit window: writes ack at the next modeled WAL fsync, at most
+/// this long after execution. All batches that land inside one window
+/// share a single fsync.
+pub const FSYNC_INTERVAL: Duration = Duration::from_micros(500);
+
+/// Concurrent background compaction jobs per node (each claims a disjoint
+/// level pair and is charged to the node's disk).
+const COMPACTION_SLOTS: usize = 2;
+
 /// An operation queued in admission: the batch plus its response path.
 pub(crate) struct PendingOp {
     pub batch: BatchRequest,
@@ -127,10 +136,6 @@ pub struct KvNode {
     ts_cache: RefCell<BTreeMap<Bytes, Timestamp>>,
     /// Low-water mark applied when the cache is compacted.
     ts_cache_floor: Cell<Timestamp>,
-    /// Group-commit window: writes ack at the next modeled fsync.
-    fsync_interval: Duration,
-    /// Concurrent background compaction jobs this node may run.
-    compaction_slots: usize,
     /// Write acks waiting on the next group commit, in arrival order.
     commit_acks: RefCell<Vec<Box<dyn FnOnce()>>>,
     /// Whether a group-commit fsync is already scheduled.
@@ -147,8 +152,6 @@ impl KvNode {
         disk_rate: f64,
         admission_config: AdmissionConfig,
         lsm_config: LsmConfig,
-        fsync_interval: Duration,
-        compaction_slots: usize,
         cluster: Weak<RefCell<ClusterInner>>,
     ) -> Rc<KvNode> {
         let cpu = CpuScheduler::new(sim.clone(), vcpus);
@@ -177,8 +180,6 @@ impl KvNode {
             last_tick: Cell::new((0.0, 0.0, sim.now())),
             ts_cache: RefCell::new(BTreeMap::new()),
             ts_cache_floor: Cell::new(Timestamp::ZERO),
-            fsync_interval,
-            compaction_slots,
             commit_acks: RefCell::new(Vec::new()),
             commit_timer_armed: Cell::new(false),
             sim,
@@ -249,7 +250,7 @@ impl KvNode {
         if !self.commit_timer_armed.get() {
             self.commit_timer_armed.set(true);
             let node = Rc::clone(self);
-            self.sim.schedule_after(self.fsync_interval, move || {
+            self.sim.schedule_after(FSYNC_INTERVAL, move || {
                 node.commit_timer_armed.set(false);
                 node.fire_group_commit();
             });
@@ -273,7 +274,7 @@ impl KvNode {
 
     /// Starts any background storage work that is due, charging it to the
     /// node's disk: at most one memtable flush plus up to
-    /// `compaction_slots` compactions on disjoint level pairs. Bytes are
+    /// [`COMPACTION_SLOTS`] compactions on disjoint level pairs. Bytes are
     /// attributed in `StorageMetrics` when each job's disk I/O completes,
     /// together with how long the flush or L0 compaction took from claim
     /// to completion — bytes over *that* time is what the §5.1.3
@@ -292,7 +293,7 @@ impl KvNode {
                 node.maintain_storage();
             });
         }
-        while self.engine.with_lsm(|lsm| lsm.compactions_in_flight()) < self.compaction_slots {
+        while self.engine.with_lsm(|lsm| lsm.compactions_in_flight()) < COMPACTION_SLOTS {
             let job = self
                 .engine
                 .with_lsm(|lsm| lsm.pick_compaction().map(|pick| lsm.begin_compaction(&pick)));

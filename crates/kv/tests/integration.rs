@@ -12,6 +12,7 @@ use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
 use crdb_kv::client::{make_txn_meta, KvClient};
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::keys;
+use crdb_kv::node::FSYNC_INTERVAL;
 use crdb_kv::range::Placement;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_util::time::dur;
@@ -924,4 +925,45 @@ fn pinned_leases_never_leave_their_region() {
     let counts: Vec<usize> = victims.iter().map(|&n| cluster.lease_count(n)).collect();
     assert!(counts.iter().all(|&c| c >= 1), "every node leads some ranges: {counts:?}");
     assert_eq!(cluster.lease_count(cluster.nodes_in_region(RegionId(2))[0]), 0);
+}
+
+#[test]
+fn group_commit_amortises_fsyncs_on_the_leaseholder() {
+    let (sim, cluster) = setup(41);
+    let client = client_for(&cluster, TenantId(2));
+    timed_put(&sim, &client, k(2, "w/warm"), 1).0.expect("route-learning put");
+    let leaseholder = cluster.leaseholder_of(&k(2, "w/0000")).expect("range has a lease");
+    let engine = cluster.node(leaseholder).expect("leaseholder exists").engine.clone();
+    let before = engine.metrics();
+
+    // 128 writes to one range, one every 25 µs: 20 per group-commit window.
+    const WRITES: usize = 128;
+    let latencies = Rc::new(RefCell::new(Vec::new()));
+    for i in 0..WRITES {
+        let (l, s2, c2) = (Rc::clone(&latencies), sim.clone(), client.clone());
+        sim.schedule_after(dur::us(25 * i as u64), move || {
+            let start = s2.now();
+            c2.put(k(2, &format!("w/{i:04}")), Bytes::from(vec![b'x'; 128]), move |r| {
+                r.expect("burst put");
+                l.borrow_mut().push(s2.now().duration_since(start));
+            });
+        });
+    }
+    sim.run_for(dur::secs(1));
+
+    let latencies = latencies.borrow();
+    assert_eq!(latencies.len(), WRITES, "every write acked");
+    let d = engine.metrics().delta(&before);
+    assert_eq!(d.wal_batches, WRITES as u64, "one WAL batch per write on the leaseholder");
+    // Measured: 4 fsyncs, 32 batches each (an fsync covers everything
+    // appended so far, including writes still waiting on their quorum). A
+    // node that synced per batch reads 3.
+    assert!(d.batches_per_fsync() >= 16.0, "{} fsyncs for {} batches", d.fsyncs, d.wal_batches);
+    assert_eq!(d.stall_events, 0);
+    // An ack waits for the fsync its window ends with and no later one:
+    // the luckiest write (3.16 ms of hops, CPU and quorum) and the
+    // unluckiest (3.74 ms) are under two windows apart.
+    let (fastest, slowest) = (latencies.iter().min().unwrap(), latencies.iter().max().unwrap());
+    assert!(*slowest - *fastest < 2 * FSYNC_INTERVAL, "acks between {fastest:?} and {slowest:?}");
+    assert!(*slowest < dur::ms(5), "slowest ack {slowest:?}");
 }

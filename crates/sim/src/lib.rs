@@ -31,7 +31,6 @@
 pub mod cpu;
 pub mod engine;
 pub mod fault;
-pub mod modelheap;
 pub mod resource;
 pub mod timeseries;
 pub mod topology;

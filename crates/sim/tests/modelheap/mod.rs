@@ -1,18 +1,11 @@
 //! The pre-timer-wheel scheduler, retained as a *model*.
 //!
 //! This is the `BinaryHeap<Reverse<_>>` + tombstone-`HashSet` event queue
-//! the engine used before the hierarchical [`crate::wheel::TimerWheel`]
-//! replaced it. It is kept, verbatim in behavior, for two purposes only:
-//!
-//! 1. the differential test (`timerwheel_differential.rs`) replays random
-//!    schedules against both implementations and requires byte-identical
-//!    pop orderings, and
-//! 2. the `scale_soak` bench measures the wheel's events/sec against this
-//!    model at 4K-tenant-scale pending-timer counts to enforce the ≥ 5×
-//!    speedup gate.
-//!
-//! It must not be used by simulation components — the engine's queue is
-//! the wheel.
+//! the engine used before the hierarchical `crdb_sim::wheel::TimerWheel`
+//! replaced it. It is kept, verbatim in behavior, for one purpose only:
+//! the differential test (`timerwheel_differential.rs`) replays random
+//! schedules against both implementations and requires byte-identical
+//! pop orderings.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};

@@ -7,18 +7,19 @@
 //! binary-heap scheduler's pop order **byte for byte** under arbitrary
 //! interleavings of schedules (including in the past and far future),
 //! cancels, re-schedules, and same-timestamp bursts. The heap lives on as
-//! `crdb_sim::modelheap::ModelScheduler`, kept solely as this model and
-//! as the baseline for `scale_soak`'s speedup gate.
+//! [`modelheap::ModelScheduler`], kept solely as this model.
 
 use std::fmt::Write as _;
 
-use crdb_sim::modelheap::ModelScheduler;
 use crdb_sim::wheel::TimerWheel;
 use crdb_util::slab::Slot;
 use crdb_util::time::SimTime;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+mod modelheap;
+use modelheap::ModelScheduler;
 
 /// One step of the random schedule driven against both implementations.
 #[derive(Debug, Clone)]

@@ -26,11 +26,6 @@ impl Engine {
         Engine { inner: Arc::new(Mutex::new(Lsm::new(config))) }
     }
 
-    /// Wraps an existing LSM.
-    pub fn from_lsm(lsm: Lsm) -> Self {
-        Engine { inner: Arc::new(Mutex::new(lsm)) }
-    }
-
     /// Applies a write batch atomically. Returns the batch's WAL sequence
     /// number; with group durability enabled the batch is committed by the
     /// first [`Engine::group_commit`] whose group covers that sequence.

@@ -12,11 +12,10 @@
 //! `&[u8]` key references instead of cloned keys, and nothing is pulled
 //! from a source until the merge actually needs it. A `limit`-10 scan over
 //! a million-entry span therefore touches ~10 entries per source instead
-//! of materializing every span. The eager [`merge_sources`] /
-//! [`merge_runs`] entry points — used by compaction, where full
-//! consumption is genuinely needed — are thin collectors over the same
-//! iterator and clone only the entries they emit (an `O(1)` refcount bump
-//! per `Bytes`), never heap keys.
+//! of materializing every span. [`merge_runs`] is a thin collector over
+//! the same iterator for callers that want the whole merge; it clones only
+//! the entries it emits (an `O(1)` refcount bump per `Bytes`), never heap
+//! keys.
 
 use std::cmp::Reverse;
 use std::collections::btree_map;
@@ -165,26 +164,11 @@ impl<'a> Iterator for MergeIter<'a> {
     }
 }
 
-/// Eagerly merges borrowed sorted runs into an owned stream — the
-/// compaction entry point, where full consumption is required. Only the
+/// Eagerly merges borrowed sorted runs into an owned stream. Only the
 /// emitted (surviving) entries are cloned; heap bookkeeping stays
 /// reference-only.
 pub fn merge_runs(sources: Vec<Source<'_>>) -> Vec<(Key, Option<Value>)> {
     MergeIter::new(sources).map(|(k, v)| (k.clone(), v.clone())).collect()
-}
-
-/// Merges owned sorted `(key, value)` streams. `sources[0]` is the newest;
-/// on a key collision the entry from the lowest-indexed source wins. Input
-/// streams must be strictly sorted by key. Retained as the owned-`Vec`
-/// convenience over [`merge_runs`].
-pub fn merge_sources(sources: Vec<Vec<(Key, Option<Value>)>>) -> Vec<(Key, Option<Value>)> {
-    merge_runs(sources.iter().map(|s| Source::Slice(s)).collect())
-}
-
-/// Drops tombstones from a merged stream — used when compacting into the
-/// bottom level, where nothing older can be shadowed.
-pub fn strip_tombstones(entries: Vec<(Key, Option<Value>)>) -> Vec<(Key, Option<Value>)> {
-    entries.into_iter().filter(|(_, v)| v.is_some()).collect()
 }
 
 #[cfg(test)]
@@ -200,9 +184,14 @@ mod tests {
         pairs.iter().map(|(k, v)| (b(k), v.map(b))).collect()
     }
 
+    /// Merges owned runs, newest first.
+    fn merge(runs: &[Vec<(Key, Option<Value>)>]) -> Vec<(Key, Option<Value>)> {
+        merge_runs(runs.iter().map(|r| Source::Slice(r)).collect())
+    }
+
     #[test]
     fn newest_source_wins() {
-        let merged = merge_sources(vec![
+        let merged = merge(&[
             src(&[("a", Some("new")), ("c", None)]),
             src(&[("a", Some("old")), ("b", Some("1")), ("c", Some("old"))]),
         ]);
@@ -211,7 +200,7 @@ mod tests {
 
     #[test]
     fn three_way_merge_is_sorted() {
-        let merged = merge_sources(vec![
+        let merged = merge(&[
             src(&[("b", Some("2"))]),
             src(&[("d", Some("4")), ("f", Some("6"))]),
             src(&[("a", Some("1")), ("c", Some("3")), ("e", Some("5"))]),
@@ -222,22 +211,15 @@ mod tests {
 
     #[test]
     fn empty_sources_are_fine() {
-        assert!(merge_sources(vec![]).is_empty());
-        assert!(merge_sources(vec![vec![], vec![]]).is_empty());
-        let merged = merge_sources(vec![vec![], src(&[("a", Some("1"))])]);
+        assert!(merge(&[]).is_empty());
+        assert!(merge(&[vec![], vec![]]).is_empty());
+        let merged = merge(&[vec![], src(&[("a", Some("1"))])]);
         assert_eq!(merged.len(), 1);
     }
 
     #[test]
-    fn strip_tombstones_removes_deletes() {
-        let stripped = strip_tombstones(src(&[("a", Some("1")), ("b", None), ("c", Some("3"))]));
-        assert_eq!(stripped.len(), 2);
-        assert!(stripped.iter().all(|(_, v)| v.is_some()));
-    }
-
-    #[test]
     fn duplicate_keys_across_many_sources() {
-        let merged = merge_sources(vec![
+        let merged = merge(&[
             src(&[("k", Some("v3"))]),
             src(&[("k", Some("v2"))]),
             src(&[("k", Some("v1"))]),

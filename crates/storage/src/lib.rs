@@ -27,7 +27,6 @@ pub mod iter;
 pub mod lsm;
 pub mod memtable;
 pub mod metrics;
-pub mod pipeline;
 pub mod sstable;
 pub mod wal;
 

@@ -43,7 +43,7 @@ use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
 
-use crate::iter::{merge_sources, strip_tombstones, MergeIter, Source};
+use crate::iter::{MergeIter, Source};
 use crate::memtable::{Memtable, WriteBatch};
 use crate::metrics::{StorageMetrics, COMPACT_LEVELS_TRACKED};
 use crate::sstable::{SsTable, TableBuilder};
@@ -327,24 +327,11 @@ impl Lsm {
         group
     }
 
-    /// Models one fsync covering batches up to and including `seq` —
-    /// batches appended after the fsync began ride the next group.
-    pub fn group_commit_through(&mut self, seq: u64) -> GroupCommit {
-        let group = self.wal.sync_through(seq).expect("wal sync");
-        self.note_group(group);
-        group
-    }
-
     fn note_group(&mut self, group: GroupCommit) {
         if group.batches > 0 {
             self.metrics.fsyncs += 1;
             self.metrics.batches_synced += group.batches;
         }
-    }
-
-    /// Sequence number of the most recently applied batch (0 if none).
-    pub fn last_wal_seq(&self) -> u64 {
-        self.wal.last_seq()
     }
 
     /// Batches appended but not yet covered by a group commit.
@@ -456,43 +443,6 @@ impl Lsm {
                 break;
             }
         }
-    }
-
-    /// The pre-iterator scan: materializes every overlapping source into
-    /// owned `Vec`s, eagerly merges them, and only then applies `limit`.
-    /// Kept (unmetered) as the reference implementation for differential
-    /// tests and the `read_path` benchmark's baseline — not used on any
-    /// production path.
-    pub fn scan_eager(&self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Key, Value)> {
-        let mut sources: Vec<Vec<(Key, Option<Value>)>> = Vec::new();
-        sources
-            .push(self.memtable.range(start, end).map(|(k, v)| (k.clone(), v.clone())).collect());
-        for f in self.frozen.iter().rev() {
-            sources.push(f.mem.range(start, end).map(|(k, v)| (k.clone(), v.clone())).collect());
-        }
-        for table in self.l0.iter().rev() {
-            if table.overlaps(start, end) {
-                sources.push(table.range(start, end).to_vec());
-            }
-        }
-        for level in &self.levels {
-            let mut run = Vec::new();
-            let mut idx =
-                level.partition_point(|t| t.max_key().is_some_and(|k| k.as_ref() < start));
-            while let Some(table) = level.get(idx) {
-                if table.min_key().is_none_or(|k| k.as_ref() >= end) {
-                    break;
-                }
-                run.extend_from_slice(table.range(start, end));
-                idx += 1;
-            }
-            sources.push(run);
-        }
-        strip_tombstones(merge_sources(sources))
-            .into_iter()
-            .take(limit)
-            .map(|(k, v)| (k, v.expect("stripped")))
-            .collect()
     }
 
     /// Garbage-collection helper for *write-once* keys: if the key's only
@@ -1152,24 +1102,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_scan_matches_eager_scan() {
-        let mut lsm = Lsm::new(LsmConfig::tiny());
-        for i in 0..600 {
-            lsm.put(key(i % 300), value(i));
-        }
-        for i in (0..300).step_by(3) {
-            lsm.delete(key(i));
-        }
-        for limit in [0, 1, 7, 100, usize::MAX] {
-            assert_eq!(
-                lsm.scan(&key(10), &key(290), limit),
-                lsm.scan_eager(&key(10), &key(290), limit),
-                "limit {limit}"
-            );
-        }
-    }
-
-    #[test]
     fn scan_visit_stops_early() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..500 {
@@ -1258,19 +1190,6 @@ mod tests {
         let m = serial.metrics();
         assert_eq!(m.fsyncs, 10);
         assert!((m.batches_per_fsync() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn group_commit_through_leaves_later_batches_pending() {
-        let mut lsm = pipelined(LsmConfig::tiny());
-        for i in 0..6 {
-            lsm.put(key(i), value(i));
-        }
-        let g = lsm.group_commit_through(4);
-        assert_eq!((g.batches, g.last_seq), (4, 4));
-        assert_eq!(lsm.wal_unsynced_batches(), 2);
-        let g = lsm.group_commit();
-        assert_eq!((g.batches, g.last_seq), (2, 6));
     }
 
     #[test]

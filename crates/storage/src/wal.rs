@@ -335,11 +335,6 @@ impl WalWriter {
         Ok(group)
     }
 
-    /// Sequence number of the most recently appended batch (0 if none).
-    pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
-    }
-
     /// Number of appended batches not yet covered by a sync.
     pub fn unsynced_batches(&self) -> u64 {
         self.pending.len() as u64

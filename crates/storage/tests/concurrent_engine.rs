@@ -10,10 +10,10 @@ fn parallel_disjoint_writers_then_full_verify() {
     let engine = Engine::new(LsmConfig::tiny());
     const THREADS: usize = 6;
     const PER_THREAD: u32 = 400;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let engine = engine.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_THREAD {
                     let mut batch = WriteBatch::new();
                     batch.put(
@@ -28,8 +28,7 @@ fn parallel_disjoint_writers_then_full_verify() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
 
     // Every surviving key readable, every deleted key gone.
     for t in 0..THREADS {
@@ -61,9 +60,9 @@ fn readers_never_observe_torn_batches() {
         batch.put(Bytes::from_static(b"pair/b"), Bytes::from_static(b"0"));
         engine.apply(&batch);
     }
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let writer = engine.clone();
-        s.spawn(move |_| {
+        s.spawn(move || {
             for i in 1..=500u32 {
                 let mut batch = WriteBatch::new();
                 batch.put(Bytes::from_static(b"pair/a"), Bytes::from(i.to_string()));
@@ -73,7 +72,7 @@ fn readers_never_observe_torn_batches() {
         });
         for _ in 0..3 {
             let reader = engine.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..500 {
                     // A scan is one atomic snapshot of the engine: both
                     // keys of the pair must agree within it.
@@ -83,7 +82,6 @@ fn readers_never_observe_torn_batches() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
     assert_eq!(engine.get(b"pair/a"), Some(Bytes::from("500")));
 }

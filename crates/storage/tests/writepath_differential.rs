@@ -13,7 +13,6 @@
 //! batch and never a panic.
 
 use bytes::Bytes;
-use crdb_storage::pipeline::{run_pipelined, run_serial, PipelineConfig};
 use crdb_storage::wal::{crc32, decode_batch, encode_batch, FileWal};
 use crdb_storage::{Lsm, LsmConfig, WalWriter, WriteBatch};
 use proptest::prelude::*;
@@ -201,11 +200,24 @@ fn pipelined_interleavings_match_serial_and_model_small_keyspace() {
     run_differential(23, 900, 24);
 }
 
+/// Flushes everything buffered, then compacts while the picker still finds
+/// a level at trigger — the fixpoint both maintenance styles must share.
+fn settle(lsm: &mut Lsm) {
+    lsm.flush();
+    while let Some(pick) = lsm.pick_compaction() {
+        let job = lsm.begin_compaction(&pick);
+        lsm.finish_compaction(job);
+    }
+}
+
 #[test]
-fn virtual_drivers_report_identical_byte_totals() {
-    // The bench gate at unit-test scale: the serial and pipelined virtual
-    // drivers over one seeded workload attribute exactly the same flush
-    // and compaction bytes, total and per level.
+fn job_api_and_inline_maintenance_attribute_identical_bytes() {
+    // One seeded workload through a default-mode engine (inline flush and
+    // compaction on the writing call) and through an embedder-driven one
+    // whose flush and compaction jobs are claimed at one batch and finished
+    // several batches later: backgrounding the work moves *when* bytes are
+    // attributed, never *how many* — the §5.1.3 write-token estimator
+    // reads these counters as one quantity.
     let mut rng = SmallRng::seed_from_u64(0xACC0);
     let input: Vec<WriteBatch> = (0..3000)
         .map(|_| {
@@ -221,19 +233,68 @@ fn virtual_drivers_report_identical_byte_totals() {
             b
         })
         .collect();
-    // L0→L1-only shape: identical job multisets by construction.
+    // L0→L1-only shape: the k-th L0 job claims the same files whenever it
+    // runs, so the two job multisets are identical by construction.
     let config = LsmConfig { level_base_size: 1 << 30, num_levels: 4, ..LsmConfig::tiny() };
-    let pc = PipelineConfig::default();
-    let serial = run_serial(config.clone(), &pc, &input);
-    let piped = run_pipelined(config, &pc, &input);
-    assert_eq!(serial.metrics.flush_bytes, piped.metrics.flush_bytes);
-    assert_eq!(serial.metrics.flush_count, piped.metrics.flush_count);
-    assert_eq!(serial.metrics.compact_bytes_in, piped.metrics.compact_bytes_in);
-    assert_eq!(serial.metrics.compact_bytes_out, piped.metrics.compact_bytes_out);
-    assert_eq!(serial.metrics.l0_compact_bytes, piped.metrics.l0_compact_bytes);
-    assert_eq!(serial.metrics.compact_bytes_per_level, piped.metrics.compact_bytes_per_level);
-    // And the logical content matches too.
-    assert_eq!(serial.metrics.logical_bytes_written, piped.metrics.logical_bytes_written);
+    let mut inline = Lsm::new(config.clone());
+    let mut driven = Lsm::new(config);
+    driven.set_auto_maintain(false);
+    driven.set_group_durability(true);
+    let mut flush = None;
+    let mut compaction = None;
+    let mut applied_with_both_in_flight = 0;
+    for batch in &input {
+        inline.apply(batch);
+        driven.apply(batch);
+        applied_with_both_in_flight += usize::from(flush.is_some() && compaction.is_some());
+        match rng.gen_range(0u32..8) {
+            0 if flush.is_none() => flush = driven.begin_flush(),
+            1 => {
+                if let Some(job) = flush.take() {
+                    driven.finish_flush(job);
+                }
+            }
+            2 if compaction.is_none() => {
+                compaction = driven.pick_compaction().map(|pick| driven.begin_compaction(&pick));
+            }
+            3 => {
+                if let Some(job) = compaction.take() {
+                    driven.finish_compaction(job);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(applied_with_both_in_flight > 100, "jobs were never held across writes");
+    if let Some(job) = flush.take() {
+        driven.finish_flush(job);
+    }
+    if let Some(job) = compaction.take() {
+        driven.finish_compaction(job);
+    }
+    driven.group_commit();
+    settle(&mut driven);
+    settle(&mut inline);
+
+    let (i, d) = (inline.metrics(), driven.metrics());
+    assert!(i.compact_count > 10, "the workload never compacted");
+    assert_eq!(i.flush_bytes, d.flush_bytes);
+    assert_eq!(i.flush_count, d.flush_count);
+    assert_eq!(i.compact_bytes_in, d.compact_bytes_in);
+    assert_eq!(i.compact_bytes_out, d.compact_bytes_out);
+    assert_eq!(i.l0_compact_bytes, d.l0_compact_bytes);
+    assert_eq!(i.compact_bytes_per_level, d.compact_bytes_per_level);
+    assert_eq!(i.logical_bytes_written, d.logical_bytes_written);
+    // Conservation: a table's bytes are attributed once when it is written
+    // (flush or compaction output) and once when a compaction consumes it,
+    // so what was written and not consumed is exactly what is resident.
+    for (lsm, m) in [(&inline, i), (&driven, d)] {
+        assert_eq!(
+            m.flush_bytes + m.compact_bytes_out,
+            m.compact_bytes_in + lsm.total_bytes() as u64
+        );
+        assert_eq!(m.compact_bytes_per_level.iter().sum::<u64>(), m.compact_bytes_in);
+    }
 }
 
 fn temp_wal(name: &str) -> std::path::PathBuf {

@@ -2,13 +2,11 @@
 //!
 //! Components that need the current time (lease expirations, metrics
 //! windows, token-bucket refills) take a [`Clock`] rather than calling
-//! `Instant::now()`. In production-style usage the [`WallClock`] adapter is
-//! used; in experiments, the discrete-event simulator owns a
-//! [`ManualClock`] that it advances as events fire, which makes every run
-//! deterministic and lets hours of cluster behaviour simulate in seconds.
+//! `Instant::now()`. The discrete-event simulator owns a [`ManualClock`]
+//! that it advances as events fire, which makes every run deterministic
+//! and lets hours of cluster behaviour simulate in seconds.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::time::SimTime;
 
@@ -16,33 +14,6 @@ use crate::time::SimTime;
 pub trait Clock: Send + Sync {
     /// The current instant.
     fn now(&self) -> SimTime;
-}
-
-/// A clock driven by the machine's monotonic wall clock. Time zero is the
-/// moment the clock was constructed.
-#[derive(Debug)]
-pub struct WallClock {
-    start: Instant,
-}
-
-impl WallClock {
-    /// Creates a wall clock anchored at the present moment.
-    pub fn new() -> Self {
-        // simlint: allow(wall-clock) — the one sanctioned wall-clock adapter behind the Clock trait; sim components use ManualClock
-        WallClock { start: Instant::now() }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-    }
 }
 
 /// A manually-advanced clock, owned by the simulator (or a test).
@@ -101,13 +72,5 @@ mod tests {
         let c = ManualClock::new();
         c.advance_to(SimTime::from_nanos(100));
         c.advance_to(SimTime::from_nanos(50));
-    }
-
-    #[test]
-    fn wall_clock_is_monotonic() {
-        let c = WallClock::new();
-        let a = c.now();
-        let b = c.now();
-        assert!(b >= a);
     }
 }

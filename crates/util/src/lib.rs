@@ -4,9 +4,8 @@
 //! other crate in the workspace:
 //!
 //! - typed identifiers ([`ids`]) for tenants, nodes, ranges, regions, …
-//! - virtual time ([`time`]) and the [`clock::Clock`] abstraction that lets
-//!   components run against either the wall clock or the discrete-event
-//!   simulator,
+//! - virtual time ([`time`]) and the [`clock::Clock`] abstraction that
+//!   components read it through,
 //! - a log-bucketed latency [`hist::Histogram`] with percentile queries,
 //! - windowed and exponentially-weighted statistics ([`stats`]) used by the
 //!   autoscaler and admission control,

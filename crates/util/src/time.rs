@@ -3,7 +3,7 @@
 //! All components in this workspace express time as a [`SimTime`] — an
 //! absolute instant measured in nanoseconds since the start of a run — and
 //! `std::time::Duration` for spans. The discrete-event simulator advances
-//! `SimTime` directly; the wall-clock adapter maps `Instant` onto it.
+//! `SimTime` directly.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
