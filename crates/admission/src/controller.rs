@@ -29,6 +29,9 @@ pub enum WorkClass {
     Write,
 }
 
+/// Half-life of the tenant-fairness consumption signal.
+const FAIRNESS_HALF_LIFE: Duration = Duration::from_secs(5);
+
 /// Controller configuration.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
@@ -38,8 +41,6 @@ pub struct AdmissionConfig {
     pub slots: SlotConfig,
     /// Write controller tuning.
     pub write: WriteConfig,
-    /// Half-life of the tenant-fairness consumption signal.
-    pub fairness_half_life: Duration,
     /// Initial slot count.
     pub initial_slots: usize,
 }
@@ -50,7 +51,6 @@ impl Default for AdmissionConfig {
             enabled: true,
             slots: SlotConfig::default(),
             write: WriteConfig::default(),
-            fairness_half_life: Duration::from_secs(5),
             initial_slots: 16,
         }
     }
@@ -102,8 +102,8 @@ impl<T> AdmissionController<T> {
         let slots = SlotController::new(config.slots.clone(), config.initial_slots);
         let write = WriteController::new(config.write.clone());
         AdmissionController {
-            cq: WorkQueue::new(config.fairness_half_life),
-            wq: WorkQueue::new(config.fairness_half_life),
+            cq: WorkQueue::new(FAIRNESS_HALF_LIFE),
+            wq: WorkQueue::new(FAIRNESS_HALF_LIFE),
             wq_head: None,
             slots,
             write,
@@ -281,11 +281,6 @@ impl<T> AdmissionController<T> {
     pub fn slot_total(&self) -> usize {
         self.slots.total()
     }
-
-    /// Current write token rate in bytes/s.
-    pub fn write_rate(&self) -> f64 {
-        self.write.rate()
-    }
 }
 
 #[cfg(test)]
@@ -299,7 +294,7 @@ mod tests {
     fn config(slots: usize) -> AdmissionConfig {
         AdmissionConfig {
             initial_slots: slots,
-            slots: SlotConfig { min_slots: 1, max_slots: 1024, ..Default::default() },
+            slots: SlotConfig { min_slots: 1, max_slots: 1024 },
             ..Default::default()
         }
     }

@@ -13,34 +13,27 @@
 //! applies additive increase when the CPU has headroom and the slots are
 //! saturated, and additive decrease when runnable threads are queueing.
 
-/// Tuning for the AIMD slot controller.
+/// Runnable threads per vCPU above which the controller sheds concurrency.
+const RUNNABLE_HIGH_PER_VCPU: f64 = 1.0;
+/// Utilization below which saturated slots justify a full increase step.
+const UTIL_TARGET: f64 = 0.9;
+/// Additive increase step.
+const INC_STEP: usize = 1;
+/// Additive decrease step.
+const DEC_STEP: usize = 2;
+
+/// Bounds for the AIMD slot controller.
 #[derive(Debug, Clone)]
 pub struct SlotConfig {
     /// Lower bound on total slots (always allow some concurrency).
     pub min_slots: usize,
     /// Upper bound on total slots.
     pub max_slots: usize,
-    /// Runnable threads per vCPU above which we shed concurrency.
-    pub runnable_high_per_vcpu: f64,
-    /// Utilization above which the node is considered busy enough that
-    /// saturated slots justify an increase.
-    pub util_target: f64,
-    /// Additive increase step.
-    pub inc_step: usize,
-    /// Additive decrease step.
-    pub dec_step: usize,
 }
 
 impl Default for SlotConfig {
     fn default() -> Self {
-        SlotConfig {
-            min_slots: 4,
-            max_slots: 1024,
-            runnable_high_per_vcpu: 1.0,
-            util_target: 0.9,
-            inc_step: 1,
-            dec_step: 2,
-        }
+        SlotConfig { min_slots: 4, max_slots: 1024 }
     }
 }
 
@@ -102,12 +95,12 @@ impl SlotController {
     /// in `[0, 1]`, and `vcpus` the node's CPU count.
     pub fn tick(&mut self, avg_runnable: f64, utilization: f64, vcpus: f64) {
         let runnable_per_vcpu = avg_runnable / vcpus.max(1.0);
-        if runnable_per_vcpu > self.config.runnable_high_per_vcpu {
+        if runnable_per_vcpu > RUNNABLE_HIGH_PER_VCPU {
             // Threads are queueing in the OS scheduler: decrease.
-            self.slots = self.slots.saturating_sub(self.config.dec_step).max(self.config.min_slots);
-        } else if self.saturated_since_tick && utilization < self.config.util_target {
+            self.slots = self.slots.saturating_sub(DEC_STEP).max(self.config.min_slots);
+        } else if self.saturated_since_tick && utilization < UTIL_TARGET {
             // Slots are the bottleneck but CPU has headroom: increase.
-            self.slots = (self.slots + self.config.inc_step).min(self.config.max_slots);
+            self.slots = (self.slots + INC_STEP).min(self.config.max_slots);
         } else if self.saturated_since_tick {
             // Saturated at target utilization: small probe upward keeps the
             // system work-conserving without overshooting.
@@ -172,7 +165,7 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let cfg = SlotConfig { min_slots: 2, max_slots: 6, ..Default::default() };
+        let cfg = SlotConfig { min_slots: 2, max_slots: 6 };
         let mut c = SlotController::new(cfg, 100);
         assert_eq!(c.total(), 6, "clamped to max at construction");
         for _ in 0..50 {

@@ -20,16 +20,17 @@ use crdb_util::bucket::TokenBucket;
 use crdb_util::stats::Ewma;
 use crdb_util::time::SimTime;
 
+/// Interval between capacity re-estimations (paper: 15 s).
+pub const ESTIMATION_INTERVAL: Duration = Duration::from_secs(15);
+/// L0 file count at which compaction capacity becomes the binding
+/// constraint.
+const L0_OVERLOAD_FILES: usize = 8;
+/// Smoothing for capacity estimates.
+const SMOOTHING_ALPHA: f64 = 0.5;
+
 /// Tuning for the write controller.
 #[derive(Debug, Clone)]
 pub struct WriteConfig {
-    /// Interval between capacity re-estimations (paper: 15 s).
-    pub estimation_interval: Duration,
-    /// L0 file count at which compaction capacity becomes the binding
-    /// constraint.
-    pub l0_overload_files: usize,
-    /// Smoothing for capacity estimates.
-    pub smoothing_alpha: f64,
     /// Floor on the token rate, bytes/s, so the bucket never wedges.
     pub min_rate: f64,
     /// Initial rate before any observation, bytes/s.
@@ -41,9 +42,6 @@ pub struct WriteConfig {
 impl Default for WriteConfig {
     fn default() -> Self {
         WriteConfig {
-            estimation_interval: Duration::from_secs(15),
-            l0_overload_files: 8,
-            smoothing_alpha: 0.5,
             min_rate: 64.0 * 1024.0,
             initial_rate: 16.0 * 1024.0 * 1024.0,
             burst_seconds: 1.0,
@@ -69,12 +67,11 @@ impl WriteController {
     pub fn new(config: WriteConfig) -> Self {
         let rate = config.initial_rate;
         let burst = rate * config.burst_seconds;
-        let alpha = config.smoothing_alpha;
         WriteController {
             config,
             bucket: TokenBucket::new(rate, burst),
-            flush_capacity: Ewma::new(alpha),
-            l0_capacity: Ewma::new(alpha),
+            flush_capacity: Ewma::new(SMOOTHING_ALPHA),
+            l0_capacity: Ewma::new(SMOOTHING_ALPHA),
             model: LinearModel::new(0.99),
             last_metrics: StorageMetrics::default(),
         }
@@ -111,7 +108,7 @@ impl WriteController {
     }
 
     /// Re-estimates capacity from a storage metrics snapshot. Call every
-    /// [`WriteConfig::estimation_interval`].
+    /// [`ESTIMATION_INTERVAL`].
     pub fn estimate_capacity(&mut self, now: SimTime, metrics: StorageMetrics, l0_files: usize) {
         let delta = metrics.delta(&self.last_metrics);
         self.last_metrics = metrics;
@@ -141,7 +138,7 @@ impl WriteController {
         // then falling behind, so throttle intake below its capacity and
         // let L0 drain. With L0 healthy, how fast it compacts is no limit
         // on how fast memtables may fill.
-        if l0_files >= self.config.l0_overload_files && l0_cap > 0.0 {
+        if l0_files >= L0_OVERLOAD_FILES && l0_cap > 0.0 {
             rate = rate.min(l0_cap * 0.5);
         }
         // Write stalls are the engine's own overload verdict — the
@@ -245,7 +242,7 @@ mod tests {
         m.flush_busy_nanos *= 2;
         m.l0_compact_bytes *= 2;
         m.l0_compact_busy_nanos *= 2;
-        c.estimate_capacity(t(30.0), m, WriteConfig::default().l0_overload_files);
+        c.estimate_capacity(t(30.0), m, L0_OVERLOAD_FILES);
         assert!((c.rate() - 0.5 * (1 << 20) as f64).abs() / c.rate() < 0.01, "{}", c.rate());
     }
 

@@ -22,19 +22,14 @@
 //! Reproducibility — same seed, byte-identical injector log — is
 //! asserted by the callers, which run the harness twice.
 
-use std::rc::Rc;
 use std::time::Duration;
 
+use crate::soak::TenantRun;
 use crdb_core::chaos::install_chaos;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::fault::{FaultPlan, FaultSchedule};
 use crdb_sim::{Sim, Topology};
 use crdb_util::RegionId;
-use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{run_setup, ServerlessExec, ServerlessExecutor};
-use crdb_workload::tpcc;
-
-use crate::exec_one;
 
 /// Harness knobs beyond the fault plan itself.
 pub struct ChaosOptions {
@@ -73,14 +68,6 @@ pub struct ChaosReport {
     pub metrics_snapshot: String,
 }
 
-/// One tenant's workload plus the bookkeeping its invariants need.
-struct TenantRun {
-    tag: &'static str,
-    executor: Rc<dyn SqlExecutor>,
-    driver: Rc<Driver>,
-    initial_orders: i64,
-}
-
 /// Runs one seeded chaos soak and returns its report.
 pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let sim = Sim::new(opts.seed);
@@ -90,38 +77,22 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     }
     let cluster = ServerlessCluster::new(&sim, config);
 
-    let tpcc_cfg = tpcc::TpccConfig {
-        warehouses: 2,
-        districts_per_warehouse: 2,
-        customers_per_district: 5,
-        items: 20,
-        order_lines: 3,
-    };
-
     // Two tenants: the workload itself, and the cross-tenant witness.
-    let mut runs: Vec<TenantRun> = Vec::new();
-    for (i, tag) in ["alpha", "beta"].into_iter().enumerate() {
-        let tenant = cluster.create_tenant(vec![RegionId(0)], None);
-        let ex = ServerlessExecutor::new(Rc::clone(&cluster), tenant);
-        let executor: Rc<dyn SqlExecutor> = Rc::new(ServerlessExec(ex));
-        let mut stmts: Vec<String> = tpcc::schema().iter().map(|s| s.to_string()).collect();
-        stmts.extend(tpcc::load_statements(&tpcc_cfg));
-        stmts.push("CREATE TABLE secrets (id INT PRIMARY KEY, v STRING)".to_string());
-        stmts.push(format!("INSERT INTO secrets VALUES (1, 'tenant-{tag}')"));
-        run_setup(&sim, &executor, &stmts);
-        let initial_orders = count(&sim, &executor, "orders");
-        let driver = Driver::new(
-            &sim,
-            Rc::clone(&executor),
-            DriverConfig {
-                workers: opts.workers,
-                think_time: Some(opts.think_time),
-                max_retries: 30,
-            },
-            tpcc::mix_factory(tpcc_cfg.clone(), opts.seed.wrapping_add(100 * (i as u64 + 1))),
-        );
-        runs.push(TenantRun { tag, executor, driver, initial_orders });
-    }
+    let runs: Vec<TenantRun> = ["alpha", "beta"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, tag)| {
+            TenantRun::load(
+                &sim,
+                &cluster,
+                tag,
+                vec![RegionId(0)],
+                opts.workers,
+                opts.think_time,
+                opts.seed.wrapping_add(100 * (i as u64 + 1)),
+            )
+        })
+        .collect();
 
     // Schedule faults relative to *now* so setup time never eats into
     // the warmup, then install the controller.
@@ -153,23 +124,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     // through the chaos.
     let mut violations = Vec::new();
     for run in &runs {
-        let committed_orders =
-            run.driver.stats.by_label.borrow().get("new_order").copied().unwrap_or(0) as i64;
-        let final_orders = count(&sim, &run.executor, "orders");
-        if final_orders < run.initial_orders + committed_orders {
-            violations.push(format!(
-                "tenant {}: acknowledged commits lost: {} orders on disk < {} initial + {} committed",
-                run.tag, final_orders, run.initial_orders, committed_orders
-            ));
-        }
-        let secrets = exec_one(&sim, &run.executor, "SELECT v FROM secrets ORDER BY id", vec![]);
-        let expect = format!("tenant-{}", run.tag);
-        if secrets.rows.len() != 1 || secrets.rows[0][0].to_string() != expect {
-            violations.push(format!(
-                "tenant {}: cross-tenant leak: secrets = {:?}, expected [[{expect}]]",
-                run.tag, secrets.rows
-            ));
-        }
+        run.check_invariants(&sim, &mut violations);
     }
     let migrations = cluster.proxy.migrations.get();
     let log = injector.log();
@@ -188,9 +143,4 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
         violations,
         metrics_snapshot: cluster.metrics_snapshot_json(),
     }
-}
-
-fn count(sim: &Sim, ex: &Rc<dyn SqlExecutor>, table: &str) -> i64 {
-    let out = exec_one(sim, ex, &format!("SELECT COUNT(*) FROM {table}"), vec![]);
-    out.rows[0][0].as_i64().expect("count is an integer")
 }

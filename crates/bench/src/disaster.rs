@@ -25,20 +25,15 @@
 //! Reproducibility — same seed, byte-identical injector log and
 //! metrics snapshot — is asserted by the callers, which run twice.
 
-use std::rc::Rc;
 use std::time::Duration;
 
+use crate::soak::TenantRun;
 use crdb_core::chaos::install_chaos;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::fault::{FaultEvent, FaultKind, FaultSchedule};
 use crdb_sim::{Sim, Topology};
 use crdb_util::time::dur;
 use crdb_util::RegionId;
-use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{run_setup, ServerlessExec, ServerlessExecutor};
-use crdb_workload::tpcc;
-
-use crate::exec_one;
 
 /// Harness knobs.
 pub struct DisasterOptions {
@@ -102,15 +97,6 @@ pub struct DisasterReport {
     pub metrics_snapshot: String,
 }
 
-struct TenantRun {
-    tag: &'static str,
-    home: RegionId,
-    tenant: crdb_util::TenantId,
-    executor: Rc<dyn SqlExecutor>,
-    driver: Rc<Driver>,
-    initial_orders: i64,
-}
-
 /// The region the script kills.
 const VICTIM_REGION: RegionId = RegionId(1);
 
@@ -122,14 +108,6 @@ pub fn run_disaster(opts: &DisasterOptions) -> DisasterReport {
     config.proxy.statement_deadline = Some(opts.statement_deadline);
     let cluster = ServerlessCluster::new(&sim, config);
 
-    let tpcc_cfg = tpcc::TpccConfig {
-        warehouses: 2,
-        districts_per_warehouse: 2,
-        customers_per_district: 5,
-        items: 20,
-        order_lines: 3,
-    };
-
     // Three tenants, homed one per region. The victim spans all three
     // regions so the chaos controller can re-home it; the healthy two
     // are the blast-radius witnesses.
@@ -138,30 +116,21 @@ pub fn run_disaster(opts: &DisasterOptions) -> DisasterReport {
         ("victim", vec![RegionId(1), RegionId(0), RegionId(2)]),
         ("west", vec![RegionId(2)]),
     ];
-    let mut runs: Vec<TenantRun> = Vec::new();
-    for (i, (tag, regions)) in homes.into_iter().enumerate() {
-        let home = regions[0];
-        let tenant = cluster.create_tenant(regions, None);
-        let ex = ServerlessExecutor::new(Rc::clone(&cluster), tenant);
-        let executor: Rc<dyn SqlExecutor> = Rc::new(ServerlessExec(ex));
-        let mut stmts: Vec<String> = tpcc::schema().iter().map(|s| s.to_string()).collect();
-        stmts.extend(tpcc::load_statements(&tpcc_cfg));
-        stmts.push("CREATE TABLE secrets (id INT PRIMARY KEY, v STRING)".to_string());
-        stmts.push(format!("INSERT INTO secrets VALUES (1, 'tenant-{tag}')"));
-        run_setup(&sim, &executor, &stmts);
-        let initial_orders = count(&sim, &executor, "orders");
-        let driver = Driver::new(
-            &sim,
-            Rc::clone(&executor),
-            DriverConfig {
-                workers: opts.workers,
-                think_time: Some(opts.think_time),
-                max_retries: 30,
-            },
-            tpcc::mix_factory(tpcc_cfg.clone(), opts.seed.wrapping_add(100 * (i as u64 + 1))),
-        );
-        runs.push(TenantRun { tag, home, tenant, executor, driver, initial_orders });
-    }
+    let runs: Vec<TenantRun> = homes
+        .into_iter()
+        .enumerate()
+        .map(|(i, (tag, regions))| {
+            TenantRun::load(
+                &sim,
+                &cluster,
+                tag,
+                regions,
+                opts.workers,
+                opts.think_time,
+                opts.seed.wrapping_add(100 * (i as u64 + 1)),
+            )
+        })
+        .collect();
 
     // The script, anchored at *now* so setup time never eats the warmup:
     // pod starts begin failing 2s before the region dies, and a 3× spike
@@ -205,23 +174,7 @@ pub fn run_disaster(opts: &DisasterOptions) -> DisasterReport {
     let mut violations = Vec::new();
     let mut healthy_p99 = Vec::new();
     for run in &runs {
-        let committed_orders =
-            run.driver.stats.by_label.borrow().get("new_order").copied().unwrap_or(0) as i64;
-        let final_orders = count(&sim, &run.executor, "orders");
-        if final_orders < run.initial_orders + committed_orders {
-            violations.push(format!(
-                "tenant {}: acknowledged commits lost: {} orders on disk < {} initial + {} committed",
-                run.tag, final_orders, run.initial_orders, committed_orders
-            ));
-        }
-        let secrets = exec_one(&sim, &run.executor, "SELECT v FROM secrets ORDER BY id", vec![]);
-        let expect = format!("tenant-{}", run.tag);
-        if secrets.rows.len() != 1 || secrets.rows[0][0].to_string() != expect {
-            violations.push(format!(
-                "tenant {}: cross-tenant leak: secrets = {:?}, expected [[{expect}]]",
-                run.tag, secrets.rows
-            ));
-        }
+        run.check_invariants(&sim, &mut violations);
         if run.home != VICTIM_REGION {
             match cluster.proxy.tenant_statement_p99(run.tenant) {
                 Some(p99) => {
@@ -277,9 +230,4 @@ pub fn run_disaster(opts: &DisasterOptions) -> DisasterReport {
         violations,
         metrics_snapshot: cluster.metrics_snapshot_json(),
     }
-}
-
-fn count(sim: &Sim, ex: &Rc<dyn SqlExecutor>, table: &str) -> i64 {
-    let out = exec_one(sim, ex, &format!("SELECT COUNT(*) FROM {table}"), vec![]);
-    out.rows[0][0].as_i64().expect("count is an integer")
 }

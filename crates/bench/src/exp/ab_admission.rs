@@ -8,8 +8,8 @@
 //! single-slot resource and reports the light tenant's wait-time
 //! distribution.
 
+use crate::header;
 use crdb_admission::queue::{Priority, WorkItem, WorkQueue};
-use crdb_bench::header;
 use crdb_util::time::{dur, SimTime};
 use crdb_util::{Histogram, TenantId};
 
@@ -99,7 +99,7 @@ fn simulate(fair: bool) -> (Histogram, Histogram) {
     (noisy, victim)
 }
 
-fn main() {
+pub fn run() {
     header("Ablation: tenant-fair admission queue vs FIFO (victim wait times)");
     println!(
         "{:>12} {:>16} {:>16} {:>16}",

@@ -7,8 +7,9 @@
 //! scores under-provisioned time (capacity below instantaneous demand)
 //! against allocated node-minutes (cost).
 
-use crdb_bench::header;
-use crdb_serverless::autoscaler::{target_nodes, AutoscalerConfig, ScaleInputs};
+use crate::header;
+use crdb_serverless::autoscaler::{target_nodes, ScaleInputs};
+use crdb_sql::node::NODE_VCPUS;
 
 /// A synthetic vCPU-demand trace sampled at 3 s: a quiet baseline with an
 /// abrupt spike, mirroring §4.2.3's example (avg 2.5 spiking to 11).
@@ -27,8 +28,7 @@ enum Policy {
     MaxOnly,
 }
 
-fn run(policy: Policy) -> (f64, f64, usize) {
-    let config = AutoscalerConfig::default();
+fn replay(policy: Policy) -> (f64, f64, usize) {
     let trace = demand_trace();
     let window = 100usize; // 5 min of 3s samples
     let mut under_secs = 0.0;
@@ -44,9 +44,9 @@ fn run(policy: Policy) -> (f64, f64, usize) {
             Policy::AvgOnly => ScaleInputs { avg, max: 0.0 },
             Policy::MaxOnly => ScaleInputs { avg: 0.0, max },
         };
-        let nodes = target_nodes(&config, inputs).max(1);
+        let nodes = target_nodes(inputs).max(1);
         max_nodes = max_nodes.max(nodes);
-        let capacity = nodes as f64 * config.node_vcpus;
+        let capacity = nodes as f64 * NODE_VCPUS;
         if capacity < trace[i] {
             under_secs += 3.0;
         }
@@ -55,7 +55,7 @@ fn run(policy: Policy) -> (f64, f64, usize) {
     (under_secs, node_seconds / 60.0, max_nodes)
 }
 
-fn main() {
+pub fn run() {
     header("Ablation: autoscaler target rule (combined vs avg-only vs max-only)");
     println!(
         "{:>10} {:>18} {:>16} {:>10}",
@@ -66,7 +66,7 @@ fn main() {
         ("avg-only", Policy::AvgOnly),
         ("max-only", Policy::MaxOnly),
     ] {
-        let (under, node_min, max_nodes) = run(policy);
+        let (under, node_min, max_nodes) = replay(policy);
         println!("{name:>10} {under:>17.0}s {node_min:>16.1} {max_nodes:>10}");
     }
     println!("\nExpected: avg-only under-provisions through the spike; max-only");

@@ -8,9 +8,9 @@
 //! same controlled sweeps and evaluated on held-out mixed workloads
 //! against the ground-truth cost model.
 
+use crate::header;
 use crdb_accounting::model::WorkloadFeatures;
 use crdb_accounting::training::train_model;
-use crdb_bench::header;
 use crdb_kv::cost::CostModel;
 
 /// Ground truth: the simulator's cost model (reads + writes with
@@ -39,7 +39,7 @@ fn ground_truth(truth: &CostModel, w: &WorkloadFeatures) -> f64 {
     cpu
 }
 
-fn main() {
+pub fn run() {
     header("Ablation: six-feature eCPU model vs single linear bytes model");
     let truth = CostModel::default();
 

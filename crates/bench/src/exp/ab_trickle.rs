@@ -11,8 +11,8 @@
 //! lump-grant whatever remains. We compare stall counts and the
 //! variability of per-second work completed.
 
+use crate::header;
 use crdb_accounting::bucket::{BucketClient, BucketServer, ClientConfig, GrantResponse};
-use crdb_bench::header;
 use crdb_util::time::SimTime;
 use crdb_util::SqlInstanceId;
 
@@ -27,7 +27,7 @@ fn t(s: f64) -> SimTime {
 /// The naive server grants whatever lump sum is available and *nothing*
 /// when dry — the client then stops entirely until its next poll, the
 /// stop/start behaviour §5.2.2 describes.
-fn run(trickle: bool) -> (u64, Vec<f64>, f64, f64) {
+fn overload(trickle: bool) -> (u64, Vec<f64>, f64, f64) {
     let mut server = BucketServer::new(1.0); // 1000 tokens/s
     let mut client = BucketClient::new(SqlInstanceId(1), ClientConfig::default());
     let mut per_window = Vec::new(); // 100ms windows
@@ -97,10 +97,10 @@ fn run(trickle: bool) -> (u64, Vec<f64>, f64, f64) {
     (long_pauses, per_window, mean, var.sqrt())
 }
 
-fn main() {
+pub fn run() {
     header("Ablation: trickle grants vs naive lump-sum grants under sustained overload");
-    let (pauses_t, _, mean_t, sd_t) = run(true);
-    let (pauses_n, _, mean_n, sd_n) = run(false);
+    let (pauses_t, _, mean_t, sd_t) = overload(true);
+    let (pauses_n, _, mean_n, sd_n) = overload(false);
     println!(
         "{:>12} {:>16} {:>18} {:>20}",
         "server", "pauses >=200ms", "tokens/s (mean)", "100ms-window stddev"

@@ -12,17 +12,16 @@
 //!     aware (global + regional-by-row tables) versus pinned to
 //!     asia-southeast1. Paper: optimized p50 ≤ 0.73 s in every region.
 //!
-//! Self-gating (exit 1 unless all hold): with `system.sql_instances`
+//! Self-gating (the process exits 1 unless all hold): with `system.sql_instances`
 //! regional by row for real, an optimized multi-region cold start costs
 //! what a single-region one does, so every optimized p50 of (b) is
 //! within 5 % of (a)'s optimized p50; the worst of them is ≤ 0.73 s; and
 //! outside asia the unoptimized p50 is at least twice the optimized one.
 
 use std::cell::RefCell;
-use std::process::ExitCode;
 use std::rc::Rc;
 
-use crdb_bench::header;
+use crate::header;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::{Location, Sim, Topology};
 use crdb_util::time::dur;
@@ -115,7 +114,7 @@ fn run_panel_b(optimized: bool, probes: usize) -> Vec<(String, f64, f64)> {
     out
 }
 
-fn main() -> ExitCode {
+pub fn run() {
     let probes = 200;
 
     header("Figure 10a: cold start latency, unoptimized vs pre-warmed SQL process");
@@ -159,8 +158,7 @@ fn main() -> ExitCode {
     }
     if failures.is_empty() {
         println!("gates: optimized p50 within 5% of single-region in every region, worst <= 0.73s, unoptimized >= 2x outside asia: ok");
-        ExitCode::SUCCESS
     } else {
-        ExitCode::FAILURE
+        std::process::exit(1);
     }
 }

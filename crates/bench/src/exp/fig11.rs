@@ -16,7 +16,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use crdb_bench::{dedicated_fixture, header, load, serverless_fixture};
+use crate::{dedicated_fixture, header, load, measure, serverless_fixture, Deployment};
 use crdb_core::ServerlessConfig;
 use crdb_kv::cluster::KvClusterConfig;
 use crdb_sim::{Sim, Topology};
@@ -156,9 +156,10 @@ fn workloads() -> Vec<Workload> {
     w
 }
 
-const MEASURE_SECS: u64 = 90;
+const WINDOW: Duration = Duration::from_secs(90);
+const DRAIN: Duration = Duration::from_secs(10);
 
-fn main() {
+pub fn run() {
     header("Figure 11: estimated Serverless CPU vs actual Dedicated CPU (23 workloads)");
     println!(
         "{:>12} {:>14} {:>14} {:>9} {:>8}",
@@ -179,15 +180,13 @@ fn main() {
         let e0 = cluster.tenant_ecpu_seconds(tenant);
         let driver = Driver::new(
             &sim,
-            Rc::clone(&ex),
+            ex,
             DriverConfig { workers: wl.workers, think_time: wl.think, max_retries: 20 },
             Rc::clone(&wl.factory),
         );
-        let end = sim.now() + dur::secs(MEASURE_SECS);
-        driver.run_until(end);
-        sim.run_until(end + dur::secs(10));
+        let deployment = Deployment::Serverless(&cluster, tenant);
+        let est_txns = measure(&sim, &deployment, &driver, WINDOW, DRAIN).committed;
         let est_total = cluster.tenant_ecpu_seconds(tenant) - e0;
-        let est_txns = *driver.stats.committed.borrow();
 
         // Dedicated run: measured CPU.
         let sim = Sim::new(21_000 + i as u64);
@@ -196,21 +195,16 @@ fn main() {
         let (dcluster, dex) =
             dedicated_fixture(&sim, Topology::single_region("us-central1", 3), kv, sql);
         load(&sim, &dex, &wl.schema, &wl.data);
-        let c0 = dcluster.total_cpu_seconds();
         let ddriver = Driver::new(
             &sim,
-            Rc::clone(&dex),
+            dex,
             DriverConfig { workers: wl.workers, think_time: wl.think, max_retries: 20 },
             wl.factory,
         );
-        let end = sim.now() + dur::secs(MEASURE_SECS);
-        ddriver.run_until(end);
-        sim.run_until(end + dur::secs(10));
-        let act_total = dcluster.total_cpu_seconds() - c0;
-        let act_txns = *ddriver.stats.committed.borrow();
+        let actual = measure(&sim, &Deployment::Dedicated(&dcluster), &ddriver, WINDOW, DRAIN);
 
         let est = est_total / est_txns.max(1) as f64;
-        let act = act_total / act_txns.max(1) as f64;
+        let act = actual.cpu_seconds / actual.committed.max(1) as f64;
         let ratio = est / act;
         let ok = (ratio - 1.0).abs() <= 0.2;
         if ok {

@@ -20,14 +20,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crdb_bench::{header, kv_cpu_total};
+use crate::header;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::timeseries::{render_table, TimeSeries};
 use crdb_sim::Sim;
 use crdb_util::time::{dur, SimTime};
-use crdb_util::TenantId;
-use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{run_setup, ServerlessExec, ServerlessExecutor};
+use crdb_util::{RegionId, TenantId};
+use crdb_workload::driver::{Driver, DriverConfig};
+use crdb_workload::executors::load_tenant;
 use crdb_workload::tpcc;
 
 const COST_SCALE: f64 = 50.0;
@@ -35,12 +35,8 @@ const NOISY_TENANTS: usize = 3;
 /// Workers (= warehouses) per noisy tenant. Sized to overload the
 /// cluster: 96 since PR 12 roughly halved the CPU a New-Order costs
 /// (48 no longer pegged the nodes, so "No Limits" had nothing to limit).
-fn noisy_workers() -> usize {
-    std::env::var("T1_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(96)
-}
-fn measure_secs() -> u64 {
-    std::env::var("T1_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(180)
-}
+const NOISY_WORKERS: usize = 96;
+const MEASURE_SECS: u64 = 180;
 
 struct ConfigResult {
     label: &'static str,
@@ -85,7 +81,7 @@ fn run_config(
 
     // Noisy tenants: one warehouse per worker, no think time.
     let noisy_cfg = tpcc::TpccConfig {
-        warehouses: noisy_workers() as u64,
+        warehouses: NOISY_WORKERS as u64,
         districts_per_warehouse: 2,
         customers_per_district: 5,
         items: 30,
@@ -93,16 +89,18 @@ fn run_config(
     };
     let mut noisy_drivers = Vec::new();
     for i in 0..NOISY_TENANTS {
-        let tenant = cluster.create_tenant(vec![crdb_util::RegionId(0)], noisy_quota);
-        let ex = ServerlessExecutor::new(Rc::clone(&cluster), tenant);
-        let ex: Rc<dyn SqlExecutor> = Rc::new(ServerlessExec(ex));
-        let mut stmts: Vec<String> = tpcc::schema().iter().map(|s| s.to_string()).collect();
-        stmts.extend(tpcc::load_statements(&noisy_cfg));
-        run_setup(&sim, &ex, &stmts);
+        let (tenant, ex) = load_tenant(
+            &sim,
+            &cluster,
+            vec![RegionId(0)],
+            noisy_quota,
+            &tpcc::schema(),
+            &tpcc::load_statements(&noisy_cfg),
+        );
         let driver = Driver::new(
             &sim,
-            Rc::clone(&ex),
-            DriverConfig { workers: noisy_workers(), think_time: None, max_retries: 30 },
+            ex,
+            DriverConfig { workers: NOISY_WORKERS, think_time: None, max_retries: 30 },
             tpcc::new_order_only_factory(noisy_cfg.clone(), 1200 + i as u64),
         );
         noisy_drivers.push((tenant, driver));
@@ -116,15 +114,17 @@ fn run_config(
         items: 30,
         order_lines: 5,
     };
-    let test_tenant = cluster.create_tenant(vec![crdb_util::RegionId(0)], None);
-    let test_ex = ServerlessExecutor::new(Rc::clone(&cluster), test_tenant);
-    let test_ex: Rc<dyn SqlExecutor> = Rc::new(ServerlessExec(test_ex));
-    let mut stmts: Vec<String> = tpcc::schema().iter().map(|s| s.to_string()).collect();
-    stmts.extend(tpcc::load_statements(&test_cfg));
-    run_setup(&sim, &test_ex, &stmts);
+    let (test_tenant, test_ex) = load_tenant(
+        &sim,
+        &cluster,
+        vec![RegionId(0)],
+        None,
+        &tpcc::schema(),
+        &tpcc::load_statements(&test_cfg),
+    );
     let test_driver = Driver::new(
         &sim,
-        Rc::clone(&test_ex),
+        test_ex,
         DriverConfig { workers: 10, think_time: Some(dur::ms(500)), max_retries: 30 },
         tpcc::mix_factory(test_cfg, 1300),
     );
@@ -161,7 +161,7 @@ fn run_config(
         let last_busy = RefCell::new(vec![0.0f64; node_ids.len()]);
         let last_ecpu = RefCell::new(vec![0.0f64; all_tenants.len()]);
         let last_t = RefCell::new(sim.now());
-        let sample_until = sim.now() + dur::secs(3600 + measure_secs());
+        let sample_until = sim.now() + dur::secs(3600 + MEASURE_SECS);
         sim.schedule_periodic(dur::secs(15), move || {
             let now = sim2.now();
             if now > sample_until {
@@ -195,7 +195,7 @@ fn run_config(
     let transfers0 = cluster.kv.lease_transfers();
     let bumps0 = cluster.kv.epoch_bumps();
     let start = sim.now();
-    let end = start + dur::secs(measure_secs());
+    let end = start + dur::secs(MEASURE_SECS);
     for (_, d) in &noisy_drivers {
         d.run_until(end);
     }
@@ -216,8 +216,7 @@ fn run_config(
     }
 
     let (p50, p99) = test_driver.stats.latency_quantiles();
-    let tpmc = test_driver.stats.per_minute("new_order", dur::secs(measure_secs()));
-    let _ = kv_cpu_total(&cluster);
+    let tpmc = test_driver.stats.per_minute("new_order", dur::secs(MEASURE_SECS));
     ConfigResult {
         label,
         p50,
@@ -248,7 +247,7 @@ fn bounded_stats(s: &TimeSeries, from: SimTime, to: SimTime) -> (f64, f64) {
     (mean, sd)
 }
 
-fn main() {
+pub fn run() {
     header("Figures 12/13 + Table 1: noisy neighbors vs admission control and eCPU limits");
     println!("3 KV nodes x 16 vCPU; 3 noisy tenants (TPC-C no-wait, 1 worker/warehouse);");
     println!(

@@ -11,11 +11,11 @@
 //! piecewise-linear approximation, reproducing the training methodology of
 //! §5.2.1.
 
+use crate::header;
 use crdb_accounting::training::{sweep_workload, train_model, Feature};
-use crdb_bench::header;
 use crdb_kv::cost::CostModel;
 
-fn main() {
+pub fn run() {
     header("Figure 5: write batches/s vs CPU efficiency (ground truth vs fitted model)");
 
     let truth = CostModel::default();

@@ -13,11 +13,7 @@
 //! - TPC-H Q9 (join-heavy): similar efficiency — index joins issue remote
 //!   point lookups in both modes.
 
-use std::rc::Rc;
-
-use crdb_bench::{
-    dedicated_fixture, header, kv_cpu_total, load, serverless_fixture, sql_cpu_total,
-};
+use crate::{dedicated_fixture, header, load, measure, serverless_fixture, Deployment, RunResult};
 use crdb_core::ServerlessConfig;
 use crdb_kv::cluster::KvClusterConfig;
 use crdb_sim::{Sim, Topology};
@@ -25,13 +21,6 @@ use crdb_sql::node::SqlNodeConfig;
 use crdb_util::time::dur;
 use crdb_workload::driver::{Driver, DriverConfig, TxnFactory};
 use crdb_workload::{tpcc, tpch};
-
-struct RunResult {
-    cpu_seconds: f64,
-    p50: f64,
-    p99: f64,
-    committed: u64,
-}
 
 const MEASURE_SECS: u64 = 120;
 
@@ -52,21 +41,14 @@ fn run_on_serverless(
     let (cluster, tenant, ex) = serverless_fixture(&sim, config, None);
     load(&sim, &ex, &setup.0, &setup.1);
 
-    let kv0 = kv_cpu_total(&cluster);
-    let sql0 = sql_cpu_total(&cluster, tenant);
     let driver = Driver::new(
         &sim,
-        Rc::clone(&ex),
+        ex,
         DriverConfig { workers, think_time: think, max_retries: 20 },
         factory,
     );
-    let end = sim.now() + dur::secs(MEASURE_SECS);
-    driver.run_until(end);
-    sim.run_until(end + dur::secs(30));
-    let cpu = (kv_cpu_total(&cluster) - kv0) + (sql_cpu_total(&cluster, tenant) - sql0);
-    let (p50, p99) = driver.stats.latency_quantiles();
-    let committed = *driver.stats.committed.borrow();
-    RunResult { cpu_seconds: cpu, p50, p99, committed }
+    let deployment = Deployment::Serverless(&cluster, tenant);
+    measure(&sim, &deployment, &driver, dur::secs(MEASURE_SECS), dur::secs(30))
 }
 
 fn run_on_dedicated(
@@ -82,20 +64,13 @@ fn run_on_dedicated(
     let (cluster, ex) = dedicated_fixture(&sim, Topology::single_region("us-central1", 3), kv, sql);
     load(&sim, &ex, &setup.0, &setup.1);
 
-    let cpu0 = cluster.total_cpu_seconds();
     let driver = Driver::new(
         &sim,
-        Rc::clone(&ex),
+        ex,
         DriverConfig { workers, think_time: think, max_retries: 20 },
         factory,
     );
-    let end = sim.now() + dur::secs(MEASURE_SECS);
-    driver.run_until(end);
-    sim.run_until(end + dur::secs(30));
-    let cpu = cluster.total_cpu_seconds() - cpu0;
-    let (p50, p99) = driver.stats.latency_quantiles();
-    let committed = *driver.stats.committed.borrow();
-    RunResult { cpu_seconds: cpu, p50, p99, committed }
+    measure(&sim, &Deployment::Dedicated(&cluster), &driver, dur::secs(MEASURE_SECS), dur::secs(30))
 }
 
 fn report(name: &str, serverless: &RunResult, traditional: &RunResult) {
@@ -118,7 +93,7 @@ fn report(name: &str, serverless: &RunResult, traditional: &RunResult) {
     );
 }
 
-fn main() {
+pub fn run() {
     header("Figure 6: CPU and latency, Serverless vs Traditional (3 VMs x 8 vCPU)");
 
     // TPC-C: stock configuration with think time.

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crdb_bench::header;
+use crate::header;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::Sim;
 use crdb_util::time::dur;
@@ -46,9 +46,9 @@ fn panel_a() {
         for _ in 0..n {
             cluster.create_tenant(vec![RegionId(0)], None);
         }
-        let cpu_before: f64 = crdb_bench::kv_cpu_total(&cluster);
+        let cpu_before: f64 = crate::kv_cpu_total(&cluster);
         sim.run_for(dur::secs(60));
-        let cpu_after: f64 = crdb_bench::kv_cpu_total(&cluster);
+        let cpu_after: f64 = crate::kv_cpu_total(&cluster);
 
         let control = cluster.kv.control_memory_bytes() as u64;
         let mem_per_tenant =
@@ -91,11 +91,11 @@ fn panel_b() {
         sim.run_for(dur::secs(30));
         assert_eq!(conns.borrow().len(), n, "all idle tenants connected");
 
-        let kv_cpu_before = crdb_bench::kv_cpu_total(&cluster);
+        let kv_cpu_before = crate::kv_cpu_total(&cluster);
         // Idle SQL nodes keep their CPU trickle: liveness, metrics and
         // accounting loops run, queries do not.
         sim.run_for(dur::secs(120));
-        let kv_cpu_after = crdb_bench::kv_cpu_total(&cluster);
+        let kv_cpu_after = crate::kv_cpu_total(&cluster);
         let kv_cpu_per_tenant = (kv_cpu_after - kv_cpu_before) / 120.0 / n as f64;
         let kv_mem_per_tenant = (FIXED_CLUSTER_BYTES + cluster.kv.control_memory_bytes() as u64)
             / n as u64
@@ -119,7 +119,7 @@ fn panel_b() {
     println!(" an idle SQL node: 180 MiB, 0.15 CPU-s/s)");
 }
 
-fn main() {
+pub fn run() {
     panel_a();
     panel_b();
 }

@@ -7,19 +7,17 @@
 //! of `LoadTrace::fig8_profile` (DESIGN.md §1), driven at scaled cost so a
 //! few dozen workers produce multi-vCPU load.
 
-// simlint: allow-file(wall-clock) — bench harness: measures real elapsed
-// wall time of the simulation run itself, outside the deterministic sim clock
-
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use crdb_bench::{header, serverless_fixture};
-use crdb_core::ServerlessConfig;
+use crate::header;
+use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::timeseries::{render_table, TimeSeries};
 use crdb_sim::Sim;
 use crdb_util::time::{dur, SimTime};
+use crdb_util::RegionId;
 use crdb_workload::driver::{run_script, SqlExecutor};
-use crdb_workload::executors::run_setup;
+use crdb_workload::executors::load_tenant;
 use crdb_workload::trace::LoadTrace;
 use crdb_workload::ycsb;
 
@@ -28,7 +26,7 @@ const WORKERS_AT_FULL: usize = 24;
 const MAX_WORKERS: usize = 40;
 const COST_SCALE: f64 = 600.0;
 
-fn main() {
+pub fn run() {
     header("Figure 8: SQL nodes scale with CPU utilization (synthetic multi-hour trace)");
 
     let sim = Sim::new(88);
@@ -37,26 +35,24 @@ fn main() {
     config.sql = config.sql.scaled(COST_SCALE);
     config.sql.idle_cpu_per_second = 0.05;
     config.autoscaler.suspend_after = dur::mins(30);
-    let (cluster, tenant, ex) = serverless_fixture(&sim, config, None);
+    let cluster = ServerlessCluster::new(&sim, config);
 
     let cfg = ycsb::YcsbConfig { records: 300, ..ycsb::YcsbConfig::workload_b() };
-    let mut stmts: Vec<String> = ycsb::schema().iter().map(|s| s.to_string()).collect();
-    stmts.extend(ycsb::load_statements(&cfg));
-    run_setup(&sim, &ex, &stmts);
+    let (tenant, ex) = load_tenant(
+        &sim,
+        &cluster,
+        vec![RegionId(0)],
+        None,
+        &ycsb::schema(),
+        &ycsb::load_statements(&cfg),
+    );
 
     // Trace-controlled offered load: worker `i` runs only while
     // `i < level(t) * MAX_WORKERS`.
     // The multi-hour profile, time-compressed 3x for simulation speed
     // (the autoscaler's absolute windows are unchanged, so tracking is,
     // if anything, harder than in the paper).
-    let trace = Rc::new(if std::env::var("FIG8_SHORT").is_ok() {
-        LoadTrace::new()
-            .hold(dur::mins(3), 0.2)
-            .ramp(dur::mins(3), 0.2, 1.0)
-            .hold(dur::mins(4), 1.0)
-    } else {
-        LoadTrace::fig8_profile().compressed(3.0)
-    });
+    let trace = Rc::new(LoadTrace::fig8_profile().compressed(3.0));
     let t0 = sim.now();
     let factory = ycsb::factory(cfg, 88);
     let active_target = Rc::new(Cell::new(0usize));
@@ -100,8 +96,6 @@ fn main() {
             Box::new(move |r| {
                 if r.is_ok() {
                     completed.set(completed.get() + 1);
-                } else if std::env::var("FIG8_DEBUG").is_ok() {
-                    eprintln!("worker {idx} error: {:?}", r.err().map(|e| e.to_string()));
                 }
                 let sim3 = sim2.clone();
                 sim2.schedule_after(dur::ms(100), move || {
@@ -139,7 +133,7 @@ fn main() {
         let last_t = Cell::new(sim.now());
         sim.schedule_periodic(dur::mins(1), move || {
             let now = sim2.now();
-            let cpu = crdb_bench::sql_cpu_total(&cluster2, tenant);
+            let cpu = crate::sql_cpu_total(&cluster2, tenant);
             let dt = now.duration_since(last_t.get()).as_secs_f64();
             // Shutdown of a drained node removes its cumulative CPU from
             // the sum; clamp the delta (the node's history is gone, not
@@ -155,21 +149,6 @@ fn main() {
         });
     }
 
-    if let Ok(mins) = std::env::var("FIG8_LIMIT_MINS") {
-        let mins: u64 = mins.parse().unwrap();
-        for m in 0..mins {
-            let t0 = std::time::Instant::now();
-            let e0 = sim.events_executed();
-            sim.run_for(dur::mins(1));
-            eprintln!(
-                "sim min {}: {} events, {:?} wall",
-                m + 1,
-                sim.events_executed() - e0,
-                t0.elapsed()
-            );
-        }
-        return;
-    }
     sim.run_until(end + dur::mins(5));
 
     let series = [usage.borrow().clone(), capacity.borrow().clone(), nodes.borrow().clone()];
@@ -196,18 +175,4 @@ fn main() {
         cluster.sql_node_count(tenant),
         completed.get()
     );
-    if std::env::var("FIG8_DEBUG").is_ok() {
-        eprintln!("total sql cpu: {}", crdb_bench::sql_cpu_total(&cluster, tenant));
-        cluster.registry.with_tenant(tenant, |e| {
-            for n in &e.nodes {
-                eprintln!(
-                    "node {}: cpu {} sessions {} cfg/stmt {}",
-                    n.instance_id,
-                    n.sql_cpu_seconds(),
-                    n.session_count(),
-                    n.config.cpu_per_statement
-                );
-            }
-        });
-    }
 }

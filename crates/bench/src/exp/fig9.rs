@@ -15,19 +15,19 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use crdb_bench::{header, serverless_fixture};
-use crdb_core::ServerlessConfig;
+use crate::header;
+use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::timeseries::{render_table, TimeSeries};
 use crdb_sim::Sim;
 use crdb_util::time::dur;
-use crdb_util::Histogram;
+use crdb_util::{Histogram, RegionId};
 use crdb_workload::driver::{Driver, DriverConfig};
-use crdb_workload::executors::run_setup;
+use crdb_workload::executors::load_tenant;
 use crdb_workload::ycsb;
 
 const COST_SCALE: f64 = 400.0;
 
-fn main() {
+pub fn run() {
     header("Figure 9: rolling upgrade of 3 SQL nodes under steady load");
 
     let sim = Sim::new(9_9);
@@ -36,12 +36,17 @@ fn main() {
     config.sql = config.sql.scaled(COST_SCALE);
     // Faster rebalancing so drained nodes empty quickly.
     config.proxy.rebalance_interval = dur::secs(2);
-    let (cluster, tenant, ex) = serverless_fixture(&sim, config, None);
+    let cluster = ServerlessCluster::new(&sim, config);
 
     let cfg = ycsb::YcsbConfig { records: 400, ..ycsb::YcsbConfig::workload_b() };
-    let mut stmts: Vec<String> = ycsb::schema().iter().map(|s| s.to_string()).collect();
-    stmts.extend(ycsb::load_statements(&cfg));
-    run_setup(&sim, &ex, &stmts);
+    let (tenant, ex) = load_tenant(
+        &sim,
+        &cluster,
+        vec![RegionId(0)],
+        None,
+        &ycsb::schema(),
+        &ycsb::load_statements(&cfg),
+    );
 
     // Steady load from 24 long-lived connections, enough to hold 3 nodes.
     let driver = Driver::new(

@@ -1,17 +1,20 @@
-//! Shared harness for the experiment binaries.
+//! Shared harness for the experiments and soaks.
 //!
-//! One binary per paper table/figure (see DESIGN.md §4 and
-//! EXPERIMENTS.md). Experiments run at *scaled cost* (`CostModel::scaled`)
-//! so saturation dynamics appear at simulation-friendly request rates; all
-//! comparisons in the paper are ratios and shapes, which scaling
-//! preserves.
+//! One module per paper table/figure under [`exp`], all behind the `exp`
+//! binary (see DESIGN.md §4 and EXPERIMENTS.md). Experiments run at
+//! *scaled cost* (`CostModel::scaled`) so saturation dynamics appear at
+//! simulation-friendly request rates; all comparisons in the paper are
+//! ratios and shapes, which scaling preserves.
 
 pub mod chaos;
 pub mod disaster;
+pub mod exp;
 pub mod scale;
+mod soak;
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Duration;
 
 use crdb_core::{DedicatedCluster, ServerlessCluster, ServerlessConfig};
 use crdb_kv::cluster::KvClusterConfig;
@@ -19,21 +22,14 @@ use crdb_sim::{Sim, Topology};
 use crdb_sql::node::SqlNodeConfig;
 use crdb_util::time::dur;
 use crdb_util::{RegionId, TenantId};
-use crdb_workload::driver::SqlExecutor;
-use crdb_workload::executors::{
-    run_setup, DedicatedExec, DedicatedExecutor, ServerlessExec, ServerlessExecutor,
-};
+use crdb_workload::driver::{Driver, SqlExecutor};
+use crdb_workload::executors::{run_setup, DedicatedExecutor, ServerlessExecutor};
 
 /// Prints an experiment header.
 pub fn header(title: &str) {
     println!("\n{}", "=".repeat(72));
     println!("{title}");
     println!("{}", "=".repeat(72));
-}
-
-/// Formats seconds with millisecond precision.
-pub fn fmt_secs(s: f64) -> String {
-    format!("{s:.3}s")
 }
 
 /// Builds a serverless cluster + executor for one tenant.
@@ -45,7 +41,7 @@ pub fn serverless_fixture(
     let cluster = ServerlessCluster::new(sim, config);
     let tenant = cluster.create_tenant(vec![RegionId(0)], quota_vcpus);
     let ex = ServerlessExecutor::new(Rc::clone(&cluster), tenant);
-    (cluster, tenant, Rc::new(ServerlessExec(ex)) as Rc<dyn SqlExecutor>)
+    (cluster, tenant, ex)
 }
 
 /// Builds a dedicated cluster + executor.
@@ -57,7 +53,7 @@ pub fn dedicated_fixture(
 ) -> (Rc<DedicatedCluster>, Rc<dyn SqlExecutor>) {
     let cluster = DedicatedCluster::new(sim, topology, kv, sql);
     let ex = DedicatedExecutor::new(Rc::clone(&cluster));
-    (cluster, Rc::new(DedicatedExec(ex)) as Rc<dyn SqlExecutor>)
+    (cluster, ex)
 }
 
 /// Loads a schema + data through an executor, then ANALYZEs every table so
@@ -67,6 +63,60 @@ pub fn load(sim: &Sim, ex: &Rc<dyn SqlExecutor>, schema: &[&str], data: &[String
     stmts.extend(data.iter().cloned());
     stmts.extend(crdb_workload::analyze_statements(schema));
     run_setup(sim, ex, &stmts);
+}
+
+/// The deployment a run is measured on: which CPU counter is its cost.
+pub enum Deployment<'a> {
+    /// Shared KV nodes plus the tenant's own SQL nodes.
+    Serverless(&'a ServerlessCluster, TenantId),
+    /// Fused KV+SQL VMs.
+    Dedicated(&'a DedicatedCluster),
+}
+
+impl Deployment<'_> {
+    /// Cumulative CPU-seconds the deployment has burned so far.
+    fn cpu_seconds(&self) -> f64 {
+        match self {
+            Deployment::Serverless(cluster, tenant) => {
+                kv_cpu_total(cluster) + sql_cpu_total(cluster, *tenant)
+            }
+            Deployment::Dedicated(cluster) => cluster.total_cpu_seconds(),
+        }
+    }
+}
+
+/// What one measured window produced.
+pub struct RunResult {
+    /// CPU-seconds burned across the window and its drain.
+    pub cpu_seconds: f64,
+    /// Median transaction latency, seconds.
+    pub p50: f64,
+    /// 99th-percentile transaction latency, seconds.
+    pub p99: f64,
+    /// Committed transactions.
+    pub committed: u64,
+}
+
+/// Runs `driver` for `window`, lets in-flight work finish for `drain`, and
+/// reports the deployment's CPU delta with the driver's latency and commits.
+pub fn measure(
+    sim: &Sim,
+    deployment: &Deployment,
+    driver: &Rc<Driver>,
+    window: Duration,
+    drain: Duration,
+) -> RunResult {
+    let cpu0 = deployment.cpu_seconds();
+    let end = sim.now() + window;
+    driver.run_until(end);
+    sim.run_until(end + drain);
+    let (p50, p99) = driver.stats.latency_quantiles();
+    RunResult {
+        cpu_seconds: deployment.cpu_seconds() - cpu0,
+        p50,
+        p99,
+        committed: *driver.stats.committed.borrow(),
+    }
 }
 
 /// Total KV CPU-seconds consumed across a serverless cluster's KV nodes.

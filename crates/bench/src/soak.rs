@@ -1,0 +1,91 @@
+//! What the chaos and disaster soaks share: one tenant's TPC-C-lite
+//! workload, and the two invariants both soaks check on it afterwards.
+
+use std::rc::Rc;
+use std::time::Duration;
+
+use crdb_core::ServerlessCluster;
+use crdb_sim::Sim;
+use crdb_util::{RegionId, TenantId};
+use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
+use crdb_workload::executors::load_tenant;
+use crdb_workload::tpcc;
+
+use crate::exec_one;
+
+/// One tenant's workload plus the bookkeeping its invariants need.
+pub(crate) struct TenantRun {
+    pub tag: &'static str,
+    /// The tenant's first (home) region.
+    pub home: RegionId,
+    pub tenant: TenantId,
+    pub executor: Rc<dyn SqlExecutor>,
+    pub driver: Rc<Driver>,
+    initial_orders: i64,
+}
+
+impl TenantRun {
+    /// Creates tenant `tag` in `regions`, loads soak-scale TPC-C-lite and
+    /// the tenant's `secrets` marker row, and builds (without starting)
+    /// its closed-loop driver.
+    pub(crate) fn load(
+        sim: &Sim,
+        cluster: &Rc<ServerlessCluster>,
+        tag: &'static str,
+        regions: Vec<RegionId>,
+        workers: usize,
+        think_time: Duration,
+        seed: u64,
+    ) -> TenantRun {
+        let cfg = tpcc::TpccConfig {
+            warehouses: 2,
+            districts_per_warehouse: 2,
+            customers_per_district: 5,
+            items: 20,
+            order_lines: 3,
+        };
+        let home = regions[0];
+        let mut data = tpcc::load_statements(&cfg);
+        data.push("CREATE TABLE secrets (id INT PRIMARY KEY, v STRING)".to_string());
+        data.push(format!("INSERT INTO secrets VALUES (1, 'tenant-{tag}')"));
+        let (tenant, executor) = load_tenant(sim, cluster, regions, None, &tpcc::schema(), &data);
+        let initial_orders = count_orders(sim, &executor);
+        let driver = Driver::new(
+            sim,
+            Rc::clone(&executor),
+            DriverConfig { workers, think_time: Some(think_time), max_retries: 30 },
+            tpcc::mix_factory(cfg, seed),
+        );
+        TenantRun { tag, home, tenant, executor, driver, initial_orders }
+    }
+
+    /// Durability — every acknowledged New-Order commit is readable (`≥`:
+    /// a commit whose acknowledgment was lost may be retried and land
+    /// twice; losing an *acked* commit is the violation) — and isolation —
+    /// `secrets` holds exactly this tenant's marker row. Both run through
+    /// the executor that lived through the faults.
+    pub(crate) fn check_invariants(&self, sim: &Sim, violations: &mut Vec<String>) {
+        let committed_orders =
+            self.driver.stats.by_label.borrow().get("new_order").copied().unwrap_or(0) as i64;
+        let final_orders = count_orders(sim, &self.executor);
+        if final_orders < self.initial_orders + committed_orders {
+            violations.push(format!(
+                "tenant {}: acknowledged commits lost: {} orders on disk < {} initial + {} committed",
+                self.tag, final_orders, self.initial_orders, committed_orders
+            ));
+        }
+        let secrets = exec_one(sim, &self.executor, "SELECT v FROM secrets ORDER BY id", vec![]);
+        let expect = format!("tenant-{}", self.tag);
+        if secrets.rows.len() != 1 || secrets.rows[0][0].to_string() != expect {
+            violations.push(format!(
+                "tenant {}: cross-tenant leak: secrets = {:?}, expected [[{expect}]]",
+                self.tag, secrets.rows
+            ));
+        }
+    }
+}
+
+fn count_orders(sim: &Sim, ex: &Rc<dyn SqlExecutor>) -> i64 {
+    let out = exec_one(sim, ex, "SELECT COUNT(*) FROM orders", vec![]);
+    out.rows[0][0].as_i64().expect("count is an integer")
+}

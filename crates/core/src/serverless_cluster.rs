@@ -31,10 +31,12 @@ use crdb_sql::node::{instance_partition_start, ExecMode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::slab::{Slab, Slot};
-use crdb_util::time::dur;
 use crdb_util::{RegionId, SqlInstanceId, TenantId};
 
 use crate::tenant::{estimated_kv_cpu_seconds, TenantInfo};
+
+/// Accounting loop interval.
+const ACCOUNTING_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Configuration for a serverless deployment.
 #[derive(Clone)]
@@ -56,8 +58,6 @@ pub struct ServerlessConfig {
     /// Whether tenant system databases get the §3.2.5 multi-region
     /// optimizations.
     pub multi_region_optimized: bool,
-    /// Accounting loop interval.
-    pub accounting_interval: Duration,
     /// The estimated-CPU model used for billing and quota enforcement
     /// (scale it together with the cost model in scaled experiments).
     pub ecpu_model: EcpuModel,
@@ -74,7 +74,6 @@ impl Default for ServerlessConfig {
             proxy: ProxyConfig::default(),
             pipeline: PipelineConfig::direct(),
             multi_region_optimized: true,
-            accounting_interval: dur::secs(1),
             ecpu_model: EcpuModel::default_model(),
         }
     }
@@ -317,8 +316,8 @@ impl ServerlessCluster {
             s.counter(&format!("{p}.storage.scan_entries_returned"), m.scan_entries_returned);
         }
 
-        // Per-tenant accounting: bucket server grants, client spend/stalls,
-        // cumulative estimated CPU. Tenant iteration is sorted (index
+        // Per-tenant accounting: bucket server grants, cumulative
+        // estimated CPU. Tenant iteration is sorted (index
         // order) for determinism. Untouched tenants — no quota configured
         // and never charged a single eCPU-second — emit nothing, so a
         // snapshot over 20K suspended-from-birth tenants costs (and
@@ -337,14 +336,6 @@ impl ServerlessCluster {
                     &format!("{p}.bucket.tokens_granted"),
                     q.server.borrow().tokens_granted as u64,
                 );
-                let (spent, stalls) = {
-                    let clients = q.clients.borrow();
-                    let spent: f64 = clients.values().map(|c| c.tokens_spent).sum();
-                    let stalls: u64 = clients.values().map(|c| c.stalls).sum();
-                    (spent, stalls)
-                };
-                s.counter(&format!("{p}.bucket.tokens_spent"), spent as u64);
-                s.counter(&format!("{p}.bucket.stalls"), stalls);
             }
             s.gauge(&format!("{p}.ecpu_seconds"), *info.ecpu_seconds.borrow());
         }
@@ -357,9 +348,8 @@ impl ServerlessCluster {
 
     fn start_accounting_loop(self: &Rc<Self>) {
         let this = Rc::clone(self);
-        let interval = self.config.accounting_interval;
-        self.sim.schedule_periodic(interval, move || {
-            this.run_accounting_step(interval.as_secs_f64());
+        self.sim.schedule_periodic(ACCOUNTING_INTERVAL, move || {
+            this.run_accounting_step(ACCOUNTING_INTERVAL.as_secs_f64());
             true
         });
     }

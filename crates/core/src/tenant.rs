@@ -1,18 +1,17 @@
 //! Per-tenant (virtual cluster) control state and CPU accounting (§5.2).
 //!
 //! Each tenant carries its certificate, region selection, and — when a
-//! quota is configured — a distributed token bucket: a [`BucketServer`]
-//! refilling 1000 tokens/second per quota vCPU, and one [`BucketClient`]
-//! per SQL node. An accounting loop measures each node's actual SQL CPU
+//! quota is configured — a [`BucketServer`] refilling 1000 tokens/second
+//! per quota vCPU. An accounting loop measures each node's actual SQL CPU
 //! plus the tenant's *estimated* KV CPU (from the six-feature model over
-//! observed KV traffic) and charges the bucket; nodes that outrun their
-//! trickle are gated, smoothly slowing their queries instead of
-//! stop/start oscillation.
+//! observed KV traffic) and charges the bucket server after the fact;
+//! nodes that outrun their trickle are gated, smoothly slowing their
+//! queries instead of stop/start oscillation.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use crdb_accounting::bucket::{BucketClient, BucketServer, ClientConfig, GrantResponse};
+use crdb_accounting::bucket::{BucketServer, GrantResponse};
 use crdb_accounting::model::EcpuModel;
 use crdb_kv::auth::TenantCert;
 use crdb_kv::cost::TrafficStats;
@@ -50,8 +49,6 @@ pub struct QuotaState {
     pub vcpus: f64,
     /// The token bucket server (1 token = 1 ms estimated CPU).
     pub server: RefCell<BucketServer>,
-    /// Per-SQL-node clients.
-    pub clients: RefCell<HashMap<SqlInstanceId, BucketClient>>,
     /// Per-node query gates: statements wait until this instant.
     pub gates: RefCell<HashMap<SqlInstanceId, SimTime>>,
 }
@@ -74,7 +71,6 @@ impl TenantInfo {
             quota: quota_vcpus.map(|vcpus| QuotaState {
                 vcpus,
                 server: RefCell::new(BucketServer::new(vcpus)),
-                clients: RefCell::new(HashMap::new()),
                 gates: RefCell::new(HashMap::new()),
             }),
             ecpu_seconds: RefCell::new(0.0),
@@ -112,13 +108,9 @@ impl TenantInfo {
             Some(q) => q,
             None => return,
         };
-        let mut clients = q.clients.borrow_mut();
         let mut gates = q.gates.borrow_mut();
         let mut server = q.server.borrow_mut();
         for &(node, tokens) in usage {
-            // The client tracks the usage window (kept for protocol
-            // fidelity and its own diagnostics).
-            clients.entry(node).or_insert_with(|| BucketClient::new(node, ClientConfig::default()));
             if tokens <= 0.0 {
                 gates.remove(&node);
                 continue;

@@ -12,6 +12,7 @@ use crdb_core::chaos::install_chaos;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_obs::trace::SpanView;
 use crdb_obs::Trace;
+use crdb_serverless::proxy::Connection;
 use crdb_sim::fault::FaultSchedule;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_util::time::dur;
@@ -179,6 +180,72 @@ fn cold_start_trace_is_deterministic() {
 
     let (c, _) = traced_cold_start(12);
     assert_ne!(a.to_json(), c.to_json(), "different seeds ⇒ different timings");
+}
+
+#[test]
+fn cold_start_metrics_snapshot_is_deterministic() {
+    let snapshot = |seed| {
+        let sim = Sim::new(seed);
+        let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
+        let tenant = cluster.create_tenant(vec![RegionId(0)], None);
+        traced_request(&sim, &cluster, tenant);
+        cluster.metrics_snapshot_json()
+    };
+    let a = snapshot(42);
+    assert!(a.contains("\"proxy.cold_starts\":1"), "the run cold-started once: {a}");
+    assert_eq!(a, snapshot(42), "same seed ⇒ byte-identical metrics snapshot");
+}
+
+/// Runs one statement on `conn` to completion.
+fn run_sql(sim: &Sim, cluster: &Rc<ServerlessCluster>, conn: &Rc<Connection>, sql: &str) {
+    let out = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&out);
+    cluster.execute(conn, sql, vec![], move |r| *o.borrow_mut() = Some(r));
+    sim.run_for(dur::secs(60));
+    out.borrow_mut().take().expect("statement completed").unwrap_or_else(|e| panic!("{sql}: {e}"));
+}
+
+#[test]
+fn over_quota_statement_waits_in_a_quota_gate_span() {
+    let sim = Sim::new(43);
+    let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
+    // 0.001 vCPU quota = 1 token/s: any sustained work exceeds it.
+    let tenant = cluster.create_tenant(vec![RegionId(0)], Some(0.001));
+    let slot = Rc::new(RefCell::new(None));
+    let s = Rc::clone(&slot);
+    cluster
+        .connect(tenant, "10.0.0.1", "app", move |r| *s.borrow_mut() = Some(r.expect("connect")));
+    sim.run_for(dur::secs(10));
+    let conn: Rc<Connection> = slot.borrow_mut().take().expect("connected");
+    run_sql(&sim, &cluster, &conn, "CREATE TABLE burn (id INT PRIMARY KEY, v INT)");
+
+    // Burn estimated CPU until the accounting loop gates this node.
+    let info = cluster.tenant(tenant).expect("tenant info");
+    let gated = (0..400).any(|i| {
+        run_sql(&sim, &cluster, &conn, &format!("INSERT INTO burn VALUES ({i}, {i})"));
+        info.gate_until(conn.node().instance_id).is_some_and(|until| until > sim.now())
+    });
+    assert!(gated, "over-quota tenant was never gated");
+
+    let (trace, root) = Trace::start("throttled.request", sim.clock());
+    {
+        let _g = root.enter();
+        let root2 = root.clone();
+        cluster.execute(&conn, "INSERT INTO burn VALUES (100000, 1)", vec![], move |r| {
+            r.expect("gated insert eventually runs");
+            root2.end();
+        });
+    }
+    sim.run_for(dur::secs(60));
+
+    let paths = trace.paths();
+    assert!(
+        paths.iter().any(|p| p.contains("throttled.request/quota.gate")),
+        "expected a quota.gate span under the request; got:\n{}",
+        paths.join("\n")
+    );
+    let gate = trace.find("quota.gate").expect("quota.gate span");
+    assert!(gate.duration() > Duration::ZERO, "the gate actually delayed the statement");
 }
 
 /// The `replication.quorum` wait under the cold start's

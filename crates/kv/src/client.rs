@@ -41,7 +41,6 @@ use crate::auth::TenantCert;
 use crate::batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};
 use crate::cluster::KvCluster;
 use crate::directory::{RangeCache, RangeInfo};
-use crate::hlc::Timestamp;
 use crate::txn::TxnMeta;
 
 /// Maximum redirect/stale-cache retries per sub-batch. Exhaustion
@@ -743,9 +742,4 @@ pub fn make_txn_meta(cluster: &KvCluster, anchor_key: Bytes) -> TxnMeta {
     let id = cluster.begin_txn();
     let ts = cluster.now_ts();
     TxnMeta { txn_id: id, anchor_key, start_ts: ts, write_ts: ts }
-}
-
-/// Helper for tests and single-shot operations: a timestamp for snapshots.
-pub fn snapshot_ts(cluster: &KvCluster) -> Timestamp {
-    cluster.now_ts()
 }

@@ -36,8 +36,6 @@ pub struct KvClusterConfig {
     pub nodes_per_region: usize,
     /// vCPUs per KV node (paper: n2-standard-32 → 32).
     pub vcpus_per_node: f64,
-    /// Disk flush/compaction bandwidth per node, bytes/s.
-    pub disk_rate: f64,
     /// Replication factor (paper default r=3).
     pub replication_factor: usize,
     /// Split threshold per range.
@@ -65,7 +63,6 @@ impl Default for KvClusterConfig {
         KvClusterConfig {
             nodes_per_region: 3,
             vcpus_per_node: 8.0,
-            disk_rate: 64.0 * (1 << 20) as f64,
             replication_factor: 3,
             max_range_bytes: crate::range::DEFAULT_MAX_RANGE_BYTES,
             admission: AdmissionConfig::default(),
@@ -281,7 +278,6 @@ impl KvCluster {
                         NodeId(id),
                         Location::new(region, (i % 3) as u32),
                         config.vcpus_per_node,
-                        config.disk_rate,
                         config.admission.clone(),
                         config.lsm.clone(),
                         Rc::downgrade(&cluster.inner),
@@ -641,11 +637,6 @@ impl KvCluster {
         cert
     }
 
-    /// Issues a certificate for the system tenant (operators only, §3.2.4).
-    pub fn system_cert(&self) -> TenantCert {
-        self.inner.borrow_mut().ca.issue(TenantId::SYSTEM)
-    }
-
     /// Allocates a transaction ID and registers it as pending.
     pub fn begin_txn(&self) -> u64 {
         let mut inner = self.inner.borrow_mut();
@@ -785,11 +776,6 @@ impl KvCluster {
         if let Some(n) = node {
             n.set_alive(alive);
         }
-    }
-
-    /// Whether a node is currently marked alive.
-    pub fn node_is_alive(&self, id: NodeId) -> bool {
-        self.inner.borrow().nodes.get(&id).is_some_and(|n| n.is_alive())
     }
 
     /// Moves the lease of the range containing `key` to `to`, as the

@@ -104,14 +104,6 @@ impl CostModel {
         leader_cost * self.follower_apply_fraction
     }
 
-    /// Extra CPU-seconds charged for returning `bytes` of scan results
-    /// (marshalling rows into RPC responses — the overhead that makes
-    /// full-scan queries 2.3× more expensive in the separated-process
-    /// architecture, §6.1.2).
-    pub fn response_marshal_cpu_seconds(&self, bytes: usize) -> f64 {
-        bytes as f64 * self.read_byte_cost * 2.0
-    }
-
     /// Returns a copy with every CPU cost multiplied by `factor`.
     ///
     /// Experiments use scaled-up costs so that saturation occurs at

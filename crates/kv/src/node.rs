@@ -58,6 +58,9 @@ const TXN_RECORD_PAYLOAD: usize = 32;
 /// share a single fsync.
 pub const FSYNC_INTERVAL: Duration = Duration::from_micros(500);
 
+/// Disk flush/compaction bandwidth per node, bytes/s.
+const DISK_RATE: f64 = 64.0 * (1 << 20) as f64;
+
 /// Concurrent background compaction jobs per node (each claims a disjoint
 /// level pair and is charged to the node's disk).
 const COMPACTION_SLOTS: usize = 2;
@@ -143,13 +146,11 @@ pub struct KvNode {
 }
 
 impl KvNode {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         sim: Sim,
         id: NodeId,
         location: Location,
         vcpus: f64,
-        disk_rate: f64,
         admission_config: AdmissionConfig,
         lsm_config: LsmConfig,
         cluster: Weak<RefCell<ClusterInner>>,
@@ -167,7 +168,7 @@ impl KvNode {
             id,
             location,
             cpu: cpu.clone(),
-            disk: RateResource::new(sim.clone(), disk_rate),
+            disk: RateResource::new(sim.clone(), DISK_RATE),
             engine,
             admission: RefCell::new(AdmissionController::new(admission_config)),
             hlc: Hlc::new(),
@@ -211,9 +212,9 @@ impl KvNode {
             node.last_tick.set((runnable, busy, now));
             true
         });
-        // Write capacity estimation every 15 s from LSM instrumentation.
+        // Write capacity estimation from LSM instrumentation.
         let node = Rc::clone(self);
-        self.sim.schedule_periodic(dur::secs(15), move || {
+        self.sim.schedule_periodic(crdb_admission::write::ESTIMATION_INTERVAL, move || {
             if !node.alive.get() {
                 return true;
             }
@@ -990,22 +991,6 @@ impl KvNode {
     /// Per-tenant cumulative traffic features.
     pub fn traffic_stats(&self, tenant: TenantId) -> TrafficStats {
         self.traffic.borrow().get(&tenant).copied().unwrap_or_default()
-    }
-
-    /// Traffic features summed over all tenants.
-    pub fn traffic_stats_total(&self) -> TrafficStats {
-        let mut total = TrafficStats::default();
-        // simlint: allow(nondet-iter) — all TrafficStats fields are integer counters, so the sum is order-independent
-        for s in self.traffic.borrow().values() {
-            total.read_batches += s.read_batches;
-            total.read_requests += s.read_requests;
-            total.read_bytes += s.read_bytes;
-            total.write_batches += s.write_batches;
-            total.write_requests += s.write_requests;
-            total.write_bytes += s.write_bytes;
-            total.bounded_scan_requests += s.bounded_scan_requests;
-        }
-        total
     }
 
     /// Current admission queue depth (for observability).

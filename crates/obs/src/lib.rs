@@ -11,12 +11,12 @@
 //!   via an ambient, thread-local current-span stack. Because the simulator
 //!   is single-threaded and seeded, a trace of the same request under the
 //!   same seed is identical byte for byte.
-//! - [`metrics`]: a unified [`metrics::Registry`] of typed counters, gauges
-//!   and fixed-bucket histograms, plus pull-based *sources* so components
-//!   that keep their own counters (storage engine metrics, proxy/autoscaler
-//!   counters, token-bucket grant totals, admission queue depths) can be
-//!   sampled at snapshot time without rewriting them. `snapshot_json()` is
-//!   byte-identical across same-seed runs.
+//! - [`metrics`]: a unified [`metrics::Registry`] of pull-based *sources*:
+//!   components keep their own counters (storage engine metrics,
+//!   proxy/autoscaler counters, token-bucket grant totals, admission queue
+//!   depths) and report them as counters, gauges and fixed-bucket
+//!   histograms at snapshot time. `snapshot_json()` is byte-identical
+//!   across same-seed runs.
 //!
 //! Everything here is deterministic: no wall clocks, no random ids, no
 //! hash-order iteration reaches the serialized output.

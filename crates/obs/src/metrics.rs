@@ -15,88 +15,24 @@
 //! `BTreeMap` (no hash-order reaches the output); counter values are exact
 //! integers; gauge/histogram values are `f64`s produced by the deterministic
 //! simulation and formatted with Rust's shortest round-trip representation;
-//! and registered *sources* are re-sampled at snapshot time, so registration
+//! and registered sources are re-sampled at snapshot time, so registration
 //! order does not matter. The chaos soak asserts this byte-for-byte.
 //!
-//! # Instruments vs. sources
+//! # Sources
 //!
-//! New code takes typed handles ([`Counter`], [`Gauge`], [`Histo`]) from the
-//! registry and updates them directly. Components that already keep their
-//! own counters (the storage engine's `StorageMetrics`, proxy/autoscaler
-//! cells, bucket grant totals, admission queue depths) are wired in as
-//! pull-based sources: a closure registered once at assembly time that
-//! reports current values into a [`Sampler`] whenever a snapshot is taken.
+//! Components keep their own counters (the storage engine's
+//! `StorageMetrics`, proxy/autoscaler cells, bucket grant totals, admission
+//! queue depths) and are wired in as pull-based sources: a closure
+//! registered once at assembly time that reports current values into a
+//! [`Sampler`] whenever a snapshot is taken.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crdb_util::Histogram;
 
 use crate::{json_escape, json_f64};
-
-/// A monotonically increasing integer counter.
-#[derive(Clone, Default)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// Adds 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// A point-in-time floating value.
-#[derive(Clone, Default)]
-pub struct Gauge(Rc<Cell<f64>>);
-
-impl Gauge {
-    /// Sets the current value.
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
-
-/// A fixed-bucket (log-bucketed, ~1.6% relative error) histogram handle.
-#[derive(Clone, Default)]
-pub struct Histo(Rc<RefCell<Histogram>>);
-
-impl Histo {
-    /// Records one observation.
-    pub fn record(&self, v: u64) {
-        self.0.borrow_mut().record(v);
-    }
-
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.0.borrow_mut().record_duration(d);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count()
-    }
-
-    /// The value at quantile `q`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.0.borrow().quantile(q)
-    }
-}
 
 /// Collects values reported by a pull-based source during a snapshot.
 #[derive(Default)]
@@ -151,18 +87,10 @@ impl Sampler {
 
 type Source = Box<dyn Fn(&mut Sampler)>;
 
-#[derive(Default)]
-struct RegistryInner {
-    counters: RefCell<BTreeMap<String, Counter>>,
-    gauges: RefCell<BTreeMap<String, Gauge>>,
-    hists: RefCell<BTreeMap<String, Histo>>,
-    sources: RefCell<Vec<Source>>,
-}
-
 /// The unified registry. Cheap to clone; clones share state.
 #[derive(Clone, Default)]
 pub struct Registry {
-    inner: Rc<RegistryInner>,
+    sources: Rc<RefCell<Vec<Source>>>,
 }
 
 impl Registry {
@@ -171,42 +99,18 @@ impl Registry {
         Registry::default()
     }
 
-    /// Returns the counter with this name, creating it at 0 if new.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.inner.counters.borrow_mut().entry(name.to_string()).or_default().clone()
-    }
-
-    /// Returns the gauge with this name, creating it at 0 if new.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.inner.gauges.borrow_mut().entry(name.to_string()).or_default().clone()
-    }
-
-    /// Returns the histogram with this name, creating it empty if new.
-    pub fn histogram(&self, name: &str) -> Histo {
-        self.inner.hists.borrow_mut().entry(name.to_string()).or_default().clone()
-    }
-
     /// Registers a pull-based source, sampled on every snapshot. A source
     /// must report the same metric names on every call (values may change)
-    /// and must not collide with typed instruments or other sources.
+    /// and must not collide with other sources.
     pub fn register_source(&self, f: impl Fn(&mut Sampler) + 'static) {
-        self.inner.sources.borrow_mut().push(Box::new(f));
+        self.sources.borrow_mut().push(Box::new(f));
     }
 
-    /// Serializes every instrument and source to deterministic JSON, sorted
-    /// by metric name. Byte-identical across same-seed runs.
+    /// Serializes every source to deterministic JSON, sorted by metric
+    /// name. Byte-identical across same-seed runs.
     pub fn snapshot_json(&self) -> String {
         let mut s = Sampler::default();
-        for (name, c) in self.inner.counters.borrow().iter() {
-            s.counter(name, c.get());
-        }
-        for (name, g) in self.inner.gauges.borrow().iter() {
-            s.gauge(name, g.get());
-        }
-        for (name, h) in self.inner.hists.borrow().iter() {
-            s.histogram(name, &h.0.borrow());
-        }
-        for src in self.inner.sources.borrow().iter() {
+        for src in self.sources.borrow().iter() {
             src(&mut s);
         }
 
@@ -252,36 +156,28 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
-    fn instruments_update_and_snapshot_sorted() {
+    fn snapshot_is_sorted_by_name() {
         let r = Registry::new();
-        let c = r.counter("b.count");
-        c.inc();
-        c.add(2);
-        assert_eq!(c.get(), 3);
-        let g = r.gauge("a.gauge");
-        g.set(1.5);
-        let h = r.histogram("c.lat");
-        h.record(100);
-        h.record(200);
-        let j = r.snapshot_json();
+        r.register_source(|s| {
+            let mut h = Histogram::new();
+            h.record(100);
+            h.record(200);
+            s.histogram("c.lat", &h);
+            s.counter("b.count", 3);
+            s.counter("a.count", 1);
+            s.gauge("a.gauge", 1.5);
+        });
         assert_eq!(
-            j,
+            r.snapshot_json(),
             concat!(
-                r#"{"counters":{"b.count":3},"gauges":{"a.gauge":1.5},"#,
+                r#"{"counters":{"a.count":1,"b.count":3},"gauges":{"a.gauge":1.5},"#,
                 r#""histograms":{"c.lat":{"count":2,"min":100,"max":200,"#,
                 r#""mean":150.0,"p50":101,"p99":200}}}"#,
             )
         );
-    }
-
-    #[test]
-    fn same_name_returns_same_instrument() {
-        let r = Registry::new();
-        r.counter("x").inc();
-        r.counter("x").inc();
-        assert_eq!(r.counter("x").get(), 2);
     }
 
     #[test]
@@ -299,20 +195,8 @@ mod tests {
     #[should_panic(expected = "duplicate metric name")]
     fn duplicate_names_panic() {
         let r = Registry::new();
-        r.counter("dup").inc();
+        r.register_source(|s| s.counter("dup", 0));
         r.register_source(|s| s.counter("dup", 1));
         let _ = r.snapshot_json();
-    }
-
-    #[test]
-    fn snapshot_is_reproducible() {
-        let build = || {
-            let r = Registry::new();
-            r.counter("z.n").add(5);
-            r.gauge("m.g").set(0.125);
-            r.register_source(|s| s.gauge("a.src", 2.0));
-            r.snapshot_json()
-        };
-        assert_eq!(build(), build());
     }
 }

@@ -17,7 +17,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crdb_sim::Sim;
-use crdb_sql::node::{NodeState, SqlNode};
+use crdb_sql::node::{NodeState, SqlNode, NODE_VCPUS};
 use crdb_util::time::dur;
 use crdb_util::TenantId;
 
@@ -26,41 +26,35 @@ use crate::pool::WarmPool;
 use crate::proxy::SystemDbProvider;
 use crate::registry::Registry;
 
-/// Autoscaler tuning (§4.2.3 values as defaults).
+/// Capacity multiplier on average CPU (paper: 4×).
+const AVG_FACTOR: f64 = 4.0;
+/// Capacity multiplier on peak CPU (paper: 1.33×).
+const MAX_FACTOR: f64 = 1.33;
+/// Maximum time a draining node waits for connections to close
+/// (paper: 10 minutes).
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10 * 60);
+/// Per-node vCPU usage below this counts as idle: a running SQL node
+/// burns ~0.15 vCPU on keepalives/GC even with no queries (§6.2), which
+/// must not count as activity.
+const IDLE_CPU_THRESHOLD: f64 = 0.25;
+
+/// Autoscaler timing (§4.2.3 values as defaults).
 #[derive(Debug, Clone)]
 pub struct AutoscalerConfig {
-    /// Capacity multiplier on average CPU (paper: 4×).
-    pub avg_factor: f64,
-    /// Capacity multiplier on peak CPU (paper: 1.33×).
-    pub max_factor: f64,
     /// The metrics window (paper: 5 minutes).
     pub window: Duration,
-    /// vCPUs per SQL node (paper: 4).
-    pub node_vcpus: f64,
     /// Reconciliation interval (paper: 3 s direct scrape).
     pub reconcile_interval: Duration,
-    /// Maximum time a draining node waits for connections to close
-    /// (paper: 10 minutes).
-    pub drain_timeout: Duration,
     /// Idle time (no connections, no usage) before suspension.
     pub suspend_after: Duration,
-    /// Per-tenant vCPU usage below this counts as idle: a running SQL
-    /// node burns ~0.15 vCPU on keepalives/GC even with no queries
-    /// (§6.2), which must not count as activity.
-    pub idle_cpu_threshold: f64,
 }
 
 impl Default for AutoscalerConfig {
     fn default() -> Self {
         AutoscalerConfig {
-            avg_factor: 4.0,
-            max_factor: 1.33,
             window: dur::mins(5),
-            node_vcpus: 4.0,
             reconcile_interval: dur::secs(3),
-            drain_timeout: dur::mins(10),
             suspend_after: dur::mins(5),
-            idle_cpu_threshold: 0.25,
         }
     }
 }
@@ -74,11 +68,11 @@ pub struct ScaleInputs {
     pub max: f64,
 }
 
-/// The §4.2.3 target: `max(avg_factor · avg, max_factor · max)` vCPUs,
-/// quantized up to whole nodes.
-pub fn target_nodes(config: &AutoscalerConfig, inputs: ScaleInputs) -> usize {
-    let capacity = (config.avg_factor * inputs.avg).max(config.max_factor * inputs.max);
-    (capacity / config.node_vcpus).ceil() as usize
+/// The §4.2.3 target: `max(4 · avg, 1.33 · max)` vCPUs, quantized up to
+/// whole nodes.
+pub fn target_nodes(inputs: ScaleInputs) -> usize {
+    let capacity = (AVG_FACTOR * inputs.avg).max(MAX_FACTOR * inputs.max);
+    (capacity / NODE_VCPUS).ceil() as usize
 }
 
 /// The autoscaler.
@@ -147,7 +141,7 @@ impl Autoscaler {
             // books so `current` reflects real capacity and is backfilled.
             self.registry.prune_stopped(tenant);
             let inputs = self.inputs(tenant);
-            let mut target = target_nodes(&self.config, inputs);
+            let mut target = target_nodes(inputs);
             let (current, connections, last_active) = self
                 .registry
                 .with_tenant(tenant, |e| (e.nodes.len(), e.connections, e.last_active))
@@ -159,7 +153,7 @@ impl Autoscaler {
             }
 
             let node_count = self.registry.node_count(tenant).max(1) as f64;
-            let busy = inputs.avg > self.config.idle_cpu_threshold * node_count;
+            let busy = inputs.avg > IDLE_CPU_THRESHOLD * node_count;
             if busy || connections > 0 {
                 self.registry.with_tenant(tenant, |e| e.last_active = now);
             }
@@ -247,10 +241,9 @@ impl Autoscaler {
     }
 
     fn finish_draining(&self, tenant: TenantId, now: crdb_util::time::SimTime) {
-        let timeout = self.config.drain_timeout;
         self.registry.with_tenant(tenant, |e| {
             e.draining.retain(|(node, since)| {
-                let expired = now.duration_since(*since) >= timeout;
+                let expired = now.duration_since(*since) >= DRAIN_TIMEOUT;
                 if node.session_count() == 0 || expired {
                     node.shutdown();
                     false
@@ -305,25 +298,22 @@ mod tests {
     #[test]
     fn target_follows_paper_example() {
         // §4.2.3: avg 2.5 vCPU -> 10 vCPU -> 3 nodes of 4 vCPU.
-        let cfg = AutoscalerConfig::default();
-        let t = target_nodes(&cfg, ScaleInputs { avg: 2.5, max: 2.5 });
+        let t = target_nodes(ScaleInputs { avg: 2.5, max: 2.5 });
         assert_eq!(t, 3);
         // Spike to 11 vCPU max -> 14.63 -> 4 nodes.
-        let t = target_nodes(&cfg, ScaleInputs { avg: 2.5, max: 11.0 });
+        let t = target_nodes(ScaleInputs { avg: 2.5, max: 11.0 });
         assert_eq!(t, 4);
     }
 
     #[test]
     fn zero_load_targets_zero() {
-        let cfg = AutoscalerConfig::default();
-        assert_eq!(target_nodes(&cfg, ScaleInputs { avg: 0.0, max: 0.0 }), 0);
+        assert_eq!(target_nodes(ScaleInputs { avg: 0.0, max: 0.0 }), 0);
     }
 
     #[test]
     fn max_factor_dominates_spikes() {
-        let cfg = AutoscalerConfig::default();
         // avg small, max large: 1.33x max wins.
-        let t = target_nodes(&cfg, ScaleInputs { avg: 0.5, max: 12.0 });
+        let t = target_nodes(ScaleInputs { avg: 0.5, max: 12.0 });
         assert_eq!(t, 4); // 15.96 / 4 = 3.99 -> 4
     }
 }

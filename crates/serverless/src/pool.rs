@@ -30,58 +30,46 @@ use crdb_obs::trace;
 use crdb_sim::Sim;
 use crdb_sql::node::SqlNode;
 use crdb_sql::system_db::SystemDatabase;
-use crdb_util::time::dur;
 use crdb_util::{RegionId, RetryPolicy, TenantId};
 
 use crate::registry::Registry;
 
-/// Cold-start timing parameters.
+/// Control-plane latency to assign a pod to a tenant (proxy detection,
+/// reconciliation, certificate issuance request).
+const POD_ASSIGNMENT: Duration = Duration::from_millis(260);
+/// Time to start a container in a pre-allocated pod.
+const CONTAINER_START: Duration = Duration::from_millis(450);
+/// Time to start the SQL process inside the container ("may take up to a
+/// second").
+const PROCESS_START: Duration = Duration::from_millis(400);
+/// Certificate delivery + file-watch detection.
+const CERT_DELIVERY: Duration = Duration::from_millis(60);
+/// Extra client-observed delay when the proxy's connection attempt is
+/// TCP-reset and retried with exponential backoff.
+const TCP_RETRY_PENALTY: Duration = Duration::from_millis(250);
+/// Target number of warm pods kept in each region's pool.
+const POOL_SIZE: usize = 8;
+/// Time to provision a replacement pod into the pool.
+const REPLENISH_DELAY: Duration = Duration::from_secs(10);
+/// Base backoff before retrying a failed pod start; doubles per
+/// consecutive failure.
+const START_RETRY_BASE: Duration = Duration::from_millis(250);
+/// Upper bound on the start-retry backoff.
+const START_RETRY_CAP: Duration = Duration::from_secs(4);
+
+/// Which cold-start flow runs, and how noisy its phases are.
 #[derive(Debug, Clone)]
 pub struct ColdStartConfig {
     /// Whether SQL processes are pre-started in pool pods (§4.3.1).
     pub prewarm_process: bool,
-    /// Control-plane latency to assign a pod to a tenant (proxy detection,
-    /// reconciliation, certificate issuance request).
-    pub pod_assignment: Duration,
     /// Multiplicative jitter applied to each timing component (0.4 = each
     /// delay sampled uniformly in ±40%).
     pub jitter: f64,
-    /// Time to start a container in a pre-allocated pod.
-    pub container_start: Duration,
-    /// Time to start the SQL process inside the container ("may take up
-    /// to a second").
-    pub process_start: Duration,
-    /// Certificate delivery + file-watch detection.
-    pub cert_delivery: Duration,
-    /// Extra client-observed delay when the proxy's connection attempt is
-    /// TCP-reset and retried with exponential backoff.
-    pub tcp_retry_penalty: Duration,
-    /// Target number of warm pods kept in the pool.
-    pub pool_size: usize,
-    /// Time to provision a replacement pod into the pool.
-    pub replenish_delay: Duration,
-    /// Base backoff before retrying a failed pod start; doubles per
-    /// consecutive failure.
-    pub start_retry_base: Duration,
-    /// Upper bound on the start-retry backoff.
-    pub start_retry_cap: Duration,
 }
 
 impl Default for ColdStartConfig {
     fn default() -> Self {
-        ColdStartConfig {
-            prewarm_process: true,
-            pod_assignment: dur::ms(260),
-            jitter: 0.35,
-            container_start: dur::ms(450),
-            process_start: dur::ms(400),
-            cert_delivery: dur::ms(60),
-            tcp_retry_penalty: dur::ms(250),
-            pool_size: 8,
-            replenish_delay: dur::secs(10),
-            start_retry_base: dur::ms(250),
-            start_retry_cap: dur::secs(4),
-        }
+        ColdStartConfig { prewarm_process: true, jitter: 0.35 }
     }
 }
 
@@ -113,15 +101,14 @@ impl WarmPool {
         WarmPool::new_multi_region(sim, config, &[RegionId(0)])
     }
 
-    /// Creates a pool holding `config.pool_size` warm slots in *each* of
+    /// Creates a pool holding [`POOL_SIZE`] warm slots in *each* of
     /// `regions`.
     pub fn new_multi_region(
         sim: &Sim,
         config: ColdStartConfig,
         regions: &[RegionId],
     ) -> Rc<WarmPool> {
-        let warm: BTreeMap<RegionId, usize> =
-            regions.iter().map(|&r| (r, config.pool_size)).collect();
+        let warm: BTreeMap<RegionId, usize> = regions.iter().map(|&r| (r, POOL_SIZE)).collect();
         Rc::new(WarmPool {
             sim: sim.clone(),
             config,
@@ -137,8 +124,8 @@ impl WarmPool {
 
     /// Marks a region's warm slots destroyed (outage) or reprovisionable
     /// (recovery). Going dark burns every slot in the region on the spot;
-    /// recovery refills the region to `pool_size` after one
-    /// `replenish_delay` (the control plane reprovisions in bulk).
+    /// recovery refills the region to `POOL_SIZE` after one
+    /// `REPLENISH_DELAY` (the control plane reprovisions in bulk).
     pub fn set_region_dark(self: &Rc<Self>, region: RegionId, dark: bool) {
         if dark {
             if self.dark.borrow_mut().insert(region) {
@@ -150,13 +137,13 @@ impl WarmPool {
             }
         } else if self.dark.borrow_mut().remove(&region) {
             let pool = Rc::clone(self);
-            self.sim.schedule_after(self.config.replenish_delay, move || {
+            self.sim.schedule_after(REPLENISH_DELAY, move || {
                 if pool.dark.borrow().contains(&region) {
                     return; // went dark again before the refill landed
                 }
                 let mut warm = pool.warm.borrow_mut();
                 if let Some(slots) = warm.get_mut(&region) {
-                    *slots = pool.config.pool_size;
+                    *slots = POOL_SIZE;
                 }
             });
         }
@@ -259,7 +246,7 @@ impl WarmPool {
             cursor += d;
             c.end_at(cursor);
         };
-        phase("pod.assignment", sample(self.config.pod_assignment));
+        phase("pod.assignment", sample(POD_ASSIGNMENT));
 
         // Pod acquisition: the preferred region's slots first, any live
         // region's second, full provisioning when every live region is dry.
@@ -269,13 +256,13 @@ impl WarmPool {
                 span.tag("pool_hit", "true");
                 // Schedule replenishment of the region we drew from.
                 let pool = Rc::clone(self);
-                self.sim.schedule_after(self.config.replenish_delay, move || {
+                self.sim.schedule_after(REPLENISH_DELAY, move || {
                     if pool.dark.borrow().contains(&region) {
                         return; // the region died meanwhile; recovery refills it
                     }
                     let mut warm = pool.warm.borrow_mut();
                     if let Some(slots) = warm.get_mut(&region) {
-                        if *slots < pool.config.pool_size {
+                        if *slots < POOL_SIZE {
                             *slots += 1;
                         }
                     }
@@ -285,7 +272,7 @@ impl WarmPool {
                 *self.pool_misses.borrow_mut() += 1;
                 span.tag("pool_hit", "false");
                 // No warm pod anywhere: provision a fresh one first.
-                phase("pod.provision", self.config.replenish_delay);
+                phase("pod.provision", REPLENISH_DELAY);
             }
         }
 
@@ -293,14 +280,14 @@ impl WarmPool {
         // startup sequence.
         if self.config.prewarm_process {
             // Process already running; the certificate file-watch fires.
-            phase("cert.delivery", sample(self.config.cert_delivery));
+            phase("cert.delivery", sample(CERT_DELIVERY));
         } else {
             // Certificates delivered, then the process boots; the proxy's
             // first connection attempt was reset meanwhile.
-            phase("cert.delivery", sample(self.config.cert_delivery));
-            phase("container.start", sample(self.config.container_start));
-            phase("process.start", sample(self.config.process_start));
-            phase("tcp.retry", sample(self.config.tcp_retry_penalty));
+            phase("cert.delivery", sample(CERT_DELIVERY));
+            phase("container.start", sample(CONTAINER_START));
+            phase("process.start", sample(PROCESS_START));
+            phase("tcp.retry", sample(TCP_RETRY_PENALTY));
         }
         let delay = cursor.duration_since(self.sim.now());
 
@@ -319,13 +306,9 @@ impl WarmPool {
                 // Shared backoff policy (no budget: the pool retries until
                 // a pod sticks — equivalent to the old
                 // `(base * 2^min(n,6)).min(cap)` under the default config).
-                let backoff = RetryPolicy::exponential(
-                    pool.config.start_retry_base,
-                    pool.config.start_retry_cap,
-                    u32::MAX,
-                )
-                .delay(attempt)
-                .expect("unbounded budget always yields a delay");
+                let backoff = RetryPolicy::exponential(START_RETRY_BASE, START_RETRY_CAP, u32::MAX)
+                    .delay(attempt)
+                    .expect("unbounded budget always yields a delay");
                 let pool2 = Rc::clone(&pool);
                 pool.sim.schedule_after(backoff, move || {
                     let _g = ambient.enter();
@@ -348,6 +331,7 @@ mod tests {
     use crdb_kv::cluster::{KvCluster, KvClusterConfig};
     use crdb_sim::{Location, Topology};
     use crdb_sql::node::SqlNodeConfig;
+    use crdb_util::time::dur;
     use crdb_util::{RegionId, SqlInstanceId};
     use std::cell::Cell;
 
@@ -470,7 +454,7 @@ mod tests {
             ColdStartConfig::default(),
             &[RegionId(0), RegionId(1)],
         );
-        let size = ColdStartConfig::default().pool_size;
+        let size = POOL_SIZE;
         assert_eq!(pool.available(), 2 * size);
 
         // Region 1 goes dark: its warm slots are destroyed on the spot.
@@ -511,6 +495,6 @@ mod tests {
         });
         sim.run_for(dur::secs(60));
         let miss_latency = done.get().unwrap();
-        assert!(miss_latency >= ColdStartConfig::default().replenish_delay, "{miss_latency:?}");
+        assert!(miss_latency >= REPLENISH_DELAY, "{miss_latency:?}");
     }
 }

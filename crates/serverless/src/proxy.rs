@@ -33,19 +33,20 @@ use crate::registry::Registry;
 /// cold starts — multi-region tenants differ in home region (§4.2.5).
 pub type SystemDbProvider = Rc<dyn Fn(TenantId) -> SystemDatabase>;
 
+/// One-way latency client ↔ proxy ↔ SQL node (local hops).
+const HOP_LATENCY: Duration = Duration::from_micros(400);
+/// Base auth-throttle backoff; doubles per consecutive failure.
+const AUTH_BACKOFF_BASE: Duration = Duration::from_secs(1);
+/// Upper bound on the auth-throttle backoff, however long the streak.
+const AUTH_BACKOFF_CAP: Duration = Duration::from_secs(60);
+/// Imbalance (in connections) that triggers migration between nodes.
+const REBALANCE_THRESHOLD: u64 = 2;
+
 /// Proxy configuration.
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
-    /// One-way latency client ↔ proxy ↔ SQL node (local hops).
-    pub hop_latency: Duration,
-    /// Base auth-throttle backoff; doubles per consecutive failure.
-    pub auth_backoff_base: Duration,
-    /// Upper bound on the auth-throttle backoff, however long the streak.
-    pub auth_backoff_cap: Duration,
     /// Connection rebalance loop interval.
     pub rebalance_interval: Duration,
-    /// Imbalance (in connections) that triggers migration between nodes.
-    pub rebalance_threshold: u64,
     /// Per-statement deadline stamped at the proxy and propagated
     /// SQL → KV client → node (`None` = unbounded, the historical
     /// behavior). No layer below may schedule a retry past it.
@@ -54,14 +55,7 @@ pub struct ProxyConfig {
 
 impl Default for ProxyConfig {
     fn default() -> Self {
-        ProxyConfig {
-            hop_latency: dur::us(400),
-            auth_backoff_base: dur::secs(1),
-            auth_backoff_cap: dur::secs(60),
-            rebalance_interval: dur::secs(10),
-            rebalance_threshold: 2,
-            statement_deadline: None,
-        }
+        ProxyConfig { rebalance_interval: dur::secs(10), statement_deadline: None }
     }
 }
 
@@ -124,7 +118,6 @@ type ResumeWaiter = Box<dyn FnOnce(Result<Rc<SqlNode>, ProxyError>)>;
 /// The proxy service.
 pub struct Proxy {
     sim: Sim,
-    config: ProxyConfig,
     registry: Registry,
     pool: Rc<WarmPool>,
     system_db: SystemDbProvider,
@@ -177,7 +170,6 @@ impl Proxy {
     ) -> Rc<Proxy> {
         let proxy = Rc::new(Proxy {
             sim: sim.clone(),
-            config: config.clone(),
             registry,
             pool,
             system_db,
@@ -252,17 +244,11 @@ impl Proxy {
             .or_insert(ThrottleState { consecutive_failures: 0, blocked_until: SimTime::ZERO });
         entry.consecutive_failures = entry.consecutive_failures.saturating_add(1);
         // The first failure waits exactly the base; each further failure
-        // doubles it, clamped to the configured cap so arbitrarily long
-        // streaks neither overflow nor lock a source out forever. The
-        // shared policy reproduces the old `(base * 2^min(n,10)).min(cap)`
-        // schedule exactly under the default config.
-        let backoff = RetryPolicy::exponential(
-            self.config.auth_backoff_base,
-            self.config.auth_backoff_cap,
-            u32::MAX,
-        )
-        .delay(entry.consecutive_failures - 1)
-        .expect("unbounded budget always yields a delay");
+        // doubles it, clamped to the cap so arbitrarily long streaks
+        // neither overflow nor lock a source out forever.
+        let backoff = RetryPolicy::exponential(AUTH_BACKOFF_BASE, AUTH_BACKOFF_CAP, u32::MAX)
+            .delay(entry.consecutive_failures - 1)
+            .expect("unbounded budget always yields a delay");
         entry.blocked_until = now + backoff;
     }
 
@@ -313,7 +299,7 @@ impl Proxy {
             // The failure is detected from the backend response; throttle
             // further attempts from this origin (§4.2.2).
             self.record_auth_failure(source_ip);
-            let hop = self.config.hop_latency * 4;
+            let hop = HOP_LATENCY * 4;
             self.sim.schedule_after(hop, move || cb(Err(ProxyError::AuthFailed)));
             return;
         }
@@ -331,7 +317,7 @@ impl Proxy {
                 // with a node and nobody connected, and stop the node
                 // under the connect in flight.
                 this.registry.with_tenant(tenant, |e| e.connections += 1);
-                let hop = this.config.hop_latency * 2;
+                let hop = HOP_LATENCY * 2;
                 let this2 = Rc::clone(&this);
                 let hop_span = ambient.child("network.hop");
                 let ambient2 = ambient.clone();
@@ -561,7 +547,7 @@ impl Proxy {
     ) {
         let node = conn.node();
         let session = conn.session();
-        let hop = self.config.hop_latency * 2;
+        let hop = HOP_LATENCY * 2;
         let sim = self.sim.clone();
         let sql = sql.to_string();
         let registry = self.registry.clone();
@@ -713,9 +699,7 @@ impl Proxy {
             if let Some(target) = ready.iter().min_by_key(|n| n.session_count()) {
                 let here = node.session_count() as u64;
                 let there = target.session_count() as u64;
-                if here > there + self.config.rebalance_threshold
-                    && self.migrate(&conn, target).is_err()
-                {
+                if here > there + REBALANCE_THRESHOLD && self.migrate(&conn, target).is_err() {
                     self.migration_failures.set(self.migration_failures.get() + 1);
                 }
             }
@@ -776,11 +760,11 @@ mod tests {
             let throttle = proxy.throttle.borrow();
             let entry = throttle.get("203.0.113.9").unwrap();
             assert_eq!(entry.consecutive_failures, 1);
-            assert_eq!(entry.blocked_until, sim.now() + proxy.config.auth_backoff_base);
+            assert_eq!(entry.blocked_until, sim.now() + AUTH_BACKOFF_BASE);
         }
         // Once exactly one base interval has elapsed, the source may retry.
-        sim.schedule_after(proxy.config.auth_backoff_base, || {});
-        sim.run_for(proxy.config.auth_backoff_base);
+        sim.schedule_after(AUTH_BACKOFF_BASE, || {});
+        sim.run_for(AUTH_BACKOFF_BASE);
         assert!(proxy.check_throttle("203.0.113.9"));
     }
 
@@ -795,7 +779,7 @@ mod tests {
             let throttle = proxy.throttle.borrow();
             let entry = throttle.get("203.0.113.9").unwrap();
             assert_eq!(entry.consecutive_failures, 40);
-            assert_eq!(entry.blocked_until, sim.now() + proxy.config.auth_backoff_cap);
+            assert_eq!(entry.blocked_until, sim.now() + AUTH_BACKOFF_CAP);
         }
         // A success clears the streak entirely.
         proxy.record_auth_success("203.0.113.9");

@@ -59,11 +59,6 @@ impl TenantEntry {
     pub fn ready_nodes(&self) -> Vec<Rc<SqlNode>> {
         self.nodes.iter().filter(|n| n.state() == NodeState::Ready).cloned().collect()
     }
-
-    /// Total vCPUs allocated to ready + starting nodes.
-    pub fn allocated_vcpus(&self) -> f64 {
-        self.nodes.iter().map(|n| n.config.vcpus).sum()
-    }
 }
 
 struct Inner {

@@ -192,11 +192,6 @@ impl CpuScheduler {
         }
     }
 
-    /// Number of currently active tasks.
-    pub fn active_tasks(&self) -> usize {
-        self.inner.borrow().tasks.len()
-    }
-
     /// Instantaneous runnable-queue length: tasks beyond the vCPU count.
     pub fn runnable_len(&self) -> f64 {
         let inner = self.inner.borrow();
@@ -267,11 +262,6 @@ impl UtilizationProbe {
         self.last_busy = busy;
         self.last_at = now;
         util.clamp(0.0, 1.0)
-    }
-
-    /// Average vCPUs in use since the last sample (not normalized).
-    pub fn sample_vcpus(&mut self, now: SimTime) -> f64 {
-        self.sample(now) * self.cpu.vcpus()
     }
 }
 

@@ -169,12 +169,6 @@ impl Sim {
     pub fn events_executed(&self) -> u64 {
         self.core.borrow().executed
     }
-
-    /// Number of live events currently queued (cancelled events are
-    /// removed eagerly, so they never count).
-    pub fn events_pending(&self) -> usize {
-        self.core.borrow().wheel.len()
-    }
 }
 
 #[cfg(test)]

@@ -323,22 +323,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Disaster script: a zone goes dark at `at` and recovers after
-    /// `duration`.
-    pub fn zone_loss(
-        region: RegionId,
-        zone: u32,
-        at: SimTime,
-        duration: Duration,
-    ) -> FaultSchedule {
-        FaultSchedule {
-            events: vec![
-                FaultEvent { at, kind: FaultKind::ZoneOutage { region, zone } },
-                FaultEvent { at: at + duration, kind: FaultKind::ZoneRecover { region, zone } },
-            ],
-        }
-    }
-
     /// Disaster script: a full region goes dark at `at` and recovers
     /// after `duration`.
     pub fn region_loss(region: RegionId, at: SimTime, duration: Duration) -> FaultSchedule {

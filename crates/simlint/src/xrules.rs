@@ -656,6 +656,7 @@ const STD_AMBIGUOUS: &[&str] = &[
     "get",
     "insert",
     "remove",
+    "set",
     "push",
     "pop",
     "append",

@@ -181,11 +181,6 @@ impl Txn {
         self.inner.borrow().kv_batches
     }
 
-    /// Whether any writes are buffered.
-    pub fn has_writes(&self) -> bool {
-        !self.inner.borrow().writes.is_empty()
-    }
-
     /// Buffers a put of an unprefixed user key.
     pub fn put(&self, key: Bytes, value: Bytes) {
         self.inner.borrow_mut().writes.insert(key, Some(value));

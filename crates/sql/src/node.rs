@@ -74,12 +74,20 @@ pub enum ExecMode {
     Serverless,
 }
 
-/// SQL node configuration. All SQL nodes get the same shape in production:
-/// 4 vCPUs and 12 GB RAM (§4.2.3).
+/// vCPUs per SQL node: all SQL nodes get the same shape in production,
+/// 4 vCPUs and 12 GB RAM (§4.2.3). The autoscaler sizes in these units.
+pub const NODE_VCPUS: f64 = 4.0;
+/// CPU-seconds of process initialization during cold start.
+const STARTUP_CPU: f64 = 50e-3;
+/// Modeled resident memory of an idle SQL node with one connection
+/// (§6.2 reports 180 MiB).
+const IDLE_MEMORY_BYTES: u64 = 180 << 20;
+/// Modeled additional memory per active session.
+const MEMORY_PER_SESSION: u64 = 4 << 20;
+
+/// SQL node configuration.
 #[derive(Debug, Clone)]
 pub struct SqlNodeConfig {
-    /// vCPU allocation.
-    pub vcpus: f64,
     /// Execution mode.
     pub mode: ExecMode,
     /// Placement.
@@ -97,13 +105,6 @@ pub struct SqlNodeConfig {
     /// rows need to be marshaled and un-marshaled between the processes"
     /// (§6.1.2); per-row framing dominates the per-byte cost.
     pub cpu_marshal_per_row: f64,
-    /// CPU-seconds of process initialization during cold start.
-    pub startup_cpu: f64,
-    /// Modeled resident memory of an idle SQL node with one connection
-    /// (§6.2 reports 180 MiB).
-    pub idle_memory_bytes: u64,
-    /// Modeled additional memory per active session.
-    pub memory_per_session: u64,
     /// Background CPU of a running SQL node (connection keepalives,
     /// metrics emission, GC) in CPU-seconds per second; §6.2 measures
     /// 0.15 for an idle node with one connection.
@@ -113,7 +114,6 @@ pub struct SqlNodeConfig {
 impl Default for SqlNodeConfig {
     fn default() -> Self {
         SqlNodeConfig {
-            vcpus: 4.0,
             mode: ExecMode::Serverless,
             location: Location::new(crdb_util::RegionId(0), 0),
             cpu_per_statement: 40e-6,
@@ -121,9 +121,6 @@ impl Default for SqlNodeConfig {
             cpu_per_byte: 2e-9,
             cpu_marshal_per_byte: 6e-9,
             cpu_marshal_per_row: 3.5e-6,
-            startup_cpu: 50e-3,
-            idle_memory_bytes: 180 << 20,
-            memory_per_session: 4 << 20,
             idle_cpu_per_second: 0.15,
         }
     }
@@ -212,7 +209,7 @@ impl SqlNode {
             instance_id,
             tenant,
             sim: sim.clone(),
-            cpu: CpuScheduler::new(sim.clone(), config.vcpus),
+            cpu: CpuScheduler::new(sim.clone(), NODE_VCPUS),
             client,
             config,
             catalog: Rc::new(RefCell::new(Catalog::new())),
@@ -234,8 +231,7 @@ impl SqlNode {
 
     /// Modeled resident memory (Fig. 7b accounting).
     pub fn memory_bytes(&self) -> u64 {
-        self.config.idle_memory_bytes
-            + self.sessions.borrow().len() as u64 * self.config.memory_per_session
+        IDLE_MEMORY_BYTES + self.sessions.borrow().len() as u64 * MEMORY_PER_SESSION
     }
 
     /// Cumulative SQL CPU-seconds consumed by this node.
@@ -263,7 +259,7 @@ impl SqlNode {
         span.tag("tenant", self.tenant);
         let init_span = span.child("process.init");
         let node = Rc::clone(self);
-        self.cpu.submit(self.tenant, self.config.startup_cpu, move || {
+        self.cpu.submit(self.tenant, STARTUP_CPU, move || {
             init_span.end();
             let sys_span = span.child("systemdb.access");
             let node2 = Rc::clone(&node);
@@ -1023,11 +1019,6 @@ impl SqlNode {
         self.crashed.set(true);
         self.state.set(NodeState::Stopped);
         self.sessions.borrow_mut().clear();
-    }
-
-    /// Whether the node died by [`SqlNode::crash`].
-    pub fn has_crashed(&self) -> bool {
-        self.crashed.get()
     }
 
     /// The node's KV client (for tests and the orchestrator).

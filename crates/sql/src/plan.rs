@@ -89,11 +89,6 @@ impl Catalog {
         self.stats.insert(stats.table_id, stats);
     }
 
-    /// Drops statistics for a table.
-    pub fn remove_stats(&mut self, table_id: u64) {
-        self.stats.remove(&table_id);
-    }
-
     /// When set, the planner ignores every index and plans unconstrained
     /// primary full scans with the whole predicate as a residual filter.
     /// Used by differential tests and benches as the oracle plan.

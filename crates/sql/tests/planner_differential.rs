@@ -83,6 +83,12 @@ fn check_differential(f: &Fixture, sql: &str, params: Vec<Datum>) {
     let full = exec_params(f, sql, params).unwrap_or_else(|e| panic!("{sql} (full): {e}"));
     f.node.catalog().borrow_mut().set_force_full_scan(false);
     assert_eq!(row_set(&chosen), row_set(&full), "plan diverged from full scan: {sql}");
+    assert!(
+        chosen.stats.rows_read <= full.stats.rows_read,
+        "chosen plan read {} rows, the full scan {}: {sql}",
+        chosen.stats.rows_read,
+        full.stats.rows_read
+    );
 }
 
 /// TPC-C-lite-like schema with NULLable columns and secondary indexes.
@@ -244,6 +250,70 @@ fn limit_pushdown_bounds_rows_read() {
     let out = exec(&f, "SELECT * FROM t WHERE v > 100 LIMIT 5");
     assert_eq!(out.rows.len(), 5);
     check_differential(&f, "SELECT * FROM t LIMIT 100", vec![]);
+}
+
+/// The point lookups, selective range and bounded scan a TPC-C-shaped
+/// application issues must each read at least 10× fewer rows than a full
+/// scan of their table (at this scale: 100× to 8,000×).
+#[test]
+fn chosen_plans_read_tenfold_fewer_rows_than_full_scans() {
+    let f = setup(42);
+    let load = |table: &str, rows: Vec<String>| {
+        for chunk in rows.chunks(100) {
+            exec(&f, &format!("INSERT INTO {table} VALUES {}", chunk.join(", ")));
+        }
+    };
+    exec(&f, "CREATE TABLE item (i_id INT PRIMARY KEY, i_name STRING, i_price FLOAT)");
+    exec(
+        &f,
+        "CREATE TABLE stock (s_w_id INT, s_i_id INT, s_quantity INT, PRIMARY KEY (s_w_id, s_i_id))",
+    );
+    exec(
+        &f,
+        "CREATE TABLE orders (o_w_id INT, o_d_id INT, o_id INT, o_c_id INT, \
+         PRIMARY KEY (o_w_id, o_d_id, o_id))",
+    );
+    // i_price cycles 0.5 .. 999.5 so `i_price < P` selects ~P/1000 of rows.
+    load("item", (0..8000).map(|i| format!("({i}, 'item-{i}', {}.5)", i % 1000)).collect());
+    load(
+        "stock",
+        (1..=2)
+            .flat_map(|w| (0..4000).map(move |i| format!("({w}, {i}, {})", (i * 7) % 91)))
+            .collect(),
+    );
+    load(
+        "orders",
+        (1..=2)
+            .flat_map(|w| {
+                (1..=5).flat_map(move |d| {
+                    (0..300).map(move |o| format!("({w}, {d}, {o}, {})", o % 97))
+                })
+            })
+            .collect(),
+    );
+    exec(&f, "CREATE INDEX item_price ON item (i_price)");
+    for t in ["item", "stock", "orders"] {
+        exec(&f, &format!("ANALYZE {t}"));
+    }
+
+    for sql in [
+        "SELECT * FROM stock WHERE s_w_id = 2 AND s_i_id = 1234",
+        "SELECT * FROM orders WHERE o_w_id = 1 AND o_d_id = 3 AND o_id = 177",
+        "SELECT * FROM item WHERE i_price < 10",
+        "SELECT * FROM orders WHERE o_w_id = 2 AND o_d_id = 1 LIMIT 7",
+    ] {
+        let chosen = exec(&f, sql);
+        assert!(!chosen.rows.is_empty(), "{sql}: matched nothing");
+        f.node.catalog().borrow_mut().set_force_full_scan(true);
+        let full = exec(&f, sql);
+        f.node.catalog().borrow_mut().set_force_full_scan(false);
+        assert!(
+            chosen.stats.rows_read * 10 <= full.stats.rows_read,
+            "{sql}: chosen plan read {} rows, forced full scan {}",
+            chosen.stats.rows_read,
+            full.stats.rows_read
+        );
+    }
 }
 
 #[test]

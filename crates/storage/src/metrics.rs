@@ -108,18 +108,6 @@ impl StorageMetrics {
         }
     }
 
-    /// Scan read amplification: entries pulled from the merge heap per
-    /// entry returned. 1.0 is perfect (every pulled entry was live and
-    /// under the limit); large values mean shadowed versions, tombstones
-    /// or missing pushdown.
-    pub fn scan_read_amplification(&self) -> f64 {
-        if self.scan_entries_returned == 0 {
-            0.0
-        } else {
-            self.scan_entries_pulled as f64 / self.scan_entries_returned as f64
-        }
-    }
-
     /// Average number of batches committed per modeled fsync — the group
     /// commit ratio. 1.0 means no grouping (one fsync per batch).
     pub fn batches_per_fsync(&self) -> f64 {

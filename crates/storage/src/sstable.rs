@@ -105,15 +105,6 @@ impl SsTable {
         }
     }
 
-    /// Whether this table's bounds overlap another table's bounds
-    /// (inclusive on both ends).
-    pub fn overlaps_table(&self, other: &SsTable) -> bool {
-        match (self.min_key(), self.max_key(), other.min_key(), other.max_key()) {
-            (Some(smin), Some(smax), Some(omin), Some(omax)) => smin <= omax && smax >= omin,
-            _ => false,
-        }
-    }
-
     /// All entries, in key order.
     pub fn entries(&self) -> &[(Key, Option<Value>)] {
         &self.entries

@@ -101,11 +101,6 @@ impl<T> Slab<T> {
         self.len == 0
     }
 
-    /// Total slots (live + free) — the arena's high-water mark.
-    pub fn capacity_slots(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Inserts a value, reusing the most recently freed slot if any.
     pub fn insert(&mut self, value: T) -> Slot {
         self.len += 1;

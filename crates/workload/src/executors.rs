@@ -11,7 +11,7 @@ use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
-use crdb_util::TenantId;
+use crdb_util::{RegionId, TenantId};
 
 use crate::driver::SqlExecutor;
 
@@ -20,8 +20,10 @@ use crate::driver::SqlExecutor;
 pub struct ServerlessExecutor {
     cluster: Rc<ServerlessCluster>,
     tenant: TenantId,
-    conns: RefCell<BTreeMap<usize, Rc<Connection>>>,
-    connecting: RefCell<BTreeMap<usize, Vec<ConnWaiter>>>,
+    // Behind `Rc`s of their own: the connect callback outlives the
+    // borrow of `self` it was issued under.
+    conns: Rc<RefCell<BTreeMap<usize, Rc<Connection>>>>,
+    connecting: Rc<RefCell<BTreeMap<usize, Vec<ConnWaiter>>>>,
 }
 
 /// A statement waiting for its worker's connection to come up.
@@ -33,12 +35,12 @@ impl ServerlessExecutor {
         Rc::new(ServerlessExecutor {
             cluster,
             tenant,
-            conns: RefCell::new(BTreeMap::new()),
-            connecting: RefCell::new(BTreeMap::new()),
+            conns: Rc::default(),
+            connecting: Rc::default(),
         })
     }
 
-    fn with_conn(self: &Rc<Self>, worker: usize, cb: Box<dyn FnOnce(Rc<Connection>)>) {
+    fn with_conn(&self, worker: usize, cb: Box<dyn FnOnce(Rc<Connection>)>) {
         // Bind before branching: `cb` may synchronously issue queries that
         // re-enter `with_conn` and borrow the conn map again.
         let existing = self.conns.borrow().get(&worker).map(Rc::clone);
@@ -53,33 +55,21 @@ impl ServerlessExecutor {
             return;
         }
         drop(connecting);
-        let this = Rc::clone(self);
+        let conns = Rc::clone(&self.conns);
+        let connecting = Rc::clone(&self.connecting);
         let ip = format!("10.0.{}.{}", worker / 256, worker % 256);
         self.cluster.connect(self.tenant, &ip, "workload", move |r| {
             let conn = r.expect("workload connect");
-            this.conns.borrow_mut().insert(worker, Rc::clone(&conn));
-            let waiters = this.connecting.borrow_mut().remove(&worker).unwrap_or_default();
+            conns.borrow_mut().insert(worker, Rc::clone(&conn));
+            let waiters = connecting.borrow_mut().remove(&worker).unwrap_or_default();
             for w in waiters {
                 w(Rc::clone(&conn));
             }
         });
     }
-
-    /// Closes all worker connections.
-    pub fn close_all(&self) {
-        let conns = std::mem::take(&mut *self.conns.borrow_mut());
-        for (_, conn) in conns {
-            self.cluster.close(&conn);
-        }
-    }
-
-    /// Number of open worker connections.
-    pub fn open_connections(&self) -> usize {
-        self.conns.borrow().len()
-    }
 }
 
-impl SqlExecutor for Rc<ServerlessExecutor> {
+impl SqlExecutor for ServerlessExecutor {
     fn exec(
         &self,
         worker: usize,
@@ -94,22 +84,6 @@ impl SqlExecutor for Rc<ServerlessExecutor> {
                 cluster.execute(&conn, &sql, params, cb);
             }),
         );
-    }
-}
-
-/// Wrapper so `Rc<ServerlessExecutor>` itself implements the trait object
-/// the driver wants.
-pub struct ServerlessExec(pub Rc<ServerlessExecutor>);
-
-impl SqlExecutor for ServerlessExec {
-    fn exec(
-        &self,
-        worker: usize,
-        sql: String,
-        params: Vec<Datum>,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        self.0.exec(worker, sql, params, cb)
     }
 }
 
@@ -136,7 +110,7 @@ impl DedicatedExecutor {
     }
 }
 
-impl SqlExecutor for Rc<DedicatedExecutor> {
+impl SqlExecutor for DedicatedExecutor {
     fn exec(
         &self,
         worker: usize,
@@ -150,19 +124,24 @@ impl SqlExecutor for Rc<DedicatedExecutor> {
     }
 }
 
-/// Wrapper trait object for the dedicated executor.
-pub struct DedicatedExec(pub Rc<DedicatedExecutor>);
-
-impl SqlExecutor for DedicatedExec {
-    fn exec(
-        &self,
-        worker: usize,
-        sql: String,
-        params: Vec<Datum>,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        self.0.exec(worker, sql, params, cb)
-    }
+/// Creates a tenant on `cluster` with an executor of its own and runs
+/// `schema` then `data` through it — the start of every tenant workload.
+/// Does not ANALYZE: plans come from the planner's defaults unless the
+/// caller runs [`crate::analyze_statements`] afterwards.
+pub fn load_tenant(
+    sim: &crdb_sim::Sim,
+    cluster: &Rc<ServerlessCluster>,
+    regions: Vec<RegionId>,
+    quota_vcpus: Option<f64>,
+    schema: &[&str],
+    data: &[String],
+) -> (TenantId, Rc<dyn SqlExecutor>) {
+    let tenant = cluster.create_tenant(regions, quota_vcpus);
+    let executor: Rc<dyn SqlExecutor> = ServerlessExecutor::new(Rc::clone(cluster), tenant);
+    let mut stmts: Vec<String> = schema.iter().map(|s| s.to_string()).collect();
+    stmts.extend(data.iter().cloned());
+    run_setup(sim, &executor, &stmts);
+    (tenant, executor)
 }
 
 /// Runs a list of statements sequentially through an executor (worker 0),

@@ -28,7 +28,7 @@ pub mod trace;
 pub mod ycsb;
 
 pub use driver::{Driver, DriverConfig, SqlExecutor, TxnStats};
-pub use executors::{DedicatedExec, DedicatedExecutor, ServerlessExec, ServerlessExecutor};
+pub use executors::{DedicatedExecutor, ServerlessExecutor};
 
 /// `ANALYZE` statements for every table of a schema, derived from its
 /// `CREATE TABLE` statements. Run after loading so the cost-based planner

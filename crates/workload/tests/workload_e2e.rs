@@ -10,16 +10,14 @@ use crdb_sql::node::SqlNodeConfig;
 use crdb_util::time::{dur, SimTime};
 use crdb_util::RegionId;
 use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{
-    run_setup, DedicatedExec, DedicatedExecutor, ServerlessExec, ServerlessExecutor,
-};
+use crdb_workload::executors::{run_setup, DedicatedExecutor, ServerlessExecutor};
 use crdb_workload::{tpcc, tpch, ycsb};
 
 fn serverless_executor(sim: &Sim) -> (Rc<ServerlessCluster>, Rc<dyn SqlExecutor>) {
     let cluster = ServerlessCluster::new(sim, ServerlessConfig::default());
     let tenant = cluster.create_tenant(vec![RegionId(0)], None);
     let ex = ServerlessExecutor::new(Rc::clone(&cluster), tenant);
-    (cluster, Rc::new(ServerlessExec(ex)) as Rc<dyn SqlExecutor>)
+    (cluster, ex)
 }
 
 fn dedicated_executor(sim: &Sim) -> (Rc<DedicatedCluster>, Rc<dyn SqlExecutor>) {
@@ -30,7 +28,7 @@ fn dedicated_executor(sim: &Sim) -> (Rc<DedicatedCluster>, Rc<dyn SqlExecutor>) 
         SqlNodeConfig::default(),
     );
     let ex = DedicatedExecutor::new(Rc::clone(&cluster));
-    (cluster, Rc::new(DedicatedExec(ex)) as Rc<dyn SqlExecutor>)
+    (cluster, ex)
 }
 
 fn load_tpcc(sim: &Sim, ex: &Rc<dyn SqlExecutor>, cfg: &tpcc::TpccConfig) {

@@ -9,14 +9,12 @@
 //! reads. Admission control keeps the victim's latency bounded, and an
 //! estimated-CPU quota on the noisy tenant caps its consumption.
 
-use std::rc::Rc;
-
 use crdb_serverless_repro::core::ServerlessConfig;
 use crdb_sim::Sim;
 use crdb_util::time::dur;
 use crdb_util::RegionId;
-use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{run_setup, ServerlessExec, ServerlessExecutor};
+use crdb_workload::driver::{Driver, DriverConfig};
+use crdb_workload::executors::load_tenant;
 use crdb_workload::ycsb;
 
 fn main() {
@@ -30,35 +28,37 @@ fn main() {
 
     // The noisy tenant gets a 2-vCPU estimated-CPU quota; the victim is
     // unlimited (it barely uses anything).
-    let noisy_tenant = cluster.create_tenant(vec![RegionId(0)], Some(2.0));
-    let victim_tenant = cluster.create_tenant(vec![RegionId(0)], None);
-
     let noisy_cfg = ycsb::YcsbConfig { records: 200, ..ycsb::YcsbConfig::workload_a() };
     let victim_cfg = ycsb::YcsbConfig { records: 100, ..ycsb::YcsbConfig::workload_c() };
-
-    let noisy_ex: Rc<dyn SqlExecutor> =
-        Rc::new(ServerlessExec(ServerlessExecutor::new(Rc::clone(&cluster), noisy_tenant)));
-    let victim_ex: Rc<dyn SqlExecutor> =
-        Rc::new(ServerlessExec(ServerlessExecutor::new(Rc::clone(&cluster), victim_tenant)));
-
-    let mut stmts: Vec<String> = ycsb::schema().iter().map(|s| s.to_string()).collect();
-    stmts.extend(ycsb::load_statements(&noisy_cfg));
-    run_setup(&sim, &noisy_ex, &stmts);
-    let mut stmts: Vec<String> = ycsb::schema().iter().map(|s| s.to_string()).collect();
-    stmts.extend(ycsb::load_statements(&victim_cfg));
-    run_setup(&sim, &victim_ex, &stmts);
+    let home = vec![RegionId(0)];
+    let (noisy_tenant, noisy_ex) = load_tenant(
+        &sim,
+        &cluster,
+        home.clone(),
+        Some(2.0),
+        &ycsb::schema(),
+        &ycsb::load_statements(&noisy_cfg),
+    );
+    let (victim_tenant, victim_ex) = load_tenant(
+        &sim,
+        &cluster,
+        home,
+        None,
+        &ycsb::schema(),
+        &ycsb::load_statements(&victim_cfg),
+    );
 
     // The noisy tenant floods with 32 no-wait workers; the victim sends a
     // gentle trickle of point reads.
     let noisy = Driver::new(
         &sim,
-        Rc::clone(&noisy_ex),
+        noisy_ex,
         DriverConfig { workers: 32, think_time: None, max_retries: 10 },
         ycsb::factory(noisy_cfg, 1),
     );
     let victim = Driver::new(
         &sim,
-        Rc::clone(&victim_ex),
+        victim_ex,
         DriverConfig { workers: 2, think_time: Some(dur::ms(200)), max_retries: 10 },
         ycsb::factory(victim_cfg, 2),
     );

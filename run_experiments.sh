@@ -2,18 +2,17 @@
 # Regenerates every table and figure of the paper's evaluation, plus the
 # design-choice ablations. Outputs land in results/.
 #
-# Full suite takes tens of minutes on one core; individual experiments can
-# be run directly: cargo run --release -p crdb-bench --bin exp_fig5
+# The full suite takes about ten minutes on one core (fig12_13_table1 is
+# half of it); one experiment can be run directly:
+#   cargo run --release -p crdb-bench --bin exp -- fig5
 set -euo pipefail
 cd "$(dirname "$0")"
 
-cargo build --release -p crdb-bench
+cargo build --release -p crdb-bench --bin exp
 mkdir -p results
 
-for bin in exp_fig5 exp_fig7 exp_fig10 \
-           ab_admission ab_autoscaler ab_trickle ab_ecpu \
-           exp_fig6 exp_fig9 exp_fig8 exp_fig11 exp_fig12_13_table1; do
-    echo "== $bin =="
-    "target/release/$bin" | tee "results/$bin.txt"
+for name in $(target/release/exp --list); do
+    echo "== $name =="
+    target/release/exp "$name" | tee "results/$name.txt"
 done
 echo "All experiments complete; outputs in results/."

@@ -12,8 +12,8 @@ use crdb_sql::node::SqlNodeConfig;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
 use crdb_util::RegionId;
-use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{run_setup, ServerlessExec, ServerlessExecutor};
+use crdb_workload::driver::{Driver, DriverConfig};
+use crdb_workload::executors::load_tenant;
 use crdb_workload::tpcc;
 
 fn sql(
@@ -90,18 +90,19 @@ fn two_virtual_clusters_full_lifecycle() {
 fn tpcc_through_the_complete_serverless_stack() {
     let sim = Sim::new(90_210);
     let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
-    let tenant = cluster.create_tenant(vec![RegionId(0)], None);
-    let ex: Rc<dyn SqlExecutor> =
-        Rc::new(ServerlessExec(ServerlessExecutor::new(Rc::clone(&cluster), tenant)));
-
     let cfg = tpcc::TpccConfig::default();
-    let mut stmts: Vec<String> = tpcc::schema().iter().map(|s| s.to_string()).collect();
-    stmts.extend(tpcc::load_statements(&cfg));
-    run_setup(&sim, &ex, &stmts);
+    let (tenant, ex) = load_tenant(
+        &sim,
+        &cluster,
+        vec![RegionId(0)],
+        None,
+        &tpcc::schema(),
+        &tpcc::load_statements(&cfg),
+    );
 
     let driver = Driver::new(
         &sim,
-        Rc::clone(&ex),
+        ex,
         DriverConfig { workers: 6, think_time: Some(dur::ms(150)), max_retries: 10 },
         tpcc::mix_factory(cfg, 5),
     );
