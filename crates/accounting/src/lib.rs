@@ -23,4 +23,4 @@ pub mod model;
 pub mod training;
 
 pub use bucket::{BucketClient, BucketServer, GrantResponse};
-pub use model::{BatchFeatures, EcpuModel, WorkloadFeatures};
+pub use model::{EcpuModel, WorkloadFeatures};

@@ -94,28 +94,10 @@ impl FeatureModel {
         }
     }
 
-    /// Marginal eCPU-seconds charged per unit when the workload is running
-    /// at `rate` units/second.
-    pub fn seconds_per_unit(&self, rate: f64) -> f64 {
-        1.0 / self.units_per_vcpu(rate)
-    }
-
     /// The knots of the underlying piecewise-linear throughput curve.
     pub fn units_per_vcpu_knots(&self) -> &[(f64, f64)] {
         self.units_per_vcpu.points()
     }
-}
-
-/// KV traffic features of one request batch — the per-request input used
-/// to charge the token bucket.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchFeatures {
-    /// Whether the batch writes (true) or reads (false).
-    pub is_write: bool,
-    /// Requests in the batch.
-    pub requests: u64,
-    /// Payload bytes sent (writes) or received (reads).
-    pub bytes: u64,
 }
 
 /// Aggregated KV traffic over an interval — the whole-workload input used
@@ -223,28 +205,6 @@ impl EcpuModel {
             + self.write_bytes.vcpus_at_rate(write_byte_rate)
             + self.bounded_scan.vcpus_at_rate(f.bounded_scans_per_sec)
     }
-
-    /// eCPU-seconds charged for one batch, assuming the tenant currently
-    /// runs near `batch_rate` batches/second (rate determines the marginal
-    /// efficiency; "if the same query is run against the same data using
-    /// the same plan, the estimated CPU should be the same" — so callers
-    /// pass a stable reference rate rather than an instantaneous one).
-    pub fn batch_cost_seconds(&self, batch: &BatchFeatures, batch_rate: f64) -> f64 {
-        let (bm, rm, ym) = if batch.is_write {
-            (&self.write_batch, &self.write_request, &self.write_bytes)
-        } else {
-            (&self.read_batch, &self.read_request, &self.read_bytes)
-        };
-        let extra_requests = batch.requests.saturating_sub(1) as f64;
-        bm.seconds_per_unit(batch_rate)
-            + extra_requests * rm.seconds_per_unit(0.0)
-            + batch.bytes as f64 * ym.seconds_per_unit(0.0)
-    }
-
-    /// eCPU *tokens* (milliseconds of estimated CPU, §5.2.2) for a batch.
-    pub fn batch_cost_tokens(&self, batch: &BatchFeatures, batch_rate: f64) -> f64 {
-        self.batch_cost_seconds(batch, batch_rate) * 1000.0
-    }
 }
 
 #[cfg(test)]
@@ -270,8 +230,8 @@ mod tests {
     #[test]
     fn batching_economies_reduce_marginal_cost() {
         let m = EcpuModel::default_model();
-        let slow = m.write_batch.seconds_per_unit(10.0);
-        let fast = m.write_batch.seconds_per_unit(50_000.0);
+        let slow = m.write_batch.vcpus_at_rate(10.0) / 10.0;
+        let fast = m.write_batch.vcpus_at_rate(50_000.0) / 50_000.0;
         assert!(fast < slow, "high batch rates are cheaper per batch: {fast} < {slow}");
     }
 
@@ -332,35 +292,39 @@ mod tests {
         assert!(m.estimate_vcpus(&with) > m.estimate_vcpus(&base));
     }
 
-    #[test]
-    fn writes_cost_more_than_reads() {
-        let m = EcpuModel::default_model();
-        let read =
-            m.batch_cost_seconds(&BatchFeatures { is_write: false, requests: 1, bytes: 64 }, 100.0);
-        let write =
-            m.batch_cost_seconds(&BatchFeatures { is_write: true, requests: 1, bytes: 64 }, 100.0);
-        assert!(write > read, "write {write} > read {read}");
+    /// One feature set at 1,000 batches/s: `requests` per batch of
+    /// `bytes` each, all reads or all writes.
+    fn uniform(is_write: bool, requests: f64, bytes: f64) -> WorkloadFeatures {
+        if is_write {
+            WorkloadFeatures {
+                write_batches_per_sec: 1000.0,
+                write_requests_per_batch: requests,
+                write_bytes_per_batch: bytes,
+                ..Default::default()
+            }
+        } else {
+            WorkloadFeatures {
+                read_batches_per_sec: 1000.0,
+                read_requests_per_batch: requests,
+                read_bytes_per_batch: bytes,
+                ..Default::default()
+            }
+        }
     }
 
     #[test]
-    fn batch_cost_is_deterministic_for_same_input() {
+    fn writes_cost_more_than_reads() {
         let m = EcpuModel::default_model();
-        let b = BatchFeatures { is_write: true, requests: 5, bytes: 512 };
-        assert_eq!(m.batch_cost_tokens(&b, 1000.0), m.batch_cost_tokens(&b, 1000.0));
+        let read = m.estimate_vcpus(&uniform(false, 1.0, 64.0));
+        let write = m.estimate_vcpus(&uniform(true, 1.0, 64.0));
+        assert!(write > read, "write {write} > read {read}");
     }
 
     #[test]
     fn extra_requests_and_bytes_add_cost() {
         let m = EcpuModel::default_model();
-        let base =
-            m.batch_cost_seconds(&BatchFeatures { is_write: false, requests: 1, bytes: 0 }, 100.0);
-        let more_reqs =
-            m.batch_cost_seconds(&BatchFeatures { is_write: false, requests: 10, bytes: 0 }, 100.0);
-        let more_bytes = m.batch_cost_seconds(
-            &BatchFeatures { is_write: false, requests: 1, bytes: 100_000 },
-            100.0,
-        );
-        assert!(more_reqs > base);
-        assert!(more_bytes > base);
+        let base = m.estimate_vcpus(&uniform(false, 1.0, 0.0));
+        assert!(m.estimate_vcpus(&uniform(false, 10.0, 0.0)) > base);
+        assert!(m.estimate_vcpus(&uniform(false, 1.0, 100_000.0)) > base);
     }
 }

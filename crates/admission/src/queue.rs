@@ -113,11 +113,6 @@ impl<T> WorkQueue<T> {
         self.tenant_entry(tenant).consumed.add(now, amount);
     }
 
-    /// The decayed consumption of a tenant as of `now`.
-    pub fn consumption(&mut self, now: SimTime, tenant: TenantId) -> f64 {
-        self.tenant_entry(tenant).consumed.get(now)
-    }
-
     /// Dequeues the next operation: from the least-consuming tenant with
     /// waiting work, its highest-priority / oldest-transaction operation.
     /// Expired operations are dropped along the way and counted in

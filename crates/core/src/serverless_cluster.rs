@@ -30,7 +30,6 @@ use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::{instance_partition_start, ExecMode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
-use crdb_util::slab::{Slab, Slot};
 use crdb_util::{RegionId, SqlInstanceId, TenantId};
 
 use crate::tenant::{estimated_kv_cpu_seconds, TenantInfo};
@@ -79,33 +78,9 @@ impl Default for ServerlessConfig {
     }
 }
 
-/// Dense per-tenant billing/identity records: a generational [`Slab`]
-/// holds the `TenantInfo` handles (one small slab slot per tenant, no
-/// per-tenant map node) with a `BTreeMap` index used only where id-ordered
-/// iteration is required (metric snapshots).
-struct TenantTable {
-    entries: Slab<Rc<TenantInfo>>,
-    index: BTreeMap<TenantId, Slot>,
-}
-
-impl TenantTable {
-    fn new() -> Self {
-        TenantTable { entries: Slab::new(), index: BTreeMap::new() }
-    }
-
-    fn insert(&mut self, id: TenantId, info: Rc<TenantInfo>) {
-        let slot = self.entries.insert(info);
-        self.index.insert(id, slot);
-    }
-
-    fn get(&self, id: TenantId) -> Option<&Rc<TenantInfo>> {
-        self.index.get(&id).and_then(|&slot| self.entries.get(slot))
-    }
-
-    fn ids(&self) -> Vec<TenantId> {
-        self.index.keys().copied().collect()
-    }
-}
+/// Per-tenant billing/identity records in id order (metric snapshots
+/// iterate them).
+type Tenants = BTreeMap<TenantId, Rc<TenantInfo>>;
 
 /// A running serverless deployment.
 pub struct ServerlessCluster {
@@ -126,7 +101,7 @@ pub struct ServerlessCluster {
     /// Unified observability registry: every layer's counters, gauges and
     /// histograms, sampled deterministically at snapshot time.
     pub obs: crdb_obs::Registry,
-    tenants: Rc<RefCell<TenantTable>>,
+    tenants: Rc<RefCell<Tenants>>,
     /// Preferred placement for a tenant's next SQL nodes (set by probers
     /// and multi-region tests before connecting).
     preferred_location: Rc<RefCell<BTreeMap<TenantId, Location>>>,
@@ -142,7 +117,7 @@ impl ServerlessCluster {
     /// Builds and starts a deployment on `sim`.
     pub fn new(sim: &Sim, config: ServerlessConfig) -> Rc<ServerlessCluster> {
         let kv = KvCluster::new(sim, config.topology.clone(), config.kv.clone());
-        let tenants: Rc<RefCell<TenantTable>> = Rc::new(RefCell::new(TenantTable::new()));
+        let tenants: Rc<RefCell<Tenants>> = Rc::default();
         let preferred_location: Rc<RefCell<BTreeMap<TenantId, Location>>> =
             Rc::new(RefCell::new(BTreeMap::new()));
         let next_instance = Rc::new(Cell::new(1u64));
@@ -159,7 +134,7 @@ impl ServerlessCluster {
             Rc::new(move |tenant: TenantId| {
                 let info = tenants
                     .borrow()
-                    .get(tenant)
+                    .get(&tenant)
                     .cloned()
                     .expect("factory called for unknown tenant");
                 let location = preferred
@@ -182,7 +157,7 @@ impl ServerlessCluster {
             let tenants = Rc::clone(&tenants);
             let optimized = config.multi_region_optimized;
             Rc::new(move |tenant: TenantId| {
-                let info = tenants.borrow().get(tenant).cloned();
+                let info = tenants.borrow().get(&tenant).cloned();
                 match info {
                     Some(info) => info.system_db(optimized),
                     None => SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]),
@@ -324,9 +299,7 @@ impl ServerlessCluster {
         // prints) only the handful that ever ran. Whether a tenant has
         // been touched is a deterministic function of the workload, so
         // same-seed snapshots stay byte-identical.
-        let tenants = self.tenants.borrow();
-        for id in tenants.ids() {
-            let info = tenants.get(id).expect("indexed tenant");
+        for (id, info) in self.tenants.borrow().iter() {
             if info.quota.is_none() && *info.ecpu_seconds.borrow() == 0.0 {
                 continue;
             }
@@ -372,7 +345,7 @@ impl ServerlessCluster {
         *self.last_accounted.borrow_mut() = active;
         let tenants = self.tenants.borrow();
         for tenant in &ids {
-            let Some(info) = tenants.get(*tenant) else { continue };
+            let Some(info) = tenants.get(tenant) else { continue };
             // KV traffic delta across all KV nodes.
             let mut traffic = TrafficStats::default();
             for &nid in &kv_node_ids {
@@ -448,7 +421,7 @@ impl ServerlessCluster {
 
     /// Tenant state.
     pub fn tenant(&self, id: TenantId) -> Option<Rc<TenantInfo>> {
-        self.tenants.borrow().get(id).cloned()
+        self.tenants.borrow().get(&id).cloned()
     }
 
     /// Sets where a tenant's next SQL nodes should start (used by

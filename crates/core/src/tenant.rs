@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crdb_accounting::bucket::{BucketServer, GrantResponse};
-use crdb_accounting::model::EcpuModel;
+use crdb_accounting::model::{EcpuModel, WorkloadFeatures};
 use crdb_kv::auth::TenantCert;
 use crdb_kv::cost::TrafficStats;
 use crdb_sql::system_db::SystemDatabase;
@@ -144,6 +144,22 @@ impl TenantInfo {
     }
 }
 
+/// A traffic delta over `interval_secs` as the per-second workload
+/// features the estimated-CPU model takes.
+fn workload_features(delta: &TrafficStats, interval_secs: f64) -> WorkloadFeatures {
+    let per_batch =
+        |total: u64, batches: u64| if batches > 0 { total as f64 / batches as f64 } else { 0.0 };
+    WorkloadFeatures {
+        read_batches_per_sec: delta.read_batches as f64 / interval_secs,
+        read_requests_per_batch: per_batch(delta.read_requests, delta.read_batches),
+        read_bytes_per_batch: per_batch(delta.read_bytes, delta.read_batches),
+        write_batches_per_sec: delta.write_batches as f64 / interval_secs,
+        write_requests_per_batch: per_batch(delta.write_requests, delta.write_batches),
+        write_bytes_per_batch: per_batch(delta.write_bytes, delta.write_batches),
+        bounded_scans_per_sec: delta.bounded_scan_requests as f64 / interval_secs,
+    }
+}
+
 /// Computes a tenant's estimated KV CPU (in seconds) for a traffic delta
 /// over `interval_secs`, using the estimated-CPU model (§5.2.1).
 pub fn estimated_kv_cpu_seconds(
@@ -154,17 +170,7 @@ pub fn estimated_kv_cpu_seconds(
     if interval_secs <= 0.0 {
         return 0.0;
     }
-    let rates = delta.to_features(interval_secs);
-    let features = crdb_accounting::model::WorkloadFeatures {
-        read_batches_per_sec: rates.read_batches_per_sec,
-        read_requests_per_batch: rates.read_requests_per_batch,
-        read_bytes_per_batch: rates.read_bytes_per_batch,
-        write_batches_per_sec: rates.write_batches_per_sec,
-        write_requests_per_batch: rates.write_requests_per_batch,
-        write_bytes_per_batch: rates.write_bytes_per_batch,
-        bounded_scans_per_sec: rates.bounded_scans_per_sec,
-    };
-    model.estimate_vcpus(&features) * interval_secs
+    model.estimate_vcpus(&workload_features(delta, interval_secs)) * interval_secs
 }
 
 #[cfg(test)]
@@ -215,6 +221,29 @@ mod tests {
             }
         }
         assert!(gated, "over-quota tenant gets gated");
+    }
+
+    #[test]
+    fn traffic_delta_converts_to_rates_and_per_batch_means() {
+        let delta = TrafficStats {
+            read_batches: 2,
+            read_requests: 6,
+            read_bytes: 384,
+            write_batches: 1,
+            write_requests: 2,
+            write_bytes: 200,
+            bounded_scan_requests: 1,
+        };
+        let f = workload_features(&delta, 2.0);
+        assert_eq!(f.read_batches_per_sec, 1.0);
+        assert_eq!(f.read_requests_per_batch, 3.0);
+        assert_eq!(f.read_bytes_per_batch, 192.0);
+        assert_eq!(f.write_batches_per_sec, 0.5);
+        assert_eq!(f.bounded_scans_per_sec, 0.5);
+        // No batches on a side: its per-batch means are 0, not NaN.
+        let reads_only = TrafficStats { write_batches: 0, ..delta };
+        let f = workload_features(&reads_only, 2.0);
+        assert_eq!((f.write_requests_per_batch, f.write_bytes_per_batch), (0.0, 0.0));
     }
 
     #[test]

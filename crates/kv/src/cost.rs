@@ -195,36 +195,6 @@ impl TrafficStats {
         }
     }
 
-    /// Converts totals over `interval_secs` into per-second workload
-    /// features for the estimated-CPU model.
-    pub fn to_features(&self, interval_secs: f64) -> crate::cost::FeatureRates {
-        FeatureRates {
-            read_batches_per_sec: self.read_batches as f64 / interval_secs,
-            read_requests_per_batch: if self.read_batches > 0 {
-                self.read_requests as f64 / self.read_batches as f64
-            } else {
-                0.0
-            },
-            read_bytes_per_batch: if self.read_batches > 0 {
-                self.read_bytes as f64 / self.read_batches as f64
-            } else {
-                0.0
-            },
-            write_batches_per_sec: self.write_batches as f64 / interval_secs,
-            write_requests_per_batch: if self.write_batches > 0 {
-                self.write_requests as f64 / self.write_batches as f64
-            } else {
-                0.0
-            },
-            write_bytes_per_batch: if self.write_batches > 0 {
-                self.write_bytes as f64 / self.write_batches as f64
-            } else {
-                0.0
-            },
-            bounded_scans_per_sec: self.bounded_scan_requests as f64 / interval_secs,
-        }
-    }
-
     /// Difference of two cumulative snapshots.
     pub fn delta(&self, earlier: &TrafficStats) -> TrafficStats {
         TrafficStats {
@@ -237,26 +207,6 @@ impl TrafficStats {
             bounded_scan_requests: self.bounded_scan_requests - earlier.bounded_scan_requests,
         }
     }
-}
-
-/// Per-second feature rates (mirror of the accounting crate's
-/// `WorkloadFeatures`, kept dependency-free here).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FeatureRates {
-    /// Read batches per second.
-    pub read_batches_per_sec: f64,
-    /// Mean requests per read batch.
-    pub read_requests_per_batch: f64,
-    /// Mean bytes per read batch.
-    pub read_bytes_per_batch: f64,
-    /// Write batches per second.
-    pub write_batches_per_sec: f64,
-    /// Mean requests per write batch.
-    pub write_requests_per_batch: f64,
-    /// Mean bytes per write batch.
-    pub write_bytes_per_batch: f64,
-    /// Bounded (limit-pushed) scan requests per second.
-    pub bounded_scans_per_sec: f64,
 }
 
 #[cfg(test)]
@@ -360,10 +310,6 @@ mod tests {
         assert_eq!(s.read_bytes, 384);
         assert_eq!(s.write_batches, 1);
         assert_eq!(s.write_requests, 2);
-        let f = s.to_features(2.0);
-        assert_eq!(f.read_batches_per_sec, 1.0);
-        assert_eq!(f.read_requests_per_batch, 3.0);
-        assert_eq!(f.write_batches_per_sec, 0.5);
         let d = s.delta(&TrafficStats::default());
         assert_eq!(d.read_batches, s.read_batches);
     }
@@ -375,8 +321,6 @@ mod tests {
         s.record(&scan_batch(usize::MAX), 4096);
         assert_eq!(s.read_batches, 2);
         assert_eq!(s.bounded_scan_requests, 1, "only the limit-pushed scan counts");
-        let f = s.to_features(2.0);
-        assert_eq!(f.bounded_scans_per_sec, 0.5);
         let d = s.delta(&TrafficStats::default());
         assert_eq!(d.bounded_scan_requests, 1);
     }

@@ -145,28 +145,6 @@ impl Directory {
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
-
-    /// All ranges whose span intersects `[start, end)`, in key order.
-    pub fn ranges_overlapping(&self, start: &[u8], end: &[u8]) -> Vec<&RangeState> {
-        let mut out = Vec::new();
-        // The range containing `start` may begin before it.
-        if let Some(first) = self.lookup(start) {
-            out.push(first);
-        }
-        let start_b = Bytes::copy_from_slice(start);
-        for (s, id) in self.by_start.range(start_b..) {
-            if s.as_ref() >= end {
-                break;
-            }
-            if out.last().map(|r| r.desc.id) == Some(*id) {
-                continue;
-            }
-            if let Some(r) = self.ranges.get(id) {
-                out.push(r);
-            }
-        }
-        out
-    }
 }
 
 /// A range's descriptor and leaseholder as of some read of the
@@ -292,22 +270,6 @@ mod tests {
         assert_eq!(d.lookup(&k).unwrap().desc.id, RangeId(2));
         let k = keys::make_key(TenantId(6), b"a");
         assert!(d.lookup(&k).is_none(), "no range for unknown tenant");
-    }
-
-    #[test]
-    fn overlapping_ranges_in_order() {
-        let mut d = Directory::new();
-        d.insert(mkrange(1, 5, b"", b"g"));
-        d.insert(mkrange(2, 5, b"g", b"p"));
-        d.insert(mkrange(3, 5, b"p", b""));
-        let start = keys::make_key(TenantId(5), b"c");
-        let end = keys::make_key(TenantId(5), b"r");
-        let ids: Vec<_> = d.ranges_overlapping(&start, &end).iter().map(|r| r.desc.id).collect();
-        assert_eq!(ids, vec![RangeId(1), RangeId(2), RangeId(3)]);
-        let narrow_end = keys::make_key(TenantId(5), b"h");
-        let ids: Vec<_> =
-            d.ranges_overlapping(&start, &narrow_end).iter().map(|r| r.desc.id).collect();
-        assert_eq!(ids, vec![RangeId(1), RangeId(2)]);
     }
 
     #[test]

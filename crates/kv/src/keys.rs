@@ -88,16 +88,6 @@ pub fn span_in_tenant(tenant: TenantId, start: &[u8], end: &[u8]) -> bool {
     start >= lo.as_ref() && end <= hi.as_ref()
 }
 
-/// The smallest possible key (start of the whole keyspace).
-pub fn keyspace_min() -> Bytes {
-    Bytes::from_static(&[0x00])
-}
-
-/// A key beyond every tenant segment (end of the whole keyspace).
-pub fn keyspace_max() -> Bytes {
-    Bytes::from_static(&[0xff])
-}
-
 /// Appends an order-preserving encoding of a `u64` to a key buffer —
 /// used by the SQL layer for table/index/primary-key encoding.
 pub fn encode_u64(buf: &mut BytesMut, v: u64) {
@@ -230,11 +220,5 @@ mod tests {
         let (v2, rest) = decode_u64(rest).unwrap();
         assert_eq!((v1, s.as_str(), v2), (42, "warehouse", 7));
         assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn keyspace_bounds_contain_all_tenants() {
-        assert!(keyspace_min() < tenant_span_start(TenantId(1)));
-        assert!(tenant_span_end(TenantId(u64::MAX - 1)) < keyspace_max());
     }
 }

@@ -578,7 +578,7 @@ impl KvNode {
             let topology = cluster.borrow().topology.clone();
             // The pre-execute gate above guarantees a live quorum at
             // this instant (liveness cannot change mid-event).
-            crate::replication::quorum_commit_delay_live(&self.sim, &topology, leader, &followers)
+            crate::replication::quorum_commit_delay(&self.sim, &topology, leader, &followers)
                 .unwrap_or(Duration::ZERO)
         } else {
             Duration::ZERO

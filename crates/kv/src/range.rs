@@ -31,11 +31,6 @@ impl RangeDescriptor {
         key >= self.start.as_ref() && key < self.end.as_ref()
     }
 
-    /// Whether the whole span `[start, end)` lies within the range.
-    pub fn contains_span(&self, start: &[u8], end: &[u8]) -> bool {
-        start >= self.start.as_ref() && end <= self.end.as_ref() && start < end
-    }
-
     /// The tenant owning this range, if the range lies inside one tenant's
     /// segment (always true for app-tenant ranges by construction).
     pub fn tenant(&self) -> Option<TenantId> {
@@ -143,11 +138,6 @@ mod tests {
         let d = desc(5);
         assert!(d.contains(&keys::make_key(TenantId(5), b"anything")));
         assert!(!d.contains(&keys::make_key(TenantId(6), b"a")));
-        assert!(
-            d.contains_span(&keys::make_key(TenantId(5), b"a"), &keys::make_key(TenantId(5), b"b"))
-        );
-        assert!(!d
-            .contains_span(&keys::make_key(TenantId(5), b"a"), &keys::make_key(TenantId(6), b"b")));
     }
 
     #[test]

@@ -12,32 +12,12 @@ use std::time::Duration;
 use crdb_sim::{Location, Sim, Topology};
 
 /// The delay until a write proposed by the leaseholder is committed by a
-/// quorum: the `(quorum-1)`-th smallest follower RTT (zero for a
-/// single-replica range).
+/// quorum. Followers carry a liveness flag and only live ones can ack,
+/// so the delay is the `(quorum-1)`-th smallest *live* follower RTT
+/// (zero for a single-replica range). Returns `None` when the live
+/// followers (plus the leader) cannot form a quorum — the write can
+/// never commit and must be rejected before it applies.
 pub fn quorum_commit_delay(
-    sim: &Sim,
-    topology: &Topology,
-    leader: Location,
-    followers: &[Location],
-) -> Duration {
-    let replicas = followers.len() + 1;
-    let quorum = replicas / 2 + 1;
-    let follower_acks_needed = quorum - 1;
-    if follower_acks_needed == 0 {
-        return Duration::ZERO;
-    }
-    let mut rtts: Vec<Duration> =
-        followers.iter().map(|&f| topology.sample_rtt(sim, leader, f)).collect();
-    rtts.sort();
-    rtts[follower_acks_needed - 1]
-}
-
-/// Like [`quorum_commit_delay`], but followers carry a liveness flag:
-/// only live followers can ack, so the delay is the
-/// `(quorum-1)`-th smallest *live* follower RTT. Returns `None` when
-/// the live followers (plus the leader) cannot form a quorum — the
-/// write can never commit and must be rejected before it applies.
-pub fn quorum_commit_delay_live(
     sim: &Sim,
     topology: &Topology,
     leader: Location,
@@ -67,12 +47,16 @@ mod tests {
     use crdb_util::time::dur;
     use crdb_util::RegionId;
 
+    fn all_live(followers: &[Location]) -> Vec<(Location, bool)> {
+        followers.iter().map(|&f| (f, true)).collect()
+    }
+
     #[test]
     fn single_replica_commits_immediately() {
         let sim = Sim::new(1);
         let t = Topology::single_region("us-east1", 3);
         let leader = Location::new(RegionId(0), 0);
-        assert_eq!(quorum_commit_delay(&sim, &t, leader, &[]), Duration::ZERO);
+        assert_eq!(quorum_commit_delay(&sim, &t, leader, &[]), Some(Duration::ZERO));
     }
 
     #[test]
@@ -82,7 +66,7 @@ mod tests {
         let leader = Location::new(RegionId(0), 0);
         let near = Location::new(RegionId(0), 1); // same region: ~1.5ms RTT
         let far = Location::new(RegionId(2), 0); // asia: ~180ms RTT
-        let d = quorum_commit_delay(&sim, &t, leader, &[near, far]);
+        let d = quorum_commit_delay(&sim, &t, leader, &all_live(&[near, far])).unwrap();
         // Quorum = 2 of 3: the leader plus its *fastest* follower.
         assert!(d < dur::ms(3), "near follower suffices: {d:?}");
     }
@@ -98,7 +82,7 @@ mod tests {
             Location::new(RegionId(1), 1), // ~105ms
             Location::new(RegionId(2), 0), // ~180ms
         ];
-        let d = quorum_commit_delay(&sim, &t, leader, &followers);
+        let d = quorum_commit_delay(&sim, &t, leader, &all_live(&followers)).unwrap();
         // Quorum = 3 of 5: leader + 2 fastest followers -> bounded by the
         // europe RTT, far below the asia RTT.
         assert!(d > dur::ms(50) && d < dur::ms(130), "{d:?}");
@@ -116,25 +100,12 @@ mod tests {
             Location::new(RegionId(1), 0), // ~105ms
             Location::new(RegionId(2), 0), // ~180ms
         ];
-        let d = quorum_commit_delay(&sim, &t, leader, &followers);
+        let d = quorum_commit_delay(&sim, &t, leader, &all_live(&followers)).unwrap();
         assert!(d > dur::ms(50) && d < dur::ms(130), "{d:?}");
         // 2 replicas: quorum = 2 — a single follower must ack, so the
         // commit waits on it even when it is far away.
-        let d2 = quorum_commit_delay(&sim, &t, leader, &followers[2..]);
+        let d2 = quorum_commit_delay(&sim, &t, leader, &all_live(&followers[2..])).unwrap();
         assert!(d2 > dur::ms(150), "lone follower gates the commit: {d2:?}");
-    }
-
-    #[test]
-    fn live_delay_matches_plain_delay_when_all_live() {
-        let sim = Sim::new(7);
-        let t = Topology::three_region();
-        let leader = Location::new(RegionId(0), 0);
-        let followers = [Location::new(RegionId(1), 0), Location::new(RegionId(2), 0)];
-        let with_flags: Vec<(Location, bool)> = followers.iter().map(|&f| (f, true)).collect();
-        // Same seed twice: sampling order matches, so the values agree.
-        let plain = quorum_commit_delay(&Sim::new(7), &t, leader, &followers);
-        let live = quorum_commit_delay_live(&sim, &t, leader, &with_flags).unwrap();
-        assert_eq!(plain, live);
     }
 
     #[test]
@@ -146,7 +117,7 @@ mod tests {
         // must wait for the surviving cross-region follower.
         let followers =
             [(Location::new(RegionId(0), 1), false), (Location::new(RegionId(1), 0), true)];
-        let d = quorum_commit_delay_live(&sim, &t, leader, &followers).unwrap();
+        let d = quorum_commit_delay(&sim, &t, leader, &followers).unwrap();
         assert!(d > dur::ms(50), "must wait on the remote survivor: {d:?}");
     }
 
@@ -163,10 +134,10 @@ mod tests {
             (Location::new(RegionId(1), 1), false),
             (Location::new(RegionId(2), 0), true),
         ];
-        assert_eq!(quorum_commit_delay_live(&sim, &t, leader, &followers), None);
+        assert_eq!(quorum_commit_delay(&sim, &t, leader, &followers), None);
         // Single-replica ranges never lose quorum (the leader is alive
         // by virtue of executing).
-        assert_eq!(quorum_commit_delay_live(&sim, &t, leader, &[]), Some(Duration::ZERO));
+        assert_eq!(quorum_commit_delay(&sim, &t, leader, &[]), Some(Duration::ZERO));
     }
 
     #[test]
@@ -181,18 +152,18 @@ mod tests {
                 .iter()
                 .map(|&r| (Location::new(r, 0), r != dark))
                 .collect();
-            let d = quorum_commit_delay_live(&sim, &t, leader, &followers);
+            let d = quorum_commit_delay(&sim, &t, leader, &followers);
             assert!(d.is_some(), "one region loss must not break quorum (dark={dark:?})");
         }
         // Losing BOTH follower regions does break it.
         let all_dark =
             [(Location::new(RegionId(1), 0), false), (Location::new(RegionId(2), 0), false)];
-        assert_eq!(quorum_commit_delay_live(&sim, &t, leader, &all_dark), None);
+        assert_eq!(quorum_commit_delay(&sim, &t, leader, &all_dark), None);
         // Zone-spread within one region survives a zone loss the same
         // way: replicas in zones 0/1/2, zone 1 dark.
         let t1 = Topology::single_region("us-east1", 3);
         let zoned = [(Location::new(RegionId(0), 1), false), (Location::new(RegionId(0), 2), true)];
-        let d = quorum_commit_delay_live(&sim, &t1, Location::new(RegionId(0), 0), &zoned);
+        let d = quorum_commit_delay(&sim, &t1, Location::new(RegionId(0), 0), &zoned);
         assert!(d.is_some(), "zone-spread placement survives a zone loss");
     }
 }

@@ -134,20 +134,6 @@ impl Trace {
         write_span_json(&spans, &children, 0, &mut out);
         out
     }
-
-    /// Renders an indented human-readable tree with durations.
-    pub fn to_text(&self) -> String {
-        let spans = self.inner.spans.borrow();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-        for (i, r) in spans.iter().enumerate() {
-            if let Some(p) = r.parent {
-                children[p].push(i);
-            }
-        }
-        let mut out = String::new();
-        write_span_text(&spans, &children, 0, 0, &mut out);
-        out
-    }
 }
 
 fn write_span_json(spans: &[SpanRecord], children: &[Vec<usize>], idx: usize, out: &mut String) {
@@ -195,32 +181,6 @@ fn write_span_json(spans: &[SpanRecord], children: &[Vec<usize>], idx: usize, ou
         out.push(']');
     }
     out.push('}');
-}
-
-fn write_span_text(
-    spans: &[SpanRecord],
-    children: &[Vec<usize>],
-    idx: usize,
-    depth: usize,
-    out: &mut String,
-) {
-    let r = &spans[idx];
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    let dur = match r.end {
-        Some(e) => format!("{:.3}ms", e.duration_since(r.start).as_secs_f64() * 1e3),
-        None => "open".to_string(),
-    };
-    out.push_str(&format!("{} [{} @{:.3}ms]", r.name, dur, r.start.as_secs_f64() * 1e3));
-    if !r.tags.is_empty() {
-        let tags: Vec<String> = r.tags.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        out.push_str(&format!(" {{{}}}", tags.join(", ")));
-    }
-    out.push('\n');
-    for &c in &children[idx] {
-        write_span_text(spans, children, c, depth + 1, out);
-    }
 }
 
 /// A read-only copy of one span's record.

@@ -57,11 +57,6 @@ impl PipelineConfig {
             horizon: dur::secs(600),
         }
     }
-
-    /// Worst-case staleness of what the autoscaler reads.
-    pub fn worst_case_staleness(&self) -> Duration {
-        self.generation_interval + self.propagation_delay
-    }
 }
 
 struct TenantSeries {
@@ -191,12 +186,6 @@ mod tests {
 
     fn registry() -> Registry {
         Registry::new(Rc::new(|_| unreachable!()))
-    }
-
-    #[test]
-    fn staleness_math() {
-        assert_eq!(PipelineConfig::prometheus().worst_case_staleness(), dur::secs(30));
-        assert_eq!(PipelineConfig::direct().worst_case_staleness(), dur::secs(3));
     }
 
     #[test]

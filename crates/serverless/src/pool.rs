@@ -187,34 +187,14 @@ impl WarmPool {
         tenant: TenantId,
         cb: impl FnOnce(Rc<SqlNode>) + 'static,
     ) {
-        let preferred = self.warm.borrow().keys().next().copied().unwrap_or(RegionId(0));
-        self.acquire_attempt(registry, system_db, tenant, preferred, 0, Box::new(cb));
+        self.acquire_attempt(registry, system_db, tenant, 0, Box::new(cb));
     }
 
-    /// Like [`WarmPool::acquire_and_start`], but draws from `preferred`'s
-    /// warm slots first, falling back to any live region (the re-homing
-    /// path when a tenant's home region is dark).
-    pub fn acquire_and_start_in(
-        self: &Rc<Self>,
-        registry: &Registry,
-        system_db: &SystemDatabase,
-        tenant: TenantId,
-        preferred: RegionId,
-        cb: impl FnOnce(Rc<SqlNode>) + 'static,
-    ) {
-        self.acquire_attempt(registry, system_db, tenant, preferred, 0, Box::new(cb));
-    }
-
-    /// The region an acquisition would draw a warm slot from: `preferred`
-    /// when it is live and stocked, else the first live region with
-    /// slots.
-    fn pick_region(&self, preferred: RegionId) -> Option<RegionId> {
+    /// The region an acquisition draws a warm slot from: the first live
+    /// region with slots.
+    fn pick_region(&self) -> Option<RegionId> {
         let dark = self.dark.borrow();
-        let warm = self.warm.borrow();
-        if !dark.contains(&preferred) && warm.get(&preferred).is_some_and(|&n| n > 0) {
-            return Some(preferred);
-        }
-        warm.iter().find(|(r, &n)| !dark.contains(r) && n > 0).map(|(&r, _)| r)
+        self.warm.borrow().iter().find(|(r, &n)| !dark.contains(r) && n > 0).map(|(&r, _)| r)
     }
 
     fn acquire_attempt(
@@ -222,7 +202,6 @@ impl WarmPool {
         registry: &Registry,
         system_db: &SystemDatabase,
         tenant: TenantId,
-        preferred: RegionId,
         attempt: u32,
         cb: Box<dyn FnOnce(Rc<SqlNode>)>,
     ) {
@@ -248,9 +227,9 @@ impl WarmPool {
         };
         phase("pod.assignment", sample(POD_ASSIGNMENT));
 
-        // Pod acquisition: the preferred region's slots first, any live
-        // region's second, full provisioning when every live region is dry.
-        match self.pick_region(preferred) {
+        // Pod acquisition: a live region's slot, full provisioning when
+        // every live region is dry.
+        match self.pick_region() {
             Some(region) => {
                 *self.warm.borrow_mut().get_mut(&region).expect("picked region exists") -= 1;
                 span.tag("pool_hit", "true");
@@ -312,7 +291,7 @@ impl WarmPool {
                 let pool2 = Rc::clone(&pool);
                 pool.sim.schedule_after(backoff, move || {
                     let _g = ambient.enter();
-                    pool2.acquire_attempt(&registry, &sdb, tenant, preferred, attempt + 1, cb);
+                    pool2.acquire_attempt(&registry, &sdb, tenant, attempt + 1, cb);
                 });
                 return;
             }
@@ -457,26 +436,27 @@ mod tests {
         let size = POOL_SIZE;
         assert_eq!(pool.available(), 2 * size);
 
-        // Region 1 goes dark: its warm slots are destroyed on the spot.
-        pool.set_region_dark(RegionId(1), true);
+        // Region 0 — the one acquisitions draw from first — goes dark: its
+        // warm slots are destroyed on the spot.
+        pool.set_region_dark(RegionId(0), true);
         assert_eq!(pool.available(), size);
-        assert_eq!(pool.available_in(RegionId(1)), 0);
+        assert_eq!(pool.available_in(RegionId(0)), 0);
         assert_eq!(pool.slots_lost.get(), size as u64);
 
-        // An acquisition preferring the dark region falls back to a live
-        // one — still a pool hit, no provisioning penalty.
+        // An acquisition falls back to the live region — still a pool
+        // hit, no provisioning penalty.
         let done = Rc::new(Cell::new(false));
         let d = Rc::clone(&done);
-        pool.acquire_and_start_in(&registry, &sdb, TenantId(2), RegionId(1), move |_| d.set(true));
-        assert_eq!(pool.available_in(RegionId(0)), size - 1);
+        pool.acquire_and_start(&registry, &sdb, TenantId(2), move |_| d.set(true));
+        assert_eq!(pool.available_in(RegionId(1)), size - 1);
         assert_eq!(*pool.pool_misses.borrow(), 0, "fallback is a pool hit");
         sim.run_for(dur::secs(30));
         assert!(done.get());
 
         // Recovery reprovisions the region after the replenish delay.
-        pool.set_region_dark(RegionId(1), false);
+        pool.set_region_dark(RegionId(0), false);
         sim.run_for(dur::secs(30));
-        assert_eq!(pool.available_in(RegionId(1)), size);
+        assert_eq!(pool.available_in(RegionId(0)), size);
     }
 
     #[test]

@@ -6,20 +6,18 @@
 //! SQL nodes — injected by the deployment layer so this crate stays
 //! independent of tenant provisioning details.
 //!
-//! Entries live in a generational [`Slab`] (dense storage, no per-tenant
-//! map nodes) with a `BTreeMap` index for id-ordered iteration where
-//! snapshots demand it. The registry also maintains the **active set** —
-//! tenants not scaled to zero — so the periodic loops (autoscaler,
-//! metrics pipeline, accounting) cost O(active), not O(all tenants):
-//! with 20,000 suspended tenants and a handful of live ones, a 3-second
-//! reconcile tick must not walk 20,000 entries.
+//! Entries live in a `BTreeMap` keyed by tenant id, which gives the
+//! id-ordered iteration snapshots demand. The registry also maintains
+//! the **active set** — tenants not scaled to zero — so the periodic
+//! loops (autoscaler, metrics pipeline, accounting) cost O(active), not
+//! O(all tenants): with 20,000 suspended tenants and a handful of live
+//! ones, a 3-second reconcile tick must not walk 20,000 entries.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use crdb_sql::node::{NodeState, SqlNode};
-use crdb_util::slab::{Slab, Slot};
 use crdb_util::time::SimTime;
 use crdb_util::TenantId;
 
@@ -62,10 +60,9 @@ impl TenantEntry {
 }
 
 struct Inner {
-    /// Dense per-tenant storage; a suspended tenant is just this entry.
-    entries: Slab<TenantEntry>,
-    /// Id-ordered index into the slab.
-    index: BTreeMap<TenantId, Slot>,
+    /// Per-tenant state in id order; a suspended tenant is just this
+    /// entry.
+    entries: BTreeMap<TenantId, TenantEntry>,
     /// Tenants not scaled to zero; kept in lockstep with
     /// `TenantEntry::suspended` by [`Registry::with_tenant`].
     active: BTreeSet<TenantId>,
@@ -83,8 +80,7 @@ impl Registry {
     pub fn new(factory: NodeFactory) -> Registry {
         Registry {
             inner: Rc::new(RefCell::new(Inner {
-                entries: Slab::new(),
-                index: BTreeMap::new(),
+                entries: BTreeMap::new(),
                 active: BTreeSet::new(),
             })),
             factory,
@@ -93,17 +89,12 @@ impl Registry {
 
     /// Registers a tenant (starts suspended).
     pub fn add_tenant(&self, tenant: TenantId, now: SimTime) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.index.contains_key(&tenant) {
-            return;
-        }
-        let slot = inner.entries.insert(TenantEntry::new(now));
-        inner.index.insert(tenant, slot);
+        self.inner.borrow_mut().entries.entry(tenant).or_insert_with(|| TenantEntry::new(now));
     }
 
     /// Whether the tenant exists.
     pub fn has_tenant(&self, tenant: TenantId) -> bool {
-        self.inner.borrow().index.contains_key(&tenant)
+        self.inner.borrow().entries.contains_key(&tenant)
     }
 
     /// Runs `f` with the tenant's entry. Suspension flips inside `f` are
@@ -114,9 +105,9 @@ impl Registry {
         tenant: TenantId,
         f: impl FnOnce(&mut TenantEntry) -> T,
     ) -> Option<T> {
-        let mut inner = self.inner.borrow_mut();
-        let slot = *inner.index.get(&tenant)?;
-        let entry = inner.entries.get_mut(slot).expect("indexed tenant entry is live");
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let entry = inner.entries.get_mut(&tenant)?;
         let was_suspended = entry.suspended;
         let out = f(entry);
         let now_suspended = entry.suspended;
@@ -133,7 +124,7 @@ impl Registry {
     /// All tenant IDs, in id order. O(all tenants) — the periodic loops
     /// use [`Registry::active_tenant_ids`] instead.
     pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.inner.borrow().index.keys().copied().collect()
+        self.inner.borrow().entries.keys().copied().collect()
     }
 
     /// IDs of tenants not scaled to zero, in id order. This is what the
@@ -154,18 +145,9 @@ impl Registry {
         (self.factory)(tenant)
     }
 
-    /// Total SQL nodes across tenants (ready + draining).
-    pub fn total_sql_nodes(&self) -> usize {
-        self.inner.borrow().entries.iter().map(|(_, e)| e.nodes.len() + e.draining.len()).sum()
-    }
-
     /// Ready node count for a tenant.
     pub fn node_count(&self, tenant: TenantId) -> usize {
-        let inner = self.inner.borrow();
-        match inner.index.get(&tenant) {
-            Some(&slot) => inner.entries.get(slot).map_or(0, |e| e.nodes.len()),
-            None => 0,
-        }
+        self.inner.borrow().entries.get(&tenant).map_or(0, |e| e.nodes.len())
     }
 
     /// Whether a tenant is suspended.
@@ -204,7 +186,6 @@ mod tests {
         assert!(r.has_tenant(TenantId(2)));
         assert!(r.is_suspended(TenantId(2)));
         assert_eq!(r.node_count(TenantId(2)), 0);
-        assert_eq!(r.total_sql_nodes(), 0);
     }
 
     #[test]

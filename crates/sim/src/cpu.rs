@@ -238,33 +238,6 @@ impl CpuScheduler {
     }
 }
 
-/// Tracks utilization of a [`CpuScheduler`] between samples: each call to
-/// [`UtilizationProbe::sample`] returns average utilization (0..=1) since
-/// the previous call.
-pub struct UtilizationProbe {
-    cpu: CpuScheduler,
-    last_busy: f64,
-    last_at: SimTime,
-}
-
-impl UtilizationProbe {
-    /// Creates a probe anchored at the present.
-    pub fn new(sim: &Sim, cpu: CpuScheduler) -> Self {
-        let last_busy = cpu.cumulative_busy();
-        UtilizationProbe { cpu, last_busy, last_at: sim.now() }
-    }
-
-    /// Average utilization in `[0, 1]` since the last sample.
-    pub fn sample(&mut self, now: SimTime) -> f64 {
-        let busy = self.cpu.cumulative_busy();
-        let dt = now.duration_since(self.last_at).as_secs_f64();
-        let util = if dt <= 0.0 { 0.0 } else { (busy - self.last_busy) / (dt * self.cpu.vcpus()) };
-        self.last_busy = busy;
-        self.last_at = now;
-        util.clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,21 +327,6 @@ mod tests {
         // 0.25 left at full rate, finishing at 1.25.
         assert!((t_second.get().unwrap() - 1.0).abs() < 1e-9);
         assert!((t_first.get().unwrap() - 1.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_probe() {
-        let sim = Sim::new(1);
-        let cpu = CpuScheduler::new(sim.clone(), 4.0);
-        let mut probe = UtilizationProbe::new(&sim, cpu.clone());
-        cpu.submit(TenantId(2), 2.0, || {});
-        sim.run_until(SimTime::from_secs_f64(4.0));
-        // 2 cpu-seconds over 4s on 4 vCPUs = 12.5%.
-        let u = probe.sample(sim.now());
-        assert!((u - 0.125).abs() < 1e-9, "{u}");
-        // Nothing since.
-        sim.run_for(dur::secs(1));
-        assert_eq!(probe.sample(sim.now()), 0.0);
     }
 
     #[test]

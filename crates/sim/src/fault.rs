@@ -354,26 +354,6 @@ impl FaultSchedule {
         .merge(FaultSchedule::region_loss(region, at, duration))
     }
 
-    /// Disaster script: a region flaps `cycles` times — dark for `down`,
-    /// back for `up`, repeatedly — exercising breaker re-trips and
-    /// repeated re-homing.
-    pub fn flapping_region(
-        region: RegionId,
-        first_at: SimTime,
-        down: Duration,
-        up: Duration,
-        cycles: u32,
-    ) -> FaultSchedule {
-        let mut events = Vec::new();
-        let mut at = first_at;
-        for _ in 0..cycles {
-            events.push(FaultEvent { at, kind: FaultKind::RegionOutage { region } });
-            events.push(FaultEvent { at: at + down, kind: FaultKind::RegionRecover { region } });
-            at = at + down + up;
-        }
-        FaultSchedule { events }
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -513,26 +493,6 @@ mod tests {
         assert!(s.events[0].at < t0);
         assert!(matches!(s.events[1].kind, FaultKind::RegionOutage { .. }));
         assert!(matches!(s.events[2].kind, FaultKind::RegionRecover { .. }));
-    }
-
-    #[test]
-    fn flapping_region_alternates_outage_and_recovery() {
-        let s = FaultSchedule::flapping_region(
-            RegionId(1),
-            SimTime::from_nanos(0),
-            Duration::from_secs(10),
-            Duration::from_secs(5),
-            3,
-        );
-        assert_eq!(s.len(), 6);
-        for (i, e) in s.events.iter().enumerate() {
-            if i % 2 == 0 {
-                assert!(matches!(e.kind, FaultKind::RegionOutage { .. }));
-            } else {
-                assert!(matches!(e.kind, FaultKind::RegionRecover { .. }));
-            }
-        }
-        assert!(s.events.windows(2).all(|w| w[0].at < w[1].at));
     }
 
     #[test]

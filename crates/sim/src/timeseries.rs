@@ -6,13 +6,7 @@
 //! by sampling simulation state on a fixed period and rendering the series
 //! as aligned text columns.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::time::Duration;
-
 use crdb_util::time::SimTime;
-
-use crate::engine::Sim;
 
 /// A named sequence of `(time, value)` samples.
 #[derive(Debug, Clone, Default)]
@@ -55,84 +49,9 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Minimum value, or 0 for an empty series.
-    pub fn min(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min).min(f64::MAX)
-    }
-
     /// Maximum value, or 0 for an empty series.
     pub fn max(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
-    /// Mean value, or 0 for an empty series.
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
-    /// Mean over samples with `at >= from`.
-    pub fn mean_since(&self, from: SimTime) -> f64 {
-        let vals: Vec<f64> =
-            self.points.iter().filter(|&&(t, _)| t >= from).map(|&(_, v)| v).collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
-
-    /// Sample standard deviation over samples with `at >= from`.
-    pub fn stddev_since(&self, from: SimTime) -> f64 {
-        let vals: Vec<f64> =
-            self.points.iter().filter(|&&(t, _)| t >= from).map(|&(_, v)| v).collect();
-        if vals.len() < 2 {
-            return 0.0;
-        }
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (vals.len() - 1) as f64;
-        var.sqrt()
-    }
-}
-
-/// Periodically samples a set of named probes into time series.
-pub struct Sampler {
-    series: Rc<RefCell<Vec<TimeSeries>>>,
-}
-
-impl Sampler {
-    /// Starts sampling: every `period`, each probe in `probes` is invoked
-    /// and its value appended to the series of the same index. Sampling
-    /// stops when the simulation stops running events (the periodic event
-    /// chain just ends with the run).
-    pub fn start(
-        sim: &Sim,
-        period: Duration,
-        names: Vec<String>,
-        mut probes: Vec<Box<dyn FnMut(SimTime) -> f64>>,
-    ) -> Sampler {
-        assert_eq!(names.len(), probes.len());
-        let series =
-            Rc::new(RefCell::new(names.into_iter().map(TimeSeries::new).collect::<Vec<_>>()));
-        let s = Rc::clone(&series);
-        let sim2 = sim.clone();
-        sim.schedule_periodic(period, move || {
-            let now = sim2.now();
-            let mut all = s.borrow_mut();
-            for (ts, probe) in all.iter_mut().zip(probes.iter_mut()) {
-                ts.push(now, probe(now));
-            }
-            true
-        });
-        Sampler { series }
-    }
-
-    /// Snapshot of all series collected so far.
-    pub fn series(&self) -> Vec<TimeSeries> {
-        self.series.borrow().clone()
     }
 }
 
@@ -169,7 +88,6 @@ pub fn render_table(series: &[TimeSeries], time_unit_secs: f64, unit_label: &str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crdb_util::time::dur;
 
     #[test]
     fn push_and_stats() {
@@ -178,50 +96,7 @@ mod tests {
         ts.push(SimTime::from_secs_f64(1.0), 3.0);
         ts.push(SimTime::from_secs_f64(2.0), 2.0);
         assert_eq!(ts.len(), 3);
-        assert_eq!(ts.mean(), 2.0);
         assert_eq!(ts.max(), 3.0);
-        assert_eq!(ts.min(), 1.0);
-        assert_eq!(ts.mean_since(SimTime::from_secs_f64(1.0)), 2.5);
-    }
-
-    #[test]
-    fn stddev() {
-        let mut ts = TimeSeries::new("x");
-        for (t, v) in [
-            (0.0, 2.0),
-            (1.0, 4.0),
-            (2.0, 4.0),
-            (3.0, 4.0),
-            (4.0, 5.0),
-            (5.0, 5.0),
-            (6.0, 7.0),
-            (7.0, 9.0),
-        ] {
-            ts.push(SimTime::from_secs_f64(t), v);
-        }
-        let sd = ts.stddev_since(SimTime::ZERO);
-        assert!((sd - 2.138).abs() < 0.01, "{sd}");
-    }
-
-    #[test]
-    fn sampler_collects_periodically() {
-        let sim = Sim::new(1);
-        let counter = Rc::new(RefCell::new(0.0));
-        let c = Rc::clone(&counter);
-        let sampler = Sampler::start(
-            &sim,
-            dur::secs(1),
-            vec!["count".into()],
-            vec![Box::new(move |_| {
-                *c.borrow_mut() += 1.0;
-                *c.borrow()
-            })],
-        );
-        sim.run_until(SimTime::from_secs_f64(5.5));
-        let series = sampler.series();
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].len(), 5);
-        assert_eq!(series[0].points()[4].1, 5.0);
     }
 
     #[test]

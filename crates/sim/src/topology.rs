@@ -145,11 +145,6 @@ impl Topology {
         &self.regions[r.raw() as usize]
     }
 
-    /// Looks up a region by name.
-    pub fn region_by_name(&self, name: &str) -> Option<RegionId> {
-        self.regions.iter().position(|n| n == name).map(|i| RegionId(i as u64))
-    }
-
     /// Deterministic base one-way latency between two locations, before
     /// jitter.
     pub fn base_latency(&self, from: Location, to: Location) -> Duration {
@@ -340,9 +335,8 @@ mod tests {
     #[test]
     fn region_lookup() {
         let t = Topology::three_region();
-        assert_eq!(t.region_by_name("europe-west1"), Some(RegionId(1)));
+        assert_eq!(t.region_name(RegionId(1)), "europe-west1");
         assert_eq!(t.region_name(RegionId(2)), "asia-southeast1");
-        assert_eq!(t.region_by_name("mars-north1"), None);
         assert_eq!(t.regions().count(), 3);
     }
 

@@ -81,30 +81,4 @@ impl<T> ModelScheduler<T> {
             return Some((s.at, s.seq, s.value));
         }
     }
-
-    /// Time of the earliest live event, discarding tombstoned entries on
-    /// the way (the old engine's `peek_next_at` behavior).
-    pub fn peek_min_at(&mut self) -> Option<SimTime> {
-        loop {
-            let at = self.queue.peek()?.0.at;
-            let seq = self.queue.peek()?.0.seq;
-            if self.cancelled.contains(&seq) {
-                self.queue.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(at);
-        }
-    }
-
-    /// Queued entries, tombstones included (the old pending-count
-    /// semantics).
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether nothing (live or tombstoned) is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
 }

@@ -1,8 +1,3 @@
-// NOTE: with the vendored offline proptest stand-in, `proptest!` blocks
-// compile away, leaving strategies/helpers unreferenced. The seeded
-// `SmallRng` tests below run the same differential check for real.
-#![allow(dead_code, unused_imports)]
-
 //! Differential test: the hierarchical timer wheel must reproduce the old
 //! binary-heap scheduler's pop order **byte for byte** under arbitrary
 //! interleavings of schedules (including in the past and far future),
@@ -14,7 +9,6 @@ use std::fmt::Write as _;
 use crdb_sim::wheel::TimerWheel;
 use crdb_util::slab::Slot;
 use crdb_util::time::SimTime;
-use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -223,19 +217,4 @@ fn identical_seeds_produce_identical_logs() {
         run_differential(&ops).0
     };
     assert_eq!(run(42), run(42), "same seed, same bytes");
-}
-
-proptest! {
-    /// Arbitrary op streams: the wheel and the model heap pop identical
-    /// `(at, seq)` sequences.
-    #[test]
-    fn wheel_matches_heap_model(
-        seed in any::<u64>(),
-        len in 10usize..300,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let ops = random_ops(&mut rng, len);
-        let (wheel_log, model_log) = run_differential(&ops);
-        prop_assert_eq!(wheel_log, model_log);
-    }
 }

@@ -25,8 +25,11 @@ impl fmt::Display for Token {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
             Token::Int(i) => write!(f, "{i}"),
+            // A whole float keeps its `.0`, or it would lex back as an int.
+            Token::Float(x) if x.fract() == 0.0 => write!(f, "{x:.1}"),
             Token::Float(x) => write!(f, "{x}"),
-            Token::Str(s) => write!(f, "'{s}'"),
+            // Embedded quotes are doubled, as the lexer reads them.
+            Token::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Token::Param(n) => write!(f, "${n}"),
             Token::Sym(s) => write!(f, "{s}"),
         }

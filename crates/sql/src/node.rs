@@ -32,12 +32,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use crdb_kv::batch::KvError;
 use crdb_kv::client::KvClient;
 use crdb_obs::trace;
 use crdb_sim::cpu::CpuScheduler;
 use crdb_sim::{Location, Sim};
 use crdb_util::time::{dur, SimTime};
-use crdb_util::{Deadline, RegionId, SqlInstanceId, TenantId};
+use crdb_util::{Deadline, RegionId, RetryPolicy, SqlInstanceId, TenantId};
 
 use crate::coord::{SqlError, Txn};
 use crate::exec::{execute, QueryOutput};
@@ -48,6 +49,11 @@ use crate::schema::TableDescriptor;
 use crate::session::{Session, SessionSnapshot};
 use crate::stats::TableStatistics;
 use crate::system_db::SystemDatabase;
+
+/// Autocommit retry backoff: doubles from 2 ms to 32 ms, five retries.
+fn autocommit_retry_policy() -> RetryPolicy {
+    RetryPolicy::exponential(dur::ms(2), dur::ms(32), 5)
+}
 
 /// KV pairs fetched per ANALYZE chunk: the statistics scan streams the
 /// table instead of materializing it in one response.
@@ -616,75 +622,39 @@ impl SqlNode {
                         _ => (Txn::begin_with_deadline(&self.client, deadline), true),
                     }
                 };
-                let node = Rc::clone(self);
-                let stmt2 = stmt.clone();
-                let params2 = params.clone();
-                let txn_for_cb = txn.clone();
-                execute(&txn, other, params, move |result| {
-                    let txn = txn_for_cb;
-                    match result {
-                        Err(e) if e.is_retryable() && autocommit && attempt < 5 => {
-                            // Retry the whole autocommit statement at a new
-                            // timestamp after a short backoff — unless that
-                            // retry would land past the caller's deadline.
-                            let backoff = dur::ms(2 << attempt);
-                            if !deadline.allows(node.sim.now(), backoff) {
-                                cb(Err(SqlError::Kv(crdb_kv::batch::KvError::DeadlineExceeded)));
-                                return;
-                            }
-                            let node2 = Rc::clone(&node);
-                            let ambient = trace::current();
-                            node.sim.schedule_after(backoff, move || {
-                                let _g = ambient.enter();
-                                node2.execute_statement(
-                                    session,
-                                    stmt2,
-                                    params2,
-                                    deadline,
-                                    attempt + 1,
-                                    cb,
-                                )
-                            });
+                // Retries the whole autocommit statement at a new timestamp
+                // after a short backoff — unless the budget is spent (the
+                // error stands) or the retry would land past the caller's
+                // deadline.
+                let retry = {
+                    let node = Rc::clone(self);
+                    let params = params.clone();
+                    move |e: SqlError, cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>| {
+                        let Some(backoff) = autocommit_retry_policy().delay(attempt) else {
+                            return cb(Err(e));
+                        };
+                        if !deadline.allows(node.sim.now(), backoff) {
+                            return cb(Err(SqlError::Kv(KvError::DeadlineExceeded)));
                         }
-                        Err(e) => cb(Err(e)),
-                        Ok(output) => {
-                            if autocommit {
-                                let node2 = Rc::clone(&node);
-                                let txn2 = txn.clone();
-                                txn.commit(move |r| match r {
-                                    Err(e) if e.is_retryable() && attempt < 5 => {
-                                        let backoff = dur::ms(2 << attempt);
-                                        if !deadline.allows(node2.sim.now(), backoff) {
-                                            cb(Err(SqlError::Kv(
-                                                crdb_kv::batch::KvError::DeadlineExceeded,
-                                            )));
-                                            return;
-                                        }
-                                        let node3 = Rc::clone(&node2);
-                                        let ambient = trace::current();
-                                        node2.sim.schedule_after(backoff, move || {
-                                            let _g = ambient.enter();
-                                            node3.execute_statement(
-                                                session,
-                                                stmt2,
-                                                params2,
-                                                deadline,
-                                                attempt + 1,
-                                                cb,
-                                            )
-                                        });
-                                    }
-                                    Err(e) => cb(Err(e)),
-                                    Ok(()) => {
-                                        let _ = txn2;
-                                        node2.finish_with_cpu(output, cb);
-                                    }
-                                });
-                            } else {
-                                node.finish_with_cpu(output, cb);
-                            }
-                        }
+                        let ambient = trace::current();
+                        let sim = node.sim.clone();
+                        sim.schedule_after(backoff, move || {
+                            let _g = ambient.enter();
+                            node.execute_statement(session, stmt, params, deadline, attempt + 1, cb)
+                        });
                     }
+                };
+                let node = Rc::clone(self);
+                let txn_for_cb = txn.clone();
+                execute(&txn, other, params, move |result| match result {
+                    Err(e) if autocommit && e.is_retryable() => retry(e, cb),
+                    Err(e) => cb(Err(e)),
+                    Ok(output) if autocommit => txn_for_cb.commit(move |r| match r {
+                        Err(e) if e.is_retryable() => retry(e, cb),
+                        Err(e) => cb(Err(e)),
+                        Ok(()) => node.finish_with_cpu(output, cb),
+                    }),
+                    Ok(output) => node.finish_with_cpu(output, cb),
                 });
             }
         }

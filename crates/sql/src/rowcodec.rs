@@ -35,9 +35,12 @@ pub fn encode_key_datum(b: &mut BytesMut, d: &Datum) {
         }
         Datum::Float(f) => {
             b.put_u8(TYPE_FLOAT);
-            // IEEE-754 total-order trick.
-            let bits = f.to_bits();
-            let key = if *f >= 0.0 { bits ^ (1 << 63) } else { !bits };
+            // IEEE-754 total-order trick, keyed on the sign *bit*, not on
+            // `>= 0.0`: `-0.0` passes that test with the bit set, and its
+            // key would decode as NaN. It is stored as `0.0`, its SQL
+            // equal, so both find the same row.
+            let bits = if *f == 0.0 { 0 } else { f.to_bits() };
+            let key = if bits >> 63 == 0 { bits ^ (1 << 63) } else { !bits };
             b.put_u64(key);
         }
         Datum::Str(s) => {
@@ -317,16 +320,16 @@ mod tests {
         for w in keys.windows(2) {
             assert!(w[0] < w[1], "int order preserved");
         }
-        // Floats, including negatives.
-        let floats = [-10.5, -0.25, 0.0, 0.25, 10.5];
+        // Floats, including negatives and infinities; `-0.0` is `0.0`.
+        let floats = [f64::NEG_INFINITY, -10.5, -0.25, 0.0, -0.0, 0.25, 10.5, f64::INFINITY];
         let mut keys: Vec<Bytes> = Vec::new();
         for f in floats {
             let mut b = BytesMut::new();
             encode_key_datum(&mut b, &Datum::Float(f));
             keys.push(b.freeze());
         }
-        for w in keys.windows(2) {
-            assert!(w[0] < w[1], "float order preserved");
+        for (w, f) in keys.windows(2).zip(floats.windows(2)) {
+            assert_eq!(Some(w[0].cmp(&w[1])), f[0].partial_cmp(&f[1]), "float order at {f:?}");
         }
     }
 

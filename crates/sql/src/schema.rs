@@ -61,14 +61,6 @@ impl TableDescriptor {
         (0..self.columns.len()).filter(|i| !self.primary_key.contains(i)).collect()
     }
 
-    /// The secondary index whose leading columns exactly cover `cols`
-    /// as a prefix, if any.
-    pub fn index_with_prefix(&self, cols: &[usize]) -> Option<&IndexDescriptor> {
-        self.indexes
-            .iter()
-            .find(|idx| cols.len() <= idx.columns.len() && idx.columns[..cols.len()] == *cols)
-    }
-
     /// Serializes the descriptor.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::new();
@@ -211,13 +203,5 @@ mod tests {
         assert_eq!(d.column_index("w_name"), Some(1));
         assert_eq!(d.column_index("nope"), None);
         assert_eq!(d.value_columns(), vec![1, 2]);
-    }
-
-    #[test]
-    fn index_prefix_match() {
-        let d = sample();
-        assert_eq!(d.index_with_prefix(&[1]).map(|i| i.id), Some(2));
-        assert_eq!(d.index_with_prefix(&[2]), None);
-        assert_eq!(d.index_with_prefix(&[]).map(|i| i.id), Some(2), "empty prefix matches any");
     }
 }

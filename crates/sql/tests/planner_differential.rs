@@ -1,8 +1,3 @@
-// NOTE: with the vendored offline proptest stand-in, `proptest!` blocks
-// compile away, leaving strategies/helpers unreferenced. The seeded
-// `SmallRng` tests below run the same differential check for real.
-#![allow(dead_code, unused_imports)]
-
 //! Differential tests for the cost-based planner: every query executed
 //! via the chosen plan (index seeks, range seeks, residual pruning, LIMIT
 //! pushdown) must return exactly the rows a forced full-table scan
@@ -23,7 +18,6 @@ use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
 use crdb_util::{RegionId, SqlInstanceId, TenantId};
-use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -385,22 +379,4 @@ fn explain_is_byte_identical_across_same_seed_runs() {
         lines
     };
     assert_eq!(render(42), render(42), "same seed, same EXPLAIN bytes");
-}
-
-// With the real proptest crate these run the differential property over
-// arbitrary predicates; with the offline stand-in they compile away and
-// the seeded loops above carry the coverage.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn differential_holds_for_random_predicates(seed in 0u64..1u64 << 32) {
-        let f = setup(1000 + (seed % 50));
-        let mut rng = SmallRng::seed_from_u64(seed);
-        load_tpcc_lite(&f, &mut rng, 25, 20);
-        for _ in 0..5 {
-            let (sql, params) = random_query(&mut rng);
-            check_differential(&f, &sql, params);
-        }
-    }
 }

@@ -905,7 +905,6 @@ mod tests {
     use super::*;
     use bytes::Bytes;
 
-    #[allow(dead_code)]
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }

@@ -1,8 +1,3 @@
-// NOTE: with the vendored offline proptest stand-in, `proptest!` blocks
-// compile away, leaving strategies/helpers unreferenced. The seeded
-// `SmallRng` tests below run the same differential checks for real.
-#![allow(dead_code, unused_imports)]
-
 //! Differential tests for the pipelined write path: any interleaving of
 //! group commits, memtable freezes, in-flight flushes and concurrent
 //! per-level compactions must leave reads byte-for-byte identical to a
@@ -15,7 +10,6 @@
 use bytes::Bytes;
 use crdb_storage::wal::{crc32, decode_batch, encode_batch, FileWal};
 use crdb_storage::{Lsm, LsmConfig, WalWriter, WriteBatch};
-use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -458,7 +452,7 @@ fn wal_seeded_roundtrip_random_batches() {
         // Any strict truncation of the record must be rejected, not
         // misread: decode sees through to the declared entry count.
         if !b.is_empty() {
-            for cut in [encoded.len() - 1, encoded.len() / 2, 4] {
+            for cut in 0..encoded.len() {
                 assert!(decode_batch(&encoded[..cut]).is_none(), "truncated decode at {cut}");
             }
         }
@@ -508,47 +502,4 @@ fn corruption_at_every_byte_offset_truncates_cleanly() {
         }
     }
     let _ = std::fs::remove_file(&path);
-}
-
-// The proptest form of the roundtrip property: with the real proptest
-// crate this shrinks failures to a minimal batch; under the vendored
-// stand-in it compiles away and the seeded tests above carry the check.
-fn entry_strategy() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, bool)> {
-    (
-        proptest::collection::vec(any::<u8>(), 0..32),
-        proptest::collection::vec(any::<u8>(), 0..48),
-        any::<bool>(),
-    )
-}
-
-proptest! {
-    #[test]
-    fn prop_wal_roundtrip(entries in proptest::collection::vec(entry_strategy(), 0..8)) {
-        let mut b = WriteBatch::new();
-        for (k, v, is_put) in entries {
-            if is_put {
-                b.put(k, v);
-            } else {
-                b.delete(k);
-            }
-        }
-        let encoded = encode_batch(&b);
-        let decoded = decode_batch(&encoded).expect("decodes");
-        prop_assert_eq!(encode_batch(&decoded), encoded);
-    }
-
-    #[test]
-    fn prop_truncated_records_never_decode(entries in proptest::collection::vec(entry_strategy(), 1..6), frac in 0.0f64..1.0) {
-        let mut b = WriteBatch::new();
-        for (k, v, is_put) in entries {
-            if is_put {
-                b.put(k, v);
-            } else {
-                b.delete(k);
-            }
-        }
-        let encoded = encode_batch(&b);
-        let cut = ((encoded.len() - 1) as f64 * frac) as usize;
-        prop_assert!(decode_batch(&encoded[..cut]).is_none());
-    }
 }

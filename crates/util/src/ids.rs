@@ -100,27 +100,6 @@ impl TenantId {
     }
 }
 
-/// Monotonic ID allocator used by control-plane components.
-#[derive(Debug, Clone)]
-pub struct IdAllocator {
-    next: u64,
-}
-
-impl IdAllocator {
-    /// Creates an allocator whose first issued ID is `first`.
-    pub fn starting_at(first: u64) -> Self {
-        IdAllocator { next: first }
-    }
-
-    /// Issues the next raw ID.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u64 {
-        let id = self.next;
-        self.next += 1;
-        id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,14 +117,6 @@ mod tests {
         assert_eq!(NodeId(3).to_string(), "n3");
         assert_eq!(RangeId(12).to_string(), "r12");
         assert_eq!(format!("{:?}", RegionId(2)), "region2");
-    }
-
-    #[test]
-    fn allocator_is_monotonic() {
-        let mut a = IdAllocator::starting_at(5);
-        assert_eq!(a.next(), 5);
-        assert_eq!(a.next(), 6);
-        assert_eq!(a.next(), 7);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! auth throttle — expresses its policy as a [`RetryPolicy`]: one
 //! backoff formula with an explicit budget, instead of ad-hoc
 //! constants scattered per call site. Policies are pure functions of
-//! the attempt number (plus an optional deterministic hash jitter), so
-//! same-seed simulation runs stay byte-identical.
+//! the attempt number, so same-seed simulation runs stay
+//! byte-identical.
 //!
 //! A [`Deadline`] is an absolute virtual-time bound carried with a
 //! request as it descends proxy → SQL coordinator → KV client → KV
@@ -107,33 +107,19 @@ pub struct RetryPolicy {
     pub growth: Growth,
     /// Maximum number of retries (not counting the initial attempt).
     pub budget: u32,
-    /// Deterministic jitter amplitude in percent of the computed delay
-    /// (0 = no jitter). Jitter is derived by hashing `seed ^ attempt`,
-    /// so same-seed runs reproduce byte-identically.
-    pub jitter_pct: u32,
-    /// Seed for the deterministic jitter hash.
-    pub seed: u64,
 }
 
 impl RetryPolicy {
     /// An exponential policy `base * 2^n`, capped, with the given
-    /// retry budget and no jitter.
+    /// retry budget.
     pub fn exponential(base: Duration, cap: Duration, budget: u32) -> RetryPolicy {
-        RetryPolicy { base, cap, growth: Growth::Exponential, budget, jitter_pct: 0, seed: 0 }
+        RetryPolicy { base, cap, growth: Growth::Exponential, budget }
     }
 
     /// A linear policy `base + step * n`, capped, with the given retry
-    /// budget and no jitter.
+    /// budget.
     pub fn linear(base: Duration, step: Duration, cap: Duration, budget: u32) -> RetryPolicy {
-        RetryPolicy { base, cap, growth: Growth::Linear { step }, budget, jitter_pct: 0, seed: 0 }
-    }
-
-    /// Sets deterministic jitter: +/- up to `pct`% of the computed
-    /// delay, derived from `seed` and the attempt number.
-    pub fn with_jitter(mut self, pct: u32, seed: u64) -> RetryPolicy {
-        self.jitter_pct = pct;
-        self.seed = seed;
-        self
+        RetryPolicy { base, cap, growth: Growth::Linear { step }, budget }
     }
 
     /// The backoff to schedule after failed attempt `attempt`
@@ -157,16 +143,7 @@ impl RetryPolicy {
                 base.saturating_add(step.saturating_mul(attempt as u64))
             }
         };
-        let mut nanos = raw.min(cap);
-        if self.jitter_pct > 0 && nanos > 0 {
-            // splitmix64 over (seed, attempt): deterministic, seed-scoped.
-            let h = splitmix64(self.seed ^ (0x9e37_79b9_7f4a_7c15 ^ attempt as u64));
-            // Signed offset in [-jitter_pct, +jitter_pct]% of the delay.
-            let span = (nanos / 100).saturating_mul(self.jitter_pct as u64);
-            let offset = if span > 0 { (h % (2 * span + 1)) as i64 - span as i64 } else { 0 };
-            nanos = nanos.saturating_add_signed(offset);
-        }
-        Some(Duration::from_nanos(nanos))
+        Some(Duration::from_nanos(raw.min(cap)))
     }
 
     /// The backoff after failed attempt `attempt`, additionally
@@ -181,14 +158,6 @@ impl RetryPolicy {
         }
         Some(d)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Circuit-breaker configuration.
@@ -402,22 +371,6 @@ mod tests {
         assert_eq!(p.next_delay(0, late, deadline), None);
         // No deadline allows everything the budget allows.
         assert_eq!(p.next_delay(1, now, Deadline::NONE), Some(dur::ms(200)));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let p = RetryPolicy::exponential(dur::ms(100), dur::secs(10), 10).with_jitter(20, 42);
-        let a = p.delay(3).unwrap();
-        let b = p.delay(3).unwrap();
-        assert_eq!(a, b, "same seed+attempt must give identical jitter");
-        let nominal = dur::ms(800);
-        assert!(
-            a >= nominal.mul_f64(0.8) && a <= nominal.mul_f64(1.2),
-            "jitter out of band: {a:?}"
-        );
-        let other = RetryPolicy::exponential(dur::ms(100), dur::secs(10), 10).with_jitter(20, 43);
-        // Different seeds should (for this pair) give different delays.
-        assert_ne!(a, other.delay(3).unwrap());
     }
 
     #[test]

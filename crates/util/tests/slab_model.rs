@@ -1,8 +1,3 @@
-// NOTE: with the vendored offline proptest stand-in, `proptest!` blocks
-// compile away, leaving strategies/helpers unreferenced. The seeded
-// `SmallRng` tests below run the same properties for real.
-#![allow(dead_code, unused_imports)]
-
 //! Property tests for the generational slab: random alloc/free/reuse
 //! interleavings never alias live handles, freed-slot reuse is
 //! deterministic (LIFO), and iteration order is stable across same-seed
@@ -11,27 +6,8 @@
 use std::collections::BTreeMap;
 
 use crdb_util::slab::{Slab, Slot};
-use proptest::prelude::*;
-
-// The vendored rand stand-in lives behind crdb-util's dev-dependencies
-// only via the workspace; use a tiny deterministic LCG instead so this
-// suite needs nothing beyond the crate under test.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -45,12 +21,12 @@ enum Op {
     },
 }
 
-fn random_ops(rng: &mut Lcg, len: usize) -> Vec<Op> {
+fn random_ops(rng: &mut SmallRng, len: usize) -> Vec<Op> {
     (0..len)
-        .map(|_| match rng.below(10) {
-            0..=4 => Op::Insert(rng.next()),
-            5..=7 => Op::Remove { pick: rng.next() },
-            _ => Op::ProbeStale { pick: rng.next() },
+        .map(|_| match rng.gen_range(0..10) {
+            0..=4 => Op::Insert(rng.gen()),
+            5..=7 => Op::Remove { pick: rng.gen() },
+            _ => Op::ProbeStale { pick: rng.gen() },
         })
         .collect()
 }
@@ -121,7 +97,7 @@ fn run_model(ops: &[Op]) -> Vec<(u64, u64)> {
 #[test]
 fn seeded_random_interleavings_uphold_contract() {
     for seed in 0..48u64 {
-        let mut rng = Lcg::new(seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
         let len = 40 + (seed as usize * 7) % 200;
         let ops = random_ops(&mut rng, len);
         run_model(&ops);
@@ -134,7 +110,7 @@ fn same_seed_runs_allocate_identically() {
     // stream produce the same handle (index *and* generation) at every
     // step, hence identical transcripts.
     for seed in [3u64, 17, 99, 12345] {
-        let ops = random_ops(&mut Lcg::new(seed), 250);
+        let ops = random_ops(&mut SmallRng::seed_from_u64(seed), 250);
         let a = run_model(&ops);
         let b = run_model(&ops);
         assert_eq!(a, b, "seed {seed}: slab allocation must be reproducible");
@@ -158,21 +134,4 @@ fn reuse_is_lifo_under_bulk_churn() {
     }
     // Fully reoccupied: the next insert grows the arena.
     assert_eq!(slab.insert(0).index(), 100);
-}
-
-proptest! {
-    /// Arbitrary interleavings uphold the slab contract against the map
-    /// model.
-    #[test]
-    fn slab_matches_map_model(seed in any::<u64>(), len in 10usize..250) {
-        let ops = random_ops(&mut Lcg::new(seed), len);
-        run_model(&ops);
-    }
-
-    /// Same ops, same handles: allocation is a pure function of history.
-    #[test]
-    fn slab_allocation_deterministic(seed in any::<u64>()) {
-        let ops = random_ops(&mut Lcg::new(seed), 200);
-        prop_assert_eq!(run_model(&ops), run_model(&ops));
-    }
 }
