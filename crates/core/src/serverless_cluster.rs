@@ -289,6 +289,13 @@ impl ServerlessCluster {
             s.counter(&format!("{p}.storage.scans"), m.scans);
             s.counter(&format!("{p}.storage.scan_entries_pulled"), m.scan_entries_pulled);
             s.counter(&format!("{p}.storage.scan_entries_returned"), m.scan_entries_returned);
+            // What compaction-time MVCC GC collected. A node whose
+            // compactions never met collectable history — any read-only
+            // or short run — emits nothing, like `region_pinned` above.
+            if m.gc_versions_dropped > 0 {
+                s.counter(&format!("{p}.storage.gc_versions_dropped"), m.gc_versions_dropped);
+                s.counter(&format!("{p}.storage.gc_bytes_dropped"), m.gc_bytes_dropped);
+            }
         }
 
         // Per-tenant accounting: bucket server grants, cumulative

@@ -11,6 +11,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use crdb_admission::AdmissionConfig;
@@ -25,6 +26,7 @@ use crate::directory::Directory;
 use crate::hlc::{Hlc, Timestamp};
 use crate::keys;
 use crate::liveness::{Liveness, LivenessConfig};
+use crate::mvcc;
 use crate::node::KvNode;
 use crate::range::{Lease, Placement, RangeDescriptor, RangeState};
 use crate::txn::TxnStatus;
@@ -76,6 +78,10 @@ impl Default for KvClusterConfig {
     }
 }
 
+/// How long the transaction-status table remembers a finalized
+/// transaction: its intents have long been resolved by then.
+pub(crate) const TXN_STATUS_RETENTION: Duration = Duration::from_secs(60);
+
 /// Shared cluster control state.
 pub struct ClusterInner {
     pub(crate) config: KvClusterConfig,
@@ -84,11 +90,11 @@ pub struct ClusterInner {
     pub(crate) liveness: Liveness,
     pub(crate) ca: CertAuthority,
     /// Cluster-visible transaction status cache (stand-in for reading the
-    /// txn record from its anchor range; see DESIGN.md). Values carry the
-    /// finalization instant so old entries can be garbage-collected.
-    pub(crate) txn_status: HashMap<u64, TxnStatus>,
-    /// Finalized transactions with their finalization time (GC input).
-    pub(crate) txn_finalized_at: HashMap<u64, SimTime>,
+    /// txn record from its anchor range; see DESIGN.md): every finalized
+    /// transaction with the instant it was finalized, until
+    /// `start_txn_gc` collects it. A transaction that is not here is
+    /// pending, or finalized so long ago that no intent of it is left.
+    txn_finalized: HashMap<u64, (TxnStatus, SimTime)>,
     pub(crate) cost_model: CostModel,
     pub(crate) topology: Rc<Topology>,
     pub(crate) hlc: Hlc,
@@ -108,6 +114,17 @@ pub struct ClusterInner {
 }
 
 impl ClusterInner {
+    /// `txn_id`'s final status, or `None` while it is pending (or long
+    /// collected).
+    pub(crate) fn txn_status(&self, txn_id: u64) -> Option<TxnStatus> {
+        self.txn_finalized.get(&txn_id).map(|&(status, _)| status)
+    }
+
+    /// Records that `txn_id` committed or aborted at `now`.
+    pub(crate) fn finalize_txn(&mut self, txn_id: u64, status: TxnStatus, now: SimTime) {
+        self.txn_finalized.insert(txn_id, (status, now));
+    }
+
     /// Picks the replicas of a new range among the nodes live at `now`
     /// that `placement` admits: one per region first, then distinct zones
     /// (so a single zone loss never takes out two replicas of one range),
@@ -246,8 +263,7 @@ impl KvCluster {
             directory: Directory::new(),
             liveness: Liveness::new(),
             ca: CertAuthority::new(),
-            txn_status: HashMap::new(),
-            txn_finalized_at: HashMap::new(),
+            txn_finalized: HashMap::new(),
             cost_model: config.cost_model.clone(),
             topology: Rc::clone(&topology),
             hlc: Hlc::new(),
@@ -362,18 +378,8 @@ impl KvCluster {
         let sim = self.sim.clone();
         self.sim.schedule_periodic(dur::secs(30), move || {
             let now = sim.now();
-            let mut inner = cluster.inner.borrow_mut();
-            let inner = &mut *inner;
-            let expired: Vec<u64> = inner
-                .txn_finalized_at
-                .iter()
-                .filter(|(_, &at)| now.duration_since(at) > dur::secs(60))
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                inner.txn_status.remove(&id);
-                inner.txn_finalized_at.remove(&id);
-            }
+            let finalized = &mut cluster.inner.borrow_mut().txn_finalized;
+            finalized.retain(|_, &mut (_, at)| now.duration_since(at) <= TXN_STATUS_RETENTION);
             true
         });
     }
@@ -472,8 +478,9 @@ impl KvCluster {
         }
     }
 
-    /// Splits `range` at the median of its stored user keys (no-op when
-    /// there are too few distinct keys).
+    /// Splits `range` at the median of the user keys under the first 4,096
+    /// of its readable versions (no-op when there are too few distinct
+    /// keys).
     pub fn split_range(&self, id: RangeId) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
@@ -485,33 +492,11 @@ impl KvCluster {
             Some(n) => Rc::clone(n),
             None => return,
         };
-        // Sample user keys from the leaseholder's engine to find a median.
-        let mut sample_end = bytes::BytesMut::new();
-        sample_end.extend_from_slice(b"v");
-        sample_end.extend_from_slice(&desc.end);
-        let raw = leader.engine.scan(
-            &{
-                let mut s = bytes::BytesMut::new();
-                s.extend_from_slice(b"v");
-                s.extend_from_slice(&desc.start);
-                s.freeze()
-            },
-            &sample_end.freeze(),
-            4096,
-        );
-        let mut users: Vec<Bytes> = Vec::new();
-        for (k, _) in &raw {
-            // Version keys are 'v' + user + 0x00 + 12 bytes of timestamp.
-            if k.len() > 14 && k[0] == b'v' {
-                let user = Bytes::copy_from_slice(&k[1..k.len() - 13]);
-                if user.as_ref() >= desc.start.as_ref()
-                    && user.as_ref() < desc.end.as_ref()
-                    && users.last() != Some(&user)
-                {
-                    users.push(user);
-                }
-            }
-        }
+        // The median of what the leaseholder's engine holds for readers:
+        // history that only awaits its compaction weighs nothing, so where
+        // a range splits does not depend on when its node compacts.
+        let horizon = mvcc::gc_horizon(Timestamp::at(self.sim.now()));
+        let users = mvcc::readable_user_keys(&leader.engine, &desc.start, &desc.end, horizon, 4096);
         if users.len() < 2 {
             return;
         }
@@ -562,7 +547,7 @@ impl KvCluster {
             .replicas
             .iter()
             .filter_map(|n| inner.nodes.get(n))
-            .any(|n| !crate::mvcc::span_is_empty(&n.engine, key, &end));
+            .any(|n| !mvcc::span_is_empty(&n.engine, key, &end));
         if holds_data {
             return None;
         }
@@ -619,13 +604,13 @@ impl KvCluster {
         let value = inner
             .meta_row_value
             .get_or_insert_with(|| {
-                crate::mvcc::encode_version_value(Some(&Bytes::from(vec![0x5a; row_bytes - 32])))
+                mvcc::encode_version_value(Some(&Bytes::from(vec![0x5a; row_bytes - 32])))
             })
             .clone();
         let mut batch = WriteBatch::new();
         for i in 0..rows {
             let key = keys::make_key(tenant, format!("system/meta/{i:04}").as_bytes());
-            crate::mvcc::stage_version(&mut batch, &key, ts, value.clone());
+            mvcc::stage_version(&mut batch, &key, ts, value.clone());
             state.size_bytes += (row_bytes) as u64;
         }
         for n in &replicas {
@@ -637,12 +622,14 @@ impl KvCluster {
         cert
     }
 
-    /// Allocates a transaction ID and registers it as pending.
+    /// Allocates a transaction ID. Nothing is recorded until the
+    /// transaction is finalized: most never write, and one that sends
+    /// nothing more (read-only commit, client-side rollback) would leave
+    /// its entry behind forever.
     pub fn begin_txn(&self) -> u64 {
         let mut inner = self.inner.borrow_mut();
         let id = inner.next_txn_id;
         inner.next_txn_id += 1;
-        inner.txn_status.insert(id, TxnStatus::Pending);
         id
     }
 
@@ -926,8 +913,70 @@ mod tests {
         let a = c.begin_txn();
         let b = c.begin_txn();
         assert_ne!(a, b);
-        let inner = c.inner.borrow();
-        assert_eq!(inner.txn_status.get(&a), Some(&TxnStatus::Pending));
+        assert_eq!(c.inner.borrow().txn_status(a), None, "not finalized: reads as pending");
+    }
+
+    #[test]
+    fn txn_table_holds_only_finalized_transactions_until_gc() {
+        use crate::batch::{BatchRequest, RequestKind};
+        use crate::client::{make_txn_meta, KvClient};
+        use crdb_util::Deadline;
+
+        let (sim, c) = cluster();
+        let tenant = TenantId(2);
+        let client =
+            KvClient::new(c.clone(), c.create_tenant(tenant), Location::new(RegionId(0), 0));
+        let key = crate::keys::make_key(tenant, b"k");
+        let acked = Rc::new(Cell::new(0));
+        let send = |batch: BatchRequest| {
+            let acked = Rc::clone(&acked);
+            client.send(batch, move |resp| {
+                assert!(resp.is_ok(), "{:?}", resp.error);
+                acked.set(acked.get() + 1);
+            });
+        };
+        let batch = |txn: &crate::txn::TxnMeta, requests| BatchRequest {
+            tenant,
+            read_ts: txn.start_ts,
+            txn: Some(txn.clone()),
+            deadline: Deadline::NONE,
+            requests,
+        };
+        // What `sql::coord` sends for an autocommit SELECT is one read
+        // batch and no `EndTxn` (a read-only commit is local); for a
+        // transaction rolled back before commit, nothing at all (writes
+        // are buffered). Each used to leave a `Pending` entry for good.
+        for _ in 0..50 {
+            let select = make_txn_meta(&c, key.clone());
+            send(batch(&select, vec![RequestKind::Get { key: key.clone() }]));
+            let _rolled_back = make_txn_meta(&c, key.clone());
+        }
+        sim.run_for(dur::secs(2));
+        assert_eq!(acked.get(), 50);
+        assert_eq!(c.inner.borrow().txn_finalized.len(), 0);
+
+        // A committed transaction is in the table for as long as one of
+        // its intents might still need resolving, and then goes.
+        let txn = make_txn_meta(&c, key.clone());
+        let write = RequestKind::WriteIntent { key: key.clone(), value: Some(key.clone()) };
+        let commit = batch(&txn, vec![write, RequestKind::EndTxn { commit: true }]);
+        send(commit.clone());
+        sim.run_for(dur::secs(2));
+        assert_eq!(acked.get(), 51);
+        let status = c.inner.borrow().txn_status(txn.txn_id);
+        assert!(matches!(status, Some(TxnStatus::Committed(_))), "{status:?}");
+        assert_eq!(c.inner.borrow().txn_finalized.len(), 1);
+        sim.run_for(dur::secs(120));
+        assert_eq!(c.inner.borrow().txn_finalized.len(), 0, "collected past the GC horizon");
+
+        // A replay of the commit after that is still recognised, from the
+        // record in the leaseholder's engine, and acked without being
+        // evaluated again (which would fail on the transaction's own
+        // version, or succeed and finalize it a second time).
+        send(commit);
+        sim.run_for(dur::secs(2));
+        assert_eq!(acked.get(), 52);
+        assert_eq!(c.inner.borrow().txn_finalized.len(), 0);
     }
 
     #[test]

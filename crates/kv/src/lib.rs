@@ -51,6 +51,7 @@ pub mod mvcc;
 pub mod node;
 pub mod range;
 pub mod replication;
+mod tscache;
 pub mod txn;
 
 pub use batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};

@@ -18,6 +18,15 @@
 //! Inverted timestamps make newer versions sort first, so "newest version
 //! ≤ read_ts" is a short forward scan. Tombstoned versions (deletes) are
 //! materialized as `[0]` so history is preserved until GC.
+//!
+//! # Garbage collection
+//!
+//! History older than [`GC_WINDOW_NANOS`] has two collectors, one per
+//! place a version can be. A version still in the active memtable is
+//! removed physically by the write that shadows it ([`gc_versions`]); it
+//! never reaches a data file. A flushed version is dropped by the
+//! compaction that next rewrites it ([`compaction_gc`], handed to
+//! `Lsm::finish_compaction` per job). Neither writes a tombstone.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crdb_storage::{Engine, WriteBatch};
@@ -25,12 +34,19 @@ use crdb_storage::{Engine, WriteBatch};
 use crate::hlc::Timestamp;
 use crate::txn::{TxnRecord, TxnStatus};
 
-/// How much MVCC history writes preserve: versions older than this (below
-/// the newest one readable at `now - GC_WINDOW`) are garbage-collected
-/// inline on write. CockroachDB's default `gc.ttlseconds` is far larger;
-/// the simulation's transactions are sub-second, so a short window keeps
-/// hot-key version chains bounded without breaking any reader.
+/// How much MVCC history is preserved: versions older than this (below
+/// the newest one readable at `now - GC_WINDOW`) are garbage — see the
+/// module docs for who collects them. CockroachDB's default
+/// `gc.ttlseconds` is far larger; the simulation's transactions are
+/// sub-second, so a short window keeps hot-key version chains bounded
+/// without breaking any reader.
 pub const GC_WINDOW_NANOS: u64 = 5_000_000_000;
+
+/// The oldest snapshot still readable at `now`: GC keeps, per key, the
+/// newest version at or below it and everything newer.
+pub fn gc_horizon(now: Timestamp) -> Timestamp {
+    Timestamp { wall: now.wall.saturating_sub(GC_WINDOW_NANOS), logical: 0 }
+}
 
 const VERSION_TAG: u8 = b'v';
 const INTENT_TAG: u8 = b'i';
@@ -67,19 +83,26 @@ fn txn_key(txn_id: u64) -> Bytes {
     b.freeze()
 }
 
+/// Splits a version storage key into its `'v' + key + 0x00` prefix — equal
+/// for two storage keys exactly when they are versions of one user key —
+/// and its timestamp, borrowing both. `None` for anything that is not a
+/// version key, whatever its tail looks like.
+fn split_version_key(storage_key: &[u8]) -> Option<(&[u8], Timestamp)> {
+    let (prefix, ts) = storage_key.split_at_checked(storage_key.len().checked_sub(12)?)?;
+    if prefix.len() < 2 || prefix.first() != Some(&VERSION_TAG) || prefix.last() != Some(&0x00) {
+        return None;
+    }
+    let (wall, logical) = ts.split_at_checked(8)?;
+    let wall = u64::MAX - u64::from_be_bytes(wall.try_into().ok()?);
+    let logical = u32::MAX - u32::from_be_bytes(logical.try_into().ok()?);
+    Some((prefix, Timestamp { wall, logical }))
+}
+
 /// Splits a version storage key back into `(user_key, ts)`.
 fn decode_version_key(storage_key: &[u8]) -> Option<(Bytes, Timestamp)> {
-    if storage_key.len() < 14 || storage_key[0] != VERSION_TAG {
-        return None;
-    }
-    let sep = storage_key.len() - 13;
-    if storage_key[sep] != 0x00 {
-        return None;
-    }
-    let user = Bytes::copy_from_slice(&storage_key[1..sep]);
-    let wall = u64::MAX - u64::from_be_bytes(storage_key[sep + 1..sep + 9].try_into().ok()?);
-    let logical = u32::MAX - u32::from_be_bytes(storage_key[sep + 9..sep + 13].try_into().ok()?);
-    Some((user, Timestamp { wall, logical }))
+    let (prefix, ts) = split_version_key(storage_key)?;
+    let user = prefix.get(1..prefix.len() - 1)?;
+    Some((Bytes::copy_from_slice(user), ts))
 }
 
 fn encode_value(value: Option<&Bytes>) -> Bytes {
@@ -185,6 +208,36 @@ pub fn span_is_empty(engine: &Engine, start: &[u8], end: &[u8]) -> bool {
     empty
 }
 
+/// The distinct user keys, in order, under the first `limit` versions of
+/// `[start, end)` that a read at or above `horizon` could return — what a
+/// size-based split weighs a range by. Versions [`compaction_gc`] would
+/// drop at that horizon are passed over, wherever they still are.
+pub fn readable_user_keys(
+    engine: &Engine,
+    start: &[u8],
+    end: &[u8],
+    horizon: Timestamp,
+    limit: usize,
+) -> Vec<Bytes> {
+    let mut unreadable = compaction_gc(horizon);
+    let mut users: Vec<Bytes> = Vec::new();
+    let mut versions = 0;
+    engine.scan_visit(&version_prefix(start), &version_prefix(end), |k, raw| {
+        if unreadable(k, Some(raw)) {
+            return true;
+        }
+        versions += 1;
+        if let Some((user, _)) = decode_version_key(k) {
+            let inside = !user.is_empty() && user.as_ref() >= start && user.as_ref() < end;
+            if inside && users.last() != Some(&user) {
+                users.push(user);
+            }
+        }
+        versions < limit
+    });
+    users
+}
+
 /// Writes a committed version directly (non-transactional path, and the
 /// final step of intent resolution).
 pub fn put_version(engine: &Engine, key: &[u8], ts: Timestamp, value: Option<&Bytes>) {
@@ -194,12 +247,11 @@ pub fn put_version(engine: &Engine, key: &[u8], ts: Timestamp, value: Option<&By
     gc_key_inline(engine, key, ts);
 }
 
-/// Inline GC: drops versions of `key` older than the newest version
-/// readable at `ts - GC_WINDOW` (hot keys otherwise accumulate unbounded
-/// history that every span scan must walk).
+/// Inline GC: drops unflushed versions of `key` older than the newest
+/// version readable at `ts - GC_WINDOW` (hot keys otherwise accumulate
+/// history that every span scan must walk and every flush must write).
 fn gc_key_inline(engine: &Engine, key: &[u8], ts: Timestamp) {
-    let keep_after = Timestamp { wall: ts.wall.saturating_sub(GC_WINDOW_NANOS), logical: 0 };
-    gc_versions(engine, key, keep_after);
+    gc_versions(engine, key, gc_horizon(ts));
 }
 
 /// Reads the newest committed version of `key` at or below `ts`. If
@@ -463,8 +515,9 @@ pub fn get_txn_record(engine: &Engine, txn_id: u64) -> Option<TxnRecord> {
     engine.get(&txn_key(txn_id)).and_then(|raw| TxnRecord::decode(&raw))
 }
 
-/// Garbage-collects versions of `key` older than `keep_after` (keeping the
-/// newest version at or below it so reads at `keep_after` still succeed).
+/// Garbage-collects the unflushed versions of `key` older than
+/// `keep_after` (keeping the newest version at or below it so reads at
+/// `keep_after` still succeed).
 pub fn gc_versions(engine: &Engine, key: &[u8], keep_after: Timestamp) {
     let start = version_key(key, keep_after);
     let mut end = BytesMut::from(version_prefix(key).as_ref());
@@ -472,9 +525,9 @@ pub fn gc_versions(engine: &Engine, key: &[u8], keep_after: Timestamp) {
     end.put_slice(&[0xff; 13]);
     // The first entry is the newest <= keep_after: keep it, drop the rest.
     // Version keys are write-once, so entries still living in the memtable
-    // are removed physically (no tombstone churn on hot keys); entries
-    // already flushed need a tombstone to shadow lower levels. Only keys
-    // are collected — values never leave the engine.
+    // are removed physically, at no cost in WAL or memtable bytes; entries
+    // already flushed wait for [`compaction_gc`]. Only keys are collected
+    // — values never leave the engine.
     let mut doomed: Vec<Bytes> = Vec::new();
     let mut first = true;
     engine.scan_visit(&start, &end, |k, _| {
@@ -484,14 +537,37 @@ pub fn gc_versions(engine: &Engine, key: &[u8], keep_after: Timestamp) {
         first = false;
         true
     });
-    let mut batch = WriteBatch::new();
     for k in &doomed {
-        if !engine.gc_remove_if_in_memtable(k) {
-            batch.delete(k.clone());
-        }
+        engine.gc_remove_if_in_memtable(k);
     }
-    if !batch.is_empty() {
-        engine.apply(&batch);
+}
+
+/// The collector of flushed history: a filter for one compaction job
+/// (`Lsm::finish_compaction`), which shows it the job's surviving entries
+/// in key order — per user key, versions newest first. The first live
+/// version at or below `horizon` is the newest one any supported read of
+/// that key can return (its *cover*: a value or an MVCC delete marker);
+/// every older version of the same user key is dropped. Versions above the
+/// horizon, intents, transaction records and engine tombstones pass
+/// through, and a tombstoned version is no cover — no read returns it.
+///
+/// The verdict needs nothing outside the job: a cover in a level the job
+/// does not hold drops nothing here, and a version dropped here may leave
+/// older copies in lower levels, which the same cover shadows for every
+/// read at or above the horizon until their own compaction meets one.
+pub fn compaction_gc(horizon: Timestamp) -> impl FnMut(&Bytes, Option<&Bytes>) -> bool {
+    // Storage key of the cover the walk last passed.
+    let mut cover = Bytes::new();
+    move |storage_key, value| {
+        let Some((prefix, ts)) = split_version_key(storage_key) else { return false };
+        if value.is_none() || ts > horizon {
+            return false;
+        }
+        if split_version_key(&cover).is_some_and(|(covered, _)| covered == prefix) {
+            return true;
+        }
+        cover = storage_key.clone();
+        false
     }
 }
 
@@ -706,6 +782,24 @@ mod tests {
         assert_eq!(get_txn_record(&e, 42), Some(rec));
         assert!(txn_has_status(&e, 42, TxnStatus::Committed(ts(99))));
         assert_eq!(get_txn_record(&e, 43), None);
+    }
+
+    #[test]
+    fn readable_user_keys_pass_over_history_below_the_horizon() {
+        let e = engine();
+        for t in [10, 20, 30, 40] {
+            put_version(&e, b"a", ts(t), Some(&b("v")));
+        }
+        put_version(&e, b"b", ts(15), Some(&b("v")));
+        put_version(&e, b"c", ts(50), Some(&b("v")));
+        // At horizon 35 `a` weighs two versions (40, and 30 that covers
+        // the rest), so the first three readable versions reach `b`.
+        assert_eq!(readable_user_keys(&e, b"a", b"z", ts(35), 3), vec![b("a"), b("b")]);
+        assert_eq!(readable_user_keys(&e, b"a", b"z", ts(35), 9), vec![b("a"), b("b"), b("c")]);
+        // With all of its history readable, `a` alone fills the sample.
+        assert_eq!(readable_user_keys(&e, b"a", b"z", ts(0), 3), vec![b("a")]);
+        // Span bounds are on user keys.
+        assert_eq!(readable_user_keys(&e, b"b", b"c", ts(35), 9), vec![b("b")]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! quorum wait, one group commit ([`KvNode::commit_one_phase`]).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
@@ -36,12 +36,13 @@ use crdb_util::{NodeId, TenantId};
 
 use crate::auth::TenantCert;
 use crate::batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};
-use crate::cluster::ClusterInner;
+use crate::cluster::{ClusterInner, TXN_STATUS_RETENTION};
 use crate::cost::TrafficStats;
 use crate::directory::Directory;
 use crate::hlc::{Hlc, Timestamp};
 use crate::mvcc;
 use crate::range::RangeState;
+use crate::tscache::TsCache;
 use crate::txn::{TxnMeta, TxnStatus};
 
 /// How long an intent may sit untouched with its transaction still
@@ -132,13 +133,8 @@ pub struct KvNode {
     /// Runnable/busy integrals at the last AIMD tick.
     last_tick: Cell<(f64, f64, SimTime)>,
     /// The timestamp cache (§"tscache"): high-water marks of read
-    /// timestamps per key. A write whose timestamp is at or below a key's
-    /// read watermark is rejected (retryably) — without this, a commit
-    /// whose timestamp was assigned before its intents physically land
-    /// could invalidate a concurrent reader's snapshot.
-    ts_cache: RefCell<BTreeMap<Bytes, Timestamp>>,
-    /// Low-water mark applied when the cache is compacted.
-    ts_cache_floor: Cell<Timestamp>,
+    /// timestamps per key, which writes must land above.
+    ts_cache: RefCell<TsCache>,
     /// Write acks waiting on the next group commit, in arrival order.
     commit_acks: RefCell<Vec<Box<dyn FnOnce()>>>,
     /// Whether a group-commit fsync is already scheduled.
@@ -179,8 +175,7 @@ impl KvNode {
             batches_served: Cell::new(0),
             pending_pump: Cell::new(None),
             last_tick: Cell::new((0.0, 0.0, sim.now())),
-            ts_cache: RefCell::new(BTreeMap::new()),
-            ts_cache_floor: Cell::new(Timestamp::ZERO),
+            ts_cache: RefCell::new(TsCache::new(sim.now())),
             commit_acks: RefCell::new(Vec::new()),
             commit_timer_armed: Cell::new(false),
             sim,
@@ -280,8 +275,14 @@ impl KvNode {
     /// together with how long the flush or L0 compaction took from claim
     /// to completion — bytes over *that* time is what the §5.1.3
     /// write-capacity estimator reads as capacity.
+    ///
+    /// Compactions are where flushed MVCC history is collected: each job
+    /// merges through [`mvcc::compaction_gc`] with the GC horizon of the
+    /// instant it was claimed, so whatever was readable when the job
+    /// started is readable when it ends.
     pub(crate) fn maintain_storage(self: &Rc<Self>) {
         let started = self.sim.now();
+        let gc_horizon = mvcc::gc_horizon(Timestamp::at(started));
         if let Some(job) = self.engine.with_lsm(|lsm| lsm.begin_flush()) {
             let node = Rc::clone(self);
             let bytes = job.bytes_estimate().max(1) as f64;
@@ -305,7 +306,7 @@ impl KvNode {
             self.disk.submit(bytes, move || {
                 let ran_for = node.sim.now().duration_since(started);
                 node.engine.with_lsm(|lsm| {
-                    lsm.finish_compaction(job);
+                    lsm.finish_compaction(job, Some(&mut mvcc::compaction_gc(gc_horizon)));
                     if from_l0 {
                         lsm.note_l0_compaction_time(ran_for);
                     }
@@ -660,7 +661,7 @@ impl KvNode {
             // write, and validating would trip over the transaction's own
             // committed versions.
             if batch.requests.iter().all(RequestKind::is_commit_step)
-                && self.txn_committed(cluster, txn.txn_id)
+                && self.txn_committed(cluster, txn)
             {
                 return Ok((vec![ResponseKind::Ok; batch.requests.len()], 0));
             }
@@ -763,7 +764,7 @@ impl KvNode {
                     // A transaction already aborted by a pusher must not
                     // commit: its intents are gone, so acknowledging the
                     // commit would silently lose the writes.
-                    if cluster.borrow().txn_status.get(&txn.txn_id) == Some(&TxnStatus::Aborted) {
+                    if cluster.borrow().txn_status(txn.txn_id) == Some(TxnStatus::Aborted) {
                         return Err(KvError::TxnAborted);
                     }
                     let status = if *commit {
@@ -778,9 +779,7 @@ impl KvNode {
                     }
                     {
                         let mut inner = cluster.borrow_mut();
-                        let now = self.sim.now();
-                        inner.txn_status.insert(txn.txn_id, status);
-                        inner.txn_finalized_at.insert(txn.txn_id, now);
+                        inner.finalize_txn(txn.txn_id, status, self.sim.now());
                         if *commit {
                             let n = &inner.degrade.commits_two_phase;
                             n.set(n.get() + 1);
@@ -847,19 +846,25 @@ impl KvNode {
         let engines = std::iter::once(&self.engine).chain(replica_engines);
         mvcc::commit_one_phase(engines, txn.txn_id, txn.write_ts, &writes);
         let mut inner = cluster.borrow_mut();
-        inner.txn_status.insert(txn.txn_id, TxnStatus::Committed(txn.write_ts));
-        inner.txn_finalized_at.insert(txn.txn_id, self.sim.now());
+        inner.finalize_txn(txn.txn_id, TxnStatus::Committed(txn.write_ts), self.sim.now());
         inner.degrade.commits_one_phase.set(inner.degrade.commits_one_phase.get() + 1);
         Ok((vec![ResponseKind::Ok; batch.requests.len()], write_payload))
     }
 
-    /// Whether `txn_id`'s record says `Committed`: the cluster's status
-    /// table, or — once that entry has been garbage-collected — the
-    /// record persisted in this node's engine.
-    fn txn_committed(&self, cluster: &Rc<RefCell<ClusterInner>>, txn_id: u64) -> bool {
-        let status = cluster.borrow().txn_status.get(&txn_id).copied();
-        let status =
-            status.or_else(|| mvcc::get_txn_record(&self.engine, txn_id).map(|r| r.status));
+    /// Whether `txn`'s record says `Committed`: the cluster's status
+    /// table, or — once that entry can have been garbage-collected — the
+    /// record persisted in this node's engine. The table keeps a finalized
+    /// transaction for [`TXN_STATUS_RETENTION`] past its finalization, so
+    /// one that began less than that ago and is not in it is pending, and
+    /// the engine is not asked.
+    fn txn_committed(&self, cluster: &Rc<RefCell<ClusterInner>>, txn: &TxnMeta) -> bool {
+        let status = cluster.borrow().txn_status(txn.txn_id).or_else(|| {
+            let age = self.sim.now().duration_since(txn.start_ts.to_sim_time());
+            if age <= TXN_STATUS_RETENTION {
+                return None;
+            }
+            mvcc::get_txn_record(&self.engine, txn.txn_id).map(|r| r.status)
+        });
         matches!(status, Some(TxnStatus::Committed(_)))
     }
 
@@ -876,7 +881,7 @@ impl KvNode {
         read_ts: Timestamp,
         replica_engines: &[Engine],
     ) -> Result<(), KvError> {
-        let watermark = self.ts_cache_read(key);
+        let watermark = self.ts_cache.borrow().read_watermark(key);
         if watermark >= txn.write_ts && watermark > txn.start_ts {
             return Err(KvError::WriteTooOld { existing: watermark });
         }
@@ -898,23 +903,7 @@ impl KvNode {
     }
 
     fn bump_ts_cache(&self, key: &Bytes, read_ts: Timestamp) {
-        let mut cache = self.ts_cache.borrow_mut();
-        if cache.len() > 100_000 {
-            // Compact: collapse everything into the floor (CockroachDB's
-            // low-water mark), conservatively rejecting more writes.
-            let max = cache.values().max().copied().unwrap_or(Timestamp::ZERO);
-            cache.clear();
-            self.ts_cache_floor.set(self.ts_cache_floor.get().max(max));
-        }
-        let entry = cache.entry(key.clone()).or_insert(Timestamp::ZERO);
-        if read_ts > *entry {
-            *entry = read_ts;
-        }
-    }
-
-    fn ts_cache_read(&self, key: &Bytes) -> Timestamp {
-        let cache = self.ts_cache.borrow();
-        cache.get(key).copied().unwrap_or(Timestamp::ZERO).max(self.ts_cache_floor.get())
+        self.ts_cache.borrow_mut().record_read(self.sim.now(), key, read_ts);
     }
 
     /// Checks an encountered intent against its transaction's status. If
@@ -928,7 +917,7 @@ impl KvNode {
         read_ts: crate::hlc::Timestamp,
         replica_engines: &[Engine],
     ) -> Option<Option<Bytes>> {
-        let status = cluster.borrow().txn_status.get(&intent.txn_id).copied();
+        let status = cluster.borrow().txn_status(intent.txn_id);
         match status {
             Some(TxnStatus::Committed(ts)) => {
                 mvcc::resolve_intent(&self.engine, key, intent.txn_id, Some(ts));
@@ -965,11 +954,11 @@ impl KvNode {
                 if now.saturating_sub(intent.ts.wall) < TXN_ABANDON_TIMEOUT.as_nanos() as u64 {
                     return None;
                 }
-                {
-                    let mut inner = cluster.borrow_mut();
-                    inner.txn_status.insert(intent.txn_id, TxnStatus::Aborted);
-                    inner.txn_finalized_at.insert(intent.txn_id, self.sim.now());
-                }
+                cluster.borrow_mut().finalize_txn(
+                    intent.txn_id,
+                    TxnStatus::Aborted,
+                    self.sim.now(),
+                );
                 let record =
                     crate::txn::TxnRecord { txn_id: intent.txn_id, status: TxnStatus::Aborted };
                 mvcc::put_txn_record(&self.engine, &record);

@@ -31,7 +31,9 @@ pub mod sstable;
 pub mod wal;
 
 pub use engine::Engine;
-pub use lsm::{CompactionJob, CompactionPick, FlushJob, Lsm, LsmConfig, LsmIter, StallReason};
+pub use lsm::{
+    CompactionFilter, CompactionJob, CompactionPick, FlushJob, Lsm, LsmConfig, LsmIter, StallReason,
+};
 pub use memtable::WriteBatch;
 pub use metrics::{StorageMetrics, COMPACT_LEVELS_TRACKED};
 pub use wal::{GroupCommit, WalWriter};

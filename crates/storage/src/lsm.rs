@@ -181,6 +181,14 @@ impl CompactionJob {
     }
 }
 
+/// A per-job compaction filter: [`Lsm::finish_compaction`] shows it every
+/// entry that survives the merge, in key order (`None` = tombstone), and
+/// leaves out of the output each one it answers `true` for. The caller
+/// builds one per job, so whatever the verdicts depend on (the KV layer's
+/// MVCC GC horizon) is fixed when the job is claimed and the engine stores
+/// none of it.
+pub type CompactionFilter<'a> = dyn FnMut(&Key, Option<&Value>) -> bool + 'a;
+
 /// Why a write should stall, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallReason {
@@ -367,8 +375,7 @@ impl Lsm {
         for level in &self.levels {
             // Non-overlapping: binary search for the file whose range could
             // contain the key.
-            let idx = level.partition_point(|t| t.max_key().is_some_and(|k| k.as_ref() < key));
-            if let Some(table) = level.get(idx) {
+            if let Some(table) = level.get(first_table_reaching(level, key)) {
                 bump(&self.read.bloom_probes);
                 if !table.may_contain(key) {
                     bump(&self.read.bloom_hits);
@@ -403,7 +410,7 @@ impl Lsm {
         for level in &self.levels {
             // Non-overlapping and sorted: binary-search the first file
             // that could intersect; the cursor walks forward lazily.
-            let idx = level.partition_point(|t| t.max_key().is_some_and(|k| k.as_ref() < start));
+            let idx = first_table_reaching(level, start);
             if idx < level.len() {
                 sources.push(Source::Level { tables: &level[idx..], start, end });
             }
@@ -447,8 +454,9 @@ impl Lsm {
 
     /// Garbage-collection helper for *write-once* keys: if the key's only
     /// occurrence is the live (active) memtable entry, remove it physically
-    /// and return true; otherwise the caller must write a tombstone. Avoids
-    /// unbounded tombstone churn for MVCC version GC on hot keys.
+    /// and return true; otherwise leave it be — a flushed entry is
+    /// collected by the [`CompactionFilter`] of the job that next rewrites
+    /// it, not by a tombstone.
     pub fn gc_remove_if_in_memtable(&mut self, key: &[u8]) -> bool {
         if self.memtable.get(key).is_some() && !self.frozen.iter().any(|f| f.mem.get(key).is_some())
         {
@@ -639,7 +647,21 @@ impl Lsm {
     /// builder (only surviving entries are materialized), installs the
     /// outputs into the target level, attributes the bytes, and unlocks
     /// the level pair.
-    pub fn finish_compaction(&mut self, job: CompactionJob) {
+    ///
+    /// Two kinds of entry are left out of the output. A tombstone is
+    /// elided when no table in any level below the output level spans its
+    /// key (Pebble's rule): everything this job does not hold is then
+    /// newer than the tombstone — the output level's overlapping files
+    /// are all in the job, the source level's other files are disjoint
+    /// from it or, in L0, newer (jobs claim oldest-first) — so there is
+    /// nothing left for it to shadow. And whatever `filter` answers `true`
+    /// for is dropped and counted in
+    /// [`StorageMetrics::gc_versions_dropped`].
+    pub fn finish_compaction(
+        &mut self,
+        job: CompactionJob,
+        mut filter: Option<&mut CompactionFilter<'_>>,
+    ) {
         let CompactionJob { level, input_nums, target_nums, bytes_in } = job;
         debug_assert!(
             self.locked_levels.contains(&level) && self.locked_levels.contains(&(level + 1)),
@@ -658,14 +680,20 @@ impl Lsm {
         // them and non-overlapping within itself.
         inputs.sort_by_key(|t| std::cmp::Reverse(t.num()));
         let targets = extract_by_num(&mut self.levels[level], &target_nums);
-        let is_bottom = level + 1 == self.levels.len();
+        let below = self.levels.get(level + 1..).unwrap_or_default();
         let mut builder = TableBuilder::new(self.config.sst_target_size, self.next_file_num);
         {
             let sources: Vec<Source<'_>> =
                 inputs.iter().chain(targets.iter()).map(|t| Source::Slice(t.entries())).collect();
             for (k, v) in MergeIter::new(sources) {
-                if is_bottom && v.is_none() {
-                    continue; // nothing below the bottom can be shadowed
+                if v.is_none() && !below.iter().any(|tables| level_spans(tables, k)) {
+                    continue;
+                }
+                if filter.as_mut().is_some_and(|drops| drops(k, v.as_ref())) {
+                    self.metrics.gc_versions_dropped += 1;
+                    self.metrics.gc_bytes_dropped +=
+                        (k.len() + v.as_ref().map_or(0, |v| v.len())) as u64;
+                    continue;
                 }
                 builder.add(k.clone(), v.clone());
             }
@@ -715,7 +743,7 @@ impl Lsm {
     pub fn compact_one(&mut self) -> bool {
         if let Some(pick) = self.pick_compaction() {
             let job = self.begin_compaction(&pick);
-            self.finish_compaction(job);
+            self.finish_compaction(job, None);
             return true;
         }
         if !self.l0.is_empty()
@@ -724,7 +752,7 @@ impl Lsm {
             && !self.locked_levels.contains(&1)
         {
             let job = self.begin_compaction_inner(0, true);
-            self.finish_compaction(job);
+            self.finish_compaction(job, None);
             return true;
         }
         false
@@ -740,7 +768,7 @@ impl Lsm {
         self.drain_flushes();
         if let Some(pick) = self.pick_compaction() {
             let job = self.begin_compaction(&pick);
-            self.finish_compaction(job);
+            self.finish_compaction(job, None);
         }
     }
 
@@ -864,6 +892,20 @@ impl Drop for LsmIter<'_> {
         c.scan_entries_pulled.set(c.scan_entries_pulled.get() + self.pulled);
         c.scan_entries_returned.set(c.scan_entries_returned.get() + self.returned);
     }
+}
+
+/// Index of the first table of a non-overlapping, sorted level whose key
+/// range reaches `key` (its max key is not below it) — the only table of
+/// the level that can hold `key`.
+fn first_table_reaching(tables: &[SsTable], key: &[u8]) -> usize {
+    tables.partition_point(|t| t.max_key().is_some_and(|k| k.as_ref() < key))
+}
+
+/// Whether some table of a non-overlapping, sorted level has `key` inside
+/// its key bounds.
+fn level_spans(tables: &[SsTable], key: &[u8]) -> bool {
+    let table = tables.get(first_table_reaching(tables, key));
+    table.and_then(|t| t.min_key()).is_some_and(|min| min.as_ref() <= key)
 }
 
 /// File numbers in `level` whose key ranges overlap `[min, max]`
@@ -1254,7 +1296,7 @@ mod tests {
         assert!(job.bytes_in() > 0);
         // Mid-flight: the newest (unclaimed) file still shadows.
         assert_eq!(lsm.get(&key(1)), Some(b("v-new")));
-        lsm.finish_compaction(job);
+        lsm.finish_compaction(job, None);
         assert_eq!(lsm.l0_file_count(), 1, "unclaimed file stays in L0");
         assert_eq!(lsm.get(&key(1)), Some(b("v-new")), "newest version survives the merge");
         assert_eq!(lsm.get(&key(100)), Some(value(0)), "compacted data readable from L1");
@@ -1276,7 +1318,7 @@ mod tests {
             if again {
                 let pick = lsm.pick_compaction().unwrap();
                 let job = lsm.begin_compaction(&pick);
-                lsm.finish_compaction(job);
+                lsm.finish_compaction(job, None);
             }
             again
         } {}
@@ -1303,8 +1345,8 @@ mod tests {
             assert_eq!(lsm.get(&key(10_000)), Some(value(0)));
             assert_eq!(lsm.get(&key(5)), Some(value(5)));
             // Finish out of claim order: completion order must not matter.
-            lsm.finish_compaction(l0_job);
-            lsm.finish_compaction(deep_job);
+            lsm.finish_compaction(l0_job, None);
+            lsm.finish_compaction(deep_job, None);
             assert_eq!(lsm.compactions_in_flight(), 0);
         }
         // Settle fully and verify reads either way.
@@ -1330,7 +1372,7 @@ mod tests {
         let job = lsm.begin_compaction(&pick);
         // L0 still has an unclaimed file but the {0,1} pair is locked.
         assert!(lsm.pick_compaction().is_none(), "L0/L1 locked while the job runs");
-        lsm.finish_compaction(job);
+        lsm.finish_compaction(job, None);
     }
 
     #[test]
@@ -1379,13 +1421,94 @@ mod tests {
         assert_eq!(mid.compact_bytes_in, 0, "no bytes before completion");
         assert_eq!(mid.compact_count, 0);
         let expected_in = job.bytes_in();
-        lsm.finish_compaction(job);
+        lsm.finish_compaction(job, None);
         let done = lsm.metrics();
         assert_eq!(done.compact_bytes_in, expected_in);
         assert_eq!(done.l0_compact_bytes, expected_in);
         assert_eq!(done.compact_bytes_per_level[0], expected_in);
         assert!(done.compact_bytes_out > 0);
         assert_eq!(done.compact_count, 1);
+    }
+
+    /// Flushes `keys` (a `None` value = tombstone) as one L0 file.
+    fn flush_file(lsm: &mut Lsm, entries: &[(u32, Option<u32>)]) {
+        let mut batch = WriteBatch::new();
+        for &(k, v) in entries {
+            match v {
+                Some(v) => batch.put(key(k), value(v)),
+                None => batch.delete(key(k)),
+            };
+        }
+        lsm.apply(&batch);
+        lsm.flush();
+    }
+
+    fn compact_level(lsm: &mut Lsm, level: usize, filter: Option<&mut CompactionFilter<'_>>) {
+        let job = lsm.begin_compaction(&CompactionPick { level, score_milli: 0 });
+        lsm.finish_compaction(job, filter);
+    }
+
+    #[test]
+    fn tombstones_are_elided_where_no_lower_table_spans_them() {
+        let mut lsm = pipelined(manual_rotation_config());
+        // Keys 10..=20 go down to L2; nothing else is below L0.
+        flush_file(&mut lsm, &[(10, Some(1))]);
+        flush_file(&mut lsm, &[(20, Some(1))]);
+        compact_level(&mut lsm, 0, None);
+        compact_level(&mut lsm, 1, None);
+        assert!(lsm.level_sizes()[0] == 0 && lsm.level_sizes()[1] > 0, "{:?}", lsm.level_sizes());
+        // One tombstone inside the L2 table's bounds, one outside them,
+        // and one over a key whose only value is in this very job.
+        flush_file(&mut lsm, &[(5, None), (15, None), (30, Some(7))]);
+        flush_file(&mut lsm, &[(30, None), (40, Some(9))]);
+        compact_level(&mut lsm, 0, None);
+        let l1: Vec<(Key, Option<Value>)> =
+            lsm.levels[0].iter().flat_map(|t| t.entries().to_vec()).collect();
+        assert_eq!(
+            l1,
+            vec![(key(15), None), (key(40), Some(value(9)))],
+            "only the tombstone a lower table might still need survives"
+        );
+        // The conservation identity holds whatever was elided.
+        let m = lsm.metrics();
+        assert_eq!(
+            m.flush_bytes + m.compact_bytes_out,
+            m.compact_bytes_in + lsm.total_bytes() as u64
+        );
+        // Pushed into L2 it meets what it could have shadowed and, with
+        // nothing below that, goes.
+        compact_level(&mut lsm, 1, None);
+        let l2: Vec<Key> = lsm.levels[1]
+            .iter()
+            .flat_map(|t| t.entries().iter().map(|(k, _)| k.clone()).collect::<Vec<_>>())
+            .collect();
+        assert_eq!(l2, vec![key(10), key(20), key(40)]);
+    }
+
+    #[test]
+    fn compaction_filter_sees_survivors_in_order_and_drops_what_it_says() {
+        let mut lsm = pipelined(manual_rotation_config());
+        flush_file(&mut lsm, &[(1, Some(1)), (2, Some(1)), (3, Some(1))]);
+        flush_file(&mut lsm, &[(2, Some(2)), (3, None), (4, Some(2))]);
+        let mut shown = Vec::new();
+        let mut filter = |k: &Key, v: Option<&Value>| {
+            shown.push((k.clone(), v.cloned()));
+            *k == key(1) || *k == key(4)
+        };
+        compact_level(&mut lsm, 0, Some(&mut filter));
+        // Shadowed versions and the elidable tombstone never reach it.
+        assert_eq!(
+            shown,
+            vec![(key(1), Some(value(1))), (key(2), Some(value(2))), (key(4), Some(value(2)))]
+        );
+        assert_eq!(lsm.scan(b"", b"z", 10), vec![(key(2), value(2))]);
+        let m = lsm.metrics();
+        assert_eq!(m.gc_versions_dropped, 2);
+        assert_eq!(m.gc_bytes_dropped, 2 * (key(1).len() + value(1).len()) as u64);
+        assert_eq!(
+            m.flush_bytes + m.compact_bytes_out,
+            m.compact_bytes_in + lsm.total_bytes() as u64
+        );
     }
 
     #[test]

@@ -57,6 +57,11 @@ pub struct StorageMetrics {
     pub l0_compact_busy_nanos: u64,
     /// Compaction input bytes per source level (`[0]` = L0→L1 jobs).
     pub compact_bytes_per_level: [u64; COMPACT_LEVELS_TRACKED],
+    /// Entries a compaction's filter dropped (the KV layer's MVCC GC:
+    /// versions no supported read can reach).
+    pub gc_versions_dropped: u64,
+    /// Key + value bytes of those entries.
+    pub gc_bytes_dropped: u64,
     /// Point lookups served (`Lsm::get`).
     pub point_gets: u64,
     /// Tables whose entries were actually binary-searched by point gets.
@@ -143,6 +148,8 @@ impl StorageMetrics {
             compact_count: self.compact_count - earlier.compact_count,
             l0_compact_bytes: self.l0_compact_bytes - earlier.l0_compact_bytes,
             l0_compact_busy_nanos: self.l0_compact_busy_nanos - earlier.l0_compact_busy_nanos,
+            gc_versions_dropped: self.gc_versions_dropped - earlier.gc_versions_dropped,
+            gc_bytes_dropped: self.gc_bytes_dropped - earlier.gc_bytes_dropped,
             point_gets: self.point_gets - earlier.point_gets,
             tables_probed: self.tables_probed - earlier.tables_probed,
             bloom_probes: self.bloom_probes - earlier.bloom_probes,

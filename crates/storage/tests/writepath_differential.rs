@@ -99,7 +99,7 @@ impl Pair {
                 if !self.compactions.is_empty() {
                     let i = rng.gen_range(0..self.compactions.len());
                     let job = self.compactions.swap_remove(i);
-                    self.piped.finish_compaction(job);
+                    self.piped.finish_compaction(job, None);
                 }
             }
             12 => self.serial.flush(),
@@ -142,7 +142,7 @@ impl Pair {
         while !self.compactions.is_empty() {
             let i = rng.gen_range(0..self.compactions.len());
             let job = self.compactions.swap_remove(i);
-            self.piped.finish_compaction(job);
+            self.piped.finish_compaction(job, None);
         }
         self.piped.group_commit();
         self.piped.flush();
@@ -200,7 +200,7 @@ fn settle(lsm: &mut Lsm) {
     lsm.flush();
     while let Some(pick) = lsm.pick_compaction() {
         let job = lsm.begin_compaction(&pick);
-        lsm.finish_compaction(job);
+        lsm.finish_compaction(job, None);
     }
 }
 
@@ -253,7 +253,7 @@ fn job_api_and_inline_maintenance_attribute_identical_bytes() {
             }
             3 => {
                 if let Some(job) = compaction.take() {
-                    driven.finish_compaction(job);
+                    driven.finish_compaction(job, None);
                 }
             }
             _ => {}
@@ -264,7 +264,7 @@ fn job_api_and_inline_maintenance_attribute_identical_bytes() {
         driven.finish_flush(job);
     }
     if let Some(job) = compaction.take() {
-        driven.finish_compaction(job);
+        driven.finish_compaction(job, None);
     }
     driven.group_commit();
     settle(&mut driven);
