@@ -75,16 +75,6 @@ impl BucketServer {
         }
     }
 
-    /// Unlimited quota: requests are always granted in full.
-    pub fn unlimited() -> Self {
-        BucketServer {
-            bucket: TokenBucket::new(f64::INFINITY, f64::INFINITY),
-            refill_rate: f64::INFINITY,
-            nodes: BTreeMap::new(),
-            tokens_granted: 0.0,
-        }
-    }
-
     /// The configured refill rate in tokens/second.
     pub fn refill_rate(&self) -> f64 {
         self.refill_rate
@@ -103,13 +93,6 @@ impl BucketServer {
         amount: f64,
         consumed_since_last: f64,
     ) -> GrantResponse {
-        if self.refill_rate.is_infinite() {
-            // Unmetered tenants still produce correct billing totals:
-            // trickle-consumption reported after a downgrade from a metered
-            // configuration (or by tests) must not vanish.
-            self.tokens_granted += amount + consumed_since_last;
-            return GrantResponse::Granted(amount);
-        }
         self.gc_nodes(now);
         if consumed_since_last > 0.0 {
             self.bucket.take_debt(now, consumed_since_last);
@@ -421,18 +404,6 @@ mod tests {
         assert!((total - 1000.0).abs() < 120.0, "sum of trickles = refill: {total}");
     }
 
-    /// Regression: the unlimited path must still bill trickle consumption
-    /// reported via `consumed_since_last` into `tokens_granted`.
-    #[test]
-    fn unlimited_bills_reported_consumption() {
-        let mut server = BucketServer::unlimited();
-        assert!(matches!(
-            server.request(t(0.0), SqlInstanceId(1), 100.0, 50.0),
-            GrantResponse::Granted(_)
-        ));
-        assert!((server.tokens_granted - 150.0).abs() < 1e-9, "{}", server.tokens_granted);
-    }
-
     #[test]
     fn trickle_mode_persists_under_sustained_overload() {
         let mut server = BucketServer::new(1.0);
@@ -456,17 +427,6 @@ mod tests {
         }
         assert!(trickle_rounds >= 18, "stayed in trickle mode: {trickle_rounds}/20");
         assert!((rate - 1000.0).abs() < 100.0, "sole node gets full refill: {rate}");
-    }
-
-    #[test]
-    fn unlimited_server_always_grants() {
-        let mut server = BucketServer::unlimited();
-        for i in 0..100 {
-            match server.request(t(i as f64), SqlInstanceId(1), 1e9, 0.0) {
-                GrantResponse::Granted(_) => {}
-                other => panic!("unlimited must grant: {other:?}"),
-            }
-        }
     }
 
     #[test]

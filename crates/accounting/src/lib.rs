@@ -17,6 +17,7 @@
 //!   letting them oscillate stop/start.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod bucket;
 pub mod model;

@@ -28,6 +28,7 @@
 //! keeps the crate independent of the simulator and directly unit-testable.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod controller;
 pub mod queue;

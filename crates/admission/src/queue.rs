@@ -165,7 +165,6 @@ impl<T> WorkQueue<T> {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
 
     use super::*;
     use crdb_util::time::dur;
@@ -256,7 +255,7 @@ mod tests {
             q.enqueue(item(2, Priority::Normal, i as f64, "a"));
             q.enqueue(item(3, Priority::Normal, i as f64, "b"));
         }
-        let mut counts = HashMap::new();
+        let mut counts = BTreeMap::new();
         for _ in 0..4 {
             let it = q.dequeue(t(1.0)).unwrap();
             // Attribute consumption as work is handed out, as the real

@@ -6,6 +6,8 @@
 //! simulation-friendly request rates; all comparisons in the paper are
 //! ratios and shapes, which scaling preserves.
 
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+
 pub mod chaos;
 pub mod disaster;
 pub mod exp;

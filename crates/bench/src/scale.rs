@@ -9,7 +9,6 @@
 // time for the events/sec gate; nothing simulated reads it.
 
 use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -206,7 +205,7 @@ pub fn run_churn_phase(seed: u64, sessions: usize) -> ChurnPhaseReport {
     config.autoscaler.suspend_after = dur::mins(60);
     let cluster = ServerlessCluster::new(&sim, config);
     let tenants: Vec<_> = (0..4).map(|_| cluster.create_tenant(vec![RegionId(0)], None)).collect();
-    let log = Rc::new(RefCell::new(String::new()));
+    let mut log = String::new();
 
     // Warm every tenant with one resident connection so churn measures
     // steady-state connect/disconnect, not cold starts.
@@ -268,15 +267,14 @@ pub fn run_churn_phase(seed: u64, sessions: usize) -> ChurnPhaseReport {
     while closed.get() < sessions {
         sim.run_for(dur::secs(1));
         while closed.get() >= next_mark {
-            let _ = writeln!(
-                log.borrow_mut(),
-                "sessions={} connects={} open={} now_ms={} events={}",
+            log.push_str(&format!(
+                "sessions={} connects={} open={} now_ms={} events={}\n",
                 next_mark,
                 cluster.proxy.connects.get(),
                 cluster.proxy.connection_count(),
                 sim.now().as_nanos() / 1_000_000,
                 sim.events_executed(),
-            );
+            ));
             next_mark += checkpoint;
         }
         assert!(
@@ -288,7 +286,6 @@ pub fn run_churn_phase(seed: u64, sessions: usize) -> ChurnPhaseReport {
     let wall_secs = t0.elapsed().as_secs_f64();
     let events = sim.events_executed();
     let snapshot = cluster.metrics_snapshot_json();
-    let log = Rc::try_unwrap(log).map(RefCell::into_inner).unwrap_or_default();
     ChurnPhaseReport {
         sessions,
         wall_secs,

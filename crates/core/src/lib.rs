@@ -17,6 +17,7 @@
 //!   proxy, no autoscaler.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod chaos;
 pub mod dedicated;

@@ -9,7 +9,7 @@
 //! queries instead of stop/start oscillation.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crdb_accounting::bucket::{BucketServer, GrantResponse};
 use crdb_accounting::model::{EcpuModel, WorkloadFeatures};
@@ -38,7 +38,7 @@ pub struct TenantInfo {
     /// Cumulative estimated-CPU seconds attributed to this tenant.
     pub ecpu_seconds: RefCell<f64>,
     /// Last observed per-node SQL CPU totals (for delta measurement).
-    pub last_sql_cpu: RefCell<HashMap<SqlInstanceId, f64>>,
+    pub last_sql_cpu: RefCell<BTreeMap<SqlInstanceId, f64>>,
     /// Last observed KV traffic snapshot.
     pub last_traffic: RefCell<TrafficStats>,
 }
@@ -50,7 +50,7 @@ pub struct QuotaState {
     /// The token bucket server (1 token = 1 ms estimated CPU).
     pub server: RefCell<BucketServer>,
     /// Per-node query gates: statements wait until this instant.
-    pub gates: RefCell<HashMap<SqlInstanceId, SimTime>>,
+    pub gates: RefCell<BTreeMap<SqlInstanceId, SimTime>>,
 }
 
 impl TenantInfo {
@@ -71,10 +71,10 @@ impl TenantInfo {
             quota: quota_vcpus.map(|vcpus| QuotaState {
                 vcpus,
                 server: RefCell::new(BucketServer::new(vcpus)),
-                gates: RefCell::new(HashMap::new()),
+                gates: RefCell::new(BTreeMap::new()),
             }),
             ecpu_seconds: RefCell::new(0.0),
-            last_sql_cpu: RefCell::new(HashMap::new()),
+            last_sql_cpu: RefCell::new(BTreeMap::new()),
             last_traffic: RefCell::new(TrafficStats::default()),
         }
     }

@@ -42,7 +42,7 @@ impl TenantCert {
 #[derive(Debug, Default)]
 pub struct CertAuthority {
     next_serial: u64,
-    revoked: std::collections::HashSet<u64>,
+    revoked: std::collections::BTreeSet<u64>,
 }
 
 impl CertAuthority {

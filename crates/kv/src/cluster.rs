@@ -9,7 +9,7 @@
 //! size-based range splits.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -94,7 +94,7 @@ pub struct ClusterInner {
     /// transaction with the instant it was finalized, until
     /// `start_txn_gc` collects it. A transaction that is not here is
     /// pending, or finalized so long ago that no intent of it is left.
-    txn_finalized: HashMap<u64, (TxnStatus, SimTime)>,
+    txn_finalized: BTreeMap<u64, (TxnStatus, SimTime)>,
     pub(crate) cost_model: CostModel,
     pub(crate) topology: Rc<Topology>,
     pub(crate) hlc: Hlc,
@@ -263,7 +263,7 @@ impl KvCluster {
             directory: Directory::new(),
             liveness: Liveness::new(),
             ca: CertAuthority::new(),
-            txn_finalized: HashMap::new(),
+            txn_finalized: BTreeMap::new(),
             cost_model: config.cost_model.clone(),
             topology: Rc::clone(&topology),
             hlc: Hlc::new(),

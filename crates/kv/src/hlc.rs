@@ -75,13 +75,6 @@ impl Hlc {
         self.last.set(next);
         next
     }
-
-    /// Folds in an observed remote timestamp, keeping the clock ahead of it.
-    pub fn observe(&self, remote: Timestamp) {
-        if remote > self.last.get() {
-            self.last.set(remote);
-        }
-    }
 }
 
 impl Default for Hlc {
@@ -114,14 +107,6 @@ mod tests {
         assert!(t3 < t4);
         assert_eq!(t4.wall, 200);
         assert_eq!(t4.logical, 0);
-    }
-
-    #[test]
-    fn observe_advances_clock() {
-        let hlc = Hlc::new();
-        hlc.observe(Timestamp { wall: 1_000, logical: 5 });
-        let t = hlc.now(SimTime::from_nanos(10));
-        assert!(t > Timestamp { wall: 1_000, logical: 5 });
     }
 
     #[test]

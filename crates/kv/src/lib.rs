@@ -37,6 +37,7 @@
 //! per-key read watermarks plus retry-on-conflict.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod auth;
 pub mod batch;

@@ -19,7 +19,7 @@
 //! quorum wait, one group commit ([`KvNode::commit_one_phase`]).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
@@ -123,7 +123,7 @@ pub struct KvNode {
     pub(crate) cluster: Weak<RefCell<ClusterInner>>,
     alive: Cell<bool>,
     /// Per-tenant traffic features (input to the estimated-CPU model).
-    traffic: RefCell<HashMap<TenantId, TrafficStats>>,
+    traffic: RefCell<BTreeMap<TenantId, TrafficStats>>,
     /// Recent batch arrivals, for the cost model's economy curve.
     batch_window: RefCell<SlidingWindow>,
     /// Batches served (lifetime).
@@ -170,7 +170,7 @@ impl KvNode {
             hlc: Hlc::new(),
             cluster,
             alive: Cell::new(true),
-            traffic: RefCell::new(HashMap::new()),
+            traffic: RefCell::new(BTreeMap::new()),
             batch_window: RefCell::new(SlidingWindow::new(dur::secs(5))),
             batches_served: Cell::new(0),
             pending_pump: Cell::new(None),

@@ -22,6 +22,7 @@
 //! hash-order iteration reaches the serialized output.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod metrics;
 pub mod trace;

@@ -22,6 +22,7 @@
 //!   Prometheus-style path versus the 3-second direct scrape.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod autoscaler;
 pub mod metrics;

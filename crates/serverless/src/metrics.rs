@@ -13,7 +13,7 @@
 //! stages would have propagated it.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -69,7 +69,7 @@ struct TenantSeries {
 /// latency.
 pub struct MetricsPipeline {
     config: PipelineConfig,
-    series: Rc<RefCell<HashMap<TenantId, TenantSeries>>>,
+    series: Rc<RefCell<BTreeMap<TenantId, TenantSeries>>>,
 }
 
 impl MetricsPipeline {
@@ -77,7 +77,7 @@ impl MetricsPipeline {
     pub fn start(sim: &Sim, registry: Registry, config: PipelineConfig) -> Rc<MetricsPipeline> {
         let pipeline = Rc::new(MetricsPipeline {
             config: config.clone(),
-            series: Rc::new(RefCell::new(HashMap::new())),
+            series: Rc::new(RefCell::new(BTreeMap::new())),
         });
         let series = Rc::clone(&pipeline.series);
         let sim2 = sim.clone();

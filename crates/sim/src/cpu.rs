@@ -16,7 +16,7 @@
 //!   the autoscaler (§4.2.3) and the evaluation figures.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crdb_util::time::SimTime;
@@ -40,7 +40,7 @@ struct Inner {
     tasks: Vec<Task>,
     last: SimTime,
     completion: Option<EventId>,
-    usage: HashMap<TenantId, f64>,
+    usage: BTreeMap<TenantId, f64>,
     busy_integral: f64,
     runnable_integral: f64,
     /// Scheduler-contention overhead factor: with `r` runnable threads per
@@ -109,7 +109,7 @@ impl CpuScheduler {
                 tasks: Vec::new(),
                 last,
                 completion: None,
-                usage: HashMap::new(),
+                usage: BTreeMap::new(),
                 busy_integral: 0.0,
                 runnable_integral: 0.0,
                 contention_overhead: 0.0,
@@ -229,12 +229,9 @@ impl CpuScheduler {
         let mut inner = self.inner.borrow_mut();
         let now = self.sim.now();
         inner.advance(now);
-        // Summed in tenant order: float addition is order-sensitive and
-        // the map's iteration order is not deterministic across runs.
-        // simlint: allow(nondet-iter) — collected then sorted by tenant id before the order-sensitive float sum
-        let mut entries: Vec<(TenantId, f64)> = inner.usage.iter().map(|(t, v)| (*t, *v)).collect();
-        entries.sort_by_key(|&(t, _)| t);
-        entries.into_iter().map(|(_, v)| v).sum()
+        // Summed in tenant order (the map's): float addition is
+        // order-sensitive.
+        inner.usage.values().sum()
     }
 }
 

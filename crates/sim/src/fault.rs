@@ -406,9 +406,8 @@ impl FaultInjector {
     /// record fault *reactions* (victim chosen, session migrated) so
     /// the determinism check covers responses, not just injections.
     pub fn note(&self, line: &str) {
-        use std::fmt::Write;
-        let mut log = self.log.borrow_mut();
-        let _ = writeln!(log, "t={} {}", self.sim.now().as_nanos(), line);
+        let entry = format!("t={} {}\n", self.sim.now().as_nanos(), line);
+        self.log.borrow_mut().push_str(&entry);
     }
 
     /// The append-only event log.

@@ -27,6 +27,7 @@
 //! LSM compactions); only *time* is virtual.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod cpu;
 pub mod engine;

@@ -10,8 +10,6 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
-use crdb_util::time::SimTime;
-
 use crate::engine::{EventId, Sim};
 
 struct Job {
@@ -21,10 +19,8 @@ struct Job {
 
 struct Inner {
     rate: f64,
+    /// The head of the queue is the job in service.
     queue: VecDeque<Job>,
-    /// Remaining units of the job currently in service.
-    in_service: Option<f64>,
-    service_started: SimTime,
     completion: Option<EventId>,
     total_served: f64,
 }
@@ -40,45 +36,15 @@ impl RateResource {
     /// Creates a resource with the given service rate (units/second).
     pub fn new(sim: Sim, rate: f64) -> Self {
         assert!(rate > 0.0);
-        let now = sim.now();
         RateResource {
             sim,
             inner: Rc::new(RefCell::new(Inner {
                 rate,
                 queue: VecDeque::new(),
-                in_service: None,
-                service_started: now,
                 completion: None,
                 total_served: 0.0,
             })),
         }
-    }
-
-    /// The configured service rate in units/second.
-    pub fn rate(&self) -> f64 {
-        self.inner.borrow().rate
-    }
-
-    /// Changes the service rate. The job in service is re-timed with its
-    /// remaining units at the new rate.
-    pub fn set_rate(&self, rate: f64) {
-        assert!(rate > 0.0);
-        let now = self.sim.now();
-        {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(remaining) = inner.in_service {
-                let elapsed = now.duration_since(inner.service_started).as_secs_f64();
-                let done = (elapsed * inner.rate).min(remaining);
-                inner.in_service = Some(remaining - done);
-                inner.total_served += done;
-                inner.service_started = now;
-            }
-            inner.rate = rate;
-            if let Some(ev) = inner.completion.take() {
-                self.sim.cancel(ev);
-            }
-        }
-        self.arm();
     }
 
     /// Enqueues `units` of work; `on_complete` fires when it finishes.
@@ -91,25 +57,14 @@ impl RateResource {
         self.arm();
     }
 
+    /// Starts serving the head of the queue unless a job is in service.
     fn arm(&self) {
-        let now = self.sim.now();
         let mut inner = self.inner.borrow_mut();
         if inner.completion.is_some() {
             return;
         }
-        let units = match inner.in_service {
-            Some(u) => u,
-            None => match inner.queue.front() {
-                None => return,
-                Some(_) => {
-                    let job_units = inner.queue.front().unwrap().units;
-                    inner.in_service = Some(job_units);
-                    inner.service_started = now;
-                    job_units
-                }
-            },
-        };
-        let dt = Duration::from_secs_f64(units / inner.rate);
+        let Some(job) = inner.queue.front() else { return };
+        let dt = Duration::from_secs_f64(job.units / inner.rate);
         let this = self.clone();
         inner.completion = Some(self.sim.schedule_after(dt, move || this.complete()));
     }
@@ -118,46 +73,23 @@ impl RateResource {
         let cb = {
             let mut inner = self.inner.borrow_mut();
             inner.completion = None;
-            let units = inner.in_service.take().expect("job in service");
-            inner.total_served += units;
-            inner.service_started = self.sim.now();
-            inner.queue.pop_front().expect("queue head").on_complete
+            let job = inner.queue.pop_front().expect("queue head");
+            inner.total_served += job.units;
+            job.on_complete
         };
         self.arm();
         cb();
-    }
-
-    /// Jobs waiting or in service.
-    pub fn queue_len(&self) -> usize {
-        self.inner.borrow().queue.len()
     }
 
     /// Total units served since construction.
     pub fn total_served(&self) -> f64 {
         self.inner.borrow().total_served
     }
-
-    /// Backlog in units (queued jobs plus the unserved remainder of the job
-    /// in service).
-    pub fn backlog(&self) -> f64 {
-        let now = self.sim.now();
-        let inner = self.inner.borrow();
-        let queued: f64 = inner.queue.iter().skip(1).map(|j| j.units).sum();
-        let head = match inner.in_service {
-            Some(units) => {
-                let elapsed = now.duration_since(inner.service_started).as_secs_f64();
-                (units - elapsed * inner.rate).max(0.0)
-            }
-            None => inner.queue.front().map_or(0.0, |j| j.units),
-        };
-        queued + head
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     #[test]
     fn serves_fifo_at_rate() {
@@ -176,35 +108,5 @@ mod tests {
         assert_eq!(order[1].0, "b");
         assert!((order[1].1 - 1.5).abs() < 1e-9);
         assert_eq!(disk.total_served(), 150.0);
-    }
-
-    #[test]
-    fn rate_change_retimes_in_service_job() {
-        let sim = Sim::new(1);
-        let disk = RateResource::new(sim.clone(), 10.0);
-        let done = Rc::new(Cell::new(None));
-        let d = Rc::clone(&done);
-        let s = sim.clone();
-        disk.submit(20.0, move || d.set(Some(s.now().as_secs_f64())));
-        // After 1s, 10 of 20 units done; halve the rate: 10 more units at
-        // 5/s = 2s, finishing at t=3.
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        disk.set_rate(5.0);
-        sim.run_to_completion();
-        assert!((done.get().unwrap() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn backlog_tracks_queue() {
-        let sim = Sim::new(1);
-        let disk = RateResource::new(sim.clone(), 1.0);
-        disk.submit(2.0, || {});
-        disk.submit(3.0, || {});
-        assert_eq!(disk.queue_len(), 2);
-        assert!((disk.backlog() - 5.0).abs() < 1e-9);
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert!((disk.backlog() - 4.0).abs() < 1e-9);
-        sim.run_to_completion();
-        assert_eq!(disk.backlog(), 0.0);
     }
 }

@@ -58,26 +58,20 @@ impl TimeSeries {
 /// Renders aligned text columns for a set of series sharing a time axis —
 /// the textual analogue of the paper's figures.
 pub fn render_table(series: &[TimeSeries], time_unit_secs: f64, unit_label: &str) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = write!(out, "{:>10}", format!("t({unit_label})"));
+    let mut out = format!("{:>10}", format!("t({unit_label})"));
     for s in series {
-        let _ = write!(out, " {:>14}", s.name());
+        out.push_str(&format!(" {:>14}", s.name()));
     }
     out.push('\n');
     let n = series.iter().map(|s| s.len()).max().unwrap_or(0);
     for i in 0..n {
         let t =
             series.iter().find_map(|s| s.points().get(i).map(|&(t, _)| t)).unwrap_or(SimTime::ZERO);
-        let _ = write!(out, "{:>10.1}", t.as_secs_f64() / time_unit_secs);
+        out.push_str(&format!("{:>10.1}", t.as_secs_f64() / time_unit_secs));
         for s in series {
             match s.points().get(i) {
-                Some(&(_, v)) => {
-                    let _ = write!(out, " {v:>14.3}");
-                }
-                None => {
-                    let _ = write!(out, " {:>14}", "-");
-                }
+                Some(&(_, v)) => out.push_str(&format!(" {v:>14.3}")),
+                None => out.push_str(&format!(" {:>14}", "-")),
             }
         }
         out.push('\n');

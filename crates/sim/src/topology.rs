@@ -14,7 +14,7 @@
 //! cluster's topology sees the same faults.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -44,15 +44,15 @@ impl Location {
 #[derive(Debug, Default)]
 struct NetFaults {
     /// Region pairs that cannot exchange messages (stored both ways).
-    partitions: HashSet<(RegionId, RegionId)>,
+    partitions: BTreeSet<(RegionId, RegionId)>,
     /// Directed region pairs whose traffic is dropped one way only
     /// (asymmetric partition: `(from, to)` is dead, `(to, from)` works).
-    one_way: HashSet<(RegionId, RegionId)>,
+    one_way: BTreeSet<(RegionId, RegionId)>,
     /// Regions that are entirely dark (a full region outage): nothing in
     /// or out, including intra-region traffic touching the region.
-    dark_regions: HashSet<RegionId>,
+    dark_regions: BTreeSet<RegionId>,
     /// Individual zones that are dark (a zone outage).
-    dark_zones: HashSet<(RegionId, u32)>,
+    dark_zones: BTreeSet<(RegionId, u32)>,
     /// Global latency multiplier in percent (100 = no spike).
     latency_factor_pct: u32,
     /// Previous multipliers, so overlapping spikes restore the factor
@@ -67,7 +67,7 @@ struct NetFaults {
 pub struct Topology {
     regions: Vec<String>,
     /// One-way latency between region pairs, indexed by raw region id.
-    latency: HashMap<(RegionId, RegionId), Duration>,
+    latency: BTreeMap<(RegionId, RegionId), Duration>,
     /// One-way latency between zones of the same region.
     inter_zone: Duration,
     /// One-way latency within a zone.
@@ -84,7 +84,7 @@ impl Topology {
     pub fn single_region(name: &str, _zones: u32) -> Self {
         Topology {
             regions: vec![name.to_string()],
-            latency: HashMap::new(),
+            latency: BTreeMap::new(),
             inter_zone: dur::us(750),
             intra_zone: dur::us(250),
             jitter: 0.05,
@@ -107,7 +107,7 @@ impl Topology {
                 "europe-west1".to_string(),
                 "asia-southeast1".to_string(),
             ],
-            latency: HashMap::new(),
+            latency: BTreeMap::new(),
             inter_zone: dur::us(750),
             intra_zone: dur::us(250),
             jitter: 0.05,

@@ -1,6 +1,6 @@
 //! The pre-timer-wheel scheduler, retained as a *model*.
 //!
-//! This is the `BinaryHeap<Reverse<_>>` + tombstone-`HashSet` event queue
+//! This is the `BinaryHeap<Reverse<_>>` + tombstone-set event queue
 //! the engine used before the hierarchical `crdb_sim::wheel::TimerWheel`
 //! replaced it. It is kept, verbatim in behavior, for one purpose only:
 //! the differential test (`timerwheel_differential.rs`) replays random
@@ -8,7 +8,7 @@
 //! pop orderings.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crdb_util::time::SimTime;
 
@@ -40,7 +40,7 @@ impl<T> Ord for Scheduled<T> {
 /// numbers, exactly as the pre-wheel engine assigned them.
 pub struct ModelScheduler<T> {
     queue: BinaryHeap<Reverse<Scheduled<T>>>,
-    cancelled: HashSet<u64>,
+    cancelled: BTreeSet<u64>,
     next_seq: u64,
 }
 
@@ -53,7 +53,7 @@ impl<T> Default for ModelScheduler<T> {
 impl<T> ModelScheduler<T> {
     /// Creates an empty model scheduler.
     pub fn new() -> ModelScheduler<T> {
-        ModelScheduler { queue: BinaryHeap::new(), cancelled: HashSet::new(), next_seq: 0 }
+        ModelScheduler { queue: BinaryHeap::new(), cancelled: BTreeSet::new(), next_seq: 0 }
     }
 
     /// Schedules `value` at `at`; returns the event id (== seq).

@@ -1,30 +1,16 @@
-//! The line- and scope-aware rule engine.
-//!
-//! Analysis runs in two passes over the lexer-stripped source:
-//!
-//! 1. **Name tables** — collect identifiers whose declared type or
-//!    constructor marks them as hash-ordered (`HashMap`/`HashSet`) or as
-//!    floating-point accumulators (`f32`/`f64`, `= 0.0`). No type
-//!    inference: only same-file declarations count, which is exactly the
-//!    precision/noise trade-off a hermetic linter can afford.
-//! 2. **Stateful scan** — a single walk that tracks brace depth,
-//!    `#[cfg(test)]`/`#[test]` regions (rules only police non-test
-//!    code), `for`-loop regions over hash-ordered names, and live
-//!    `RefCell` borrow guards, emitting findings for the five rules.
+//! The driver: walks the tree, builds one [`FileModel`] per file, runs
+//! the rules over them, then applies suppression and the baseline.
 //!
 //! Suppression is applied last: a finding survives unless a *valid*
 //! (reason-carrying) `simlint: allow` directive covers it on the same
 //! line, the line above, the guard's declaration site (for
 //! `reentrant-borrow`), or file-wide via `allow-file`.
 
-// simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
-
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::lexer::{is_ident, strip, word_positions};
-use crate::rules::{parse_directives, Directive};
+use crate::model::FileModel;
+use crate::rules::Directive;
 
 /// One rule violation (or, when `suppress_reason` is set, an
 /// acknowledged exception).
@@ -50,768 +36,33 @@ impl Finding {
     }
 }
 
-/// Methods that observe a hash collection in its (nondeterministic)
-/// iteration order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-    "retain",
-    "extract_if",
-];
-
-/// RNG constructions that bypass the simulation seed.
-const AMBIENT_RNG: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
-
-/// Zero-argument calls that return (a view of) the same collection, so an
-/// iteration method right after them still observes hash order.
-const PASS_THROUGH: &[&str] = &["borrow", "borrow_mut", "lock", "read", "write", "clone"];
-
-/// Wrapper type constructors that may sit between a name and its
-/// `HashMap<...>` annotation, e.g. `x: Rc<RefCell<HashMap<K, V>>>`.
-const TYPE_WRAPPERS: &[&str] =
-    &["Rc", "Arc", "Box", "RefCell", "Cell", "Option", "Mutex", "RwLock", "rc", "sync", "cell"];
-
-/// Analyzes one file's source text. `path` is used only for labeling.
-pub fn analyze_source(path: &str, source: &str) -> Vec<Finding> {
-    let raw: Vec<String> = source.lines().map(str::to_string).collect();
-    let clean = strip(source);
-    debug_assert_eq!(raw.len(), clean.len());
-    let directives = parse_directives(&raw, &clean);
-
-    let mut findings = Vec::new();
-
-    // Malformed directives are themselves violations (never suppressible:
-    // fixing the directive is the only way out).
-    for d in &directives {
-        if let Some(problem) = &d.problem {
-            findings.push(Finding {
-                rule: "bad-directive",
-                path: path.to_string(),
-                line: d.line,
-                message: format!("malformed simlint directive: {problem}"),
-                snippet: snippet_of(&raw, d.line),
-                suppress_reason: None,
-                baselined: false,
-            });
-        }
-    }
-
-    let hash_names = collect_hash_names(&clean);
-    let float_names = collect_float_names(&clean);
-
-    let mut scan = Scan::new(path, &raw, &clean, &hash_names, &float_names);
-    scan.run(&mut findings);
-
-    apply_suppressions(&mut findings, &directives);
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
-}
-
-fn snippet_of(raw: &[String], line: usize) -> String {
-    raw.get(line - 1).map(|l| l.trim().to_string()).unwrap_or_default()
-}
-
-// ---------------------------------------------------------------------------
-// Pass 1: name tables
-// ---------------------------------------------------------------------------
-
-/// Names declared (or annotated) in this file as `HashMap`/`HashSet`.
-fn collect_hash_names(clean: &[String]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for line in clean {
-        for ty in ["HashMap", "HashSet"] {
-            for pos in word_positions(line, ty) {
-                // Form A: `name: [&mut] [path::]Wrapper<...<HashMap`.
-                if let Some(name) = annotated_name(&line[..pos]) {
-                    names.insert(name);
-                }
-                // Form B: `let [mut] name = HashMap::new()` (or
-                // with_capacity/from/default).
-                let after = &line[pos + ty.len()..];
-                if after.starts_with("::") {
-                    if let Some(name) = let_bound_name(&line[..pos]) {
-                        names.insert(name);
-                    }
-                }
-            }
-        }
-    }
-    names
-}
-
-/// Float-typed accumulator candidates: `x: f64`, `let mut x = 0.0`, ….
-fn collect_float_names(clean: &[String]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for line in clean {
-        for ty in ["f64", "f32"] {
-            for pos in word_positions(line, ty) {
-                if let Some(name) = annotated_name(&line[..pos]) {
-                    names.insert(name);
-                }
-            }
-        }
-        // `let [mut] x = <float literal>`
-        if let Some(eq) = line.find('=') {
-            if let Some(name) = let_bound_name(&line[..eq]) {
-                let rhs = line[eq + 1..].trim_start();
-                if looks_like_float_literal(rhs) {
-                    names.insert(name);
-                }
-            }
-        }
-    }
-    names
-}
-
-fn looks_like_float_literal(s: &str) -> bool {
-    let s = s.strip_prefix('-').unwrap_or(s).trim_start();
-    let digits: String = s.chars().take_while(|c| c.is_ascii_digit() || *c == '_').collect();
-    if digits.is_empty() {
-        return false;
-    }
-    let rest = &s[digits.len()..];
-    rest.starts_with('.') && rest[1..].chars().next().is_some_and(|c| c.is_ascii_digit())
-        || rest.starts_with("f64")
-        || rest.starts_with("f32")
-}
-
-/// Given the text left of a type token, decides whether it reads as
-/// `name: [& mut] [wrappers<]` and extracts `name`.
-pub(crate) fn annotated_name(before: &str) -> Option<String> {
-    let mut s = before.trim_end();
-    loop {
-        let prev = s;
-        s = s.trim_end();
-        // Strip a trailing path prefix `ident::`.
-        if let Some(stripped) = s.strip_suffix("::") {
-            s = strip_trailing_ident(stripped)?;
-            continue;
-        }
-        // Strip a trailing wrapper `Wrapper<`.
-        if let Some(stripped) = s.strip_suffix('<') {
-            let stripped = stripped.trim_end();
-            let inner = strip_trailing_ident(stripped)?;
-            let ident = &stripped[inner.len()..];
-            if !TYPE_WRAPPERS.contains(&ident) {
-                return None;
-            }
-            s = inner;
-            continue;
-        }
-        if let Some(stripped) = s.strip_suffix('&') {
-            s = stripped;
-            continue;
-        }
-        if let Some(stripped) = s.strip_suffix("mut") {
-            if stripped.ends_with(|c: char| c.is_whitespace() || c == '&') {
-                s = stripped;
-                continue;
-            }
-        }
-        // Strip a trailing lifetime `'a`.
-        if let Some(apos) = s.rfind('\'') {
-            if s[apos + 1..].chars().all(is_ident) && !s[apos + 1..].is_empty() {
-                s = &s[..apos];
-                continue;
-            }
-        }
-        if s == prev {
-            break;
-        }
-    }
-    // Now expect `… name:` (single colon — `::` would be a path, which the
-    // loop above already consumed).
-    let s = s.strip_suffix(':')?;
-    if s.ends_with(':') {
-        return None;
-    }
-    let rest = strip_trailing_ident(s)?;
-    let name = &s[rest.len()..];
-    if name.is_empty() || name.chars().next().unwrap().is_ascii_digit() {
-        return None;
-    }
-    // `fn foo(...) -> HashMap` style arrows never end in `name:`; also
-    // exclude obvious non-bindings.
-    if ["where", "impl", "dyn", "pub", "crate", "return"].contains(&name) {
-        return None;
-    }
-    Some(name.to_string())
-}
-
-/// Strips one trailing identifier, returning the prefix (errors if the
-/// text does not end in an identifier).
-fn strip_trailing_ident(s: &str) -> Option<&str> {
-    let trimmed = s.trim_end();
-    let end = trimmed.len();
-    let start =
-        trimmed.char_indices().rev().take_while(|(_, c)| is_ident(*c)).last().map(|(i, _)| i)?;
-    if start == end {
-        return None;
-    }
-    Some(&trimmed[..start])
-}
-
-/// Extracts `name` from a `let [mut] name [: ty]` prefix.
-pub(crate) fn let_bound_name(before: &str) -> Option<String> {
-    let let_pos = *word_positions(before, "let").first()?;
-    let mut rest = before[let_pos + 3..].trim_start();
-    if let Some(r) = rest.strip_prefix("mut ") {
-        rest = r.trim_start();
-    }
-    let name: String = rest.chars().take_while(|c| is_ident(*c)).collect();
-    if name.is_empty() || name.chars().next().unwrap().is_ascii_digit() {
-        return None;
-    }
-    // Tuple/struct patterns (`let (a, b) = …`) are skipped.
-    let after = rest[name.len()..].trim_start();
-    if after.is_empty() || after.starts_with(':') || after.starts_with('=') {
-        Some(name)
-    } else {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 2: stateful scan
-// ---------------------------------------------------------------------------
-
-struct Guard {
-    name: String,
-    decl_line: usize,
-    decl_depth: i32,
-}
-
-struct Scan<'a> {
-    path: &'a str,
-    raw: &'a [String],
-    clean: &'a [String],
-    hash_names: &'a BTreeSet<String>,
-    float_names: &'a BTreeSet<String>,
-    depth: i32,
-    /// Depths at which `#[cfg(test)]`/`#[test]` regions opened.
-    test_regions: Vec<i32>,
-    /// A test attribute was seen and its `{` has not opened yet.
-    armed_test: bool,
-    /// Depths at which `for … in <hash>` loop bodies opened.
-    hash_loop_regions: Vec<i32>,
-    /// `for` over a hash name was seen and its `{` has not opened yet.
-    armed_hash_loop: bool,
-    guards: Vec<Guard>,
-}
-
-impl<'a> Scan<'a> {
-    fn new(
-        path: &'a str,
-        raw: &'a [String],
-        clean: &'a [String],
-        hash_names: &'a BTreeSet<String>,
-        float_names: &'a BTreeSet<String>,
-    ) -> Self {
-        Scan {
-            path,
-            raw,
-            clean,
-            hash_names,
-            float_names,
-            depth: 0,
-            test_regions: Vec::new(),
-            armed_test: false,
-            hash_loop_regions: Vec::new(),
-            armed_hash_loop: false,
-            guards: Vec::new(),
-        }
-    }
-
-    fn finding(&self, rule: &'static str, line: usize, message: String) -> Finding {
-        Finding {
-            rule,
-            path: self.path.to_string(),
-            line,
-            message,
-            snippet: snippet_of(self.raw, line),
-            suppress_reason: None,
-            baselined: false,
-        }
-    }
-
-    fn in_test(&self) -> bool {
-        !self.test_regions.is_empty() || self.armed_test
-    }
-
-    fn run(&mut self, findings: &mut Vec<Finding>) {
-        for idx in 0..self.clean.len() {
-            let line = self.clean[idx].clone();
-            let trimmed = line.trim();
-
-            if trimmed.contains("#[cfg(test)]")
-                || trimmed.starts_with("#[test]")
-                || trimmed.contains("#[cfg(any(test")
-            {
-                self.armed_test = true;
-            }
-
-            let was_test = self.in_test();
-            if !was_test {
-                self.check_line(idx, &line, findings);
-            }
-
-            self.track_braces(&line);
-
-            // Expire guards whose block closed on this line, and hash-loop
-            // regions likewise (test regions are popped in track_braces so
-            // nested `}` handling stays exact).
-            let depth = self.depth;
-            self.guards.retain(|g| depth >= g.decl_depth);
-            self.hash_loop_regions.retain(|d| depth > *d);
-        }
-    }
-
-    /// Updates brace depth for `line`, opening any armed regions at the
-    /// first `{` and closing test regions as `}`s pass their open depth.
-    fn track_braces(&mut self, line: &str) {
-        for c in line.chars() {
-            match c {
-                '{' => {
-                    if self.armed_test {
-                        self.test_regions.push(self.depth);
-                        self.armed_test = false;
-                    }
-                    if self.armed_hash_loop {
-                        self.hash_loop_regions.push(self.depth);
-                        self.armed_hash_loop = false;
-                    }
-                    self.depth += 1;
-                }
-                '}' => {
-                    self.depth -= 1;
-                    if self.test_regions.last() == Some(&self.depth) {
-                        self.test_regions.pop();
-                    }
-                }
-                ';' => {
-                    // `#[cfg(test)] use foo;` — attribute applied to a
-                    // braceless item.
-                    self.armed_test = false;
-                    self.armed_hash_loop = false;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn check_line(&mut self, idx: usize, line: &str, findings: &mut Vec<Finding>) {
-        let lineno = idx + 1;
-
-        // --- wall-clock ---------------------------------------------------
-        for pat in ["Instant::now", "SystemTime::now"] {
-            if line.contains(pat) {
-                findings.push(self.finding(
-                    "wall-clock",
-                    lineno,
-                    format!(
-                        "`{pat}()` reads the machine clock; simulated components must take \
-                         a `Clock` (crdb-util) driven by the sim"
-                    ),
-                ));
-            }
-        }
-
-        // --- ambient-rng --------------------------------------------------
-        for pat in AMBIENT_RNG {
-            if !word_positions(line, pat).is_empty() {
-                findings.push(self.finding(
-                    "ambient-rng",
-                    lineno,
-                    format!(
-                        "`{pat}` draws ambient entropy; derive every RNG from the Sim seed \
-                         (e.g. `SmallRng::seed_from_u64`)"
-                    ),
-                ));
-            }
-        }
-        if line.contains("rand::random") {
-            findings.push(
-                self.finding(
-                    "ambient-rng",
-                    lineno,
-                    "`rand::random` uses the ambient thread RNG; derive from the Sim seed instead"
-                        .to_string(),
-                ),
-            );
-        }
-
-        // --- nondet-iter on `for` loops (arms float-accum regions) --------
-        // Only a *direct* iteration of the hash (`for x in [&][self.]map` or
-        // a method chain rooted at it) arms the region: `for k in
-        // sorted_keys(&map)` is the fix idiom and must stay clean.
-        if let Some(expr) = for_loop_expr(line) {
-            if let Some(root) = expr_root(expr) {
-                if self.hash_names.contains(root.as_str()) {
-                    self.armed_hash_loop = true;
-                    if expr_is_bare_name(expr) {
-                        findings.push(self.finding(
-                            "nondet-iter",
-                            lineno,
-                            format!(
-                                "`for` over hash-ordered `{root}` observes nondeterministic \
-                                 order; iterate sorted keys or switch to BTreeMap/BTreeSet"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-
-        // --- nondet-iter / float-accum on iterator chains ----------------
-        self.check_hash_usage(lineno, line, findings);
-
-        // --- float-accum inside `for … in <hash>` bodies ------------------
-        if !self.hash_loop_regions.is_empty() || self.armed_hash_loop {
-            for name in self.float_names.iter() {
-                for pos in word_positions(line, name) {
-                    let after = line[pos + name.len()..].trim_start();
-                    if after.starts_with("+=") {
-                        findings.push(self.finding(
-                            "float-accum",
-                            lineno,
-                            format!(
-                                "float accumulator `{name}` is summed in hash-map iteration \
-                                 order; float addition is not associative — iterate sorted \
-                                 keys or collect-and-sort first"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-
-        // --- reentrant-borrow: scrutinee form ----------------------------
-        self.check_scrutinee(idx, line, findings);
-
-        // --- reentrant-borrow: guard held across self.-call ---------------
-        self.check_guards(lineno, line, findings);
-    }
-
-    /// Flags iteration-order-observing uses of hash-typed names, escalating
-    /// to `float-accum` when the chain visibly folds floats.
-    fn check_hash_usage(&self, lineno: usize, line: &str, findings: &mut Vec<Finding>) {
-        let mut flagged_nondet = false;
-        let mut flagged_float = false;
-
-        for name in self.hash_names.iter() {
-            for pos in word_positions(line, name) {
-                let after = &line[pos + name.len()..];
-                let Some(mut rest) = after.strip_prefix('.') else { continue };
-                // Follow pass-through calls that hand back the same
-                // (hash-ordered) collection: `map.borrow().values()`,
-                // `map.clone().into_iter()`, ….
-                let mut method: String;
-                loop {
-                    method = rest.chars().take_while(|c| is_ident(*c)).collect();
-                    let tail = &rest[method.len()..];
-                    if PASS_THROUGH.contains(&method.as_str()) && tail.starts_with("()") {
-                        match tail.strip_prefix("().") {
-                            Some(t) => {
-                                rest = t;
-                                continue;
-                            }
-                            None => break,
-                        }
-                    }
-                    break;
-                }
-                if !ITER_METHODS.contains(&method.as_str()) {
-                    continue;
-                }
-                // Method must actually be called.
-                if !rest[method.len()..].trim_start().starts_with('(') {
-                    continue;
-                }
-                let chain_rest = &rest[method.len()..];
-                if !flagged_float && chain_folds_floats(chain_rest) {
-                    findings.push(self.finding(
-                        "float-accum",
-                        lineno,
-                        format!(
-                            "float fold over hash-ordered `{name}.{method}()`: float \
-                             addition is not associative, so the result depends on hash \
-                             order — sort keys first"
-                        ),
-                    ));
-                    flagged_float = true;
-                } else if !flagged_nondet && !flagged_float {
-                    findings.push(self.finding(
-                        "nondet-iter",
-                        lineno,
-                        format!(
-                            "`{name}.{method}()` observes HashMap/HashSet iteration order; \
-                             sort keys first or use BTreeMap/BTreeSet"
-                        ),
-                    ));
-                    flagged_nondet = true;
-                }
-            }
-        }
-
-        // `something.extend(&name)` / `Vec::from_iter(name)`.
-        if !flagged_nondet {
-            for call in [".extend(", "from_iter("] {
-                if let Some(pos) = line.find(call) {
-                    let args = &line[pos + call.len()..];
-                    let args = &args[..args.find(')').unwrap_or(args.len())];
-                    for name in self.hash_names.iter() {
-                        if !word_positions(args, name).is_empty() {
-                            findings.push(self.finding(
-                                "nondet-iter",
-                                lineno,
-                                format!(
-                                    "collecting from hash-ordered `{name}` observes \
-                                     nondeterministic order; sort first"
-                                ),
-                            ));
-                            flagged_nondet = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        let _ = flagged_nondet;
-    }
-
-    /// `match <scrutinee> {` / `if let … = <scrutinee> {` with a borrow in
-    /// the scrutinee: the guard temporary lives for the whole body.
-    fn check_scrutinee(&mut self, idx: usize, line: &str, findings: &mut Vec<Finding>) {
-        let lineno = idx + 1;
-        let mut starts: Vec<(usize, &'static str)> = Vec::new();
-        for pos in word_positions(line, "match") {
-            starts.push((pos + "match".len(), "match"));
-        }
-        for kw in ["if let", "while let", "else if let"] {
-            let mut search = 0;
-            while let Some(rel) = line[search..].find(kw) {
-                let pos = search + rel;
-                // `=` introduces the scrutinee of a let-binding.
-                if let Some(eq) = line[pos..].find('=') {
-                    starts.push((pos + eq + 1, "if-let"));
-                }
-                search = pos + kw.len();
-            }
-        }
-        for (start, kind) in starts {
-            if let Some(scrutinee) = self.scrutinee_text(idx, start) {
-                if [".borrow(", ".borrow_mut(", ".try_borrow"]
-                    .iter()
-                    .any(|pat| scrutinee.contains(pat))
-                {
-                    findings.push(self.finding(
-                        "reentrant-borrow",
-                        lineno,
-                        format!(
-                            "RefCell borrow in a `{kind}` scrutinee is held for the \
-                             whole body (any re-entrant borrow panics) — bind the \
-                             result to a local *before* matching"
-                        ),
-                    ));
-                    // One report per line, even with nested scrutinees.
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Collects scrutinee text from `(idx, col)` forward until the body
-    /// `{` at bracket depth 0 (spanning up to 8 lines).
-    fn scrutinee_text(&self, idx: usize, col: usize) -> Option<String> {
-        let mut text = String::new();
-        let mut bracket = 0i32;
-        for (n, line) in self.clean.iter().enumerate().skip(idx).take(8) {
-            let s = if n == idx { &line[col.min(line.len())..] } else { line.as_str() };
-            for c in s.chars() {
-                match c {
-                    '(' | '[' => bracket += 1,
-                    ')' | ']' => bracket -= 1,
-                    '{' if bracket == 0 => return Some(text),
-                    ';' if bracket <= 0 => return None,
-                    _ => {}
-                }
-                text.push(c);
-            }
-            text.push(' ');
-        }
-        None
-    }
-
-    fn check_guards(&mut self, lineno: usize, line: &str, findings: &mut Vec<Finding>) {
-        let trimmed = line.trim();
-
-        // Self-method calls while a guard is alive. (`self.field.method()`
-        // does not match — only direct `self.method(...)` calls, which can
-        // synchronously re-enter and re-borrow.)
-        if !self.guards.is_empty() {
-            let decl_lines: Vec<usize> = self.guards.iter().map(|g| g.decl_line).collect();
-            if !decl_lines.contains(&lineno) {
-                if let Some((method, _)) = self_method_calls(line).into_iter().next() {
-                    let g = self.guards.last().unwrap();
-                    findings.push(Finding {
-                        rule: "reentrant-borrow",
-                        path: self.path.to_string(),
-                        line: lineno,
-                        message: format!(
-                            "RefCell guard `{}` (bound at line {}) is still alive across \
-                             `self.{method}(...)`; a re-entrant borrow inside panics — \
-                             narrow the guard's scope or drop() it first",
-                            g.name, g.decl_line
-                        ),
-                        snippet: snippet_of(self.raw, lineno),
-                        suppress_reason: None,
-                        baselined: false,
-                    });
-                }
-            }
-        }
-
-        // Explicit drop ends a guard early.
-        if let Some(pos) = line.find("drop(") {
-            let arg: String = line[pos + 5..].chars().take_while(|c| is_ident(*c)).collect();
-            self.guards.retain(|g| g.name != arg);
-        }
-
-        // New guard: `let [mut] name = <expr>.borrow[_mut]();` — the borrow
-        // must be the final call, otherwise the temporary already dropped.
-        if (trimmed.ends_with(".borrow();") || trimmed.ends_with(".borrow_mut();"))
-            && word_positions(trimmed, "let").first() == Some(&0)
-        {
-            if let Some(eq) = trimmed.find('=') {
-                if let Some(name) = let_bound_name(&trimmed[..eq]) {
-                    self.guards.push(Guard { name, decl_line: lineno, decl_depth: self.depth });
-                }
-            }
-        }
-    }
-}
-
-/// Extracts the iterated expression of a `for pat in expr {` line (the raw
-/// text between `in` and the body `{`).
-fn for_loop_expr(line: &str) -> Option<&str> {
-    let for_pos = *word_positions(line, "for").first()?;
-    let rest = &line[for_pos + 3..];
-    let in_pos = *word_positions(rest, "in").first()?;
-    let expr = rest[in_pos + 2..].trim();
-    Some(expr.strip_suffix('{').unwrap_or(expr).trim_end())
-}
-
-/// Reduces `[&][mut ][self.]name…` to its leading identifier; `None` when
-/// the expression starts with a call or literal instead.
-fn expr_root(expr: &str) -> Option<String> {
-    let mut e = expr.trim();
-    e = e.strip_prefix('&').unwrap_or(e).trim_start();
-    e = e.strip_prefix("mut ").unwrap_or(e).trim_start();
-    e = e.strip_prefix("self.").unwrap_or(e);
-    let root: String = e.chars().take_while(|c| is_ident(*c)).collect();
-    let after = e[root.len()..].chars().next();
-    // `sorted(&map)` — root is a *call*, so the hash is consumed through a
-    // (presumably ordering) wrapper, not iterated directly.
-    if root.is_empty() || after == Some('(') {
-        None
-    } else {
-        Some(root)
-    }
-}
-
-/// Whether the `for` source is just `[&][mut ][self.]name` (method-chain
-/// forms are reported by the chain scanner instead, to avoid duplicates).
-fn expr_is_bare_name(expr: &str) -> bool {
-    let mut e = expr.trim();
-    e = e.strip_prefix('&').unwrap_or(e).trim_start();
-    e = e.strip_prefix("mut ").unwrap_or(e).trim_start();
-    e = e.strip_prefix("self.").unwrap_or(e);
-    !e.is_empty() && e.chars().all(is_ident)
-}
-
-/// Whether an iterator chain tail visibly folds floating-point values.
-fn chain_folds_floats(rest: &str) -> bool {
-    if rest.contains(".sum::<f64") || rest.contains(".sum::<f32") {
-        return true;
-    }
-    if rest.contains(".product::<f64") || rest.contains(".product::<f32") {
-        return true;
-    }
-    if let Some(pos) = rest.find(".fold(") {
-        let arg = rest[pos + ".fold(".len()..].trim_start();
-        if looks_like_float_literal(arg) {
-            return true;
-        }
-    }
-    // `.map(|x| x as f64).sum()` and friends.
-    (rest.contains(".sum(") || rest.contains(".product("))
-        && (rest.contains("f64") || rest.contains("f32"))
-}
-
-/// Methods that cannot synchronously re-enter `self` and re-borrow
-/// (duplicating or reading the handle, not running component logic).
-const NON_REENTERING: &[&str] =
-    &["clone", "to_owned", "borrow", "borrow_mut", "try_borrow", "try_borrow_mut"];
-
-/// Direct method calls on `self`: `self.method(` (not `self.field.method(`).
-fn self_method_calls(line: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let mut search = 0;
-    while let Some(rel) = line[search..].find("self.") {
-        let pos = search + rel;
-        search = pos + 5;
-        let before_ok = pos == 0 || !is_ident(line[..pos].chars().next_back().unwrap_or(' '));
-        if !before_ok {
-            continue;
-        }
-        let rest = &line[pos + 5..];
-        let method: String = rest.chars().take_while(|c| is_ident(*c)).collect();
-        if method.is_empty() {
-            continue;
-        }
-        if rest[method.len()..].starts_with('(') && !NON_REENTERING.contains(&method.as_str()) {
-            out.push((method, pos));
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Suppression
 // ---------------------------------------------------------------------------
 
-pub(crate) fn apply_suppressions(findings: &mut [Finding], directives: &[Directive]) {
-    for f in findings.iter_mut() {
-        if f.rule == "bad-directive" {
+fn suppress(f: &mut Finding, directives: &[Directive]) {
+    if f.rule == "bad-directive" {
+        return;
+    }
+    // The guard declaration site is an extra anchor for guard-scope
+    // findings ("bound at line N" in the message).
+    let extra_anchor = f
+        .message
+        .split("bound at line ")
+        .nth(1)
+        .and_then(|s| s.split(')').next())
+        .and_then(|s| s.trim().parse::<usize>().ok());
+    for d in directives {
+        if d.problem.is_some() || !d.rules.iter().any(|r| r == f.rule) {
             continue;
         }
-        // The guard declaration site is an extra anchor for guard-scope
-        // findings ("bound at line N" in the message).
-        let extra_anchor = f
-            .message
-            .split("bound at line ")
-            .nth(1)
-            .and_then(|s| s.split(')').next())
-            .and_then(|s| s.trim().parse::<usize>().ok());
-        for d in directives {
-            if d.problem.is_some() || !d.rules.iter().any(|r| r == f.rule) {
-                continue;
-            }
-            let hit = d.file_level
-                || d.line == f.line
-                || d.line + 1 == f.line
-                || extra_anchor.is_some_and(|a| d.line == a || d.line + 1 == a);
-            if hit {
-                f.suppress_reason = d.reason.clone();
-                break;
-            }
+        let hit = d.file_level
+            || d.line == f.line
+            || d.line + 1 == f.line
+            || extra_anchor.is_some_and(|a| d.line == a || d.line + 1 == a);
+        if hit {
+            f.suppress_reason = d.reason.clone();
+            return;
         }
     }
 }
@@ -829,20 +80,10 @@ const TEST_DIRS: &[&str] = &["tests", "benches", "examples"];
 /// Deliberate-violation corpora: never scanned, never modeled.
 const FIXTURE_DIRS: &[&str] = &["fixtures"];
 
-/// Recursively collects product-code `.rs` files under `paths` in sorted
-/// (deterministic) order, skipping build output, vendored stand-ins, and
-/// test trees.
-pub fn collect_files(paths: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
-    Ok(collect_files_classified(paths)?
-        .into_iter()
-        .filter(|(_, is_test)| !is_test)
-        .map(|(p, _)| p)
-        .collect())
-}
-
-/// Like [`collect_files`] but also yields test-tree files, tagged
-/// `(path, is_test)`. Fixture corpora stay excluded.
-pub fn collect_files_classified(paths: &[PathBuf]) -> std::io::Result<Vec<(PathBuf, bool)>> {
+/// Recursively collects `.rs` files under `paths` in sorted
+/// (deterministic) order, tagged `(path, is_test)`; build output,
+/// vendored stand-ins and fixture corpora are skipped.
+fn collect_files(paths: &[PathBuf]) -> std::io::Result<Vec<(PathBuf, bool)>> {
     let mut files = Vec::new();
     for p in paths {
         walk(p, false, &mut files)?;
@@ -877,36 +118,21 @@ fn walk(path: &Path, in_test: bool, out: &mut Vec<(PathBuf, bool)>) -> std::io::
     Ok(())
 }
 
-/// Runs the full two-phase analysis over in-memory sources
-/// `(path, source, is_test)`: v1 per-file rules on product files, then
-/// the workspace-wide v2 rules over the merged models (test files
-/// contribute cross-file facts — metric lookups, fn signatures — but
-/// only their metric lookups can themselves be findings). Used directly
-/// by fixture tests; the filesystem entry points feed it.
+/// Runs every rule over in-memory sources `(path, source, is_test)`.
+/// Test files contribute cross-file facts — metric registrations and
+/// lookups — and only their metric lookups can themselves be findings.
+/// Used directly by fixture tests; the filesystem entry point feeds it.
 pub fn analyze_sources(sources: &[(String, String, bool)]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut models = Vec::new();
-    for (path, src, is_test) in sources {
-        if !is_test {
-            findings.extend(analyze_source(path, src));
-        }
-        models.push(crate::model::FileModel::build(path, src, *is_test));
-    }
-    let mut xfindings = crate::xrules::run(&models);
-    for f in xfindings.iter_mut() {
+    let models: Vec<FileModel> =
+        sources.iter().map(|(path, src, is_test)| FileModel::build(path, src, *is_test)).collect();
+    let mut findings = crate::xrules::run(&models);
+    for f in findings.iter_mut() {
         if let Some(m) = models.iter().find(|m| m.path == f.path) {
-            apply_suppressions(std::slice::from_mut(f), &m.directives);
+            suppress(f, &m.directives);
         }
     }
-    findings.extend(xfindings);
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     findings
-}
-
-/// Runs the full analysis over every `.rs` file under `paths`, with no
-/// baseline: every `panic-path` occurrence reports as active.
-pub fn check_paths(paths: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
-    check_paths_with_baseline(paths, None)
 }
 
 /// Runs the full analysis and, when a baseline is given, marks
@@ -916,7 +142,7 @@ pub fn check_paths_with_baseline(
     baseline: Option<&crate::baseline::Baseline>,
 ) -> std::io::Result<Vec<Finding>> {
     let mut sources = Vec::new();
-    for (file, is_test) in collect_files_classified(paths)? {
+    for (file, is_test) in collect_files(paths)? {
         let src = fs::read_to_string(&file)?;
         sources.push((file.display().to_string(), src, is_test));
     }

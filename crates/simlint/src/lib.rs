@@ -1,17 +1,22 @@
-//! `crdb-simlint` — the workspace's determinism & re-entrancy linter.
+//! `crdb-simlint` — the workspace's linter for the invariants a type
+//! checker cannot see.
 //!
 //! The reproduction's value rests on deterministic simulation: same
 //! seed ⇒ byte-identical fault logs, traces, and metrics snapshots.
-//! Two hazard classes repeatedly broke that contract and were fixed by
-//! hand in earlier PRs (hash-order iteration leaking into outputs;
-//! `RefCell` guards held across re-entrant calls). This crate makes
-//! those invariants machine-checked: a hand-rolled lexer strips
-//! comments and strings, a line- and scope-aware engine applies the
-//! rules, and CI fails on any unsuppressed finding.
+//! What rustc and clippy can see of that contract — hash-ordered
+//! collections, ambient entropy, discarded `Result`s — they enforce
+//! (root `clippy.toml`). This crate keeps the rest: wall clocks,
+//! `RefCell` guards held across re-entrant calls, panic paths, time-unit
+//! mixes, leaked begin/finish pairs and metric-name drift. A hand-rolled
+//! lexer strips comments and strings, one scope walk per file builds a
+//! model, the rules read the models, and CI fails on any unsuppressed
+//! finding.
 //!
-//! See `DESIGN.md` §"Static analysis" for the determinism contract and
-//! the historical bug behind each rule; `crdb-simlint list` prints the
-//! same from the registry.
+//! See `DESIGN.md` §8 for which tool enforces which hazard;
+//! `crdb-simlint list` prints each rule with the historical bug that
+//! motivated it.
+
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod baseline;
 pub mod engine;
@@ -21,10 +26,7 @@ pub mod rules;
 pub mod xrules;
 
 pub use baseline::{ratchet, Baseline, RatchetReport, RATCHETED_RULES};
-pub use engine::{
-    analyze_source, analyze_sources, check_paths, check_paths_with_baseline, collect_files,
-    collect_files_classified, Finding,
-};
+pub use engine::{analyze_sources, check_paths_with_baseline, Finding};
 pub use model::FileModel;
 pub use rules::{rule, Rule, RULES};
 

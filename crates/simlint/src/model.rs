@@ -1,18 +1,19 @@
-//! Phase 1 of the cross-file analysis: the per-file model.
+//! The per-file model: the one place a source file is stripped,
+//! directive-parsed and scope-walked.
 //!
-//! v1 rules (`engine.rs`) are line- and scope-aware but strictly
-//! file-local. The v2 rule families (`xrules.rs`) need facts that only
-//! make sense once every file has been read — which metric names the
-//! workspace registers anywhere, which functions return `Result`, which
-//! bindings are slab arenas. This module extracts those facts into a
-//! lightweight [`FileModel`] per file; [`xrules`](crate::xrules) then
-//! runs workspace-wide rules over the merged models.
+//! Every rule in [`xrules`](crate::xrules) reads a [`FileModel`]: the
+//! raw and lexer-stripped lines, the `simlint:` directives, which lines
+//! are test code, the brace depth after each line, fn body ranges, the
+//! metric-name strings at registration and lookup sites, and which
+//! bindings are slab arenas. Some rules need every file's model at once
+//! (a metric lookup must match a registration *anywhere*), so the
+//! models are all built before any rule runs.
 //!
-//! Like the v1 engine, the model is built from the lexer-stripped view
-//! (comments/strings blanked, 1:1 per character) plus the raw source
-//! (to recover string-literal contents at positions the stripped view
-//! proves are inside literals). No Rust parsing: brace-depth walking
-//! and identifier scanning only, tuned on the real workspace.
+//! The model is built from the lexer-stripped view (comments/strings
+//! blanked, 1:1 per character) plus the raw source (to recover
+//! string-literal contents at positions the stripped view proves are
+//! inside literals). No Rust parsing: brace-depth walking and
+//! identifier scanning only, tuned on the real workspace.
 
 // simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
 
@@ -21,14 +22,12 @@ use std::collections::BTreeSet;
 use crate::lexer::{is_ident, strip, word_positions};
 use crate::rules::{parse_directives, Directive};
 
-/// A function item: name, signature, and body line range.
+/// A function item: name, signature line, and body line range.
 #[derive(Debug, Clone)]
 pub struct FnModel {
     pub name: String,
     /// 1-based line the `fn` keyword appears on.
     pub sig_line: usize,
-    /// Return-type text (between `->` and the body `{`), empty for `()`.
-    pub ret: String,
     /// 1-based inclusive body range (`body_start` holds the opening `{`).
     pub body_start: usize,
     pub body_end: usize,
@@ -50,7 +49,7 @@ pub struct MetricString {
     pub in_test: bool,
 }
 
-/// Everything phase 2 needs to know about one source file.
+/// Everything the rules need to know about one source file.
 #[derive(Debug)]
 pub struct FileModel {
     /// Display path (as passed to the analyzer).
@@ -60,6 +59,8 @@ pub struct FileModel {
     pub directives: Vec<Directive>,
     /// Per line (0-based index): inside a `#[cfg(test)]`/`#[test]` region.
     pub test_line: Vec<bool>,
+    /// Per line (0-based index): brace depth once the line has ended.
+    pub depth_after: Vec<i32>,
     /// The whole file is test/bench code (lives under `tests/`, `benches/`,
     /// `examples/` or `fixtures/`): product-code rules skip it entirely.
     pub test_file: bool,
@@ -69,13 +70,7 @@ pub struct FileModel {
     pub metric_regs: Vec<MetricString>,
     /// Metric names at lookup sites (`…snapshot….contains("…")`, `.get("…")`).
     pub metric_lookups: Vec<MetricString>,
-    /// Names of fns in this file returning a `Result`-ish type.
-    pub result_fns: BTreeSet<String>,
-    /// Names of fns in this file returning anything else (used to drop
-    /// ambiguous names from the workspace-wide Result set).
-    pub non_result_fns: BTreeSet<String>,
-    /// Bindings declared as `Slab<…>` (same name-table heuristics as the
-    /// v1 hash tables).
+    /// Bindings declared as `Slab<…>`.
     pub slab_names: BTreeSet<String>,
 }
 
@@ -94,19 +89,6 @@ impl FileModel {
             f.in_test = f.in_test || test_file;
         }
 
-        let mut result_fns = BTreeSet::new();
-        let mut non_result_fns = BTreeSet::new();
-        for f in &fns {
-            if f.in_test {
-                continue;
-            }
-            if f.ret.contains("Result") {
-                result_fns.insert(f.name.clone());
-            } else {
-                non_result_fns.insert(f.name.clone());
-            }
-        }
-
         let slab_names = collect_slab_names(&clean);
         let (metric_regs, metric_lookups) = collect_metric_strings(&raw, &clean, &test_line);
 
@@ -116,12 +98,11 @@ impl FileModel {
             clean,
             directives,
             test_line,
+            depth_after: walk.depth_after,
             test_file,
             fns,
             metric_regs,
             metric_lookups,
-            result_fns,
-            non_result_fns,
             slab_names,
         }
     }
@@ -138,6 +119,7 @@ impl FileModel {
 
 struct ScopeWalk {
     test_line: Vec<bool>,
+    depth_after: Vec<i32>,
     fns: Vec<FnModel>,
 }
 
@@ -145,13 +127,10 @@ struct ScopeWalk {
 struct PendingFn {
     name: String,
     sig_line: usize,
-    ret: String,
     in_test: bool,
     /// Paren/bracket depth inside the signature (the body `{` only counts
     /// at depth 0 — `fn f(x: impl Fn() -> T)` must not open early).
     paren: i32,
-    /// Have we passed `->` yet (return-type text accumulates after it)?
-    in_ret: bool,
 }
 
 /// An open fn body awaiting its closing `}`.
@@ -167,6 +146,7 @@ impl ScopeWalk {
     /// fall out of the same stack discipline).
     fn run(clean: &[String]) -> ScopeWalk {
         let mut test_line = vec![false; clean.len()];
+        let mut depth_after = vec![0; clean.len()];
         let mut fns: Vec<FnModel> = Vec::new();
 
         let mut depth: i32 = 0;
@@ -191,7 +171,7 @@ impl ScopeWalk {
                 if pending.is_none() { word_positions(line, "fn") } else { Vec::new() };
             let mut next_fn = 0usize;
 
-            let mut iter = line.char_indices().peekable();
+            let mut iter = line.char_indices();
             while let Some((byte, c)) = iter.next() {
                 // Start a signature at an `fn` keyword (outside one).
                 if pending.is_none() && fn_starts.get(next_fn) == Some(&byte) {
@@ -203,10 +183,8 @@ impl ScopeWalk {
                         pending = Some(PendingFn {
                             name,
                             sig_line: idx + 1,
-                            ret: String::new(),
                             in_test: !test_regions.is_empty() || armed_test,
                             paren: 0,
-                            in_ret: false,
                         });
                         // Skip past the `fn` keyword itself.
                         iter.next();
@@ -218,11 +196,6 @@ impl ScopeWalk {
                     match c {
                         '(' | '[' => p.paren += 1,
                         ')' | ']' => p.paren -= 1,
-                        '-' if p.paren == 0 && iter.peek().map(|(_, n)| *n) == Some('>') => {
-                            p.in_ret = true;
-                            iter.next();
-                            continue;
-                        }
                         ';' if p.paren == 0 => {
                             // Trait/extern declaration: no body.
                             pending = None;
@@ -239,7 +212,6 @@ impl ScopeWalk {
                                 model: FnModel {
                                     name: p.name,
                                     sig_line: p.sig_line,
-                                    ret: p.ret.trim().to_string(),
                                     body_start: idx + 1,
                                     body_end: idx + 1,
                                     in_test: p.in_test || !test_regions.is_empty(),
@@ -250,9 +222,6 @@ impl ScopeWalk {
                             continue;
                         }
                         _ => {}
-                    }
-                    if p.in_ret && c != '{' {
-                        p.ret.push(c);
                     }
                     continue;
                 }
@@ -284,11 +253,7 @@ impl ScopeWalk {
                     _ => {}
                 }
             }
-            if let Some(p) = pending.as_mut() {
-                if p.in_ret {
-                    p.ret.push(' ');
-                }
-            }
+            depth_after[idx] = depth;
         }
         // Unterminated bodies (truncated file): close at EOF.
         while let Some(o) = open.pop() {
@@ -297,7 +262,7 @@ impl ScopeWalk {
             fns.push(done);
         }
         fns.sort_by_key(|f| f.sig_line);
-        ScopeWalk { test_line, fns }
+        ScopeWalk { test_line, depth_after, fns }
     }
 }
 
@@ -313,18 +278,119 @@ fn collect_slab_names(clean: &[String]) -> BTreeSet<String> {
         for pos in word_positions(line, "Slab") {
             let after = &line[pos + "Slab".len()..];
             if after.trim_start().starts_with('<') {
-                if let Some(name) = crate::engine::annotated_name(&line[..pos]) {
+                if let Some(name) = annotated_name(&line[..pos]) {
                     names.insert(name);
                 }
             }
             if after.starts_with("::") {
-                if let Some(name) = crate::engine::let_bound_name(&line[..pos]) {
+                if let Some(name) = let_bound_name(&line[..pos]) {
                     names.insert(name);
                 }
             }
         }
     }
     names
+}
+
+/// Wrapper type constructors that may sit between a name and its
+/// `Slab<...>` annotation, e.g. `x: Rc<RefCell<Slab<T>>>`.
+const TYPE_WRAPPERS: &[&str] =
+    &["Rc", "Arc", "Box", "RefCell", "Cell", "Option", "Mutex", "RwLock", "rc", "sync", "cell"];
+
+/// Given the text left of a type token, decides whether it reads as
+/// `name: [& mut] [wrappers<]` and extracts `name`.
+fn annotated_name(before: &str) -> Option<String> {
+    let mut s = before.trim_end();
+    loop {
+        let prev = s;
+        s = s.trim_end();
+        // Strip a trailing path prefix `ident::`.
+        if let Some(stripped) = s.strip_suffix("::") {
+            s = strip_trailing_ident(stripped)?;
+            continue;
+        }
+        // Strip a trailing wrapper `Wrapper<`.
+        if let Some(stripped) = s.strip_suffix('<') {
+            let stripped = stripped.trim_end();
+            let inner = strip_trailing_ident(stripped)?;
+            let ident = &stripped[inner.len()..];
+            if !TYPE_WRAPPERS.contains(&ident) {
+                return None;
+            }
+            s = inner;
+            continue;
+        }
+        if let Some(stripped) = s.strip_suffix('&') {
+            s = stripped;
+            continue;
+        }
+        if let Some(stripped) = s.strip_suffix("mut") {
+            if stripped.ends_with(|c: char| c.is_whitespace() || c == '&') {
+                s = stripped;
+                continue;
+            }
+        }
+        // Strip a trailing lifetime `'a`.
+        if let Some(apos) = s.rfind('\'') {
+            if s[apos + 1..].chars().all(is_ident) && !s[apos + 1..].is_empty() {
+                s = &s[..apos];
+                continue;
+            }
+        }
+        if s == prev {
+            break;
+        }
+    }
+    // Now expect `… name:` (single colon — `::` would be a path, which the
+    // loop above already consumed).
+    let s = s.strip_suffix(':')?;
+    if s.ends_with(':') {
+        return None;
+    }
+    let rest = strip_trailing_ident(s)?;
+    let name = &s[rest.len()..];
+    if name.is_empty() || name.chars().next().unwrap().is_ascii_digit() {
+        return None;
+    }
+    // `fn foo(...) -> Slab<T>` style arrows never end in `name:`; also
+    // exclude obvious non-bindings.
+    if ["where", "impl", "dyn", "pub", "crate", "return"].contains(&name) {
+        return None;
+    }
+    Some(name.to_string())
+}
+
+/// Strips one trailing identifier, returning the prefix (errors if the
+/// text does not end in an identifier).
+fn strip_trailing_ident(s: &str) -> Option<&str> {
+    let trimmed = s.trim_end();
+    let end = trimmed.len();
+    let start =
+        trimmed.char_indices().rev().take_while(|(_, c)| is_ident(*c)).last().map(|(i, _)| i)?;
+    if start == end {
+        return None;
+    }
+    Some(&trimmed[..start])
+}
+
+/// Extracts `name` from a `let [mut] name [: ty]` prefix.
+pub(crate) fn let_bound_name(before: &str) -> Option<String> {
+    let let_pos = *word_positions(before, "let").first()?;
+    let mut rest = before[let_pos + 3..].trim_start();
+    if let Some(r) = rest.strip_prefix("mut ") {
+        rest = r.trim_start();
+    }
+    let name: String = rest.chars().take_while(|c| is_ident(*c)).collect();
+    if name.is_empty() || name.chars().next().unwrap().is_ascii_digit() {
+        return None;
+    }
+    // Tuple/struct patterns (`let (a, b) = …`) are skipped.
+    let after = rest[name.len()..].trim_start();
+    if after.is_empty() || after.starts_with(':') || after.starts_with('=') {
+        Some(name)
+    } else {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -489,16 +555,14 @@ fn gamma(f: impl Fn() -> u32) {
         let names: Vec<(&str, bool)> = m.fns.iter().map(|f| (f.name.as_str(), f.in_test)).collect();
         assert_eq!(names, vec![("alpha", false), ("beta", true), ("gamma", false)]);
         let alpha = &m.fns[0];
-        assert!(alpha.ret.contains("Result"));
         assert_eq!((alpha.body_start, alpha.body_end), (2, 4));
-        assert!(m.result_fns.contains("alpha"));
-        assert!(m.non_result_fns.contains("gamma"));
-        assert!(!m.result_fns.contains("beta"), "test fns never enter the tables");
-        // `impl Fn() -> u32` must not pollute gamma's return type.
+        // The `{`-free `impl Fn() -> u32` argument must not open gamma early.
         let gamma = m.fns.iter().find(|f| f.name == "gamma").unwrap();
-        assert_eq!(gamma.ret, "");
+        assert_eq!((gamma.body_start, gamma.body_end), (13, 15));
         assert!(m.is_test_line(9));
         assert!(!m.is_test_line(2));
+        assert_eq!(m.depth_after[..4], [0, 1, 1, 0]);
+        assert_eq!(m.depth_after[8], 2, "inside `mod tests`, inside `fn beta`");
     }
 
     #[test]
@@ -507,7 +571,6 @@ fn gamma(f: impl Fn() -> u32) {
         let m = FileModel::build("x.rs", src, false);
         assert_eq!(m.fns.len(), 1);
         assert_eq!(m.fns[0].name, "multi");
-        assert!(m.fns[0].ret.contains("Result"));
         assert_eq!((m.fns[0].body_start, m.fns[0].body_end), (4, 6));
     }
 

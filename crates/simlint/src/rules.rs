@@ -19,22 +19,10 @@ pub struct Rule {
 /// All shipped rules, in stable (alphabetical) order.
 pub const RULES: &[Rule] = &[
     Rule {
-        name: "ambient-rng",
-        summary: "ambient/unseeded randomness (thread_rng, rand::random, from_entropy, OsRng)",
-        motivation: "the determinism contract requires every RNG to be seeded from the \
-                     Sim seed; ambient entropy makes same-seed runs diverge silently",
-    },
-    Rule {
         name: "bad-directive",
         summary: "malformed simlint directive (unknown rule, or allow(...) without a reason)",
         motivation: "an unexplained suppression is indistinguishable from a silenced bug; \
                      PR reviews kept asking 'why is this exempt?' — now the answer is inline",
-    },
-    Rule {
-        name: "float-accum",
-        summary: "floating-point sum/+= fold over an unordered (hash) collection",
-        motivation: "PR 1: float addition is not associative, so summing RU debts in \
-                     HashMap order produced run-to-run drift in billing snapshots",
     },
     Rule {
         name: "metric-name",
@@ -43,12 +31,6 @@ pub const RULES: &[Rule] = &[
         motivation: "a metric-lookup typo in a sql::node assertion silently probed a name \
                      nobody registers — the check passed vacuously; names are stringly, so \
                      only a workspace-wide cross-reference catches the drift",
-    },
-    Rule {
-        name: "nondet-iter",
-        summary: "iterating / draining / collecting from a HashMap or HashSet in non-test code",
-        motivation: "PR 1: proxy rebalance and lease-rebalancer tie-breaks depended on \
-                     HashMap iteration order, breaking byte-identical same-seed fault logs",
     },
     Rule {
         name: "panic-path",
@@ -65,14 +47,6 @@ pub const RULES: &[Rule] = &[
         motivation: "PR 3: sql::node planning held the catalog RefMut in a match scrutinee \
                      across a synchronous catalog-refresh retry and panicked under chaos; \
                      PR 1 fixed the same class in the kv range cache",
-    },
-    Rule {
-        name: "swallowed-result",
-        summary: "`let _ =` or a bare-statement call discarding a workspace fn's `Result` \
-                  in product code",
-        motivation: "PR 7's group-commit sweep found a dropped `Result` that hid WAL sink \
-                     failures for several commits; errors must be handled, note()d, or \
-                     suppressed with a written reason",
     },
     Rule {
         name: "unbalanced-pair",
@@ -126,7 +100,7 @@ pub struct Directive {
 /// (non-doc) `//` or `/* */` comments:
 ///
 /// ```text
-/// ... code ...        (directive text: "simlint:" then "allow(nondet-iter) — why")
+/// ... code ...        (directive text: "simlint:" then "allow(wall-clock) — why")
 /// ```
 ///
 /// i.e. `allow(rule[, rule…])` or `allow-file(rule[, rule…])`, then a
@@ -251,17 +225,17 @@ mod tests {
 
     #[test]
     fn parses_valid_allow() {
-        let d = parse(&["let x = 1; // simlint: allow(nondet-iter) — order-independent count"]);
+        let d = parse(&["let x = 1; // simlint: allow(wall-clock) — host-side progress line"]);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rules, vec!["nondet-iter"]);
+        assert_eq!(d[0].rules, vec!["wall-clock"]);
         assert!(!d[0].file_level);
-        assert_eq!(d[0].reason.as_deref(), Some("order-independent count"));
+        assert_eq!(d[0].reason.as_deref(), Some("host-side progress line"));
         assert!(d[0].problem.is_none());
     }
 
     #[test]
     fn parses_multi_rule_and_ascii_dash() {
-        let d = parse(&["// simlint: allow(nondet-iter, float-accum) -- sum is re-sorted below"]);
+        let d = parse(&["// simlint: allow(wall-clock, panic-path) -- bench arg parsing"]);
         assert_eq!(d[0].rules.len(), 2);
         assert!(d[0].problem.is_none());
     }
@@ -277,7 +251,7 @@ mod tests {
 
     #[test]
     fn reasonless_directive_is_malformed() {
-        let d = parse(&["// simlint: allow(nondet-iter)"]);
+        let d = parse(&["// simlint: allow(wall-clock)"]);
         assert!(d[0].problem.is_some());
         assert!(d[0].reason.is_none());
     }
@@ -290,7 +264,7 @@ mod tests {
 
     #[test]
     fn marker_in_string_is_ignored() {
-        let d = parse(&[r#"let s = "simlint: allow(nondet-iter)";"#]);
+        let d = parse(&[r#"let s = "simlint: allow(wall-clock)";"#]);
         assert!(d.is_empty());
     }
 }

@@ -1,8 +1,10 @@
-//! Phase 2 of the cross-file analysis: workspace-wide rule families.
+//! The rule checks. Every one reads [`FileModel`]s and nothing else:
 //!
-//! Five rule families run over the merged per-file models
-//! ([`FileModel`]):
-//!
+//! - **`wall-clock`** — `Instant::now` / `SystemTime::now` in non-test
+//!   product code; simulated components read the sim clock.
+//! - **`reentrant-borrow`** — a `RefCell` borrow in a `match` / `if let`
+//!   scrutinee (the guard temporary lives for the whole body), or a
+//!   bound guard still alive across a direct `self.method(…)` call.
 //! - **`panic-path`** — `unwrap()`/`expect(…)`/`panic!`-family macros /
 //!   range slice-indexing in non-test product code. Panics on chaos
 //!   paths void the harness's degradation contract, so the *count* is
@@ -25,34 +27,35 @@
 //!   guard off (bind it and use the binding, or embed it in a larger
 //!   expression). Discarding the guard leaks the claim: pair locks
 //!   stay held, slots leak, spans never close.
-//! - **`swallowed-result`** — `let _ = …` or a bare-statement call on a
-//!   workspace fn returning `Result`: errors silently vanish. Name
-//!   resolution is textual: only names that *every* workspace
-//!   declaration agrees return `Result` participate (ambiguous and
-//!   std-collection-like names are dropped).
+//! - **`bad-directive`** — a `simlint:` directive that names no known
+//!   rule or gives no reason; it suppresses nothing.
+//!
+//! Hash-ordered collections, ambient entropy and discarded `Result`s
+//! are not here: the type checker knows them, so clippy bans them (root
+//! `clippy.toml`, DESIGN.md §8).
 
 // simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
 
-use std::collections::BTreeSet;
-
 use crate::engine::Finding;
-use crate::lexer::is_ident;
-use crate::model::{is_metric_shaped, FileModel, MetricString};
+use crate::lexer::{is_ident, word_positions};
+use crate::model::{is_metric_shaped, let_bound_name, FileModel, MetricString};
 
-/// Runs every workspace rule over the merged models, returning raw
-/// (unsuppressed) findings. Suppression and baselining are applied by
-/// the caller (`engine::check`), which owns the per-file directives.
+/// Runs every rule over the models, returning raw (unsuppressed)
+/// findings. Suppression and baselining are applied by the caller
+/// (`engine::analyze_sources`).
 pub fn run(files: &[FileModel]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in files {
         if !f.test_file {
+            bad_directive(f, &mut findings);
+            wall_clock(f, &mut findings);
+            reentrant_borrow(f, &mut findings);
             panic_path(f, &mut findings);
             unit_mismatch(f, &mut findings);
             unbalanced_pair(f, &mut findings);
         }
     }
     metric_name(files, &mut findings);
-    swallowed_result(files, &mut findings);
     findings
 }
 
@@ -68,6 +71,205 @@ fn finding(rule: &'static str, f: &FileModel, line: usize, message: String) -> F
     }
 }
 
+// ---------------------------------------------------------------------------
+// bad-directive, wall-clock
+// ---------------------------------------------------------------------------
+
+/// Malformed directives are themselves violations (never suppressible:
+/// fixing the directive is the only way out).
+fn bad_directive(f: &FileModel, findings: &mut Vec<Finding>) {
+    for d in &f.directives {
+        if let Some(problem) = &d.problem {
+            findings.push(finding(
+                "bad-directive",
+                f,
+                d.line,
+                format!("malformed simlint directive: {problem}"),
+            ));
+        }
+    }
+}
+
+fn wall_clock(f: &FileModel, findings: &mut Vec<Finding>) {
+    for (idx, line) in f.clean.iter().enumerate() {
+        if f.is_test_line(idx + 1) {
+            continue;
+        }
+        for pat in ["Instant::now", "SystemTime::now"] {
+            if line.contains(pat) {
+                findings.push(finding(
+                    "wall-clock",
+                    f,
+                    idx + 1,
+                    format!(
+                        "`{pat}()` reads the machine clock; simulated components must take \
+                         a `Clock` (crdb-util) driven by the sim"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// reentrant-borrow
+// ---------------------------------------------------------------------------
+
+/// A live `let name = ….borrow[_mut]();` binding.
+struct Guard {
+    name: String,
+    decl_line: usize,
+    decl_depth: i32,
+}
+
+fn reentrant_borrow(f: &FileModel, findings: &mut Vec<Finding>) {
+    let mut guards: Vec<Guard> = Vec::new();
+    let mut depth = 0;
+    for (idx, line) in f.clean.iter().enumerate() {
+        if !f.is_test_line(idx + 1) {
+            check_scrutinee(f, idx, line, findings);
+            check_guards(f, &mut guards, idx + 1, depth, line, findings);
+        }
+        // Guards whose block closed on this line are gone.
+        depth = f.depth_after[idx];
+        guards.retain(|g| depth >= g.decl_depth);
+    }
+}
+
+/// `match <scrutinee> {` / `if let … = <scrutinee> {` with a borrow in
+/// the scrutinee: the guard temporary lives for the whole body.
+fn check_scrutinee(f: &FileModel, idx: usize, line: &str, findings: &mut Vec<Finding>) {
+    let lineno = idx + 1;
+    let mut starts: Vec<(usize, &'static str)> = Vec::new();
+    for pos in word_positions(line, "match") {
+        starts.push((pos + "match".len(), "match"));
+    }
+    for kw in ["if let", "while let", "else if let"] {
+        let mut search = 0;
+        while let Some(rel) = line[search..].find(kw) {
+            let pos = search + rel;
+            // `=` introduces the scrutinee of a let-binding.
+            if let Some(eq) = line[pos..].find('=') {
+                starts.push((pos + eq + 1, "if-let"));
+            }
+            search = pos + kw.len();
+        }
+    }
+    for (start, kind) in starts {
+        if let Some(scrutinee) = scrutinee_text(&f.clean, idx, start) {
+            if [".borrow(", ".borrow_mut(", ".try_borrow"].iter().any(|pat| scrutinee.contains(pat))
+            {
+                findings.push(finding(
+                    "reentrant-borrow",
+                    f,
+                    lineno,
+                    format!(
+                        "RefCell borrow in a `{kind}` scrutinee is held for the \
+                         whole body (any re-entrant borrow panics) — bind the \
+                         result to a local *before* matching"
+                    ),
+                ));
+                // One report per line, even with nested scrutinees.
+                break;
+            }
+        }
+    }
+}
+
+/// Collects scrutinee text from `(idx, col)` forward until the body
+/// `{` at bracket depth 0 (spanning up to 8 lines).
+fn scrutinee_text(clean: &[String], idx: usize, col: usize) -> Option<String> {
+    let mut text = String::new();
+    let mut bracket = 0i32;
+    for (n, line) in clean.iter().enumerate().skip(idx).take(8) {
+        let s = if n == idx { &line[col.min(line.len())..] } else { line.as_str() };
+        for c in s.chars() {
+            match c {
+                '(' | '[' => bracket += 1,
+                ')' | ']' => bracket -= 1,
+                '{' if bracket == 0 => return Some(text),
+                ';' if bracket <= 0 => return None,
+                _ => {}
+            }
+            text.push(c);
+        }
+        text.push(' ');
+    }
+    None
+}
+
+/// Flags a direct `self.method(…)` call while a bound guard is alive,
+/// then updates the live guards for this line (`drop(name)`, new `let`).
+fn check_guards(
+    f: &FileModel,
+    guards: &mut Vec<Guard>,
+    lineno: usize,
+    depth: i32,
+    line: &str,
+    findings: &mut Vec<Finding>,
+) {
+    if let Some(g) = guards.last() {
+        if let Some(method) = first_self_method_call(line) {
+            findings.push(finding(
+                "reentrant-borrow",
+                f,
+                lineno,
+                format!(
+                    "RefCell guard `{}` (bound at line {}) is still alive across \
+                     `self.{method}(...)`; a re-entrant borrow inside panics — \
+                     narrow the guard's scope or drop() it first",
+                    g.name, g.decl_line
+                ),
+            ));
+        }
+    }
+
+    // Explicit drop ends a guard early.
+    if let Some(pos) = line.find("drop(") {
+        let arg: String = line[pos + 5..].chars().take_while(|c| is_ident(*c)).collect();
+        guards.retain(|g| g.name != arg);
+    }
+
+    // New guard: `let [mut] name = <expr>.borrow[_mut]();` — the borrow
+    // must be the final call, otherwise the temporary already dropped.
+    let trimmed = line.trim();
+    if (trimmed.ends_with(".borrow();") || trimmed.ends_with(".borrow_mut();"))
+        && word_positions(trimmed, "let").first() == Some(&0)
+    {
+        if let Some(eq) = trimmed.find('=') {
+            if let Some(name) = let_bound_name(&trimmed[..eq]) {
+                guards.push(Guard { name, decl_line: lineno, decl_depth: depth });
+            }
+        }
+    }
+}
+
+/// Methods that cannot synchronously re-enter `self` and re-borrow
+/// (duplicating or reading the handle, not running component logic).
+const NON_REENTERING: &[&str] =
+    &["clone", "to_owned", "borrow", "borrow_mut", "try_borrow", "try_borrow_mut"];
+
+/// The first direct method call on `self` — `self.method(`, not
+/// `self.field.method(` — that could re-enter.
+fn first_self_method_call(line: &str) -> Option<String> {
+    let mut search = 0;
+    while let Some(rel) = line[search..].find("self.") {
+        let pos = search + rel;
+        search = pos + 5;
+        if line[..pos].chars().next_back().is_some_and(is_ident) {
+            continue;
+        }
+        let rest = &line[pos + 5..];
+        let method: String = rest.chars().take_while(|c| is_ident(*c)).collect();
+        if !method.is_empty()
+            && rest[method.len()..].starts_with('(')
+            && !NON_REENTERING.contains(&method.as_str())
+        {
+            return Some(method);
+        }
+    }
+    None
+}
 // ---------------------------------------------------------------------------
 // panic-path
 // ---------------------------------------------------------------------------
@@ -94,7 +296,7 @@ fn panic_path(f: &FileModel, findings: &mut Vec<Finding>) {
                     .to_string(),
             ));
         }
-        for pos in crate::lexer::word_positions(line, "expect") {
+        for pos in word_positions(line, "expect") {
             let before_dot = line[..pos].ends_with('.');
             let after = &line[pos + "expect".len()..];
             if before_dot && after.starts_with('(') {
@@ -109,7 +311,7 @@ fn panic_path(f: &FileModel, findings: &mut Vec<Finding>) {
             }
         }
         for mac in PANIC_MACROS {
-            for pos in crate::lexer::word_positions(line, mac) {
+            for pos in word_positions(line, mac) {
                 let after = &line[pos + mac.len()..];
                 if after.starts_with("!(") || after.starts_with("!{") {
                     hits += 1;
@@ -567,9 +769,7 @@ fn check_site(
                 return false;
             }
             let hay = if *ln == lineno { &l[pos..] } else { l };
-            crate::lexer::word_positions(hay, &bind)
-                .iter()
-                .any(|p| *ln > lineno || pos + p > pos + call.len())
+            word_positions(hay, &bind).iter().any(|p| *ln > lineno || pos + p > pos + call.len())
         });
         if used_later {
             return;
@@ -608,7 +808,7 @@ fn check_site(
 /// `let`-binding of this call's result.
 fn binding_before(line: &str, pos: usize) -> Option<String> {
     let before = &line[..pos];
-    let let_pos = crate::lexer::word_positions(before, "let").last().copied()?;
+    let let_pos = word_positions(before, "let").last().copied()?;
     let mut rest = before[let_pos + 3..].trim_start();
     for pat in ["mut ", "Some(", "Ok(", "Some (", "Ok ("] {
         if let Some(r) = rest.strip_prefix(pat) {
@@ -645,262 +845,6 @@ fn statement_position(line: &str, pos: usize) -> bool {
     lead.is_empty() || lead.ends_with(';') || lead.ends_with('{') || lead.ends_with('}')
 }
 
-// ---------------------------------------------------------------------------
-// swallowed-result
-// ---------------------------------------------------------------------------
-
-/// Names shared with std collection/IO traits whose std variants return
-/// non-`Result` values — textual name resolution cannot tell a workspace
-/// `Wal::append` from `Vec::append`, so these never participate.
-const STD_AMBIGUOUS: &[&str] = &[
-    "get",
-    "insert",
-    "remove",
-    "set",
-    "push",
-    "pop",
-    "append",
-    "extend",
-    "clear",
-    "retain",
-    "sort",
-    "truncate",
-    "take",
-    "replace",
-    "next",
-    "send",
-    "recv",
-    "write",
-    "read",
-    "flush",
-    "clone",
-    "drain",
-    "contains",
-    "split_off",
-    "reserve",
-    "sync",
-    "from_str",
-    "parse",
-    "new",
-    "default",
-    "into",
-    "from",
-    "try_into",
-    "try_from",
-    // `.expect(…)`/`.unwrap()` consume the Result (by panicking) — that's
-    // `panic-path`'s jurisdiction, not a swallowed error.
-    "expect",
-    "unwrap",
-];
-
-/// Statement-leading keywords that are never call statements.
-const STMT_KEYWORDS: &[&str] = &[
-    "if",
-    "match",
-    "for",
-    "while",
-    "loop",
-    "return",
-    "break",
-    "continue",
-    "use",
-    "pub",
-    "fn",
-    "struct",
-    "enum",
-    "impl",
-    "trait",
-    "mod",
-    "const",
-    "static",
-    "type",
-    "else",
-    "unsafe",
-    "where",
-    "assert",
-    "debug_assert",
-];
-
-fn swallowed_result(files: &[FileModel], findings: &mut Vec<Finding>) {
-    // Workspace-wide Result-returning fn names, minus every name any
-    // product file declares with a non-Result return, minus std-alikes.
-    let mut result_names: BTreeSet<&str> = BTreeSet::new();
-    let mut non_result: BTreeSet<&str> = BTreeSet::new();
-    for f in files {
-        result_names.extend(f.result_fns.iter().map(String::as_str));
-        non_result.extend(f.non_result_fns.iter().map(String::as_str));
-    }
-    let result_names: BTreeSet<&str> = result_names
-        .difference(&non_result)
-        .copied()
-        .filter(|n| !STD_AMBIGUOUS.contains(n))
-        .collect();
-
-    for f in files {
-        if f.test_file {
-            continue;
-        }
-        let mut prev_nonblank: Option<usize> = None;
-        for (idx, line) in f.clean.iter().enumerate() {
-            let lineno = idx + 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let prev = prev_nonblank;
-            prev_nonblank = Some(idx);
-            if f.is_test_line(lineno) {
-                continue;
-            }
-            // A statement on a single line: balanced, `;`-terminated, and
-            // the previous line ended a statement/block (not mid-expression).
-            if !trimmed.ends_with(';') || !balanced(trimmed) {
-                continue;
-            }
-            if let Some(p) = prev {
-                let pt = f.clean[p].trim_end();
-                let continues = !(pt.ends_with(';')
-                    || pt.ends_with('{')
-                    || pt.ends_with('}')
-                    || pt.is_empty()
-                    || pt.ends_with("*/"));
-                if continues {
-                    continue;
-                }
-            }
-            let (expr, discarded) = match trimmed.strip_prefix("let _ =") {
-                Some(rest) => (rest.trim(), true),
-                None => (trimmed, false),
-            };
-            let expr = expr.strip_suffix(';').unwrap_or(expr).trim_end();
-            if !expr.ends_with(')') {
-                continue;
-            }
-            if !discarded {
-                let head: String = expr.chars().take_while(|c| is_ident(*c)).collect();
-                if STMT_KEYWORDS.contains(&head.as_str()) || head.is_empty() {
-                    continue;
-                }
-                if has_toplevel_assign(expr) {
-                    continue;
-                }
-            }
-            let Some(callee) = final_call_name(expr) else { continue };
-            if !result_names.contains(callee.as_str()) {
-                continue;
-            }
-            let how = if discarded { "`let _ =` discards" } else { "a bare statement drops" };
-            findings.push(finding(
-                "swallowed-result",
-                f,
-                lineno,
-                format!(
-                    "{how} the `Result` of `{callee}(…)`; handle it, log it via `note()`, \
-                     or add a reasoned allow(swallowed-result) directive"
-                ),
-            ));
-        }
-    }
-}
-
-/// Paren/bracket balance of one line.
-fn balanced(s: &str) -> bool {
-    let (mut p, mut b) = (0i32, 0i32);
-    for c in s.chars() {
-        match c {
-            '(' => p += 1,
-            ')' => p -= 1,
-            '[' => b += 1,
-            ']' => b -= 1,
-            _ => {}
-        }
-    }
-    p == 0 && b == 0
-}
-
-/// A top-level `=` (not `==`, `!=`, `<=`, `>=`, `+=`, …) outside parens
-/// marks an assignment statement.
-fn has_toplevel_assign(expr: &str) -> bool {
-    let bytes = expr.as_bytes();
-    let mut depth = 0i32;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b'=' if depth == 0 => {
-                let prev = if i > 0 { bytes[i - 1] } else { b' ' };
-                let next = bytes.get(i + 1).copied().unwrap_or(b' ');
-                if !matches!(
-                    prev,
-                    b'=' | b'!'
-                        | b'<'
-                        | b'>'
-                        | b'+'
-                        | b'-'
-                        | b'*'
-                        | b'/'
-                        | b'%'
-                        | b'&'
-                        | b'|'
-                        | b'^'
-                ) && next != b'='
-                {
-                    return true;
-                }
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// The name of the call producing the expression's final value: the
-/// identifier directly before the `(` that matches the trailing `)`.
-/// Returns `None` for macros (`name!(…)`) and non-ident callees.
-fn final_call_name(expr: &str) -> Option<String> {
-    if !expr.ends_with(')') {
-        return None;
-    }
-    let bytes = expr.as_bytes();
-    let mut depth = 0i32;
-    let mut open = None;
-    for i in (0..bytes.len()).rev() {
-        match bytes[i] {
-            b')' => depth += 1,
-            b'(' => {
-                depth -= 1;
-                if depth == 0 {
-                    open = Some(i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let open = open?;
-    if open == 0 {
-        return None;
-    }
-    // `::<Turbo>` fish between name and paren is not worth chasing.
-    let before = &expr[..open];
-    if before.ends_with('!') {
-        return None; // macro
-    }
-    let name: String = before
-        .chars()
-        .rev()
-        .take_while(|c| is_ident(*c))
-        .collect::<String>()
-        .chars()
-        .rev()
-        .collect();
-    if name.is_empty() || name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        None
-    } else {
-        Some(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,14 +869,6 @@ mod tests {
         assert!(!metric_matches("{}.storage.flush_bytes", true, "kv.node.3.storage.flush_byte"));
         assert!(metric_matches("proxy.connects", false, "proxy.connects"));
         assert!(!metric_matches("proxy.connects", false, "proxy.connect"));
-    }
-
-    #[test]
-    fn final_call_names() {
-        assert_eq!(final_call_name("self.migrate(&conn, target)").as_deref(), Some("migrate"));
-        assert_eq!(final_call_name("mvcc::write_intent(e, key)").as_deref(), Some("write_intent"));
-        assert_eq!(final_call_name("writeln!(log, \"x\")"), None, "macros skipped");
-        assert_eq!(final_call_name("x"), None);
     }
 
     #[test]

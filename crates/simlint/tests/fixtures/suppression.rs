@@ -5,25 +5,19 @@
 //   suppresses nothing
 // - doc comments never carry directives
 
-use std::collections::HashMap;
+use std::time::Instant;
 
-pub struct S {
-    m: HashMap<u32, u32>,
+pub fn suppressed_ok() -> Instant {
+    // simlint: allow(wall-clock) — progress line on stderr, never in sim output
+    Instant::now()
 }
 
-impl S {
-    pub fn suppressed_ok(&self) -> u64 {
-        // simlint: allow(nondet-iter) — integer count, order-independent
-        self.m.values().map(|v| *v as u64).sum::<u64>()
-    }
-
-    pub fn reasonless(&self) -> usize {
-        // simlint: allow(nondet-iter)
-        self.m.iter().count()
-    }
+pub fn reasonless() -> std::time::SystemTime {
+    // simlint: allow(wall-clock)
+    std::time::SystemTime::now()
 }
 
 /// Doc comments are inert: simlint: allow(wall-clock) — not a directive
-pub fn doc_comment_is_inert() -> std::time::Instant {
-    std::time::Instant::now()
+pub fn doc_comment_is_inert() -> Instant {
+    Instant::now()
 }

@@ -5,26 +5,18 @@
 use std::fs;
 use std::path::PathBuf;
 
-use crdb_simlint::{analyze_source, analyze_sources, Finding};
+use crdb_simlint::{analyze_sources, Finding};
 
-fn analyze(name: &str) -> (String, Vec<Finding>) {
+fn fixture(name: &str) -> String {
     let p = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
-    let src = fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()));
-    (src.clone(), analyze_source(&p.display().to_string(), &src))
+    fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
 }
 
-/// Runs the cross-file v2 pipeline over a set of fixtures, all treated
-/// as product (non-test) files.
-fn analyze_v2(names: &[&str]) -> Vec<Finding> {
-    let sources: Vec<(String, String, bool)> = names
-        .iter()
-        .map(|n| {
-            let p = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(n);
-            let src =
-                fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()));
-            (p.display().to_string(), src, false)
-        })
-        .collect();
+/// Runs the linter over a set of fixtures, all treated as product
+/// (non-test) files.
+fn analyze(names: &[&str]) -> Vec<Finding> {
+    let sources: Vec<(String, String, bool)> =
+        names.iter().map(|n| (n.to_string(), fixture(n), false)).collect();
     analyze_sources(&sources)
 }
 
@@ -33,47 +25,21 @@ fn active<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
 }
 
 #[test]
-fn nondet_iter_positive() {
-    let (_, f) = analyze("nondet_iter_pos.rs");
-    let hits = active(&f, "nondet-iter");
-    // field iter, drain, HashSet into_iter, let-bound keys().
-    assert!(hits.len() >= 4, "expected >=4 nondet-iter findings, got: {hits:#?}");
-}
-
-#[test]
-fn nondet_iter_negative() {
-    let (_, f) = analyze("nondet_iter_neg.rs");
-    assert!(active(&f, "nondet-iter").is_empty(), "false positives: {f:#?}");
-}
-
-#[test]
 fn wall_clock_positive() {
-    let (_, f) = analyze("wall_clock_pos.rs");
+    let f = analyze(&["wall_clock_pos.rs"]);
     assert!(active(&f, "wall-clock").len() >= 3, "got: {f:#?}");
 }
 
 #[test]
 fn wall_clock_negative() {
-    let (_, f) = analyze("wall_clock_neg.rs");
+    let f = analyze(&["wall_clock_neg.rs"]);
     assert!(active(&f, "wall-clock").is_empty(), "false positives: {f:#?}");
 }
 
 #[test]
-fn ambient_rng_positive() {
-    let (_, f) = analyze("ambient_rng_pos.rs");
-    // thread_rng, from_entropy, OsRng.
-    assert!(active(&f, "ambient-rng").len() >= 3, "got: {f:#?}");
-}
-
-#[test]
-fn ambient_rng_negative() {
-    let (_, f) = analyze("ambient_rng_neg.rs");
-    assert!(active(&f, "ambient-rng").is_empty(), "false positives: {f:#?}");
-}
-
-#[test]
 fn reentrant_borrow_positive_includes_the_pr3_pattern() {
-    let (src, f) = analyze("reentrant_borrow_pos.rs");
+    let src = fixture("reentrant_borrow_pos.rs");
+    let f = analyze(&["reentrant_borrow_pos.rs"]);
     // The fixture must carry the literal sql::node pattern PR 3 fixed.
     let pr3_line = src
         .lines()
@@ -91,63 +57,50 @@ fn reentrant_borrow_positive_includes_the_pr3_pattern() {
 
 #[test]
 fn reentrant_borrow_negative() {
-    let (_, f) = analyze("reentrant_borrow_neg.rs");
+    let f = analyze(&["reentrant_borrow_neg.rs"]);
     assert!(active(&f, "reentrant-borrow").is_empty(), "false positives: {f:#?}");
 }
 
 #[test]
-fn float_accum_positive() {
-    let (_, f) = analyze("float_accum_pos.rs");
-    // `total +=` inside the hash loop, and the .sum::<f64>() chain fold.
-    assert!(active(&f, "float-accum").len() >= 2, "got: {f:#?}");
-}
-
-#[test]
-fn float_accum_negative() {
-    let (_, f) = analyze("float_accum_neg.rs");
-    assert!(active(&f, "float-accum").is_empty(), "false positives: {f:#?}");
-}
-
-#[test]
 fn reasoned_allow_suppresses_and_keeps_the_reason() {
-    let (_, f) = analyze("suppression.rs");
+    let f = analyze(&["suppression.rs"]);
     let suppressed: Vec<_> =
-        f.iter().filter(|x| x.rule == "nondet-iter" && !x.is_active()).collect();
+        f.iter().filter(|x| x.rule == "wall-clock" && !x.is_active()).collect();
     assert_eq!(suppressed.len(), 1, "got: {f:#?}");
-    assert_eq!(suppressed[0].suppress_reason.as_deref(), Some("integer count, order-independent"));
+    assert_eq!(
+        suppressed[0].suppress_reason.as_deref(),
+        Some("progress line on stderr, never in sim output")
+    );
 }
 
 #[test]
 fn reasonless_allow_is_bad_directive_and_suppresses_nothing() {
-    let (_, f) = analyze("suppression.rs");
+    let f = analyze(&["suppression.rs"]);
     assert_eq!(active(&f, "bad-directive").len(), 1, "got: {f:#?}");
     // The finding under the reasonless directive stays active.
-    assert_eq!(active(&f, "nondet-iter").len(), 1, "got: {f:#?}");
+    assert!(
+        active(&f, "wall-clock").iter().any(|h| h.snippet.contains("SystemTime::now")),
+        "got: {f:#?}"
+    );
 }
 
 #[test]
 fn doc_comment_directive_is_inert() {
-    let (_, f) = analyze("suppression.rs");
-    // The Instant::now() under the doc comment must still be reported.
-    assert_eq!(active(&f, "wall-clock").len(), 1, "got: {f:#?}");
+    let f = analyze(&["suppression.rs"]);
+    // The Instant::now() under the doc comment must still be reported
+    // (the one under the reasoned `allow` is not active).
+    assert!(active(&f, "wall-clock").iter().any(|h| h.snippet == "Instant::now()"), "got: {f:#?}");
 }
-
-// ---------------------------------------------------------------------------
-// v2 cross-file rules
-// ---------------------------------------------------------------------------
 
 #[test]
 fn panic_path_positive() {
-    let f = analyze_v2(&["panic_path_pos.rs"]);
+    let f = analyze(&["panic_path_pos.rs"]);
     let hits = active(&f, "panic-path");
     // unwrap, expect, panic!, unreachable!, range slice-index (x2 on one
     // line collapses to other hits), todo!.
     assert!(hits.len() >= 6, "expected >=6 panic-path findings, got: {hits:#?}");
     // Nothing inside #[cfg(test)] may fire.
-    let src = fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/panic_path_pos.rs"),
-    )
-    .unwrap();
+    let src = fixture("panic_path_pos.rs");
     let test_start = src.lines().position(|l| l.contains("#[cfg(test)]")).unwrap() + 1;
     assert!(
         hits.iter().all(|h| h.line < test_start),
@@ -157,20 +110,20 @@ fn panic_path_positive() {
 
 #[test]
 fn panic_path_negative() {
-    let f = analyze_v2(&["panic_path_neg.rs"]);
+    let f = analyze(&["panic_path_neg.rs"]);
     assert!(active(&f, "panic-path").is_empty(), "false positives: {f:#?}");
 }
 
 #[test]
 fn unit_mismatch_positive() {
-    let f = analyze_v2(&["unit_mismatch_pos.rs"]);
+    let f = analyze(&["unit_mismatch_pos.rs"]);
     // ms>ns compare, us+ms add, ns-ms field math, sec arg into _ms call.
     assert!(active(&f, "unit-mismatch").len() >= 4, "got: {f:#?}");
 }
 
 #[test]
 fn unit_mismatch_negative() {
-    let f = analyze_v2(&["unit_mismatch_neg.rs"]);
+    let f = analyze(&["unit_mismatch_neg.rs"]);
     assert!(active(&f, "unit-mismatch").is_empty(), "false positives: {f:#?}");
 }
 
@@ -178,7 +131,7 @@ fn unit_mismatch_negative() {
 fn metric_name_lookup_typo_is_caught_cross_file() {
     // Registration lives in one file, the typo'd dashboard probe in
     // another — the sql.node shape that motivated the rule.
-    let f = analyze_v2(&["metric_name_regs.rs", "metric_name_pos.rs"]);
+    let f = analyze(&["metric_name_regs.rs", "metric_name_pos.rs"]);
     let hits = active(&f, "metric-name");
     assert!(
         hits.iter().any(|h| h.message.contains("sql.node.exec_cnt")),
@@ -190,13 +143,13 @@ fn metric_name_lookup_typo_is_caught_cross_file() {
 
 #[test]
 fn metric_name_negative() {
-    let f = analyze_v2(&["metric_name_regs.rs", "metric_name_neg.rs"]);
+    let f = analyze(&["metric_name_regs.rs", "metric_name_neg.rs"]);
     assert!(active(&f, "metric-name").is_empty(), "false positives: {f:#?}");
 }
 
 #[test]
 fn unbalanced_pair_positive_includes_begin_compaction() {
-    let f = analyze_v2(&["unbalanced_pair_pos.rs"]);
+    let f = analyze(&["unbalanced_pair_pos.rs"]);
     let hits = active(&f, "unbalanced-pair");
     assert!(
         hits.iter().any(|h| h.message.contains("begin_compaction")),
@@ -208,36 +161,21 @@ fn unbalanced_pair_positive_includes_begin_compaction() {
 
 #[test]
 fn unbalanced_pair_negative() {
-    let f = analyze_v2(&["unbalanced_pair_neg.rs"]);
+    let f = analyze(&["unbalanced_pair_neg.rs"]);
     assert!(active(&f, "unbalanced-pair").is_empty(), "false positives: {f:#?}");
-}
-
-#[test]
-fn swallowed_result_positive() {
-    let f = analyze_v2(&["swallowed_result_pos.rs"]);
-    let hits = active(&f, "swallowed-result");
-    // `let _ = flush_wal(..)` and bare `self.migrate_conn(..);`.
-    assert!(hits.len() >= 2, "expected >=2 swallowed-result findings, got: {hits:#?}");
-}
-
-#[test]
-fn swallowed_result_negative() {
-    let f = analyze_v2(&["swallowed_result_neg.rs"]);
-    assert!(active(&f, "swallowed-result").is_empty(), "false positives: {f:#?}");
 }
 
 #[test]
 fn test_files_are_modeled_but_exempt_from_v2_rules() {
     // The same positive corpus marked as test files must fire nothing.
-    let p = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/panic_path_pos.rs");
-    let src = fs::read_to_string(&p).unwrap();
-    let f = analyze_sources(&[(p.display().to_string(), src, true)]);
+    let f =
+        analyze_sources(&[("panic_path_pos.rs".to_string(), fixture("panic_path_pos.rs"), true)]);
     assert!(active(&f, "panic-path").is_empty(), "test file fired panic-path: {f:#?}");
 }
 
 #[test]
 fn allow_file_suppresses_named_rule_only() {
-    let (_, f) = analyze("allow_file.rs");
+    let f = analyze(&["allow_file.rs"]);
     assert!(active(&f, "wall-clock").is_empty(), "allow-file failed: {f:#?}");
     assert_eq!(
         f.iter().filter(|x| x.rule == "wall-clock" && !x.is_active()).count(),
@@ -245,5 +183,5 @@ fn allow_file_suppresses_named_rule_only() {
         "both wall-clock sites should be recorded as suppressed: {f:#?}"
     );
     // Rules the directive does not name still fire.
-    assert_eq!(active(&f, "nondet-iter").len(), 1, "got: {f:#?}");
+    assert_eq!(active(&f, "panic-path").len(), 1, "got: {f:#?}");
 }

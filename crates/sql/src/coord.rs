@@ -46,8 +46,12 @@ use crate::expr::EvalError;
 pub enum SqlError {
     /// Lexing/parsing failure.
     Parse(String),
-    /// Planning failure (unknown table, unbound column, …).
+    /// Planning failure (unbound column, type mismatch, …).
     Plan(String),
+    /// A statement names a table this node's catalog does not hold. Its
+    /// own variant because `SqlNode` reacts to it: another node may have
+    /// created the table since this one loaded its descriptors.
+    UnknownTable(String),
     /// Runtime expression error.
     Eval(EvalError),
     /// KV-layer error (non-retryable).
@@ -69,6 +73,7 @@ impl fmt::Display for SqlError {
         match self {
             SqlError::Parse(m) => write!(f, "parse error: {m}"),
             SqlError::Plan(m) => write!(f, "planning error: {m}"),
+            SqlError::UnknownTable(t) => write!(f, "planning error: unknown table {t}"),
             SqlError::Eval(e) => write!(f, "evaluation error: {e}"),
             SqlError::Kv(e) => write!(f, "kv error: {e:?}"),
             SqlError::Retry(m) => write!(f, "restart transaction: {m}"),

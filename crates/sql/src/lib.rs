@@ -31,6 +31,7 @@
 //!   §6.1), and CPU accounting.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod coord;
 pub mod exec;

@@ -28,7 +28,7 @@
 //! main range, written through its home-region leaseholder.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -185,7 +185,7 @@ pub struct SqlNode {
     pub config: SqlNodeConfig,
     catalog: Rc<RefCell<Catalog>>,
     state: Cell<NodeState>,
-    sessions: RefCell<HashMap<u64, Session>>,
+    sessions: RefCell<BTreeMap<u64, Session>>,
     next_session_id: Cell<u64>,
     /// Statements executed.
     pub queries_executed: Cell<u64>,
@@ -220,7 +220,7 @@ impl SqlNode {
             config,
             catalog: Rc::new(RefCell::new(Catalog::new())),
             state: Cell::new(NodeState::Created),
-            sessions: RefCell::new(HashMap::new()),
+            sessions: RefCell::new(BTreeMap::new()),
             next_session_id: Cell::new(1),
             queries_executed: Cell::new(0),
             cold_start: Cell::new(None),
@@ -552,13 +552,13 @@ impl SqlNode {
 
         // Bind the planning result before matching: a `match` on the
         // expression directly would keep the catalog `RefMut` temporary
-        // alive through the arms, and the `unknown table` arm can re-enter
+        // alive through the arms, and the `UnknownTable` arm can re-enter
         // `execute_statement` synchronously (a fail-fast catalog refresh
         // during a partition), which needs the catalog borrow again.
         let planned = plan_statement(&mut self.catalog.borrow_mut(), &stmt);
         let plan = match planned {
             Ok(p) => p,
-            Err(SqlError::Plan(msg)) if msg.starts_with("unknown table") && attempt == 0 => {
+            Err(SqlError::UnknownTable(_)) if attempt == 0 => {
                 // The table may have been created by another SQL node since
                 // this node loaded its catalog: refresh the descriptors
                 // (the analogue of a descriptor-lease refresh) and retry.

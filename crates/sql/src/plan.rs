@@ -52,6 +52,12 @@ impl Catalog {
         self.tables.get(name)
     }
 
+    /// The table a statement names, or the typed error that makes
+    /// `SqlNode` refresh its descriptors once and try again.
+    pub fn require(&self, name: &str) -> Result<TableDescriptor, SqlError> {
+        self.table(name).cloned().ok_or_else(|| SqlError::UnknownTable(name.to_string()))
+    }
+
     /// Registers a descriptor (from DDL or a system.descriptor read).
     pub fn install(&mut self, desc: TableDescriptor) {
         self.next_table_id = self.next_table_id.max(desc.id + 1);
@@ -332,10 +338,7 @@ pub fn plan_statement(catalog: &mut Catalog, stmt: &Statement) -> Result<Plan, S
             Ok(Plan::CreateTable(desc))
         }
         Statement::CreateIndex { name, table, columns } => {
-            let desc = catalog
-                .table(table)
-                .cloned()
-                .ok_or_else(|| SqlError::Plan(format!("unknown table {table}")))?;
+            let desc = catalog.require(table)?;
             let mut cols = Vec::new();
             for c in columns {
                 cols.push(
@@ -353,17 +356,11 @@ pub fn plan_statement(catalog: &mut Catalog, stmt: &Statement) -> Result<Plan, S
             Ok(Plan::CreateIndex { table: updated, index })
         }
         Statement::DropTable { name } => {
-            let desc = catalog
-                .table(name)
-                .cloned()
-                .ok_or_else(|| SqlError::Plan(format!("unknown table {name}")))?;
+            let desc = catalog.require(name)?;
             Ok(Plan::DropTable(desc))
         }
         Statement::Insert { table, columns, values } => {
-            let desc = catalog
-                .table(table)
-                .cloned()
-                .ok_or_else(|| SqlError::Plan(format!("unknown table {table}")))?;
+            let desc = catalog.require(table)?;
             let target: Vec<usize> = if columns.is_empty() {
                 (0..desc.columns.len()).collect()
             } else {
@@ -396,10 +393,7 @@ pub fn plan_statement(catalog: &mut Catalog, stmt: &Statement) -> Result<Plan, S
         }
         Statement::Select(sel) => Ok(Plan::Query(plan_select(catalog, sel)?)),
         Statement::Analyze { table } => {
-            let desc = catalog
-                .table(table)
-                .cloned()
-                .ok_or_else(|| SqlError::Plan(format!("unknown table {table}")))?;
+            let desc = catalog.require(table)?;
             Ok(Plan::Analyze(desc))
         }
         Statement::Explain(sel) => {
@@ -407,10 +401,7 @@ pub fn plan_statement(catalog: &mut Catalog, stmt: &Statement) -> Result<Plan, S
             Ok(Plan::Explain { lines: explain_plan(catalog, &node) })
         }
         Statement::Update { table, sets, filter } => {
-            let desc = catalog
-                .table(table)
-                .cloned()
-                .ok_or_else(|| SqlError::Plan(format!("unknown table {table}")))?;
+            let desc = catalog.require(table)?;
             let scan = plan_table_scan(catalog, &desc, None, filter.clone())?;
             let scope = scan.scope();
             let mut bound_sets = Vec::new();
@@ -425,10 +416,7 @@ pub fn plan_statement(catalog: &mut Catalog, stmt: &Statement) -> Result<Plan, S
             Ok(Plan::Update { scan: Box::new(scan), table: desc, sets: bound_sets })
         }
         Statement::Delete { table, filter } => {
-            let desc = catalog
-                .table(table)
-                .cloned()
-                .ok_or_else(|| SqlError::Plan(format!("unknown table {table}")))?;
+            let desc = catalog.require(table)?;
             let scan = plan_table_scan(catalog, &desc, None, filter.clone())?;
             Ok(Plan::Delete { scan: Box::new(scan), table: desc })
         }
@@ -929,10 +917,7 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<PlanNode, SqlError
         Some((t, a)) => (t.clone(), a.clone()),
     };
 
-    let base_desc = catalog
-        .table(&base_table)
-        .cloned()
-        .ok_or_else(|| SqlError::Plan(format!("unknown table {base_table}")))?;
+    let base_desc = catalog.require(&base_table)?;
 
     // Push the WHERE clause into the base scan when there are no joins;
     // with joins, the filter applies after the join (simpler and correct).
@@ -944,10 +929,7 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<PlanNode, SqlError
 
     // Joins, left-deep.
     for join in &sel.joins {
-        let right = catalog
-            .table(&join.table)
-            .cloned()
-            .ok_or_else(|| SqlError::Plan(format!("unknown table {}", join.table)))?;
+        let right = catalog.require(&join.table)?;
         let right_alias = join.alias.clone().unwrap_or_else(|| join.table.clone());
         let left_scope = node.scope();
         let right_scope: Vec<String> =
@@ -1590,10 +1572,10 @@ mod tests {
     #[test]
     fn planning_errors() {
         let mut c = catalog();
-        assert!(matches!(
+        assert_eq!(
             plan_statement(&mut c, &parse("SELECT * FROM missing").unwrap()),
-            Err(SqlError::Plan(_))
-        ));
+            Err(SqlError::UnknownTable("missing".into()))
+        );
         assert!(matches!(
             plan_statement(&mut c, &parse("SELECT nope FROM item").unwrap()),
             Err(SqlError::Plan(_))

@@ -93,13 +93,15 @@ impl TableDescriptor {
         b.freeze()
     }
 
-    /// Deserializes a descriptor.
+    /// Deserializes a descriptor; `None` on any truncation. The bytes come
+    /// from KV, so no count read from them sizes an allocation: a vector
+    /// grows only as its elements are actually read.
     pub fn decode(raw: &[u8]) -> Option<TableDescriptor> {
         let mut r = Reader { buf: raw, pos: 0 };
         let id = r.u64()?;
         let name = r.str()?;
         let ncols = r.u32()? as usize;
-        let mut columns = Vec::with_capacity(ncols);
+        let mut columns = Vec::new();
         for _ in 0..ncols {
             let name = r.str()?;
             let ty = match r.u8()? {
@@ -113,17 +115,17 @@ impl TableDescriptor {
             columns.push(Column { name, ty, nullable });
         }
         let npk = r.u32()? as usize;
-        let mut primary_key = Vec::with_capacity(npk);
+        let mut primary_key = Vec::new();
         for _ in 0..npk {
             primary_key.push(r.u32()? as usize);
         }
         let nidx = r.u32()? as usize;
-        let mut indexes = Vec::with_capacity(nidx);
+        let mut indexes = Vec::new();
         for _ in 0..nidx {
             let id = r.u64()?;
             let name = r.str()?;
             let n = r.u32()? as usize;
-            let mut cols = Vec::with_capacity(n);
+            let mut cols = Vec::new();
             for _ in 0..n {
                 cols.push(r.u32()? as usize);
             }
@@ -191,10 +193,34 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation() {
-        let raw = sample().encode();
+        let d = sample();
+        let raw = d.encode();
         for cut in [0, 4, 9, raw.len() - 1] {
             assert_eq!(TableDescriptor::decode(&raw[..cut]), None, "cut at {cut}");
         }
+        // A count of u32::MAX must fail at the first missing element, not
+        // abort the process sizing a vector for four billion of them.
+        let ncols_at = 8 + 4 + d.name.len();
+        let npk_at = ncols_at + 4 + d.columns.iter().map(|c| 4 + c.name.len() + 2).sum::<usize>();
+        let nidx_at = npk_at + 4 + 4 * d.primary_key.len();
+        let index_ncols_at = nidx_at + 4 + 8 + 4 + d.indexes[0].name.len();
+        let table_name_at = 8;
+        let column_name_at = ncols_at + 4;
+        let index_name_at = nidx_at + 4 + 8;
+        for at in [
+            table_name_at,
+            ncols_at,
+            column_name_at,
+            npk_at,
+            nidx_at,
+            index_name_at,
+            index_ncols_at,
+        ] {
+            let mut hostile = raw.to_vec();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+            assert_eq!(TableDescriptor::decode(&hostile), None, "count at {at}");
+        }
+        assert_eq!(index_ncols_at + 4 + 4 * d.indexes[0].columns.len(), raw.len(), "offsets");
     }
 
     #[test]

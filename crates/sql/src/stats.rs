@@ -82,7 +82,7 @@ impl TableStatistics {
         for _ in 0..n_indexes {
             let index_id = r.u64()?;
             let len = r.u32()?;
-            let mut counts = Vec::with_capacity(len as usize);
+            let mut counts = Vec::new();
             for _ in 0..len {
                 counts.push(r.u64()?);
             }
@@ -154,6 +154,14 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(TableStatistics::decode(&bytes[..cut]).is_none(), "cut at {cut}");
         }
+        // Every count position (index count; each index's prefix count)
+        // set to u32::MAX: `None`, not a 34 GB allocation.
+        for at in [40, 52, 80] {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+            assert!(TableStatistics::decode(&hostile).is_none(), "count at {at}");
+        }
+        assert_eq!(bytes.len(), 92, "offsets above assume the sample's layout");
     }
 
     #[test]

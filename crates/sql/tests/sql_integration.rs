@@ -185,7 +185,8 @@ fn constraint_violations() {
     let err = try_exec(&f, "INSERT INTO t (id) VALUES (2)").unwrap_err();
     assert!(matches!(err, SqlError::Constraint(_)), "{err}");
     let err = try_exec(&f, "SELECT * FROM missing").unwrap_err();
-    assert!(matches!(err, SqlError::Plan(_)), "{err}");
+    assert_eq!(err, SqlError::UnknownTable("missing".into()));
+    assert_eq!(err.to_string(), "planning error: unknown table missing");
 }
 
 #[test]
@@ -231,7 +232,7 @@ fn session_migration_between_nodes() {
 
     let cluster = f.node.kv_client().cluster().clone();
     let cert = cluster.create_tenant(TenantId(2)); // re-issue cert for same tenant
-    let client = KvClient::new(cluster, cert, Location::new(RegionId(0), 0));
+    let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(0), 0));
     let node2 = SqlNode::new(&f.sim, SqlInstanceId(2), client, SqlNodeConfig::default());
     let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
     let ready = Rc::new(RefCell::new(false));
@@ -271,24 +272,36 @@ fn catalog_survives_node_restart() {
     // A second node for the same tenant loads the descriptor from KV.
     let cluster = f.node.kv_client().cluster().clone();
     let cert = cluster.create_tenant(TenantId(2));
-    let client = KvClient::new(cluster, cert, Location::new(RegionId(0), 0));
+    let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(0), 0));
     let node2 = SqlNode::new(&f.sim, SqlInstanceId(2), client, SqlNodeConfig::default());
     let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
     node2.start(&system_db, || {});
     f.sim.run_for(dur::secs(5));
     assert_eq!(node2.state(), NodeState::Ready);
     let session2 = node2.open_session("u").unwrap();
-
-    let out = Rc::new(RefCell::new(None));
-    {
-        let o = Rc::clone(&out);
-        node2.execute(session2, "SELECT v FROM persistent WHERE id = 1", vec![], move |r| {
-            *o.borrow_mut() = Some(r)
-        });
-    }
-    f.sim.run_for(dur::secs(10));
-    let got = out.borrow_mut().take().unwrap().unwrap();
+    let f2 = Fixture { sim: f.sim.clone(), node: node2, session: session2 };
+    let got = exec(&f2, "SELECT v FROM persistent WHERE id = 1");
     assert_eq!(got.rows[0][0], Datum::Int(42));
+
+    // A table node 1 creates once node 2 is serving is in no catalog node
+    // 2 has loaded: its first statement on it plans to `UnknownTable`,
+    // refreshes the descriptors and runs.
+    exec(&f, "CREATE TABLE later (id INT PRIMARY KEY, v INT)");
+    exec(&f, "INSERT INTO later VALUES (7, 70)");
+    let got = exec(&f2, "SELECT v FROM later WHERE id = 7");
+    assert_eq!(got.rows[0][0], Datum::Int(70));
+
+    // A table nobody created still fails — after one refresh (a
+    // descriptor scan and a statistics scan), not a loop of them.
+    let reads = || -> u64 {
+        let ids = cluster.node_ids();
+        let nodes = ids.into_iter().filter_map(|id| cluster.node(id));
+        nodes.map(|n| n.traffic_stats(TenantId(2)).read_requests).sum()
+    };
+    let before = reads();
+    let err = try_exec(&f2, "SELECT * FROM nobody").unwrap_err();
+    assert_eq!(err, SqlError::UnknownTable("nobody".into()));
+    assert_eq!(reads() - before, 2, "exactly one catalog refresh");
 }
 
 #[test]

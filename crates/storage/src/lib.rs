@@ -20,6 +20,7 @@
 //! threads via [`engine::Engine`]'s internal locking.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod bloom;
 pub mod engine;

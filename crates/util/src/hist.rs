@@ -133,28 +133,6 @@ impl Histogram {
     pub fn quantile_duration(&self, q: f64) -> Duration {
         Duration::from_nanos(self.quantile(q))
     }
-
-    /// Merges another histogram's observations into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        if other.total > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// Clears all recorded observations.
-    pub fn reset(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
 }
 
 #[cfg(test)]
@@ -206,29 +184,6 @@ mod tests {
         let p99 = h.quantile(0.99) as f64;
         assert!((p50 - 5_000_000.0).abs() / 5_000_000.0 < 0.05, "p50={p50}");
         assert!((p99 - 9_900_000.0).abs() / 9_900_000.0 < 0.05, "p99={p99}");
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert!(a.max() >= 990_000);
-    }
-
-    #[test]
-    fn mean_and_reset() {
-        let mut h = Histogram::new();
-        h.record(10);
-        h.record(20);
-        assert_eq!(h.mean(), 15.0);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]

@@ -19,11 +19,14 @@
 //!   deterministic slot reuse, backing per-entity state at paper scale.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod bucket;
 pub mod clock;
 pub mod hist;
 pub mod ids;
+#[cfg(all(clippy, not(test)))]
+mod lint_contract;
 pub mod retry;
 pub mod slab;
 pub mod stats;

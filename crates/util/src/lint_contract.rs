@@ -1,0 +1,20 @@
+//! The lint configuration checks itself. This module exists only under
+//! `cargo clippy`; each item does what the determinism contract bans
+//! (DESIGN.md §8) and *expects* the lint. If the root `clippy.toml` is
+//! moved, emptied or mistyped, or `lib.rs` loses its
+//! `let_underscore_must_use` line, an expectation goes unfulfilled and
+//! `-D warnings` fails the CI Clippy step.
+
+#[expect(clippy::disallowed_types, reason = "proves clippy.toml bans HashMap")]
+type _Map = std::collections::HashMap<u8, u8>;
+
+#[expect(clippy::disallowed_types, reason = "proves clippy.toml bans HashSet")]
+type _Set = std::collections::HashSet<u8>;
+
+#[expect(clippy::disallowed_types, reason = "proves clippy.toml bans RandomState")]
+type _Seed = std::collections::hash_map::RandomState;
+
+#[expect(clippy::let_underscore_must_use, reason = "proves a discarded Result is flagged")]
+fn _discard() {
+    let _ = "0".parse::<u8>();
+}

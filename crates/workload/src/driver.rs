@@ -125,7 +125,7 @@ pub struct TxnStats {
     /// Transaction latency (nanoseconds), successful commits only.
     pub latency: RefCell<Histogram>,
     /// Committed count per transaction label.
-    pub by_label: RefCell<std::collections::HashMap<String, u64>>,
+    pub by_label: RefCell<std::collections::BTreeMap<String, u64>>,
     /// The most recent abort error (diagnostics).
     pub last_abort: RefCell<Option<String>>,
 }

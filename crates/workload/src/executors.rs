@@ -2,7 +2,7 @@
 //! deployment.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crdb_core::{DedicatedCluster, ServerlessCluster};
@@ -91,13 +91,13 @@ impl SqlExecutor for ServerlessExecutor {
 /// one fused engine, round-robin.
 pub struct DedicatedExecutor {
     cluster: Rc<DedicatedCluster>,
-    sessions: RefCell<HashMap<usize, (usize, u64)>>,
+    sessions: RefCell<BTreeMap<usize, (usize, u64)>>,
 }
 
 impl DedicatedExecutor {
     /// Creates the executor.
     pub fn new(cluster: Rc<DedicatedCluster>) -> Rc<DedicatedExecutor> {
-        Rc::new(DedicatedExecutor { cluster, sessions: RefCell::new(HashMap::new()) })
+        Rc::new(DedicatedExecutor { cluster, sessions: RefCell::new(BTreeMap::new()) })
     }
 
     fn session_for(&self, worker: usize) -> (usize, u64) {

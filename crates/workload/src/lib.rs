@@ -19,6 +19,7 @@
 //!   times, and latency/throughput statistics.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
 
 pub mod driver;
 pub mod executors;

@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn mix_distribution_roughly_tpcc() {
         let factory = mix_factory(TpccConfig::default(), 42);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for i in 0..1000 {
             let (label, _) = factory(i % 7);
             *counts.entry(label).or_insert(0) += 1;
