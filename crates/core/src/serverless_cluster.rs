@@ -252,6 +252,16 @@ impl ServerlessCluster {
         // Which commit protocol transactions took.
         s.counter("kv.txn.commits_one_phase", d.commits_one_phase.get());
         s.counter("kv.txn.commits_two_phase", d.commits_two_phase.get());
+        // Transaction records persisted, and commit batches refused as
+        // ambiguous. A deployment whose transactions all commit in one
+        // phase writes no record, and a refusal takes a replay minutes
+        // late: like `region_pinned` below, neither prints as a zero.
+        if d.txn_records_written.get() > 0 {
+            s.counter("kv.txn.records_written", d.txn_records_written.get());
+        }
+        if d.ambiguous_commits.get() > 0 {
+            s.counter("kv.degrade.ambiguous_commits", d.ambiguous_commits.get());
+        }
         // Region-pinned ranges (multi-region tenants' `sql_instances`
         // partitions). A deployment without any — every single-region
         // one — emits nothing, so its snapshot reads as it always did.

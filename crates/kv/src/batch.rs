@@ -250,6 +250,12 @@ pub enum KvError {
     },
     /// The batch's transaction was aborted (e.g. by a conflicting pusher).
     TxnAborted,
+    /// A read arrived so long after its snapshot was taken — queued, or
+    /// sent again after a lost reply — that MVCC garbage collection may
+    /// have taken the versions it should return (a newer version of a key
+    /// it reads is already past the GC horizon). The transaction must
+    /// restart at a fresh timestamp.
+    SnapshotTooOld,
     /// The operation waited past its deadline in admission queues.
     AdmissionTimeout,
     /// The node is shutting down or dead.
@@ -263,6 +269,15 @@ pub enum KvError {
     /// Terminal: the batch's propagated deadline expired (or the next
     /// retry would land past it). Never retried at any layer.
     DeadlineExceeded,
+    /// Terminal: the transaction may have committed, and nothing can say.
+    /// Either the KV client gave up on a commit batch after a copy of it
+    /// went unanswered (the node that never replied may have applied it),
+    /// or a copy reached the leaseholder so long after its transaction
+    /// stamped it that the status table may have forgotten the outcome
+    /// and no persisted record settles it — a one-phase commit leaves
+    /// none — so it was refused unevaluated. Nothing may run the
+    /// transaction again: if it did commit, that would apply it twice.
+    AmbiguousCommit,
 }
 
 /// The outcome of a batch.

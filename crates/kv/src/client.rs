@@ -16,7 +16,11 @@
 //! nothing) installs the carried [`RangeInfo`] and re-resolves and
 //! regroups the whole sub-batch; a dead node, a lost hop or a missing
 //! range invalidates the cache and does the same after a backoff; a read
-//! that ran into a pending intent retries after a short one.
+//! that ran into a pending intent retries after a short one. When the
+//! client gives up on a sub-batch that commits a transaction after a copy
+//! of it went unanswered, the error is [`KvError::AmbiguousCommit`], not
+//! [`KvError::Unavailable`]: the copy may have been applied, and the
+//! caller must not run the transaction again.
 //!
 //! A batch that carries `EndTxn` next to other requests asks for a
 //! one-phase commit, which only a single leaseholder can evaluate. When
@@ -56,13 +60,28 @@ const MAX_CONFLICT_RETRIES: u32 = 32;
 /// Clamped to the batch deadline's remaining time when one is set.
 const RPC_TIMEOUT_MS: u64 = 10_000;
 
+/// Cap of the routing backoff.
+const ROUTING_BACKOFF_CAP_MS: u64 = 1_600;
+
+/// How long after a batch was handed to [`KvClient::send`] the client can
+/// still be sending one of its sub-batches again: the first dispatch and
+/// each of the `MAX_ROUTING_RETRIES` after it waits out at most one META
+/// lookup, one RPC and one capped backoff. A leaseholder that applied a
+/// commit must recognise the copies that follow for at least this long
+/// (it is the transaction status table's retention), and a copy that
+/// reaches it later than that was not sent by a client inside its retry
+/// budget.
+pub(crate) const RESEND_WINDOW: Duration = Duration::from_millis(
+    (MAX_ROUTING_RETRIES as u64 + 1) * (2 * RPC_TIMEOUT_MS + ROUTING_BACKOFF_CAP_MS),
+);
+
 /// Routing backoff: doubles from 50 ms, capped at 1.6 s. The budget is
 /// `MAX_ROUTING_RETRIES + 1` because the terminal check lives in
 /// `retry_routing` (the redirect path retries without backoff), so the
 /// policy must still yield the final backoff at attempt 16 — exactly
 /// the legacy `(50ms << n.min(5)).min(1600ms)` schedule.
 fn routing_policy() -> RetryPolicy {
-    RetryPolicy::exponential(dur::ms(50), dur::ms(1_600), MAX_ROUTING_RETRIES + 1)
+    RetryPolicy::exponential(dur::ms(50), dur::ms(ROUTING_BACKOFF_CAP_MS), MAX_ROUTING_RETRIES + 1)
 }
 
 /// Conflict backoff: linear from 1 ms in 2 ms steps, capped at 32 ms —
@@ -325,6 +344,9 @@ type Group = (RangeInfo, Vec<Piece>);
 struct Retries {
     routing: u32,
     conflict: u32,
+    /// A copy went out and no reply came back: the leaseholder may have
+    /// evaluated it.
+    unanswered: bool,
 }
 
 /// In-flight state for one client batch.
@@ -482,7 +504,7 @@ impl DispatchState {
             degrade.partition_fast_fails.set(degrade.partition_fast_fails.get() + 1);
             self.forget_routes(&pieces);
             rpc.end();
-            self.fail(KvError::Unavailable);
+            self.give_up(&pieces, retries);
             return;
         }
         // Per-target circuit breaker: once the node's breaker is open
@@ -523,6 +545,7 @@ impl DispatchState {
                 st.breaker_record(target, false);
                 rpc.tag("timeout", true);
                 rpc.end();
+                let retries = Retries { unanswered: true, ..retries };
                 st.handle_response(pieces, BatchResponse::err(KvError::NodeUnavailable), retries);
             })
         };
@@ -668,13 +691,30 @@ impl DispatchState {
         if retries.routing >= MAX_ROUTING_RETRIES {
             // The retry budget outlasts any single lease transfer; if we
             // still have no live route the range is genuinely unavailable.
-            self.fail(KvError::Unavailable);
+            self.give_up(&pieces, retries);
             return;
         }
         let degrade = self.client.inner.cluster.degrade();
         degrade.retries.set(degrade.retries.get() + 1);
         Self::dispatch(&self, pieces, Retries { routing: retries.routing + 1, ..retries });
         Self::unit_done(&self);
+    }
+
+    /// Fails the batch because the sub-batch `pieces` has no route left to
+    /// try. Terminal either way, but what the caller may do next differs:
+    /// nothing of an [`KvError::Unavailable`] batch was applied, so its
+    /// transaction can run again, while a commit of which a copy went
+    /// unanswered may have been applied by the node that never replied —
+    /// running that transaction again could apply it twice.
+    fn give_up(self: &Rc<Self>, pieces: &[Piece], retries: Retries) {
+        let commits = |p: &Piece| matches!(p.req, RequestKind::EndTxn { commit: true });
+        if retries.unanswered && pieces.iter().any(commits) {
+            let degrade = self.client.inner.cluster.degrade();
+            degrade.ambiguous_commits.set(degrade.ambiguous_commits.get() + 1);
+            self.fail(KvError::AmbiguousCommit);
+        } else {
+            self.fail(KvError::Unavailable);
+        }
     }
 
     fn fail(self: &Rc<Self>, error: KvError) {

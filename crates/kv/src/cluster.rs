@@ -79,8 +79,12 @@ impl Default for KvClusterConfig {
 }
 
 /// How long the transaction-status table remembers a finalized
-/// transaction: its intents have long been resolved by then.
-pub(crate) const TXN_STATUS_RETENTION: Duration = Duration::from_secs(60);
+/// transaction: for as long as a [`crate::KvClient`] that never heard of
+/// the commit can still be sending it again. A one-phase commit leaves
+/// nothing else behind to recognise such a replay by; the intents of a
+/// staged one have long been resolved by then, and the persisted record
+/// settles any that have not.
+pub(crate) const TXN_STATUS_RETENTION: Duration = crate::client::RESEND_WINDOW;
 
 /// Shared cluster control state.
 pub struct ClusterInner {
@@ -93,7 +97,9 @@ pub struct ClusterInner {
     /// txn record from its anchor range; see DESIGN.md): every finalized
     /// transaction with the instant it was finalized, until
     /// `start_txn_gc` collects it. A transaction that is not here is
-    /// pending, or finalized so long ago that no intent of it is left.
+    /// pending, or was finalized longer ago than
+    /// [`TXN_STATUS_RETENTION`]; [`ClusterInner::txn_status`] tells the
+    /// two apart.
     txn_finalized: BTreeMap<u64, (TxnStatus, SimTime)>,
     pub(crate) cost_model: CostModel,
     pub(crate) topology: Rc<Topology>,
@@ -114,10 +120,36 @@ pub struct ClusterInner {
 }
 
 impl ClusterInner {
-    /// `txn_id`'s final status, or `None` while it is pending (or long
-    /// collected).
-    pub(crate) fn txn_status(&self, txn_id: u64) -> Option<TxnStatus> {
-        self.txn_finalized.get(&txn_id).map(|&(status, _)| status)
+    /// Whether the table can have forgotten the outcome of a transaction
+    /// that stamped its writes at `write_ts`. A transaction is finalized
+    /// no earlier than that and remembered for [`TXN_STATUS_RETENTION`]
+    /// afterwards, so until then "not in the table" means "not finalized".
+    pub(crate) fn may_have_forgotten(write_ts: Timestamp, now: SimTime) -> bool {
+        now.duration_since(write_ts.to_sim_time()) > TXN_STATUS_RETENTION
+    }
+
+    /// The final status of the transaction `txn_id` that stamped its
+    /// writes at `write_ts`, or `None` when nothing says it was ever
+    /// finalized: the table, or — once the table
+    /// [may have forgotten](Self::may_have_forgotten) — the record a
+    /// staged commit, an abort or a push persisted beside the data, on
+    /// whichever live node holds it. Everything that acts on a
+    /// transaction's outcome asks here: the replay check, the `EndTxn`
+    /// guard, and a reader or writer that met one of its intents.
+    pub(crate) fn txn_status(
+        &self,
+        txn_id: u64,
+        write_ts: Timestamp,
+        now: SimTime,
+    ) -> Option<TxnStatus> {
+        if let Some(&(status, _)) = self.txn_finalized.get(&txn_id) {
+            return Some(status);
+        }
+        if !Self::may_have_forgotten(write_ts, now) {
+            return None;
+        }
+        let mut live = self.nodes.values().filter(|n| n.is_alive());
+        live.find_map(|n| mvcc::get_txn_record(&n.engine, txn_id)).map(|r| r.status)
     }
 
     /// Records that `txn_id` committed or aborted at `now`.
@@ -212,12 +244,20 @@ pub struct DegradeCounters {
     /// or a key outside the addressed range); each carried the
     /// authoritative range info the client then cached.
     pub redirects: Cell<u64>,
-    /// Transactions committed in one phase: the whole write set and the
-    /// transaction record applied by one leaseholder in one round trip.
+    /// Transactions committed in one phase: the whole write set applied
+    /// by one leaseholder in one round trip.
     pub commits_one_phase: Cell<u64>,
     /// Transactions committed by the staged protocol (intents, then the
     /// transaction record, then resolution).
     pub commits_two_phase: Cell<u64>,
+    /// Transaction records persisted (once per record, not per replica):
+    /// staged commits, `EndTxn` aborts and pushes. A one-phase commit
+    /// lays no intents and writes none.
+    pub txn_records_written: Cell<u64>,
+    /// Commits that ended in [`crate::KvError::AmbiguousCommit`]: a copy
+    /// refused by its leaseholder as too old to tell from a replay, or a
+    /// client out of routes after a copy went unanswered.
+    pub ambiguous_commits: Cell<u64>,
     /// Batches failed because their propagated deadline expired or the
     /// next retry would have landed past it.
     pub deadline_exceeded: Cell<u64>,
@@ -371,8 +411,8 @@ impl KvCluster {
     }
 
     /// Periodically drops finalized transaction-status entries older than
-    /// a minute: their intents have long been resolved, and the map would
-    /// otherwise grow with every transaction ever run.
+    /// [`TXN_STATUS_RETENTION`]: the map would otherwise grow with every
+    /// transaction ever run.
     fn start_txn_gc(&self) {
         let cluster = self.clone();
         let sim = self.sim.clone();
@@ -913,12 +953,13 @@ mod tests {
         let a = c.begin_txn();
         let b = c.begin_txn();
         assert_ne!(a, b);
-        assert_eq!(c.inner.borrow().txn_status(a), None, "not finalized: reads as pending");
+        let status = c.inner.borrow().txn_status(a, c.now_ts(), c.sim.now());
+        assert_eq!(status, None, "not finalized: reads as pending");
     }
 
     #[test]
     fn txn_table_holds_only_finalized_transactions_until_gc() {
-        use crate::batch::{BatchRequest, RequestKind};
+        use crate::batch::{BatchRequest, KvError, RequestKind};
         use crate::client::{make_txn_meta, KvClient};
         use crdb_util::Deadline;
 
@@ -955,28 +996,43 @@ mod tests {
         assert_eq!(acked.get(), 50);
         assert_eq!(c.inner.borrow().txn_finalized.len(), 0);
 
-        // A committed transaction is in the table for as long as one of
-        // its intents might still need resolving, and then goes.
+        // A committed transaction is in the table for as long as its
+        // client can still be sending the commit again, and then goes.
         let txn = make_txn_meta(&c, key.clone());
         let write = RequestKind::WriteIntent { key: key.clone(), value: Some(key.clone()) };
         let commit = batch(&txn, vec![write, RequestKind::EndTxn { commit: true }]);
         send(commit.clone());
         sim.run_for(dur::secs(2));
         assert_eq!(acked.get(), 51);
-        let status = c.inner.borrow().txn_status(txn.txn_id);
+        let status = c.inner.borrow().txn_status(txn.txn_id, txn.write_ts, sim.now());
         assert!(matches!(status, Some(TxnStatus::Committed(_))), "{status:?}");
         assert_eq!(c.inner.borrow().txn_finalized.len(), 1);
-        sim.run_for(dur::secs(120));
+        assert_eq!(c.degrade().commits_one_phase.get(), 1);
+        sim.run_for(TXN_STATUS_RETENTION - dur::secs(5));
+        assert_eq!(c.inner.borrow().txn_finalized.len(), 1, "kept for the whole re-send window");
+        sim.run_for(dur::secs(5 + 30));
         assert_eq!(c.inner.borrow().txn_finalized.len(), 0, "collected past the GC horizon");
 
-        // A replay of the commit after that is still recognised, from the
-        // record in the leaseholder's engine, and acked without being
-        // evaluated again (which would fail on the transaction's own
-        // version, or succeed and finalize it a second time).
-        send(commit);
+        // A one-phase commit left no record either, so nothing can tell a
+        // replay that late from a first delivery. It is refused as
+        // ambiguous — not evaluated again (which would fail on the
+        // transaction's own version, or succeed and apply it twice) and
+        // not reported aborted (which SQL would answer by re-running a
+        // transaction that did commit).
+        let leader = c.node(c.leaseholder_of(&key).unwrap()).unwrap();
+        let wal_batches = leader.engine.metrics().wal_batches;
+        let refused = Rc::new(RefCell::new(None));
+        let r = Rc::clone(&refused);
+        client.send(commit, move |resp| *r.borrow_mut() = Some(resp.error));
         sim.run_for(dur::secs(2));
-        assert_eq!(acked.get(), 52);
+        assert_eq!(*refused.borrow(), Some(Some(KvError::AmbiguousCommit)));
+        assert_eq!(c.degrade().ambiguous_commits.get(), 1);
+        assert_eq!(c.degrade().commits_one_phase.get(), 1, "not applied again");
+        assert_eq!(c.degrade().txn_records_written.get(), 0);
         assert_eq!(c.inner.borrow().txn_finalized.len(), 0);
+        assert_eq!(leader.engine.metrics().wal_batches, wal_batches, "nothing was written");
+        let stored = mvcc::get(&leader.engine, &key, c.now_ts(), None);
+        assert_eq!(stored, mvcc::ReadResult::Value(Some(key)), "the value is there, once");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crdb_storage::{Engine, WriteBatch};
 
 use crate::hlc::Timestamp;
-use crate::txn::{TxnRecord, TxnStatus};
+use crate::txn::TxnRecord;
 
 /// How much MVCC history is preserved: versions older than this (below
 /// the newest one readable at `now - GC_WINDOW`) are garbage — see the
@@ -434,16 +434,15 @@ pub fn write_intent(
     Ok(())
 }
 
-/// One-phase commit: applies every write of `txn_id` as a committed
-/// version at `commit_ts`, together with the `Committed` transaction
-/// record, as **one** batch per replica engine — one WAL record, so a
-/// crash keeps all of the transaction or none of it. No intents are
-/// written; the caller validated every key with [`check_write`] first.
-/// The batch is encoded once and every engine holds the same refcounted
-/// buffers.
+/// One-phase commit: applies every write of a transaction as a committed
+/// version at `commit_ts`, as **one** batch per replica engine — one WAL
+/// record, so a crash keeps all of the transaction or none of it. No
+/// intents are written, and therefore no transaction record: a record
+/// exists to settle intents. The caller validated every key with
+/// [`check_write`] first. The batch is encoded once and every engine
+/// holds the same refcounted buffers.
 pub fn commit_one_phase<'a>(
     engines: impl IntoIterator<Item = &'a Engine>,
-    txn_id: u64,
     commit_ts: Timestamp,
     writes: &[(&Bytes, Option<&Bytes>)],
 ) {
@@ -451,8 +450,6 @@ pub fn commit_one_phase<'a>(
     for (key, value) in writes {
         batch.put(version_key(key, commit_ts), encode_value(*value));
     }
-    let record = TxnRecord { txn_id, status: TxnStatus::Committed(commit_ts) };
-    batch.put(txn_key(txn_id), record.encode());
     for engine in engines {
         engine.apply(&batch);
         for (key, _) in writes {
@@ -599,32 +596,54 @@ pub fn refresh_span(
     if let Some(ts) = conflict {
         return Err(ts);
     }
-    let mut scan_end = BytesMut::from(version_prefix(end).as_ref());
-    scan_end.put_slice(&[0xff; 14]);
-    engine.scan_visit(&version_prefix(start), &scan_end, |k, _| {
-        if let Some((user, vts)) = decode_version_key(k) {
-            if user.as_ref() >= start && user.as_ref() < end && vts > since {
-                conflict = Some(vts);
-                return false;
-            }
-        }
-        true
-    });
-    match conflict {
+    match find_version(engine, start, end, |vts| vts > since) {
         Some(ts) => Err(ts),
         None => Ok(()),
     }
 }
 
-/// Returns whether any transaction record has the given status — test and
-/// tooling helper.
-pub fn txn_has_status(engine: &Engine, txn_id: u64, status: TxnStatus) -> bool {
-    get_txn_record(engine, txn_id).is_some_and(|r| r.status == status)
+/// The timestamp of the first version, in storage order, of a user key in
+/// `[start, end)` that `wanted` accepts. Streams, and stops at the hit.
+fn find_version(
+    engine: &Engine,
+    start: &[u8],
+    end: &[u8],
+    wanted: impl Fn(Timestamp) -> bool,
+) -> Option<Timestamp> {
+    let mut found = None;
+    let mut scan_end = BytesMut::from(version_prefix(end).as_ref());
+    scan_end.put_slice(&[0xff; 14]);
+    engine.scan_visit(&version_prefix(start), &scan_end, |k, _| {
+        if let Some((user, vts)) = decode_version_key(k) {
+            if user.as_ref() >= start && user.as_ref() < end && wanted(vts) {
+                found = Some(vts);
+            }
+        }
+        found.is_none()
+    });
+    found
+}
+
+/// Whether garbage collection may already have taken what a read of
+/// `[start, end)` at `read_ts` should return: some key of the span has a
+/// version above `read_ts` that is at or below `horizon`, where it covers
+/// — and so condemns — every older version of that key. "May": the
+/// collectors run when they run, but from here on the read cannot be
+/// trusted.
+pub fn snapshot_collected(
+    engine: &Engine,
+    start: &[u8],
+    end: &[u8],
+    read_ts: Timestamp,
+    horizon: Timestamp,
+) -> bool {
+    find_version(engine, start, end, |vts| vts > read_ts && vts <= horizon).is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::TxnStatus;
     use crdb_storage::LsmConfig;
 
     fn engine() -> Engine {
@@ -711,18 +730,23 @@ mod tests {
     }
 
     #[test]
-    fn one_phase_commit_is_one_wal_batch_with_record_and_no_intents() {
+    fn one_phase_commit_is_one_wal_batch_with_no_record_and_no_intents() {
         let e = engine();
         put_version(&e, b"a", ts(10), Some(&b("old")));
         let before = e.metrics().wal_batches;
         assert_eq!(check_write(&e, b"a", 7, ts(30), ts(20)), Ok(()));
         assert_eq!(check_write(&e, b"b", 7, ts(30), ts(20)), Ok(()));
         let (ka, kb, va) = (b("a"), b("b"), b("new"));
-        commit_one_phase([&e], 7, ts(30), &[(&ka, Some(&va)), (&kb, None)]);
-        assert_eq!(e.metrics().wal_batches, before + 1, "writes + record share one WAL batch");
-        assert!(txn_has_status(&e, 7, TxnStatus::Committed(ts(30))));
+        commit_one_phase([&e], ts(30), &[(&ka, Some(&va)), (&kb, None)]);
+        assert_eq!(e.metrics().wal_batches, before + 1, "every write shares one WAL batch");
+        // Nothing provisional was laid down, so nothing is there to settle
+        // it: the engine holds versions and nothing else.
+        assert_eq!(get_txn_record(&e, 7), None);
+        let stored = e.scan(&[], &[0xff], usize::MAX);
+        assert_eq!(stored.len(), 3, "{stored:?}");
+        assert!(stored.iter().all(|(k, _)| k.first() == Some(&VERSION_TAG)), "{stored:?}");
         // Committed versions, visible to anyone from the commit timestamp
-        // on and to no one below it; no intent was ever laid down.
+        // on and to no one below it.
         assert_eq!(get(&e, b"a", ts(35), None), ReadResult::Value(Some(b("new"))));
         assert_eq!(get(&e, b"a", ts(25), None), ReadResult::Value(Some(b("old"))));
         assert_eq!(get(&e, b"b", ts(35), None), ReadResult::Value(None));
@@ -780,7 +804,6 @@ mod tests {
         let rec = TxnRecord { txn_id: 42, status: TxnStatus::Committed(ts(99)) };
         put_txn_record(&e, &rec);
         assert_eq!(get_txn_record(&e, 42), Some(rec));
-        assert!(txn_has_status(&e, 42, TxnStatus::Committed(ts(99))));
         assert_eq!(get_txn_record(&e, 43), None);
     }
 
@@ -800,6 +823,27 @@ mod tests {
         assert_eq!(readable_user_keys(&e, b"a", b"z", ts(0), 3), vec![b("a")]);
         // Span bounds are on user keys.
         assert_eq!(readable_user_keys(&e, b"b", b"c", ts(35), 9), vec![b("b")]);
+    }
+
+    #[test]
+    fn a_snapshot_is_collected_once_a_newer_version_passes_the_horizon() {
+        let e = engine();
+        put_version(&e, b"a", ts(10), Some(&b("v10")));
+        put_version(&e, b"a", ts(30), Some(&b("v30")));
+        put_version(&e, b"b", ts(10), Some(&b("v10")));
+        // `a` at 20 should read v10, which v30 covers from horizon 30 on.
+        assert!(!snapshot_collected(&e, b"a", b"a\0", ts(20), ts(29)));
+        assert!(snapshot_collected(&e, b"a", b"a\0", ts(20), ts(30)));
+        assert!(snapshot_collected(&e, b"a", b"z", ts(20), ts(40)), "one key condemns the span");
+        // A read that already sees the cover loses nothing, nor does one
+        // of a key never overwritten, nor any read at or above the horizon.
+        assert!(!snapshot_collected(&e, b"a", b"a\0", ts(30), ts(40)));
+        assert!(!snapshot_collected(&e, b"b", b"z", ts(20), ts(40)), "not written since");
+        assert!(!snapshot_collected(&e, b"a", b"z", ts(40), ts(40)));
+        // It is a promise about what GC may do, and GC does it: the next
+        // write of `a` past the window removes v10 from the memtable.
+        gc_versions(&e, b"a", ts(30));
+        assert_eq!(get(&e, b"a", ts(20), None), ReadResult::Value(None), "silently wrong");
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! whole, nothing evaluated, with the range's authoritative info. That
 //! check is what lets a batch carrying a transaction's refreshes, writes
 //! and `EndTxn{commit}` together be evaluated as a **one-phase commit**:
-//! validate everything, then apply committed versions plus the
-//! transaction record in one WAL batch per replica — no intents, one
-//! quorum wait, one group commit ([`KvNode::commit_one_phase`]).
+//! validate everything, then apply committed versions in one WAL batch
+//! per replica — no intents, so no transaction record to settle them by;
+//! one quorum wait, one group commit ([`KvNode::commit_one_phase`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -36,14 +36,14 @@ use crdb_util::{NodeId, TenantId};
 
 use crate::auth::TenantCert;
 use crate::batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};
-use crate::cluster::{ClusterInner, TXN_STATUS_RETENTION};
+use crate::cluster::ClusterInner;
 use crate::cost::TrafficStats;
 use crate::directory::Directory;
 use crate::hlc::{Hlc, Timestamp};
 use crate::mvcc;
 use crate::range::RangeState;
 use crate::tscache::TsCache;
-use crate::txn::{TxnMeta, TxnStatus};
+use crate::txn::{TxnMeta, TxnRecord, TxnStatus};
 
 /// How long an intent may sit untouched with its transaction still
 /// `Pending` before a conflicting reader may declare the transaction
@@ -653,17 +653,28 @@ impl KvNode {
         };
 
         if let Some(txn) = &batch.txn {
-            // A commit step of a transaction whose record already says
-            // `Committed` is a replay — the reply was lost and the client
-            // sent the sub-batch again, or fell back to the staged
-            // protocol after a one-phase commit it never heard back from.
-            // Ack without evaluating: applying twice would double the
-            // write, and validating would trip over the transaction's own
-            // committed versions.
-            if batch.requests.iter().all(RequestKind::is_commit_step)
-                && self.txn_committed(cluster, txn)
-            {
-                return Ok((vec![ResponseKind::Ok; batch.requests.len()], 0));
+            // A commit step of a transaction known to have committed is a
+            // replay — the reply was lost and the client sent the
+            // sub-batch again, or fell back to the staged protocol after
+            // a one-phase commit it never heard back from. Ack without
+            // evaluating: applying twice would double the write, and
+            // validating would trip over the transaction's own committed
+            // versions. One that nothing is known of is a first delivery
+            // only while the status table cannot have forgotten it. Past
+            // that it may as well be the replay of a one-phase commit,
+            // which left no record: refuse, evaluating nothing.
+            if batch.requests.iter().all(RequestKind::is_commit_step) {
+                match self.txn_status(cluster, txn.txn_id, txn.write_ts) {
+                    Some(TxnStatus::Committed(_)) => {
+                        return Ok((vec![ResponseKind::Ok; batch.requests.len()], 0));
+                    }
+                    None if ClusterInner::may_have_forgotten(txn.write_ts, self.sim.now()) => {
+                        let refused = &cluster.borrow().degrade.ambiguous_commits;
+                        refused.set(refused.get() + 1);
+                        return Err(KvError::AmbiguousCommit);
+                    }
+                    _ => {}
+                }
             }
             if batch.is_one_phase_commit() {
                 return self.commit_one_phase(cluster, batch, txn, &replica_engines);
@@ -677,6 +688,7 @@ impl KvNode {
         for req in &batch.requests {
             match req {
                 RequestKind::Get { key } => {
+                    self.check_snapshot(key, None, batch.read_ts)?;
                     self.bump_ts_cache(key, batch.read_ts);
                     match mvcc::get(&self.engine, key, batch.read_ts, own_txn) {
                         mvcc::ReadResult::Value(v) => results.push(ResponseKind::Value(v)),
@@ -699,6 +711,7 @@ impl KvNode {
                     }
                 }
                 RequestKind::Scan { start, end, limit } => {
+                    self.check_snapshot(start, Some(end), batch.read_ts)?;
                     let (mut pairs, intents) =
                         mvcc::scan(&self.engine, start, end, batch.read_ts, *limit, own_txn);
                     if !intents.is_empty() {
@@ -764,7 +777,9 @@ impl KvNode {
                     // A transaction already aborted by a pusher must not
                     // commit: its intents are gone, so acknowledging the
                     // commit would silently lose the writes.
-                    if cluster.borrow().txn_status(txn.txn_id) == Some(TxnStatus::Aborted) {
+                    if self.txn_status(cluster, txn.txn_id, txn.write_ts)
+                        == Some(TxnStatus::Aborted)
+                    {
                         return Err(KvError::TxnAborted);
                     }
                     let status = if *commit {
@@ -772,11 +787,11 @@ impl KvNode {
                     } else {
                         TxnStatus::Aborted
                     };
-                    let record = crate::txn::TxnRecord { txn_id: txn.txn_id, status };
-                    mvcc::put_txn_record(&self.engine, &record);
-                    for e in &replica_engines {
-                        mvcc::put_txn_record(e, &record);
-                    }
+                    self.persist_txn_record(
+                        cluster,
+                        TxnRecord { txn_id: txn.txn_id, status },
+                        &replica_engines,
+                    );
                     {
                         let mut inner = cluster.borrow_mut();
                         inner.finalize_txn(txn.txn_id, status, self.sim.now());
@@ -796,9 +811,18 @@ impl KvNode {
                 }
                 RequestKind::ResolveIntent { key, commit_ts } => {
                     let txn = batch.txn.as_ref().ok_or(KvError::TxnAborted)?;
-                    mvcc::resolve_intent(&self.engine, key, txn.txn_id, *commit_ts);
-                    for e in &replica_engines {
-                        mvcc::resolve_intent(e, key, txn.txn_id, *commit_ts);
+                    // A clean-up never discards a committed write. The
+                    // coordinator sends one whenever its commit failed,
+                    // and a commit can fail there (deadline, no route
+                    // left) after its `EndTxn` went through.
+                    let commit_ts = commit_ts.or_else(|| {
+                        match self.txn_status(cluster, txn.txn_id, txn.write_ts) {
+                            Some(TxnStatus::Committed(ts)) => Some(ts),
+                            _ => None,
+                        }
+                    });
+                    for e in std::iter::once(&self.engine).chain(&replica_engines) {
+                        mvcc::resolve_intent(e, key, txn.txn_id, commit_ts);
                     }
                     write_payload += key.len();
                     results.push(ResponseKind::Ok);
@@ -814,10 +838,11 @@ impl KvNode {
     /// leads, so everything that could reject the transaction is checked
     /// here, first: each refresh span, and per written key the
     /// timestamp-cache watermark, foreign intents and write-too-old. Only
-    /// then does anything apply, as committed versions at `write_ts` plus
-    /// the `Committed` record in one WAL batch on the leader and on each
-    /// follower: no intents, nothing to resolve, and a failure leaves
-    /// nothing behind.
+    /// then does anything apply, as committed versions at `write_ts` in
+    /// one WAL batch on the leader and on each follower: no intents,
+    /// nothing to resolve, no transaction record to resolve it by, and a
+    /// failure leaves nothing behind. What recognises a replay is the
+    /// status table entry made here (see `execute_requests`).
     fn commit_one_phase(
         &self,
         cluster: &Rc<RefCell<ClusterInner>>,
@@ -826,7 +851,7 @@ impl KvNode {
         replica_engines: &[Engine],
     ) -> Result<(Vec<ResponseKind>, usize), KvError> {
         let mut writes: Vec<(&Bytes, Option<&Bytes>)> = Vec::new();
-        let mut write_payload = TXN_RECORD_PAYLOAD;
+        let mut write_payload = 0usize;
         for req in &batch.requests {
             match req {
                 RequestKind::RefreshSpan { start, end, since } => {
@@ -844,28 +869,36 @@ impl KvNode {
             }
         }
         let engines = std::iter::once(&self.engine).chain(replica_engines);
-        mvcc::commit_one_phase(engines, txn.txn_id, txn.write_ts, &writes);
+        mvcc::commit_one_phase(engines, txn.write_ts, &writes);
         let mut inner = cluster.borrow_mut();
         inner.finalize_txn(txn.txn_id, TxnStatus::Committed(txn.write_ts), self.sim.now());
         inner.degrade.commits_one_phase.set(inner.degrade.commits_one_phase.get() + 1);
         Ok((vec![ResponseKind::Ok; batch.requests.len()], write_payload))
     }
 
-    /// Whether `txn`'s record says `Committed`: the cluster's status
-    /// table, or — once that entry can have been garbage-collected — the
-    /// record persisted in this node's engine. The table keeps a finalized
-    /// transaction for [`TXN_STATUS_RETENTION`] past its finalization, so
-    /// one that began less than that ago and is not in it is pending, and
-    /// the engine is not asked.
-    fn txn_committed(&self, cluster: &Rc<RefCell<ClusterInner>>, txn: &TxnMeta) -> bool {
-        let status = cluster.borrow().txn_status(txn.txn_id).or_else(|| {
-            let age = self.sim.now().duration_since(txn.start_ts.to_sim_time());
-            if age <= TXN_STATUS_RETENTION {
-                return None;
-            }
-            mvcc::get_txn_record(&self.engine, txn.txn_id).map(|r| r.status)
-        });
-        matches!(status, Some(TxnStatus::Committed(_)))
+    /// [`ClusterInner::txn_status`] as of now.
+    fn txn_status(
+        &self,
+        cluster: &Rc<RefCell<ClusterInner>>,
+        txn_id: u64,
+        write_ts: Timestamp,
+    ) -> Option<TxnStatus> {
+        cluster.borrow().txn_status(txn_id, write_ts, self.sim.now())
+    }
+
+    /// Persists `record` on this node and on each follower — what settles
+    /// an intent of the transaction that outlives the status table.
+    fn persist_txn_record(
+        &self,
+        cluster: &Rc<RefCell<ClusterInner>>,
+        record: TxnRecord,
+        replica_engines: &[Engine],
+    ) {
+        for e in std::iter::once(&self.engine).chain(replica_engines) {
+            mvcc::put_txn_record(e, &record);
+        }
+        let written = &cluster.borrow().degrade.txn_records_written;
+        written.set(written.get() + 1);
     }
 
     /// Everything that can reject `txn`'s write of `key`: a read above the
@@ -902,6 +935,37 @@ impl KvNode {
         })
     }
 
+    /// Refuses a read at `read_ts` of `[start, end)` — of the key `start`
+    /// alone without an `end` — whose snapshot MVCC garbage collection may
+    /// have reached: the read would return what is left, silently — a
+    /// missing row, a short scan. Only a read older than the GC window can
+    /// be (one that queued for seconds, or was sent again after an RPC
+    /// timeout), and only if a key it reads was written meanwhile; every
+    /// other read pays one comparison.
+    fn check_snapshot(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        read_ts: Timestamp,
+    ) -> Result<(), KvError> {
+        let horizon = mvcc::gc_horizon(Timestamp::at(self.sim.now()));
+        if read_ts >= horizon {
+            return Ok(());
+        }
+        let point_end;
+        let end = match end {
+            Some(end) => end,
+            None => {
+                point_end = [start, &[0x00]].concat();
+                &point_end
+            }
+        };
+        if mvcc::snapshot_collected(&self.engine, start, end, read_ts, horizon) {
+            return Err(KvError::SnapshotTooOld);
+        }
+        Ok(())
+    }
+
     fn bump_ts_cache(&self, key: &Bytes, read_ts: Timestamp) {
         self.ts_cache.borrow_mut().record_read(self.sim.now(), key, read_ts);
     }
@@ -917,7 +981,8 @@ impl KvNode {
         read_ts: crate::hlc::Timestamp,
         replica_engines: &[Engine],
     ) -> Option<Option<Bytes>> {
-        let status = cluster.borrow().txn_status(intent.txn_id);
+        // An intent carries its transaction's write timestamp.
+        let status = self.txn_status(cluster, intent.txn_id, intent.ts);
         match status {
             Some(TxnStatus::Committed(ts)) => {
                 mvcc::resolve_intent(&self.engine, key, intent.txn_id, Some(ts));
@@ -959,12 +1024,9 @@ impl KvNode {
                     TxnStatus::Aborted,
                     self.sim.now(),
                 );
-                let record =
-                    crate::txn::TxnRecord { txn_id: intent.txn_id, status: TxnStatus::Aborted };
-                mvcc::put_txn_record(&self.engine, &record);
-                mvcc::resolve_intent(&self.engine, key, intent.txn_id, None);
-                for e in replica_engines {
-                    mvcc::put_txn_record(e, &record);
+                let record = TxnRecord { txn_id: intent.txn_id, status: TxnStatus::Aborted };
+                self.persist_txn_record(cluster, record, replica_engines);
+                for e in std::iter::once(&self.engine).chain(replica_engines) {
                     mvcc::resolve_intent(e, key, intent.txn_id, None);
                 }
                 let degrade = &cluster.borrow().degrade;

@@ -5,7 +5,8 @@
 //! Writers lay down intents pointing at the record; committing flips the
 //! record to `Committed(ts)` — the atomic commit point — after which
 //! intents are resolved (synchronously by the coordinator here; lazily by
-//! readers when they encounter a stale intent).
+//! readers when they encounter a stale intent). A transaction that
+//! commits in one phase lays no intents and so has no record.
 
 use bytes::{BufMut, Bytes, BytesMut};
 

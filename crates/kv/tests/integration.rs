@@ -14,6 +14,7 @@ use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::keys;
 use crdb_kv::node::FSYNC_INTERVAL;
 use crdb_kv::range::Placement;
+use crdb_kv::txn::TxnMeta;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_util::time::dur;
 use crdb_util::time::SimTime;
@@ -676,6 +677,181 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
         Some(Some(KvError::TxnAborted)),
         "a pushed txn's commit is refused"
     );
+}
+
+/// A batch of `txn`'s, read at its start timestamp.
+fn txn_batch(txn: &TxnMeta, requests: Vec<RequestKind>) -> BatchRequest {
+    BatchRequest {
+        tenant: TenantId(2),
+        read_ts: txn.start_ts,
+        txn: Some(txn.clone()),
+        deadline: Deadline::NONE,
+        requests,
+    }
+}
+
+/// Longer than the transaction status table remembers a finalized
+/// transaction (the KV client's whole re-send window, about six minutes,
+/// plus the table's 30 s collection period).
+const STATUS_TABLE_FORGOT: std::time::Duration = std::time::Duration::from_secs(600);
+
+/// Sends `batch`, runs the simulation two seconds, and returns the
+/// batch's error (`None` = acked).
+fn send_and_wait(sim: &Sim, client: &KvClient, batch: BatchRequest) -> Option<KvError> {
+    let outcome = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&outcome);
+    client.send(batch, move |resp| *o.borrow_mut() = Some(resp.error));
+    sim.run_for(dur::secs(2));
+    let error = outcome.borrow_mut().take();
+    error.expect("batch answered")
+}
+
+/// Reads `key` outside any transaction and runs the simulation five
+/// seconds.
+fn get_and_wait(sim: &Sim, client: &KvClient, key: Bytes) -> Result<Option<Bytes>, KvError> {
+    let got = Rc::new(RefCell::new(None));
+    let g = Rc::clone(&got);
+    client.get(key, move |r| *g.borrow_mut() = Some(r));
+    sim.run_for(dur::secs(5));
+    let result = got.borrow_mut().take();
+    result.expect("get answered")
+}
+
+/// Regression: a staged commit whose resolution never arrives (crashed
+/// coordinator, lost fire-and-forget cleanup batch) leaves a committed
+/// transaction's intent behind. A reader that met it after the status
+/// table had forgotten the transaction took "not in the table" for
+/// "pending", declared the intent abandoned, overwrote the `Committed`
+/// record with `Aborted` and dropped an acked write. The persisted record
+/// is what settles an intent that outlives the table.
+#[test]
+fn committed_intent_that_outlives_the_status_table_still_reads_committed() {
+    let (sim, cluster) = setup(18);
+    let client = client_for(&cluster, TenantId(2));
+    client.put(k(2, "x"), Bytes::from_static(b"old"), |r| r.unwrap());
+    sim.run_for(dur::secs(2));
+
+    let txn = make_txn_meta(&cluster, k(2, "x"));
+    let write =
+        RequestKind::WriteIntent { key: k(2, "x"), value: Some(Bytes::from_static(b"new")) };
+    assert_eq!(send_and_wait(&sim, &client, txn_batch(&txn, vec![write])), None);
+    let end = RequestKind::EndTxn { commit: true };
+    assert_eq!(send_and_wait(&sim, &client, txn_batch(&txn, vec![end])), None, "commit acked");
+
+    // No `ResolveIntent` ever arrives, and the table forgets.
+    sim.run_for(STATUS_TABLE_FORGOT);
+    assert_eq!(
+        get_and_wait(&sim, &client, k(2, "x")),
+        Ok(Some(Bytes::from_static(b"new"))),
+        "an acked commit is never lost"
+    );
+    assert_eq!(cluster.degrade().txn_pushes.get(), 0, "a committed transaction is not pushed");
+}
+
+/// The same, with the intent in a range that shares no replica set with
+/// the anchor range: the record lives on the anchor's replicas, and the
+/// intent's leaseholder must still find it.
+#[test]
+fn committed_intent_is_settled_by_a_record_on_another_replica_set() {
+    let (sim, cluster, cert) = setup_pinned(19);
+    let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(0), 0));
+    let (anchor, far) = (k(2, "a"), k(2, "~p/x"));
+    let replicas = |key: &Bytes| cluster.range_of(key).expect("range").desc.replicas;
+    assert_ne!(replicas(&anchor), replicas(&far));
+
+    let txn = make_txn_meta(&cluster, anchor.clone());
+    let write = |key: &Bytes| RequestKind::WriteIntent {
+        key: key.clone(),
+        value: Some(Bytes::from_static(b"new")),
+    };
+    let intents = txn_batch(&txn, vec![write(&anchor), write(&far)]);
+    assert_eq!(send_and_wait(&sim, &client, intents), None);
+    let end = RequestKind::EndTxn { commit: true };
+    assert_eq!(send_and_wait(&sim, &client, txn_batch(&txn, vec![end])), None, "commit acked");
+
+    sim.run_for(STATUS_TABLE_FORGOT);
+    let committed = Ok(Some(Bytes::from_static(b"new")));
+    assert_eq!(get_and_wait(&sim, &client, far), committed);
+    assert_eq!(get_and_wait(&sim, &client, anchor), committed);
+    assert_eq!(cluster.degrade().txn_pushes.get(), 0);
+}
+
+/// Regression: a read sent again after an RPC timeout is ten seconds older
+/// than its snapshot, twice the MVCC GC window. If its key was overwritten
+/// meanwhile, the version it should return is gone, and it was answered
+/// with whatever was left — here, "no such key".
+#[test]
+fn read_below_the_gc_horizon_is_refused_not_answered_wrong() {
+    let (sim, cluster) = setup(22);
+    let client = client_for(&cluster, TenantId(2));
+    let put = |value: &'static [u8]| {
+        client.put(k(2, "x"), Bytes::from_static(value), |r| r.unwrap());
+        sim.run_for(dur::secs(1));
+    };
+    put(b"v1");
+    let snapshot = cluster.now_ts();
+    let read_at_snapshot = || BatchRequest {
+        tenant: TenantId(2),
+        read_ts: snapshot,
+        txn: None,
+        deadline: Deadline::NONE,
+        requests: vec![RequestKind::Get { key: k(2, "x") }, RequestKind::Get { key: k(2, "y") }],
+    };
+    put(b"v2");
+    assert_eq!(send_and_wait(&sim, &client, read_at_snapshot()), None, "history still there");
+
+    // v2 passes the GC horizon; the next write collects v1 beneath it.
+    sim.run_for(dur::secs(6));
+    put(b"v3");
+    assert_eq!(send_and_wait(&sim, &client, read_at_snapshot()), Some(KvError::SnapshotTooOld));
+    assert_eq!(get_and_wait(&sim, &client, k(2, "x")), Ok(Some(Bytes::from_static(b"v3"))));
+}
+
+/// Regression: a coordinator cleans up after every commit it saw fail, by
+/// resolving its intents as aborted — and a commit can fail at the
+/// coordinator (deadline, no route left) after its `EndTxn` went through.
+/// The clean-up then deleted committed data, key by key.
+#[test]
+fn abort_cleanup_never_discards_a_committed_intent() {
+    let (sim, cluster) = setup(21);
+    let client = client_for(&cluster, TenantId(2));
+    let txn = make_txn_meta(&cluster, k(2, "x"));
+    let write =
+        RequestKind::WriteIntent { key: k(2, "x"), value: Some(Bytes::from_static(b"new")) };
+    assert_eq!(send_and_wait(&sim, &client, txn_batch(&txn, vec![write])), None);
+    let end = RequestKind::EndTxn { commit: true };
+    assert_eq!(send_and_wait(&sim, &client, txn_batch(&txn, vec![end])), None, "committed");
+
+    let cleanup = RequestKind::ResolveIntent { key: k(2, "x"), commit_ts: None };
+    assert_eq!(send_and_wait(&sim, &client, txn_batch(&txn, vec![cleanup])), None);
+    assert_eq!(get_and_wait(&sim, &client, k(2, "x")), Ok(Some(Bytes::from_static(b"new"))));
+}
+
+/// Regression: the `EndTxn` guard against committing a pushed transaction
+/// read the status table only, so a commit arriving after the pusher's
+/// `Aborted` entry had been collected was acked although its intents were
+/// gone. The pusher's persisted record refuses it.
+#[test]
+fn commit_of_a_pushed_txn_is_refused_after_the_status_table_forgot_the_push() {
+    let (sim, cluster) = setup(20);
+    let client = client_for(&cluster, TenantId(2));
+    let orphan = make_txn_meta(&cluster, k(2, "x"));
+    let write =
+        RequestKind::WriteIntent { key: k(2, "x"), value: Some(Bytes::from_static(b"orphaned")) };
+    assert_eq!(send_and_wait(&sim, &client, txn_batch(&orphan, vec![write])), None);
+
+    sim.run_for(dur::secs(12));
+    assert_eq!(get_and_wait(&sim, &client, k(2, "x")), Ok(None), "pushed away");
+    assert_eq!(cluster.degrade().txn_pushes.get(), 1);
+
+    sim.run_for(STATUS_TABLE_FORGOT);
+    let end = RequestKind::EndTxn { commit: true };
+    assert_eq!(
+        send_and_wait(&sim, &client, txn_batch(&orphan, vec![end])),
+        Some(KvError::TxnAborted),
+        "its intents are gone: acking would lose the write"
+    );
+    assert_eq!(get_and_wait(&sim, &client, k(2, "x")), Ok(None));
 }
 
 /// Regression: a redirect used to carry only a leaseholder hint, so after

@@ -455,6 +455,7 @@ impl Proxy {
                         | KvError::NodeUnavailable
                         | KvError::DeadlineExceeded
                         | KvError::AdmissionTimeout
+                        | KvError::AmbiguousCommit
                 ))
         );
         let now = self.sim.now();

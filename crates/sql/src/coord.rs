@@ -11,9 +11,9 @@
 //!   and any whose reads and writes fall in one range): the KV client
 //!   sends the batch as one RPC and the leaseholder evaluates it as a
 //!   **one-phase commit** — refreshes and writes validated, then
-//!   committed versions and the transaction record applied in one WAL
-//!   batch per replica. One round trip, no intents, nothing to resolve,
-//!   nothing to clean up on failure.
+//!   committed versions applied in one WAL batch per replica. One round
+//!   trip, no intents, no transaction record (there is nothing for one
+//!   to settle), nothing to resolve, nothing to clean up on failure.
 //! - **Several ranges**: the client refuses the batch unsent
 //!   ([`KvError::TxnSpansRanges`]) and the coordinator runs the staged
 //!   protocol: refreshes + intents as one batch (one RPC per range, in
@@ -24,7 +24,11 @@
 //!
 //! Conflicts surface as retryable errors — the session layer re-runs the
 //! transaction, which is also how the production system behaves under
-//! `RETRY_SERIALIZABLE`.
+//! `RETRY_SERIALIZABLE`. One commit outcome must never be re-run:
+//! [`KvError::AmbiguousCommit`], a commit batch that reached its
+//! leaseholder after the cluster could have forgotten whether the
+//! transaction already committed. It surfaces as a plain
+//! [`SqlError::Kv`], like an expired deadline.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -98,6 +102,7 @@ fn map_kv_error(e: KvError) -> SqlError {
             SqlError::Retry(format!("conflict with txn {other_txn}"))
         }
         KvError::TxnAborted => SqlError::Retry("transaction aborted".into()),
+        KvError::SnapshotTooOld => SqlError::Retry("snapshot too old".into()),
         // Transient infrastructure failure (crash or partition): the
         // statement failed fast, but the transaction is retryable once
         // the fault clears or leases move.
@@ -105,6 +110,9 @@ fn map_kv_error(e: KvError) -> SqlError {
         // Deliberately NOT retryable: the caller's deadline has already
         // passed, so re-running the transaction can only waste work.
         KvError::DeadlineExceeded => SqlError::Kv(KvError::DeadlineExceeded),
+        // Deliberately NOT retryable: the transaction may have committed,
+        // and re-running it would then apply it twice.
+        KvError::AmbiguousCommit => SqlError::Kv(KvError::AmbiguousCommit),
         other => SqlError::Kv(other),
     }
 }
@@ -577,5 +585,30 @@ impl Txn {
     /// Whether the transaction is still open.
     pub fn is_pending(&self) -> bool {
         self.inner.borrow().state == TxnState::Pending
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_errors_that_left_nothing_behind_are_retryable() {
+        let restart = [
+            KvError::WriteTooOld { existing: crdb_kv::Timestamp::ZERO },
+            KvError::IntentConflict { other_txn: 7 },
+            KvError::TxnAborted,
+            KvError::SnapshotTooOld,
+            KvError::Unavailable,
+        ];
+        for e in restart {
+            assert!(map_kv_error(e.clone()).is_retryable(), "{e:?}");
+        }
+        // Re-running after a deadline wastes work; re-running a commit
+        // that may have gone through applies it twice.
+        for e in [KvError::DeadlineExceeded, KvError::AmbiguousCommit] {
+            assert_eq!(map_kv_error(e.clone()), SqlError::Kv(e.clone()));
+            assert!(!map_kv_error(e).is_retryable());
+        }
     }
 }

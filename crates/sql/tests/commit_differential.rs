@@ -9,9 +9,14 @@
 //! reader's snapshot), the one-phase commit is taken exactly when a
 //! transaction's spans live in one range, multi-range transactions fall
 //! back to the staged protocol and leave no intent behind when they
-//! abort. Then three targeted cases: a staged commit that aborts after
-//! laying an intent, a one-phase commit whose reply is lost, and a
-//! hostile coalesced batch addressed across a range boundary.
+//! abort. The same mix runs again from another region while every reply
+//! to it is dropped at random for seconds at a time. Then the targeted
+//! cases: a staged commit that aborts after laying an intent, a one-phase
+//! commit whose replies are lost — for one RPC timeout, for longer than
+//! the status table used to remember, and across a split that turns the
+//! re-send into a staged commit, and for longer than the KV client keeps
+//! trying, which a SQL node must report and not run again — and a hostile
+//! coalesced batch addressed across a range boundary.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -24,8 +29,12 @@ use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::{keys, mvcc, Timestamp};
 use crdb_sim::{Location, Sim, Topology};
 use crdb_sql::coord::{SqlError, Txn};
+use crdb_sql::exec::QueryOutput;
+use crdb_sql::node::{SqlNode, SqlNodeConfig};
+use crdb_sql::system_db::SystemDatabase;
+use crdb_sql::value::Datum;
 use crdb_util::time::dur;
-use crdb_util::{Deadline, RangeId, RegionId, TenantId};
+use crdb_util::{Deadline, RangeId, RegionId, SqlInstanceId, TenantId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -219,13 +228,15 @@ impl Worker {
     }
 }
 
-/// Runs `ops_each` operations on each of six workers to completion.
+/// Runs `ops_each` operations on each of six workers to completion,
+/// which must take less than `sim_secs`.
 fn run_phase(
     sim: &Sim,
     cluster: &KvCluster,
     clients: &[KvClient],
     seed: u64,
     ops_each: u32,
+    sim_secs: u64,
 ) -> Rc<Tally> {
     let tally = Rc::new(Tally::default());
     for w in 0..6u64 {
@@ -239,9 +250,33 @@ fn run_phase(
         });
         worker.next();
     }
-    sim.run_for(dur::secs(60));
+    sim.run_for(dur::secs(sim_secs));
     assert_eq!(tally.in_flight.get(), 0, "every operation finished");
     tally
+}
+
+/// While `on`, drops every message into `to` from any other region for a
+/// random 1–8 s, lets them through for a random 2–8 s, and so on.
+/// Requests out of `to` still arrive and are evaluated; it is their
+/// replies that are lost, so the clients there send again what was
+/// already applied. No cut outlasts an RPC timeout, so no client runs out
+/// of retries: every commit ends acked or refused, never ambiguous.
+fn flap_replies(sim: &Sim, cluster: &KvCluster, to: RegionId, seed: u64, on: &Rc<Cell<bool>>) {
+    fn step(sim: Sim, topology: Rc<Topology>, to: RegionId, mut rng: SmallRng, on: Rc<Cell<bool>>) {
+        if !on.get() {
+            return;
+        }
+        let others: Vec<RegionId> = topology.regions().filter(|&r| r != to).collect();
+        others.iter().for_each(|&from| topology.partition_one_way(from, to));
+        let (cut, open) = (rng.gen_range(1_000..8_000), rng.gen_range(2_000..8_000));
+        let sim2 = sim.clone();
+        sim.schedule_after(dur::ms(cut), move || {
+            others.iter().for_each(|&from| topology.heal_one_way(from, to));
+            let sim3 = sim2.clone();
+            sim2.schedule_after(dur::ms(open), move || step(sim3, topology, to, rng, on));
+        });
+    }
+    step(sim.clone(), cluster.topology(), to, SmallRng::seed_from_u64(seed), Rc::clone(on));
 }
 
 /// Reads `key` outside any transaction.
@@ -270,8 +305,20 @@ fn assert_no_intents(cluster: &KvCluster) {
     }
 }
 
-fn check_run(seed: u64) {
-    let (sim, cluster, clients) = single_region(seed);
+/// The model check. With `lost_replies` the clients sit in region 1, a
+/// cross-region round trip away from every leaseholder, and the replies
+/// to them are dropped at random throughout both phases: commits are
+/// applied, never heard of, sent again and acked as replays — each
+/// counted once, by the model and by the protocol counters alike.
+fn check_run(seed: u64, lost_replies: bool) {
+    let (sim, cluster, clients) = if lost_replies {
+        setup(seed, Topology::three_region(), Location::new(RegionId(1), 0))
+    } else {
+        single_region(seed)
+    };
+    let phase_secs = if lost_replies { 900 } else { 60 };
+    let flapping = Rc::new(Cell::new(lost_replies));
+    flap_replies(&sim, &cluster, RegionId(1), seed, &flapping);
     let degrade = cluster.degrade();
     let protocol_counts = || (degrade.commits_one_phase.get(), degrade.commits_two_phase.get());
     let mut increments: BTreeMap<usize, i64> = BTreeMap::new();
@@ -279,19 +326,21 @@ fn check_run(seed: u64) {
     // Phase 1: one range. Every commit is one-phase.
     let loaded = protocol_counts();
     assert_eq!(loaded, (1, 0), "the load itself committed in one phase");
-    let t1 = run_phase(&sim, &cluster, &clients, seed, 40);
+    let t1 = run_phase(&sim, &cluster, &clients, seed, 40, phase_secs);
     assert_eq!(t1.acked_cross_range.get(), 0);
     assert_eq!(protocol_counts(), (loaded.0 + t1.acked_one_range.get(), 0));
     for (c, n) in t1.increments.borrow().iter() {
         *increments.entry(*c).or_default() += n;
     }
 
-    // Split between the keys and move the right half's lease away.
+    // Split between the keys and move the right half's lease away (to
+    // another region, when there is one: region 1 holds the clients).
     cluster.split_range(RangeId(1));
     assert_eq!(cluster.tenant_range_count(TENANT), 2);
     let right = keys::make_key(TENANT, &ctr(COUNTERS - 1));
     let old = cluster.leaseholder_of(&right).unwrap();
-    let new = cluster.node_ids().into_iter().find(|&n| n != old).unwrap();
+    let replicas = cluster.range_of(&right).unwrap().desc.replicas;
+    let new = replicas.into_iter().rfind(|&n| n != old).unwrap();
     assert!(cluster.transfer_lease(&right, new));
     let split_accounts = !(1..ACCOUNTS).all(|i| {
         cluster.leaseholder_of(&keys::make_key(TENANT, &acct(i)))
@@ -302,7 +351,7 @@ fn check_run(seed: u64) {
     // Phase 2: two ranges, every client cache stale at first. A commit is
     // one-phase exactly when its keys share a range.
     let before = protocol_counts();
-    let t2 = run_phase(&sim, &cluster, &clients, seed + 1, 60);
+    let t2 = run_phase(&sim, &cluster, &clients, seed + 1, 60, phase_secs);
     let after = protocol_counts();
     assert!(t2.acked_cross_range.get() > 10, "the mix exercised cross-range transfers");
     assert!(t2.aborted_cross_range.get() > 0, "the mix exercised cross-range aborts");
@@ -312,10 +361,16 @@ fn check_run(seed: u64) {
     for (c, n) in t2.increments.borrow().iter() {
         *increments.entry(*c).or_default() += n;
     }
+    if lost_replies {
+        assert!(cluster.topology().dropped_messages() > 20, "replies were lost");
+        assert!(degrade.retries.get() > 20, "and their requests sent again");
+        assert_eq!(degrade.ambiguous_commits.get(), 0, "every re-send was recognised");
+    }
 
     // The serial model: every acked increment counted once, the transfer
     // sum untouched, nothing provisional left anywhere.
-    sim.run_for(dur::secs(5)); // let fire-and-forget resolutions land
+    flapping.set(false);
+    sim.run_for(dur::secs(if lost_replies { 60 } else { 5 })); // fire-and-forget resolutions land
     for c in 0..COUNTERS {
         let expect = increments.get(&c).copied().unwrap_or(0);
         assert_eq!(read_now(&sim, &clients[0], &ctr(c)), expect, "counter {c}: lost update");
@@ -327,12 +382,22 @@ fn check_run(seed: u64) {
 
 #[test]
 fn concurrent_commits_match_the_serial_model_seed_1() {
-    check_run(1);
+    check_run(1, false);
 }
 
 #[test]
 fn concurrent_commits_match_the_serial_model_seed_2() {
-    check_run(2);
+    check_run(2, false);
+}
+
+#[test]
+fn commits_under_lost_replies_match_the_serial_model_seed_6() {
+    check_run(6, true);
+}
+
+#[test]
+fn commits_under_lost_replies_match_the_serial_model_seed_7() {
+    check_run(7, true);
 }
 
 /// A staged commit that fails on one range after laying an intent on the
@@ -375,57 +440,184 @@ fn aborted_multi_range_commit_cleans_up_its_intents() {
     assert_eq!(read_now(&sim, &clients[2], &right), 0);
 }
 
-/// A one-phase commit applies, its reply is lost to a partition, the KV
-/// client times out and sends the batch again: the leaseholder finds the
-/// transaction's own record and acks. `v = v + 1` is applied once.
-#[test]
-fn lost_one_phase_reply_is_acked_on_retry_and_applied_once() {
+/// What a commit returned, and how long after it was sent.
+type CommitOutcome = (Result<(), SqlError>, std::time::Duration);
+
+/// A commit from region 1 against leaseholders in region 0, every reply
+/// to which is lost from the moment it was applied.
+struct LostReply {
+    sim: Sim,
+    cluster: KvCluster,
+    clients: Vec<KvClient>,
+    /// The keys' values before the transaction.
+    before: Vec<i64>,
+    outcome: Rc<RefCell<Option<CommitOutcome>>>,
+}
+
+/// Adds one to each of `keys` in one transaction whose commit is applied
+/// in one phase — checked — and never heard of: region 0 → region 1 is
+/// cut while the reply is on its way and stays cut for `outage`. Runs
+/// the simulation until one second after the commit was sent.
+fn commit_and_lose_the_reply(seed: u64, keys: &[Bytes], outage: std::time::Duration) -> LostReply {
     // The tenant's leaseholder lives in region 0; the SQL node in region 1.
-    let (sim, cluster, clients) = setup(4, Topology::three_region(), Location::new(RegionId(1), 0));
-    let client = &clients[0];
-    let key = ctr(0);
-    let before = read_now(&sim, client, &key);
+    let (sim, cluster, clients) =
+        setup(seed, Topology::three_region(), Location::new(RegionId(1), 0));
+    let before: Vec<i64> = keys.iter().map(|k| read_now(&sim, &clients[0], k)).collect();
+    // Start half-way between two of the status table's 30 s collections,
+    // so that one falls in the last 20 s of a 75 s outage: a table that
+    // forgot a commit after a minute has lost this one by the last re-send.
+    sim.run_for(dur::secs(8));
     let one_phase = cluster.degrade().commits_one_phase.get();
 
-    let txn = Txn::begin(client);
+    let txn = Txn::begin(&clients[0]);
     let outcome = Rc::new(RefCell::new(None));
     {
-        let txn2 = txn.clone();
-        let key2 = key.clone();
+        let (txn2, keys2) = (txn.clone(), keys.to_vec());
         let o = Rc::clone(&outcome);
         let sim2 = sim.clone();
-        let sent_at = Rc::new(Cell::new(sim.now()));
-        let sent_at2 = Rc::clone(&sent_at);
         let topology = cluster.topology();
-        txn.read(key.clone(), move |r| {
-            txn2.put(key2, val(num(&r.expect("read")) + 1));
-            sent_at2.set(sim2.now());
-            let sim3 = sim2.clone();
-            txn2.commit(move |r| {
-                *o.borrow_mut() = Some((r, sim3.now().duration_since(sent_at.get())))
-            });
+        txn.read_many(keys.to_vec(), move |r| {
+            for (key, v) in keys2.into_iter().zip(r.expect("read")) {
+                txn2.put(key, val(num(&v) + 1));
+            }
+            let (sim3, sent_at) = (sim2.clone(), sim2.now());
+            txn2.commit(move |r| *o.borrow_mut() = Some((r, sim3.now().duration_since(sent_at))));
             // The request is in flight (~50 ms one way; the reply leaves
             // after a ~100 ms quorum wait). Cut region 0 → region 1 once
-            // it has arrived, heal well before the client's RPC timeout.
+            // it has arrived.
             let (cut, heal) = (Rc::clone(&topology), topology);
             sim2.schedule_after(dur::ms(80), move || {
                 cut.partition_one_way(RegionId(0), RegionId(1))
             });
-            sim2.schedule_after(dur::secs(5), move || heal.heal_one_way(RegionId(0), RegionId(1)));
+            sim2.schedule_after(outage, move || heal.heal_one_way(RegionId(0), RegionId(1)));
         });
     }
     sim.run_for(dur::secs(1));
     assert_eq!(cluster.degrade().commits_one_phase.get(), one_phase + 1, "applied");
     assert!(outcome.borrow().is_none(), "but the reply never arrived");
     assert!(cluster.topology().dropped_messages() >= 1);
+    LostReply { sim, cluster, clients, before, outcome }
+}
 
-    sim.run_for(dur::secs(30));
-    let (result, took) = outcome.borrow_mut().take().expect("the retry completed the commit");
+impl LostReply {
+    /// Runs the simulation `secs` and returns the commit's outcome.
+    fn outcome_after(&self, secs: u64) -> CommitOutcome {
+        self.sim.run_for(dur::secs(secs));
+        self.outcome.borrow_mut().take().expect("the commit came back")
+    }
+
+    /// The transaction is in the data exactly once, by the counters and
+    /// by the values, and no copy of it was refused.
+    fn assert_applied_once(&self, keys: &[Bytes]) {
+        let degrade = self.cluster.degrade();
+        assert_eq!(degrade.commits_one_phase.get(), 2, "the load and this commit, once");
+        assert_eq!(degrade.commits_two_phase.get(), 0);
+        assert_eq!(degrade.ambiguous_commits.get(), 0);
+        assert_eq!(degrade.txn_records_written.get(), 0);
+        for (key, before) in keys.iter().zip(&self.before) {
+            assert_eq!(read_now(&self.sim, &self.clients[0], key), before + 1);
+        }
+    }
+}
+
+/// A one-phase commit applies, its reply is lost to a partition, the KV
+/// client times out and sends the batch again: the leaseholder knows the
+/// transaction as committed and acks. `v = v + 1` is applied once.
+#[test]
+fn lost_one_phase_reply_is_acked_on_retry_and_applied_once() {
+    let keys = [ctr(0)];
+    let run = commit_and_lose_the_reply(4, &keys, dur::secs(5));
+    let (result, took) = run.outcome_after(30);
     assert_eq!(result, Ok(()));
     assert!(took >= dur::secs(10), "acked by the retry after the RPC timeout: {took:?}");
-    assert_eq!(cluster.degrade().commits_one_phase.get(), one_phase + 1, "not applied again");
-    assert_eq!(cluster.degrade().commits_two_phase.get(), 0);
-    assert_eq!(read_now(&sim, client, &key), before + 1);
+    run.assert_applied_once(&keys);
+}
+
+/// The same with replies lost for 75 s — longer than the minute the
+/// status table used to remember a commit for, after which the replay
+/// check fell back on the transaction record a one-phase commit no longer
+/// writes. Seven copies arrive over 80 s; the table acks every one.
+#[test]
+fn replies_lost_for_75_s_are_all_acked_from_the_status_table() {
+    let keys = [ctr(0)];
+    let run = commit_and_lose_the_reply(8, &keys, dur::secs(75));
+    let (result, took) = run.outcome_after(120);
+    assert_eq!(result, Ok(()));
+    assert!(took >= dur::secs(75), "acked once a reply got through: {took:?}");
+    assert!(run.cluster.degrade().retries.get() >= 6, "sent again and again meanwhile");
+    run.assert_applied_once(&keys);
+}
+
+/// The range splits between the transaction's two keys while the replies
+/// are lost, so the re-send no longer fits one range and the coordinator
+/// falls back to the staged protocol — for a transaction that has already
+/// committed. Both stages are acked as replays: no intent is laid over
+/// the committed versions, no second commit is counted.
+#[test]
+fn split_during_the_outage_turns_the_resend_into_a_staged_replay() {
+    let keys = [acct(0), ctr(COUNTERS - 1)];
+    let run = commit_and_lose_the_reply(9, &keys, dur::secs(30));
+    run.cluster.split_range(RangeId(1));
+    let range_of = |k: &Bytes| run.cluster.range_of(&keys::make_key(TENANT, k)).unwrap().desc.id;
+    assert_ne!(range_of(&keys[0]), range_of(&keys[1]), "the split separates the two keys");
+    let (result, took) = run.outcome_after(90);
+    assert_eq!(result, Ok(()));
+    assert!(took >= dur::secs(30), "{took:?}");
+    run.assert_applied_once(&keys);
+    assert_no_intents(&run.cluster);
+}
+
+/// The replies stay lost for longer than the KV client keeps trying. It
+/// cannot tell "applied, never heard of" from "never applied", says so
+/// (`AmbiguousCommit`, where it used to say `Unavailable`), and the SQL
+/// node's autocommit retry — which re-runs an `UPDATE` on `Unavailable` —
+/// leaves the statement alone: `v = v + 1` ran once and is applied once.
+#[test]
+fn ambiguous_commit_is_reported_and_not_rerun_by_the_autocommit_retry() {
+    let sim = Sim::new(10);
+    let cluster = KvCluster::new(&sim, Topology::three_region(), KvClusterConfig::default());
+    let cert = cluster.create_tenant_homed(TENANT, Some(RegionId(0)));
+    let location = Location::new(RegionId(1), 0);
+    let client = KvClient::new(cluster.clone(), cert, location);
+    let config = SqlNodeConfig { location, ..Default::default() };
+    let node = SqlNode::new(&sim, SqlInstanceId(1), client, config);
+    node.start(&SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]), || {});
+    sim.run_for(dur::secs(5));
+    let session = node.open_session("app").expect("node is ready");
+    let exec = |sql: &str, secs: u64| -> Result<QueryOutput, SqlError> {
+        let out = Rc::new(RefCell::new(None));
+        let o = Rc::clone(&out);
+        node.execute(session, sql, vec![], move |r| *o.borrow_mut() = Some(r));
+        sim.run_for(dur::secs(secs));
+        let done = out.borrow_mut().take();
+        done.unwrap_or_else(|| panic!("{sql}: did not complete"))
+    };
+    exec("CREATE TABLE t (k INT PRIMARY KEY, v INT)", 5).expect("create");
+    exec("INSERT INTO t VALUES (1, 0)", 5).expect("insert");
+
+    // Every reply into region 1 is lost from the instant the UPDATE's
+    // commit is applied.
+    let degrade = cluster.degrade();
+    let (applied, statements) = (degrade.commits_one_phase.get(), node.queries_executed.get());
+    let topology = cluster.topology();
+    let (cut, counters) = (Rc::clone(&topology), Rc::clone(&degrade));
+    sim.schedule_periodic(dur::us(100), move || {
+        if counters.commits_one_phase.get() == applied {
+            return true;
+        }
+        cut.partition_one_way(RegionId(0), RegionId(1));
+        cut.partition_one_way(RegionId(2), RegionId(1));
+        false
+    });
+    let outcome = exec("UPDATE t SET v = v + 1 WHERE k = 1", 400);
+    assert_eq!(outcome.err(), Some(SqlError::Kv(KvError::AmbiguousCommit)));
+    assert_eq!(degrade.ambiguous_commits.get(), 1);
+    assert_eq!(node.queries_executed.get(), statements + 1, "the statement ran once");
+
+    topology.heal_all();
+    let rows = exec("SELECT v FROM t WHERE k = 1", 30).expect("select").rows;
+    assert_eq!(rows, vec![vec![Datum::Int(1)]], "and is applied once");
+    assert_eq!(degrade.commits_one_phase.get(), applied + 1);
 }
 
 /// A coalesced batch whose second key lies outside the range of its first
