@@ -272,6 +272,12 @@ impl<T> AdmissionController<T> {
         self.cq.len() + self.wq.len() + usize::from(self.wq_head.is_some())
     }
 
+    /// Per-tenant heaps held across both queues: one for each tenant with
+    /// work queued in it, none for a tenant whose work has drained.
+    pub fn tenant_heaps(&self) -> usize {
+        self.cq.waiting_tenants() + self.wq.waiting_tenants()
+    }
+
     /// Operations dropped on deadline across both queues.
     pub fn timed_out(&self) -> u64 {
         self.cq.timed_out + self.wq.timed_out

@@ -70,14 +70,21 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-struct TenantQueue<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-    consumed: DecayingCounter,
-}
-
 /// The two-level fair queue.
+///
+/// Bookkeeping is proportional to activity: a tenant that has consumed
+/// keeps a fairness counter, but only a tenant with queued work has a
+/// heap, and `dequeue` looks at nobody else.
 pub struct WorkQueue<T> {
-    tenants: BTreeMap<TenantId, TenantQueue<T>>,
+    /// Recent consumption per tenant. A tenant without an entry has
+    /// consumed nothing, which orders the same as a counter at zero.
+    consumed: BTreeMap<TenantId, DecayingCounter>,
+    /// The heaps of tenants with queued work; none is ever empty.
+    waiting: BTreeMap<TenantId, BinaryHeap<HeapEntry<T>>>,
+    /// The buffer of a drained heap, handed to the next tenant that starts
+    /// waiting: a lone tenant's enqueue / dequeue cycle reuses one
+    /// allocation instead of making one per burst.
+    spare: Vec<HeapEntry<T>>,
     half_life: Duration,
     next_seq: u64,
     queued: usize,
@@ -88,29 +95,36 @@ pub struct WorkQueue<T> {
 impl<T> WorkQueue<T> {
     /// Creates a queue whose fairness signal decays with `half_life`.
     pub fn new(half_life: Duration) -> Self {
-        WorkQueue { tenants: BTreeMap::new(), half_life, next_seq: 0, queued: 0, timed_out: 0 }
-    }
-
-    fn tenant_entry(&mut self, tenant: TenantId) -> &mut TenantQueue<T> {
-        let hl = self.half_life;
-        self.tenants.entry(tenant).or_insert_with(|| TenantQueue {
-            heap: BinaryHeap::new(),
-            consumed: DecayingCounter::new(hl),
-        })
+        WorkQueue {
+            consumed: BTreeMap::new(),
+            waiting: BTreeMap::new(),
+            spare: Vec::new(),
+            half_life,
+            next_seq: 0,
+            queued: 0,
+            timed_out: 0,
+        }
     }
 
     /// Enqueues an operation.
     pub fn enqueue(&mut self, item: WorkItem<T>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.tenant_entry(item.tenant).heap.push(HeapEntry { item, seq });
+        self.waiting
+            .entry(item.tenant)
+            .or_insert_with(|| BinaryHeap::from(std::mem::take(&mut self.spare)))
+            .push(HeapEntry { item, seq });
         self.queued += 1;
     }
 
     /// Records that `tenant` consumed `amount` of the resource guarded by
     /// this queue (CPU-seconds for the CQ, bytes for the WQ).
     pub fn record_consumption(&mut self, now: SimTime, tenant: TenantId, amount: f64) {
-        self.tenant_entry(tenant).consumed.add(now, amount);
+        let half_life = self.half_life;
+        self.consumed
+            .entry(tenant)
+            .or_insert_with(|| DecayingCounter::new(half_life))
+            .add(now, amount);
     }
 
     /// Dequeues the next operation: from the least-consuming tenant with
@@ -119,31 +133,41 @@ impl<T> WorkQueue<T> {
     /// [`WorkQueue::timed_out`].
     pub fn dequeue(&mut self, now: SimTime) -> Option<WorkItem<T>> {
         loop {
-            // Pick the least-consuming tenant among those with queued work.
-            // Active tenant counts are small; a scan is exact and avoids
-            // stale-heap bookkeeping as consumptions decay.
-            let tenant = {
-                let mut best: Option<(f64, TenantId)> = None;
-                for (&t, q) in self.tenants.iter_mut() {
-                    if q.heap.is_empty() {
-                        continue;
-                    }
-                    let c = q.consumed.get(now);
-                    match best {
-                        Some((bc, bt)) if (c, t.raw()) >= (bc, bt.raw()) => {}
-                        _ => best = Some((c, t)),
-                    }
+            // Pick the least-consuming tenant among those with queued work,
+            // the lowest id on a tie. Waiting tenants are few; a scan over
+            // them is exact and avoids stale-heap bookkeeping as
+            // consumptions decay.
+            let mut best: Option<(f64, TenantId, &mut BinaryHeap<HeapEntry<T>>)> = None;
+            for (&tenant, heap) in self.waiting.iter_mut() {
+                let c = self.consumed.get_mut(&tenant).map_or(0.0, |c| c.get(now));
+                match best {
+                    Some((least, ..)) if c >= least => {}
+                    _ => best = Some((c, tenant, heap)),
                 }
-                best?.1
-            };
-            let q = self.tenants.get_mut(&tenant).expect("tenant exists");
-            let entry = q.heap.pop().expect("non-empty");
+            }
+            let (_, tenant, heap) = best?;
+            let popped = heap.pop();
+            if heap.is_empty() {
+                self.retire_heap(tenant);
+            }
+            let Some(entry) = popped else { continue };
             self.queued -= 1;
             if entry.item.deadline < now {
                 self.timed_out += 1;
                 continue;
             }
             return Some(entry.item);
+        }
+    }
+
+    /// Drops `tenant`'s drained heap, keeping its buffer as the spare if it
+    /// is the larger of the two.
+    fn retire_heap(&mut self, tenant: TenantId) {
+        if let Some(heap) = self.waiting.remove(&tenant) {
+            let buffer = heap.into_vec();
+            if buffer.capacity() > self.spare.capacity() {
+                self.spare = buffer;
+            }
         }
     }
 
@@ -157,9 +181,10 @@ impl<T> WorkQueue<T> {
         self.queued == 0
     }
 
-    /// Number of distinct tenants with queued work.
+    /// Number of distinct tenants with queued work — which is also the
+    /// number of per-tenant heaps the queue holds.
     pub fn waiting_tenants(&self) -> usize {
-        self.tenants.values().filter(|q| !q.heap.is_empty()).count()
+        self.waiting.len()
     }
 }
 

@@ -10,9 +10,10 @@
 //!
 //! - **throughput floor**: the churn phase executes simulation events at
 //!   or above a fixed events/sec floor;
-//! - **memory asymptote**: resident-set growth per suspended tenant stays
-//!   at or below the paper's 262 KiB figure, and absolute peak RSS stays
-//!   under a hard ceiling;
+//! - **memory per tenant**: resident-set growth per suspended tenant stays
+//!   within a quarter of what this harness measures (an eighth of the
+//!   paper's 262 KiB figure), and absolute peak RSS stays under a hard
+//!   ceiling;
 //! - **reproducibility**: running the churn phase twice with the same
 //!   seed yields byte-identical progress logs and metrics snapshots.
 //!
@@ -27,8 +28,12 @@ use crdb_bench::scale::{
     rss_bytes, run_churn_phase, run_idle_phase, run_suspended_phase, ScaleOptions,
 };
 
-/// Paper Fig. 7(a): per-tenant memory approaches 262 KiB at 20K tenants.
-const RSS_PER_TENANT_CEILING: u64 = 262 * 1024;
+/// What a created-and-never-used tenant adds to resident memory, plus a
+/// quarter: 31.3 KiB measured at the smoke run's 2K tenants (25.7 KiB at
+/// 20K, where the deployment's fixed cost is spread thinner). The paper's
+/// Fig. 7(a) asymptote is 262 KiB; gating on that would let the figure
+/// grow eightfold unnoticed.
+const RSS_PER_TENANT_CEILING: u64 = 40 * 1024;
 /// Absolute peak-RSS ceiling for the whole soak.
 const PEAK_RSS_CEILING: u64 = 8 << 30;
 /// Churn-phase simulation throughput floor, events per wall second.
@@ -73,7 +78,7 @@ fn main() {
     assert_eq!(suspended.active_tenants, 0, "suspended tenants must not be active");
     assert!(
         suspended.rss_per_tenant_bytes <= RSS_PER_TENANT_CEILING,
-        "per-tenant RSS {} KiB above the paper's {} KiB asymptote",
+        "per-tenant RSS {} KiB above the {} KiB ceiling",
         suspended.rss_per_tenant_bytes / 1024,
         RSS_PER_TENANT_CEILING / 1024
     );

@@ -1048,4 +1048,10 @@ impl KvNode {
     pub fn admission_queue_len(&self) -> usize {
         self.admission.borrow().queue_len()
     }
+
+    /// Per-tenant heaps the admission queues hold: tenants with queued
+    /// work, so zero on an idle node however many tenants it has served.
+    pub fn admission_tenant_heaps(&self) -> usize {
+        self.admission.borrow().tenant_heaps()
+    }
 }

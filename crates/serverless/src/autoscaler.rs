@@ -122,13 +122,10 @@ impl Autoscaler {
 
     /// The scaling inputs the autoscaler currently sees for a tenant.
     pub fn inputs(&self, tenant: TenantId) -> ScaleInputs {
-        let samples = self.pipeline.visible_window(tenant, self.sim.now(), self.config.window);
-        if samples.is_empty() {
-            return ScaleInputs { avg: 0.0, max: 0.0 };
+        match self.pipeline.visible_window(tenant, self.sim.now(), self.config.window) {
+            Some(usage) => ScaleInputs { avg: usage.avg, max: usage.max },
+            None => ScaleInputs { avg: 0.0, max: 0.0 },
         }
-        let avg = samples.iter().map(|(_, v)| v).sum::<f64>() / samples.len() as f64;
-        let max = samples.iter().map(|(_, v)| *v).fold(0.0, f64::max);
-        ScaleInputs { avg, max }
     }
 
     /// One reconcile pass over every *active* tenant. Suspended tenants

@@ -65,6 +65,18 @@ struct TenantSeries {
     last_cpu_total: f64,
 }
 
+/// What [`MetricsPipeline::visible_window`] reports: vCPUs used over the
+/// visible samples of one tenant's window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowUsage {
+    /// How many samples the window held (never zero).
+    pub samples: usize,
+    /// Their plain mean.
+    pub avg: f64,
+    /// Their maximum.
+    pub max: f64,
+}
+
 /// Samples per-tenant SQL-node CPU usage and serves it with pipeline
 /// latency.
 pub struct MetricsPipeline {
@@ -144,26 +156,26 @@ impl MetricsPipeline {
             .copied()
     }
 
-    /// All visible samples within `window` ending at `now`.
+    /// Count, mean and maximum of the visible samples within `window`
+    /// ending at `now`, read in place; `None` when there are none.
     pub fn visible_window(
         &self,
         tenant: TenantId,
         now: SimTime,
         window: Duration,
-    ) -> Vec<(SimTime, f64)> {
+    ) -> Option<WindowUsage> {
         let all = self.series.borrow();
-        let s = match all.get(&tenant) {
-            Some(s) => s,
-            None => return Vec::new(),
-        };
-        s.samples
-            .iter()
-            .filter(|(t, _)| {
-                *t + self.config.propagation_delay <= now
-                    && now.duration_since(*t) <= window + self.config.propagation_delay
-            })
-            .copied()
-            .collect()
+        let (mut samples, mut sum, mut max) = (0usize, 0.0f64, 0.0f64);
+        for &(t, used) in &all.get(&tenant)?.samples {
+            if t + self.config.propagation_delay <= now
+                && now.duration_since(t) <= window + self.config.propagation_delay
+            {
+                samples += 1;
+                sum += used;
+                max = max.max(used);
+            }
+        }
+        (samples > 0).then(|| WindowUsage { samples, avg: sum / samples as f64, max })
     }
 
     /// Drops a tenant's series (called at suspension). Equivalent, from
@@ -243,8 +255,9 @@ mod tests {
         sim.run_for(dur::secs(30));
         // 10 ms generation over 30 s => ~3000 samples, all inside a 60 s
         // window. The old code capped retention at 1024.
-        let samples = p.visible_window(TenantId(2), sim.now(), dur::secs(60));
-        assert!(samples.len() >= 2900, "visible samples were evicted: {}", samples.len());
+        let samples =
+            p.visible_window(TenantId(2), sim.now(), dur::secs(60)).map_or(0, |w| w.samples);
+        assert!(samples >= 2900, "visible samples were evicted: {samples}");
     }
 
     /// The horizon really evicts — and even when it is shorter than the
@@ -263,8 +276,9 @@ mod tests {
         let p = MetricsPipeline::start(&sim, r, cfg);
         sim.run_for(dur::secs(600));
         // 60 samples generated; only ~the last 30 s retained.
-        let retained = p.visible_window(TenantId(2), sim.now(), dur::secs(600));
-        assert!(retained.len() <= 4, "horizon did not evict: {}", retained.len());
+        let retained =
+            p.visible_window(TenantId(2), sim.now(), dur::secs(600)).map_or(0, |w| w.samples);
+        assert!(retained <= 4, "horizon did not evict: {retained}");
         let (t, _) = p.visible_usage(TenantId(2), sim.now()).expect("newest visible kept");
         assert!(sim.now().duration_since(t) >= dur::secs(20));
     }
@@ -277,7 +291,8 @@ mod tests {
         r.with_tenant(TenantId(2), |e| e.suspended = false);
         let p = MetricsPipeline::start(&sim, r.clone(), PipelineConfig::direct());
         sim.run_for(dur::secs(31));
-        let samples = p.visible_window(TenantId(2), sim.now(), dur::secs(30));
-        assert!(samples.len() >= 9, "roughly one sample per 3s: {}", samples.len());
+        let samples =
+            p.visible_window(TenantId(2), sim.now(), dur::secs(30)).map_or(0, |w| w.samples);
+        assert!(samples >= 9, "roughly one sample per 3s: {samples}");
     }
 }

@@ -36,6 +36,13 @@ impl fmt::Display for Token {
     }
 }
 
+/// `input[from..to]`. Every token starts and ends at an ASCII byte, so the
+/// bounds are character boundaries; were one not, the statement is
+/// refused rather than the process aborted.
+fn text(input: &str, from: usize, to: usize) -> Result<&str, String> {
+    input.get(from..to).ok_or_else(|| "token boundary inside a character".to_string())
+}
+
 /// Tokenizes SQL text. Returns an error message on malformed input.
 pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
     let mut out = Vec::new();
@@ -52,23 +59,25 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
                 }
             }
             '\'' => {
+                // Copied a run at a time, between quotes: a quote is one
+                // ASCII byte, so every run is whole UTF-8 characters.
                 let mut s = String::new();
                 i += 1;
+                let mut run = i;
                 loop {
                     match bytes.get(i) {
                         None => return Err("unterminated string literal".into()),
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
+                        Some(b'\'') => {
+                            s.push_str(text(input, run, i)?);
+                            if bytes.get(i + 1) != Some(&b'\'') {
+                                i += 1;
+                                break;
+                            }
                             s.push('\'');
                             i += 2;
+                            run = i;
                         }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(_) => i += 1,
                     }
                 }
                 out.push(Token::Str(s));
@@ -82,7 +91,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
                 if j == start {
                     return Err("bare $".into());
                 }
-                let n: usize = input[start..j].parse().map_err(|_| "bad param")?;
+                let n: usize = text(input, start, j)?.parse().map_err(|_| "bad param")?;
                 if n == 0 {
                     return Err("params are 1-based".into());
                 }
@@ -101,11 +110,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
                     }
                     j += 1;
                 }
-                let text = &input[start..j];
+                let number = text(input, start, j)?;
                 if is_float {
-                    out.push(Token::Float(text.parse().map_err(|_| "bad float")?));
+                    out.push(Token::Float(number.parse().map_err(|_| "bad float")?));
                 } else {
-                    out.push(Token::Int(text.parse().map_err(|_| "bad int")?));
+                    out.push(Token::Int(number.parse().map_err(|_| "bad int")?));
                 }
                 i = j;
             }
@@ -115,7 +124,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
                 while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
                     j += 1;
                 }
-                out.push(Token::Ident(input[start..j].to_ascii_lowercase()));
+                out.push(Token::Ident(text(input, start, j)?.to_ascii_lowercase()));
                 i = j;
             }
             '<' if bytes.get(i + 1) == Some(&b'=') => {
@@ -162,7 +171,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
                 out.push(Token::Sym(sym));
                 i += 1;
             }
-            other => return Err(format!("unexpected character {other:?}")),
+            _ => {
+                // `c` is one byte; name the whole character it starts.
+                let other = text(input, i, input.len())?.chars().next().unwrap_or(c);
+                return Err(format!("unexpected character {other:?}"));
+            }
         }
     }
     Ok(out)
@@ -199,6 +212,16 @@ mod tests {
             toks,
             vec![Token::Int(1), Token::Float(2.5), Token::Str("it's".into()), Token::Param(3),]
         );
+    }
+
+    #[test]
+    fn non_ascii_text_survives_in_literals_and_is_refused_outside() {
+        let toks = tokenize("'naïve ''日本'' 𝄞' -- commentaire é\n'ß'").unwrap();
+        assert_eq!(toks, vec![Token::Str("naïve '日本' 𝄞".into()), Token::Str("ß".into())]);
+        assert_eq!(tokenize("sélect").unwrap_err(), "unexpected character 'é'");
+        assert_eq!(tokenize("$１").unwrap_err(), "bare $");
+        assert!(tokenize("1２").is_err());
+        assert!(tokenize("'日本").is_err());
     }
 
     #[test]

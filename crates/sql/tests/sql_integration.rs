@@ -75,6 +75,34 @@ fn ddl_insert_select_roundtrip() {
     assert_eq!(out.rows[0][0], Datum::Int(2));
 }
 
+/// Multi-byte text in a statement reaches storage and comes back as
+/// written — as a primary key, as a value and in a predicate — and where
+/// SQL does not allow it the statement is refused, not the process.
+#[test]
+fn non_ascii_statement_text() {
+    let f = setup(14);
+    exec(&f, "CREATE TABLE words (w STRING PRIMARY KEY, note STRING)");
+    exec(
+        &f,
+        "INSERT INTO words VALUES ('naïve', 'İstanbul’da'), ('日本', '𝄞 ''clef'''), ('z', 'ß')",
+    );
+    let out = exec(&f, "SELECT note FROM words WHERE w = '日本'");
+    assert_eq!(out.rows, vec![vec![Datum::Str("𝄞 'clef'".into())]]);
+    let out = exec(&f, "SELECT w FROM words WHERE note > 'ß' ORDER BY w");
+    assert_eq!(out.rows, vec![vec![Datum::Str("naïve".into())], vec![Datum::Str("日本".into())]]);
+    let out = exec_params(
+        &f,
+        "UPDATE words SET note = $1 WHERE w = 'naïve'",
+        vec![Datum::Str("é".into())],
+    );
+    assert_eq!(out.unwrap().rows_affected, 1);
+    let out = exec(&f, "SELECT w, note FROM words ORDER BY w LIMIT 1");
+    assert_eq!(out.rows, vec![vec![Datum::Str("naïve".into()), Datum::Str("é".into())]]);
+    for refused in ["SELECT nöte FROM words", "SELECT * FROM words WHERE w = $１", "SÉLECT 1"] {
+        assert!(try_exec(&f, refused).is_err(), "{refused}");
+    }
+}
+
 #[test]
 fn update_delete_and_rescan() {
     let f = setup(2);

@@ -211,6 +211,54 @@ fn tenant_input(seed: u64, rng: &mut SmallRng) -> String {
     }
 }
 
+/// Characters of every UTF-8 width, chosen to sit badly with byte-wise
+/// text handling: two to four bytes, a no-break space, a combining mark,
+/// a capital whose lower case is longer, a full-width digit, typographic
+/// quotes, a byte-order mark and a line separator.
+const NON_ASCII: &[char] = &[
+    'é', 'ß', 'İ', '\u{a0}', '\u{301}', '日', '本', '１', '’', '“', '\u{feff}', '\u{2028}', '𝄞',
+    '🦀',
+];
+
+fn non_ascii_word(rng: &mut SmallRng) -> String {
+    let len = rng.gen_range(1..=4);
+    (0..len).map(|_| NON_ASCII[rng.gen_range(0..NON_ASCII.len())]).collect()
+}
+
+/// A corpus statement with multi-byte text put where a tenant can put it:
+/// inside a string literal, in place of or glued to an identifier or a
+/// number, after a `$`, after a parameter's digits, and bare between
+/// words.
+fn non_ascii_input(rng: &mut SmallRng) -> String {
+    let mut words: Vec<String> =
+        CORPUS[rng.gen_range(0..CORPUS.len())].split(' ').map(String::from).collect();
+    for _ in 0..rng.gen_range(1..=3) {
+        let at = rng.gen_range(0..words.len());
+        let w = non_ascii_word(rng);
+        match rng.gen_range(0..6) {
+            0 => words[at] = format!("'{w}''{}'", non_ascii_word(rng)),
+            1 => words[at] = w,
+            2 => words[at].push_str(&w),
+            3 => words[at] = format!("${w}"),
+            4 => words[at] = format!("${}{w}", rng.gen_range(1..10u32)),
+            _ => words.insert(at, w),
+        }
+    }
+    words.join(" ")
+}
+
+/// Every prefix of `input`, cut at each byte offset; a cut inside a
+/// character leaves U+FFFD, as decoding a truncated packet would.
+fn byte_prefixes(input: &str) -> impl Iterator<Item = String> + '_ {
+    (0..=input.len()).map(|cut| String::from_utf8_lossy(&input.as_bytes()[..cut]).into_owned())
+}
+
+fn check_parser_returns(label: &str, input: &str) {
+    // A panic aborts the test; name the input first.
+    let outcome = std::panic::catch_unwind(|| crdb_sql::parser::parse(input).is_ok());
+    assert!(outcome.is_ok(), "{label}: parser panicked on {input:?}");
+}
+
 /// The parser returns — a statement or an error — on arbitrary input.
 #[test]
 fn parser_never_panics() {
@@ -219,9 +267,13 @@ fn parser_never_panics() {
     }
     for seed in 0..4 * CASES {
         let input = tenant_input(seed, &mut SmallRng::seed_from_u64(seed));
-        // A panic aborts the test; name the input first.
-        let outcome = std::panic::catch_unwind(|| crdb_sql::parser::parse(&input).is_ok());
-        assert!(outcome.is_ok(), "seed {seed}: parser panicked on {input:?}");
+        check_parser_returns(&format!("seed {seed}"), &input);
+    }
+    for seed in 0..CASES {
+        let input = non_ascii_input(&mut SmallRng::seed_from_u64(seed));
+        for prefix in byte_prefixes(&input) {
+            check_parser_returns(&format!("non-ASCII seed {seed}"), &prefix);
+        }
     }
 }
 
@@ -245,6 +297,14 @@ fn lexer_total() {
     for seed in 0..4 * CASES {
         let input = tenant_input(seed, &mut SmallRng::seed_from_u64(seed));
         check_lexer_total(&format!("seed {seed}"), &input);
+    }
+    // Multi-byte text: a literal that lost or re-encoded a character
+    // would not render back to the same tokens.
+    for seed in 0..CASES {
+        let input = non_ascii_input(&mut SmallRng::seed_from_u64(seed));
+        for prefix in byte_prefixes(&input) {
+            check_lexer_total(&format!("non-ASCII seed {seed}"), &prefix);
+        }
     }
 }
 

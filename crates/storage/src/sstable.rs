@@ -19,7 +19,9 @@ const ENTRY_OVERHEAD: usize = 16;
 pub struct SsTable {
     /// Monotonic file number; larger = newer data (used for L0 precedence).
     num: u64,
-    entries: Arc<Vec<(Key, Option<Value>)>>,
+    /// Exactly `len()` slots: a table lives as long as any snapshot that
+    /// pinned it, so the builder's growth slack is not carried along.
+    entries: Arc<[(Key, Option<Value>)]>,
     /// Bloom filter over the table's keys, consulted before any binary
     /// search on the point-read path.
     bloom: Arc<BloomFilter>,
@@ -43,7 +45,7 @@ impl SsTable {
             .map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len()) + ENTRY_OVERHEAD)
             .sum::<usize>()
             + bloom.byte_len();
-        SsTable { num, entries: Arc::new(entries), bloom: Arc::new(bloom), size }
+        SsTable { num, entries: entries.into(), bloom: Arc::new(bloom), size }
     }
 
     /// The table's file number.

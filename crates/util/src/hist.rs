@@ -5,6 +5,11 @@
 //! (~1.5% per bucket), so memory stays bounded no matter how many samples
 //! are recorded, while percentiles remain accurate enough for the shapes the
 //! paper reports.
+//!
+//! Storage is sparse: an empty histogram owns no heap memory and a
+//! populated one holds one `(bucket, count)` pair per distinct bucket it
+//! has seen, so a histogram kept per tenant or per node costs what its
+//! owner recorded, not the 1,920-bucket range a `u64` can reach.
 
 use std::time::Duration;
 
@@ -16,7 +21,9 @@ const SUB_BITS: u32 = 6; // log2(SUB_BUCKETS)
 /// A histogram over non-negative `u64` values (typically nanoseconds).
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    counts: Vec<u64>,
+    /// `(bucket index, count)` for every bucket with a non-zero count,
+    /// sorted by index.
+    counts: Vec<(u16, u64)>,
     total: u64,
     sum: u128,
     min: u64,
@@ -30,38 +37,45 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        // 64 exponent levels x 64 sub-buckets covers the full u64 range.
-        Histogram { counts: vec![0; 64 * SUB_BUCKETS], total: 0, sum: 0, min: u64::MAX, max: 0 }
+    /// Creates an empty histogram. Allocates nothing.
+    pub const fn new() -> Self {
+        Histogram { counts: Vec::new(), total: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
-    fn index(value: u64) -> usize {
+    /// The bucket holding `value`; at most 1,919 (`u64::MAX`), so it fits
+    /// the `u16` the sparse table keys on.
+    fn index(value: u64) -> u16 {
         if value < SUB_BUCKETS as u64 {
-            return value as usize;
+            return value as u16;
         }
         let exp = 63 - value.leading_zeros();
         let shift = exp - SUB_BITS + 1;
         let sub = (value >> shift) as usize - SUB_BUCKETS / 2;
         // Level 0 holds [0, 64); each subsequent level holds 32 buckets of
         // doubling width. Layout keeps indices monotonic in value.
-        ((exp - SUB_BITS + 1) as usize) * (SUB_BUCKETS / 2) + SUB_BUCKETS / 2 + sub
+        (((exp - SUB_BITS + 1) as usize) * (SUB_BUCKETS / 2) + SUB_BUCKETS / 2 + sub) as u16
     }
 
-    fn bucket_high(index: usize) -> u64 {
+    fn bucket_high(index: u16) -> u64 {
+        let index = usize::from(index);
         if index < SUB_BUCKETS {
             return index as u64;
         }
         let level = (index - SUB_BUCKETS / 2) / (SUB_BUCKETS / 2);
         let sub = (index - SUB_BUCKETS / 2) % (SUB_BUCKETS / 2) + SUB_BUCKETS / 2;
         let shift = level as u32;
-        ((sub as u64 + 1) << shift) - 1
+        // The last bucket's bound is 2^64 - 1: the shift drops the carry
+        // and the subtraction wraps back to it.
+        ((sub as u64 + 1) << shift).wrapping_sub(1)
     }
 
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
         let idx = Self::index(value);
-        self.counts[idx] += 1;
+        match self.counts.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(pos) => self.counts[pos].1 += 1,
+            Err(pos) => self.counts.insert(pos, (idx, 1)),
+        }
         self.total += 1;
         self.sum += value as u128;
         self.min = self.min.min(value);
@@ -120,7 +134,7 @@ impl Histogram {
         }
         let rank = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for &(i, c) in &self.counts {
             seen += c;
             if seen >= rank {
                 return Self::bucket_high(i).min(self.max).max(self.min);
@@ -187,8 +201,14 @@ mod tests {
     }
 
     #[test]
+    fn largest_value_lands_in_the_last_bucket() {
+        assert_eq!(Histogram::index(u64::MAX), 1919);
+        assert_eq!(Histogram::bucket_high(1919), u64::MAX);
+    }
+
+    #[test]
     fn indices_are_monotonic_in_value() {
-        let mut last = 0usize;
+        let mut last = 0u16;
         for v in (0..1_000_000u64).step_by(997) {
             let idx = Histogram::index(v);
             assert!(idx >= last, "index regressed at {v}");
