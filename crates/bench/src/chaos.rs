@@ -24,7 +24,7 @@
 
 use std::time::Duration;
 
-use crate::soak::TenantRun;
+use crate::soak::{check_invariants, watch_replicas, TenantRun};
 use crdb_core::chaos::install_chaos;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::fault::{FaultPlan, FaultSchedule};
@@ -76,6 +76,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
         config.topology = Topology::three_region();
     }
     let cluster = ServerlessCluster::new(&sim, config);
+    let replicas = watch_replicas(&sim, &cluster);
 
     // Two tenants: the workload itself, and the cross-tenant witness.
     let runs: Vec<TenantRun> = ["alpha", "beta"]
@@ -123,9 +124,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     // Invariant checks — through the same connections that lived
     // through the chaos.
     let mut violations = Vec::new();
-    for run in &runs {
-        run.check_invariants(&sim, &mut violations);
-    }
+    check_invariants(&sim, &cluster, &runs, &replicas, &mut violations);
     let migrations = cluster.proxy.migrations.get();
     let log = injector.log();
     if log.contains("sessions lost)") && !log.contains("(0 sessions lost)") && migrations == 0 {

@@ -27,7 +27,7 @@
 
 use std::time::Duration;
 
-use crate::soak::TenantRun;
+use crate::soak::{check_invariants, watch_replicas, TenantRun};
 use crdb_core::chaos::install_chaos;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_sim::fault::{FaultEvent, FaultKind, FaultSchedule};
@@ -107,6 +107,7 @@ pub fn run_disaster(opts: &DisasterOptions) -> DisasterReport {
         ServerlessConfig { topology: Topology::three_region(), ..ServerlessConfig::default() };
     config.proxy.statement_deadline = Some(opts.statement_deadline);
     let cluster = ServerlessCluster::new(&sim, config);
+    let replicas = watch_replicas(&sim, &cluster);
 
     // Three tenants, homed one per region. The victim spans all three
     // regions so the chaos controller can re-home it; the healthy two
@@ -173,8 +174,8 @@ pub fn run_disaster(opts: &DisasterOptions) -> DisasterReport {
     // the disaster (recovery is proven by these statements completing).
     let mut violations = Vec::new();
     let mut healthy_p99 = Vec::new();
+    check_invariants(&sim, &cluster, &runs, &replicas, &mut violations);
     for run in &runs {
-        run.check_invariants(&sim, &mut violations);
         if run.home != VICTIM_REGION {
             match cluster.proxy.tenant_statement_p99(run.tenant) {
                 Some(p99) => {

@@ -1,10 +1,13 @@
 //! What the chaos and disaster soaks share: one tenant's TPC-C-lite
-//! workload, and the two invariants both soaks check on it afterwards.
+//! workload, and the three invariants both soaks check: durability and
+//! isolation per tenant afterwards, replica equality throughout.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use crdb_core::ServerlessCluster;
+use crdb_kv::timing::GC_WINDOW;
 use crdb_sim::Sim;
 use crdb_util::{RegionId, TenantId};
 use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
@@ -12,6 +15,9 @@ use crdb_workload::executors::load_tenant;
 use crdb_workload::tpcc;
 
 use crate::exec_one;
+
+#[path = "../../../tests/support/replica_oracle.rs"]
+mod replica_oracle;
 
 /// One tenant's workload plus the bookkeeping its invariants need.
 pub(crate) struct TenantRun {
@@ -64,7 +70,7 @@ impl TenantRun {
     /// twice; losing an *acked* commit is the violation) — and isolation —
     /// `secrets` holds exactly this tenant's marker row. Both run through
     /// the executor that lived through the faults.
-    pub(crate) fn check_invariants(&self, sim: &Sim, violations: &mut Vec<String>) {
+    fn check_invariants(&self, sim: &Sim, violations: &mut Vec<String>) {
         let committed_orders =
             self.driver.stats.by_label.borrow().get("new_order").copied().unwrap_or(0) as i64;
         let final_orders = count_orders(sim, &self.executor);
@@ -83,6 +89,42 @@ impl TenantRun {
             ));
         }
     }
+}
+
+/// Replica equality, watched from now on: the replicas of every range of
+/// `cluster` are compared (`tests/support/replica_oracle.rs`) twice per GC
+/// window until they first differ. That often because collected history
+/// is evidence lost — a version one follower never got looks, once a
+/// newer one covers it, like a version its GC took — and nothing written
+/// less than a window ago can have been collected.
+pub(crate) fn watch_replicas(sim: &Sim, cluster: &ServerlessCluster) -> Rc<RefCell<Vec<String>>> {
+    let diverged = Rc::new(RefCell::new(Vec::new()));
+    let (kv, found) = (cluster.kv.clone(), Rc::clone(&diverged));
+    sim.schedule_periodic(GC_WINDOW / 2, move || {
+        found.borrow_mut().extend(replica_oracle::divergences(&kv));
+        found.borrow().is_empty()
+    });
+    diverged
+}
+
+/// The soaks' invariants: durability and isolation of every tenant
+/// ([`TenantRun::check_invariants`]), and no replica divergence — none
+/// that [`watch_replicas`] saw, none now.
+pub(crate) fn check_invariants(
+    sim: &Sim,
+    cluster: &ServerlessCluster,
+    runs: &[TenantRun],
+    watched: &RefCell<Vec<String>>,
+    violations: &mut Vec<String>,
+) {
+    for run in runs {
+        run.check_invariants(sim, violations);
+    }
+    let mut diverged = watched.take();
+    if diverged.is_empty() {
+        diverged = replica_oracle::divergences(&cluster.kv);
+    }
+    violations.extend(diverged.into_iter().map(|d| format!("replicas diverged: {d}")));
 }
 
 fn count_orders(sim: &Sim, ex: &Rc<dyn SqlExecutor>) -> i64 {

@@ -45,35 +45,16 @@ use crate::auth::TenantCert;
 use crate::batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};
 use crate::cluster::KvCluster;
 use crate::directory::{RangeCache, RangeInfo};
+use crate::timing::{ROUTING_BACKOFF_CAP, RPC_TIMEOUT};
 use crate::txn::TxnMeta;
 
 /// Maximum redirect/stale-cache retries per sub-batch. Exhaustion
 /// surfaces [`KvError::Unavailable`]. Sized so the retry window
 /// (with backoff, ~19 s) outlasts a liveness-driven lease transfer
 /// (TTL 9 s + 2 s check period).
-const MAX_ROUTING_RETRIES: u32 = 16;
+pub(crate) const MAX_ROUTING_RETRIES: u32 = 16;
 /// Maximum intent-conflict retries per sub-batch.
 const MAX_CONFLICT_RETRIES: u32 = 32;
-/// An RPC with no reply by this deadline (its request or response was
-/// dropped by a partition) is treated as a `NodeUnavailable` hop
-/// failure and retried — the client never hangs on a dropped message.
-/// Clamped to the batch deadline's remaining time when one is set.
-const RPC_TIMEOUT_MS: u64 = 10_000;
-
-/// Cap of the routing backoff.
-const ROUTING_BACKOFF_CAP_MS: u64 = 1_600;
-
-/// How long after a batch was handed to [`KvClient::send`] the client can
-/// still be sending one of its sub-batches again: the first dispatch and
-/// each of the `MAX_ROUTING_RETRIES` after it waits out at most one META
-/// lookup, one RPC and one capped backoff. A leaseholder that applied a
-/// commit must recognise the copies that follow for at least this long
-/// (it is the transaction status table's retention), and a copy that
-/// reaches it later than that was not sent by a client inside its retry
-/// budget.
-pub(crate) const RESEND_WINDOW: Duration = Duration::from_millis(
-    (MAX_ROUTING_RETRIES as u64 + 1) * (2 * RPC_TIMEOUT_MS + ROUTING_BACKOFF_CAP_MS),
-);
 
 /// Routing backoff: doubles from 50 ms, capped at 1.6 s. The budget is
 /// `MAX_ROUTING_RETRIES + 1` because the terminal check lives in
@@ -81,7 +62,7 @@ pub(crate) const RESEND_WINDOW: Duration = Duration::from_millis(
 /// policy must still yield the final backoff at attempt 16 — exactly
 /// the legacy `(50ms << n.min(5)).min(1600ms)` schedule.
 fn routing_policy() -> RetryPolicy {
-    RetryPolicy::exponential(dur::ms(50), dur::ms(ROUTING_BACKOFF_CAP_MS), MAX_ROUTING_RETRIES + 1)
+    RetryPolicy::exponential(dur::ms(50), ROUTING_BACKOFF_CAP, MAX_ROUTING_RETRIES + 1)
 }
 
 /// Conflict backoff: linear from 1 ms in 2 ms steps, capped at 32 ms —
@@ -573,7 +554,7 @@ impl DispatchState {
     /// Effective RPC timeout at `now`: the fixed wire timeout, clamped
     /// to the batch deadline's remaining time.
     fn rpc_timeout(&self, now: crdb_util::SimTime) -> Duration {
-        dur::ms(RPC_TIMEOUT_MS).min(self.template.deadline.remaining(now))
+        RPC_TIMEOUT.min(self.template.deadline.remaining(now))
     }
 
     /// Whether `node`'s breaker admits a request at `now`.

@@ -11,7 +11,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use crdb_admission::AdmissionConfig;
@@ -29,6 +28,7 @@ use crate::liveness::{Liveness, LivenessConfig};
 use crate::mvcc;
 use crate::node::KvNode;
 use crate::range::{Lease, Placement, RangeDescriptor, RangeState};
+use crate::timing::TXN_STATUS_RETENTION;
 use crate::txn::TxnStatus;
 
 /// Cluster configuration.
@@ -77,14 +77,6 @@ impl Default for KvClusterConfig {
         }
     }
 }
-
-/// How long the transaction-status table remembers a finalized
-/// transaction: for as long as a [`crate::KvClient`] that never heard of
-/// the commit can still be sending it again. A one-phase commit leaves
-/// nothing else behind to recognise such a replay by; the intents of a
-/// staged one have long been resolved by then, and the persisted record
-/// settles any that have not.
-pub(crate) const TXN_STATUS_RETENTION: Duration = crate::client::RESEND_WINDOW;
 
 /// Shared cluster control state.
 pub struct ClusterInner {
@@ -273,7 +265,7 @@ pub struct DegradeCounters {
     /// no live replication quorum.
     pub quorum_losses: Cell<u64>,
     /// Abandoned transactions (dead coordinator, intent past
-    /// [`crate::node::TXN_ABANDON_TIMEOUT`]) aborted by a conflicting
+    /// [`crate::timing::TXN_ABANDON_TIMEOUT`]) aborted by a conflicting
     /// reader's push.
     pub txn_pushes: Cell<u64>,
 }
@@ -830,6 +822,11 @@ impl KvCluster {
     /// pick victims).
     pub fn leaseholder_of(&self, key: &[u8]) -> Option<NodeId> {
         self.inner.borrow().directory.lookup(key).map(|r| r.lease.holder)
+    }
+
+    /// A copy of every range's state (ground truth from the directory).
+    pub fn ranges(&self) -> Vec<RangeState> {
+        self.inner.borrow().directory.iter().cloned().collect()
     }
 
     /// A copy of the state of the range containing `key` (ground truth

@@ -54,22 +54,16 @@ pub fn make_key(tenant: TenantId, user_key: &[u8]) -> Bytes {
 
 /// Extracts the owning tenant of a prefixed key, if well-formed.
 pub fn key_tenant(key: &[u8]) -> Option<TenantId> {
-    if key.len() >= TENANT_PREFIX_LEN && key[0] == TENANT_TAG {
-        let id = u64::from_be_bytes(key[1..9].try_into().ok()?);
-        Some(TenantId(id))
-    } else {
-        None
-    }
+    let (&tag, rest) = key.split_first()?;
+    let (id, _) = rest.split_first_chunk()?;
+    (tag == TENANT_TAG).then(|| TenantId(u64::from_be_bytes(*id)))
 }
 
 /// Strips the tenant prefix, returning the user key. Returns `None` for a
 /// key outside `tenant`'s segment.
 pub fn strip_prefix(tenant: TenantId, key: &[u8]) -> Option<Bytes> {
-    if key_tenant(key)? == tenant {
-        Some(Bytes::copy_from_slice(&key[TENANT_PREFIX_LEN..]))
-    } else {
-        None
-    }
+    let user_key = key.get(TENANT_PREFIX_LEN..)?;
+    (key_tenant(key)? == tenant).then(|| Bytes::copy_from_slice(user_key))
 }
 
 /// Whether `key` lies inside `tenant`'s segment.
@@ -97,11 +91,8 @@ pub fn encode_u64(buf: &mut BytesMut, v: u64) {
 /// Decodes a `u64` written by [`encode_u64`], returning the value and the
 /// remaining slice.
 pub fn decode_u64(buf: &[u8]) -> Option<(u64, &[u8])> {
-    if buf.len() < 8 {
-        return None;
-    }
-    let v = u64::from_be_bytes(buf[..8].try_into().ok()?);
-    Some((v, &buf[8..]))
+    let (v, rest) = buf.split_first_chunk()?;
+    Some((u64::from_be_bytes(*v), rest))
 }
 
 /// Appends an order-preserving string encoding: the bytes followed by a
@@ -122,20 +113,19 @@ pub fn encode_str(buf: &mut BytesMut, s: &str) {
 /// Decodes a string written by [`encode_str`].
 pub fn decode_str(buf: &[u8]) -> Option<(String, &[u8])> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < buf.len() {
-        if buf[i] == 0x00 {
-            match buf.get(i + 1)? {
-                0x01 => return String::from_utf8(out).ok().map(|s| (s, &buf[i + 2..])),
-                0xff => {
-                    out.push(0x00);
-                    i += 2;
-                }
-                _ => return None,
-            }
-        } else {
-            out.push(buf[i]);
-            i += 1;
+    let mut rest = buf;
+    while let Some((&b, after)) = rest.split_first() {
+        rest = after;
+        if b != 0x00 {
+            out.push(b);
+            continue;
+        }
+        let (&escape, after) = rest.split_first()?;
+        rest = after;
+        match escape {
+            0x01 => return String::from_utf8(out).ok().map(|s| (s, rest)),
+            0xff => out.push(0x00),
+            _ => return None,
         }
     }
     None
@@ -207,6 +197,24 @@ mod tests {
         let mut aa = BytesMut::new();
         encode_str(&mut aa, "aa");
         assert!(a.as_ref() < aa.as_ref());
+    }
+
+    #[test]
+    fn truncated_keys_decode_to_none_never_panic() {
+        let key = make_key(TenantId(7), b"row");
+        for cut in 0..TENANT_PREFIX_LEN {
+            assert_eq!(key_tenant(&key[..cut]), None, "cut at {cut}");
+            assert_eq!(strip_prefix(TenantId(7), &key[..cut]), None, "cut at {cut}");
+        }
+        assert_eq!(strip_prefix(TenantId(7), &key[..TENANT_PREFIX_LEN]), Some(Bytes::new()));
+        let mut composite = BytesMut::new();
+        encode_u64(&mut composite, 42);
+        encode_str(&mut composite, "with\0nul");
+        for cut in 0..composite.len() {
+            let cut_key = &composite[..cut];
+            let whole = decode_u64(cut_key).and_then(|(_, rest)| decode_str(rest));
+            assert_eq!(whole, None, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -27,14 +27,18 @@
 //!
 //! The *data path* is real: bytes land in real LSM engines on every
 //! replica, MVCC versions and intents are really written and resolved, and
-//! reads merge real versions. *Timing* is simulated: service latency comes
-//! from the cost model + admission queues + CPU scheduler, and replication
-//! waits simulated quorum round trips. Transactions use buffered writes;
+//! reads merge real versions. A batch is **evaluated once**, on the
+//! leaseholder; each follower **replays** the bytes that produced
+//! ([`mvcc::Applied`]) and reads nothing, so a range's replicas are equal
+//! by construction. *Timing* is simulated: service latency comes from the
+//! cost model + admission queues + CPU scheduler, and replication waits
+//! simulated quorum round trips. Transactions use buffered writes;
 //! a commit whose spans live in one range is evaluated there in one
 //! phase, any other runs the staged protocol (intents, then transaction
 //! record flip, then resolution), matching CockroachDB's behaviour for
 //! the workloads evaluated; the timestamp cache is approximated by
-//! per-key read watermarks plus retry-on-conflict.
+//! per-key read watermarks plus retry-on-conflict. The protocol's time
+//! constants, and the order among them it relies on, are in [`timing`].
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
@@ -52,6 +56,7 @@ pub mod mvcc;
 pub mod node;
 pub mod range;
 pub mod replication;
+pub mod timing;
 mod tscache;
 pub mod txn;
 

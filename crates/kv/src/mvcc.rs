@@ -19,33 +19,35 @@
 //! ≤ read_ts" is a short forward scan. Tombstoned versions (deletes) are
 //! materialized as `[0]` so history is preserved until GC.
 //!
+//! # Evaluate once, replay everywhere
+//!
+//! Every mutator takes **one** engine — the leaseholder's — reads what it
+//! must, applies there, and returns what it did as an [`Applied`]. A
+//! follower [`Applied::replay`]s that and reads nothing: no intent
+//! re-decoded, no conflict re-checked, no GC scan.
+//!
 //! # Garbage collection
 //!
-//! History older than [`GC_WINDOW_NANOS`] has two collectors, one per
-//! place a version can be. A version still in the active memtable is
-//! removed physically by the write that shadows it ([`gc_versions`]); it
-//! never reaches a data file. A flushed version is dropped by the
-//! compaction that next rewrites it ([`compaction_gc`], handed to
-//! `Lsm::finish_compaction` per job). Neither writes a tombstone.
+//! History older than [`GC_WINDOW`] has two collectors, one per place a
+//! version can be. A version still in the active memtable is removed
+//! physically by the write that shadows it ([`gc_versions`]); it never
+//! reaches a data file. A flushed version is dropped by the compaction
+//! that next rewrites it ([`compaction_gc`], handed to
+//! `Lsm::finish_compaction` per job). Neither writes a tombstone, so the
+//! write-time verdict is in no batch: its key list travels beside the
+//! batch, and each replica removes the keys its own memtable still holds.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crdb_storage::{Engine, WriteBatch};
 
 use crate::hlc::Timestamp;
+use crate::timing::GC_WINDOW;
 use crate::txn::TxnRecord;
-
-/// How much MVCC history is preserved: versions older than this (below
-/// the newest one readable at `now - GC_WINDOW`) are garbage — see the
-/// module docs for who collects them. CockroachDB's default
-/// `gc.ttlseconds` is far larger; the simulation's transactions are
-/// sub-second, so a short window keeps hot-key version chains bounded
-/// without breaking any reader.
-pub const GC_WINDOW_NANOS: u64 = 5_000_000_000;
 
 /// The oldest snapshot still readable at `now`: GC keeps, per key, the
 /// newest version at or below it and everything newer.
 pub fn gc_horizon(now: Timestamp) -> Timestamp {
-    Timestamp { wall: now.wall.saturating_sub(GC_WINDOW_NANOS), logical: 0 }
+    Timestamp { wall: now.wall.saturating_sub(GC_WINDOW.as_nanos() as u64), logical: 0 }
 }
 
 const VERSION_TAG: u8 = b'v';
@@ -151,17 +153,13 @@ fn encode_intent(intent: &Intent) -> Bytes {
 }
 
 fn decode_intent(raw: &Bytes) -> Option<Intent> {
-    if raw.len() < 21 {
-        return None;
-    }
-    let txn_id = u64::from_be_bytes(raw[0..8].try_into().ok()?);
-    let wall = u64::from_be_bytes(raw[8..16].try_into().ok()?);
-    let logical = u32::from_be_bytes(raw[16..20].try_into().ok()?);
-    let value = match raw[20] {
-        1 => Some(raw.slice(21..)),
-        _ => None,
-    };
-    Some(Intent { txn_id, ts: Timestamp { wall, logical }, value })
+    let (txn_id, rest) = raw.split_first_chunk()?;
+    let (wall, rest) = rest.split_first_chunk()?;
+    let (logical, rest) = rest.split_first_chunk()?;
+    let (&has_value, _) = rest.split_first()?;
+    let ts = Timestamp { wall: u64::from_be_bytes(*wall), logical: u32::from_be_bytes(*logical) };
+    let value = (has_value == 1).then(|| raw.slice(21..));
+    Some(Intent { txn_id: u64::from_be_bytes(*txn_id), ts, value })
 }
 
 /// Result of an MVCC point read.
@@ -238,20 +236,46 @@ pub fn readable_user_keys(
     users
 }
 
-/// Writes a committed version directly (non-transactional path, and the
-/// final step of intent resolution).
-pub fn put_version(engine: &Engine, key: &[u8], ts: Timestamp, value: Option<&Bytes>) {
-    let mut batch = WriteBatch::new();
-    batch.put(version_key(key, ts), encode_value(value));
-    engine.apply(&batch);
-    gc_key_inline(engine, key, ts);
+/// What a mutator did to the engine it evaluated on: the batch it applied
+/// and the version keys its write-time GC doomed.
+#[derive(Debug)]
+pub struct Applied {
+    batch: WriteBatch,
+    doomed: Vec<Bytes>,
 }
 
-/// Inline GC: drops unflushed versions of `key` older than the newest
-/// version readable at `ts - GC_WINDOW` (hot keys otherwise accumulate
-/// history that every span scan must walk and every flush must write).
-fn gc_key_inline(engine: &Engine, key: &[u8], ts: Timestamp) {
-    gc_versions(engine, key, gc_horizon(ts));
+impl Applied {
+    /// Applies `batch` to `engine`, then collects under each version it
+    /// put: the unflushed versions of that key which the new one shadows
+    /// for every read inside the GC window (hot keys otherwise accumulate
+    /// history that every span scan must walk and every flush must write).
+    fn evaluate(engine: &Engine, batch: WriteBatch) -> Applied {
+        engine.apply(&batch);
+        let mut doomed = Vec::new();
+        for (storage_key, value) in batch.entries() {
+            if let (Some((key, ts)), Some(_)) = (decode_version_key(storage_key), value) {
+                doomed.extend(gc_versions(engine, &key, gc_horizon(ts)));
+            }
+        }
+        Applied { batch, doomed }
+    }
+
+    /// Does to a follower's `engine` what evaluation did to the
+    /// leaseholder's: the same batch (one WAL record, the same refcounted
+    /// buffers), then the same keys offered to the memtable.
+    pub fn replay(&self, engine: &Engine) {
+        engine.apply(&self.batch);
+        for key in &self.doomed {
+            engine.gc_remove_if_in_memtable(key);
+        }
+    }
+}
+
+/// Writes a committed version directly (the non-transactional path).
+pub fn put_version(engine: &Engine, key: &[u8], ts: Timestamp, value: Option<&Bytes>) -> Applied {
+    let mut batch = WriteBatch::new();
+    batch.put(version_key(key, ts), encode_value(value));
+    Applied::evaluate(engine, batch)
 }
 
 /// Reads the newest committed version of `key` at or below `ts`. If
@@ -309,8 +333,8 @@ pub fn scan(
     let mut intents = Vec::new();
     let mut own_intents: std::collections::BTreeMap<Bytes, Option<Bytes>> = Default::default();
     engine.scan_visit(&intent_key(start), &intent_key(end), |k, raw| {
-        if let Some(intent) = decode_intent(raw) {
-            let user = Bytes::copy_from_slice(&k[1..]);
+        if let (Some(intent), Some(user)) = (decode_intent(raw), k.get(1..)) {
+            let user = Bytes::copy_from_slice(user);
             if Some(intent.txn_id) == own_txn {
                 own_intents.insert(user, intent.value);
             } else if intent.ts <= ts {
@@ -409,16 +433,6 @@ pub fn check_write(
     }
 }
 
-/// Lays down `txn_id`'s provisional intent on `key` without checking
-/// anything: the caller validated with [`check_write`], or is a follower
-/// applying what its leader validated.
-pub fn put_intent(engine: &Engine, key: &[u8], txn_id: u64, ts: Timestamp, value: Option<&Bytes>) {
-    let intent = Intent { txn_id, ts, value: value.cloned() };
-    let mut batch = WriteBatch::new();
-    batch.put(intent_key(key), encode_intent(&intent));
-    engine.apply(&batch);
-}
-
 /// Writes a provisional intent for `txn_id` at `ts` if [`check_write`]
 /// allows it.
 pub fn write_intent(
@@ -428,34 +442,29 @@ pub fn write_intent(
     ts: Timestamp,
     read_since: Timestamp,
     value: Option<&Bytes>,
-) -> Result<(), WriteConflict> {
+) -> Result<Applied, WriteConflict> {
     check_write(engine, key, txn_id, ts, read_since)?;
-    put_intent(engine, key, txn_id, ts, value);
-    Ok(())
+    let intent = Intent { txn_id, ts, value: value.cloned() };
+    let mut batch = WriteBatch::new();
+    batch.put(intent_key(key), encode_intent(&intent));
+    Ok(Applied::evaluate(engine, batch))
 }
 
 /// One-phase commit: applies every write of a transaction as a committed
-/// version at `commit_ts`, as **one** batch per replica engine — one WAL
-/// record, so a crash keeps all of the transaction or none of it. No
-/// intents are written, and therefore no transaction record: a record
-/// exists to settle intents. The caller validated every key with
-/// [`check_write`] first. The batch is encoded once and every engine
-/// holds the same refcounted buffers.
-pub fn commit_one_phase<'a>(
-    engines: impl IntoIterator<Item = &'a Engine>,
+/// version at `commit_ts`, as **one** batch — one WAL record, so a crash
+/// keeps all of the transaction or none of it. No intents are written,
+/// and therefore no transaction record: a record exists to settle
+/// intents. The caller validated every key with [`check_write`] first.
+pub fn commit_one_phase(
+    engine: &Engine,
     commit_ts: Timestamp,
     writes: &[(&Bytes, Option<&Bytes>)],
-) {
+) -> Applied {
     let mut batch = WriteBatch::new();
     for (key, value) in writes {
         batch.put(version_key(key, commit_ts), encode_value(*value));
     }
-    for engine in engines {
-        engine.apply(&batch);
-        for (key, _) in writes {
-            gc_key_inline(engine, key, commit_ts);
-        }
-    }
+    Applied::evaluate(engine, batch)
 }
 
 fn newest_version_ts(engine: &Engine, key: &[u8]) -> Option<Timestamp> {
@@ -477,34 +486,29 @@ fn newest_version_ts(engine: &Engine, key: &[u8]) -> Option<Timestamp> {
 /// *different* transaction — without the ownership check, a failed
 /// transaction's cleanup could delete a concurrent transaction's intent
 /// and silently lose its committed write.
-pub fn resolve_intent(engine: &Engine, key: &[u8], txn_id: u64, commit_ts: Option<Timestamp>) {
-    let raw = match engine.get(&intent_key(key)) {
-        Some(r) => r,
-        None => return,
-    };
-    let intent = match decode_intent(&raw) {
-        Some(i) => i,
-        None => return,
-    };
+pub fn resolve_intent(
+    engine: &Engine,
+    key: &[u8],
+    txn_id: u64,
+    commit_ts: Option<Timestamp>,
+) -> Option<Applied> {
+    let intent = decode_intent(&engine.get(&intent_key(key))?)?;
     if intent.txn_id != txn_id {
-        return;
+        return None;
     }
     let mut batch = WriteBatch::new();
     batch.delete(intent_key(key));
     if let Some(ts) = commit_ts {
         batch.put(version_key(key, ts), encode_value(intent.value.as_ref()));
     }
-    engine.apply(&batch);
-    if let Some(ts) = commit_ts {
-        gc_key_inline(engine, key, ts);
-    }
+    Some(Applied::evaluate(engine, batch))
 }
 
 /// Persists a transaction record.
-pub fn put_txn_record(engine: &Engine, record: &TxnRecord) {
+pub fn put_txn_record(engine: &Engine, record: &TxnRecord) -> Applied {
     let mut batch = WriteBatch::new();
     batch.put(txn_key(record.txn_id), record.encode());
-    engine.apply(&batch);
+    Applied::evaluate(engine, batch)
 }
 
 /// Loads a transaction record.
@@ -514,8 +518,9 @@ pub fn get_txn_record(engine: &Engine, txn_id: u64) -> Option<TxnRecord> {
 
 /// Garbage-collects the unflushed versions of `key` older than
 /// `keep_after` (keeping the newest version at or below it so reads at
-/// `keep_after` still succeed).
-pub fn gc_versions(engine: &Engine, key: &[u8], keep_after: Timestamp) {
+/// `keep_after` still succeed). Returns the doomed keys — all of them,
+/// whether this engine's memtable still held them or not.
+pub fn gc_versions(engine: &Engine, key: &[u8], keep_after: Timestamp) -> Vec<Bytes> {
     let start = version_key(key, keep_after);
     let mut end = BytesMut::from(version_prefix(key).as_ref());
     end.put_u8(0x00);
@@ -537,6 +542,7 @@ pub fn gc_versions(engine: &Engine, key: &[u8], keep_after: Timestamp) {
     for k in &doomed {
         engine.gc_remove_if_in_memtable(k);
     }
+    doomed
 }
 
 /// The collector of flushed history: a filter for one compaction job
@@ -737,7 +743,7 @@ mod tests {
         assert_eq!(check_write(&e, b"a", 7, ts(30), ts(20)), Ok(()));
         assert_eq!(check_write(&e, b"b", 7, ts(30), ts(20)), Ok(()));
         let (ka, kb, va) = (b("a"), b("b"), b("new"));
-        commit_one_phase([&e], ts(30), &[(&ka, Some(&va)), (&kb, None)]);
+        commit_one_phase(&e, ts(30), &[(&ka, Some(&va)), (&kb, None)]);
         assert_eq!(e.metrics().wal_batches, before + 1, "every write shares one WAL batch");
         // Nothing provisional was laid down, so nothing is there to settle
         // it: the engine holds versions and nothing else.
@@ -805,6 +811,21 @@ mod tests {
         put_txn_record(&e, &rec);
         assert_eq!(get_txn_record(&e, 42), Some(rec));
         assert_eq!(get_txn_record(&e, 43), None);
+    }
+
+    #[test]
+    fn truncated_encodings_decode_to_none_never_panic() {
+        let stored = version_key(b"key", ts(10));
+        assert_eq!(decode_version_key(&stored), Some((b("key"), ts(10))));
+        for cut in 0..stored.len() {
+            assert_eq!(decode_version_key(&stored[..cut]), None, "version key cut at {cut}");
+        }
+        let intent = Intent { txn_id: 7, ts: ts(10), value: None };
+        let stored = encode_intent(&intent);
+        assert_eq!(decode_intent(&stored), Some(intent));
+        for cut in 0..stored.len() {
+            assert_eq!(decode_intent(&stored.slice(..cut)), None, "intent cut at {cut}");
+        }
     }
 
     #[test]

@@ -42,14 +42,9 @@ use crate::directory::Directory;
 use crate::hlc::{Hlc, Timestamp};
 use crate::mvcc;
 use crate::range::RangeState;
+use crate::timing::TXN_ABANDON_TIMEOUT;
 use crate::tscache::TsCache;
 use crate::txn::{TxnMeta, TxnRecord, TxnStatus};
-
-/// How long an intent may sit untouched with its transaction still
-/// `Pending` before a conflicting reader may declare the transaction
-/// abandoned (coordinator crashed) and push-abort it. Far above any
-/// live transaction's lifetime, so only orphans are ever pushed.
-pub const TXN_ABANDON_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Bytes a transaction record adds to a write batch's physical payload.
 const TXN_RECORD_PAYLOAD: usize = 32;
@@ -219,7 +214,7 @@ impl KvNode {
             node.admission.borrow_mut().estimate_write_capacity(now, metrics, l0);
             true
         });
-        // Storage sweeper: mirrored follower writes land in this engine
+        // Storage sweeper: a follower's replays land in its engine
         // without going through `execute`, so a coarse tick commits any
         // straggling WAL group and starts background jobs their rotation
         // produced. Leader-driven writes don't wait for this — they arm
@@ -460,30 +455,44 @@ impl KvNode {
         // check runs again; and a write whose range has lost its
         // replication quorum (a zone/region outage downed a follower
         // majority) is rejected *before* any MVCC mutation applies — a
-        // write that cannot replicate must never apply or ack.
+        // write that cannot replicate must never apply or ack. The range's
+        // followers are looked up this once, for the gate, the replay and
+        // the quorum wait (liveness cannot change mid-event).
         let gate = {
             let inner = cluster.borrow();
             addressed_range(self.id, &inner.directory, &batch).and_then(|range| {
                 let replicas = &range.desc.replicas;
-                let live = replicas
+                let followers: Vec<Rc<KvNode>> = replicas
                     .iter()
-                    .filter(|&&n| n == self.id || inner.nodes.get(&n).is_some_and(|f| f.is_alive()))
-                    .count();
+                    .filter(|&&n| n != self.id)
+                    .filter_map(|n| inner.nodes.get(n).map(Rc::clone))
+                    .collect();
+                let live = 1 + followers.iter().filter(|f| f.is_alive()).count();
                 if batch.is_write() && live <= replicas.len() / 2 {
                     inner.degrade.quorum_losses.set(inner.degrade.quorum_losses.get() + 1);
                     span.tag("quorum_loss", true);
                     return Err(KvError::Unavailable);
                 }
-                Ok(())
+                Ok(followers)
             })
         };
-        if let Err(e) = gate {
-            self.admission.borrow_mut().complete(now, batch.tenant, class, cpu_cost, bytes, None);
-            span.end();
-            respond(BatchResponse::err(e));
-            self.pump();
-            return;
-        }
+        let followers = match gate {
+            Ok(followers) => followers,
+            Err(e) => {
+                self.admission.borrow_mut().complete(
+                    now,
+                    batch.tenant,
+                    class,
+                    cpu_cost,
+                    bytes,
+                    None,
+                );
+                span.end();
+                respond(BatchResponse::err(e));
+                self.pump();
+                return;
+            }
+        };
 
         // Write-stall backpressure: a write arriving while the engine has
         // a flush or L0 backlog pays a modeled stall delay before its ack.
@@ -502,7 +511,7 @@ impl KvNode {
 
         let storage_span = span.child("storage.mvcc");
         storage_span.tag("requests", batch.requests.len());
-        let result = self.execute_requests(&cluster, &batch);
+        let result = self.execute_requests(&cluster, &batch, &followers);
         let (response, write_payload) = match result {
             Ok((results, write_payload)) => (BatchResponse::ok(results), write_payload),
             Err(e) => (BatchResponse::err(e), 0),
@@ -547,39 +556,17 @@ impl KvNode {
         // waits for the surviving (possibly slower) replicas instead of
         // crediting acks from dead ones.
         let repl_delay = if write_payload > 0 {
-            let (leader, followers, follower_cost) = {
-                let inner = cluster.borrow();
-                let range = Self::anchor_key(&batch).and_then(|a| inner.directory.lookup(a));
-                let followers: Vec<(Location, bool)> = range
-                    .map(|r| {
-                        r.desc
-                            .replicas
-                            .iter()
-                            .filter(|&&n| n != self.id)
-                            .filter_map(|n| {
-                                inner.nodes.get(n).map(|node| (node.location, node.is_alive()))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let follower_cost = inner.cost_model.follower_apply_cpu_seconds(cpu_cost);
-                // Charge follower CPUs for the apply.
-                if let Some(r) = range {
-                    for n in &r.desc.replicas {
-                        if *n != self.id {
-                            if let Some(f) = inner.nodes.get(n) {
-                                f.cpu.submit(batch.tenant, follower_cost, || {});
-                            }
-                        }
-                    }
-                }
-                (self.location, followers, follower_cost)
-            };
-            let _ = follower_cost;
-            let topology = cluster.borrow().topology.clone();
-            // The pre-execute gate above guarantees a live quorum at
-            // this instant (liveness cannot change mid-event).
-            crate::replication::quorum_commit_delay(&self.sim, &topology, leader, &followers)
+            let inner = cluster.borrow();
+            // Charge follower CPUs for the apply.
+            let follower_cost = inner.cost_model.follower_apply_cpu_seconds(cpu_cost);
+            for f in &followers {
+                f.cpu.submit(batch.tenant, follower_cost, || {});
+            }
+            let acks: Vec<(Location, bool)> =
+                followers.iter().map(|f| (f.location, f.is_alive())).collect();
+            // The pre-execute gate above guarantees a live quorum.
+            let topology = &inner.topology;
+            crate::replication::quorum_commit_delay(&self.sim, topology, self.location, &acks)
                 .unwrap_or(Duration::ZERO)
         } else {
             Duration::ZERO
@@ -622,35 +609,44 @@ impl KvNode {
         }
     }
 
-    /// Runs the MVCC work of a batch against this node's engine, mirroring
-    /// every mutation onto the follower replicas' engines (the data path is
-    /// synchronous; see module docs of [`crate::replication`]).
+    /// Runs the MVCC work of a batch: evaluates it against this node's
+    /// engine alone, then has each follower replay what that applied — at
+    /// the single exit, because a batch that fails may have mutated first
+    /// (an intent `check_intent` settled, an abandoned transaction's
+    /// record) and the followers must see that too, in the same order.
     fn execute_requests(
-        self: &Rc<Self>,
+        &self,
         cluster: &Rc<RefCell<ClusterInner>>,
         batch: &BatchRequest,
+        followers: &[Rc<KvNode>],
     ) -> Result<(Vec<ResponseKind>, usize), KvError> {
-        // Collect replica engines and bump range stats in a short borrow.
+        let mut log = Vec::new();
+        let result = self.evaluate(cluster, batch, &mut log);
+        for follower in followers {
+            log.iter().for_each(|applied| applied.replay(&follower.engine));
+        }
+        result
+    }
+
+    /// Evaluates a batch against this node's engine, appending every
+    /// mutation it applies there to `log`.
+    fn evaluate(
+        &self,
+        cluster: &Rc<RefCell<ClusterInner>>,
+        batch: &BatchRequest,
+        log: &mut Vec<mvcc::Applied>,
+    ) -> Result<(Vec<ResponseKind>, usize), KvError> {
+        // Only what the batch writes grows the range — not the refresh
+        // spans a commit batch carries beside its writes.
         let anchor = Self::anchor_key(batch).ok_or(KvError::RangeNotFound)?;
-        let replica_engines = {
+        let written = batch.is_write().then(|| {
+            let written = batch.requests.iter().filter(|r| r.is_write());
+            written.map(|r| r.payload_bytes() as u64).sum::<u64>()
+        });
+        {
             let mut inner = cluster.borrow_mut();
-            let this_id = self.id;
-            // Only what the batch writes grows the range — not the
-            // refresh spans a commit batch carries beside its writes.
-            let written = batch.is_write().then(|| {
-                let written = batch.requests.iter().filter(|r| r.is_write());
-                written.map(|r| r.payload_bytes() as u64).sum::<u64>()
-            });
-            let range =
-                inner.directory.record_batch(anchor, written).ok_or(KvError::RangeNotFound)?;
-            let replicas = range.desc.replicas.clone();
-            let engines: Vec<Engine> = replicas
-                .iter()
-                .filter(|&&n| n != this_id)
-                .filter_map(|n| inner.nodes.get(n).map(|node| node.engine.clone()))
-                .collect();
-            engines
-        };
+            inner.directory.record_batch(anchor, written).ok_or(KvError::RangeNotFound)?;
+        }
 
         if let Some(txn) = &batch.txn {
             // A commit step of a transaction known to have committed is a
@@ -677,7 +673,7 @@ impl KvNode {
                 }
             }
             if batch.is_one_phase_commit() {
-                return self.commit_one_phase(cluster, batch, txn, &replica_engines);
+                return self.commit_one_phase(cluster, batch, txn, log);
             }
         }
 
@@ -693,13 +689,7 @@ impl KvNode {
                     match mvcc::get(&self.engine, key, batch.read_ts, own_txn) {
                         mvcc::ReadResult::Value(v) => results.push(ResponseKind::Value(v)),
                         mvcc::ReadResult::Intent(intent) => {
-                            match self.check_intent(
-                                cluster,
-                                key,
-                                &intent,
-                                batch.read_ts,
-                                &replica_engines,
-                            ) {
+                            match self.check_intent(cluster, key, &intent, batch.read_ts, log) {
                                 Some(v) => results.push(ResponseKind::Value(v)),
                                 None => {
                                     return Err(KvError::IntentConflict {
@@ -718,13 +708,8 @@ impl KvNode {
                         // Try to resolve each via its txn status; any still
                         // pending fails the batch (client retries).
                         for (key, intent) in &intents {
-                            let resolved = self.check_intent(
-                                cluster,
-                                key,
-                                intent,
-                                batch.read_ts,
-                                &replica_engines,
-                            );
+                            let resolved =
+                                self.check_intent(cluster, key, intent, batch.read_ts, log);
                             if resolved.is_none() {
                                 return Err(KvError::IntentConflict { other_txn: intent.txn_id });
                             }
@@ -745,30 +730,24 @@ impl KvNode {
                 }
                 RequestKind::Put { key, value } => {
                     let ts = self.hlc.now(self.sim.now());
-                    mvcc::put_version(&self.engine, key, ts, Some(value));
-                    for e in &replica_engines {
-                        mvcc::put_version(e, key, ts, Some(value));
-                    }
+                    log.push(mvcc::put_version(&self.engine, key, ts, Some(value)));
                     write_payload += key.len() + value.len();
                     results.push(ResponseKind::Ok);
                 }
                 RequestKind::Delete { key } => {
                     let ts = self.hlc.now(self.sim.now());
-                    mvcc::put_version(&self.engine, key, ts, None);
-                    for e in &replica_engines {
-                        mvcc::put_version(e, key, ts, None);
-                    }
+                    log.push(mvcc::put_version(&self.engine, key, ts, None));
                     write_payload += key.len();
                     results.push(ResponseKind::Ok);
                 }
                 RequestKind::WriteIntent { key, value } => {
                     let txn = batch.txn.as_ref().ok_or(KvError::TxnAborted)?;
-                    self.validate_write(cluster, key, txn, batch.read_ts, &replica_engines)?;
-                    // Followers apply unconditionally (the leader
-                    // validated).
-                    for e in std::iter::once(&self.engine).chain(&replica_engines) {
-                        mvcc::put_intent(e, key, txn.txn_id, txn.write_ts, value.as_ref());
-                    }
+                    let (id, ts, since) = (txn.txn_id, txn.write_ts, txn.start_ts);
+                    let write =
+                        || mvcc::write_intent(&self.engine, key, id, ts, since, value.as_ref());
+                    let intent =
+                        self.validate_write(cluster, key, txn, batch.read_ts, log, write)?;
+                    log.push(intent);
                     write_payload += key.len() + value.as_ref().map_or(0, |v| v.len());
                     results.push(ResponseKind::Ok);
                 }
@@ -787,11 +766,8 @@ impl KvNode {
                     } else {
                         TxnStatus::Aborted
                     };
-                    self.persist_txn_record(
-                        cluster,
-                        TxnRecord { txn_id: txn.txn_id, status },
-                        &replica_engines,
-                    );
+                    let record = TxnRecord { txn_id: txn.txn_id, status };
+                    self.persist_txn_record(cluster, record, log);
                     {
                         let mut inner = cluster.borrow_mut();
                         inner.finalize_txn(txn.txn_id, status, self.sim.now());
@@ -821,9 +797,7 @@ impl KvNode {
                             _ => None,
                         }
                     });
-                    for e in std::iter::once(&self.engine).chain(&replica_engines) {
-                        mvcc::resolve_intent(e, key, txn.txn_id, commit_ts);
-                    }
+                    log.extend(mvcc::resolve_intent(&self.engine, key, txn.txn_id, commit_ts));
                     write_payload += key.len();
                     results.push(ResponseKind::Ok);
                 }
@@ -839,16 +813,16 @@ impl KvNode {
     /// here, first: each refresh span, and per written key the
     /// timestamp-cache watermark, foreign intents and write-too-old. Only
     /// then does anything apply, as committed versions at `write_ts` in
-    /// one WAL batch on the leader and on each follower: no intents,
-    /// nothing to resolve, no transaction record to resolve it by, and a
-    /// failure leaves nothing behind. What recognises a replay is the
-    /// status table entry made here (see `execute_requests`).
+    /// one WAL batch: no intents, nothing to resolve, no transaction
+    /// record to resolve it by, and a failure leaves nothing of the
+    /// transaction behind. What recognises a replay is the status table
+    /// entry made here (see `evaluate`).
     fn commit_one_phase(
         &self,
         cluster: &Rc<RefCell<ClusterInner>>,
         batch: &BatchRequest,
         txn: &TxnMeta,
-        replica_engines: &[Engine],
+        log: &mut Vec<mvcc::Applied>,
     ) -> Result<(Vec<ResponseKind>, usize), KvError> {
         let mut writes: Vec<(&Bytes, Option<&Bytes>)> = Vec::new();
         let mut write_payload = 0usize;
@@ -859,7 +833,9 @@ impl KvNode {
                         .map_err(|existing| KvError::WriteTooOld { existing })?;
                 }
                 RequestKind::WriteIntent { key, value } => {
-                    self.validate_write(cluster, key, txn, batch.read_ts, replica_engines)?;
+                    let (id, ts, since) = (txn.txn_id, txn.write_ts, txn.start_ts);
+                    let check = || mvcc::check_write(&self.engine, key, id, ts, since);
+                    self.validate_write(cluster, key, txn, batch.read_ts, log, check)?;
                     writes.push((key, value.as_ref()));
                     write_payload += key.len() + value.as_ref().map_or(0, |v| v.len());
                 }
@@ -868,8 +844,7 @@ impl KvNode {
                 _ => {}
             }
         }
-        let engines = std::iter::once(&self.engine).chain(replica_engines);
-        mvcc::commit_one_phase(engines, txn.write_ts, &writes);
+        log.push(mvcc::commit_one_phase(&self.engine, txn.write_ts, &writes));
         let mut inner = cluster.borrow_mut();
         inner.finalize_txn(txn.txn_id, TxnStatus::Committed(txn.write_ts), self.sim.now());
         inner.degrade.commits_one_phase.set(inner.degrade.commits_one_phase.get() + 1);
@@ -886,50 +861,48 @@ impl KvNode {
         cluster.borrow().txn_status(txn_id, write_ts, self.sim.now())
     }
 
-    /// Persists `record` on this node and on each follower — what settles
-    /// an intent of the transaction that outlives the status table.
+    /// Persists `record` — what settles an intent of the transaction that
+    /// outlives the status table.
     fn persist_txn_record(
         &self,
         cluster: &Rc<RefCell<ClusterInner>>,
         record: TxnRecord,
-        replica_engines: &[Engine],
+        log: &mut Vec<mvcc::Applied>,
     ) {
-        for e in std::iter::once(&self.engine).chain(replica_engines) {
-            mvcc::put_txn_record(e, &record);
-        }
+        log.push(mvcc::put_txn_record(&self.engine, &record));
         let written = &cluster.borrow().degrade.txn_records_written;
         written.set(written.get() + 1);
     }
 
-    /// Everything that can reject `txn`'s write of `key`: a read above the
-    /// write timestamp (the timestamp-cache watermark), another
-    /// transaction's pending intent, or a version committed past the
-    /// transaction's snapshot. A foreign intent whose transaction has
-    /// finalized is resolved on the way (on all replicas).
-    fn validate_write(
+    /// Runs `write` — `txn`'s write of `key`, or the check of one — past
+    /// everything that can reject it: a read above the write timestamp
+    /// (the timestamp-cache watermark), another transaction's pending
+    /// intent, or a version committed past the transaction's snapshot. A
+    /// foreign intent whose transaction has finalized is settled on the
+    /// way, and `write` runs again.
+    fn validate_write<T>(
         &self,
         cluster: &Rc<RefCell<ClusterInner>>,
         key: &Bytes,
         txn: &TxnMeta,
         read_ts: Timestamp,
-        replica_engines: &[Engine],
-    ) -> Result<(), KvError> {
+        log: &mut Vec<mvcc::Applied>,
+        write: impl Fn() -> Result<T, mvcc::WriteConflict>,
+    ) -> Result<T, KvError> {
         let watermark = self.ts_cache.borrow().read_watermark(key);
         if watermark >= txn.write_ts && watermark > txn.start_ts {
             return Err(KvError::WriteTooOld { existing: watermark });
         }
-        let check = || mvcc::check_write(&self.engine, key, txn.txn_id, txn.write_ts, txn.start_ts);
-        let conflict = match check() {
-            // The other txn may already be finalized: resolve, check again.
+        let outcome = match write() {
             Err(mvcc::WriteConflict::Intent(other)) => {
-                if self.check_intent(cluster, key, &other, read_ts, replica_engines).is_none() {
+                if self.check_intent(cluster, key, &other, read_ts, log).is_none() {
                     return Err(KvError::IntentConflict { other_txn: other.txn_id });
                 }
-                check()
+                write()
             }
             result => result,
         };
-        conflict.map_err(|c| match c {
+        outcome.map_err(|c| match c {
             mvcc::WriteConflict::WriteTooOld(existing) => KvError::WriteTooOld { existing },
             mvcc::WriteConflict::Intent(o) => KvError::IntentConflict { other_txn: o.txn_id },
         })
@@ -971,42 +944,20 @@ impl KvNode {
     }
 
     /// Checks an encountered intent against its transaction's status. If
-    /// finalized, resolves the intent (on all replicas) and returns the
-    /// visible value; `None` means the owner is still pending.
+    /// finalized, resolves the intent and returns the visible value;
+    /// `None` means the owner is still pending.
     fn check_intent(
         &self,
         cluster: &Rc<RefCell<ClusterInner>>,
         key: &Bytes,
         intent: &mvcc::Intent,
-        read_ts: crate::hlc::Timestamp,
-        replica_engines: &[Engine],
+        read_ts: Timestamp,
+        log: &mut Vec<mvcc::Applied>,
     ) -> Option<Option<Bytes>> {
         // An intent carries its transaction's write timestamp.
-        let status = self.txn_status(cluster, intent.txn_id, intent.ts);
-        match status {
-            Some(TxnStatus::Committed(ts)) => {
-                mvcc::resolve_intent(&self.engine, key, intent.txn_id, Some(ts));
-                for e in replica_engines {
-                    mvcc::resolve_intent(e, key, intent.txn_id, Some(ts));
-                }
-                // Snapshot semantics: the resolved value is visible only
-                // if it committed at or below the reader's timestamp.
-                match mvcc::get(&self.engine, key, read_ts, None) {
-                    mvcc::ReadResult::Value(v) => Some(v),
-                    mvcc::ReadResult::Intent(_) => None,
-                }
-            }
-            Some(TxnStatus::Aborted) => {
-                mvcc::resolve_intent(&self.engine, key, intent.txn_id, None);
-                for e in replica_engines {
-                    mvcc::resolve_intent(e, key, intent.txn_id, None);
-                }
-                // Re-read below the removed intent.
-                match mvcc::get(&self.engine, key, read_ts, None) {
-                    mvcc::ReadResult::Value(v) => Some(v),
-                    mvcc::ReadResult::Intent(_) => None,
-                }
-            }
+        let commit_ts = match self.txn_status(cluster, intent.txn_id, intent.ts) {
+            Some(TxnStatus::Committed(ts)) => Some(ts),
+            Some(TxnStatus::Aborted) => None,
             Some(TxnStatus::Pending) | None => {
                 // Push check: a transaction whose coordinator died (pod
                 // crash, region outage) leaves intents that would block
@@ -1025,17 +976,18 @@ impl KvNode {
                     self.sim.now(),
                 );
                 let record = TxnRecord { txn_id: intent.txn_id, status: TxnStatus::Aborted };
-                self.persist_txn_record(cluster, record, replica_engines);
-                for e in std::iter::once(&self.engine).chain(replica_engines) {
-                    mvcc::resolve_intent(e, key, intent.txn_id, None);
-                }
+                self.persist_txn_record(cluster, record, log);
                 let degrade = &cluster.borrow().degrade;
                 degrade.txn_pushes.set(degrade.txn_pushes.get() + 1);
-                match mvcc::get(&self.engine, key, read_ts, None) {
-                    mvcc::ReadResult::Value(v) => Some(v),
-                    mvcc::ReadResult::Intent(_) => None,
-                }
+                None
             }
+        };
+        log.extend(mvcc::resolve_intent(&self.engine, key, intent.txn_id, commit_ts));
+        // Snapshot semantics: a resolved value is visible only if it
+        // committed at or below the reader's timestamp.
+        match mvcc::get(&self.engine, key, read_ts, None) {
+            mvcc::ReadResult::Value(v) => Some(v),
+            mvcc::ReadResult::Intent(_) => None,
         }
     }
 

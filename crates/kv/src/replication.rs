@@ -1,11 +1,13 @@
 //! Raft-style quorum replication timing.
 //!
-//! The data path applies replicated mutations to every replica's engine
-//! synchronously (the simulation is single-threaded, so replicas are never
-//! observably inconsistent); what is *simulated* is the commit latency — a
-//! write acknowledges only after a majority of replicas (counting the
-//! leaseholder itself) would have acked, i.e. after the `(quorum-1)`-th
-//! fastest follower round trip.
+//! The data path is evaluate-then-replay: the leaseholder evaluates a
+//! batch against its own engine, and every follower — live or not; a dead
+//! node's engine is its disk — applies what that produced
+//! ([`crate::mvcc::Applied::replay`]) within the same event, so replicas
+//! are never observably inconsistent. What is *simulated* is the commit
+//! latency — a write acknowledges only after a majority of replicas
+//! (counting the leaseholder itself) would have acked, i.e. after the
+//! `(quorum-1)`-th fastest follower round trip — and the followers' CPU.
 
 use std::time::Duration;
 

@@ -10,20 +10,17 @@
 //! less than two) after the key was last read, then folded into one floor
 //! that answers for every key not in the cache. The floor is therefore
 //! always at least `RETENTION` stale. No live transaction is older than
-//! that ([`TXN_ABANDON_TIMEOUT`]: past it, pushers abort it), so the floor
-//! never rejects a write a per-key entry would have let through.
+//! that ([`TXN_ABANDON_TIMEOUT`](crate::timing::TXN_ABANDON_TIMEOUT): past
+//! it, pushers abort it), so the floor never rejects a write a per-key
+//! entry would have let through.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use bytes::Bytes;
 use crdb_util::time::SimTime;
 
 use crate::hlc::Timestamp;
-use crate::node::TXN_ABANDON_TIMEOUT;
-
-/// How long a read stays in the cache under its own key.
-const RETENTION: Duration = TXN_ABANDON_TIMEOUT;
+use crate::timing::TS_CACHE_RETENTION as RETENTION;
 
 /// One key's watermark and the generation it was last read in. (Flat, not
 /// a `Timestamp` beside a counter: sixteen bytes, what the timestamp alone

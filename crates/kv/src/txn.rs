@@ -51,21 +51,20 @@ impl TxnRecord {
 
     /// Deserializes a record.
     pub fn decode(raw: &[u8]) -> Option<TxnRecord> {
-        if raw.len() < 9 {
-            return None;
-        }
-        let txn_id = u64::from_be_bytes(raw[0..8].try_into().ok()?);
-        let status = match raw[8] {
+        let (txn_id, rest) = raw.split_first_chunk()?;
+        let (&tag, rest) = rest.split_first()?;
+        let status = match tag {
             0 => TxnStatus::Pending,
             1 => {
-                let wall = u64::from_be_bytes(raw.get(9..17)?.try_into().ok()?);
-                let logical = u32::from_be_bytes(raw.get(17..21)?.try_into().ok()?);
+                let (wall, rest) = rest.split_first_chunk()?;
+                let (logical, _) = rest.split_first_chunk()?;
+                let (wall, logical) = (u64::from_be_bytes(*wall), u32::from_be_bytes(*logical));
                 TxnStatus::Committed(Timestamp { wall, logical })
             }
             2 => TxnStatus::Aborted,
             _ => return None,
         };
-        Some(TxnRecord { txn_id, status })
+        Some(TxnRecord { txn_id: u64::from_be_bytes(*txn_id), status })
     }
 }
 
@@ -106,5 +105,10 @@ mod tests {
         let mut bad = TxnRecord { txn_id: 1, status: TxnStatus::Pending }.encode().to_vec();
         bad[8] = 9;
         assert_eq!(TxnRecord::decode(&bad), None);
+        let committed = TxnStatus::Committed(Timestamp { wall: 123, logical: 4 });
+        let whole = TxnRecord { txn_id: 1, status: committed }.encode();
+        for cut in 0..whole.len() {
+            assert_eq!(TxnRecord::decode(&whole[..cut]), None, "cut at {cut}");
+        }
     }
 }

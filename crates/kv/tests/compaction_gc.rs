@@ -15,11 +15,13 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use crdb_kv::hlc::Timestamp;
-use crdb_kv::mvcc::{self, ReadResult, GC_WINDOW_NANOS};
+use crdb_kv::mvcc::{self, ReadResult};
 use crdb_kv::txn::{TxnRecord, TxnStatus};
 use crdb_storage::{CompactionJob, CompactionPick, Engine, FlushJob, LsmConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+const GC_WINDOW_NANOS: u64 = crdb_kv::timing::GC_WINDOW.as_nanos() as u64;
 
 fn ts(wall: u64) -> Timestamp {
     Timestamp { wall, logical: 0 }

@@ -12,9 +12,12 @@ use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
 use crdb_kv::client::{make_txn_meta, KvClient};
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::keys;
+use crdb_kv::mvcc::{self, ReadResult};
 use crdb_kv::node::FSYNC_INTERVAL;
 use crdb_kv::range::Placement;
+use crdb_kv::timing::TXN_STATUS_RETENTION;
 use crdb_kv::txn::TxnMeta;
+use crdb_kv::Timestamp;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_util::time::dur;
 use crdb_util::time::SimTime;
@@ -691,9 +694,10 @@ fn txn_batch(txn: &TxnMeta, requests: Vec<RequestKind>) -> BatchRequest {
 }
 
 /// Longer than the transaction status table remembers a finalized
-/// transaction (the KV client's whole re-send window, about six minutes,
-/// plus the table's 30 s collection period).
-const STATUS_TABLE_FORGOT: std::time::Duration = std::time::Duration::from_secs(600);
+/// transaction: the KV client's whole re-send window, about six minutes,
+/// plus two of the table's 30 s collection periods.
+const STATUS_TABLE_FORGOT: std::time::Duration =
+    TXN_STATUS_RETENTION.saturating_add(std::time::Duration::from_secs(60));
 
 /// Sends `batch`, runs the simulation two seconds, and returns the
 /// batch's error (`None` = acked).
@@ -825,6 +829,52 @@ fn abort_cleanup_never_discards_a_committed_intent() {
     let cleanup = RequestKind::ResolveIntent { key: k(2, "x"), commit_ts: None };
     assert_eq!(send_and_wait(&sim, &client, txn_batch(&txn, vec![cleanup])), None);
     assert_eq!(get_and_wait(&sim, &client, k(2, "x")), Ok(Some(Bytes::from_static(b"new"))));
+}
+
+/// The one ordering rule of evaluate-then-replay: what a batch applied
+/// before it failed still reaches the followers. A batch settles a
+/// committed transaction's leftover intent on `a` — met by a read, or by
+/// the validation of a write — and then fails on a pending intent on `b`:
+/// `a` is settled on every replica, not on the leaseholder alone.
+#[test]
+fn intent_settled_by_a_batch_that_then_fails_is_settled_on_every_replica() {
+    for (seed, by_write) in [(23, false), (24, true)] {
+        let (sim, cluster) = setup(seed);
+        let client = client_for(&cluster, TenantId(2));
+        let (a, b) = (k(2, "a"), k(2, "b"));
+        let write = |key: &Bytes, value: &'static [u8]| RequestKind::WriteIntent {
+            key: key.clone(),
+            value: Some(Bytes::from_static(value)),
+        };
+        // `a`: committed, its resolution never arrived. `b`: still pending.
+        let done = make_txn_meta(&cluster, a.clone());
+        assert_eq!(send_and_wait(&sim, &client, txn_batch(&done, vec![write(&a, b"done")])), None);
+        let end = RequestKind::EndTxn { commit: true };
+        assert_eq!(send_and_wait(&sim, &client, txn_batch(&done, vec![end])), None);
+        let pending = make_txn_meta(&cluster, b.clone());
+        let laid = send_and_wait(&sim, &client, txn_batch(&pending, vec![write(&b, b"pending")]));
+        assert_eq!(laid, None);
+
+        let third = make_txn_meta(&cluster, a.clone());
+        let requests = if by_write {
+            vec![write(&a, b"third"), write(&b, b"third")]
+        } else {
+            vec![RequestKind::Get { key: a.clone() }, RequestKind::Get { key: b.clone() }]
+        };
+        assert_eq!(
+            send_and_wait(&sim, &client, txn_batch(&third, requests)),
+            Some(KvError::IntentConflict { other_txn: pending.txn_id }),
+            "the batch fails on `b`"
+        );
+        for id in cluster.node_ids() {
+            let engine = &cluster.node(id).unwrap().engine;
+            let settled = match mvcc::get(engine, &a, Timestamp::MAX, None) {
+                ReadResult::Value(v) => v == Some(Bytes::from_static(b"done")),
+                ReadResult::Intent(over_it) => over_it.txn_id == third.txn_id,
+            };
+            assert!(settled, "{id:?} still holds the committed intent (by_write: {by_write})");
+        }
+    }
 }
 
 /// Regression: the `EndTxn` guard against committing a pushed transaction

@@ -289,6 +289,7 @@ mod tests {
             line,
             message: String::new(),
             snippet: String::new(),
+            also_at: None,
             suppress_reason: None,
             baselined: false,
         }

@@ -23,6 +23,9 @@ pub struct Finding {
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
+    /// A second line a directive may sit on to cover this finding:
+    /// `reentrant-borrow` names the guard's declaration here.
+    pub also_at: Option<usize>,
     /// `Some(reason)` when a valid directive suppresses this finding.
     pub suppress_reason: Option<String>,
     /// True when a committed ratchet baseline grandfathers this finding
@@ -44,22 +47,12 @@ fn suppress(f: &mut Finding, directives: &[Directive]) {
     if f.rule == "bad-directive" {
         return;
     }
-    // The guard declaration site is an extra anchor for guard-scope
-    // findings ("bound at line N" in the message).
-    let extra_anchor = f
-        .message
-        .split("bound at line ")
-        .nth(1)
-        .and_then(|s| s.split(')').next())
-        .and_then(|s| s.trim().parse::<usize>().ok());
     for d in directives {
         if d.problem.is_some() || !d.rules.iter().any(|r| r == f.rule) {
             continue;
         }
-        let hit = d.file_level
-            || d.line == f.line
-            || d.line + 1 == f.line
-            || extra_anchor.is_some_and(|a| d.line == a || d.line + 1 == a);
+        let covers = |line: usize| d.line == line || d.line + 1 == line;
+        let hit = d.file_level || covers(f.line) || f.also_at.is_some_and(covers);
         if hit {
             f.suppress_reason = d.reason.clone();
             return;

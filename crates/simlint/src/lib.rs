@@ -91,6 +91,7 @@ mod tests {
             line: 3,
             message: "m".into(),
             snippet: "s".into(),
+            also_at: None,
             suppress_reason: None,
             baselined: false,
         };

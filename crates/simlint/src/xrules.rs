@@ -66,6 +66,7 @@ fn finding(rule: &'static str, f: &FileModel, line: usize, message: String) -> F
         line,
         message,
         snippet: f.raw.get(line - 1).map(|l| l.trim().to_string()).unwrap_or_default(),
+        also_at: None,
         suppress_reason: None,
         baselined: false,
     }
@@ -210,17 +211,14 @@ fn check_guards(
 ) {
     if let Some(g) = guards.last() {
         if let Some(method) = first_self_method_call(line) {
-            findings.push(finding(
-                "reentrant-borrow",
-                f,
-                lineno,
-                format!(
-                    "RefCell guard `{}` (bound at line {}) is still alive across \
-                     `self.{method}(...)`; a re-entrant borrow inside panics — \
-                     narrow the guard's scope or drop() it first",
-                    g.name, g.decl_line
-                ),
-            ));
+            let message = format!(
+                "RefCell guard `{}` (bound at line {}) is still alive across \
+                 `self.{method}(...)`; a re-entrant borrow inside panics — \
+                 narrow the guard's scope or drop() it first",
+                g.name, g.decl_line
+            );
+            let at_call = finding("reentrant-borrow", f, lineno, message);
+            findings.push(Finding { also_at: Some(g.decl_line), ..at_call });
         }
     }
 

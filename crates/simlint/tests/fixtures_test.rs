@@ -56,6 +56,25 @@ fn reentrant_borrow_positive_includes_the_pr3_pattern() {
 }
 
 #[test]
+fn allow_at_the_guard_declaration_covers_the_call_the_guard_is_held_across() {
+    let src = "impl Node {
+    fn f(&self) {
+        // simlint: allow(reentrant-borrow) — tick() never touches state
+        let guard = self.state.borrow_mut();
+        let unrelated = 1;
+        self.tick();
+        drop(guard);
+    }
+}
+";
+    let f = analyze_sources(&[("x.rs".to_string(), src.to_string(), false)]);
+    let hits: Vec<_> = f.iter().filter(|f| f.rule == "reentrant-borrow").collect();
+    assert_eq!(hits.len(), 1, "{f:#?}");
+    assert_eq!((hits[0].line, hits[0].also_at), (6, Some(4)));
+    assert_eq!(hits[0].suppress_reason.as_deref(), Some("tick() never touches state"));
+}
+
+#[test]
 fn reentrant_borrow_negative() {
     let f = analyze(&["reentrant_borrow_neg.rs"]);
     assert!(active(&f, "reentrant-borrow").is_empty(), "false positives: {f:#?}");

@@ -9,10 +9,11 @@
 //! reader's snapshot), the one-phase commit is taken exactly when a
 //! transaction's spans live in one range, multi-range transactions fall
 //! back to the staged protocol and leave no intent behind when they
-//! abort. The same mix runs again from another region while every reply
-//! to it is dropped at random for seconds at a time. Then the targeted
-//! cases: a staged commit that aborts after laying an intent, a one-phase
-//! commit whose replies are lost — for one RPC timeout, for longer than
+//! abort, and after every phase the replicas of every range hold the same
+//! data (`tests/support/replica_oracle.rs`). The same mix runs again from
+//! another region while every reply to it is dropped at random for seconds
+//! at a time. Then the targeted cases: a staged commit that aborts after
+//! laying an intent, a one-phase commit whose replies are lost — for one RPC timeout, for longer than
 //! the status table used to remember, and across a split that turns the
 //! re-send into a staged commit, and for longer than the KV client keeps
 //! trying, which a SQL node must report and not run again — and a hostile
@@ -26,7 +27,7 @@ use bytes::Bytes;
 use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
-use crdb_kv::{keys, mvcc, Timestamp};
+use crdb_kv::{keys, mvcc, timing, Timestamp};
 use crdb_sim::{Location, Sim, Topology};
 use crdb_sql::coord::{SqlError, Txn};
 use crdb_sql::exec::QueryOutput;
@@ -37,6 +38,9 @@ use crdb_util::time::dur;
 use crdb_util::{Deadline, RangeId, RegionId, SqlInstanceId, TenantId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "../../../tests/support/replica_oracle.rs"]
+mod replica_oracle;
 
 const TENANT: TenantId = TenantId(2);
 const ACCOUNTS: usize = 12;
@@ -60,6 +64,11 @@ fn val(n: i64) -> Bytes {
     Bytes::from(n.to_string())
 }
 
+/// The replicas of every range hold the same data.
+fn assert_replicas_equal(cluster: &KvCluster) {
+    assert_eq!(replica_oracle::divergences(cluster), Vec::<String>::new());
+}
+
 /// A cluster whose tenant holds nothing but the test's keys (so a split
 /// lands between them), three SQL-node clients with a cache each, and
 /// every key at its opening value.
@@ -79,6 +88,16 @@ fn setup(seed: u64, topology: Topology, client_at: Location) -> (Sim, KvCluster,
     }
     txn.commit(|r| r.expect("load"));
     sim.run_for(dur::secs(2));
+    // Collected history is evidence lost: a version a follower never got
+    // looks, once a newer one covers it, like one its GC took. Nothing
+    // written less than a GC window ago can have been collected, so the
+    // replicas are compared more often than that, for as long as the
+    // simulation runs.
+    let replicated = cluster.clone();
+    sim.schedule_periodic(timing::GC_WINDOW / 2, move || {
+        assert_replicas_equal(&replicated);
+        true
+    });
     (sim, cluster, clients)
 }
 
@@ -252,6 +271,7 @@ fn run_phase(
     }
     sim.run_for(dur::secs(sim_secs));
     assert_eq!(tally.in_flight.get(), 0, "every operation finished");
+    assert_replicas_equal(cluster);
     tally
 }
 
@@ -378,6 +398,7 @@ fn check_run(seed: u64, lost_replies: bool) {
     let sum: i64 = (0..ACCOUNTS).map(|i| read_now(&sim, &clients[0], &acct(i))).sum();
     assert_eq!(sum, ACCOUNTS as i64 * OPENING_BALANCE);
     assert_no_intents(&cluster);
+    assert_replicas_equal(&cluster);
 }
 
 #[test]
@@ -517,6 +538,7 @@ impl LostReply {
         for (key, before) in keys.iter().zip(&self.before) {
             assert_eq!(read_now(&self.sim, &self.clients[0], key), before + 1);
         }
+        assert_replicas_equal(&self.cluster);
     }
 }
 
