@@ -59,11 +59,10 @@ pub fn key_tenant(key: &[u8]) -> Option<TenantId> {
     (tag == TENANT_TAG).then(|| TenantId(u64::from_be_bytes(*id)))
 }
 
-/// Strips the tenant prefix, returning the user key. Returns `None` for a
-/// key outside `tenant`'s segment.
-pub fn strip_prefix(tenant: TenantId, key: &[u8]) -> Option<Bytes> {
-    let user_key = key.get(TENANT_PREFIX_LEN..)?;
-    (key_tenant(key)? == tenant).then(|| Bytes::copy_from_slice(user_key))
+/// Strips the tenant prefix, returning the user key as a slice of `key`'s
+/// buffer. Returns `None` for a key outside `tenant`'s segment.
+pub fn strip_prefix(tenant: TenantId, key: &Bytes) -> Option<Bytes> {
+    (key_tenant(key)? == tenant).then(|| key.slice(TENANT_PREFIX_LEN..))
 }
 
 /// Whether `key` lies inside `tenant`'s segment.
@@ -112,23 +111,29 @@ pub fn encode_str(buf: &mut BytesMut, s: &str) {
 
 /// Decodes a string written by [`encode_str`].
 pub fn decode_str(buf: &[u8]) -> Option<(String, &[u8])> {
-    let mut out = Vec::new();
+    let mut out = String::new();
+    let rest = decode_str_with(buf, |piece| out.push_str(piece))?;
+    Some((out, rest))
+}
+
+/// Walks a string written by [`encode_str`], handing its text to `piece`
+/// a run at a time (the runs between escaped 0x00 bytes, and those bytes),
+/// and returns what follows the terminator. A caller that only wants to
+/// get past the string allocates nothing; the text is checked all the same.
+pub fn decode_str_with(buf: &[u8], mut piece: impl FnMut(&str)) -> Option<&[u8]> {
     let mut rest = buf;
-    while let Some((&b, after)) = rest.split_first() {
-        rest = after;
-        if b != 0x00 {
-            out.push(b);
-            continue;
-        }
-        let (&escape, after) = rest.split_first()?;
+    loop {
+        let run = rest.iter().position(|&b| b == 0x00)?;
+        let (text, after) = rest.split_at_checked(run)?;
+        piece(std::str::from_utf8(text).ok()?);
+        let (escape, after) = after.get(1..)?.split_first()?;
         rest = after;
         match escape {
-            0x01 => return String::from_utf8(out).ok().map(|s| (s, rest)),
-            0xff => out.push(0x00),
+            0x01 => return Some(rest),
+            0xff => piece("\0"),
             _ => return None,
         }
     }
-    None
 }
 
 #[cfg(test)]
@@ -204,9 +209,9 @@ mod tests {
         let key = make_key(TenantId(7), b"row");
         for cut in 0..TENANT_PREFIX_LEN {
             assert_eq!(key_tenant(&key[..cut]), None, "cut at {cut}");
-            assert_eq!(strip_prefix(TenantId(7), &key[..cut]), None, "cut at {cut}");
+            assert_eq!(strip_prefix(TenantId(7), &key.slice(..cut)), None, "cut at {cut}");
         }
-        assert_eq!(strip_prefix(TenantId(7), &key[..TENANT_PREFIX_LEN]), Some(Bytes::new()));
+        assert_eq!(strip_prefix(TenantId(7), &key.slice(..TENANT_PREFIX_LEN)), Some(Bytes::new()));
         let mut composite = BytesMut::new();
         encode_u64(&mut composite, 42);
         encode_str(&mut composite, "with\0nul");

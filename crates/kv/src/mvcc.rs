@@ -19,6 +19,13 @@
 //! ≤ read_ts" is a short forward scan. Tombstoned versions (deletes) are
 //! materialized as `[0]` so history is preserved until GC.
 //!
+//! # Reads lend, and hand out slices
+//!
+//! A walk compares user keys where the engine's iterator lends them. The
+//! keys a read *returns* — one per user key, never the older versions it
+//! passes — are `Bytes` slices of the engine's own version keys, so a
+//! scan's reply is handles onto memory the engine holds anyway.
+//!
 //! # Evaluate once, replay everywhere
 //!
 //! Every mutator takes **one** engine — the leaseholder's — reads what it
@@ -100,11 +107,19 @@ fn split_version_key(storage_key: &[u8]) -> Option<(&[u8], Timestamp)> {
     Some((prefix, Timestamp { wall, logical }))
 }
 
-/// Splits a version storage key back into `(user_key, ts)`.
-fn decode_version_key(storage_key: &[u8]) -> Option<(Bytes, Timestamp)> {
+/// Splits a version storage key back into `(user_key, ts)`, borrowing
+/// the user key: walks compare it where it lies, and the one version a
+/// walk hands on is cut out of the engine's own buffer by
+/// [`user_key_slice`].
+fn decode_version_key(storage_key: &[u8]) -> Option<(&[u8], Timestamp)> {
     let (prefix, ts) = split_version_key(storage_key)?;
-    let user = prefix.get(1..prefix.len() - 1)?;
-    Some((Bytes::copy_from_slice(user), ts))
+    Some((prefix.get(1..prefix.len() - 1)?, ts))
+}
+
+/// The `user` key [`decode_version_key`] found in `storage_key`, as a
+/// slice sharing the engine's buffer — no copy per returned key.
+fn user_key_slice(storage_key: &Bytes, user: &[u8]) -> Bytes {
+    storage_key.slice(1..1 + user.len())
 }
 
 fn encode_value(value: Option<&Bytes>) -> Bytes {
@@ -226,9 +241,9 @@ pub fn readable_user_keys(
         }
         versions += 1;
         if let Some((user, _)) = decode_version_key(k) {
-            let inside = !user.is_empty() && user.as_ref() >= start && user.as_ref() < end;
-            if inside && users.last() != Some(&user) {
-                users.push(user);
+            let inside = !user.is_empty() && user >= start && user < end;
+            if inside && users.last().is_none_or(|last| last.as_ref() != user) {
+                users.push(user_key_slice(k, user));
             }
         }
         versions < limit
@@ -254,7 +269,7 @@ impl Applied {
         let mut doomed = Vec::new();
         for (storage_key, value) in batch.entries() {
             if let (Some((key, ts)), Some(_)) = (decode_version_key(storage_key), value) {
-                doomed.extend(gc_versions(engine, &key, gc_horizon(ts)));
+                doomed.extend(gc_versions(engine, key, gc_horizon(ts)));
             }
         }
         Applied { batch, doomed }
@@ -303,7 +318,7 @@ pub fn get(engine: &Engine, key: &[u8], ts: Timestamp, own_txn: Option<u64>) -> 
     let mut result = None;
     engine.scan_visit(&start, &prefix_end, |k, raw| {
         if let Some((user, _vts)) = decode_version_key(k) {
-            if user.as_ref() == key {
+            if user == key {
                 result = Some(decode_value(raw));
             }
         }
@@ -333,8 +348,8 @@ pub fn scan(
     let mut intents = Vec::new();
     let mut own_intents: std::collections::BTreeMap<Bytes, Option<Bytes>> = Default::default();
     engine.scan_visit(&intent_key(start), &intent_key(end), |k, raw| {
-        if let (Some(intent), Some(user)) = (decode_intent(raw), k.get(1..)) {
-            let user = Bytes::copy_from_slice(user);
+        if let (Some(intent), Some(_tag)) = (decode_intent(raw), k.first()) {
+            let user = k.slice(1..);
             if Some(intent.txn_id) == own_txn {
                 own_intents.insert(user, intent.value);
             } else if intent.ts <= ts {
@@ -359,28 +374,32 @@ pub fn scan(
             Some(x) => x,
             None => return true,
         };
-        if user.as_ref() < start || user.as_ref() >= end {
+        if user < start || user >= end {
             return true;
         }
-        if current.as_ref() == Some(&user) {
+        if current.as_deref() == Some(user) {
             return true; // already emitted (or skipped) the newest visible
         }
         if vts > ts {
             return true; // newer than the snapshot; keep looking older
         }
-        current = Some(user.clone());
         // Own provisional write shadows the committed version.
-        let value = match own_intents.remove(&user) {
+        let value = match own_intents.remove(user) {
             Some(v) => v,
             None => decode_value(raw),
         };
+        let user = user_key_slice(k, user);
         if let Some(v) = value {
-            out.push((user, v));
+            out.push((user.clone(), v));
         }
+        current = Some(user);
         true
     });
     // Own intents on keys with no committed versions still surface, in
-    // key order.
+    // key order. The walk's pairs are in order already: only these
+    // stragglers, appended behind them, call for a sort (and its scratch
+    // buffer, as large as the reply).
+    let walked = out.len();
     for (user, value) in own_intents {
         if let Some(v) = value {
             if user.as_ref() >= start && user.as_ref() < end && out.len() < limit {
@@ -388,7 +407,9 @@ pub fn scan(
             }
         }
     }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
+    if out.len() > walked {
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+    }
     (out, intents)
 }
 
@@ -476,7 +497,7 @@ fn newest_version_ts(engine: &Engine, key: &[u8]) -> Option<Timestamp> {
         .scan(&start, &end, 1)
         .first()
         .and_then(|(k, _)| decode_version_key(k))
-        .filter(|(user, _)| user.as_ref() == key)
+        .filter(|(user, _)| *user == key)
         .map(|(_, ts)| ts)
 }
 
@@ -621,7 +642,7 @@ fn find_version(
     scan_end.put_slice(&[0xff; 14]);
     engine.scan_visit(&version_prefix(start), &scan_end, |k, _| {
         if let Some((user, vts)) = decode_version_key(k) {
-            if user.as_ref() >= start && user.as_ref() < end && wanted(vts) {
+            if user >= start && user < end && wanted(vts) {
                 found = Some(vts);
             }
         }
@@ -816,7 +837,7 @@ mod tests {
     #[test]
     fn truncated_encodings_decode_to_none_never_panic() {
         let stored = version_key(b"key", ts(10));
-        assert_eq!(decode_version_key(&stored), Some((b("key"), ts(10))));
+        assert_eq!(decode_version_key(&stored), Some((&b"key"[..], ts(10))));
         for cut in 0..stored.len() {
             assert_eq!(decode_version_key(&stored[..cut]), None, "version key cut at {cut}");
         }

@@ -31,6 +31,7 @@
 //! [`SqlError::Kv`], like an expired deadline.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -144,6 +145,44 @@ fn point_span(key: &Bytes) -> (Bytes, Bytes) {
     let mut end = key.to_vec();
     end.push(0x00);
     (key.clone(), Bytes::from(end))
+}
+
+/// Lays a transaction's buffered writes over the pairs KV returned for the
+/// same span, both in key order, and keeps the first `limit`: one merge
+/// pass in which a buffered put replaces or adds a pair and a buffered
+/// delete removes one. With nothing buffered the KV pairs pass through.
+fn overlay<'a>(
+    mut pairs: Vec<(Bytes, Bytes)>,
+    buffered: impl Iterator<Item = (&'a Bytes, &'a Option<Bytes>)>,
+    limit: usize,
+) -> Vec<(Bytes, Bytes)> {
+    let mut buffered = buffered.peekable();
+    if buffered.peek().is_none() {
+        pairs.truncate(limit);
+        return pairs;
+    }
+    let mut merged = Vec::with_capacity(pairs.len().min(limit));
+    let mut stored = pairs.into_iter().peekable();
+    while merged.len() < limit {
+        let order = match (stored.peek(), buffered.peek()) {
+            (Some((k, _)), Some((b, _))) => k.cmp(b),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => break,
+        };
+        if order.is_lt() {
+            merged.extend(stored.next());
+            continue;
+        }
+        if order.is_eq() {
+            // The transaction's own write wins over the stored pair.
+            stored.next();
+        }
+        if let Some((k, Some(v))) = buffered.next() {
+            merged.push((k.clone(), v.clone()));
+        }
+    }
+    merged
 }
 
 /// A SQL transaction handle (cheap to clone).
@@ -365,31 +404,20 @@ impl Txn {
                 cb(Err(map_kv_error(e)));
                 return;
             }
-            let pairs = match resp.results.into_iter().next() {
+            // The KV keys lose their tenant prefix by slice, in place.
+            let mut pairs = match resp.results.into_iter().next() {
                 Some(ResponseKind::Pairs(p)) => p,
                 _ => Vec::new(),
             };
-            // Strip the tenant prefix and overlay the write buffer.
-            let mut merged: BTreeMap<Bytes, Bytes> = BTreeMap::new();
-            for (k, v) in pairs {
-                if let Some(user) = kvkeys::strip_prefix(tenant, &k) {
-                    merged.insert(user, v);
+            pairs.retain_mut(|(k, _)| match kvkeys::strip_prefix(tenant, k) {
+                Some(user) => {
+                    *k = user;
+                    true
                 }
-            }
-            {
-                let inner = this.inner.borrow();
-                for (k, v) in inner.writes.range(start.clone()..end.clone()) {
-                    match v {
-                        Some(val) => {
-                            merged.insert(k.clone(), val.clone());
-                        }
-                        None => {
-                            merged.remove(k);
-                        }
-                    }
-                }
-            }
-            cb(Ok(merged.into_iter().take(limit).collect()));
+                None => false,
+            });
+            let merged = overlay(pairs, this.inner.borrow().writes.range(start..end), limit);
+            cb(Ok(merged));
         });
     }
 

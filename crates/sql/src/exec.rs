@@ -1,11 +1,28 @@
 //! The query executor.
 //!
-//! Executes [`PlanNode`] trees against a [`Txn`] in continuation-passing
-//! style (the KV layer is callback-driven under simulation). Scans fetch
-//! via KV spans; secondary-index scans and lookup joins batch their
-//! primary-key lookups into single KV batches — the access patterns whose
-//! costs the estimated-CPU model is built on.
+//! A plan runs as a *pipeline*: a source that owns the KV round trips, a
+//! chain of operators, and a sink. Continuation-passing lives only where
+//! the simulator needs it — a KV `scan` / `read_many` reply. Between two
+//! replies everything is synchronous and row at a time: a pair is decoded
+//! into one reused row buffer (only the columns some operator above
+//! reads), and pushed through `[Filter] → [Project] → sink` before the
+//! next pair is looked at. Rows pile up only where the operator is its
+//! pile: the result ([`Collect`]), a sort buffer, a join's build side.
+//!
+//! Scans fetch via KV spans; secondary-index scans and lookup joins batch
+//! their primary-key lookups into single KV batches — the access patterns
+//! whose costs the estimated-CPU model is built on. Every fetched pair is
+//! counted in [`ExecStats`] whether or not a row comes of it.
+//!
+//! **Which error a statement reports** does not depend on the streaming:
+//! it is the error of the operator nearest the data, on the first row
+//! that fails there — what running each operator over its whole input in
+//! turn would report. An operator therefore returns only its *own*
+//! failure to its producer; a failure further down is parked in
+//! [`Downstream`] while the operators nearer the data see the rest of
+//! their input, and surfaces at `finish` if none of them failed.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::rc::Rc;
@@ -46,8 +63,6 @@ pub struct QueryOutput {
     pub stats: ExecStats,
 }
 
-type RowsCb = Box<dyn FnOnce(Result<Vec<Row>, SqlError>)>;
-
 /// A total order over datums for sorting and grouping: NULL first, then
 /// bools, then numerics (cross-type), then strings.
 pub fn datum_total_cmp(a: &Datum, b: &Datum) -> Ordering {
@@ -79,20 +94,19 @@ pub fn execute(
     match plan {
         Plan::Query(node) => {
             let columns = node.scope();
-            let st = Rc::clone(&stats);
+            let cx = Cx { txn: txn.clone(), params: Rc::new(params), stats };
+            let stats = Rc::clone(&cx.stats);
             run_node(
-                txn.clone(),
-                Rc::new(params),
+                &cx,
                 node,
-                st,
-                Box::new(move |rows| match rows {
-                    Ok(rows) => cb(Ok(QueryOutput {
+                None,
+                Collect::then(move |rows| {
+                    cb(rows.map(|rows| QueryOutput {
                         columns,
                         rows_affected: 0,
                         rows,
                         stats: *stats.borrow(),
-                    })),
-                    Err(e) => cb(Err(e)),
+                    }))
                 }),
             );
         }
@@ -112,7 +126,7 @@ pub fn execute(
 }
 
 fn eval_bound(e: &Expr, params: &[Datum]) -> Result<Datum, SqlError> {
-    e.eval(&Vec::new(), params).map_err(SqlError::Eval)
+    e.eval(&[], params).map_err(SqlError::Eval)
 }
 
 /// The role a span datum plays, selecting the safe coercion direction.
@@ -157,8 +171,8 @@ fn index_ordinals(table: &TableDescriptor, index_id: u64) -> &[usize] {
     }
 }
 
-/// Computes the KV span for a scan constraint.
-fn constraint_span(
+/// The KV span `[start, end)` a scan constraint covers under `params`.
+pub fn constraint_span(
     table: &TableDescriptor,
     index_id: u64,
     c: &ScanConstraint,
@@ -203,284 +217,261 @@ fn constraint_span(
     Ok((start, end))
 }
 
-fn run_node(
+/// What every stage of one statement's pipeline shares.
+#[derive(Clone)]
+struct Cx {
     txn: Txn,
     params: Rc<Vec<Datum>>,
-    node: PlanNode,
     stats: Rc<RefCell<ExecStats>>,
-    cb: RowsCb,
-) {
+}
+
+/// A consumer of rows: an operator with the rest of the pipeline behind
+/// it, or the pipeline's end.
+trait Sink {
+    /// Takes one row. The buffer is the producer's, refilled for the next
+    /// row: a sink that keeps the row takes it out (`mem::take`). `Err` is
+    /// this operator's own failure on this row, and ends the input.
+    fn push(&mut self, row: &mut Row) -> Result<(), SqlError>;
+    /// Ends the input — exhausted, or failed with `input`'s error — and
+    /// sees the statement's callback run, now or after the KV round trips
+    /// this operator still has to make.
+    fn finish(self: Box<Self>, input: Result<(), SqlError>);
+}
+
+/// Pushes `rows` into `sink` until one fails there, then finishes it.
+fn feed(rows: impl IntoIterator<Item = Row>, mut sink: Box<dyn Sink>) {
+    for mut row in rows {
+        if let Err(e) = sink.push(&mut row) {
+            return sink.finish(Err(e));
+        }
+    }
+    sink.finish(Ok(()))
+}
+
+/// The consumer behind an operator. Its failure is not the operator's:
+/// it is parked here, nothing more is pushed, and the operator carries on
+/// through its own input, because an error nearer the data outranks it
+/// (module docs).
+struct Downstream {
+    next: Box<dyn Sink>,
+    failed: Option<SqlError>,
+}
+
+impl Downstream {
+    fn new(next: Box<dyn Sink>) -> Self {
+        Downstream { next, failed: None }
+    }
+
+    fn push(&mut self, row: &mut Row) {
+        if self.failed.is_none() {
+            self.failed = self.next.push(row).err();
+        }
+    }
+
+    fn finish(self, input: Result<(), SqlError>) {
+        self.next.finish(input.and(self.failed.map_or(Ok(()), Err)))
+    }
+}
+
+/// The columns of a node's output that something above it reads, by
+/// ordinal (short = the rest unread); `None`: all of them.
+type Needed = Option<Vec<bool>>;
+
+fn mark_column(needed: &mut Vec<bool>, i: usize) {
+    if needed.len() <= i {
+        needed.resize(i + 1, false);
+    }
+    needed[i] = true;
+}
+
+fn mark_columns(needed: &mut Vec<bool>, e: &Expr) {
+    match e {
+        Expr::Column(i) => mark_column(needed, *i),
+        Expr::Bin(_, l, r) => {
+            mark_columns(needed, l);
+            mark_columns(needed, r);
+        }
+        Expr::Not(e) => mark_columns(needed, e),
+        Expr::Literal(_) | Expr::Name(_) | Expr::Param(_) => {}
+    }
+}
+
+/// The columns `exprs` read, when they are all an operator passes on.
+fn columns_of<'a>(exprs: impl IntoIterator<Item = &'a Expr>) -> Needed {
+    let mut needed = Vec::new();
+    for e in exprs {
+        mark_columns(&mut needed, e);
+    }
+    Some(needed)
+}
+
+/// `needed`, when the operator in between reads `e`'s columns too.
+fn also_reading(needed: Needed, e: &Expr) -> Needed {
+    needed.map(|mut n| {
+        mark_columns(&mut n, e);
+        n
+    })
+}
+
+/// Runs `node`, feeding its rows to `sink`; `needed` is what the sink and
+/// everything behind it read of them.
+fn run_node(cx: &Cx, node: PlanNode, needed: Needed, sink: Box<dyn Sink>) {
     match node {
         PlanNode::Values { rows, .. } => {
+            // Every row is evaluated before the first is pushed: this is
+            // the operator nearest the data, so its error comes first.
             let mut out = Vec::with_capacity(rows.len());
             for exprs in rows {
                 let mut row = Vec::with_capacity(exprs.len());
                 for e in exprs {
-                    match e.eval(&Vec::new(), &params) {
+                    match e.eval(&[], &cx.params) {
                         Ok(d) => row.push(d),
-                        Err(e) => {
-                            cb(Err(SqlError::Eval(e)));
-                            return;
-                        }
+                        Err(e) => return sink.finish(Err(SqlError::Eval(e))),
                     }
                 }
                 out.push(row);
             }
-            cb(Ok(out));
+            feed(out, sink);
         }
         PlanNode::Scan { table, index_id, index_cols, constraint, filter, limit, .. } => {
-            let span = match constraint_span(&table, index_id, &constraint, &params) {
+            let span = match constraint_span(&table, index_id, &constraint, &cx.params) {
                 Ok(s) => s,
-                Err(e) => {
-                    cb(Err(e));
-                    return;
-                }
+                Err(e) => return sink.finish(Err(e)),
             };
-            let st = Rc::clone(&stats);
-            let params2 = Rc::clone(&params);
-            let txn2 = txn.clone();
-            fetch_span(
-                txn,
-                table,
-                index_id,
-                index_cols.len(),
-                span,
-                limit,
-                st,
-                Box::new(move |rows| {
-                    let rows = match rows {
-                        Ok(r) => r,
-                        Err(e) => {
-                            cb(Err(e));
-                            return;
-                        }
-                    };
-                    let _ = txn2;
-                    match apply_filter(rows, &filter, &params2) {
-                        Ok(rows) => cb(Ok(rows)),
-                        Err(e) => cb(Err(e)),
-                    }
-                }),
-            );
+            let (needed, sink) = match filter {
+                Some(predicate) => {
+                    (also_reading(needed, &predicate), Filter::before(&cx.params, predicate, sink))
+                }
+                None => (needed, sink),
+            };
+            fetch_span(cx, table, index_id, index_cols.len(), span, limit, needed, sink);
         }
         PlanNode::Filter { input, predicate } => {
-            let params2 = Rc::clone(&params);
-            run_node(
-                txn,
-                params,
-                *input,
-                stats,
-                Box::new(move |rows| match rows {
-                    Ok(rows) => match apply_filter(rows, &Some(predicate), &params2) {
-                        Ok(rows) => cb(Ok(rows)),
-                        Err(e) => cb(Err(e)),
-                    },
-                    Err(e) => cb(Err(e)),
-                }),
-            );
+            let needed = also_reading(needed, &predicate);
+            run_node(cx, *input, needed, Filter::before(&cx.params, predicate, sink));
         }
         PlanNode::Project { input, exprs, .. } => {
-            let params2 = Rc::clone(&params);
-            run_node(
-                txn,
-                params,
-                *input,
-                stats,
-                Box::new(move |rows| match rows {
-                    Ok(rows) => {
-                        let mut out = Vec::with_capacity(rows.len());
-                        for row in rows {
-                            let mut projected = Vec::with_capacity(exprs.len());
-                            for e in &exprs {
-                                match e.eval(&row, &params2) {
-                                    Ok(d) => projected.push(d),
-                                    Err(e) => {
-                                        cb(Err(SqlError::Eval(e)));
-                                        return;
-                                    }
-                                }
-                            }
-                            out.push(projected);
-                        }
-                        cb(Ok(out));
-                    }
-                    Err(e) => cb(Err(e)),
-                }),
-            );
+            let needed = columns_of(&exprs);
+            let params = Rc::clone(&cx.params);
+            let out = Downstream::new(sink);
+            run_node(cx, *input, needed, Box::new(Project { exprs, params, row: Row::new(), out }));
         }
         PlanNode::LookupJoin { input, table, left_key_cols, residual, .. } => {
-            let params2 = Rc::clone(&params);
-            let txn2 = txn.clone();
-            let st = Rc::clone(&stats);
-            run_node(
-                txn,
-                params,
-                *input,
-                stats,
-                Box::new(move |rows| {
-                    let left_rows = match rows {
-                        Ok(r) => r,
-                        Err(e) => {
-                            cb(Err(e));
-                            return;
-                        }
-                    };
-                    // Batched point-lookups of the right PK.
-                    let keys: Vec<Bytes> = left_rows
-                        .iter()
-                        .map(|row| {
-                            let pk: Vec<Datum> =
-                                left_key_cols.iter().map(|&i| row[i].clone()).collect();
-                            rowcodec::primary_key_from_datums(&table, &pk)
-                        })
-                        .collect();
-                    let table2 = table.clone();
-                    let params3 = Rc::clone(&params2);
-                    let keys2 = keys.clone();
-                    txn2.read_many(keys, move |values| {
-                        let values = match values {
-                            Ok(v) => v,
-                            Err(e) => {
-                                cb(Err(e));
-                                return;
-                            }
-                        };
-                        let mut joined = Vec::new();
-                        for ((left, value), key) in left_rows.into_iter().zip(values).zip(keys2) {
-                            let value = match value {
-                                Some(v) => v,
-                                None => continue, // inner join: no match
-                            };
-                            st.borrow_mut().rows_read += 1;
-                            st.borrow_mut().bytes_read += (key.len() + value.len()) as u64;
-                            let right = match rowcodec::decode_row(&table2, &key, &value) {
-                                Some(r) => r,
-                                None => continue,
-                            };
-                            let mut row = left;
-                            row.extend(right);
-                            joined.push(row);
-                        }
-                        match apply_filter(joined, &residual, &params3) {
-                            Ok(rows) => cb(Ok(rows)),
-                            Err(e) => cb(Err(e)),
-                        }
-                    });
-                }),
-            );
+            let sink = match residual {
+                Some(predicate) => Filter::before(&cx.params, predicate, sink),
+                None => sink,
+            };
+            let join = LookupJoin {
+                cx: cx.clone(),
+                table,
+                left_key_cols,
+                left_rows: Vec::new(),
+                out: Downstream::new(sink),
+            };
+            run_node(cx, *input, None, Box::new(join));
         }
         PlanNode::HashJoin { left, right, left_col, right_col, residual, .. } => {
-            let params2 = Rc::clone(&params);
-            let txn2 = txn.clone();
-            let st = Rc::clone(&stats);
-            run_node(
-                txn,
-                Rc::clone(&params),
-                *left,
-                Rc::clone(&stats),
-                Box::new(move |lrows| {
-                    let lrows = match lrows {
+            let sink = match residual {
+                Some(predicate) => Filter::before(&cx.params, predicate, sink),
+                None => sink,
+            };
+            let mut out = Downstream::new(sink);
+            let cx2 = cx.clone();
+            // The build sides are collected, left then right; the joined
+            // rows flow on one at a time.
+            let left_done = move |lrows: Result<Vec<Row>, SqlError>| {
+                let lrows = match lrows {
+                    Ok(r) => r,
+                    Err(e) => return out.finish(Err(e)),
+                };
+                let right_done = move |rrows: Result<Vec<Row>, SqlError>| {
+                    let rrows = match rrows {
                         Ok(r) => r,
-                        Err(e) => {
-                            cb(Err(e));
-                            return;
-                        }
+                        Err(e) => return out.finish(Err(e)),
                     };
-                    let params3 = Rc::clone(&params2);
-                    run_node(
-                        txn2,
-                        params2,
-                        *right,
-                        st,
-                        Box::new(move |rrows| {
-                            let rrows = match rrows {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    cb(Err(e));
-                                    return;
-                                }
-                            };
-                            // Build side: sort right rows by key datum.
-                            let mut joined = Vec::new();
-                            for l in &lrows {
-                                for r in &rrows {
-                                    if l[left_col].sql_eq(&r[right_col]) {
-                                        let mut row = l.clone();
-                                        row.extend(r.iter().cloned());
-                                        joined.push(row);
-                                    }
-                                }
+                    let mut joined = Row::new();
+                    for l in &lrows {
+                        for r in &rrows {
+                            if l[left_col].sql_eq(&r[right_col]) {
+                                joined.clear();
+                                joined.extend(l.iter().chain(r).cloned());
+                                out.push(&mut joined);
                             }
-                            match apply_filter(joined, &residual, &params3) {
-                                Ok(rows) => cb(Ok(rows)),
-                                Err(e) => cb(Err(e)),
-                            }
-                        }),
-                    );
-                }),
-            );
+                        }
+                    }
+                    out.finish(Ok(()));
+                };
+                run_node(&cx2, *right, None, Collect::then(right_done));
+            };
+            run_node(cx, *left, None, Collect::then(left_done));
         }
         PlanNode::Aggregate { input, group, aggs, output_map, .. } => {
-            let params2 = Rc::clone(&params);
-            run_node(
-                txn,
-                params,
-                *input,
-                stats,
-                Box::new(move |rows| {
-                    let rows = match rows {
-                        Ok(r) => r,
-                        Err(e) => {
-                            cb(Err(e));
-                            return;
-                        }
-                    };
-                    match aggregate(rows, &group, &aggs, &output_map, &params2) {
-                        Ok(out) => cb(Ok(out)),
-                        Err(e) => cb(Err(e)),
-                    }
-                }),
-            );
+            let needed =
+                columns_of(group.iter().chain(aggs.iter().filter_map(|(_, e)| e.as_ref())));
+            let aggregate = Aggregate {
+                group,
+                aggs,
+                output_map,
+                params: Rc::clone(&cx.params),
+                groups: Vec::new(),
+                computed: Vec::new(),
+                out: Downstream::new(sink),
+            };
+            run_node(cx, *input, needed, Box::new(aggregate));
         }
         PlanNode::Sort { input, keys } => {
-            run_node(
-                txn,
-                params,
-                *input,
-                stats,
-                Box::new(move |rows| match rows {
-                    Ok(mut rows) => {
-                        rows.sort_by(|a, b| {
-                            for &(idx, desc) in &keys {
-                                let ord = datum_total_cmp(&a[idx], &b[idx]);
-                                let ord = if desc { ord.reverse() } else { ord };
-                                if ord != Ordering::Equal {
-                                    return ord;
-                                }
-                            }
-                            Ordering::Equal
-                        });
-                        cb(Ok(rows));
-                    }
-                    Err(e) => cb(Err(e)),
-                }),
-            );
+            let needed = needed.map(|mut n| {
+                keys.iter().for_each(|&(idx, _)| mark_column(&mut n, idx));
+                n
+            });
+            let sort = Sort { keys, rows: Vec::new(), out: Downstream::new(sink) };
+            run_node(cx, *input, needed, Box::new(sort));
         }
         PlanNode::Limit { input, n } => {
-            run_node(
-                txn,
-                params,
-                *input,
-                stats,
-                Box::new(move |rows| match rows {
-                    Ok(mut rows) => {
-                        rows.truncate(n as usize);
-                        cb(Ok(rows));
-                    }
-                    Err(e) => cb(Err(e)),
-                }),
-            );
+            run_node(cx, *input, needed, Box::new(Limit { left: n, out: Downstream::new(sink) }));
         }
+    }
+}
+
+/// Decodes the fetched pairs of one table, one at a time, into one row.
+struct Decoder {
+    table: TableDescriptor,
+    needed: Needed,
+    stats: Rc<RefCell<ExecStats>>,
+    row: Row,
+}
+
+impl Decoder {
+    fn new(cx: &Cx, table: TableDescriptor, needed: Needed) -> Self {
+        Decoder { table, needed, stats: Rc::clone(&cx.stats), row: Row::new() }
+    }
+
+    /// Counts a fetched pair and decodes it into `self.row`; `false` when
+    /// the pair is no row of the table (counted all the same).
+    fn decode(&mut self, key: &[u8], value: &[u8]) -> bool {
+        {
+            let mut stats = self.stats.borrow_mut();
+            stats.rows_read += 1;
+            stats.bytes_read += (key.len() + value.len()) as u64;
+        }
+        let needed = self.needed.as_deref();
+        rowcodec::decode_row_into(&self.table, key, value, needed, &mut self.row)
+    }
+
+    /// Decodes each pair and pushes the row into `sink`, then finishes it.
+    fn feed<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        mut self,
+        pairs: impl IntoIterator<Item = (K, V)>,
+        mut sink: Box<dyn Sink>,
+    ) {
+        for (key, value) in pairs {
+            if self.decode(key.as_ref(), value.as_ref()) {
+                if let Err(e) = sink.push(&mut self.row) {
+                    return sink.finish(Err(e));
+                }
+            }
+        }
+        sink.finish(Ok(()))
     }
 }
 
@@ -492,94 +483,223 @@ fn run_node(
 /// scan reads ≤ n rows instead of the whole span.
 #[allow(clippy::too_many_arguments)]
 fn fetch_span(
-    txn: Txn,
+    cx: &Cx,
     table: TableDescriptor,
     index_id: u64,
     n_indexed: usize,
     span: (Bytes, Bytes),
     limit: Option<u64>,
-    stats: Rc<RefCell<ExecStats>>,
-    cb: RowsCb,
+    needed: Needed,
+    sink: Box<dyn Sink>,
 ) {
     let (start, end) = span;
     let max_pairs = limit.map_or(usize::MAX, |n| n as usize);
+    let txn = cx.txn.clone();
+    let decoder = Decoder::new(cx, table, needed);
     if index_id == PRIMARY_INDEX_ID {
-        txn.scan(start, end, max_pairs, move |pairs| {
-            let pairs = match pairs {
-                Ok(p) => p,
-                Err(e) => {
-                    cb(Err(e));
-                    return;
-                }
-            };
-            let mut rows = Vec::with_capacity(pairs.len());
-            for (k, v) in pairs {
-                stats.borrow_mut().rows_read += 1;
-                stats.borrow_mut().bytes_read += (k.len() + v.len()) as u64;
-                if let Some(row) = rowcodec::decode_row(&table, &k, &v) {
-                    rows.push(row);
-                }
-            }
-            cb(Ok(rows));
+        cx.txn.scan(start, end, max_pairs, move |pairs| match pairs {
+            Ok(pairs) => decoder.feed(pairs, sink),
+            Err(e) => sink.finish(Err(e)),
         });
         return;
     }
     // Secondary index: scan entries, then batched primary lookups.
-    let txn2 = txn.clone();
-    txn.scan(start, end, max_pairs, move |pairs| {
+    cx.txn.scan(start, end, max_pairs, move |pairs| {
         let pairs = match pairs {
             Ok(p) => p,
-            Err(e) => {
-                cb(Err(e));
-                return;
-            }
+            Err(e) => return sink.finish(Err(e)),
         };
         let mut keys = Vec::with_capacity(pairs.len());
         for (k, _) in &pairs {
-            if let Some(pk) = rowcodec::decode_index_entry(&table, index_id, n_indexed, k) {
-                keys.push(rowcodec::primary_key_from_datums(&table, &pk));
+            if let Some(pk) = rowcodec::decode_index_entry(&decoder.table, index_id, n_indexed, k) {
+                keys.push(rowcodec::primary_key_from_datums(&decoder.table, &pk));
             }
         }
-        let keys2 = keys.clone();
-        txn2.read_many(keys, move |values| {
-            let values = match values {
-                Ok(v) => v,
-                Err(e) => {
-                    cb(Err(e));
-                    return;
-                }
-            };
-            let mut rows = Vec::new();
-            for (key, value) in keys2.into_iter().zip(values) {
-                if let Some(v) = value {
-                    stats.borrow_mut().rows_read += 1;
-                    stats.borrow_mut().bytes_read += (key.len() + v.len()) as u64;
-                    if let Some(row) = rowcodec::decode_row(&table, &key, &v) {
-                        rows.push(row);
-                    }
-                }
+        txn.read_many(keys.clone(), move |values| match values {
+            Ok(values) => {
+                let found = keys.into_iter().zip(values).filter_map(|(k, v)| Some((k, v?)));
+                decoder.feed(found, sink)
             }
-            cb(Ok(rows));
+            Err(e) => sink.finish(Err(e)),
         });
     });
 }
 
-fn apply_filter(
+/// `WHERE`, a scan's residual filter, a join's residual `ON`.
+struct Filter {
+    predicate: Expr,
+    params: Rc<Vec<Datum>>,
+    out: Downstream,
+}
+
+impl Filter {
+    /// The filter, in front of `sink`.
+    fn before(params: &Rc<Vec<Datum>>, predicate: Expr, sink: Box<dyn Sink>) -> Box<dyn Sink> {
+        Box::new(Filter { predicate, params: Rc::clone(params), out: Downstream::new(sink) })
+    }
+}
+
+impl Sink for Filter {
+    fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
+        if self.predicate.eval_ref(row, &self.params).map_err(SqlError::Eval)?.is_true() {
+            self.out.push(row);
+        }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+        self.out.finish(input)
+    }
+}
+
+struct Project {
+    exprs: Vec<Expr>,
+    params: Rc<Vec<Datum>>,
+    /// The projected row, refilled per input row.
+    row: Row,
+    out: Downstream,
+}
+
+impl Sink for Project {
+    fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
+        self.row.clear();
+        for e in &self.exprs {
+            self.row.push(e.eval(row, &self.params).map_err(SqlError::Eval)?);
+        }
+        self.out.push(&mut self.row);
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+        self.out.finish(input)
+    }
+}
+
+/// `ORDER BY`: the sort buffer.
+struct Sort {
+    keys: Vec<(usize, bool)>,
     rows: Vec<Row>,
-    filter: &Option<Expr>,
-    params: &[Datum],
-) -> Result<Vec<Row>, SqlError> {
-    match filter {
-        None => Ok(rows),
-        Some(f) => {
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                if f.eval(&row, params).map_err(SqlError::Eval)?.is_true() {
-                    out.push(row);
+    out: Downstream,
+}
+
+impl Sink for Sort {
+    fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
+        self.rows.push(std::mem::take(row));
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+        let Sort { keys, mut rows, mut out } = *self;
+        if input.is_ok() {
+            rows.sort_by(|a, b| {
+                for &(idx, desc) in &keys {
+                    let ord = datum_total_cmp(&a[idx], &b[idx]);
+                    let ord = if desc { ord.reverse() } else { ord };
+                    if ord != Ordering::Equal {
+                        return ord;
+                    }
+                }
+                Ordering::Equal
+            });
+            for mut row in rows {
+                out.push(&mut row);
+            }
+        }
+        out.finish(input)
+    }
+}
+
+/// `LIMIT` the planner could not push into the scan. The rows past it are
+/// still produced — an error among them is still the statement's.
+struct Limit {
+    left: u64,
+    out: Downstream,
+}
+
+impl Sink for Limit {
+    fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
+        if self.left > 0 {
+            self.left -= 1;
+            self.out.push(row);
+        }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+        self.out.finish(input)
+    }
+}
+
+/// The end of a pipeline: the statement's result, a join's build side,
+/// the rows a DML statement is about to rewrite. All or nothing.
+struct Collect<F> {
+    rows: Vec<Row>,
+    done: F,
+}
+
+impl<F: FnOnce(Result<Vec<Row>, SqlError>) + 'static> Collect<F> {
+    /// A sink that hands everything it collected to `done`.
+    fn then(done: F) -> Box<dyn Sink> {
+        Box::new(Collect { rows: Vec::new(), done })
+    }
+}
+
+impl<F: FnOnce(Result<Vec<Row>, SqlError>)> Sink for Collect<F> {
+    fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
+        self.rows.push(std::mem::take(row));
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+        let Collect { rows, done } = *self;
+        done(input.map(|()| rows))
+    }
+}
+
+/// Nested lookup join: the left rows are its build side; when they are
+/// all in, one KV batch looks up the right table's row for each.
+struct LookupJoin {
+    cx: Cx,
+    table: TableDescriptor,
+    left_key_cols: Vec<usize>,
+    left_rows: Vec<Row>,
+    out: Downstream,
+}
+
+impl Sink for LookupJoin {
+    fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
+        self.left_rows.push(std::mem::take(row));
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+        let LookupJoin { cx, table, left_key_cols, left_rows, mut out } = *self;
+        if input.is_err() {
+            return out.finish(input);
+        }
+        // Batched point-lookups of the right PK.
+        let keys: Vec<Bytes> = left_rows
+            .iter()
+            .map(|row| {
+                let pk: Vec<Datum> = left_key_cols.iter().map(|&i| row[i].clone()).collect();
+                rowcodec::primary_key_from_datums(&table, &pk)
+            })
+            .collect();
+        let mut right = Decoder::new(&cx, table, None);
+        cx.txn.read_many(keys.clone(), move |values| {
+            let values = match values {
+                Ok(v) => v,
+                Err(e) => return out.finish(Err(e)),
+            };
+            for ((mut row, value), key) in left_rows.into_iter().zip(values).zip(keys) {
+                // Inner join: no match, no row.
+                if value.is_some_and(|value| right.decode(&key, &value)) {
+                    row.append(&mut right.row);
+                    out.push(&mut row);
                 }
             }
-            Ok(out)
-        }
+            out.finish(Ok(()));
+        });
     }
 }
 
@@ -644,32 +764,60 @@ impl AggState {
     }
 }
 
-fn aggregate(
-    rows: Vec<Row>,
-    group: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
-    output_map: &[usize],
-    params: &[Datum],
-) -> Result<Vec<Row>, SqlError> {
-    // Groups keyed by evaluated group datums, kept in sorted order.
-    let mut groups: Vec<(Vec<Datum>, Vec<AggState>)> = Vec::new();
-    for row in &rows {
-        let mut key = Vec::with_capacity(group.len());
-        for g in group {
-            key.push(g.eval(row, params).map_err(SqlError::Eval)?);
+/// Grouped aggregation: each row is folded into its group as it arrives.
+struct Aggregate {
+    group: Vec<Expr>,
+    aggs: Vec<(AggFunc, Option<Expr>)>,
+    output_map: Vec<usize>,
+    params: Rc<Vec<Datum>>,
+    /// Groups keyed by evaluated group datums, kept in sorted order.
+    groups: Vec<(Vec<Datum>, Vec<AggState>)>,
+    /// The current row's group expressions, as far as they had to be
+    /// computed: `None` where the row (or a literal or parameter) lends
+    /// the value.
+    computed: Vec<Option<Datum>>,
+    out: Downstream,
+}
+
+/// One part of the current row's group key: compared where it lies, and
+/// copied only into a group that does not exist yet.
+fn group_part<'a>(
+    e: &'a Expr,
+    computed: &'a Option<Datum>,
+    row: &'a [Datum],
+    params: &'a [Datum],
+) -> &'a Datum {
+    match (computed, e.eval_ref(row, params)) {
+        (Some(d), _) | (None, Ok(Cow::Borrowed(d))) => d,
+        // Not reached: a part is lent exactly when it was not computed.
+        (None, _) => &Datum::Null,
+    }
+}
+
+impl Sink for Aggregate {
+    fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
+        let Aggregate { group, aggs, params, groups, computed, .. } = self;
+        let (row, params) = (row.as_slice(), params.as_slice());
+        computed.clear();
+        for g in group.iter() {
+            computed.push(match g.eval_ref(row, params).map_err(SqlError::Eval)? {
+                Cow::Owned(d) => Some(d),
+                Cow::Borrowed(_) => None,
+            });
         }
+        let parts =
+            || group.iter().zip(computed.iter()).map(|(e, c)| group_part(e, c, row, params));
         let pos = groups.binary_search_by(|(k, _)| {
-            for (a, b) in k.iter().zip(&key) {
-                let ord = datum_total_cmp(a, b);
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
+            k.iter()
+                .zip(parts())
+                .map(|(a, b)| datum_total_cmp(a, b))
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
         });
         let idx = match pos {
             Ok(i) => i,
             Err(i) => {
+                let key = parts().cloned().collect();
                 groups.insert(i, (key, aggs.iter().map(|_| AggState::new()).collect()));
                 i
             }
@@ -680,27 +828,30 @@ fn aggregate(
                     debug_assert_eq!(*func, AggFunc::Count);
                     state.count += 1;
                 }
-                Some(e) => {
-                    let v = e.eval(row, params).map_err(SqlError::Eval)?;
-                    state.fold(&v);
-                }
+                Some(e) => state.fold(e.eval_ref(row, params).map_err(SqlError::Eval)?.as_ref()),
             }
         }
+        Ok(())
     }
-    // Global aggregation over zero rows still yields one output row.
-    if groups.is_empty() && group.is_empty() {
-        groups.push((Vec::new(), aggs.iter().map(|_| AggState::new()).collect()));
-    }
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, states) in groups {
-        let mut full: Row = key;
-        for ((func, _), state) in aggs.iter().zip(&states) {
-            full.push(state.result(*func));
+
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+        let Aggregate { group, aggs, output_map, mut groups, mut out, .. } = *self;
+        if input.is_ok() {
+            // Global aggregation over zero rows still yields one output row.
+            if groups.is_empty() && group.is_empty() {
+                groups.push((Vec::new(), aggs.iter().map(|_| AggState::new()).collect()));
+            }
+            for (key, states) in groups {
+                let mut full: Row = key;
+                for ((func, _), state) in aggs.iter().zip(&states) {
+                    full.push(state.result(*func));
+                }
+                let mut row: Row = output_map.iter().map(|&i| full[i].clone()).collect();
+                out.push(&mut row);
+            }
         }
-        let row: Row = output_map.iter().map(|&i| full[i].clone()).collect();
-        out.push(row);
+        out.finish(input)
     }
-    Ok(out)
 }
 
 fn execute_insert(
@@ -716,7 +867,7 @@ fn execute_insert(
     for exprs in &row_exprs {
         let mut row = Vec::with_capacity(exprs.len());
         for e in exprs {
-            match e.eval(&Vec::new(), &params) {
+            match e.eval(&[], &params) {
                 Ok(d) => row.push(d),
                 Err(e) => {
                     cb(Err(SqlError::Eval(e)));
@@ -783,16 +934,13 @@ fn execute_update(
     stats: Rc<RefCell<ExecStats>>,
     cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
 ) {
-    let params = Rc::new(params);
-    let params2 = Rc::clone(&params);
-    let txn2 = txn.clone();
-    let st = Rc::clone(&stats);
+    let cx = Cx { txn, params: Rc::new(params), stats };
+    let (txn2, params2, st) = (cx.txn.clone(), Rc::clone(&cx.params), Rc::clone(&cx.stats));
     run_node(
-        txn,
-        Rc::clone(&params),
+        &cx,
         scan,
-        Rc::clone(&stats),
-        Box::new(move |rows| {
+        None,
+        Collect::then(move |rows| {
             let rows = match rows {
                 Ok(r) => r,
                 Err(e) => {
@@ -880,14 +1028,13 @@ fn execute_delete(
     stats: Rc<RefCell<ExecStats>>,
     cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
 ) {
-    let txn2 = txn.clone();
-    let st = Rc::clone(&stats);
+    let cx = Cx { txn, params: Rc::new(params), stats };
+    let (txn2, st) = (cx.txn.clone(), Rc::clone(&cx.stats));
     run_node(
-        txn,
-        Rc::new(params),
+        &cx,
         scan,
-        Rc::clone(&stats),
-        Box::new(move |rows| {
+        None,
+        Collect::then(move |rows| {
             let rows = match rows {
                 Ok(r) => r,
                 Err(e) => {
@@ -965,6 +1112,29 @@ mod tests {
         assert_eq!(mixed.result(AggFunc::Sum), Datum::Float(1.5));
     }
 
+    /// Streams `rows` through an [`Aggregate`] into a [`Collect`].
+    fn aggregated(
+        rows: Vec<Row>,
+        group: Vec<Expr>,
+        aggs: Vec<(AggFunc, Option<Expr>)>,
+        output_map: Vec<usize>,
+    ) -> Result<Vec<Row>, SqlError> {
+        let result = Rc::new(RefCell::new(None));
+        let slot = Rc::clone(&result);
+        let aggregate = Aggregate {
+            group,
+            aggs,
+            output_map,
+            params: Rc::new(Vec::new()),
+            groups: Vec::new(),
+            computed: Vec::new(),
+            out: Downstream::new(Collect::then(move |rows| *slot.borrow_mut() = Some(rows))),
+        };
+        feed(rows, Box::new(aggregate));
+        let result = result.borrow_mut().take();
+        result.expect("a pipeline over rows in hand finishes at once")
+    }
+
     #[test]
     fn aggregate_groups_rows() {
         let rows = vec![
@@ -974,7 +1144,7 @@ mod tests {
         ];
         let group = vec![Expr::Column(0)];
         let aggs = vec![(AggFunc::Sum, Some(Expr::Column(1)))];
-        let out = aggregate(rows, &group, &aggs, &[0, 1], &[]).unwrap();
+        let out = aggregated(rows, group, aggs, vec![0, 1]).unwrap();
         assert_eq!(
             out,
             vec![vec![Datum::Int(1), Datum::Int(15)], vec![Datum::Int(2), Datum::Int(20)],]
@@ -983,7 +1153,50 @@ mod tests {
 
     #[test]
     fn global_aggregate_over_no_rows() {
-        let out = aggregate(vec![], &[], &[(AggFunc::Count, None)], &[0], &[]).unwrap();
+        let out = aggregated(vec![], vec![], vec![(AggFunc::Count, None)], vec![0]).unwrap();
         assert_eq!(out, vec![vec![Datum::Int(0)]]);
+    }
+
+    #[test]
+    fn the_error_nearest_the_data_wins_whatever_row_it_is_on() {
+        // Row 1 fails in the projection, row 2 in the filter below it: the
+        // filter's error is the statement's, as if the filter had run over
+        // every row before the projection saw one.
+        let div = |l: Expr, r: Expr| Expr::Bin(crate::expr::BinOp::Div, Box::new(l), Box::new(r));
+        let rows = vec![
+            vec![Datum::Int(1), Datum::Int(0)],
+            vec![Datum::Str("x".into()), Datum::Int(1)],
+            vec![Datum::Int(1), Datum::Int(1)],
+        ];
+        let run = |rows: Vec<Row>| {
+            let result = Rc::new(RefCell::new(None));
+            let slot = Rc::clone(&result);
+            let params = Rc::new(Vec::new());
+            let collect = Collect::then(move |rows| *slot.borrow_mut() = Some(rows));
+            let project = Project {
+                exprs: vec![div(Expr::Literal(Datum::Int(1)), Expr::Column(1))],
+                params: Rc::clone(&params),
+                row: Row::new(),
+                out: Downstream::new(collect),
+            };
+            let predicate = Expr::Bin(
+                crate::expr::BinOp::Gt,
+                Box::new(div(Expr::Column(0), Expr::Literal(Datum::Int(1)))),
+                Box::new(Expr::Literal(Datum::Int(0))),
+            );
+            let filter = Filter::before(&params, predicate, Box::new(project));
+            feed(rows, filter);
+            let result = result.borrow_mut().take();
+            result.expect("finished")
+        };
+        use crate::expr::EvalError;
+        assert_eq!(run(rows.clone()), Err(SqlError::Eval(EvalError::TypeMismatch("arith"))));
+        // Without the row the filter fails on, the projection's error
+        // surfaces — and no partial output with it.
+        assert_eq!(
+            run(vec![rows[0].clone(), rows[2].clone()]),
+            Err(SqlError::Eval(EvalError::DivisionByZero))
+        );
+        assert_eq!(run(vec![rows[2].clone()]), Ok(vec![vec![Datum::Float(1.0)]]));
     }
 }

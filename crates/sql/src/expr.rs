@@ -1,8 +1,9 @@
 //! Expression AST and evaluation.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::value::{Datum, Row};
+use crate::value::Datum;
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,46 +76,61 @@ impl fmt::Display for EvalError {
 
 impl Expr {
     /// Evaluates against a row (scope columns) with bound parameters.
-    pub fn eval(&self, row: &Row, params: &[Datum]) -> Result<Datum, EvalError> {
+    pub fn eval(&self, row: &[Datum], params: &[Datum]) -> Result<Datum, EvalError> {
+        self.eval_ref(row, params).map(Cow::into_owned)
+    }
+
+    /// [`Expr::eval`] without the copy: a column, parameter or literal is
+    /// lent from where it lives, and only a computed value is owned — a
+    /// comparison against a string column reads the row's own `String`.
+    pub fn eval_ref<'a>(
+        &'a self,
+        row: &'a [Datum],
+        params: &'a [Datum],
+    ) -> Result<Cow<'a, Datum>, EvalError> {
+        let owned = |d: Datum| Ok(Cow::Owned(d));
         match self {
-            Expr::Literal(d) => Ok(d.clone()),
-            Expr::Column(i) => {
-                row.get(*i).cloned().ok_or_else(|| EvalError::Unbound(format!("column {i}")))
-            }
+            Expr::Literal(d) => Ok(Cow::Borrowed(d)),
+            Expr::Column(i) => row
+                .get(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EvalError::Unbound(format!("column {i}"))),
             Expr::Name(n) => Err(EvalError::Unbound(n.clone())),
-            Expr::Param(n) => {
-                params.get(*n - 1).cloned().ok_or_else(|| EvalError::Unbound(format!("${n}")))
-            }
-            Expr::Not(e) => match e.eval(row, params)? {
-                Datum::Bool(b) => Ok(Datum::Bool(!b)),
-                Datum::Null => Ok(Datum::Null),
+            Expr::Param(n) => n
+                .checked_sub(1)
+                .and_then(|i| params.get(i))
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EvalError::Unbound(format!("${n}"))),
+            Expr::Not(e) => match e.eval_ref(row, params)?.as_ref() {
+                Datum::Bool(b) => owned(Datum::Bool(!b)),
+                Datum::Null => owned(Datum::Null),
                 _ => Err(EvalError::TypeMismatch("NOT")),
             },
             Expr::Bin(op, l, r) => {
                 use BinOp::*;
                 match op {
                     And | Or => {
-                        let lv = l.eval(row, params)?;
+                        let lv = l.eval_ref(row, params)?;
                         // Short-circuit.
-                        match (op, &lv) {
-                            (And, Datum::Bool(false)) => return Ok(Datum::Bool(false)),
-                            (Or, Datum::Bool(true)) => return Ok(Datum::Bool(true)),
+                        match (op, lv.as_ref()) {
+                            (And, Datum::Bool(false)) => return owned(Datum::Bool(false)),
+                            (Or, Datum::Bool(true)) => return owned(Datum::Bool(true)),
                             _ => {}
                         }
-                        let rv = r.eval(row, params)?;
-                        match (lv, rv) {
+                        let rv = r.eval_ref(row, params)?;
+                        match (lv.as_ref(), rv.as_ref()) {
                             (Datum::Bool(a), Datum::Bool(b)) => {
-                                Ok(Datum::Bool(if *op == And { a && b } else { a || b }))
+                                owned(Datum::Bool(if *op == And { *a && *b } else { *a || *b }))
                             }
-                            (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
+                            (Datum::Null, _) | (_, Datum::Null) => owned(Datum::Null),
                             _ => Err(EvalError::TypeMismatch("AND/OR")),
                         }
                     }
                     Eq | Ne | Lt | Le | Gt | Ge => {
-                        let lv = l.eval(row, params)?;
-                        let rv = r.eval(row, params)?;
+                        let lv = l.eval_ref(row, params)?;
+                        let rv = r.eval_ref(row, params)?;
                         match lv.sql_cmp(&rv) {
-                            None => Ok(Datum::Null),
+                            None => owned(Datum::Null),
                             Some(ord) => {
                                 let b = match op {
                                     Eq => ord.is_eq(),
@@ -125,34 +141,34 @@ impl Expr {
                                     Ge => ord.is_ge(),
                                     _ => unreachable!(),
                                 };
-                                Ok(Datum::Bool(b))
+                                owned(Datum::Bool(b))
                             }
                         }
                     }
                     Add | Sub | Mul | Div | Mod => {
-                        let lv = l.eval(row, params)?;
-                        let rv = r.eval(row, params)?;
+                        let lv = l.eval_ref(row, params)?;
+                        let rv = r.eval_ref(row, params)?;
                         if lv.is_null() || rv.is_null() {
-                            return Ok(Datum::Null);
+                            return owned(Datum::Null);
                         }
                         // Integer arithmetic stays integer (except /).
-                        if let (Datum::Int(a), Datum::Int(b)) = (&lv, &rv) {
+                        if let (Datum::Int(a), Datum::Int(b)) = (lv.as_ref(), rv.as_ref()) {
                             return match op {
-                                Add => Ok(Datum::Int(a.wrapping_add(*b))),
-                                Sub => Ok(Datum::Int(a.wrapping_sub(*b))),
-                                Mul => Ok(Datum::Int(a.wrapping_mul(*b))),
+                                Add => owned(Datum::Int(a.wrapping_add(*b))),
+                                Sub => owned(Datum::Int(a.wrapping_sub(*b))),
+                                Mul => owned(Datum::Int(a.wrapping_mul(*b))),
                                 Mod => {
                                     if *b == 0 {
                                         Err(EvalError::DivisionByZero)
                                     } else {
-                                        Ok(Datum::Int(a % b))
+                                        owned(Datum::Int(a % b))
                                     }
                                 }
                                 Div => {
                                     if *b == 0 {
                                         Err(EvalError::DivisionByZero)
                                     } else {
-                                        Ok(Datum::Float(*a as f64 / *b as f64))
+                                        owned(Datum::Float(*a as f64 / *b as f64))
                                     }
                                 }
                                 _ => unreachable!(),
@@ -161,14 +177,14 @@ impl Expr {
                         let a = lv.as_f64().ok_or(EvalError::TypeMismatch("arith"))?;
                         let b = rv.as_f64().ok_or(EvalError::TypeMismatch("arith"))?;
                         match op {
-                            Add => Ok(Datum::Float(a + b)),
-                            Sub => Ok(Datum::Float(a - b)),
-                            Mul => Ok(Datum::Float(a * b)),
+                            Add => owned(Datum::Float(a + b)),
+                            Sub => owned(Datum::Float(a - b)),
+                            Mul => owned(Datum::Float(a * b)),
                             Div => {
                                 if b == 0.0 {
                                     Err(EvalError::DivisionByZero)
                                 } else {
-                                    Ok(Datum::Float(a / b))
+                                    owned(Datum::Float(a / b))
                                 }
                             }
                             Mod => Err(EvalError::TypeMismatch("%")),
@@ -235,23 +251,23 @@ mod tests {
     #[test]
     fn arithmetic() {
         let e = Expr::Bin(BinOp::Add, Box::new(lit(2)), Box::new(lit(3)));
-        assert_eq!(e.eval(&vec![], &[]).unwrap(), Datum::Int(5));
+        assert_eq!(e.eval(&[], &[]).unwrap(), Datum::Int(5));
         let e = Expr::Bin(BinOp::Div, Box::new(lit(7)), Box::new(lit(2)));
-        assert_eq!(e.eval(&vec![], &[]).unwrap(), Datum::Float(3.5));
+        assert_eq!(e.eval(&[], &[]).unwrap(), Datum::Float(3.5));
         let e = Expr::Bin(BinOp::Div, Box::new(lit(1)), Box::new(lit(0)));
-        assert_eq!(e.eval(&vec![], &[]), Err(EvalError::DivisionByZero));
+        assert_eq!(e.eval(&[], &[]), Err(EvalError::DivisionByZero));
         let e = Expr::Bin(BinOp::Mod, Box::new(lit(7)), Box::new(lit(3)));
-        assert_eq!(e.eval(&vec![], &[]).unwrap(), Datum::Int(1));
+        assert_eq!(e.eval(&[], &[]).unwrap(), Datum::Int(1));
     }
 
     #[test]
     fn comparisons_and_null() {
         let e = Expr::Bin(BinOp::Lt, Box::new(lit(1)), Box::new(lit(2)));
-        assert_eq!(e.eval(&vec![], &[]).unwrap(), Datum::Bool(true));
+        assert_eq!(e.eval(&[], &[]).unwrap(), Datum::Bool(true));
         let e = Expr::Bin(BinOp::Eq, Box::new(Expr::Literal(Datum::Null)), Box::new(lit(2)));
-        assert_eq!(e.eval(&vec![], &[]).unwrap(), Datum::Null);
+        assert_eq!(e.eval(&[], &[]).unwrap(), Datum::Null);
         let e = Expr::Bin(BinOp::Add, Box::new(Expr::Literal(Datum::Null)), Box::new(lit(2)));
-        assert_eq!(e.eval(&vec![], &[]).unwrap(), Datum::Null);
+        assert_eq!(e.eval(&[], &[]).unwrap(), Datum::Null);
     }
 
     #[test]
@@ -262,13 +278,13 @@ mod tests {
             Box::new(Expr::Literal(Datum::Bool(false))),
             Box::new(Expr::Name("unbound".into())),
         );
-        assert_eq!(e.eval(&vec![], &[]).unwrap(), Datum::Bool(false));
+        assert_eq!(e.eval(&[], &[]).unwrap(), Datum::Bool(false));
         let e = Expr::Bin(
             BinOp::Or,
             Box::new(Expr::Literal(Datum::Bool(true))),
             Box::new(Expr::Name("unbound".into())),
         );
-        assert_eq!(e.eval(&vec![], &[]).unwrap(), Datum::Bool(true));
+        assert_eq!(e.eval(&[], &[]).unwrap(), Datum::Bool(true));
     }
 
     #[test]

@@ -167,8 +167,17 @@ struct AnalyzeAcc {
     row_count: u64,
     key_bytes: u64,
     value_bytes: u64,
-    /// (index id, prefix length) → distinct encoded key prefixes.
+    /// Distinct primary-key prefixes, by prefix length − 1. The scan
+    /// arrives in primary-key order, so a prefix is new exactly when it
+    /// differs from the previous row's: runs are counted, nothing is kept.
+    primary_runs: Vec<u64>,
+    /// The previous row's primary key — across chunks too.
+    last_key: Option<Bytes>,
+    /// (secondary index id, prefix length) → distinct encoded key
+    /// prefixes; a primary scan meets these in no order.
     distinct: BTreeMap<(u64, u64), BTreeSet<Bytes>>,
+    /// Decode buffer, reused from row to row.
+    row: crate::value::Row,
 }
 
 /// A per-tenant SQL node.
@@ -814,7 +823,10 @@ impl SqlNode {
             row_count: 0,
             key_bytes: 0,
             value_bytes: 0,
+            primary_runs: vec![0; table.primary_key.len()],
+            last_key: None,
             distinct: BTreeMap::new(),
+            row: Vec::new(),
         }));
         self.analyze_chunk(table, start, end, acc, cb);
     }
@@ -841,30 +853,41 @@ impl SqlNode {
             let mut next_start = None;
             {
                 let mut a = acc.borrow_mut();
-                // Index column sets whose prefixes are counted, primary
-                // first.
-                let mut index_cols: Vec<(u64, Vec<usize>)> =
-                    vec![(crate::schema::PRIMARY_INDEX_ID, table.primary_key.clone())];
-                for idx in &table.indexes {
-                    index_cols.push((idx.id, idx.columns.clone()));
+                let a = &mut *a;
+                // Only secondary-index columns are decoded: their prefixes
+                // are re-encoded below, the primary's are cut from the key.
+                let mut indexed = vec![false; table.columns.len()];
+                for &c in table.indexes.iter().flat_map(|idx| &idx.columns) {
+                    if let Some(slot) = indexed.get_mut(c) {
+                        *slot = true;
+                    }
                 }
                 for (k, v) in &pairs {
                     // The raw client scan returns tenant-prefixed keys.
                     let Some(user_key) = crdb_kv::keys::strip_prefix(node.tenant, k) else {
                         continue;
                     };
-                    let Some(row) = rowcodec::decode_row(&table, &user_key, v) else {
+                    if !rowcodec::decode_row_into(&table, &user_key, v, Some(&indexed), &mut a.row)
+                    {
                         continue;
-                    };
+                    }
                     a.row_count += 1;
                     a.key_bytes += user_key.len() as u64;
                     a.value_bytes += v.len() as u64;
-                    for (index_id, cols) in &index_cols {
-                        for plen in 1..=cols.len() {
+                    let prefix_ends = rowcodec::primary_key_prefix_ends(&table, &user_key);
+                    for (runs, end) in a.primary_runs.iter_mut().zip(prefix_ends) {
+                        let prefix = user_key.get(..end);
+                        if a.last_key.as_ref().is_none_or(|last| last.get(..end) != prefix) {
+                            *runs += 1;
+                        }
+                    }
+                    a.last_key = Some(user_key);
+                    for idx in &table.indexes {
+                        for plen in 1..=idx.columns.len() {
                             let datums: Vec<crate::value::Datum> =
-                                cols[..plen].iter().map(|&c| row[c].clone()).collect();
-                            let prefix = rowcodec::key_with_prefix(&table, *index_id, &datums);
-                            a.distinct.entry((*index_id, plen as u64)).or_default().insert(prefix);
+                                idx.columns.iter().take(plen).map(|&c| a.row[c].clone()).collect();
+                            let prefix = rowcodec::key_with_prefix(&table, idx.id, &datums);
+                            a.distinct.entry((idx.id, plen as u64)).or_default().insert(prefix);
                         }
                     }
                 }
@@ -893,8 +916,12 @@ impl SqlNode {
         let a = acc.borrow();
         let row_count = a.row_count;
         // (index, plen) keys iterate in plen order per index, so pushing
-        // yields distinct counts indexed by prefix length - 1.
+        // yields distinct counts indexed by prefix length - 1. An empty
+        // table has no entry for any index, the primary included.
         let mut distinct_prefixes: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        if row_count > 0 {
+            distinct_prefixes.insert(crate::schema::PRIMARY_INDEX_ID, a.primary_runs.clone());
+        }
         for ((index_id, _plen), set) in a.distinct.iter() {
             distinct_prefixes.entry(*index_id).or_default().push(set.len() as u64);
         }

@@ -736,7 +736,7 @@ mod tests {
         match s {
             Statement::Select(sel) => match &sel.items[0] {
                 SelectItem::Expr { expr, .. } => {
-                    let v = expr.eval(&vec![], &[]).unwrap();
+                    let v = expr.eval(&[], &[]).unwrap();
                     assert_eq!(v, Datum::Int(7));
                 }
                 other => panic!("{other:?}"),

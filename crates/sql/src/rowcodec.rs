@@ -56,24 +56,63 @@ pub fn encode_key_datum(b: &mut BytesMut, d: &Datum) {
 
 /// Decodes one key datum, returning it and the remaining slice.
 pub fn decode_key_datum(buf: &[u8]) -> Option<(Datum, &[u8])> {
-    match *buf.first()? {
-        TYPE_NULL => Some((Datum::Null, &buf[1..])),
+    let mut d = Datum::Null;
+    let rest = read_key_datum(buf, Some(&mut d))?;
+    Some((d, rest))
+}
+
+/// Walks past one key datum without producing it (and without allocating
+/// for it), checking it exactly as [`decode_key_datum`] would.
+pub fn skip_key_datum(buf: &[u8]) -> Option<&[u8]> {
+    read_key_datum(buf, None)
+}
+
+/// The `String` a slot already holds, emptied, or a new one: a row buffer
+/// reused from pair to pair stops allocating once its strings have grown.
+fn recycled_string(slot: &mut Datum) -> String {
+    match std::mem::replace(slot, Datum::Null) {
+        Datum::Str(mut s) => {
+            s.clear();
+            s
+        }
+        _ => String::new(),
+    }
+}
+
+/// Reads the key datum at the front of `buf` into `slot`, or just past it
+/// when there is no slot, and returns the rest. Either way every byte is
+/// checked, so what decodes does not depend on who wanted the column.
+fn read_key_datum<'a>(buf: &'a [u8], mut slot: Option<&mut Datum>) -> Option<&'a [u8]> {
+    let (&tag, rest) = buf.split_first()?;
+    let (datum, rest) = match tag {
+        TYPE_NULL => (Datum::Null, rest),
         TYPE_INT => {
-            let (v, rest) = kvkeys::decode_u64(&buf[1..])?;
-            Some((Datum::Int((v ^ (1 << 63)) as i64), rest))
+            let (v, rest) = kvkeys::decode_u64(rest)?;
+            (Datum::Int((v ^ (1 << 63)) as i64), rest)
         }
         TYPE_FLOAT => {
-            let (v, rest) = kvkeys::decode_u64(&buf[1..])?;
+            let (v, rest) = kvkeys::decode_u64(rest)?;
             let bits = if v & (1 << 63) != 0 { v ^ (1 << 63) } else { !v };
-            Some((Datum::Float(f64::from_bits(bits)), rest))
+            (Datum::Float(f64::from_bits(bits)), rest)
         }
         TYPE_STR => {
-            let (s, rest) = kvkeys::decode_str(&buf[1..])?;
-            Some((Datum::Str(s), rest))
+            let Some(slot) = slot.as_deref_mut() else {
+                return kvkeys::decode_str_with(rest, |_| {});
+            };
+            let mut s = recycled_string(slot);
+            let rest = kvkeys::decode_str_with(rest, |piece| s.push_str(piece))?;
+            (Datum::Str(s), rest)
         }
-        TYPE_BOOL => Some((Datum::Bool(*buf.get(1)? == 1), &buf[2..])),
-        _ => None,
+        TYPE_BOOL => {
+            let (&v, rest) = rest.split_first()?;
+            (Datum::Bool(v == 1), rest)
+        }
+        _ => return None,
+    };
+    if let Some(slot) = slot {
+        *slot = datum;
     }
+    Some(rest)
 }
 
 /// The key prefix of a table's index: `tbl/<table_id>/<index_id>/`.
@@ -178,44 +217,101 @@ fn encode_value_datum(b: &mut BytesMut, d: &Datum) {
     }
 }
 
-fn decode_value_datum(buf: &[u8]) -> Option<(Datum, &[u8])> {
-    match *buf.first()? {
-        TYPE_NULL => Some((Datum::Null, &buf[1..])),
+/// [`read_key_datum`] for the value encoding. A string's length prefix is
+/// held against the bytes that remain before anything is sized by it.
+fn read_value_datum<'a>(buf: &'a [u8], mut slot: Option<&mut Datum>) -> Option<&'a [u8]> {
+    let (&tag, rest) = buf.split_first()?;
+    let (datum, rest) = match tag {
+        TYPE_NULL => (Datum::Null, rest),
         TYPE_INT => {
-            let v = i64::from_be_bytes(buf.get(1..9)?.try_into().ok()?);
-            Some((Datum::Int(v), &buf[9..]))
+            let (v, rest) = rest.split_first_chunk()?;
+            (Datum::Int(i64::from_be_bytes(*v)), rest)
         }
         TYPE_FLOAT => {
-            let v = f64::from_be_bytes(buf.get(1..9)?.try_into().ok()?);
-            Some((Datum::Float(v), &buf[9..]))
+            let (v, rest) = rest.split_first_chunk()?;
+            (Datum::Float(f64::from_be_bytes(*v)), rest)
         }
         TYPE_STR => {
-            let n = u32::from_be_bytes(buf.get(1..5)?.try_into().ok()?) as usize;
-            let s = String::from_utf8(buf.get(5..5 + n)?.to_vec()).ok()?;
-            Some((Datum::Str(s), &buf[5 + n..]))
+            let (n, rest) = rest.split_first_chunk()?;
+            let (text, rest) = rest.split_at_checked(u32::from_be_bytes(*n) as usize)?;
+            let text = std::str::from_utf8(text).ok()?;
+            let Some(slot) = slot.as_deref_mut() else { return Some(rest) };
+            let mut s = recycled_string(slot);
+            s.push_str(text);
+            (Datum::Str(s), rest)
         }
-        TYPE_BOOL => Some((Datum::Bool(*buf.get(1)? == 1), &buf[2..])),
-        _ => None,
+        TYPE_BOOL => {
+            let (&v, rest) = rest.split_first()?;
+            (Datum::Bool(v == 1), rest)
+        }
+        _ => return None,
+    };
+    if let Some(slot) = slot {
+        *slot = datum;
     }
+    Some(rest)
+}
+
+/// What follows `tbl/<table_id>/<index_id>/` in `key`, if it starts so.
+fn strip_index_prefix(key: &[u8], table_id: u64, index_id: u64) -> Option<&[u8]> {
+    let (table, rest) = kvkeys::decode_u64(key.strip_prefix(b"tbl/")?)?;
+    let (index, rest) = kvkeys::decode_u64(rest)?;
+    (table == table_id && index == index_id).then_some(rest)
 }
 
 /// Reconstructs a full row from a primary-index KV pair.
 pub fn decode_row(table: &TableDescriptor, key: &[u8], value: &[u8]) -> Option<Row> {
-    let prefix = index_prefix(table.id, PRIMARY_INDEX_ID);
-    let mut rest = key.strip_prefix(prefix.as_ref())?;
-    let mut row: Row = vec![Datum::Null; table.columns.len()];
-    for &i in &table.primary_key {
-        let (d, r) = decode_key_datum(rest)?;
-        row[i] = d;
-        rest = r;
+    let mut row = Row::new();
+    decode_row_into(table, key, value, None, &mut row).then_some(row)
+}
+
+/// Decodes a primary-index KV pair into `row`, a buffer the caller keeps
+/// from one pair to the next (a `String` in it is refilled, not
+/// replaced). Only the columns `needed` marks — `None`: every column —
+/// are produced; the others are walked over, checked, and their slots
+/// left alone (NULL in a buffer this function sized). `false` exactly
+/// when [`decode_row`] gives `None`, and then `row` holds nothing usable.
+pub fn decode_row_into(
+    table: &TableDescriptor,
+    key: &[u8],
+    value: &[u8],
+    needed: Option<&[bool]>,
+    row: &mut Row,
+) -> bool {
+    if row.len() != table.columns.len() {
+        row.clear();
+        row.resize(table.columns.len(), Datum::Null);
     }
-    let mut vrest = value;
-    for i in table.value_columns() {
-        let (d, r) = decode_value_datum(vrest)?;
-        row[i] = d;
-        vrest = r;
-    }
-    Some(row)
+    let wanted = |i: usize| needed.is_none_or(|n| n.get(i).copied().unwrap_or(false));
+    let mut decode = || {
+        let mut rest = strip_index_prefix(key, table.id, PRIMARY_INDEX_ID)?;
+        for &i in &table.primary_key {
+            let slot = row.get_mut(i)?;
+            rest = read_key_datum(rest, wanted(i).then_some(slot))?;
+        }
+        let mut rest = value;
+        for i in table.value_columns() {
+            let slot = row.get_mut(i)?;
+            rest = read_value_datum(rest, wanted(i).then_some(slot))?;
+        }
+        Some(())
+    };
+    decode().is_some()
+}
+
+/// Where each primary-key column ends in a primary-index `key`: the
+/// lengths of `tbl/<id>/1/<pk₁>`, `tbl/<id>/1/<pk₁>/<pk₂>`, … in order,
+/// stopping short where the key stops parsing. Two rows share a
+/// primary-key prefix exactly when their keys agree up to its end.
+pub fn primary_key_prefix_ends<'a>(
+    table: &'a TableDescriptor,
+    key: &'a [u8],
+) -> impl Iterator<Item = usize> + 'a {
+    let mut rest = strip_index_prefix(key, table.id, PRIMARY_INDEX_ID);
+    table.primary_key.iter().map_while(move |_| {
+        rest = skip_key_datum(rest?);
+        Some(key.len() - rest?.len())
+    })
 }
 
 /// Encodes a secondary-index entry key for a row:
@@ -243,11 +339,9 @@ pub fn decode_index_entry(
     n_indexed: usize,
     key: &[u8],
 ) -> Option<Vec<Datum>> {
-    let prefix = index_prefix(table.id, index_id);
-    let mut rest = key.strip_prefix(prefix.as_ref())?;
+    let mut rest = strip_index_prefix(key, table.id, index_id)?;
     for _ in 0..n_indexed {
-        let (_, r) = decode_key_datum(rest)?;
-        rest = r;
+        rest = skip_key_datum(rest)?;
     }
     let mut pk = Vec::with_capacity(table.primary_key.len());
     for _ in 0..table.primary_key.len() {
@@ -372,5 +466,127 @@ mod tests {
         let end = index_prefix_end(52, PRIMARY_INDEX_ID);
         let idx2_start = index_prefix(52, 2).freeze();
         assert_eq!(end, idx2_start, "index spans tile the table span");
+    }
+
+    #[test]
+    fn needed_columns_decode_into_a_reused_row() {
+        let t = table();
+        let mut buf = Row::new();
+        for (i, r) in
+            [row(1, "first", 0.5, true), row(2, "second, longer", 1.5, false)].iter().enumerate()
+        {
+            let (key, value) = (primary_key(&t, r), encode_row_value(&t, r));
+            // Columns b (key) and c (value); a and d are walked over.
+            let needed = [false, true, true];
+            assert!(decode_row_into(&t, &key, &value, Some(&needed), &mut buf), "row {i}");
+            assert_eq!(buf, vec![Datum::Null, r[1].clone(), r[2].clone(), Datum::Null]);
+            let mut all = Row::new();
+            assert!(decode_row_into(&t, &key, &value, None, &mut all));
+            assert_eq!(&all, r);
+        }
+    }
+
+    #[test]
+    fn prefix_ends_cut_the_key_where_the_columns_end() {
+        let t = table();
+        let r = row(7, "seven", 0.0, false);
+        let key = primary_key(&t, &r);
+        let ends: Vec<usize> = primary_key_prefix_ends(&t, &key).collect();
+        let prefixes: Vec<Bytes> =
+            (1..=2).map(|n| key_with_prefix(&t, PRIMARY_INDEX_ID, &r[..n])).collect();
+        assert_eq!(ends, prefixes.iter().map(Bytes::len).collect::<Vec<_>>());
+        assert!(prefixes.iter().all(|p| key.starts_with(p)));
+        // A key that stops parsing yields the ends before the break.
+        assert_eq!(primary_key_prefix_ends(&t, &key[..key.len() - 1]).count(), 1);
+        assert_eq!(primary_key_prefix_ends(&t, b"tbl/").count(), 0);
+    }
+
+    /// Every way of asking for `key` / `value`: all columns, none, and
+    /// each one alone. The verdict must not depend on who is asking.
+    fn decodes_consistently(t: &TableDescriptor, key: &[u8], value: &[u8]) -> Option<Row> {
+        let whole = decode_row(t, key, value);
+        let n = t.columns.len();
+        let masks = std::iter::once(vec![false; n])
+            .chain((0..n).map(|c| (0..n).map(|i| i == c).collect::<Vec<bool>>()));
+        for needed in masks {
+            let mut buf = vec![Datum::Str("stale".into()); n];
+            let ok = decode_row_into(t, key, value, Some(&needed), &mut buf);
+            assert_eq!(ok, whole.is_some(), "needed {needed:?} changed the verdict");
+            for (i, row) in whole.iter().flat_map(|r| r.iter().enumerate()) {
+                if needed[i] {
+                    assert_eq!(format!("{:?}", buf[i]), format!("{row:?}"), "column {i}");
+                }
+            }
+        }
+        whole
+    }
+
+    #[test]
+    fn cut_flipped_and_hostile_encodings_decode_to_none_never_panic() {
+        let t = table();
+        let r = row(-5, "h\u{e9}llo\0w", 2.75, true);
+        let wide = TableDescriptor {
+            columns: t
+                .columns
+                .iter()
+                .cloned()
+                .chain([Column { name: "e".into(), ty: ColumnType::String, nullable: true }])
+                .collect(),
+            ..t.clone()
+        };
+        let mut wide_row = r.clone();
+        wide_row.push(Datum::Str("tail \u{1f980}".into()));
+        for (t, r) in [(&t, &r), (&wide, &wide_row)] {
+            let (key, value) = (primary_key(t, r), encode_row_value(t, r));
+            let entry = index_entry_key(t, 2, &[1], r);
+            assert_eq!(decodes_consistently(t, &key, &value).as_ref(), Some(r));
+            // Cut at every offset: a short key, value or entry is no row.
+            for cut in 0..key.len() {
+                assert_eq!(decodes_consistently(t, &key[..cut], &value), None, "key cut {cut}");
+            }
+            for cut in 0..value.len() {
+                assert_eq!(decodes_consistently(t, &key, &value[..cut]), None, "value cut {cut}");
+            }
+            for cut in 0..entry.len() {
+                assert_eq!(decode_index_entry(t, 2, 1, &entry[..cut]), None, "entry cut {cut}");
+            }
+            // Flip every byte, every way that matters to a tag, a length
+            // or an escape: any verdict, but a verdict.
+            for flip in [0x01u8, 0x02, 0x80, 0xff] {
+                for at in 0..key.len() {
+                    let mut k = key.to_vec();
+                    k[at] ^= flip;
+                    decodes_consistently(t, &k, &value);
+                }
+                for at in 0..value.len() {
+                    let mut v = value.to_vec();
+                    v[at] ^= flip;
+                    decodes_consistently(t, &key, &v);
+                }
+                for at in 0..entry.len() {
+                    let mut e = entry.to_vec();
+                    e[at] ^= flip;
+                    decode_index_entry(t, 2, 1, &e);
+                }
+            }
+            // A length prefix wherever four bytes fit, promising more than
+            // the value holds — by one byte, and by gigabytes: refused
+            // against the bytes that remain, before anything is sized.
+            // Where a string's prefix really is, the verdict is known.
+            let real_prefix = match r.last() {
+                Some(Datum::Str(text)) => Some(value.len() - text.len() - 4),
+                _ => None,
+            };
+            for at in 0..value.len().saturating_sub(3) {
+                for hostile in [u32::MAX, i32::MAX as u32, (value.len() - at) as u32] {
+                    let mut v = value.to_vec();
+                    v[at..at + 4].copy_from_slice(&hostile.to_be_bytes());
+                    let decoded = decodes_consistently(t, &key, &v);
+                    if real_prefix == Some(at) {
+                        assert_eq!(decoded, None, "length {hostile:#x} at {at}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -57,8 +57,8 @@ impl TableDescriptor {
     }
 
     /// Ordinals of the non-primary-key columns, in ordinal order.
-    pub fn value_columns(&self) -> Vec<usize> {
-        (0..self.columns.len()).filter(|i| !self.primary_key.contains(i)).collect()
+    pub fn value_columns(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.columns.len()).filter(|i| !self.primary_key.contains(i))
     }
 
     /// Serializes the descriptor.
@@ -228,6 +228,6 @@ mod tests {
         let d = sample();
         assert_eq!(d.column_index("w_name"), Some(1));
         assert_eq!(d.column_index("nope"), None);
-        assert_eq!(d.value_columns(), vec![1, 2]);
+        assert_eq!(d.value_columns().collect::<Vec<_>>(), vec![1, 2]);
     }
 }

@@ -359,6 +359,45 @@ fn analyze_then_ddl_staleness_is_safe() {
     check_differential(&f, "SELECT * FROM t WHERE a = 2", vec![]);
 }
 
+/// ANALYZE counts a primary-key prefix when it differs from the previous
+/// row's (the scan arrives in key order) and a secondary-index prefix
+/// through a set; both must be the number of distinct prefixes, however
+/// the 1,024-pair chunks of the scan cut the runs.
+#[test]
+fn analyze_distinct_counts_are_the_number_of_distinct_prefixes() {
+    use std::collections::{BTreeMap, BTreeSet};
+    let f = setup(23);
+    exec(&f, "CREATE TABLE t (a STRING, b FLOAT, c INT, d BOOL, e INT, PRIMARY KEY (a, b, c))");
+    // 2,600 rows: `a` changes every 700 rows and `b` every 13, so runs of
+    // both straddle the chunk boundaries at 1,024 and 2,048.
+    let rows: Vec<String> = (0..2_600)
+        .map(|i| format!("('s{}', {}.5, {i}, {}, {})", i / 700, (i / 13) % 9, i % 2 == 0, i % 17))
+        .collect();
+    for chunk in rows.chunks(50) {
+        exec(&f, &format!("INSERT INTO t VALUES {}", chunk.join(", ")));
+    }
+    exec(&f, "CREATE INDEX t_de ON t (d, e)");
+    exec(&f, "CREATE TABLE nothing (k INT PRIMARY KEY, v INT)");
+    assert_eq!(exec(&f, "ANALYZE t").rows_affected, 2_600);
+    exec(&f, "ANALYZE nothing");
+
+    let all = exec(&f, "SELECT a, b, c, d, e FROM t");
+    let distinct = |cols: &[usize]| -> Vec<u64> {
+        let prefix = |row: &Vec<Datum>, n: usize| {
+            cols[..n].iter().map(|&c| format!("{:?}", row[c])).collect::<Vec<_>>()
+        };
+        let count = |n| all.rows.iter().map(|r| prefix(r, n)).collect::<BTreeSet<_>>().len() as u64;
+        (1..=cols.len()).map(count).collect()
+    };
+    let catalog = f.node.catalog();
+    let catalog = catalog.borrow();
+    let stats = |name: &str| catalog.stats(catalog.table(name).expect("table").id).expect("stats");
+    let want = BTreeMap::from([(1, distinct(&[0, 1, 2])), (2, distinct(&[3, 4]))]);
+    assert_eq!(stats("t").distinct_prefixes, want);
+    assert_eq!(want[&1], vec![4, 36, 2_600], "the fixture has the runs it was built for");
+    assert_eq!(stats("nothing").distinct_prefixes, BTreeMap::new(), "no rows, no entry");
+}
+
 #[test]
 fn explain_is_byte_identical_across_same_seed_runs() {
     let render = |seed: u64| -> Vec<String> {

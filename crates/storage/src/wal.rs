@@ -94,6 +94,14 @@ fn read_bytes(buf: &[u8], pos: usize, len: usize) -> Result<&[u8], WalError> {
 pub trait WalSink: Send {
     /// Appends one encoded record.
     fn append(&mut self, record: &[u8]) -> io::Result<()>;
+    /// Appends `batch` as one record and returns the record's length. A
+    /// sink that stores records encodes it ([`encode_batch`]); one that
+    /// only counts them need not.
+    fn append_batch(&mut self, batch: &WriteBatch) -> io::Result<u64> {
+        let record = encode_batch(batch);
+        self.append(&record)?;
+        Ok(record.len() as u64)
+    }
     /// Makes appended records durable.
     fn sync(&mut self) -> io::Result<()>;
     /// Discards all records (after a successful flush).
@@ -126,6 +134,13 @@ impl WalSink for MemWal {
         self.bytes += record.len() as u64;
         self.records += 1;
         Ok(())
+    }
+
+    fn append_batch(&mut self, batch: &WriteBatch) -> io::Result<u64> {
+        let len = encoded_len(batch);
+        self.bytes += len;
+        self.records += 1;
+        Ok(len)
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -285,11 +300,9 @@ impl WalWriter {
     /// Appends one batch without syncing. Returns its sequence number and
     /// the encoded record length (framing included).
     pub fn append(&mut self, batch: &WriteBatch) -> io::Result<(u64, u64)> {
-        let record = encode_batch(batch);
-        self.sink.append(&record)?;
+        let bytes = self.sink.append_batch(batch)?;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let bytes = record.len() as u64;
         self.pending.push_back((seq, bytes));
         Ok((seq, bytes))
     }
@@ -364,6 +377,16 @@ pub fn encode_batch(batch: &WriteBatch) -> Vec<u8> {
         }
     }
     out
+}
+
+/// The length of the record [`encode_batch`] makes of `batch`, without
+/// making it.
+pub fn encoded_len(batch: &WriteBatch) -> u64 {
+    let mut len = 4;
+    for (k, v) in batch.entries() {
+        len += 4 + k.len() + 1 + v.as_ref().map_or(0, |v| 4 + v.len());
+    }
+    len as u64
 }
 
 /// Decodes a WAL record produced by [`encode_batch`], reporting *where*
@@ -556,6 +579,30 @@ mod tests {
         let mut b = WriteBatch::new();
         b.put(k.as_bytes().to_vec(), &b"v"[..]);
         b
+    }
+
+    #[test]
+    fn encoded_len_is_the_length_encode_batch_produces() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(23);
+        let mut mem = WalWriter::new(Box::new(MemWal::new()));
+        for _ in 0..200 {
+            let mut batch = WriteBatch::new();
+            for _ in 0..rng.gen_range(0..6usize) {
+                let key = vec![b'k'; rng.gen_range(0..40usize)];
+                match rng.gen_range(0..3u32) {
+                    0 => batch.delete(key),
+                    1 => batch.put(key, Vec::new()),
+                    _ => batch.put(key, vec![b'v'; rng.gen_range(1..300usize)]),
+                };
+            }
+            let encoded = encode_batch(&batch).len() as u64;
+            assert_eq!(encoded_len(&batch), encoded, "{batch:?}");
+            // The counting sink reports what an encoding sink would.
+            assert_eq!(mem.append(&batch).unwrap().1, encoded);
+        }
+        assert_eq!(encoded_len(&WriteBatch::new()), 4);
     }
 
     #[test]

@@ -18,6 +18,7 @@ thread_local! {
     // allocates and is valid for the whole life of the thread, which is
     // what code called from inside the allocator needs.
     static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<usize> = const { Cell::new(0) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -28,6 +29,18 @@ pub fn live_bytes() -> usize {
     LIVE_BYTES.get()
 }
 
+/// The most [`live_bytes`] has been since the last [`reset_peak`].
+#[allow(dead_code, reason = "each including test reads the tallies it asserts on")]
+pub fn peak_live_bytes() -> usize {
+    PEAK_BYTES.get()
+}
+
+/// Starts a new peak measurement from the current level.
+#[allow(dead_code, reason = "each including test reads the tallies it asserts on")]
+pub fn reset_peak() {
+    PEAK_BYTES.set(LIVE_BYTES.get());
+}
+
 /// Allocation calls this thread has made (`alloc`, `alloc_zeroed`,
 /// `realloc`).
 pub fn allocations() -> usize {
@@ -35,8 +48,10 @@ pub fn allocations() -> usize {
 }
 
 fn tally(freed: usize, requested: usize) {
-    LIVE_BYTES.set(LIVE_BYTES.get().wrapping_sub(freed).wrapping_add(requested));
+    let live = LIVE_BYTES.get().wrapping_sub(freed).wrapping_add(requested);
+    LIVE_BYTES.set(live);
     if requested > 0 {
+        PEAK_BYTES.set(PEAK_BYTES.get().max(live));
         ALLOCATIONS.set(ALLOCATIONS.get() + 1);
     }
 }
