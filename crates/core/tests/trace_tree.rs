@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use crdb_core::chaos::install_chaos;
 use crdb_core::{ServerlessCluster, ServerlessConfig};
+use crdb_kv::node::FSYNC_INTERVAL;
 use crdb_obs::trace::SpanView;
 use crdb_obs::Trace;
 use crdb_serverless::proxy::Connection;
@@ -132,10 +133,9 @@ fn cold_start_trace_has_golden_structure() {
         "sql.node.start/instance.register/kv.send/kv.rpc/kv.serve/replication.quorum",
         "proxy.execute/sql.execute/kv.send",
         // The INSERT's write set lives in one range, so it commits in one
-        // phase: a single round trip under `commit.end_txn`, with
-        // one quorum wait and one group commit.
+        // phase: a single round trip under `commit.end_txn`, with one
+        // quorum wait (the group commit runs beside it, see below).
         "sql.execute/txn.commit/commit.end_txn/kv.send/kv.rpc/kv.serve/replication.quorum",
-        "sql.execute/txn.commit/commit.end_txn/kv.send/kv.rpc/kv.serve/wal.group_commit",
     ] {
         assert!(
             paths.iter().any(|p| p.contains(needle)),
@@ -160,6 +160,28 @@ fn cold_start_trace_has_golden_structure() {
         .expect("the commit's kv.send");
     let rpcs = spans.iter().filter(|s| s.parent == Some(commit_send) && s.name == "kv.rpc").count();
     assert_eq!(rpcs, 1, "refreshes + writes + EndTxn travel as one RPC");
+
+    // A KV node's phases tile its `kv.serve`: queue, CPU, MVCC, then the
+    // quorum wait, then — only when the log sync armed at the append has
+    // not fired by the time the quorum answers — the rest of that sync.
+    let mut writes = 0;
+    for (serve_idx, serve) in spans.iter().enumerate().filter(|(_, s)| s.name == "kv.serve") {
+        let phases: Vec<_> = spans.iter().filter(|s| s.parent == Some(serve_idx)).collect();
+        assert_eq!(phases[0].start, serve.start);
+        for pair in phases.windows(2) {
+            assert_eq!(pair[1].start, pair[0].end.expect("phase ended"), "kv.serve phases overlap");
+        }
+        assert_eq!(phases.last().unwrap().end, serve.end, "phases cover kv.serve");
+        let of = |name| phases.iter().find(|s| s.name == name).map(|s| s.duration());
+        let quorum = of("replication.quorum");
+        writes += usize::from(quorum.is_some());
+        if let Some(residual) = of("wal.group_commit") {
+            let quorum = quorum.unwrap_or(Duration::ZERO);
+            assert!(quorum < FSYNC_INTERVAL, "a sync cannot outlast a {quorum:?} quorum wait");
+            assert!(quorum + residual <= FSYNC_INTERVAL, "the later of the two, not their sum");
+        }
+    }
+    assert!(writes >= 3, "registration, DDL and INSERT each wait for a quorum");
 
     // Every span closed, and children stay inside their parents.
     for s in &spans {

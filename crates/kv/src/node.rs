@@ -49,9 +49,11 @@ use crate::txn::{TxnMeta, TxnRecord, TxnStatus};
 /// Bytes a transaction record adds to a write batch's physical payload.
 const TXN_RECORD_PAYLOAD: usize = 32;
 
-/// Group-commit window: writes ack at the next modeled WAL fsync, at most
-/// this long after execution. All batches that land inside one window
-/// share a single fsync.
+/// Group-commit window: a leaseholder's WAL append is durable at the next
+/// modeled fsync, at most this long after it. The window opens at the first
+/// append it covers, every batch appended inside it shares the one fsync,
+/// and it runs beside the quorum wait — a write acks at the later of the
+/// two, not their sum.
 pub const FSYNC_INTERVAL: Duration = Duration::from_micros(500);
 
 /// Disk flush/compaction bandwidth per node, bytes/s.
@@ -130,7 +132,8 @@ pub struct KvNode {
     /// The timestamp cache (§"tscache"): high-water marks of read
     /// timestamps per key, which writes must land above.
     ts_cache: RefCell<TsCache>,
-    /// Write acks waiting on the next group commit, in arrival order.
+    /// Acks of writes whose quorum answered before the group commit that
+    /// covers their append, in arrival order.
     commit_acks: RefCell<Vec<Box<dyn FnOnce()>>>,
     /// Whether a group-commit fsync is already scheduled.
     commit_timer_armed: Cell<bool>,
@@ -216,30 +219,26 @@ impl KvNode {
         });
         // Storage sweeper: a follower's replays land in its engine
         // without going through `execute`, so a coarse tick commits any
-        // straggling WAL group and starts background jobs their rotation
-        // produced. Leader-driven writes don't wait for this — they arm
-        // the group-commit timer and kick maintenance directly.
+        // straggling WAL group (an empty one costs no fsync) and starts
+        // background jobs their rotation produced. Leader-driven writes
+        // don't wait for this — they arm the group-commit timer at their
+        // append and kick maintenance directly.
         let node = Rc::clone(self);
         self.sim.schedule_periodic(dur::ms(50), move || {
-            if node.engine.with_lsm(|lsm| lsm.wal_unsynced_batches() > 0)
-                && !node.commit_timer_armed.get()
-            {
-                node.engine.with_lsm(|lsm| {
-                    lsm.group_commit();
-                });
+            if !node.commit_timer_armed.get() {
+                node.engine.group_commit();
             }
             node.maintain_storage();
             true
         });
     }
 
-    /// Queues a write ack behind the next group commit and arms the fsync
-    /// timer if it isn't already. Every ack queued inside one window is
-    /// released by a single modeled fsync — the group-commit amortization.
-    fn enqueue_commit_ack(self: &Rc<Self>, ack: Box<dyn FnOnce()>) {
-        self.commit_acks.borrow_mut().push(ack);
-        if !self.commit_timer_armed.get() {
-            self.commit_timer_armed.set(true);
+    /// Arms the group-commit timer unless a window is already open: the
+    /// fsync [`FSYNC_INTERVAL`] from now covers everything appended by
+    /// then. Called when a batch this node evaluated appends, so the sync
+    /// runs while the batch waits for its quorum.
+    fn arm_group_commit(self: &Rc<Self>) {
+        if !self.commit_timer_armed.replace(true) {
             let node = Rc::clone(self);
             self.sim.schedule_after(FSYNC_INTERVAL, move || {
                 node.commit_timer_armed.set(false);
@@ -249,14 +248,14 @@ impl KvNode {
     }
 
     /// Commits the current WAL group (one modeled fsync) and releases
-    /// every ack that was waiting on it. Fires even across a node crash:
-    /// an ack enqueued before the crash was backed by a WAL append whose
-    /// data survives in the engine, so releasing it never loses a commit.
+    /// every ack that was waiting on it — each was queued for an append
+    /// made before now, and the sync covers all of those. Fires even
+    /// across a node crash: an ack enqueued before the crash was backed by
+    /// a WAL append whose data survives in the engine, so releasing it
+    /// never loses a commit.
     fn fire_group_commit(self: &Rc<Self>) {
         let acks: Vec<Box<dyn FnOnce()>> = self.commit_acks.borrow_mut().drain(..).collect();
-        self.engine.with_lsm(|lsm| {
-            lsm.group_commit();
-        });
+        self.engine.group_commit();
         for ack in acks {
             ack();
         }
@@ -511,7 +510,15 @@ impl KvNode {
 
         let storage_span = span.child("storage.mvcc");
         storage_span.tag("requests", batch.requests.len());
+        let appended_before = self.engine.wal_appended_seq();
         let result = self.execute_requests(&cluster, &batch, &followers);
+        // The log sync starts at the append, beside replication, the way
+        // Raft lets a leader write its disk in parallel with AppendEntries.
+        // `wal_seq` is the highest sequence number the batch was given.
+        let wal_seq = self.engine.wal_appended_seq();
+        if wal_seq > appended_before {
+            self.arm_group_commit();
+        }
         let (response, write_payload) = match result {
             Ok((results, write_payload)) => (BatchResponse::ok(results), write_payload),
             Err(e) => (BatchResponse::err(e), 0),
@@ -559,7 +566,7 @@ impl KvNode {
             let inner = cluster.borrow();
             // Charge follower CPUs for the apply.
             let follower_cost = inner.cost_model.follower_apply_cpu_seconds(cpu_cost);
-            for f in &followers {
+            for f in followers.iter().filter(|f| f.is_alive()) {
                 f.cpu.submit(batch.tenant, follower_cost, || {});
             }
             let acks: Vec<(Location, bool)> =
@@ -572,37 +579,46 @@ impl KvNode {
             Duration::ZERO
         };
 
+        let durable_at = (write_payload > 0).then_some(wal_seq);
         let delay = stall_delay + repl_delay;
         if delay.is_zero() {
-            self.deliver_response(write_payload > 0, span, response, respond);
+            self.deliver_response(durable_at, span, response, respond);
         } else {
             let repl_span = span.child("replication.quorum");
             let node = Rc::clone(self);
             self.sim.schedule_after(delay, move || {
                 repl_span.end();
-                node.deliver_response(write_payload > 0, span, response, respond);
+                node.deliver_response(durable_at, span, response, respond);
             });
         }
         self.pump();
     }
 
-    /// Delivers a batch response — successful writes ride the next group
-    /// commit (their WAL append becomes durable at that fsync); reads and
-    /// errors respond immediately.
+    /// Delivers a batch response once its quorum has answered. A
+    /// successful write must also be durable here: `durable_at` is the WAL
+    /// sequence number its append was given, and it responds at once if
+    /// the engine's durability mark already covers that — the usual case,
+    /// the sync having run during the quorum wait — else when the group
+    /// commit armed at its append fires. Reads and errors respond
+    /// immediately. `wal.group_commit` spans only that residual wait, so
+    /// `kv.serve`'s children never overlap.
     fn deliver_response(
         self: &Rc<Self>,
-        via_group_commit: bool,
+        durable_at: Option<u64>,
         span: trace::MaybeSpan,
         response: BatchResponse,
         respond: Box<dyn FnOnce(BatchResponse)>,
     ) {
-        if via_group_commit {
+        if durable_at.is_some_and(|seq| self.engine.wal_synced_seq() < seq) {
             let commit_span = span.child("wal.group_commit");
-            self.enqueue_commit_ack(Box::new(move || {
+            self.commit_acks.borrow_mut().push(Box::new(move || {
                 commit_span.end();
                 span.end();
                 respond(response);
             }));
+            // Already armed by the append (no fsync can have fired since,
+            // or the mark would cover it); a queued ack never lacks a timer.
+            self.arm_group_commit();
         } else {
             span.end();
             respond(response);

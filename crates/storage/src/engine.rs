@@ -39,6 +39,19 @@ impl Engine {
         self.inner.lock().group_commit()
     }
 
+    /// WAL sequence number of the last batch applied: what a caller that
+    /// just applied reads to learn the number its batches were given.
+    pub fn wal_appended_seq(&self) -> u64 {
+        self.inner.lock().wal_appended_seq()
+    }
+
+    /// WAL sequence number through which every batch is durable. "Is my
+    /// append durable" is `wal_synced_seq() >= its sequence number`,
+    /// whichever of a group commit or a flush's truncate got there first.
+    pub fn wal_synced_seq(&self) -> u64 {
+        self.inner.lock().wal_synced_seq()
+    }
+
     /// Bulk-ingests a batch with no WAL record (see [`Lsm::ingest`]).
     pub fn ingest(&self, batch: &WriteBatch) {
         self.inner.lock().ingest(batch)

@@ -347,6 +347,18 @@ impl Lsm {
         self.wal.unsynced_batches()
     }
 
+    /// WAL sequence number of the last batch applied (see
+    /// [`WalWriter::appended_seq`]).
+    pub fn wal_appended_seq(&self) -> u64 {
+        self.wal.appended_seq()
+    }
+
+    /// WAL sequence number through which every batch is durable (see
+    /// [`WalWriter::synced_seq`]).
+    pub fn wal_synced_seq(&self) -> u64 {
+        self.wal.synced_seq()
+    }
+
     /// Point lookup across all levels, newest data first: active memtable,
     /// frozen memtables (newest first), L0 (newest file first), then one
     /// candidate file per level. Each candidate table's bloom filter is
@@ -1554,12 +1566,14 @@ mod tests {
             lsm.put(key(i), value(i));
         }
         assert!(lsm.wal_unsynced_batches() > 0);
+        assert_eq!((lsm.wal_appended_seq(), lsm.wal_synced_seq()), (30, 0));
         lsm.freeze_active();
         let job = lsm.begin_flush().unwrap();
         lsm.finish_flush(job);
         // Active and frozen both empty after the flush → WAL truncated,
         // and the unsynced batches were surfaced as durable-via-data.
         assert_eq!(lsm.wal_unsynced_batches(), 0);
+        assert_eq!(lsm.wal_synced_seq(), 30, "the durability mark moved with them");
         assert!(lsm.metrics().batches_synced >= 30);
     }
 }

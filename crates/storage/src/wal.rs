@@ -324,13 +324,13 @@ impl WalWriter {
             group.bytes += b;
             group.last_seq = s;
         }
-        self.synced_seq = seq.min(self.next_seq - 1);
+        self.synced_seq = seq.min(self.appended_seq());
         Ok(group)
     }
 
     /// Syncs everything appended so far as one group.
     pub fn sync_all(&mut self) -> io::Result<GroupCommit> {
-        self.sync_through(self.next_seq.saturating_sub(1))
+        self.sync_through(self.appended_seq())
     }
 
     /// Discards all records. Batches that were appended but never synced
@@ -344,13 +344,25 @@ impl WalWriter {
             group.bytes += b;
             group.last_seq = s;
         }
-        self.synced_seq = self.next_seq - 1;
+        self.synced_seq = self.appended_seq();
         Ok(group)
     }
 
     /// Number of appended batches not yet covered by a sync.
     pub fn unsynced_batches(&self) -> u64 {
         self.pending.len() as u64
+    }
+
+    /// Sequence number of the last batch appended (0 before the first).
+    pub fn appended_seq(&self) -> u64 {
+        self.next_seq - 1
+    }
+
+    /// The durability mark: every batch with a sequence number at or
+    /// below it is durable — covered by a sync, or by the data files a
+    /// truncate followed. Never ahead of [`WalWriter::appended_seq`].
+    pub fn synced_seq(&self) -> u64 {
+        self.synced_seq
     }
 
     /// Total bytes in the underlying sink since its last truncate.
@@ -648,6 +660,44 @@ mod tests {
         // Sequence numbers keep rising across a truncate.
         let (s, _) = w.append(&batch_of("c")).unwrap();
         assert_eq!(s, 3);
+    }
+
+    #[test]
+    fn synced_seq_is_the_one_durability_mark() {
+        let mut w = WalWriter::new(Box::new(MemWal::new()));
+        assert_eq!((w.appended_seq(), w.synced_seq()), (0, 0));
+        // An empty sync has nothing to cover and moves nothing.
+        assert_eq!(w.sync_all().unwrap(), GroupCommit::default());
+        assert_eq!((w.appended_seq(), w.synced_seq()), (0, 0));
+
+        for k in ["a", "b", "c", "d"] {
+            w.append(&batch_of(k)).unwrap();
+        }
+        assert_eq!((w.appended_seq(), w.synced_seq()), (4, 0), "appending makes nothing durable");
+        w.sync_through(2).unwrap();
+        assert_eq!(w.synced_seq(), 2);
+        // Syncing at or below the mark is a no-op; it never moves back.
+        assert_eq!(w.sync_through(1).unwrap(), GroupCommit::default());
+        assert_eq!(w.synced_seq(), 2);
+        // A sync cannot cover what has not been appended.
+        w.sync_through(99).unwrap();
+        assert_eq!((w.appended_seq(), w.synced_seq()), (4, 4));
+
+        w.append(&batch_of("e")).unwrap();
+        w.sync_all().unwrap();
+        assert_eq!((w.appended_seq(), w.synced_seq()), (5, 5));
+        assert_eq!(w.sync_all().unwrap(), GroupCommit::default());
+        assert_eq!(w.synced_seq(), 5);
+
+        // A truncate follows a flush: the unsynced tail is durable in
+        // data files, so the mark covers it too.
+        w.append(&batch_of("f")).unwrap();
+        w.append(&batch_of("g")).unwrap();
+        assert_eq!((w.appended_seq(), w.synced_seq()), (7, 5));
+        w.truncate().unwrap();
+        assert_eq!((w.appended_seq(), w.synced_seq()), (7, 7));
+        let (s, _) = w.append(&batch_of("h")).unwrap();
+        assert_eq!((s, w.appended_seq(), w.synced_seq()), (8, 8, 7));
     }
 
     #[test]
