@@ -262,6 +262,21 @@ impl ServerlessCluster {
         if d.ambiguous_commits.get() > 0 {
             s.counter("kv.degrade.ambiguous_commits", d.ambiguous_commits.get());
         }
+        // Commits pushed off their read timestamp, and commit-time read
+        // validations that failed, by whether the conflicting span was
+        // only read or also written: what restarts transactions. Like the
+        // two above, none prints as a zero.
+        if d.commits_pushed.get() > 0 {
+            s.counter("kv.txn.commits_pushed", d.commits_pushed.get());
+        }
+        if d.refresh_conflicts_read_only.get() > 0 {
+            let n = d.refresh_conflicts_read_only.get();
+            s.counter("kv.degrade.refresh_conflicts.read_only", n);
+        }
+        if d.refresh_conflicts_read_write.get() > 0 {
+            let n = d.refresh_conflicts_read_write.get();
+            s.counter("kv.degrade.refresh_conflicts.read_write", n);
+        }
         // Region-pinned ranges (multi-region tenants' `sql_instances`
         // partitions). A deployment without any — every single-region
         // one — emits nothing, so its snapshot reads as it always did.

@@ -221,6 +221,20 @@ impl ClusterInner {
         );
         let epoch = self.liveness.epoch(to);
         self.directory.set_lease(id, Lease { holder: to, epoch });
+        if let Some(range) = self.directory.get(id) {
+            self.mark_lease_start(to, &range.desc.start, &range.desc.end);
+        }
+    }
+
+    /// Starts `holder`'s lease over `[start, end)`: reads the range's
+    /// earlier leaseholders served are in their timestamp caches, so the
+    /// new holder counts the whole range read up to now (cluster HLC).
+    /// Without that, a commit stamped before a read the old holder served
+    /// could land beneath it here.
+    fn mark_lease_start(&self, holder: NodeId, start: &Bytes, end: &Bytes) {
+        if let Some(node) = self.nodes.get(&holder) {
+            node.record_lease_start(start, end, self.hlc.now(node.sim.now()));
+        }
     }
 }
 
@@ -242,6 +256,16 @@ pub struct DegradeCounters {
     /// Transactions committed by the staged protocol (intents, then the
     /// transaction record, then resolution).
     pub commits_two_phase: Cell<u64>,
+    /// One-phase commits that could not commit at their read timestamp —
+    /// a key they write had been read above it — and so committed above
+    /// that read, once their reads were validated up to there.
+    pub commits_pushed: Cell<u64>,
+    /// Commit-time read validations that failed on a span the transaction
+    /// only read: another transaction wrote there meanwhile.
+    pub refresh_conflicts_read_only: Cell<u64>,
+    /// Commit-time read validations that failed on a span the transaction
+    /// also writes: a read-modify-write that lost to another writer.
+    pub refresh_conflicts_read_write: Cell<u64>,
     /// Transaction records persisted (once per record, not per replica):
     /// staged commits, `EndTxn` aborts and pushes. A one-phase commit
     /// lays no intents and writes none.
@@ -585,11 +609,13 @@ impl KvCluster {
         }
         let rotation = keys::key_tenant(key).map_or(0, |t| t.raw() as usize);
         let replicas = inner.choose_replicas(placement, None, rotation, now);
-        let epoch = inner.liveness.epoch(*replicas.first()?);
+        let holder = *replicas.first()?;
+        let epoch = inner.liveness.epoch(holder);
         let id = RangeId(inner.next_range_id);
         inner.next_range_id += 1;
         let key = Bytes::copy_from_slice(key);
         inner.directory.truncate(left_id, key.clone(), left_size);
+        inner.mark_lease_start(holder, &key, &end);
         let desc = RangeDescriptor { id, start: key, end, replicas };
         inner.directory.insert(RangeState::new(desc, placement, epoch));
         Some(id)

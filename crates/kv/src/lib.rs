@@ -36,9 +36,11 @@
 //! a commit whose spans live in one range is evaluated there in one
 //! phase, any other runs the staged protocol (intents, then transaction
 //! record flip, then resolution), matching CockroachDB's behaviour for
-//! the workloads evaluated; the timestamp cache is approximated by
-//! per-key read watermarks plus retry-on-conflict. The protocol's time
-//! constants, and the order among them it relies on, are in [`timing`].
+//! the workloads evaluated. Each node's timestamp cache keeps read
+//! watermarks over the spans it served; a one-phase commit lands at its
+//! read timestamp unless one of them pushes it higher, and conflicts
+//! surface as retryable errors. The protocol's time constants, and the
+//! order among them it relies on, are in [`timing`].
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]

@@ -430,7 +430,7 @@ pub enum WriteConflict {
 /// version newer than it fails the write even when it is older than the
 /// (pushed) provisional timestamp `ts`. This is the per-key atomic
 /// read-modify-write validation that closes the gap between a refresh and
-/// the write — the stand-in for CockroachDB's timestamp cache.
+/// the write; a write never lands below a committed version of its key.
 pub fn check_write(
     engine: &Engine,
     key: &[u8],
@@ -597,9 +597,9 @@ pub fn compaction_gc(horizon: Timestamp) -> impl FnMut(&Bytes, Option<&Bytes>) -
 
 /// Validates that nothing in `[start, end)` changed after `since`:
 /// returns `Err(ts)` if a committed version newer than `since` exists, or
-/// if another transaction holds an intent in the span. Used by the
-/// coordinator's commit-time *read refresh* (the stand-in for
-/// CockroachDB's timestamp cache + refresh spans).
+/// if another transaction holds an intent in the span. A commit's *read
+/// refresh*: run whenever the commit does not happen at the timestamp its
+/// reads were served at.
 pub fn refresh_span(
     engine: &Engine,
     start: &[u8],

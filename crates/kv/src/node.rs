@@ -14,9 +14,10 @@
 //! whole, nothing evaluated, with the range's authoritative info. That
 //! check is what lets a batch carrying a transaction's refreshes, writes
 //! and `EndTxn{commit}` together be evaluated as a **one-phase commit**:
-//! validate everything, then apply committed versions in one WAL batch
-//! per replica — no intents, so no transaction record to settle them by;
-//! one quorum wait, one group commit ([`KvNode::commit_one_phase`]).
+//! pick the commit timestamp, validate everything, then apply committed
+//! versions in one WAL batch per replica — no intents, so no transaction
+//! record to settle them by; one quorum wait, one group commit
+//! ([`KvNode::commit_one_phase`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -43,7 +44,7 @@ use crate::hlc::{Hlc, Timestamp};
 use crate::mvcc;
 use crate::range::RangeState;
 use crate::timing::TXN_ABANDON_TIMEOUT;
-use crate::tscache::TsCache;
+use crate::tscache::{Bound, TsCache};
 use crate::txn::{TxnMeta, TxnRecord, TxnStatus};
 
 /// Bytes a transaction record adds to a write batch's physical payload.
@@ -130,7 +131,8 @@ pub struct KvNode {
     /// Runnable/busy integrals at the last AIMD tick.
     last_tick: Cell<(f64, f64, SimTime)>,
     /// The timestamp cache (§"tscache"): high-water marks of read
-    /// timestamps per key, which writes must land above.
+    /// timestamps over the spans this node served reads of, which writes
+    /// must land above.
     ts_cache: RefCell<TsCache>,
     /// Acks of writes whose quorum answered before the group commit that
     /// covers their append, in arrival order.
@@ -173,7 +175,7 @@ impl KvNode {
             batches_served: Cell::new(0),
             pending_pump: Cell::new(None),
             last_tick: Cell::new((0.0, 0.0, sim.now())),
-            ts_cache: RefCell::new(TsCache::new(sim.now())),
+            ts_cache: RefCell::new(TsCache::new(sim.now(), Timestamp::ZERO)),
             commit_acks: RefCell::new(Vec::new()),
             commit_timer_armed: Cell::new(false),
             sim,
@@ -315,9 +317,26 @@ impl KvNode {
         self.alive.get()
     }
 
-    /// Marks the node down (in-flight work is abandoned) or back up.
+    /// Marks the node down (in-flight work is abandoned) or back up. A
+    /// node that comes back has lost its timestamp cache with the rest of
+    /// its memory, so it must assume anything was read up to the instant
+    /// it restarted: that becomes the new cache's floor.
     pub fn set_alive(&self, alive: bool) {
+        if alive && !self.alive.get() {
+            let now = self.sim.now();
+            let restarted_at = self.cluster.upgrade().map(|c| c.borrow().hlc.now(now));
+            let floor = restarted_at.unwrap_or(Timestamp::at(now));
+            *self.ts_cache.borrow_mut() = TsCache::new(now, floor);
+        }
         self.alive.set(alive);
+    }
+
+    /// Marks `[start, end)` read at `lease_start`: the node has just been
+    /// granted the range's lease, and whatever its previous leaseholders
+    /// served is in their caches, not this one.
+    pub(crate) fn record_lease_start(&self, start: &Bytes, end: &Bytes, lease_start: Timestamp) {
+        let end = Bound::At(end.clone());
+        self.ts_cache.borrow_mut().record_span(self.sim.now(), start, end, lease_start);
     }
 
     /// Receives a batch from the network. `cert` authenticates the sender;
@@ -696,12 +715,13 @@ impl KvNode {
         let own_txn = batch.txn.as_ref().map(|t| t.txn_id);
         let mut results = Vec::with_capacity(batch.requests.len());
         let mut write_payload = 0usize;
+        let mut refreshed: Vec<(&Bytes, &Bytes)> = Vec::new();
 
         for req in &batch.requests {
             match req {
                 RequestKind::Get { key } => {
                     self.check_snapshot(key, None, batch.read_ts)?;
-                    self.bump_ts_cache(key, batch.read_ts);
+                    self.ts_cache.borrow_mut().record_read(self.sim.now(), key, batch.read_ts);
                     match mvcc::get(&self.engine, key, batch.read_ts, own_txn) {
                         mvcc::ReadResult::Value(v) => results.push(ResponseKind::Value(v)),
                         mvcc::ReadResult::Intent(intent) => {
@@ -734,14 +754,7 @@ impl KvNode {
                         (pairs, _) =
                             mvcc::scan(&self.engine, start, end, batch.read_ts, *limit, own_txn);
                     }
-                    // The ts cache must cover exactly what the client saw:
-                    // bumping only the first-pass pairs missed keys that
-                    // became visible after intent resolution, letting a
-                    // later write at or below `read_ts` invalidate this
-                    // read's snapshot.
-                    for (k, _) in &pairs {
-                        self.bump_ts_cache(k, batch.read_ts);
-                    }
+                    self.record_scan(start, end, *limit, &pairs, batch.read_ts);
                     results.push(ResponseKind::Pairs(pairs));
                 }
                 RequestKind::Put { key, value } => {
@@ -759,10 +772,16 @@ impl KvNode {
                 RequestKind::WriteIntent { key, value } => {
                     let txn = batch.txn.as_ref().ok_or(KvError::TxnAborted)?;
                     let (id, ts, since) = (txn.txn_id, txn.write_ts, txn.start_ts);
+                    // An intent must land above every read of its key but
+                    // the transaction's own refresh, marked at `ts` itself
+                    // (read timestamps are unique).
+                    let watermark = self.ts_cache.borrow().read_watermark(key);
+                    if watermark > ts {
+                        return Err(KvError::WriteTooOld { existing: watermark });
+                    }
                     let write =
                         || mvcc::write_intent(&self.engine, key, id, ts, since, value.as_ref());
-                    let intent =
-                        self.validate_write(cluster, key, txn, batch.read_ts, log, write)?;
+                    let intent = self.validate_write(cluster, key, since, log, write)?;
                     log.push(intent);
                     write_payload += key.len() + value.as_ref().map_or(0, |v| v.len());
                     results.push(ResponseKind::Ok);
@@ -796,10 +815,9 @@ impl KvNode {
                     results.push(ResponseKind::Ok);
                 }
                 RequestKind::RefreshSpan { start, end, since } => {
-                    match mvcc::refresh_span(&self.engine, start, end, *since, own_txn) {
-                        Ok(()) => results.push(ResponseKind::Ok),
-                        Err(existing) => return Err(KvError::WriteTooOld { existing }),
-                    }
+                    self.refresh(cluster, batch, start, end, *since)?;
+                    refreshed.push((start, end));
+                    results.push(ResponseKind::Ok);
                 }
                 RequestKind::ResolveIntent { key, commit_ts } => {
                     let txn = batch.txn.as_ref().ok_or(KvError::TxnAborted)?;
@@ -819,20 +837,38 @@ impl KvNode {
                 }
             }
         }
+        // A staged commit validated these reads up to its write timestamp,
+        // where its `EndTxn` will commit it: a later write stamped below
+        // that must not land in them. Marked only once the batch went
+        // through: a transaction whose commit failed has no reads left to
+        // protect.
+        if let Some(txn) = &batch.txn {
+            self.record_spans(&refreshed, txn.write_ts);
+        }
         Ok((results, write_payload))
     }
 
     /// Evaluates a batch holding a whole transaction commit — its read
     /// refreshes, every write, and `EndTxn{commit}` — in one phase. The
     /// addressing check guarantees all of it lies in one range this node
-    /// leads, so everything that could reject the transaction is checked
-    /// here, first: each refresh span, and per written key the
-    /// timestamp-cache watermark, foreign intents and write-too-old. Only
-    /// then does anything apply, as committed versions at `write_ts` in
+    /// leads, and so that this node's timestamp cache holds every read of
+    /// a key the transaction writes.
+    ///
+    /// The transaction commits at its read timestamp, where its reads
+    /// were served and so are valid as they stand — unless a key it
+    /// writes was read above that by someone else, when the commit must
+    /// land above the newest such read and its reads are valid only if
+    /// nothing they covered changed up to there: each refresh span is
+    /// checked then, and only then. Per written key the foreign-intent and
+    /// write-too-old checks follow. Only when all of it passed does
+    /// anything apply, as committed versions at the commit timestamp in
     /// one WAL batch: no intents, nothing to resolve, no transaction
     /// record to resolve it by, and a failure leaves nothing of the
-    /// transaction behind. What recognises a replay is the status table
-    /// entry made here (see `evaluate`).
+    /// transaction behind. A pushed commit's reads are then marked at the
+    /// commit timestamp, which they were just validated up to. What
+    /// recognises a replay is the status table entry made here (see
+    /// `evaluate`); `write_ts` — when the commit was sent — stays what
+    /// dates that, however old the read timestamp is.
     fn commit_one_phase(
         &self,
         cluster: &Rc<RefCell<ClusterInner>>,
@@ -840,18 +876,34 @@ impl KvNode {
         txn: &TxnMeta,
         log: &mut Vec<mvcc::Applied>,
     ) -> Result<(Vec<ResponseKind>, usize), KvError> {
+        let start_ts = txn.start_ts;
+        // A mark at the read timestamp itself is the transaction's own. A
+        // pushed commit takes its timestamp from the cluster clock, so that
+        // no other transaction reads or commits at it.
+        let newest_read = {
+            let cache = self.ts_cache.borrow();
+            let written = batch.requests.iter().filter_map(|req| match req {
+                RequestKind::WriteIntent { key, .. } => Some(cache.read_watermark(key)),
+                _ => None,
+            });
+            written.filter(|&mark| mark > start_ts).max()
+        };
+        let commit_ts = newest_read
+            .map_or(start_ts, |mark| cluster.borrow().hlc.now(self.sim.now()).max(mark.next()));
+        let pushed = commit_ts > start_ts;
+        let mut refreshed: Vec<(&Bytes, &Bytes)> = Vec::new();
         let mut writes: Vec<(&Bytes, Option<&Bytes>)> = Vec::new();
         let mut write_payload = 0usize;
         for req in &batch.requests {
             match req {
-                RequestKind::RefreshSpan { start, end, since } => {
-                    mvcc::refresh_span(&self.engine, start, end, *since, Some(txn.txn_id))
-                        .map_err(|existing| KvError::WriteTooOld { existing })?;
+                RequestKind::RefreshSpan { start, end, since } if pushed => {
+                    self.refresh(cluster, batch, start, end, *since)?;
+                    refreshed.push((start, end));
                 }
                 RequestKind::WriteIntent { key, value } => {
-                    let (id, ts, since) = (txn.txn_id, txn.write_ts, txn.start_ts);
-                    let check = || mvcc::check_write(&self.engine, key, id, ts, since);
-                    self.validate_write(cluster, key, txn, batch.read_ts, log, check)?;
+                    let id = txn.txn_id;
+                    let check = || mvcc::check_write(&self.engine, key, id, commit_ts, start_ts);
+                    self.validate_write(cluster, key, start_ts, log, check)?;
                     writes.push((key, value.as_ref()));
                     write_payload += key.len() + value.as_ref().map_or(0, |v| v.len());
                 }
@@ -860,11 +912,44 @@ impl KvNode {
                 _ => {}
             }
         }
-        log.push(mvcc::commit_one_phase(&self.engine, txn.write_ts, &writes));
+        log.push(mvcc::commit_one_phase(&self.engine, commit_ts, &writes));
+        self.record_spans(&refreshed, commit_ts);
         let mut inner = cluster.borrow_mut();
-        inner.finalize_txn(txn.txn_id, TxnStatus::Committed(txn.write_ts), self.sim.now());
-        inner.degrade.commits_one_phase.set(inner.degrade.commits_one_phase.get() + 1);
+        inner.finalize_txn(txn.txn_id, TxnStatus::Committed(commit_ts), self.sim.now());
+        let degrade = &inner.degrade;
+        degrade.commits_one_phase.set(degrade.commits_one_phase.get() + 1);
+        if pushed {
+            degrade.commits_pushed.set(degrade.commits_pushed.get() + 1);
+        }
         Ok((vec![ResponseKind::Ok; batch.requests.len()], write_payload))
+    }
+
+    /// Checks that nothing in `[start, end)` changed after `since` — a
+    /// commit step of `batch`'s transaction — counting a failure by
+    /// whether the transaction also writes in the span or only read it.
+    fn refresh(
+        &self,
+        cluster: &Rc<RefCell<ClusterInner>>,
+        batch: &BatchRequest,
+        start: &Bytes,
+        end: &Bytes,
+        since: Timestamp,
+    ) -> Result<(), KvError> {
+        let own_txn = batch.txn.as_ref().map(|t| t.txn_id);
+        mvcc::refresh_span(&self.engine, start, end, since, own_txn).map_err(|existing| {
+            let writes_inside = batch.requests.iter().any(|req| match req {
+                RequestKind::WriteIntent { key, .. } => start <= key && key < end,
+                _ => false,
+            });
+            let degrade = &cluster.borrow().degrade;
+            let conflicts = if writes_inside {
+                &degrade.refresh_conflicts_read_write
+            } else {
+                &degrade.refresh_conflicts_read_only
+            };
+            conflicts.set(conflicts.get() + 1);
+            KvError::WriteTooOld { existing }
+        })
     }
 
     /// [`ClusterInner::txn_status`] as of now.
@@ -890,28 +975,22 @@ impl KvNode {
         written.set(written.get() + 1);
     }
 
-    /// Runs `write` — `txn`'s write of `key`, or the check of one — past
-    /// everything that can reject it: a read above the write timestamp
-    /// (the timestamp-cache watermark), another transaction's pending
-    /// intent, or a version committed past the transaction's snapshot. A
-    /// foreign intent whose transaction has finalized is settled on the
-    /// way, and `write` runs again.
+    /// Runs `write` — a write of `key` by a transaction that read at
+    /// `start_ts`, or the check of one — past another transaction's
+    /// pending intent and a version committed past the transaction's
+    /// snapshot. A foreign intent whose transaction has finalized is
+    /// settled on the way, and `write` runs again.
     fn validate_write<T>(
         &self,
         cluster: &Rc<RefCell<ClusterInner>>,
         key: &Bytes,
-        txn: &TxnMeta,
-        read_ts: Timestamp,
+        start_ts: Timestamp,
         log: &mut Vec<mvcc::Applied>,
         write: impl Fn() -> Result<T, mvcc::WriteConflict>,
     ) -> Result<T, KvError> {
-        let watermark = self.ts_cache.borrow().read_watermark(key);
-        if watermark >= txn.write_ts && watermark > txn.start_ts {
-            return Err(KvError::WriteTooOld { existing: watermark });
-        }
         let outcome = match write() {
             Err(mvcc::WriteConflict::Intent(other)) => {
-                if self.check_intent(cluster, key, &other, read_ts, log).is_none() {
+                if self.check_intent(cluster, key, &other, start_ts, log).is_none() {
                     return Err(KvError::IntentConflict { other_txn: other.txn_id });
                 }
                 write()
@@ -955,8 +1034,38 @@ impl KvNode {
         Ok(())
     }
 
-    fn bump_ts_cache(&self, key: &Bytes, read_ts: Timestamp) {
-        self.ts_cache.borrow_mut().record_read(self.sim.now(), key, read_ts);
+    /// Marks what a scan of `[start, end)` examined at `read_ts`: all of
+    /// the span, whatever it found there — or, when its limit stopped it,
+    /// the span up to and including the last key it returned. A piece
+    /// starting at a key the scan returned holds the engine's own copy of
+    /// that key, which stays resident anyway.
+    fn record_scan(
+        &self,
+        start: &Bytes,
+        end: &Bytes,
+        limit: usize,
+        pairs: &[(Bytes, Bytes)],
+        read_ts: Timestamp,
+    ) {
+        let start = match pairs.first() {
+            Some((first, _)) if first == start => first,
+            _ => start,
+        };
+        let mut end = Bound::end_of(start, end);
+        if pairs.len() >= limit {
+            if let Some((last, _)) = pairs.last() {
+                end = end.min(Bound::After(last.clone()));
+            }
+        }
+        self.ts_cache.borrow_mut().record_span(self.sim.now(), start, end, read_ts);
+    }
+
+    /// Marks each of `spans` read at `ts`.
+    fn record_spans(&self, spans: &[(&Bytes, &Bytes)], ts: Timestamp) {
+        let mut cache = self.ts_cache.borrow_mut();
+        for (start, end) in spans {
+            cache.record_span(self.sim.now(), start, Bound::end_of(start, end), ts);
+        }
     }
 
     /// Checks an encountered intent against its transaction's status. If

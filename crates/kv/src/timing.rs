@@ -35,7 +35,7 @@ pub(crate) const ROUTING_BACKOFF_CAP: Duration = Duration::from_millis(1_600);
 /// live transaction's lifetime, so only orphans are ever pushed.
 pub const TXN_ABANDON_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long a read stays in the timestamp cache under its own key; the
+/// How long a read stays in the timestamp cache under its own span; the
 /// cache's floor is at least this stale.
 pub(crate) const TS_CACHE_RETENTION: Duration = TXN_ABANDON_TIMEOUT;
 

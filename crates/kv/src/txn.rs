@@ -75,9 +75,12 @@ pub struct TxnMeta {
     pub txn_id: u64,
     /// The key whose range holds the transaction record.
     pub anchor_key: Bytes,
-    /// Transaction start time (used for admission-queue fairness, §5.1.2).
+    /// The read timestamp, where a one-phase commit commits unless a read
+    /// of a key it writes pushes it higher (also the admission queue's
+    /// fairness key, §5.1.2).
     pub start_ts: Timestamp,
-    /// Provisional write/commit timestamp.
+    /// When the commit was sent: what a leaseholder dates a re-sent copy
+    /// by, and the staged protocol's intent and commit timestamp.
     pub write_ts: Timestamp,
 }
 

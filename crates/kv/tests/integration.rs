@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use crdb_kv::auth::TenantCert;
-use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
+use crdb_kv::batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};
 use crdb_kv::client::{make_txn_meta, KvClient};
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::keys;
@@ -1417,4 +1417,268 @@ fn dead_follower_is_charged_no_apply_cpu() {
     // Its engine is its disk: the replays still landed there.
     let replayed = mvcc::get(&dead.engine, &k(2, "w/0000"), Timestamp::MAX, None);
     assert!(matches!(replayed, ReadResult::Value(Some(_))));
+}
+
+// ---- The timestamp cache: a commit stamped before a read it cannot
+// ---- see lands above that read, wherever the read was served.
+
+/// Hands `batch` straight to `node` and runs the simulation until it
+/// answers (a quorum round trip inside one region is well under 100 ms).
+fn serve(sim: &Sim, node: &Rc<KvNode>, cert: &TenantCert, batch: BatchRequest) -> BatchResponse {
+    let out = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&out);
+    node.receive(cert, batch, move |resp| *o.borrow_mut() = Some(resp));
+    sim.run_for(dur::ms(100));
+    let answered = out.borrow_mut().take();
+    answered.expect("the node answered")
+}
+
+/// A read of tenant 2 outside any transaction, at `read_ts`.
+fn read_at(read_ts: Timestamp, request: RequestKind) -> BatchRequest {
+    BatchRequest {
+        tenant: TenantId(2),
+        read_ts,
+        txn: None,
+        deadline: Deadline::NONE,
+        requests: vec![request],
+    }
+}
+
+/// `txn`'s one-phase commit of one write: `key = value`.
+fn commit_of(txn: &TxnMeta, key: &Bytes, value: &'static [u8]) -> BatchRequest {
+    let write =
+        RequestKind::WriteIntent { key: key.clone(), value: Some(Bytes::from_static(value)) };
+    txn_batch(txn, vec![write, RequestKind::EndTxn { commit: true }])
+}
+
+/// The pairs a scan of `[start, end)` at `read_ts` returns from `node`.
+fn scan_at(
+    sim: &Sim,
+    node: &Rc<KvNode>,
+    cert: &TenantCert,
+    (start, end, limit): (&Bytes, &Bytes, usize),
+    read_ts: Timestamp,
+) -> Vec<(Bytes, Bytes)> {
+    let scan = RequestKind::Scan { start: start.clone(), end: end.clone(), limit };
+    let resp = serve(sim, node, cert, read_at(read_ts, scan));
+    assert!(resp.is_ok(), "{:?}", resp.error);
+    match resp.results.into_iter().next() {
+        Some(ResponseKind::Pairs(pairs)) => pairs,
+        other => panic!("a scan answers pairs: {other:?}"),
+    }
+}
+
+/// Regression: the cache used to be bumped only under the keys a scan
+/// *returned*, so a scan that found nothing left no mark. A commit
+/// stamped before it then landed beneath it, and the same scan at the same
+/// timestamp, read again, returned a row it had not.
+#[test]
+fn ts_cache_empty_scan_is_not_written_beneath() {
+    let (sim, cluster, cert, node) = leaseholder_with(51, 3);
+    let (start, end) = (k(2, "p/"), k(2, "p0"));
+    let txn = make_txn_meta(&cluster, start.clone());
+    let read_ts = cluster.now_ts();
+    assert!(txn.start_ts < read_ts);
+    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), read_ts), vec![]);
+
+    let outcome = serve(&sim, &node, &cert, commit_of(&txn, &k(2, "p/x"), b"v")).error;
+    let again = scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), read_ts);
+    assert!(
+        again.is_empty(),
+        "commit outcome {outcome:?}: a write appeared beneath a finished read"
+    );
+    assert_eq!(outcome, None, "the commit went through, above the scan");
+    assert_eq!(cluster.degrade().commits_pushed.get(), 1);
+    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), cluster.now_ts()).len(), 1);
+}
+
+/// A scan its limit stopped read its span only up to the last key it
+/// returned: what lies past that may still be written beneath it, and
+/// what lies before it may not.
+#[test]
+fn ts_cache_limited_scan_protects_up_to_its_resume_key() {
+    let (sim, cluster, cert, node) = leaseholder_with(52, 3);
+    for row in ["p/b", "p/d"] {
+        let put = RequestKind::Put { key: k(2, row), value: Bytes::from_static(b"row") };
+        assert!(serve(&sim, &node, &cert, read_at(cluster.now_ts(), put)).is_ok());
+    }
+    let (before, past) =
+        (make_txn_meta(&cluster, k(2, "p/a")), make_txn_meta(&cluster, k(2, "p/c")));
+    let read_ts = cluster.now_ts();
+    let (start, end) = (k(2, "p/"), k(2, "p0"));
+    let first = scan_at(&sim, &node, &cert, (&start, &end, 1), read_ts);
+    assert_eq!(first.iter().map(|(key, _)| key.clone()).collect::<Vec<_>>(), vec![k(2, "p/b")]);
+
+    for txn in [&before, &past] {
+        let outcome = serve(&sim, &node, &cert, commit_of(txn, &txn.anchor_key, b"new"));
+        assert_eq!(outcome.error, None);
+    }
+    let at_read = |key: &str| mvcc::get(&node.engine, &k(2, key), read_ts, None);
+    assert_eq!(at_read("p/a"), ReadResult::Value(None), "before the resume key: pushed above");
+    assert_eq!(at_read("p/c"), ReadResult::Value(Some(Bytes::from_static(b"new"))), "past it");
+    assert_eq!(cluster.degrade().commits_pushed.get(), 1);
+    // The limited scan, read again, returns what it returned.
+    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, 1), read_ts), first);
+}
+
+/// A point read that found nothing protects its key like one that found
+/// a value.
+#[test]
+fn ts_cache_get_of_an_absent_key_is_not_written_beneath() {
+    let (sim, cluster, cert, node) = leaseholder_with(53, 3);
+    let key = k(2, "g/absent");
+    let txn = make_txn_meta(&cluster, key.clone());
+    let read_ts = cluster.now_ts();
+    let get = serve(&sim, &node, &cert, read_at(read_ts, RequestKind::Get { key: key.clone() }));
+    assert_eq!(get.results, vec![ResponseKind::Value(None)]);
+
+    assert_eq!(serve(&sim, &node, &cert, commit_of(&txn, &key, b"v")).error, None);
+    assert_eq!(mvcc::get(&node.engine, &key, read_ts, None), ReadResult::Value(None));
+    let again = serve(&sim, &node, &cert, read_at(read_ts, RequestKind::Get { key }));
+    assert_eq!(again.results, vec![ResponseKind::Value(None)]);
+}
+
+/// The cache lives on the node that served the read. After the lease
+/// moves, the new holder has never seen that read, so it counts its whole
+/// range read at the lease start: a commit stamped before the read lands
+/// above the transfer, not beneath the read.
+#[test]
+fn ts_cache_read_by_the_old_leaseholder_survives_a_lease_transfer() {
+    let (sim, cluster, cert, old) = leaseholder_with(54, 3);
+    let key = k(2, "l/x");
+    let txn = make_txn_meta(&cluster, key.clone());
+    let read_ts = cluster.now_ts();
+    let get = serve(&sim, &old, &cert, read_at(read_ts, RequestKind::Get { key: key.clone() }));
+    assert_eq!(get.results, vec![ResponseKind::Value(None)]);
+
+    let replicas = cluster.range_of(&key).expect("range").desc.replicas;
+    let to = replicas.into_iter().find(|&n| n != old.id).expect("another replica");
+    let before_transfer = cluster.now_ts();
+    assert!(cluster.transfer_lease(&key, to));
+    let new = cluster.node(to).expect("new leaseholder");
+    assert_eq!(serve(&sim, &new, &cert, commit_of(&txn, &key, b"v")).error, None);
+    assert_eq!(cluster.degrade().commits_pushed.get(), 1, "pushed off its read timestamp");
+    for engine in [&old.engine, &new.engine] {
+        assert_eq!(mvcc::get(engine, &key, read_ts, None), ReadResult::Value(None));
+        assert_eq!(mvcc::get(engine, &key, before_transfer, None), ReadResult::Value(None));
+        let latest = mvcc::get(engine, &key, Timestamp::MAX, None);
+        assert_eq!(latest, ReadResult::Value(Some(Bytes::from_static(b"v"))));
+    }
+}
+
+/// A node that restarts has lost its cache, reads and all; what it must
+/// assume instead is that everything was read up to its restart.
+#[test]
+fn ts_cache_restart_forgets_the_marks_but_not_what_they_protected() {
+    let (sim, cluster, cert, node) = leaseholder_with(55, 3);
+    let key = k(2, "r/x");
+    let txn = make_txn_meta(&cluster, key.clone());
+    let read_ts = cluster.now_ts();
+    let get = serve(&sim, &node, &cert, read_at(read_ts, RequestKind::Get { key: key.clone() }));
+    assert_eq!(get.results, vec![ResponseKind::Value(None)]);
+
+    cluster.set_node_alive(node.id, false);
+    let before_restart = cluster.now_ts();
+    cluster.set_node_alive(node.id, true);
+    assert_eq!(cluster.leaseholder_of(&key), Some(node.id), "too quick to lose the lease");
+    assert_eq!(serve(&sim, &node, &cert, commit_of(&txn, &key, b"v")).error, None);
+    assert_eq!(mvcc::get(&node.engine, &key, before_restart, None), ReadResult::Value(None));
+    assert_eq!(cluster.degrade().commits_pushed.get(), 1);
+}
+
+/// A one-phase commit nobody read across commits where it read, which is
+/// where its reads stand without re-validation: a row another transaction
+/// wrote after the read does not restart it.
+#[test]
+fn ts_cache_unpushed_commit_lands_at_its_read_timestamp_without_a_refresh() {
+    let (sim, cluster, cert, node) = leaseholder_with(56, 3);
+    let (read, written) = (k(2, "w/read"), k(2, "w/written"));
+    let put = |key: &Bytes| {
+        let put = RequestKind::Put { key: key.clone(), value: Bytes::from_static(b"0") };
+        assert!(serve(&sim, &node, &cert, read_at(cluster.now_ts(), put)).is_ok());
+    };
+    put(&read);
+    let txn = make_txn_meta(&cluster, written.clone());
+    let get =
+        serve(&sim, &node, &cert, txn_batch(&txn, vec![RequestKind::Get { key: read.clone() }]));
+    assert_eq!(get.results, vec![ResponseKind::Value(Some(Bytes::from_static(b"0")))]);
+    // Someone else writes what the transaction read, then it commits.
+    put(&read);
+    let refresh = RequestKind::RefreshSpan {
+        start: read.clone(),
+        end: Bytes::from([read.as_ref(), &[0x00]].concat()),
+        since: txn.start_ts,
+    };
+    let write =
+        RequestKind::WriteIntent { key: written.clone(), value: Some(Bytes::from_static(b"1")) };
+    let commit = txn_batch(&txn, vec![refresh, write, RequestKind::EndTxn { commit: true }]);
+    assert_eq!(serve(&sim, &node, &cert, commit).error, None, "serialised before the other write");
+    let degrade = cluster.degrade();
+    assert_eq!((degrade.commits_pushed.get(), degrade.refresh_conflicts_read_only.get()), (0, 0));
+    let at_start = mvcc::get(&node.engine, &written, txn.start_ts, None);
+    assert_eq!(at_start, ReadResult::Value(Some(Bytes::from_static(b"1"))));
+}
+
+/// A pushed commit takes its timestamp from the cluster clock, not the
+/// instant just above the read that pushed it: that instant may be another
+/// transaction's read timestamp, and that transaction's blind write of the
+/// key would then land at the very same version and replace it.
+#[test]
+fn ts_cache_pushed_commit_takes_a_timestamp_nobody_else_holds() {
+    let (sim, cluster, cert, node) = leaseholder_with(58, 3);
+    let key = k(2, "u/x");
+    let early = make_txn_meta(&cluster, key.clone());
+    let read_ts = cluster.now_ts();
+    let late = make_txn_meta(&cluster, key.clone());
+    assert_eq!(late.start_ts, read_ts.next(), "issued in the same instant");
+    let get = serve(&sim, &node, &cert, read_at(read_ts, RequestKind::Get { key: key.clone() }));
+    assert!(get.is_ok());
+
+    assert_eq!(serve(&sim, &node, &cert, commit_of(&early, &key, b"early")).error, None);
+    assert_eq!(cluster.degrade().commits_pushed.get(), 1);
+    assert_eq!(mvcc::get(&node.engine, &key, late.start_ts, None), ReadResult::Value(None));
+    // `late` read before `early` committed, so its write of the key lands
+    // above `early`'s or not at all.
+    let error = serve(&sim, &node, &cert, commit_of(&late, &key, b"late")).error;
+    assert!(matches!(error, Some(KvError::WriteTooOld { .. })), "{error:?}");
+    let latest = mvcc::get(&node.engine, &key, Timestamp::MAX, None);
+    assert_eq!(latest, ReadResult::Value(Some(Bytes::from_static(b"early"))));
+}
+
+/// The same transaction, but a key it writes was read after its read
+/// timestamp: it must commit above that read, its reads are re-validated
+/// up to there, and the write it missed now fails it — a conflict on a
+/// span it only read.
+#[test]
+fn ts_cache_pushed_commit_refreshes_its_reads_and_counts_the_conflict() {
+    let (sim, cluster, cert, node) = leaseholder_with(57, 3);
+    let (read, written) = (k(2, "w/read"), k(2, "w/written"));
+    let put = |key: &Bytes| {
+        let put = RequestKind::Put { key: key.clone(), value: Bytes::from_static(b"0") };
+        assert!(serve(&sim, &node, &cert, read_at(cluster.now_ts(), put)).is_ok());
+    };
+    put(&read);
+    let txn = make_txn_meta(&cluster, written.clone());
+    let get =
+        serve(&sim, &node, &cert, txn_batch(&txn, vec![RequestKind::Get { key: read.clone() }]));
+    assert!(get.is_ok());
+    put(&read);
+    let later = RequestKind::Get { key: written.clone() };
+    assert!(serve(&sim, &node, &cert, read_at(cluster.now_ts(), later)).is_ok());
+
+    let refresh = RequestKind::RefreshSpan {
+        start: read.clone(),
+        end: Bytes::from([read.as_ref(), &[0x00]].concat()),
+        since: txn.start_ts,
+    };
+    let write =
+        RequestKind::WriteIntent { key: written.clone(), value: Some(Bytes::from_static(b"1")) };
+    let commit = txn_batch(&txn, vec![refresh, write, RequestKind::EndTxn { commit: true }]);
+    let error = serve(&sim, &node, &cert, commit).error;
+    assert!(matches!(error, Some(KvError::WriteTooOld { .. })), "{error:?}");
+    let degrade = cluster.degrade();
+    assert_eq!(degrade.refresh_conflicts_read_only.get(), 1);
+    assert_eq!(degrade.refresh_conflicts_read_write.get(), 0);
+    assert_eq!((degrade.commits_one_phase.get(), degrade.commits_pushed.get()), (0, 0));
+    assert_eq!(mvcc::get(&node.engine, &written, Timestamp::MAX, None), ReadResult::Value(None));
 }

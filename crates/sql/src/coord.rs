@@ -10,17 +10,21 @@
 //! - **One range** (every transaction on a tenant that has not split,
 //!   and any whose reads and writes fall in one range): the KV client
 //!   sends the batch as one RPC and the leaseholder evaluates it as a
-//!   **one-phase commit** — refreshes and writes validated, then
-//!   committed versions applied in one WAL batch per replica. One round
-//!   trip, no intents, no transaction record (there is nothing for one
-//!   to settle), nothing to resolve, nothing to clean up on failure.
+//!   **one-phase commit** at the transaction's read timestamp, where its
+//!   reads stand as they were served — unless a key it writes was read
+//!   later by someone else, in which case the commit lands above that
+//!   read and the refresh spans are checked up to there. Then committed
+//!   versions are applied in one WAL batch per replica. One round trip,
+//!   no intents, no transaction record (there is nothing for one to
+//!   settle), nothing to resolve, nothing to clean up on failure.
 //! - **Several ranges**: the client refuses the batch unsent
 //!   ([`KvError::TxnSpansRanges`]) and the coordinator runs the staged
-//!   protocol: refreshes + intents as one batch (one RPC per range, in
-//!   parallel; each range validates and writes its share in one
-//!   evaluation), then `EndTxn` at the anchor range flips the transaction
-//!   record — the commit point — then intents are resolved without
-//!   waiting for the result.
+//!   protocol at the commit's send time: refreshes + intents as one
+//!   batch (one RPC per range, in parallel; each range validates and
+//!   writes its share in one evaluation, and marks the refreshed spans
+//!   read at the send time), then `EndTxn` at the anchor range flips the
+//!   transaction record — the commit point — then intents are resolved
+//!   without waiting for the result.
 //!
 //! Conflicts surface as retryable errors — the session layer re-runs the
 //! transaction, which is also how the production system behaves under
@@ -130,8 +134,8 @@ struct TxnInner {
     meta: TxnMeta,
     /// Buffered writes on *unprefixed* user keys (`None` = delete).
     writes: BTreeMap<Bytes, Option<Bytes>>,
-    /// Read spans (unprefixed, half-open) validated at commit — the
-    /// coordinator-side refresh that stands in for the timestamp cache.
+    /// Read spans (unprefixed, half-open), validated at commit whenever
+    /// the commit cannot happen at the read timestamp.
     reads: Vec<(Bytes, Bytes)>,
     state: TxnState,
     /// The caller's deadline, stamped onto every KV batch this
@@ -444,17 +448,17 @@ impl Txn {
         };
         let intent_keys: Vec<Bytes> = writes.keys().map(|k| self.prefixed(k)).collect();
         meta.anchor_key = intent_keys.first().cloned().unwrap_or_default();
-        // Commit at a *fresh* timestamp (CockroachDB pushes the write
-        // timestamp at commit): back-dating writes to the start timestamp
-        // would make them appear inside concurrent snapshots taken after
-        // our reads, invisibly to their refresh validation.
+        // `write_ts` is when the commit was sent: what a leaseholder dates
+        // a re-sent copy by, and the staged protocol's commit timestamp. A
+        // one-phase commit's timestamp is the leaseholder's to pick.
         meta.write_ts = client.cluster().now_ts();
         self.inner.borrow_mut().meta = meta.clone();
 
-        // Read refresh first (§"timestamp cache" stand-in): fails with a
-        // retryable error if anything this transaction read changed after
-        // its snapshot. Each range evaluates its refreshes and writes in
-        // one step at the leaseholder.
+        // Read refreshes first: a commit that cannot happen at the read
+        // timestamp fails with a retryable error if anything this
+        // transaction read changed after its snapshot. Each range
+        // evaluates its refreshes and writes in one step at the
+        // leaseholder.
         let mut steps: Vec<RequestKind> = reads
             .iter()
             .map(|(s0, e0)| RequestKind::RefreshSpan {

@@ -2,17 +2,21 @@
 //! against what any serial execution would produce.
 //!
 //! Concurrent transactions — read-modify-write increments, sum-preserving
-//! transfers, whole-keyspace audits — run through [`Txn`] on a full
+//! transfers, whole-keyspace audits, and inserts that write how many rows
+//! their scan of the insert span saw — run through [`Txn`] on a full
 //! [`KvCluster`] whose tenant keyspace starts as one range and is
 //! force-split and lease-moved mid-run. Checked: no acked increment is
 //! lost, the transfer sum never changes (not even inside a concurrent
-//! reader's snapshot), the one-phase commit is taken exactly when a
+//! reader's snapshot), no insert's scan missed a row committed before it
+//! (a phantom), the one-phase commit is taken exactly when a
 //! transaction's spans live in one range, multi-range transactions fall
 //! back to the staged protocol and leave no intent behind when they
 //! abort, and after every phase the replicas of every range hold the same
 //! data (`tests/support/replica_oracle.rs`). The same mix runs again from
 //! another region while every reply to it is dropped at random for seconds
-//! at a time. Then the targeted cases: a staged commit that aborts after
+//! at a time; there a commit can end neither acked nor refused but
+//! ambiguous, and the model counts it as maybe applied — whole or not at
+//! all. Then the targeted cases: a staged commit that aborts after
 //! laying an intent, a one-phase commit whose replies are lost — for one RPC timeout, for longer than
 //! the status table used to remember, and across a split that turns the
 //! re-send into a staged commit, and for longer than the KV client keeps
@@ -53,6 +57,20 @@ fn acct(i: usize) -> Bytes {
 
 fn ctr(i: usize) -> Bytes {
     Bytes::from(format!("ctr/{i:02}"))
+}
+
+/// The insert span: rows keyed by the operation that wrote them, each
+/// holding how many rows its writer's scan of the span saw.
+const INSERTED: (&[u8], &[u8]) = (b"ins/", b"ins0");
+
+/// Whether a commit that failed with `e` may have been applied. Anything
+/// else that fails must be retryable.
+fn ambiguous(e: &SqlError, what: &str) -> bool {
+    if *e == SqlError::Kv(KvError::AmbiguousCommit) {
+        return true;
+    }
+    assert!(e.is_retryable(), "{what}: {e}");
+    false
 }
 
 fn num(v: &Option<Bytes>) -> i64 {
@@ -105,16 +123,38 @@ fn single_region(seed: u64) -> (Sim, KvCluster, Vec<KvClient>) {
     setup(seed, Topology::single_region("us-east1", 3), Location::new(RegionId(0), 0))
 }
 
+/// Counts of commits that were acked, and of commits that ended ambiguous
+/// and so may or may not have been applied.
+#[derive(Default)]
+struct Outcomes {
+    acked: Cell<u64>,
+    maybe: Cell<u64>,
+}
+
+impl Outcomes {
+    fn count(&self, acked: bool) {
+        let n = if acked { &self.acked } else { &self.maybe };
+        n.set(n.get() + 1);
+    }
+
+    /// Whether `n` things happened, given these outcomes.
+    fn admits(&self, n: u64) -> bool {
+        (self.acked.get()..=self.acked.get() + self.maybe.get()).contains(&n)
+    }
+}
+
 /// What the serial model needs from the run, plus what the protocol
 /// assertions need.
 #[derive(Default)]
 struct Tally {
-    /// Acked increments per counter.
-    increments: RefCell<BTreeMap<usize, i64>>,
-    /// Acked commits whose keys shared a leaseholder / did not, as the
-    /// directory stood when the transaction began.
-    acked_one_range: Cell<u64>,
-    acked_cross_range: Cell<u64>,
+    /// Increments per counter.
+    increments: RefCell<BTreeMap<usize, Outcomes>>,
+    /// Inserted rows.
+    inserts: Outcomes,
+    /// Commits whose keys shared a leaseholder / did not, as the directory
+    /// stood when the transaction began.
+    one_range: Outcomes,
+    cross_range: Outcomes,
     /// Cross-range commit attempts that aborted.
     aborted_cross_range: Cell<u64>,
     audits: Cell<u64>,
@@ -130,6 +170,9 @@ struct Worker {
     tally: Rc<Tally>,
     /// Operations left to start.
     budget: Cell<u32>,
+    /// Which worker this is, and whether its mix includes inserts.
+    id: u64,
+    inserts: bool,
 }
 
 impl Worker {
@@ -145,16 +188,18 @@ impl Worker {
         }
         self.budget.set(self.budget.get() - 1);
         self.tally.in_flight.set(self.tally.in_flight.get() + 1);
+        let kinds = if self.inserts { 12 } else { 10 };
         let (kind, a, b, amount) = {
             let mut rng = self.rng.borrow_mut();
             let a = rng.gen_range(0..ACCOUNTS);
             let b = (a + rng.gen_range(1..ACCOUNTS)) % ACCOUNTS;
-            (rng.gen_range(0..10), a, b, rng.gen_range(1..20i64))
+            (rng.gen_range(0..kinds), a, b, rng.gen_range(1..20i64))
         };
         match kind {
             0..=3 => self.increment(a % COUNTERS),
             4..=8 => self.transfer(a, b, amount),
-            _ => self.audit(),
+            9 => self.audit(),
+            _ => self.insert(Bytes::from(format!("ins/{}-{:03}", self.id, self.budget.get()))),
         }
     }
 
@@ -166,7 +211,7 @@ impl Worker {
         self.sim.schedule_after(pause, move || this.next());
     }
 
-    /// `ctr = ctr + 1`, retried until it commits.
+    /// `ctr = ctr + 1`, retried until it commits or may have.
     fn increment(self: &Rc<Self>, c: usize) {
         let txn = Txn::begin(&self.client);
         let this = Rc::clone(self);
@@ -175,23 +220,22 @@ impl Worker {
             let Ok(v) = r else { return this.increment(c) };
             txn2.put(ctr(c), val(num(&v) + 1));
             let this2 = Rc::clone(&this);
-            txn2.commit(move |r| match r {
-                Ok(()) => {
-                    *this2.tally.increments.borrow_mut().entry(c).or_default() += 1;
-                    let t = &this2.tally.acked_one_range;
-                    t.set(t.get() + 1);
-                    this2.done();
-                }
-                Err(e) => {
-                    assert!(e.is_retryable(), "increment: {e}");
-                    this2.increment(c);
-                }
+            txn2.commit(move |r| {
+                let acked = match r {
+                    Ok(()) => true,
+                    Err(e) if ambiguous(&e, "increment") => false,
+                    Err(_) => return this2.increment(c),
+                };
+                let t = &this2.tally;
+                t.increments.borrow_mut().entry(c).or_default().count(acked);
+                t.one_range.count(acked);
+                this2.done();
             });
         });
     }
 
     /// Moves `amount` from account `a` to account `b`, retried until it
-    /// commits.
+    /// commits or may have.
     fn transfer(self: &Rc<Self>, a: usize, b: usize, amount: i64) {
         let one_range = self.same_range(&acct(a), &acct(b));
         let txn = Txn::begin(&self.client);
@@ -204,20 +248,18 @@ impl Worker {
             let this2 = Rc::clone(&this);
             txn2.commit(move |r| {
                 let t = &this2.tally;
-                match r {
-                    Ok(()) => {
-                        let n = if one_range { &t.acked_one_range } else { &t.acked_cross_range };
-                        n.set(n.get() + 1);
-                        this2.done();
-                    }
-                    Err(e) => {
-                        assert!(e.is_retryable(), "transfer: {e}");
+                let acked = match r {
+                    Ok(()) => true,
+                    Err(e) if ambiguous(&e, "transfer") => false,
+                    Err(_) => {
                         if !one_range {
                             t.aborted_cross_range.set(t.aborted_cross_range.get() + 1);
                         }
-                        this2.transfer(a, b, amount);
+                        return this2.transfer(a, b, amount);
                     }
-                }
+                };
+                (if one_range { &t.one_range } else { &t.cross_range }).count(acked);
+                this2.done();
             });
         });
     }
@@ -245,6 +287,44 @@ impl Worker {
             },
         );
     }
+
+    /// Scans the insert span and adds row `key` holding how many rows the
+    /// scan saw, retried until it commits or may have. Serially, the
+    /// inserts number themselves 0, 1, 2, … in commit order, so every
+    /// snapshot of the span holds exactly the numbers below its size: a
+    /// scan that missed a row committed before it — a row that landed
+    /// beneath the scan — shows up as a number taken twice.
+    fn insert(self: &Rc<Self>, key: Bytes) {
+        let txn = Txn::begin(&self.client);
+        let this = Rc::clone(self);
+        let txn2 = txn.clone();
+        let (start, end) = INSERTED;
+        txn.scan(Bytes::from_static(start), Bytes::from_static(end), usize::MAX, move |r| {
+            let Ok(rows) = r else { return this.insert(key) };
+            assert_serial(&rows);
+            txn2.put(key.clone(), val(rows.len() as i64));
+            let this2 = Rc::clone(&this);
+            txn2.commit(move |r| {
+                let acked = match r {
+                    Ok(()) => true,
+                    Err(e) if ambiguous(&e, "insert") => false,
+                    Err(_) => return this2.insert(key),
+                };
+                this2.tally.inserts.count(acked);
+                this2.tally.one_range.count(acked);
+                this2.done();
+            });
+        });
+    }
+}
+
+/// The insert span's rows number themselves 0, 1, 2, … with none missing
+/// and none taken twice.
+fn assert_serial(rows: &[(Bytes, Bytes)]) {
+    let mut numbers: Vec<i64> = rows.iter().map(|(_, v)| num(&Some(v.clone()))).collect();
+    numbers.sort_unstable();
+    let serial: Vec<i64> = (0..rows.len() as i64).collect();
+    assert_eq!(numbers, serial, "an insert's scan missed a row committed before it");
 }
 
 /// Runs `ops_each` operations on each of six workers to completion,
@@ -256,6 +336,7 @@ fn run_phase(
     seed: u64,
     ops_each: u32,
     sim_secs: u64,
+    inserts: bool,
 ) -> Rc<Tally> {
     let tally = Rc::new(Tally::default());
     for w in 0..6u64 {
@@ -266,6 +347,8 @@ fn run_phase(
             rng: RefCell::new(SmallRng::seed_from_u64(seed * 1_000 + w)),
             tally: Rc::clone(&tally),
             budget: Cell::new(ops_each),
+            id: w,
+            inserts,
         });
         worker.next();
     }
@@ -279,8 +362,9 @@ fn run_phase(
 /// random 1–8 s, lets them through for a random 2–8 s, and so on.
 /// Requests out of `to` still arrive and are evaluated; it is their
 /// replies that are lost, so the clients there send again what was
-/// already applied. No cut outlasts an RPC timeout, so no client runs out
-/// of retries: every commit ends acked or refused, never ambiguous.
+/// already applied. No one cut outlasts an RPC timeout, but a client's
+/// copies can meet cut after cut until it runs out of routes, and a
+/// commit that does ends ambiguous.
 fn flap_replies(sim: &Sim, cluster: &KvCluster, to: RegionId, seed: u64, on: &Rc<Cell<bool>>) {
     fn step(sim: Sim, topology: Rc<Topology>, to: RegionId, mut rng: SmallRng, on: Rc<Cell<bool>>) {
         if !on.get() {
@@ -309,6 +393,17 @@ fn read_now(sim: &Sim, client: &KvClient, key: &Bytes) -> i64 {
     num(&v)
 }
 
+/// Scans `[start, end)` (tenant keys) outside any transaction.
+fn scan_now(sim: &Sim, client: &KvClient, (start, end): (&Bytes, &Bytes)) -> Vec<(Bytes, Bytes)> {
+    let out = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&out);
+    let (start, end) = (start.clone(), end.clone());
+    client.scan(start, end, usize::MAX, move |r| *o.borrow_mut() = Some(r.expect("scan")));
+    sim.run_for(dur::secs(5));
+    let rows = out.borrow_mut().take();
+    rows.expect("scan finished")
+}
+
 /// No replica of any node holds an intent on any of the test's keys.
 fn assert_no_intents(cluster: &KvCluster) {
     let all = (0..ACCOUNTS).map(acct).chain((0..COUNTERS).map(ctr));
@@ -329,7 +424,9 @@ fn assert_no_intents(cluster: &KvCluster) {
 /// cross-region round trip away from every leaseholder, and the replies
 /// to them are dropped at random throughout both phases: commits are
 /// applied, never heard of, sent again and acked as replays — each
-/// counted once, by the model and by the protocol counters alike.
+/// counted once, by the model and by the protocol counters alike — or,
+/// when a client runs out of routes first, reported ambiguous, which the
+/// model and the counters take as "once or not at all".
 fn check_run(seed: u64, lost_replies: bool) {
     let (sim, cluster, clients) = if lost_replies {
         setup(seed, Topology::three_region(), Location::new(RegionId(1), 0))
@@ -341,17 +438,15 @@ fn check_run(seed: u64, lost_replies: bool) {
     flap_replies(&sim, &cluster, RegionId(1), seed, &flapping);
     let degrade = cluster.degrade();
     let protocol_counts = || (degrade.commits_one_phase.get(), degrade.commits_two_phase.get());
-    let mut increments: BTreeMap<usize, i64> = BTreeMap::new();
 
     // Phase 1: one range. Every commit is one-phase.
     let loaded = protocol_counts();
     assert_eq!(loaded, (1, 0), "the load itself committed in one phase");
-    let t1 = run_phase(&sim, &cluster, &clients, seed, 40, phase_secs);
-    assert_eq!(t1.acked_cross_range.get(), 0);
-    assert_eq!(protocol_counts(), (loaded.0 + t1.acked_one_range.get(), 0));
-    for (c, n) in t1.increments.borrow().iter() {
-        *increments.entry(*c).or_default() += n;
-    }
+    let t1 = run_phase(&sim, &cluster, &clients, seed, 40, phase_secs, false);
+    assert_eq!(t1.cross_range.acked.get() + t1.cross_range.maybe.get(), 0);
+    let phase1 = protocol_counts();
+    assert!(t1.one_range.admits(phase1.0 - loaded.0), "one-phase: {phase1:?}");
+    assert_eq!(phase1.1, 0);
 
     // Split between the keys and move the right half's lease away (to
     // another region, when there is one: region 1 holds the clients).
@@ -367,36 +462,53 @@ fn check_run(seed: u64, lost_replies: bool) {
             == cluster.leaseholder_of(&keys::make_key(TENANT, &acct(0)))
     });
     assert!(split_accounts, "the split must separate accounts for cross-range transfers to exist");
+    let inserted = |k: &[u8]| keys::make_key(TENANT, k);
+    assert_eq!(cluster.leaseholder_of(&inserted(INSERTED.0)), Some(new), "inserts: one range");
 
-    // Phase 2: two ranges, every client cache stale at first. A commit is
-    // one-phase exactly when its keys share a range.
-    let before = protocol_counts();
-    let t2 = run_phase(&sim, &cluster, &clients, seed + 1, 60, phase_secs);
+    // Phase 2: two ranges, every client cache stale at first, and inserts
+    // into the right one. A commit is one-phase exactly when its keys
+    // share a range.
+    let t2 = run_phase(&sim, &cluster, &clients, seed + 1, 60, phase_secs, true);
     let after = protocol_counts();
-    assert!(t2.acked_cross_range.get() > 10, "the mix exercised cross-range transfers");
+    assert!(t2.cross_range.acked.get() > 10, "the mix exercised cross-range transfers");
     assert!(t2.aborted_cross_range.get() > 0, "the mix exercised cross-range aborts");
+    assert!(t2.inserts.acked.get() > 5, "the mix exercised inserts");
     assert!(t1.audits.get() + t2.audits.get() > 10);
-    assert_eq!(after.0 - before.0, t2.acked_one_range.get(), "one-phase iff single-range");
-    assert_eq!(after.1 - before.1, t2.acked_cross_range.get(), "staged iff multi-range");
-    for (c, n) in t2.increments.borrow().iter() {
-        *increments.entry(*c).or_default() += n;
-    }
+    assert!(degrade.commits_pushed.get() > 0, "some commits could not land at their reads");
+    assert!(t2.one_range.admits(after.0 - phase1.0), "one-phase iff single-range: {after:?}");
+    assert!(t2.cross_range.admits(after.1 - phase1.1), "staged iff multi-range: {after:?}");
+    let ambiguous: u64 =
+        [&t1, &t2].iter().map(|t| t.one_range.maybe.get() + t.cross_range.maybe.get()).sum();
+    assert_eq!(degrade.ambiguous_commits.get(), ambiguous, "each ambiguous commit counted once");
     if lost_replies {
         assert!(cluster.topology().dropped_messages() > 20, "replies were lost");
         assert!(degrade.retries.get() > 20, "and their requests sent again");
-        assert_eq!(degrade.ambiguous_commits.get(), 0, "every re-send was recognised");
+    } else {
+        assert_eq!(ambiguous, 0, "nothing is lost inside one healthy region");
     }
 
-    // The serial model: every acked increment counted once, the transfer
-    // sum untouched, nothing provisional left anywhere.
+    // The serial model: every increment counted once — or, ambiguous,
+    // once or not at all — the transfer sum untouched, the inserts
+    // numbered in commit order, nothing provisional left anywhere.
     flapping.set(false);
     sim.run_for(dur::secs(if lost_replies { 60 } else { 5 })); // fire-and-forget resolutions land
     for c in 0..COUNTERS {
-        let expect = increments.get(&c).copied().unwrap_or(0);
-        assert_eq!(read_now(&sim, &clients[0], &ctr(c)), expect, "counter {c}: lost update");
+        let counted = [&t1, &t2].map(|t| {
+            let increments = t.increments.borrow();
+            increments.get(&c).map_or((0, 0), |o| (o.acked.get(), o.maybe.get()))
+        });
+        let (acked, maybe) = (counted[0].0 + counted[1].0, counted[0].1 + counted[1].1);
+        let value = read_now(&sim, &clients[0], &ctr(c)) as u64;
+        assert!(
+            (acked..=acked + maybe).contains(&value),
+            "counter {c}: {value} after {acked} acked and {maybe} ambiguous increments"
+        );
     }
     let sum: i64 = (0..ACCOUNTS).map(|i| read_now(&sim, &clients[0], &acct(i))).sum();
     assert_eq!(sum, ACCOUNTS as i64 * OPENING_BALANCE);
+    let rows = scan_now(&sim, &clients[0], (&inserted(INSERTED.0), &inserted(INSERTED.1)));
+    assert_serial(&rows);
+    assert!(t2.inserts.admits(rows.len() as u64), "{} rows inserted", rows.len());
     assert_no_intents(&cluster);
     assert_replicas_equal(&cluster);
 }
@@ -421,6 +533,35 @@ fn commits_under_lost_replies_match_the_serial_model_seed_7() {
     check_run(7, true);
 }
 
+#[test]
+fn commits_under_lost_replies_match_the_serial_model_seed_8() {
+    check_run(8, true);
+}
+
+#[test]
+fn commits_under_lost_replies_match_the_serial_model_seed_9() {
+    check_run(9, true);
+}
+
+#[test]
+fn commits_under_lost_replies_match_the_serial_model_seed_10() {
+    check_run(10, true);
+}
+
+#[test]
+fn commits_under_lost_replies_match_the_serial_model_seed_11() {
+    check_run(11, true);
+}
+
+#[test]
+fn commits_under_lost_replies_match_the_serial_model_seed_12() {
+    check_run(12, true);
+}
+
+#[test]
+fn commits_under_lost_replies_match_the_serial_model_seed_13() {
+    check_run(13, true);
+}
 /// A staged commit that fails on one range after laying an intent on the
 /// other must remove that intent.
 #[test]

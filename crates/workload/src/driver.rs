@@ -143,6 +143,17 @@ impl TxnStats {
         })
     }
 
+    /// Forgets everything recorded so far, so that what follows is
+    /// measured on its own (a warm-up excluded from the window).
+    pub fn reset(&self) {
+        *self.committed.borrow_mut() = 0;
+        *self.aborted.borrow_mut() = 0;
+        *self.retries.borrow_mut() = 0;
+        *self.latency.borrow_mut() = Histogram::new();
+        self.by_label.borrow_mut().clear();
+        *self.last_abort.borrow_mut() = None;
+    }
+
     /// Committed transactions per minute with the given label — tpmC when
     /// the label is `new_order`.
     pub fn per_minute(&self, label: &str, elapsed: Duration) -> f64 {

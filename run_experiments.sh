@@ -2,8 +2,8 @@
 # Regenerates every table and figure of the paper's evaluation, plus the
 # design-choice ablations. Outputs land in results/.
 #
-# The full suite takes about ten minutes on one core (fig12_13_table1 is
-# half of it); one experiment can be run directly:
+# The full suite takes about fourteen minutes on one core
+# (fig12_13_table1 is over half of it); one experiment can be run directly:
 #   cargo run --release -p crdb-bench --bin exp -- fig5
 set -euo pipefail
 cd "$(dirname "$0")"
