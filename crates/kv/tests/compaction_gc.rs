@@ -70,10 +70,7 @@ fn visible(history: &[(u64, Option<u8>)], at: u64) -> Option<u8> {
 /// flushes or compacts unless a job is claimed and finished by hand.
 fn manual_engine(config: LsmConfig) -> Engine {
     let engine = Engine::new(config);
-    engine.with_lsm(|lsm| {
-        lsm.set_auto_maintain(false);
-        lsm.set_group_durability(true);
-    });
+    engine.with_lsm(|lsm| lsm.set_auto_maintain(false));
     engine
 }
 

@@ -21,14 +21,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration and in-memory WAL.
+    /// Creates an engine with the given configuration.
     pub fn new(config: LsmConfig) -> Self {
         Engine { inner: Arc::new(Mutex::new(Lsm::new(config))) }
     }
 
     /// Applies a write batch atomically. Returns the batch's WAL sequence
-    /// number; with group durability enabled the batch is committed by the
-    /// first [`Engine::group_commit`] whose group covers that sequence.
+    /// number; the batch is committed by the first [`Engine::group_commit`]
+    /// whose group covers that sequence (or by a flush's WAL truncate).
     pub fn apply(&self, batch: &WriteBatch) -> u64 {
         self.inner.lock().apply(batch)
     }

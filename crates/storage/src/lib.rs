@@ -4,7 +4,8 @@
 //! merge-tree (§5.1.3). The parts of Pebble that matter to the paper are
 //! reproduced here for real:
 //!
-//! - a write-ahead log ([`wal`]) and an ordered in-memory [`memtable`],
+//! - a group-commit write-ahead log ([`wal`]) that counts record bytes and
+//!   tracks durability, and an ordered in-memory [`memtable`],
 //! - immutable sorted runs ([`sstable`]) organized into **L0** (overlapping
 //!   files) plus leveled non-overlapping levels below ([`lsm`]),
 //! - flush and compaction with **byte-accurate accounting**
@@ -13,11 +14,13 @@
 //!   exactly this instrumentation, and the §5.1.4 `a·x + b` linear
 //!   write-amplification models are fitted to these counters.
 //!
-//! The engine is synchronous and deterministic: compaction work is
-//! triggered by the embedder (`maybe_compact`), which lets the simulated KV
-//! node charge flush/compaction bytes against a simulated disk with a real
-//! bandwidth limit. The engine is also usable standalone under real
-//! threads via [`engine::Engine`]'s internal locking.
+//! The engine is synchronous and deterministic. By default it flushes and
+//! compacts inline on the writing call ([`Lsm::maybe_maintain`]); the
+//! simulated KV node turns that off ([`Lsm::set_auto_maintain`]) and claims
+//! flush and compaction jobs itself ([`Lsm::begin_flush`],
+//! [`Lsm::begin_compaction`]), charging their bytes against a simulated
+//! disk with a real bandwidth limit. The engine is also usable standalone
+//! under real threads via [`engine::Engine`]'s internal locking.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]

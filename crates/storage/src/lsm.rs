@@ -13,9 +13,10 @@
 //! The write path is structured so foreground writes never wait on
 //! background work:
 //!
-//! - **Group commit** — [`Lsm::apply`] appends to the WAL without syncing
-//!   when group durability is enabled; [`Lsm::group_commit`] models one
-//!   fsync that commits every batch appended since the last one.
+//! - **Group commit** — [`Lsm::apply`] appends to the WAL without syncing;
+//!   [`Lsm::group_commit`] models one fsync that commits every batch
+//!   appended since the last one, and a flush's WAL truncate covers the
+//!   rest.
 //! - **Pipelined flushes** — a full active memtable is *frozen* (rotation
 //!   is O(1)) and keeps serving reads while [`Lsm::begin_flush`] /
 //!   [`Lsm::finish_flush`] move it to L0 as a background job. Reads
@@ -47,7 +48,7 @@ use crate::iter::{MergeIter, Source};
 use crate::memtable::{Memtable, WriteBatch};
 use crate::metrics::{StorageMetrics, COMPACT_LEVELS_TRACKED};
 use crate::sstable::{SsTable, TableBuilder};
-use crate::wal::{GroupCommit, MemWal, WalSink, WalWriter};
+use crate::wal::{GroupCommit, WalWriter};
 use crate::{Key, Value};
 
 /// Tuning knobs for the LSM tree. Defaults are scaled down from production
@@ -227,24 +228,16 @@ pub struct Lsm {
     /// When false, flush/compaction only happen via explicit calls —
     /// embedders that meter disk bandwidth use this.
     auto_maintain: bool,
-    /// When true, `apply` leaves batches unsynced and the embedder calls
-    /// [`Lsm::group_commit`] to model one fsync per group.
-    group_durability: bool,
 }
 
 impl Lsm {
-    /// Creates an LSM with an in-memory WAL.
+    /// Creates an empty LSM.
     pub fn new(config: LsmConfig) -> Self {
-        Self::with_wal(config, Box::new(MemWal::new()))
-    }
-
-    /// Creates an LSM with a caller-provided WAL sink.
-    pub fn with_wal(config: LsmConfig, wal: Box<dyn WalSink>) -> Self {
         let levels = vec![Vec::new(); config.num_levels];
         let cursors = vec![0; config.num_levels];
         Lsm {
             config,
-            wal: WalWriter::new(wal),
+            wal: WalWriter::default(),
             memtable: Memtable::new(),
             frozen: VecDeque::new(),
             next_frozen_id: 1,
@@ -258,7 +251,6 @@ impl Lsm {
             read: ReadCounters::default(),
             cursors,
             auto_maintain: true,
-            group_durability: false,
         }
     }
 
@@ -267,30 +259,22 @@ impl Lsm {
         self.auto_maintain = on;
     }
 
-    /// Enables group durability: `apply` stops syncing per batch and the
-    /// embedder amortizes fsyncs across groups via [`Lsm::group_commit`].
-    pub fn set_group_durability(&mut self, on: bool) {
-        self.group_durability = on;
-    }
-
     /// Applies a write batch: WAL append, memtable apply, then (if enabled)
     /// any flush/compaction work that falls due. Returns the batch's WAL
-    /// sequence number (covered by the group commit that syncs past it).
+    /// sequence number. The batch is not synced here: it is durable once
+    /// the [`Lsm::group_commit`] that syncs past it, or the truncate after
+    /// a flush, has run.
     pub fn apply(&mut self, batch: &WriteBatch) -> u64 {
-        let (seq, rec_bytes) = self.wal.append(batch).expect("wal append");
+        let (seq, rec_bytes) = self.wal.append(batch);
         self.metrics.wal_bytes += rec_bytes;
         self.metrics.wal_batches += 1;
         self.metrics.logical_bytes_written += batch.payload_bytes() as u64;
         self.memtable.apply_batch(batch);
-        if !self.group_durability {
-            let group = self.wal.sync_all().expect("wal sync");
-            self.note_group(group);
-        }
         if self.auto_maintain {
             self.maybe_maintain();
-        } else if self.group_durability {
-            // Pipelined embedders: rotation is the only foreground work;
-            // flush/compaction jobs are claimed by the embedder.
+        } else {
+            // Embedder-driven maintenance: rotation is the only foreground
+            // work; flush/compaction jobs are claimed by the embedder.
             self.rotate_if_full();
         }
         seq
@@ -327,10 +311,10 @@ impl Lsm {
     }
 
     /// Models one fsync covering every batch appended since the last one;
-    /// returns the committed group. With group durability enabled this is
-    /// the point at which those batches may be acknowledged.
+    /// returns the committed group: the point at which those batches may
+    /// be acknowledged.
     pub fn group_commit(&mut self) -> GroupCommit {
-        let group = self.wal.sync_all().expect("wal sync");
+        let group = self.wal.sync_all();
         self.note_group(group);
         group
     }
@@ -536,7 +520,7 @@ impl Lsm {
         self.l0.push(table);
         if self.memtable.is_empty() && self.frozen.is_empty() {
             // Everything appended is now durable in data files.
-            let group = self.wal.truncate().expect("wal truncate");
+            let group = self.wal.truncate();
             self.note_group(group);
         }
     }
@@ -848,11 +832,6 @@ impl Lsm {
             + self.level_sizes().iter().sum::<usize>()
     }
 
-    /// Current active memtable size in bytes.
-    pub fn memtable_bytes(&self) -> usize {
-        self.memtable.approx_bytes()
-    }
-
     /// Cumulative instrumentation counters, including read-path counters.
     pub fn metrics(&self) -> StorageMetrics {
         let mut m = self.metrics;
@@ -1070,7 +1049,7 @@ mod tests {
             lsm.put(key(i), value(i));
         }
         assert_eq!(lsm.metrics().flush_count, 0, "no flush until asked");
-        assert!(lsm.memtable_bytes() > LsmConfig::tiny().memtable_size);
+        assert!(lsm.frozen_count() > 0, "full memtables wait frozen for a flush");
         lsm.maybe_maintain();
         assert!(lsm.metrics().flush_count > 0);
         for i in (0..200).step_by(17) {
@@ -1204,11 +1183,10 @@ mod tests {
     // Write-pipeline tests
     // ------------------------------------------------------------------
 
-    /// A pipelined-mode LSM: manual maintenance + group durability.
+    /// A pipelined-mode LSM: embedder-driven maintenance.
     fn pipelined(config: LsmConfig) -> Lsm {
         let mut lsm = Lsm::new(config);
         lsm.set_auto_maintain(false);
-        lsm.set_group_durability(true);
         lsm
     }
 
@@ -1233,16 +1211,6 @@ mod tests {
         assert_eq!(m.fsyncs, 1);
         assert_eq!(m.batches_synced, 10);
         assert!((m.batches_per_fsync() - 10.0).abs() < 1e-9);
-
-        // Serial durability: one fsync per batch.
-        let mut serial = Lsm::new(LsmConfig::tiny());
-        serial.set_auto_maintain(false);
-        for i in 0..10 {
-            serial.put(key(i), value(i));
-        }
-        let m = serial.metrics();
-        assert_eq!(m.fsyncs, 10);
-        assert!((m.batches_per_fsync() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,13 +3,9 @@
 //! per-level compactions must leave reads byte-for-byte identical to a
 //! serially-maintained engine and to a `BTreeMap` model — including reads
 //! taken *mid-flight*, while flush and compaction jobs hold their inputs.
-//! Plus crash-recovery: a WAL torn mid-group-commit must replay to every
-//! acked batch and a clean prefix of the in-flight group, never a torn
-//! batch and never a panic.
 
 use bytes::Bytes;
-use crdb_storage::wal::{crc32, decode_batch, encode_batch, FileWal};
-use crdb_storage::{Lsm, LsmConfig, WalWriter, WriteBatch};
+use crdb_storage::{Lsm, LsmConfig, WriteBatch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -27,7 +23,7 @@ fn value(v: u32) -> Bytes {
 }
 
 /// One engine pair under test: `piped` runs manual pipelined maintenance
-/// (group durability, jobs held in flight across other operations);
+/// (group commits, jobs held in flight across other operations);
 /// `serial` keeps the default inline-maintenance write path.
 struct Pair {
     piped: Lsm,
@@ -41,7 +37,6 @@ impl Pair {
     fn new() -> Pair {
         let mut piped = Lsm::new(LsmConfig::tiny());
         piped.set_auto_maintain(false);
-        piped.set_group_durability(true);
         Pair {
             piped,
             serial: Lsm::new(LsmConfig::tiny()),
@@ -233,7 +228,6 @@ fn job_api_and_inline_maintenance_attribute_identical_bytes() {
     let mut inline = Lsm::new(config.clone());
     let mut driven = Lsm::new(config);
     driven.set_auto_maintain(false);
-    driven.set_group_durability(true);
     let mut flush = None;
     let mut compaction = None;
     let mut applied_with_both_in_flight = 0;
@@ -289,217 +283,4 @@ fn job_api_and_inline_maintenance_attribute_identical_bytes() {
         );
         assert_eq!(m.compact_bytes_per_level.iter().sum::<u64>(), m.compact_bytes_in);
     }
-}
-
-fn temp_wal(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("crdb-writepath-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
-/// Applies replayed WAL records to a fresh engine, asserting every record
-/// decodes cleanly (a torn tail must never surface as a half-batch).
-fn recover(records: &[Vec<u8>]) -> Lsm {
-    let mut lsm = Lsm::new(LsmConfig::tiny());
-    for r in records {
-        let batch = decode_batch(r).expect("replayed record must decode");
-        lsm.apply(&batch);
-    }
-    lsm
-}
-
-#[test]
-fn torn_tail_mid_group_commit_recovers_every_acked_batch() {
-    // Group 1 (three batches) was group-committed — acked to clients.
-    // Group 2 (two batches) was appended and mid-fsync when the crash
-    // hit. For EVERY possible tear offset in group 2's byte range, replay
-    // must recover all of group 1 plus a clean whole-batch prefix of
-    // group 2.
-    let path = temp_wal("torn-group.wal");
-    let g1: Vec<WriteBatch> = (0..3)
-        .map(|i| {
-            let mut b = WriteBatch::new();
-            b.put(format!("acked{i}").into_bytes(), format!("v{i}").into_bytes());
-            b
-        })
-        .collect();
-    let g2: Vec<WriteBatch> = (0..2)
-        .map(|i| {
-            let mut b = WriteBatch::new();
-            b.put(format!("inflight{i}").into_bytes(), format!("w{i}").into_bytes());
-            b.delete(format!("acked{i}").into_bytes());
-            b
-        })
-        .collect();
-    let g1_end;
-    {
-        let mut w = WalWriter::new(Box::new(FileWal::open(&path).unwrap()));
-        for b in &g1 {
-            w.append(b).unwrap();
-        }
-        let gc = w.sync_all().unwrap();
-        assert_eq!((gc.batches, gc.last_seq), (3, 3));
-        g1_end = w.size() as usize; // framed bytes covered by the ack
-        for b in &g2 {
-            w.append(b).unwrap();
-        }
-        w.sync_all().unwrap(); // flush bytes to disk; the "crash" tears below
-    }
-    let full = std::fs::read(&path).unwrap();
-    assert!(full.len() > g1_end);
-    let all_encoded: Vec<Vec<u8>> = g1.iter().chain(g2.iter()).map(encode_batch).collect();
-
-    for cut in g1_end..=full.len() {
-        std::fs::write(&path, &full[..cut]).unwrap();
-        let records = FileWal::replay(&path).unwrap();
-        // Every acked batch survived, in order…
-        assert!(records.len() >= 3, "tear at {cut} lost acked batches");
-        // …and what survived is a whole-batch prefix of the append order.
-        assert_eq!(records, all_encoded[..records.len()].to_vec(), "tear at {cut}");
-        let lsm = recover(&records);
-        for i in 0..3 {
-            let k = format!("acked{i}");
-            let deleted = records.len() > 3 + i; // group-2 batch i replayed too
-            let got = lsm.get(k.as_bytes());
-            if deleted {
-                assert_eq!(got, None, "tear at {cut}: {k} should be re-deleted");
-            } else {
-                assert_eq!(
-                    got,
-                    Some(Bytes::from(format!("v{i}"))),
-                    "tear at {cut}: acked {k} lost"
-                );
-            }
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-/// Batches whose keys and values embed WAL-framing look-alikes: little-
-/// endian length prefixes, valid `[len][crc]` headers of other records,
-/// and 0x00/0xFF runs. Record framing must be immune to payload content.
-fn adversarial_batches() -> Vec<WriteBatch> {
-    let mut out = Vec::new();
-    // An empty batch (count = 0): legal, encodes to just the header.
-    out.push(WriteBatch::new());
-    let mut b = WriteBatch::new();
-    b.put(&b""[..], &b""[..]); // empty key and value
-    out.push(b);
-    // A payload that IS a valid framed record for "sneaky": replay must
-    // not resynchronize into it.
-    let inner = b"sneaky".to_vec();
-    let mut framed = Vec::new();
-    framed.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc32(&inner).to_le_bytes());
-    framed.extend_from_slice(&inner);
-    let mut b = WriteBatch::new();
-    b.put(framed.clone(), framed.clone());
-    out.push(b);
-    // Length-prefix look-alikes and byte-extreme runs.
-    let mut b = WriteBatch::new();
-    b.put(4u32.to_le_bytes().to_vec(), u32::MAX.to_le_bytes().to_vec());
-    b.delete(vec![0u8; 9]);
-    b.put(vec![0xFFu8; 17], vec![0u8; 0]);
-    out.push(b);
-    out
-}
-
-#[test]
-fn wal_roundtrip_survives_embedded_delimiters() {
-    // encode → decode is the identity (canonical re-encode compares
-    // equal), and a full file replay returns the batches in order.
-    let path = temp_wal("adversarial.wal");
-    let batches = adversarial_batches();
-    {
-        let mut w = WalWriter::new(Box::new(FileWal::open(&path).unwrap()));
-        for b in &batches {
-            let encoded = encode_batch(b);
-            let decoded = decode_batch(&encoded).expect("roundtrip decode");
-            assert_eq!(encode_batch(&decoded), encoded, "canonical re-encode diverged");
-            assert_eq!(decoded.len(), b.len());
-            w.append(b).unwrap();
-        }
-        let gc = w.sync_all().unwrap();
-        assert_eq!(gc.batches as usize, batches.len());
-    }
-    let records = FileWal::replay(&path).unwrap();
-    let want: Vec<Vec<u8>> = batches.iter().map(encode_batch).collect();
-    assert_eq!(records, want);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn wal_seeded_roundtrip_random_batches() {
-    let mut rng = SmallRng::seed_from_u64(0x5A17);
-    for _ in 0..200 {
-        let mut b = WriteBatch::new();
-        for _ in 0..rng.gen_range(0usize..6) {
-            let klen = rng.gen_range(0usize..24);
-            let k: Vec<u8> = (0..klen).map(|_| rng.gen::<u8>()).collect();
-            if rng.gen_bool(0.3) {
-                b.delete(k);
-            } else {
-                let vlen = rng.gen_range(0usize..40);
-                let v: Vec<u8> = (0..vlen).map(|_| rng.gen::<u8>()).collect();
-                b.put(k, v);
-            }
-        }
-        let encoded = encode_batch(&b);
-        let decoded = decode_batch(&encoded).expect("random batch decodes");
-        assert_eq!(encode_batch(&decoded), encoded);
-        // Any strict truncation of the record must be rejected, not
-        // misread: decode sees through to the declared entry count.
-        if !b.is_empty() {
-            for cut in 0..encoded.len() {
-                assert!(decode_batch(&encoded[..cut]).is_none(), "truncated decode at {cut}");
-            }
-        }
-    }
-}
-
-#[test]
-fn corruption_at_every_byte_offset_truncates_cleanly() {
-    // Flip each byte of the log in turn: replay must never panic, must
-    // return a whole-record prefix of the original sequence, and must
-    // keep every record that precedes the corrupted one.
-    let path = temp_wal("flip.wal");
-    let batches: Vec<WriteBatch> = (0..4)
-        .map(|i| {
-            let mut b = WriteBatch::new();
-            b.put(format!("key{i}").into_bytes(), vec![i as u8; 5 + i]);
-            b
-        })
-        .collect();
-    {
-        let mut w = WalWriter::new(Box::new(FileWal::open(&path).unwrap()));
-        for b in &batches {
-            w.append(b).unwrap();
-        }
-        w.sync_all().unwrap();
-    }
-    let full = std::fs::read(&path).unwrap();
-    let encoded: Vec<Vec<u8>> = batches.iter().map(encode_batch).collect();
-    // Byte offset → index of the record it belongs to.
-    let mut owner = Vec::with_capacity(full.len());
-    for (i, e) in encoded.iter().enumerate() {
-        owner.extend(std::iter::repeat_n(i, 8 + e.len()));
-    }
-    assert_eq!(owner.len(), full.len());
-
-    for off in 0..full.len() {
-        let mut raw = full.clone();
-        raw[off] ^= 0x40;
-        std::fs::write(&path, &raw).unwrap();
-        let records = FileWal::replay(&path).unwrap();
-        // A single-bit CRC-32 miss is impossible, so the corrupted record
-        // never survives: replay holds exactly the records before it.
-        assert_eq!(records.len(), owner[off], "flip at {off} changed the clean prefix");
-        assert_eq!(records, encoded[..records.len()].to_vec(), "flip at {off}");
-        for r in &records {
-            assert!(decode_batch(r).is_some(), "flip at {off} left an undecodable record");
-        }
-    }
-    let _ = std::fs::remove_file(&path);
 }
