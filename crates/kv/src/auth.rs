@@ -193,13 +193,24 @@ mod tests {
         let cert = ca.issue(TenantId(5));
         let foreign = keys::make_key(TenantId(9), b"x");
         for req in [
-            RequestKind::Put { key: foreign.clone(), value: Bytes::from_static(b"v") },
-            RequestKind::Delete { key: foreign.clone() },
+            RequestKind::WriteIntent {
+                key: foreign.clone(),
+                value: Some(Bytes::from_static(b"v")),
+            },
             RequestKind::WriteIntent { key: foreign.clone(), value: None },
             RequestKind::ResolveIntent { key: foreign.clone(), commit_ts: None },
         ] {
             let b = batch(5, vec![req]);
             assert_eq!(authorize(&ca, &cert, &b), Err(KvError::Unauthorized));
         }
+        // `EndTxn` is checked at its transaction's anchor key.
+        let mut b = batch(5, vec![RequestKind::EndTxn { commit: true }]);
+        b.txn = Some(crate::txn::TxnMeta {
+            txn_id: 1,
+            anchor_key: foreign,
+            start_ts: Timestamp::ZERO,
+            write_ts: Timestamp::ZERO,
+        });
+        assert_eq!(authorize(&ca, &cert, &b), Err(KvError::Unauthorized));
     }
 }

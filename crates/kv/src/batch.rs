@@ -1,11 +1,16 @@
 //! The KV batch API (§3.1).
 //!
 //! "Each SQL query is translated into a batched sequence of lower-level KV
-//! requests like GET, PUT, and DELETE." A [`BatchRequest`] carries the
-//! tenant identity (checked at the security boundary), an optional
-//! transaction, and a list of requests that must all target one tenant's
-//! keyspace. Batches are the unit of admission control and of the
-//! estimated-CPU feature extraction.
+//! requests like GET, PUT, and DELETE." Here a GET is [`RequestKind::Get`]
+//! (or a [`RequestKind::Scan`]); a PUT or DELETE is a
+//! [`RequestKind::WriteIntent`] with or without a value, committed by an
+//! [`RequestKind::EndTxn`]. Every write belongs to a transaction: a lone
+//! write is a one-key transaction whose batch carries both, and commits in
+//! one phase in one round trip. A [`BatchRequest`] carries the tenant
+//! identity (checked at the security boundary), an optional transaction,
+//! and a list of requests that must all target one tenant's keyspace.
+//! Batches are the unit of admission control and of the estimated-CPU
+//! feature extraction.
 
 use bytes::Bytes;
 use crdb_util::{Deadline, TenantId};
@@ -30,18 +35,6 @@ pub enum RequestKind {
         end: Bytes,
         /// Maximum pairs to return.
         limit: usize,
-    },
-    /// Non-transactional blind write.
-    Put {
-        /// Tenant-prefixed key.
-        key: Bytes,
-        /// New value.
-        value: Bytes,
-    },
-    /// Non-transactional delete.
-    Delete {
-        /// Tenant-prefixed key.
-        key: Bytes,
     },
     /// Transactional provisional write (requires `txn`); `None` deletes.
     WriteIntent {
@@ -98,11 +91,10 @@ impl RequestKind {
     /// Approximate payload bytes carried by the request.
     pub fn payload_bytes(&self) -> usize {
         match self {
-            RequestKind::Get { key } | RequestKind::Delete { key } => key.len(),
+            RequestKind::Get { key } => key.len(),
             RequestKind::Scan { start, end, .. } | RequestKind::RefreshSpan { start, end, .. } => {
                 start.len() + end.len()
             }
-            RequestKind::Put { key, value } => key.len() + value.len(),
             RequestKind::WriteIntent { key, value } => {
                 key.len() + value.as_ref().map_or(0, |v| v.len())
             }
@@ -118,8 +110,6 @@ impl RequestKind {
     pub fn span(&self) -> Option<(&Bytes, Option<&Bytes>)> {
         match self {
             RequestKind::Get { key }
-            | RequestKind::Put { key, .. }
-            | RequestKind::Delete { key }
             | RequestKind::WriteIntent { key, .. }
             | RequestKind::ResolveIntent { key, .. } => Some((key, None)),
             RequestKind::Scan { start, end, .. } | RequestKind::RefreshSpan { start, end, .. } => {
@@ -326,8 +316,8 @@ mod tests {
         let key = make_key(TenantId(2), b"k");
         assert!(!RequestKind::Get { key: key.clone() }.is_write());
         assert!(!RequestKind::Scan { start: key.clone(), end: key.clone(), limit: 1 }.is_write());
-        assert!(RequestKind::Put { key: key.clone(), value: Bytes::from_static(b"v") }.is_write());
-        assert!(RequestKind::Delete { key: key.clone() }.is_write());
+        let value = Some(Bytes::from_static(b"v"));
+        assert!(RequestKind::WriteIntent { key: key.clone(), value }.is_write());
         assert!(RequestKind::WriteIntent { key, value: None }.is_write());
         assert!(RequestKind::EndTxn { commit: true }.is_write());
     }
@@ -342,7 +332,10 @@ mod tests {
             deadline: Deadline::NONE,
             requests: vec![
                 RequestKind::Get { key: key.clone() },
-                RequestKind::Put { key: key.clone(), value: Bytes::from_static(b"abc") },
+                RequestKind::WriteIntent {
+                    key: key.clone(),
+                    value: Some(Bytes::from_static(b"abc")),
+                },
             ],
         };
         assert!(batch.is_write());

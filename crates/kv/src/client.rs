@@ -5,6 +5,11 @@
 //! authoritative range info every redirect carries, and the client's
 //! network location.
 //!
+//! Besides [`KvClient::send`] it offers three conveniences: [`KvClient::get`]
+//! and [`KvClient::scan`] read outside any transaction, and
+//! [`KvClient::put`] writes one key as a transaction of its own — there is
+//! no write outside a transaction.
+//!
 //! [`KvClient::send`] costs **one RPC per range the batch touches**: it
 //! resolves every request's range (span requests are cut at range
 //! boundaries), groups the requests by range in their original order,
@@ -197,14 +202,22 @@ impl KvClient {
         });
     }
 
-    /// Convenience: non-transactional write.
+    /// Convenience: a one-key transaction writing `key = value`. Its one
+    /// batch carries the write and `EndTxn{commit}`, so the leaseholder
+    /// commits it in one phase, in one round trip. It passes every check
+    /// a transaction's write does, and a copy re-sent after a lost reply
+    /// is acked from the status table instead of applied twice.
     pub fn put(&self, key: Bytes, value: Bytes, cb: impl FnOnce(Result<(), KvError>) + 'static) {
+        let txn = make_txn_meta(&self.inner.cluster, key.clone());
         let batch = BatchRequest {
             tenant: self.inner.cert.tenant(),
-            read_ts: self.inner.cluster.now_ts(),
-            txn: None,
+            read_ts: txn.start_ts,
+            txn: Some(txn),
             deadline: Deadline::NONE,
-            requests: vec![RequestKind::Put { key, value }],
+            requests: vec![
+                RequestKind::WriteIntent { key, value: Some(value) },
+                RequestKind::EndTxn { commit: true },
+            ],
         };
         self.send(batch, move |resp| match resp.error {
             Some(e) => cb(Err(e)),

@@ -239,9 +239,9 @@ mod tests {
             txn: None,
             deadline: crdb_util::Deadline::NONE,
             requests: (0..n)
-                .map(|i| RequestKind::Put {
+                .map(|i| RequestKind::WriteIntent {
                     key: keys::make_key(TenantId(2), format!("k{i}").as_bytes()),
-                    value: Bytes::from(vec![0u8; value_len]),
+                    value: Some(Bytes::from(vec![0u8; value_len])),
                 })
                 .collect(),
         }
@@ -329,9 +329,9 @@ mod tests {
     fn mixed_batch_charges_both_sides() {
         let m = CostModel::default();
         let mut mixed = read_batch(1);
-        mixed.requests.push(RequestKind::Put {
+        mixed.requests.push(RequestKind::WriteIntent {
             key: keys::make_key(TenantId(2), b"w"),
-            value: Bytes::from_static(b"v"),
+            value: Some(Bytes::from_static(b"v")),
         });
         let cost = m.batch_cpu_seconds(&mixed, 1000.0);
         let read_only = m.batch_cpu_seconds(&read_batch(1), 1000.0);

@@ -53,8 +53,9 @@ impl fmt::Display for Timestamp {
     }
 }
 
-/// A node-local HLC: issues monotonically increasing timestamps that never
-/// run behind the supplied wall clock.
+/// A hybrid logical clock: issues monotonically increasing timestamps that
+/// never run behind the supplied wall clock. The cluster holds the one
+/// that stamps every transaction, and so every MVCC version.
 #[derive(Clone)]
 pub struct Hlc {
     last: Rc<Cell<Timestamp>>,

@@ -286,7 +286,9 @@ impl Applied {
     }
 }
 
-/// Writes a committed version directly (the non-transactional path).
+/// Writes a committed version directly, past every check a transaction's
+/// write passes. No KV request does this: it seeds engines for tests and
+/// the `perf` probes.
 pub fn put_version(engine: &Engine, key: &[u8], ts: Timestamp, value: Option<&Bytes>) -> Applied {
     let mut batch = WriteBatch::new();
     batch.put(version_key(key, ts), encode_value(value));

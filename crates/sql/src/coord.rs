@@ -247,50 +247,9 @@ impl Txn {
         self.inner.borrow_mut().writes.insert(key, None);
     }
 
-    /// Reads a single key at the transaction's snapshot, seeing buffered
-    /// writes first.
-    pub fn read(&self, key: Bytes, cb: impl FnOnce(Result<Option<Bytes>, SqlError>) + 'static) {
-        {
-            let inner = self.inner.borrow();
-            if let Some(buffered) = inner.writes.get(&key) {
-                let v = buffered.clone();
-                drop(inner);
-                cb(Ok(v));
-                return;
-            }
-        }
-        let (client, read_ts, meta) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.kv_batches += 1;
-            let span = point_span(&key);
-            inner.reads.push(span);
-            (inner.client.clone(), inner.meta.start_ts, inner.meta.clone())
-        };
-        let batch = BatchRequest {
-            tenant: self.tenant(),
-            read_ts,
-            txn: Some(meta),
-            deadline: self.deadline(),
-            requests: vec![RequestKind::Get { key: self.prefixed(&key) }],
-        };
-        let outer = trace::current();
-        let span = trace::child("txn.read");
-        let _g = span.enter();
-        client.send(batch, move |resp| {
-            span.end();
-            let _g = outer.enter();
-            match resp.error {
-                Some(e) => cb(Err(map_kv_error(e))),
-                None => match resp.results.into_iter().next() {
-                    Some(ResponseKind::Value(v)) => cb(Ok(v)),
-                    _ => cb(Err(SqlError::Kv(KvError::RangeNotFound))),
-                },
-            }
-        });
-    }
-
-    /// Batched point reads: one KV batch of Gets (unprefixed keys);
-    /// results align with the input keys.
+    /// Batched point reads at the transaction's snapshot, seeing buffered
+    /// writes first: one KV batch of Gets (unprefixed keys); results align
+    /// with the input keys.
     pub fn read_many(
         &self,
         keys: Vec<Bytes>,

@@ -59,6 +59,14 @@ fn autocommit_retry_policy() -> RetryPolicy {
 /// table instead of materializing it in one response.
 const ANALYZE_CHUNK: usize = 1024;
 
+/// Where table `id`'s descriptor is stored (unprefixed): `desc/<id>`.
+fn desc_key(id: u64) -> Bytes {
+    let mut key = BytesMut::with_capacity(13);
+    key.put_slice(b"desc/");
+    key.put_u64(id);
+    key.freeze()
+}
+
 /// The first key (tenant-relative) of `region`'s partition of a REGIONAL
 /// BY ROW `system.sql_instances`; the partition runs to the next region's
 /// first key, or to the end of the tenant's keyspace.
@@ -698,11 +706,8 @@ impl SqlNode {
         desc: &TableDescriptor,
         cb: Box<dyn FnOnce(Result<(), SqlError>)>,
     ) {
-        let mut key = BytesMut::new();
-        key.put_slice(b"desc/");
-        key.put_u64(desc.id);
         self.client.put(
-            crdb_kv::keys::make_key(self.tenant, &key.freeze()),
+            crdb_kv::keys::make_key(self.tenant, &desc_key(desc.id)),
             desc.encode(),
             move |r| cb(r.map_err(SqlError::Kv)),
         );
@@ -714,7 +719,9 @@ impl SqlNode {
         index: crate::schema::IndexDescriptor,
         cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
     ) {
-        // Scan the whole primary index and write entries transactionally.
+        // Scan the whole primary index and write its entries and the new
+        // descriptor in one transaction: the index is listed exactly when
+        // its entries exist.
         let txn = Txn::begin(&self.client);
         let start = rowcodec::index_prefix(table.id, crate::schema::PRIMARY_INDEX_ID).freeze();
         let end = rowcodec::index_prefix_end(table.id, crate::schema::PRIMARY_INDEX_ID);
@@ -738,25 +745,12 @@ impl SqlNode {
                     n += 1;
                 }
             }
-            let table2 = table.clone();
-            let node2 = Rc::clone(&node);
+            txn2.put(desc_key(table.id), table.encode());
             txn2.commit(move |r| match r {
                 Err(e) => cb(Err(e)),
                 Ok(()) => {
-                    node2.persist_descriptor(
-                        &table2,
-                        Box::new({
-                            let node3 = Rc::clone(&node2);
-                            let table3 = table2.clone();
-                            move |r| match r {
-                                Ok(()) => {
-                                    node3.catalog.borrow_mut().install(table3);
-                                    cb(Ok(QueryOutput { rows_affected: n, ..Default::default() }));
-                                }
-                                Err(e) => cb(Err(e)),
-                            }
-                        }),
-                    );
+                    node.catalog.borrow_mut().install(table);
+                    cb(Ok(QueryOutput { rows_affected: n, ..Default::default() }));
                 }
             });
         });
@@ -784,10 +778,7 @@ impl SqlNode {
             for (k, _) in pairs {
                 txn2.delete(k);
             }
-            let mut dkey = BytesMut::new();
-            dkey.put_slice(b"desc/");
-            dkey.put_u64(desc.id);
-            txn2.delete(dkey.freeze());
+            txn2.delete(desc_key(desc.id));
             // Any persisted statistics go with the table.
             txn2.delete(rowcodec::stats_key(desc.id));
             let name = desc.name.clone();

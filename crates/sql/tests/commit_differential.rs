@@ -17,11 +17,13 @@
 //! at a time; there a commit can end neither acked nor refused but
 //! ambiguous, and the model counts it as maybe applied — whole or not at
 //! all. Then the targeted cases: a staged commit that aborts after
-//! laying an intent, a one-phase commit whose replies are lost — for one RPC timeout, for longer than
-//! the status table used to remember, and across a split that turns the
-//! re-send into a staged commit, and for longer than the KV client keeps
-//! trying, which a SQL node must report and not run again — and a hostile
-//! coalesced batch addressed across a range boundary.
+//! laying an intent, a one-phase commit whose replies are lost — for one
+//! RPC timeout, for longer than the status table used to remember, and
+//! across a split that turns the re-send into a staged commit, and for
+//! longer than the KV client keeps trying, which a SQL node must report
+//! and not run again — the same for a `KvClient::put`, which is a one-key
+//! transaction, and a hostile coalesced batch addressed across a range
+//! boundary.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -29,7 +31,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
-use crdb_kv::client::KvClient;
+use crdb_kv::client::{make_txn_meta, KvClient};
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::{keys, mvcc, timing, Timestamp};
 use crdb_sim::{Location, Sim, Topology};
@@ -216,9 +218,9 @@ impl Worker {
         let txn = Txn::begin(&self.client);
         let this = Rc::clone(self);
         let txn2 = txn.clone();
-        txn.read(ctr(c), move |r| {
+        txn.read_many(vec![ctr(c)], move |r| {
             let Ok(v) = r else { return this.increment(c) };
-            txn2.put(ctr(c), val(num(&v) + 1));
+            txn2.put(ctr(c), val(num(&v[0]) + 1));
             let this2 = Rc::clone(&this);
             txn2.commit(move |r| {
                 let acked = match r {
@@ -580,7 +582,7 @@ fn aborted_multi_range_commit_cleans_up_its_intents() {
     let b = Txn::begin(&clients[1]);
     let b_read = Rc::new(Cell::new(false));
     let flag = Rc::clone(&b_read);
-    b.read(left.clone(), move |r| flag.set(r.is_ok()));
+    b.read_many(vec![left.clone()], move |r| flag.set(r.is_ok()));
     sim.run_for(dur::secs(1));
     assert!(b_read.get());
     let a = Txn::begin(&clients[0]);
@@ -605,13 +607,14 @@ fn aborted_multi_range_commit_cleans_up_its_intents() {
 /// What a commit returned, and how long after it was sent.
 type CommitOutcome = (Result<(), SqlError>, std::time::Duration);
 
-/// A commit from region 1 against leaseholders in region 0, every reply
+/// A write from region 1 against leaseholders in region 0, every reply
 /// to which is lost from the moment it was applied.
+#[derive(Clone)]
 struct LostReply {
     sim: Sim,
     cluster: KvCluster,
     clients: Vec<KvClient>,
-    /// The keys' values before the transaction.
+    /// The keys' values before the write.
     before: Vec<i64>,
     outcome: Rc<RefCell<Option<CommitOutcome>>>,
 }
@@ -621,47 +624,67 @@ struct LostReply {
 /// cut while the reply is on its way and stays cut for `outage`. Runs
 /// the simulation until one second after the commit was sent.
 fn commit_and_lose_the_reply(seed: u64, keys: &[Bytes], outage: std::time::Duration) -> LostReply {
-    // The tenant's leaseholder lives in region 0; the SQL node in region 1.
-    let (sim, cluster, clients) =
-        setup(seed, Topology::three_region(), Location::new(RegionId(1), 0));
-    let before: Vec<i64> = keys.iter().map(|k| read_now(&sim, &clients[0], k)).collect();
-    // Start half-way between two of the status table's 30 s collections,
-    // so that one falls in the last 20 s of a 75 s outage: a table that
-    // forgot a commit after a minute has lost this one by the last re-send.
-    sim.run_for(dur::secs(8));
-    let one_phase = cluster.degrade().commits_one_phase.get();
+    let run = LostReply::new(seed, keys);
+    let txn = Txn::begin(&run.clients[0]);
+    let (txn2, keys2, run2) = (txn.clone(), keys.to_vec(), run.clone());
+    txn.read_many(keys.to_vec(), move |r| {
+        for (key, v) in keys2.into_iter().zip(r.expect("read")) {
+            txn2.put(key, val(num(&v) + 1));
+        }
+        txn2.commit(run2.sent(outage));
+    });
+    run.lost()
+}
 
-    let txn = Txn::begin(&clients[0]);
-    let outcome = Rc::new(RefCell::new(None));
-    {
-        let (txn2, keys2) = (txn.clone(), keys.to_vec());
-        let o = Rc::clone(&outcome);
-        let sim2 = sim.clone();
-        let topology = cluster.topology();
-        txn.read_many(keys.to_vec(), move |r| {
-            for (key, v) in keys2.into_iter().zip(r.expect("read")) {
-                txn2.put(key, val(num(&v) + 1));
-            }
-            let (sim3, sent_at) = (sim2.clone(), sim2.now());
-            txn2.commit(move |r| *o.borrow_mut() = Some((r, sim3.now().duration_since(sent_at))));
-            // The request is in flight (~50 ms one way; the reply leaves
-            // after a ~100 ms quorum wait). Cut region 0 → region 1 once
-            // it has arrived.
-            let (cut, heal) = (Rc::clone(&topology), topology);
-            sim2.schedule_after(dur::ms(80), move || {
-                cut.partition_one_way(RegionId(0), RegionId(1))
-            });
-            sim2.schedule_after(outage, move || heal.heal_one_way(RegionId(0), RegionId(1)));
-        });
-    }
-    sim.run_for(dur::secs(1));
-    assert_eq!(cluster.degrade().commits_one_phase.get(), one_phase + 1, "applied");
-    assert!(outcome.borrow().is_none(), "but the reply never arrived");
-    assert!(cluster.topology().dropped_messages() >= 1);
-    LostReply { sim, cluster, clients, before, outcome }
+/// The same for a [`KvClient::put`] of one more than `key` held: a one-key
+/// transaction of its own, so the same one-phase commit.
+fn put_and_lose_the_reply(seed: u64, key: &Bytes, outage: std::time::Duration) -> LostReply {
+    let run = LostReply::new(seed, std::slice::from_ref(key));
+    let acked = run.sent(outage);
+    let value = val(run.before[0] + 1);
+    run.clients[0].put(keys::make_key(TENANT, key), value, move |r| acked(r.map_err(SqlError::Kv)));
+    run.lost()
 }
 
 impl LostReply {
+    /// The cluster, loaded, with `keys`' values read.
+    fn new(seed: u64, keys: &[Bytes]) -> LostReply {
+        // The tenant's leaseholder lives in region 0; the SQL node in region 1.
+        let (sim, cluster, clients) =
+            setup(seed, Topology::three_region(), Location::new(RegionId(1), 0));
+        let before: Vec<i64> = keys.iter().map(|k| read_now(&sim, &clients[0], k)).collect();
+        // Start half-way between two of the status table's 30 s collections,
+        // so that one falls in the last 20 s of a 75 s outage: a table that
+        // forgot a commit after a minute has lost this one by the last re-send.
+        sim.run_for(dur::secs(8));
+        LostReply { sim, cluster, clients, before, outcome: Rc::default() }
+    }
+
+    /// Called as the write is sent: loses its replies for `outage`, and
+    /// returns what the write reports its outcome to.
+    fn sent(&self, outage: std::time::Duration) -> impl FnOnce(Result<(), SqlError>) + 'static {
+        // The request is in flight (~50 ms one way; the reply leaves after
+        // a ~100 ms quorum wait). Cut region 0 → region 1 once it has
+        // arrived.
+        let (cut, heal) = (self.cluster.topology(), self.cluster.topology());
+        self.sim
+            .schedule_after(dur::ms(80), move || cut.partition_one_way(RegionId(0), RegionId(1)));
+        self.sim.schedule_after(outage, move || heal.heal_one_way(RegionId(0), RegionId(1)));
+        let (sim, sent_at, outcome) = (self.sim.clone(), self.sim.now(), Rc::clone(&self.outcome));
+        move |r| *outcome.borrow_mut() = Some((r, sim.now().duration_since(sent_at)))
+    }
+
+    /// Runs the simulation for a second: the write applied in one phase,
+    /// and its reply never arrived.
+    fn lost(self) -> LostReply {
+        self.sim.run_for(dur::secs(1));
+        let applied = self.cluster.degrade().commits_one_phase.get();
+        assert_eq!(applied, 2, "the load and this write applied");
+        assert!(self.outcome.borrow().is_none(), "but the reply never arrived");
+        assert!(self.cluster.topology().dropped_messages() >= 1);
+        self
+    }
+
     /// Runs the simulation `secs` and returns the commit's outcome.
     fn outcome_after(&self, secs: u64) -> CommitOutcome {
         self.sim.run_for(dur::secs(secs));
@@ -730,6 +753,37 @@ fn split_during_the_outage_turns_the_resend_into_a_staged_replay() {
     assert_no_intents(&run.cluster);
 }
 
+/// A `KvClient::put` is a one-key transaction, so a copy re-sent after a
+/// lost reply is acked from the status table like any commit's, and the
+/// write is applied and counted once.
+#[test]
+fn lost_put_reply_is_acked_from_the_status_table_and_applied_once() {
+    let keys = [ctr(0)];
+    let run = put_and_lose_the_reply(4, &keys[0], dur::secs(5));
+    let (result, took) = run.outcome_after(30);
+    assert_eq!(result, Ok(()));
+    assert!(took >= dur::secs(10), "acked by the re-send after the RPC timeout: {took:?}");
+    run.assert_applied_once(&keys);
+}
+
+/// A `KvClient::put` whose replies stay lost for longer than the client
+/// keeps sending it may have been applied, and the client says so: it
+/// ends `AmbiguousCommit`, as a commit does, not `Unavailable`. It was.
+#[test]
+fn put_whose_replies_stay_lost_past_the_resend_budget_is_ambiguous() {
+    let keys = [ctr(0)];
+    let outage = timing::TXN_STATUS_RETENTION + dur::secs(60);
+    let run = put_and_lose_the_reply(6, &keys[0], outage);
+    let (result, took) = run.outcome_after(outage.as_secs() - 10);
+    assert_eq!(result, Err(SqlError::Kv(KvError::AmbiguousCommit)), "after {took:?}");
+    let degrade = run.cluster.degrade();
+    assert_eq!(degrade.ambiguous_commits.get(), 1);
+    assert_eq!(degrade.commits_one_phase.get(), 2, "the load and this put, once");
+    run.cluster.topology().heal_all();
+    assert_eq!(read_now(&run.sim, &run.clients[0], &keys[0]), run.before[0] + 1);
+    assert_replicas_equal(&run.cluster);
+}
+
 /// The replies stay lost for longer than the KV client keeps trying. It
 /// cannot tell "applied, never heard of" from "never applied", says so
 /// (`AmbiguousCommit`, where it used to say `Unavailable`), and the SQL
@@ -796,11 +850,12 @@ fn batch_addressed_across_a_range_boundary_is_rejected_whole() {
     let holder = cluster.leaseholder_of(&pleft).unwrap();
     assert_eq!(cluster.leaseholder_of(&pright), Some(holder));
 
-    let put = |key: &Bytes| RequestKind::Put { key: key.clone(), value: val(-1) };
+    let txn = make_txn_meta(&cluster, pleft.clone());
+    let put = |key: &Bytes| RequestKind::WriteIntent { key: key.clone(), value: Some(val(-1)) };
     let batch = BatchRequest {
         tenant: TENANT,
-        read_ts: cluster.now_ts(),
-        txn: None,
+        read_ts: txn.start_ts,
+        txn: Some(txn),
         deadline: Deadline::NONE,
         requests: vec![put(&pleft), put(&pright)],
     };
@@ -820,15 +875,11 @@ fn batch_addressed_across_a_range_boundary_is_rejected_whole() {
     assert_eq!(read_now(&sim, &clients[0], &left), OPENING_BALANCE);
     assert_eq!(read_now(&sim, &clients[0], &right), 0);
 
-    // The same two writes through the client are regrouped per range.
-    let batch = BatchRequest {
-        tenant: TENANT,
-        read_ts: cluster.now_ts(),
-        txn: None,
-        deadline: Deadline::NONE,
-        requests: vec![put(&pleft), put(&pright)],
-    };
-    clients[0].send(batch, |resp| assert!(resp.is_ok(), "{:?}", resp.error));
+    // The same two writes through a transaction are regrouped per range.
+    let txn = Txn::begin(&clients[0]);
+    txn.put(left.clone(), val(-1));
+    txn.put(right.clone(), val(-1));
+    txn.commit(|r| r.expect("the staged commit"));
     sim.run_for(dur::secs(1));
     assert_eq!(read_now(&sim, &clients[0], &left), -1);
     assert_eq!(read_now(&sim, &clients[0], &right), -1);

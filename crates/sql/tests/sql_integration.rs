@@ -5,12 +5,16 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
+use crdb_kv::{keys, mvcc, Timestamp};
 use crdb_sim::{Location, Sim, Topology};
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::{NodeState, SqlNode, SqlNodeConfig};
+use crdb_sql::rowcodec;
+use crdb_sql::schema::TableDescriptor;
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
@@ -18,6 +22,7 @@ use crdb_util::{RegionId, SqlInstanceId, TenantId};
 
 struct Fixture {
     sim: Sim,
+    cluster: KvCluster,
     node: Rc<SqlNode>,
     session: u64,
 }
@@ -39,7 +44,7 @@ fn setup(seed: u64) -> Fixture {
     assert!(*ready.borrow(), "node became ready");
     assert_eq!(node.state(), NodeState::Ready);
     let session = node.open_session("test_user").unwrap();
-    Fixture { sim, node, session }
+    Fixture { sim, cluster, node, session }
 }
 
 /// Runs one statement to completion, panicking on error.
@@ -159,6 +164,55 @@ fn secondary_index_scan_and_backfill() {
     exec(&f, "INSERT INTO items VALUES (5, 'tool', 2.0)");
     let out = exec(&f, "SELECT COUNT(*) FROM items WHERE category = 'tool'");
     assert_eq!(out.rows[0][0], Datum::Int(3));
+}
+
+/// `CREATE INDEX` commits the descriptor that lists the new index in the
+/// transaction that writes the index's entries. Read at the timestamp of
+/// that descriptor version and just below it, the table lists the index
+/// exactly when its entries exist.
+#[test]
+fn create_index_lists_the_index_exactly_when_its_entries_exist() {
+    let f = setup(15);
+    exec(&f, "CREATE TABLE items (id INT PRIMARY KEY, category STRING)");
+    exec(&f, "INSERT INTO items VALUES (1, 'tool'), (2, 'toy'), (3, 'tool')");
+    exec(&f, "CREATE INDEX cat_idx ON items (category)");
+
+    let tenant_key = |key: &[u8]| keys::make_key(TenantId(2), key);
+    let (desc_start, desc_end) = (tenant_key(b"desc/"), tenant_key(b"desc0"));
+    let holder = f.cluster.leaseholder_of(&desc_start).expect("a leaseholder");
+    let engine = f.cluster.node(holder).expect("its node").engine.clone();
+    let scan =
+        |start: &Bytes, end: &Bytes, ts| mvcc::scan(&engine, start, end, ts, usize::MAX, None).0;
+    let table_at = |ts| {
+        let descs = scan(&desc_start, &desc_end, ts);
+        descs.iter().filter_map(|(_, v)| TableDescriptor::decode(v)).find(|t| t.name == "items")
+    };
+    let table = table_at(Timestamp::MAX).expect("the table");
+    let index = table.indexes.iter().find(|i| i.name == "cat_idx").expect("the index").id;
+    let listed_at = |ts| table_at(ts).is_some_and(|t| t.indexes.iter().any(|i| i.id == index));
+    let (start, end) = (
+        tenant_key(&rowcodec::index_prefix(table.id, index)),
+        tenant_key(&rowcodec::index_prefix_end(table.id, index)),
+    );
+    let entries_at = |ts| scan(&start, &end, ts).len();
+
+    // The descriptor version that lists the index: the earliest timestamp
+    // it is listed at, found by bisecting `(wall, logical)` packed in one.
+    let pack = |ts: Timestamp| (u128::from(ts.wall) << 32) | u128::from(ts.logical);
+    let unpack = |n: u128| Timestamp { wall: (n >> 32) as u64, logical: n as u32 };
+    let (mut below, mut version) = (0, pack(f.cluster.now_ts()));
+    assert!(listed_at(unpack(version)) && !listed_at(unpack(below)));
+    while version - below > 1 {
+        let mid = below + (version - below) / 2;
+        if listed_at(unpack(mid)) {
+            version = mid;
+        } else {
+            below = mid;
+        }
+    }
+    let (version, below) = (unpack(version), unpack(below));
+    assert_eq!(entries_at(version), 3, "listed at {version}, so every entry exists");
+    assert_eq!(entries_at(below), 0, "not listed at {below}, so no entry exists");
 }
 
 #[test]
@@ -307,7 +361,8 @@ fn catalog_survives_node_restart() {
     f.sim.run_for(dur::secs(5));
     assert_eq!(node2.state(), NodeState::Ready);
     let session2 = node2.open_session("u").unwrap();
-    let f2 = Fixture { sim: f.sim.clone(), node: node2, session: session2 };
+    let f2 =
+        Fixture { sim: f.sim.clone(), cluster: f.cluster.clone(), node: node2, session: session2 };
     let got = exec(&f2, "SELECT v FROM persistent WHERE id = 1");
     assert_eq!(got.rows[0][0], Datum::Int(42));
 
