@@ -29,20 +29,25 @@
 //! # Evaluate once, replay everywhere
 //!
 //! Every mutator takes **one** engine — the leaseholder's — reads what it
-//! must, applies there, and returns what it did as an [`Applied`]. A
-//! follower [`Applied::replay`]s that and reads nothing: no intent
-//! re-decoded, no conflict re-checked, no GC scan.
+//! must, applies there, and returns what it did as an [`Applied`]: the
+//! batch, nothing else. A follower [`Applied::replay`]s that and reads
+//! nothing a transaction checks: no intent re-decoded, no conflict
+//! re-checked.
 //!
 //! # Garbage collection
 //!
-//! History older than [`GC_WINDOW`] has two collectors, one per place a
-//! version can be. A version still in the active memtable is removed
-//! physically by the write that shadows it ([`gc_versions`]); it never
-//! reaches a data file. A flushed version is dropped by the compaction
-//! that next rewrites it ([`compaction_gc`], handed to
-//! `Lsm::finish_compaction` per job). Neither writes a tombstone, so the
-//! write-time verdict is in no batch: its key list travels beside the
-//! batch, and each replica removes the keys its own memtable still holds.
+//! History older than [`GC_WINDOW`] has one collector, [`compaction_gc`],
+//! with one definition of garbage and two call sites. Every compaction
+//! merges through it (`Lsm::finish_compaction`, at the horizon of the
+//! instant the job was claimed), so a flushed version goes when the job
+//! that next rewrites it runs. And every replica, the leaseholder
+//! included, runs it over the written key's versions in its own active
+//! memtable when it applies a batch ([`Applied::replay`], at the horizon
+//! of the version written), so history that never left memory is removed
+//! before a flush writes it. That horizon comes from the batch, so each
+//! replica decides alone, and a key's versions are written in timestamp
+//! order, so the newest version at or below it is in the active memtable
+//! whenever anything it shadows there is.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crdb_storage::{Engine, WriteBatch};
@@ -75,6 +80,17 @@ fn version_prefix(key: &[u8]) -> Bytes {
     let mut b = BytesMut::with_capacity(key.len() + 1);
     b.put_u8(VERSION_TAG);
     b.put_slice(key);
+    b.freeze()
+}
+
+/// An exclusive end past every version of `key`: its `'v' + key + 0x00`
+/// prefix and more 0xff bytes than any timestamp.
+fn versions_end(key: &[u8]) -> Bytes {
+    let mut b = BytesMut::with_capacity(key.len() + 15);
+    b.put_u8(VERSION_TAG);
+    b.put_slice(key);
+    b.put_u8(0x00);
+    b.put_slice(&[0xff; 13]);
     b.freeze()
 }
 
@@ -196,7 +212,7 @@ pub(crate) fn encode_version_value(value: Option<&Bytes>) -> Bytes {
 /// Stages a committed version into `batch` without applying it. Bulk
 /// loads (tenant-creation metadata) build one batch covering many keys
 /// and ingest it per replica engine, instead of one WAL'd apply — and
-/// one inline GC scan — per key.
+/// one memtable collection — per key.
 pub(crate) fn stage_version(
     batch: &mut WriteBatch,
     key: &[u8],
@@ -251,37 +267,39 @@ pub fn readable_user_keys(
     users
 }
 
-/// What a mutator did to the engine it evaluated on: the batch it applied
-/// and the version keys its write-time GC doomed.
+/// What a mutator did to the engine it evaluated on: the batch it applied.
 #[derive(Debug)]
 pub struct Applied {
     batch: WriteBatch,
-    doomed: Vec<Bytes>,
 }
 
 impl Applied {
-    /// Applies `batch` to `engine`, then collects under each version it
-    /// put: the unflushed versions of that key which the new one shadows
-    /// for every read inside the GC window (hot keys otherwise accumulate
-    /// history that every span scan must walk and every flush must write).
+    /// Replays `batch` on the leaseholder's `engine`: evaluation and
+    /// replication do one thing.
     fn evaluate(engine: &Engine, batch: WriteBatch) -> Applied {
-        engine.apply(&batch);
-        let mut doomed = Vec::new();
-        for (storage_key, value) in batch.entries() {
-            if let (Some((key, ts)), Some(_)) = (decode_version_key(storage_key), value) {
-                doomed.extend(gc_versions(engine, key, gc_horizon(ts)));
-            }
-        }
-        Applied { batch, doomed }
+        let applied = Applied { batch };
+        applied.replay(engine);
+        applied
     }
 
-    /// Does to a follower's `engine` what evaluation did to the
-    /// leaseholder's: the same batch (one WAL record, the same refcounted
-    /// buffers), then the same keys offered to the memtable.
+    /// Applies the batch to `engine` (one WAL record, the same refcounted
+    /// buffers on every replica), then, under each version it put, runs
+    /// [`compaction_gc`] at that version's [`gc_horizon`] over the key's
+    /// versions in the engine's active memtable: whatever the new version
+    /// shadows for every read inside the GC window goes before a flush
+    /// writes it (hot keys otherwise accumulate history that every span
+    /// scan must walk and every flush must write). Version keys are
+    /// written once, so removing one exposes nothing older.
     pub fn replay(&self, engine: &Engine) {
         engine.apply(&self.batch);
-        for key in &self.doomed {
-            engine.gc_remove_if_in_memtable(key);
+        for (storage_key, value) in self.batch.entries() {
+            if let (Some((key, ts)), Some(_)) = (decode_version_key(storage_key), value) {
+                let horizon = gc_horizon(ts);
+                let (start, end) = (version_key(key, horizon), versions_end(key));
+                engine.with_lsm(|lsm| {
+                    lsm.collect_in_memtable(&start, &end, &mut compaction_gc(horizon))
+                });
+            }
         }
     }
 }
@@ -311,9 +329,7 @@ pub fn get(engine: &Engine, key: &[u8], ts: Timestamp, own_txn: Option<u64>) -> 
         }
     }
     let start = version_key(key, ts); // newest version <= ts sorts first
-    let mut prefix_end = BytesMut::from(version_prefix(key).as_ref());
-    prefix_end.put_u8(0x00);
-    prefix_end.put_slice(&[0xff; 13]);
+    let prefix_end = versions_end(key);
     // Streaming read with early termination: the first entry at or after
     // `start` is the newest visible version — the iterator pulls exactly
     // one entry per level instead of materializing the version chain.
@@ -491,12 +507,8 @@ pub fn commit_one_phase(
 }
 
 fn newest_version_ts(engine: &Engine, key: &[u8]) -> Option<Timestamp> {
-    let start = version_prefix(key);
-    let mut end = BytesMut::from(start.as_ref());
-    end.put_u8(0x00);
-    end.put_slice(&[0xff; 13]);
     engine
-        .scan(&start, &end, 1)
+        .scan(&version_prefix(key), &versions_end(key), 1)
         .first()
         .and_then(|(k, _)| decode_version_key(k))
         .filter(|(user, _)| *user == key)
@@ -539,48 +551,21 @@ pub fn get_txn_record(engine: &Engine, txn_id: u64) -> Option<TxnRecord> {
     engine.get(&txn_key(txn_id)).and_then(|raw| TxnRecord::decode(&raw))
 }
 
-/// Garbage-collects the unflushed versions of `key` older than
-/// `keep_after` (keeping the newest version at or below it so reads at
-/// `keep_after` still succeed). Returns the doomed keys — all of them,
-/// whether this engine's memtable still held them or not.
-pub fn gc_versions(engine: &Engine, key: &[u8], keep_after: Timestamp) -> Vec<Bytes> {
-    let start = version_key(key, keep_after);
-    let mut end = BytesMut::from(version_prefix(key).as_ref());
-    end.put_u8(0x00);
-    end.put_slice(&[0xff; 13]);
-    // The first entry is the newest <= keep_after: keep it, drop the rest.
-    // Version keys are write-once, so entries still living in the memtable
-    // are removed physically, at no cost in WAL or memtable bytes; entries
-    // already flushed wait for [`compaction_gc`]. Only keys are collected
-    // — values never leave the engine.
-    let mut doomed: Vec<Bytes> = Vec::new();
-    let mut first = true;
-    engine.scan_visit(&start, &end, |k, _| {
-        if !first {
-            doomed.push(k.clone());
-        }
-        first = false;
-        true
-    });
-    for k in &doomed {
-        engine.gc_remove_if_in_memtable(k);
-    }
-    doomed
-}
-
-/// The collector of flushed history: a filter for one compaction job
-/// (`Lsm::finish_compaction`), which shows it the job's surviving entries
-/// in key order — per user key, versions newest first. The first live
+/// The MVCC collector (see the module docs for its two call sites): a
+/// filter shown entries in key order — per user key, versions newest
+/// first — by a compaction job (`Lsm::finish_compaction`) or a replica's
+/// active memtable (`Lsm::collect_in_memtable`). The first live
 /// version at or below `horizon` is the newest one any supported read of
 /// that key can return (its *cover*: a value or an MVCC delete marker);
 /// every older version of the same user key is dropped. Versions above the
 /// horizon, intents, transaction records and engine tombstones pass
 /// through, and a tombstoned version is no cover — no read returns it.
 ///
-/// The verdict needs nothing outside the job: a cover in a level the job
-/// does not hold drops nothing here, and a version dropped here may leave
-/// older copies in lower levels, which the same cover shadows for every
-/// read at or above the horizon until their own compaction meets one.
+/// The verdict needs nothing outside what it is shown: a cover it is not
+/// shown drops nothing here, and a version dropped here may leave older
+/// copies elsewhere — in lower levels, in frozen memtables — which the
+/// same cover shadows for every read at or above the horizon until their
+/// own compaction meets one.
 pub fn compaction_gc(horizon: Timestamp) -> impl FnMut(&Bytes, Option<&Bytes>) -> bool {
     // Storage key of the cover the walk last passed.
     let mut cover = Bytes::new();
@@ -681,6 +666,10 @@ mod tests {
 
     fn ts(wall: u64) -> Timestamp {
         Timestamp { wall, logical: 0 }
+    }
+
+    fn window() -> u64 {
+        GC_WINDOW.as_nanos() as u64
     }
 
     fn b(s: &str) -> Bytes {
@@ -885,8 +874,8 @@ mod tests {
         assert!(!snapshot_collected(&e, b"b", b"z", ts(20), ts(40)), "not written since");
         assert!(!snapshot_collected(&e, b"a", b"z", ts(40), ts(40)));
         // It is a promise about what GC may do, and GC does it: the next
-        // write of `a` past the window removes v10 from the memtable.
-        gc_versions(&e, b"a", ts(30));
+        // write of `a` a window later removes v10 from the memtable.
+        put_version(&e, b"a", ts(30 + window()), Some(&b("later")));
         assert_eq!(get(&e, b"a", ts(20), None), ReadResult::Value(None), "silently wrong");
     }
 
@@ -896,7 +885,10 @@ mod tests {
         for t in [10, 20, 30, 40] {
             put_version(&e, b"k", ts(t), Some(&b(&format!("v{t}"))));
         }
-        gc_versions(&e, b"k", ts(25));
+        // A write a window past 25 collects what no read at or above 25
+        // can return.
+        put_version(&e, b"k", ts(25 + window()), Some(&b("later")));
+        assert_eq!(e.metrics().gc_versions_dropped, 1);
         // Reads at >= 20 still work; reads below 20 lost history.
         assert_eq!(get(&e, b"k", ts(25), None), ReadResult::Value(Some(b("v20"))));
         assert_eq!(get(&e, b"k", ts(45), None), ReadResult::Value(Some(b("v40"))));

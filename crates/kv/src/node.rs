@@ -152,10 +152,8 @@ impl KvNode {
     ) -> Rc<KvNode> {
         let cpu = CpuScheduler::new(sim.clone(), vcpus);
         // Pipelined write path: the node drives flush/compaction as
-        // disk-metered background jobs, so the engine must not run them
-        // inline. (It amortizes fsyncs across group commits.)
+        // disk-metered background jobs ([`KvNode::maintain_storage`]).
         let engine = Engine::new(lsm_config);
-        engine.with_lsm(|lsm| lsm.set_auto_maintain(false));
         let node = Rc::new(KvNode {
             id,
             location,

@@ -1,15 +1,17 @@
-//! The compaction-time MVCC collector (`mvcc::compaction_gc`) against a
-//! model that never forgets: random histories of puts, deletes, intents
-//! and resolutions over a few hot keys, with the clock jumping across
-//! whole GC windows, run through an LSM whose flush and compaction jobs
-//! are claimed and finished at random points — every compaction merging
-//! through the filter with the GC horizon of the instant it was claimed,
-//! as `KvNode::maintain_storage` does. After every job, every read at or
-//! above the horizon must see what the model sees.
+//! The MVCC collector (`mvcc::compaction_gc`) against a model that never
+//! forgets: random histories of puts, deletes, intents and resolutions
+//! over a few hot keys, with the clock jumping across whole GC windows,
+//! run through an LSM whose flush and compaction jobs are claimed and
+//! finished at random points — every compaction merging through the
+//! filter with the GC horizon of the instant it was claimed, as
+//! `KvNode::maintain_storage` does, and every write collecting in the
+//! active memtable at its own horizon, as `mvcc::Applied::replay` does.
+//! After every job, every read at or above the horizon must see what the
+//! model sees.
 //!
 //! The randomized test is a loop over fixed seeds; every assertion names
 //! its seed. The directed tests below it pin the cases the filter's rules
-//! exist for.
+//! exist for, and what the memtable collection does on each replica.
 
 use std::collections::BTreeMap;
 
@@ -20,6 +22,9 @@ use crdb_kv::txn::{TxnRecord, TxnStatus};
 use crdb_storage::{CompactionJob, CompactionPick, Engine, FlushJob, LsmConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "../../storage/tests/support/maintain.rs"]
+mod maintain;
 
 const GC_WINDOW_NANOS: u64 = crdb_kv::timing::GC_WINDOW.as_nanos() as u64;
 
@@ -66,17 +71,24 @@ fn visible(history: &[(u64, Option<u8>)], at: u64) -> Option<u8> {
     history.iter().rev().find(|(t, _)| *t <= at).and_then(|(_, v)| *v)
 }
 
-/// An engine maintained the way a KV node maintains its own: nothing
-/// flushes or compacts unless a job is claimed and finished by hand.
-fn manual_engine(config: LsmConfig) -> Engine {
-    let engine = Engine::new(config);
-    engine.with_lsm(|lsm| lsm.set_auto_maintain(false));
-    engine
+/// Freezes and flushes everything buffered into L0.
+fn flush(engine: &Engine) {
+    engine.with_lsm(maintain::flush);
 }
 
-/// Freezes and flushes everything buffered into one L0 file.
-fn flush(engine: &Engine) {
-    engine.with_lsm(|lsm| lsm.flush());
+/// Storage key and value of every entry in the active memtable under
+/// `key`'s versions, newest first: what write-time collection has left.
+fn memtable_versions(engine: &Engine, key: &[u8]) -> Vec<(Bytes, Option<Bytes>)> {
+    let (start, mut end) = (version_key(key, u64::MAX), version_key(key, 0).to_vec());
+    end.push(0);
+    let mut seen = Vec::new();
+    engine.with_lsm(|lsm| {
+        lsm.collect_in_memtable(&start, &end, &mut |k, v| {
+            seen.push((k.clone(), v.cloned()));
+            false
+        })
+    });
+    seen
 }
 
 /// Claims and finishes the compaction out of `level`, merging through the
@@ -109,9 +121,9 @@ struct History {
     intents: BTreeMap<&'static [u8], (u64, u64, Option<u8>)>,
     records: Vec<TxnRecord>,
     now: u64,
-    /// The newest horizon any collector has been given so far: inline GC
-    /// on a write, or a compaction when it was claimed. Reads at or above
-    /// it are the contract.
+    /// The newest horizon any collector has been given so far: a write's
+    /// memtable collection, or a compaction when it was claimed. Reads at
+    /// or above it are the contract.
     horizon: u64,
     flush: Option<FlushJob>,
     compactions: Vec<(CompactionJob, Timestamp)>,
@@ -121,7 +133,7 @@ impl History {
     fn new(seed: u64) -> History {
         History {
             seed,
-            engine: manual_engine(LsmConfig::tiny()),
+            engine: Engine::new(LsmConfig::tiny()),
             versions: BTreeMap::new(),
             intents: BTreeMap::new(),
             records: Vec::new(),
@@ -138,8 +150,9 @@ impl History {
         self.now
     }
 
-    /// Writes run inline GC with the horizon of their own timestamp.
-    fn note_inline_gc(&mut self, at: u64) {
+    /// Writes collect in the memtable at the horizon of their own
+    /// timestamp.
+    fn note_write_gc(&mut self, at: u64) {
         self.horizon = self.horizon.max(mvcc::gc_horizon(ts(at)).wall);
     }
 
@@ -151,7 +164,7 @@ impl History {
                 let v: Option<u8> = rng.gen_bool(0.8).then(|| rng.gen());
                 mvcc::put_version(&self.engine, key, ts(at), v.map(value).as_ref());
                 self.versions.entry(key).or_default().push((at, v));
-                self.note_inline_gc(at);
+                self.note_write_gc(at);
             }
             6 => {
                 self.now += [GC_WINDOW_NANOS / 3, GC_WINDOW_NANOS, 2 * GC_WINDOW_NANOS + 7]
@@ -170,7 +183,7 @@ impl History {
                 mvcc::resolve_intent(&self.engine, key, txn, commit.map(ts));
                 if let Some(at) = commit {
                     self.versions.entry(key).or_default().push((at, v));
-                    self.note_inline_gc(at);
+                    self.note_write_gc(at);
                 }
             }
             11 => {
@@ -182,10 +195,16 @@ impl History {
                 // and no collector may take what is left for a cover. Only
                 // a version above every horizon so far can go: one at or
                 // below may already have covered, and cost, its elders.
+                // And only from the active memtable: a flushed one stays.
                 let history = self.versions.entry(key).or_default();
                 if let Some(&(at, _)) = history.last().filter(|(at, _)| *at > self.horizon) {
                     let storage_key = version_key(key, at);
-                    if self.engine.gc_remove_if_in_memtable(&storage_key) {
+                    let mut end = storage_key.to_vec();
+                    end.push(0);
+                    let taken = self.engine.with_lsm(|lsm| {
+                        lsm.collect_in_memtable(&storage_key, &end, &mut |_, _| true)
+                    });
+                    if taken == 1 {
                         self.engine.delete(storage_key);
                         history.pop();
                     }
@@ -355,7 +374,7 @@ const T0: u64 = 10 * GC_WINDOW_NANOS;
 
 #[test]
 fn the_version_readable_at_the_horizon_survives_and_what_it_covers_goes() {
-    let engine = manual_engine(LsmConfig::tiny());
+    let engine = Engine::new(LsmConfig::tiny());
     // Two L0 files — one job's worth — holding five versions between them.
     for (at, v) in [(T0 - 2, 1), (T0 - 1, 2), (T0, 3), (T0 + 1, 4), (T0 + 2, 5)] {
         mvcc::put_version(&engine, b"k", ts(at), Some(&value(v)));
@@ -378,7 +397,7 @@ fn the_version_readable_at_the_horizon_survives_and_what_it_covers_goes() {
 
 #[test]
 fn an_mvcc_delete_covers_like_a_value_and_stays() {
-    let engine = manual_engine(LsmConfig::tiny());
+    let engine = Engine::new(LsmConfig::tiny());
     mvcc::put_version(&engine, b"k", ts(T0 - 2), Some(&value(1)));
     flush(&engine);
     mvcc::put_version(&engine, b"k", ts(T0 - 1), None);
@@ -391,7 +410,7 @@ fn an_mvcc_delete_covers_like_a_value_and_stays() {
 
 #[test]
 fn a_cover_outside_the_job_drops_nothing() {
-    let engine = manual_engine(LsmConfig::tiny());
+    let engine = Engine::new(LsmConfig::tiny());
     mvcc::put_version(&engine, b"k", ts(T0 - 3), Some(&value(1)));
     flush(&engine);
     mvcc::put_version(&engine, b"other", ts(T0 - 2), Some(&value(2)));
@@ -410,7 +429,7 @@ fn prefix_neighbours_never_cover_each_other() {
     // "a" is a byte-prefix of "ab"; "a" + 0x00 + … extends "a" through
     // the very byte that separates a user key from its timestamp.
     let neighbours: [&[u8]; 4] = [b"a", b"a\x00", b"a\x00b", b"ab"];
-    let engine = manual_engine(LsmConfig::tiny());
+    let engine = Engine::new(LsmConfig::tiny());
     for (i, key) in neighbours.iter().enumerate() {
         mvcc::put_version(&engine, key, ts(T0 - 20 + i as u64), Some(&value(i as u8)));
     }
@@ -442,7 +461,7 @@ fn intents_and_records_that_end_like_version_keys_pass_through() {
     // bytes that read as timestamps 0,1 and 0,0 — two "versions of one
     // key" below any horizon, to a parser that skips the tag.
     let (first, second) = (KEYS[3], KEYS[4]);
-    let engine = manual_engine(LsmConfig::tiny());
+    let engine = Engine::new(LsmConfig::tiny());
     mvcc::write_intent(&engine, first, 7, ts(T0 - 9), ts(T0 - 9), Some(&value(1))).unwrap();
     mvcc::write_intent(&engine, second, 8, ts(T0 - 8), ts(T0 - 8), Some(&value(2))).unwrap();
     let record = TxnRecord { txn_id: 7, status: TxnStatus::Committed(ts(T0 - 7)) };
@@ -466,7 +485,7 @@ fn a_tombstoned_version_is_no_cover() {
     // L1 → L2 is always due, so data can be pushed below the job that
     // matters: an engine tombstone survives a merge only while a lower
     // level still spans its key.
-    let engine = manual_engine(LsmConfig { level_base_size: 1, ..LsmConfig::tiny() });
+    let engine = Engine::new(LsmConfig { level_base_size: 1, ..LsmConfig::tiny() });
     for key in [&b"a"[..], b"z"] {
         mvcc::put_version(&engine, key, ts(T0 - 30), Some(&value(0)));
         flush(&engine);
@@ -486,4 +505,53 @@ fn a_tombstoned_version_is_no_cover() {
     compact(&engine, 0, ts(T0));
     assert_eq!(dropped(&engine), 0, "a version the job resolves to a tombstone covers nothing");
     assert_eq!(read(&engine, b"k", T0), Some(1));
+}
+
+/// A leaseholder and its followers as the KV node drives them: each write
+/// is evaluated on the leaseholder's engine and replayed on every other.
+fn write_everywhere(replicas: &[Engine], key: &[u8], at: u64, v: u8) {
+    let applied = mvcc::put_version(&replicas[0], key, ts(at), Some(&value(v)));
+    for follower in &replicas[1..] {
+        applied.replay(follower);
+    }
+}
+
+#[test]
+fn a_hot_key_keeps_at_most_two_versions_in_every_replicas_memtable() {
+    // A memtable that never rotates here: without write-time collection
+    // all hundred versions would wait in it for a flush.
+    let replicas: Vec<Engine> = (0..3).map(|_| Engine::new(LsmConfig::default())).collect();
+    for window in 1..=100u64 {
+        write_everywhere(&replicas, b"hot", T0 + window * GC_WINDOW_NANOS, window as u8);
+        for (r, engine) in replicas.iter().enumerate() {
+            let held = memtable_versions(engine, b"hot").len();
+            assert!(held <= 2, "replica {r} holds {held} versions after window {window}");
+        }
+    }
+    for engine in &replicas {
+        // The newest, and the one it covers for reads a window back.
+        assert_eq!(engine.metrics().gc_versions_dropped, 98);
+        assert_eq!(engine.metrics().flush_count, 0);
+        assert_eq!(read(engine, b"hot", T0 + 99 * GC_WINDOW_NANOS), Some(99));
+    }
+}
+
+#[test]
+fn a_follower_collects_on_replay_what_its_leaseholder_already_flushed() {
+    let replicas: Vec<Engine> = (0..2).map(|_| Engine::new(LsmConfig::default())).collect();
+    write_everywhere(&replicas, b"k", T0, 1);
+    write_everywhere(&replicas, b"k", T0 + 1, 2);
+    // Only the leaseholder flushes: its two versions are in L0, the
+    // follower's still in its active memtable.
+    flush(&replicas[0]);
+    // A window later the newest covers the second, which covers the first.
+    write_everywhere(&replicas, b"k", T0 + 1 + GC_WINDOW_NANOS, 3);
+    let (leaseholder, follower) = (&replicas[0], &replicas[1]);
+    assert_eq!(leaseholder.metrics().gc_versions_dropped, 0, "nothing of it left in memory");
+    assert_eq!(follower.metrics().gc_versions_dropped, 1);
+    let held: Vec<Bytes> = memtable_versions(follower, b"k").into_iter().map(|(k, _)| k).collect();
+    assert_eq!(held, vec![version_key(b"k", T0 + 1 + GC_WINDOW_NANOS), version_key(b"k", T0 + 1)]);
+    for at in [T0 + 1, T0 + 1 + GC_WINDOW_NANOS] {
+        assert_eq!(read(follower, b"k", at), read(leaseholder, b"k", at), "read at {at}");
+    }
 }

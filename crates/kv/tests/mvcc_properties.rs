@@ -1,8 +1,10 @@
 //! Randomized properties of the MVCC layer: reads match a reference
-//! model of versioned maps under random interleavings of writes, reads,
-//! scans and inline GC; intent resolution and read refresh see exactly
-//! what they should. Each is a loop over fixed seeds; every assertion
-//! names its seed.
+//! model of versioned maps under random interleavings of writes, reads and
+//! scans, while the engine's jobs run as the KV node runs them — flushes,
+//! and compactions through the MVCC collector at the horizon of their
+//! claim — and every write collects in the memtable; intent resolution
+//! and read refresh see exactly what they should. Each is a loop over
+//! fixed seeds; every assertion names its seed.
 
 use std::collections::BTreeMap;
 
@@ -12,6 +14,9 @@ use crdb_kv::mvcc::{self, ReadResult};
 use crdb_storage::{Engine, LsmConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "../../storage/tests/support/maintain.rs"]
+mod maintain;
 
 const GC_WINDOW_NANOS: u64 = crdb_kv::timing::GC_WINDOW.as_nanos() as u64;
 
@@ -25,9 +30,9 @@ fn key(k: u8) -> Vec<u8> {
 }
 
 /// How far below `now` a read may look: mostly among the latest versions,
-/// sometimes anywhere in the GC window (inline GC keeps the newest
-/// version at or below `put_ts - GC_WINDOW`, so such a read is still
-/// answerable from what survives).
+/// sometimes anywhere in the GC window (GC keeps the newest version at or
+/// below `now - GC_WINDOW`, so such a read is still answerable from what
+/// survives).
 fn read_back(rng: &mut SmallRng) -> u64 {
     if rng.gen_bool(0.7) {
         rng.gen_range(0..200)
@@ -46,9 +51,12 @@ fn visible(history: &[(u64, Option<u8>)], at: u64) -> Option<u8> {
 /// and garbage-collects underneath.
 #[test]
 fn mvcc_matches_versioned_model() {
+    let (mut jobs, mut collected) = (0, 0);
     for seed in 0..128u64 {
         let rng = &mut SmallRng::seed_from_u64(seed);
-        let engine = Engine::new(LsmConfig::tiny());
+        // A memtable a quarter of `tiny`'s, so that short histories flush
+        // and compact too.
+        let engine = Engine::new(LsmConfig { memtable_size: 256, ..LsmConfig::tiny() });
         // Model: key -> (ts, value) history in timestamp order.
         let mut model: BTreeMap<Vec<u8>, Vec<(u64, Option<u8>)>> = BTreeMap::new();
         let mut now = GC_WINDOW_NANOS;
@@ -64,6 +72,10 @@ fn mvcc_matches_versioned_model() {
                     let value = v.map(|b| Bytes::from(vec![b]));
                     mvcc::put_version(&engine, &key(k), ts(now), value.as_ref());
                     model.entry(key(k)).or_default().push((now, v));
+                    let horizon = mvcc::gc_horizon(ts(now));
+                    engine.with_lsm(|lsm| {
+                        maintain::maintain(lsm, || mvcc::compaction_gc(horizon));
+                    });
                 }
                 4..=6 => {
                     let k: u8 = rng.gen();
@@ -97,7 +109,12 @@ fn mvcc_matches_versioned_model() {
                 }
             }
         }
+        let m = engine.metrics();
+        jobs += m.compact_count;
+        collected += m.gc_versions_dropped;
     }
+    // The production collector really ran, at both of its call sites.
+    assert!(jobs > 200 && collected > 1_000, "{jobs} compactions, {collected} collected");
 }
 
 /// Intents: readers below an intent see around it and readers above run

@@ -96,12 +96,6 @@ impl Engine {
         self.inner.lock().metrics()
     }
 
-    /// GC helper for write-once keys: physically removes the key's live
-    /// memtable entry if present (see `Lsm::gc_remove_if_in_memtable`).
-    pub fn gc_remove_if_in_memtable(&self, key: &[u8]) -> bool {
-        self.inner.lock().gc_remove_if_in_memtable(key)
-    }
-
     /// Runs a closure with exclusive access to the underlying LSM — used
     /// by the simulated KV node for flush/compaction pacing.
     pub fn with_lsm<T>(&self, f: impl FnOnce(&mut Lsm) -> T) -> T {
@@ -112,6 +106,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintain::{keep_all, maintain};
     use bytes::Bytes;
 
     #[test]
@@ -124,6 +119,7 @@ mod tests {
                     for i in 0..250u32 {
                         let k = format!("t{t}-key{i:04}");
                         engine.put(Bytes::from(k.clone()), Bytes::from(format!("v{i}")));
+                        engine.with_lsm(|lsm| maintain(lsm, keep_all));
                         assert_eq!(engine.get(k.as_bytes()), Some(Bytes::from(format!("v{i}"))));
                     }
                 })

@@ -14,13 +14,13 @@
 //!   exactly this instrumentation, and the §5.1.4 `a·x + b` linear
 //!   write-amplification models are fitted to these counters.
 //!
-//! The engine is synchronous and deterministic. By default it flushes and
-//! compacts inline on the writing call ([`Lsm::maybe_maintain`]); the
-//! simulated KV node turns that off ([`Lsm::set_auto_maintain`]) and claims
-//! flush and compaction jobs itself ([`Lsm::begin_flush`],
-//! [`Lsm::begin_compaction`]), charging their bytes against a simulated
-//! disk with a real bandwidth limit. The engine is also usable standalone
-//! under real threads via [`engine::Engine`]'s internal locking.
+//! The engine is synchronous and deterministic. A write never flushes or
+//! compacts: it appends, applies and at most rotates the memtable, and
+//! every flush and compaction is a job its embedder claims and finishes
+//! ([`Lsm::begin_flush`], [`Lsm::begin_compaction`]) — the simulated KV
+//! node, which charges their bytes against a simulated disk with a real
+//! bandwidth limit. The engine is also usable standalone under real
+//! threads via [`engine::Engine`]'s internal locking.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
@@ -33,6 +33,14 @@ pub mod memtable;
 pub mod metrics;
 pub mod sstable;
 pub mod wal;
+
+// The unit tests share the integration tests' maintenance driver, which
+// names this crate by its external name.
+#[cfg(test)]
+extern crate self as crdb_storage;
+#[cfg(test)]
+#[path = "../tests/support/maintain.rs"]
+mod maintain;
 
 pub use engine::Engine;
 pub use lsm::{

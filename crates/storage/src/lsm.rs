@@ -225,9 +225,6 @@ pub struct Lsm {
     read: ReadCounters,
     /// Round-robin compaction cursors, one per level in `levels`.
     cursors: Vec<usize>,
-    /// When false, flush/compaction only happen via explicit calls —
-    /// embedders that meter disk bandwidth use this.
-    auto_maintain: bool,
 }
 
 impl Lsm {
@@ -250,33 +247,22 @@ impl Lsm {
             metrics: StorageMetrics::default(),
             read: ReadCounters::default(),
             cursors,
-            auto_maintain: true,
         }
     }
 
-    /// Enables or disables automatic flush/compaction on write.
-    pub fn set_auto_maintain(&mut self, on: bool) {
-        self.auto_maintain = on;
-    }
-
-    /// Applies a write batch: WAL append, memtable apply, then (if enabled)
-    /// any flush/compaction work that falls due. Returns the batch's WAL
-    /// sequence number. The batch is not synced here: it is durable once
-    /// the [`Lsm::group_commit`] that syncs past it, or the truncate after
-    /// a flush, has run.
+    /// Applies a write batch: WAL append, memtable apply, and a rotation
+    /// if that filled the memtable — the only foreground work; flushes
+    /// and compactions are jobs the embedder claims. Returns the batch's
+    /// WAL sequence number. The batch is not synced here: it is durable
+    /// once the [`Lsm::group_commit`] that syncs past it, or the truncate
+    /// after a flush, has run.
     pub fn apply(&mut self, batch: &WriteBatch) -> u64 {
         let (seq, rec_bytes) = self.wal.append(batch);
         self.metrics.wal_bytes += rec_bytes;
         self.metrics.wal_batches += 1;
         self.metrics.logical_bytes_written += batch.payload_bytes() as u64;
         self.memtable.apply_batch(batch);
-        if self.auto_maintain {
-            self.maybe_maintain();
-        } else {
-            // Embedder-driven maintenance: rotation is the only foreground
-            // work; flush/compaction jobs are claimed by the embedder.
-            self.rotate_if_full();
-        }
+        self.rotate_if_full();
         seq
     }
 
@@ -289,11 +275,7 @@ impl Lsm {
         self.metrics.ingest_batches += 1;
         self.metrics.logical_bytes_written += batch.payload_bytes() as u64;
         self.memtable.apply_batch(batch);
-        if self.auto_maintain {
-            self.maybe_maintain();
-        } else {
-            self.rotate_if_full();
-        }
+        self.rotate_if_full();
     }
 
     /// Convenience single-key put.
@@ -406,9 +388,9 @@ impl Lsm {
         for level in &self.levels {
             // Non-overlapping and sorted: binary-search the first file
             // that could intersect; the cursor walks forward lazily.
-            let idx = first_table_reaching(level, start);
-            if idx < level.len() {
-                sources.push(Source::Level { tables: &level[idx..], start, end });
+            let tables = level.get(first_table_reaching(level, start)..).unwrap_or_default();
+            if !tables.is_empty() {
+                sources.push(Source::Level { tables, start, end });
             }
         }
         bump(&self.read.scans);
@@ -448,19 +430,26 @@ impl Lsm {
         }
     }
 
-    /// Garbage-collection helper for *write-once* keys: if the key's only
-    /// occurrence is the live (active) memtable entry, remove it physically
-    /// and return true; otherwise leave it be — a flushed entry is
-    /// collected by the [`CompactionFilter`] of the job that next rewrites
-    /// it, not by a tombstone.
-    pub fn gc_remove_if_in_memtable(&mut self, key: &[u8]) -> bool {
-        if self.memtable.get(key).is_some() && !self.frozen.iter().any(|f| f.mem.get(key).is_some())
-        {
-            self.memtable.remove(key);
-            true
-        } else {
-            false
+    /// Offers the active memtable's entries in `[start, end)` to `filter`,
+    /// in key order, and removes each one it answers `true` for — what
+    /// [`Lsm::finish_compaction`] does to a job's output, done to history
+    /// that never left memory, and counted the same way. Returns how many
+    /// entries went. Frozen memtables and tables are never touched.
+    ///
+    /// A removed entry leaves no tombstone, so `filter` may answer `true`
+    /// only for a key written once: no older entry under it may be left
+    /// below for the removal to expose.
+    pub fn collect_in_memtable(
+        &mut self,
+        start: &[u8],
+        end: &[u8],
+        filter: &mut CompactionFilter<'_>,
+    ) -> u64 {
+        let removed = self.memtable.remove_where(start, end, filter);
+        for (k, v) in &removed {
+            count_gc_drop(&mut self.metrics, k, v.as_ref());
         }
+        removed.len() as u64
     }
 
     // ------------------------------------------------------------------
@@ -468,11 +457,9 @@ impl Lsm {
     // ------------------------------------------------------------------
 
     /// Freezes the active memtable if it reached the configured size.
-    fn rotate_if_full(&mut self) -> bool {
+    fn rotate_if_full(&mut self) {
         if self.memtable.approx_bytes() >= self.config.memtable_size {
-            self.freeze_active()
-        } else {
-            false
+            self.freeze_active();
         }
     }
 
@@ -535,20 +522,6 @@ impl Lsm {
         self.flush_inflight.is_some()
     }
 
-    /// Synchronous flush of everything buffered: freezes the active
-    /// memtable and drains every frozen one inline. (The serial path;
-    /// pipelined embedders use `begin_flush`/`finish_flush`.)
-    pub fn flush(&mut self) {
-        self.freeze_active();
-        self.drain_flushes();
-    }
-
-    fn drain_flushes(&mut self) {
-        while let Some(job) = self.begin_flush() {
-            self.finish_flush(job);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Compaction scheduler
     // ------------------------------------------------------------------
@@ -584,30 +557,21 @@ impl Lsm {
     /// and locks the `{level, level+1}` pair. The claimed files stay in
     /// the tree (and readable) until [`Lsm::finish_compaction`].
     pub fn begin_compaction(&mut self, pick: &CompactionPick) -> CompactionJob {
-        self.begin_compaction_inner(pick.level, false)
-    }
-
-    fn begin_compaction_inner(&mut self, level: usize, partial_l0: bool) -> CompactionJob {
+        let level = pick.level;
         assert!(
             !self.locked_levels.contains(&level) && !self.locked_levels.contains(&(level + 1)),
             "level pair {{{level}, {}}} already locked",
             level + 1
         );
         let (input_nums, min, max) = if level == 0 {
-            // Claim exactly the oldest T unclaimed files (all of them for a
-            // sub-threshold cleanup job). Oldest-first is load-bearing: the
-            // files left behind are newer, so they keep shadowing the L1
-            // output through read precedence.
+            // Claim exactly the oldest T unclaimed files. Oldest-first is
+            // load-bearing: the files left behind are newer, so they keep
+            // shadowing the L1 output through read precedence.
             let mut unclaimed: Vec<&SsTable> =
                 self.l0.iter().filter(|t| !self.claimed_l0.contains(&t.num())).collect();
             unclaimed.sort_by_key(|t| t.num());
-            let take = if partial_l0 {
-                unclaimed.len().min(self.config.l0_compaction_threshold)
-            } else {
-                self.config.l0_compaction_threshold
-            };
-            assert!(take > 0 && unclaimed.len() >= take, "L0 claim past available files");
-            let inputs = &unclaimed[..take];
+            let inputs = unclaimed.get(..self.config.l0_compaction_threshold).unwrap_or_default();
+            assert!(!inputs.is_empty(), "L0 claim past available files");
             let min = inputs.iter().filter_map(|t| t.min_key()).min().cloned();
             let max = inputs.iter().filter_map(|t| t.max_key()).max().cloned();
             let nums: Vec<u64> = inputs.iter().map(|t| t.num()).collect();
@@ -686,9 +650,7 @@ impl Lsm {
                     continue;
                 }
                 if filter.as_mut().is_some_and(|drops| drops(k, v.as_ref())) {
-                    self.metrics.gc_versions_dropped += 1;
-                    self.metrics.gc_bytes_dropped +=
-                        (k.len() + v.as_ref().map_or(0, |v| v.len())) as u64;
+                    count_gc_drop(&mut self.metrics, k, v.as_ref());
                     continue;
                 }
                 builder.add(k.clone(), v.clone());
@@ -726,45 +688,6 @@ impl Lsm {
             &self.l0
         } else {
             &self.levels[source_level - 1]
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Foreground (serial) maintenance
-    // ------------------------------------------------------------------
-
-    /// Runs at most one compaction step inline; returns whether any work
-    /// was done. Drains sub-threshold L0 residue once no level is at
-    /// trigger, so `while lsm.compact_one() {}` fully settles the tree.
-    pub fn compact_one(&mut self) -> bool {
-        if let Some(pick) = self.pick_compaction() {
-            let job = self.begin_compaction(&pick);
-            self.finish_compaction(job, None);
-            return true;
-        }
-        if !self.l0.is_empty()
-            && self.claimed_l0.is_empty()
-            && !self.locked_levels.contains(&0)
-            && !self.locked_levels.contains(&1)
-        {
-            let job = self.begin_compaction_inner(0, true);
-            self.finish_compaction(job, None);
-            return true;
-        }
-        false
-    }
-
-    /// Foreground maintenance: rotates a full memtable, drains pending
-    /// flushes, and runs **at most one** compaction step. Bounding the
-    /// per-write compaction work is deliberate — the old implementation
-    /// looped until no level was over its trigger, handing one unlucky
-    /// write the entire backlog as a latency cliff.
-    pub fn maybe_maintain(&mut self) {
-        self.rotate_if_full();
-        self.drain_flushes();
-        if let Some(pick) = self.pick_compaction() {
-            let job = self.begin_compaction(&pick);
-            self.finish_compaction(job, None);
         }
     }
 
@@ -885,6 +808,13 @@ impl Drop for LsmIter<'_> {
     }
 }
 
+/// Counts one entry a collector dropped: what [`Lsm::finish_compaction`]
+/// left out of its output or [`Lsm::collect_in_memtable`] removed.
+fn count_gc_drop(metrics: &mut StorageMetrics, key: &Key, value: Option<&Value>) {
+    metrics.gc_versions_dropped += 1;
+    metrics.gc_bytes_dropped += (key.len() + value.map_or(0, |v| v.len())) as u64;
+}
+
 /// Index of the first table of a non-overlapping, sorted level whose key
 /// range reaches `key` (its max key is not below it) — the only table of
 /// the level that can hold `key`.
@@ -936,6 +866,7 @@ fn extract_by_num(tables: &mut Vec<SsTable>, nums: &[u64]) -> Vec<SsTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintain::{flush, keep_all, maintain};
     use bytes::Bytes;
 
     fn b(s: &str) -> Bytes {
@@ -950,11 +881,17 @@ mod tests {
         Bytes::from(format!("value-{i:06}-{}", "x".repeat(32)))
     }
 
+    /// A put, then whatever background work it made due.
+    fn put_maintained(lsm: &mut Lsm, key: Bytes, value: Bytes) {
+        lsm.put(key, value);
+        maintain(lsm, keep_all);
+    }
+
     #[test]
     fn put_get_through_flush_and_compaction() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..500 {
-            lsm.put(key(i), value(i));
+            put_maintained(&mut lsm, key(i), value(i));
         }
         assert!(lsm.metrics().flush_count > 0, "flushes happened");
         assert!(lsm.metrics().compact_count > 0, "compactions happened");
@@ -969,7 +906,7 @@ mod tests {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for round in 0..5u32 {
             for i in 0..100 {
-                lsm.put(key(i), Bytes::from(format!("round{round}-{i}")));
+                put_maintained(&mut lsm, key(i), Bytes::from(format!("round{round}-{i}")));
             }
         }
         for i in (0..100).step_by(13) {
@@ -981,13 +918,14 @@ mod tests {
     fn deletes_shadow_older_values() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..200 {
-            lsm.put(key(i), value(i));
+            put_maintained(&mut lsm, key(i), value(i));
         }
         for i in (0..200).step_by(2) {
             lsm.delete(key(i));
+            maintain(&mut lsm, keep_all);
         }
-        lsm.flush();
-        while lsm.compact_one() {}
+        flush(&mut lsm);
+        maintain(&mut lsm, keep_all);
         for i in 0..200 {
             let got = lsm.get(&key(i));
             if i % 2 == 0 {
@@ -1002,7 +940,7 @@ mod tests {
     fn scan_merges_all_levels_in_order() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in (0..300).rev() {
-            lsm.put(key(i), value(i));
+            put_maintained(&mut lsm, key(i), value(i));
         }
         let out = lsm.scan(&key(100), &key(110), 1000);
         assert_eq!(out.len(), 10);
@@ -1028,7 +966,7 @@ mod tests {
     fn metrics_account_write_amplification() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..1000 {
-            lsm.put(key(i % 100), value(i));
+            put_maintained(&mut lsm, key(i % 100), value(i));
         }
         let m = lsm.metrics();
         assert!(m.logical_bytes_written > 0);
@@ -1044,14 +982,14 @@ mod tests {
     #[test]
     fn manual_maintenance_mode_defers_work() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
         for i in 0..200 {
             lsm.put(key(i), value(i));
         }
         assert_eq!(lsm.metrics().flush_count, 0, "no flush until asked");
         assert!(lsm.frozen_count() > 0, "full memtables wait frozen for a flush");
-        lsm.maybe_maintain();
+        maintain(&mut lsm, keep_all);
         assert!(lsm.metrics().flush_count > 0);
+        assert_eq!(lsm.frozen_count(), 0);
         for i in (0..200).step_by(17) {
             assert_eq!(lsm.get(&key(i)), Some(value(i)));
         }
@@ -1060,18 +998,18 @@ mod tests {
     #[test]
     fn read_amp_shrinks_after_compaction() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
         for i in 0..400 {
             lsm.put(key(i), value(i));
             if i % 20 == 19 {
-                lsm.flush();
+                flush(&mut lsm);
             }
         }
         let before = lsm.read_amplification();
-        while lsm.compact_one() {}
+        maintain(&mut lsm, keep_all);
         let after = lsm.read_amplification();
         assert!(after < before, "read amp {before} -> {after}");
-        assert_eq!(lsm.l0_file_count(), 0);
+        // What stays in L0 is short of one job: no job claims less.
+        assert!(lsm.l0_file_count() < lsm.config().l0_compaction_threshold);
     }
 
     #[test]
@@ -1088,14 +1026,13 @@ mod tests {
     #[test]
     fn bloom_filters_cut_point_probes() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
         // Disjoint key ranges per L0 file: probes for one range should be
         // filtered out of every other file.
         for file in 0..8u32 {
             for i in 0..20 {
                 lsm.put(key(file * 1000 + i), value(i));
             }
-            lsm.flush();
+            flush(&mut lsm);
         }
         for file in 0..8u32 {
             assert_eq!(lsm.get(&key(file * 1000 + 7)), Some(value(7)));
@@ -1116,7 +1053,7 @@ mod tests {
     fn scan_limit_pushdown_bounds_pulled_entries() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..2000 {
-            lsm.put(key(i), value(i));
+            put_maintained(&mut lsm, key(i), value(i));
         }
         let before = lsm.metrics();
         let out = lsm.scan(&key(0), &key(2000), 5);
@@ -1150,14 +1087,13 @@ mod tests {
     #[test]
     fn iter_streams_in_order_across_levels() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
         for i in (0..100).rev() {
             lsm.put(key(i), value(i));
             if i % 25 == 0 {
-                lsm.flush();
+                flush(&mut lsm);
             }
         }
-        lsm.compact_one();
+        maintain(&mut lsm, keep_all);
         let start = key(0);
         let end = key(100);
         let collected: Vec<_> =
@@ -1170,10 +1106,10 @@ mod tests {
     fn bytes_survive_in_levels() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..500 {
-            lsm.put(key(i), value(i));
+            put_maintained(&mut lsm, key(i), value(i));
         }
-        lsm.flush();
-        while lsm.compact_one() {}
+        flush(&mut lsm);
+        maintain(&mut lsm, keep_all);
         assert!(lsm.total_bytes() > 0);
         let sizes = lsm.level_sizes();
         assert!(sizes.iter().sum::<usize>() > 0, "{sizes:?}");
@@ -1182,13 +1118,6 @@ mod tests {
     // ------------------------------------------------------------------
     // Write-pipeline tests
     // ------------------------------------------------------------------
-
-    /// A pipelined-mode LSM: embedder-driven maintenance.
-    fn pipelined(config: LsmConfig) -> Lsm {
-        let mut lsm = Lsm::new(config);
-        lsm.set_auto_maintain(false);
-        lsm
-    }
 
     /// Tiny config with a memtable too big to rotate on its own — tests
     /// that drive `freeze_active` by hand need rotation under their
@@ -1199,7 +1128,7 @@ mod tests {
 
     #[test]
     fn group_commit_amortizes_fsyncs() {
-        let mut lsm = pipelined(LsmConfig::tiny());
+        let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..10 {
             lsm.put(key(i), value(i));
         }
@@ -1215,7 +1144,7 @@ mod tests {
 
     #[test]
     fn pipelined_flush_keeps_reads_consistent() {
-        let mut lsm = pipelined(manual_rotation_config());
+        let mut lsm = Lsm::new(manual_rotation_config());
         for i in 0..50 {
             lsm.put(key(i), value(i));
         }
@@ -1242,7 +1171,7 @@ mod tests {
 
     #[test]
     fn only_one_flush_in_flight() {
-        let mut lsm = pipelined(manual_rotation_config());
+        let mut lsm = Lsm::new(manual_rotation_config());
         for round in 0..2 {
             for i in 0..30 {
                 lsm.put(key(round * 100 + i), value(i));
@@ -1258,7 +1187,7 @@ mod tests {
 
     #[test]
     fn l0_jobs_claim_oldest_files_and_leave_newer_readable() {
-        let mut lsm = pipelined(LsmConfig::tiny());
+        let mut lsm = Lsm::new(LsmConfig::tiny());
         // Three L0 files over the same key, oldest value first.
         for (n, v) in ["v-old", "v-mid", "v-new"].iter().enumerate() {
             lsm.put(key(1), b(v));
@@ -1284,62 +1213,53 @@ mod tests {
 
     #[test]
     fn compactions_on_disjoint_level_pairs_run_concurrently() {
-        let mut lsm = pipelined(LsmConfig::tiny());
-        // Fill deep levels first so an L2→L3 job is triggered, then pile
-        // up L0 so an L0→L1 job is too.
-        for i in 0..600 {
-            lsm.put(key(i), value(i));
-        }
-        lsm.flush();
-        while lsm.compact_one() {}
-        // Push data down: force L2 over target by compacting L1 down.
-        while {
-            let again = lsm.pick_compaction().is_some();
-            if again {
-                let pick = lsm.pick_compaction().unwrap();
-                let job = lsm.begin_compaction(&pick);
-                lsm.finish_compaction(job, None);
+        // Every level below L0 is over its size target once it holds
+        // anything, so data pushed down to L2 makes an L2→L3 job due, and
+        // two fresh L0 files make an L0→L1 job due beside it.
+        let mut lsm = Lsm::new(LsmConfig { level_base_size: 1, ..LsmConfig::tiny() });
+        for round in 0..2u32 {
+            for i in 0..10 {
+                lsm.put(key(round * 10 + i), value(round * 10 + i));
             }
-            again
-        } {}
-        for round in 0..4u32 {
-            for i in 0..40 {
+            flush(&mut lsm);
+        }
+        compact_level(&mut lsm, 0, None);
+        while lsm.level_sizes()[0] > 0 {
+            compact_level(&mut lsm, 1, None);
+        }
+        for round in 0..2u32 {
+            for i in 0..10 {
                 lsm.put(key(10_000 + round * 100 + i), value(i));
             }
-            lsm.freeze_active();
-            let job = lsm.begin_flush().unwrap();
-            lsm.finish_flush(job);
+            flush(&mut lsm);
         }
-        let l2_bytes = lsm.level_sizes()[1];
-        if l2_bytes > lsm.config().level_target(2) {
-            // Claim the deep job first; the L0 job must still be pickable.
-            let deep = lsm.pick_compaction().unwrap();
-            assert!(deep.level >= 1, "deep level over target picked first: {deep:?}");
-            let deep_job = lsm.begin_compaction(&deep);
-            let l0_pick = lsm.pick_compaction().expect("L0 pair unlocked while deep job runs");
-            assert_eq!(l0_pick.level, 0);
-            let l0_job = lsm.begin_compaction(&l0_pick);
-            assert_eq!(lsm.compactions_in_flight(), 2);
-            // No third job: every remaining pair overlaps a locked level.
-            // Reads stay consistent with both jobs mid-flight.
-            assert_eq!(lsm.get(&key(10_000)), Some(value(0)));
-            assert_eq!(lsm.get(&key(5)), Some(value(5)));
-            // Finish out of claim order: completion order must not matter.
-            lsm.finish_compaction(l0_job, None);
-            lsm.finish_compaction(deep_job, None);
-            assert_eq!(lsm.compactions_in_flight(), 0);
-        }
+        // Claim the deep job first; the L0 job must still be pickable.
+        let deep = lsm.pick_compaction().unwrap();
+        assert_eq!(deep.level, 2, "deep level over target picked first: {deep:?}");
+        let deep_job = lsm.begin_compaction(&deep);
+        let l0_pick = lsm.pick_compaction().expect("L0 pair unlocked while deep job runs");
+        assert_eq!(l0_pick.level, 0);
+        let l0_job = lsm.begin_compaction(&l0_pick);
+        assert_eq!(lsm.compactions_in_flight(), 2);
+        assert!(lsm.pick_compaction().is_none(), "every other pair overlaps a locked level");
+        // Reads stay consistent with both jobs mid-flight.
+        assert_eq!(lsm.get(&key(10_000)), Some(value(0)));
+        assert_eq!(lsm.get(&key(5)), Some(value(5)));
+        // Finish out of claim order: completion order must not matter.
+        lsm.finish_compaction(l0_job, None);
+        lsm.finish_compaction(deep_job, None);
+        assert_eq!(lsm.compactions_in_flight(), 0);
         // Settle fully and verify reads either way.
-        lsm.flush();
-        while lsm.compact_one() {}
-        for i in (0..600).step_by(41) {
+        maintain(&mut lsm, keep_all);
+        for i in 0..20 {
             assert_eq!(lsm.get(&key(i)), Some(value(i)), "key {i}");
         }
+        assert_eq!(lsm.get(&key(10_109)), Some(value(9)));
     }
 
     #[test]
     fn same_level_pair_is_locked_while_job_runs() {
-        let mut lsm = pipelined(LsmConfig::tiny());
+        let mut lsm = Lsm::new(LsmConfig::tiny());
         for round in 0..3u32 {
             for i in 0..40 {
                 lsm.put(key(round * 100 + i), value(i));
@@ -1356,37 +1276,35 @@ mod tests {
     }
 
     #[test]
-    fn maybe_maintain_runs_at_most_one_compaction_step_per_write() {
-        // Regression test for the foreground latency cliff: build a large
-        // backlog with maintenance off, then verify a single write (and a
-        // direct maybe_maintain call) performs at most one compaction.
+    fn a_write_never_runs_background_work() {
+        // However large the backlog, a write appends, applies and at most
+        // rotates: no unlucky write pays for a flush or a compaction, which
+        // wait for whoever claims them as jobs.
         let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
         for i in 0..800 {
             lsm.put(key(i), value(i));
             if i % 25 == 24 {
-                lsm.flush();
+                flush(&mut lsm);
             }
+        }
+        for i in 800..900 {
+            lsm.put(key(i), value(i));
         }
         assert!(
             lsm.l0_file_count() >= 2 * lsm.config().l0_compaction_threshold,
             "backlog built: {} L0 files",
             lsm.l0_file_count()
         );
-        lsm.set_auto_maintain(true);
+        assert!(lsm.frozen_count() > 0 && lsm.pick_compaction().is_some());
         let before = lsm.metrics();
         lsm.put(key(9999), value(0));
         let d = lsm.metrics().delta(&before);
-        assert!(d.compact_count <= 1, "one write ran {} compactions", d.compact_count);
-        let before = lsm.metrics();
-        lsm.maybe_maintain();
-        let d = lsm.metrics().delta(&before);
-        assert!(d.compact_count <= 1, "maybe_maintain ran {} compactions", d.compact_count);
+        assert_eq!((d.flush_count, d.compact_count), (0, 0), "a write ran background work");
     }
 
     #[test]
     fn compaction_bytes_attributed_at_completion() {
-        let mut lsm = pipelined(LsmConfig::tiny());
+        let mut lsm = Lsm::new(LsmConfig::tiny());
         for round in 0..2u32 {
             for i in 0..40 {
                 lsm.put(key(i), value(round * 1000 + i));
@@ -1420,7 +1338,7 @@ mod tests {
             };
         }
         lsm.apply(&batch);
-        lsm.flush();
+        flush(lsm);
     }
 
     fn compact_level(lsm: &mut Lsm, level: usize, filter: Option<&mut CompactionFilter<'_>>) {
@@ -1430,7 +1348,7 @@ mod tests {
 
     #[test]
     fn tombstones_are_elided_where_no_lower_table_spans_them() {
-        let mut lsm = pipelined(manual_rotation_config());
+        let mut lsm = Lsm::new(manual_rotation_config());
         // Keys 10..=20 go down to L2; nothing else is below L0.
         flush_file(&mut lsm, &[(10, Some(1))]);
         flush_file(&mut lsm, &[(20, Some(1))]);
@@ -1467,7 +1385,7 @@ mod tests {
 
     #[test]
     fn compaction_filter_sees_survivors_in_order_and_drops_what_it_says() {
-        let mut lsm = pipelined(manual_rotation_config());
+        let mut lsm = Lsm::new(manual_rotation_config());
         flush_file(&mut lsm, &[(1, Some(1)), (2, Some(1)), (3, Some(1))]);
         flush_file(&mut lsm, &[(2, Some(2)), (3, None), (4, Some(2))]);
         let mut shown = Vec::new();
@@ -1492,11 +1410,39 @@ mod tests {
     }
 
     #[test]
+    fn collect_in_memtable_drops_what_its_filter_says_in_the_active_memtable_span_only() {
+        let mut lsm = Lsm::new(manual_rotation_config());
+        for i in 0..3 {
+            lsm.put(key(i), value(i));
+        }
+        lsm.freeze_active();
+        for i in 3..9 {
+            lsm.put(key(i), value(i));
+        }
+        let before = lsm.total_bytes();
+        let mut shown = Vec::new();
+        let mut odd = |k: &Key, _: Option<&Value>| {
+            shown.push(k.clone());
+            [key(1), key(3), key(5), key(7)].contains(k)
+        };
+        // `1` is frozen and `7` outside the span: only `3` and `5` go.
+        assert_eq!(lsm.collect_in_memtable(&key(0), &key(6), &mut odd), 2);
+        assert_eq!(shown, vec![key(3), key(4), key(5)], "the active memtable's span, in order");
+        for (i, kept) in [(1, true), (3, false), (4, true), (5, false), (7, true)] {
+            assert_eq!(lsm.get(&key(i)).is_some(), kept, "key {i}");
+        }
+        let m = lsm.metrics();
+        assert_eq!(m.gc_versions_dropped, 2);
+        assert_eq!(m.gc_bytes_dropped, (key(3).len() + value(3).len()) as u64 * 2);
+        assert!(lsm.total_bytes() < before, "the memtable gave its bytes back");
+    }
+
+    #[test]
     fn write_stall_signals_flush_and_l0_backlogs() {
         let mut config = manual_rotation_config();
         config.max_frozen_memtables = 2;
         config.l0_stall_threshold = 3;
-        let mut lsm = pipelined(config);
+        let mut lsm = Lsm::new(config);
         assert!(lsm.write_stall().is_none());
         for round in 0..2u32 {
             for i in 0..20 {
@@ -1523,13 +1469,13 @@ mod tests {
         let m = lsm.metrics();
         assert_eq!((m.stall_events, m.stall_micros), (1, 250));
         // Compacting L0 away clears the stall.
-        while lsm.compact_one() {}
+        maintain(&mut lsm, keep_all);
         assert!(lsm.write_stall().is_none());
     }
 
     #[test]
     fn wal_truncates_once_everything_is_flushed() {
-        let mut lsm = pipelined(manual_rotation_config());
+        let mut lsm = Lsm::new(manual_rotation_config());
         for i in 0..30 {
             lsm.put(key(i), value(i));
         }

@@ -101,16 +101,29 @@ impl Memtable {
         self.map.get(key).cloned()
     }
 
-    /// Physically removes an entry, returning it. Only safe for keys that
-    /// are written at most once (the caller must know nothing below is
-    /// shadowed); used by MVCC garbage collection of version keys.
-    pub fn remove(&mut self, key: &[u8]) -> Option<Option<Value>> {
-        let removed = self.map.remove(key);
-        if let Some(entry) = &removed {
-            let bytes = key.len() + entry.as_ref().map_or(0, |v| v.len()) + ENTRY_OVERHEAD;
-            self.approx_bytes = self.approx_bytes.saturating_sub(bytes);
-        }
-        removed
+    /// Physically removes, and returns in key order, every entry in
+    /// `[start, end)` that `drops` answers `true` for. No tombstone takes
+    /// an entry's place: see [`crate::Lsm::collect_in_memtable`] for what
+    /// that asks of `drops`.
+    pub fn remove_where(
+        &mut self,
+        start: &[u8],
+        end: &[u8],
+        mut drops: impl FnMut(&Key, Option<&Value>) -> bool,
+    ) -> Vec<(Key, Option<Value>)> {
+        let keys: Vec<Key> = self
+            .range(start, end)
+            .filter(|(k, v)| drops(k, v.as_ref()))
+            .map(|(k, _)| k.clone())
+            .collect();
+        keys.into_iter()
+            .filter_map(|key| {
+                let entry = self.map.remove(&key)?;
+                let bytes = key.len() + entry.as_ref().map_or(0, |v| v.len()) + ENTRY_OVERHEAD;
+                self.approx_bytes = self.approx_bytes.saturating_sub(bytes);
+                Some((key, entry))
+            })
+            .collect()
     }
 
     /// Iterates entries with `start <= key < end` in key order. Returns

@@ -5,6 +5,10 @@
 use bytes::Bytes;
 use crdb_storage::{Engine, LsmConfig, WriteBatch};
 
+#[path = "support/maintain.rs"]
+mod maintain;
+use maintain::{keep_all, maintain};
+
 #[test]
 fn parallel_disjoint_writers_then_full_verify() {
     let engine = Engine::new(LsmConfig::tiny());
@@ -25,6 +29,9 @@ fn parallel_disjoint_writers_then_full_verify() {
                         batch.delete(Bytes::from(format!("w{t}/k{:05}", i - 5)));
                     }
                     engine.apply(&batch);
+                    // Each writer runs whatever background work is due
+                    // between its writes, under the same lock.
+                    engine.with_lsm(|lsm| maintain(lsm, keep_all));
                 }
             });
         }

@@ -10,6 +10,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
+#[path = "support/maintain.rs"]
+mod maintain;
+use maintain::{flush, keep_all, maintain};
+
 /// The key universe deliberately contains prefix pairs (`k12` is a prefix
 /// of `k120`–`k129`) so bound handling at prefix boundaries is exercised.
 fn key(k: u32) -> Bytes {
@@ -48,10 +52,8 @@ fn apply_random_op(
             }
             lsm.apply(&batch);
         }
-        6..=7 => lsm.flush(),
-        _ => {
-            lsm.compact_one();
-        }
+        6..=7 => flush(lsm),
+        _ => maintain(lsm, keep_all),
     }
 }
 
@@ -143,14 +145,14 @@ fn prefix_keys_and_bound_edges() {
         lsm.put(k.clone(), v.clone());
         model.insert(k.clone(), v);
         if i % 3 == 0 {
-            lsm.flush();
+            flush(&mut lsm);
         }
     }
     // Delete one short key so a tombstone sits under longer live keys.
     lsm.delete(Bytes::from_static(b"a"));
     model.remove(b"a".as_ref());
-    lsm.flush();
-    lsm.compact_one();
+    flush(&mut lsm);
+    maintain(&mut lsm, keep_all);
     let bounds: Vec<&[u8]> = vec![b"", b"a", b"aa", b"aaa\x00", b"ab", b"b", b"b\x00", b"c"];
     for lo in &bounds {
         for hi in &bounds {
@@ -181,12 +183,12 @@ fn tombstones_never_leak_through_limits() {
     for i in 0..200u32 {
         lsm.put(Bytes::from(format!("k{i:04}")), Bytes::from_static(b"v"));
     }
-    lsm.flush();
+    flush(&mut lsm);
     for i in 0..150u32 {
         lsm.delete(Bytes::from(format!("k{i:04}")));
     }
-    lsm.flush();
-    while lsm.compact_one() {}
+    flush(&mut lsm);
+    maintain(&mut lsm, keep_all);
     let got = lsm.scan(b"k", b"l", 5);
     let keys: Vec<&[u8]> = got.iter().map(|(k, _)| k.as_ref()).collect();
     assert_eq!(keys, [b"k0150", b"k0151", b"k0152", b"k0153", b"k0154"]);

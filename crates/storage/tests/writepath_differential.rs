@@ -10,6 +10,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
+#[path = "support/maintain.rs"]
+mod maintain;
+use maintain::{flush, keep_all, maintain};
+
 fn key(k: u32) -> Bytes {
     if k.is_multiple_of(7) {
         Bytes::from(format!("k{}", k / 7)) // short form: prefix of longer keys
@@ -24,7 +28,8 @@ fn value(v: u32) -> Bytes {
 
 /// One engine pair under test: `piped` runs manual pipelined maintenance
 /// (group commits, jobs held in flight across other operations);
-/// `serial` keeps the default inline-maintenance write path.
+/// `serial` has the maintenance driver run every job due after each write,
+/// so no job is ever held.
 struct Pair {
     piped: Lsm,
     serial: Lsm,
@@ -35,10 +40,8 @@ struct Pair {
 
 impl Pair {
     fn new() -> Pair {
-        let mut piped = Lsm::new(LsmConfig::tiny());
-        piped.set_auto_maintain(false);
         Pair {
-            piped,
+            piped: Lsm::new(LsmConfig::tiny()),
             serial: Lsm::new(LsmConfig::tiny()),
             model: BTreeMap::new(),
             compactions: Vec::new(),
@@ -64,6 +67,7 @@ impl Pair {
                 }
                 self.piped.apply(&batch);
                 self.serial.apply(&batch);
+                maintain(&mut self.serial, keep_all);
             }
             6 => {
                 self.piped.group_commit();
@@ -97,9 +101,9 @@ impl Pair {
                     self.piped.finish_compaction(job, None);
                 }
             }
-            12 => self.serial.flush(),
             _ => {
-                self.serial.compact_one();
+                flush(&mut self.serial);
+                maintain(&mut self.serial, keep_all);
             }
         }
     }
@@ -140,10 +144,10 @@ impl Pair {
             self.piped.finish_compaction(job, None);
         }
         self.piped.group_commit();
-        self.piped.flush();
-        while self.piped.compact_one() {}
-        self.serial.flush();
-        while self.serial.compact_one() {}
+        for lsm in [&mut self.piped, &mut self.serial] {
+            flush(lsm);
+            maintain(lsm, keep_all);
+        }
     }
 }
 
@@ -192,21 +196,17 @@ fn pipelined_interleavings_match_serial_and_model_small_keyspace() {
 /// Flushes everything buffered, then compacts while the picker still finds
 /// a level at trigger — the fixpoint both maintenance styles must share.
 fn settle(lsm: &mut Lsm) {
-    lsm.flush();
-    while let Some(pick) = lsm.pick_compaction() {
-        let job = lsm.begin_compaction(&pick);
-        lsm.finish_compaction(job, None);
-    }
+    flush(lsm);
+    maintain(lsm, keep_all);
 }
 
 #[test]
-fn job_api_and_inline_maintenance_attribute_identical_bytes() {
-    // One seeded workload through a default-mode engine (inline flush and
-    // compaction on the writing call) and through an embedder-driven one
-    // whose flush and compaction jobs are claimed at one batch and finished
-    // several batches later: backgrounding the work moves *when* bytes are
-    // attributed, never *how many* — the §5.1.3 write-token estimator
-    // reads these counters as one quantity.
+fn held_jobs_and_serial_maintenance_attribute_identical_bytes() {
+    // One seeded workload through an engine whose due jobs all run right
+    // after each batch and through one whose flush and compaction jobs are
+    // claimed at one batch and finished several batches later: holding
+    // the work moves *when* bytes are attributed, never *how many* — the
+    // §5.1.3 write-token estimator reads these counters as one quantity.
     let mut rng = SmallRng::seed_from_u64(0xACC0);
     let input: Vec<WriteBatch> = (0..3000)
         .map(|_| {
@@ -225,14 +225,14 @@ fn job_api_and_inline_maintenance_attribute_identical_bytes() {
     // L0→L1-only shape: the k-th L0 job claims the same files whenever it
     // runs, so the two job multisets are identical by construction.
     let config = LsmConfig { level_base_size: 1 << 30, num_levels: 4, ..LsmConfig::tiny() };
-    let mut inline = Lsm::new(config.clone());
+    let mut serial = Lsm::new(config.clone());
     let mut driven = Lsm::new(config);
-    driven.set_auto_maintain(false);
     let mut flush = None;
     let mut compaction = None;
     let mut applied_with_both_in_flight = 0;
     for batch in &input {
-        inline.apply(batch);
+        serial.apply(batch);
+        maintain(&mut serial, keep_all);
         driven.apply(batch);
         applied_with_both_in_flight += usize::from(flush.is_some() && compaction.is_some());
         match rng.gen_range(0u32..8) {
@@ -262,21 +262,21 @@ fn job_api_and_inline_maintenance_attribute_identical_bytes() {
     }
     driven.group_commit();
     settle(&mut driven);
-    settle(&mut inline);
+    settle(&mut serial);
 
-    let (i, d) = (inline.metrics(), driven.metrics());
-    assert!(i.compact_count > 10, "the workload never compacted");
-    assert_eq!(i.flush_bytes, d.flush_bytes);
-    assert_eq!(i.flush_count, d.flush_count);
-    assert_eq!(i.compact_bytes_in, d.compact_bytes_in);
-    assert_eq!(i.compact_bytes_out, d.compact_bytes_out);
-    assert_eq!(i.l0_compact_bytes, d.l0_compact_bytes);
-    assert_eq!(i.compact_bytes_per_level, d.compact_bytes_per_level);
-    assert_eq!(i.logical_bytes_written, d.logical_bytes_written);
+    let (s, d) = (serial.metrics(), driven.metrics());
+    assert!(s.compact_count > 10, "the workload never compacted");
+    assert_eq!(s.flush_bytes, d.flush_bytes);
+    assert_eq!(s.flush_count, d.flush_count);
+    assert_eq!(s.compact_bytes_in, d.compact_bytes_in);
+    assert_eq!(s.compact_bytes_out, d.compact_bytes_out);
+    assert_eq!(s.l0_compact_bytes, d.l0_compact_bytes);
+    assert_eq!(s.compact_bytes_per_level, d.compact_bytes_per_level);
+    assert_eq!(s.logical_bytes_written, d.logical_bytes_written);
     // Conservation: a table's bytes are attributed once when it is written
     // (flush or compaction output) and once when a compaction consumes it,
     // so what was written and not consumed is exactly what is resident.
-    for (lsm, m) in [(&inline, i), (&driven, d)] {
+    for (lsm, m) in [(&serial, s), (&driven, d)] {
         assert_eq!(
             m.flush_bytes + m.compact_bytes_out,
             m.compact_bytes_in + lsm.total_bytes() as u64
