@@ -129,7 +129,7 @@ fn cold_start_trace_has_golden_structure() {
     for needle in [
         "sql.node.start/process.init",
         "sql.node.start/systemdb.access",
-        "sql.node.start/catalog.load/kv.send/kv.rpc/kv.serve/storage.mvcc",
+        "sql.node.start/catalog.load/txn.scan/kv.send/kv.rpc/kv.serve/storage.mvcc",
         "sql.node.start/instance.register/kv.send/kv.rpc/kv.serve/replication.quorum",
         "proxy.execute/sql.execute/kv.send",
         // The INSERT's write set lives in one range, so it commits in one

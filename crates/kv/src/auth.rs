@@ -90,9 +90,8 @@ pub fn authorize(
     let tenant = cert.tenant();
     for req in &batch.requests {
         let ok = match batch.routing_span(req) {
-            Some((start, Some(end))) => keys::span_in_tenant(tenant, start, end),
-            Some((key, None)) => keys::in_tenant_span(tenant, key),
-            None => false,
+            (start, Some(end)) => keys::span_in_tenant(tenant, start, end),
+            (key, None) => keys::in_tenant_span(tenant, key),
         };
         if !ok {
             return Err(KvError::Unauthorized);
@@ -106,13 +105,17 @@ mod tests {
     use super::*;
     use crate::batch::RequestKind;
     use crate::hlc::Timestamp;
+    use crate::txn::TxnMeta;
     use bytes::Bytes;
+
+    fn txn(anchor_key: Bytes) -> TxnMeta {
+        TxnMeta { txn_id: 1, anchor_key, start_ts: Timestamp::ZERO, write_ts: Timestamp::ZERO }
+    }
 
     fn batch(tenant: u64, requests: Vec<RequestKind>) -> BatchRequest {
         BatchRequest {
             tenant: TenantId(tenant),
-            read_ts: Timestamp::ZERO,
-            txn: None,
+            txn: txn(keys::make_key(TenantId(tenant), b"anchor")),
             deadline: crdb_util::Deadline::NONE,
             requests,
         }
@@ -159,13 +162,10 @@ mod tests {
     fn system_tenant_bypasses_keyspace_check() {
         let mut ca = CertAuthority::new();
         let cert = ca.issue(TenantId::SYSTEM);
-        let b = BatchRequest {
-            tenant: TenantId::SYSTEM,
-            read_ts: Timestamp::ZERO,
-            txn: None,
-            deadline: crdb_util::Deadline::NONE,
-            requests: vec![RequestKind::Get { key: keys::make_key(TenantId(42), b"k") }],
-        };
+        let b = batch(
+            TenantId::SYSTEM.raw(),
+            vec![RequestKind::Get { key: keys::make_key(TenantId(42), b"k") }],
+        );
         assert!(authorize(&ca, &cert, &b).is_ok());
     }
 
@@ -205,12 +205,8 @@ mod tests {
         }
         // `EndTxn` is checked at its transaction's anchor key.
         let mut b = batch(5, vec![RequestKind::EndTxn { commit: true }]);
-        b.txn = Some(crate::txn::TxnMeta {
-            txn_id: 1,
-            anchor_key: foreign,
-            start_ts: Timestamp::ZERO,
-            write_ts: Timestamp::ZERO,
-        });
+        assert!(authorize(&ca, &cert, &b).is_ok());
+        b.txn = txn(foreign);
         assert_eq!(authorize(&ca, &cert, &b), Err(KvError::Unauthorized));
     }
 }

@@ -6,8 +6,9 @@
 //! [`RequestKind::WriteIntent`] with or without a value, committed by an
 //! [`RequestKind::EndTxn`]. Every write belongs to a transaction: a lone
 //! write is a one-key transaction whose batch carries both, and commits in
-//! one phase in one round trip. A [`BatchRequest`] carries the tenant
-//! identity (checked at the security boundary), an optional transaction,
+//! one phase in one round trip. Every read belongs to one too: it is served
+//! at its transaction's start timestamp. A [`BatchRequest`] carries the
+//! tenant identity (checked at the security boundary), its transaction,
 //! and a list of requests that must all target one tenant's keyspace.
 //! Batches are the unit of admission control and of the estimated-CPU
 //! feature extraction.
@@ -22,7 +23,7 @@ use crate::txn::TxnMeta;
 /// One request within a batch.
 #[derive(Debug, Clone)]
 pub enum RequestKind {
-    /// Point read of `key` at the batch read timestamp.
+    /// Point read of `key` at the transaction's start timestamp.
     Get {
         /// Tenant-prefixed key.
         key: Bytes,
@@ -36,7 +37,7 @@ pub enum RequestKind {
         /// Maximum pairs to return.
         limit: usize,
     },
-    /// Transactional provisional write (requires `txn`); `None` deletes.
+    /// Provisional write of the batch's transaction; `None` deletes.
     WriteIntent {
         /// Tenant-prefixed key.
         key: Bytes,
@@ -148,10 +149,9 @@ impl RequestKind {
 pub struct BatchRequest {
     /// The issuing tenant (must match the presented certificate).
     pub tenant: TenantId,
-    /// Snapshot timestamp for reads.
-    pub read_ts: Timestamp,
-    /// Enclosing transaction, if any.
-    pub txn: Option<TxnMeta>,
+    /// The transaction the batch belongs to. Its start timestamp is the
+    /// snapshot every read of the batch is served at.
+    pub txn: TxnMeta,
     /// The originating caller's deadline, propagated proxy → SQL
     /// coordinator → KV client → node. No layer below may schedule a
     /// retry past it; [`Deadline::NONE`] means unbounded.
@@ -162,13 +162,9 @@ pub struct BatchRequest {
 
 impl BatchRequest {
     /// The keys `req` (one of this batch's requests) routes by: its own
-    /// span, or the transaction's anchor key for `EndTxn`. `None` only
-    /// for an `EndTxn` in a batch without a transaction.
-    pub fn routing_span<'a>(
-        &'a self,
-        req: &'a RequestKind,
-    ) -> Option<(&'a Bytes, Option<&'a Bytes>)> {
-        req.span().or_else(|| self.txn.as_ref().map(|t| (&t.anchor_key, None)))
+    /// span, or the transaction's anchor key for `EndTxn`.
+    pub fn routing_span<'a>(&'a self, req: &'a RequestKind) -> (&'a Bytes, Option<&'a Bytes>) {
+        req.span().unwrap_or((&self.txn.anchor_key, None))
     }
 
     /// Whether the batch is a whole transaction commit in one round trip:
@@ -177,8 +173,7 @@ impl BatchRequest {
     /// of it lands on one range, where the leaseholder evaluates it as a
     /// one-phase commit.
     pub fn is_one_phase_commit(&self) -> bool {
-        self.txn.is_some()
-            && self.requests.iter().all(RequestKind::is_commit_step)
+        self.requests.iter().all(RequestKind::is_commit_step)
             && self.requests.iter().any(|r| matches!(r, RequestKind::EndTxn { .. }))
             && self.requests.iter().any(|r| matches!(r, RequestKind::WriteIntent { .. }))
     }
@@ -311,6 +306,10 @@ mod tests {
     use super::*;
     use crate::keys::make_key;
 
+    fn txn(anchor_key: Bytes) -> TxnMeta {
+        TxnMeta { txn_id: 1, anchor_key, start_ts: Timestamp::ZERO, write_ts: Timestamp::ZERO }
+    }
+
     #[test]
     fn write_classification() {
         let key = make_key(TenantId(2), b"k");
@@ -327,8 +326,7 @@ mod tests {
         let key = make_key(TenantId(2), b"key1");
         let batch = BatchRequest {
             tenant: TenantId(2),
-            read_ts: Timestamp::ZERO,
-            txn: None,
+            txn: txn(key.clone()),
             deadline: Deadline::NONE,
             requests: vec![
                 RequestKind::Get { key: key.clone() },
@@ -378,23 +376,14 @@ mod tests {
             since: Timestamp::ZERO,
         };
         let end = RequestKind::EndTxn { commit: true };
-        let mut batch = BatchRequest {
+        let batch = BatchRequest {
             tenant: TenantId(2),
-            read_ts: Timestamp::ZERO,
-            txn: None,
+            txn: txn(key.clone()),
             deadline: Deadline::NONE,
             requests: vec![refresh, write.clone(), end.clone()],
         };
-        assert_eq!(batch.routing_span(&end), None, "no transaction, no anchor");
-        assert!(!batch.is_one_phase_commit());
-        batch.txn = Some(TxnMeta {
-            txn_id: 1,
-            anchor_key: key.clone(),
-            start_ts: Timestamp::ZERO,
-            write_ts: Timestamp::ZERO,
-        });
-        assert_eq!(batch.routing_span(&end), Some((&key, None)));
-        assert_eq!(batch.routing_span(&write), Some((&key, None)));
+        assert_eq!(batch.routing_span(&end), (&key, None));
+        assert_eq!(batch.routing_span(&write), (&key, None));
         assert!(batch.is_one_phase_commit());
         // The staged protocol's batches are not: no EndTxn, or nothing
         // but it, or an abort, or a stranger among the commit steps.

@@ -5,10 +5,11 @@
 //! authoritative range info every redirect carries, and the client's
 //! network location.
 //!
-//! Besides [`KvClient::send`] it offers three conveniences: [`KvClient::get`]
-//! and [`KvClient::scan`] read outside any transaction, and
-//! [`KvClient::put`] writes one key as a transaction of its own — there is
-//! no write outside a transaction.
+//! Every batch carries its transaction, reads included: a reader builds
+//! one from [`make_txn_meta`] (or through `sql::coord::Txn`), and its
+//! reads are served at that transaction's start timestamp. Besides
+//! [`KvClient::send`] the client offers one convenience, [`KvClient::put`],
+//! which writes one key as a transaction of its own.
 //!
 //! [`KvClient::send`] costs **one RPC per range the batch touches**: it
 //! resolves every request's range (span requests are cut at range
@@ -184,24 +185,6 @@ impl KvClient {
         DispatchState::unit_done(&state); // release the guard
     }
 
-    /// Convenience: non-transactional point read.
-    pub fn get(&self, key: Bytes, cb: impl FnOnce(Result<Option<Bytes>, KvError>) + 'static) {
-        let batch = BatchRequest {
-            tenant: self.inner.cert.tenant(),
-            read_ts: self.inner.cluster.now_ts(),
-            txn: None,
-            deadline: Deadline::NONE,
-            requests: vec![RequestKind::Get { key }],
-        };
-        self.send(batch, move |resp| match resp.error {
-            Some(e) => cb(Err(e)),
-            None => match resp.results.into_iter().next() {
-                Some(ResponseKind::Value(v)) => cb(Ok(v)),
-                _ => cb(Err(KvError::RangeNotFound)),
-            },
-        });
-    }
-
     /// Convenience: a one-key transaction writing `key = value`. Its one
     /// batch carries the write and `EndTxn{commit}`, so the leaseholder
     /// commits it in one phase, in one round trip. It passes every check
@@ -211,8 +194,7 @@ impl KvClient {
         let txn = make_txn_meta(&self.inner.cluster, key.clone());
         let batch = BatchRequest {
             tenant: self.inner.cert.tenant(),
-            read_ts: txn.start_ts,
-            txn: Some(txn),
+            txn,
             deadline: Deadline::NONE,
             requests: vec![
                 RequestKind::WriteIntent { key, value: Some(value) },
@@ -222,30 +204,6 @@ impl KvClient {
         self.send(batch, move |resp| match resp.error {
             Some(e) => cb(Err(e)),
             None => cb(Ok(())),
-        });
-    }
-
-    /// Convenience: snapshot scan.
-    pub fn scan(
-        &self,
-        start: Bytes,
-        end: Bytes,
-        limit: usize,
-        cb: impl FnOnce(Result<Vec<(Bytes, Bytes)>, KvError>) + 'static,
-    ) {
-        let batch = BatchRequest {
-            tenant: self.inner.cert.tenant(),
-            read_ts: self.inner.cluster.now_ts(),
-            txn: None,
-            deadline: Deadline::NONE,
-            requests: vec![RequestKind::Scan { start, end, limit }],
-        };
-        self.send(batch, move |resp| match resp.error {
-            Some(e) => cb(Err(e)),
-            None => match resp.results.into_iter().next() {
-                Some(ResponseKind::Pairs(p)) => cb(Ok(p)),
-                _ => cb(Err(KvError::RangeNotFound)),
-            },
         });
     }
 
@@ -346,7 +304,7 @@ struct Retries {
 /// In-flight state for one client batch.
 struct DispatchState {
     client: KvClient,
-    /// Batch header (tenant, read_ts, txn) without requests.
+    /// Batch header (tenant, txn, deadline) without requests.
     template: BatchRequest,
     /// Per original request index: the responses of its pieces, in
     /// arrival order.
@@ -365,7 +323,7 @@ struct DispatchState {
 
 impl DispatchState {
     fn routing_key(&self, req: &RequestKind) -> Bytes {
-        self.template.routing_span(req).map(|(key, _)| key.clone()).unwrap_or_default()
+        self.template.routing_span(req).0.clone()
     }
 
     /// Routes `pieces` — a whole batch, or one sub-batch being retried —
@@ -517,7 +475,6 @@ impl DispatchState {
         }
         let sub = BatchRequest {
             tenant: self.template.tenant,
-            read_ts: self.template.read_ts,
             txn: self.template.txn.clone(),
             deadline: self.template.deadline,
             requests: pieces.iter().map(|p| p.req.clone()).collect(),

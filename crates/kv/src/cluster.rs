@@ -1001,8 +1001,7 @@ mod tests {
         };
         let batch = |txn: &crate::txn::TxnMeta, requests| BatchRequest {
             tenant,
-            read_ts: txn.start_ts,
-            txn: Some(txn.clone()),
+            txn: txn.clone(),
             deadline: Deadline::NONE,
             requests,
         };

@@ -215,36 +215,39 @@ mod tests {
     use crate::batch::RequestKind;
     use crate::hlc::Timestamp;
     use crate::keys;
+    use crate::txn::TxnMeta;
     use bytes::Bytes;
     use crdb_util::TenantId;
 
+    fn batch(requests: Vec<RequestKind>) -> BatchRequest {
+        let txn = TxnMeta {
+            txn_id: 1,
+            anchor_key: keys::make_key(TenantId(2), b"k0"),
+            start_ts: Timestamp::ZERO,
+            write_ts: Timestamp::ZERO,
+        };
+        BatchRequest { tenant: TenantId(2), txn, deadline: crdb_util::Deadline::NONE, requests }
+    }
+
     fn read_batch(n: usize) -> BatchRequest {
-        BatchRequest {
-            tenant: TenantId(2),
-            read_ts: Timestamp::ZERO,
-            txn: None,
-            deadline: crdb_util::Deadline::NONE,
-            requests: (0..n)
+        batch(
+            (0..n)
                 .map(|i| RequestKind::Get {
                     key: keys::make_key(TenantId(2), format!("k{i}").as_bytes()),
                 })
                 .collect(),
-        }
+        )
     }
 
     fn write_batch(n: usize, value_len: usize) -> BatchRequest {
-        BatchRequest {
-            tenant: TenantId(2),
-            read_ts: Timestamp::ZERO,
-            txn: None,
-            deadline: crdb_util::Deadline::NONE,
-            requests: (0..n)
+        batch(
+            (0..n)
                 .map(|i| RequestKind::WriteIntent {
                     key: keys::make_key(TenantId(2), format!("k{i}").as_bytes()),
                     value: Some(Bytes::from(vec![0u8; value_len])),
                 })
                 .collect(),
-        }
+        )
     }
 
     #[test]
@@ -286,17 +289,11 @@ mod tests {
     }
 
     fn scan_batch(limit: usize) -> BatchRequest {
-        BatchRequest {
-            tenant: TenantId(2),
-            read_ts: Timestamp::ZERO,
-            txn: None,
-            deadline: crdb_util::Deadline::NONE,
-            requests: vec![RequestKind::Scan {
-                start: keys::make_key(TenantId(2), b"a"),
-                end: keys::make_key(TenantId(2), b"z"),
-                limit,
-            }],
-        }
+        batch(vec![RequestKind::Scan {
+            start: keys::make_key(TenantId(2), b"a"),
+            end: keys::make_key(TenantId(2), b"z"),
+            limit,
+        }])
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::mvcc;
 use crate::range::RangeState;
 use crate::timing::TXN_ABANDON_TIMEOUT;
 use crate::tscache::{Bound, TsCache};
-use crate::txn::{TxnMeta, TxnRecord, TxnStatus};
+use crate::txn::{TxnRecord, TxnStatus};
 
 /// Bytes a transaction record adds to a write batch's physical payload.
 const TXN_RECORD_PAYLOAD: usize = 32;
@@ -90,12 +90,9 @@ fn addressed_range<'a>(
     if range.lease.holder != node {
         return Err(KvError::NotLeaseholder(range.into()));
     }
-    let inside = |req| match batch.routing_span(req) {
-        Some((key, end)) => {
-            range.desc.contains(key)
-                && end.is_none_or(|end| end.as_ref() <= range.desc.end.as_ref())
-        }
-        None => false,
+    let inside = |req| {
+        let (key, end) = batch.routing_span(req);
+        range.desc.contains(key) && end.is_none_or(|end| end.as_ref() <= range.desc.end.as_ref())
     };
     if !batch.requests.iter().all(inside) {
         return Err(KvError::RangeKeyMismatch(range.into()));
@@ -379,7 +376,7 @@ impl KvNode {
             return;
         }
         let tenant = batch.tenant;
-        let txn_start = batch.txn.as_ref().map(|t| t.start_ts.to_sim_time()).unwrap_or(now);
+        let txn_start = batch.txn.start_ts.to_sim_time();
         let deadline = (now + dur::secs(30)).min(batch.deadline.time());
         let priority = if tenant.is_system() { Priority::High } else { Priority::Normal };
         let is_write = batch.is_write();
@@ -402,7 +399,7 @@ impl KvNode {
 
     /// The key whose range the batch is addressed to: its first request's.
     fn anchor_key(batch: &BatchRequest) -> Option<&Bytes> {
-        batch.requests.first().and_then(|r| batch.routing_span(r)).map(|(key, _)| key)
+        batch.requests.first().map(|r| batch.routing_span(r).0)
     }
 
     /// Drains admission grants into CPU tasks. Re-schedules itself when a
@@ -676,36 +673,35 @@ impl KvNode {
             inner.directory.record_batch(anchor, written).ok_or(KvError::RangeNotFound)?;
         }
 
-        if let Some(txn) = &batch.txn {
-            // A commit step of a transaction known to have committed is a
-            // replay — the reply was lost and the client sent the
-            // sub-batch again, or fell back to the staged protocol after
-            // a one-phase commit it never heard back from. Ack without
-            // evaluating: applying twice would double the write, and
-            // validating would trip over the transaction's own committed
-            // versions. One that nothing is known of is a first delivery
-            // only while the status table cannot have forgotten it. Past
-            // that it may as well be the replay of a one-phase commit,
-            // which left no record: refuse, evaluating nothing.
-            if batch.requests.iter().all(RequestKind::is_commit_step) {
-                match self.txn_status(cluster, txn.txn_id, txn.write_ts) {
-                    Some(TxnStatus::Committed(_)) => {
-                        return Ok((vec![ResponseKind::Ok; batch.requests.len()], 0));
-                    }
-                    None if ClusterInner::may_have_forgotten(txn.write_ts, self.sim.now()) => {
-                        let refused = &cluster.borrow().degrade.ambiguous_commits;
-                        refused.set(refused.get() + 1);
-                        return Err(KvError::AmbiguousCommit);
-                    }
-                    _ => {}
+        let txn = &batch.txn;
+        // A commit step of a transaction known to have committed is a
+        // replay — the reply was lost and the client sent the sub-batch
+        // again, or fell back to the staged protocol after a one-phase
+        // commit it never heard back from. Ack without evaluating:
+        // applying twice would double the write, and validating would trip
+        // over the transaction's own committed versions. One that nothing
+        // is known of is a first delivery only while the status table
+        // cannot have forgotten it. Past that it may as well be the replay
+        // of a one-phase commit, which left no record: refuse, evaluating
+        // nothing.
+        if batch.requests.iter().all(RequestKind::is_commit_step) {
+            match self.txn_status(cluster, txn.txn_id, txn.write_ts) {
+                Some(TxnStatus::Committed(_)) => {
+                    return Ok((vec![ResponseKind::Ok; batch.requests.len()], 0));
                 }
-            }
-            if batch.is_one_phase_commit() {
-                return self.commit_one_phase(cluster, batch, txn, log);
+                None if ClusterInner::may_have_forgotten(txn.write_ts, self.sim.now()) => {
+                    let refused = &cluster.borrow().degrade.ambiguous_commits;
+                    refused.set(refused.get() + 1);
+                    return Err(KvError::AmbiguousCommit);
+                }
+                _ => {}
             }
         }
+        if batch.is_one_phase_commit() {
+            return self.commit_one_phase(cluster, batch, log);
+        }
 
-        let own_txn = batch.txn.as_ref().map(|t| t.txn_id);
+        let (read_ts, own_txn) = (txn.start_ts, Some(txn.txn_id));
         let mut results = Vec::with_capacity(batch.requests.len());
         let mut write_payload = 0usize;
         let mut refreshed: Vec<(&Bytes, &Bytes)> = Vec::new();
@@ -713,12 +709,12 @@ impl KvNode {
         for req in &batch.requests {
             match req {
                 RequestKind::Get { key } => {
-                    self.check_snapshot(key, None, batch.read_ts)?;
-                    self.ts_cache.borrow_mut().record_read(self.sim.now(), key, batch.read_ts);
-                    match mvcc::get(&self.engine, key, batch.read_ts, own_txn) {
+                    self.check_snapshot(key, None, read_ts)?;
+                    self.ts_cache.borrow_mut().record_read(self.sim.now(), key, read_ts);
+                    match mvcc::get(&self.engine, key, read_ts, own_txn) {
                         mvcc::ReadResult::Value(v) => results.push(ResponseKind::Value(v)),
                         mvcc::ReadResult::Intent(intent) => {
-                            match self.check_intent(cluster, key, &intent, batch.read_ts, log) {
+                            match self.check_intent(cluster, key, &intent, read_ts, log) {
                                 Some(v) => results.push(ResponseKind::Value(v)),
                                 None => {
                                     return Err(KvError::IntentConflict {
@@ -730,28 +726,25 @@ impl KvNode {
                     }
                 }
                 RequestKind::Scan { start, end, limit } => {
-                    self.check_snapshot(start, Some(end), batch.read_ts)?;
+                    self.check_snapshot(start, Some(end), read_ts)?;
                     let (mut pairs, intents) =
-                        mvcc::scan(&self.engine, start, end, batch.read_ts, *limit, own_txn);
+                        mvcc::scan(&self.engine, start, end, read_ts, *limit, own_txn);
                     if !intents.is_empty() {
                         // Try to resolve each via its txn status; any still
                         // pending fails the batch (client retries).
                         for (key, intent) in &intents {
-                            let resolved =
-                                self.check_intent(cluster, key, intent, batch.read_ts, log);
+                            let resolved = self.check_intent(cluster, key, intent, read_ts, log);
                             if resolved.is_none() {
                                 return Err(KvError::IntentConflict { other_txn: intent.txn_id });
                             }
                         }
                         // All resolved: re-scan for a consistent result.
-                        (pairs, _) =
-                            mvcc::scan(&self.engine, start, end, batch.read_ts, *limit, own_txn);
+                        (pairs, _) = mvcc::scan(&self.engine, start, end, read_ts, *limit, own_txn);
                     }
-                    self.record_scan(start, end, *limit, &pairs, batch.read_ts);
+                    self.record_scan(start, end, *limit, &pairs, read_ts);
                     results.push(ResponseKind::Pairs(pairs));
                 }
                 RequestKind::WriteIntent { key, value } => {
-                    let txn = batch.txn.as_ref().ok_or(KvError::TxnAborted)?;
                     let (id, ts, since) = (txn.txn_id, txn.write_ts, txn.start_ts);
                     // An intent must land above every read of its key but
                     // the transaction's own refresh, marked at `ts` itself
@@ -768,7 +761,6 @@ impl KvNode {
                     results.push(ResponseKind::Ok);
                 }
                 RequestKind::EndTxn { commit } => {
-                    let txn = batch.txn.as_ref().ok_or(KvError::TxnAborted)?;
                     // A transaction already aborted by a pusher must not
                     // commit: its intents are gone, so acknowledging the
                     // commit would silently lose the writes.
@@ -801,7 +793,6 @@ impl KvNode {
                     results.push(ResponseKind::Ok);
                 }
                 RequestKind::ResolveIntent { key, commit_ts } => {
-                    let txn = batch.txn.as_ref().ok_or(KvError::TxnAborted)?;
                     // A clean-up never discards a committed write. The
                     // coordinator sends one whenever its commit failed,
                     // and a commit can fail there (deadline, no route
@@ -823,9 +814,7 @@ impl KvNode {
         // that must not land in them. Marked only once the batch went
         // through: a transaction whose commit failed has no reads left to
         // protect.
-        if let Some(txn) = &batch.txn {
-            self.record_spans(&refreshed, txn.write_ts);
-        }
+        self.record_spans(&refreshed, txn.write_ts);
         Ok((results, write_payload))
     }
 
@@ -854,9 +843,9 @@ impl KvNode {
         &self,
         cluster: &Rc<RefCell<ClusterInner>>,
         batch: &BatchRequest,
-        txn: &TxnMeta,
         log: &mut Vec<mvcc::Applied>,
     ) -> Result<(Vec<ResponseKind>, usize), KvError> {
+        let txn = &batch.txn;
         let start_ts = txn.start_ts;
         // A mark at the read timestamp itself is the transaction's own. A
         // pushed commit takes its timestamp from the cluster clock, so that
@@ -916,7 +905,7 @@ impl KvNode {
         end: &Bytes,
         since: Timestamp,
     ) -> Result<(), KvError> {
-        let own_txn = batch.txn.as_ref().map(|t| t.txn_id);
+        let own_txn = Some(batch.txn.txn_id);
         mvcc::refresh_span(&self.engine, start, end, since, own_txn).map_err(|existing| {
             let writes_inside = batch.requests.iter().any(|req| match req {
                 RequestKind::WriteIntent { key, .. } => start <= key && key < end,

@@ -20,10 +20,12 @@ pub const GC_WINDOW: Duration = Duration::from_secs(5);
 /// failure and retried — the client never hangs on a dropped message.
 /// Clamped to the batch deadline's remaining time when one is set.
 ///
-/// Known unhealthy: this is *twice* [`GC_WINDOW`], so a read sent again
-/// after a timeout whose key was overwritten meanwhile is refused
-/// (`SnapshotTooOld`) every time. The protocol wants `GC_WINDOW >=` the
-/// age of the oldest read a node admits; that does not hold.
+/// Known unhealthy: this is *twice* [`GC_WINDOW`], and a read sent again
+/// after a timeout keeps its transaction's timestamp, so one whose key
+/// was overwritten meanwhile is refused (`SnapshotTooOld`) every time.
+/// The protocol wants `GC_WINDOW >=` the age of the oldest read a node
+/// admits; that does not hold. The refusal surfaces as a retryable
+/// statement error — a catalog refresh's too — never as an empty reply.
 pub const RPC_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Cap of the client's routing backoff.

@@ -42,6 +42,21 @@ fn k(t: u64, s: &str) -> Bytes {
     keys::make_key(TenantId(t), s.as_bytes())
 }
 
+/// Reads `key` through `client` in a read-only transaction of its own,
+/// begun now.
+fn get(client: &KvClient, key: Bytes, cb: impl FnOnce(Result<Option<Bytes>, KvError>) + 'static) {
+    let txn = make_txn_meta(client.cluster(), key.clone());
+    let requests = vec![RequestKind::Get { key }];
+    let batch = BatchRequest { tenant: client.cert().tenant(), ..txn_batch(&txn, requests) };
+    client.send(batch, move |resp| {
+        cb(match (resp.error, resp.results.as_slice()) {
+            (Some(e), _) => Err(e),
+            (None, [ResponseKind::Value(v)]) => Ok(v.clone()),
+            (None, other) => panic!("a get answered {other:?}"),
+        })
+    });
+}
+
 #[test]
 fn put_get_roundtrip_over_network() {
     let (sim, cluster) = setup(1);
@@ -52,7 +67,7 @@ fn put_get_roundtrip_over_network() {
     let c2 = client.clone();
     client.put(k(2, "hello"), Bytes::from_static(b"world"), move |r| {
         r.expect("put succeeds");
-        c2.get(k(2, "hello"), move |r| {
+        get(&c2, k(2, "hello"), move |r| {
             *g.borrow_mut() = Some(r.expect("get succeeds"));
         });
     });
@@ -101,7 +116,7 @@ fn unauthorized_cross_tenant_read_rejected_end_to_end() {
 
     // Tenant 2's client asks for tenant 3's key.
     let r = Rc::clone(&result);
-    t2.get(k(3, "secret"), move |res| {
+    get(&t2, k(3, "secret"), move |res| {
         *r.borrow_mut() = Some(res);
     });
     sim.run_for(dur::secs(2));
@@ -133,8 +148,14 @@ fn scan_spanning_split_ranges() {
 
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
-    client.scan(k(2, "row/"), k(2, "row0"), 1000, move |r| {
-        *g.borrow_mut() = Some(r.expect("scan"));
+    let scan = RequestKind::Scan { start: k(2, "row/"), end: k(2, "row0"), limit: 1000 };
+    let reader = make_txn_meta(&cluster, k(2, "row/"));
+    client.send(txn_batch(&reader, vec![scan]), move |resp| {
+        assert_eq!(resp.error, None);
+        match resp.results.into_iter().next() {
+            Some(ResponseKind::Pairs(pairs)) => *g.borrow_mut() = Some(pairs),
+            other => panic!("a scan answers pairs: {other:?}"),
+        }
     });
     sim.run_for(dur::secs(5));
     let rows = got.borrow().clone().expect("scan finished");
@@ -159,8 +180,7 @@ fn transactional_commit_is_atomic_and_isolated() {
     let txn = make_txn_meta(&cluster, k(2, "acct/a"));
     let write = BatchRequest {
         tenant: TenantId(2),
-        read_ts: txn.start_ts,
-        txn: Some(txn.clone()),
+        txn: txn.clone(),
         deadline: Deadline::NONE,
         requests: vec![
             RequestKind::WriteIntent {
@@ -182,8 +202,7 @@ fn transactional_commit_is_atomic_and_isolated() {
             assert!(resp.is_ok(), "intents written: {:?}", resp.error);
             let commit = BatchRequest {
                 tenant: TenantId(2),
-                read_ts: txn2.start_ts,
-                txn: Some(txn2.clone()),
+                txn: txn2.clone(),
                 deadline: Deadline::NONE,
                 requests: vec![RequestKind::EndTxn { commit: true }],
             };
@@ -193,8 +212,7 @@ fn transactional_commit_is_atomic_and_isolated() {
                 assert!(resp.is_ok(), "commit: {:?}", resp.error);
                 let resolve = BatchRequest {
                     tenant: TenantId(2),
-                    read_ts: txn3.start_ts,
-                    txn: Some(txn3.clone()),
+                    txn: txn3.clone(),
                     deadline: Deadline::NONE,
                     requests: vec![
                         RequestKind::ResolveIntent {
@@ -222,7 +240,7 @@ fn transactional_commit_is_atomic_and_isolated() {
     let vals = Rc::new(RefCell::new(std::collections::BTreeMap::new()));
     for key in ["acct/a", "acct/b"] {
         let v = Rc::clone(&vals);
-        client.get(k(2, key), move |r| {
+        get(&client, k(2, key), move |r| {
             v.borrow_mut().insert(key, r.unwrap());
         });
     }
@@ -241,8 +259,7 @@ fn aborted_txn_leaves_no_trace() {
     let txn = make_txn_meta(&cluster, k(2, "key"));
     let write = BatchRequest {
         tenant: TenantId(2),
-        read_ts: txn.start_ts,
-        txn: Some(txn.clone()),
+        txn: txn.clone(),
         deadline: Deadline::NONE,
         requests: vec![RequestKind::WriteIntent {
             key: k(2, "key"),
@@ -256,8 +273,7 @@ fn aborted_txn_leaves_no_trace() {
             assert!(resp.is_ok());
             let abort = BatchRequest {
                 tenant: TenantId(2),
-                read_ts: txn2.start_ts,
-                txn: Some(txn2.clone()),
+                txn: txn2.clone(),
                 deadline: Deadline::NONE,
                 requests: vec![
                     RequestKind::EndTxn { commit: false },
@@ -271,7 +287,7 @@ fn aborted_txn_leaves_no_trace() {
 
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
-    client.get(k(2, "key"), move |r| *g.borrow_mut() = Some(r.unwrap()));
+    get(&client, k(2, "key"), move |r| *g.borrow_mut() = Some(r.unwrap()));
     sim.run_for(dur::secs(2));
     assert_eq!(*got.borrow(), Some(Some(Bytes::from_static(b"original"))));
 }
@@ -284,8 +300,7 @@ fn reader_waits_out_pending_intent_then_sees_commit() {
     let txn = make_txn_meta(&cluster, k(2, "contested"));
     let write = BatchRequest {
         tenant: TenantId(2),
-        read_ts: txn.start_ts,
-        txn: Some(txn.clone()),
+        txn: txn.clone(),
         deadline: Deadline::NONE,
         requests: vec![RequestKind::WriteIntent {
             key: k(2, "contested"),
@@ -300,7 +315,7 @@ fn reader_waits_out_pending_intent_then_sees_commit() {
     let got = Rc::new(RefCell::new(None));
     {
         let g = Rc::clone(&got);
-        client.get(k(2, "contested"), move |r| *g.borrow_mut() = Some(r));
+        get(&client, k(2, "contested"), move |r| *g.borrow_mut() = Some(r));
     }
     {
         let client2 = client.clone();
@@ -308,8 +323,7 @@ fn reader_waits_out_pending_intent_then_sees_commit() {
         sim.schedule_after(dur::ms(20), move || {
             let commit = BatchRequest {
                 tenant: TenantId(2),
-                read_ts: txn2.start_ts,
-                txn: Some(txn2.clone()),
+                txn: txn2.clone(),
                 deadline: Deadline::NONE,
                 requests: vec![RequestKind::EndTxn { commit: true }],
             };
@@ -329,8 +343,7 @@ fn write_write_conflict_surfaces_as_error() {
     let txn1 = make_txn_meta(&cluster, k(2, "hot"));
     let w1 = BatchRequest {
         tenant: TenantId(2),
-        read_ts: txn1.start_ts,
-        txn: Some(txn1.clone()),
+        txn: txn1.clone(),
         deadline: Deadline::NONE,
         requests: vec![RequestKind::WriteIntent {
             key: k(2, "hot"),
@@ -345,8 +358,7 @@ fn write_write_conflict_surfaces_as_error() {
     let txn2 = make_txn_meta(&cluster, k(2, "hot"));
     let w2 = BatchRequest {
         tenant: TenantId(2),
-        read_ts: txn2.start_ts,
-        txn: Some(txn2.clone()),
+        txn: txn2.clone(),
         deadline: Deadline::NONE,
         requests: vec![RequestKind::WriteIntent {
             key: k(2, "hot"),
@@ -390,7 +402,7 @@ fn lease_transfer_redirects_clients() {
     // and still succeed.
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
-    client.get(k(2, "x"), move |r| *g.borrow_mut() = Some(r));
+    get(&client, k(2, "x"), move |r| *g.borrow_mut() = Some(r));
     sim.run_for(dur::secs(10));
     let g = got.borrow().clone();
     match g {
@@ -451,7 +463,7 @@ fn admission_keeps_noisy_neighbor_from_starving_victim() {
             let start = sim2.now();
             let sim3 = sim2.clone();
             let lat = Rc::clone(&lat);
-            victim2.get(k(3, "v"), move |r| {
+            get(&victim2, k(3, "v"), move |r| {
                 r.expect("victim read succeeds");
                 lat.borrow_mut().push(sim3.now().duration_since(start));
             });
@@ -500,7 +512,7 @@ fn crash_leaseholder_mid_run_reroutes_within_retry_budget() {
     cluster.set_node_alive(holder, false);
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
-    client.get(k(2, "x"), move |r| *g.borrow_mut() = Some(r));
+    get(&client, k(2, "x"), move |r| *g.borrow_mut() = Some(r));
     sim.run_for(dur::secs(30));
     match got.borrow().clone() {
         Some(Ok(v)) => assert_eq!(v, Some(Bytes::from_static(b"1"))),
@@ -513,7 +525,7 @@ fn crash_leaseholder_mid_run_reroutes_within_retry_budget() {
     sim.run_for(dur::secs(15));
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
-    client.get(k(2, "x"), move |r| *g.borrow_mut() = Some(r));
+    get(&client, k(2, "x"), move |r| *g.borrow_mut() = Some(r));
     sim.run_for(dur::secs(10));
     assert!(matches!(got.borrow().clone(), Some(Ok(Some(_)))), "reads work after restart");
 }
@@ -545,7 +557,7 @@ fn partition_fails_fast_with_typed_unavailable() {
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
     let s2 = sim.clone();
-    reader.get(k(2, "p"), move |r| *g.borrow_mut() = Some((r, s2.now().duration_since(start))));
+    get(&reader, k(2, "p"), move |r| *g.borrow_mut() = Some((r, s2.now().duration_since(start))));
     sim.run_for(dur::secs(60));
     match got.borrow().clone() {
         Some((Err(KvError::Unavailable), elapsed)) => {
@@ -558,7 +570,7 @@ fn partition_fails_fast_with_typed_unavailable() {
     cluster.topology().heal_all();
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
-    reader.get(k(2, "p"), move |r| *g.borrow_mut() = Some(r));
+    get(&reader, k(2, "p"), move |r| *g.borrow_mut() = Some(r));
     sim.run_for(dur::secs(5));
     assert_eq!(*got.borrow(), Some(Ok(Some(Bytes::from_static(b"v")))));
 }
@@ -578,7 +590,7 @@ fn total_outage_exhausts_retries_into_unavailable() {
     }
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
-    client.get(k(2, "x"), move |r| *g.borrow_mut() = Some(r));
+    get(&client, k(2, "x"), move |r| *g.borrow_mut() = Some(r));
     sim.run_for(dur::secs(120));
     assert_eq!(*got.borrow(), Some(Err(KvError::Unavailable)), "typed error after exhaustion");
 }
@@ -601,13 +613,11 @@ fn deadline_bounds_outage_and_schedules_no_retry_past_it() {
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
     let s2 = sim.clone();
-    let batch = BatchRequest {
-        tenant: TenantId(2),
-        read_ts: cluster.now_ts(),
-        txn: None,
-        deadline: Deadline::at(deadline_at),
-        requests: vec![RequestKind::Get { key: k(2, "x") }],
+    let read = |deadline| BatchRequest {
+        deadline,
+        ..txn_batch(&make_txn_meta(&cluster, k(2, "x")), vec![RequestKind::Get { key: k(2, "x") }])
     };
+    let batch = read(Deadline::at(deadline_at));
     client.send(batch, move |resp| *g.borrow_mut() = Some((resp.error, s2.now())));
     sim.run_for(dur::secs(120));
 
@@ -624,13 +634,7 @@ fn deadline_bounds_outage_and_schedules_no_retry_past_it() {
     // An already-expired deadline never touches the network.
     let g2 = Rc::new(RefCell::new(None));
     let g2c = Rc::clone(&g2);
-    let expired = BatchRequest {
-        tenant: TenantId(2),
-        read_ts: cluster.now_ts(),
-        txn: None,
-        deadline: Deadline::at(sim.now()),
-        requests: vec![RequestKind::Get { key: k(2, "x") }],
-    };
+    let expired = read(Deadline::at(sim.now()));
     client.send(expired, move |resp| *g2c.borrow_mut() = Some(resp.error));
     assert_eq!(
         *g2.borrow(),
@@ -652,8 +656,7 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
     let orphan = make_txn_meta(&cluster, k(2, "x"));
     let write = BatchRequest {
         tenant: TenantId(2),
-        read_ts: orphan.start_ts,
-        txn: Some(orphan.clone()),
+        txn: orphan.clone(),
         deadline: Deadline::NONE,
         requests: vec![RequestKind::WriteIntent {
             key: k(2, "x"),
@@ -668,7 +671,7 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
     let early = Rc::new(RefCell::new(None));
     {
         let e = Rc::clone(&early);
-        client.get(k(2, "x"), move |r| *e.borrow_mut() = Some(r));
+        get(&client, k(2, "x"), move |r| *e.borrow_mut() = Some(r));
     }
     sim.run_for(dur::secs(2));
     assert_eq!(
@@ -683,7 +686,7 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
     let pushed = Rc::new(RefCell::new(None));
     {
         let p = Rc::clone(&pushed);
-        client.get(k(2, "x"), move |r| *p.borrow_mut() = Some(r));
+        get(&client, k(2, "x"), move |r| *p.borrow_mut() = Some(r));
     }
     sim.run_for(dur::secs(5));
     assert_eq!(
@@ -697,8 +700,7 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
     // intents are gone, so an acknowledged commit would lose the writes.
     let end = BatchRequest {
         tenant: TenantId(2),
-        read_ts: orphan.start_ts,
-        txn: Some(orphan.clone()),
+        txn: orphan.clone(),
         deadline: Deadline::NONE,
         requests: vec![RequestKind::EndTxn { commit: true }],
     };
@@ -715,15 +717,10 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
     );
 }
 
-/// A batch of `txn`'s, read at its start timestamp.
+/// A batch of `txn`'s for tenant 2: its reads are served at the
+/// transaction's start timestamp.
 fn txn_batch(txn: &TxnMeta, requests: Vec<RequestKind>) -> BatchRequest {
-    BatchRequest {
-        tenant: TenantId(2),
-        read_ts: txn.start_ts,
-        txn: Some(txn.clone()),
-        deadline: Deadline::NONE,
-        requests,
-    }
+    BatchRequest { tenant: TenantId(2), txn: txn.clone(), deadline: Deadline::NONE, requests }
 }
 
 /// Longer than the transaction status table remembers a finalized
@@ -743,12 +740,12 @@ fn send_and_wait(sim: &Sim, client: &KvClient, batch: BatchRequest) -> Option<Kv
     error.expect("batch answered")
 }
 
-/// Reads `key` outside any transaction and runs the simulation five
+/// Reads `key` in a transaction of its own and runs the simulation five
 /// seconds.
 fn get_and_wait(sim: &Sim, client: &KvClient, key: Bytes) -> Result<Option<Bytes>, KvError> {
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
-    client.get(key, move |r| *g.borrow_mut() = Some(r));
+    get(client, key, move |r| *g.borrow_mut() = Some(r));
     sim.run_for(dur::secs(5));
     let result = got.borrow_mut().take();
     result.expect("get answered")
@@ -826,13 +823,10 @@ fn read_below_the_gc_horizon_is_refused_not_answered_wrong() {
         sim.run_for(dur::secs(1));
     };
     put(b"v1");
-    let snapshot = cluster.now_ts();
-    let read_at_snapshot = || BatchRequest {
-        tenant: TenantId(2),
-        read_ts: snapshot,
-        txn: None,
-        deadline: Deadline::NONE,
-        requests: vec![RequestKind::Get { key: k(2, "x") }, RequestKind::Get { key: k(2, "y") }],
+    let snapshot = make_txn_meta(&cluster, k(2, "x"));
+    let read_at_snapshot = || {
+        let gets = vec![RequestKind::Get { key: k(2, "x") }, RequestKind::Get { key: k(2, "y") }];
+        txn_batch(&snapshot, gets)
     };
     put(b"v2");
     assert_eq!(send_and_wait(&sim, &client, read_at_snapshot()), None, "history still there");
@@ -973,7 +967,7 @@ fn split_plus_lease_move_costs_one_redirect_per_half() {
     for round in 0..20 {
         for key in [left, right] {
             let ok = Rc::clone(&ok);
-            client.get(key.clone(), move |r| {
+            get(&client, key.clone(), move |r| {
                 assert_eq!(r, Ok(Some(Bytes::from_static(b"v"))));
                 *ok.borrow_mut() += 1;
             });
@@ -997,13 +991,7 @@ fn huge_batch_is_one_rpc_and_does_not_overflow_the_stack() {
     let client = client_for(&cluster, TenantId(2));
     let requests: Vec<RequestKind> =
         (0..50_000).map(|i| RequestKind::Get { key: k(2, &format!("bulk/{i:06}")) }).collect();
-    let batch = BatchRequest {
-        tenant: TenantId(2),
-        read_ts: cluster.now_ts(),
-        txn: None,
-        deadline: Deadline::NONE,
-        requests,
-    };
+    let batch = txn_batch(&make_txn_meta(&cluster, k(2, "bulk/")), requests);
     let served: u64 =
         cluster.node_ids().iter().map(|&n| cluster.node(n).unwrap().batches_served.get()).sum();
     let done = Rc::new(RefCell::new(false));
@@ -1456,17 +1444,6 @@ fn serve(sim: &Sim, node: &Rc<KvNode>, cert: &TenantCert, batch: BatchRequest) -
     answered.expect("the node answered")
 }
 
-/// A read of tenant 2 outside any transaction, at `read_ts`.
-fn read_at(read_ts: Timestamp, request: RequestKind) -> BatchRequest {
-    BatchRequest {
-        tenant: TenantId(2),
-        read_ts,
-        txn: None,
-        deadline: Deadline::NONE,
-        requests: vec![request],
-    }
-}
-
 /// `txn`'s one-phase commit of one write: `key = value`.
 fn commit_of(txn: &TxnMeta, key: &Bytes, value: &'static [u8]) -> BatchRequest {
     let write =
@@ -1474,16 +1451,16 @@ fn commit_of(txn: &TxnMeta, key: &Bytes, value: &'static [u8]) -> BatchRequest {
     txn_batch(txn, vec![write, RequestKind::EndTxn { commit: true }])
 }
 
-/// The pairs a scan of `[start, end)` at `read_ts` returns from `node`.
+/// The pairs a scan of `[start, end)` by `reader` returns from `node`.
 fn scan_at(
     sim: &Sim,
     node: &Rc<KvNode>,
     cert: &TenantCert,
     (start, end, limit): (&Bytes, &Bytes, usize),
-    read_ts: Timestamp,
+    reader: &TxnMeta,
 ) -> Vec<(Bytes, Bytes)> {
     let scan = RequestKind::Scan { start: start.clone(), end: end.clone(), limit };
-    let resp = serve(sim, node, cert, read_at(read_ts, scan));
+    let resp = serve(sim, node, cert, txn_batch(reader, vec![scan]));
     assert!(resp.is_ok(), "{:?}", resp.error);
     match resp.results.into_iter().next() {
         Some(ResponseKind::Pairs(pairs)) => pairs,
@@ -1500,19 +1477,20 @@ fn ts_cache_empty_scan_is_not_written_beneath() {
     let (sim, cluster, cert, node) = leaseholder_with(51, 3);
     let (start, end) = (k(2, "p/"), k(2, "p0"));
     let txn = make_txn_meta(&cluster, start.clone());
-    let read_ts = cluster.now_ts();
-    assert!(txn.start_ts < read_ts);
-    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), read_ts), vec![]);
+    let reader = make_txn_meta(&cluster, start.clone());
+    assert!(txn.start_ts < reader.start_ts);
+    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), &reader), vec![]);
 
     let outcome = serve(&sim, &node, &cert, commit_of(&txn, &k(2, "p/x"), b"v")).error;
-    let again = scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), read_ts);
+    let again = scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), &reader);
     assert!(
         again.is_empty(),
         "commit outcome {outcome:?}: a write appeared beneath a finished read"
     );
     assert_eq!(outcome, None, "the commit went through, above the scan");
     assert_eq!(cluster.degrade().commits_pushed.get(), 1);
-    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), cluster.now_ts()).len(), 1);
+    let later = make_txn_meta(&cluster, start.clone());
+    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, usize::MAX), &later).len(), 1);
 }
 
 /// A scan its limit stopped read its span only up to the last key it
@@ -1527,21 +1505,21 @@ fn ts_cache_limited_scan_protects_up_to_its_resume_key() {
     }
     let (before, past) =
         (make_txn_meta(&cluster, k(2, "p/a")), make_txn_meta(&cluster, k(2, "p/c")));
-    let read_ts = cluster.now_ts();
     let (start, end) = (k(2, "p/"), k(2, "p0"));
-    let first = scan_at(&sim, &node, &cert, (&start, &end, 1), read_ts);
+    let reader = make_txn_meta(&cluster, start.clone());
+    let first = scan_at(&sim, &node, &cert, (&start, &end, 1), &reader);
     assert_eq!(first.iter().map(|(key, _)| key.clone()).collect::<Vec<_>>(), vec![k(2, "p/b")]);
 
     for txn in [&before, &past] {
         let outcome = serve(&sim, &node, &cert, commit_of(txn, &txn.anchor_key, b"new"));
         assert_eq!(outcome.error, None);
     }
-    let at_read = |key: &str| mvcc::get(&node.engine, &k(2, key), read_ts, None);
+    let at_read = |key: &str| mvcc::get(&node.engine, &k(2, key), reader.start_ts, None);
     assert_eq!(at_read("p/a"), ReadResult::Value(None), "before the resume key: pushed above");
     assert_eq!(at_read("p/c"), ReadResult::Value(Some(Bytes::from_static(b"new"))), "past it");
     assert_eq!(cluster.degrade().commits_pushed.get(), 1);
     // The limited scan, read again, returns what it returned.
-    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, 1), read_ts), first);
+    assert_eq!(scan_at(&sim, &node, &cert, (&start, &end, 1), &reader), first);
 }
 
 /// A point read that found nothing protects its key like one that found
@@ -1551,13 +1529,14 @@ fn ts_cache_get_of_an_absent_key_is_not_written_beneath() {
     let (sim, cluster, cert, node) = leaseholder_with(53, 3);
     let key = k(2, "g/absent");
     let txn = make_txn_meta(&cluster, key.clone());
-    let read_ts = cluster.now_ts();
-    let get = serve(&sim, &node, &cert, read_at(read_ts, RequestKind::Get { key: key.clone() }));
+    let reader = make_txn_meta(&cluster, key.clone());
+    let read = || txn_batch(&reader, vec![RequestKind::Get { key: key.clone() }]);
+    let get = serve(&sim, &node, &cert, read());
     assert_eq!(get.results, vec![ResponseKind::Value(None)]);
 
     assert_eq!(serve(&sim, &node, &cert, commit_of(&txn, &key, b"v")).error, None);
-    assert_eq!(mvcc::get(&node.engine, &key, read_ts, None), ReadResult::Value(None));
-    let again = serve(&sim, &node, &cert, read_at(read_ts, RequestKind::Get { key }));
+    assert_eq!(mvcc::get(&node.engine, &key, reader.start_ts, None), ReadResult::Value(None));
+    let again = serve(&sim, &node, &cert, read());
     assert_eq!(again.results, vec![ResponseKind::Value(None)]);
 }
 
@@ -1570,8 +1549,9 @@ fn ts_cache_read_by_the_old_leaseholder_survives_a_lease_transfer() {
     let (sim, cluster, cert, old) = leaseholder_with(54, 3);
     let key = k(2, "l/x");
     let txn = make_txn_meta(&cluster, key.clone());
-    let read_ts = cluster.now_ts();
-    let get = serve(&sim, &old, &cert, read_at(read_ts, RequestKind::Get { key: key.clone() }));
+    let reader = make_txn_meta(&cluster, key.clone());
+    let read = txn_batch(&reader, vec![RequestKind::Get { key: key.clone() }]);
+    let get = serve(&sim, &old, &cert, read);
     assert_eq!(get.results, vec![ResponseKind::Value(None)]);
 
     let replicas = cluster.range_of(&key).expect("range").desc.replicas;
@@ -1582,7 +1562,7 @@ fn ts_cache_read_by_the_old_leaseholder_survives_a_lease_transfer() {
     assert_eq!(serve(&sim, &new, &cert, commit_of(&txn, &key, b"v")).error, None);
     assert_eq!(cluster.degrade().commits_pushed.get(), 1, "pushed off its read timestamp");
     for engine in [&old.engine, &new.engine] {
-        assert_eq!(mvcc::get(engine, &key, read_ts, None), ReadResult::Value(None));
+        assert_eq!(mvcc::get(engine, &key, reader.start_ts, None), ReadResult::Value(None));
         assert_eq!(mvcc::get(engine, &key, before_transfer, None), ReadResult::Value(None));
         let latest = mvcc::get(engine, &key, Timestamp::MAX, None);
         assert_eq!(latest, ReadResult::Value(Some(Bytes::from_static(b"v"))));
@@ -1596,8 +1576,9 @@ fn ts_cache_restart_forgets_the_marks_but_not_what_they_protected() {
     let (sim, cluster, cert, node) = leaseholder_with(55, 3);
     let key = k(2, "r/x");
     let txn = make_txn_meta(&cluster, key.clone());
-    let read_ts = cluster.now_ts();
-    let get = serve(&sim, &node, &cert, read_at(read_ts, RequestKind::Get { key: key.clone() }));
+    let reader = make_txn_meta(&cluster, key.clone());
+    let read = txn_batch(&reader, vec![RequestKind::Get { key: key.clone() }]);
+    let get = serve(&sim, &node, &cert, read);
     assert_eq!(get.results, vec![ResponseKind::Value(None)]);
 
     cluster.set_node_alive(node.id, false);
@@ -1651,10 +1632,11 @@ fn ts_cache_pushed_commit_takes_a_timestamp_nobody_else_holds() {
     let (sim, cluster, cert, node) = leaseholder_with(58, 3);
     let key = k(2, "u/x");
     let early = make_txn_meta(&cluster, key.clone());
-    let read_ts = cluster.now_ts();
+    let reader = make_txn_meta(&cluster, key.clone());
     let late = make_txn_meta(&cluster, key.clone());
-    assert_eq!(late.start_ts, read_ts.next(), "issued in the same instant");
-    let get = serve(&sim, &node, &cert, read_at(read_ts, RequestKind::Get { key: key.clone() }));
+    assert_eq!(late.start_ts, reader.start_ts.next(), "issued in the same instant");
+    let read = txn_batch(&reader, vec![RequestKind::Get { key: key.clone() }]);
+    let get = serve(&sim, &node, &cert, read);
     assert!(get.is_ok());
 
     assert_eq!(serve(&sim, &node, &cert, commit_of(&early, &key, b"early")).error, None);
@@ -1687,7 +1669,8 @@ fn ts_cache_pushed_commit_refreshes_its_reads_and_counts_the_conflict() {
     assert!(get.is_ok());
     put(&read);
     let later = RequestKind::Get { key: written.clone() };
-    assert!(serve(&sim, &node, &cert, read_at(cluster.now_ts(), later)).is_ok());
+    let reader = make_txn_meta(&cluster, written.clone());
+    assert!(serve(&sim, &node, &cert, txn_batch(&reader, vec![later])).is_ok());
 
     let refresh = RequestKind::RefreshSpan {
         start: read.clone(),

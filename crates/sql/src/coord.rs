@@ -75,6 +75,9 @@ pub enum SqlError {
     Constraint(String),
     /// Session/transaction state misuse.
     State(String),
+    /// A KV reply that does not answer its batch request for request
+    /// (a count or a kind the batch did not ask for). Not retryable.
+    Malformed(String),
 }
 
 impl fmt::Display for SqlError {
@@ -89,6 +92,7 @@ impl fmt::Display for SqlError {
             SqlError::Unavailable => write!(f, "restart transaction: kv unavailable"),
             SqlError::Constraint(m) => write!(f, "constraint violation: {m}"),
             SqlError::State(m) => write!(f, "invalid state: {m}"),
+            SqlError::Malformed(m) => write!(f, "malformed kv reply: {m}"),
         }
     }
 }
@@ -220,10 +224,6 @@ impl Txn {
         }
     }
 
-    fn deadline(&self) -> Deadline {
-        self.inner.borrow().deadline
-    }
-
     fn tenant(&self) -> crdb_util::TenantId {
         self.inner.borrow().client.cert().tenant()
     }
@@ -255,48 +255,31 @@ impl Txn {
         keys: Vec<Bytes>,
         cb: impl FnOnce(Result<Vec<Option<Bytes>>, SqlError>) + 'static,
     ) {
-        if keys.is_empty() {
-            cb(Ok(Vec::new()));
-            return;
-        }
-        // Partition into buffered hits and KV misses.
-        let mut results: Vec<Option<Option<Bytes>>> = vec![None; keys.len()];
-        let mut miss_idx = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(buffered) = inner.writes.get(key) {
-                    results[i] = Some(buffered.clone());
-                } else {
-                    miss_idx.push(i);
-                }
-            }
-        }
-        if miss_idx.is_empty() {
-            cb(Ok(results.into_iter().map(|r| r.unwrap()).collect()));
-            return;
-        }
-        let (client, read_ts, meta) = {
+        // A buffered write answers its key; the misses go to KV.
+        let (buffered, misses): (Vec<Option<Option<Bytes>>>, Vec<Bytes>) = {
             let mut inner = self.inner.borrow_mut();
-            inner.kv_batches += 1;
-            for &i in &miss_idx {
-                let span = point_span(&keys[i]);
-                inner.reads.push(span);
-            }
-            (inner.client.clone(), inner.meta.start_ts, inner.meta.clone())
+            let buffered: Vec<_> = keys.iter().map(|k| inner.writes.get(k).cloned()).collect();
+            let misses: Vec<Bytes> = keys
+                .iter()
+                .zip(&buffered)
+                .filter(|(_, b)| b.is_none())
+                .map(|(k, _)| k.clone())
+                .collect();
+            inner.reads.extend(misses.iter().map(point_span));
+            (buffered, misses)
         };
+        if misses.is_empty() {
+            cb(Ok(buffered.into_iter().flatten().collect()));
+            return;
+        }
         let requests: Vec<RequestKind> =
-            miss_idx.iter().map(|&i| RequestKind::Get { key: self.prefixed(&keys[i]) }).collect();
-        let batch = BatchRequest {
-            tenant: self.tenant(),
-            read_ts,
-            txn: Some(meta),
-            deadline: self.deadline(),
-            requests,
-        };
+            misses.iter().map(|key| RequestKind::Get { key: self.prefixed(key) }).collect();
+        let sent = requests.len();
+        let batch = self.batch(requests);
+        let client = self.inner.borrow().client.clone();
         let outer = trace::current();
         let span = trace::child("txn.read");
-        span.tag("keys", batch.requests.len());
+        span.tag("keys", sent);
         let _g = span.enter();
         client.send(batch, move |resp| {
             span.end();
@@ -305,13 +288,22 @@ impl Txn {
                 cb(Err(map_kv_error(e)));
                 return;
             }
-            for (slot, r) in miss_idx.into_iter().zip(resp.results) {
-                results[slot] = Some(match r {
-                    ResponseKind::Value(v) => v,
+            let values: Vec<Option<Bytes>> = resp
+                .results
+                .into_iter()
+                .map_while(|r| match r {
+                    ResponseKind::Value(v) => Some(v),
                     _ => None,
-                });
+                })
+                .collect();
+            if values.len() != sent {
+                let got = values.len();
+                cb(Err(SqlError::Malformed(format!("{got} values answer {sent} gets"))));
+                return;
             }
-            cb(Ok(results.into_iter().map(|r| r.unwrap()).collect()));
+            // Each key not buffered takes the next fetched value, in order.
+            let mut fetched = values.into_iter();
+            cb(Ok(buffered.into_iter().map(|b| b.or_else(|| fetched.next()).flatten()).collect()));
         });
     }
 
@@ -324,12 +316,7 @@ impl Txn {
         limit: usize,
         cb: impl FnOnce(Result<Vec<(Bytes, Bytes)>, SqlError>) + 'static,
     ) {
-        let (client, read_ts, meta) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.kv_batches += 1;
-            inner.reads.push((start.clone(), end.clone()));
-            (inner.client.clone(), inner.meta.start_ts, inner.meta.clone())
-        };
+        self.inner.borrow_mut().reads.push((start.clone(), end.clone()));
         let tenant = self.tenant();
         let pstart = self.prefixed(&start);
         let pend = self.prefixed(&end);
@@ -350,13 +337,9 @@ impl Txn {
                 .count();
             limit.saturating_add(buffered_deletes)
         };
-        let batch = BatchRequest {
-            tenant,
-            read_ts,
-            txn: Some(meta),
-            deadline: self.deadline(),
-            requests: vec![RequestKind::Scan { start: pstart, end: pend, limit: kv_limit }],
-        };
+        let batch =
+            self.batch(vec![RequestKind::Scan { start: pstart, end: pend, limit: kv_limit }]);
+        let client = self.inner.borrow().client.clone();
         let outer = trace::current();
         let span = trace::child("txn.scan");
         let _g = span.enter();
@@ -370,7 +353,10 @@ impl Txn {
             // The KV keys lose their tenant prefix by slice, in place.
             let mut pairs = match resp.results.into_iter().next() {
                 Some(ResponseKind::Pairs(p)) => p,
-                _ => Vec::new(),
+                _ => {
+                    cb(Err(SqlError::Malformed("a scan answered no pairs".into())));
+                    return;
+                }
             };
             pairs.retain_mut(|(k, _)| match kvkeys::strip_prefix(tenant, k) {
                 Some(user) => {
@@ -441,7 +427,7 @@ impl Txn {
         span.tag("intents", intent_keys.len());
         let end_span = span.child("commit.end_txn");
         let _g = end_span.enter();
-        client.send(self.commit_batch(whole), move |resp| {
+        client.send(self.batch(whole), move |resp| {
             end_span.end();
             let outcome = match resp.error {
                 None => {
@@ -462,14 +448,13 @@ impl Txn {
         });
     }
 
-    /// A commit-protocol batch of this transaction.
-    fn commit_batch(&self, requests: Vec<RequestKind>) -> BatchRequest {
+    /// A batch of this transaction.
+    fn batch(&self, requests: Vec<RequestKind>) -> BatchRequest {
         let mut inner = self.inner.borrow_mut();
         inner.kv_batches += 1;
         BatchRequest {
             tenant: inner.client.cert().tenant(),
-            read_ts: inner.meta.start_ts,
-            txn: Some(inner.meta.clone()),
+            txn: inner.meta.clone(),
             deadline: inner.deadline,
             requests,
         }
@@ -500,7 +485,7 @@ impl Txn {
         let this = self.clone();
         let intents_span = span.child("commit.intents");
         let _g = intents_span.enter();
-        client.clone().send(self.commit_batch(steps), move |resp| {
+        client.clone().send(self.batch(steps), move |resp| {
             intents_span.end();
             if let Some(e) = resp.error {
                 // Best-effort cleanup of any intents that did land.
@@ -514,7 +499,7 @@ impl Txn {
             let this2 = this.clone();
             let end_span = span.child("commit.end_txn");
             let _g = end_span.enter();
-            let end_txn = this.commit_batch(vec![RequestKind::EndTxn { commit: true }]);
+            let end_txn = this.batch(vec![RequestKind::EndTxn { commit: true }]);
             client.send(end_txn, move |resp| {
                 end_span.end();
                 let outcome = match resp.error {
@@ -553,7 +538,7 @@ impl Txn {
         // Cleanup runs unbounded: resolving intents after an abort or
         // commit must not itself be abandoned mid-way by the caller's
         // deadline, or orphaned intents would block other transactions.
-        let mut batch = self.commit_batch(requests);
+        let mut batch = self.batch(requests);
         batch.deadline = Deadline::NONE;
         client.send(batch, |_resp| {});
     }

@@ -288,14 +288,15 @@ impl SqlNode {
             let node2 = Rc::clone(&node);
             node.sim.schedule_after(sys_latency, move || {
                 sys_span.end();
-                // Real catalog load: scan persisted descriptors.
+                // Real catalog load: scan persisted descriptors (a load
+                // that fails is not fatal, see `load_catalog`).
                 let catalog_span = span.child("catalog.load");
                 let node3 = Rc::clone(&node2);
                 let span2 = span.clone();
                 let _scope = catalog_span.enter();
                 node2.load_catalog({
                     let catalog_span = catalog_span.clone();
-                    move || {
+                    move |_| {
                         catalog_span.end();
                         // Register this instance for DistSQL discovery.
                         let reg_span = span2.child("instance.register");
@@ -338,42 +339,41 @@ impl SqlNode {
         });
     }
 
-    fn load_catalog(self: &Rc<Self>, cb: impl FnOnce() + 'static) {
+    /// Loads the persisted table descriptors and statistics (which feed
+    /// the cost-based planner) from one snapshot: one read-only
+    /// transaction scans `desc/`, then `tstat/`. Only when both reads
+    /// succeed is anything installed; otherwise `cb` gets the failed
+    /// read's error and the catalog is as it was. A refresh on
+    /// `UnknownTable` fails its statement with that error. A cold start
+    /// ignores it: the node becomes Ready, and its first statement that
+    /// meets `UnknownTable` refreshes again.
+    fn load_catalog(self: &Rc<Self>, cb: impl FnOnce(Result<(), SqlError>) + 'static) {
         let node = Rc::clone(self);
-        self.client.scan(
-            crdb_kv::keys::make_key(self.tenant, b"desc/"),
-            crdb_kv::keys::make_key(self.tenant, b"desc0"),
-            usize::MAX,
-            move |pairs| {
-                if let Ok(pairs) = pairs {
-                    let mut catalog = node.catalog.borrow_mut();
-                    for (_, v) in pairs {
-                        if let Some(desc) = TableDescriptor::decode(&v) {
-                            catalog.install(desc);
-                        }
-                    }
+        let txn = Txn::begin(&self.client);
+        let snapshot = txn.clone();
+        let (desc_start, desc_end) = (Bytes::from_static(b"desc/"), Bytes::from_static(b"desc0"));
+        txn.scan(desc_start, desc_end, usize::MAX, move |descs| {
+            let descs = match descs {
+                Ok(pairs) => pairs,
+                Err(e) => return cb(Err(e)),
+            };
+            let (start, end) = (rowcodec::stats_span_start(), rowcodec::stats_span_end());
+            snapshot.scan(start, end, usize::MAX, move |stats| {
+                let stats = match stats {
+                    Ok(pairs) => pairs,
+                    Err(e) => return cb(Err(e)),
+                };
+                let mut catalog = node.catalog.borrow_mut();
+                for desc in descs.iter().filter_map(|(_, v)| TableDescriptor::decode(v)) {
+                    catalog.install(desc);
                 }
-                // Table statistics live beside the descriptors and feed the
-                // cost-based planner; load them in the same refresh.
-                let node2 = Rc::clone(&node);
-                node.client.scan(
-                    crdb_kv::keys::make_key(node.tenant, &rowcodec::stats_span_start()),
-                    crdb_kv::keys::make_key(node.tenant, &rowcodec::stats_span_end()),
-                    usize::MAX,
-                    move |pairs| {
-                        if let Ok(pairs) = pairs {
-                            let mut catalog = node2.catalog.borrow_mut();
-                            for (_, v) in pairs {
-                                if let Some(stats) = TableStatistics::decode(&v) {
-                                    catalog.install_stats(stats);
-                                }
-                            }
-                        }
-                        cb();
-                    },
-                );
-            },
-        );
+                for stats in stats.iter().filter_map(|(_, v)| TableStatistics::decode(v)) {
+                    catalog.install_stats(stats);
+                }
+                drop(catalog);
+                cb(Ok(()));
+            });
+        });
     }
 
     /// Writes this node's `system.sql_instances` row — into its own
@@ -579,9 +579,12 @@ impl SqlNode {
                 // The table may have been created by another SQL node since
                 // this node loaded its catalog: refresh the descriptors
                 // (the analogue of a descriptor-lease refresh) and retry.
+                // A refresh that fails reports why: planning against the
+                // catalog it could not update would blame the table.
                 let node = Rc::clone(self);
-                self.load_catalog(move || {
-                    node.execute_statement(session, stmt, params, deadline, 1, cb);
+                self.load_catalog(move |loaded| match loaded {
+                    Ok(()) => node.execute_statement(session, stmt, params, deadline, 1, cb),
+                    Err(e) => cb(Err(e)),
                 });
                 return;
             }
@@ -629,7 +632,6 @@ impl SqlNode {
                     ..Default::default()
                 }));
             }
-            Plan::Begin | Plan::Commit | Plan::Rollback => unreachable!("handled above"),
             other => {
                 // Query / DML.
                 let (txn, autocommit) = {
@@ -793,23 +795,19 @@ impl SqlNode {
         });
     }
 
-    /// `ANALYZE <table>`: streams the primary index in chunks, collecting
-    /// row count, average key/value bytes, and per-index distinct-prefix
-    /// counts, then persists the result under `tstat/<table_id>` and
-    /// installs it in the catalog for the cost-based planner.
+    /// `ANALYZE <table>`: streams the primary index in chunks through one
+    /// read-only transaction, so the statistics describe one snapshot of
+    /// the table: row count, average key/value bytes, and per-index
+    /// distinct-prefix counts. Then persists the result under
+    /// `tstat/<table_id>` and installs it in the catalog for the
+    /// cost-based planner.
     fn analyze_table(
         self: &Rc<Self>,
         table: TableDescriptor,
         cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
     ) {
-        let start = crdb_kv::keys::make_key(
-            self.tenant,
-            &rowcodec::index_prefix(table.id, crate::schema::PRIMARY_INDEX_ID).freeze(),
-        );
-        let end = crdb_kv::keys::make_key(
-            self.tenant,
-            &rowcodec::index_prefix_end(table.id, crate::schema::PRIMARY_INDEX_ID),
-        );
+        let start = rowcodec::index_prefix(table.id, crate::schema::PRIMARY_INDEX_ID).freeze();
+        let end = rowcodec::index_prefix_end(table.id, crate::schema::PRIMARY_INDEX_ID);
         let acc = Rc::new(RefCell::new(AnalyzeAcc {
             row_count: 0,
             key_bytes: 0,
@@ -819,12 +817,14 @@ impl SqlNode {
             distinct: BTreeMap::new(),
             row: Vec::new(),
         }));
-        self.analyze_chunk(table, start, end, acc, cb);
+        self.analyze_chunk(Txn::begin(&self.client), table, start, end, acc, cb);
     }
 
-    /// One ANALYZE scan chunk; recurses until the span is exhausted.
+    /// One ANALYZE scan chunk of `snapshot`; recurses until the span is
+    /// exhausted.
     fn analyze_chunk(
         self: &Rc<Self>,
+        snapshot: Txn,
         table: TableDescriptor,
         start: Bytes,
         end: Bytes,
@@ -832,11 +832,12 @@ impl SqlNode {
         cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
     ) {
         let node = Rc::clone(self);
-        self.client.scan(start, end.clone(), ANALYZE_CHUNK, move |pairs| {
+        let txn = snapshot.clone();
+        snapshot.scan(start, end.clone(), ANALYZE_CHUNK, move |pairs| {
             let pairs = match pairs {
                 Ok(p) => p,
                 Err(e) => {
-                    cb(Err(SqlError::Kv(e)));
+                    cb(Err(e));
                     return;
                 }
             };
@@ -854,25 +855,20 @@ impl SqlNode {
                     }
                 }
                 for (k, v) in &pairs {
-                    // The raw client scan returns tenant-prefixed keys.
-                    let Some(user_key) = crdb_kv::keys::strip_prefix(node.tenant, k) else {
-                        continue;
-                    };
-                    if !rowcodec::decode_row_into(&table, &user_key, v, Some(&indexed), &mut a.row)
-                    {
+                    if !rowcodec::decode_row_into(&table, k, v, Some(&indexed), &mut a.row) {
                         continue;
                     }
                     a.row_count += 1;
-                    a.key_bytes += user_key.len() as u64;
+                    a.key_bytes += k.len() as u64;
                     a.value_bytes += v.len() as u64;
-                    let prefix_ends = rowcodec::primary_key_prefix_ends(&table, &user_key);
+                    let prefix_ends = rowcodec::primary_key_prefix_ends(&table, k);
                     for (runs, end) in a.primary_runs.iter_mut().zip(prefix_ends) {
-                        let prefix = user_key.get(..end);
+                        let prefix = k.get(..end);
                         if a.last_key.as_ref().is_none_or(|last| last.get(..end) != prefix) {
                             *runs += 1;
                         }
                     }
-                    a.last_key = Some(user_key);
+                    a.last_key = Some(k.clone());
                     for idx in &table.indexes {
                         for plen in 1..=idx.columns.len() {
                             let datums: Vec<crate::value::Datum> =
@@ -891,7 +887,7 @@ impl SqlNode {
                 }
             }
             match next_start {
-                Some(ns) if !done => node.analyze_chunk(table, ns, end, acc, cb),
+                Some(ns) if !done => node.analyze_chunk(txn, table, ns, end, acc, cb),
                 _ => node.finish_analyze(table, acc, cb),
             }
         });

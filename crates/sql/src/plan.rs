@@ -294,20 +294,14 @@ pub enum Plan {
         /// Indented plan-tree lines with integer cost annotations.
         lines: Vec<String>,
     },
-    /// BEGIN.
-    Begin,
-    /// COMMIT.
-    Commit,
-    /// ROLLBACK.
-    Rollback,
 }
 
 /// Plans a parsed statement against a catalog.
 pub fn plan_statement(catalog: &mut Catalog, stmt: &Statement) -> Result<Plan, SqlError> {
     match stmt {
-        Statement::Begin => Ok(Plan::Begin),
-        Statement::Commit => Ok(Plan::Commit),
-        Statement::Rollback => Ok(Plan::Rollback),
+        Statement::Begin | Statement::Commit | Statement::Rollback => {
+            Err(SqlError::Plan("transaction control is run by the session, not planned".into()))
+        }
         Statement::CreateTable { name, columns, primary_key } => {
             if catalog.table(name).is_some() {
                 return Err(SqlError::Plan(format!("table {name} already exists")));

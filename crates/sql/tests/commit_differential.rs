@@ -385,22 +385,24 @@ fn flap_replies(sim: &Sim, cluster: &KvCluster, to: RegionId, seed: u64, on: &Rc
     step(sim.clone(), cluster.topology(), to, SmallRng::seed_from_u64(seed), Rc::clone(on));
 }
 
-/// Reads `key` outside any transaction.
+/// Reads `key` in a read-only transaction of its own.
 fn read_now(sim: &Sim, client: &KvClient, key: &Bytes) -> i64 {
     let out = Rc::new(RefCell::new(None));
     let o = Rc::clone(&out);
-    client.get(keys::make_key(TENANT, key), move |r| *o.borrow_mut() = Some(r.expect("get")));
+    let read = move |r: Result<Vec<_>, _>| *o.borrow_mut() = Some(r.expect("read"));
+    Txn::begin(client).read_many(vec![key.clone()], read);
     sim.run_for(dur::secs(5));
     let v = out.borrow_mut().take().expect("read finished");
-    num(&v)
+    num(&v[0])
 }
 
-/// Scans `[start, end)` (tenant keys) outside any transaction.
-fn scan_now(sim: &Sim, client: &KvClient, (start, end): (&Bytes, &Bytes)) -> Vec<(Bytes, Bytes)> {
+/// Scans `[start, end)` in a read-only transaction of its own.
+fn scan_now(sim: &Sim, client: &KvClient, (start, end): (&[u8], &[u8])) -> Vec<(Bytes, Bytes)> {
     let out = Rc::new(RefCell::new(None));
     let o = Rc::clone(&out);
-    let (start, end) = (start.clone(), end.clone());
-    client.scan(start, end, usize::MAX, move |r| *o.borrow_mut() = Some(r.expect("scan")));
+    let (start, end) = (Bytes::copy_from_slice(start), Bytes::copy_from_slice(end));
+    let scan = move |r: Result<Vec<_>, _>| *o.borrow_mut() = Some(r.expect("scan"));
+    Txn::begin(client).scan(start, end, usize::MAX, scan);
     sim.run_for(dur::secs(5));
     let rows = out.borrow_mut().take();
     rows.expect("scan finished")
@@ -508,7 +510,7 @@ fn check_run(seed: u64, lost_replies: bool) {
     }
     let sum: i64 = (0..ACCOUNTS).map(|i| read_now(&sim, &clients[0], &acct(i))).sum();
     assert_eq!(sum, ACCOUNTS as i64 * OPENING_BALANCE);
-    let rows = scan_now(&sim, &clients[0], (&inserted(INSERTED.0), &inserted(INSERTED.1)));
+    let rows = scan_now(&sim, &clients[0], INSERTED);
     assert_serial(&rows);
     assert!(t2.inserts.admits(rows.len() as u64), "{} rows inserted", rows.len());
     assert_no_intents(&cluster);
@@ -854,8 +856,7 @@ fn batch_addressed_across_a_range_boundary_is_rejected_whole() {
     let put = |key: &Bytes| RequestKind::WriteIntent { key: key.clone(), value: Some(val(-1)) };
     let batch = BatchRequest {
         tenant: TENANT,
-        read_ts: txn.start_ts,
-        txn: Some(txn),
+        txn,
         deadline: Deadline::NONE,
         requests: vec![put(&pleft), put(&pright)],
     };

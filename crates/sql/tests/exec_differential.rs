@@ -23,7 +23,6 @@ use std::rc::Rc;
 use bytes::Bytes;
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
-use crdb_kv::keys;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_sql::coord::Txn;
 use crdb_sql::exec::{self, ExecStats, QueryOutput};
@@ -94,11 +93,10 @@ impl Harness {
     fn stored(&self) -> BTreeMap<Bytes, Bytes> {
         let slot = Rc::new(RefCell::new(None));
         let s = Rc::clone(&slot);
-        let (start, end) = (keys::make_key(TENANT, b"tbl/"), keys::make_key(TENANT, b"tbl0"));
-        self.client.scan(start, end, usize::MAX, move |r| *s.borrow_mut() = Some(r));
+        let (start, end) = (Bytes::from_static(b"tbl/"), Bytes::from_static(b"tbl0"));
+        Txn::begin(&self.client).scan(start, end, usize::MAX, move |r| *s.borrow_mut() = Some(r));
         let pairs = wait_for(&self.sim, &slot, "scan of every table").expect("scan");
-        let strip = |(k, v): (Bytes, Bytes)| (keys::strip_prefix(TENANT, &k).expect("own key"), v);
-        pairs.into_iter().map(strip).collect()
+        pairs.into_iter().collect()
     }
 
     /// Runs `sql` through the executor (inside `txn`) and through the

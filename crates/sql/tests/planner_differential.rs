@@ -359,6 +359,44 @@ fn analyze_then_ddl_staleness_is_safe() {
     check_differential(&f, "SELECT * FROM t WHERE a = 2", vec![]);
 }
 
+/// Regression: ANALYZE read each 1,024-pair chunk at its own timestamp,
+/// so rows a transaction begun after it committed while it streamed were
+/// counted when they lay past the chunks already read. Its statistics
+/// described no single version of the table; now they describe the one
+/// ANALYZE began at.
+#[test]
+fn analyze_describes_one_snapshot_under_concurrent_inserts() {
+    let f = setup(24);
+    exec(&f, "CREATE TABLE t (k INT PRIMARY KEY, v INT)");
+    let rows: Vec<String> = (0..3_000).map(|i| format!("({i}, {i})")).collect();
+    for chunk in rows.chunks(100) {
+        exec(&f, &format!("INSERT INTO t VALUES {}", chunk.join(", ")));
+    }
+    let writer = f.node.open_session("writer").unwrap();
+    let finished = Rc::new(RefCell::new(Vec::new()));
+    let analyzed = Rc::new(RefCell::new(None));
+    let (done, out) = (Rc::clone(&finished), Rc::clone(&analyzed));
+    f.node.execute(f.session, "ANALYZE t", vec![], move |r| {
+        done.borrow_mut().push("analyze");
+        *out.borrow_mut() = Some(r);
+    });
+    // Begun after ANALYZE took its snapshot, past its first chunk.
+    let done = Rc::clone(&finished);
+    let insert = "INSERT INTO t VALUES (5000, 0), (5001, 0), (5002, 0)";
+    f.node.execute(writer, insert, vec![], move |r| {
+        r.expect("insert");
+        done.borrow_mut().push("insert");
+    });
+    f.sim.run_for(dur::secs(60));
+    assert_eq!(*finished.borrow(), ["insert", "analyze"], "committed while ANALYZE streamed");
+    let analyzed = analyzed.borrow_mut().take().expect("ANALYZE answered");
+    assert_eq!(analyzed.expect("ANALYZE").rows_affected, 3_000);
+    let catalog = f.node.catalog();
+    let id = catalog.borrow().table("t").expect("table").id;
+    assert_eq!(catalog.borrow().stats(id).expect("stats").row_count, 3_000);
+    assert_eq!(exec(&f, "ANALYZE t").rows_affected, 3_003, "a later ANALYZE counts them");
+}
+
 /// ANALYZE counts a primary-key prefix when it differs from the previous
 /// row's (the scan arrives in key order) and a secondary-index prefix
 /// through a set; both must be the number of distinct prefixes, however

@@ -345,6 +345,19 @@ fn cold_start_is_subsecond_single_region() {
     assert!(cold > dur::ms(10), "cold start does real work: {cold:?}");
 }
 
+/// A second SQL node of `f`'s tenant, started now, with a session open.
+fn second_node(f: &Fixture) -> Fixture {
+    let cert = f.cluster.create_tenant(TenantId(2));
+    let client = KvClient::new(f.cluster.clone(), cert, Location::new(RegionId(0), 0));
+    let node = SqlNode::new(&f.sim, SqlInstanceId(2), client, SqlNodeConfig::default());
+    let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
+    node.start(&system_db, || {});
+    f.sim.run_for(dur::secs(5));
+    assert_eq!(node.state(), NodeState::Ready);
+    let session = node.open_session("u").unwrap();
+    Fixture { sim: f.sim.clone(), cluster: f.cluster.clone(), node, session }
+}
+
 #[test]
 fn catalog_survives_node_restart() {
     let f = setup(11);
@@ -352,17 +365,8 @@ fn catalog_survives_node_restart() {
     exec(&f, "INSERT INTO persistent VALUES (1, 42)");
 
     // A second node for the same tenant loads the descriptor from KV.
-    let cluster = f.node.kv_client().cluster().clone();
-    let cert = cluster.create_tenant(TenantId(2));
-    let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(0), 0));
-    let node2 = SqlNode::new(&f.sim, SqlInstanceId(2), client, SqlNodeConfig::default());
-    let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
-    node2.start(&system_db, || {});
-    f.sim.run_for(dur::secs(5));
-    assert_eq!(node2.state(), NodeState::Ready);
-    let session2 = node2.open_session("u").unwrap();
-    let f2 =
-        Fixture { sim: f.sim.clone(), cluster: f.cluster.clone(), node: node2, session: session2 };
+    let cluster = f.cluster.clone();
+    let f2 = second_node(&f);
     let got = exec(&f2, "SELECT v FROM persistent WHERE id = 1");
     assert_eq!(got.rows[0][0], Datum::Int(42));
 
@@ -385,6 +389,34 @@ fn catalog_survives_node_restart() {
     let err = try_exec(&f2, "SELECT * FROM nobody").unwrap_err();
     assert_eq!(err, SqlError::UnknownTable("nobody".into()));
     assert_eq!(reads() - before, 2, "exactly one catalog refresh");
+}
+
+/// Regression: a catalog refresh whose reads failed was dropped, and the
+/// statement planned again against the catalog it had, so a node cut off
+/// from KV answered `UnknownTable` for a table that exists. The failed
+/// read is the statement's error — retryable — and nothing is installed.
+#[test]
+fn catalog_refresh_that_cannot_reach_kv_fails_retryably() {
+    let f = setup(16);
+    let f2 = second_node(&f);
+    exec(&f, "CREATE TABLE later (id INT PRIMARY KEY, v INT)");
+    exec(&f, "INSERT INTO later VALUES (7, 70)");
+
+    let set_alive = |alive| {
+        for id in f.cluster.node_ids() {
+            f.cluster.set_node_alive(id, alive);
+        }
+    };
+    set_alive(false);
+    let err = try_exec(&f2, "SELECT v FROM later WHERE id = 7").unwrap_err();
+    assert_eq!(err, SqlError::Unavailable, "{err}");
+    assert!(err.is_retryable());
+    assert!(f2.node.catalog().borrow().table("later").is_none(), "nothing installed");
+
+    set_alive(true);
+    f.sim.run_for(dur::secs(30));
+    let got = exec(&f2, "SELECT v FROM later WHERE id = 7");
+    assert_eq!(got.rows, vec![vec![Datum::Int(70)]]);
 }
 
 #[test]
