@@ -17,8 +17,8 @@ use crdb_util::time::SimTime;
 use crdb_util::{Histogram, TenantId};
 
 use crate::queue::{Priority, WorkItem, WorkQueue};
-use crate::slots::{SlotConfig, SlotController};
-use crate::write::{WriteConfig, WriteController};
+use crate::slots::SlotController;
+use crate::write::WriteController;
 
 /// Which resource an operation consumes first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,29 +32,8 @@ pub enum WorkClass {
 /// Half-life of the tenant-fairness consumption signal.
 const FAIRNESS_HALF_LIFE: Duration = Duration::from_secs(5);
 
-/// Controller configuration.
-#[derive(Debug, Clone)]
-pub struct AdmissionConfig {
-    /// Master switch — the "No Limits" baseline of Table 1 disables it.
-    pub enabled: bool,
-    /// CPU slot controller tuning.
-    pub slots: SlotConfig,
-    /// Write controller tuning.
-    pub write: WriteConfig,
-    /// Initial slot count.
-    pub initial_slots: usize,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            enabled: true,
-            slots: SlotConfig::default(),
-            write: WriteConfig::default(),
-            initial_slots: 16,
-        }
-    }
-}
+/// CPU slots a controller starts with, before its first AIMD tick.
+const INITIAL_SLOTS: usize = 16;
 
 enum Pending<T> {
     Read(T),
@@ -81,7 +60,9 @@ struct QueuedMeta {
 
 /// The per-node admission controller.
 pub struct AdmissionController<T> {
-    config: AdmissionConfig,
+    /// Whether admission enforces; the "No Limits" baseline of Table 1
+    /// disables it and every operation is granted on arrival.
+    enabled: bool,
     cq: WorkQueue<(Pending<T>, QueuedMeta)>,
     wq: WorkQueue<(Pending<T>, QueuedMeta)>,
     /// A write stalled at the head of the WQ waiting for tokens. Holding it
@@ -97,17 +78,15 @@ pub struct AdmissionController<T> {
 }
 
 impl<T> AdmissionController<T> {
-    /// Creates a controller.
-    pub fn new(config: AdmissionConfig) -> Self {
-        let slots = SlotController::new(config.slots.clone(), config.initial_slots);
-        let write = WriteController::new(config.write.clone());
+    /// Creates a controller, enforcing or not.
+    pub fn new(enabled: bool) -> Self {
         AdmissionController {
+            enabled,
             cq: WorkQueue::new(FAIRNESS_HALF_LIFE),
             wq: WorkQueue::new(FAIRNESS_HALF_LIFE),
             wq_head: None,
-            slots,
-            write,
-            config,
+            slots: SlotController::new(INITIAL_SLOTS),
+            write: WriteController::new(),
             wait_hist: Histogram::new(),
             granted: 0,
         }
@@ -115,7 +94,7 @@ impl<T> AdmissionController<T> {
 
     /// Whether admission control is enforcing.
     pub fn enabled(&self) -> bool {
-        self.config.enabled
+        self.enabled
     }
 
     /// Submits a read operation.
@@ -177,7 +156,7 @@ impl<T> AdmissionController<T> {
                 Pending::Write { bytes, .. } => *bytes,
                 Pending::Read(_) => 0.0,
             };
-            if self.config.enabled && self.write.try_admit(now, bytes).is_err() {
+            if self.enabled && self.write.try_admit(now, bytes).is_err() {
                 self.wq_head = Some(item);
                 break;
             }
@@ -187,7 +166,7 @@ impl<T> AdmissionController<T> {
 
         // Stage 2: CQ grants, gated on CPU slots.
         loop {
-            if self.config.enabled && self.slots.available() == 0 {
+            if self.enabled && self.slots.available() == 0 {
                 if !self.cq.is_empty() {
                     // Work is waiting on slots: signal saturation to AIMD.
                     self.slots.try_acquire();
@@ -198,7 +177,7 @@ impl<T> AdmissionController<T> {
                 None => break,
                 Some(i) => i,
             };
-            if self.config.enabled {
+            if self.enabled {
                 let ok = self.slots.try_acquire();
                 debug_assert!(ok);
             }
@@ -227,7 +206,7 @@ impl<T> AdmissionController<T> {
         requested_bytes: f64,
         actual_bytes: Option<f64>,
     ) {
-        if self.config.enabled {
+        if self.enabled {
             self.slots.release();
         }
         self.cq.record_consumption(now, tenant, cpu_seconds);
@@ -292,66 +271,57 @@ impl<T> AdmissionController<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::write::INITIAL_RATE;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
     }
 
-    fn config(slots: usize) -> AdmissionConfig {
-        AdmissionConfig {
-            initial_slots: slots,
-            slots: SlotConfig { min_slots: 1, max_slots: 1024 },
-            ..Default::default()
-        }
+    fn read_req<T>(c: &mut AdmissionController<T>, now: f64, tenant: u64, tag: T) {
+        c.request_read(t(now), TenantId(tenant), Priority::Normal, t(now), SimTime::MAX, tag);
     }
 
-    fn read_req(
-        c: &mut AdmissionController<&'static str>,
-        now: f64,
-        tenant: u64,
-        tag: &'static str,
-    ) {
-        c.request_read(t(now), TenantId(tenant), Priority::Normal, t(now), SimTime::MAX, tag);
+    /// Takes all but `free` of the initial slots with reads of tenant 9
+    /// that never complete.
+    fn hold_slots(c: &mut AdmissionController<&'static str>, free: usize) {
+        for _ in free..INITIAL_SLOTS {
+            read_req(c, 0.0, 9, "held");
+        }
+        assert_eq!(c.poll(t(0.0)).len(), INITIAL_SLOTS - free);
     }
 
     #[test]
     fn reads_grant_up_to_slot_limit() {
-        let mut c = AdmissionController::new(config(2));
-        for tag in ["a", "b", "c"] {
+        let mut c = AdmissionController::new(true);
+        for tag in 0..=INITIAL_SLOTS {
             read_req(&mut c, 0.0, 2, tag);
         }
         let grants = c.poll(t(0.0));
-        assert_eq!(grants.len(), 2, "two slots");
+        assert_eq!(grants.len(), INITIAL_SLOTS, "one grant per slot");
         assert_eq!(c.queue_len(), 1);
         c.complete(t(1.0), TenantId(2), WorkClass::Read, 0.1, 0.0, None);
         let grants = c.poll(t(1.0));
         assert_eq!(grants.len(), 1);
-        assert_eq!(grants[0].payload, "c");
+        assert_eq!(grants[0].payload, INITIAL_SLOTS);
     }
 
     #[test]
     fn disabled_controller_grants_everything() {
-        let mut c = AdmissionController::new(AdmissionConfig {
-            enabled: false,
-            initial_slots: 1,
-            ..Default::default()
-        });
-        for tag in ["a", "b", "c", "d"] {
-            read_req(&mut c, 0.0, 2, tag);
+        let mut c = AdmissionController::new(false);
+        for _ in 0..2 * INITIAL_SLOTS {
+            read_req(&mut c, 0.0, 2, "r");
         }
         c.request_write(t(0.0), TenantId(2), Priority::Normal, t(0.0), SimTime::MAX, 1e12, "w");
         let grants = c.poll(t(0.0));
-        assert_eq!(grants.len(), 5, "no limits");
+        assert_eq!(grants.len(), 2 * INITIAL_SLOTS + 1, "no limits");
     }
 
     #[test]
     fn writes_wait_for_tokens_then_cpu() {
-        let mut cfg = config(4);
-        cfg.write.initial_rate = 1000.0;
-        cfg.write.burst_seconds = 1.0;
-        let mut c = AdmissionController::new(cfg);
-        c.request_write(t(0.0), TenantId(2), Priority::Normal, t(0.0), SimTime::MAX, 800.0, "w1");
-        c.request_write(t(0.0), TenantId(2), Priority::Normal, t(0.1), SimTime::MAX, 800.0, "w2");
+        let mut c = AdmissionController::new(true);
+        let bytes = 0.8 * INITIAL_RATE;
+        c.request_write(t(0.0), TenantId(2), Priority::Normal, t(0.0), SimTime::MAX, bytes, "w1");
+        c.request_write(t(0.0), TenantId(2), Priority::Normal, t(0.1), SimTime::MAX, bytes, "w2");
         let grants = c.poll(t(0.0));
         assert_eq!(grants.len(), 1, "only one write funded by the burst");
         assert_eq!(grants[0].payload, "w1");
@@ -365,7 +335,8 @@ mod tests {
 
     #[test]
     fn fairness_across_tenants_under_cpu_scarcity() {
-        let mut c = AdmissionController::new(config(1));
+        let mut c = AdmissionController::new(true);
+        hold_slots(&mut c, 1);
         // Tenant 2 floods; tenant 3 sends one op.
         for _ in 0..10 {
             read_req(&mut c, 0.0, 2, "noisy");
@@ -387,20 +358,22 @@ mod tests {
 
     #[test]
     fn wait_histogram_records_queueing() {
-        let mut c = AdmissionController::new(config(1));
+        let mut c = AdmissionController::new(true);
+        hold_slots(&mut c, 1);
         read_req(&mut c, 0.0, 2, "a");
         read_req(&mut c, 0.0, 2, "b");
         c.poll(t(0.0));
         c.complete(t(2.0), TenantId(2), WorkClass::Read, 0.1, 0.0, None);
         c.poll(t(2.0));
-        assert_eq!(c.granted, 2);
+        assert_eq!(c.granted, INITIAL_SLOTS as u64 + 1);
         // Second op waited ~2s.
         assert!(c.wait_hist.quantile(1.0) >= 1_900_000_000);
     }
 
     #[test]
     fn deadline_expiry_counts() {
-        let mut c = AdmissionController::new(config(1));
+        let mut c = AdmissionController::new(true);
+        hold_slots(&mut c, 1);
         read_req(&mut c, 0.0, 2, "first");
         // "dies" queues behind "first" and expires while waiting.
         c.request_read(t(0.0), TenantId(2), Priority::Normal, t(1.0), t(0.5), "dies");
@@ -417,13 +390,14 @@ mod tests {
 
     #[test]
     fn saturation_probe_grows_slots() {
-        let mut c = AdmissionController::new(config(1));
+        let mut c = AdmissionController::new(true);
+        hold_slots(&mut c, 0);
         for _ in 0..5 {
             read_req(&mut c, 0.0, 2, "op");
         }
         c.poll(t(0.0));
         // Saturated; AIMD tick with idle CPU grows the pool.
         c.tick_slots(0.0, 0.2, 8.0);
-        assert!(c.slot_total() > 1);
+        assert!(c.slot_total() > INITIAL_SLOTS);
     }
 }

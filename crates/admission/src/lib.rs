@@ -35,7 +35,7 @@ pub mod queue;
 pub mod slots;
 pub mod write;
 
-pub use controller::{AdmissionConfig, AdmissionController, WorkClass};
+pub use controller::{AdmissionController, WorkClass};
 pub use queue::{Priority, WorkItem, WorkQueue};
 pub use slots::SlotController;
 pub use write::WriteController;

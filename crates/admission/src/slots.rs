@@ -22,25 +22,14 @@ const INC_STEP: usize = 1;
 /// Additive decrease step.
 const DEC_STEP: usize = 2;
 
-/// Bounds for the AIMD slot controller.
-#[derive(Debug, Clone)]
-pub struct SlotConfig {
-    /// Lower bound on total slots (always allow some concurrency).
-    pub min_slots: usize,
-    /// Upper bound on total slots.
-    pub max_slots: usize,
-}
-
-impl Default for SlotConfig {
-    fn default() -> Self {
-        SlotConfig { min_slots: 4, max_slots: 1024 }
-    }
-}
+/// Lower bound on total slots (always allow some concurrency).
+const MIN_SLOTS: usize = 4;
+/// Upper bound on total slots.
+const MAX_SLOTS: usize = 1024;
 
 /// The per-node CPU slot pool.
 #[derive(Debug)]
 pub struct SlotController {
-    config: SlotConfig,
     slots: usize,
     used: usize,
     /// Whether all slots were simultaneously in use at any point since the
@@ -49,10 +38,11 @@ pub struct SlotController {
 }
 
 impl SlotController {
-    /// Creates a controller starting with `initial` slots.
-    pub fn new(config: SlotConfig, initial: usize) -> Self {
-        let slots = initial.clamp(config.min_slots, config.max_slots);
-        SlotController { config, slots, used: 0, saturated_since_tick: false }
+    /// Creates a controller starting with `initial` slots, clamped to
+    /// `MIN_SLOTS..=MAX_SLOTS`.
+    pub fn new(initial: usize) -> Self {
+        let slots = initial.clamp(MIN_SLOTS, MAX_SLOTS);
+        SlotController { slots, used: 0, saturated_since_tick: false }
     }
 
     /// Current total slot count.
@@ -97,14 +87,14 @@ impl SlotController {
         let runnable_per_vcpu = avg_runnable / vcpus.max(1.0);
         if runnable_per_vcpu > RUNNABLE_HIGH_PER_VCPU {
             // Threads are queueing in the OS scheduler: decrease.
-            self.slots = self.slots.saturating_sub(DEC_STEP).max(self.config.min_slots);
+            self.slots = self.slots.saturating_sub(DEC_STEP).max(MIN_SLOTS);
         } else if self.saturated_since_tick && utilization < UTIL_TARGET {
             // Slots are the bottleneck but CPU has headroom: increase.
-            self.slots = (self.slots + INC_STEP).min(self.config.max_slots);
+            self.slots = (self.slots + INC_STEP).min(MAX_SLOTS);
         } else if self.saturated_since_tick {
             // Saturated at target utilization: small probe upward keeps the
             // system work-conserving without overshooting.
-            self.slots = (self.slots + 1).min(self.config.max_slots);
+            self.slots = (self.slots + 1).min(MAX_SLOTS);
         }
         self.saturated_since_tick = false;
     }
@@ -114,13 +104,19 @@ impl SlotController {
 mod tests {
     use super::*;
 
-    fn controller(initial: usize) -> SlotController {
-        SlotController::new(SlotConfig::default(), initial)
+    /// Saturates every slot, ticks with `utilization` and no queueing,
+    /// then releases what it took.
+    fn saturated_tick(c: &mut SlotController, utilization: f64) {
+        while c.try_acquire() {}
+        c.tick(0.0, utilization, 8.0);
+        for _ in 0..c.used() {
+            c.release();
+        }
     }
 
     #[test]
     fn acquire_release_cycle() {
-        let mut c = controller(8);
+        let mut c = SlotController::new(8);
         assert_eq!(c.total(), 8);
         for _ in 0..8 {
             assert!(c.try_acquire());
@@ -133,30 +129,26 @@ mod tests {
 
     #[test]
     fn decrease_when_runnable_queue_builds() {
-        let mut c = controller(100);
+        let mut c = SlotController::new(100);
         for _ in 0..10 {
             c.tick(64.0, 1.0, 8.0); // 8 runnable per vCPU: overloaded
         }
         assert!(c.total() < 100, "slots shed: {}", c.total());
-        assert!(c.total() >= SlotConfig::default().min_slots);
+        assert!(c.total() >= MIN_SLOTS);
     }
 
     #[test]
     fn increase_when_saturated_with_headroom() {
-        let mut c = controller(4);
+        let mut c = SlotController::new(4);
         for _ in 0..20 {
-            while c.try_acquire() {}
-            c.tick(0.0, 0.5, 8.0); // no queueing, CPU half idle
-            for _ in 0..c.used() {
-                c.release();
-            }
+            saturated_tick(&mut c, 0.5); // no queueing, CPU half idle
         }
         assert!(c.total() > 4, "slots grew: {}", c.total());
     }
 
     #[test]
     fn stable_when_not_saturated() {
-        let mut c = controller(16);
+        let mut c = SlotController::new(16);
         for _ in 0..10 {
             c.tick(0.0, 0.3, 8.0); // idle, never saturated
         }
@@ -165,28 +157,27 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let cfg = SlotConfig { min_slots: 2, max_slots: 6 };
-        let mut c = SlotController::new(cfg, 100);
-        assert_eq!(c.total(), 6, "clamped to max at construction");
-        for _ in 0..50 {
+        assert_eq!(SlotController::new(0).total(), MIN_SLOTS, "clamped to min at construction");
+        let mut c = SlotController::new(MAX_SLOTS + 100);
+        assert_eq!(c.total(), MAX_SLOTS, "clamped to max at construction");
+        saturated_tick(&mut c, 0.1);
+        assert_eq!(c.total(), MAX_SLOTS, "never above max");
+        for _ in 0..MAX_SLOTS {
             c.tick(100.0, 1.0, 1.0);
         }
-        assert_eq!(c.total(), 2, "never below min");
-        for _ in 0..50 {
-            while c.try_acquire() {}
-            c.tick(0.0, 0.1, 8.0);
-            for _ in 0..c.used() {
-                c.release();
-            }
+        assert_eq!(c.total(), MIN_SLOTS, "never below min");
+        let mut c = SlotController::new(MAX_SLOTS - 1);
+        for _ in 0..3 {
+            saturated_tick(&mut c, 0.1);
         }
-        assert_eq!(c.total(), 6, "never above max");
+        assert_eq!(c.total(), MAX_SLOTS, "growth stops at max");
     }
 
     #[test]
     fn converges_under_alternating_pressure() {
         // Alternate overload and underload; the slot count must stay inside
         // bounds and react in the right direction each time.
-        let mut c = controller(32);
+        let mut c = SlotController::new(32);
         let mut after_overload = 0;
         for round in 0..100 {
             if round % 2 == 0 {
@@ -204,6 +195,6 @@ mod tests {
                 }
             }
         }
-        assert!(after_overload >= SlotConfig::default().min_slots);
+        assert!(after_overload >= MIN_SLOTS);
     }
 }

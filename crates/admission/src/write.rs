@@ -28,30 +28,15 @@ const L0_OVERLOAD_FILES: usize = 8;
 /// Smoothing for capacity estimates.
 const SMOOTHING_ALPHA: f64 = 0.5;
 
-/// Tuning for the write controller.
-#[derive(Debug, Clone)]
-pub struct WriteConfig {
-    /// Floor on the token rate, bytes/s, so the bucket never wedges.
-    pub min_rate: f64,
-    /// Initial rate before any observation, bytes/s.
-    pub initial_rate: f64,
-    /// Burst allowance as seconds of refill.
-    pub burst_seconds: f64,
-}
-
-impl Default for WriteConfig {
-    fn default() -> Self {
-        WriteConfig {
-            min_rate: 64.0 * 1024.0,
-            initial_rate: 16.0 * 1024.0 * 1024.0,
-            burst_seconds: 1.0,
-        }
-    }
-}
+/// Floor on the token rate, bytes/s, so the bucket never wedges.
+const MIN_RATE: f64 = 64.0 * 1024.0;
+/// Token rate before any observation, bytes/s.
+pub(crate) const INITIAL_RATE: f64 = 16.0 * 1024.0 * 1024.0;
+/// Burst allowance as seconds of refill.
+const BURST_SECONDS: f64 = 1.0;
 
 /// Per-node write admission state.
 pub struct WriteController {
-    config: WriteConfig,
     bucket: TokenBucket,
     /// Smoothed flush capacity estimate, bytes/s.
     flush_capacity: Ewma,
@@ -62,14 +47,17 @@ pub struct WriteController {
     last_metrics: StorageMetrics,
 }
 
+impl Default for WriteController {
+    fn default() -> Self {
+        WriteController::new()
+    }
+}
+
 impl WriteController {
-    /// Creates a controller with the given configuration.
-    pub fn new(config: WriteConfig) -> Self {
-        let rate = config.initial_rate;
-        let burst = rate * config.burst_seconds;
+    /// Creates a controller refilling at `INITIAL_RATE`.
+    pub fn new() -> Self {
         WriteController {
-            config,
-            bucket: TokenBucket::new(rate, burst),
+            bucket: TokenBucket::new(INITIAL_RATE, INITIAL_RATE * BURST_SECONDS),
             flush_capacity: Ewma::new(SMOOTHING_ALPHA),
             l0_capacity: Ewma::new(SMOOTHING_ALPHA),
             model: LinearModel::new(0.99),
@@ -133,7 +121,7 @@ impl WriteController {
 
         let flush_cap = self.flush_capacity.get();
         let l0_cap = self.l0_capacity.get();
-        let mut rate = if flush_cap > 0.0 { flush_cap } else { self.config.initial_rate };
+        let mut rate = if flush_cap > 0.0 { flush_cap } else { INITIAL_RATE };
         // L0 compaction binds only once L0 has a backlog: compaction is
         // then falling behind, so throttle intake below its capacity and
         // let L0 drain. With L0 healthy, how fast it compacts is no limit
@@ -148,7 +136,7 @@ impl WriteController {
         if delta.stall_events > 0 {
             rate *= 0.5;
         }
-        rate = rate.max(self.config.min_rate);
+        rate = rate.max(MIN_RATE);
         self.bucket.set_rate(now, rate);
     }
 
@@ -194,20 +182,17 @@ mod tests {
 
     #[test]
     fn admits_until_tokens_run_out() {
-        let mut c = WriteController::new(WriteConfig {
-            initial_rate: 1000.0,
-            burst_seconds: 1.0,
-            ..Default::default()
-        });
-        assert!(c.try_admit(t(0.0), 600.0).is_ok());
-        assert!(c.try_admit(t(0.0), 600.0).is_err(), "burst exhausted");
-        // Tokens refill at 1000/s.
-        assert!(c.try_admit(t(1.0), 600.0).is_ok());
+        let mut c = WriteController::new();
+        let write = 0.6 * INITIAL_RATE;
+        assert!(c.try_admit(t(0.0), write).is_ok());
+        assert!(c.try_admit(t(0.0), write).is_err(), "burst exhausted");
+        // Tokens refill at the initial rate.
+        assert!(c.try_admit(t(1.0), write).is_ok());
     }
 
     #[test]
     fn capacity_tracks_observed_flush_rate() {
-        let mut c = WriteController::new(WriteConfig::default());
+        let mut c = WriteController::new();
         // Saturated: 150 MB flushed by jobs running the whole 15 s
         // => 10 MB/s.
         c.estimate_capacity(t(15.0), metrics(150 << 20, 15.0, 0), 0);
@@ -220,7 +205,7 @@ mod tests {
         // One 4 MiB memtable flushed per 15 s on a 64 MiB/s disk: each
         // job runs 62.5 ms. Demand is 280 KB/s; capacity is the disk's.
         let disk = 64.0 * (1 << 20) as f64;
-        let mut c = WriteController::new(WriteConfig::default());
+        let mut c = WriteController::new();
         for i in 1..=40u64 {
             let m = metrics(i * (4 << 20), i as f64 * 0.0625, 0);
             c.estimate_capacity(t(15.0 * i as f64), m, 0);
@@ -230,7 +215,7 @@ mod tests {
 
     #[test]
     fn l0_capacity_binds_only_under_l0_backlog() {
-        let mut c = WriteController::new(WriteConfig::default());
+        let mut c = WriteController::new();
         // L0 compacts at a tenth of the flush rate, but L0 is shallow:
         // flush capacity alone sets the rate.
         let mut m = metrics(150 << 20, 15.0, 15 << 20);
@@ -248,7 +233,7 @@ mod tests {
 
     #[test]
     fn l0_backlog_halves_rate() {
-        let mut c = WriteController::new(WriteConfig::default());
+        let mut c = WriteController::new();
         c.estimate_capacity(t(15.0), metrics(150 << 20, 15.0, 150 << 20), 0);
         let healthy = c.rate();
         c.estimate_capacity(t(30.0), metrics(300 << 20, 30.0, 300 << 20), 20);
@@ -257,7 +242,7 @@ mod tests {
 
     #[test]
     fn write_stalls_throttle_rate() {
-        let mut c = WriteController::new(WriteConfig::default());
+        let mut c = WriteController::new();
         c.estimate_capacity(t(15.0), metrics(150 << 20, 15.0, 0), 0);
         let healthy = c.rate();
         // Same flush throughput, but the engine reported foreground
@@ -281,7 +266,7 @@ mod tests {
 
     #[test]
     fn idle_interval_does_not_collapse_estimate() {
-        let mut c = WriteController::new(WriteConfig::default());
+        let mut c = WriteController::new();
         c.estimate_capacity(t(15.0), metrics(150 << 20, 15.0, 0), 0);
         let rate = c.rate();
         // Nothing flushed in the next interval (idle tenant).
@@ -291,7 +276,7 @@ mod tests {
 
     #[test]
     fn model_learns_write_amplification() {
-        let mut c = WriteController::new(WriteConfig::default());
+        let mut c = WriteController::new();
         // Observe ops whose physical cost is 2x + 100 (raft + overhead).
         for i in 1..=50 {
             let x = (i * 100) as f64;
@@ -305,25 +290,20 @@ mod tests {
 
     #[test]
     fn underprediction_creates_debt() {
-        let mut c = WriteController::new(WriteConfig {
-            initial_rate: 1000.0,
-            burst_seconds: 1.0,
-            ..Default::default()
-        });
-        c.try_admit(t(0.0), 500.0).unwrap();
-        // The write actually cost 3000 bytes: the bucket goes into debt and
-        // the next admit must wait.
-        c.observe_actual(t(0.0), 500.0, 3000.0);
-        let wait = c.try_admit(t(0.0), 100.0).unwrap_err();
+        let mut c = WriteController::new();
+        c.try_admit(t(0.0), 0.5 * INITIAL_RATE).unwrap();
+        // The write actually cost six times that: the bucket goes into
+        // debt and the next admit must wait.
+        c.observe_actual(t(0.0), 0.5 * INITIAL_RATE, 3.0 * INITIAL_RATE);
+        let wait = c.try_admit(t(0.0), 0.1 * INITIAL_RATE).unwrap_err();
         assert!(wait.as_secs_f64() > 1.0, "debt imposes wait: {wait:?}");
     }
 
     #[test]
     fn min_rate_floor_holds() {
-        let cfg = WriteConfig { min_rate: 5000.0, ..Default::default() };
-        let mut c = WriteController::new(cfg);
+        let mut c = WriteController::new();
         // Tiny observed capacity.
         c.estimate_capacity(t(15.0), metrics(10, 15.0, 10), 100);
-        assert!(c.rate() >= 5000.0);
+        assert_eq!(c.rate(), MIN_RATE);
     }
 }

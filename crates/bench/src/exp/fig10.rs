@@ -64,8 +64,7 @@ fn probe_once(
 
 fn run_panel_a(prewarm: bool, probes: usize) -> (f64, f64) {
     let sim = Sim::new(0xF16A + prewarm as u64);
-    let mut config = ServerlessConfig::default();
-    config.coldstart.prewarm_process = prewarm;
+    let mut config = ServerlessConfig { prewarm_process: prewarm, ..ServerlessConfig::default() };
     config.autoscaler.suspend_after = dur::secs(60);
     let cluster = ServerlessCluster::new(&sim, config);
     let tenant = cluster.create_tenant(vec![RegionId(0)], None);

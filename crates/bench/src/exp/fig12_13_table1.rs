@@ -75,7 +75,7 @@ fn run_config(
     config.kv.nodes_per_region = 3;
     config.kv.vcpus_per_node = 16.0;
     config.kv.cost_model = config.kv.cost_model.scaled(COST_SCALE);
-    config.kv.admission.enabled = ac_enabled;
+    config.kv.admission_enabled = ac_enabled;
     config.kv.heartbeat_cpu = 0.3;
     config.kv.cpu_contention_overhead = 0.15;
     // Tight liveness SLA at simulation scale.

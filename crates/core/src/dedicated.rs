@@ -1,9 +1,10 @@
 //! The "Traditional" (Dedicated) deployment baseline (§6.1).
 //!
 //! "The traditional cluster has a single KV+SQL CRDB process on each VM."
-//! One tenant owns the whole cluster; SQL execution runs in
-//! [`ExecMode::Traditional`], fused with the KV process — no
-//! inter-process marshalling, no proxy, no autoscaler. This is the
+//! One tenant owns the whole cluster; each SQL engine is fused with its
+//! KV process, so rows pay no inter-process marshalling
+//! (`cpu_marshal_per_byte` and `cpu_marshal_per_row` are zero), and there
+//! is no proxy and no autoscaler. This is the
 //! baseline for the efficiency comparison (Fig. 6) and the "actual CPU"
 //! reference for the estimated-CPU accuracy experiment (Fig. 11).
 
@@ -15,7 +16,7 @@ use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_sim::{Sim, Topology};
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
-use crdb_sql::node::{ExecMode, NodeState, SqlNode, SqlNodeConfig};
+use crdb_sql::node::{NodeState, SqlNode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
@@ -43,7 +44,8 @@ impl DedicatedCluster {
         kv_config: KvClusterConfig,
         mut sql_config: SqlNodeConfig,
     ) -> Rc<DedicatedCluster> {
-        sql_config.mode = ExecMode::Traditional;
+        sql_config.cpu_marshal_per_byte = 0.0;
+        sql_config.cpu_marshal_per_row = 0.0;
         let kv = KvCluster::new(sim, topology, kv_config);
         let tenant = TenantId::FIRST_APP;
         let cert = kv.create_tenant(tenant);
@@ -141,17 +143,60 @@ mod tests {
         assert!(cluster.total_cpu_seconds() > 0.0);
     }
 
+    /// Runs `sql` on `node` to completion and returns its output and the
+    /// SQL CPU-seconds it cost.
+    fn run(sim: &Sim, node: &Rc<SqlNode>, session: u64, sql: &str) -> (QueryOutput, f64) {
+        let before = node.sql_cpu_seconds();
+        let out = Rc::new(StdRefCell::new(None));
+        let o = Rc::clone(&out);
+        let text = sql.to_string();
+        node.execute(session, sql, vec![], move |r| *o.borrow_mut() = Some(r.expect(&text)));
+        sim.run_for(dur::secs(5));
+        let output = out.borrow_mut().take().expect("statement finished");
+        (output, node.sql_cpu_seconds() - before)
+    }
+
     #[test]
-    fn all_engines_traditional_mode() {
+    fn dedicated_engines_skip_the_marshalling_term() {
         let sim = Sim::new(8);
+        let sql = SqlNodeConfig { idle_cpu_per_second: 0.0, ..Default::default() };
         let cluster = DedicatedCluster::new(
             &sim,
             Topology::single_region("us-east1", 3),
             KvClusterConfig::default(),
-            SqlNodeConfig::default(),
+            sql.clone(),
         );
-        for n in &cluster.sql_nodes {
-            assert_eq!(n.config.mode, ExecMode::Traditional);
+        let dedicated = Rc::clone(&cluster.sql_nodes[0]);
+        let dedicated_session = cluster.sessions.borrow()[0];
+        // A serverless-configured SQL node in its own process, serving a
+        // second tenant of the same KV cluster.
+        let client = KvClient::new(
+            cluster.kv.clone(),
+            cluster.kv.create_tenant(TenantId(3)),
+            dedicated.kv_client().location(),
+        );
+        let serverless = SqlNode::new(&sim, SqlInstanceId(100), client, sql.clone());
+        serverless.start(&SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]), || {});
+        sim.run_for(dur::secs(10));
+        let serverless_session = serverless.open_session("root").expect("session");
+
+        let mut scans = Vec::new();
+        for (node, session) in [(&dedicated, dedicated_session), (&serverless, serverless_session)]
+        {
+            run(&sim, node, session, "CREATE TABLE t (id INT PRIMARY KEY, v STRING)");
+            run(&sim, node, session, "INSERT INTO t VALUES (1, 'a'), (2, 'bb'), (3, 'ccc')");
+            scans.push(run(&sim, node, session, "SELECT * FROM t"));
         }
+        let ((fused, fused_cpu), (split, split_cpu)) = (&scans[0], &scans[1]);
+        assert_eq!(fused.rows, split.rows);
+        let read = |o: &QueryOutput| (o.stats.rows_read, o.stats.bytes_read);
+        assert_eq!(read(fused), read(split), "the same scan reads the same rows and bytes");
+        let marshal = split.stats.bytes_read as f64 * sql.cpu_marshal_per_byte
+            + split.stats.rows_read as f64 * sql.cpu_marshal_per_row;
+        assert!(marshal > 0.0, "the scan crosses the process boundary");
+        assert!(
+            (split_cpu - fused_cpu - marshal).abs() < 1e-12,
+            "serverless pays exactly the marshalling term: {split_cpu} - {fused_cpu} vs {marshal}"
+        );
     }
 }

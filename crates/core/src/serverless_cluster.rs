@@ -21,13 +21,13 @@ use crdb_obs::metrics::Sampler;
 use crdb_obs::trace;
 use crdb_serverless::autoscaler::{Autoscaler, AutoscalerConfig};
 use crdb_serverless::metrics::{MetricsPipeline, PipelineConfig};
-use crdb_serverless::pool::{ColdStartConfig, WarmPool};
+use crdb_serverless::pool::WarmPool;
 use crdb_serverless::proxy::{Connection, Proxy, ProxyConfig, ProxyError};
 use crdb_serverless::registry::Registry;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
-use crdb_sql::node::{instance_partition_start, ExecMode, SqlNodeConfig};
+use crdb_sql::node::{instance_partition_start, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::{RegionId, SqlInstanceId, TenantId};
@@ -46,14 +46,13 @@ pub struct ServerlessConfig {
     pub kv: KvClusterConfig,
     /// Template for SQL nodes (location overridden per tenant).
     pub sql: SqlNodeConfig,
-    /// Cold-start flow settings.
-    pub coldstart: ColdStartConfig,
+    /// Whether warm-pool pods run a pre-started SQL process (the
+    /// optimized cold-start flow of §4.3.1).
+    pub prewarm_process: bool,
     /// Autoscaler settings.
     pub autoscaler: AutoscalerConfig,
     /// Proxy settings.
     pub proxy: ProxyConfig,
-    /// Metrics pipeline settings.
-    pub pipeline: PipelineConfig,
     /// Whether tenant system databases get the §3.2.5 multi-region
     /// optimizations.
     pub multi_region_optimized: bool,
@@ -67,11 +66,10 @@ impl Default for ServerlessConfig {
         ServerlessConfig {
             topology: Topology::single_region("us-central1", 3),
             kv: KvClusterConfig::default(),
-            sql: SqlNodeConfig { mode: ExecMode::Serverless, ..Default::default() },
-            coldstart: ColdStartConfig::default(),
+            sql: SqlNodeConfig::default(),
+            prewarm_process: true,
             autoscaler: AutoscalerConfig::default(),
             proxy: ProxyConfig::default(),
-            pipeline: PipelineConfig::direct(),
             multi_region_optimized: true,
             ecpu_model: EcpuModel::default_model(),
         }
@@ -168,8 +166,8 @@ impl ServerlessCluster {
         // One warm-pool partition per region, so a region outage burns
         // only that region's slots and cold starts fall back elsewhere.
         let pool_regions: Vec<RegionId> = config.topology.regions().collect();
-        let pool = WarmPool::new_multi_region(sim, config.coldstart.clone(), &pool_regions);
-        let pipeline = MetricsPipeline::start(sim, registry.clone(), config.pipeline.clone());
+        let pool = WarmPool::new_multi_region(sim, config.prewarm_process, &pool_regions);
+        let pipeline = MetricsPipeline::start(sim, registry.clone(), PipelineConfig::direct());
         let proxy = Proxy::start(
             sim,
             config.proxy.clone(),

@@ -43,7 +43,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use crdb_obs::trace;
 use crdb_sim::Location;
-use crdb_util::retry::{Breaker, BreakerConfig, Deadline, RetryPolicy};
+use crdb_util::retry::{Breaker, Deadline, RetryPolicy};
 use crdb_util::time::dur;
 use crdb_util::NodeId;
 
@@ -530,7 +530,7 @@ impl DispatchState {
     /// Whether `node`'s breaker admits a request at `now`.
     fn breaker_allows(&self, node: NodeId, now: crdb_util::SimTime) -> bool {
         let mut breakers = self.client.inner.breakers.borrow_mut();
-        breakers.entry(node).or_insert_with(|| Breaker::new(BreakerConfig::default())).allow(now)
+        breakers.entry(node).or_default().allow(now)
     }
 
     /// Records an RPC outcome against `node`'s breaker, bumping the
@@ -539,10 +539,10 @@ impl DispatchState {
         let now = self.client.inner.cluster.sim.now();
         let tripped = {
             let mut breakers = self.client.inner.breakers.borrow_mut();
-            let b = breakers.entry(node).or_insert_with(|| Breaker::new(BreakerConfig::default()));
+            let b = breakers.entry(node).or_default();
             let before = b.trips();
             if success {
-                b.record_success(now);
+                b.record_success();
             } else {
                 b.record_failure(now);
             }

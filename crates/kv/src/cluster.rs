@@ -13,9 +13,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use crdb_admission::AdmissionConfig;
 use crdb_sim::{Location, Sim, Topology};
-use crdb_storage::{LsmConfig, WriteBatch};
+use crdb_storage::WriteBatch;
 use crdb_util::time::{dur, SimTime};
 use crdb_util::{NodeId, RangeId, RegionId, TenantId};
 
@@ -42,10 +41,9 @@ pub struct KvClusterConfig {
     pub replication_factor: usize,
     /// Split threshold per range.
     pub max_range_bytes: u64,
-    /// Admission control settings (shared by all nodes).
-    pub admission: AdmissionConfig,
-    /// Storage engine settings.
-    pub lsm: LsmConfig,
+    /// Whether the nodes' admission control enforces — the "No Limits"
+    /// baseline of Table 1 disables it.
+    pub admission_enabled: bool,
     /// Ground-truth CPU cost model.
     pub cost_model: CostModel,
     /// Liveness timing.
@@ -67,8 +65,7 @@ impl Default for KvClusterConfig {
             vcpus_per_node: 8.0,
             replication_factor: 3,
             max_range_bytes: crate::range::DEFAULT_MAX_RANGE_BYTES,
-            admission: AdmissionConfig::default(),
-            lsm: LsmConfig::default(),
+            admission_enabled: true,
             cost_model: CostModel::default(),
             liveness: LivenessConfig::default(),
             heartbeat_cpu: 1e-3,
@@ -350,8 +347,7 @@ impl KvCluster {
                         NodeId(id),
                         Location::new(region, (i % 3) as u32),
                         config.vcpus_per_node,
-                        config.admission.clone(),
-                        config.lsm.clone(),
+                        config.admission_enabled,
                         Rc::downgrade(&cluster.inner),
                     );
                     node.cpu.set_contention_overhead(config.cpu_contention_overhead);

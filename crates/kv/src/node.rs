@@ -25,7 +25,7 @@ use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
-use crdb_admission::{AdmissionConfig, AdmissionController, Priority, WorkClass};
+use crdb_admission::{AdmissionController, Priority, WorkClass};
 use crdb_obs::trace;
 use crdb_sim::cpu::CpuScheduler;
 use crdb_sim::resource::RateResource;
@@ -143,21 +143,20 @@ impl KvNode {
         id: NodeId,
         location: Location,
         vcpus: f64,
-        admission_config: AdmissionConfig,
-        lsm_config: LsmConfig,
+        admission_enabled: bool,
         cluster: Weak<RefCell<ClusterInner>>,
     ) -> Rc<KvNode> {
         let cpu = CpuScheduler::new(sim.clone(), vcpus);
         // Pipelined write path: the node drives flush/compaction as
         // disk-metered background jobs ([`KvNode::maintain_storage`]).
-        let engine = Engine::new(lsm_config);
+        let engine = Engine::new(LsmConfig::default());
         let node = Rc::new(KvNode {
             id,
             location,
             cpu: cpu.clone(),
             disk: RateResource::new(sim.clone(), DISK_RATE),
             engine,
-            admission: RefCell::new(AdmissionController::new(admission_config)),
+            admission: RefCell::new(AdmissionController::new(admission_enabled)),
             cluster,
             alive: Cell::new(true),
             traffic: RefCell::new(BTreeMap::new()),

@@ -37,12 +37,13 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(10 * 60);
 /// burns ~0.15 vCPU on keepalives/GC even with no queries (§6.2), which
 /// must not count as activity.
 const IDLE_CPU_THRESHOLD: f64 = 0.25;
+/// The metrics window the average and peak are taken over (paper: 5
+/// minutes).
+const WINDOW: Duration = Duration::from_secs(5 * 60);
 
 /// Autoscaler timing (§4.2.3 values as defaults).
 #[derive(Debug, Clone)]
 pub struct AutoscalerConfig {
-    /// The metrics window (paper: 5 minutes).
-    pub window: Duration,
     /// Reconciliation interval (paper: 3 s direct scrape).
     pub reconcile_interval: Duration,
     /// Idle time (no connections, no usage) before suspension.
@@ -51,11 +52,7 @@ pub struct AutoscalerConfig {
 
 impl Default for AutoscalerConfig {
     fn default() -> Self {
-        AutoscalerConfig {
-            window: dur::mins(5),
-            reconcile_interval: dur::secs(3),
-            suspend_after: dur::mins(5),
-        }
+        AutoscalerConfig { reconcile_interval: dur::secs(3), suspend_after: dur::mins(5) }
     }
 }
 
@@ -122,7 +119,7 @@ impl Autoscaler {
 
     /// The scaling inputs the autoscaler currently sees for a tenant.
     pub fn inputs(&self, tenant: TenantId) -> ScaleInputs {
-        match self.pipeline.visible_window(tenant, self.sim.now(), self.config.window) {
+        match self.pipeline.visible_window(tenant, self.sim.now(), WINDOW) {
             Some(usage) => ScaleInputs { avg: usage.avg, max: usage.max },
             None => ScaleInputs { avg: 0.0, max: 0.0 },
         }

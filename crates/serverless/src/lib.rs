@@ -32,6 +32,6 @@ pub mod registry;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig};
 pub use metrics::{MetricsPipeline, PipelineConfig};
-pub use pool::{ColdStartConfig, WarmPool};
+pub use pool::WarmPool;
 pub use proxy::{Proxy, ProxyConfig, ProxyError};
 pub use registry::{Registry, TenantEntry};

@@ -57,21 +57,9 @@ const START_RETRY_BASE: Duration = Duration::from_millis(250);
 /// Upper bound on the start-retry backoff.
 const START_RETRY_CAP: Duration = Duration::from_secs(4);
 
-/// Which cold-start flow runs, and how noisy its phases are.
-#[derive(Debug, Clone)]
-pub struct ColdStartConfig {
-    /// Whether SQL processes are pre-started in pool pods (§4.3.1).
-    pub prewarm_process: bool,
-    /// Multiplicative jitter applied to each timing component (0.4 = each
-    /// delay sampled uniformly in ±40%).
-    pub jitter: f64,
-}
-
-impl Default for ColdStartConfig {
-    fn default() -> Self {
-        ColdStartConfig { prewarm_process: true, jitter: 0.35 }
-    }
-}
+/// Multiplicative jitter applied to each timing component: each delay
+/// is sampled uniformly in ±35 %.
+const JITTER: f64 = 0.35;
 
 /// The warm pod pool. Slots are tracked per region: a region outage
 /// atomically loses every warm slot located there (the pods are gone),
@@ -79,7 +67,9 @@ impl Default for ColdStartConfig {
 /// reprovisioned on recovery.
 pub struct WarmPool {
     sim: Sim,
-    config: ColdStartConfig,
+    /// Whether SQL processes are pre-started in pool pods (§4.3.1): the
+    /// optimized flow, or the unoptimized one.
+    prewarm_process: bool,
     warm: RefCell<BTreeMap<RegionId, usize>>,
     /// Regions currently dark (no slots can be acquired or replenished).
     dark: RefCell<BTreeSet<RegionId>>,
@@ -97,21 +87,21 @@ pub struct WarmPool {
 
 impl WarmPool {
     /// Creates a full single-region pool (region 0).
-    pub fn new(sim: &Sim, config: ColdStartConfig) -> Rc<WarmPool> {
-        WarmPool::new_multi_region(sim, config, &[RegionId(0)])
+    pub fn new(sim: &Sim, prewarm_process: bool) -> Rc<WarmPool> {
+        WarmPool::new_multi_region(sim, prewarm_process, &[RegionId(0)])
     }
 
     /// Creates a pool holding [`POOL_SIZE`] warm slots in *each* of
     /// `regions`.
     pub fn new_multi_region(
         sim: &Sim,
-        config: ColdStartConfig,
+        prewarm_process: bool,
         regions: &[RegionId],
     ) -> Rc<WarmPool> {
         let warm: BTreeMap<RegionId, usize> = regions.iter().map(|&r| (r, POOL_SIZE)).collect();
         Rc::new(WarmPool {
             sim: sim.clone(),
-            config,
+            prewarm_process,
             warm: RefCell::new(warm),
             dark: RefCell::new(BTreeSet::new()),
             acquired: RefCell::new(0),
@@ -170,11 +160,6 @@ impl WarmPool {
         self.warm.borrow().get(&region).copied().unwrap_or(0)
     }
 
-    /// The configured flow.
-    pub fn config(&self) -> &ColdStartConfig {
-        &self.config
-    }
-
     /// Acquires a pod for `tenant`, creates its SQL node via the
     /// registry's factory, runs the cold-start flow and the node's own
     /// startup, and hands the ready node to `cb`. Injected start failures
@@ -190,11 +175,14 @@ impl WarmPool {
         self.acquire_attempt(registry, system_db, tenant, 0, Box::new(cb));
     }
 
-    /// The region an acquisition draws a warm slot from: the first live
-    /// region with slots.
-    fn pick_region(&self) -> Option<RegionId> {
+    /// Takes a warm slot from the first live region with one, and names
+    /// that region.
+    fn take_slot(&self) -> Option<RegionId> {
         let dark = self.dark.borrow();
-        self.warm.borrow().iter().find(|(r, &n)| !dark.contains(r) && n > 0).map(|(&r, _)| r)
+        let mut warm = self.warm.borrow_mut();
+        let (&region, slots) = warm.iter_mut().find(|(r, n)| !dark.contains(r) && **n > 0)?;
+        *slots -= 1;
+        Some(region)
     }
 
     fn acquire_attempt(
@@ -210,9 +198,8 @@ impl WarmPool {
         span.tag("tenant", tenant);
         span.tag("attempt", attempt);
         let ambient = trace::current();
-        let jitter = self.config.jitter;
         let sample = |d: Duration| -> Duration {
-            let f: f64 = self.sim.with_rng(|r| rand::Rng::gen_range(r, 1.0 - jitter..1.0 + jitter));
+            let f: f64 = self.sim.with_rng(|r| rand::Rng::gen_range(r, 1.0 - JITTER..1.0 + JITTER));
             Duration::from_secs_f64(d.as_secs_f64() * f)
         };
         // The whole flow sleeps once for the summed delay; each phase is
@@ -229,9 +216,8 @@ impl WarmPool {
 
         // Pod acquisition: a live region's slot, full provisioning when
         // every live region is dry.
-        match self.pick_region() {
+        match self.take_slot() {
             Some(region) => {
-                *self.warm.borrow_mut().get_mut(&region).expect("picked region exists") -= 1;
                 span.tag("pool_hit", "true");
                 // Schedule replenishment of the region we drew from.
                 let pool = Rc::clone(self);
@@ -257,7 +243,7 @@ impl WarmPool {
 
         // The flow-specific latency before the SQL node can begin its own
         // startup sequence.
-        if self.config.prewarm_process {
+        if self.prewarm_process {
             // Process already running; the certificate file-watch fires.
             phase("cert.delivery", sample(CERT_DELIVERY));
         } else {
@@ -282,12 +268,11 @@ impl WarmPool {
                 pool.start_failures.set(pool.start_failures.get() + 1);
                 span.tag("start_failed", "true");
                 span.end();
-                // Shared backoff policy (no budget: the pool retries until
-                // a pod sticks — equivalent to the old
-                // `(base * 2^min(n,6)).min(cap)` under the default config).
+                // Shared backoff policy. The pool retries until a pod
+                // sticks, so past the budget it keeps waiting the cap.
                 let backoff = RetryPolicy::exponential(START_RETRY_BASE, START_RETRY_CAP, u32::MAX)
                     .delay(attempt)
-                    .expect("unbounded budget always yields a delay");
+                    .unwrap_or(START_RETRY_CAP);
                 let pool2 = Rc::clone(&pool);
                 pool.sim.schedule_after(backoff, move || {
                     let _g = ambient.enter();
@@ -337,8 +322,7 @@ mod tests {
         };
         let registry = Registry::new(factory);
         registry.add_tenant(TenantId(2), sim.now());
-        let pool =
-            WarmPool::new(&sim, ColdStartConfig { prewarm_process: prewarm, ..Default::default() });
+        let pool = WarmPool::new(&sim, prewarm);
         let sdb = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
         (sim, registry, pool, sdb)
     }
@@ -428,11 +412,7 @@ mod tests {
     #[test]
     fn region_outage_burns_warm_slots_and_acquisitions_fall_back() {
         let (sim, registry, _single, sdb) = fixture(true);
-        let pool = WarmPool::new_multi_region(
-            &sim,
-            ColdStartConfig::default(),
-            &[RegionId(0), RegionId(1)],
-        );
+        let pool = WarmPool::new_multi_region(&sim, true, &[RegionId(0), RegionId(1)]);
         let size = POOL_SIZE;
         assert_eq!(pool.available(), 2 * size);
 

@@ -24,7 +24,7 @@ use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::slab::{Slab, Slot};
 use crdb_util::time::{dur, SimTime};
-use crdb_util::{Breaker, BreakerConfig, Deadline, RetryPolicy, TenantId};
+use crdb_util::{Breaker, Deadline, RetryPolicy, TenantId};
 
 use crate::pool::WarmPool;
 use crate::registry::Registry;
@@ -436,11 +436,7 @@ impl Proxy {
 
     fn breaker_allows(&self, tenant: TenantId) -> bool {
         let now = self.sim.now();
-        self.breakers
-            .borrow_mut()
-            .entry(tenant)
-            .or_insert_with(|| Breaker::new(BreakerConfig::default()))
-            .allow(now)
+        self.breakers.borrow_mut().entry(tenant).or_default().allow(now)
     }
 
     /// Records a statement outcome into the tenant's breaker. Only
@@ -460,11 +456,11 @@ impl Proxy {
         );
         let now = self.sim.now();
         let mut breakers = self.breakers.borrow_mut();
-        let b = breakers.entry(tenant).or_insert_with(|| Breaker::new(BreakerConfig::default()));
+        let b = breakers.entry(tenant).or_default();
         if infra_failure {
             b.record_failure(now);
         } else {
-            b.record_success(now);
+            b.record_success();
         }
     }
 
@@ -716,7 +712,6 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ColdStartConfig;
     use crdb_kv::client::KvClient;
     use crdb_kv::cluster::{KvCluster, KvClusterConfig};
     use crdb_sim::{Location, Topology};
@@ -745,7 +740,7 @@ mod tests {
         };
         let registry = Registry::new(factory);
         registry.add_tenant(TenantId(2), sim.now());
-        let pool = WarmPool::new(&sim, ColdStartConfig::default());
+        let pool = WarmPool::new(&sim, true);
         let sdb: SystemDbProvider =
             Rc::new(|_| SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]));
         let proxy = Proxy::start(&sim, ProxyConfig::default(), registry.clone(), pool, sdb);
@@ -813,7 +808,7 @@ mod tests {
         };
         let registry = Registry::new(factory);
         registry.add_tenant(TenantId(2), sim.now());
-        let pool = WarmPool::new(&sim, ColdStartConfig::default());
+        let pool = WarmPool::new(&sim, true);
         let sdb: SystemDbProvider =
             Rc::new(|_| SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]));
         let proxy = Proxy::start(

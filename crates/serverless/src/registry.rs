@@ -37,8 +37,6 @@ pub struct TenantEntry {
     pub connections: u64,
     /// Last instant the tenant had nonzero load (for suspension).
     pub last_active: SimTime,
-    /// The tenant's CPU quota in vCPUs (None = unlimited).
-    pub quota_vcpus: Option<f64>,
 }
 
 impl TenantEntry {
@@ -49,7 +47,6 @@ impl TenantEntry {
             suspended: true,
             connections: 0,
             last_active: now,
-            quota_vcpus: None,
         }
     }
 

@@ -10,7 +10,7 @@ use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_serverless::autoscaler::{Autoscaler, AutoscalerConfig};
 use crdb_serverless::metrics::{MetricsPipeline, PipelineConfig};
-use crdb_serverless::pool::{ColdStartConfig, WarmPool};
+use crdb_serverless::pool::WarmPool;
 use crdb_serverless::proxy::{Proxy, ProxyConfig};
 use crdb_serverless::registry::Registry;
 use crdb_sim::{Location, Sim, Topology};
@@ -50,7 +50,7 @@ fn fixture_opts(seed: u64, pipeline: PipelineConfig, with_autoscaler: bool) -> F
     };
     let registry = Registry::new(factory);
     registry.add_tenant(TenantId(2), sim.now());
-    let pool = WarmPool::new(&sim, ColdStartConfig::default());
+    let pool = WarmPool::new(&sim, true);
     let provider: crdb_serverless::proxy::SystemDbProvider =
         Rc::new(|_t| SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]));
     let pipeline = MetricsPipeline::start(&sim, registry.clone(), pipeline);
@@ -68,7 +68,6 @@ fn fixture_opts(seed: u64, pipeline: PipelineConfig, with_autoscaler: bool) -> F
         AutoscalerConfig {
             suspend_after: dur::secs(40),
             reconcile_interval: if with_autoscaler { dur::secs(3) } else { dur::secs(31_536_000) },
-            ..Default::default()
         },
         registry.clone(),
         pipeline,

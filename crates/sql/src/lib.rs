@@ -27,8 +27,8 @@
 //!   determinant of multi-region cold-start time (Fig. 10b).
 //! - [`node`] — the SQL node: startup sequence (certificate wait → KV
 //!   connect → system reads → instance registration), query execution,
-//!   DistSQL-lite placement (Traditional vs Serverless process boundaries,
-//!   §6.1), and CPU accounting.
+//!   and CPU accounting, including the marshalling rows pay to cross the
+//!   SQL/KV process boundary (§6.1).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]

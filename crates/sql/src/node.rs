@@ -77,17 +77,6 @@ pub fn instance_partition_start(region: RegionId) -> Bytes {
     key.freeze()
 }
 
-/// Where query execution runs relative to the KV process (§6.1): the
-/// Traditional deployment fuses SQL and KV in one process; Serverless
-/// separates them, paying marshalling costs on scan-heavy plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Single-process KV+SQL (the paper's "traditional" cluster).
-    Traditional,
-    /// Separate SQL process (CockroachDB Serverless).
-    Serverless,
-}
-
 /// vCPUs per SQL node: all SQL nodes get the same shape in production,
 /// 4 vCPUs and 12 GB RAM (§4.2.3). The autoscaler sizes in these units.
 pub const NODE_VCPUS: f64 = 4.0;
@@ -102,8 +91,6 @@ const MEMORY_PER_SESSION: u64 = 4 << 20;
 /// SQL node configuration.
 #[derive(Debug, Clone)]
 pub struct SqlNodeConfig {
-    /// Execution mode.
-    pub mode: ExecMode,
     /// Placement.
     pub location: Location,
     /// Base CPU-seconds per statement.
@@ -113,7 +100,7 @@ pub struct SqlNodeConfig {
     /// CPU-seconds per byte processed.
     pub cpu_per_byte: f64,
     /// Extra CPU-seconds per byte crossing the SQL/KV process boundary
-    /// (marshal + unmarshal), charged only in [`ExecMode::Serverless`].
+    /// (marshal + unmarshal); zero where SQL and KV share a process.
     pub cpu_marshal_per_byte: f64,
     /// Extra CPU-seconds per row crossing the process boundary — "the
     /// rows need to be marshaled and un-marshaled between the processes"
@@ -128,7 +115,6 @@ pub struct SqlNodeConfig {
 impl Default for SqlNodeConfig {
     fn default() -> Self {
         SqlNodeConfig {
-            mode: ExecMode::Serverless,
             location: Location::new(crdb_util::RegionId(0), 0),
             cpu_per_statement: 40e-6,
             cpu_per_row: 3e-6,
@@ -690,12 +676,10 @@ impl SqlNode {
             + stats.rows_read as f64 * self.config.cpu_per_row
             + (stats.bytes_read + stats.bytes_written) as f64 * self.config.cpu_per_byte
             + stats.rows_written as f64 * self.config.cpu_per_row;
-        if self.config.mode == ExecMode::Serverless {
-            // Rows crossing the SQL/KV process boundary pay marshalling
-            // (§6.1.2): full scans hurt, point reads barely notice.
-            cost += stats.bytes_read as f64 * self.config.cpu_marshal_per_byte
-                + stats.rows_read as f64 * self.config.cpu_marshal_per_row;
-        }
+        // Rows crossing the SQL/KV process boundary pay marshalling
+        // (§6.1.2): full scans hurt, point reads barely notice.
+        cost += stats.bytes_read as f64 * self.config.cpu_marshal_per_byte
+            + stats.rows_read as f64 * self.config.cpu_marshal_per_row;
         let span = trace::child("sql.cpu");
         self.cpu.submit(self.tenant, cost, move || {
             span.end();

@@ -35,6 +35,6 @@ pub mod time;
 pub use clock::Clock;
 pub use hist::Histogram;
 pub use ids::{NodeId, RangeId, RegionId, SqlInstanceId, TenantId};
-pub use retry::{Breaker, BreakerConfig, BreakerState, Deadline, RetryPolicy};
+pub use retry::{Breaker, BreakerState, Deadline, RetryPolicy};
 pub use slab::{Slab, Slot};
 pub use time::SimTime;

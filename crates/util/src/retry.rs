@@ -160,26 +160,10 @@ impl RetryPolicy {
     }
 }
 
-/// Circuit-breaker configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open before allowing a probe.
-    pub cooldown: Duration,
-    /// Successful probes required in half-open before closing.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 5,
-            cooldown: Duration::from_secs(3),
-            half_open_probes: 1,
-        }
-    }
-}
+/// Consecutive failures that trip a [`Breaker`] open.
+const BREAKER_FAILURE_THRESHOLD: u32 = 5;
+/// How long a tripped [`Breaker`] stays open before admitting its probe.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(3);
 
 /// Observable breaker state at a given instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,35 +176,27 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// A per-target circuit breaker: after `failure_threshold` consecutive
-/// failures it opens and [`Breaker::allow`] answers `false` (the caller
-/// fails fast with `Unavailable`) until `cooldown` has elapsed, at
-/// which point probe requests are let through; a probe success closes
-/// the breaker, a probe failure re-opens it for another cooldown.
+/// A per-target circuit breaker: after `BREAKER_FAILURE_THRESHOLD`
+/// consecutive failures it opens and [`Breaker::allow`] answers `false`
+/// (the caller fails fast with `Unavailable`) until `BREAKER_COOLDOWN`
+/// has elapsed, at which point one probe request is let through; a probe
+/// success closes the breaker, a probe failure re-opens it for another
+/// cooldown.
 ///
 /// Time is passed in explicitly so the breaker stays clock-agnostic
 /// and deterministic under simulation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Breaker {
-    config: BreakerConfig,
     consecutive_failures: Cell<u32>,
     open_until: Cell<Option<SimTime>>,
-    half_open_successes: Cell<u32>,
-    probes_in_flight: Cell<u32>,
+    probe_in_flight: Cell<bool>,
     trips: Cell<u64>,
 }
 
 impl Breaker {
-    /// A closed breaker with the given configuration.
-    pub fn new(config: BreakerConfig) -> Breaker {
-        Breaker {
-            config,
-            consecutive_failures: Cell::new(0),
-            open_until: Cell::new(None),
-            half_open_successes: Cell::new(0),
-            probes_in_flight: Cell::new(0),
-            trips: Cell::new(0),
-        }
+    /// A closed breaker.
+    pub fn new() -> Breaker {
+        Breaker::default()
     }
 
     /// The breaker's state at `now`.
@@ -233,62 +209,43 @@ impl Breaker {
     }
 
     /// Whether a request may be sent at `now`. In half-open state only
-    /// `half_open_probes` concurrent probes are admitted.
+    /// one probe is admitted at a time.
     pub fn allow(&self, now: SimTime) -> bool {
         match self.state(now) {
             BreakerState::Closed => true,
             BreakerState::Open => false,
-            BreakerState::HalfOpen => {
-                if self.probes_in_flight.get() < self.config.half_open_probes {
-                    self.probes_in_flight.set(self.probes_in_flight.get() + 1);
-                    true
-                } else {
-                    false
-                }
-            }
+            BreakerState::HalfOpen => !self.probe_in_flight.replace(true),
         }
     }
 
-    /// Records a successful response observed at `now`.
-    pub fn record_success(&self, now: SimTime) {
+    /// Records a successful response: the breaker closes, whatever its
+    /// state.
+    pub fn record_success(&self) {
         self.consecutive_failures.set(0);
-        if self.state(now) == BreakerState::HalfOpen {
-            self.probes_in_flight.set(self.probes_in_flight.get().saturating_sub(1));
-            let ok = self.half_open_successes.get() + 1;
-            if ok >= self.config.half_open_probes {
-                self.open_until.set(None);
-                self.half_open_successes.set(0);
-                self.probes_in_flight.set(0);
-            } else {
-                self.half_open_successes.set(ok);
-            }
-        } else {
-            self.open_until.set(None);
-        }
+        self.open_until.set(None);
+        self.probe_in_flight.set(false);
     }
 
     /// Records a failed response (or timeout) observed at `now`.
     pub fn record_failure(&self, now: SimTime) {
         match self.state(now) {
-            BreakerState::HalfOpen => {
-                // Failed probe: back to a full cooldown.
-                self.probes_in_flight.set(0);
-                self.half_open_successes.set(0);
-                self.open_until.set(Some(now + self.config.cooldown));
-                self.trips.set(self.trips.get() + 1);
-            }
+            // Failed probe: back to a full cooldown.
+            BreakerState::HalfOpen => self.trip(now),
             BreakerState::Open => {}
             BreakerState::Closed => {
                 let n = self.consecutive_failures.get() + 1;
                 self.consecutive_failures.set(n);
-                if n >= self.config.failure_threshold {
-                    self.open_until.set(Some(now + self.config.cooldown));
-                    self.half_open_successes.set(0);
-                    self.probes_in_flight.set(0);
-                    self.trips.set(self.trips.get() + 1);
+                if n >= BREAKER_FAILURE_THRESHOLD {
+                    self.trip(now);
                 }
             }
         }
+    }
+
+    fn trip(&self, now: SimTime) {
+        self.open_until.set(Some(now + BREAKER_COOLDOWN));
+        self.probe_in_flight.set(false);
+        self.trips.set(self.trips.get() + 1);
     }
 
     /// How many times the breaker has tripped open.
@@ -392,23 +349,20 @@ mod tests {
 
     #[test]
     fn breaker_trips_cools_down_and_recovers() {
-        let b = Breaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown: dur::secs(3),
-            half_open_probes: 1,
-        });
+        let b = Breaker::new();
         let t0 = SimTime::from_nanos(0);
         assert_eq!(b.state(t0), BreakerState::Closed);
         assert!(b.allow(t0));
-        b.record_failure(t0);
-        b.record_failure(t0);
+        for _ in 1..BREAKER_FAILURE_THRESHOLD {
+            b.record_failure(t0);
+        }
         assert_eq!(b.state(t0), BreakerState::Closed);
         b.record_failure(t0);
         assert_eq!(b.state(t0), BreakerState::Open);
-        assert!(!b.allow(t0 + dur::secs(1)));
+        assert!(!b.allow(t0 + (BREAKER_COOLDOWN - Duration::from_nanos(1))));
         assert_eq!(b.trips(), 1);
         // Cooldown elapsed: half-open, one probe admitted.
-        let t1 = t0 + dur::secs(3);
+        let t1 = t0 + BREAKER_COOLDOWN;
         assert_eq!(b.state(t1), BreakerState::HalfOpen);
         assert!(b.allow(t1));
         assert!(!b.allow(t1), "only one concurrent probe in half-open");
@@ -417,26 +371,33 @@ mod tests {
         assert_eq!(b.state(t1), BreakerState::Open);
         assert_eq!(b.trips(), 2);
         // Next probe succeeds: closed again.
-        let t2 = t1 + dur::secs(3);
+        let t2 = t1 + BREAKER_COOLDOWN;
         assert!(b.allow(t2));
-        b.record_success(t2);
+        b.record_success();
         assert_eq!(b.state(t2), BreakerState::Closed);
         assert!(b.allow(t2));
+        // Closed again, the next trip takes a whole new streak and admits
+        // a fresh probe after its cooldown.
+        for _ in 0..BREAKER_FAILURE_THRESHOLD {
+            b.record_failure(t2);
+        }
+        assert_eq!(b.trips(), 3);
+        assert!(b.allow(t2 + BREAKER_COOLDOWN), "the old probe does not linger");
     }
 
     #[test]
     fn breaker_success_resets_failure_streak() {
-        let b = Breaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown: dur::secs(3),
-            half_open_probes: 1,
-        });
+        let b = Breaker::new();
         let t = SimTime::from_nanos(0);
-        b.record_failure(t);
-        b.record_failure(t);
-        b.record_success(t);
-        b.record_failure(t);
-        b.record_failure(t);
+        for _ in 1..BREAKER_FAILURE_THRESHOLD {
+            b.record_failure(t);
+        }
+        b.record_success();
+        for _ in 1..BREAKER_FAILURE_THRESHOLD {
+            b.record_failure(t);
+        }
         assert_eq!(b.state(t), BreakerState::Closed, "streak must reset on success");
+        b.record_failure(t);
+        assert_eq!(b.state(t), BreakerState::Open, "a full streak still trips");
     }
 }

@@ -15,7 +15,13 @@ use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::value::Datum;
 use crdb_util::time::{dur, SimTime};
-use crdb_util::Histogram;
+use crdb_util::{Histogram, RetryPolicy};
+
+/// Backoff before a conflicted transaction's first retry; it doubles per
+/// retry.
+const RETRY_BASE: Duration = Duration::from_millis(1);
+/// Upper bound on one retry's backoff.
+const RETRY_CAP: Duration = Duration::from_millis(64);
 
 /// Anything that can execute SQL for a worker: the serverless path
 /// (proxy + quota gate) or a dedicated engine.
@@ -229,17 +235,23 @@ impl Driver {
                         .record_duration(this.sim.now().duration_since(started));
                     this.schedule_next(worker);
                 }
-                Err(e) if e.is_retryable() && attempt < this.config.max_retries => {
-                    *this.stats.retries.borrow_mut() += 1;
-                    let this2 = Rc::clone(&this);
-                    this.sim.schedule_after(dur::ms(1 << attempt.min(6)), move || {
-                        this2.worker_iteration(worker, attempt + 1);
-                    });
-                }
                 Err(e) => {
-                    *this.stats.aborted.borrow_mut() += 1;
-                    *this.stats.last_abort.borrow_mut() = Some(e.to_string());
-                    this.schedule_next(worker);
+                    let retry =
+                        RetryPolicy::exponential(RETRY_BASE, RETRY_CAP, this.config.max_retries);
+                    match retry.delay(attempt).filter(|_| e.is_retryable()) {
+                        Some(backoff) => {
+                            *this.stats.retries.borrow_mut() += 1;
+                            let this2 = Rc::clone(&this);
+                            this.sim.schedule_after(backoff, move || {
+                                this2.worker_iteration(worker, attempt + 1);
+                            });
+                        }
+                        None => {
+                            *this.stats.aborted.borrow_mut() += 1;
+                            *this.stats.last_abort.borrow_mut() = Some(e.to_string());
+                            this.schedule_next(worker);
+                        }
+                    }
                 }
             }),
         );
