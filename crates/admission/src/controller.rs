@@ -7,8 +7,10 @@
 //!
 //! The controller is passive: the embedding node calls
 //! [`AdmissionController::poll`] after arrivals, completions and timer
-//! ticks, and acts on the returned grants. `next_event_time` reports when
-//! a deferred token grant falls due so the embedder can schedule a wake-up.
+//! ticks, acts on the returned grants, and answers the operations
+//! [`AdmissionController::take_expired`] hands back. `next_event_time`
+//! reports when a deferred token grant falls due so the embedder can
+//! schedule a wake-up.
 
 use std::time::Duration;
 
@@ -257,9 +259,23 @@ impl<T> AdmissionController<T> {
         self.cq.waiting_tenants() + self.wq.waiting_tenants()
     }
 
-    /// Operations dropped on deadline across both queues.
+    /// Operations expired on deadline across both queues.
     pub fn timed_out(&self) -> u64 {
         self.cq.timed_out + self.wq.timed_out
+    }
+
+    /// The payloads of the operations whose deadline passed while they
+    /// were queued, found by `poll` since the last call. None of them was
+    /// granted; each still needs its answer.
+    pub fn take_expired(&mut self) -> Vec<T> {
+        let mut expired = self.wq.take_expired();
+        expired.append(&mut self.cq.take_expired());
+        expired
+            .into_iter()
+            .map(|item| match item.payload.0 {
+                Pending::Read(inner) | Pending::Write { inner, .. } => inner,
+            })
+            .collect()
     }
 
     /// Current CPU slot total (for observability).
@@ -386,6 +402,7 @@ mod tests {
         assert_eq!(g.len(), 0, "expired op must not be granted");
         assert_eq!(c.timed_out(), 1);
         assert_eq!(c.queue_len(), 0);
+        assert_eq!(c.take_expired(), ["dies"], "handed back for an answer");
     }
 
     #[test]

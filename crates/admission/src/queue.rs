@@ -5,8 +5,9 @@
 //! that has been starved rises to the front regardless of how much work it
 //! has queued. Within a tenant, operations are ordered by priority (higher
 //! first) and then transaction start time (older first) — preserving
-//! transaction fairness under contention. Operations carry deadlines and
-//! are dropped (reported, not granted) once expired.
+//! transaction fairness under contention. Operations carry deadlines; one
+//! that expires is not granted but handed back, so its caller can answer
+//! it.
 
 use std::collections::{BTreeMap, BinaryHeap};
 use std::time::Duration;
@@ -88,7 +89,10 @@ pub struct WorkQueue<T> {
     half_life: Duration,
     next_seq: u64,
     queued: usize,
-    /// Operations dropped because their deadline passed before admission.
+    /// Operations whose deadline passed before admission, oldest first,
+    /// until [`WorkQueue::take_expired`] hands them back.
+    expired: Vec<WorkItem<T>>,
+    /// Operations expired because their deadline passed before admission.
     pub timed_out: u64,
 }
 
@@ -102,6 +106,7 @@ impl<T> WorkQueue<T> {
             half_life,
             next_seq: 0,
             queued: 0,
+            expired: Vec::new(),
             timed_out: 0,
         }
     }
@@ -129,8 +134,8 @@ impl<T> WorkQueue<T> {
 
     /// Dequeues the next operation: from the least-consuming tenant with
     /// waiting work, its highest-priority / oldest-transaction operation.
-    /// Expired operations are dropped along the way and counted in
-    /// [`WorkQueue::timed_out`].
+    /// Expired operations are set aside along the way for
+    /// [`WorkQueue::take_expired`] and counted in [`WorkQueue::timed_out`].
     pub fn dequeue(&mut self, now: SimTime) -> Option<WorkItem<T>> {
         loop {
             // Pick the least-consuming tenant among those with queued work,
@@ -154,10 +159,17 @@ impl<T> WorkQueue<T> {
             self.queued -= 1;
             if entry.item.deadline < now {
                 self.timed_out += 1;
+                self.expired.push(entry.item);
                 continue;
             }
             return Some(entry.item);
         }
+    }
+
+    /// The operations [`WorkQueue::dequeue`] found expired since the last
+    /// call, in the order it found them.
+    pub fn take_expired(&mut self) -> Vec<WorkItem<T>> {
+        std::mem::take(&mut self.expired)
     }
 
     /// Drops `tenant`'s drained heap, keeping its buffer as the spare if it
@@ -271,6 +283,9 @@ mod tests {
         assert_eq!(q.dequeue(t(2.0)).unwrap().payload, "live");
         assert_eq!(q.timed_out, 1);
         assert!(q.is_empty());
+        let expired: Vec<_> = q.take_expired().into_iter().map(|i| i.payload).collect();
+        assert_eq!(expired, ["expired"]);
+        assert!(q.take_expired().is_empty(), "handed back once");
     }
 
     #[test]

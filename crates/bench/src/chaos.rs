@@ -63,7 +63,7 @@ pub struct ChaosReport {
     pub dropped_messages: u64,
     /// Invariant violations; empty means the run was clean.
     pub violations: Vec<String>,
-    /// End-of-run unified metrics registry snapshot (JSON). Same seed ⇒
+    /// End-of-run metrics snapshot (JSON). Same seed ⇒
     /// byte-identical; asserted by the callers alongside the injector log.
     pub metrics_snapshot: String,
 }

@@ -93,7 +93,7 @@ pub struct DisasterReport {
     pub healthy_p99: Vec<(&'static str, Duration)>,
     /// Invariant violations; empty means the run was clean.
     pub violations: Vec<String>,
-    /// End-of-run unified metrics registry snapshot (JSON).
+    /// End-of-run metrics snapshot (JSON).
     pub metrics_snapshot: String,
 }
 

@@ -31,7 +31,7 @@ fn chaos_small_plan_holds_invariants_and_replays() {
     );
 
     // Same seed replays to a byte-identical fault log and a
-    // byte-identical metrics registry snapshot.
+    // byte-identical metrics snapshot.
     let again = run_chaos(&options(5));
     assert_eq!(report.log, again.log);
     assert_eq!(

@@ -96,9 +96,6 @@ pub struct ServerlessCluster {
     pub pipeline: Rc<MetricsPipeline>,
     /// Warm pod pool.
     pub pool: Rc<WarmPool>,
-    /// Unified observability registry: every layer's counters, gauges and
-    /// histograms, sampled deterministically at snapshot time.
-    pub obs: crdb_obs::Registry,
     tenants: Rc<RefCell<Tenants>>,
     /// Preferred placement for a tenant's next SQL nodes (set by probers
     /// and multi-region tests before connecting).
@@ -192,7 +189,6 @@ impl ServerlessCluster {
             autoscaler,
             pipeline,
             pool,
-            obs: crdb_obs::Registry::new(),
             tenants,
             preferred_location,
             ecpu_model: Rc::new(config.ecpu_model.clone()),
@@ -200,16 +196,6 @@ impl ServerlessCluster {
             next_tenant: Cell::new(TenantId::FIRST_APP.raw()),
             last_accounted: RefCell::new(Vec::new()),
         });
-        // One registry source for the whole deployment: sampled fresh at
-        // every snapshot, so registration order cannot affect the output.
-        {
-            let weak = Rc::downgrade(&cluster);
-            cluster.obs.register_source(move |s| {
-                if let Some(c) = weak.upgrade() {
-                    c.sample_metrics(s);
-                }
-            });
-        }
         cluster.start_accounting_loop();
         cluster
     }
@@ -344,9 +330,12 @@ impl ServerlessCluster {
         }
     }
 
-    /// A deterministic JSON snapshot of every registered metric.
+    /// A deterministic JSON snapshot of every layer's metrics, sampled
+    /// now.
     pub fn metrics_snapshot_json(&self) -> String {
-        self.obs.snapshot_json()
+        let mut s = Sampler::default();
+        self.sample_metrics(&mut s);
+        s.snapshot_json()
     }
 
     fn start_accounting_loop(self: &Rc<Self>) {

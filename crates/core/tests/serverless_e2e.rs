@@ -111,7 +111,7 @@ fn idle_tenant_suspends_and_resumes() {
 
 /// Regression: an idle tenant's usage window must decay to zero so the
 /// autoscaler actually reaches zero pods. With the old stale
-/// `SlidingWindow` average, samples never aged out and the last burst of
+/// sliding-window average, samples never aged out and the last burst of
 /// CPU kept the visible usage — and therefore the pod count — pinned
 /// above zero forever.
 #[test]

@@ -20,7 +20,7 @@
 //! ([`KvNode::commit_one_phase`]).
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
@@ -31,7 +31,6 @@ use crdb_sim::cpu::CpuScheduler;
 use crdb_sim::resource::RateResource;
 use crdb_sim::{Location, Sim};
 use crdb_storage::{Engine, LsmConfig};
-use crdb_util::stats::SlidingWindow;
 use crdb_util::time::{dur, SimTime};
 use crdb_util::{NodeId, TenantId};
 
@@ -63,6 +62,10 @@ const DISK_RATE: f64 = 64.0 * (1 << 20) as f64;
 /// Concurrent background compaction jobs per node (each claims a disjoint
 /// level pair and is charged to the node's disk).
 const COMPACTION_SLOTS: usize = 2;
+
+/// How far back the batch rate behind the cost model's economy curve
+/// looks.
+const BATCH_RATE_WINDOW: Duration = Duration::from_secs(5);
 
 /// An operation queued in admission: the batch plus its response path.
 pub(crate) struct PendingOp {
@@ -118,8 +121,10 @@ pub struct KvNode {
     alive: Cell<bool>,
     /// Per-tenant traffic features (input to the estimated-CPU model).
     traffic: RefCell<BTreeMap<TenantId, TrafficStats>>,
-    /// Recent batch arrivals, for the cost model's economy curve.
-    batch_window: RefCell<SlidingWindow>,
+    /// Admission times of the batches granted in the last
+    /// [`BATCH_RATE_WINDOW`], oldest first: the batch rate the cost
+    /// model's economy curve reads.
+    batch_arrivals: RefCell<VecDeque<SimTime>>,
     /// Batches served (lifetime).
     pub batches_served: Cell<u64>,
     /// Scheduled admission re-poll, if any.
@@ -160,7 +165,7 @@ impl KvNode {
             cluster,
             alive: Cell::new(true),
             traffic: RefCell::new(BTreeMap::new()),
-            batch_window: RefCell::new(SlidingWindow::new(dur::secs(5))),
+            batch_arrivals: RefCell::new(VecDeque::new()),
             batches_served: Cell::new(0),
             pending_pump: Cell::new(None),
             last_tick: Cell::new((0.0, 0.0, sim.now())),
@@ -405,7 +410,13 @@ impl KvNode {
     /// deferred write-token grant is pending.
     pub(crate) fn pump(self: &Rc<Self>) {
         let now = self.sim.now();
-        let grants = self.admission.borrow_mut().poll(now);
+        let (grants, expired) = {
+            let mut adm = self.admission.borrow_mut();
+            (adm.poll(now), adm.take_expired())
+        };
+        for op in expired {
+            Self::answer_expired(now, op);
+        }
         for grant in grants {
             let node = Rc::clone(self);
             let tenant = grant.tenant;
@@ -414,9 +425,12 @@ impl KvNode {
             let op = grant.payload;
             // Ground-truth CPU cost, shaped by the recent batch rate.
             let rate = {
-                let mut w = self.batch_window.borrow_mut();
-                w.record(now, 1.0);
-                w.len() as f64 / 5.0
+                let mut arrivals = self.batch_arrivals.borrow_mut();
+                arrivals.push_back(now);
+                while arrivals.front().is_some_and(|&t| now.duration_since(t) > BATCH_RATE_WINDOW) {
+                    arrivals.pop_front();
+                }
+                arrivals.len() as f64 / BATCH_RATE_WINDOW.as_secs_f64()
             };
             let cost = {
                 let cluster = match self.cluster.upgrade() {
@@ -446,6 +460,21 @@ impl KvNode {
             });
             self.pending_pump.set(Some(ev));
         }
+    }
+
+    /// Answers an operation whose admission deadline passed while it was
+    /// queued: `DeadlineExceeded` if the batch's own deadline has passed,
+    /// `AdmissionTimeout` if only the node's queueing cap has.
+    fn answer_expired(now: SimTime, op: PendingOp) {
+        let PendingOp { batch, respond, span, queue_span } = op;
+        let error = if batch.deadline.expired(now) {
+            KvError::DeadlineExceeded
+        } else {
+            KvError::AdmissionTimeout
+        };
+        queue_span.end();
+        span.end();
+        respond(BatchResponse::err(error));
     }
 
     /// Executes an admitted batch after its CPU service completes.

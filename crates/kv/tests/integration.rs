@@ -1430,6 +1430,39 @@ fn dead_follower_is_charged_no_apply_cpu() {
     assert!(matches!(replayed, ReadResult::Value(Some(_))));
 }
 
+/// A batch whose deadline passes while it waits in admission is answered
+/// once, with a typed error: it is never granted, and never left without
+/// a reply (which would also leave its `kv.serve` span open).
+#[test]
+fn batch_that_expires_in_the_admission_queue_gets_one_typed_reply() {
+    let (sim, cluster, cert, node) = leaseholder_with(71, 3);
+    let key = k(2, "x");
+    let read = |deadline| BatchRequest {
+        deadline,
+        ..txn_batch(
+            &make_txn_meta(&cluster, key.clone()),
+            vec![RequestKind::Get { key: key.clone() }],
+        )
+    };
+    // Older transactions fill the CPU slots and the queue ahead of it.
+    let served = Rc::new(RefCell::new(0));
+    for _ in 0..400 {
+        let served = Rc::clone(&served);
+        node.receive(&cert, read(Deadline::NONE), move |resp| {
+            assert!(resp.is_ok(), "{:?}", resp.error);
+            *served.borrow_mut() += 1;
+        });
+    }
+    let replies = Rc::new(RefCell::new(Vec::new()));
+    let r = Rc::clone(&replies);
+    node.receive(&cert, read(Deadline::at(sim.now() + dur::ms(1))), move |resp| {
+        r.borrow_mut().push(resp.error);
+    });
+    sim.run_for(dur::secs(2));
+    assert_eq!(*served.borrow(), 400, "the queue drained");
+    assert_eq!(*replies.borrow(), [Some(KvError::DeadlineExceeded)]);
+}
+
 // ---- The timestamp cache: a commit stamped before a read it cannot
 // ---- see lands above that read, wherever the read was served.
 

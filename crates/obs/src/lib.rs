@@ -1,4 +1,4 @@
-//! Observability: deterministic trace spans and a unified metrics registry.
+//! Observability: deterministic trace spans and metrics snapshots.
 //!
 //! The paper's control loops — scale-from-zero (§4.2), the autoscaler
 //! (§4.2.3), and distributed eCPU throttling (§5.2) — are only trustworthy
@@ -11,12 +11,12 @@
 //!   via an ambient, thread-local current-span stack. Because the simulator
 //!   is single-threaded and seeded, a trace of the same request under the
 //!   same seed is identical byte for byte.
-//! - [`metrics`]: a unified [`metrics::Registry`] of pull-based *sources*:
-//!   components keep their own counters (storage engine metrics,
+//! - [`metrics`]: a [`metrics::Sampler`] that components report into at
+//!   snapshot time: they keep their own counters (storage engine metrics,
 //!   proxy/autoscaler counters, token-bucket grant totals, admission queue
 //!   depths) and report them as counters, gauges and fixed-bucket
-//!   histograms at snapshot time. `snapshot_json()` is byte-identical
-//!   across same-seed runs.
+//!   histograms. `snapshot_json()` is byte-identical across same-seed
+//!   runs.
 //!
 //! Everything here is deterministic: no wall clocks, no random ids, no
 //! hash-order iteration reaches the serialized output.
@@ -27,7 +27,7 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::Registry;
+pub use metrics::Sampler;
 pub use trace::{MaybeSpan, Span, Trace};
 
 /// Escapes `s` for embedding inside a JSON string literal.

@@ -1,4 +1,4 @@
-//! A unified metrics registry.
+//! Deterministic metrics snapshots.
 //!
 //! # Naming scheme
 //!
@@ -10,31 +10,27 @@
 //!
 //! # Determinism contract
 //!
-//! [`Registry::snapshot_json`] is byte-identical across two runs of the same
+//! [`Sampler::snapshot_json`] is byte-identical across two runs of the same
 //! seeded simulation. This holds because: names are collected into a
 //! `BTreeMap` (no hash-order reaches the output); counter values are exact
-//! integers; gauge/histogram values are `f64`s produced by the deterministic
-//! simulation and formatted with Rust's shortest round-trip representation;
-//! and registered sources are re-sampled at snapshot time, so registration
-//! order does not matter. The chaos soak asserts this byte-for-byte.
+//! integers; and gauge/histogram values are `f64`s produced by the
+//! deterministic simulation and formatted with Rust's shortest round-trip
+//! representation. The chaos soak asserts this byte-for-byte.
 //!
-//! # Sources
+//! # Sampling
 //!
 //! Components keep their own counters (the storage engine's
 //! `StorageMetrics`, proxy/autoscaler cells, bucket grant totals, admission
-//! queue depths) and are wired in as pull-based sources: a closure
-//! registered once at assembly time that reports current values into a
-//! [`Sampler`] whenever a snapshot is taken.
+//! queue depths); whoever assembles them reports their current values into
+//! a fresh [`Sampler`] whenever a snapshot is taken.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use crdb_util::Histogram;
 
 use crate::{json_escape, json_f64};
 
-/// Collects values reported by a pull-based source during a snapshot.
+/// Collects the values reported for one snapshot.
 #[derive(Default)]
 pub struct Sampler {
     counters: BTreeMap<String, u64>,
@@ -83,40 +79,13 @@ impl Sampler {
         let prev = self.hists.insert(name.to_string(), HistSummary::from(h));
         assert!(prev.is_none(), "duplicate metric name {name:?}");
     }
-}
 
-type Source = Box<dyn Fn(&mut Sampler)>;
-
-/// The unified registry. Cheap to clone; clones share state.
-#[derive(Clone, Default)]
-pub struct Registry {
-    sources: Rc<RefCell<Vec<Source>>>,
-}
-
-impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Registers a pull-based source, sampled on every snapshot. A source
-    /// must report the same metric names on every call (values may change)
-    /// and must not collide with other sources.
-    pub fn register_source(&self, f: impl Fn(&mut Sampler) + 'static) {
-        self.sources.borrow_mut().push(Box::new(f));
-    }
-
-    /// Serializes every source to deterministic JSON, sorted by metric
-    /// name. Byte-identical across same-seed runs.
+    /// Serializes the reported values to deterministic JSON, sorted by
+    /// metric name. Byte-identical across same-seed runs.
     pub fn snapshot_json(&self) -> String {
-        let mut s = Sampler::default();
-        for src in self.sources.borrow().iter() {
-            src(&mut s);
-        }
-
         let mut out = String::new();
         out.push_str("{\"counters\":{");
-        for (i, (k, v)) in s.counters.iter().enumerate() {
+        for (i, (k, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -125,7 +94,7 @@ impl Registry {
             out.push_str(&format!("\":{v}"));
         }
         out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in s.gauges.iter().enumerate() {
+        for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -135,7 +104,7 @@ impl Registry {
             json_f64(*v, &mut out);
         }
         out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in s.hists.iter().enumerate() {
+        for (i, (k, h)) in self.hists.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -156,22 +125,19 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     #[test]
     fn snapshot_is_sorted_by_name() {
-        let r = Registry::new();
-        r.register_source(|s| {
-            let mut h = Histogram::new();
-            h.record(100);
-            h.record(200);
-            s.histogram("c.lat", &h);
-            s.counter("b.count", 3);
-            s.counter("a.count", 1);
-            s.gauge("a.gauge", 1.5);
-        });
+        let mut s = Sampler::default();
+        let mut h = Histogram::new();
+        h.record(100);
+        h.record(200);
+        s.histogram("c.lat", &h);
+        s.counter("b.count", 3);
+        s.counter("a.count", 1);
+        s.gauge("a.gauge", 1.5);
         assert_eq!(
-            r.snapshot_json(),
+            s.snapshot_json(),
             concat!(
                 r#"{"counters":{"a.count":1,"b.count":3},"gauges":{"a.gauge":1.5},"#,
                 r#""histograms":{"c.lat":{"count":2,"min":100,"max":200,"#,
@@ -181,22 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn sources_are_resampled_each_snapshot() {
-        let r = Registry::new();
-        let v = Rc::new(Cell::new(7u64));
-        let v2 = v.clone();
-        r.register_source(move |s| s.counter("src.value", v2.get()));
-        assert!(r.snapshot_json().contains("\"src.value\":7"));
-        v.set(9);
-        assert!(r.snapshot_json().contains("\"src.value\":9"));
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate metric name")]
     fn duplicate_names_panic() {
-        let r = Registry::new();
-        r.register_source(|s| s.counter("dup", 0));
-        r.register_source(|s| s.counter("dup", 1));
-        let _ = r.snapshot_json();
+        let mut s = Sampler::default();
+        s.counter("dup", 0);
+        s.counter("dup", 1);
     }
 }

@@ -216,6 +216,7 @@ impl SpanView {
 /// A live handle to one span within a [`Trace`]. Cheap to clone; clones
 /// refer to the same record.
 #[derive(Clone)]
+#[must_use = "a span nobody ends leaves a hole in its request's trace: end it or hand it on"]
 pub struct Span {
     inner: Rc<TraceInner>,
     idx: usize,
@@ -275,6 +276,20 @@ impl Span {
     }
 }
 
+// Each item leaks a span on purpose, under an expectation the workspace
+// lints deny leaving unfulfilled. The first fails the build if `Span`
+// loses its attribute; the second pins that a bound span nobody reads is
+// flagged too.
+#[expect(unused_must_use, reason = "proves a span opened and dropped fails the build")]
+fn _span_dropped(parent: &Span) {
+    parent.child("dropped");
+}
+
+#[expect(unused_variables, reason = "proves a span bound and never used fails the build")]
+fn _span_unused(parent: &Span) {
+    let span = parent.child("unused");
+}
+
 thread_local! {
     static CURRENT: RefCell<Vec<Span>> = const { RefCell::new(Vec::new()) };
 }
@@ -307,6 +322,7 @@ pub fn child(name: &str) -> MaybeSpan {
 /// trace was active at capture time, so instrumented code paths need no
 /// `if tracing` branches.
 #[derive(Clone, Default)]
+#[must_use = "a span nobody ends leaves a hole in its request's trace: end it or hand it on"]
 pub struct MaybeSpan(Option<Span>);
 
 impl MaybeSpan {
@@ -356,6 +372,18 @@ impl MaybeSpan {
     pub fn enter(&self) -> Option<ScopeGuard> {
         self.0.as_ref().map(|s| s.enter())
     }
+}
+
+// The same two leaks for `MaybeSpan`, as `trace::child` and
+// `trace::current` hand it out.
+#[expect(unused_must_use, reason = "proves a span opened and dropped fails the build")]
+fn _maybe_span_dropped() {
+    child("dropped");
+}
+
+#[expect(unused_variables, reason = "proves a span bound and never used fails the build")]
+fn _maybe_span_unused() {
+    let span = current().child("unused");
 }
 
 #[cfg(test)]

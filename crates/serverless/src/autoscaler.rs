@@ -17,7 +17,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crdb_sim::Sim;
-use crdb_sql::node::{NodeState, SqlNode, NODE_VCPUS};
+use crdb_sql::node::{NodeState, NODE_VCPUS};
 use crdb_util::time::dur;
 use crdb_util::TenantId;
 
@@ -192,7 +192,7 @@ impl Autoscaler {
                 })
                 .flatten();
             if let Some(node) = reclaimed {
-                node.undrain();
+                node.set_ready_for_reuse();
                 self.scale_ups.set(self.scale_ups.get() + 1);
                 continue;
             }
@@ -268,20 +268,6 @@ impl Autoscaler {
     /// Direct access to configuration.
     pub fn config(&self) -> &AutoscalerConfig {
         &self.config
-    }
-}
-
-/// Extension for [`SqlNode`]: reverse a drain (scale-up reuse).
-trait Undrain {
-    fn undrain(&self);
-}
-
-impl Undrain for SqlNode {
-    fn undrain(&self) {
-        // SqlNode has no public un-drain; Ready is restored through its
-        // state cell via drain()'s inverse, which `set_ready_for_reuse`
-        // models below.
-        self.set_ready_for_reuse();
     }
 }
 

@@ -4,13 +4,13 @@
 //! The reproduction's value rests on deterministic simulation: same
 //! seed ⇒ byte-identical fault logs, traces, and metrics snapshots.
 //! What rustc and clippy can see of that contract — hash-ordered
-//! collections, ambient entropy, discarded `Result`s — they enforce
-//! (root `clippy.toml`). This crate keeps the rest: wall clocks,
-//! `RefCell` guards held across re-entrant calls, panic paths, time-unit
-//! mixes, leaked begin/finish pairs and metric-name drift. A hand-rolled
-//! lexer strips comments and strings, one scope walk per file builds a
-//! model, the rules read the models, and CI fails on any unsuppressed
-//! finding.
+//! collections, ambient entropy, discarded `Result`s, leaked paired
+//! claims — they enforce (root `clippy.toml`, the workspace lints). This
+//! crate keeps the rest: wall clocks, `RefCell` guards held across
+//! re-entrant calls, panic paths, time-unit mixes and metric-name drift.
+//! A hand-rolled lexer strips comments and strings, one scope walk per
+//! file builds a model, the rules read the models, and CI fails on any
+//! unsuppressed finding.
 //!
 //! See `DESIGN.md` §8 for which tool enforces which hazard;
 //! `crdb-simlint list` prints each rule with the historical bug that

@@ -3,11 +3,11 @@
 //!
 //! Every rule in [`xrules`](crate::xrules) reads a [`FileModel`]: the
 //! raw and lexer-stripped lines, the `simlint:` directives, which lines
-//! are test code, the brace depth after each line, fn body ranges, the
-//! metric-name strings at registration and lookup sites, and which
-//! bindings are slab arenas. Some rules need every file's model at once
-//! (a metric lookup must match a registration *anywhere*), so the
-//! models are all built before any rule runs.
+//! are test code, the brace depth after each line, fn body ranges, and
+//! the metric-name strings at registration and lookup sites. Some rules
+//! need every file's model at once (a metric lookup must match a
+//! registration *anywhere*), so the models are all built before any
+//! rule runs.
 //!
 //! The model is built from the lexer-stripped view (comments/strings
 //! blanked, 1:1 per character) plus the raw source (to recover
@@ -16,8 +16,6 @@
 //! identifier scanning only, tuned on the real workspace.
 
 // simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
-
-use std::collections::BTreeSet;
 
 use crate::lexer::{is_ident, strip, word_positions};
 use crate::rules::{parse_directives, Directive};
@@ -70,8 +68,6 @@ pub struct FileModel {
     pub metric_regs: Vec<MetricString>,
     /// Metric names at lookup sites (`…snapshot….contains("…")`, `.get("…")`).
     pub metric_lookups: Vec<MetricString>,
-    /// Bindings declared as `Slab<…>`.
-    pub slab_names: BTreeSet<String>,
 }
 
 impl FileModel {
@@ -89,7 +85,6 @@ impl FileModel {
             f.in_test = f.in_test || test_file;
         }
 
-        let slab_names = collect_slab_names(&clean);
         let (metric_regs, metric_lookups) = collect_metric_strings(&raw, &clean, &test_line);
 
         FileModel {
@@ -103,7 +98,6 @@ impl FileModel {
             fns,
             metric_regs,
             metric_lookups,
-            slab_names,
         }
     }
 
@@ -267,111 +261,8 @@ impl ScopeWalk {
 }
 
 // ---------------------------------------------------------------------------
-// Name tables: slab bindings
+// Bindings
 // ---------------------------------------------------------------------------
-
-/// Names declared (or annotated) as `Slab<…>` in this file — receiver
-/// names for the `unbalanced-pair` slab-insert family.
-fn collect_slab_names(clean: &[String]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for line in clean {
-        for pos in word_positions(line, "Slab") {
-            let after = &line[pos + "Slab".len()..];
-            if after.trim_start().starts_with('<') {
-                if let Some(name) = annotated_name(&line[..pos]) {
-                    names.insert(name);
-                }
-            }
-            if after.starts_with("::") {
-                if let Some(name) = let_bound_name(&line[..pos]) {
-                    names.insert(name);
-                }
-            }
-        }
-    }
-    names
-}
-
-/// Wrapper type constructors that may sit between a name and its
-/// `Slab<...>` annotation, e.g. `x: Rc<RefCell<Slab<T>>>`.
-const TYPE_WRAPPERS: &[&str] =
-    &["Rc", "Arc", "Box", "RefCell", "Cell", "Option", "Mutex", "RwLock", "rc", "sync", "cell"];
-
-/// Given the text left of a type token, decides whether it reads as
-/// `name: [& mut] [wrappers<]` and extracts `name`.
-fn annotated_name(before: &str) -> Option<String> {
-    let mut s = before.trim_end();
-    loop {
-        let prev = s;
-        s = s.trim_end();
-        // Strip a trailing path prefix `ident::`.
-        if let Some(stripped) = s.strip_suffix("::") {
-            s = strip_trailing_ident(stripped)?;
-            continue;
-        }
-        // Strip a trailing wrapper `Wrapper<`.
-        if let Some(stripped) = s.strip_suffix('<') {
-            let stripped = stripped.trim_end();
-            let inner = strip_trailing_ident(stripped)?;
-            let ident = &stripped[inner.len()..];
-            if !TYPE_WRAPPERS.contains(&ident) {
-                return None;
-            }
-            s = inner;
-            continue;
-        }
-        if let Some(stripped) = s.strip_suffix('&') {
-            s = stripped;
-            continue;
-        }
-        if let Some(stripped) = s.strip_suffix("mut") {
-            if stripped.ends_with(|c: char| c.is_whitespace() || c == '&') {
-                s = stripped;
-                continue;
-            }
-        }
-        // Strip a trailing lifetime `'a`.
-        if let Some(apos) = s.rfind('\'') {
-            if s[apos + 1..].chars().all(is_ident) && !s[apos + 1..].is_empty() {
-                s = &s[..apos];
-                continue;
-            }
-        }
-        if s == prev {
-            break;
-        }
-    }
-    // Now expect `… name:` (single colon — `::` would be a path, which the
-    // loop above already consumed).
-    let s = s.strip_suffix(':')?;
-    if s.ends_with(':') {
-        return None;
-    }
-    let rest = strip_trailing_ident(s)?;
-    let name = &s[rest.len()..];
-    if name.is_empty() || name.chars().next().unwrap().is_ascii_digit() {
-        return None;
-    }
-    // `fn foo(...) -> Slab<T>` style arrows never end in `name:`; also
-    // exclude obvious non-bindings.
-    if ["where", "impl", "dyn", "pub", "crate", "return"].contains(&name) {
-        return None;
-    }
-    Some(name.to_string())
-}
-
-/// Strips one trailing identifier, returning the prefix (errors if the
-/// text does not end in an identifier).
-fn strip_trailing_ident(s: &str) -> Option<&str> {
-    let trimmed = s.trim_end();
-    let end = trimmed.len();
-    let start =
-        trimmed.char_indices().rev().take_while(|(_, c)| is_ident(*c)).last().map(|(i, _)| i)?;
-    if start == end {
-        return None;
-    }
-    Some(&trimmed[..start])
-}
 
 /// Extracts `name` from a `let [mut] name [: ty]` prefix.
 pub(crate) fn let_bound_name(before: &str) -> Option<String> {
@@ -600,14 +491,6 @@ fn probe(snapshot: &str) {
         assert_eq!(m.metric_regs[1].text, "kv.node.{}.admission.queue_len");
         assert_eq!(m.metric_lookups.len(), 1, "non-metric-shaped strings skipped");
         assert_eq!(m.metric_lookups[0].text, "proxy.connects");
-    }
-
-    #[test]
-    fn slab_names_collected() {
-        let src = "struct S { conns: Slab<Conn> }\nfn f() { let mut t = Slab::new(); }\n";
-        let m = FileModel::build("x.rs", src, false);
-        assert!(m.slab_names.contains("conns"));
-        assert!(m.slab_names.contains("t"));
     }
 
     #[test]

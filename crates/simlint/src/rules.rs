@@ -49,14 +49,6 @@ pub const RULES: &[Rule] = &[
                      PR 1 fixed the same class in the kv range cache",
     },
     Rule {
-        name: "unbalanced-pair",
-        summary: "begin_*/slab-insert/span-open called without the matching \
-                  finish/remove/end in the same fn body or a visible guard hand-off",
-        motivation: "PR 7: an early-return path left `begin_flush`'s in-flight flag set \
-                     forever, wedging the LSM; paired claim APIs leak silently unless the \
-                     guard's disposition is mechanically checked",
-    },
-    Rule {
         name: "unit-mismatch",
         summary: "arithmetic/comparison mixing µs/ms/sec-named identifiers, or a unit-named \
                   call fed a value whose name carries a different unit",

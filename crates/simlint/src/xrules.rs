@@ -21,18 +21,14 @@
 //!   shape, and every lookup string probed against a snapshot must
 //!   match a registration *somewhere in the workspace* (templates match
 //!   with `{}` holes standing for one or more segments).
-//! - **`unbalanced-pair`** — a fn body that claims a paired resource
-//!   (`begin_*` jobs, slab `insert`, span open) must either call the
-//!   matching finish/remove/end in the same body or visibly hand the
-//!   guard off (bind it and use the binding, or embed it in a larger
-//!   expression). Discarding the guard leaks the claim: pair locks
-//!   stay held, slots leak, spans never close.
 //! - **`bad-directive`** — a `simlint:` directive that names no known
 //!   rule or gives no reason; it suppresses nothing.
 //!
-//! Hash-ordered collections, ambient entropy and discarded `Result`s
-//! are not here: the type checker knows them, so clippy bans them (root
-//! `clippy.toml`, DESIGN.md §8).
+//! Hash-ordered collections, ambient entropy, discarded `Result`s and
+//! leaked paired claims are not here: the type checker knows them. Clippy
+//! bans the first three (root `clippy.toml`); rustc denies a discarded or
+//! never-read `#[must_use]` claim — an LSM job, a slab slot, an open span
+//! — through the workspace lints (DESIGN.md §8).
 
 // simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
 
@@ -52,7 +48,6 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
             reentrant_borrow(f, &mut findings);
             panic_path(f, &mut findings);
             unit_mismatch(f, &mut findings);
-            unbalanced_pair(f, &mut findings);
         }
     }
     metric_name(files, &mut findings);
@@ -663,186 +658,6 @@ fn match_segments(reg: &[&str], name: &[&str]) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// unbalanced-pair
-// ---------------------------------------------------------------------------
-
-fn unbalanced_pair(f: &FileModel, findings: &mut Vec<Finding>) {
-    for func in &f.fns {
-        if func.in_test {
-            continue;
-        }
-        let body: Vec<(usize, &str)> = (func.body_start..=func.body_end)
-            .filter_map(|ln| f.clean.get(ln - 1).map(|l| (ln, l.as_str())))
-            .collect();
-        let body_text: String = body.iter().map(|(_, l)| *l).collect::<Vec<_>>().join("\n");
-
-        for (ln, line) in &body {
-            // Family 1: begin_X(…) ↔ finish_X.
-            let mut search = 0;
-            while let Some(rel) = line[search..].find("begin_") {
-                let pos = search + rel;
-                search = pos + "begin_".len();
-                let before_ok =
-                    pos == 0 || !is_ident(line[..pos].chars().next_back().unwrap_or(' '));
-                if !before_ok {
-                    continue;
-                }
-                let name: String = line[pos..].chars().take_while(|c| is_ident(*c)).collect();
-                let after = &line[pos + name.len()..];
-                if !after.trim_start().starts_with('(') {
-                    continue;
-                }
-                let suffix = &name["begin_".len()..];
-                if suffix.is_empty() {
-                    continue;
-                }
-                let pair = format!("finish_{suffix}");
-                check_site(f, func, &body, &body_text, *ln, line, pos, &name, &pair, findings);
-            }
-            // Family 2: slab insert ↔ remove.
-            for slab in &f.slab_names {
-                let pat = format!("{slab}.insert(");
-                let mut search = 0;
-                while let Some(rel) = line[search..].find(&pat) {
-                    let pos = search + rel;
-                    search = pos + pat.len();
-                    let before_ok =
-                        pos == 0 || !is_ident(line[..pos].chars().next_back().unwrap_or(' '));
-                    if !before_ok && !line[..pos].ends_with('.') {
-                        continue;
-                    }
-                    let pair = format!("{slab}.remove");
-                    let call = format!("{slab}.insert");
-                    check_site(f, func, &body, &body_text, *ln, line, pos, &call, &pair, findings);
-                }
-            }
-            // Family 3: span open ↔ end.
-            for open_pat in [".child(", ".child_at("] {
-                let mut search = 0;
-                while let Some(rel) = line[search..].find(open_pat) {
-                    let pos = search + rel;
-                    search = pos + open_pat.len();
-                    check_site(
-                        f,
-                        func,
-                        &body,
-                        &body_text,
-                        *ln,
-                        line,
-                        pos,
-                        &open_pat[1..open_pat.len() - 1],
-                        ".end",
-                        findings,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Shared disposition check for one paired-claim call site.
-#[allow(clippy::too_many_arguments)]
-fn check_site(
-    f: &FileModel,
-    func: &crate::model::FnModel,
-    body: &[(usize, &str)],
-    body_text: &str,
-    lineno: usize,
-    line: &str,
-    pos: usize,
-    call: &str,
-    pair: &str,
-    findings: &mut Vec<Finding>,
-) {
-    // 1. The matching finish/remove/end appears somewhere in this body.
-    if body_text.contains(pair) {
-        return;
-    }
-    // 2. The claim is bound: `let [mut] NAME =`, `let Some(NAME) =`,
-    //    `while let Some(NAME)`… — the binding must be *used* later.
-    if let Some(bind) = binding_before(line, pos) {
-        let used_later = body.iter().any(|(ln, l)| {
-            if *ln < lineno {
-                return false;
-            }
-            let hay = if *ln == lineno { &l[pos..] } else { l };
-            word_positions(hay, &bind).iter().any(|p| *ln > lineno || pos + p > pos + call.len())
-        });
-        if used_later {
-            return;
-        }
-        findings.push(finding(
-            "unbalanced-pair",
-            f,
-            lineno,
-            format!(
-                "`{call}` claims a paired resource in `{}` but `{bind}` is never finished \
-                 with `{pair}` nor handed off — the claim leaks on this path",
-                func.name
-            ),
-        ));
-        return;
-    }
-    // 3. Unbound: consumed by an enclosing expression (struct literal,
-    //    argument, return value) counts as a hand-off; a bare statement
-    //    discards the guard. A line without a trailing `;` is a tail
-    //    expression or a multi-line expression — the value escapes.
-    if statement_position(line, pos) && line.trim_end().ends_with(';') {
-        findings.push(finding(
-            "unbalanced-pair",
-            f,
-            lineno,
-            format!(
-                "`{call}` claims a paired resource in `{}` and discards the guard — call \
-                 `{pair}` or keep the guard",
-                func.name
-            ),
-        ));
-    }
-}
-
-/// Extracts the binding name when the text before `pos` reads as a
-/// `let`-binding of this call's result.
-fn binding_before(line: &str, pos: usize) -> Option<String> {
-    let before = &line[..pos];
-    let let_pos = word_positions(before, "let").last().copied()?;
-    let mut rest = before[let_pos + 3..].trim_start();
-    for pat in ["mut ", "Some(", "Ok(", "Some (", "Ok ("] {
-        if let Some(r) = rest.strip_prefix(pat) {
-            rest = r.trim_start();
-        }
-    }
-    let name: String = rest.chars().take_while(|c| is_ident(*c)).collect();
-    if name.is_empty() || name == "_" || name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        return None;
-    }
-    // The `=` must sit between the binding and the call.
-    if before[let_pos..].contains('=') {
-        Some(name)
-    } else {
-        None
-    }
-}
-
-/// Whether the call chain containing byte `pos` starts a statement (so
-/// its value is dropped).
-fn statement_position(line: &str, pos: usize) -> bool {
-    // Walk back over the receiver chain: idents, `.`, `::`, whitespace.
-    let bytes = line.as_bytes();
-    let mut i = pos;
-    while i > 0 {
-        let c = bytes[i - 1] as char;
-        if is_ident(c) || c == '.' || c == ':' {
-            i -= 1;
-        } else {
-            break;
-        }
-    }
-    let lead = line[..i].trim_end();
-    lead.is_empty() || lead.ends_with(';') || lead.ends_with('{') || lead.ends_with('}')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,12 +690,5 @@ mod tests {
         assert!(range_index_sites("let x = buf[pos];").is_empty(), "plain index exempt");
         assert!(range_index_sites("#[cfg(test)]").is_empty());
         assert!(range_index_sites("let a: [u8; 4] = x;").is_empty());
-    }
-
-    #[test]
-    fn statement_position_detection() {
-        assert!(statement_position("        self.slab.insert(v);", 13));
-        assert!(!statement_position("let j = self.slab.insert(v);", 21));
-        assert!(!statement_position("f(self.slab.insert(v));", 11));
     }
 }

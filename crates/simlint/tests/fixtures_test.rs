@@ -167,24 +167,6 @@ fn metric_name_negative() {
 }
 
 #[test]
-fn unbalanced_pair_positive_includes_begin_compaction() {
-    let f = analyze(&["unbalanced_pair_pos.rs"]);
-    let hits = active(&f, "unbalanced-pair");
-    assert!(
-        hits.iter().any(|h| h.message.contains("begin_compaction")),
-        "unbalanced begin_compaction body not caught: {hits:#?}"
-    );
-    // begin/finish, slab insert, dropped span, leaked bound span.
-    assert!(hits.len() >= 4, "expected >=4 unbalanced-pair findings, got: {hits:#?}");
-}
-
-#[test]
-fn unbalanced_pair_negative() {
-    let f = analyze(&["unbalanced_pair_neg.rs"]);
-    assert!(active(&f, "unbalanced-pair").is_empty(), "false positives: {f:#?}");
-}
-
-#[test]
 fn test_files_are_modeled_but_exempt_from_v2_rules() {
     // The same positive corpus marked as test files must fire nothing.
     let f =

@@ -138,6 +138,7 @@ struct FrozenMemtable {
 /// A claimed memtable flush: hand it back via [`Lsm::finish_flush`] once
 /// the embedder has charged the modeled disk for it.
 #[derive(Debug)]
+#[must_use = "a claimed flush holds the engine's only flush slot until `Lsm::finish_flush`"]
 pub struct FlushJob {
     frozen_id: u64,
     bytes_estimate: u64,
@@ -162,6 +163,7 @@ pub struct CompactionPick {
 /// A claimed compaction: the input/target files are locked in the tree
 /// (and stay readable) until [`Lsm::finish_compaction`] merges them.
 #[derive(Debug)]
+#[must_use = "a claimed compaction locks its level pair until `Lsm::finish_compaction`"]
 pub struct CompactionJob {
     level: usize,
     input_nums: Vec<u64>,
@@ -480,6 +482,7 @@ impl Lsm {
     /// Claims the oldest frozen memtable for flushing (at most one flush
     /// in flight). The memtable keeps serving reads until
     /// [`Lsm::finish_flush`] installs its L0 table.
+    #[must_use = "a claimed flush holds the engine's only flush slot until `Lsm::finish_flush`"]
     pub fn begin_flush(&mut self) -> Option<FlushJob> {
         if self.flush_inflight.is_some() {
             return None;
@@ -772,6 +775,25 @@ impl Lsm {
     pub fn config(&self) -> &LsmConfig {
         &self.config
     }
+}
+
+// Each item leaks a claim on purpose, under an expectation the workspace
+// lints deny leaving unfulfilled: if `begin_flush`, `FlushJob` or
+// `CompactionJob` loses its attribute, the build fails.
+#[expect(unused_must_use, reason = "proves a flush claimed and dropped fails the build")]
+fn _flush_claim_dropped(lsm: &mut Lsm) {
+    lsm.begin_flush();
+}
+
+#[expect(unused_must_use, reason = "proves a flush job dropped once claimed fails the build")]
+fn _flush_job_dropped(lsm: &mut Lsm) -> Option<()> {
+    lsm.begin_flush()?;
+    Some(())
+}
+
+#[expect(unused_must_use, reason = "proves a compaction claimed and dropped fails the build")]
+fn _compaction_claim_dropped(lsm: &mut Lsm, pick: &CompactionPick) {
+    lsm.begin_compaction(pick);
 }
 
 /// A streaming scan over an [`Lsm`]'s live entries in `[start, end)`.

@@ -7,8 +7,8 @@
 //! - virtual time ([`time`]) and the [`clock::Clock`] abstraction that
 //!   components read it through,
 //! - a log-bucketed latency [`hist::Histogram`] with percentile queries,
-//! - windowed and exponentially-weighted statistics ([`stats`]) used by the
-//!   autoscaler and admission control,
+//! - decaying and exponentially-weighted statistics ([`stats`]) used by
+//!   admission control,
 //! - a local [`bucket::TokenBucket`] primitive, the building block of both
 //!   the write-bandwidth admission bucket and the per-tenant distributed
 //!   quota bucket,

@@ -102,6 +102,7 @@ impl<T> Slab<T> {
     }
 
     /// Inserts a value, reusing the most recently freed slot if any.
+    #[must_use = "the slot is the only way to reach or remove the value again"]
     pub fn insert(&mut self, value: T) -> Slot {
         self.len += 1;
         if self.free_head != NIL {
@@ -184,6 +185,13 @@ impl<T> Slab<T> {
     }
 }
 
+// Leaks a slot on purpose, under an expectation the workspace lints deny
+// leaving unfulfilled: if `insert` loses its attribute, the build fails.
+#[expect(unused_must_use, reason = "proves a slot dropped on insert fails the build")]
+fn _slot_dropped(slab: &mut Slab<()>) {
+    slab.insert(());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,13 +233,15 @@ mod tests {
     fn iteration_is_index_ordered() {
         let mut s = Slab::new();
         let a = s.insert("x");
-        s.insert("y");
-        s.insert("z");
+        let y = s.insert("y");
+        let z = s.insert("z");
         s.remove(a);
-        s.insert("w"); // reuses index 0
+        let w = s.insert("w"); // reuses index 0
         let vals: Vec<&str> = s.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, vec!["w", "y", "z"]);
-        let idx: Vec<u32> = s.iter().map(|(slot, _)| slot.index()).collect();
+        let slots: Vec<Slot> = s.iter().map(|(slot, _)| slot).collect();
+        assert_eq!(slots, vec![w, y, z]);
+        let idx: Vec<u32> = slots.iter().map(|slot| slot.index()).collect();
         assert_eq!(idx, vec![0, 1, 2]);
     }
 

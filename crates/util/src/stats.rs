@@ -1,103 +1,12 @@
-//! Windowed and smoothed statistics.
+//! Smoothed statistics.
 //!
-//! The autoscaler (§4.2.3) sizes a tenant's SQL fleet from *the average CPU
-//! usage over the last 5 minutes* and *the peak CPU usage during the last 5
-//! minutes*; admission control orders tenants by *resource consumed over a
-//! recent interval* (§5.1.2). [`SlidingWindow`] provides the former,
-//! [`Ewma`] and [`DecayingCounter`] the latter.
+//! Admission control orders tenants by *resource consumed over a recent
+//! interval* (§5.1.2) and smooths its write-capacity estimates;
+//! [`DecayingCounter`] and [`Ewma`] provide the two.
 
-use std::collections::VecDeque;
 use std::time::Duration;
 
 use crate::time::SimTime;
-
-/// A time-based sliding window of `(time, value)` samples supporting
-/// average and maximum queries over the span `[now - window, now]`.
-///
-/// Queries take the caller's `now` and evict relative to it, so a window
-/// that stops receiving samples decays to empty (and its stats to 0) once
-/// the last sample ages out — a tenant that goes idle must not keep
-/// reporting its last busy reading forever. The average is *time-weighted*:
-/// each sample's value holds from its timestamp until the next sample (or
-/// `now`), so irregular sampling cannot skew the result toward whichever
-/// phase happened to be sampled densely.
-#[derive(Debug, Clone)]
-pub struct SlidingWindow {
-    window: Duration,
-    samples: VecDeque<(SimTime, f64)>,
-}
-
-impl SlidingWindow {
-    /// Creates a window retaining samples newer than `window`.
-    pub fn new(window: Duration) -> Self {
-        SlidingWindow { window, samples: VecDeque::new() }
-    }
-
-    /// Records a sample at time `now`. Samples must arrive in
-    /// non-decreasing time order.
-    pub fn record(&mut self, now: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.samples.back() {
-            debug_assert!(now >= last, "samples must be time-ordered");
-        }
-        self.samples.push_back((now, value));
-        self.evict(now);
-    }
-
-    /// Drops samples that have aged out as of `now`.
-    pub fn evict(&mut self, now: SimTime) {
-        while let Some(&(t, _)) = self.samples.front() {
-            if now.duration_since(t) > self.window {
-                self.samples.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Time-weighted average over `[now - window, now]`, or 0 if no sample
-    /// is live at `now`. Evicts aged-out samples first. If all retained
-    /// samples share one timestamp (zero total weight), falls back to their
-    /// plain mean.
-    pub fn avg(&mut self, now: SimTime) -> f64 {
-        self.evict(now);
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut weighted = 0.0;
-        let mut weight = 0.0;
-        for (i, &(t, v)) in self.samples.iter().enumerate() {
-            let until = match self.samples.get(i + 1) {
-                Some(&(next, _)) => next,
-                None => now,
-            };
-            let w = until.duration_since(t).as_secs_f64();
-            weighted += v * w;
-            weight += w;
-        }
-        if weight > 0.0 {
-            weighted / weight
-        } else {
-            self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Maximum sample within the window as of `now`, or 0 if empty. Evicts
-    /// aged-out samples first.
-    pub fn max(&mut self, now: SimTime) -> f64 {
-        self.evict(now);
-        self.samples.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
-    /// Number of samples currently retained.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
 
 /// An exponentially weighted moving average.
 #[derive(Debug, Clone, Copy)]
@@ -175,63 +84,6 @@ impl DecayingCounter {
 mod tests {
     use super::*;
     use crate::time::dur;
-
-    #[test]
-    fn sliding_window_avg_and_max() {
-        let mut w = SlidingWindow::new(dur::secs(10));
-        let t = |s| SimTime::from_secs_f64(s);
-        w.record(t(0.0), 1.0);
-        w.record(t(1.0), 3.0);
-        w.record(t(2.0), 2.0);
-        // Time-weighted: 1.0 holds for 1s, 3.0 for 1s, 2.0 has no span yet.
-        assert_eq!(w.avg(t(2.0)), 2.0);
-        assert_eq!(w.max(t(2.0)), 3.0);
-    }
-
-    #[test]
-    fn sliding_window_evicts_old_samples() {
-        let mut w = SlidingWindow::new(dur::secs(5));
-        let t = |s| SimTime::from_secs_f64(s);
-        w.record(t(0.0), 100.0);
-        w.record(t(10.0), 2.0);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.avg(t(10.0)), 2.0);
-        assert_eq!(w.max(t(10.0)), 2.0);
-    }
-
-    /// Regression: before the fix, `avg`/`max` only evicted on `record`, so
-    /// a window that stopped receiving samples (an idle tenant) reported its
-    /// last busy reading forever and the autoscaler could never see 0.
-    #[test]
-    fn sliding_window_idle_decays_to_zero() {
-        let mut w = SlidingWindow::new(dur::secs(5));
-        let t = |s| SimTime::from_secs_f64(s);
-        w.record(t(0.0), 8.0);
-        w.record(t(1.0), 8.0);
-        // Tenant goes idle: no further records. Stats must decay relative
-        // to the caller's now, not the last record time.
-        assert!(w.avg(t(2.0)) > 0.0);
-        assert_eq!(w.avg(t(7.0)), 0.0);
-        assert_eq!(w.max(t(7.0)), 0.0);
-        assert!(w.is_empty());
-    }
-
-    /// Regression: the average is time-weighted, so a dense burst of samples
-    /// cannot dominate a sparsely-sampled quiet period of equal duration.
-    #[test]
-    fn sliding_window_avg_is_time_weighted() {
-        let mut w = SlidingWindow::new(dur::secs(60));
-        let t = |s| SimTime::from_secs_f64(s);
-        // 11 samples of 100.0 packed into the first second...
-        for i in 0..=10 {
-            w.record(t(i as f64 * 0.1), 100.0);
-        }
-        // ...then a single 0.0 sample holding for the next 9 seconds.
-        w.record(t(1.0), 0.0);
-        let avg = w.avg(t(10.0));
-        // Per-sample mean would be ~92; the true duty cycle is 10%.
-        assert!((avg - 10.0).abs() < 1.0, "avg={avg}");
-    }
 
     #[test]
     fn ewma_converges_to_constant_input() {
