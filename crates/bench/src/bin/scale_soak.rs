@@ -29,11 +29,11 @@ use crdb_bench::scale::{
 };
 
 /// What a created-and-never-used tenant adds to resident memory, plus a
-/// quarter: 31.3 KiB measured at the smoke run's 2K tenants (25.7 KiB at
+/// quarter: 6,877 B measured at the smoke run's 2K tenants (6,431 B at
 /// 20K, where the deployment's fixed cost is spread thinner). The paper's
 /// Fig. 7(a) asymptote is 262 KiB; gating on that would let the figure
-/// grow eightfold unnoticed.
-const RSS_PER_TENANT_CEILING: u64 = 40 * 1024;
+/// grow fortyfold unnoticed.
+const RSS_PER_TENANT_CEILING: u64 = 8_596;
 /// Absolute peak-RSS ceiling for the whole soak.
 const PEAK_RSS_CEILING: u64 = 8 << 30;
 /// Churn-phase simulation throughput floor, events per wall second.

@@ -14,7 +14,6 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use crdb_sim::{Location, Sim, Topology};
-use crdb_storage::WriteBatch;
 use crdb_util::time::{dur, SimTime};
 use crdb_util::{NodeId, RangeId, RegionId, TenantId};
 
@@ -646,30 +645,28 @@ impl KvCluster {
         let mut state = RangeState::new(desc, Placement::Spread, epoch);
 
         // Fixed per-tenant system metadata (settings, descriptors, users…):
-        // bulk-loaded straight into the replica engines — tenant creation
-        // is a control-plane operation by the system tenant. All rows
-        // share one encoded payload buffer (cached across creations), and
-        // each tenant stages a single batch that is ingested per replica
-        // with no per-row WAL record or inline-GC scan: the keys are
+        // ingested straight into the replica engines as one table — tenant
+        // creation is a control-plane operation by the system tenant. The
+        // table is built once per tenant: its keys are slices of one
+        // buffer, its rows share one payload (cached across creations) and
+        // every replica's engine shares its entries. It takes no WAL
+        // record, memtable entry, flush or compaction: the keys are
         // write-once and the recovery story is re-running creation.
-        let ts = Timestamp::at(now);
         let row_bytes = 4096;
         let rows = inner.config.tenant_metadata_bytes / row_bytes;
-        let value = inner
-            .meta_row_value
-            .get_or_insert_with(|| {
+        if rows > 0 {
+            let value = inner.meta_row_value.get_or_insert_with(|| {
                 mvcc::encode_version_value(Some(&Bytes::from(vec![0x5a; row_bytes - 32])))
-            })
-            .clone();
-        let mut batch = WriteBatch::new();
-        for i in 0..rows {
-            let key = keys::make_key(tenant, format!("system/meta/{i:04}").as_bytes());
-            mvcc::stage_version(&mut batch, &key, ts, value.clone());
-            state.size_bytes += (row_bytes) as u64;
-        }
-        for n in &replicas {
-            if let Some(node) = inner.nodes.get(n) {
-                node.engine.ingest(&batch);
+            });
+            let user_keys: Vec<Bytes> = (0..rows)
+                .map(|i| keys::make_key(tenant, format!("system/meta/{i:04}").as_bytes()))
+                .collect();
+            let table = mvcc::version_table(&user_keys, Timestamp::at(now), value);
+            state.size_bytes += (rows * row_bytes) as u64;
+            for n in &replicas {
+                if let Some(node) = inner.nodes.get(n) {
+                    mvcc::ingest_versions(&node.engine, &table);
+                }
             }
         }
         inner.directory.insert(state);
@@ -898,13 +895,78 @@ mod tests {
         }
     }
 
+    /// The metadata keys of `tenant`.
+    fn meta_keys(tenant: TenantId) -> Vec<Bytes> {
+        (0..48).map(|i| keys::make_key(tenant, format!("system/meta/{i:04}").as_bytes())).collect()
+    }
+
+    /// Whether every replica reads every metadata row of `tenant`.
+    fn every_replica_reads_metadata(c: &KvCluster, tenant: TenantId) -> bool {
+        let ts = c.now_ts();
+        c.node_ids().iter().filter_map(|&n| c.node(n)).all(|node| {
+            meta_keys(tenant).iter().all(|key| {
+                matches!(
+                    mvcc::get(&node.engine, key, ts, None),
+                    mvcc::ReadResult::Value(Some(v)) if v.len() == 4096 - 32
+                )
+            })
+        })
+    }
+
     #[test]
     fn tenant_metadata_written_to_replicas() {
         let (_sim, c) = cluster();
-        c.create_tenant(TenantId(2));
-        let stored = c.storage_bytes();
-        // ~195 KiB × replication factor, plus entry overhead.
-        assert!(stored >= 3 * 180 * 1024, "metadata replicated: {stored}");
+        for t in 2..5 {
+            c.create_tenant(TenantId(t));
+        }
+        for t in 2..5 {
+            assert!(every_replica_reads_metadata(&c, TenantId(t)), "tenant {t}");
+        }
+        // What the same rows cost written, then flushed: per tenant and
+        // replica, ingestion stores exactly that.
+        let written = crdb_storage::Engine::new(crdb_storage::LsmConfig::default());
+        let mut batch = crdb_storage::WriteBatch::new();
+        let value = mvcc::encode_version_value(Some(&Bytes::from(vec![0x5a; 4096 - 32])));
+        for (key, value) in
+            mvcc::version_table(&meta_keys(TenantId(2)), c.now_ts(), &value).entries().iter()
+        {
+            batch.put(key.clone(), value.clone().unwrap_or_default());
+        }
+        written.apply(&batch);
+        written.with_lsm(|lsm| {
+            lsm.freeze_active();
+            let job = lsm.begin_flush().expect("a frozen memtable");
+            lsm.finish_flush(job);
+        });
+        let flushed = written.with_lsm(|lsm| lsm.total_bytes());
+        assert!(flushed > 195 * 1024 - 4096, "{flushed}");
+        assert_eq!(c.storage_bytes(), 3 * 3 * flushed, "3 tenants on 3 replicas");
+        for n in c.node_ids() {
+            let m = c.node(n).expect("listed node").engine.metrics();
+            assert_eq!((m.ingest_tables, m.wal_batches, m.flush_count), (3, 0, 0));
+            assert_eq!(m.ingest_bytes, 3 * flushed as u64);
+        }
+    }
+
+    #[test]
+    fn a_replica_whose_memtable_overlaps_the_metadata_takes_it_as_a_write() {
+        let (_sim, c) = cluster();
+        let tenant = TenantId(9);
+        let inside = keys::make_key(tenant, b"system/meta/0001x");
+        let early = Bytes::from_static(b"early");
+        let overlapped = c.node_ids()[0];
+        let node = c.node(overlapped).expect("listed node");
+        mvcc::put_version(&node.engine, &inside, c.now_ts(), Some(&early));
+        c.create_tenant(tenant);
+        assert!(every_replica_reads_metadata(&c, tenant));
+        assert_eq!(
+            mvcc::get(&node.engine, &inside, c.now_ts(), None),
+            mvcc::ReadResult::Value(Some(early))
+        );
+        for n in c.node_ids() {
+            let m = c.node(n).expect("listed node").engine.metrics();
+            assert_eq!(m.ingest_tables, u64::from(n != overlapped), "{n:?}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! whenever anything it shadows there is.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crdb_storage::{Engine, WriteBatch};
+use crdb_storage::{Engine, IngestError, SsTable, WriteBatch};
 
 use crate::hlc::Timestamp;
 use crate::timing::GC_WINDOW;
@@ -68,12 +68,16 @@ const TXN_TAG: u8 = b't';
 
 fn version_key(key: &[u8], ts: Timestamp) -> Bytes {
     let mut b = BytesMut::with_capacity(key.len() + 14);
+    put_version_key(&mut b, key, ts);
+    b.freeze()
+}
+
+fn put_version_key(b: &mut BytesMut, key: &[u8], ts: Timestamp) {
     b.put_u8(VERSION_TAG);
     b.put_slice(key);
     b.put_u8(0x00); // separator: see module docs
     b.put_u64(u64::MAX - ts.wall);
     b.put_u32(u32::MAX - ts.logical);
-    b.freeze()
 }
 
 fn version_prefix(key: &[u8]) -> Bytes {
@@ -203,23 +207,54 @@ pub enum ReadResult {
     Intent(Intent),
 }
 
-/// Pre-encodes a value for [`stage_version`]; the result is a plain
-/// `Bytes` the caller can refcount-clone across many staged rows.
+/// Pre-encodes a value for [`version_table`]; the result is a plain
+/// `Bytes` the caller can refcount-clone across many rows.
 pub(crate) fn encode_version_value(value: Option<&Bytes>) -> Bytes {
     encode_value(value)
 }
 
-/// Stages a committed version into `batch` without applying it. Bulk
-/// loads (tenant-creation metadata) build one batch covering many keys
-/// and ingest it per replica engine, instead of one WAL'd apply — and
-/// one memtable collection — per key.
-pub(crate) fn stage_version(
-    batch: &mut WriteBatch,
-    key: &[u8],
-    ts: Timestamp,
-    encoded_value: Bytes,
-) {
-    batch.put(version_key(key, ts), encoded_value);
+/// One committed version at `ts` of each of `keys` (user keys in
+/// ascending order), each holding `encoded_value`, as one sorted table to
+/// ingest whole ([`ingest_versions`]). Every storage key is a slice of
+/// one buffer and every value the one payload, so the table costs the
+/// host one key buffer and one entry array — shared by every engine that
+/// ingests it.
+pub(crate) fn version_table(keys: &[Bytes], ts: Timestamp, encoded_value: &Bytes) -> SsTable {
+    let mut buf = BytesMut::with_capacity(keys.iter().map(|k| k.len() + 14).sum());
+    let mut ends = Vec::with_capacity(keys.len());
+    for key in keys {
+        put_version_key(&mut buf, key, ts);
+        ends.push(buf.len());
+    }
+    let buf = buf.freeze();
+    let mut start = 0;
+    let entries = ends
+        .into_iter()
+        .map(|end| {
+            let key = buf.slice(start..end);
+            start = end;
+            (key, Some(encoded_value.clone()))
+        })
+        .collect();
+    SsTable::new(0, entries)
+}
+
+/// Ingests a [`version_table`] into `engine` with no WAL record. An
+/// engine whose memtable already holds a key inside the table's bounds
+/// refuses it, and takes the same versions as one ordinary write instead.
+pub(crate) fn ingest_versions(engine: &Engine, table: &SsTable) {
+    match engine.ingest_table(table) {
+        Ok(_) | Err(IngestError::Empty) => {}
+        Err(IngestError::OverlapsMemtable) => {
+            let mut batch = WriteBatch::new();
+            for (key, value) in table.entries() {
+                if let Some(value) = value {
+                    batch.put(key.clone(), value.clone());
+                }
+            }
+            engine.apply(&batch);
+        }
+    }
 }
 
 /// Whether the engine holds nothing under the user keys `[start, end)`:

@@ -9,9 +9,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::lsm::{Lsm, LsmConfig};
+use crate::lsm::{IngestError, Lsm, LsmConfig};
 use crate::memtable::WriteBatch;
 use crate::metrics::StorageMetrics;
+use crate::sstable::SsTable;
 use crate::{Key, Value};
 
 /// A cloneable, thread-safe handle to an LSM engine.
@@ -52,9 +53,10 @@ impl Engine {
         self.inner.lock().wal_synced_seq()
     }
 
-    /// Bulk-ingests a batch with no WAL record (see [`Lsm::ingest`]).
-    pub fn ingest(&self, batch: &WriteBatch) {
-        self.inner.lock().ingest(batch)
+    /// Ingests a whole sorted table, sharing its entries (see
+    /// [`Lsm::ingest_table`]). Returns the level it landed in.
+    pub fn ingest_table(&self, table: &SsTable) -> Result<usize, IngestError> {
+        self.inner.lock().ingest_table(table)
     }
 
     /// Current write-stall condition, if any (see [`Lsm::write_stall`]).

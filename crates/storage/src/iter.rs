@@ -148,8 +148,9 @@ impl<'a> Iterator for MergeIter<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         while let Some(Reverse((key, idx))) = self.heap.pop() {
-            let src = &mut self.sources[idx];
-            let entry = src.current.take().expect("heap entry implies current");
+            // A heap entry is pushed only for a source's current entry.
+            let Some(src) = self.sources.get_mut(idx) else { continue };
+            let Some(entry) = src.current.take() else { continue };
             src.advance();
             if let Some((k, _)) = src.current {
                 self.heap.push(Reverse((k.as_ref(), idx)));

@@ -7,7 +7,9 @@
 //! - a group-commit write-ahead log ([`wal`]) that counts record bytes and
 //!   tracks durability, and an ordered in-memory [`memtable`],
 //! - immutable sorted runs ([`sstable`]) organized into **L0** (overlapping
-//!   files) plus leveled non-overlapping levels below ([`lsm`]),
+//!   files) plus leveled non-overlapping levels below ([`lsm`]), and
+//!   ingestion of a whole table built outside the engine, shared by every
+//!   engine that ingests it,
 //! - flush and compaction with **byte-accurate accounting**
 //!   ([`metrics::StorageMetrics`]): admission control's write-token bucket
 //!   derives its refill rate from the flush and L0-compaction throughput of
@@ -44,10 +46,12 @@ mod maintain;
 
 pub use engine::Engine;
 pub use lsm::{
-    CompactionFilter, CompactionJob, CompactionPick, FlushJob, Lsm, LsmConfig, LsmIter, StallReason,
+    CompactionFilter, CompactionJob, CompactionPick, FlushJob, IngestError, Lsm, LsmConfig,
+    LsmIter, StallReason,
 };
 pub use memtable::WriteBatch;
 pub use metrics::{StorageMetrics, COMPACT_LEVELS_TRACKED};
+pub use sstable::SsTable;
 pub use wal::{GroupCommit, WalWriter};
 
 use bytes::Bytes;

@@ -30,6 +30,9 @@
 //! - **Write stalls** — [`Lsm::write_stall`] reports frozen-memtable and
 //!   L0-depth backpressure so embedders (and admission control) see a real
 //!   signal instead of unbounded debt.
+//! - **Table ingestion** — [`Lsm::ingest_table`] installs a whole sorted
+//!   table built outside the engine (Pebble's ingestion) straight into the
+//!   lowest level it may occupy: no WAL record, no memtable, no flush.
 //!
 //! L0→L1 jobs always claim exactly the *oldest*
 //! `l0_compaction_threshold` unclaimed L0 files. Because the L0/L1 level
@@ -201,6 +204,32 @@ pub enum StallReason {
     L0Backlog,
 }
 
+/// Why [`Lsm::ingest_table`] refused a table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IngestError {
+    /// The table has no entries, so no key bounds to place it by.
+    Empty,
+    /// A memtable (active or frozen) holds a key inside the table's
+    /// bounds. Reads consult memtables before any table, so that older
+    /// write would shadow the newer table wherever it went.
+    OverlapsMemtable,
+}
+
+/// The key span an in-flight compaction's output may cover: from the
+/// smallest to the largest key of its inputs and targets.
+struct Compacting {
+    /// Source level; the job locks it and `level + 1`.
+    level: usize,
+    min: Key,
+    max: Key,
+}
+
+impl Compacting {
+    fn locks(&self, level: usize) -> bool {
+        self.level == level || self.level + 1 == level
+    }
+}
+
 /// A single-threaded LSM tree. For concurrent access wrap it in
 /// [`crate::engine::Engine`].
 pub struct Lsm {
@@ -217,9 +246,9 @@ pub struct Lsm {
     l0: Vec<SsTable>,
     /// `levels[i]` is L(i+1): non-overlapping files sorted by min key.
     levels: Vec<Vec<SsTable>>,
-    /// Levels participating in an in-flight compaction (0 = L0). A job
-    /// from level `n` to `n+1` holds both entries.
-    locked_levels: BTreeSet<usize>,
+    /// In-flight compactions, at most one per source level. A job from
+    /// level `n` (0 = L0) to `n+1` locks both.
+    compacting: Vec<Compacting>,
     /// File numbers of L0 tables claimed by the in-flight L0 job.
     claimed_l0: BTreeSet<u64>,
     next_file_num: u64,
@@ -243,7 +272,7 @@ impl Lsm {
             flush_inflight: None,
             l0: Vec::new(),
             levels,
-            locked_levels: BTreeSet::new(),
+            compacting: Vec::new(),
             claimed_l0: BTreeSet::new(),
             next_file_num: 1,
             metrics: StorageMetrics::default(),
@@ -268,16 +297,73 @@ impl Lsm {
         seq
     }
 
-    /// Bulk-ingests a batch with no WAL record — the AddSSTable-style
-    /// load path. Entries land in the memtable and are flushed/compacted
-    /// like any other write, but pay no per-batch WAL append or fsync:
-    /// control-plane bulk loads (fixed tenant metadata at creation)
-    /// recover by re-running the creating operation, not by WAL replay.
-    pub fn ingest(&mut self, batch: &WriteBatch) {
-        self.metrics.ingest_batches += 1;
-        self.metrics.logical_bytes_written += batch.payload_bytes() as u64;
-        self.memtable.apply_batch(batch);
-        self.rotate_if_full();
+    /// Ingests a whole sorted table — Pebble's ingestion, CockroachDB's
+    /// AddSSTable — with no WAL record, memtable entry or flush: what
+    /// built the table recovers it by building it again. Returns the
+    /// level it landed in (0 = L0).
+    ///
+    /// The table is the newest data for its keys, so it goes to the
+    /// lowest level that it may occupy with nothing above it in its key
+    /// bounds: no L0 file and no file in that level or any level above
+    /// it overlaps them. A level locked by an in-flight compaction whose
+    /// span overlaps them is passed over: the job's output may span them
+    /// once it lands. (It holds none of their keys — every file it reads
+    /// is one the search has already found clear — so the search goes on
+    /// below.) With no such level the table becomes the newest L0 file:
+    /// L0 takes a new file whatever is in flight, as it takes a flush.
+    ///
+    /// The engine keeps the table's entries and filter shared with
+    /// `table` and every other engine that ingests it, under a file
+    /// number of its own; the number `table` carries is not used. Its
+    /// bytes count as written once, in
+    /// [`StorageMetrics::ingest_bytes`].
+    pub fn ingest_table(&mut self, table: &SsTable) -> Result<usize, IngestError> {
+        let (Some(min), Some(max)) = (table.min_key(), table.max_key()) else {
+            return Err(IngestError::Empty);
+        };
+        if self.memtable.overlaps(min, max) || self.frozen.iter().any(|f| f.mem.overlaps(min, max))
+        {
+            return Err(IngestError::OverlapsMemtable);
+        }
+        let level = self.ingest_level(min, max);
+        let table = table.renumbered(self.next_file_num);
+        self.next_file_num += 1;
+        self.metrics.ingest_tables += 1;
+        self.metrics.ingest_bytes += table.size() as u64;
+        self.metrics.logical_bytes_written += table.payload_bytes() as u64;
+        match level.checked_sub(1).and_then(|i| self.levels.get_mut(i)) {
+            Some(tables) => {
+                let at = first_table_reaching(tables, min);
+                tables.insert(at, table);
+            }
+            None => self.l0.push(table),
+        }
+        Ok(level)
+    }
+
+    /// Where [`Lsm::ingest_table`] puts a table bounded by `[min, max]`.
+    fn ingest_level(&self, min: &[u8], max: &[u8]) -> usize {
+        if self.l0.iter().any(|t| t.overlaps_bounds(min, max)) {
+            return 0;
+        }
+        let mut target = 0;
+        for (i, tables) in self.levels.iter().enumerate() {
+            if tables
+                .get(first_table_reaching(tables, min))
+                .is_some_and(|t| t.overlaps_bounds(min, max))
+            {
+                break;
+            }
+            let level = i + 1;
+            let locked = self
+                .compacting
+                .iter()
+                .any(|c| c.locks(level) && c.min.as_ref() <= max && c.max.as_ref() >= min);
+            if !locked {
+                target = level;
+            }
+        }
+        target
     }
 
     /// Convenience single-key put.
@@ -377,7 +463,7 @@ impl Lsm {
     /// are suppressed.
     pub fn iter<'a>(&'a self, start: &'a [u8], end: &'a [u8]) -> LsmIter<'a> {
         let mut sources: Vec<Source<'a>> =
-            Vec::with_capacity(2 + self.frozen.len() + self.l0.len());
+            Vec::with_capacity(1 + self.frozen.len() + self.l0.len() + self.levels.len());
         sources.push(Source::Mem(self.memtable.range(start, end)));
         for f in self.frozen.iter().rev() {
             sources.push(Source::Mem(f.mem.range(start, end)));
@@ -501,8 +587,12 @@ impl Lsm {
             Some(job.frozen_id),
             "finish_flush for a job that is not in flight"
         );
-        let f = self.frozen.pop_front().expect("in-flight flush implies a frozen memtable");
-        assert_eq!(f.id, job.frozen_id, "flushes complete oldest-first");
+        assert_eq!(
+            self.frozen.front().map(|f| f.id),
+            Some(job.frozen_id),
+            "flushes complete oldest-first"
+        );
+        let Some(f) = self.frozen.pop_front() else { return };
         let table = SsTable::new(self.next_file_num, f.mem.into_entries());
         self.next_file_num += 1;
         self.metrics.flush_bytes += table.size() as u64;
@@ -536,7 +626,7 @@ impl Lsm {
     pub fn pick_compaction(&self) -> Option<CompactionPick> {
         let mut best: Option<CompactionPick> = None;
         for level in 0..self.levels.len() {
-            if self.locked_levels.contains(&level) || self.locked_levels.contains(&(level + 1)) {
+            if self.is_locked(level) || self.is_locked(level + 1) {
                 continue;
             }
             let (score_milli, triggered) = if level == 0 {
@@ -562,7 +652,7 @@ impl Lsm {
     pub fn begin_compaction(&mut self, pick: &CompactionPick) -> CompactionJob {
         let level = pick.level;
         assert!(
-            !self.locked_levels.contains(&level) && !self.locked_levels.contains(&(level + 1)),
+            !self.is_locked(level) && !self.is_locked(level + 1),
             "level pair {{{level}, {}}} already locked",
             level + 1
         );
@@ -589,20 +679,14 @@ impl Lsm {
             (vec![file.num()], file.min_key().cloned(), file.max_key().cloned())
         };
         let target_nums = overlapping_nums(&self.levels[level], min.as_deref(), max.as_deref());
-        let input_bytes: u64 = self
-            .level_tables(level)
-            .iter()
-            .filter(|t| input_nums.contains(&t.num()))
-            .map(|t| t.size() as u64)
-            .sum();
-        let target_bytes: u64 = self.levels[level]
-            .iter()
-            .filter(|t| target_nums.contains(&t.num()))
-            .map(|t| t.size() as u64)
-            .sum();
-        self.locked_levels.insert(level);
-        self.locked_levels.insert(level + 1);
-        CompactionJob { level, input_nums, target_nums, bytes_in: input_bytes + target_bytes }
+        let inputs = self.level_tables(level).iter().filter(|t| input_nums.contains(&t.num()));
+        let targets = self.levels[level].iter().filter(|t| target_nums.contains(&t.num()));
+        let files: Vec<&SsTable> = inputs.chain(targets).collect();
+        let bytes_in = files.iter().map(|t| t.size() as u64).sum();
+        let min = files.iter().filter_map(|t| t.min_key()).min().cloned().unwrap_or_default();
+        let max = files.iter().filter_map(|t| t.max_key()).max().cloned().unwrap_or_default();
+        self.compacting.push(Compacting { level, min, max });
+        CompactionJob { level, input_nums, target_nums, bytes_in }
     }
 
     /// Completes a claimed compaction: detaches the claimed files, merges
@@ -627,7 +711,7 @@ impl Lsm {
     ) {
         let CompactionJob { level, input_nums, target_nums, bytes_in } = job;
         debug_assert!(
-            self.locked_levels.contains(&level) && self.locked_levels.contains(&(level + 1)),
+            self.compacting.iter().any(|c| c.level == level),
             "finishing a compaction whose level pair is not locked"
         );
         let mut inputs = if level == 0 {
@@ -677,13 +761,17 @@ impl Lsm {
             self.metrics.l0_compact_bytes += bytes_in;
         }
         self.metrics.compact_bytes_per_level[level.min(COMPACT_LEVELS_TRACKED - 1)] += bytes_in;
-        self.locked_levels.remove(&level);
-        self.locked_levels.remove(&(level + 1));
+        self.compacting.retain(|c| c.level != level);
     }
 
     /// Number of compaction jobs currently claimed.
     pub fn compactions_in_flight(&self) -> usize {
-        self.locked_levels.len() / 2
+        self.compacting.len()
+    }
+
+    /// Whether an in-flight compaction reads or writes `level`.
+    fn is_locked(&self, level: usize) -> bool {
+        self.compacting.iter().any(|c| c.locks(level))
     }
 
     fn level_tables(&self, source_level: usize) -> &[SsTable] {
@@ -857,14 +945,7 @@ fn overlapping_nums(level: &[SsTable], min: Option<&[u8]>, max: Option<&[u8]>) -
     let (Some(min), Some(max)) = (min, max) else {
         return Vec::new();
     };
-    level
-        .iter()
-        .filter(|t| match (t.min_key(), t.max_key()) {
-            (Some(tmin), Some(tmax)) => tmin.as_ref() <= max && tmax.as_ref() >= min,
-            _ => false,
-        })
-        .map(|t| t.num())
-        .collect()
+    level.iter().filter(|t| t.overlaps_bounds(min, max)).map(|t| t.num()).collect()
 }
 
 /// Removes and returns the tables with the given file numbers, preserving
@@ -1457,6 +1538,181 @@ mod tests {
         assert_eq!(m.gc_versions_dropped, 2);
         assert_eq!(m.gc_bytes_dropped, (key(3).len() + value(3).len()) as u64 * 2);
         assert!(lsm.total_bytes() < before, "the memtable gave its bytes back");
+    }
+
+    // ------------------------------------------------------------------
+    // Table ingestion
+    // ------------------------------------------------------------------
+
+    /// A table of `keys`, each holding `value(1000 + k)`, for ingestion.
+    fn ingest(keys: &[u32]) -> SsTable {
+        SsTable::new(0, keys.iter().map(|&k| (key(k), Some(value(1000 + k)))).collect())
+    }
+
+    /// Pushes `keys`, in two L0 files, down into `level`.
+    fn push_down(lsm: &mut Lsm, keys: &[u32], level: usize) {
+        let (first, second) = keys.split_at(keys.len() / 2);
+        for half in [first, second] {
+            let entries: Vec<(u32, Option<u32>)> = half.iter().map(|&k| (k, Some(k))).collect();
+            flush_file(lsm, &entries);
+        }
+        for source in 0..level {
+            compact_level(lsm, source, None);
+        }
+    }
+
+    #[test]
+    fn ingest_into_an_empty_tree_lands_in_the_bottom_level() {
+        let mut lsm = Lsm::new(manual_rotation_config());
+        let table = ingest(&[1, 2, 3]);
+        let bottom = lsm.config().num_levels;
+        assert_eq!(lsm.ingest_table(&table), Ok(bottom));
+        assert_eq!(lsm.levels[bottom - 1][0].num(), 1, "under the engine's own file number");
+        for k in 1..=3 {
+            assert_eq!(lsm.get(&key(k)), Some(value(1000 + k)));
+        }
+        let m = lsm.metrics();
+        assert_eq!((m.ingest_tables, m.ingest_bytes), (1, table.size() as u64));
+        assert_eq!(m.logical_bytes_written, table.payload_bytes() as u64);
+        assert_eq!((m.wal_bytes, m.wal_batches, m.flush_count), (0, 0, 0), "no WAL, no flush");
+        assert_eq!(m.physical_write_bytes(), table.size() as u64, "written once");
+        assert_eq!(lsm.total_bytes(), table.size());
+    }
+
+    #[test]
+    fn ingest_lands_above_the_first_level_it_overlaps() {
+        let mut lsm = Lsm::new(manual_rotation_config());
+        push_down(&mut lsm, &[10, 20], 2);
+        assert_eq!(lsm.ingest_table(&ingest(&[15])), Ok(1), "L2 spans 15");
+        assert_eq!(lsm.ingest_table(&ingest(&[12])), Ok(1), "L1 is still clear of 12");
+        assert_eq!(lsm.ingest_table(&ingest(&[30])), Ok(4), "nothing spans 30");
+        assert_eq!(lsm.ingest_table(&ingest(&[14, 16])), Ok(0), "L1 spans 15");
+        let l1: Vec<Key> = lsm.levels[0].iter().filter_map(|t| t.min_key().cloned()).collect();
+        assert_eq!(l1, vec![key(12), key(15)], "L1 stays sorted");
+        // An L0 file over its keys puts it in L0, as the newest file.
+        flush_file(&mut lsm, &[(40, Some(1))]);
+        assert_eq!(lsm.ingest_table(&ingest(&[40])), Ok(0));
+        assert_eq!(lsm.get(&key(40)), Some(value(1040)), "newer than the flushed write");
+        for k in [10, 20] {
+            assert_eq!(lsm.get(&key(k)), Some(value(k)));
+        }
+        for k in [12, 14, 15, 16, 30] {
+            assert_eq!(lsm.get(&key(k)), Some(value(1000 + k)));
+        }
+        maintain(&mut lsm, keep_all);
+        let all: Vec<Key> = lsm.scan(b"", b"z", 100).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(all, [10, 12, 14, 15, 16, 20, 30, 40].map(key).to_vec());
+    }
+
+    #[test]
+    fn ingest_refuses_a_table_a_memtable_overlaps() {
+        let mut lsm = Lsm::new(manual_rotation_config());
+        lsm.put(key(5), value(5));
+        assert_eq!(lsm.ingest_table(&ingest(&[1, 9])), Err(IngestError::OverlapsMemtable));
+        lsm.freeze_active();
+        assert_eq!(
+            lsm.ingest_table(&ingest(&[5])),
+            Err(IngestError::OverlapsMemtable),
+            "a frozen memtable is read before every table too"
+        );
+        assert_eq!(lsm.ingest_table(&SsTable::new(0, Vec::new())), Err(IngestError::Empty));
+        assert_eq!(lsm.metrics().ingest_tables, 0);
+        assert_eq!(lsm.get(&key(5)), Some(value(5)));
+        assert_eq!(lsm.ingest_table(&ingest(&[6, 9])), Ok(4), "disjoint from the memtables");
+    }
+
+    #[test]
+    fn ingest_passes_over_a_level_an_overlapping_compaction_locked() {
+        // With only an L0 job in flight, the L1 it writes is passed over
+        // and the search goes on: its output holds none of these keys.
+        let mut lsm = Lsm::new(manual_rotation_config());
+        flush_file(&mut lsm, &[(1, Some(1)), (3, Some(3))]);
+        flush_file(&mut lsm, &[(30, Some(30)), (32, Some(32))]);
+        let job = lsm.begin_compaction(&CompactionPick { level: 0, score_milli: 0 });
+        assert_eq!(lsm.ingest_table(&ingest(&[10])), Ok(4));
+        lsm.finish_compaction(job, None);
+
+        // With L2 spanning the keys, the locked L1 leaves only L0.
+        let mut lsm = Lsm::new(manual_rotation_config());
+        push_down(&mut lsm, &[5, 50], 2);
+        flush_file(&mut lsm, &[(1, Some(1)), (3, Some(3))]);
+        flush_file(&mut lsm, &[(30, Some(30)), (32, Some(32))]);
+        let job = lsm.begin_compaction(&CompactionPick { level: 0, score_milli: 0 });
+        // The job's output may span 1..=32 in L1, though no file does yet.
+        assert_eq!(lsm.ingest_table(&ingest(&[10])), Ok(0), "L1 locked over 10");
+        assert_eq!(lsm.ingest_table(&ingest(&[40])), Ok(1), "the job's span ends at 32");
+        lsm.finish_compaction(job, None);
+        assert_eq!(lsm.ingest_table(&ingest(&[20])), Ok(0), "L1 now spans 20");
+        for k in [10, 20, 40] {
+            assert_eq!(lsm.get(&key(k)), Some(value(1000 + k)));
+        }
+        for k in [1, 3, 5, 30, 32, 50] {
+            assert_eq!(lsm.get(&key(k)), Some(value(k)));
+        }
+    }
+
+    #[test]
+    fn engines_that_ingest_one_table_share_it_and_compact_it_apart() {
+        let shared = ingest(&[1, 2, 3]);
+        let mut engines: Vec<Lsm> = (0..3).map(|_| Lsm::new(manual_rotation_config())).collect();
+        for (n, lsm) in engines.iter_mut().enumerate() {
+            // Different histories, so different next file numbers.
+            for i in 0..n as u32 {
+                flush_file(lsm, &[(100 + i, Some(i))]);
+            }
+            assert_eq!(lsm.ingest_table(&shared), Ok(4));
+        }
+        let nums: Vec<u64> = engines.iter().map(|l| l.levels[3][0].num()).collect();
+        assert_eq!(nums, vec![1, 2, 3], "each engine numbers it");
+        assert!(engines.iter().all(|l| l.levels[3][0].shares_allocation_with(&shared)));
+
+        // Engine 0 overwrites a key and merges the table away.
+        let (first, others) = engines.split_at_mut(1);
+        let lsm = &mut first[0];
+        flush_file(lsm, &[(2, Some(7))]);
+        flush_file(lsm, &[(200, Some(8))]);
+        for source in 0..4 {
+            compact_level(lsm, source, None);
+        }
+        assert!(!lsm.levels[3].iter().any(|t| t.shares_allocation_with(&shared)));
+        assert_eq!(lsm.get(&key(2)), Some(value(7)));
+        assert_eq!(lsm.get(&key(1)), Some(value(1001)));
+        for other in others {
+            assert!(other.levels[3][0].shares_allocation_with(&shared));
+            for k in 1..=3 {
+                assert_eq!(other.get(&key(k)), Some(value(1000 + k)), "copy intact");
+            }
+        }
+        assert_eq!(shared.get(&key(2)), Some(Some(value(1002))));
+    }
+
+    #[test]
+    fn a_compaction_into_an_ingested_table_merges_it() {
+        let mut lsm = Lsm::new(manual_rotation_config());
+        assert_eq!(lsm.ingest_table(&ingest(&[1, 2, 3, 4])), Ok(4));
+        flush_file(&mut lsm, &[(2, None), (3, Some(3))]);
+        flush_file(&mut lsm, &[(5, Some(5))]);
+        for source in 0..4 {
+            compact_level(&mut lsm, source, None);
+        }
+        assert_eq!(lsm.levels[3].len(), 1, "one output table");
+        let bottom = lsm.levels[3][0].entries().to_vec();
+        assert_eq!(
+            bottom,
+            vec![
+                (key(1), Some(value(1001))),
+                (key(3), Some(value(3))),
+                (key(4), Some(value(1004))),
+                (key(5), Some(value(5))),
+            ],
+            "newer writes win and the tombstone goes at the bottom"
+        );
+        let m = lsm.metrics();
+        assert_eq!(
+            m.flush_bytes + m.ingest_bytes + m.compact_bytes_out,
+            m.compact_bytes_in + lsm.total_bytes() as u64,
+            "every byte written once is read or still held"
+        );
     }
 
     #[test]

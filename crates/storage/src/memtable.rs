@@ -15,6 +15,11 @@ use crate::{Key, Value};
 /// Per-entry bookkeeping overhead, approximating allocator and index cost.
 const ENTRY_OVERHEAD: usize = 24;
 
+/// What one entry is counted at in [`Memtable::approx_bytes`].
+fn entry_bytes(key_len: usize, value: Option<&Value>) -> usize {
+    key_len + value.map_or(0, |v| v.len()) + ENTRY_OVERHEAD
+}
+
 /// An atomic batch of writes applied through the WAL as one record.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBatch {
@@ -73,26 +78,21 @@ impl Memtable {
         Memtable::default()
     }
 
-    /// Applies one mutation. Returns the byte delta added to the table.
-    pub fn apply(&mut self, key: Key, value: Option<Value>) -> usize {
-        let added = key.len() + value.as_ref().map_or(0, |v| v.len()) + ENTRY_OVERHEAD;
+    /// Applies one mutation. An overwrite gives back what the entry it
+    /// replaces was counted at.
+    pub fn apply(&mut self, key: Key, value: Option<Value>) {
+        let key_len = key.len();
+        self.approx_bytes += entry_bytes(key_len, value.as_ref());
         if let Some(old) = self.map.insert(key, value) {
-            // Replaced an entry: keep the approximation simple and only
-            // subtract the old value size; the key was already counted.
-            let removed = old.map_or(0, |v| v.len());
-            self.approx_bytes = self.approx_bytes.saturating_sub(removed + ENTRY_OVERHEAD);
+            self.approx_bytes -= entry_bytes(key_len, old.as_ref());
         }
-        self.approx_bytes += added;
-        added
     }
 
-    /// Applies a whole batch atomically; returns bytes added.
-    pub fn apply_batch(&mut self, batch: &WriteBatch) -> usize {
-        let mut added = 0;
+    /// Applies a whole batch atomically.
+    pub fn apply_batch(&mut self, batch: &WriteBatch) {
         for (k, v) in batch.entries() {
-            added += self.apply(k.clone(), v.clone());
+            self.apply(k.clone(), v.clone());
         }
-        added
     }
 
     /// Looks up a key. `Some(None)` means a tombstone shadows the key;
@@ -119,11 +119,18 @@ impl Memtable {
         keys.into_iter()
             .filter_map(|key| {
                 let entry = self.map.remove(&key)?;
-                let bytes = key.len() + entry.as_ref().map_or(0, |v| v.len()) + ENTRY_OVERHEAD;
-                self.approx_bytes = self.approx_bytes.saturating_sub(bytes);
+                self.approx_bytes -= entry_bytes(key.len(), entry.as_ref());
                 Some((key, entry))
             })
             .collect()
+    }
+
+    /// Whether any entry's key lies in `[min, max]` (inclusive).
+    pub(crate) fn overlaps(&self, min: &[u8], max: &[u8]) -> bool {
+        if min > max {
+            return false; // `BTreeMap::range` panics on inverted bounds
+        }
+        self.map.range::<[u8], _>((Bound::Included(min), Bound::Included(max))).next().is_some()
     }
 
     /// Iterates entries with `start <= key < end` in key order. Returns
@@ -216,6 +223,33 @@ mod tests {
         let s2 = m.approx_bytes();
         assert!(s2 < s1, "overwrite with smaller value shrinks: {s1} -> {s2}");
         assert!(s2 > 0);
+    }
+
+    #[test]
+    fn overwrites_count_one_entry() {
+        let mut once = Memtable::new();
+        once.apply(b("key"), Some(b("value")));
+        let mut many = Memtable::new();
+        for _ in 0..10 {
+            many.apply(b("key"), Some(b("value")));
+        }
+        assert_eq!(many.approx_bytes(), once.approx_bytes());
+        assert_eq!(once.approx_bytes(), 3 + 5 + ENTRY_OVERHEAD);
+        many.apply(b("key"), None);
+        assert_eq!(many.approx_bytes(), 3 + ENTRY_OVERHEAD, "a tombstone replaces the value");
+    }
+
+    #[test]
+    fn overlap_is_inclusive_at_both_bounds() {
+        let mut m = Memtable::new();
+        m.apply(b("c"), Some(b("1")));
+        m.apply(b("e"), None);
+        assert!(m.overlaps(b"a", b"c"));
+        assert!(m.overlaps(b"e", b"z"));
+        assert!(m.overlaps(b"d", b"e"), "a tombstone is an entry");
+        assert!(!m.overlaps(b"a", b"b"));
+        assert!(!m.overlaps(b"ca", b"d"));
+        assert!(!m.overlaps(b"z", b"a"), "empty bounds");
     }
 
     #[test]

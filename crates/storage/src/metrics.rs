@@ -16,14 +16,17 @@ pub const COMPACT_LEVELS_TRACKED: usize = 8;
 /// Cumulative counters maintained by the LSM engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StorageMetrics {
-    /// Logical bytes written by callers (keys + values in write batches).
+    /// Logical bytes written by callers (keys + values in write batches
+    /// and ingested tables).
     pub logical_bytes_written: u64,
     /// Bytes appended to the WAL.
     pub wal_bytes: u64,
     /// Write batches appended to the WAL.
     pub wal_batches: u64,
-    /// Batches bulk-ingested without a WAL record (`Lsm::ingest`).
-    pub ingest_batches: u64,
+    /// Tables ingested whole (`Lsm::ingest_table`).
+    pub ingest_tables: u64,
+    /// Bytes of those tables: written once, with no WAL record.
+    pub ingest_bytes: u64,
     /// Modeled fsyncs (group commits that covered at least one batch).
     pub fsyncs: u64,
     /// Batches made durable by group commits — `batches_synced / fsyncs`
@@ -80,9 +83,10 @@ pub struct StorageMetrics {
 }
 
 impl StorageMetrics {
-    /// Total physical write bytes: WAL + flush + compaction output.
+    /// Total physical write bytes: WAL + flush + compaction output +
+    /// ingested tables.
     pub fn physical_write_bytes(&self) -> u64 {
-        self.wal_bytes + self.flush_bytes + self.compact_bytes_out
+        self.wal_bytes + self.flush_bytes + self.compact_bytes_out + self.ingest_bytes
     }
 
     /// Write amplification: physical bytes per logical byte.
@@ -134,7 +138,8 @@ impl StorageMetrics {
             logical_bytes_written: self.logical_bytes_written - earlier.logical_bytes_written,
             wal_bytes: self.wal_bytes - earlier.wal_bytes,
             wal_batches: self.wal_batches - earlier.wal_batches,
-            ingest_batches: self.ingest_batches - earlier.ingest_batches,
+            ingest_tables: self.ingest_tables - earlier.ingest_tables,
+            ingest_bytes: self.ingest_bytes - earlier.ingest_bytes,
             fsyncs: self.fsyncs - earlier.fsyncs,
             batches_synced: self.batches_synced - earlier.batches_synced,
             stall_events: self.stall_events - earlier.stall_events,
@@ -231,7 +236,8 @@ mod tests {
             logical_bytes_written: 100,
             wal_bytes: 110,
             flush_bytes: 100,
-            compact_bytes_out: 290,
+            compact_bytes_out: 190,
+            ingest_bytes: 100,
             ..Default::default()
         };
         assert_eq!(m.physical_write_bytes(), 500);

@@ -1,10 +1,13 @@
 //! Immutable sorted tables.
 //!
 //! An [`SsTable`] is a sorted, immutable run of `(key, value-or-tombstone)`
-//! entries produced by a flush or a compaction. Tables carry the metadata
-//! the LSM needs for file selection: key bounds, payload size and a
+//! entries produced by a flush, a compaction or an embedder that ingests
+//! it whole ([`crate::Lsm::ingest_table`]). Tables carry the metadata the
+//! LSM needs for file selection: key bounds, payload size and a
 //! monotonically increasing table number that establishes recency among
-//! overlapping L0 tables.
+//! overlapping L0 tables. The entries and the bloom filter are shared, so
+//! every engine that ingests one table holds the same allocation under a
+//! file number of its own.
 
 use std::sync::Arc;
 
@@ -48,9 +51,27 @@ impl SsTable {
         SsTable { num, entries: entries.into(), bloom: Arc::new(bloom), size }
     }
 
+    /// This table under another engine's file number, sharing its entries
+    /// and bloom filter.
+    pub(crate) fn renumbered(&self, num: u64) -> SsTable {
+        SsTable { num, ..self.clone() }
+    }
+
+    /// Whether the two share one allocation of entries and of filter.
+    #[cfg(test)]
+    pub(crate) fn shares_allocation_with(&self, other: &SsTable) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries) && Arc::ptr_eq(&self.bloom, &other.bloom)
+    }
+
     /// The table's file number.
     pub fn num(&self) -> u64 {
         self.num
+    }
+
+    /// Key and value bytes of its entries — what a caller wrote, before
+    /// per-entry overhead and the filter.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        self.entries.iter().map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len())).sum()
     }
 
     /// Approximate on-disk size in bytes.
@@ -107,6 +128,14 @@ impl SsTable {
         }
     }
 
+    /// Whether this table's key bounds overlap `[min, max]` (inclusive).
+    pub(crate) fn overlaps_bounds(&self, min: &[u8], max: &[u8]) -> bool {
+        match (self.min_key(), self.max_key()) {
+            (Some(tmin), Some(tmax)) => tmin.as_ref() <= max && tmax.as_ref() >= min,
+            _ => false,
+        }
+    }
+
     /// All entries, in key order.
     pub fn entries(&self) -> &[(Key, Option<Value>)] {
         &self.entries
@@ -116,7 +145,7 @@ impl SsTable {
     pub fn range(&self, start: &[u8], end: &[u8]) -> &[(Key, Option<Value>)] {
         let lo = self.entries.partition_point(|(k, _)| k.as_ref() < start);
         let hi = self.entries.partition_point(|(k, _)| k.as_ref() < end);
-        &self.entries[lo..hi]
+        self.entries.get(lo..hi).unwrap_or_default()
     }
 }
 

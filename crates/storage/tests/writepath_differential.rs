@@ -2,10 +2,11 @@
 //! group commits, memtable freezes, in-flight flushes and concurrent
 //! per-level compactions must leave reads byte-for-byte identical to a
 //! serially-maintained engine and to a `BTreeMap` model — including reads
-//! taken *mid-flight*, while flush and compaction jobs hold their inputs.
+//! taken *mid-flight*, while flush and compaction jobs hold their inputs,
+//! and tables ingested whole into whatever level they may occupy.
 
 use bytes::Bytes;
-use crdb_storage::{Lsm, LsmConfig, WriteBatch};
+use crdb_storage::{Lsm, LsmConfig, SsTable, WriteBatch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -50,7 +51,7 @@ impl Pair {
     }
 
     fn apply_random_op(&mut self, rng: &mut SmallRng, key_space: u32) {
-        match rng.gen_range(0u32..14) {
+        match rng.gen_range(0u32..15) {
             // Batched writes dominate, mixing puts and deletes.
             0..=5 => {
                 let mut batch = WriteBatch::new();
@@ -101,9 +102,36 @@ impl Pair {
                     self.piped.finish_compaction(job, None);
                 }
             }
+            12 => self.ingest_random_table(rng, key_space),
             _ => {
                 flush(&mut self.serial);
                 maintain(&mut self.serial, keep_all);
+            }
+        }
+    }
+
+    /// Ingests one table of a few keys into both engines, half the time
+    /// above the written key space. An engine whose memtable overlaps it
+    /// refuses it, and then takes the same entries as a write, as an
+    /// embedder would: either way the rows are the newest.
+    fn ingest_random_table(&mut self, rng: &mut SmallRng, key_space: u32) {
+        let first = rng.gen_range(0u32..key_space * 2);
+        let mut entries: Vec<(Bytes, Option<Bytes>)> = (first..first + rng.gen_range(1u32..5))
+            .map(|k| (key(k), Some(value(rng.gen_range(0u32..1000)))))
+            .collect();
+        entries.sort();
+        entries.dedup_by(|a, b| a.0 == b.0);
+        let mut batch = WriteBatch::new();
+        for (k, v) in &entries {
+            if let Some(v) = v {
+                batch.put(k.clone(), v.clone());
+                self.model.insert(k.clone(), v.clone());
+            }
+        }
+        let table = SsTable::new(0, entries);
+        for lsm in [&mut self.piped, &mut self.serial] {
+            if lsm.ingest_table(&table).is_err() {
+                lsm.apply(&batch);
             }
         }
     }
@@ -172,6 +200,7 @@ fn run_differential(seed: u64, ops: usize, key_space: u32) {
     // The pipelined engine really pipelined: flushes and compactions ran.
     let m = pair.piped.metrics();
     assert!(m.flush_count > 0, "pipelined run never flushed");
+    assert!(m.ingest_tables > 0, "pipelined run never ingested");
     assert!(m.fsyncs < m.wal_batches, "group commit never grouped");
 }
 
