@@ -196,8 +196,8 @@ pub struct ChurnPhaseReport {
 
 /// Churns `sessions` short-lived sessions through the proxy against a
 /// handful of tenants: connect, hold ~200 ms, disconnect. Exercises the
-/// connection slab (insert/remove at 100K volume), throttle and breaker
-/// maps, and the wheel's cancel-heavy timer pattern.
+/// proxy's connection table (insert/remove at 100K volume), throttle and
+/// breaker maps, and the event queue's cancel-heavy timer pattern.
 pub fn run_churn_phase(seed: u64, sessions: usize) -> ChurnPhaseReport {
     let t0 = Instant::now();
     let sim = Sim::new(seed);

@@ -22,7 +22,6 @@ use crdb_sql::node::{NodeState, SqlNode};
 use crdb_sql::session::SessionSnapshot;
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
-use crdb_util::slab::{Slab, Slot};
 use crdb_util::time::{dur, SimTime};
 use crdb_util::{Breaker, Deadline, RetryPolicy, TenantId};
 
@@ -90,9 +89,6 @@ pub struct Connection {
     /// is observed idle. If the backend dies abruptly the proxy revives
     /// the session from this on another node (§4.2.4).
     snapshot: RefCell<Option<SessionSnapshot>>,
-    /// The connection's slot in the proxy's connection slab (packed
-    /// [`Slot`] bits), making close O(1) with no map lookup.
-    slot: Cell<u64>,
 }
 
 impl Connection {
@@ -121,9 +117,8 @@ pub struct Proxy {
     registry: Registry,
     pool: Rc<WarmPool>,
     system_db: SystemDbProvider,
-    /// Open connections in a generational slab: a 100K-session churn
-    /// phase allocates no map nodes, and close is an O(1) slot free.
-    conns: RefCell<Slab<Rc<Connection>>>,
+    /// Open connections by [`Connection::id`].
+    conns: RefCell<BTreeMap<u64, Rc<Connection>>>,
     next_conn: Cell<u64>,
     /// Keyed by source IP; BTreeMap so any future iteration is ordered.
     throttle: RefCell<BTreeMap<String, ThrottleState>>,
@@ -173,7 +168,7 @@ impl Proxy {
             registry,
             pool,
             system_db,
-            conns: RefCell::new(Slab::new()),
+            conns: RefCell::new(BTreeMap::new()),
             next_conn: Cell::new(1),
             throttle: RefCell::new(BTreeMap::new()),
             allowlist: RefCell::new(BTreeMap::new()),
@@ -346,10 +341,8 @@ impl Proxy {
                                 session: Cell::new(session),
                                 migrations: Cell::new(0),
                                 snapshot: RefCell::new(snapshot),
-                                slot: Cell::new(0),
                             });
-                            let slot = this2.conns.borrow_mut().insert(Rc::clone(&conn));
-                            conn.slot.set(slot.to_bits());
+                            this2.conns.borrow_mut().insert(id, Rc::clone(&conn));
                             this2.registry.with_tenant(tenant, |e| {
                                 e.last_active = this2.sim.now();
                             });
@@ -629,7 +622,7 @@ impl Proxy {
     /// Closes a connection.
     pub fn close(&self, conn: &Rc<Connection>) {
         conn.node().close_session(conn.session());
-        self.conns.borrow_mut().remove(Slot::from_bits(conn.slot.get()));
+        self.conns.borrow_mut().remove(&conn.id);
         self.registry.with_tenant(conn.tenant, |e| {
             e.connections = e.connections.saturating_sub(1);
         });
@@ -660,12 +653,10 @@ impl Proxy {
     /// Periodic connection rebalancing (§4.2.2): drains first, then
     /// smooths imbalance across ready nodes.
     pub fn rebalance(self: &Rc<Self>) {
-        // The slab iterates in slot-index order, which is deterministic
-        // (LIFO slot reuse) — migration order and thus pod placement
-        // reproduce exactly under the same seed. Collected up front
-        // because migrating re-enters the conn slab.
-        let conns: Vec<Rc<Connection>> =
-            self.conns.borrow().iter().map(|(_, c)| c.clone()).collect();
+        // Id order is deterministic, so migration order and thus pod
+        // placement reproduce exactly under the same seed. Collected up
+        // front because migrating re-enters the connection table.
+        let conns: Vec<Rc<Connection>> = self.conns.borrow().values().cloned().collect();
         for conn in conns {
             let node = conn.node();
             if node.state() == NodeState::Stopped {

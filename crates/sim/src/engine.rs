@@ -1,36 +1,35 @@
 //! The discrete-event engine.
 //!
-//! A [`Sim`] owns a hierarchical timer wheel of scheduled closures (see
-//! [`crate::wheel`]) and a [`ManualClock`] shared (via the [`Clock`]
-//! trait) with every component. Execution is single-threaded and
+//! A [`Sim`] owns an ordered map of scheduled closures keyed by
+//! `(firing time, schedule sequence)` and a [`ManualClock`] shared (via the
+//! [`Clock`] trait) with every component. Execution is single-threaded and
 //! deterministic: ties in firing time are broken by schedule order, and
-//! all randomness flows from one seeded RNG. Scheduling and cancellation
-//! are O(1); cancelled events are removed eagerly rather than tombstoned.
+//! all randomness flows from one seeded RNG. Cancellation removes the
+//! event from the map; nothing is tombstoned.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crdb_util::clock::ManualClock;
-use crdb_util::slab::Slot;
 use crdb_util::time::SimTime;
 use crdb_util::Clock;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::wheel::TimerWheel;
-
-/// Identifies a scheduled event so it can be cancelled. Packs the wheel's
-/// generational slot token; a fired or cancelled id goes stale and
-/// cancelling it again is a no-op.
+/// Identifies a scheduled event so it can be cancelled: its key in the
+/// queue, `(firing time, schedule sequence)`. Sequence numbers are never
+/// reused, so a fired or cancelled id names nothing and cancelling it again
+/// is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId(SimTime, u64);
 
 type Callback = Box<dyn FnOnce()>;
 
 struct Core {
-    wheel: TimerWheel<Callback>,
+    queue: BTreeMap<EventId, Callback>,
     next_seq: u64,
     executed: u64,
 }
@@ -49,11 +48,7 @@ impl Sim {
     /// identical schedules of calls produce identical runs.
     pub fn new(seed: u64) -> Self {
         Sim {
-            core: Rc::new(RefCell::new(Core {
-                wheel: TimerWheel::new(),
-                next_seq: 0,
-                executed: 0,
-            })),
+            core: Rc::new(RefCell::new(Core { queue: BTreeMap::new(), next_seq: 0, executed: 0 })),
             clock: ManualClock::new(),
             rng: Rc::new(RefCell::new(SmallRng::seed_from_u64(seed))),
         }
@@ -82,8 +77,9 @@ impl Sim {
         let at = at.max(self.clock.now());
         let seq = core.next_seq;
         core.next_seq += 1;
-        let token = core.wheel.insert(at, seq, Box::new(callback));
-        EventId(token.to_bits())
+        let id = EventId(at, seq);
+        core.queue.insert(id, Box::new(callback));
+        id
     }
 
     /// Schedules `callback` to run after `delay`.
@@ -94,7 +90,7 @@ impl Sim {
     /// Cancels a scheduled event. Cancelling an already-fired or unknown
     /// event is a no-op.
     pub fn cancel(&self, id: EventId) {
-        self.core.borrow_mut().wheel.cancel(Slot::from_bits(id.0));
+        self.core.borrow_mut().queue.remove(&id);
     }
 
     /// Schedules `callback` to run every `period`, starting one period from
@@ -118,9 +114,9 @@ impl Sim {
     pub fn step(&self) -> bool {
         let (at, callback) = {
             let mut core = self.core.borrow_mut();
-            match core.wheel.pop_min() {
+            match core.queue.pop_first() {
                 None => return false,
-                Some((at, _seq, callback)) => {
+                Some((EventId(at, _), callback)) => {
                     core.executed += 1;
                     (at, callback)
                 }
@@ -133,7 +129,7 @@ impl Sim {
 
     /// The firing time of the next pending event.
     fn peek_next_at(&self) -> Option<SimTime> {
-        self.core.borrow_mut().wheel.peek_min_at()
+        self.core.borrow().queue.first_key_value().map(|(id, _)| id.0)
     }
 
     /// Runs events until virtual time would exceed `until`, leaving later

@@ -35,7 +35,6 @@ pub mod fault;
 pub mod resource;
 pub mod timeseries;
 pub mod topology;
-pub mod wheel;
 
 pub use engine::{EventId, Sim};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSchedule};

@@ -73,7 +73,7 @@ impl RateResource {
         let cb = {
             let mut inner = self.inner.borrow_mut();
             inner.completion = None;
-            let job = inner.queue.pop_front().expect("queue head");
+            let Some(job) = inner.queue.pop_front() else { return };
             inner.total_served += job.units;
             job.on_complete
         };

@@ -1,11 +1,10 @@
-//! The pre-timer-wheel scheduler, retained as a *model*.
+//! The engine's first scheduler, retained as a *model*.
 //!
-//! This is the `BinaryHeap<Reverse<_>>` + tombstone-set event queue
-//! the engine used before the hierarchical `crdb_sim::wheel::TimerWheel`
-//! replaced it. It is kept, verbatim in behavior, for one purpose only:
-//! the differential test (`timerwheel_differential.rs`) replays random
-//! schedules against both implementations and requires byte-identical
-//! pop orderings.
+//! This is the `BinaryHeap<Reverse<_>>` + tombstone-set event queue the
+//! engine used before its queue became an ordered map that removes
+//! cancelled events. It is kept, verbatim in behavior, for one purpose
+//! only: the differential test (`scheduler_differential.rs`) replays
+//! random schedules against both and requires byte-identical fire orders.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -37,7 +36,7 @@ impl<T> Ord for Scheduled<T> {
 
 /// The old scheduler: a min-heap ordered by `(at, seq)` with lazy
 /// cancellation via a tombstone set. Event ids are the schedule sequence
-/// numbers, exactly as the pre-wheel engine assigned them.
+/// numbers, exactly as that engine assigned them.
 pub struct ModelScheduler<T> {
     queue: BinaryHeap<Reverse<Scheduled<T>>>,
     cancelled: BTreeSet<u64>,

@@ -27,8 +27,8 @@
 //! Hash-ordered collections, ambient entropy, discarded `Result`s and
 //! leaked paired claims are not here: the type checker knows them. Clippy
 //! bans the first three (root `clippy.toml`); rustc denies a discarded or
-//! never-read `#[must_use]` claim — an LSM job, a slab slot, an open span
-//! — through the workspace lints (DESIGN.md §8).
+//! never-read `#[must_use]` claim — an LSM job or an open span — through
+//! the workspace lints (DESIGN.md §8).
 
 // simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
 

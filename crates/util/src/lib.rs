@@ -14,9 +14,7 @@
 //!   quota bucket,
 //! - shared degradation primitives ([`retry`]): budgeted backoff policies,
 //!   propagated request [`retry::Deadline`]s, and per-target circuit
-//!   breakers,
-//! - a generational [`slab::Slab`] arena with dense `u32` handles and
-//!   deterministic slot reuse, backing per-entity state at paper scale.
+//!   breakers.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
@@ -28,7 +26,6 @@ pub mod ids;
 #[cfg(all(clippy, not(test)))]
 mod lint_contract;
 pub mod retry;
-pub mod slab;
 pub mod stats;
 pub mod time;
 
@@ -36,5 +33,4 @@ pub use clock::Clock;
 pub use hist::Histogram;
 pub use ids::{NodeId, RangeId, RegionId, SqlInstanceId, TenantId};
 pub use retry::{Breaker, BreakerState, Deadline, RetryPolicy};
-pub use slab::{Slab, Slot};
 pub use time::SimTime;
