@@ -34,10 +34,7 @@ impl PiecewiseLinear {
     /// increasing x).
     pub fn new(points: Vec<(f64, f64)>) -> Self {
         assert!(!points.is_empty(), "need at least one knot");
-        assert!(
-            points.windows(2).all(|w| w[0].0 < w[1].0),
-            "knot x values must be strictly increasing"
-        );
+        assert!(points.is_sorted_by(|a, b| a.0 < b.0), "knot x values must be strictly increasing");
         PiecewiseLinear { points }
     }
 
@@ -49,16 +46,20 @@ impl PiecewiseLinear {
     /// Evaluates the curve at `x`.
     pub fn eval(&self, x: f64) -> f64 {
         let pts = &self.points;
-        if x <= pts[0].0 {
-            return pts[0].1;
+        let (Some(&(x_first, y_first)), Some(&(x_last, y_last))) = (pts.first(), pts.last()) else {
+            return 0.0; // `new` refuses an empty curve
+        };
+        if x <= x_first {
+            return y_first;
         }
-        if x >= pts[pts.len() - 1].0 {
-            return pts[pts.len() - 1].1;
+        if x >= x_last {
+            return y_last;
         }
         let i = pts.partition_point(|&(px, _)| px <= x);
-        let (x0, y0) = pts[i - 1];
-        let (x1, y1) = pts[i];
-        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        match (i.checked_sub(1).and_then(|j| pts.get(j)), pts.get(i)) {
+            (Some(&(x0, y0)), Some(&(x1, y1))) => y0 + (y1 - y0) * (x - x0) / (x1 - x0),
+            _ => y_last, // a NaN `x`
+        }
     }
 
     /// The knots.

@@ -78,7 +78,7 @@ fn fit_batch_feature(
         let cpu = (with - without).max(1e-9);
         knots.push((rate, rate / cpu));
     }
-    knots.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    knots.sort_by(|a, b| a.0.total_cmp(&b.0));
     knots.dedup_by(|a, b| a.0 == b.0);
     FeatureModel::new(PiecewiseLinear::new(knots))
 }

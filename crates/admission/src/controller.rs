@@ -119,7 +119,10 @@ impl<T> AdmissionController<T> {
     }
 
     /// Submits a write operation declaring `bytes` logical write bytes.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one `WorkItem` plus its write bytes, passed the way `request_read` takes them"
+    )]
     pub fn request_write(
         &mut self,
         now: SimTime,

@@ -28,7 +28,21 @@
 //! keeps the crate independent of the simulator and directly unit-testable.
 
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod controller;
 pub mod queue;

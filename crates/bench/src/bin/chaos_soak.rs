@@ -16,6 +16,22 @@
 //! - sessions on crashed SQL pods resume via migration,
 //! - running the same seed again yields a byte-identical fault log.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use crdb_bench::chaos::{run_chaos, ChaosOptions, ChaosReport};
 use crdb_bench::header;
 use crdb_sim::fault::FaultPlan;
@@ -48,6 +64,11 @@ fn print_report(report: &ChaosReport) {
 fn main() {
     let mut seed = 7u64;
     let mut args = std::env::args().skip(1);
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "a bad argument stops the soak before it starts, naming the usage"
+    )]
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => {

@@ -20,6 +20,22 @@
 //! - running the same seed again yields a byte-identical fault log and
 //!   metrics snapshot.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use crdb_bench::disaster::{run_disaster, DisasterOptions, DisasterReport};
 use crdb_bench::header;
 
@@ -44,6 +60,11 @@ fn print_report(report: &DisasterReport) {
 fn main() {
     let mut seed = 11u64;
     let mut args = std::env::args().skip(1);
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "a bad argument stops the soak before it starts, naming the usage"
+    )]
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => {

@@ -9,6 +9,22 @@
 //!
 //! `all` prints a `== <name> ==` line before each experiment's output.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::process::ExitCode;
 
 use crdb_bench::exp::EXPERIMENTS;

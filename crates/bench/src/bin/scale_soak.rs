@@ -21,7 +21,21 @@
 //! emits `BENCH_SCALE.smoke.json` instead, so CI never overwrites the
 //! committed full-scale result.
 
-use std::fmt::Write as _;
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use crdb_bench::header;
 use crdb_bench::scale::{
@@ -39,10 +53,15 @@ const PEAK_RSS_CEILING: u64 = 8 << 30;
 /// Churn-phase simulation throughput floor, events per wall second.
 const EVENTS_PER_SEC_FLOOR: f64 = 20_000.0;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut seed = 11u64;
     let mut smoke = false;
     let mut args = std::env::args().skip(1);
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "a bad argument stops the soak before it starts, naming the usage"
+    )]
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => {
@@ -125,11 +144,10 @@ fn main() {
     );
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"mode\": \"{label}\", \"seed\": {seed},");
-    let _ = writeln!(
-        json,
+    json += &format!("  \"mode\": \"{label}\", \"seed\": {seed},\n");
+    json += &format!(
         "  \"suspended\": {{\"tenants\": {}, \"wall_secs\": {:.3}, \"steady_events\": {}, \
-         \"rss_per_tenant_bytes\": {}, \"storage_kib_per_tenant\": {}, \"active_tenants\": {}}},",
+         \"rss_per_tenant_bytes\": {}, \"storage_kib_per_tenant\": {}, \"active_tenants\": {}}},\n",
         suspended.tenants,
         suspended.wall_secs,
         suspended.steady_events,
@@ -137,26 +155,24 @@ fn main() {
         suspended.storage_kib_per_tenant,
         suspended.active_tenants
     );
-    let _ = writeln!(
-        json,
-        "  \"idle\": {{\"tenants\": {}, \"connections\": {}, \"events\": {}, \"wall_secs\": {:.3}}},",
+    json += &format!(
+        "  \"idle\": {{\"tenants\": {}, \"connections\": {}, \"events\": {}, \"wall_secs\": {:.3}}},\n",
         idle.tenants, idle.connections, idle.events, idle.wall_secs
     );
-    let _ = writeln!(
-        json,
+    json += &format!(
         "  \"churn\": {{\"sessions\": {}, \"connects\": {}, \"events\": {}, \"wall_secs\": {:.3}, \
-         \"events_per_sec\": {:.0}, \"log_identical\": true, \"snapshot_identical\": true}},",
+         \"events_per_sec\": {:.0}, \"log_identical\": true, \"snapshot_identical\": true}},\n",
         churn.sessions, churn.connects, churn.events, churn.wall_secs, churn.events_per_sec
     );
-    let _ = writeln!(
-        json,
+    json += &format!(
         "  \"gates\": {{\"events_per_sec_floor\": {EVENTS_PER_SEC_FLOOR}, \
          \"rss_per_tenant_ceiling\": {RSS_PER_TENANT_CEILING}, \
-         \"peak_rss_ceiling\": {PEAK_RSS_CEILING}, \"peak_rss_bytes\": {peak_rss}}}"
+         \"peak_rss_ceiling\": {PEAK_RSS_CEILING}, \"peak_rss_bytes\": {peak_rss}}}\n"
     );
     json.push_str("}\n");
     let out = if smoke { "BENCH_SCALE.smoke.json" } else { "BENCH_SCALE.json" };
-    std::fs::write(out, &json).expect("write scale soak result");
+    std::fs::write(out, &json)?;
     println!("\nwrote {out}");
     println!("OK: scale soak clean ({label}, seed {seed})");
+    Ok(())
 }

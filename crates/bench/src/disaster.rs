@@ -176,7 +176,7 @@ pub fn run_disaster(opts: &DisasterOptions) -> DisasterReport {
     let mut healthy_p99 = Vec::new();
     check_invariants(&sim, &cluster, &runs, &replicas, &mut violations);
     for run in &runs {
-        if run.home != VICTIM_REGION {
+        if run.home != Some(VICTIM_REGION) {
             match cluster.proxy.tenant_statement_p99(run.tenant) {
                 Some(p99) => {
                     if p99 >= opts.statement_deadline {

@@ -33,7 +33,7 @@ fn arrivals() -> Vec<Arrival> {
     for i in 0..10 {
         a.push(Arrival { at: 0.05 + 0.1 * i as f64, tenant: TenantId(3), service: 0.01 });
     }
-    a.sort_by(|x, y| x.at.partial_cmp(&y.at).unwrap());
+    a.sort_by(|x, y| x.at.total_cmp(&y.at));
     a
 }
 
@@ -48,8 +48,7 @@ fn simulate(fair: bool) -> (Histogram, Histogram) {
     let mut busy_until = 0.0f64;
     loop {
         // Admit arrivals up to `now`.
-        while next_arrival < arrivals.len() && arrivals[next_arrival].at <= now {
-            let a = &arrivals[next_arrival];
+        while let Some(a) = arrivals.get(next_arrival).filter(|a| a.at <= now) {
             if fair {
                 queue.enqueue(WorkItem {
                     tenant: a.tenant,

@@ -34,9 +34,8 @@ fn replay(policy: Policy) -> (f64, f64, usize) {
     let mut under_secs = 0.0;
     let mut node_seconds = 0.0;
     let mut max_nodes = 0usize;
-    for i in 0..trace.len() {
-        let lo = i.saturating_sub(window);
-        let samples = &trace[lo..=i];
+    for (i, &demand) in trace.iter().enumerate() {
+        let samples = trace.get(i.saturating_sub(window)..=i).unwrap_or_default();
         let avg = samples.iter().sum::<f64>() / samples.len() as f64;
         let max = samples.iter().copied().fold(0.0, f64::max);
         let inputs = match policy {
@@ -47,7 +46,7 @@ fn replay(policy: Policy) -> (f64, f64, usize) {
         let nodes = target_nodes(inputs).max(1);
         max_nodes = max_nodes.max(nodes);
         let capacity = nodes as f64 * NODE_VCPUS;
-        if capacity < trace[i] {
+        if capacity < demand {
             under_secs += 3.0;
         }
         node_seconds += nodes as f64 * 3.0;

@@ -167,8 +167,8 @@ fn run_config(
         let tenant_ecpu = tenant_ecpu.clone();
         let all_tenants = all_tenants.clone();
         let sim2 = sim.clone();
-        let last_busy = RefCell::new(vec![0.0f64; node_ids.len()]);
-        let last_ecpu = RefCell::new(vec![0.0f64; all_tenants.len()]);
+        let mut last_busy = vec![0.0f64; node_ids.len()];
+        let mut last_ecpu = vec![0.0f64; all_tenants.len()];
         let last_t = RefCell::new(sim.now());
         let sample_until = sim.now() + dur::secs(3600 + MEASURE_SECS);
         sim.schedule_periodic(dur::secs(15), move || {
@@ -181,20 +181,22 @@ fn run_config(
             if dt <= 0.0 {
                 return true;
             }
-            for (i, id) in node_ids.iter().enumerate() {
+            let nodes =
+                node_ids.iter().zip(&mut last_busy).zip(&per_node_cpu).zip(&per_node_leases);
+            for (((id, last), cpu), leases) in nodes {
                 if let Some(node) = cluster2.kv.node(*id) {
                     let busy = node.cpu.cumulative_busy();
-                    let cores = (busy - last_busy.borrow()[i]) / dt;
-                    last_busy.borrow_mut()[i] = busy;
-                    per_node_cpu[i].borrow_mut().push(now, cores);
-                    per_node_leases[i].borrow_mut().push(now, cluster2.kv.lease_count(*id) as f64);
+                    let cores = (busy - *last) / dt;
+                    *last = busy;
+                    cpu.borrow_mut().push(now, cores);
+                    leases.borrow_mut().push(now, cluster2.kv.lease_count(*id) as f64);
                 }
             }
-            for (i, t) in all_tenants.iter().enumerate() {
+            for ((t, last), series) in all_tenants.iter().zip(&mut last_ecpu).zip(&tenant_ecpu) {
                 let e = cluster2.tenant_ecpu_seconds(*t);
-                let rate = (e - last_ecpu.borrow()[i]) / dt;
-                last_ecpu.borrow_mut()[i] = e;
-                tenant_ecpu[i].borrow_mut().push(now, rate);
+                let rate = (e - *last) / dt;
+                *last = e;
+                series.borrow_mut().push(now, rate);
             }
             true
         });
@@ -263,7 +265,7 @@ pub fn run() {
         "1 test tenant (stock TPC-C with think time); eCPU limit 6.5 vCPU per noisy tenant.\n"
     );
 
-    let results = vec![
+    let [none, ac, ecpu] = [
         run_config("No Limits", false, None, 121),
         run_config("AC only", true, None, 122),
         run_config("AC & eCPU", true, Some(6.5), 123),
@@ -271,21 +273,12 @@ pub fn run() {
 
     header("Table 1: well-behaved tenant latency and throughput");
     println!("{:>10} {:>12} {:>12} {:>10}", "", "No Limits", "AC only", "AC & eCPU");
-    println!(
-        "{:>10} {:>11.3}s {:>11.3}s {:>9.3}s",
-        "p50", results[0].p50, results[1].p50, results[2].p50
-    );
-    println!(
-        "{:>10} {:>11.3}s {:>11.3}s {:>9.3}s",
-        "p99", results[0].p99, results[1].p99, results[2].p99
-    );
-    println!(
-        "{:>10} {:>12.1} {:>12.1} {:>10.1}",
-        "tpmC", results[0].tpmc, results[1].tpmc, results[2].tpmc
-    );
+    println!("{:>10} {:>11.3}s {:>11.3}s {:>9.3}s", "p50", none.p50, ac.p50, ecpu.p50);
+    println!("{:>10} {:>11.3}s {:>11.3}s {:>9.3}s", "p99", none.p99, ac.p99, ecpu.p99);
+    println!("{:>10} {:>12.1} {:>12.1} {:>10.1}", "tpmC", none.tpmc, ac.tpmc, ecpu.tpmc);
     println!("(paper: p50 3.179/0.192/0.019, p99 24.815/0.978/0.037, tpmC 181.7/206.9/209.5)");
 
-    for r in &results {
+    for r in [&none, &ac, &ecpu] {
         header(&format!("Figure 12 [{}]: per-node cores used and range leases", r.label));
         let (from, to) = r.window;
         for (cpu, leases) in r.per_node_cpu.iter().zip(&r.per_node_leases) {
@@ -305,7 +298,7 @@ pub fn run() {
     println!(" AC & eCPU -> stable ~42% CPU per VM)\n");
 
     header("Figure 13: per-tenant eCPU rate over time (AC & eCPU configuration)");
-    let r = &results[2];
+    let r = &ecpu;
     println!("{}", render_table(&r.tenant_ecpu, 60.0, "min"));
     let (from, to) = r.window;
     for s in &r.tenant_ecpu {

@@ -83,7 +83,7 @@ fn panel_b() {
             let tenant = cluster.create_tenant(vec![RegionId(0)], None);
             let c = Rc::clone(&conns);
             cluster.connect(tenant, &format!("10.1.{}.{}", i / 256, i % 256), "idle", move |r| {
-                c.borrow_mut().push(r.expect("connect"));
+                c.borrow_mut().extend(r.ok());
             });
             // Stagger connects so the warm pool can replenish.
             sim.run_for(dur::ms(1500));
@@ -101,10 +101,12 @@ fn panel_b() {
             / n as u64
             + IDLE_TENANT_KV_HEAP;
         // Sample one idle SQL node's modeled footprint.
-        let sql = cluster
-            .registry
-            .with_tenant(conns.borrow()[0].tenant, |e| {
-                e.nodes.first().map(|node| (node.memory_bytes(), node.sql_cpu_seconds()))
+        let first = conns.borrow().first().map(|c| c.tenant);
+        let sql = first
+            .and_then(|t| {
+                cluster.registry.with_tenant(t, |e| {
+                    e.nodes.first().map(|node| (node.memory_bytes(), node.sql_cpu_seconds()))
+                })
             })
             .flatten()
             .unwrap_or((0, 0.0));

@@ -66,7 +66,6 @@ pub fn run() {
             true
         });
     }
-    #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         sim: Sim,
         ex: Rc<dyn SqlExecutor>,

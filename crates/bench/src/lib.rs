@@ -6,7 +6,21 @@
 //! simulation-friendly request rates; all comparisons in the paper are
 //! ratios and shapes, which scaling preserves.
 
-#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod chaos;
 pub mod disaster;
@@ -146,13 +160,14 @@ pub fn sql_cpu_total(cluster: &ServerlessCluster, tenant: TenantId) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Runs one statement to completion, driving the sim; returns Ok output.
+/// Runs one statement to completion, driving the sim for up to 300
+/// virtual seconds; an error names the statement.
 pub fn exec_one(
     sim: &Sim,
     ex: &Rc<dyn SqlExecutor>,
     sql: &str,
     params: Vec<crdb_sql::value::Datum>,
-) -> crdb_sql::exec::QueryOutput {
+) -> Result<crdb_sql::exec::QueryOutput, String> {
     let done = Rc::new(RefCell::new(None));
     let d = Rc::clone(&done);
     ex.exec(0, sql.to_string(), params, Box::new(move |r| *d.borrow_mut() = Some(r)));
@@ -163,5 +178,8 @@ pub fn exec_one(
         sim.run_for(dur::secs(1));
     }
     let r = done.borrow_mut().take();
-    r.expect("statement completed").unwrap_or_else(|e| panic!("{sql}: {e}"))
+    match r {
+        Some(r) => r.map_err(|e| format!("{sql}: {e}")),
+        None => Err(format!("{sql}: no reply within 300 s")),
+    }
 }

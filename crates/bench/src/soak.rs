@@ -9,6 +9,7 @@ use std::time::Duration;
 use crdb_core::ServerlessCluster;
 use crdb_kv::timing::GC_WINDOW;
 use crdb_sim::Sim;
+use crdb_sql::value::Row;
 use crdb_util::{RegionId, TenantId};
 use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
 use crdb_workload::executors::load_tenant;
@@ -23,11 +24,11 @@ mod replica_oracle;
 pub(crate) struct TenantRun {
     pub tag: &'static str,
     /// The tenant's first (home) region.
-    pub home: RegionId,
+    pub home: Option<RegionId>,
     pub tenant: TenantId,
     pub executor: Rc<dyn SqlExecutor>,
     pub driver: Rc<Driver>,
-    initial_orders: i64,
+    initial_orders: Result<i64, String>,
 }
 
 impl TenantRun {
@@ -50,7 +51,7 @@ impl TenantRun {
             items: 20,
             order_lines: 3,
         };
-        let home = regions[0];
+        let home = regions.first().copied();
         let mut data = tpcc::load_statements(&cfg);
         data.push("CREATE TABLE secrets (id INT PRIMARY KEY, v STRING)".to_string());
         data.push(format!("INSERT INTO secrets VALUES (1, 'tenant-{tag}')"));
@@ -73,20 +74,28 @@ impl TenantRun {
     fn check_invariants(&self, sim: &Sim, violations: &mut Vec<String>) {
         let committed_orders =
             self.driver.stats.by_label.borrow().get("new_order").copied().unwrap_or(0) as i64;
-        let final_orders = count_orders(sim, &self.executor);
-        if final_orders < self.initial_orders + committed_orders {
-            violations.push(format!(
-                "tenant {}: acknowledged commits lost: {} orders on disk < {} initial + {} committed",
-                self.tag, final_orders, self.initial_orders, committed_orders
-            ));
+        match (self.initial_orders.as_ref(), count_orders(sim, &self.executor).as_ref()) {
+            (Ok(&initial), Ok(&final_orders)) if final_orders < initial + committed_orders => {
+                violations.push(format!(
+                    "tenant {}: acknowledged commits lost: {} orders on disk < {} initial + {} committed",
+                    self.tag, final_orders, initial, committed_orders
+                ));
+            }
+            (Ok(_), Ok(_)) => {}
+            (Err(e), _) | (_, Err(e)) => violations.push(format!("tenant {}: {e}", self.tag)),
         }
-        let secrets = exec_one(sim, &self.executor, "SELECT v FROM secrets ORDER BY id", vec![]);
         let expect = format!("tenant-{}", self.tag);
-        if secrets.rows.len() != 1 || secrets.rows[0][0].to_string() != expect {
-            violations.push(format!(
-                "tenant {}: cross-tenant leak: secrets = {:?}, expected [[{expect}]]",
-                self.tag, secrets.rows
-            ));
+        match exec_one(sim, &self.executor, "SELECT v FROM secrets ORDER BY id", vec![]) {
+            Ok(secrets) => {
+                let ours = |row: &Row| row.first().is_some_and(|v| v.to_string() == expect);
+                if !matches!(secrets.rows.as_slice(), [row] if ours(row)) {
+                    violations.push(format!(
+                        "tenant {}: cross-tenant leak: secrets = {:?}, expected [[{expect}]]",
+                        self.tag, secrets.rows
+                    ));
+                }
+            }
+            Err(e) => violations.push(format!("tenant {}: {e}", self.tag)),
         }
     }
 }
@@ -127,7 +136,11 @@ pub(crate) fn check_invariants(
     violations.extend(diverged.into_iter().map(|d| format!("replicas diverged: {d}")));
 }
 
-fn count_orders(sim: &Sim, ex: &Rc<dyn SqlExecutor>) -> i64 {
-    let out = exec_one(sim, ex, "SELECT COUNT(*) FROM orders", vec![]);
-    out.rows[0][0].as_i64().expect("count is an integer")
+fn count_orders(sim: &Sim, ex: &Rc<dyn SqlExecutor>) -> Result<i64, String> {
+    let out = exec_one(sim, ex, "SELECT COUNT(*) FROM orders", vec![])?;
+    match out.rows.as_slice() {
+        [row] => row.first().and_then(|v| v.as_i64()),
+        _ => None,
+    }
+    .ok_or_else(|| format!("SELECT COUNT(*) FROM orders returned {:?}", out.rows))
 }

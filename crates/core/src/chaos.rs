@@ -46,12 +46,12 @@ pub fn install_chaos(
     let inj = Rc::clone(&injector);
     injector.install(schedule, move |kind| match *kind {
         FaultKind::KvNodeCrash { node } => {
-            let id = kv_nodes[node % kv_nodes.len()];
+            let Some(&id) = kv_nodes.get(node % kv_nodes.len()) else { return };
             c.kv.set_node_alive(id, false);
             inj.note(&format!("kv node {id} crashed"));
         }
         FaultKind::KvNodeRestart { node } => {
-            let id = kv_nodes[node % kv_nodes.len()];
+            let Some(&id) = kv_nodes.get(node % kv_nodes.len()) else { return };
             c.kv.set_node_alive(id, true);
             inj.note(&format!("kv node {id} restarted"));
         }
@@ -240,5 +240,5 @@ fn pick_sql_pod(cluster: &ServerlessCluster, pick: u64) -> Option<(TenantId, Rc<
     }
     pods.sort_by_key(|(_, n)| n.instance_id.raw());
     let idx = (pick % pods.len() as u64) as usize;
-    Some(pods[idx].clone())
+    pods.get(idx).cloned()
 }

@@ -54,7 +54,7 @@ impl DedicatedCluster {
         let mut sql_nodes = Vec::new();
         let mut sessions = Vec::new();
         for (i, kv_node_id) in kv.node_ids().into_iter().enumerate() {
-            let location = kv.node_location(kv_node_id).expect("node exists");
+            let Some(location) = kv.node_location(kv_node_id) else { continue };
             let client = KvClient::new(kv.clone(), cert.clone(), location);
             let mut cfg = sql_config.clone();
             cfg.location = location;
@@ -65,7 +65,8 @@ impl DedicatedCluster {
         sim.run_for(dur::secs(10));
         for node in &sql_nodes {
             assert_eq!(node.state(), NodeState::Ready, "dedicated SQL engine ready");
-            sessions.push(node.open_session("root").expect("session"));
+            // A Ready node always opens a session.
+            sessions.extend(node.open_session("root"));
         }
         Rc::new(DedicatedCluster {
             sim: sim.clone(),
@@ -84,9 +85,12 @@ impl DedicatedCluster {
         params: Vec<Datum>,
         cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
     ) {
-        let node = Rc::clone(&self.sql_nodes[i % self.sql_nodes.len()]);
-        let session = self.sessions.borrow()[i % self.sql_nodes.len()];
-        node.execute(session, sql, params, cb);
+        let vm = i % self.sql_nodes.len();
+        let session = self.sessions.borrow().get(vm).copied();
+        match (self.sql_nodes.get(vm), session) {
+            (Some(node), Some(session)) => node.execute(session, sql, params, cb),
+            _ => cb(Err(SqlError::State(format!("no SQL engine on VM {vm}")))),
+        }
     }
 
     /// Total CPU-seconds consumed across the cluster (SQL engines + KV

@@ -127,6 +127,10 @@ impl ServerlessCluster {
             let sql_template = config.sql.clone();
             let next_instance = Rc::clone(&next_instance);
             Rc::new(move |tenant: TenantId| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the registry spawns nodes only for tenants `create_tenant` recorded"
+                )]
                 let info = tenants
                     .borrow()
                     .get(&tenant)
@@ -341,14 +345,14 @@ impl ServerlessCluster {
     fn start_accounting_loop(self: &Rc<Self>) {
         let this = Rc::clone(self);
         self.sim.schedule_periodic(ACCOUNTING_INTERVAL, move || {
-            this.run_accounting_step(ACCOUNTING_INTERVAL.as_secs_f64());
+            this.run_accounting_step(ACCOUNTING_INTERVAL);
             true
         });
     }
 
     /// One accounting step: measure per-node SQL CPU deltas and tenant KV
     /// traffic deltas, convert to estimated CPU, and charge quotas.
-    fn run_accounting_step(&self, interval_secs: f64) {
+    fn run_accounting_step(&self, interval: Duration) {
         let now = self.sim.now();
         let kv_node_ids = self.kv.node_ids();
         // Bill active tenants plus any active at the previous tick, so a
@@ -381,7 +385,7 @@ impl ServerlessCluster {
             }
             let delta = traffic.delta(&info.last_traffic.borrow());
             *info.last_traffic.borrow_mut() = traffic;
-            let kv_est = estimated_kv_cpu_seconds(&self.ecpu_model, &delta, interval_secs);
+            let kv_est = estimated_kv_cpu_seconds(&self.ecpu_model, &delta, interval);
 
             // Per-node SQL CPU deltas.
             let nodes: Vec<Rc<crdb_sql::node::SqlNode>> = self

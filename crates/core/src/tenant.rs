@@ -10,6 +10,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use crdb_accounting::bucket::{BucketServer, GrantResponse};
 use crdb_accounting::model::{EcpuModel, WorkloadFeatures};
@@ -134,7 +135,7 @@ impl TenantInfo {
                     let overshoot = (tokens - sustainable).max(0.0);
                     let wait = (overshoot / rate.max(1.0)).min(5.0);
                     if wait > 1e-3 {
-                        gates.insert(node, now + std::time::Duration::from_secs_f64(wait));
+                        gates.insert(node, now + Duration::from_secs_f64(wait));
                     } else {
                         gates.remove(&node);
                     }
@@ -144,9 +145,10 @@ impl TenantInfo {
     }
 }
 
-/// A traffic delta over `interval_secs` as the per-second workload
-/// features the estimated-CPU model takes.
-fn workload_features(delta: &TrafficStats, interval_secs: f64) -> WorkloadFeatures {
+/// A traffic delta over `interval` as the per-second workload features
+/// the estimated-CPU model takes.
+fn workload_features(delta: &TrafficStats, interval: Duration) -> WorkloadFeatures {
+    let interval_secs = interval.as_secs_f64();
     let per_batch =
         |total: u64, batches: u64| if batches > 0 { total as f64 / batches as f64 } else { 0.0 };
     WorkloadFeatures {
@@ -161,16 +163,16 @@ fn workload_features(delta: &TrafficStats, interval_secs: f64) -> WorkloadFeatur
 }
 
 /// Computes a tenant's estimated KV CPU (in seconds) for a traffic delta
-/// over `interval_secs`, using the estimated-CPU model (§5.2.1).
+/// over `interval`, using the estimated-CPU model (§5.2.1).
 pub fn estimated_kv_cpu_seconds(
     model: &EcpuModel,
     delta: &TrafficStats,
-    interval_secs: f64,
+    interval: Duration,
 ) -> f64 {
-    if interval_secs <= 0.0 {
+    if interval.is_zero() {
         return 0.0;
     }
-    model.estimate_vcpus(&workload_features(delta, interval_secs)) * interval_secs
+    model.estimate_vcpus(&workload_features(delta, interval)) * interval.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -234,7 +236,7 @@ mod tests {
             write_bytes: 200,
             bounded_scan_requests: 1,
         };
-        let f = workload_features(&delta, 2.0);
+        let f = workload_features(&delta, Duration::from_secs(2));
         assert_eq!(f.read_batches_per_sec, 1.0);
         assert_eq!(f.read_requests_per_batch, 3.0);
         assert_eq!(f.read_bytes_per_batch, 192.0);
@@ -242,7 +244,7 @@ mod tests {
         assert_eq!(f.bounded_scans_per_sec, 0.5);
         // No batches on a side: its per-batch means are 0, not NaN.
         let reads_only = TrafficStats { write_batches: 0, ..delta };
-        let f = workload_features(&reads_only, 2.0);
+        let f = workload_features(&reads_only, Duration::from_secs(2));
         assert_eq!((f.write_requests_per_batch, f.write_bytes_per_batch), (0.0, 0.0));
     }
 
@@ -258,7 +260,7 @@ mod tests {
             write_bytes: 500_000,
             bounded_scan_requests: 0,
         };
-        let secs = estimated_kv_cpu_seconds(&model, &delta, 10.0);
+        let secs = estimated_kv_cpu_seconds(&model, &delta, Duration::from_secs(10));
         assert!(secs > 0.0);
         // Doubling traffic roughly doubles the estimate.
         let double = TrafficStats {
@@ -270,7 +272,7 @@ mod tests {
             write_bytes: 1_000_000,
             bounded_scan_requests: 0,
         };
-        let secs2 = estimated_kv_cpu_seconds(&model, &double, 10.0);
+        let secs2 = estimated_kv_cpu_seconds(&model, &double, Duration::from_secs(10));
         assert!(secs2 > secs * 1.5);
     }
 }

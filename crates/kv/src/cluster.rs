@@ -158,12 +158,13 @@ impl ClusterInner {
         rotation: usize,
         now: SimTime,
     ) -> Vec<NodeId> {
-        let region_of = |n: &NodeId| self.nodes[n].location.region;
+        let location_of = |n: &NodeId| self.nodes.get(n).map(|node| node.location);
+        let region_of = |n: &NodeId| location_of(n).map(|l| l.region);
         let mut live = self.liveness.live_nodes(now);
-        live.retain(|n| placement.allows(region_of(n)));
+        live.retain(|n| region_of(n).is_some_and(|r| placement.allows(r)));
         // Home-region nodes first, preserving id order inside each group.
         if let Some(home) = home {
-            live.sort_by_key(|n| region_of(n) != home);
+            live.sort_by_key(|n| region_of(n) != Some(home));
         }
         let mut replicas: Vec<NodeId> = Vec::new();
         if live.is_empty() {
@@ -177,14 +178,15 @@ impl ClusterInner {
         // Deterministic rotation for spread (within the home group when
         // one is set).
         let start = match home {
-            Some(home) => rotation % live.iter().filter(|n| region_of(n) == home).count().max(1),
+            Some(home) => {
+                rotation % live.iter().filter(|n| region_of(n) == Some(home)).count().max(1)
+            }
             None => rotation % live.len(),
         };
-        for i in 0..live.len() {
-            let n = live[(start + i) % live.len()];
-            let location = self.nodes[&n].location;
-            let region_covered = replicas.iter().any(|r| region_of(r) == location.region);
-            let zone_covered = replicas.iter().any(|r| self.nodes[r].location == location);
+        for &n in live.iter().cycle().skip(start).take(live.len()) {
+            let Some(location) = location_of(&n) else { continue };
+            let region_covered = replicas.iter().any(|r| region_of(r) == Some(location.region));
+            let zone_covered = replicas.iter().any(|r| location_of(r) == Some(location));
             if !region_covered || (replicas.len() >= regions && !zone_covered) {
                 replicas.push(n);
             }
@@ -211,7 +213,8 @@ impl ClusterInner {
     fn grant_lease(&mut self, id: RangeId, to: NodeId) {
         debug_assert!(
             self.directory.get(id).is_some_and(|r| {
-                r.desc.replicas.contains(&to) && r.placement.allows(self.nodes[&to].location.region)
+                r.desc.replicas.contains(&to)
+                    && self.nodes.get(&to).is_some_and(|n| r.placement.allows(n.location.region))
             }),
             "lease of {id:?} granted to {to:?} outside its replicas or placement"
         );
@@ -394,7 +397,7 @@ impl KvCluster {
                 // the same way every run for determinism.
                 let counts: Vec<(NodeId, usize)> = live
                     .iter()
-                    .filter(|n| inner.nodes[n].location.region == region)
+                    .filter(|n| inner.nodes.get(n).is_some_and(|n| n.location.region == region))
                     .map(|&n| (n, inner.directory.lease_count(n)))
                     .collect();
                 let most = counts.iter().max_by_key(|&&(_, c)| c);
@@ -551,7 +554,7 @@ impl KvCluster {
         if users.len() < 2 {
             return;
         }
-        let mid = users[users.len() / 2].clone();
+        let Some(mid) = users.get(users.len() / 2).cloned() else { return };
         if mid.as_ref() <= desc.start.as_ref() || mid.as_ref() >= desc.end.as_ref() {
             return;
         }
@@ -632,10 +635,13 @@ impl KvCluster {
         let inner = &mut *inner;
         let cert = inner.ca.issue(tenant);
         let replicas = inner.choose_replicas(Placement::Spread, home, tenant.raw() as usize, now);
-        assert!(!replicas.is_empty(), "no live nodes to place tenant");
+        #[expect(clippy::panic, reason = "a cluster with no live node cannot hold a tenant")]
+        let Some(&holder) = replicas.first() else {
+            panic!("no live nodes to place tenant")
+        };
         let id = RangeId(inner.next_range_id);
         inner.next_range_id += 1;
-        let epoch = inner.liveness.epoch(replicas[0]);
+        let epoch = inner.liveness.epoch(holder);
         let desc = RangeDescriptor {
             id,
             start: keys::tenant_span_start(tenant),

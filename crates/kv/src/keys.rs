@@ -220,6 +220,21 @@ mod tests {
             let whole = decode_u64(cut_key).and_then(|(_, rest)| decode_str(rest));
             assert_eq!(whole, None, "cut at {cut}");
         }
+        // Every byte flipped every way that matters to an escape or a
+        // terminator: a verdict, never a panic.
+        for flip in [0x01u8, 0x02, 0x80, 0xff] {
+            for at in 0..key.len() {
+                let mut k = key.to_vec();
+                k[at] ^= flip;
+                key_tenant(&k);
+                strip_prefix(TenantId(7), &Bytes::from(k));
+            }
+            for at in 0..composite.len() {
+                let mut k = composite.to_vec();
+                k[at] ^= flip;
+                decode_u64(&k).and_then(|(_, rest)| decode_str(rest));
+            }
+        }
     }
 
     #[test]

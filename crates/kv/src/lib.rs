@@ -43,7 +43,21 @@
 //! order among them it relies on, are in [`timing`].
 
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod auth;
 pub mod batch;

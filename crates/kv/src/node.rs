@@ -538,7 +538,7 @@ impl KvNode {
         // waits.
         let stall_delay = if batch.is_write() && self.engine.write_stall().is_some() {
             let d = dur::ms(1);
-            self.engine.with_lsm(|lsm| lsm.note_stall(d.as_micros() as u64));
+            self.engine.with_lsm(|lsm| lsm.note_stall(d));
             self.maintain_storage();
             d
         } else {

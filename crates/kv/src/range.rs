@@ -104,6 +104,10 @@ pub struct RangeState {
 impl RangeState {
     /// Creates state for a fresh range with the first replica as holder.
     pub fn new(desc: RangeDescriptor, placement: Placement, epoch: u64) -> Self {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every caller creates a range only once it has chosen a replica"
+        )]
         let holder = desc.replicas[0];
         RangeState {
             desc,

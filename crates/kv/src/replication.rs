@@ -36,11 +36,9 @@ pub fn quorum_commit_delay(
         .filter(|(_, alive)| *alive)
         .map(|&(f, _)| topology.sample_rtt(sim, leader, f))
         .collect();
-    if rtts.len() < follower_acks_needed {
-        return None;
-    }
     rtts.sort();
-    Some(rtts[follower_acks_needed - 1])
+    // `None` when fewer live followers than the quorum needs.
+    rtts.get(follower_acks_needed - 1).copied()
 }
 
 #[cfg(test)]

@@ -113,5 +113,21 @@ mod tests {
         for cut in 0..whole.len() {
             assert_eq!(TxnRecord::decode(&whole[..cut]), None, "cut at {cut}");
         }
+        // Every byte flipped every way that matters to a tag, and a
+        // hostile `u32` wherever four bytes fit: a verdict, never a panic.
+        for flip in [0x01u8, 0x02, 0x80, 0xff] {
+            for at in 0..whole.len() {
+                let mut v = whole.to_vec();
+                v[at] ^= flip;
+                TxnRecord::decode(&v);
+            }
+        }
+        for at in 0..whole.len() - 3 {
+            for hostile in [u32::MAX, i32::MAX as u32, (whole.len() - at) as u32] {
+                let mut v = whole.to_vec();
+                v[at..at + 4].copy_from_slice(&hostile.to_be_bytes());
+                TxnRecord::decode(&v);
+            }
+        }
     }
 }

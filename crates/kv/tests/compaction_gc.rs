@@ -23,6 +23,7 @@ use crdb_storage::{CompactionJob, CompactionPick, Engine, FlushJob, LsmConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+#[expect(dead_code, reason = "this test uses only part of the shared maintenance driver")]
 #[path = "../../storage/tests/support/maintain.rs"]
 mod maintain;
 

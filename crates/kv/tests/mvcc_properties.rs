@@ -15,6 +15,7 @@ use crdb_storage::{Engine, LsmConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+#[expect(dead_code, reason = "this test uses only part of the shared maintenance driver")]
 #[path = "../../storage/tests/support/maintain.rs"]
 mod maintain;
 

@@ -22,7 +22,21 @@
 //! hash-order iteration reaches the serialized output.
 
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod metrics;
 pub mod trace;

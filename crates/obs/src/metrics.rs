@@ -6,7 +6,8 @@
 //! `component[.entity].metric`, e.g. `proxy.cold_starts`,
 //! `kv.node.3.storage.flush_bytes`, `tenant.7.bucket.tokens_granted`.
 //! Entities (node ids, tenant ids) are embedded in the name so the snapshot
-//! stays a flat, sorted map.
+//! stays a flat, sorted map. [`Sampler`] refuses (panics on) a name of any
+//! other shape, so a name built with `format!` is checked as it is made.
 //!
 //! # Determinism contract
 //!
@@ -61,23 +62,42 @@ impl From<&Histogram> for HistSummary {
     }
 }
 
+/// Whether `name` has the `component[.entity].metric` shape: two or more
+/// dot-separated segments of `[a-z0-9_]`, the first starting with a letter.
+fn is_metric_name(name: &str) -> bool {
+    let segment_ok = |s: &str| {
+        !s.is_empty()
+            && s.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+    };
+    name.starts_with(|c: char| c.is_ascii_lowercase())
+        && name.contains('.')
+        && name.split('.').all(segment_ok)
+}
+
+/// Records `v` under `name`, which must be well shaped and new to `map`.
+fn report<V>(map: &mut BTreeMap<String, V>, name: &str, v: V) {
+    assert!(
+        is_metric_name(name),
+        "metric name {name:?} is not `component[.entity].metric` (lowercase dotted segments)"
+    );
+    let prev = map.insert(name.to_string(), v);
+    assert!(prev.is_none(), "duplicate metric name {name:?}");
+}
+
 impl Sampler {
     /// Reports a counter value. Names must be unique within one snapshot.
     pub fn counter(&mut self, name: &str, v: u64) {
-        let prev = self.counters.insert(name.to_string(), v);
-        assert!(prev.is_none(), "duplicate metric name {name:?}");
+        report(&mut self.counters, name, v);
     }
 
     /// Reports a gauge value. Names must be unique within one snapshot.
     pub fn gauge(&mut self, name: &str, v: f64) {
-        let prev = self.gauges.insert(name.to_string(), v);
-        assert!(prev.is_none(), "duplicate metric name {name:?}");
+        report(&mut self.gauges, name, v);
     }
 
     /// Reports a histogram. Names must be unique within one snapshot.
     pub fn histogram(&mut self, name: &str, h: &Histogram) {
-        let prev = self.hists.insert(name.to_string(), HistSummary::from(h));
-        assert!(prev.is_none(), "duplicate metric name {name:?}");
+        report(&mut self.hists, name, HistSummary::from(h));
     }
 
     /// Serializes the reported values to deterministic JSON, sorted by
@@ -150,7 +170,25 @@ mod tests {
     #[should_panic(expected = "duplicate metric name")]
     fn duplicate_names_panic() {
         let mut s = Sampler::default();
-        s.counter("dup", 0);
-        s.counter("dup", 1);
+        s.counter("a.dup", 0);
+        s.counter("a.dup", 1);
+    }
+
+    #[test]
+    fn metric_shape() {
+        assert!(is_metric_name("proxy.cold_starts"));
+        assert!(is_metric_name("kv.node.3.storage.flush_bytes"));
+        assert!(!is_metric_name("single"));
+        assert!(!is_metric_name("Has.Upper"));
+        assert!(!is_metric_name("trailing."));
+        assert!(!is_metric_name("a..b"));
+        assert!(!is_metric_name("3.lead_digit"));
+        assert!(!is_metric_name("kv.node-3.x"));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not `component[.entity].metric`")]
+    fn badly_shaped_names_panic() {
+        Sampler::default().counter("Kv.Bad", 1);
     }
 }

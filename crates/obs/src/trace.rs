@@ -110,9 +110,9 @@ impl Trace {
         let spans = self.inner.spans.borrow();
         let mut paths: Vec<String> = Vec::with_capacity(spans.len());
         for r in spans.iter() {
-            let p = match r.parent {
+            let p = match r.parent.and_then(|p| paths.get(p)) {
                 None => r.name.clone(),
-                Some(p) => format!("{}/{}", paths[p], r.name),
+                Some(parent) => format!("{parent}/{}", r.name),
             };
             paths.push(p);
         }
@@ -126,8 +126,8 @@ impl Trace {
         let spans = self.inner.spans.borrow();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
         for (i, r) in spans.iter().enumerate() {
-            if let Some(p) = r.parent {
-                children[p].push(i);
+            if let Some(siblings) = r.parent.and_then(|p| children.get_mut(p)) {
+                siblings.push(i);
             }
         }
         let mut out = String::new();
@@ -137,7 +137,7 @@ impl Trace {
 }
 
 fn write_span_json(spans: &[SpanRecord], children: &[Vec<usize>], idx: usize, out: &mut String) {
-    let r = &spans[idx];
+    let Some(r) = spans.get(idx) else { return };
     out.push_str("{\"name\":\"");
     json_escape(&r.name, out);
     out.push_str(&format!("\",\"start_ns\":{}", r.start.as_nanos()));
@@ -170,9 +170,10 @@ fn write_span_json(spans: &[SpanRecord], children: &[Vec<usize>], idx: usize, ou
         }
         out.push('}');
     }
-    if !children[idx].is_empty() {
+    let kids = children.get(idx).map(Vec::as_slice).unwrap_or_default();
+    if !kids.is_empty() {
         out.push_str(",\"children\":[");
-        for (i, &c) in children[idx].iter().enumerate() {
+        for (i, &c) in kids.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -250,7 +251,9 @@ impl Span {
     /// Attaches (or replaces) a key/value tag.
     pub fn tag(&self, key: &str, value: impl std::fmt::Display) {
         let mut spans = self.inner.spans.borrow_mut();
-        spans[self.idx].tags.push((key.to_string(), value.to_string()));
+        if let Some(r) = spans.get_mut(self.idx) {
+            r.tags.push((key.to_string(), value.to_string()));
+        }
     }
 
     /// Ends the span now. Idempotent: the first end wins.
@@ -262,9 +265,8 @@ impl Span {
     /// Ends the span at an explicit time. Idempotent: the first end wins.
     pub fn end_at(&self, t: SimTime) {
         let mut spans = self.inner.spans.borrow_mut();
-        let r = &mut spans[self.idx];
-        if r.end.is_none() {
-            r.end = Some(t);
+        if let Some(r) = spans.get_mut(self.idx) {
+            r.end.get_or_insert(t);
         }
     }
 

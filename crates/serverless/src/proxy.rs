@@ -243,7 +243,7 @@ impl Proxy {
         // neither overflow nor lock a source out forever.
         let backoff = RetryPolicy::exponential(AUTH_BACKOFF_BASE, AUTH_BACKOFF_CAP, u32::MAX)
             .delay(entry.consecutive_failures - 1)
-            .expect("unbounded budget always yields a delay");
+            .unwrap_or(AUTH_BACKOFF_CAP);
         entry.blocked_until = now + backoff;
     }
 

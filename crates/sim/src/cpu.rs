@@ -176,8 +176,8 @@ impl CpuScheduler {
             inner.advance(now);
             let mut done = Vec::new();
             let mut i = 0;
-            while i < inner.tasks.len() {
-                if inner.tasks[i].remaining <= DONE_THRESHOLD {
+            while let Some(task) = inner.tasks.get(i) {
+                if task.remaining <= DONE_THRESHOLD {
                     done.push(inner.tasks.swap_remove(i).on_complete);
                 } else {
                     i += 1;

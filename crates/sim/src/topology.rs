@@ -140,9 +140,9 @@ impl Topology {
         (0..self.regions.len() as u64).map(RegionId)
     }
 
-    /// Human-readable region name.
+    /// Human-readable region name (`"?"` for a region this topology lacks).
     pub fn region_name(&self, r: RegionId) -> &str {
-        &self.regions[r.raw() as usize]
+        self.regions.get(r.raw() as usize).map_or("?", |name| name.as_str())
     }
 
     /// Deterministic base one-way latency between two locations, before

@@ -9,8 +9,6 @@
 //! comments, raw strings (`r#"…"#`), byte strings, and the
 //! lifetime-vs-char-literal ambiguity (`'a` vs `'a'`) are handled.
 
-// simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
-
 /// Strips comments and string/char-literal contents from `source`,
 /// preserving line and column structure (stripped characters become
 /// spaces; string delimiters are kept so quoting stays visible).
@@ -35,8 +33,7 @@ pub fn strip(source: &str) -> Vec<String> {
         out.push(if c == '\n' { '\n' } else { ' ' });
     }
 
-    while i < chars.len() {
-        let c = chars[i];
+    while let Some(&c) = chars.get(i) {
         let next = chars.get(i + 1).copied();
         match st {
             St::Code => match c {
@@ -53,22 +50,15 @@ pub fn strip(source: &str) -> Vec<String> {
                 '"' => {
                     // A quote in code state: check for a raw/byte-string
                     // prefix directly before it (`r`, `br`, with hashes).
-                    let mut j = i;
-                    let mut hashes = 0usize;
-                    while j > 0 && chars[j - 1] == '#' {
-                        hashes += 1;
-                        j -= 1;
-                    }
-                    let is_raw = j > 0 && chars[j - 1] == 'r' && {
-                        let k = j - 1;
-                        if k == 0 {
-                            true
-                        } else if chars[k - 1] == 'b' {
-                            k < 2 || !is_ident(chars[k - 2])
-                        } else {
-                            !is_ident(chars[k - 1])
-                        }
-                    };
+                    let before = chars.get(..i).unwrap_or_default();
+                    let hashes = before.iter().rev().take_while(|&&ch| ch == '#').count();
+                    let mut prefix = before.iter().rev().skip(hashes).copied();
+                    let is_raw = prefix.next() == Some('r')
+                        && match prefix.next() {
+                            None => true,
+                            Some('b') => prefix.next().is_none_or(|ch| !is_ident(ch)),
+                            Some(ch) => !is_ident(ch),
+                        };
                     st = if is_raw { St::RawStr(hashes) } else { St::Str };
                     out.push('"');
                     i += 1;
@@ -81,9 +71,9 @@ pub fn strip(source: &str) -> Vec<String> {
                         st = St::Char;
                         out.push('\'');
                         i += 1;
-                    } else if chars.get(i + 2) == Some(&'\'') && next.is_some() {
+                    } else if let (Some(n), Some('\'')) = (next, chars.get(i + 2).copied()) {
                         out.push('\'');
-                        blank(&mut out, chars[i + 1]);
+                        blank(&mut out, n);
                         out.push('\'');
                         i += 3;
                     } else {

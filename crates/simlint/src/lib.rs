@@ -5,28 +5,40 @@
 //! seed ⇒ byte-identical fault logs, traces, and metrics snapshots.
 //! What rustc and clippy can see of that contract — hash-ordered
 //! collections, ambient entropy, discarded `Result`s, leaked paired
-//! claims — they enforce (root `clippy.toml`, the workspace lints). This
-//! crate keeps the rest: wall clocks, `RefCell` guards held across
-//! re-entrant calls, panic paths, time-unit mixes and metric-name drift.
-//! A hand-rolled lexer strips comments and strings, one scope walk per
-//! file builds a model, the rules read the models, and CI fails on any
+//! claims, panic paths — they enforce (root `clippy.toml`, the workspace
+//! lints, each crate root's lint line). This crate keeps the rest: wall
+//! clocks and `RefCell` guards held across re-entrant calls. A
+//! hand-rolled lexer strips comments and strings, one scope walk per
+//! file builds a model, the rules read it, and CI fails on any
 //! unsuppressed finding.
 //!
 //! See `DESIGN.md` §8 for which tool enforces which hazard;
 //! `crdb-simlint list` prints each rule with the historical bug that
 //! motivated it.
 
-#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
-pub mod baseline;
 pub mod engine;
 pub mod lexer;
 pub mod model;
 pub mod rules;
 pub mod xrules;
 
-pub use baseline::{ratchet, Baseline, RatchetReport, RATCHETED_RULES};
-pub use engine::{analyze_sources, check_paths_with_baseline, Finding};
+pub use engine::{analyze_sources, check_paths, Finding};
 pub use model::FileModel;
 pub use rules::{rule, Rule, RULES};
 
@@ -39,7 +51,7 @@ pub fn to_json(findings: &[Finding]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n  {{\"rule\":{},\"path\":{},\"line\":{},\"message\":{},\"snippet\":{},\"suppressed\":{},\"baselined\":{}}}",
+            "\n  {{\"rule\":{},\"path\":{},\"line\":{},\"message\":{},\"snippet\":{},\"suppressed\":{}}}",
             json_str(f.rule),
             json_str(&f.path),
             f.line,
@@ -49,7 +61,6 @@ pub fn to_json(findings: &[Finding]) -> String {
                 Some(r) => json_str(r),
                 None => "null".to_string(),
             },
-            f.baselined
         ));
     }
     out.push_str("\n]");
@@ -93,12 +104,10 @@ mod tests {
             snippet: "s".into(),
             also_at: None,
             suppress_reason: None,
-            baselined: false,
         };
         let j = to_json(&[f]);
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert!(j.contains("\"rule\":\"wall-clock\""));
         assert!(j.contains("\"suppressed\":null"));
-        assert!(j.contains("\"baselined\":false"));
     }
 }

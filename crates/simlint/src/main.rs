@@ -1,40 +1,41 @@
 //! CLI for the determinism & invariant linter.
 //!
 //! ```text
-//! crdb-simlint check [--format text|json] [--show-suppressed]
-//!                    [--baseline FILE | --no-baseline] [PATH...]
-//! crdb-simlint ratchet [--init] [--baseline FILE] [PATH...]
+//! crdb-simlint check [--format text|json] [--show-suppressed] [PATH...]
 //! crdb-simlint list [--rule NAME]
 //! ```
 //!
 //! `check` exits 0 only when every finding is suppressed by a valid,
-//! reason-carrying `simlint: allow` directive or grandfathered by the
-//! ratchet baseline (`simlint-baseline.json`, auto-detected in the
-//! working directory); CI runs it over `crates/`. `ratchet` compares
-//! current `panic-path` counts against the baseline: any per-file
-//! increase fails, any decrease rewrites the baseline in place so the
-//! count can only shrink; `ratchet --init` (re)writes the baseline from
-//! the current findings. `list` prints each rule with the historical
-//! bug that motivated it. (`--check`/`--list` flag spellings are
-//! accepted too.)
+//! reason-carrying `simlint: allow` directive; CI runs it over
+//! `crates/`. `list` prints each rule with the historical bug that
+//! motivated it. (`--check`/`--list` flag spellings are accepted too.)
 
-// simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use crdb_simlint::{check_paths_with_baseline, ratchet, rule, to_json, Baseline, RULES};
-
-const DEFAULT_BASELINE: &str = "simlint-baseline.json";
+use crdb_simlint::{check_paths, rule, to_json, RULES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode: Option<&str> = None;
     let mut format = "text".to_string();
     let mut show_suppressed = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut init = false;
     let mut rule_filter: Option<String> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
 
@@ -43,18 +44,11 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "check" | "--check" => mode = Some("check"),
             "list" | "--list" => mode = Some("list"),
-            "ratchet" | "--ratchet" => mode = Some("ratchet"),
             "--format" => match it.next() {
                 Some(f) if f == "text" || f == "json" => format = f.clone(),
                 _ => return usage("--format requires `text` or `json`"),
             },
             "--show-suppressed" => show_suppressed = true,
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage("--baseline requires a file path"),
-            },
-            "--no-baseline" => no_baseline = true,
-            "--init" => init = true,
             "--rule" => match it.next() {
                 Some(r) => rule_filter = Some(r.clone()),
                 None => return usage("--rule requires a rule name"),
@@ -90,21 +84,17 @@ fn main() -> ExitCode {
             if paths.is_empty() {
                 paths.push(PathBuf::from("crates"));
             }
-            let baseline = match load_baseline(baseline_path, no_baseline) {
-                Ok(b) => b,
-                Err(code) => return code,
-            };
-            let findings = match check_paths_with_baseline(&paths, baseline.as_ref()) {
+            let findings = match check_paths(&paths) {
                 Ok(f) => f,
                 Err(e) => {
                     eprintln!("simlint: io error: {e}");
                     return ExitCode::from(2);
                 }
             };
-            let (active, inactive): (Vec<_>, Vec<_>) =
+            let (active, suppressed): (Vec<_>, Vec<_>) =
                 findings.into_iter().partition(|f| f.is_active());
             let shown: Vec<_> = if show_suppressed {
-                active.iter().chain(inactive.iter()).cloned().collect()
+                active.iter().chain(suppressed.iter()).cloned().collect()
             } else {
                 active.clone()
             };
@@ -112,21 +102,17 @@ fn main() -> ExitCode {
                 println!("{}", to_json(&shown));
             } else {
                 for f in &shown {
-                    let tag = match (&f.suppress_reason, f.baselined) {
-                        (Some(r), _) => format!(" (suppressed: {r})"),
-                        (None, true) => " (baselined)".to_string(),
-                        (None, false) => String::new(),
+                    let tag = match &f.suppress_reason {
+                        Some(r) => format!(" (suppressed: {r})"),
+                        None => String::new(),
                     };
                     println!("{}:{}: [{}] {}{}", f.path, f.line, f.rule, f.message, tag);
                     println!("    {}", f.snippet);
                 }
-                let (suppressed, baselined): (Vec<_>, Vec<_>) =
-                    inactive.iter().partition(|f| f.suppress_reason.is_some());
                 eprintln!(
-                    "simlint: {} finding(s), {} suppressed with reasons, {} baselined",
+                    "simlint: {} finding(s), {} suppressed with reasons",
                     active.len(),
-                    suppressed.len(),
-                    baselined.len()
+                    suppressed.len()
                 );
             }
             if active.is_empty() {
@@ -135,102 +121,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        Some("ratchet") => {
-            if paths.is_empty() {
-                paths.push(PathBuf::from("crates"));
-            }
-            let bpath = baseline_path.unwrap_or_else(|| PathBuf::from(DEFAULT_BASELINE));
-            // Compare against raw (un-baselined) findings.
-            let findings = match check_paths_with_baseline(&paths, None) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("simlint: io error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            if init {
-                let root = bpath.parent().filter(|p| !p.as_os_str().is_empty());
-                let fresh =
-                    Baseline::from_findings(&findings, root.unwrap_or(std::path::Path::new(".")));
-                if let Err(e) = std::fs::write(&bpath, fresh.to_json()) {
-                    eprintln!("simlint: cannot write baseline {}: {e}", bpath.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!(
-                    "simlint: baseline initialized with {} grandfathered finding(s) in {}",
-                    fresh.total(),
-                    bpath.display()
-                );
-                return ExitCode::SUCCESS;
-            }
-            let base = match Baseline::load(&bpath) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("simlint: cannot load baseline {}: {e}", bpath.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let report = ratchet(&base, &findings);
-            if !report.regressions.is_empty() {
-                for (rule, file, was, now) in &report.regressions {
-                    eprintln!(
-                        "simlint: ratchet violation [{rule}] {file}: {now} finding(s), \
-                         baseline allows {was} — fix the new site or convert the file"
-                    );
-                }
-                return ExitCode::FAILURE;
-            }
-            if report.shrunk {
-                if let Err(e) = std::fs::write(&bpath, report.updated.to_json()) {
-                    eprintln!("simlint: cannot rewrite baseline {}: {e}", bpath.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!(
-                    "simlint: ratchet improved — baseline rewritten ({} → {} grandfathered)",
-                    base.total(),
-                    report.updated.total()
-                );
-            } else {
-                eprintln!("simlint: ratchet holds ({} grandfathered)", base.total());
-            }
-            ExitCode::SUCCESS
-        }
-        _ => usage("expected a mode: `check`, `ratchet`, or `list`"),
-    }
-}
-
-/// Resolves the baseline for `check`: an explicit `--baseline` must load;
-/// otherwise `simlint-baseline.json` in the working directory is used when
-/// present, and `--no-baseline` disables even that.
-fn load_baseline(
-    explicit: Option<PathBuf>,
-    no_baseline: bool,
-) -> Result<Option<Baseline>, ExitCode> {
-    if no_baseline {
-        return Ok(None);
-    }
-    match explicit {
-        Some(p) => match Baseline::load(&p) {
-            Ok(b) => Ok(Some(b)),
-            Err(e) => {
-                eprintln!("simlint: cannot load baseline {}: {e}", p.display());
-                Err(ExitCode::from(2))
-            }
-        },
-        None => {
-            let p = PathBuf::from(DEFAULT_BASELINE);
-            if p.is_file() {
-                match Baseline::load(&p) {
-                    Ok(b) => Ok(Some(b)),
-                    Err(e) => {
-                        eprintln!("simlint: cannot load baseline {}: {e}", p.display());
-                        Err(ExitCode::from(2))
-                    }
-                }
-            } else {
-                Ok(None)
-            }
-        }
+        _ => usage("expected a mode: `check` or `list`"),
     }
 }
 
@@ -239,9 +130,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("simlint: {err}");
     }
     eprintln!(
-        "usage: crdb-simlint check [--format text|json] [--show-suppressed]\n\
-         \u{20}                         [--baseline FILE | --no-baseline] [PATH...]\n\
-         \u{20}      crdb-simlint ratchet [--init] [--baseline FILE] [PATH...]\n\
+        "usage: crdb-simlint check [--format text|json] [--show-suppressed] [PATH...]\n\
          \u{20}      crdb-simlint list [--rule NAME]"
     );
     if err.is_empty() {

@@ -4,8 +4,6 @@
 //! linter exists so the next instance is caught by machine instead of
 //! by a reviewer re-deriving the determinism contract from scratch.
 
-// simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
-
 use crate::lexer::is_ident;
 
 /// A lint rule: stable name, what it matches, and the historical bug
@@ -25,36 +23,12 @@ pub const RULES: &[Rule] = &[
                      PR reviews kept asking 'why is this exempt?' — now the answer is inline",
     },
     Rule {
-        name: "metric-name",
-        summary: "registered metric name outside `component[.entity].metric` shape, or a \
-                  snapshot lookup string matching no registration in the workspace",
-        motivation: "a metric-lookup typo in a sql::node assertion silently probed a name \
-                     nobody registers — the check passed vacuously; names are stringly, so \
-                     only a workspace-wide cross-reference catches the drift",
-    },
-    Rule {
-        name: "panic-path",
-        summary: "unwrap/expect/panic!-family/range-slice-index in non-test product code \
-                  (ratcheted via simlint-baseline.json — the count may only shrink)",
-        motivation: "PR 6's chaos schedules expect graceful degradation; a panic on a torn \
-                     WAL tail or a missing map entry kills the whole simulated node instead \
-                     of exercising the retry/lease machinery the paper's §4 depends on",
-    },
-    Rule {
         name: "reentrant-borrow",
         summary: "RefCell borrow guard bound in a match/if-let scrutinee or held across a \
                   self.-method call",
         motivation: "PR 3: sql::node planning held the catalog RefMut in a match scrutinee \
                      across a synchronous catalog-refresh retry and panicked under chaos; \
                      PR 1 fixed the same class in the kv range cache",
-    },
-    Rule {
-        name: "unit-mismatch",
-        summary: "arithmetic/comparison mixing µs/ms/sec-named identifiers, or a unit-named \
-                  call fed a value whose name carries a different unit",
-        motivation: "the sim clock is integer microseconds end-to-end; a `_ms` value \
-                     compared against a `_us` deadline is a silent ×1000 drift that no \
-                     test notices until a lease expires 1000× early under chaos",
     },
     Rule {
         name: "wall-clock",
@@ -227,7 +201,7 @@ mod tests {
 
     #[test]
     fn parses_multi_rule_and_ascii_dash() {
-        let d = parse(&["// simlint: allow(wall-clock, panic-path) -- bench arg parsing"]);
+        let d = parse(&["// simlint: allow(wall-clock, reentrant-borrow) -- bench arg parsing"]);
         assert_eq!(d[0].rules.len(), 2);
         assert!(d[0].problem.is_none());
     }

@@ -1,56 +1,31 @@
-//! The rule checks. Every one reads [`FileModel`]s and nothing else:
+//! The rule checks. Every one reads a [`FileModel`] and nothing else:
 //!
 //! - **`wall-clock`** — `Instant::now` / `SystemTime::now` in non-test
 //!   product code; simulated components read the sim clock.
 //! - **`reentrant-borrow`** — a `RefCell` borrow in a `match` / `if let`
 //!   scrutinee (the guard temporary lives for the whole body), or a
 //!   bound guard still alive across a direct `self.method(…)` call.
-//! - **`panic-path`** — `unwrap()`/`expect(…)`/`panic!`-family macros /
-//!   range slice-indexing in non-test product code. Panics on chaos
-//!   paths void the harness's degradation contract, so the *count* is
-//!   ratcheted via `simlint-baseline.json`: existing occurrences are
-//!   grandfathered per file, new ones fail CI, and the baseline only
-//!   shrinks (see [`baseline`](crate::baseline)).
-//! - **`unit-mismatch`** — arithmetic or comparison mixing identifiers
-//!   whose names carry different time units (`_us`/`_micros` vs
-//!   `_ms`/`_millis` vs `_secs`), or passing a `_ms`-named value to a
-//!   `*_micros(…)`-named call. The simulator's clock is integer
-//!   microseconds; a stray ms-as-µs is silent ×1000 drift.
-//! - **`metric-name`** — every registered metric name (including
-//!   `format!` templates) must match the `component[.entity].metric`
-//!   shape, and every lookup string probed against a snapshot must
-//!   match a registration *somewhere in the workspace* (templates match
-//!   with `{}` holes standing for one or more segments).
 //! - **`bad-directive`** — a `simlint:` directive that names no known
 //!   rule or gives no reason; it suppresses nothing.
 //!
-//! Hash-ordered collections, ambient entropy, discarded `Result`s and
-//! leaked paired claims are not here: the type checker knows them. Clippy
-//! bans the first three (root `clippy.toml`); rustc denies a discarded or
-//! never-read `#[must_use]` claim — an LSM job or an open span — through
-//! the workspace lints (DESIGN.md §8).
-
-// simlint: allow-file(panic-path) — linter internals slice indices derived from find()/len() on the same in-memory buffer; a panic here is a tool bug caught by the fixture tests, not a simulated chaos path.
+//! Everything else the type checker knows (DESIGN.md §8). Clippy bans
+//! hash-ordered collections, ambient entropy, discarded `Result`s and
+//! panic paths (root `clippy.toml`, each crate root's lint line); rustc
+//! denies a leaked `#[must_use]` claim; time crosses function boundaries
+//! as `Duration`; `obs::Sampler` refuses a badly shaped metric name.
 
 use crate::engine::Finding;
 use crate::lexer::{is_ident, word_positions};
-use crate::model::{is_metric_shaped, let_bound_name, FileModel, MetricString};
+use crate::model::{let_bound_name, FileModel};
 
-/// Runs every rule over the models, returning raw (unsuppressed)
-/// findings. Suppression and baselining are applied by the caller
+/// Runs every rule over one product file's model, returning raw
+/// (unsuppressed) findings. Suppression is applied by the caller
 /// (`engine::analyze_sources`).
-pub fn run(files: &[FileModel]) -> Vec<Finding> {
+pub fn run(f: &FileModel) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for f in files {
-        if !f.test_file {
-            bad_directive(f, &mut findings);
-            wall_clock(f, &mut findings);
-            reentrant_borrow(f, &mut findings);
-            panic_path(f, &mut findings);
-            unit_mismatch(f, &mut findings);
-        }
-    }
-    metric_name(files, &mut findings);
+    bad_directive(f, &mut findings);
+    wall_clock(f, &mut findings);
+    reentrant_borrow(f, &mut findings);
     findings
 }
 
@@ -63,7 +38,6 @@ fn finding(rule: &'static str, f: &FileModel, line: usize, message: String) -> F
         snippet: f.raw.get(line - 1).map(|l| l.trim().to_string()).unwrap_or_default(),
         also_at: None,
         suppress_reason: None,
-        baselined: false,
     }
 }
 
@@ -121,13 +95,13 @@ struct Guard {
 fn reentrant_borrow(f: &FileModel, findings: &mut Vec<Finding>) {
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth = 0;
-    for (idx, line) in f.clean.iter().enumerate() {
+    for (idx, (line, &after)) in f.clean.iter().zip(&f.depth_after).enumerate() {
         if !f.is_test_line(idx + 1) {
             check_scrutinee(f, idx, line, findings);
             check_guards(f, &mut guards, idx + 1, depth, line, findings);
         }
         // Guards whose block closed on this line are gone.
-        depth = f.depth_after[idx];
+        depth = after;
         guards.retain(|g| depth >= g.decl_depth);
     }
 }
@@ -262,433 +236,4 @@ fn first_self_method_call(line: &str) -> Option<String> {
         }
     }
     None
-}
-// ---------------------------------------------------------------------------
-// panic-path
-// ---------------------------------------------------------------------------
-
-/// Macros that abort the process on a supposedly-unreachable path.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-fn panic_path(f: &FileModel, findings: &mut Vec<Finding>) {
-    for (idx, line) in f.clean.iter().enumerate() {
-        if f.is_test_line(idx + 1) {
-            continue;
-        }
-        let lineno = idx + 1;
-        let mut hits = 0usize;
-        let mut start = 0;
-        while let Some(rel) = line[start..].find(".unwrap()") {
-            start += rel + ".unwrap()".len();
-            hits += 1;
-            findings.push(finding(
-                "panic-path",
-                f,
-                lineno,
-                "`unwrap()` panics on the failure path; return a typed error or handle it"
-                    .to_string(),
-            ));
-        }
-        for pos in word_positions(line, "expect") {
-            let before_dot = line[..pos].ends_with('.');
-            let after = &line[pos + "expect".len()..];
-            if before_dot && after.starts_with('(') {
-                hits += 1;
-                findings.push(finding(
-                    "panic-path",
-                    f,
-                    lineno,
-                    "`expect(…)` panics on the failure path; return a typed error or handle it"
-                        .to_string(),
-                ));
-            }
-        }
-        for mac in PANIC_MACROS {
-            for pos in word_positions(line, mac) {
-                let after = &line[pos + mac.len()..];
-                if after.starts_with("!(") || after.starts_with("!{") {
-                    hits += 1;
-                    findings.push(finding(
-                        "panic-path",
-                        f,
-                        lineno,
-                        format!(
-                            "`{mac}!` aborts the simulation; chaos paths must degrade, not die"
-                        ),
-                    ));
-                }
-            }
-        }
-        // Range slice-indexing (`buf[pos..pos + 4]`): out-of-bounds panics
-        // are exactly the torn-record decode hazard. Plain `v[i]` indexing
-        // is left to the (much larger) baseline of explicit panics.
-        if hits == 0 {
-            for (pos, text) in range_index_sites(line) {
-                let _ = (pos, text);
-                findings.push(finding(
-                    "panic-path",
-                    f,
-                    lineno,
-                    "range slice-indexing panics when the slice is short; use `.get(a..b)` \
-                     and handle the miss"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-}
-
-/// `ident[…..…]` sites: byte position of the `[` plus the bracket body.
-fn range_index_sites(line: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let bytes = line.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'[' || i == 0 {
-            continue;
-        }
-        let prev = bytes[i - 1] as char;
-        if !(is_ident(prev) || prev == ')' || prev == ']') {
-            continue; // array literal / attribute / type position
-        }
-        // Attribute lines (`#[cfg(…)]`) never have ident-adjacent `[`.
-        let mut depth = 1i32;
-        let mut j = i + 1;
-        while j < bytes.len() && depth > 0 {
-            match bytes[j] {
-                b'[' => depth += 1,
-                b']' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        if depth != 0 {
-            continue;
-        }
-        let body = &line[i + 1..j - 1];
-        if body.contains("..") {
-            out.push((i, body.to_string()));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// unit-mismatch
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Unit {
-    Nanos,
-    Micros,
-    Millis,
-    Secs,
-}
-
-impl Unit {
-    fn label(self) -> &'static str {
-        match self {
-            Unit::Nanos => "ns",
-            Unit::Micros => "µs",
-            Unit::Millis => "ms",
-            Unit::Secs => "s",
-        }
-    }
-}
-
-/// The time unit an identifier's name advertises, if any. Matches
-/// suffixes (`deadline_ms`, `as_micros`) and bare unit words (`micros`).
-fn unit_of(ident: &str) -> Option<Unit> {
-    let suffixes: &[(&str, Unit)] = &[
-        ("_nanos", Unit::Nanos),
-        ("_ns", Unit::Nanos),
-        ("_us", Unit::Micros),
-        ("_usec", Unit::Micros),
-        ("_usecs", Unit::Micros),
-        ("_micros", Unit::Micros),
-        ("_micro", Unit::Micros),
-        ("_ms", Unit::Millis),
-        ("_msec", Unit::Millis),
-        ("_msecs", Unit::Millis),
-        ("_millis", Unit::Millis),
-        ("_sec", Unit::Secs),
-        ("_secs", Unit::Secs),
-        ("_seconds", Unit::Secs),
-    ];
-    for (suf, u) in suffixes {
-        if let Some(stem) = ident.strip_suffix(suf) {
-            if !stem.is_empty() {
-                return Some(*u);
-            }
-        }
-    }
-    match ident {
-        "nanos" => Some(Unit::Nanos),
-        "micros" => Some(Unit::Micros),
-        "millis" => Some(Unit::Millis),
-        "secs" => Some(Unit::Secs),
-        _ => None,
-    }
-}
-
-/// Binary operators whose operands must share a unit.
-const MIX_OPS: &[&str] = &["+", "-", "<", ">", "<=", ">=", "==", "!=", "+=", "-=", "%"];
-
-fn unit_mismatch(f: &FileModel, findings: &mut Vec<Finding>) {
-    for (idx, line) in f.clean.iter().enumerate() {
-        if f.is_test_line(idx + 1) {
-            continue;
-        }
-        let lineno = idx + 1;
-        // A visible ×1000-family conversion factor (or a PER_ constant)
-        // on the line means the mixing is deliberate unit conversion.
-        let lower = line.to_ascii_lowercase();
-        if lower.contains("1000") || lower.contains("1_000") || lower.contains("per_") {
-            continue;
-        }
-        let tokens = path_tokens(line);
-        // `a_us <op> b_ms` between adjacent path tokens.
-        for w in tokens.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            let (Some(ua), Some(ub)) = (a.unit, b.unit) else { continue };
-            if ua == ub {
-                continue;
-            }
-            let between = &line[a.end..b.start];
-            let between = between.replace("()", "");
-            let between = between.trim();
-            if MIX_OPS.contains(&between) {
-                findings.push(finding(
-                    "unit-mismatch",
-                    f,
-                    lineno,
-                    format!(
-                        "`{}` ({}) is combined with `{}` ({}) without a conversion; the \
-                         sim clock is integer µs — convert explicitly",
-                        a.last,
-                        ua.label(),
-                        b.last,
-                        ub.label()
-                    ),
-                ));
-            }
-        }
-        // `from_micros(x_ms)`-style: a unit-named call fed a single
-        // identifier of a different unit.
-        for t in &tokens {
-            let Some(fu) = t.unit else { continue };
-            let after = &line[t.end..];
-            if !after.starts_with('(') {
-                continue;
-            }
-            let Some(close) = matching_paren(after) else { continue };
-            let arg = after[1..close].trim();
-            if arg.is_empty() || !arg.chars().all(|c| is_ident(c) || c == '.' || c == ':') {
-                continue;
-            }
-            let last_seg = arg.rsplit(['.', ':']).next().unwrap_or(arg);
-            let Some(au) = unit_of(last_seg) else { continue };
-            if au != fu {
-                findings.push(finding(
-                    "unit-mismatch",
-                    f,
-                    lineno,
-                    format!(
-                        "`{}` expects {} but is passed `{}` ({}); convert explicitly",
-                        t.last,
-                        fu.label(),
-                        last_seg,
-                        au.label()
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// A maximal path expression (`self.x.deadline_ms`, `t.as_micros`) on a
-/// line: byte span, last segment, and the unit the last segment carries.
-struct PathToken {
-    start: usize,
-    end: usize,
-    last: String,
-    unit: Option<Unit>,
-}
-
-fn path_tokens(line: &str) -> Vec<PathToken> {
-    let bytes = line.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if is_ident(c) && !c.is_ascii_digit() {
-            let start = i;
-            let mut last_start = i;
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                if is_ident(ch) {
-                    i += 1;
-                } else if ch == '.'
-                    && i + 1 < bytes.len()
-                    && is_ident(bytes[i + 1] as char)
-                    && !(bytes[i + 1] as char).is_ascii_digit()
-                {
-                    i += 1;
-                    last_start = i;
-                } else if ch == ':'
-                    && i + 2 < bytes.len()
-                    && bytes[i + 1] == b':'
-                    && is_ident(bytes[i + 2] as char)
-                {
-                    i += 2;
-                    last_start = i;
-                } else {
-                    break;
-                }
-            }
-            let last = line[last_start..i].to_string();
-            let unit = unit_of(&last);
-            out.push(PathToken { start, end: i, last, unit });
-        } else if is_ident(c) {
-            // Digit-led run (numeric literal): skip it whole.
-            while i < bytes.len() && is_ident(bytes[i] as char) {
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Byte offset of the `)` matching the `(` at offset 0 of `s`.
-fn matching_paren(s: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// metric-name
-// ---------------------------------------------------------------------------
-
-fn metric_name(files: &[FileModel], findings: &mut Vec<Finding>) {
-    // Shape-check product registrations; collect every registration
-    // (test ones too — obs unit tests register names their own lookups
-    // probe) as the match universe.
-    let mut universe: Vec<&MetricString> = Vec::new();
-    for f in files {
-        for reg in &f.metric_regs {
-            universe.push(reg);
-            if reg.in_test || f.test_file {
-                continue;
-            }
-            let shape_probe =
-                if reg.template { reg.text.replace("{}", "x") } else { reg.text.clone() };
-            if !is_metric_shaped(&shape_probe) {
-                findings.push(finding(
-                    "metric-name",
-                    f,
-                    reg.line,
-                    format!(
-                        "registered metric name {:?} does not match `component[.entity].metric` \
-                         (lowercase dotted segments, ≥ 2)",
-                        reg.text
-                    ),
-                ));
-            }
-        }
-    }
-    // Every lookup string must match a registration somewhere.
-    for f in files {
-        for lk in &f.metric_lookups {
-            let matched =
-                universe.iter().any(|reg| metric_matches(&reg.text, reg.template, &lk.text));
-            if !matched {
-                findings.push(finding(
-                    "metric-name",
-                    f,
-                    lk.line,
-                    format!(
-                        "metric lookup {:?} matches no registration anywhere in the workspace \
-                         (typo, or the metric was renamed)",
-                        lk.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Whether lookup `name` matches registration `reg` (a literal, or a
-/// template whose `{}` holes each stand for one or more segments).
-fn metric_matches(reg: &str, template: bool, name: &str) -> bool {
-    if !template {
-        return reg == name;
-    }
-    let rsegs: Vec<&str> = reg.split('.').collect();
-    let nsegs: Vec<&str> = name.split('.').collect();
-    match_segments(&rsegs, &nsegs)
-}
-
-fn match_segments(reg: &[&str], name: &[&str]) -> bool {
-    match (reg.first(), name.first()) {
-        (None, None) => true,
-        (None, Some(_)) | (Some(_), None) => false,
-        (Some(r), Some(_)) => {
-            if r.contains("{}") {
-                // A hole eats 1..=N segments.
-                (1..=name.len()).any(|n| match_segments(&reg[1..], &name[n..]))
-            } else if *r == name[0] {
-                match_segments(&reg[1..], &name[1..])
-            } else {
-                false
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn units() {
-        assert_eq!(unit_of("deadline_ms"), Some(Unit::Millis));
-        assert_eq!(unit_of("as_micros"), Some(Unit::Micros));
-        assert_eq!(unit_of("x_secs"), Some(Unit::Secs));
-        assert_eq!(unit_of("plain"), None);
-        assert_eq!(unit_of("_ms"), None, "bare suffix is not a unit name");
-    }
-
-    #[test]
-    fn template_matching() {
-        assert!(metric_matches(
-            "kv.node.{}.storage.flush_bytes",
-            true,
-            "kv.node.3.storage.flush_bytes"
-        ));
-        assert!(metric_matches("{}.storage.flush_bytes", true, "kv.node.3.storage.flush_bytes"));
-        assert!(!metric_matches("{}.storage.flush_bytes", true, "kv.node.3.storage.flush_byte"));
-        assert!(metric_matches("proxy.connects", false, "proxy.connects"));
-        assert!(!metric_matches("proxy.connects", false, "proxy.connect"));
-    }
-
-    #[test]
-    fn range_index_detection() {
-        assert_eq!(range_index_sites("let x = buf[pos..pos + 4];").len(), 1);
-        assert!(range_index_sites("let x = buf[pos];").is_empty(), "plain index exempt");
-        assert!(range_index_sites("#[cfg(test)]").is_empty());
-        assert!(range_index_sites("let a: [u8; 4] = x;").is_empty());
-    }
 }

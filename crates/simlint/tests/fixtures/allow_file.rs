@@ -10,6 +10,9 @@ pub fn second() -> Instant {
     Instant::now()
 }
 
-pub fn other_rules_still_fire(v: Option<u32>) -> u32 {
-    v.unwrap()
+pub fn other_rules_still_fire(cell: &std::cell::RefCell<Option<u32>>) -> u32 {
+    match cell.borrow_mut().take() {
+        Some(v) => v,
+        None => 0,
+    }
 }

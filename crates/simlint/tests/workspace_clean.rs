@@ -1,20 +1,13 @@
 //! Self-test: run the linter over the real workspace and assert the
-//! determinism contract holds — zero active findings once the committed
-//! ratchet baseline is applied, every suppression carries a written
-//! reason, and the panic-path debt stays under the hardening budget.
+//! determinism contract holds — zero active findings, and every
+//! suppression carries a written reason.
 
 use std::path::PathBuf;
 
-use crdb_simlint::{check_paths_with_baseline, ratchet, Baseline};
+use crdb_simlint::check_paths;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
-}
-
-fn load_workspace_baseline() -> Baseline {
-    let bpath = repo_root().join("simlint-baseline.json");
-    assert!(bpath.is_file(), "simlint-baseline.json missing from repo root");
-    Baseline::load(&bpath).expect("parse simlint-baseline.json")
 }
 
 #[test]
@@ -22,9 +15,7 @@ fn workspace_has_zero_unsuppressed_findings() {
     let crates_dir = repo_root().join("crates");
     assert!(crates_dir.is_dir(), "cannot locate workspace crates/ from CARGO_MANIFEST_DIR");
 
-    let baseline = load_workspace_baseline();
-    let findings =
-        check_paths_with_baseline(&[crates_dir], Some(&baseline)).expect("scan workspace");
+    let findings = check_paths(&[crates_dir]).expect("scan workspace");
     let active: Vec<_> = findings.iter().filter(|f| f.is_active()).collect();
     assert!(
         active.is_empty(),
@@ -49,35 +40,5 @@ fn workspace_has_zero_unsuppressed_findings() {
     assert!(
         findings.len() >= 5,
         "expected the workspace's known annotated exceptions to be recorded"
-    );
-    // The baseline is live, not vestigial: some grandfathered findings
-    // were actually matched against the tree.
-    assert!(
-        findings.iter().any(|f| f.baselined),
-        "baseline applied but nothing was grandfathered — stale baseline?"
-    );
-}
-
-#[test]
-fn panic_path_ratchet_holds_and_debt_is_bounded() {
-    let crates_dir = repo_root().join("crates");
-    let baseline = load_workspace_baseline();
-
-    // The grandfathered debt must stay strictly under the hardening
-    // budget; it can only shrink from here (enforced by `ratchet` in CI).
-    assert!(
-        baseline.total() < 430,
-        "panic-path baseline grew to {} — the ratchet only goes down",
-        baseline.total()
-    );
-
-    // Raw findings (no baseline applied) must not exceed any per-file
-    // grandfathered count: exactly what `crdb-simlint ratchet` gates.
-    let raw = check_paths_with_baseline(&[crates_dir], None).expect("scan workspace");
-    let report = ratchet(&baseline, &raw);
-    assert!(
-        report.regressions.is_empty(),
-        "panic-path ratchet regressions:\n{:#?}",
-        report.regressions
     );
 }

@@ -179,7 +179,8 @@ pub fn constraint_span(
     params: &[Datum],
 ) -> Result<(Bytes, Bytes), SqlError> {
     let ordinals = index_ordinals(table, index_id);
-    let col_type = |pos: usize| ordinals.get(pos).map(|&o| table.columns[o].ty);
+    let col_type =
+        |pos: usize| ordinals.get(pos).and_then(|&o| table.columns.get(o)).map(|col| col.ty);
     let mut eq_datums = Vec::with_capacity(c.eq_prefix.len());
     for (pos, e) in c.eq_prefix.iter().enumerate() {
         let d = eval_bound(e, params)?;
@@ -281,7 +282,9 @@ fn mark_column(needed: &mut Vec<bool>, i: usize) {
     if needed.len() <= i {
         needed.resize(i + 1, false);
     }
-    needed[i] = true;
+    if let Some(slot) = needed.get_mut(i) {
+        *slot = true;
+    }
 }
 
 fn mark_columns(needed: &mut Vec<bool>, e: &Expr) {
@@ -391,8 +394,9 @@ fn run_node(cx: &Cx, node: PlanNode, needed: Needed, sink: Box<dyn Sink>) {
                     };
                     let mut joined = Row::new();
                     for l in &lrows {
+                        let Some(lk) = l.get(left_col) else { continue };
                         for r in &rrows {
-                            if l[left_col].sql_eq(&r[right_col]) {
+                            if r.get(right_col).is_some_and(|rk| lk.sql_eq(rk)) {
                                 joined.clear();
                                 joined.extend(l.iter().chain(r).cloned());
                                 out.push(&mut joined);
@@ -481,7 +485,10 @@ impl Decoder {
 /// `limit` is the planner-pushed LIMIT: when set, at most that many KV
 /// pairs (or index entries) are fetched, so `LIMIT n` on an unfiltered
 /// scan reads ≤ n rows instead of the whole span.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one span's whole fetch context; a struct would only rename the arguments"
+)]
 fn fetch_span(
     cx: &Cx,
     table: TableDescriptor,
@@ -593,7 +600,10 @@ impl Sink for Sort {
         if input.is_ok() {
             rows.sort_by(|a, b| {
                 for &(idx, desc) in &keys {
-                    let ord = datum_total_cmp(&a[idx], &b[idx]);
+                    let ord = match (a.get(idx), b.get(idx)) {
+                        (Some(x), Some(y)) => datum_total_cmp(x, y),
+                        (x, y) => x.is_some().cmp(&y.is_some()),
+                    };
                     let ord = if desc { ord.reverse() } else { ord };
                     if ord != Ordering::Equal {
                         return ord;
@@ -681,7 +691,8 @@ impl Sink for LookupJoin {
         let keys: Vec<Bytes> = left_rows
             .iter()
             .map(|row| {
-                let pk: Vec<Datum> = left_key_cols.iter().map(|&i| row[i].clone()).collect();
+                let pk: Vec<Datum> =
+                    left_key_cols.iter().map(|&i| rowcodec::column(row, i).clone()).collect();
                 rowcodec::primary_key_from_datums(&table, &pk)
             })
             .collect();
@@ -822,7 +833,8 @@ impl Sink for Aggregate {
                 i
             }
         };
-        for ((func, arg), state) in aggs.iter().zip(groups[idx].1.iter_mut()) {
+        let Some((_, states)) = groups.get_mut(idx) else { return Ok(()) };
+        for ((func, arg), state) in aggs.iter().zip(states.iter_mut()) {
             match arg {
                 None => {
                     debug_assert_eq!(*func, AggFunc::Count);
@@ -846,7 +858,8 @@ impl Sink for Aggregate {
                 for ((func, _), state) in aggs.iter().zip(&states) {
                     full.push(state.result(*func));
                 }
-                let mut row: Row = output_map.iter().map(|&i| full[i].clone()).collect();
+                let mut row: Row =
+                    output_map.iter().map(|&i| rowcodec::column(&full, i).clone()).collect();
                 out.push(&mut row);
             }
         }
@@ -876,10 +889,10 @@ fn execute_insert(
             }
         }
         // Int literals going into float columns widen.
-        for (i, col) in table.columns.iter().enumerate() {
+        for (col, d) in table.columns.iter().zip(row.iter_mut()) {
             if col.ty == crate::value::ColumnType::Float {
-                if let Datum::Int(v) = row[i] {
-                    row[i] = Datum::Float(v as f64);
+                if let Datum::Int(v) = *d {
+                    *d = Datum::Float(v as f64);
                 }
             }
         }
@@ -956,12 +969,15 @@ fn execute_update(
                 for (col, e) in &sets {
                     match e.eval(&old, &params2) {
                         Ok(mut d) => {
-                            if table.columns[*col].ty == crate::value::ColumnType::Float {
+                            let float = crate::value::ColumnType::Float;
+                            if table.columns.get(*col).is_some_and(|c| c.ty == float) {
                                 if let Datum::Int(v) = d {
                                     d = Datum::Float(v as f64);
                                 }
                             }
-                            new[*col] = d;
+                            if let Some(slot) = new.get_mut(*col) {
+                                *slot = d;
+                            }
                         }
                         Err(e) => {
                             cb(Err(SqlError::Eval(e)));

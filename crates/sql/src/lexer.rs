@@ -48,13 +48,13 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
     let mut out = Vec::new();
     let bytes = input.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    while let Some(&b) = bytes.get(i) {
+        let c = b as char;
         match c {
             ' ' | '\t' | '\n' | '\r' => i += 1,
             '-' if bytes.get(i + 1) == Some(&b'-') => {
                 // Line comment.
-                while i < bytes.len() && bytes[i] != b'\n' {
+                while bytes.get(i).is_some_and(|&b| b != b'\n') {
                     i += 1;
                 }
             }
@@ -85,7 +85,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
             '$' => {
                 let start = i + 1;
                 let mut j = start;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
+                while bytes.get(j).is_some_and(u8::is_ascii_digit) {
                     j += 1;
                 }
                 if j == start {
@@ -102,11 +102,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
                 let start = i;
                 let mut j = i;
                 let mut is_float = false;
-                while j < bytes.len()
-                    && (bytes[j].is_ascii_digit() || (bytes[j] == b'.' && !is_float))
-                {
-                    if bytes[j] == b'.' {
+                while let Some(&b) = bytes.get(j) {
+                    if b == b'.' && !is_float {
                         is_float = true;
+                    } else if !b.is_ascii_digit() {
+                        break;
                     }
                     j += 1;
                 }
@@ -121,7 +121,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
                 let mut j = i;
-                while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
+                while bytes.get(j).is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_') {
                     j += 1;
                 }
                 out.push(Token::Ident(text(input, start, j)?.to_ascii_lowercase()));

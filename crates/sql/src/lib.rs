@@ -31,7 +31,21 @@
 //!   SQL/KV process boundary (§6.1).
 
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod coord;
 pub mod exec;
@@ -50,3 +64,28 @@ pub mod value;
 pub use node::{SqlNode, SqlNodeConfig};
 pub use session::Session;
 pub use value::Datum;
+
+/// Test support for the decoders: `raw` with each byte flipped each way
+/// that matters to a tag, a length or a count, then with a hostile `u32`
+/// length or count wherever four bytes fit — past the bytes that remain
+/// by gigabytes and by one. A decoder owes each one a verdict, not a
+/// panic or an allocation sized by the lie.
+#[cfg(test)]
+pub(crate) fn hostile_variants(raw: &[u8]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for flip in [0x01u8, 0x02, 0x80, 0xff] {
+        for at in 0..raw.len() {
+            let mut v = raw.to_vec();
+            v[at] ^= flip;
+            out.push(v);
+        }
+    }
+    for at in 0..raw.len().saturating_sub(3) {
+        for hostile in [u32::MAX, i32::MAX as u32, (raw.len() - at) as u32] {
+            let mut v = raw.to_vec();
+            v[at..at + 4].copy_from_slice(&hostile.to_be_bytes());
+            out.push(v);
+        }
+    }
+    out
+}

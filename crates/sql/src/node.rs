@@ -855,8 +855,12 @@ impl SqlNode {
                     a.last_key = Some(k.clone());
                     for idx in &table.indexes {
                         for plen in 1..=idx.columns.len() {
-                            let datums: Vec<crate::value::Datum> =
-                                idx.columns.iter().take(plen).map(|&c| a.row[c].clone()).collect();
+                            let datums: Vec<crate::value::Datum> = idx
+                                .columns
+                                .iter()
+                                .take(plen)
+                                .map(|&c| rowcodec::column(&a.row, c).clone())
+                                .collect();
                             let prefix = rowcodec::key_with_prefix(&table, idx.id, &datums);
                             a.distinct.entry((idx.id, plen as u64)).or_default().insert(prefix);
                         }

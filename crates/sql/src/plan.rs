@@ -379,7 +379,9 @@ pub fn plan_statement(catalog: &mut Catalog, stmt: &Statement) -> Result<Plan, S
                 let mut row: Vec<Expr> =
                     vec![Expr::Literal(crate::value::Datum::Null); desc.columns.len()];
                 for (expr, &col) in v.iter().zip(&target) {
-                    row[col] = expr.clone();
+                    if let Some(slot) = row.get_mut(col) {
+                        *slot = expr.clone();
+                    }
                 }
                 rows.push(row);
             }
@@ -647,8 +649,9 @@ fn plan_table_scan(
     if let Some(f) = filter {
         for c in conjuncts(f) {
             if !catalog.force_full_scan() {
-                if let Some(cmp) = as_col_cmp(&c, &scope) {
-                    let ct = table.columns[cmp.col].ty;
+                let cmp = as_col_cmp(&c, &scope);
+                let typed = cmp.and_then(|cmp| Some((table.columns.get(cmp.col)?.ty, cmp)));
+                if let Some((ct, cmp)) = typed {
                     match cmp.op {
                         BinOp::Eq => {
                             if let Entry::Vacant(slot) = eq.entry(cmp.col) {
@@ -712,13 +715,15 @@ fn plan_table_scan(
             best = Some(ScanCandidate { index_id, index_cols, eq_len, lower, upper, cost });
         }
     }
-    let chosen = best.expect("at least the primary candidate");
+    let Some(chosen) = best else {
+        return Err(SqlError::Plan(format!("no index of {} to scan", table.name)));
+    };
 
     // Build the span constraint and decide which conjuncts it covers.
     let mut constraint = ScanConstraint::default();
     let mut dropped: BTreeSet<usize> = BTreeSet::new();
-    for &c in chosen.index_cols.iter().take(chosen.eq_len) {
-        let (value, conjunct_idx, droppable) = &eq[&c];
+    let prefix = chosen.index_cols.iter().take(chosen.eq_len).map_while(|c| eq.get(c));
+    for (value, conjunct_idx, droppable) in prefix {
         constraint.eq_prefix.push(value.clone());
         if *droppable {
             dropped.insert(*conjunct_idx);
@@ -895,18 +900,18 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<PlanNode, SqlError
     // FROM-less SELECT.
     let (base_table, base_alias) = match &sel.from {
         None => {
-            let mut rows = vec![Vec::new()];
+            let mut row = Vec::new();
             let mut scope = Vec::new();
             for (i, item) in sel.items.iter().enumerate() {
                 match item {
                     SelectItem::Expr { expr, alias } => {
-                        rows[0].push(expr.clone());
+                        row.push(expr.clone());
                         scope.push(alias.clone().unwrap_or_else(|| format!("column{}", i + 1)));
                     }
                     _ => return Err(SqlError::Plan("* requires FROM".into())),
                 }
             }
-            return Ok(PlanNode::Values { rows, scope });
+            return Ok(PlanNode::Values { rows: vec![row], scope });
         }
         Some((t, a)) => (t.clone(), a.clone()),
     };
@@ -957,9 +962,9 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<PlanNode, SqlError
                 residual.push(c);
             }
         }
-        if eq_pairs.is_empty() {
+        let Some(&(lc, rc)) = eq_pairs.first() else {
             return Err(SqlError::Plan("JOIN requires an equality condition".into()));
-        }
+        };
         let residual = residual
             .into_iter()
             .map(|mut e| {
@@ -987,11 +992,11 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<PlanNode, SqlError
             lookup_cost <= hash_cost
         };
         if covers_pk && lookup_is_cheaper {
-            let mut left_key_cols = Vec::new();
-            for pkc in &right.primary_key {
-                let (lc, _) = eq_pairs.iter().find(|(_, rc)| rc == pkc).unwrap();
-                left_key_cols.push(*lc);
-            }
+            let left_key_cols = right
+                .primary_key
+                .iter()
+                .filter_map(|pkc| eq_pairs.iter().find(|(_, rc)| rc == pkc).map(|&(lc, _)| lc))
+                .collect();
             node = PlanNode::LookupJoin {
                 input: Box::new(node),
                 table: right,
@@ -1000,10 +1005,9 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<PlanNode, SqlError
                 scope: joined_scope,
             };
         } else {
-            let (lc, rc) = eq_pairs[0];
             // Fold the remaining eq pairs into the residual.
             let mut residual = residual;
-            for &(l, r) in &eq_pairs[1..] {
+            for &(l, r) in eq_pairs.iter().skip(1) {
                 let e = Expr::Bin(
                     BinOp::Eq,
                     Box::new(Expr::Column(l)),
@@ -1081,8 +1085,8 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<PlanNode, SqlError
                         .position(|g| *g == bound)
                         .ok_or_else(|| SqlError::Plan("non-grouped column in SELECT".into()))?;
                     output_map.push(pos);
-                    if let Some(a) = alias {
-                        out_scope[pos] = a.clone();
+                    if let (Some(a), Some(name)) = (alias, out_scope.get_mut(pos)) {
+                        *name = a.clone();
                     }
                 }
                 SelectItem::Star => {
@@ -1119,7 +1123,9 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<PlanNode, SqlError
                     exprs.push(e);
                     names.push(name);
                 }
-                SelectItem::Agg { .. } => unreachable!("handled above"),
+                SelectItem::Agg { .. } => {
+                    return Err(SqlError::Plan("aggregate in a plain projection".into()))
+                }
             }
         }
         // ORDER BY may reference either output aliases or input columns;

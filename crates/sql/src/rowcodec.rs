@@ -150,11 +150,16 @@ pub fn stats_span_end() -> Bytes {
     Bytes::from_static(b"tstat0")
 }
 
+/// Column `i` of `row`; a column past the row's end reads as NULL.
+pub(crate) fn column(row: &Row, i: usize) -> &Datum {
+    row.get(i).unwrap_or(&Datum::Null)
+}
+
 /// Encodes a row's primary key: `tbl/<id>/1/<pk datums>`.
 pub fn primary_key(table: &TableDescriptor, row: &Row) -> Bytes {
     let mut b = index_prefix(table.id, PRIMARY_INDEX_ID);
     for &i in &table.primary_key {
-        encode_key_datum(&mut b, &row[i]);
+        encode_key_datum(&mut b, column(row, i));
     }
     b.freeze()
 }
@@ -189,7 +194,7 @@ pub fn prefix_span_end(prefix: &Bytes) -> Bytes {
 pub fn encode_row_value(table: &TableDescriptor, row: &Row) -> Bytes {
     let mut b = BytesMut::new();
     for i in table.value_columns() {
-        encode_value_datum(&mut b, &row[i]);
+        encode_value_datum(&mut b, column(row, i));
     }
     b.freeze()
 }
@@ -324,10 +329,10 @@ pub fn index_entry_key(
 ) -> Bytes {
     let mut b = index_prefix(table.id, index_id);
     for &i in columns {
-        encode_key_datum(&mut b, &row[i]);
+        encode_key_datum(&mut b, column(row, i));
     }
     for &i in &table.primary_key {
-        encode_key_datum(&mut b, &row[i]);
+        encode_key_datum(&mut b, column(row, i));
     }
     b.freeze()
 }

@@ -147,12 +147,12 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
+        let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
         Some(s)
     }
     fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
+        self.take(1)?.first().copied()
     }
     fn u32(&mut self) -> Option<u32> {
         Some(u32::from_be_bytes(self.take(4)?.try_into().ok()?))
@@ -221,6 +221,9 @@ mod tests {
             assert_eq!(TableDescriptor::decode(&hostile), None, "count at {at}");
         }
         assert_eq!(index_ncols_at + 4 + 4 * d.indexes[0].columns.len(), raw.len(), "offsets");
+        for v in crate::hostile_variants(&raw) {
+            TableDescriptor::decode(&v);
+        }
     }
 
     #[test]

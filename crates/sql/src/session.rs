@@ -199,20 +199,20 @@ fn put_str(b: &mut BytesMut, s: &str) {
 }
 
 fn get_u32(raw: &[u8], pos: &mut usize) -> Option<u32> {
-    let v = u32::from_be_bytes(raw.get(*pos..*pos + 4)?.try_into().ok()?);
+    let v = u32::from_be_bytes(*raw.get(*pos..)?.first_chunk()?);
     *pos += 4;
     Some(v)
 }
 
 fn get_u64(raw: &[u8], pos: &mut usize) -> Option<u64> {
-    let v = u64::from_be_bytes(raw.get(*pos..*pos + 8)?.try_into().ok()?);
+    let v = u64::from_be_bytes(*raw.get(*pos..)?.first_chunk()?);
     *pos += 8;
     Some(v)
 }
 
 fn get_str(raw: &[u8], pos: &mut usize) -> Option<String> {
     let n = get_u32(raw, pos)? as usize;
-    let s = String::from_utf8(raw.get(*pos..*pos + n)?.to_vec()).ok()?;
+    let s = String::from_utf8(raw.get(*pos..)?.get(..n)?.to_vec()).ok()?;
     *pos += n;
     Some(s)
 }
@@ -274,5 +274,8 @@ mod tests {
         let raw = snap.encode();
         assert!(SessionSnapshot::decode(&raw[..raw.len() - 1]).is_none());
         assert!(SessionSnapshot::decode(&[]).is_none());
+        for v in crate::hostile_variants(&raw) {
+            SessionSnapshot::decode(&v);
+        }
     }
 }

@@ -106,10 +106,7 @@ struct Reader<'a> {
 
 impl Reader<'_> {
     fn take(&mut self, n: usize) -> Option<&[u8]> {
-        if self.pos + n > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
         Some(s)
     }
@@ -162,6 +159,9 @@ mod tests {
             assert!(TableStatistics::decode(&hostile).is_none(), "count at {at}");
         }
         assert_eq!(bytes.len(), 92, "offsets above assume the sample's layout");
+        for v in crate::hostile_variants(&bytes) {
+            TableStatistics::decode(&v);
+        }
     }
 
     #[test]

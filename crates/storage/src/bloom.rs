@@ -72,7 +72,9 @@ impl BloomFilter {
             let mut h = h1;
             for _ in 0..k {
                 let bit = (h % m) as usize;
-                filter.words[bit / 64] |= 1u64 << (bit % 64);
+                if let Some(word) = filter.words.get_mut(bit / 64) {
+                    *word |= 1u64 << (bit % 64);
+                }
                 h = h.wrapping_add(h2);
             }
         }
@@ -100,7 +102,7 @@ impl BloomFilter {
         let mut h = h1;
         for _ in 0..self.k {
             let bit = (h % m) as usize;
-            if self.words[bit / 64] & (1u64 << (bit % 64)) == 0 {
+            if self.words.get(bit / 64).is_some_and(|word| word & (1u64 << (bit % 64)) == 0) {
                 return false;
             }
             h = h.wrapping_add(h2);

@@ -634,7 +634,7 @@ impl Lsm {
                 let score = (unclaimed as u64 * 1000) / self.config.l0_compaction_threshold as u64;
                 (score, unclaimed >= self.config.l0_compaction_threshold)
             } else {
-                let size: usize = self.levels[level - 1].iter().map(|t| t.size()).sum();
+                let size: usize = self.level_tables(level).iter().map(|t| t.size()).sum();
                 let target = self.config.level_target(level) as u64;
                 let score = (size as u64 * 1000) / target;
                 (score, size as u64 > target)
@@ -671,16 +671,23 @@ impl Lsm {
             self.claimed_l0.extend(nums.iter().copied());
             (nums, min, max)
         } else {
-            let idx = level - 1;
-            assert!(!self.levels[idx].is_empty(), "picked an empty level");
-            let cursor = self.cursors[idx] % self.levels[idx].len();
-            self.cursors[idx] = cursor + 1;
-            let file = &self.levels[idx][cursor];
-            (vec![file.num()], file.min_key().cloned(), file.max_key().cloned())
+            let tables = self.levels.get(level - 1).map(Vec::as_slice).unwrap_or_default();
+            assert!(!tables.is_empty(), "picked an empty level");
+            // Round-robin over the level's files.
+            let cursor = self.cursors.get_mut(level - 1).map_or(0, |next| {
+                let at = *next % tables.len();
+                *next = at + 1;
+                at
+            });
+            match tables.get(cursor) {
+                Some(file) => (vec![file.num()], file.min_key().cloned(), file.max_key().cloned()),
+                None => (Vec::new(), None, None),
+            }
         };
-        let target_nums = overlapping_nums(&self.levels[level], min.as_deref(), max.as_deref());
+        let target_level = self.level_tables(level + 1);
+        let target_nums = overlapping_nums(target_level, min.as_deref(), max.as_deref());
         let inputs = self.level_tables(level).iter().filter(|t| input_nums.contains(&t.num()));
-        let targets = self.levels[level].iter().filter(|t| target_nums.contains(&t.num()));
+        let targets = target_level.iter().filter(|t| target_nums.contains(&t.num()));
         let files: Vec<&SsTable> = inputs.chain(targets).collect();
         let bytes_in = files.iter().map(|t| t.size() as u64).sum();
         let min = files.iter().filter_map(|t| t.min_key()).min().cloned().unwrap_or_default();
@@ -720,13 +727,15 @@ impl Lsm {
             }
             extract_by_num(&mut self.l0, &input_nums)
         } else {
-            extract_by_num(&mut self.levels[level - 1], &input_nums)
+            let source = self.levels.get_mut(level - 1);
+            source.map(|tables| extract_by_num(tables, &input_nums)).unwrap_or_default()
         };
         // Newest first among L0 inputs so key collisions resolve to the
         // most recent claimed version; the target run is older than all of
         // them and non-overlapping within itself.
         inputs.sort_by_key(|t| std::cmp::Reverse(t.num()));
-        let targets = extract_by_num(&mut self.levels[level], &target_nums);
+        let target = self.levels.get_mut(level);
+        let targets = target.map(|tables| extract_by_num(tables, &target_nums)).unwrap_or_default();
         let below = self.levels.get(level + 1..).unwrap_or_default();
         let mut builder = TableBuilder::new(self.config.sst_target_size, self.next_file_num);
         {
@@ -746,11 +755,15 @@ impl Lsm {
         let (tables, next_num) = builder.finish();
         self.next_file_num = next_num;
         let bytes_out: u64 = tables.iter().map(|t| t.size() as u64).sum();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`pick_compaction` ranges over `0..levels.len()`; skipping the install would drop the job's outputs"
+        )]
         let target = &mut self.levels[level];
         target.extend(tables);
         target.sort_by(|a, b| a.min_key().cmp(&b.min_key()));
         debug_assert!(
-            target.windows(2).all(|w| w[0].max_key() < w[1].min_key()),
+            target.is_sorted_by(|a, b| a.max_key() < b.min_key()),
             "level {} must stay non-overlapping",
             level + 1
         );
@@ -760,7 +773,10 @@ impl Lsm {
         if level == 0 {
             self.metrics.l0_compact_bytes += bytes_in;
         }
-        self.metrics.compact_bytes_per_level[level.min(COMPACT_LEVELS_TRACKED - 1)] += bytes_in;
+        let per_level = &mut self.metrics.compact_bytes_per_level;
+        if let Some(bytes) = per_level.get_mut(level.min(COMPACT_LEVELS_TRACKED - 1)) {
+            *bytes += bytes_in;
+        }
         self.compacting.retain(|c| c.level != level);
     }
 
@@ -778,7 +794,7 @@ impl Lsm {
         if source_level == 0 {
             &self.l0
         } else {
-            &self.levels[source_level - 1]
+            self.levels.get(source_level - 1).map(Vec::as_slice).unwrap_or_default()
         }
     }
 
@@ -801,9 +817,9 @@ impl Lsm {
     }
 
     /// Records time a write spent stalled on backpressure.
-    pub fn note_stall(&mut self, micros: u64) {
+    pub fn note_stall(&mut self, stalled: Duration) {
         self.metrics.stall_events += 1;
-        self.metrics.stall_micros += micros;
+        self.metrics.stall_micros += stalled.as_micros() as u64;
     }
 
     /// Records how long a finished flush job ran on the embedder's
@@ -953,15 +969,7 @@ fn overlapping_nums(level: &[SsTable], min: Option<&[u8]>, max: Option<&[u8]>) -
 /// must still be present at job completion.
 fn extract_by_num(tables: &mut Vec<SsTable>, nums: &[u64]) -> Vec<SsTable> {
     let want: BTreeSet<u64> = nums.iter().copied().collect();
-    let mut taken = Vec::with_capacity(nums.len());
-    let mut i = 0;
-    while i < tables.len() {
-        if want.contains(&tables[i].num()) {
-            taken.push(tables.remove(i));
-        } else {
-            i += 1;
-        }
-    }
+    let taken: Vec<SsTable> = tables.extract_if(.., |t| want.contains(&t.num())).collect();
     assert_eq!(taken.len(), nums.len(), "claimed tables must still be present");
     taken
 }
@@ -1743,7 +1751,7 @@ mod tests {
             lsm.finish_flush(job);
         }
         assert_eq!(lsm.write_stall(), Some(StallReason::L0Backlog));
-        lsm.note_stall(250);
+        lsm.note_stall(Duration::from_micros(250));
         let m = lsm.metrics();
         assert_eq!((m.stall_events, m.stall_micros), (1, 250));
         // Compacting L0 away clears the stall.

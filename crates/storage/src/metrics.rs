@@ -131,8 +131,9 @@ impl StorageMetrics {
     /// rate estimation.
     pub fn delta(&self, earlier: &StorageMetrics) -> StorageMetrics {
         let mut compact_bytes_per_level = [0u64; COMPACT_LEVELS_TRACKED];
-        for (i, slot) in compact_bytes_per_level.iter_mut().enumerate() {
-            *slot = self.compact_bytes_per_level[i] - earlier.compact_bytes_per_level[i];
+        let pairs = self.compact_bytes_per_level.iter().zip(&earlier.compact_bytes_per_level);
+        for (slot, (now, then)) in compact_bytes_per_level.iter_mut().zip(pairs) {
+            *slot = now - then;
         }
         StorageMetrics {
             logical_bytes_written: self.logical_bytes_written - earlier.logical_bytes_written,

@@ -36,7 +36,7 @@ impl SsTable {
     /// no duplicates. Panics in debug builds if the invariant is violated.
     pub fn new(num: u64, entries: Vec<(Key, Option<Value>)>) -> Self {
         debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            entries.is_sorted_by(|a, b| a.0 < b.0),
             "sstable entries must be strictly sorted"
         );
         let bloom = BloomFilter::build(entries.iter().map(|(k, _)| k.as_ref()));
@@ -104,7 +104,8 @@ impl SsTable {
         self.entries
             .binary_search_by(|(k, _)| k.as_ref().cmp(key))
             .ok()
-            .map(|i| self.entries[i].1.clone())
+            .and_then(|i| self.entries.get(i))
+            .map(|(_, v)| v.clone())
     }
 
     /// Consults the bloom filter: `false` means the key is definitively

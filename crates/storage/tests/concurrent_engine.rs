@@ -5,6 +5,7 @@
 use bytes::Bytes;
 use crdb_storage::{Engine, LsmConfig, WriteBatch};
 
+#[expect(dead_code, reason = "this test uses only part of the shared maintenance driver")]
 #[path = "support/maintain.rs"]
 mod maintain;
 use maintain::{keep_all, maintain};

@@ -7,9 +7,8 @@
 //! for it when it is claimed — but finishes each at once, on the caller's
 //! thread. Storage and KV tests include this file by path, so whatever a
 //! test needs done in the background is done by the one path production
-//! takes.
-
-#![allow(dead_code)] // each including test uses its own subset
+//! takes. An includer that uses only part of it says so with an
+//! `#[expect(dead_code, reason = …)]` on its `mod` line.
 
 use crdb_storage::{Key, Lsm, Value};
 

@@ -73,7 +73,11 @@ impl Histogram {
     pub fn record(&mut self, value: u64) {
         let idx = Self::index(value);
         match self.counts.binary_search_by_key(&idx, |&(i, _)| i) {
-            Ok(pos) => self.counts[pos].1 += 1,
+            Ok(pos) => {
+                if let Some((_, count)) = self.counts.get_mut(pos) {
+                    *count += 1;
+                }
+            }
             Err(pos) => self.counts.insert(pos, (idx, 1)),
         }
         self.total += 1;

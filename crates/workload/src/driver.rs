@@ -68,11 +68,11 @@ pub fn run_script(
         idx: usize,
         cb: Box<dyn FnOnce(Result<ScriptCtx, SqlError>)>,
     ) {
-        if idx >= steps.len() {
+        let Some(step) = steps.get(idx) else {
             cb(Ok(ctx));
             return;
-        }
-        let (sql, params) = steps[idx](&ctx);
+        };
+        let (sql, params) = step(&ctx);
         let ex2 = Rc::clone(&executor);
         let steps2 = Rc::clone(&steps);
         executor.exec(

@@ -2,6 +2,7 @@
 //! deployment.
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -9,6 +10,7 @@ use crdb_core::{DedicatedCluster, ServerlessCluster};
 use crdb_serverless::proxy::Connection;
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
+use crdb_sql::node::SqlNode;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
 use crdb_util::{RegionId, TenantId};
@@ -26,8 +28,10 @@ pub struct ServerlessExecutor {
     connecting: Rc<RefCell<BTreeMap<usize, Vec<ConnWaiter>>>>,
 }
 
-/// A statement waiting for its worker's connection to come up.
-type ConnWaiter = Box<dyn FnOnce(Rc<Connection>)>;
+/// A statement waiting for its worker's connection to come up; a failed
+/// connect reaches it as [`SqlError::Unavailable`], which the driver
+/// retries like any outage.
+type ConnWaiter = Box<dyn FnOnce(Result<Rc<Connection>, SqlError>)>;
 
 impl ServerlessExecutor {
     /// Creates an executor for one tenant.
@@ -40,12 +44,12 @@ impl ServerlessExecutor {
         })
     }
 
-    fn with_conn(&self, worker: usize, cb: Box<dyn FnOnce(Rc<Connection>)>) {
+    fn with_conn(&self, worker: usize, cb: ConnWaiter) {
         // Bind before branching: `cb` may synchronously issue queries that
         // re-enter `with_conn` and borrow the conn map again.
         let existing = self.conns.borrow().get(&worker).map(Rc::clone);
         if let Some(conn) = existing {
-            cb(conn);
+            cb(Ok(conn));
             return;
         }
         let mut connecting = self.connecting.borrow_mut();
@@ -59,11 +63,13 @@ impl ServerlessExecutor {
         let connecting = Rc::clone(&self.connecting);
         let ip = format!("10.0.{}.{}", worker / 256, worker % 256);
         self.cluster.connect(self.tenant, &ip, "workload", move |r| {
-            let conn = r.expect("workload connect");
-            conns.borrow_mut().insert(worker, Rc::clone(&conn));
+            let conn = r.ok();
+            if let Some(conn) = &conn {
+                conns.borrow_mut().insert(worker, Rc::clone(conn));
+            }
             let waiters = connecting.borrow_mut().remove(&worker).unwrap_or_default();
             for w in waiters {
-                w(Rc::clone(&conn));
+                w(conn.clone().ok_or(SqlError::Unavailable));
             }
         });
     }
@@ -80,8 +86,9 @@ impl SqlExecutor for ServerlessExecutor {
         let cluster = Rc::clone(&self.cluster);
         self.with_conn(
             worker,
-            Box::new(move |conn| {
-                cluster.execute(&conn, &sql, params, cb);
+            Box::new(move |conn| match conn {
+                Ok(conn) => cluster.execute(&conn, &sql, params, cb),
+                Err(e) => cb(Err(e)),
             }),
         );
     }
@@ -91,7 +98,8 @@ impl SqlExecutor for ServerlessExecutor {
 /// one fused engine, round-robin.
 pub struct DedicatedExecutor {
     cluster: Rc<DedicatedCluster>,
-    sessions: RefCell<BTreeMap<usize, (usize, u64)>>,
+    /// Each worker's session on engine `worker % engines`.
+    sessions: RefCell<BTreeMap<usize, u64>>,
 }
 
 impl DedicatedExecutor {
@@ -100,13 +108,16 @@ impl DedicatedExecutor {
         Rc::new(DedicatedExecutor { cluster, sessions: RefCell::new(BTreeMap::new()) })
     }
 
-    fn session_for(&self, worker: usize) -> (usize, u64) {
+    fn session_for(&self, worker: usize) -> Result<(Rc<SqlNode>, u64), SqlError> {
+        let nodes = &self.cluster.sql_nodes;
+        let idx = worker % nodes.len();
+        let node = nodes.get(idx).ok_or_else(|| SqlError::State(format!("no SQL engine {idx}")))?;
         let mut sessions = self.sessions.borrow_mut();
-        *sessions.entry(worker).or_insert_with(|| {
-            let idx = worker % self.cluster.sql_nodes.len();
-            let session = self.cluster.sql_nodes[idx].open_session("workload").expect("session");
-            (idx, session)
-        })
+        let session = match sessions.entry(worker) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => *e.insert(node.open_session("workload")?),
+        };
+        Ok((Rc::clone(node), session))
     }
 }
 
@@ -118,9 +129,10 @@ impl SqlExecutor for DedicatedExecutor {
         params: Vec<Datum>,
         cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
     ) {
-        let (idx, session) = self.session_for(worker);
-        let node = Rc::clone(&self.cluster.sql_nodes[idx]);
-        node.execute(session, &sql, params, cb);
+        match self.session_for(worker) {
+            Ok((node, session)) => node.execute(session, &sql, params, cb),
+            Err(e) => cb(Err(e)),
+        }
     }
 }
 
@@ -167,6 +179,10 @@ pub fn run_setup(sim: &crdb_sim::Sim, executor: &Rc<dyn SqlExecutor>, statements
             sim.run_for(dur::secs(1));
         }
         let result = done.borrow_mut().take();
+        #[expect(
+            clippy::panic,
+            reason = "setup is the harness's, not a tenant's: a statement that fails to load aborts the run"
+        )]
         match result {
             Some(Ok(_)) => {}
             Some(Err(e)) => panic!("setup statement failed: {stmt}: {e}"),

@@ -67,8 +67,6 @@ pub fn load_statements(config: &TpchConfig) -> Vec<String> {
         "orders",
         &mut out,
     );
-    let flags = ["A", "N", "R"];
-    let statuses = ["F", "O"];
     batch(
         (1..=config.lineitems)
             .map(|i| {
@@ -81,8 +79,12 @@ pub fn load_statements(config: &TpchConfig) -> Vec<String> {
                     1 + i % 50,
                     100 + (i * 31) % 900,
                     i % 9,
-                    flags[(i % 3) as usize],
-                    statuses[(i % 2) as usize],
+                    match i % 3 {
+                        0 => "A",
+                        1 => "N",
+                        _ => "R",
+                    },
+                    if i % 2 == 0 { "F" } else { "O" },
                     10_000 + (i % 2_500)
                 )
             })

@@ -1,14 +1,16 @@
 //! Whole-system workload tests: TPC-C, TPC-H and YCSB run end-to-end on
 //! both deployment modes.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use crdb_core::{DedicatedCluster, ServerlessCluster, ServerlessConfig};
 use crdb_kv::cluster::KvClusterConfig;
 use crdb_sim::{Sim, Topology};
+use crdb_sql::coord::SqlError;
 use crdb_sql::node::SqlNodeConfig;
 use crdb_util::time::{dur, SimTime};
-use crdb_util::RegionId;
+use crdb_util::{RegionId, TenantId};
 use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
 use crdb_workload::executors::{run_setup, DedicatedExecutor, ServerlessExecutor};
 use crdb_workload::{tpcc, tpch, ycsb};
@@ -220,4 +222,18 @@ fn driver_stops_at_deadline() {
     let committed_at_end = *driver.stats.committed.borrow();
     sim.run_for(dur::secs(30));
     assert_eq!(*driver.stats.committed.borrow(), committed_at_end);
+}
+
+#[test]
+fn a_failed_connect_fails_the_statement_retryably() {
+    let sim = Sim::new(11);
+    let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
+    // No tenant 999 exists, so the proxy refuses the worker's connect.
+    let ex = ServerlessExecutor::new(Rc::clone(&cluster), TenantId(999));
+    let reply = Rc::new(RefCell::new(None));
+    let r = Rc::clone(&reply);
+    ex.exec(0, "SELECT 1".into(), vec![], Box::new(move |res| *r.borrow_mut() = Some(res)));
+    sim.run_for(dur::secs(5));
+    let reply = reply.borrow_mut().take();
+    assert!(matches!(reply, Some(Err(SqlError::Unavailable))), "{reply:?}");
 }

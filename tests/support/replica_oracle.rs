@@ -55,22 +55,30 @@ fn first_difference(a: &Entries, b: &Entries) -> String {
 /// they are equal.
 pub fn divergences(kv: &KvCluster) -> Vec<String> {
     let horizon = mvcc::gc_horizon(Timestamp::at(kv.sim.now()));
-    let node = |id| kv.node(id).expect("a replica is a node of the cluster");
     let ranges = kv.ranges();
     let mut found = Vec::new();
     for range in &ranges {
+        let id = range.desc.id;
         let span = (range.desc.start.as_ref(), range.desc.end.as_ref());
-        let held = |node: &KvNode| {
-            let versions = entries(node, b'v', span, mvcc::compaction_gc(horizon));
-            (versions, entries(node, b'i', span, |_, _| false))
+        let held = |replica| {
+            kv.node(replica).map(|node| {
+                let versions = entries(&node, b'v', span, mvcc::compaction_gc(horizon));
+                (versions, entries(&node, b'i', span, |_, _| false))
+            })
         };
+        let missing = |replica| format!("{id:?}: replica {replica:?} is no node of the cluster");
         let Some((&first, followers)) = range.desc.replicas.split_first() else { continue };
-        let expect = held(&node(first));
+        let Some(expect) = held(first) else {
+            found.push(missing(first));
+            continue;
+        };
         for &other in followers {
-            let got = held(&node(other));
+            let Some(got) = held(other) else {
+                found.push(missing(other));
+                continue;
+            };
             for (what, a, b) in [("versions", &expect.0, &got.0), ("intents", &expect.1, &got.1)] {
                 if a != b {
-                    let id = range.desc.id;
                     let at = first_difference(a, b);
                     found.push(format!("{id:?}: {what} on {first:?} vs {other:?} differ at {at}"));
                 }
@@ -79,11 +87,11 @@ pub fn divergences(kv: &KvCluster) -> Vec<String> {
     }
     let replica_sets: BTreeSet<_> = ranges.iter().map(|r| &r.desc.replicas).collect();
     for id in kv.node_ids() {
-        for (key, record) in entries(&node(id), b't', (&[], &[0xff; 9]), |_, _| false) {
-            let everywhere = |set: &&Vec<_>| {
-                set.contains(&id)
-                    && set.iter().all(|&n| node(n).engine.get(&key).as_ref() == Some(&record))
-            };
+        let Some(node) = kv.node(id) else { continue };
+        for (key, record) in entries(&node, b't', (&[], &[0xff; 9]), |_, _| false) {
+            let holds =
+                |n| kv.node(n).is_some_and(|n| n.engine.get(&key).as_ref() == Some(&record));
+            let everywhere = |set: &&Vec<_>| set.contains(&id) && set.iter().copied().all(holds);
             if !replica_sets.iter().any(everywhere) {
                 found.push(format!(
                     "transaction record {key:?} on {id:?} is on no whole replica set"
