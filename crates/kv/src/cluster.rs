@@ -933,10 +933,8 @@ mod tests {
         let written = crdb_storage::Engine::new(crdb_storage::LsmConfig::default());
         let mut batch = crdb_storage::WriteBatch::new();
         let value = mvcc::encode_version_value(Some(&Bytes::from(vec![0x5a; 4096 - 32])));
-        for (key, value) in
-            mvcc::version_table(&meta_keys(TenantId(2)), c.now_ts(), &value).entries().iter()
-        {
-            batch.put(key.clone(), value.clone().unwrap_or_default());
+        for entry in mvcc::version_table(&meta_keys(TenantId(2)), c.now_ts(), &value).entries() {
+            batch.put(entry.key().clone(), entry.value().cloned().unwrap_or_default());
         }
         written.apply(&batch);
         written.with_lsm(|lsm| {

@@ -50,7 +50,7 @@
 //! whenever anything it shadows there is.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crdb_storage::{Engine, IngestError, SsTable, WriteBatch};
+use crdb_storage::{Engine, Entry, IngestError, SsTable, WriteBatch};
 
 use crate::hlc::Timestamp;
 use crate::timing::GC_WINDOW;
@@ -96,6 +96,47 @@ fn versions_end(key: &[u8]) -> Bytes {
     b.put_u8(0x00);
     b.put_slice(&[0xff; 13]);
     b.freeze()
+}
+
+/// Where a walk over the versions of the user keys in `[start, end)`
+/// ends: `'v' + end + 0xff…`, past every version of every key below
+/// `end` except those [`prefix_versions`] names.
+fn versions_walk_end(end: &[u8]) -> Bytes {
+    let mut b = BytesMut::with_capacity(end.len() + 15);
+    b.put_u8(VERSION_TAG);
+    b.put_slice(end);
+    b.put_slice(&[0xff; 14]);
+    b.freeze()
+}
+
+/// The versions a walk of `[start, end)` ending at `walk_end`
+/// ([`versions_walk_end`]) cannot reach. A key of the span that `end`
+/// extends through a 0x00 byte (`end = key + 0x00 + rest`) has versions,
+/// `'v' + key + 0x00 + ts`, that sort past the walk's end wherever the
+/// timestamp bytes sort past `rest`. For each such key, this is the part
+/// past `walk_end` of `window(key)`: the storage span of the versions
+/// the caller wants. SQL's self-delimiting keys never extend one another,
+/// so there these spans hold nothing.
+fn prefix_versions(
+    start: &[u8],
+    end: &[u8],
+    walk_end: &Bytes,
+    window: impl Fn(&[u8]) -> (Bytes, Bytes),
+) -> Vec<(Bytes, Bytes)> {
+    let keys =
+        end.iter().enumerate().filter(|&(_, &b)| b == 0x00).filter_map(|(at, _)| end.get(..at));
+    keys.filter(|key| *key >= start)
+        .filter_map(|key| {
+            let (lo, hi) = window(key);
+            let lo = lo.max(walk_end.clone());
+            (lo < hi).then_some((lo, hi))
+        })
+        .collect()
+}
+
+/// `spans` as the borrowed pairs [`Engine::scan_visit_spans`] takes.
+fn borrowed(spans: &[(Bytes, Bytes)]) -> Vec<(&[u8], &[u8])> {
+    spans.iter().map(|(lo, hi)| (lo.as_ref(), hi.as_ref())).collect()
 }
 
 fn intent_key(key: &[u8]) -> Bytes {
@@ -217,8 +258,8 @@ pub(crate) fn encode_version_value(value: Option<&Bytes>) -> Bytes {
 /// ascending order), each holding `encoded_value`, as one sorted table to
 /// ingest whole ([`ingest_versions`]). Every storage key is a slice of
 /// one buffer and every value the one payload, so the table costs the
-/// host one key buffer and one entry array — shared by every engine that
-/// ingests it.
+/// host one key buffer and one run of entries ([`Entry::run`]) — shared
+/// by every engine that ingests it.
 pub(crate) fn version_table(keys: &[Bytes], ts: Timestamp, encoded_value: &Bytes) -> SsTable {
     let mut buf = BytesMut::with_capacity(keys.iter().map(|k| k.len() + 14).sum());
     let mut ends = Vec::with_capacity(keys.len());
@@ -228,7 +269,7 @@ pub(crate) fn version_table(keys: &[Bytes], ts: Timestamp, encoded_value: &Bytes
     }
     let buf = buf.freeze();
     let mut start = 0;
-    let entries = ends
+    let pairs = ends
         .into_iter()
         .map(|end| {
             let key = buf.slice(start..end);
@@ -236,7 +277,7 @@ pub(crate) fn version_table(keys: &[Bytes], ts: Timestamp, encoded_value: &Bytes
             (key, Some(encoded_value.clone()))
         })
         .collect();
-    SsTable::new(0, entries)
+    SsTable::new(0, Entry::run(pairs))
 }
 
 /// Ingests a [`version_table`] into `engine` with no WAL record. An
@@ -247,9 +288,9 @@ pub(crate) fn ingest_versions(engine: &Engine, table: &SsTable) {
         Ok(_) | Err(IngestError::Empty) => {}
         Err(IngestError::OverlapsMemtable) => {
             let mut batch = WriteBatch::new();
-            for (key, value) in table.entries() {
-                if let Some(value) = value {
-                    batch.put(key.clone(), value.clone());
+            for entry in table.entries() {
+                if let Some(value) = entry.value() {
+                    batch.put(entry.key().clone(), value.clone());
                 }
             }
             engine.apply(&batch);
@@ -327,8 +368,8 @@ impl Applied {
     /// written once, so removing one exposes nothing older.
     pub fn replay(&self, engine: &Engine) {
         engine.apply(&self.batch);
-        for (storage_key, value) in self.batch.entries() {
-            if let (Some((key, ts)), Some(_)) = (decode_version_key(storage_key), value) {
+        for entry in self.batch.entries() {
+            if let (Some((key, ts)), Some(_)) = (decode_version_key(entry.key()), entry.value()) {
                 let horizon = gc_horizon(ts);
                 let (start, end) = (version_key(key, horizon), versions_end(key));
                 engine.with_lsm(|lsm| {
@@ -414,12 +455,20 @@ pub fn scan(
     // Walk versions, picking the newest committed <= ts per user key.
     // The walk streams out of the LSM's merge iterator and stops pulling
     // as soon as `limit` live pairs exist — a limit-10 scan over a hot
-    // key's version chain no longer pays for the whole span.
+    // key's version chain no longer pays for the whole span. The
+    // versions only `prefix_versions` reaches are walked first, in the
+    // same scan, and each key's newest there waits in `probed` unless
+    // the main walk finds a newer one.
+    let walk_end = versions_walk_end(end);
+    let probes =
+        prefix_versions(start, end, &walk_end, |key| (version_key(key, ts), versions_end(key)));
+    let walk_start = version_prefix(start);
+    let mut spans = borrowed(&probes);
+    spans.push((&walk_start, &walk_end));
+    let mut probed: Vec<(Bytes, Option<Bytes>)> = Vec::new();
     let mut out: Vec<(Bytes, Bytes)> = Vec::new();
     let mut current: Option<Bytes> = None;
-    let mut scan_end = BytesMut::from(version_prefix(end).as_ref());
-    scan_end.put_slice(&[0xff; 14]);
-    engine.scan_visit(&version_prefix(start), &scan_end, |k, raw| {
+    engine.scan_visit_spans(&spans, |k, raw| {
         if out.len() >= limit {
             return false;
         }
@@ -430,11 +479,20 @@ pub fn scan(
         if user < start || user >= end {
             return true;
         }
+        if k.as_ref() >= walk_end.as_ref() {
+            if vts <= ts && probed.iter().all(|(u, _)| u.as_ref() != user) {
+                probed.push((user_key_slice(k, user), decode_value(raw)));
+            }
+            return true;
+        }
         if current.as_deref() == Some(user) {
             return true; // already emitted (or skipped) the newest visible
         }
         if vts > ts {
             return true; // newer than the snapshot; keep looking older
+        }
+        if !probed.is_empty() {
+            probed.retain(|(u, _)| u.as_ref() != user);
         }
         // Own provisional write shadows the committed version.
         let value = match own_intents.remove(user) {
@@ -448,11 +506,17 @@ pub fn scan(
         current = Some(user);
         true
     });
-    // Own intents on keys with no committed versions still surface, in
-    // key order. The walk's pairs are in order already: only these
-    // stragglers, appended behind them, call for a sort (and its scratch
-    // buffer, as large as the reply).
-    let walked = out.len();
+    // Keys only a probe reached, and own intents on keys with no
+    // committed versions, still surface. A key that another extends
+    // through a 0x00 byte sorts after it in storage, so only these and a
+    // walk over such keys leave the pairs out of order and call for a
+    // sort (and its scratch buffer, as large as the reply).
+    for (user, value) in probed {
+        let value = own_intents.remove(&user).unwrap_or(value);
+        if let Some(v) = value {
+            out.push((user, v));
+        }
+    }
     for (user, value) in own_intents {
         if let Some(v) = value {
             if user.as_ref() >= start && user.as_ref() < end && out.len() < limit {
@@ -460,9 +524,10 @@ pub fn scan(
             }
         }
     }
-    if out.len() > walked {
+    if !out.is_sorted_by(|a, b| a.0 < b.0) {
         out.sort_by(|a, b| a.0.cmp(&b.0));
     }
+    out.truncate(limit);
     (out, intents)
 }
 
@@ -618,15 +683,18 @@ pub fn compaction_gc(horizon: Timestamp) -> impl FnMut(&Bytes, Option<&Bytes>) -
 }
 
 /// Validates that nothing in `[start, end)` changed after `since`:
-/// returns `Err(ts)` if a committed version newer than `since` exists, or
-/// if another transaction holds an intent in the span. A commit's *read
-/// refresh*: run whenever the commit does not happen at the timestamp its
-/// reads were served at.
+/// returns `Err(ts)` if a committed version in `(since, until]` exists,
+/// or if another transaction holds an intent in the span. `until` is the
+/// newest timestamp a version may carry — a node passes its clock's
+/// ceiling — and bounds the walk where keys extend one another through
+/// a 0x00 byte. A commit's *read refresh*: run whenever the commit does
+/// not happen at the timestamp its reads were served at.
 pub fn refresh_span(
     engine: &Engine,
     start: &[u8],
     end: &[u8],
     since: Timestamp,
+    until: Timestamp,
     own_txn: Option<u64>,
 ) -> Result<(), Timestamp> {
     // Foreign intents in the span are conflicts regardless of timestamp.
@@ -645,26 +713,33 @@ pub fn refresh_span(
     if let Some(ts) = conflict {
         return Err(ts);
     }
-    match find_version(engine, start, end, |vts| vts > since) {
+    match find_version(engine, start, end, since, until) {
         Some(ts) => Err(ts),
         None => Ok(()),
     }
 }
 
 /// The timestamp of the first version, in storage order, of a user key in
-/// `[start, end)` that `wanted` accepts. Streams, and stops at the hit.
+/// `[start, end)` above `after` and at or below `until`. Streams, and
+/// stops at the hit.
 fn find_version(
     engine: &Engine,
     start: &[u8],
     end: &[u8],
-    wanted: impl Fn(Timestamp) -> bool,
+    after: Timestamp,
+    until: Timestamp,
 ) -> Option<Timestamp> {
+    let walk_end = versions_walk_end(end);
+    let probes = prefix_versions(start, end, &walk_end, |key| {
+        (version_key(key, until), version_key(key, after))
+    });
+    let walk_start = version_prefix(start);
+    let mut spans = borrowed(&probes);
+    spans.push((&walk_start, &walk_end));
     let mut found = None;
-    let mut scan_end = BytesMut::from(version_prefix(end).as_ref());
-    scan_end.put_slice(&[0xff; 14]);
-    engine.scan_visit(&version_prefix(start), &scan_end, |k, _| {
+    engine.scan_visit_spans(&spans, |k, _| {
         if let Some((user, vts)) = decode_version_key(k) {
-            if user >= start && user < end && wanted(vts) {
+            if user >= start && user < end && vts > after && vts <= until {
                 found = Some(vts);
             }
         }
@@ -686,7 +761,7 @@ pub fn snapshot_collected(
     read_ts: Timestamp,
     horizon: Timestamp,
 ) -> bool {
-    find_version(engine, start, end, |vts| vts > read_ts && vts <= horizon).is_some()
+    find_version(engine, start, end, read_ts, horizon).is_some()
 }
 
 #[cfg(test)]
@@ -891,6 +966,30 @@ mod tests {
         assert_eq!(readable_user_keys(&e, b"a", b"z", ts(0), 3), vec![b("a")]);
         // Span bounds are on user keys.
         assert_eq!(readable_user_keys(&e, b"b", b"c", ts(35), 9), vec![b("b")]);
+    }
+
+    #[test]
+    fn a_span_that_ends_past_a_key_through_a_zero_byte_reaches_its_versions() {
+        let e = engine();
+        put_version(&e, b"k", ts(10), Some(&b("v")));
+        // `k\0\x01` lies past both ends: what the walk passes to reach
+        // `k`'s versions is left out by key.
+        put_version(&e, b"k\0\x01", ts(10), Some(&b("w")));
+        for end in [&b"k\0"[..], b"k\0\0"] {
+            let (pairs, _) = scan(&e, b"k", end, ts(20), 10, None);
+            assert_eq!(pairs, vec![(b("k"), b("v"))], "scan to {end:?}");
+            let refreshed = refresh_span(&e, b"k", end, ts(5), ts(20), None);
+            assert_eq!(refreshed, Err(ts(10)), "refresh to {end:?}");
+            assert!(snapshot_collected(&e, b"k", end, ts(5), ts(15)), "collected to {end:?}");
+            assert!(!snapshot_collected(&e, b"k", end, ts(10), ts(15)), "nothing above 10");
+        }
+        // `k\0`'s versions sort before `k`'s: the reply is in key order,
+        // and a limit keeps the keys that come first in it.
+        put_version(&e, b"k\0", ts(10), Some(&b("x")));
+        let (pairs, _) = scan(&e, b"k", b"k\0\0", ts(20), 10, None);
+        assert_eq!(pairs, vec![(b("k"), b("v")), (b("k\0"), b("x"))]);
+        let (pairs, _) = scan(&e, b"k", b"k\0\0", ts(20), 1, None);
+        assert_eq!(pairs, vec![(b("k"), b("v"))]);
     }
 
     #[test]

@@ -934,7 +934,11 @@ impl KvNode {
         since: Timestamp,
     ) -> Result<(), KvError> {
         let own_txn = Some(batch.txn.txn_id);
-        mvcc::refresh_span(&self.engine, start, end, since, own_txn).map_err(|existing| {
+        // Every version carries a timestamp of the cluster clock, which
+        // issues no wall time past the simulated now (that would take
+        // 2^32 timestamps in one nanosecond).
+        let until = Timestamp { wall: self.sim.now().as_nanos(), logical: u32::MAX };
+        mvcc::refresh_span(&self.engine, start, end, since, until, own_txn).map_err(|existing| {
             let writes_inside = batch.requests.iter().any(|req| match req {
                 RequestKind::WriteIntent { key, .. } => start <= key && key < end,
                 _ => false,

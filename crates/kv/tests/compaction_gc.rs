@@ -34,15 +34,14 @@ fn ts(wall: u64) -> Timestamp {
 }
 
 /// Few keys, so histories get deep — and chosen to be bad neighbours: one
-/// a byte-prefix of another, and two whose *intent* keys end exactly like
-/// a version key (0x00, then twelve bytes that decode to a timestamp near
-/// zero, below any horizon). Keys that extend another *through* a 0x00
-/// byte are left to `prefix_neighbours_never_cover_each_other`: a
-/// `mvcc::scan` that ends at `k + 0x00 + …` does not reach `k` itself (no
-/// SQL key encoding produces such a pair; ROADMAP item 5), which is not
-/// this suite's subject.
-const KEYS: [&[u8]; 6] = [
+/// a byte-prefix of another, one that extends another *through* a 0x00
+/// byte (its versions sort before the shorter key's, and a span ending
+/// at it must walk past its own end to reach those), and two whose
+/// *intent* keys end exactly like a version key (0x00, then twelve bytes
+/// that decode to a timestamp near zero, below any horizon).
+const KEYS: [&[u8]; 7] = [
     b"a",
+    b"a\x00b",
     b"ab",
     b"m",
     b"t\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xfe",
@@ -324,7 +323,8 @@ impl History {
                         .versions
                         .iter()
                         .any(|(k, h)| in_span(k) && h.iter().any(|(t, _)| *t > at));
-                let refreshed = mvcc::refresh_span(&self.engine, lo, hi, ts(at), None);
+                let refreshed =
+                    mvcc::refresh_span(&self.engine, lo, hi, ts(at), ts(self.now), None);
                 assert_eq!(refreshed.is_err(), changed, "{ctx}: refresh {lo:?}..{hi:?} since {at}");
             }
         }
@@ -461,7 +461,7 @@ fn intents_and_records_that_end_like_version_keys_pass_through() {
     // Intent keys are 'i' + user key: these two end in 0x00 and twelve
     // bytes that read as timestamps 0,1 and 0,0 — two "versions of one
     // key" below any horizon, to a parser that skips the tag.
-    let (first, second) = (KEYS[3], KEYS[4]);
+    let (first, second) = (KEYS[4], KEYS[5]);
     let engine = Engine::new(LsmConfig::tiny());
     mvcc::write_intent(&engine, first, 7, ts(T0 - 9), ts(T0 - 9), Some(&value(1))).unwrap();
     mvcc::write_intent(&engine, second, 8, ts(T0 - 8), ts(T0 - 8), Some(&value(2))).unwrap();

@@ -165,7 +165,8 @@ fn refresh_span_detects_changes() {
 
         let mut end = key(probed);
         end.push(0xff);
-        let result = mvcc::refresh_span(&engine, &key(probed), &end, ts(snapshot), None);
+        let result =
+            mvcc::refresh_span(&engine, &key(probed), &end, ts(snapshot), Timestamp::MAX, None);
         let expect_conflict = key(probed) == key(changed) && written_at > snapshot;
         assert_eq!(
             result.is_err(),

@@ -93,6 +93,17 @@ impl Engine {
         self.inner.lock().scan_visit(start, end, visit)
     }
 
+    /// Streaming scan over several spans in the order given, as one scan
+    /// (see [`Lsm::scan_visit_spans`]); the same lock rule as
+    /// [`Engine::scan_visit`].
+    pub fn scan_visit_spans(
+        &self,
+        spans: &[(&[u8], &[u8])],
+        visit: impl FnMut(&Key, &Value) -> bool,
+    ) {
+        self.inner.lock().scan_visit_spans(spans, visit)
+    }
+
     /// Cumulative instrumentation counters.
     pub fn metrics(&self) -> StorageMetrics {
         self.inner.lock().metrics()

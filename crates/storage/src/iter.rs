@@ -8,29 +8,27 @@
 //! decide whether to surface or elide them.
 //!
 //! The merge is *streaming*: sources are borrowed (table slices, a
-//! memtable range cursor, or a lazy per-level cursor), heap entries hold
-//! `&[u8]` key references instead of cloned keys, and nothing is pulled
-//! from a source until the merge actually needs it. A `limit`-10 scan over
-//! a million-entry span therefore touches ~10 entries per source instead
-//! of materializing every span. [`merge_runs`] is a thin collector over
-//! the same iterator for callers that want the whole merge; it clones only
-//! the entries it emits (an `O(1)` refcount bump per `Bytes`), never heap
-//! keys.
+//! memtable's `BTreeSet` range cursor, or a lazy per-level cursor), heap
+//! entries hold `&[u8]` key references instead of cloned keys, and nothing
+//! is pulled from a source until the merge actually needs it. A `limit`-10
+//! scan over a million-entry span therefore touches ~10 entries per source
+//! instead of materializing every span. It yields `&Entry`, so a
+//! compaction that keeps an entry keeps a handle to it, not a copy.
 
 use std::cmp::Reverse;
-use std::collections::btree_map;
+use std::collections::btree_set;
 use std::collections::BinaryHeap;
 
 use crate::sstable::SsTable;
-use crate::{Key, Value};
+use crate::Entry;
 
 /// One sorted input to a [`MergeIter`], borrowed from the LSM.
 pub enum Source<'a> {
     /// A sorted slice of entries: one sstable's in-range window, or any
     /// pre-sorted run.
-    Slice(&'a [(Key, Option<Value>)]),
+    Slice(&'a [Entry]),
     /// A memtable range cursor.
-    Mem(btree_map::Range<'a, Key, Option<Value>>),
+    Mem(btree_set::Range<'a, Entry>),
     /// A lazy cursor over a level's non-overlapping, sorted tables,
     /// clamped to `[start, end)`. Tables are sliced to the bounds only
     /// when the cursor reaches them, so a bounded scan never binary
@@ -49,15 +47,15 @@ pub enum Source<'a> {
 /// A primed source: the cursor state plus its current (peeked) entry.
 struct SourceState<'a> {
     kind: SourceCursor<'a>,
-    current: Option<(&'a Key, &'a Option<Value>)>,
+    current: Option<&'a Entry>,
 }
 
 enum SourceCursor<'a> {
     Slice {
-        entries: &'a [(Key, Option<Value>)],
+        entries: &'a [Entry],
         pos: usize,
     },
-    Mem(btree_map::Range<'a, Key, Option<Value>>),
+    Mem(btree_set::Range<'a, Entry>),
     Level {
         tables: &'a [SsTable],
         start: &'a [u8],
@@ -65,7 +63,7 @@ enum SourceCursor<'a> {
         /// Index of the table the cursor is currently inside.
         table_idx: usize,
         /// In-range window of the current table.
-        window: &'a [(Key, Option<Value>)],
+        window: &'a [Entry],
         pos: usize,
     },
 }
@@ -88,15 +86,15 @@ impl<'a> SourceState<'a> {
     fn advance(&mut self) {
         self.current = match &mut self.kind {
             SourceCursor::Slice { entries, pos } => {
-                let item = entries.get(*pos).map(|(k, v)| (k, v));
+                let item = entries.get(*pos);
                 *pos += 1;
                 item
             }
             SourceCursor::Mem(range) => range.next(),
             SourceCursor::Level { tables, start, end, table_idx, window, pos } => loop {
-                if let Some((k, v)) = window.get(*pos) {
+                if let Some(entry) = window.get(*pos) {
                     *pos += 1;
-                    break Some((k, v));
+                    break Some(entry);
                 }
                 // Current window exhausted: move to the next table that
                 // intersects the bounds.
@@ -119,8 +117,8 @@ impl<'a> SourceState<'a> {
 
 /// A streaming k-way merge over sorted sources. `sources[0]` is the
 /// newest; on a key collision the entry from the lowest-indexed source
-/// wins. Yields `(key, value-or-tombstone)` references in ascending key
-/// order with duplicates (older versions) suppressed.
+/// wins. Yields entries (tombstones included) in ascending key order with
+/// duplicates (older versions) suppressed.
 pub struct MergeIter<'a> {
     sources: Vec<SourceState<'a>>,
     /// Min-heap of (current key, source index): pop smallest key,
@@ -135,8 +133,8 @@ impl<'a> MergeIter<'a> {
         let sources: Vec<SourceState<'a>> = sources.into_iter().map(SourceState::new).collect();
         let mut heap = BinaryHeap::with_capacity(sources.len());
         for (idx, src) in sources.iter().enumerate() {
-            if let Some((k, _)) = src.current {
-                heap.push(Reverse((k.as_ref(), idx)));
+            if let Some(e) = src.current {
+                heap.push(Reverse((e.key().as_ref(), idx)));
             }
         }
         MergeIter { sources, heap, last_key: None }
@@ -144,7 +142,7 @@ impl<'a> MergeIter<'a> {
 }
 
 impl<'a> Iterator for MergeIter<'a> {
-    type Item = (&'a Key, &'a Option<Value>);
+    type Item = &'a Entry;
 
     fn next(&mut self) -> Option<Self::Item> {
         while let Some(Reverse((key, idx))) = self.heap.pop() {
@@ -152,8 +150,8 @@ impl<'a> Iterator for MergeIter<'a> {
             let Some(src) = self.sources.get_mut(idx) else { continue };
             let Some(entry) = src.current.take() else { continue };
             src.advance();
-            if let Some((k, _)) = src.current {
-                self.heap.push(Reverse((k.as_ref(), idx)));
+            if let Some(e) = src.current {
+                self.heap.push(Reverse((e.key().as_ref(), idx)));
             }
             if self.last_key == Some(key) {
                 continue; // an older source produced the same key
@@ -165,29 +163,32 @@ impl<'a> Iterator for MergeIter<'a> {
     }
 }
 
-/// Eagerly merges borrowed sorted runs into an owned stream. Only the
-/// emitted (surviving) entries are cloned; heap bookkeeping stays
-/// reference-only.
-pub fn merge_runs(sources: Vec<Source<'_>>) -> Vec<(Key, Option<Value>)> {
-    MergeIter::new(sources).map(|(k, v)| (k.clone(), v.clone())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Key, Value};
     use bytes::Bytes;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    fn src(pairs: &[(&str, Option<&str>)]) -> Vec<(Key, Option<Value>)> {
-        pairs.iter().map(|(k, v)| (b(k), v.map(b))).collect()
+    fn src(pairs: &[(&str, Option<&str>)]) -> Vec<Entry> {
+        pairs.iter().map(|(k, v)| Entry::new(b(k), v.map(b))).collect()
     }
 
-    /// Merges owned runs, newest first.
-    fn merge(runs: &[Vec<(Key, Option<Value>)>]) -> Vec<(Key, Option<Value>)> {
+    /// The whole merge, as owned pairs.
+    fn merge_runs(sources: Vec<Source<'_>>) -> Vec<(Key, Option<Value>)> {
+        MergeIter::new(sources).map(|e| (e.key().clone(), e.value().cloned())).collect()
+    }
+
+    /// Merges runs, newest first.
+    fn merge(runs: &[Vec<Entry>]) -> Vec<(Key, Option<Value>)> {
         merge_runs(runs.iter().map(|r| Source::Slice(r)).collect())
+    }
+
+    fn pairs(entries: &[(&str, Option<&str>)]) -> Vec<(Key, Option<Value>)> {
+        entries.iter().map(|(k, v)| (b(k), v.map(b))).collect()
     }
 
     #[test]
@@ -196,7 +197,7 @@ mod tests {
             src(&[("a", Some("new")), ("c", None)]),
             src(&[("a", Some("old")), ("b", Some("1")), ("c", Some("old"))]),
         ]);
-        assert_eq!(merged, src(&[("a", Some("new")), ("b", Some("1")), ("c", None)]));
+        assert_eq!(merged, pairs(&[("a", Some("new")), ("b", Some("1")), ("c", None)]));
     }
 
     #[test]
@@ -225,7 +226,7 @@ mod tests {
             src(&[("k", Some("v2"))]),
             src(&[("k", Some("v1"))]),
         ]);
-        assert_eq!(merged, src(&[("k", Some("v3"))]));
+        assert_eq!(merged, pairs(&[("k", Some("v3"))]));
     }
 
     #[test]
@@ -234,8 +235,8 @@ mod tests {
         let d = src(&[("b", Some("2")), ("d", Some("4")), ("f", Some("6"))]);
         let mut it = MergeIter::new(vec![Source::Slice(&a), Source::Slice(&d)]);
         // Pull only two entries; the rest of both runs is never visited.
-        assert_eq!(it.next().map(|(k, _)| k.clone()), Some(b("a")));
-        assert_eq!(it.next().map(|(k, _)| k.clone()), Some(b("b")));
+        assert_eq!(it.next().map(Entry::key), Some(&b("a")));
+        assert_eq!(it.next().map(Entry::key), Some(&b("b")));
         drop(it);
     }
 
@@ -246,17 +247,16 @@ mod tests {
         let t3 = SsTable::new(3, src(&[("e", Some("5"))]));
         let tables = vec![t1, t2, t3];
         let merged = merge_runs(vec![Source::Level { tables: &tables, start: b"b", end: b"d" }]);
-        assert_eq!(merged, src(&[("b", Some("2")), ("c", Some("3"))]));
+        assert_eq!(merged, pairs(&[("b", Some("2")), ("c", Some("3"))]));
     }
 
     #[test]
     fn mem_source_merges_with_slices() {
-        let mut map = std::collections::BTreeMap::new();
-        map.insert(b("b"), Some(b("mem")));
-        map.insert(b("x"), None);
+        let set: std::collections::BTreeSet<Entry> =
+            src(&[("b", Some("mem")), ("x", None)]).into_iter().collect();
         let older = src(&[("a", Some("1")), ("b", Some("old")), ("x", Some("gone"))]);
         let merged =
-            merge_runs(vec![Source::Mem(map.range::<Bytes, _>(..)), Source::Slice(&older)]);
-        assert_eq!(merged, src(&[("a", Some("1")), ("b", Some("mem")), ("x", None)]));
+            merge_runs(vec![Source::Mem(set.range::<Entry, _>(..)), Source::Slice(&older)]);
+        assert_eq!(merged, pairs(&[("a", Some("1")), ("b", Some("mem")), ("x", None)]));
     }
 }

@@ -68,6 +68,10 @@ pub use metrics::{StorageMetrics, COMPACT_LEVELS_TRACKED};
 pub use sstable::SsTable;
 pub use wal::{GroupCommit, WalWriter};
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 /// A storage key: opaque ordered bytes (the KV layer encodes tenant prefix,
@@ -76,3 +80,115 @@ pub type Key = Bytes;
 
 /// A storage value. `None` inside the engine denotes a tombstone.
 pub type Value = Bytes;
+
+/// One write: a key and its value, or `None` for a tombstone. The
+/// [`WriteBatch`] that carries it builds it once, and from then on it is
+/// only ever shared: every replica's memtable, the table a flush moves it
+/// into and every compaction output it survives into hold a handle to the
+/// same allocation. A table built outside the engine holds a run of
+/// entries built together instead ([`Entry::run`]). Entries order, compare
+/// and borrow as their keys, so a memtable holds them in a `BTreeSet` and
+/// looks them up by `&[u8]`.
+#[derive(Debug, Clone)]
+pub struct Entry(Handle);
+
+// Every replica's memtable pays a slot of this size per entry.
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+/// What an [`Entry`] holds: its key and its value or tombstone.
+type Pair = (Key, Option<Value>);
+
+/// Where an [`Entry`] lives.
+#[derive(Debug, Clone)]
+enum Handle {
+    /// In an allocation of its own: a write.
+    Own(Arc<Pair>),
+    /// At an index into a run: one allocation for a whole table, where a
+    /// handle to each entry's own would cost more than the entries.
+    InRun(Arc<Box<[Pair]>>, u32),
+}
+
+impl Entry {
+    /// The entry `key` → `value` (`None` = tombstone).
+    pub fn new(key: Key, value: Option<Value>) -> Self {
+        Entry(Handle::Own(Arc::new((key, value))))
+    }
+
+    /// Handles to `pairs`, in order, which stay in one allocation that
+    /// lives as long as any of them: for a table built whole, such as one
+    /// to ingest. A run holds at most `u32::MAX` entries.
+    pub fn run(pairs: Vec<(Key, Option<Value>)>) -> Vec<Entry> {
+        let len = pairs.len();
+        let run = Arc::new(pairs.into_boxed_slice());
+        (0..len)
+            .map_while(|at| u32::try_from(at).ok())
+            .map(|at| Entry(Handle::InRun(Arc::clone(&run), at)))
+            .collect()
+    }
+
+    fn pair(&self) -> &Pair {
+        match &self.0 {
+            Handle::Own(pair) => pair,
+            Handle::InRun(run, at) => {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`Entry::run` hands out indices inside its run"
+                )]
+                let pair = &run[*at as usize];
+                pair
+            }
+        }
+    }
+
+    /// Its key.
+    pub fn key(&self) -> &Key {
+        &self.pair().0
+    }
+
+    /// Its value; `None` for a tombstone.
+    pub fn value(&self) -> Option<&Value> {
+        self.pair().1.as_ref()
+    }
+
+    /// Key and value bytes: what the caller wrote, before any overhead a
+    /// size model adds per entry.
+    pub fn payload_len(&self) -> usize {
+        self.key().len() + self.value().map_or(0, |v| v.len())
+    }
+
+    /// Whether the two are handles to one entry in one allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_allocation_with(&self, other: &Entry) -> bool {
+        match (&self.0, &other.0) {
+            (Handle::Own(a), Handle::Own(b)) => Arc::ptr_eq(a, b),
+            (Handle::InRun(a, i), Handle::InRun(b, j)) => Arc::ptr_eq(a, b) && i == j,
+            _ => false,
+        }
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(other.key())
+    }
+}
+
+impl Borrow<[u8]> for Entry {
+    fn borrow(&self) -> &[u8] {
+        self.key()
+    }
+}

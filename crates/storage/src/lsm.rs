@@ -52,7 +52,7 @@ use crate::memtable::{Memtable, WriteBatch};
 use crate::metrics::{StorageMetrics, COMPACT_LEVELS_TRACKED};
 use crate::sstable::{SsTable, TableBuilder};
 use crate::wal::{GroupCommit, WalWriter};
-use crate::{Key, Value};
+use crate::{Entry, Key, Value};
 
 /// Tuning knobs for the LSM tree. Defaults are scaled down from production
 /// values so tests exercise flush and compaction quickly.
@@ -462,6 +462,12 @@ impl Lsm {
     /// what the caller consumes. Tombstones are elided; shadowed versions
     /// are suppressed.
     pub fn iter<'a>(&'a self, start: &'a [u8], end: &'a [u8]) -> LsmIter<'a> {
+        bump(&self.read.scans);
+        LsmIter { inner: self.merge(start, end), counters: &self.read, pulled: 0, returned: 0 }
+    }
+
+    /// The k-way merge over every source's entries in `[start, end)`.
+    fn merge<'a>(&'a self, start: &'a [u8], end: &'a [u8]) -> MergeIter<'a> {
         let mut sources: Vec<Source<'a>> =
             Vec::with_capacity(1 + self.frozen.len() + self.l0.len() + self.levels.len());
         sources.push(Source::Mem(self.memtable.range(start, end)));
@@ -481,8 +487,7 @@ impl Lsm {
                 sources.push(Source::Level { tables, start, end });
             }
         }
-        bump(&self.read.scans);
-        LsmIter { inner: MergeIter::new(sources), counters: &self.read, pulled: 0, returned: 0 }
+        MergeIter::new(sources)
     }
 
     /// Range scan over `[start, end)` returning up to `limit` live
@@ -505,16 +510,30 @@ impl Lsm {
     /// in key order until it returns `false` or the span is exhausted.
     /// This is the zero-copy early-termination entry point the MVCC layer
     /// builds its version walks on.
-    pub fn scan_visit(
-        &self,
-        start: &[u8],
-        end: &[u8],
+    pub fn scan_visit(&self, start: &[u8], end: &[u8], visit: impl FnMut(&Key, &Value) -> bool) {
+        self.scan_visit_spans(&[(start, end)], visit);
+    }
+
+    /// [`Lsm::scan_visit`] over several spans, one after another in the
+    /// order given, each in key order, as one scan: `visit` returning
+    /// `false` ends the whole walk, and the read counters see one scan
+    /// and every entry pulled from any span.
+    pub fn scan_visit_spans<'a>(
+        &'a self,
+        spans: &[(&'a [u8], &'a [u8])],
         mut visit: impl FnMut(&Key, &Value) -> bool,
     ) {
-        for (k, v) in self.iter(start, end) {
-            if !visit(k, v) {
-                break;
+        let mut spans = spans.iter();
+        let Some(&(start, end)) = spans.next() else { return };
+        let mut it = self.iter(start, end);
+        loop {
+            for (k, v) in it.by_ref() {
+                if !visit(k, v) {
+                    return;
+                }
             }
+            let Some(&(start, end)) = spans.next() else { return };
+            it.inner = self.merge(start, end);
         }
     }
 
@@ -534,8 +553,8 @@ impl Lsm {
         filter: &mut CompactionFilter<'_>,
     ) -> u64 {
         let removed = self.memtable.remove_where(start, end, filter);
-        for (k, v) in &removed {
-            count_gc_drop(&mut self.metrics, k, v.as_ref());
+        for entry in &removed {
+            count_gc_drop(&mut self.metrics, entry);
         }
         removed.len() as u64
     }
@@ -698,7 +717,7 @@ impl Lsm {
 
     /// Completes a claimed compaction: detaches the claimed files, merges
     /// them through the streaming [`MergeIter`] straight into the table
-    /// builder (only surviving entries are materialized), installs the
+    /// builder (which keeps a handle to each surviving entry), installs the
     /// outputs into the target level, attributes the bytes, and unlocks
     /// the level pair.
     ///
@@ -741,15 +760,16 @@ impl Lsm {
         {
             let sources: Vec<Source<'_>> =
                 inputs.iter().chain(targets.iter()).map(|t| Source::Slice(t.entries())).collect();
-            for (k, v) in MergeIter::new(sources) {
+            for entry in MergeIter::new(sources) {
+                let (k, v) = (entry.key(), entry.value());
                 if v.is_none() && !below.iter().any(|tables| level_spans(tables, k)) {
                     continue;
                 }
-                if filter.as_mut().is_some_and(|drops| drops(k, v.as_ref())) {
-                    count_gc_drop(&mut self.metrics, k, v.as_ref());
+                if filter.as_mut().is_some_and(|drops| drops(k, v)) {
+                    count_gc_drop(&mut self.metrics, entry);
                     continue;
                 }
-                builder.add(k.clone(), v.clone());
+                builder.add(entry);
             }
         }
         let (tables, next_num) = builder.finish();
@@ -915,11 +935,11 @@ impl<'a> Iterator for LsmIter<'a> {
     type Item = (&'a Key, &'a Value);
 
     fn next(&mut self) -> Option<Self::Item> {
-        for (k, v) in self.inner.by_ref() {
+        for entry in self.inner.by_ref() {
             self.pulled += 1;
-            if let Some(v) = v {
+            if let Some(v) = entry.value() {
                 self.returned += 1;
-                return Some((k, v));
+                return Some((entry.key(), v));
             }
         }
         None
@@ -936,9 +956,9 @@ impl Drop for LsmIter<'_> {
 
 /// Counts one entry a collector dropped: what [`Lsm::finish_compaction`]
 /// left out of its output or [`Lsm::collect_in_memtable`] removed.
-fn count_gc_drop(metrics: &mut StorageMetrics, key: &Key, value: Option<&Value>) {
+fn count_gc_drop(metrics: &mut StorageMetrics, entry: &Entry) {
     metrics.gc_versions_dropped += 1;
-    metrics.gc_bytes_dropped += (key.len() + value.map_or(0, |v| v.len())) as u64;
+    metrics.gc_bytes_dropped += entry.payload_len() as u64;
 }
 
 /// Index of the first table of a non-overlapping, sorted level whose key
@@ -990,6 +1010,11 @@ mod tests {
 
     fn value(i: u32) -> Bytes {
         Bytes::from(format!("value-{i:06}-{}", "x".repeat(32)))
+    }
+
+    /// A table's entries as owned pairs, for comparing with a literal.
+    fn pairs(table: &SsTable) -> Vec<(Key, Option<Value>)> {
+        table.entries().iter().map(|e| (e.key().clone(), e.value().cloned())).collect()
     }
 
     /// A put, then whatever background work it made due.
@@ -1193,6 +1218,32 @@ mod tests {
             seen.len() < 3
         });
         assert_eq!(seen, vec![key(0), key(1), key(2)]);
+    }
+
+    #[test]
+    fn scan_visit_spans_walks_its_spans_in_the_order_given_as_one_scan() {
+        let mut lsm = Lsm::new(LsmConfig::tiny());
+        for i in 0..10 {
+            lsm.put(key(i), value(i));
+        }
+        let (late, early) = ((key(6), key(8)), (key(1), key(3)));
+        let spans: [(&[u8], &[u8]); 2] = [(&late.0, &late.1), (&early.0, &early.1)];
+        let before = lsm.metrics();
+        let mut seen = Vec::new();
+        lsm.scan_visit_spans(&spans, |k, _| {
+            seen.push(k.clone());
+            true
+        });
+        assert_eq!(seen, vec![key(6), key(7), key(1), key(2)]);
+        let d = lsm.metrics().delta(&before);
+        assert_eq!((d.scans, d.scan_entries_pulled, d.scan_entries_returned), (1, 4, 4));
+        // `false` ends the whole walk, not only its span.
+        seen.clear();
+        lsm.scan_visit_spans(&spans, |k, _| {
+            seen.push(k.clone());
+            seen.len() < 3
+        });
+        assert_eq!(seen, vec![key(6), key(7), key(1)]);
     }
 
     #[test]
@@ -1471,8 +1522,7 @@ mod tests {
         flush_file(&mut lsm, &[(5, None), (15, None), (30, Some(7))]);
         flush_file(&mut lsm, &[(30, None), (40, Some(9))]);
         compact_level(&mut lsm, 0, None);
-        let l1: Vec<(Key, Option<Value>)> =
-            lsm.levels[0].iter().flat_map(|t| t.entries().to_vec()).collect();
+        let l1: Vec<(Key, Option<Value>)> = lsm.levels[0].iter().flat_map(pairs).collect();
         assert_eq!(
             l1,
             vec![(key(15), None), (key(40), Some(value(9)))],
@@ -1489,7 +1539,7 @@ mod tests {
         compact_level(&mut lsm, 1, None);
         let l2: Vec<Key> = lsm.levels[1]
             .iter()
-            .flat_map(|t| t.entries().iter().map(|(k, _)| k.clone()).collect::<Vec<_>>())
+            .flat_map(|t| t.entries().iter().map(|e| e.key().clone()))
             .collect();
         assert_eq!(l2, vec![key(10), key(20), key(40)]);
     }
@@ -1552,9 +1602,10 @@ mod tests {
     // Table ingestion
     // ------------------------------------------------------------------
 
-    /// A table of `keys`, each holding `value(1000 + k)`, for ingestion.
+    /// A table of `keys`, each holding `value(1000 + k)`, for ingestion:
+    /// one run of entries, as an embedder builds a table whole.
     fn ingest(keys: &[u32]) -> SsTable {
-        SsTable::new(0, keys.iter().map(|&k| (key(k), Some(value(1000 + k)))).collect())
+        SsTable::new(0, Entry::run(keys.iter().map(|&k| (key(k), Some(value(1000 + k)))).collect()))
     }
 
     /// Pushes `keys`, in two L0 files, down into `level`.
@@ -1704,7 +1755,7 @@ mod tests {
             compact_level(&mut lsm, source, None);
         }
         assert_eq!(lsm.levels[3].len(), 1, "one output table");
-        let bottom = lsm.levels[3][0].entries().to_vec();
+        let bottom = pairs(&lsm.levels[3][0]);
         assert_eq!(
             bottom,
             vec![
@@ -1721,6 +1772,35 @@ mod tests {
             m.compact_bytes_in + lsm.total_bytes() as u64,
             "every byte written once is read or still held"
         );
+    }
+
+    #[test]
+    fn replicas_that_apply_one_batch_hold_one_allocation_per_entry() {
+        let mut batch = WriteBatch::new();
+        for i in 0..20 {
+            batch.put(key(i), value(i));
+        }
+        // Whatever a replica holds for keys 0..20 must be the batch's own
+        // entries, in key order (the batch's order too).
+        let shares_batch = |held: Vec<&Entry>| {
+            held.len() == batch.len()
+                && held.iter().zip(batch.entries()).all(|(h, e)| h.shares_allocation_with(e))
+        };
+        let mut replicas: Vec<Lsm> = (0..3).map(|_| Lsm::new(manual_rotation_config())).collect();
+        for lsm in &mut replicas {
+            lsm.apply(&batch);
+            assert!(shares_batch(lsm.memtable.range(b"", b"\xff").collect()), "in the memtable");
+        }
+        for lsm in &mut replicas {
+            flush(lsm);
+            assert!(shares_batch(lsm.l0[0].entries().iter().collect()), "after its flush");
+        }
+        for lsm in &mut replicas {
+            flush_file(lsm, &[(100, Some(1))]);
+            compact_level(lsm, 0, None);
+            let out = lsm.levels[0].iter().flat_map(|t| t.entries());
+            assert!(shares_batch(out.filter(|e| *e.key() < key(20)).collect()), "compacted");
+        }
     }
 
     #[test]

@@ -3,27 +3,29 @@
 //! All writes land in the memtable first (after the WAL); when it exceeds
 //! the configured size it is frozen and flushed to an L0 table. Deletions
 //! are tombstones (`None`) so they shadow older values in lower levels
-//! until compacted away at the bottom.
+//! until compacted away at the bottom. The memtable holds [`Entry`]
+//! handles, so every replica that applies one batch indexes the batch's
+//! own entries.
 
-use std::collections::{btree_map, BTreeMap};
+use std::collections::{btree_set, BTreeSet};
 use std::ops::Bound;
 
 use bytes::Bytes;
 
-use crate::{Key, Value};
+use crate::{Entry, Key, Value};
 
 /// Per-entry bookkeeping overhead, approximating allocator and index cost.
 const ENTRY_OVERHEAD: usize = 24;
 
 /// What one entry is counted at in [`Memtable::approx_bytes`].
-fn entry_bytes(key_len: usize, value: Option<&Value>) -> usize {
-    key_len + value.map_or(0, |v| v.len()) + ENTRY_OVERHEAD
+fn entry_bytes(entry: &Entry) -> usize {
+    entry.payload_len() + ENTRY_OVERHEAD
 }
 
 /// An atomic batch of writes applied through the WAL as one record.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBatch {
-    entries: Vec<(Key, Option<Value>)>,
+    entries: Vec<Entry>,
 }
 
 impl WriteBatch {
@@ -34,18 +36,18 @@ impl WriteBatch {
 
     /// Adds a put of `key` → `value`.
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> &mut Self {
-        self.entries.push((key.into(), Some(value.into())));
+        self.entries.push(Entry::new(key.into(), Some(value.into())));
         self
     }
 
     /// Adds a deletion tombstone for `key`.
     pub fn delete(&mut self, key: impl Into<Bytes>) -> &mut Self {
-        self.entries.push((key.into(), None));
+        self.entries.push(Entry::new(key.into(), None));
         self
     }
 
     /// The entries in application order.
-    pub fn entries(&self) -> &[(Key, Option<Value>)] {
+    pub fn entries(&self) -> &[Entry] {
         &self.entries
     }
 
@@ -61,14 +63,14 @@ impl WriteBatch {
 
     /// Total encoded payload size in bytes (keys + values).
     pub fn payload_bytes(&self) -> usize {
-        self.entries.iter().map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len())).sum()
+        self.entries.iter().map(Entry::payload_len).sum()
     }
 }
 
 /// The ordered in-memory buffer of recent writes.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    map: BTreeMap<Key, Option<Value>>,
+    set: BTreeSet<Entry>,
     approx_bytes: usize,
 }
 
@@ -80,25 +82,24 @@ impl Memtable {
 
     /// Applies one mutation. An overwrite gives back what the entry it
     /// replaces was counted at.
-    pub fn apply(&mut self, key: Key, value: Option<Value>) {
-        let key_len = key.len();
-        self.approx_bytes += entry_bytes(key_len, value.as_ref());
-        if let Some(old) = self.map.insert(key, value) {
-            self.approx_bytes -= entry_bytes(key_len, old.as_ref());
+    pub fn apply(&mut self, entry: Entry) {
+        self.approx_bytes += entry_bytes(&entry);
+        if let Some(old) = self.set.replace(entry) {
+            self.approx_bytes -= entry_bytes(&old);
         }
     }
 
-    /// Applies a whole batch atomically.
+    /// Applies a whole batch atomically, sharing its entries.
     pub fn apply_batch(&mut self, batch: &WriteBatch) {
-        for (k, v) in batch.entries() {
-            self.apply(k.clone(), v.clone());
+        for entry in batch.entries() {
+            self.apply(entry.clone());
         }
     }
 
     /// Looks up a key. `Some(None)` means a tombstone shadows the key;
     /// `None` means the memtable has no information about the key.
     pub fn get(&self, key: &[u8]) -> Option<Option<Value>> {
-        self.map.get(key).cloned()
+        self.set.get(key).map(|e| e.value().cloned())
     }
 
     /// Physically removes, and returns in key order, every entry in
@@ -110,43 +111,35 @@ impl Memtable {
         start: &[u8],
         end: &[u8],
         mut drops: impl FnMut(&Key, Option<&Value>) -> bool,
-    ) -> Vec<(Key, Option<Value>)> {
-        let keys: Vec<Key> = self
-            .range(start, end)
-            .filter(|(k, v)| drops(k, v.as_ref()))
-            .map(|(k, _)| k.clone())
-            .collect();
-        keys.into_iter()
-            .filter_map(|key| {
-                let entry = self.map.remove(&key)?;
-                self.approx_bytes -= entry_bytes(key.len(), entry.as_ref());
-                Some((key, entry))
-            })
-            .collect()
+    ) -> Vec<Entry> {
+        let doomed: Vec<Entry> =
+            self.range(start, end).filter(|e| drops(e.key(), e.value())).cloned().collect();
+        for entry in &doomed {
+            if self.set.remove(entry) {
+                self.approx_bytes -= entry_bytes(entry);
+            }
+        }
+        doomed
     }
 
     /// Whether any entry's key lies in `[min, max]` (inclusive).
     pub(crate) fn overlaps(&self, min: &[u8], max: &[u8]) -> bool {
         if min > max {
-            return false; // `BTreeMap::range` panics on inverted bounds
+            return false; // `BTreeSet::range` panics on inverted bounds
         }
-        self.map.range::<[u8], _>((Bound::Included(min), Bound::Included(max))).next().is_some()
+        self.set.range::<[u8], _>((Bound::Included(min), Bound::Included(max))).next().is_some()
     }
 
     /// Iterates entries with `start <= key < end` in key order. Returns
     /// the concrete B-tree cursor so the LSM's merge iterator can hold it
     /// as a lazy source; bounds are borrowed, so no allocation happens.
-    pub fn range<'a>(
-        &'a self,
-        start: &[u8],
-        end: &[u8],
-    ) -> btree_map::Range<'a, Key, Option<Value>> {
-        self.map.range::<[u8], _>((Bound::Included(start), Bound::Excluded(end)))
+    pub fn range<'a>(&'a self, start: &[u8], end: &[u8]) -> btree_set::Range<'a, Entry> {
+        self.set.range::<[u8], _>((Bound::Included(start), Bound::Excluded(end)))
     }
 
     /// All entries in key order, consuming the table (used by flush).
-    pub fn into_entries(self) -> Vec<(Key, Option<Value>)> {
-        self.map.into_iter().collect()
+    pub fn into_entries(self) -> Vec<Entry> {
+        self.set.into_iter().collect()
     }
 
     /// Approximate memory footprint in bytes.
@@ -156,12 +149,12 @@ impl Memtable {
 
     /// Number of distinct keys (including tombstones).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.set.len()
     }
 
     /// Whether the memtable holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.set.is_empty()
     }
 }
 
@@ -173,12 +166,17 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// Applies `key` → `value` (`None` = tombstone) as one entry.
+    fn put(m: &mut Memtable, key: &str, value: Option<&str>) {
+        m.apply(Entry::new(b(key), value.map(b)));
+    }
+
     #[test]
     fn put_get_delete() {
         let mut m = Memtable::new();
-        m.apply(b("a"), Some(b("1")));
+        put(&mut m, "a", Some("1"));
         assert_eq!(m.get(b"a"), Some(Some(b("1"))));
-        m.apply(b("a"), None);
+        put(&mut m, "a", None);
         assert_eq!(m.get(b"a"), Some(None), "tombstone is visible");
         assert_eq!(m.get(b"zz"), None, "unknown key is absent");
     }
@@ -186,8 +184,8 @@ mod tests {
     #[test]
     fn last_write_wins() {
         let mut m = Memtable::new();
-        m.apply(b("k"), Some(b("v1")));
-        m.apply(b("k"), Some(b("v2")));
+        put(&mut m, "k", Some("v1"));
+        put(&mut m, "k", Some("v2"));
         assert_eq!(m.get(b"k"), Some(Some(b("v2"))));
         assert_eq!(m.len(), 1);
     }
@@ -196,9 +194,9 @@ mod tests {
     fn range_scan_is_ordered_and_bounded() {
         let mut m = Memtable::new();
         for k in ["d", "a", "c", "b", "e"] {
-            m.apply(b(k), Some(b(k)));
+            put(&mut m, k, Some(k));
         }
-        let keys: Vec<_> = m.range(b"b", b"e").map(|(k, _)| k.clone()).collect();
+        let keys: Vec<_> = m.range(b"b", b"e").map(|e| e.key().clone()).collect();
         assert_eq!(keys, vec![b("b"), b("c"), b("d")]);
     }
 
@@ -217,9 +215,9 @@ mod tests {
     #[test]
     fn size_accounting_grows_and_shrinks_on_overwrite() {
         let mut m = Memtable::new();
-        m.apply(b("key"), Some(b("0123456789")));
+        put(&mut m, "key", Some("0123456789"));
         let s1 = m.approx_bytes();
-        m.apply(b("key"), Some(b("x")));
+        put(&mut m, "key", Some("x"));
         let s2 = m.approx_bytes();
         assert!(s2 < s1, "overwrite with smaller value shrinks: {s1} -> {s2}");
         assert!(s2 > 0);
@@ -228,22 +226,22 @@ mod tests {
     #[test]
     fn overwrites_count_one_entry() {
         let mut once = Memtable::new();
-        once.apply(b("key"), Some(b("value")));
+        put(&mut once, "key", Some("value"));
         let mut many = Memtable::new();
         for _ in 0..10 {
-            many.apply(b("key"), Some(b("value")));
+            put(&mut many, "key", Some("value"));
         }
         assert_eq!(many.approx_bytes(), once.approx_bytes());
         assert_eq!(once.approx_bytes(), 3 + 5 + ENTRY_OVERHEAD);
-        many.apply(b("key"), None);
+        put(&mut many, "key", None);
         assert_eq!(many.approx_bytes(), 3 + ENTRY_OVERHEAD, "a tombstone replaces the value");
     }
 
     #[test]
     fn overlap_is_inclusive_at_both_bounds() {
         let mut m = Memtable::new();
-        m.apply(b("c"), Some(b("1")));
-        m.apply(b("e"), None);
+        put(&mut m, "c", Some("1"));
+        put(&mut m, "e", None);
         assert!(m.overlaps(b"a", b"c"));
         assert!(m.overlaps(b"e", b"z"));
         assert!(m.overlaps(b"d", b"e"), "a tombstone is an entry");
@@ -255,10 +253,10 @@ mod tests {
     #[test]
     fn into_entries_sorted() {
         let mut m = Memtable::new();
-        m.apply(b("b"), Some(b("2")));
-        m.apply(b("a"), Some(b("1")));
+        put(&mut m, "b", Some("2"));
+        put(&mut m, "a", Some("1"));
         let entries = m.into_entries();
-        assert_eq!(entries[0].0, b("a"));
-        assert_eq!(entries[1].0, b("b"));
+        assert_eq!(entries[0].key(), &b("a"));
+        assert_eq!(entries[1].key(), &b("b"));
     }
 }

@@ -1,18 +1,20 @@
 //! Immutable sorted tables.
 //!
-//! An [`SsTable`] is a sorted, immutable run of `(key, value-or-tombstone)`
-//! entries produced by a flush, a compaction or an embedder that ingests
-//! it whole ([`crate::Lsm::ingest_table`]). Tables carry the metadata the
-//! LSM needs for file selection: key bounds, payload size and a
-//! monotonically increasing table number that establishes recency among
-//! overlapping L0 tables. The entries and the bloom filter are shared, so
-//! every engine that ingests one table holds the same allocation under a
-//! file number of its own.
+//! An [`SsTable`] is a sorted, immutable run of [`Entry`] handles
+//! produced by a flush, a compaction or an embedder that ingests it whole
+//! ([`crate::Lsm::ingest_table`]). Tables carry the metadata the LSM needs
+//! for file selection: key bounds, payload size and a monotonically
+//! increasing table number that establishes recency among overlapping L0
+//! tables. A flush moves its memtable's handles in and a compaction's
+//! output holds the handles of the entries it keeps, so no entry is
+//! copied after its write batch built it. The handle array and the bloom
+//! filter are shared too, so every engine that ingests one table holds
+//! the same allocation under a file number of its own.
 
 use std::sync::Arc;
 
 use crate::bloom::BloomFilter;
-use crate::{Key, Value};
+use crate::{Entry, Key, Value};
 
 /// Per-entry index overhead used in size accounting.
 const ENTRY_OVERHEAD: usize = 16;
@@ -24,7 +26,7 @@ pub struct SsTable {
     num: u64,
     /// Exactly `len()` slots: a table lives as long as any snapshot that
     /// pinned it, so the builder's growth slack is not carried along.
-    entries: Arc<[(Key, Option<Value>)]>,
+    entries: Arc<[Entry]>,
     /// Bloom filter over the table's keys, consulted before any binary
     /// search on the point-read path.
     bloom: Arc<BloomFilter>,
@@ -34,19 +36,16 @@ pub struct SsTable {
 impl SsTable {
     /// Builds a table from entries that must already be sorted by key with
     /// no duplicates. Panics in debug builds if the invariant is violated.
-    pub fn new(num: u64, entries: Vec<(Key, Option<Value>)>) -> Self {
+    pub fn new(num: u64, entries: Vec<Entry>) -> Self {
         debug_assert!(
-            entries.is_sorted_by(|a, b| a.0 < b.0),
+            entries.is_sorted_by(|a, b| a < b),
             "sstable entries must be strictly sorted"
         );
-        let bloom = BloomFilter::build(entries.iter().map(|(k, _)| k.as_ref()));
+        let bloom = BloomFilter::build(entries.iter().map(|e| e.key().as_ref()));
         // Filter bits count toward the table's size: flushes and
         // compactions physically write them, and the write-amp models are
         // fitted on these sizes.
-        let size = entries
-            .iter()
-            .map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len()) + ENTRY_OVERHEAD)
-            .sum::<usize>()
+        let size = entries.iter().map(|e| e.payload_len() + ENTRY_OVERHEAD).sum::<usize>()
             + bloom.byte_len();
         SsTable { num, entries: entries.into(), bloom: Arc::new(bloom), size }
     }
@@ -71,7 +70,7 @@ impl SsTable {
     /// Key and value bytes of its entries — what a caller wrote, before
     /// per-entry overhead and the filter.
     pub(crate) fn payload_bytes(&self) -> usize {
-        self.entries.iter().map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len())).sum()
+        self.entries.iter().map(Entry::payload_len).sum()
     }
 
     /// Approximate on-disk size in bytes.
@@ -91,21 +90,21 @@ impl SsTable {
 
     /// Smallest key, if non-empty.
     pub fn min_key(&self) -> Option<&Key> {
-        self.entries.first().map(|(k, _)| k)
+        self.entries.first().map(Entry::key)
     }
 
     /// Largest key, if non-empty.
     pub fn max_key(&self) -> Option<&Key> {
-        self.entries.last().map(|(k, _)| k)
+        self.entries.last().map(Entry::key)
     }
 
     /// Point lookup. `Some(None)` = tombstone, `None` = key not in table.
     pub fn get(&self, key: &[u8]) -> Option<Option<Value>> {
         self.entries
-            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
+            .binary_search_by(|e| e.key().as_ref().cmp(key))
             .ok()
             .and_then(|i| self.entries.get(i))
-            .map(|(_, v)| v.clone())
+            .map(|e| e.value().cloned())
     }
 
     /// Consults the bloom filter: `false` means the key is definitively
@@ -138,14 +137,14 @@ impl SsTable {
     }
 
     /// All entries, in key order.
-    pub fn entries(&self) -> &[(Key, Option<Value>)] {
+    pub fn entries(&self) -> &[Entry] {
         &self.entries
     }
 
     /// Entries within `[start, end)`, by binary search on the bounds.
-    pub fn range(&self, start: &[u8], end: &[u8]) -> &[(Key, Option<Value>)] {
-        let lo = self.entries.partition_point(|(k, _)| k.as_ref() < start);
-        let hi = self.entries.partition_point(|(k, _)| k.as_ref() < end);
+    pub fn range(&self, start: &[u8], end: &[u8]) -> &[Entry] {
+        let lo = self.entries.partition_point(|e| e.key().as_ref() < start);
+        let hi = self.entries.partition_point(|e| e.key().as_ref() < end);
         self.entries.get(lo..hi).unwrap_or_default()
     }
 }
@@ -155,7 +154,7 @@ impl SsTable {
 pub struct TableBuilder {
     target_size: usize,
     next_num: u64,
-    current: Vec<(Key, Option<Value>)>,
+    current: Vec<Entry>,
     current_size: usize,
     done: Vec<SsTable>,
 }
@@ -173,11 +172,11 @@ impl TableBuilder {
         }
     }
 
-    /// Appends the next entry (keys must arrive in strictly increasing
-    /// order across all `add` calls).
-    pub fn add(&mut self, key: Key, value: Option<Value>) {
-        self.current_size += key.len() + value.as_ref().map_or(0, |v| v.len()) + ENTRY_OVERHEAD;
-        self.current.push((key, value));
+    /// Appends a handle to the next entry (keys must arrive in strictly
+    /// increasing order across all `add` calls).
+    pub fn add(&mut self, entry: &Entry) {
+        self.current_size += entry.payload_len() + ENTRY_OVERHEAD;
+        self.current.push(entry.clone());
         if self.current_size >= self.target_size {
             self.cut();
         }
@@ -211,7 +210,7 @@ mod tests {
     }
 
     fn table(num: u64, keys: &[(&str, Option<&str>)]) -> SsTable {
-        SsTable::new(num, keys.iter().map(|(k, v)| (b(k), v.map(b))).collect())
+        SsTable::new(num, keys.iter().map(|(k, v)| Entry::new(b(k), v.map(b))).collect())
     }
 
     #[test]
@@ -238,7 +237,7 @@ mod tests {
         let t = table(1, &[("a", Some("1")), ("c", Some("3")), ("e", Some("5"))]);
         let r = t.range(b"b", b"e");
         assert_eq!(r.len(), 1);
-        assert_eq!(r[0].0, b("c"));
+        assert_eq!(r[0].key(), &b("c"));
         assert_eq!(t.range(b"a", b"z").len(), 3);
         assert_eq!(t.range(b"x", b"z").len(), 0);
     }
@@ -247,7 +246,7 @@ mod tests {
     fn builder_splits_at_target() {
         let mut builder = TableBuilder::new(64, 10);
         for i in 0..20u32 {
-            builder.add(Bytes::from(format!("key{i:04}")), Some(b("0123456789")));
+            builder.add(&Entry::new(Bytes::from(format!("key{i:04}")), Some(b("0123456789"))));
         }
         let (tables, next) = builder.finish();
         assert!(tables.len() > 1, "should split: {}", tables.len());

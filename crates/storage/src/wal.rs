@@ -112,8 +112,8 @@ impl WalWriter {
 /// `[klen u32][k][has_value u8]`, and `[vlen u32][v]` when it has a value.
 pub fn encoded_len(batch: &WriteBatch) -> u64 {
     let mut len = 4;
-    for (k, v) in batch.entries() {
-        len += 4 + k.len() + 1 + v.as_ref().map_or(0, |v| 4 + v.len());
+    for e in batch.entries() {
+        len += 4 + e.key().len() + 1 + e.value().map_or(0, |v| 4 + v.len());
     }
     len as u64
 }

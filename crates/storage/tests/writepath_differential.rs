@@ -6,7 +6,7 @@
 //! and tables ingested whole into whatever level they may occupy.
 
 use bytes::Bytes;
-use crdb_storage::{Lsm, LsmConfig, SsTable, WriteBatch};
+use crdb_storage::{Entry, Lsm, LsmConfig, SsTable, WriteBatch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -128,7 +128,7 @@ impl Pair {
                 self.model.insert(k.clone(), v.clone());
             }
         }
-        let table = SsTable::new(0, entries);
+        let table = SsTable::new(0, entries.into_iter().map(|(k, v)| Entry::new(k, v)).collect());
         for lsm in [&mut self.piped, &mut self.serial] {
             if lsm.ingest_table(&table).is_err() {
                 lsm.apply(&batch);
