@@ -5,43 +5,45 @@
 //! authoritative range info every redirect carries, and the client's
 //! network location.
 //!
-//! Every batch carries its transaction, reads included: a reader builds
-//! one from [`make_txn_meta`] (or through `sql::coord::Txn`), and its
-//! reads are served at that transaction's start timestamp. Besides
-//! [`KvClient::send`] the client offers one convenience, [`KvClient::put`],
-//! which writes one key as a transaction of its own.
+//! Every batch carries its transaction, reads included (built by
+//! [`make_txn_meta`] or `sql::coord::Txn`; reads are served at its start
+//! timestamp). [`KvClient::put`] writes one key as a transaction of its own.
 //!
 //! [`KvClient::send`] costs **one RPC per range the batch touches**: it
 //! resolves every request's range (span requests are cut at range
 //! boundaries), groups the requests by range in their original order,
 //! and sends each group as one sub-batch to the cached leaseholder, all
-//! groups concurrently. Responses are mapped back by request index and
-//! the pieces of a split scan are merged under its original limit. A
-//! sub-batch is the unit of retry: a redirect ([`KvError::NotLeaseholder`]
-//! or [`KvError::RangeKeyMismatch`], both of which mean the node evaluated
-//! nothing) installs the carried [`RangeInfo`] and re-resolves and
-//! regroups the whole sub-batch; a dead node, a lost hop or a missing
+//! groups concurrently ([`task::try_join_all`]). Responses are mapped back
+//! by request index and the pieces of a split scan are merged under its
+//! original limit. The batch answers at its first failing sub-batch; the
+//! others run to their end unobserved, still retrying and recording
+//! breaker outcomes. A sub-batch is the unit of retry: a redirect
+//! ([`KvError::NotLeaseholder`] or [`KvError::RangeKeyMismatch`]: the node
+//! evaluated nothing) installs the carried [`RangeInfo`] and re-resolves
+//! and regroups the whole sub-batch; a dead node, a lost hop or a missing
 //! range invalidates the cache and does the same after a backoff; a read
-//! that ran into a pending intent retries after a short one. When the
-//! client gives up on a sub-batch that commits a transaction after a copy
-//! of it went unanswered, the error is [`KvError::AmbiguousCommit`], not
-//! [`KvError::Unavailable`]: the copy may have been applied, and the
-//! caller must not run the transaction again.
+//! that ran into a pending intent retries after a short one. Giving up on
+//! a commit of which a copy went unanswered is [`KvError::AmbiguousCommit`],
+//! not [`KvError::Unavailable`]: the copy may have been applied.
+//!
+//! The router is `async fn`s on the simulator's clock ([`crdb_sim::task`]):
+//! `send` spawns one task per batch, and an RPC's timer and reply race to
+//! fill one [`Completion`]. A span opened after an `.await` names its
+//! parent, the batch's `kv.send` span, explicitly.
 //!
 //! A batch that carries `EndTxn` next to other requests asks for a
-//! one-phase commit, which only a single leaseholder can evaluate. When
-//! its spans resolve to more than one range the client refuses it with
-//! [`KvError::TxnSpansRanges`] before sending anything — also when that
-//! only becomes known from a redirect — and the coordinator falls back
-//! to the staged protocol (`sql::coord`).
+//! one-phase commit, which only a single leaseholder can evaluate: when
+//! its spans resolve to more than one range (also after a redirect) the
+//! client refuses it with [`KvError::TxnSpansRanges`] before sending, and
+//! the coordinator falls back to the staged protocol (`sql::coord`).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use crdb_obs::trace;
+use crdb_sim::task::{self, BoxFuture, Completion};
 use crdb_sim::Location;
 use crdb_util::retry::{Breaker, Deadline, RetryPolicy};
 use crdb_util::time::dur;
@@ -63,17 +65,13 @@ pub(crate) const MAX_ROUTING_RETRIES: u32 = 16;
 const MAX_CONFLICT_RETRIES: u32 = 32;
 
 /// Routing backoff: doubles from 50 ms, capped at 1.6 s. The budget is
-/// `MAX_ROUTING_RETRIES + 1` because the terminal check lives in
-/// `retry_routing` (the redirect path retries without backoff), so the
-/// policy must still yield the final backoff at attempt 16 — exactly
-/// the legacy `(50ms << n.min(5)).min(1600ms)` schedule.
+/// `MAX_ROUTING_RETRIES + 1` because `reroute` checks the limit after the
+/// backoff, so the policy must still yield one at attempt 16.
 fn routing_policy() -> RetryPolicy {
     RetryPolicy::exponential(dur::ms(50), ROUTING_BACKOFF_CAP, MAX_ROUTING_RETRIES + 1)
 }
 
-/// Conflict backoff: linear from 1 ms in 2 ms steps, capped at 32 ms —
-/// exactly the legacy `(1 + 2n).min(32)` ms schedule with its 32-retry
-/// budget.
+/// Conflict backoff: linear from 1 ms in 2 ms steps, capped at 32 ms.
 fn conflict_policy() -> RetryPolicy {
     RetryPolicy::linear(dur::ms(1), dur::ms(2), dur::ms(32), MAX_CONFLICT_RETRIES)
 }
@@ -83,10 +81,8 @@ struct ClientInner {
     cert: TenantCert,
     location: Location,
     cache: RefCell<RangeCache>,
-    /// Per-target circuit breakers: repeated RPC timeouts against one
-    /// node (a dark zone/region, a broken return path) trip the node's
-    /// breaker, converting further sends into immediate hop failures
-    /// instead of full RPC-timeout waits.
+    /// Per-node circuit breakers: repeated RPC timeouts (a dark zone, a
+    /// broken return path) trip one, turning sends into instant hop failures.
     breakers: RefCell<BTreeMap<NodeId, Breaker>>,
 }
 
@@ -134,62 +130,19 @@ impl KvClient {
     /// Sends a batch, invoking `cb` with the merged response. All requests
     /// must belong to this client's tenant keyspace (enforced server-side
     /// too). The batch goes out as one sub-batch per range, concurrently;
-    /// it fails as a whole on the first sub-batch error.
+    /// it fails as a whole at the first sub-batch error.
     pub fn send(&self, batch: BatchRequest, cb: impl FnOnce(BatchResponse) + 'static) {
-        // A batch whose deadline already passed never touches the
-        // network: the typed terminal error surfaces immediately.
-        if batch.deadline.expired(self.inner.cluster.sim.now()) {
-            self.inner.cluster.degrade().bump_deadline_exceeded();
-            cb(BatchResponse::err(KvError::DeadlineExceeded));
-            return;
-        }
-        let mut batch = batch;
-        let requests = std::mem::take(&mut batch.requests);
-        let n_results = requests.len();
-        // Remember each scan's requested limit: a scan split across ranges
-        // dispatches every piece with the full limit (any one range might
-        // satisfy it alone), so the merged result must be re-truncated.
-        let limits: Vec<Option<usize>> = requests
-            .iter()
-            .map(|r| match r {
-                RequestKind::Scan { limit, .. } => Some(*limit),
-                _ => None,
-            })
-            .collect();
-        let pieces: Vec<Piece> =
-            requests.into_iter().enumerate().map(|(idx, req)| Piece { idx, req }).collect();
-        let outer = trace::current();
-        let span = trace::child("kv.send");
-        span.tag("requests", n_results);
-        let cb = {
-            let span = span.clone();
-            move |resp: BatchResponse| {
-                if resp.error.is_some() {
-                    span.tag("error", true);
-                }
-                span.end();
-                let _g = outer.enter();
-                cb(resp);
-            }
-        };
-        let state = Rc::new(DispatchState {
-            client: self.clone(),
-            template: batch,
-            results: RefCell::new(vec![Vec::new(); n_results]),
-            limits,
-            outstanding: Cell::new(1), // guard against sync completion
-            finished: RefCell::new(Some(Box::new(cb))),
-            span,
+        let (outer, run) = (trace::current(), self.clone().run(batch));
+        task::spawn(&self.inner.cluster.sim, async move {
+            let resp = run.await;
+            let _g = outer.enter();
+            cb(resp);
         });
-        DispatchState::dispatch(&state, pieces, Retries::default());
-        DispatchState::unit_done(&state); // release the guard
     }
 
-    /// Convenience: a one-key transaction writing `key = value`. Its one
-    /// batch carries the write and `EndTxn{commit}`, so the leaseholder
-    /// commits it in one phase, in one round trip. It passes every check
-    /// a transaction's write does, and a copy re-sent after a lost reply
-    /// is acked from the status table instead of applied twice.
+    /// Convenience: a one-key transaction writing `key = value`, committed
+    /// in one phase by its one batch (`[WriteIntent, EndTxn{commit}]`); a
+    /// copy re-sent after a lost reply is acked, not applied twice.
     pub fn put(&self, key: Bytes, value: Bytes, cb: impl FnOnce(Result<(), KvError>) + 'static) {
         let txn = make_txn_meta(&self.inner.cluster, key.clone());
         let batch = BatchRequest {
@@ -201,158 +154,91 @@ impl KvClient {
                 RequestKind::EndTxn { commit: true },
             ],
         };
-        self.send(batch, move |resp| match resp.error {
-            Some(e) => cb(Err(e)),
-            None => cb(Ok(())),
-        });
+        self.send(batch, move |resp| cb(resp.error.map_or(Ok(()), Err)));
     }
 
-    /// Fills the cache with the range containing `key` by a META follower
-    /// read (one network hop to the nearest *reachable* node, §3.2.5).
-    /// Fails with [`KvError::Unavailable`] when no live node is reachable,
-    /// [`KvError::RangeNotFound`] when the directory has no range for the
-    /// key, and [`KvError::NodeUnavailable`] — a retryable hop failure —
-    /// when a partition dropped a META hop and no reply came within
-    /// `timeout`.
-    fn lookup_meta(
-        &self,
-        key: Bytes,
-        parent: &trace::MaybeSpan,
-        timeout: Duration,
-        cb: impl FnOnce(Result<(), KvError>) + 'static,
-    ) {
-        let cluster = self.inner.cluster.clone();
-        let this = self.clone();
-        let nearest = match cluster.nearest_node(self.inner.location) {
-            Some(n) => n,
-            None => {
-                cb(Err(KvError::Unavailable));
-                return;
-            }
-        };
-        let meta_span = parent.child("meta.lookup");
-        let topo = cluster.topology();
-        let sim = cluster.sim.clone();
-        let my_loc = self.inner.location;
-        let node_loc = nearest.location;
-        // The reply and the timeout race for the callback; whichever
-        // fires first takes it.
-        let cb: Rc<Cell<Option<MetaLookupFn>>> = Rc::new(Cell::new(Some(Box::new(cb))));
-        let timer = {
-            let cb = Rc::clone(&cb);
-            let meta_span = meta_span.clone();
-            sim.schedule_after(timeout, move || {
-                if let Some(cb) = cb.take() {
-                    meta_span.tag("timeout", true);
-                    meta_span.end();
-                    cb(Err(KvError::NodeUnavailable));
-                }
+    /// Routes and sends `batch`: its merged response. Not generic over the
+    /// caller's callback, so one copy of the router serves every caller.
+    async fn run(self, mut batch: BatchRequest) -> BatchResponse {
+        // A batch whose deadline already passed never touches the network.
+        if batch.deadline.expired(self.inner.cluster.sim.now()) {
+            self.inner.cluster.degrade().bump_deadline_exceeded();
+            return BatchResponse::err(KvError::DeadlineExceeded);
+        }
+        let requests = std::mem::take(&mut batch.requests);
+        // Every piece of a scan split across ranges carries the full limit
+        // (one range might satisfy it alone): the merge cuts again.
+        let limits: Vec<Option<usize>> = requests
+            .iter()
+            .map(|r| match r {
+                RequestKind::Scan { limit, .. } => Some(*limit),
+                _ => None,
             })
-        };
-        // Request hop.
-        topo.send(&sim, my_loc, node_loc, move || {
-            // Follower read of META on the nearest node: the directory is
-            // read as-of-now (staleness is tolerated because stale entries
-            // just cause a redirect).
-            let entry = cluster.inner.borrow().directory.lookup(&key).map(RangeInfo::from);
-            let topo2 = cluster.topology();
-            let sim2 = cluster.sim.clone();
-            // Response hop.
-            topo2.send(&sim2, node_loc, my_loc, move || {
-                let Some(cb) = cb.take() else { return };
-                cluster.sim.cancel(timer);
-                meta_span.end();
-                cb(match entry {
-                    Some(e) => {
-                        this.inner.cache.borrow_mut().fill_from_meta(e);
-                        Ok(())
-                    }
-                    None => Err(KvError::RangeNotFound),
-                });
-            });
-        });
+            .collect();
+        let pieces =
+            requests.into_iter().enumerate().map(|(idx, req)| Piece { idx, req }).collect();
+        let span = trace::child("kv.send");
+        span.tag("requests", limits.len());
+        let batch = Rc::new(Batch { client: self, template: batch, span });
+        let replies = Rc::clone(&batch).dispatch(pieces, Retries::default()).await;
+        if replies.is_err() {
+            batch.span.tag("error", true);
+        }
+        batch.span.end();
+        replies.map_or_else(BatchResponse::err, |r| BatchResponse::ok(merge(r, &limits)))
     }
 }
 
-/// The batch completion callback, taken exactly once.
-type FinishFn = Box<dyn FnOnce(BatchResponse)>;
-/// A META lookup's callback, taken exactly once.
-type MetaLookupFn = Box<dyn FnOnce(Result<(), KvError>)>;
-
-/// One request of a client batch — or, for a span request that crosses
-/// range boundaries, the part of it inside one range — tagged with the
-/// index of the original request its response belongs to.
+/// One request of a client batch, or the part inside one range of a span
+/// request that crosses range boundaries, with its request's index.
 struct Piece {
     idx: usize,
     req: RequestKind,
 }
 
-/// Requests bound for one range, in original order, with the range info
-/// they were resolved against.
+/// Requests bound for one range, in order, with the info they resolved to.
 type Group = (RangeInfo, Vec<Piece>);
+
+/// A piece's response, tagged with its original request index.
+type Reply = (usize, ResponseKind);
+
+/// Every piece's reply, or the error that fails the batch.
+type Replies = Result<Vec<Reply>, KvError>;
 
 /// How often a sub-batch has been re-sent, per retry budget.
 #[derive(Clone, Copy, Default)]
 struct Retries {
     routing: u32,
     conflict: u32,
-    /// A copy went out and no reply came back: the leaseholder may have
-    /// evaluated it.
+    /// A copy went unanswered: the leaseholder may have evaluated it.
     unanswered: bool,
 }
 
-/// In-flight state for one client batch.
-struct DispatchState {
+/// What every sub-batch of one client batch shares.
+struct Batch {
     client: KvClient,
     /// Batch header (tenant, txn, deadline) without requests.
     template: BatchRequest,
-    /// Per original request index: the responses of its pieces, in
-    /// arrival order.
-    results: RefCell<Vec<Vec<ResponseKind>>>,
-    /// Per original request index: the scan's requested row limit
-    /// (`None` for non-scans), applied again after merging split pieces.
-    limits: Vec<Option<usize>>,
-    /// Routing passes and sub-batch RPCs still in flight.
-    outstanding: Cell<usize>,
-    finished: RefCell<Option<FinishFn>>,
-    /// The batch's `kv.send` span; `meta.lookup` and per-attempt `kv.rpc`
-    /// spans attach here even from scheduled retry contexts where no
-    /// ambient span is active.
+    /// The `kv.send` span: parent of `meta.lookup` and each `kv.rpc`.
     span: trace::MaybeSpan,
 }
 
-impl DispatchState {
-    fn routing_key(&self, req: &RequestKind) -> Bytes {
-        self.template.routing_span(req).0.clone()
-    }
-
+impl Batch {
     /// Routes `pieces` — a whole batch, or one sub-batch being retried —
-    /// and sends one RPC per range they resolve to.
-    fn dispatch(state: &Rc<Self>, pieces: Vec<Piece>, retries: Retries) {
-        state.outstanding.set(state.outstanding.get() + 1);
-        // The deadline is re-checked per dispatch: a sub-batch that
-        // expired while queued behind a backoff fails typed instead of
-        // sending.
-        let now = state.client.inner.cluster.sim.now();
-        if state.template.deadline.expired(now) {
-            state.client.inner.cluster.degrade().bump_deadline_exceeded();
-            state.fail(KvError::DeadlineExceeded);
-            return;
+    /// and sends one RPC per range they resolve to, all concurrently.
+    async fn dispatch(self: Rc<Self>, pieces: Vec<Piece>, retries: Retries) -> Replies {
+        // Re-checked per dispatch: a sub-batch may expire behind a backoff.
+        let cluster = &self.client.inner.cluster;
+        if self.template.deadline.expired(cluster.sim.now()) {
+            cluster.degrade().bump_deadline_exceeded();
+            return Err(KvError::DeadlineExceeded);
         }
-        Rc::clone(state).route(pieces.into(), Vec::new(), retries);
-    }
-
-    /// Files each of `pending` under the group of the range its key
-    /// resolves to in the cache. On a miss, a META lookup fills the cache
-    /// and routing resumes from the piece that missed.
-    fn route(
-        self: Rc<Self>,
-        mut pending: VecDeque<Piece>,
-        mut groups: Vec<Group>,
-        retries: Retries,
-    ) {
+        // File each piece under its range's group; a cache miss asks META
+        // and resumes from the piece that missed.
+        let mut pending: VecDeque<Piece> = pieces.into();
+        let mut groups: Vec<Group> = Vec::new();
         while let Some(mut piece) = pending.pop_front() {
-            let key = self.routing_key(&piece.req);
+            let key = self.template.routing_span(&piece.req).0.clone();
             // A range this pass already resolved needs no second look at
             // the cache (nor a second copy of its descriptor).
             let mut at = groups.iter().position(|(e, _)| e.desc.contains(&key));
@@ -361,8 +247,18 @@ impl DispatchState {
                 let cached = self.client.inner.cache.borrow_mut().lookup(&key);
                 let Some(entry) = cached else {
                     pending.push_front(piece);
-                    self.route_after_meta_lookup(key, pending, groups, retries);
-                    return;
+                    match self.lookup_meta(key).await {
+                        Ok(()) => continue,
+                        Err(KvError::NodeUnavailable) => {
+                            // Nothing of this pass was sent: back off and
+                            // route all of it again, in original order.
+                            let all = groups.into_iter().flat_map(|(_, ps)| ps).chain(pending);
+                            let mut all: Vec<Piece> = all.collect();
+                            all.sort_by_key(|p| p.idx);
+                            return self.reroute(all, retries, true).await;
+                        }
+                        Err(e) => return Err(e),
+                    }
                 };
                 at = Some(groups.len());
                 groups.push((entry, Vec::new()));
@@ -376,356 +272,276 @@ impl DispatchState {
             }
             pieces.push(piece);
         }
-        self.send_groups(groups, retries);
-    }
-
-    fn route_after_meta_lookup(
-        self: Rc<Self>,
-        key: Bytes,
-        pending: VecDeque<Piece>,
-        groups: Vec<Group>,
-        retries: Retries,
-    ) {
-        let client = self.client.clone();
-        let timeout = self.rpc_timeout(client.inner.cluster.sim.now());
-        let span = self.span.clone();
-        client.lookup_meta(key, &span, timeout, move |found| match found {
-            Ok(()) => self.route(pending, groups, retries),
-            Err(KvError::NodeUnavailable) => {
-                // Nothing of this pass was sent yet: back off and route
-                // all of it again, in its original order.
-                let mut all: Vec<Piece> = groups.into_iter().flat_map(|(_, ps)| ps).collect();
-                all.extend(pending);
-                all.sort_by_key(|p| p.idx);
-                self.retry_after_backoff(all, retries);
-            }
-            Err(e) => self.fail(e),
-        });
-    }
-
-    /// Sends each group as one sub-batch RPC, all concurrently.
-    fn send_groups(self: Rc<Self>, groups: Vec<Group>, retries: Retries) {
         // `EndTxn` beside other requests commits in one phase, which only
         // a single leaseholder can evaluate.
-        let ends_txn = |(_, pieces): &Group| {
-            pieces.iter().any(|p| matches!(p.req, RequestKind::EndTxn { .. }))
-        };
+        let ends_txn =
+            |(_, ps): &Group| ps.iter().any(|p| matches!(p.req, RequestKind::EndTxn { .. }));
         if groups.len() > 1 && groups.iter().any(ends_txn) {
-            self.fail(KvError::TxnSpansRanges);
-            return;
+            return Err(KvError::TxnSpansRanges);
         }
-        for (entry, pieces) in groups {
-            self.outstanding.set(self.outstanding.get() + 1);
-            Rc::clone(&self).send_to_node(entry, pieces, retries);
+        // One range, the common case, needs no join (nor a second copy of
+        // its future in this one's).
+        if groups.len() == 1 {
+            if let Some(group) = groups.pop() {
+                return Rc::clone(&self).send_group(group, retries).await;
+            }
         }
-        Self::unit_done(&self);
+        let sends = groups
+            .into_iter()
+            .map(|group| -> BoxFuture<_> { Box::pin(Rc::clone(&self).send_group(group, retries)) });
+        Ok(task::try_join_all(sends).await?.into_iter().flatten().collect())
     }
 
-    /// Sends `pieces` as one RPC to `entry`'s leaseholder.
-    fn send_to_node(self: Rc<Self>, entry: RangeInfo, pieces: Vec<Piece>, retries: Retries) {
-        let client = self.client.clone();
-        let cluster = client.inner.cluster.clone();
+    /// Fills the cache with the range containing `key` by a META follower
+    /// read on the nearest reachable node (§3.2.5). Fails `Unavailable`
+    /// when none is, `RangeNotFound` when the directory has no such range,
+    /// and `NodeUnavailable` (retryable) when no reply came in time.
+    async fn lookup_meta(&self, key: Bytes) -> Result<(), KvError> {
+        let cluster = self.client.inner.cluster.clone();
+        let nearest =
+            cluster.nearest_node(self.client.inner.location).ok_or(KvError::Unavailable)?;
+        let span = self.span.child("meta.lookup");
+        let read = self.round_trip(nearest.location, move |answer| {
+            // Read as of now: a stale entry just causes a redirect.
+            let entry = cluster.inner.borrow().directory.lookup(&key).map(RangeInfo::from);
+            answer.send(entry);
+        });
+        let Some(entry) = read.await else {
+            span.tag("timeout", true);
+            span.end();
+            return Err(KvError::NodeUnavailable);
+        };
+        span.end();
+        let entry = entry.ok_or(KvError::RangeNotFound)?;
+        self.client.inner.cache.borrow_mut().fill_from_meta(entry);
+        Ok(())
+    }
+
+    /// Sends `pieces` as one RPC to `entry`'s leaseholder and handles the
+    /// response (or the hop failure standing in for one), retrying until
+    /// the sub-batch succeeds or fails for good.
+    async fn send_group(self: Rc<Self>, (entry, pieces): Group, mut retries: Retries) -> Replies {
+        let client = &self.client.inner;
+        let cluster = &client.cluster;
         let rpc = self.span.child("kv.rpc");
         rpc.tag("requests", pieces.len());
         if retries.routing + retries.conflict > 0 {
             rpc.tag("retries", retries.routing + retries.conflict);
         }
         let target = entry.leaseholder;
-        let node = match cluster.node(target) {
-            Some(n) => n,
-            None => {
-                rpc.end();
-                self.fail(KvError::NodeUnavailable);
-                return;
-            }
+        let Some(node) = cluster.node(target) else {
+            rpc.end();
+            return Err(KvError::NodeUnavailable);
         };
         rpc.tag("node", target);
-        let topo = cluster.topology();
-        let sim = cluster.sim.clone();
-        let my_loc = client.inner.location;
-        let node_loc = node.location;
-        // Fail fast across a known partition: the leaseholder cannot be
-        // reached and (liveness being a global control plane) its lease
-        // will not move, so surface the typed error immediately instead
-        // of letting the request time out retry after retry. Behind a
-        // dark zone or region the node is down as well and its lease
-        // does move, where the range's placement leaves it somewhere to
-        // go: forget the route, so the caller's next request asks META.
-        if !topo.is_reachable(my_loc, node_loc) {
-            let degrade = cluster.degrade();
-            degrade.partition_fast_fails.set(degrade.partition_fast_fails.get() + 1);
+        // Fail fast across a known partition rather than time out retry
+        // after retry: the lease will not move (liveness is global). Behind
+        // a dark zone or region the node is down and its lease does move:
+        // forget the route, so the caller's next request asks META.
+        if !cluster.topology().is_reachable(client.location, node.location) {
+            bump(&cluster.degrade().partition_fast_fails);
             self.forget_routes(&pieces);
             rpc.end();
-            self.give_up(&pieces, retries);
-            return;
+            return Err(self.give_up(&pieces, retries));
         }
-        // Per-target circuit breaker: once the node's breaker is open
-        // (repeated RPC timeouts — a broken return path or a node inside
-        // a dark domain the client can still "see"), skip the RPC-timeout
-        // wait entirely and take the routing-failure path, which backs
-        // off, refreshes META, and reroutes once the lease moves.
-        let now = sim.now();
-        if !self.breaker_allows(target, now) {
-            let degrade = cluster.degrade();
-            degrade.breaker_fast_fails.set(degrade.breaker_fast_fails.get() + 1);
+        // An open breaker skips the RPC-timeout wait and takes the routing
+        // failure path: back off, refresh META, reroute once the lease moves.
+        let allowed =
+            client.breakers.borrow_mut().entry(target).or_default().allow(cluster.sim.now());
+        let resp = if !allowed {
+            bump(&cluster.degrade().breaker_fast_fails);
             rpc.tag("breaker_open", true);
             rpc.end();
-            self.handle_response(pieces, BatchResponse::err(KvError::NodeUnavailable), retries);
-            return;
-        }
-        let sub = BatchRequest {
-            tenant: self.template.tenant,
-            txn: self.template.txn.clone(),
-            deadline: self.template.deadline,
-            requests: pieces.iter().map(|p| p.req.clone()).collect(),
-        };
-        let cert = client.inner.cert.clone();
-        // RPC timeout: a partition starting while this request is in
-        // flight drops a hop; convert the silence into a retryable hop
-        // failure so the sub-batch never hangs. Clamped to the deadline's
-        // remaining time — waiting past it would be wasted. The reply and
-        // the timeout race for the pieces; whichever fires first takes
-        // them.
-        let pieces = Rc::new(Cell::new(Some(pieces)));
-        let timer = {
-            let st = Rc::clone(&self);
-            let pieces = Rc::clone(&pieces);
-            let rpc = rpc.clone();
-            sim.schedule_after(self.rpc_timeout(now), move || {
-                let Some(pieces) = pieces.take() else { return };
-                st.breaker_record(target, false);
+            BatchResponse::err(KvError::NodeUnavailable)
+        } else {
+            let sub = BatchRequest {
+                tenant: self.template.tenant,
+                txn: self.template.txn.clone(),
+                deadline: self.template.deadline,
+                requests: pieces.iter().map(|p| p.req.clone()).collect(),
+            };
+            let (cert, serving) = (client.cert.clone(), rpc.clone());
+            let resp = self
+                .round_trip(node.location, move |answer| {
+                    let _g = serving.enter();
+                    node.receive(&cert, sub, move |resp| answer.send(resp));
+                })
+                .await;
+            // Any reply, even an error, proves the path and node live.
+            self.breaker_record(target, resp.is_some());
+            if resp.is_none() {
                 rpc.tag("timeout", true);
-                rpc.end();
-                let retries = Retries { unanswered: true, ..retries };
-                st.handle_response(pieces, BatchResponse::err(KvError::NodeUnavailable), retries);
-            })
+                retries.unanswered = true;
+            }
+            rpc.end();
+            resp.unwrap_or_else(|| BatchResponse::err(KvError::NodeUnavailable))
         };
-        topo.send(&sim, my_loc, node_loc, move || {
-            let topo2 = self.client.inner.cluster.topology();
-            let sim2 = self.client.inner.cluster.sim.clone();
-            let _g = rpc.enter();
-            let rpc2 = rpc.clone();
-            node.receive(&cert, sub, move |resp| {
-                // Return hop, then handle.
-                let sim3 = sim2.clone();
-                topo2.send(&sim2, node_loc, my_loc, move || {
-                    let Some(pieces) = pieces.take() else { return };
-                    // Any reply — even an error — proves the path and
-                    // node are live enough to answer.
-                    self.breaker_record(target, true);
-                    rpc2.end();
-                    sim3.cancel(timer);
-                    self.handle_response(pieces, resp, retries);
-                });
-            });
-        });
+        let writes = |p: &Piece| p.req.is_write();
+        match resp.error {
+            None => {
+                let mut rs = resp.results.into_iter();
+                Ok(pieces.iter().map(|p| (p.idx, rs.next().unwrap_or(ResponseKind::Ok))).collect())
+            }
+            Some(KvError::NotLeaseholder(info)) | Some(KvError::RangeKeyMismatch(info)) => {
+                // The node evaluated nothing and said who does: learn that
+                // (evicting the stale entry) and route the sub-batch again.
+                bump(&cluster.degrade().redirects);
+                client.cache.borrow_mut().insert(info);
+                self.reroute(pieces, retries, false).await
+            }
+            Some(KvError::RangeNotFound) | Some(KvError::NodeUnavailable) => {
+                self.reroute(pieces, retries, true).await
+            }
+            Some(e @ KvError::IntentConflict { .. }) if !pieces.iter().any(writes) => {
+                // Back off briefly and retry: the conflicting transaction
+                // commits or aborts shortly (short commit windows).
+                match conflict_policy().delay(retries.conflict) {
+                    Some(backoff) if self.template.deadline.allows(cluster.sim.now(), backoff) => {
+                        bump(&cluster.degrade().retries);
+                        task::sleep(&cluster.sim, backoff).await;
+                        let retries = Retries { conflict: retries.conflict + 1, ..retries };
+                        Box::pin(self.dispatch(pieces, retries)).await
+                    }
+                    Some(_) => {
+                        cluster.degrade().bump_deadline_exceeded();
+                        Err(KvError::DeadlineExceeded)
+                    }
+                    // Conflict budget exhausted: surface the conflict.
+                    None => Err(e),
+                }
+            }
+            Some(e) => Err(e),
+        }
     }
 
-    /// Effective RPC timeout at `now`: the fixed wire timeout, clamped
-    /// to the batch deadline's remaining time.
-    fn rpc_timeout(&self, now: crdb_util::SimTime) -> Duration {
-        RPC_TIMEOUT.min(self.template.deadline.remaining(now))
+    /// One round trip to the node at `there`: `serve` runs there a hop
+    /// later, and a hop back its answer fills the reply. That races the
+    /// RPC timeout, as a partition may drop a hop: `None` when it wins.
+    async fn round_trip<T: 'static>(
+        &self,
+        there: Location,
+        serve: impl FnOnce(Answer<T>) + 'static,
+    ) -> Option<T> {
+        let (cluster, here) = (&self.client.inner.cluster, self.client.inner.location);
+        let reply = Completion::default();
+        // Waiting past the batch deadline would be wasted.
+        let timeout = RPC_TIMEOUT.min(self.template.deadline.remaining(cluster.sim.now()));
+        let _timeout = reply.fill_after(&cluster.sim, timeout, None);
+        let answer = Answer { cluster: cluster.clone(), hop: (there, here), reply: reply.clone() };
+        cluster.topology().send(&cluster.sim, here, there, move || serve(answer));
+        reply.await
     }
 
-    /// Whether `node`'s breaker admits a request at `now`.
-    fn breaker_allows(&self, node: NodeId, now: crdb_util::SimTime) -> bool {
-        let mut breakers = self.client.inner.breakers.borrow_mut();
-        breakers.entry(node).or_default().allow(now)
-    }
-
-    /// Records an RPC outcome against `node`'s breaker, bumping the
-    /// shared trip counter when the breaker opens.
+    /// Records an RPC outcome against `node`'s breaker; counts a trip.
     fn breaker_record(&self, node: NodeId, success: bool) {
         let now = self.client.inner.cluster.sim.now();
         let tripped = {
             let mut breakers = self.client.inner.breakers.borrow_mut();
             let b = breakers.entry(node).or_default();
             let before = b.trips();
-            if success {
-                b.record_success();
-            } else {
-                b.record_failure(now);
+            match success {
+                true => b.record_success(),
+                false => b.record_failure(now),
             }
             b.trips() > before
         };
         if tripped {
-            let degrade = self.client.inner.cluster.degrade();
-            degrade.breaker_trips.set(degrade.breaker_trips.get() + 1);
-        }
-    }
-
-    /// Handles the response (or the hop failure standing in for one) of
-    /// the sub-batch `pieces`.
-    fn handle_response(self: Rc<Self>, pieces: Vec<Piece>, resp: BatchResponse, retries: Retries) {
-        match resp.error {
-            None => {
-                {
-                    let mut results = self.results.borrow_mut();
-                    let mut responses = resp.results.into_iter();
-                    for piece in &pieces {
-                        if let Some(slot) = results.get_mut(piece.idx) {
-                            slot.push(responses.next().unwrap_or(ResponseKind::Ok));
-                        }
-                    }
-                }
-                Self::unit_done(&self);
-            }
-            Some(KvError::NotLeaseholder(info)) | Some(KvError::RangeKeyMismatch(info)) => {
-                // The node evaluated nothing and said who does: learn the
-                // authoritative descriptor (evicting whatever stale entry
-                // sent us here) and route the sub-batch again.
-                let degrade = self.client.inner.cluster.degrade();
-                degrade.redirects.set(degrade.redirects.get() + 1);
-                self.client.inner.cache.borrow_mut().insert(info);
-                self.retry_routing(pieces, retries);
-            }
-            Some(KvError::RangeNotFound) | Some(KvError::NodeUnavailable) => {
-                self.retry_after_backoff(pieces, retries);
-            }
-            Some(e @ KvError::IntentConflict { .. })
-                if pieces.iter().all(|p| !p.req.is_write()) =>
-            {
-                // Back off briefly and retry: the conflicting transaction
-                // commits or aborts shortly (short commit windows).
-                let sim = self.client.inner.cluster.sim.clone();
-                match conflict_policy().delay(retries.conflict) {
-                    Some(backoff) if self.template.deadline.allows(sim.now(), backoff) => {
-                        let degrade = self.client.inner.cluster.degrade();
-                        degrade.retries.set(degrade.retries.get() + 1);
-                        let st = Rc::clone(&self);
-                        sim.schedule_after(backoff, move || {
-                            let retries = Retries { conflict: retries.conflict + 1, ..retries };
-                            Self::dispatch(&st, pieces, retries);
-                            Self::unit_done(&st);
-                        });
-                    }
-                    Some(_) => {
-                        self.client.inner.cluster.degrade().bump_deadline_exceeded();
-                        self.fail(KvError::DeadlineExceeded);
-                    }
-                    // Conflict budget exhausted: surface the conflict.
-                    None => self.fail(e),
-                }
-            }
-            Some(e) => self.fail(e),
+            bump(&self.client.inner.cluster.degrade().breaker_trips);
         }
     }
 
     /// Drops the cached routes of `pieces`' ranges.
     fn forget_routes(&self, pieces: &[Piece]) {
-        let keys: Vec<Bytes> = pieces.iter().map(|p| self.routing_key(&p.req)).collect();
         let mut cache = self.client.inner.cache.borrow_mut();
-        keys.iter().for_each(|key| cache.invalidate(key));
+        pieces.iter().for_each(|p| cache.invalidate(self.template.routing_span(&p.req).0));
     }
 
-    /// A dead node, a lost hop or a stale descriptor: forget what the
-    /// cache says about `pieces`' ranges and route them again after a
-    /// backoff. The lease-check loop moves leases off dead nodes within
-    /// its period, so retries back off long enough to observe that.
-    fn retry_after_backoff(self: Rc<Self>, pieces: Vec<Piece>, retries: Retries) {
-        self.forget_routes(&pieces);
-        let sim = self.client.inner.cluster.sim.clone();
-        // The backoff must land before the batch deadline: a retry
-        // scheduled past it is never scheduled at all.
-        match routing_policy().next_delay(retries.routing, sim.now(), self.template.deadline) {
-            Some(backoff) => {
-                sim.schedule_after(backoff, move || self.retry_routing(pieces, retries));
-            }
-            None => {
-                self.client.inner.cluster.degrade().bump_deadline_exceeded();
-                self.fail(KvError::DeadlineExceeded);
-            }
+    /// Routes `pieces` again; after a dead node, a lost hop or a missing range
+    /// (`wait`), forgets their routes and first backs off long enough for
+    /// the lease-check loop to move leases off dead nodes.
+    async fn reroute(self: Rc<Self>, pieces: Vec<Piece>, retries: Retries, wait: bool) -> Replies {
+        let cluster = &self.client.inner.cluster;
+        if wait {
+            self.forget_routes(&pieces);
+            // The backoff must land before the batch deadline: a retry
+            // scheduled past it is never scheduled at all.
+            let (now, deadline) = (cluster.sim.now(), self.template.deadline);
+            let Some(delay) = routing_policy().next_delay(retries.routing, now, deadline) else {
+                cluster.degrade().bump_deadline_exceeded();
+                return Err(KvError::DeadlineExceeded);
+            };
+            task::sleep(&cluster.sim, delay).await;
         }
-    }
-
-    fn retry_routing(self: Rc<Self>, pieces: Vec<Piece>, retries: Retries) {
         if retries.routing >= MAX_ROUTING_RETRIES {
             // The retry budget outlasts any single lease transfer; if we
             // still have no live route the range is genuinely unavailable.
-            self.give_up(&pieces, retries);
-            return;
+            return Err(self.give_up(&pieces, retries));
         }
-        let degrade = self.client.inner.cluster.degrade();
-        degrade.retries.set(degrade.retries.get() + 1);
-        Self::dispatch(&self, pieces, Retries { routing: retries.routing + 1, ..retries });
-        Self::unit_done(&self);
+        bump(&cluster.degrade().retries);
+        Box::pin(self.dispatch(pieces, Retries { routing: retries.routing + 1, ..retries })).await
     }
 
-    /// Fails the batch because the sub-batch `pieces` has no route left to
-    /// try. Terminal either way, but what the caller may do next differs:
-    /// nothing of an [`KvError::Unavailable`] batch was applied, so its
-    /// transaction can run again, while a commit of which a copy went
-    /// unanswered may have been applied by the node that never replied —
-    /// running that transaction again could apply it twice.
-    fn give_up(self: &Rc<Self>, pieces: &[Piece], retries: Retries) {
+    /// The error that fails the batch when the sub-batch `pieces` has no
+    /// route left. Nothing of an `Unavailable` batch was applied, so its
+    /// transaction can run again; a commit of which a copy went unanswered
+    /// may have been applied, and running it again could apply it twice.
+    fn give_up(&self, pieces: &[Piece], retries: Retries) -> KvError {
         let commits = |p: &Piece| matches!(p.req, RequestKind::EndTxn { commit: true });
         if retries.unanswered && pieces.iter().any(commits) {
-            let degrade = self.client.inner.cluster.degrade();
-            degrade.ambiguous_commits.set(degrade.ambiguous_commits.get() + 1);
-            self.fail(KvError::AmbiguousCommit);
+            bump(&self.client.inner.cluster.degrade().ambiguous_commits);
+            KvError::AmbiguousCommit
         } else {
-            self.fail(KvError::Unavailable);
+            KvError::Unavailable
         }
     }
+}
 
-    fn fail(self: &Rc<Self>, error: KvError) {
-        // Bind before branching: the callback may issue a follow-up batch
-        // that re-enters this state while the guard is live.
-        let cb = self.finished.borrow_mut().take();
-        if let Some(cb) = cb {
-            cb(BatchResponse::err(error));
-        }
-        Self::unit_done(self);
-    }
+/// The way back of a round trip: a hop from the server to the caller,
+/// whose reply it fills.
+struct Answer<T> {
+    cluster: KvCluster,
+    hop: (Location, Location),
+    reply: Completion<Option<T>>,
+}
 
-    /// Retires one routing pass or sub-batch RPC; the last one out
-    /// merges the results and completes the batch.
-    fn unit_done(state: &Rc<Self>) {
-        let remaining = state.outstanding.get() - 1;
-        state.outstanding.set(remaining);
-        if remaining > 0 {
-            return;
-        }
-        // Bind before matching so the RefMut guard is dropped here and not
-        // held across the merge below (PR 3 bug class).
-        let finished = state.finished.borrow_mut().take();
-        let cb = match finished {
-            Some(cb) => cb,
-            None => return, // already failed
-        };
-        let results = state.results.take();
-        let mut merged = Vec::with_capacity(results.len());
-        for (idx, mut pieces) in results.into_iter().enumerate() {
-            if pieces.len() <= 1 {
-                merged.push(pieces.pop().unwrap_or(ResponseKind::Ok));
-                continue;
-            }
-            // A span request that was split across ranges. A scan's
-            // pieces arrive in completion order, each sorted and over a
-            // disjoint key range: concatenate, sort, then apply the
-            // original limit — every piece carried the full limit, so a
-            // scan crossing N ranges could otherwise return up to
-            // N × limit rows.
-            let mut pairs: Vec<(Bytes, Bytes)> = Vec::new();
-            let mut is_scan = false;
-            for piece in pieces {
-                if let ResponseKind::Pairs(p) = piece {
-                    is_scan = true;
-                    pairs.extend(p);
-                }
-            }
-            if !is_scan {
-                merged.push(ResponseKind::Ok);
-                continue;
-            }
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            if let Some(Some(limit)) = state.limits.get(idx) {
-                pairs.truncate(*limit);
-            }
-            merged.push(ResponseKind::Pairs(pairs));
-        }
-        cb(BatchResponse::ok(merged));
+impl<T: 'static> Answer<T> {
+    fn send(self, answer: T) {
+        let (reply, (from, to)) = (self.reply, self.hop);
+        self.cluster.topology().send(&self.cluster.sim, from, to, move || reply.fill(Some(answer)));
     }
+}
+
+/// Merges each request's replies: a lone reply stands; the pieces of a
+/// split scan, over disjoint key ranges, are concatenated, sorted and cut
+/// to the original limit (each carried all of it).
+fn merge(replies: Vec<Reply>, limits: &[Option<usize>]) -> Vec<ResponseKind> {
+    let mut slots: Vec<Vec<ResponseKind>> = vec![Vec::new(); limits.len()];
+    for (idx, resp) in replies {
+        if let Some(slot) = slots.get_mut(idx) {
+            slot.push(resp);
+        }
+    }
+    let merge_one = |(mut pieces, limit): (Vec<ResponseKind>, &Option<usize>)| {
+        if pieces.len() <= 1 {
+            return pieces.pop().unwrap_or(ResponseKind::Ok);
+        }
+        if !pieces.iter().any(|p| matches!(p, ResponseKind::Pairs(_))) {
+            return ResponseKind::Ok;
+        }
+        let mut pairs: Vec<(Bytes, Bytes)> = pieces
+            .into_iter()
+            .flat_map(|p| if let ResponseKind::Pairs(p) = p { p } else { Vec::new() })
+            .collect();
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.truncate(limit.unwrap_or(usize::MAX));
+        ResponseKind::Pairs(pairs)
+    };
+    slots.into_iter().zip(limits).map(merge_one).collect()
+}
+
+/// Adds one to a degradation counter.
+fn bump(counter: &std::cell::Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 /// Builds the `TxnMeta` for a new transaction anchored at `anchor_key`.

@@ -549,8 +549,10 @@ impl KvCluster {
         // The median of what the leaseholder's engine holds for readers:
         // history that only awaits its compaction weighs nothing, so where
         // a range splits does not depend on when its node compacts.
-        let horizon = mvcc::gc_horizon(Timestamp::at(self.sim.now()));
-        let users = mvcc::readable_user_keys(&leader.engine, &desc.start, &desc.end, horizon, 4096);
+        let now = Timestamp::at(self.sim.now());
+        let (horizon, until) = (mvcc::gc_horizon(now), Timestamp { logical: u32::MAX, ..now });
+        let (start, end) = (&desc.start, &desc.end);
+        let users = mvcc::readable_user_keys(&leader.engine, start, end, horizon, until, 4096);
         if users.len() < 2 {
             return;
         }
@@ -596,12 +598,13 @@ impl KvCluster {
         if left.desc.start.as_ref() == key {
             return None;
         }
+        let until = Timestamp { logical: u32::MAX, ..Timestamp::at(now) };
         let holds_data = left
             .desc
             .replicas
             .iter()
             .filter_map(|n| inner.nodes.get(n))
-            .any(|n| !mvcc::span_is_empty(&n.engine, key, &end));
+            .any(|n| !mvcc::span_is_empty(&n.engine, key, &end, until));
         if holds_data {
             return None;
         }

@@ -134,9 +134,19 @@ fn prefix_versions(
         .collect()
 }
 
-/// `spans` as the borrowed pairs [`Engine::scan_visit_spans`] takes.
-fn borrowed(spans: &[(Bytes, Bytes)]) -> Vec<(&[u8], &[u8])> {
-    spans.iter().map(|(lo, hi)| (lo.as_ref(), hi.as_ref())).collect()
+/// Visits in one counted scan the versions of `[start, end)` that `window`
+/// picks past `walk_end` ([`prefix_versions`]), then the walk up to it,
+/// which also meets keys outside the span: `visit` passes over those.
+fn visit_versions(
+    engine: &Engine,
+    (start, end, walk_end): (&[u8], &[u8], Bytes),
+    window: impl Fn(&[u8]) -> (Bytes, Bytes),
+    visit: impl FnMut(&Bytes, &Bytes) -> bool,
+) {
+    let mut spans = prefix_versions(start, end, &walk_end, window);
+    spans.push((version_prefix(start), walk_end));
+    let spans: Vec<_> = spans.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect();
+    engine.scan_visit_spans(&spans, visit);
 }
 
 fn intent_key(key: &[u8]) -> Bytes {
@@ -299,47 +309,61 @@ pub(crate) fn ingest_versions(engine: &Engine, table: &SsTable) {
 }
 
 /// Whether the engine holds nothing under the user keys `[start, end)`:
-/// no version of any age and no intent.
-pub fn span_is_empty(engine: &Engine, start: &[u8], end: &[u8]) -> bool {
+/// no version and no intent. `until` is the newest timestamp a version may
+/// carry (the cluster passes its clock's ceiling) and bounds the walk where
+/// keys extend one another through a 0x00 byte, as in [`refresh_span`].
+pub fn span_is_empty(engine: &Engine, start: &[u8], end: &[u8], until: Timestamp) -> bool {
     let mut empty = true;
-    for (lo, hi) in
-        [(version_prefix(start), version_prefix(end)), (intent_key(start), intent_key(end))]
-    {
-        engine.scan_visit(&lo, &hi, |_, _| {
-            empty = false;
-            false
-        });
-    }
+    // To `'v' + end`, not past it as `scan` walks: that would pull the
+    // versions of `end` itself, and of every key extending it.
+    let window = |key: &[u8]| (version_key(key, until), versions_end(key));
+    visit_versions(engine, (start, end, version_prefix(end)), window, |k, _| {
+        empty = !decode_version_key(k).is_some_and(|(user, _)| (start..end).contains(&user));
+        empty
+    });
+    engine.scan_visit(&intent_key(start), &intent_key(end), |_, _| {
+        empty = false;
+        false
+    });
     empty
 }
 
 /// The distinct user keys, in order, under the first `limit` versions of
 /// `[start, end)` that a read at or above `horizon` could return — what a
 /// size-based split weighs a range by. Versions [`compaction_gc`] would
-/// drop at that horizon are passed over, wherever they still are.
+/// drop at that horizon are passed over, wherever they still are: its
+/// filter sees the walk in storage order, as a compaction shows it. `until`
+/// bounds the walk as in [`span_is_empty`].
 pub fn readable_user_keys(
     engine: &Engine,
     start: &[u8],
     end: &[u8],
     horizon: Timestamp,
+    until: Timestamp,
     limit: usize,
 ) -> Vec<Bytes> {
+    let walk_end = version_prefix(end);
+    let mut spans =
+        prefix_versions(start, end, &walk_end, |key| (version_key(key, until), versions_end(key)));
+    spans.push((version_prefix(start), walk_end));
+    spans.sort();
+    let spans: Vec<_> = spans.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect();
     let mut unreadable = compaction_gc(horizon);
     let mut users: Vec<Bytes> = Vec::new();
     let mut versions = 0;
-    engine.scan_visit(&version_prefix(start), &version_prefix(end), |k, raw| {
-        if unreadable(k, Some(raw)) {
-            return true;
-        }
+    engine.scan_visit_spans(&spans, |k, raw| {
+        let readable = !unreadable(k, Some(raw));
+        let hit = decode_version_key(k).filter(|(u, _)| !u.is_empty() && (start..end).contains(u));
+        let Some((user, _)) = hit.filter(|_| readable) else { return true };
         versions += 1;
-        if let Some((user, _)) = decode_version_key(k) {
-            let inside = !user.is_empty() && user >= start && user < end;
-            if inside && users.last().is_none_or(|last| last.as_ref() != user) {
-                users.push(user_key_slice(k, user));
-            }
+        if users.last().is_none_or(|last| last.as_ref() != user) {
+            users.push(user_key_slice(k, user));
         }
         versions < limit
     });
+    // Keys extending others through 0x00 interleave with their versions.
+    users.sort();
+    users.dedup();
     users
 }
 
@@ -460,22 +484,15 @@ pub fn scan(
     // same scan, and each key's newest there waits in `probed` unless
     // the main walk finds a newer one.
     let walk_end = versions_walk_end(end);
-    let probes =
-        prefix_versions(start, end, &walk_end, |key| (version_key(key, ts), versions_end(key)));
-    let walk_start = version_prefix(start);
-    let mut spans = borrowed(&probes);
-    spans.push((&walk_start, &walk_end));
+    let window = |key: &[u8]| (version_key(key, ts), versions_end(key));
     let mut probed: Vec<(Bytes, Option<Bytes>)> = Vec::new();
     let mut out: Vec<(Bytes, Bytes)> = Vec::new();
     let mut current: Option<Bytes> = None;
-    engine.scan_visit_spans(&spans, |k, raw| {
+    visit_versions(engine, (start, end, walk_end.clone()), window, |k, raw| {
         if out.len() >= limit {
             return false;
         }
-        let (user, vts) = match decode_version_key(k) {
-            Some(x) => x,
-            None => return true,
-        };
+        let Some((user, vts)) = decode_version_key(k) else { return true };
         if user < start || user >= end {
             return true;
         }
@@ -517,13 +534,8 @@ pub fn scan(
             out.push((user, v));
         }
     }
-    for (user, value) in own_intents {
-        if let Some(v) = value {
-            if user.as_ref() >= start && user.as_ref() < end && out.len() < limit {
-                out.push((user, v));
-            }
-        }
-    }
+    let own = own_intents.into_iter().filter(|(user, _)| (start..end).contains(&user.as_ref()));
+    out.extend(own.filter_map(|(user, value)| Some((user, value?))));
     if !out.is_sorted_by(|a, b| a.0 < b.0) {
         out.sort_by(|a, b| a.0.cmp(&b.0));
     }
@@ -729,15 +741,9 @@ fn find_version(
     after: Timestamp,
     until: Timestamp,
 ) -> Option<Timestamp> {
-    let walk_end = versions_walk_end(end);
-    let probes = prefix_versions(start, end, &walk_end, |key| {
-        (version_key(key, until), version_key(key, after))
-    });
-    let walk_start = version_prefix(start);
-    let mut spans = borrowed(&probes);
-    spans.push((&walk_start, &walk_end));
+    let window = |key: &[u8]| (version_key(key, until), version_key(key, after));
     let mut found = None;
-    engine.scan_visit_spans(&spans, |k, _| {
+    visit_versions(engine, (start, end, versions_walk_end(end)), window, |k, _| {
         if let Some((user, vts)) = decode_version_key(k) {
             if user >= start && user < end && vts > after && vts <= until {
                 found = Some(vts);
@@ -913,6 +919,17 @@ mod tests {
         assert_eq!(intents.len(), 1);
         assert_eq!(intents[0].0, b("c"));
         assert_eq!(intents[0].1.txn_id, 8);
+        // An own intent on a key with no committed version is a row like
+        // any other under a limit, in key order, however many committed
+        // keys after it would fill the limit.
+        let e = engine();
+        put_version(&e, b"b", ts(10), Some(&b("b1")));
+        put_version(&e, b"c", ts(10), Some(&b("c1")));
+        write_intent(&e, b"a", 7, ts(20), ts(20), Some(&b("mine"))).unwrap();
+        let (pairs, _) = scan(&e, b"a", b"z", ts(30), 2, Some(7));
+        assert_eq!(pairs, vec![(b("a"), b("mine")), (b("b"), b("b1"))]);
+        let (pairs, _) = scan(&e, b"a", b"z", ts(30), 100, Some(7));
+        assert_eq!(pairs.len(), 3);
     }
 
     #[test]
@@ -960,12 +977,14 @@ mod tests {
         put_version(&e, b"c", ts(50), Some(&b("v")));
         // At horizon 35 `a` weighs two versions (40, and 30 that covers
         // the rest), so the first three readable versions reach `b`.
-        assert_eq!(readable_user_keys(&e, b"a", b"z", ts(35), 3), vec![b("a"), b("b")]);
-        assert_eq!(readable_user_keys(&e, b"a", b"z", ts(35), 9), vec![b("a"), b("b"), b("c")]);
+        let sample =
+            |start, end, horizon, limit| readable_user_keys(&e, start, end, horizon, ts(60), limit);
+        assert_eq!(sample(b"a", b"z", ts(35), 3), vec![b("a"), b("b")]);
+        assert_eq!(sample(b"a", b"z", ts(35), 9), vec![b("a"), b("b"), b("c")]);
         // With all of its history readable, `a` alone fills the sample.
-        assert_eq!(readable_user_keys(&e, b"a", b"z", ts(0), 3), vec![b("a")]);
+        assert_eq!(sample(b"a", b"z", ts(0), 3), vec![b("a")]);
         // Span bounds are on user keys.
-        assert_eq!(readable_user_keys(&e, b"b", b"c", ts(35), 9), vec![b("b")]);
+        assert_eq!(sample(b"b", b"c", ts(35), 9), vec![b("b")]);
     }
 
     #[test]
@@ -982,7 +1001,11 @@ mod tests {
             assert_eq!(refreshed, Err(ts(10)), "refresh to {end:?}");
             assert!(snapshot_collected(&e, b"k", end, ts(5), ts(15)), "collected to {end:?}");
             assert!(!snapshot_collected(&e, b"k", end, ts(10), ts(15)), "nothing above 10");
+            assert!(!span_is_empty(&e, b"k", end, ts(20)), "empty to {end:?}");
+            let sample = readable_user_keys(&e, b"k", end, ts(0), ts(20), 10);
+            assert_eq!(sample, vec![b("k")], "sample to {end:?}");
         }
+        assert!(span_is_empty(&e, b"k\0\0", b"k\0\x01", ts(20)), "nothing between the two keys");
         // `k\0`'s versions sort before `k`'s: the reply is in key order,
         // and a limit keeps the keys that come first in it.
         put_version(&e, b"k\0", ts(10), Some(&b("x")));
@@ -990,6 +1013,21 @@ mod tests {
         assert_eq!(pairs, vec![(b("k"), b("v")), (b("k\0"), b("x"))]);
         let (pairs, _) = scan(&e, b"k", b"k\0\0", ts(20), 1, None);
         assert_eq!(pairs, vec![(b("k"), b("v"))]);
+        // An `end` whose rest sorts between `k`'s versions: 30 sorts before
+        // `'v' + end`, 20 and 10 after it. At horizon 25 the sample weighs
+        // them in storage order, after `k\0\x01`'s, so 30 counts, 20 covers
+        // and 10 is collected.
+        let e = engine();
+        for t in [10, 20, 30] {
+            put_version(&e, b"k", ts(t), Some(&b("v")));
+        }
+        put_version(&e, b"k\0\x01", ts(10), Some(&b("w")));
+        let end = b"k\0\xff\xff\xff\xff\xff\xff\xff\xe5";
+        let sample = |limit| readable_user_keys(&e, b"k", end, ts(25), ts(40), limit);
+        assert_eq!(sample(1), vec![b("k\0\x01")]);
+        assert_eq!(sample(3), vec![b("k"), b("k\0\x01")]);
+        // A span past `k` walks by `k`'s newest versions, which are not its.
+        assert!(span_is_empty(&e, b"k\0\x02", end, ts(40)));
     }
 
     #[test]

@@ -102,7 +102,8 @@ fn put_of_a_key_under_a_pending_intent_conflicts_and_writes_nothing() {
     let end = Bytes::from([key.as_ref(), &[0x00]].concat());
     for id in cluster.range_of(&key).expect("range").desc.replicas {
         let engine = &cluster.node(id).expect("replica").engine;
-        let committed = mvcc::readable_user_keys(engine, &key, &end, Timestamp::ZERO, usize::MAX);
+        let (horizon, until) = (Timestamp::ZERO, Timestamp::MAX);
+        let committed = mvcc::readable_user_keys(engine, &key, &end, horizon, until, usize::MAX);
         assert!(committed.is_empty(), "node {id:?} holds a version beside the intent");
     }
 }
@@ -1134,6 +1135,36 @@ fn pinned_range_fails_fast_under_a_region_outage_while_the_spread_range_serves()
     }
     sim.run_for(dur::secs(15));
     timed_put(&sim, &client, k(2, "~p/c"), 60).0.expect("pinned write after recovery");
+}
+
+/// A batch answers at its first failing sub-batch, and its other
+/// sub-batches still run to their end: here the pinned range's sub-batch
+/// fails fast across a dark region, and the spread range's, first sent
+/// only after the batch has answered, still reaches its leaseholder.
+#[test]
+fn a_batch_answers_at_its_first_failing_sub_batch_while_the_rest_still_run() {
+    let (sim, cluster, cert) = setup_pinned(34);
+    let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(0), 0));
+    timed_put(&sim, &client, k(2, "~p/a"), 2).0.expect("pinned write before the outage");
+    timed_put(&sim, &client, k(2, "tbl/a"), 2).0.expect("spread write before the outage");
+    cluster.topology().set_region_dark(RegionId(1), true);
+    for n in cluster.nodes_in_region(RegionId(1)) {
+        cluster.set_node_alive(n, false);
+    }
+    sim.run_for(dur::secs(15));
+
+    let spread = cluster.node(cluster.leaseholder_of(&k(2, "tbl/a")).unwrap()).unwrap();
+    let served_before = spread.batches_served.get();
+    let reads =
+        vec![RequestKind::Get { key: k(2, "~p/a") }, RequestKind::Get { key: k(2, "tbl/a") }];
+    let batch = txn_batch(&make_txn_meta(&cluster, k(2, "tbl/a")), reads);
+    let answered = Rc::new(RefCell::new(None));
+    let (a, node) = (Rc::clone(&answered), Rc::clone(&spread));
+    client.send(batch, move |resp| *a.borrow_mut() = Some((resp.error, node.batches_served.get())));
+    let at_answer = answered.borrow_mut().take();
+    assert_eq!(at_answer, Some((Some(KvError::Unavailable), served_before)), "answered at once");
+    sim.run_for(dur::secs(2));
+    assert_eq!(spread.batches_served.get(), served_before + 1, "the other sub-batch ran on");
 }
 
 #[test]

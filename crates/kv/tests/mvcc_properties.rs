@@ -2,7 +2,8 @@
 //! model of versioned maps under random interleavings of writes, reads and
 //! scans, while the engine's jobs run as the KV node runs them — flushes,
 //! and compactions through the MVCC collector at the horizon of their
-//! claim — and every write collects in the memtable; intent resolution
+//! claim — and every write collects in the memtable; a limited scan
+//! returns the model's first rows; intent resolution
 //! and read refresh see exactly what they should. Each is a loop over
 //! fixed seeds; every assertion names its seed.
 
@@ -97,16 +98,21 @@ fn mvcc_matches_versioned_model() {
                     let (a, b) = (key(rng.gen()), key(rng.gen()));
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                     let read_at = now - read_back(rng);
-                    let (pairs, intents) =
-                        mvcc::scan(&engine, &lo, &hi, ts(read_at), usize::MAX, None);
+                    // Half the scans are limited, to as few as no rows.
+                    let limit = if rng.gen_bool(0.5) { rng.gen_range(0..=8) } else { usize::MAX };
+                    let (pairs, intents) = mvcc::scan(&engine, &lo, &hi, ts(read_at), limit, None);
                     assert!(intents.is_empty(), "seed {seed} step {step}: {intents:?}");
                     let got: Vec<(Vec<u8>, u8)> =
                         pairs.iter().map(|(k, v)| (k.to_vec(), v[0])).collect();
                     let want: Vec<(Vec<u8>, u8)> = model
                         .range(lo..hi)
                         .filter_map(|(k, h)| visible(h, read_at).map(|v| (k.clone(), v)))
+                        .take(limit)
                         .collect();
-                    assert_eq!(got, want, "seed {seed} step {step}: scan at {read_at} (now {now})");
+                    assert_eq!(
+                        got, want,
+                        "seed {seed} step {step}: scan at {read_at} limit {limit} (now {now})"
+                    );
                 }
             }
         }

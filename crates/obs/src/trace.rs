@@ -8,9 +8,13 @@
 //!
 //! # Propagation rules
 //!
-//! The simulator is single-threaded and callback-based, so context flows
-//! through an ambient, thread-local *current-span stack* rather than through
-//! function signatures:
+//! The simulator is single-threaded, and most of it is callback-based, so
+//! context flows through an ambient, thread-local *current-span stack*
+//! rather than through function signatures. Code written as `async fn` on
+//! `crdb_sim::task` (the KV client) is no different: no span is entered
+//! across an `.await`, so a span opened after one names its parent
+//! explicitly (a task-local ambient span waits for the layer that needs it).
+//! In callback code:
 //!
 //! 1. A component that does work on behalf of the current request calls
 //!    [`child`] (or [`current`]) — both return a no-op [`MaybeSpan`] when no

@@ -41,6 +41,7 @@ pub struct Sim {
     core: Rc<RefCell<Core>>,
     clock: Arc<ManualClock>,
     rng: Rc<RefCell<SmallRng>>,
+    pub(crate) tasks: crate::task::Executor,
 }
 
 impl Sim {
@@ -51,6 +52,7 @@ impl Sim {
             core: Rc::new(RefCell::new(Core { queue: BTreeMap::new(), next_seq: 0, executed: 0 })),
             clock: ManualClock::new(),
             rng: Rc::new(RefCell::new(SmallRng::seed_from_u64(seed))),
+            tasks: Default::default(),
         }
     }
 

@@ -20,6 +20,7 @@
 //!   per-tenant CPU attribution for the figures.
 //! - [`resource`] — a FIFO rate-limited resource modelling disk flush /
 //!   compaction bandwidth.
+//! - [`task`] — `async fn` on the virtual clock, polled inline in the waking event.
 //! - [`timeseries`] — sampled time series used to regenerate the paper's
 //!   time-series figures (Figs. 8, 9, 12, 13).
 //!
@@ -47,6 +48,7 @@ pub mod cpu;
 pub mod engine;
 pub mod fault;
 pub mod resource;
+pub mod task;
 pub mod timeseries;
 pub mod topology;
 

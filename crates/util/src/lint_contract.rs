@@ -1,6 +1,8 @@
 //! The lint configuration checks itself. This module exists only under
 //! `cargo clippy`; each item does what the determinism contract bans
-//! (DESIGN.md §8) and *expects* the lint. If the root `clippy.toml` is
+//! (DESIGN.md §8) and *expects* the lint. The last proves clippy's
+//! `await_holding_refcell_ref` live, the check for a `RefCell` guard held
+//! across an `.await`. If the root `clippy.toml` is
 //! moved, emptied or mistyped, or `lib.rs` loses its lint line, an
 //! expectation goes unfulfilled and `-D warnings` fails the CI Clippy
 //! step. (`tests/lint_scope.rs` checks every other crate root has the
@@ -28,4 +30,14 @@ fn _index(bytes: &[u8]) -> u8 {
 #[expect(clippy::unwrap_used, reason = "proves a panicking unwrap is flagged")]
 fn _unwrap(byte: Option<u8>) -> u8 {
     byte.unwrap()
+}
+
+#[expect(
+    clippy::await_holding_refcell_ref,
+    reason = "proves a RefCell guard held across an .await is flagged"
+)]
+async fn _held(cell: &std::cell::RefCell<u8>) -> u8 {
+    let guard = cell.borrow_mut();
+    std::future::ready(()).await;
+    *guard
 }
