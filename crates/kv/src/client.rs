@@ -27,9 +27,9 @@
 //! not [`KvError::Unavailable`]: the copy may have been applied.
 //!
 //! The router is `async fn`s on the simulator's clock ([`crdb_sim::task`]):
-//! `send` spawns one task per batch, and an RPC's timer and reply race to
-//! fill one [`Completion`]. A span opened after an `.await` names its
-//! parent, the batch's `kv.send` span, explicitly.
+//! a batch runs in its caller's task (a SQL statement's), and an RPC's
+//! timer and reply race to fill one [`Completion`]. A span opened after an
+//! `.await` names its parent, the batch's `kv.send` span, explicitly.
 //!
 //! A batch that carries `EndTxn` next to other requests asks for a
 //! one-phase commit, which only a single leaseholder can evaluate: when
@@ -127,39 +127,11 @@ impl KvClient {
         (c.meta_lookups, c.cache_hits)
     }
 
-    /// Sends a batch, invoking `cb` with the merged response. All requests
-    /// must belong to this client's tenant keyspace (enforced server-side
-    /// too). The batch goes out as one sub-batch per range, concurrently;
-    /// it fails as a whole at the first sub-batch error.
-    pub fn send(&self, batch: BatchRequest, cb: impl FnOnce(BatchResponse) + 'static) {
-        let (outer, run) = (trace::current(), self.clone().run(batch));
-        task::spawn(&self.inner.cluster.sim, async move {
-            let resp = run.await;
-            let _g = outer.enter();
-            cb(resp);
-        });
-    }
-
-    /// Convenience: a one-key transaction writing `key = value`, committed
-    /// in one phase by its one batch (`[WriteIntent, EndTxn{commit}]`); a
-    /// copy re-sent after a lost reply is acked, not applied twice.
-    pub fn put(&self, key: Bytes, value: Bytes, cb: impl FnOnce(Result<(), KvError>) + 'static) {
-        let txn = make_txn_meta(&self.inner.cluster, key.clone());
-        let batch = BatchRequest {
-            tenant: self.inner.cert.tenant(),
-            txn,
-            deadline: Deadline::NONE,
-            requests: vec![
-                RequestKind::WriteIntent { key, value: Some(value) },
-                RequestKind::EndTxn { commit: true },
-            ],
-        };
-        self.send(batch, move |resp| cb(resp.error.map_or(Ok(()), Err)));
-    }
-
-    /// Routes and sends `batch`: its merged response. Not generic over the
-    /// caller's callback, so one copy of the router serves every caller.
-    async fn run(self, mut batch: BatchRequest) -> BatchResponse {
+    /// Sends a batch: its merged response. All requests must belong to
+    /// this client's tenant keyspace (enforced server-side too). The batch
+    /// goes out as one sub-batch per range, concurrently; it fails as a
+    /// whole at the first sub-batch error.
+    pub async fn send(&self, mut batch: BatchRequest) -> BatchResponse {
         // A batch whose deadline already passed never touches the network.
         if batch.deadline.expired(self.inner.cluster.sim.now()) {
             self.inner.cluster.degrade().bump_deadline_exceeded();
@@ -179,13 +151,30 @@ impl KvClient {
             requests.into_iter().enumerate().map(|(idx, req)| Piece { idx, req }).collect();
         let span = trace::child("kv.send");
         span.tag("requests", limits.len());
-        let batch = Rc::new(Batch { client: self, template: batch, span });
+        let batch = Rc::new(Batch { client: self.clone(), template: batch, span });
         let replies = Rc::clone(&batch).dispatch(pieces, Retries::default()).await;
         if replies.is_err() {
             batch.span.tag("error", true);
         }
         batch.span.end();
         replies.map_or_else(BatchResponse::err, |r| BatchResponse::ok(merge(r, &limits)))
+    }
+
+    /// Convenience: a one-key transaction writing `key = value`, committed
+    /// in one phase by its one batch (`[WriteIntent, EndTxn{commit}]`); a
+    /// copy re-sent after a lost reply is acked, not applied twice.
+    pub async fn put(&self, key: Bytes, value: Bytes) -> Result<(), KvError> {
+        let txn = make_txn_meta(&self.inner.cluster, key.clone());
+        let batch = BatchRequest {
+            tenant: self.inner.cert.tenant(),
+            txn,
+            deadline: Deadline::NONE,
+            requests: vec![
+                RequestKind::WriteIntent { key, value: Some(value) },
+                RequestKind::EndTxn { commit: true },
+            ],
+        };
+        self.send(batch).await.error.map_or(Ok(()), Err)
     }
 }
 

@@ -1058,8 +1058,9 @@ mod tests {
         let key = crate::keys::make_key(tenant, b"k");
         let acked = Rc::new(Cell::new(0));
         let send = |batch: BatchRequest| {
-            let acked = Rc::clone(&acked);
-            client.send(batch, move |resp| {
+            let (acked, client) = (Rc::clone(&acked), client.clone());
+            crdb_sim::task::spawn(&sim, async move {
+                let resp = client.send(batch).await;
                 assert!(resp.is_ok(), "{:?}", resp.error);
                 acked.set(acked.get() + 1);
             });
@@ -1110,7 +1111,9 @@ mod tests {
         let wal_batches = leader.engine.metrics().wal_batches;
         let refused = Rc::new(RefCell::new(None));
         let r = Rc::clone(&refused);
-        client.send(commit, move |resp| *r.borrow_mut() = Some(resp.error));
+        crdb_sim::task::spawn(&sim, async move {
+            *r.borrow_mut() = Some(client.send(commit).await.error);
+        });
         sim.run_for(dur::secs(2));
         assert_eq!(*refused.borrow(), Some(Some(KvError::AmbiguousCommit)));
         assert_eq!(c.degrade().ambiguous_commits.get(), 1);

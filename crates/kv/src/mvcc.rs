@@ -489,10 +489,12 @@ pub fn scan(
     let mut out: Vec<(Bytes, Bytes)> = Vec::new();
     let mut current: Option<Bytes> = None;
     visit_versions(engine, (start, end, walk_end.clone()), window, |k, raw| {
-        if out.len() >= limit {
+        let Some((user, vts)) = decode_version_key(k) else { return out.len() < limit };
+        // Past the limit only a key an emitted one extends through a 0x00
+        // byte can still make the cut: its versions sort after that key's.
+        if out.len() >= limit && !out.iter().any(|(e, _)| extends_through_zero(e, user)) {
             return false;
         }
-        let Some((user, vts)) = decode_version_key(k) else { return true };
         if user < start || user >= end {
             return true;
         }
@@ -541,6 +543,11 @@ pub fn scan(
     }
     out.truncate(limit);
     (out, intents)
+}
+
+/// Whether `longer` is `key` + 0x00 + anything.
+fn extends_through_zero(longer: &[u8], key: &[u8]) -> bool {
+    longer.strip_prefix(key).is_some_and(|rest| rest.first() == Some(&0))
 }
 
 /// Conflict detected while writing an intent.
@@ -1028,6 +1035,19 @@ mod tests {
         assert_eq!(sample(3), vec![b("k"), b("k\0\x01")]);
         // A span past `k` walks by `k`'s newest versions, which are not its.
         assert!(span_is_empty(&e, b"k\0\x02", end, ts(40)));
+        // Inside the span, `k\0\0`'s versions come first, then `k\0`'s,
+        // then `k`'s: past the limit the walk goes on through the keys an
+        // emitted one extends, and the reply keeps those first by key.
+        let e = engine();
+        for key in [&b"k"[..], b"k\0", b"k\0\0", b"l"] {
+            put_version(&e, key, ts(10), Some(&b("v")));
+        }
+        for limit in 1..=3 {
+            let (pairs, _) = scan(&e, b"k", b"l", ts(20), limit, None);
+            let keys: Vec<Bytes> = pairs.into_iter().map(|(k, _)| k).collect();
+            let want = [b("k"), b("k\0"), b("k\0\0")];
+            assert_eq!(keys, want.get(..limit).unwrap_or_default(), "limit {limit}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crdb_kv::txn::TxnMeta;
 use crdb_kv::Timestamp;
 use crdb_obs::trace::SpanView;
 use crdb_obs::Trace;
-use crdb_sim::{Location, Sim, Topology};
+use crdb_sim::{task, Location, Sim, Topology};
 use crdb_util::time::dur;
 use crdb_util::time::SimTime;
 use crdb_util::{Deadline, NodeId, RegionId, TenantId};
@@ -42,13 +42,30 @@ fn k(t: u64, s: &str) -> Bytes {
     keys::make_key(TenantId(t), s.as_bytes())
 }
 
+/// Sends `batch` through `client` in a task of its own; `cb` gets the reply.
+fn send(client: &KvClient, batch: BatchRequest, cb: impl FnOnce(BatchResponse) + 'static) {
+    let client = client.clone();
+    task::spawn(&client.cluster().sim.clone(), async move { cb(client.send(batch).await) });
+}
+
+/// Writes `key = value` through `client` in a task of its own.
+fn put(
+    client: &KvClient,
+    key: Bytes,
+    value: Bytes,
+    cb: impl FnOnce(Result<(), KvError>) + 'static,
+) {
+    let client = client.clone();
+    task::spawn(&client.cluster().sim.clone(), async move { cb(client.put(key, value).await) });
+}
+
 /// Reads `key` through `client` in a read-only transaction of its own,
 /// begun now.
 fn get(client: &KvClient, key: Bytes, cb: impl FnOnce(Result<Option<Bytes>, KvError>) + 'static) {
     let txn = make_txn_meta(client.cluster(), key.clone());
     let requests = vec![RequestKind::Get { key }];
     let batch = BatchRequest { tenant: client.cert().tenant(), ..txn_batch(&txn, requests) };
-    client.send(batch, move |resp| {
+    send(client, batch, move |resp| {
         cb(match (resp.error, resp.results.as_slice()) {
             (Some(e), _) => Err(e),
             (None, [ResponseKind::Value(v)]) => Ok(v.clone()),
@@ -65,7 +82,7 @@ fn put_get_roundtrip_over_network() {
 
     let g = Rc::clone(&got);
     let c2 = client.clone();
-    client.put(k(2, "hello"), Bytes::from_static(b"world"), move |r| {
+    put(&client, k(2, "hello"), Bytes::from_static(b"world"), move |r| {
         r.expect("put succeeds");
         get(&c2, k(2, "hello"), move |r| {
             *g.borrow_mut() = Some(r.expect("get succeeds"));
@@ -90,15 +107,17 @@ fn put_of_a_key_under_a_pending_intent_conflicts_and_writes_nothing() {
         RequestKind::WriteIntent { key: key.clone(), value: Some(Bytes::from_static(b"theirs")) };
     let laid = Rc::new(RefCell::new(None));
     let l = Rc::clone(&laid);
-    client.send(txn_batch(&pending, vec![intent]), move |resp| *l.borrow_mut() = Some(resp.error));
+    send(&client, txn_batch(&pending, vec![intent]), move |resp| {
+        *l.borrow_mut() = Some(resp.error)
+    });
     sim.run_for(dur::ms(100));
     assert_eq!(*laid.borrow(), Some(None), "the intent is laid");
 
-    let put = Rc::new(RefCell::new(None));
-    let p = Rc::clone(&put);
-    client.put(key.clone(), Bytes::from_static(b"mine"), move |r| *p.borrow_mut() = Some(r));
+    let wrote = Rc::new(RefCell::new(None));
+    let p = Rc::clone(&wrote);
+    put(&client, key.clone(), Bytes::from_static(b"mine"), move |r| *p.borrow_mut() = Some(r));
     sim.run_for(dur::ms(100));
-    assert_eq!(*put.borrow(), Some(Err(KvError::IntentConflict { other_txn: pending.txn_id })));
+    assert_eq!(*wrote.borrow(), Some(Err(KvError::IntentConflict { other_txn: pending.txn_id })));
     let end = Bytes::from([key.as_ref(), &[0x00]].concat());
     for id in cluster.range_of(&key).expect("range").desc.replicas {
         let engine = &cluster.node(id).expect("replica").engine;
@@ -133,7 +152,7 @@ fn scan_spanning_split_ranges() {
     let written = Rc::new(RefCell::new(0u32));
     for i in 0..50u32 {
         let w = Rc::clone(&written);
-        client.put(k(2, &format!("row/{i:04}")), Bytes::from(vec![b'x'; 64]), move |r| {
+        put(&client, k(2, &format!("row/{i:04}")), Bytes::from(vec![b'x'; 64]), move |r| {
             r.expect("put");
             *w.borrow_mut() += 1;
         });
@@ -151,7 +170,7 @@ fn scan_spanning_split_ranges() {
     let g = Rc::clone(&got);
     let scan = RequestKind::Scan { start: k(2, "row/"), end: k(2, "row0"), limit: 1000 };
     let reader = make_txn_meta(&cluster, k(2, "row/"));
-    client.send(txn_batch(&reader, vec![scan]), move |resp| {
+    send(&client, txn_batch(&reader, vec![scan]), move |resp| {
         assert_eq!(resp.error, None);
         match resp.results.into_iter().next() {
             Some(ResponseKind::Pairs(pairs)) => *g.borrow_mut() = Some(pairs),
@@ -173,8 +192,8 @@ fn transactional_commit_is_atomic_and_isolated() {
     let client = client_for(&cluster, TenantId(2));
 
     // Seed two accounts.
-    client.put(k(2, "acct/a"), Bytes::from_static(b"100"), |r| r.unwrap());
-    client.put(k(2, "acct/b"), Bytes::from_static(b"0"), |r| r.unwrap());
+    put(&client, k(2, "acct/a"), Bytes::from_static(b"100"), |r| r.unwrap());
+    put(&client, k(2, "acct/b"), Bytes::from_static(b"0"), |r| r.unwrap());
     sim.run_for(dur::secs(2));
 
     // Transfer: write intents on both keys, then commit, then resolve.
@@ -199,7 +218,7 @@ fn transactional_commit_is_atomic_and_isolated() {
         let client2 = client.clone();
         let txn2 = txn.clone();
         let committed = Rc::clone(&committed);
-        client.send(write, move |resp| {
+        send(&client, write, move |resp| {
             assert!(resp.is_ok(), "intents written: {:?}", resp.error);
             let commit = BatchRequest {
                 tenant: TenantId(2),
@@ -209,7 +228,7 @@ fn transactional_commit_is_atomic_and_isolated() {
             };
             let client3 = client2.clone();
             let txn3 = txn2.clone();
-            client2.send(commit, move |resp| {
+            send(&client2, commit, move |resp| {
                 assert!(resp.is_ok(), "commit: {:?}", resp.error);
                 let resolve = BatchRequest {
                     tenant: TenantId(2),
@@ -227,7 +246,7 @@ fn transactional_commit_is_atomic_and_isolated() {
                     ],
                 };
                 let committed = Rc::clone(&committed);
-                client3.send(resolve, move |resp| {
+                send(&client3, resolve, move |resp| {
                     assert!(resp.is_ok());
                     *committed.borrow_mut() = true;
                 });
@@ -254,7 +273,7 @@ fn transactional_commit_is_atomic_and_isolated() {
 fn aborted_txn_leaves_no_trace() {
     let (sim, cluster) = setup(5);
     let client = client_for(&cluster, TenantId(2));
-    client.put(k(2, "key"), Bytes::from_static(b"original"), |r| r.unwrap());
+    put(&client, k(2, "key"), Bytes::from_static(b"original"), |r| r.unwrap());
     sim.run_for(dur::secs(2));
 
     let txn = make_txn_meta(&cluster, k(2, "key"));
@@ -270,7 +289,7 @@ fn aborted_txn_leaves_no_trace() {
     {
         let client2 = client.clone();
         let txn2 = txn.clone();
-        client.send(write, move |resp| {
+        send(&client, write, move |resp| {
             assert!(resp.is_ok());
             let abort = BatchRequest {
                 tenant: TenantId(2),
@@ -281,7 +300,7 @@ fn aborted_txn_leaves_no_trace() {
                     RequestKind::ResolveIntent { key: k(2, "key"), commit_ts: None },
                 ],
             };
-            client2.send(abort, move |resp| assert!(resp.is_ok()));
+            send(&client2, abort, move |resp| assert!(resp.is_ok()));
         });
     }
     sim.run_for(dur::secs(5));
@@ -308,7 +327,7 @@ fn reader_waits_out_pending_intent_then_sees_commit() {
             value: Some(Bytes::from_static(b"v1")),
         }],
     };
-    client.send(write, |resp| assert!(resp.is_ok()));
+    send(&client, write, |resp| assert!(resp.is_ok()));
     sim.run_for(dur::secs(1));
 
     // A foreign reader at a later timestamp hits the intent and retries;
@@ -328,7 +347,7 @@ fn reader_waits_out_pending_intent_then_sees_commit() {
                 deadline: Deadline::NONE,
                 requests: vec![RequestKind::EndTxn { commit: true }],
             };
-            client2.send(commit, |resp| assert!(resp.is_ok()));
+            send(&client2, commit, |resp| assert!(resp.is_ok()));
         });
     }
     sim.run_for(dur::secs(10));
@@ -351,7 +370,7 @@ fn write_write_conflict_surfaces_as_error() {
             value: Some(Bytes::from_static(b"1")),
         }],
     };
-    client.send(w1, |resp| assert!(resp.is_ok()));
+    send(&client, w1, |resp| assert!(resp.is_ok()));
     sim.run_for(dur::secs(1));
 
     // A second txn tries to write the same key while txn1 is pending: it
@@ -368,7 +387,7 @@ fn write_write_conflict_surfaces_as_error() {
     };
     let outcome = Rc::new(RefCell::new(None));
     let o = Rc::clone(&outcome);
-    client.send(w2, move |resp| *o.borrow_mut() = Some(resp.error));
+    send(&client, w2, move |resp| *o.borrow_mut() = Some(resp.error));
     sim.run_for(dur::secs(30));
     let oc = outcome.borrow().clone();
     match oc {
@@ -381,7 +400,7 @@ fn write_write_conflict_surfaces_as_error() {
 fn lease_transfer_redirects_clients() {
     let (sim, cluster) = setup(8);
     let client = client_for(&cluster, TenantId(2));
-    client.put(k(2, "x"), Bytes::from_static(b"1"), |r| r.unwrap());
+    put(&client, k(2, "x"), Bytes::from_static(b"1"), |r| r.unwrap());
     sim.run_for(dur::secs(2));
 
     // Kill the leaseholder of the tenant's range.
@@ -427,7 +446,7 @@ fn multi_region_write_pays_quorum_latency() {
     let d = Rc::clone(&done_at);
     let s2 = sim.clone();
     let start = sim.now();
-    client.put(k(2, "geo"), Bytes::from_static(b"v"), move |r| {
+    put(&client, k(2, "geo"), Bytes::from_static(b"v"), move |r| {
         r.unwrap();
         *d.borrow_mut() = Some(s2.now().duration_since(start));
     });
@@ -449,10 +468,10 @@ fn admission_keeps_noisy_neighbor_from_starving_victim() {
     // The noisy tenant floods 400 writes; the victim sends 20 point reads
     // spread over the same window.
     for i in 0..400u32 {
-        noisy.put(k(2, &format!("n{i:05}")), Bytes::from(vec![0u8; 256]), |_| {});
+        put(&noisy, k(2, &format!("n{i:05}")), Bytes::from(vec![0u8; 256]), |_| {});
     }
     // Seed the victim's key.
-    victim.put(k(3, "v"), Bytes::from_static(b"ok"), |r| r.unwrap());
+    put(&victim, k(3, "v"), Bytes::from_static(b"ok"), |r| r.unwrap());
     sim.run_for(dur::ms(100));
 
     let latencies = Rc::new(RefCell::new(Vec::new()));
@@ -486,7 +505,7 @@ fn deterministic_replay_same_seed() {
         for i in 0..50u32 {
             let d = Rc::clone(&done);
             let s = sim.clone();
-            client.put(k(2, &format!("d{i}")), Bytes::from_static(b"v"), move |r| {
+            put(&client, k(2, &format!("d{i}")), Bytes::from_static(b"v"), move |r| {
                 r.unwrap();
                 *d.borrow_mut() = s.now();
             });
@@ -503,7 +522,7 @@ fn deterministic_replay_same_seed() {
 fn crash_leaseholder_mid_run_reroutes_within_retry_budget() {
     let (sim, cluster) = setup(13);
     let client = client_for(&cluster, TenantId(2));
-    client.put(k(2, "x"), Bytes::from_static(b"1"), |r| r.unwrap());
+    put(&client, k(2, "x"), Bytes::from_static(b"1"), |r| r.unwrap());
     sim.run_for(dur::secs(2));
 
     // Crash the leaseholder and read *immediately* — no grace period. The
@@ -541,7 +560,7 @@ fn partition_fails_fast_with_typed_unavailable() {
     );
     let cert = cluster.create_tenant(TenantId(2));
     let writer = KvClient::new(cluster.clone(), cert.clone(), Location::new(RegionId(0), 0));
-    writer.put(k(2, "p"), Bytes::from_static(b"v"), |r| r.unwrap());
+    put(&writer, k(2, "p"), Bytes::from_static(b"v"), |r| r.unwrap());
     sim.run_for(dur::secs(3));
 
     // A reader in a region other than the leaseholder's, then a partition
@@ -580,7 +599,7 @@ fn partition_fails_fast_with_typed_unavailable() {
 fn total_outage_exhausts_retries_into_unavailable() {
     let (sim, cluster) = setup(15);
     let client = client_for(&cluster, TenantId(2));
-    client.put(k(2, "x"), Bytes::from_static(b"1"), |r| r.unwrap());
+    put(&client, k(2, "x"), Bytes::from_static(b"1"), |r| r.unwrap());
     sim.run_for(dur::secs(2));
 
     // Kill every node: no lease transfer can rescue the request, so the
@@ -600,7 +619,7 @@ fn total_outage_exhausts_retries_into_unavailable() {
 fn deadline_bounds_outage_and_schedules_no_retry_past_it() {
     let (sim, cluster) = setup(16);
     let client = client_for(&cluster, TenantId(2));
-    client.put(k(2, "x"), Bytes::from_static(b"1"), |r| r.unwrap());
+    put(&client, k(2, "x"), Bytes::from_static(b"1"), |r| r.unwrap());
     sim.run_for(dur::secs(2));
 
     // Same total outage as above, but the batch carries a 2s deadline.
@@ -619,7 +638,7 @@ fn deadline_bounds_outage_and_schedules_no_retry_past_it() {
         ..txn_batch(&make_txn_meta(&cluster, k(2, "x")), vec![RequestKind::Get { key: k(2, "x") }])
     };
     let batch = read(Deadline::at(deadline_at));
-    client.send(batch, move |resp| *g.borrow_mut() = Some((resp.error, s2.now())));
+    send(&client, batch, move |resp| *g.borrow_mut() = Some((resp.error, s2.now())));
     sim.run_for(dur::secs(120));
 
     let (error, finished_at) = got.borrow_mut().take().expect("batch completed");
@@ -636,7 +655,7 @@ fn deadline_bounds_outage_and_schedules_no_retry_past_it() {
     let g2 = Rc::new(RefCell::new(None));
     let g2c = Rc::clone(&g2);
     let expired = read(Deadline::at(sim.now()));
-    client.send(expired, move |resp| *g2c.borrow_mut() = Some(resp.error));
+    send(&client, expired, move |resp| *g2c.borrow_mut() = Some(resp.error));
     assert_eq!(
         *g2.borrow(),
         Some(Some(KvError::DeadlineExceeded)),
@@ -649,7 +668,7 @@ fn deadline_bounds_outage_and_schedules_no_retry_past_it() {
 fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
     let (sim, cluster) = setup(17);
     let client = client_for(&cluster, TenantId(2));
-    client.put(k(2, "x"), Bytes::from_static(b"committed"), |r| r.unwrap());
+    put(&client, k(2, "x"), Bytes::from_static(b"committed"), |r| r.unwrap());
     sim.run_for(dur::secs(2));
 
     // An orphan writes an intent and then its coordinator "dies": no
@@ -664,7 +683,7 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
             value: Some(Bytes::from_static(b"orphaned")),
         }],
     };
-    client.send(write, |resp| assert!(resp.error.is_none(), "{:?}", resp.error));
+    send(&client, write, |resp| assert!(resp.error.is_none(), "{:?}", resp.error));
     sim.run_for(dur::secs(2));
 
     // Within the abandonment window the intent still blocks readers
@@ -708,7 +727,7 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
     let commit = Rc::new(RefCell::new(None));
     {
         let c = Rc::clone(&commit);
-        client.send(end, move |resp| *c.borrow_mut() = Some(resp.error));
+        send(&client, end, move |resp| *c.borrow_mut() = Some(resp.error));
     }
     sim.run_for(dur::secs(5));
     assert_eq!(
@@ -735,7 +754,7 @@ const STATUS_TABLE_FORGOT: std::time::Duration =
 fn send_and_wait(sim: &Sim, client: &KvClient, batch: BatchRequest) -> Option<KvError> {
     let outcome = Rc::new(RefCell::new(None));
     let o = Rc::clone(&outcome);
-    client.send(batch, move |resp| *o.borrow_mut() = Some(resp.error));
+    send(client, batch, move |resp| *o.borrow_mut() = Some(resp.error));
     sim.run_for(dur::secs(2));
     let error = outcome.borrow_mut().take();
     error.expect("batch answered")
@@ -763,7 +782,7 @@ fn get_and_wait(sim: &Sim, client: &KvClient, key: Bytes) -> Result<Option<Bytes
 fn committed_intent_that_outlives_the_status_table_still_reads_committed() {
     let (sim, cluster) = setup(18);
     let client = client_for(&cluster, TenantId(2));
-    client.put(k(2, "x"), Bytes::from_static(b"old"), |r| r.unwrap());
+    put(&client, k(2, "x"), Bytes::from_static(b"old"), |r| r.unwrap());
     sim.run_for(dur::secs(2));
 
     let txn = make_txn_meta(&cluster, k(2, "x"));
@@ -820,7 +839,7 @@ fn read_below_the_gc_horizon_is_refused_not_answered_wrong() {
     let (sim, cluster) = setup(22);
     let client = client_for(&cluster, TenantId(2));
     let put = |value: &'static [u8]| {
-        client.put(k(2, "x"), Bytes::from_static(value), |r| r.unwrap());
+        put(&client, k(2, "x"), Bytes::from_static(value), |r| r.unwrap());
         sim.run_for(dur::secs(1));
     };
     put(b"v1");
@@ -946,7 +965,7 @@ fn split_plus_lease_move_costs_one_redirect_per_half() {
     let client = client_for(&cluster, TenantId(2));
     let keys: Vec<Bytes> = (0..8).map(|i| k(2, &format!("row/{i}"))).collect();
     for key in &keys {
-        client.put(key.clone(), Bytes::from_static(b"v"), |r| r.expect("put"));
+        put(&client, key.clone(), Bytes::from_static(b"v"), |r| r.expect("put"));
     }
     sim.run_for(dur::secs(2));
     let meta_lookups = client.cache_stats().0;
@@ -997,7 +1016,7 @@ fn huge_batch_is_one_rpc_and_does_not_overflow_the_stack() {
         cluster.node_ids().iter().map(|&n| cluster.node(n).unwrap().batches_served.get()).sum();
     let done = Rc::new(RefCell::new(false));
     let d = Rc::clone(&done);
-    client.send(batch, move |resp| {
+    send(&client, batch, move |resp| {
         assert_eq!(resp.results.len(), 50_000, "{:?}", resp.error);
         *d.borrow_mut() = true;
     });
@@ -1029,7 +1048,7 @@ fn timed_put(
     let got = Rc::new(RefCell::new(None));
     let g = Rc::clone(&got);
     let (s2, start) = (sim.clone(), sim.now());
-    client.put(key, Bytes::from_static(b"v"), move |r| {
+    put(client, key, Bytes::from_static(b"v"), move |r| {
         *g.borrow_mut() = Some((r, s2.now().duration_since(start)));
     });
     sim.run_for(dur::secs(wait_secs));
@@ -1160,7 +1179,9 @@ fn a_batch_answers_at_its_first_failing_sub_batch_while_the_rest_still_run() {
     let batch = txn_batch(&make_txn_meta(&cluster, k(2, "tbl/a")), reads);
     let answered = Rc::new(RefCell::new(None));
     let (a, node) = (Rc::clone(&answered), Rc::clone(&spread));
-    client.send(batch, move |resp| *a.borrow_mut() = Some((resp.error, node.batches_served.get())));
+    send(&client, batch, move |resp| {
+        *a.borrow_mut() = Some((resp.error, node.batches_served.get()))
+    });
     let at_answer = answered.borrow_mut().take();
     assert_eq!(at_answer, Some((Some(KvError::Unavailable), served_before)), "answered at once");
     sim.run_for(dur::secs(2));
@@ -1220,7 +1241,7 @@ fn group_commit_amortises_fsyncs_on_the_leaseholder() {
         let (l, s2, c2) = (Rc::clone(&latencies), sim.clone(), client.clone());
         sim.schedule_after(dur::us(25 * i as u64), move || {
             let start = s2.now();
-            c2.put(k(2, &format!("w/{i:04}")), Bytes::from(vec![b'x'; 128]), move |r| {
+            put(&c2, k(2, &format!("w/{i:04}")), Bytes::from(vec![b'x'; 128]), move |r| {
                 r.expect("burst put");
                 l.borrow_mut().push(s2.now().duration_since(start));
             });

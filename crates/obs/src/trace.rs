@@ -8,26 +8,30 @@
 //!
 //! # Propagation rules
 //!
-//! The simulator is single-threaded, and most of it is callback-based, so
-//! context flows through an ambient, thread-local *current-span stack*
-//! rather than through function signatures. Code written as `async fn` on
-//! `crdb_sim::task` (the KV client) is no different: no span is entered
-//! across an `.await`, so a span opened after one names its parent
-//! explicitly (a task-local ambient span waits for the layer that needs it).
-//! In callback code:
+//! The simulator is single-threaded, so context flows through an ambient,
+//! thread-local *current-span stack* rather than through function
+//! signatures:
 //!
 //! 1. A component that does work on behalf of the current request calls
 //!    [`child`] (or [`current`]) — both return a no-op [`MaybeSpan`] when no
 //!    trace is active, so instrumentation costs nothing on untraced paths.
-//! 2. Before scheduling a callback (a sim event, a CPU grant, a network
-//!    hop), capture the context: `let span = trace::current();` — the value
-//!    is moved into the closure.
-//! 3. Inside the callback, re-install it for the duration of the callback:
+//! 2. In `async fn` code (on `crdb_sim::task`: the SQL node, its
+//!    transactions, the KV client), a span covers a future through
+//!    [`within`], which enters it for each poll: it is the current span of
+//!    everything the future does, across its `.await`s, and of nothing
+//!    another task does while it waits. Never hold a [`ScopeGuard`] across
+//!    an `.await` (clippy refuses one). Code that runs after an `.await`
+//!    outside any `within` names its parent explicitly.
+//! 3. In callback code (the proxy, the pool, the KV node), capture the
+//!    context before scheduling a callback (a sim event, a CPU grant, a
+//!    network hop): `let span = trace::current();`, moved into the closure,
+//!    and re-install it inside for the callback's duration:
 //!    `let _g = span.enter();`. Guards are strictly LIFO; hold them in a
 //!    local and let scope end pop them.
 //! 4. End spans explicitly ([`MaybeSpan::end`]) when the logical operation
-//!    completes, which is usually inside a later callback than the one that
-//!    created them. Ending twice is a no-op (the first end wins).
+//!    completes, which is usually after an `.await` or inside a later
+//!    callback than the one that created them. Ending twice is a no-op (the
+//!    first end wins).
 //!
 //! Work whose duration is *modeled* as a single scheduled delay (e.g. the
 //! warm-pool start sequence, which samples each phase and sleeps the sum)
@@ -36,6 +40,8 @@
 //! on. The resulting tree still sums to the measured end-to-end latency.
 
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -278,7 +284,7 @@ impl Span {
     /// guard pops it on drop; guards must be dropped in LIFO order.
     pub fn enter(&self) -> ScopeGuard {
         CURRENT.with(|c| c.borrow_mut().push(self.clone()));
-        ScopeGuard { _not_send: std::marker::PhantomData }
+        ScopeGuard { pushed: true, _not_send: std::marker::PhantomData }
     }
 }
 
@@ -300,17 +306,48 @@ thread_local! {
     static CURRENT: RefCell<Vec<Span>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Pops the ambient stack on drop. See [`Span::enter`].
+/// Pops the ambient stack on drop. See [`Span::enter`]. Held across an
+/// `.await` it would make this span the parent of whatever other tasks
+/// run meanwhile: `clippy.toml` lists it under
+/// `await-holding-invalid-types`, and [`within`] is the way to carry a
+/// span across one.
 pub struct ScopeGuard {
+    /// False for an inert span's guard, which pops nothing.
+    pushed: bool,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.borrow_mut().pop();
-        });
+        if self.pushed {
+            CURRENT.with(|c| {
+                c.borrow_mut().pop();
+            });
+        }
     }
+}
+
+/// Runs `future` with `span` entered for each of its polls: the span is
+/// the ambient parent of whatever the future does, across its `.await`s
+/// (a task-local current span), and of nothing another task does while
+/// it waits. The caller pins the future (`within(&span, pin!(f)).await`),
+/// so it is stored once, in the caller's own state: pinned here, it would
+/// take its size twice there.
+pub async fn within<F: Future>(span: &MaybeSpan, mut future: Pin<&mut F>) -> F::Output {
+    std::future::poll_fn(|cx| {
+        let _g = span.enter();
+        future.as_mut().poll(cx)
+    })
+    .await
+}
+
+#[expect(
+    clippy::await_holding_invalid_type,
+    reason = "proves a scope guard held across an .await is flagged"
+)]
+async fn _scope_held(span: &Span) {
+    let _g = span.enter();
+    std::future::ready(()).await;
 }
 
 /// The ambient current span, or an inert handle if no trace is active.
@@ -374,9 +411,12 @@ impl MaybeSpan {
     }
 
     /// Re-installs this span as the ambient current span for the guard's
-    /// lifetime. Returns `None` (and installs nothing) when inert.
-    pub fn enter(&self) -> Option<ScopeGuard> {
-        self.0.as_ref().map(|s| s.enter())
+    /// lifetime; an inert handle installs nothing.
+    pub fn enter(&self) -> ScopeGuard {
+        match &self.0 {
+            Some(s) => s.enter(),
+            None => ScopeGuard { pushed: false, _not_send: std::marker::PhantomData },
+        }
     }
 }
 
@@ -445,6 +485,35 @@ mod tests {
         assert!(!current().is_active());
         assert!(!child("orphan").is_active());
         assert_eq!(trace.paths(), vec!["req", "req/inner", "req/deeper"]);
+    }
+
+    #[test]
+    fn within_enters_its_span_for_each_poll_and_only_then() {
+        use std::task::{Context, Poll, Waker};
+        let clock = ManualClock::new();
+        let (trace, root) = Trace::start("req", clock.clone());
+        let mut polls = 0;
+        let steps = std::future::poll_fn(|_| {
+            child("step").end();
+            polls += 1;
+            if polls < 2 {
+                Poll::Pending
+            } else {
+                Poll::Ready(())
+            }
+        });
+        let inner = MaybeSpan(Some(root.child("inner")));
+        let steps = std::pin::pin!(steps);
+        let mut future = std::pin::pin!(within(&inner, steps));
+        let cx = &mut Context::from_waker(Waker::noop());
+        assert!(future.as_mut().poll(cx).is_pending());
+        assert!(!current().is_active(), "nothing stays entered while the future waits");
+        assert!(future.as_mut().poll(cx).is_ready());
+        assert_eq!(trace.paths(), ["req", "req/inner", "req/inner/step", "req/inner/step"]);
+        // An inert span's guard pops nothing it did not push.
+        let _outer = root.enter();
+        drop(MaybeSpan::none().enter());
+        assert!(current().is_active());
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //!   transaction record — the commit point — then intents are resolved
 //!   without waiting for the result.
 //!
+//! [`Txn`]'s reads and commit are `async fn`s that run in the statement's
+//! task; intent cleanup and resolution run in a task of their own that
+//! nobody waits for.
+//!
 //! Conflicts surface as retryable errors — the session layer re-runs the
 //! transaction, which is also how the production system behaves under
 //! `RETRY_SERIALIZABLE`. One commit outcome must never be re-run:
@@ -38,6 +42,7 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::pin::pin;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -46,6 +51,7 @@ use crdb_kv::client::{make_txn_meta, KvClient};
 use crdb_kv::keys as kvkeys;
 use crdb_kv::txn::TxnMeta;
 use crdb_obs::trace;
+use crdb_sim::task;
 use crdb_util::Deadline;
 
 use crate::expr::EvalError;
@@ -250,11 +256,7 @@ impl Txn {
     /// Batched point reads at the transaction's snapshot, seeing buffered
     /// writes first: one KV batch of Gets (unprefixed keys); results align
     /// with the input keys.
-    pub fn read_many(
-        &self,
-        keys: Vec<Bytes>,
-        cb: impl FnOnce(Result<Vec<Option<Bytes>>, SqlError>) + 'static,
-    ) {
+    pub async fn read_many(&self, keys: &[Bytes]) -> Result<Vec<Option<Bytes>>, SqlError> {
         // A buffered write answers its key; the misses go to KV.
         let (buffered, misses): (Vec<Option<Option<Bytes>>>, Vec<Bytes>) = {
             let mut inner = self.inner.borrow_mut();
@@ -269,58 +271,48 @@ impl Txn {
             (buffered, misses)
         };
         if misses.is_empty() {
-            cb(Ok(buffered.into_iter().flatten().collect()));
-            return;
+            return Ok(buffered.into_iter().flatten().collect());
         }
         let requests: Vec<RequestKind> =
             misses.iter().map(|key| RequestKind::Get { key: self.prefixed(key) }).collect();
         let sent = requests.len();
         let batch = self.batch(requests);
-        let client = self.inner.borrow().client.clone();
-        let outer = trace::current();
         let span = trace::child("txn.read");
         span.tag("keys", sent);
-        let _g = span.enter();
-        client.send(batch, move |resp| {
-            span.end();
-            let _g = outer.enter();
-            if let Some(e) = resp.error {
-                cb(Err(map_kv_error(e)));
-                return;
-            }
-            let values: Vec<Option<Bytes>> = resp
-                .results
-                .into_iter()
-                .map_while(|r| match r {
-                    ResponseKind::Value(v) => Some(v),
-                    _ => None,
-                })
-                .collect();
-            if values.len() != sent {
-                let got = values.len();
-                cb(Err(SqlError::Malformed(format!("{got} values answer {sent} gets"))));
-                return;
-            }
-            // Each key not buffered takes the next fetched value, in order.
-            let mut fetched = values.into_iter();
-            cb(Ok(buffered.into_iter().map(|b| b.or_else(|| fetched.next()).flatten()).collect()));
-        });
+        let resp = trace::within(&span, pin!(self.client().send(batch))).await;
+        span.end();
+        if let Some(e) = resp.error {
+            return Err(map_kv_error(e));
+        }
+        let values: Vec<Option<Bytes>> = resp
+            .results
+            .into_iter()
+            .map_while(|r| match r {
+                ResponseKind::Value(v) => Some(v),
+                _ => None,
+            })
+            .collect();
+        if values.len() != sent {
+            let got = values.len();
+            return Err(SqlError::Malformed(format!("{got} values answer {sent} gets")));
+        }
+        // Each key not buffered takes the next fetched value, in order.
+        let mut fetched = values.into_iter();
+        Ok(buffered.into_iter().map(|b| b.or_else(|| fetched.next()).flatten()).collect())
     }
 
     /// Scans `[start, end)` (unprefixed), overlaying buffered writes, and
     /// returns up to `limit` pairs.
-    pub fn scan(
+    pub async fn scan(
         &self,
         start: Bytes,
         end: Bytes,
         limit: usize,
-        cb: impl FnOnce(Result<Vec<(Bytes, Bytes)>, SqlError>) + 'static,
-    ) {
+    ) -> Result<Vec<(Bytes, Bytes)>, SqlError> {
         self.inner.borrow_mut().reads.push((start.clone(), end.clone()));
         let tenant = self.tenant();
         let pstart = self.prefixed(&start);
         let pend = self.prefixed(&end);
-        let this = self.clone();
         // Push the limit down to the KV layer. Buffered deletes in the
         // span may knock out returned pairs, so widen the KV limit by the
         // delete count to guarantee `limit` survivors when they exist;
@@ -339,64 +331,50 @@ impl Txn {
         };
         let batch =
             self.batch(vec![RequestKind::Scan { start: pstart, end: pend, limit: kv_limit }]);
-        let client = self.inner.borrow().client.clone();
-        let outer = trace::current();
         let span = trace::child("txn.scan");
-        let _g = span.enter();
-        client.send(batch, move |resp| {
-            span.end();
-            let _g = outer.enter();
-            if let Some(e) = resp.error {
-                cb(Err(map_kv_error(e)));
-                return;
+        let resp = trace::within(&span, pin!(self.client().send(batch))).await;
+        span.end();
+        if let Some(e) = resp.error {
+            return Err(map_kv_error(e));
+        }
+        // The KV keys lose their tenant prefix by slice, in place.
+        let Some(ResponseKind::Pairs(mut pairs)) = resp.results.into_iter().next() else {
+            return Err(SqlError::Malformed("a scan answered no pairs".into()));
+        };
+        pairs.retain_mut(|(k, _)| match kvkeys::strip_prefix(tenant, k) {
+            Some(user) => {
+                *k = user;
+                true
             }
-            // The KV keys lose their tenant prefix by slice, in place.
-            let mut pairs = match resp.results.into_iter().next() {
-                Some(ResponseKind::Pairs(p)) => p,
-                _ => {
-                    cb(Err(SqlError::Malformed("a scan answered no pairs".into())));
-                    return;
-                }
-            };
-            pairs.retain_mut(|(k, _)| match kvkeys::strip_prefix(tenant, k) {
-                Some(user) => {
-                    *k = user;
-                    true
-                }
-                None => false,
-            });
-            let merged = overlay(pairs, this.inner.borrow().writes.range(start..end), limit);
-            cb(Ok(merged));
+            None => false,
         });
+        Ok(overlay(pairs, self.inner.borrow().writes.range(start..end), limit))
     }
 
     /// Commits: in one phase when every span of the transaction lives in
     /// one range, else intents → transaction record → resolution (see the
     /// module docs). Read-only transactions commit locally.
-    pub fn commit(&self, cb: impl FnOnce(Result<(), SqlError>) + 'static) {
+    pub async fn commit(&self) -> Result<(), SqlError> {
         {
             let mut inner = self.inner.borrow_mut();
             if inner.state != TxnState::Pending {
-                cb(Err(SqlError::State("transaction already finished".into())));
-                return;
+                return Err(SqlError::State("transaction already finished".into()));
             }
             if inner.writes.is_empty() {
                 inner.state = TxnState::Committed;
-                drop(inner);
-                cb(Ok(()));
-                return;
+                return Ok(());
             }
         }
-        let (client, mut meta, writes, reads) = {
+        let (mut meta, writes, reads) = {
             let inner = self.inner.borrow();
-            (inner.client.clone(), inner.meta.clone(), inner.writes.clone(), inner.reads.clone())
+            (inner.meta.clone(), inner.writes.clone(), inner.reads.clone())
         };
         let intent_keys: Vec<Bytes> = writes.keys().map(|k| self.prefixed(k)).collect();
         meta.anchor_key = intent_keys.first().cloned().unwrap_or_default();
         // `write_ts` is when the commit was sent: what a leaseholder dates
         // a re-sent copy by, and the staged protocol's commit timestamp. A
         // one-phase commit's timestamp is the leaseholder's to pick.
-        meta.write_ts = client.cluster().now_ts();
+        meta.write_ts = self.client().cluster().now_ts();
         self.inner.borrow_mut().meta = meta.clone();
 
         // Read refreshes first: a commit that cannot happen at the read
@@ -421,31 +399,69 @@ impl Txn {
 
         let mut whole = steps.clone();
         whole.push(RequestKind::EndTxn { commit: true });
-        let this = self.clone();
-        let outer = trace::current();
         let span = trace::child("txn.commit");
         span.tag("intents", intent_keys.len());
-        let end_span = span.child("commit.end_txn");
-        let _g = end_span.enter();
-        client.send(self.batch(whole), move |resp| {
-            end_span.end();
-            let outcome = match resp.error {
-                None => {
-                    span.tag("one_phase", true);
-                    Ok(())
-                }
-                Some(KvError::TxnSpansRanges) => {
-                    this.commit_two_phase(steps, intent_keys, span, outer, cb);
-                    return;
-                }
-                // Validation precedes application in a one-phase commit:
-                // a failure left nothing behind to clean up.
-                Some(e) => Err(map_kv_error(e)),
-            };
-            this.finish_commit(&outcome, &span);
-            let _g = outer.enter();
-            cb(outcome);
-        });
+        let outcome = match self.send_in(&span.child("commit.end_txn"), whole).await {
+            None => {
+                span.tag("one_phase", true);
+                Ok(())
+            }
+            Some(KvError::TxnSpansRanges) => self.commit_staged(steps, &intent_keys, &span).await,
+            // Validation precedes application in a one-phase commit:
+            // a failure left nothing behind to clean up.
+            Some(e) => Err(map_kv_error(e)),
+        };
+        self.inner.borrow_mut().state =
+            if outcome.is_ok() { TxnState::Committed } else { TxnState::Aborted };
+        if outcome.is_err() {
+            span.tag("error", true);
+        }
+        span.end();
+        outcome
+    }
+
+    /// The staged protocol for a transaction whose spans live in several
+    /// ranges: `steps` (refreshes + intents, one RPC per range), then
+    /// `EndTxn` at the anchor range, then intent resolution, not awaited
+    /// (readers that meet an intent first resolve it themselves from the
+    /// transaction record). A failure cleans up whatever intents landed.
+    async fn commit_staged(
+        &self,
+        steps: Vec<RequestKind>,
+        intent_keys: &[Bytes],
+        span: &trace::MaybeSpan,
+    ) -> Result<(), SqlError> {
+        let end_txn = vec![RequestKind::EndTxn { commit: true }];
+        for (name, requests) in [("commit.intents", steps), ("commit.end_txn", end_txn)] {
+            let step = span.child(name);
+            if let Some(e) = self.send_in(&step, requests).await {
+                // Best-effort cleanup of any intents that did land.
+                self.cleanup_intents(intent_keys, None, step);
+                return Err(map_kv_error(e));
+            }
+        }
+        let commit_ts = self.inner.borrow().meta.write_ts;
+        let resolve = span.child("commit.resolve");
+        self.cleanup_intents(intent_keys, Some(commit_ts), resolve.clone());
+        resolve.end();
+        Ok(())
+    }
+
+    /// Sends `requests` as a batch of this transaction under `span`, and
+    /// ends it: the batch's error, if it failed.
+    async fn send_in(
+        &self,
+        span: &trace::MaybeSpan,
+        requests: Vec<RequestKind>,
+    ) -> Option<KvError> {
+        let resp = trace::within(span, pin!(self.client().send(self.batch(requests)))).await;
+        span.end();
+        resp.error
+    }
+
+    /// The KV client this transaction sends through.
+    fn client(&self) -> KvClient {
+        self.inner.borrow().client.clone()
     }
 
     /// A batch of this transaction.
@@ -460,76 +476,14 @@ impl Txn {
         }
     }
 
-    /// Records the commit's outcome in the transaction and its span.
-    fn finish_commit(&self, outcome: &Result<(), SqlError>, span: &trace::MaybeSpan) {
-        self.inner.borrow_mut().state =
-            if outcome.is_ok() { TxnState::Committed } else { TxnState::Aborted };
-        if outcome.is_err() {
-            span.tag("error", true);
-        }
-        span.end();
-    }
-
-    /// The staged protocol for a transaction whose spans live in several
-    /// ranges: `steps` (refreshes + intents, one RPC per range), then
-    /// `EndTxn` at the anchor range, then intent resolution.
-    fn commit_two_phase(
+    /// Resolves the intents on `keys` (aborts them when `commit_ts` is
+    /// `None`) in a task of its own, under `parent`: nobody waits for it.
+    fn cleanup_intents(
         &self,
-        steps: Vec<RequestKind>,
-        intent_keys: Vec<Bytes>,
-        span: trace::MaybeSpan,
-        outer: trace::MaybeSpan,
-        cb: impl FnOnce(Result<(), SqlError>) + 'static,
+        keys: &[Bytes],
+        commit_ts: Option<crdb_kv::Timestamp>,
+        parent: trace::MaybeSpan,
     ) {
-        let client = self.inner.borrow().client.clone();
-        let this = self.clone();
-        let intents_span = span.child("commit.intents");
-        let _g = intents_span.enter();
-        client.clone().send(self.batch(steps), move |resp| {
-            intents_span.end();
-            if let Some(e) = resp.error {
-                // Best-effort cleanup of any intents that did land.
-                this.cleanup_intents(&intent_keys, None);
-                let outcome = Err(map_kv_error(e));
-                this.finish_commit(&outcome, &span);
-                let _g = outer.enter();
-                cb(outcome);
-                return;
-            }
-            let this2 = this.clone();
-            let end_span = span.child("commit.end_txn");
-            let _g = end_span.enter();
-            let end_txn = this.batch(vec![RequestKind::EndTxn { commit: true }]);
-            client.send(end_txn, move |resp| {
-                end_span.end();
-                let outcome = match resp.error {
-                    Some(e) => {
-                        this2.cleanup_intents(&intent_keys, None);
-                        Err(map_kv_error(e))
-                    }
-                    None => {
-                        // Resolve intents without waiting for the result
-                        // (readers that meet one first resolve it
-                        // themselves from the transaction record).
-                        let commit_ts = this2.inner.borrow().meta.write_ts;
-                        let resolve_span = span.child("commit.resolve");
-                        {
-                            let _g = resolve_span.enter();
-                            this2.cleanup_intents(&intent_keys, Some(commit_ts));
-                        }
-                        resolve_span.end();
-                        Ok(())
-                    }
-                };
-                this2.finish_commit(&outcome, &span);
-                let _g = outer.enter();
-                cb(outcome);
-            });
-        });
-    }
-
-    fn cleanup_intents(&self, keys: &[Bytes], commit_ts: Option<crdb_kv::Timestamp>) {
-        let client = self.inner.borrow().client.clone();
         let requests: Vec<RequestKind> =
             keys.iter().map(|k| RequestKind::ResolveIntent { key: k.clone(), commit_ts }).collect();
         if requests.is_empty() {
@@ -540,22 +494,24 @@ impl Txn {
         // deadline, or orphaned intents would block other transactions.
         let mut batch = self.batch(requests);
         batch.deadline = Deadline::NONE;
-        client.send(batch, |_resp| {});
+        let client = self.client();
+        let sim = client.cluster().sim.clone();
+        task::spawn(&sim, async move {
+            drop(trace::within(&parent, pin!(client.send(batch))).await);
+        });
     }
 
     /// Rolls the transaction back, discarding buffered writes.
-    pub fn rollback(&self, cb: impl FnOnce(Result<(), SqlError>) + 'static) {
+    pub fn rollback(&self) -> Result<(), SqlError> {
         let mut inner = self.inner.borrow_mut();
         if inner.state != TxnState::Pending {
-            cb(Err(SqlError::State("transaction already finished".into())));
-            return;
+            return Err(SqlError::State("transaction already finished".into()));
         }
         inner.state = TxnState::Aborted;
         inner.writes.clear();
-        drop(inner);
         // No intents exist before commit (writes are buffered), so local
         // cleanup suffices.
-        cb(Ok(()));
+        Ok(())
     }
 
     /// Whether the transaction is still open.

@@ -1,9 +1,10 @@
 //! The query executor.
 //!
 //! A plan runs as a *pipeline*: a source that owns the KV round trips, a
-//! chain of operators, and a sink. Continuation-passing lives only where
-//! the simulator needs it — a KV `scan` / `read_many` reply. Between two
-//! replies everything is synchronous and row at a time: a pair is decoded
+//! chain of operators, and a sink. The source is an `async fn` that
+//! awaits a KV `scan` / `read_many` reply, and a join awaits its build
+//! sides; between two replies everything is synchronous and row at a
+//! time: a pair is decoded
 //! into one reused row buffer (only the columns some operator above
 //! reads), and pushed through `[Filter] → [Project] → sink` before the
 //! next pair is looked at. Rows pile up only where the operator is its
@@ -84,45 +85,30 @@ pub fn datum_total_cmp(a: &Datum, b: &Datum) -> Ordering {
 }
 
 /// Executes a plan, producing a [`QueryOutput`].
-pub fn execute(
-    txn: &Txn,
-    plan: Plan,
-    params: Vec<Datum>,
-    cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
-) {
-    let stats = Rc::new(RefCell::new(ExecStats::default()));
-    match plan {
+pub async fn execute(txn: &Txn, plan: Plan, params: Vec<Datum>) -> Result<QueryOutput, SqlError> {
+    let cx = Cx { txn: txn.clone(), params: Rc::new(params), stats: Rc::default() };
+    let (columns, rows, rows_affected) = match plan {
         Plan::Query(node) => {
             let columns = node.scope();
-            let cx = Cx { txn: txn.clone(), params: Rc::new(params), stats };
-            let stats = Rc::clone(&cx.stats);
-            run_node(
-                &cx,
-                node,
-                None,
-                Collect::then(move |rows| {
-                    cb(rows.map(|rows| QueryOutput {
-                        columns,
-                        rows_affected: 0,
-                        rows,
-                        stats: *stats.borrow(),
-                    }))
-                }),
-            );
+            (columns, run_node(&cx, node, None, Collect::sink()).await?, 0)
         }
         Plan::Insert { table, rows } => {
-            execute_insert(txn.clone(), table, rows, params, stats, cb);
+            (Vec::new(), Vec::new(), execute_insert(&cx, table, rows).await?)
         }
         Plan::Update { scan, table, sets } => {
-            execute_update(txn.clone(), *scan, table, sets, params, stats, cb);
+            (Vec::new(), Vec::new(), execute_update(&cx, *scan, table, sets).await?)
         }
         Plan::Delete { scan, table } => {
-            execute_delete(txn.clone(), *scan, table, params, stats, cb);
+            (Vec::new(), Vec::new(), execute_delete(&cx, *scan, table).await?)
         }
         other => {
-            cb(Err(SqlError::State(format!("plan {other:?} must be handled by the session layer"))))
+            return Err(SqlError::State(format!(
+                "plan {other:?} must be handled by the session layer"
+            )))
         }
-    }
+    };
+    let stats = *cx.stats.borrow();
+    Ok(QueryOutput { columns, rows, rows_affected, stats })
 }
 
 fn eval_bound(e: &Expr, params: &[Datum]) -> Result<Datum, SqlError> {
@@ -219,7 +205,6 @@ pub fn constraint_span(
 }
 
 /// What every stage of one statement's pipeline shares.
-#[derive(Clone)]
 struct Cx {
     txn: Txn,
     params: Rc<Vec<Datum>>,
@@ -234,13 +219,16 @@ trait Sink {
     /// this operator's own failure on this row, and ends the input.
     fn push(&mut self, row: &mut Row) -> Result<(), SqlError>;
     /// Ends the input — exhausted, or failed with `input`'s error — and
-    /// sees the statement's callback run, now or after the KV round trips
-    /// this operator still has to make.
-    fn finish(self: Box<Self>, input: Result<(), SqlError>);
+    /// returns the rows the pipeline's [`Collect`] holds, or the error
+    /// that stands (module docs).
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) -> Rows;
 }
 
+/// What a pipeline ends with: every row it collected, or its error.
+type Rows = Result<Vec<Row>, SqlError>;
+
 /// Pushes `rows` into `sink` until one fails there, then finishes it.
-fn feed(rows: impl IntoIterator<Item = Row>, mut sink: Box<dyn Sink>) {
+fn feed(rows: impl IntoIterator<Item = Row>, mut sink: Box<dyn Sink>) -> Rows {
     for mut row in rows {
         if let Err(e) = sink.push(&mut row) {
             return sink.finish(Err(e));
@@ -269,7 +257,7 @@ impl Downstream {
         }
     }
 
-    fn finish(self, input: Result<(), SqlError>) {
+    fn finish(self, input: Result<(), SqlError>) -> Rows {
         self.next.finish(input.and(self.failed.map_or(Ok(()), Err)))
     }
 }
@@ -317,10 +305,146 @@ fn also_reading(needed: Needed, e: &Expr) -> Needed {
 }
 
 /// Runs `node`, feeding its rows to `sink`; `needed` is what the sink and
-/// everything behind it read of them.
-fn run_node(cx: &Cx, node: PlanNode, needed: Needed, sink: Box<dyn Sink>) {
+/// everything behind it read of them. Each operator that passes rows on
+/// becomes a sink in front of `sink`, down to the node whose rows it
+/// passes on: a scan, literal rows or a join.
+async fn run_node(
+    cx: &Cx,
+    mut node: PlanNode,
+    mut needed: Needed,
+    mut sink: Box<dyn Sink>,
+) -> Rows {
+    loop {
+        let (input, needs, next): (_, _, Box<dyn Sink>) = match node {
+            PlanNode::Filter { input, predicate } => {
+                let needs = also_reading(needed, &predicate);
+                (input, needs, Filter::before(&cx.params, predicate, sink))
+            }
+            PlanNode::Project { input, exprs, .. } => {
+                let needs = columns_of(&exprs);
+                let params = Rc::clone(&cx.params);
+                let out = Downstream::new(sink);
+                (input, needs, Box::new(Project { exprs, params, row: Row::new(), out }))
+            }
+            PlanNode::Aggregate { input, group, aggs, output_map, .. } => {
+                let needs =
+                    columns_of(group.iter().chain(aggs.iter().filter_map(|(_, e)| e.as_ref())));
+                let aggregate = Aggregate {
+                    group,
+                    aggs,
+                    output_map,
+                    params: Rc::clone(&cx.params),
+                    groups: Vec::new(),
+                    computed: Vec::new(),
+                    out: Downstream::new(sink),
+                };
+                (input, needs, Box::new(aggregate))
+            }
+            PlanNode::Sort { input, keys } => {
+                let needs = needed.map(|mut n| {
+                    keys.iter().for_each(|&(idx, _)| mark_column(&mut n, idx));
+                    n
+                });
+                (
+                    input,
+                    needs,
+                    Box::new(Sort { keys, rows: Vec::new(), out: Downstream::new(sink) }),
+                )
+            }
+            PlanNode::Limit { input, n } => {
+                (input, needed, Box::new(Limit { left: n, out: Downstream::new(sink) }))
+            }
+            source => return run_source(cx, source, needed, sink).await,
+        };
+        (node, needed, sink) = (*input, needs, next);
+    }
+}
+
+/// Runs a node that produces rows of its own (see [`run_node`]).
+async fn run_source(cx: &Cx, node: PlanNode, needed: Needed, sink: Box<dyn Sink>) -> Rows {
     match node {
-        PlanNode::Values { rows, .. } => {
+        PlanNode::Scan { table, index_id, index_cols, constraint, filter, limit, .. } => {
+            let span = match constraint_span(&table, index_id, &constraint, &cx.params) {
+                Ok(s) => s,
+                Err(e) => return sink.finish(Err(e)),
+            };
+            let (needed, sink) = match filter {
+                Some(predicate) => {
+                    (also_reading(needed, &predicate), Filter::before(&cx.params, predicate, sink))
+                }
+                None => (needed, sink),
+            };
+            fetch_span(cx, table, index_id, index_cols.len(), span, limit, needed, sink).await
+        }
+        PlanNode::LookupJoin { input, table, left_key_cols, residual, .. } => {
+            let sink = match residual {
+                Some(predicate) => Filter::before(&cx.params, predicate, sink),
+                None => sink,
+            };
+            // The left rows are the build side; once they are all in, one
+            // KV batch looks up the right table's row for each.
+            let mut out = Downstream::new(sink);
+            let left_rows = match Box::pin(run_node(cx, *input, None, Collect::sink())).await {
+                Ok(rows) => rows,
+                Err(e) => return out.finish(Err(e)),
+            };
+            let keys: Vec<Bytes> = left_rows
+                .iter()
+                .map(|row| {
+                    let pk: Vec<Datum> =
+                        left_key_cols.iter().map(|&i| rowcodec::column(row, i).clone()).collect();
+                    rowcodec::primary_key_from_datums(&table, &pk)
+                })
+                .collect();
+            let mut right = Decoder::new(cx, table, None);
+            let values = match cx.txn.read_many(&keys).await {
+                Ok(v) => v,
+                Err(e) => return out.finish(Err(e)),
+            };
+            for ((mut row, value), key) in left_rows.into_iter().zip(values).zip(keys) {
+                // Inner join: no match, no row.
+                if value.is_some_and(|value| right.decode(&key, &value)) {
+                    row.append(&mut right.row);
+                    out.push(&mut row);
+                }
+            }
+            out.finish(Ok(()))
+        }
+        PlanNode::HashJoin { left, right, left_col, right_col, residual, .. } => {
+            let sink = match residual {
+                Some(predicate) => Filter::before(&cx.params, predicate, sink),
+                None => sink,
+            };
+            let mut out = Downstream::new(sink);
+            // The build sides are collected, left then right; the joined
+            // rows flow on one at a time.
+            let lrows = match Box::pin(run_node(cx, *left, None, Collect::sink())).await {
+                Ok(r) => r,
+                Err(e) => return out.finish(Err(e)),
+            };
+            let rrows = match Box::pin(run_node(cx, *right, None, Collect::sink())).await {
+                Ok(r) => r,
+                Err(e) => return out.finish(Err(e)),
+            };
+            let mut joined = Row::new();
+            for l in &lrows {
+                let Some(lk) = l.get(left_col) else { continue };
+                for r in &rrows {
+                    if r.get(right_col).is_some_and(|rk| lk.sql_eq(rk)) {
+                        joined.clear();
+                        joined.extend(l.iter().chain(r).cloned());
+                        out.push(&mut joined);
+                    }
+                }
+            }
+            out.finish(Ok(()))
+        }
+        // `Values`, and the operators `run_node` turns into sinks, which
+        // never get here.
+        other => {
+            let PlanNode::Values { rows, .. } = other else {
+                return Box::pin(run_node(cx, other, needed, sink)).await;
+            };
             // Every row is evaluated before the first is pushed: this is
             // the operator nearest the data, so its error comes first.
             let mut out = Vec::with_capacity(rows.len());
@@ -334,105 +458,7 @@ fn run_node(cx: &Cx, node: PlanNode, needed: Needed, sink: Box<dyn Sink>) {
                 }
                 out.push(row);
             }
-            feed(out, sink);
-        }
-        PlanNode::Scan { table, index_id, index_cols, constraint, filter, limit, .. } => {
-            let span = match constraint_span(&table, index_id, &constraint, &cx.params) {
-                Ok(s) => s,
-                Err(e) => return sink.finish(Err(e)),
-            };
-            let (needed, sink) = match filter {
-                Some(predicate) => {
-                    (also_reading(needed, &predicate), Filter::before(&cx.params, predicate, sink))
-                }
-                None => (needed, sink),
-            };
-            fetch_span(cx, table, index_id, index_cols.len(), span, limit, needed, sink);
-        }
-        PlanNode::Filter { input, predicate } => {
-            let needed = also_reading(needed, &predicate);
-            run_node(cx, *input, needed, Filter::before(&cx.params, predicate, sink));
-        }
-        PlanNode::Project { input, exprs, .. } => {
-            let needed = columns_of(&exprs);
-            let params = Rc::clone(&cx.params);
-            let out = Downstream::new(sink);
-            run_node(cx, *input, needed, Box::new(Project { exprs, params, row: Row::new(), out }));
-        }
-        PlanNode::LookupJoin { input, table, left_key_cols, residual, .. } => {
-            let sink = match residual {
-                Some(predicate) => Filter::before(&cx.params, predicate, sink),
-                None => sink,
-            };
-            let join = LookupJoin {
-                cx: cx.clone(),
-                table,
-                left_key_cols,
-                left_rows: Vec::new(),
-                out: Downstream::new(sink),
-            };
-            run_node(cx, *input, None, Box::new(join));
-        }
-        PlanNode::HashJoin { left, right, left_col, right_col, residual, .. } => {
-            let sink = match residual {
-                Some(predicate) => Filter::before(&cx.params, predicate, sink),
-                None => sink,
-            };
-            let mut out = Downstream::new(sink);
-            let cx2 = cx.clone();
-            // The build sides are collected, left then right; the joined
-            // rows flow on one at a time.
-            let left_done = move |lrows: Result<Vec<Row>, SqlError>| {
-                let lrows = match lrows {
-                    Ok(r) => r,
-                    Err(e) => return out.finish(Err(e)),
-                };
-                let right_done = move |rrows: Result<Vec<Row>, SqlError>| {
-                    let rrows = match rrows {
-                        Ok(r) => r,
-                        Err(e) => return out.finish(Err(e)),
-                    };
-                    let mut joined = Row::new();
-                    for l in &lrows {
-                        let Some(lk) = l.get(left_col) else { continue };
-                        for r in &rrows {
-                            if r.get(right_col).is_some_and(|rk| lk.sql_eq(rk)) {
-                                joined.clear();
-                                joined.extend(l.iter().chain(r).cloned());
-                                out.push(&mut joined);
-                            }
-                        }
-                    }
-                    out.finish(Ok(()));
-                };
-                run_node(&cx2, *right, None, Collect::then(right_done));
-            };
-            run_node(cx, *left, None, Collect::then(left_done));
-        }
-        PlanNode::Aggregate { input, group, aggs, output_map, .. } => {
-            let needed =
-                columns_of(group.iter().chain(aggs.iter().filter_map(|(_, e)| e.as_ref())));
-            let aggregate = Aggregate {
-                group,
-                aggs,
-                output_map,
-                params: Rc::clone(&cx.params),
-                groups: Vec::new(),
-                computed: Vec::new(),
-                out: Downstream::new(sink),
-            };
-            run_node(cx, *input, needed, Box::new(aggregate));
-        }
-        PlanNode::Sort { input, keys } => {
-            let needed = needed.map(|mut n| {
-                keys.iter().for_each(|&(idx, _)| mark_column(&mut n, idx));
-                n
-            });
-            let sort = Sort { keys, rows: Vec::new(), out: Downstream::new(sink) };
-            run_node(cx, *input, needed, Box::new(sort));
-        }
-        PlanNode::Limit { input, n } => {
-            run_node(cx, *input, needed, Box::new(Limit { left: n, out: Downstream::new(sink) }));
+            feed(out, sink)
         }
     }
 }
@@ -467,7 +493,7 @@ impl Decoder {
         mut self,
         pairs: impl IntoIterator<Item = (K, V)>,
         mut sink: Box<dyn Sink>,
-    ) {
+    ) -> Rows {
         for (key, value) in pairs {
             if self.decode(key.as_ref(), value.as_ref()) {
                 if let Err(e) = sink.push(&mut self.row) {
@@ -489,7 +515,7 @@ impl Decoder {
     clippy::too_many_arguments,
     reason = "one span's whole fetch context; a struct would only rename the arguments"
 )]
-fn fetch_span(
+async fn fetch_span(
     cx: &Cx,
     table: TableDescriptor,
     index_id: u64,
@@ -498,38 +524,31 @@ fn fetch_span(
     limit: Option<u64>,
     needed: Needed,
     sink: Box<dyn Sink>,
-) {
+) -> Rows {
     let (start, end) = span;
     let max_pairs = limit.map_or(usize::MAX, |n| n as usize);
-    let txn = cx.txn.clone();
     let decoder = Decoder::new(cx, table, needed);
+    let pairs = match cx.txn.scan(start, end, max_pairs).await {
+        Ok(pairs) => pairs,
+        Err(e) => return sink.finish(Err(e)),
+    };
     if index_id == PRIMARY_INDEX_ID {
-        cx.txn.scan(start, end, max_pairs, move |pairs| match pairs {
-            Ok(pairs) => decoder.feed(pairs, sink),
-            Err(e) => sink.finish(Err(e)),
-        });
-        return;
+        return decoder.feed(pairs, sink);
     }
-    // Secondary index: scan entries, then batched primary lookups.
-    cx.txn.scan(start, end, max_pairs, move |pairs| {
-        let pairs = match pairs {
-            Ok(p) => p,
-            Err(e) => return sink.finish(Err(e)),
-        };
-        let mut keys = Vec::with_capacity(pairs.len());
-        for (k, _) in &pairs {
-            if let Some(pk) = rowcodec::decode_index_entry(&decoder.table, index_id, n_indexed, k) {
-                keys.push(rowcodec::primary_key_from_datums(&decoder.table, &pk));
-            }
+    // Secondary index: the scanned entries, then batched primary lookups.
+    let mut keys = Vec::with_capacity(pairs.len());
+    for (k, _) in &pairs {
+        if let Some(pk) = rowcodec::decode_index_entry(&decoder.table, index_id, n_indexed, k) {
+            keys.push(rowcodec::primary_key_from_datums(&decoder.table, &pk));
         }
-        txn.read_many(keys.clone(), move |values| match values {
-            Ok(values) => {
-                let found = keys.into_iter().zip(values).filter_map(|(k, v)| Some((k, v?)));
-                decoder.feed(found, sink)
-            }
-            Err(e) => sink.finish(Err(e)),
-        });
-    });
+    }
+    match cx.txn.read_many(&keys).await {
+        Ok(values) => {
+            let found = keys.into_iter().zip(values).filter_map(|(k, v)| Some((k, v?)));
+            decoder.feed(found, sink)
+        }
+        Err(e) => sink.finish(Err(e)),
+    }
 }
 
 /// `WHERE`, a scan's residual filter, a join's residual `ON`.
@@ -554,7 +573,7 @@ impl Sink for Filter {
         Ok(())
     }
 
-    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) -> Rows {
         self.out.finish(input)
     }
 }
@@ -577,7 +596,7 @@ impl Sink for Project {
         Ok(())
     }
 
-    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) -> Rows {
         self.out.finish(input)
     }
 }
@@ -595,7 +614,7 @@ impl Sink for Sort {
         Ok(())
     }
 
-    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) -> Rows {
         let Sort { keys, mut rows, mut out } = *self;
         if input.is_ok() {
             rows.sort_by(|a, b| {
@@ -635,82 +654,32 @@ impl Sink for Limit {
         Ok(())
     }
 
-    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) -> Rows {
         self.out.finish(input)
     }
 }
 
 /// The end of a pipeline: the statement's result, a join's build side,
 /// the rows a DML statement is about to rewrite. All or nothing.
-struct Collect<F> {
+#[derive(Default)]
+struct Collect {
     rows: Vec<Row>,
-    done: F,
 }
 
-impl<F: FnOnce(Result<Vec<Row>, SqlError>) + 'static> Collect<F> {
-    /// A sink that hands everything it collected to `done`.
-    fn then(done: F) -> Box<dyn Sink> {
-        Box::new(Collect { rows: Vec::new(), done })
+impl Collect {
+    fn sink() -> Box<dyn Sink> {
+        Box::<Collect>::default()
     }
 }
 
-impl<F: FnOnce(Result<Vec<Row>, SqlError>)> Sink for Collect<F> {
+impl Sink for Collect {
     fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
         self.rows.push(std::mem::take(row));
         Ok(())
     }
 
-    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
-        let Collect { rows, done } = *self;
-        done(input.map(|()| rows))
-    }
-}
-
-/// Nested lookup join: the left rows are its build side; when they are
-/// all in, one KV batch looks up the right table's row for each.
-struct LookupJoin {
-    cx: Cx,
-    table: TableDescriptor,
-    left_key_cols: Vec<usize>,
-    left_rows: Vec<Row>,
-    out: Downstream,
-}
-
-impl Sink for LookupJoin {
-    fn push(&mut self, row: &mut Row) -> Result<(), SqlError> {
-        self.left_rows.push(std::mem::take(row));
-        Ok(())
-    }
-
-    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
-        let LookupJoin { cx, table, left_key_cols, left_rows, mut out } = *self;
-        if input.is_err() {
-            return out.finish(input);
-        }
-        // Batched point-lookups of the right PK.
-        let keys: Vec<Bytes> = left_rows
-            .iter()
-            .map(|row| {
-                let pk: Vec<Datum> =
-                    left_key_cols.iter().map(|&i| rowcodec::column(row, i).clone()).collect();
-                rowcodec::primary_key_from_datums(&table, &pk)
-            })
-            .collect();
-        let mut right = Decoder::new(&cx, table, None);
-        cx.txn.read_many(keys.clone(), move |values| {
-            let values = match values {
-                Ok(v) => v,
-                Err(e) => return out.finish(Err(e)),
-            };
-            for ((mut row, value), key) in left_rows.into_iter().zip(values).zip(keys) {
-                // Inner join: no match, no row.
-                if value.is_some_and(|value| right.decode(&key, &value)) {
-                    row.append(&mut right.row);
-                    out.push(&mut row);
-                }
-            }
-            out.finish(Ok(()));
-        });
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) -> Rows {
+        input.map(|()| self.rows)
     }
 }
 
@@ -846,7 +815,7 @@ impl Sink for Aggregate {
         Ok(())
     }
 
-    fn finish(self: Box<Self>, input: Result<(), SqlError>) {
+    fn finish(self: Box<Self>, input: Result<(), SqlError>) -> Rows {
         let Aggregate { group, aggs, output_map, mut groups, mut out, .. } = *self;
         if input.is_ok() {
             // Global aggregation over zero rows still yields one output row.
@@ -867,26 +836,19 @@ impl Sink for Aggregate {
     }
 }
 
-fn execute_insert(
-    txn: Txn,
+/// Writes the evaluated rows, unless a primary key is taken: the rows
+/// written.
+async fn execute_insert(
+    cx: &Cx,
     table: TableDescriptor,
     row_exprs: Vec<Vec<Expr>>,
-    params: Vec<Datum>,
-    stats: Rc<RefCell<ExecStats>>,
-    cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
-) {
+) -> Result<u64, SqlError> {
     // Evaluate and validate all rows first.
     let mut rows = Vec::with_capacity(row_exprs.len());
     for exprs in &row_exprs {
         let mut row = Vec::with_capacity(exprs.len());
         for e in exprs {
-            match e.eval(&[], &params) {
-                Ok(d) => row.push(d),
-                Err(e) => {
-                    cb(Err(SqlError::Eval(e)));
-                    return;
-                }
-            }
+            row.push(e.eval(&[], &cx.params).map_err(SqlError::Eval)?);
         }
         // Int literals going into float columns widen.
         for (col, d) in table.columns.iter().zip(row.iter_mut()) {
@@ -896,187 +858,110 @@ fn execute_insert(
                 }
             }
         }
-        if let Err(e) = check_row(&table, &row) {
-            cb(Err(e));
-            return;
-        }
+        check_row(&table, &row)?;
         rows.push(row);
     }
     // Uniqueness check on primary keys.
     let pk_keys: Vec<Bytes> = rows.iter().map(|r| rowcodec::primary_key(&table, r)).collect();
-    let table2 = table.clone();
-    txn.clone().read_many(pk_keys.clone(), move |existing| {
-        let existing = match existing {
-            Ok(v) => v,
-            Err(e) => {
-                cb(Err(e));
-                return;
-            }
-        };
-        if existing.iter().any(|v| v.is_some()) {
-            cb(Err(SqlError::Constraint("duplicate primary key".into())));
-            return;
+    let existing = cx.txn.read_many(&pk_keys).await?;
+    if existing.iter().any(|v| v.is_some()) {
+        return Err(SqlError::Constraint("duplicate primary key".into()));
+    }
+    let mut stats = cx.stats.borrow_mut();
+    for (row, key) in rows.iter().zip(pk_keys) {
+        let value = rowcodec::encode_row_value(&table, row);
+        stats.rows_written += 1;
+        stats.bytes_written += (key.len() + value.len()) as u64;
+        cx.txn.put(key, value);
+        for idx in &table.indexes {
+            let ikey = rowcodec::index_entry_key(&table, idx.id, &idx.columns, row);
+            stats.bytes_written += ikey.len() as u64;
+            cx.txn.put(ikey, Bytes::new());
         }
-        let n = rows.len() as u64;
-        for (row, key) in rows.iter().zip(&pk_keys) {
-            let value = rowcodec::encode_row_value(&table2, row);
-            stats.borrow_mut().rows_written += 1;
-            stats.borrow_mut().bytes_written += (key.len() + value.len()) as u64;
-            txn.put(key.clone(), value);
-            for idx in &table2.indexes {
-                let ikey = rowcodec::index_entry_key(&table2, idx.id, &idx.columns, row);
-                stats.borrow_mut().bytes_written += ikey.len() as u64;
-                txn.put(ikey, Bytes::new());
-            }
-        }
-        cb(Ok(QueryOutput {
-            columns: Vec::new(),
-            rows: Vec::new(),
-            rows_affected: n,
-            stats: *stats.borrow(),
-        }));
-    });
+    }
+    Ok(rows.len() as u64)
 }
 
-fn execute_update(
-    txn: Txn,
+/// Rewrites the rows `scan` finds: the rows updated.
+async fn execute_update(
+    cx: &Cx,
     scan: PlanNode,
     table: TableDescriptor,
     sets: Vec<(usize, Expr)>,
-    params: Vec<Datum>,
-    stats: Rc<RefCell<ExecStats>>,
-    cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
-) {
-    let cx = Cx { txn, params: Rc::new(params), stats };
-    let (txn2, params2, st) = (cx.txn.clone(), Rc::clone(&cx.params), Rc::clone(&cx.stats));
-    run_node(
-        &cx,
-        scan,
-        None,
-        Collect::then(move |rows| {
-            let rows = match rows {
-                Ok(r) => r,
-                Err(e) => {
-                    cb(Err(e));
-                    return;
-                }
-            };
-            // Phase 1: evaluate and validate every row before touching the
-            // write buffer, so an error mid-statement leaves nothing behind.
-            let mut updates: Vec<(Row, Row)> = Vec::with_capacity(rows.len());
-            for old in rows {
-                let mut new = old.clone();
-                for (col, e) in &sets {
-                    match e.eval(&old, &params2) {
-                        Ok(mut d) => {
-                            let float = crate::value::ColumnType::Float;
-                            if table.columns.get(*col).is_some_and(|c| c.ty == float) {
-                                if let Datum::Int(v) = d {
-                                    d = Datum::Float(v as f64);
-                                }
-                            }
-                            if let Some(slot) = new.get_mut(*col) {
-                                *slot = d;
-                            }
-                        }
-                        Err(e) => {
-                            cb(Err(SqlError::Eval(e)));
-                            return;
-                        }
-                    }
-                }
-                if let Err(e) = check_row(&table, &new) {
-                    cb(Err(e));
-                    return;
-                }
-                updates.push((old, new));
-            }
-            // Phase 2: delete all vacated keys, THEN write all new rows.
-            // Interleaving delete+put per row is wrong when the UPDATE
-            // changes the primary key: `SET pk = pk + 1` over pks 1..n
-            // would clobber row k+1's freshly-written value with row k's
-            // delete-then-put sequence.
-            for (old, new) in &updates {
-                let old_key = rowcodec::primary_key(&table, old);
-                let new_key = rowcodec::primary_key(&table, new);
-                if old_key != new_key {
-                    txn2.delete(old_key);
-                }
-                for idx in &table.indexes {
-                    let old_entry = rowcodec::index_entry_key(&table, idx.id, &idx.columns, old);
-                    let new_entry = rowcodec::index_entry_key(&table, idx.id, &idx.columns, new);
-                    if old_entry != new_entry {
-                        txn2.delete(old_entry);
-                    }
+) -> Result<u64, SqlError> {
+    let rows = run_node(cx, scan, None, Collect::sink()).await?;
+    // Phase 1: evaluate and validate every row before touching the
+    // write buffer, so an error mid-statement leaves nothing behind.
+    let mut updates: Vec<(Row, Row)> = Vec::with_capacity(rows.len());
+    for old in rows {
+        let mut new = old.clone();
+        for (col, e) in &sets {
+            let mut d = e.eval(&old, &cx.params).map_err(SqlError::Eval)?;
+            let float = crate::value::ColumnType::Float;
+            if table.columns.get(*col).is_some_and(|c| c.ty == float) {
+                if let Datum::Int(v) = d {
+                    d = Datum::Float(v as f64);
                 }
             }
-            let mut affected = 0u64;
-            for (old, new) in &updates {
-                let new_key = rowcodec::primary_key(&table, new);
-                let value = rowcodec::encode_row_value(&table, new);
-                st.borrow_mut().rows_written += 1;
-                st.borrow_mut().bytes_written += (new_key.len() + value.len()) as u64;
-                txn2.put(new_key, value);
-                for idx in &table.indexes {
-                    let old_entry = rowcodec::index_entry_key(&table, idx.id, &idx.columns, old);
-                    let new_entry = rowcodec::index_entry_key(&table, idx.id, &idx.columns, new);
-                    if old_entry != new_entry {
-                        txn2.put(new_entry, Bytes::new());
-                    }
-                }
-                affected += 1;
+            if let Some(slot) = new.get_mut(*col) {
+                *slot = d;
             }
-            cb(Ok(QueryOutput {
-                columns: Vec::new(),
-                rows: Vec::new(),
-                rows_affected: affected,
-                stats: *st.borrow(),
-            }));
-        }),
-    );
+        }
+        check_row(&table, &new)?;
+        updates.push((old, new));
+    }
+    // Phase 2: delete all vacated keys, THEN write all new rows.
+    // Interleaving delete+put per row is wrong when the UPDATE
+    // changes the primary key: `SET pk = pk + 1` over pks 1..n
+    // would clobber row k+1's freshly-written value with row k's
+    // delete-then-put sequence.
+    let txn = &cx.txn;
+    for (old, new) in &updates {
+        let old_key = rowcodec::primary_key(&table, old);
+        let new_key = rowcodec::primary_key(&table, new);
+        if old_key != new_key {
+            txn.delete(old_key);
+        }
+        for idx in &table.indexes {
+            let old_entry = rowcodec::index_entry_key(&table, idx.id, &idx.columns, old);
+            let new_entry = rowcodec::index_entry_key(&table, idx.id, &idx.columns, new);
+            if old_entry != new_entry {
+                txn.delete(old_entry);
+            }
+        }
+    }
+    let mut stats = cx.stats.borrow_mut();
+    for (old, new) in &updates {
+        let new_key = rowcodec::primary_key(&table, new);
+        let value = rowcodec::encode_row_value(&table, new);
+        stats.rows_written += 1;
+        stats.bytes_written += (new_key.len() + value.len()) as u64;
+        txn.put(new_key, value);
+        for idx in &table.indexes {
+            let old_entry = rowcodec::index_entry_key(&table, idx.id, &idx.columns, old);
+            let new_entry = rowcodec::index_entry_key(&table, idx.id, &idx.columns, new);
+            if old_entry != new_entry {
+                txn.put(new_entry, Bytes::new());
+            }
+        }
+    }
+    Ok(updates.len() as u64)
 }
 
-fn execute_delete(
-    txn: Txn,
-    scan: PlanNode,
-    table: TableDescriptor,
-    params: Vec<Datum>,
-    stats: Rc<RefCell<ExecStats>>,
-    cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
-) {
-    let cx = Cx { txn, params: Rc::new(params), stats };
-    let (txn2, st) = (cx.txn.clone(), Rc::clone(&cx.stats));
-    run_node(
-        &cx,
-        scan,
-        None,
-        Collect::then(move |rows| {
-            let rows = match rows {
-                Ok(r) => r,
-                Err(e) => {
-                    cb(Err(e));
-                    return;
-                }
-            };
-            let mut affected = 0u64;
-            for row in rows {
-                let key = rowcodec::primary_key(&table, &row);
-                st.borrow_mut().rows_written += 1;
-                st.borrow_mut().bytes_written += key.len() as u64;
-                txn2.delete(key);
-                for idx in &table.indexes {
-                    txn2.delete(rowcodec::index_entry_key(&table, idx.id, &idx.columns, &row));
-                }
-                affected += 1;
-            }
-            cb(Ok(QueryOutput {
-                columns: Vec::new(),
-                rows: Vec::new(),
-                rows_affected: affected,
-                stats: *st.borrow(),
-            }));
-        }),
-    );
+/// Deletes the rows `scan` finds: the rows deleted.
+async fn execute_delete(cx: &Cx, scan: PlanNode, table: TableDescriptor) -> Result<u64, SqlError> {
+    let rows = run_node(cx, scan, None, Collect::sink()).await?;
+    let mut stats = cx.stats.borrow_mut();
+    for row in &rows {
+        let key = rowcodec::primary_key(&table, row);
+        stats.rows_written += 1;
+        stats.bytes_written += key.len() as u64;
+        cx.txn.delete(key);
+        for idx in &table.indexes {
+            cx.txn.delete(rowcodec::index_entry_key(&table, idx.id, &idx.columns, row));
+        }
+    }
+    Ok(rows.len() as u64)
 }
 
 #[cfg(test)]
@@ -1134,9 +1019,7 @@ mod tests {
         group: Vec<Expr>,
         aggs: Vec<(AggFunc, Option<Expr>)>,
         output_map: Vec<usize>,
-    ) -> Result<Vec<Row>, SqlError> {
-        let result = Rc::new(RefCell::new(None));
-        let slot = Rc::clone(&result);
+    ) -> Rows {
         let aggregate = Aggregate {
             group,
             aggs,
@@ -1144,11 +1027,9 @@ mod tests {
             params: Rc::new(Vec::new()),
             groups: Vec::new(),
             computed: Vec::new(),
-            out: Downstream::new(Collect::then(move |rows| *slot.borrow_mut() = Some(rows))),
+            out: Downstream::new(Collect::sink()),
         };
-        feed(rows, Box::new(aggregate));
-        let result = result.borrow_mut().take();
-        result.expect("a pipeline over rows in hand finishes at once")
+        feed(rows, Box::new(aggregate))
     }
 
     #[test]
@@ -1185,15 +1066,12 @@ mod tests {
             vec![Datum::Int(1), Datum::Int(1)],
         ];
         let run = |rows: Vec<Row>| {
-            let result = Rc::new(RefCell::new(None));
-            let slot = Rc::clone(&result);
             let params = Rc::new(Vec::new());
-            let collect = Collect::then(move |rows| *slot.borrow_mut() = Some(rows));
             let project = Project {
                 exprs: vec![div(Expr::Literal(Datum::Int(1)), Expr::Column(1))],
                 params: Rc::clone(&params),
                 row: Row::new(),
-                out: Downstream::new(collect),
+                out: Downstream::new(Collect::sink()),
             };
             let predicate = Expr::Bin(
                 crate::expr::BinOp::Gt,
@@ -1201,9 +1079,7 @@ mod tests {
                 Box::new(Expr::Literal(Datum::Int(0))),
             );
             let filter = Filter::before(&params, predicate, Box::new(project));
-            feed(rows, filter);
-            let result = result.borrow_mut().take();
-            result.expect("finished")
+            feed(rows, filter)
         };
         use crate::expr::EvalError;
         assert_eq!(run(rows.clone()), Err(SqlError::Eval(EvalError::TypeMismatch("arith"))));

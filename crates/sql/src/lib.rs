@@ -13,7 +13,7 @@
 //!   joins).
 //! - [`plan`], [`exec`] — cost-based logical planning (span extraction
 //!   from predicates, statistics-driven index selection, lookup joins,
-//!   LIMIT pushdown) and a callback-driven executor over the KV client.
+//!   LIMIT pushdown) and an executor over the KV client.
 //! - [`stats`] — per-table statistics collected by `ANALYZE` and
 //!   persisted in the tenant keyspace for the cost model.
 //! - [`coord`] — the transaction coordinator: buffered writes,
@@ -29,6 +29,11 @@
 //!   connect → system reads → instance registration), query execution,
 //!   and CPU accounting, including the marshalling rows pay to cross the
 //!   SQL/KV process boundary (§6.1).
+//!
+//! Below [`node`]'s public entry points everything is `async fn` on the
+//! simulator's clock (`crdb_sim::task`): a statement, or a node's cold
+//! start, is one task, and the KV batches it sends run inside it. The
+//! entry points keep their callbacks for the proxy and the pool.
 
 #![warn(missing_docs)]
 #![cfg_attr(

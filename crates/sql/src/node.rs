@@ -29,13 +29,16 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::pin::pin;
 use std::rc::Rc;
+use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crdb_kv::batch::KvError;
 use crdb_kv::client::KvClient;
 use crdb_obs::trace;
 use crdb_sim::cpu::CpuScheduler;
+use crdb_sim::task::{self, Completion};
 use crdb_sim::{Location, Sim};
 use crdb_util::time::{dur, SimTime};
 use crdb_util::{Deadline, RegionId, RetryPolicy, SqlInstanceId, TenantId};
@@ -255,58 +258,52 @@ impl SqlNode {
     pub fn start(self: &Rc<Self>, system_db: &SystemDatabase, on_ready: impl FnOnce() + 'static) {
         assert_eq!(self.state.get(), NodeState::Created, "start() on fresh nodes only");
         self.state.set(NodeState::Starting);
-        let started_at = self.sim.now();
         let topology = self.client.cluster().topology();
-
         // Total modeled latency of the blocking system-table accesses.
         let sys_latency = system_db.cold_start_latency(&topology, self.config.location);
-        let region = self.config.location.region;
-        let partitioned = system_db.instance_partitions().contains(&region);
+        let partitioned = system_db.instance_partitions().contains(&self.config.location.region);
+        let node = Rc::clone(self);
+        task::spawn(&self.sim, async move {
+            node.cold_start(sys_latency, partitioned).await;
+            on_ready();
+        });
+    }
 
+    /// The cold-start sequence [`SqlNode::start`] runs.
+    async fn cold_start(self: &Rc<Self>, sys_latency: Duration, partitioned: bool) {
+        let started_at = self.sim.now();
         let span = trace::child("sql.node.start");
         span.tag("instance", self.instance_id);
         span.tag("tenant", self.tenant);
         let init_span = span.child("process.init");
-        let node = Rc::clone(self);
-        self.cpu.submit(self.tenant, STARTUP_CPU, move || {
-            init_span.end();
-            let sys_span = span.child("systemdb.access");
-            let node2 = Rc::clone(&node);
-            node.sim.schedule_after(sys_latency, move || {
-                sys_span.end();
-                // Real catalog load: scan persisted descriptors (a load
-                // that fails is not fatal, see `load_catalog`).
-                let catalog_span = span.child("catalog.load");
-                let node3 = Rc::clone(&node2);
-                let span2 = span.clone();
-                let _scope = catalog_span.enter();
-                node2.load_catalog({
-                    let catalog_span = catalog_span.clone();
-                    move |_| {
-                        catalog_span.end();
-                        // Register this instance for DistSQL discovery.
-                        let reg_span = span2.child("instance.register");
-                        reg_span.tag("region", region.raw());
-                        reg_span.tag("placement", if partitioned { "pinned" } else { "spread" });
-                        let node4 = Rc::clone(&node3);
-                        let _scope = reg_span.enter();
-                        node3.register_instance(partitioned, {
-                            let reg_span = reg_span.clone();
-                            move || {
-                                reg_span.end();
-                                span2.end();
-                                node4.state.set(NodeState::Ready);
-                                node4
-                                    .cold_start
-                                    .set(Some(node4.sim.now().duration_since(started_at)));
-                                node4.start_background_loop();
-                                on_ready();
-                            }
-                        });
-                    }
-                });
-            });
-        });
+        self.run_on_cpu(STARTUP_CPU).await;
+        init_span.end();
+        let sys_span = span.child("systemdb.access");
+        task::sleep(&self.sim, sys_latency).await;
+        sys_span.end();
+        // Real catalog load: scan persisted descriptors (a load that fails
+        // is not fatal, see `load_catalog`).
+        let catalog_span = span.child("catalog.load");
+        drop(trace::within(&catalog_span, pin!(self.load_catalog())).await);
+        catalog_span.end();
+        // Register this instance for DistSQL discovery.
+        let reg_span = span.child("instance.register");
+        reg_span.tag("region", self.config.location.region.raw());
+        reg_span.tag("placement", if partitioned { "pinned" } else { "spread" });
+        drop(trace::within(&reg_span, pin!(self.register_instance(partitioned))).await);
+        reg_span.end();
+        span.end();
+        self.state.set(NodeState::Ready);
+        self.cold_start.set(Some(self.sim.now().duration_since(started_at)));
+        self.start_background_loop();
+    }
+
+    /// Runs `cpu_seconds` of work on the node's CPU.
+    async fn run_on_cpu(&self, cpu_seconds: f64) {
+        let done = Completion::default();
+        let fill = done.clone();
+        self.cpu.submit(self.tenant, cpu_seconds, move || fill.fill(()));
+        done.await
     }
 
     /// Background CPU burn while the node runs (§6.2's idle 0.15 CPU-s/s):
@@ -328,44 +325,31 @@ impl SqlNode {
     /// Loads the persisted table descriptors and statistics (which feed
     /// the cost-based planner) from one snapshot: one read-only
     /// transaction scans `desc/`, then `tstat/`. Only when both reads
-    /// succeed is anything installed; otherwise `cb` gets the failed
-    /// read's error and the catalog is as it was. A refresh on
+    /// succeed is anything installed; otherwise the failed read's error
+    /// is returned and the catalog is as it was. A refresh on
     /// `UnknownTable` fails its statement with that error. A cold start
     /// ignores it: the node becomes Ready, and its first statement that
     /// meets `UnknownTable` refreshes again.
-    fn load_catalog(self: &Rc<Self>, cb: impl FnOnce(Result<(), SqlError>) + 'static) {
-        let node = Rc::clone(self);
-        let txn = Txn::begin(&self.client);
-        let snapshot = txn.clone();
+    async fn load_catalog(&self) -> Result<(), SqlError> {
+        let snapshot = Txn::begin(&self.client);
         let (desc_start, desc_end) = (Bytes::from_static(b"desc/"), Bytes::from_static(b"desc0"));
-        txn.scan(desc_start, desc_end, usize::MAX, move |descs| {
-            let descs = match descs {
-                Ok(pairs) => pairs,
-                Err(e) => return cb(Err(e)),
-            };
-            let (start, end) = (rowcodec::stats_span_start(), rowcodec::stats_span_end());
-            snapshot.scan(start, end, usize::MAX, move |stats| {
-                let stats = match stats {
-                    Ok(pairs) => pairs,
-                    Err(e) => return cb(Err(e)),
-                };
-                let mut catalog = node.catalog.borrow_mut();
-                for desc in descs.iter().filter_map(|(_, v)| TableDescriptor::decode(v)) {
-                    catalog.install(desc);
-                }
-                for stats in stats.iter().filter_map(|(_, v)| TableStatistics::decode(v)) {
-                    catalog.install_stats(stats);
-                }
-                drop(catalog);
-                cb(Ok(()));
-            });
-        });
+        let descs = snapshot.scan(desc_start, desc_end, usize::MAX).await?;
+        let (start, end) = (rowcodec::stats_span_start(), rowcodec::stats_span_end());
+        let stats = snapshot.scan(start, end, usize::MAX).await?;
+        let mut catalog = self.catalog.borrow_mut();
+        for desc in descs.iter().filter_map(|(_, v)| TableDescriptor::decode(v)) {
+            catalog.install(desc);
+        }
+        for stats in stats.iter().filter_map(|(_, v)| TableStatistics::decode(v)) {
+            catalog.install_stats(stats);
+        }
+        Ok(())
     }
 
     /// Writes this node's `system.sql_instances` row — into its own
     /// region's partition when the table is `partitioned` there (see the
     /// module docs for the two layouts).
-    fn register_instance(self: &Rc<Self>, partitioned: bool, cb: impl FnOnce() + 'static) {
+    async fn register_instance(&self, partitioned: bool) -> Result<(), KvError> {
         let mut key = BytesMut::new();
         if partitioned {
             key.put_slice(&instance_partition_start(self.config.location.region));
@@ -377,11 +361,8 @@ impl SqlNode {
         let mut value = BytesMut::new();
         value.put_u64(self.config.location.region.raw());
         value.put_u32(self.config.location.zone);
-        self.client.put(
-            crdb_kv::keys::make_key(self.tenant, &key.freeze()),
-            value.freeze(),
-            move |_| cb(),
-        );
+        let key = crdb_kv::keys::make_key(self.tenant, &key.freeze());
+        self.client.put(key, value.freeze()).await
     }
 
     /// Opens a session for `user`; returns its ID.
@@ -458,7 +439,8 @@ impl SqlNode {
     /// carries `deadline`, and no statement-level retry is scheduled past
     /// it. This is how the proxy's per-statement deadline propagates into
     /// the SQL layer. Internal maintenance work (catalog refresh, index
-    /// backfill, intent cleanup) stays unbounded.
+    /// backfill, intent cleanup) stays unbounded. The statement runs as a
+    /// task of its own; `cb` gets its result.
     pub fn execute_with_deadline(
         self: &Rc<Self>,
         session: u64,
@@ -481,196 +463,123 @@ impl SqlNode {
         let span = trace::child("sql.execute");
         span.tag("session", session);
         span.tag("tenant", self.tenant);
-        let cb = {
-            let span = span.clone();
-            move |r: Result<QueryOutput, SqlError>| {
-                if r.is_err() {
-                    span.tag("error", true);
-                }
-                span.end();
-                cb(r);
+        let node = Rc::clone(self);
+        task::spawn(&self.sim, async move {
+            let run = pin!(node.execute_statement(session, stmt, params, deadline));
+            let result = trace::within(&span, run).await;
+            if result.is_err() {
+                span.tag("error", true);
             }
-        };
-        let _scope = span.enter();
-        self.execute_statement(session, stmt, params, deadline, 0, Box::new(cb));
+            span.end();
+            cb(result);
+        });
     }
 
-    fn execute_statement(
+    /// Runs one statement. One that meets `UnknownTable` refreshes the
+    /// catalog and runs again, and an autocommit query or DML statement
+    /// that fails retryably runs again at a new timestamp after a short
+    /// backoff — unless the budget is spent (the error stands) or the
+    /// retry would land past the caller's deadline.
+    async fn execute_statement(
         self: &Rc<Self>,
         session: u64,
         stmt: Statement,
         params: Vec<crate::value::Datum>,
         deadline: Deadline,
-        attempt: u32,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        self.queries_executed.set(self.queries_executed.get() + 1);
-        // Transaction control first.
-        match &stmt {
-            Statement::Begin => {
-                let mut sessions = self.sessions.borrow_mut();
-                let s = match sessions.get_mut(&session) {
-                    Some(s) => s,
-                    None => {
-                        cb(Err(SqlError::State("no such session".into())));
-                        return;
+    ) -> Result<QueryOutput, SqlError> {
+        let mut attempt = 0;
+        loop {
+            self.queries_executed.set(self.queries_executed.get() + 1);
+            // Transaction control first.
+            match &stmt {
+                Statement::Begin => return self.begin(session, deadline),
+                Statement::Commit | Statement::Rollback => {
+                    let taken =
+                        self.sessions.borrow_mut().get_mut(&session).and_then(|s| s.txn.take());
+                    let txn = taken.ok_or_else(|| SqlError::State("no transaction open".into()))?;
+                    match stmt {
+                        Statement::Commit => txn.commit().await?,
+                        _ => txn.rollback()?,
                     }
-                };
-                if s.txn.as_ref().is_some_and(|t| t.is_pending()) {
-                    drop(sessions);
-                    cb(Err(SqlError::State("transaction already open".into())));
-                    return;
+                    return Ok(QueryOutput::default());
                 }
-                s.txn = Some(Txn::begin_with_deadline(&self.client, deadline));
-                // Release the borrow before the callback: it may issue the
-                // next statement synchronously.
-                drop(sessions);
-                cb(Ok(QueryOutput::default()));
-                return;
+                _ => {}
             }
-            Statement::Commit | Statement::Rollback => {
-                let txn = {
-                    let mut sessions = self.sessions.borrow_mut();
-                    match sessions.get_mut(&session).and_then(|s| s.txn.take()) {
-                        Some(t) => t,
-                        None => {
-                            cb(Err(SqlError::State("no transaction open".into())));
-                            return;
-                        }
-                    }
-                };
-                let finish = move |r: Result<(), SqlError>| match r {
-                    Ok(()) => cb(Ok(QueryOutput::default())),
-                    Err(e) => cb(Err(e)),
-                };
-                if matches!(stmt, Statement::Commit) {
-                    txn.commit(finish);
-                } else {
-                    txn.rollback(finish);
+            let planned = plan_statement(&mut self.catalog.borrow_mut(), &stmt);
+            let plan = match planned {
+                Ok(p) => p,
+                Err(SqlError::UnknownTable(_)) if attempt == 0 => {
+                    // The table may have been created by another SQL node
+                    // since this node loaded its catalog: refresh the
+                    // descriptors (the analogue of a descriptor-lease
+                    // refresh) and plan again. A refresh that fails
+                    // reports why: planning against the catalog it could
+                    // not update would blame the table.
+                    self.load_catalog().await?;
+                    attempt = 1;
+                    continue;
                 }
-                return;
+                Err(e) => return Err(e),
+            };
+            // DDL runs autocommit against the catalog + descriptor storage.
+            let query = match plan {
+                Plan::CreateTable(desc) => {
+                    let key = crdb_kv::keys::make_key(self.tenant, &desc_key(desc.id));
+                    self.client.put(key, desc.encode()).await.map_err(SqlError::Kv)?;
+                    self.catalog.borrow_mut().install(desc);
+                    return Ok(QueryOutput::default());
+                }
+                Plan::CreateIndex { table, index } => {
+                    return self.backfill_index(table, index).await
+                }
+                Plan::DropTable(desc) => return self.drop_table(desc).await,
+                Plan::Analyze(desc) => return self.analyze_table(desc).await,
+                Plan::Explain { lines } => {
+                    // EXPLAIN never executes: it renders the chosen plan
+                    // tree with estimated costs, one row per line.
+                    let rows = lines.into_iter().map(|l| vec![crate::value::Datum::Str(l)]);
+                    let columns = vec!["plan".to_string()];
+                    return Ok(QueryOutput { columns, rows: rows.collect(), ..Default::default() });
+                }
+                query => query,
+            };
+            let open = self.sessions.borrow().get(&session).and_then(|s| s.txn.clone());
+            let (txn, autocommit) = match open {
+                Some(t) if t.is_pending() => (t, false),
+                _ => (Txn::begin_with_deadline(&self.client, deadline), true),
+            };
+            let outcome = match execute(&txn, query, params.clone()).await {
+                Ok(output) if autocommit => txn.commit().await.map(|()| output),
+                outcome => outcome,
+            };
+            let e = match outcome {
+                Ok(output) => return Ok(self.charge_cpu(output).await),
+                Err(e) if autocommit && e.is_retryable() => e,
+                Err(e) => return Err(e),
+            };
+            let Some(backoff) = autocommit_retry_policy().delay(attempt) else { return Err(e) };
+            if !deadline.allows(self.sim.now(), backoff) {
+                return Err(SqlError::Kv(KvError::DeadlineExceeded));
             }
-            _ => {}
-        }
-
-        // Bind the planning result before matching: a `match` on the
-        // expression directly would keep the catalog `RefMut` temporary
-        // alive through the arms, and the `UnknownTable` arm can re-enter
-        // `execute_statement` synchronously (a fail-fast catalog refresh
-        // during a partition), which needs the catalog borrow again.
-        let planned = plan_statement(&mut self.catalog.borrow_mut(), &stmt);
-        let plan = match planned {
-            Ok(p) => p,
-            Err(SqlError::UnknownTable(_)) if attempt == 0 => {
-                // The table may have been created by another SQL node since
-                // this node loaded its catalog: refresh the descriptors
-                // (the analogue of a descriptor-lease refresh) and retry.
-                // A refresh that fails reports why: planning against the
-                // catalog it could not update would blame the table.
-                let node = Rc::clone(self);
-                self.load_catalog(move |loaded| match loaded {
-                    Ok(()) => node.execute_statement(session, stmt, params, deadline, 1, cb),
-                    Err(e) => cb(Err(e)),
-                });
-                return;
-            }
-            Err(e) => {
-                cb(Err(e));
-                return;
-            }
-        };
-
-        // DDL runs autocommit against the catalog + descriptor storage.
-        match plan {
-            Plan::CreateTable(desc) => {
-                let desc2 = desc.clone();
-                self.persist_descriptor(
-                    &desc,
-                    Box::new({
-                        let node = Rc::clone(self);
-                        move |r| match r {
-                            Ok(()) => {
-                                node.catalog.borrow_mut().install(desc2);
-                                cb(Ok(QueryOutput::default()));
-                            }
-                            Err(e) => cb(Err(e)),
-                        }
-                    }),
-                );
-            }
-            Plan::CreateIndex { table, index } => {
-                self.backfill_index(table, index, cb);
-            }
-            Plan::DropTable(desc) => {
-                self.drop_table(desc, cb);
-            }
-            Plan::Analyze(desc) => {
-                self.analyze_table(desc, cb);
-            }
-            Plan::Explain { lines } => {
-                // EXPLAIN never executes: it renders the chosen plan tree
-                // with estimated costs, one row per line.
-                let rows: Vec<Vec<crate::value::Datum>> =
-                    lines.into_iter().map(|l| vec![crate::value::Datum::Str(l)]).collect();
-                cb(Ok(QueryOutput {
-                    columns: vec!["plan".to_string()],
-                    rows,
-                    ..Default::default()
-                }));
-            }
-            other => {
-                // Query / DML.
-                let (txn, autocommit) = {
-                    let sessions = self.sessions.borrow();
-                    match sessions.get(&session).and_then(|s| s.txn.clone()) {
-                        Some(t) if t.is_pending() => (t, false),
-                        _ => (Txn::begin_with_deadline(&self.client, deadline), true),
-                    }
-                };
-                // Retries the whole autocommit statement at a new timestamp
-                // after a short backoff — unless the budget is spent (the
-                // error stands) or the retry would land past the caller's
-                // deadline.
-                let retry = {
-                    let node = Rc::clone(self);
-                    let params = params.clone();
-                    move |e: SqlError, cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>| {
-                        let Some(backoff) = autocommit_retry_policy().delay(attempt) else {
-                            return cb(Err(e));
-                        };
-                        if !deadline.allows(node.sim.now(), backoff) {
-                            return cb(Err(SqlError::Kv(KvError::DeadlineExceeded)));
-                        }
-                        let ambient = trace::current();
-                        let sim = node.sim.clone();
-                        sim.schedule_after(backoff, move || {
-                            let _g = ambient.enter();
-                            node.execute_statement(session, stmt, params, deadline, attempt + 1, cb)
-                        });
-                    }
-                };
-                let node = Rc::clone(self);
-                let txn_for_cb = txn.clone();
-                execute(&txn, other, params, move |result| match result {
-                    Err(e) if autocommit && e.is_retryable() => retry(e, cb),
-                    Err(e) => cb(Err(e)),
-                    Ok(output) if autocommit => txn_for_cb.commit(move |r| match r {
-                        Err(e) if e.is_retryable() => retry(e, cb),
-                        Err(e) => cb(Err(e)),
-                        Ok(()) => node.finish_with_cpu(output, cb),
-                    }),
-                    Ok(output) => node.finish_with_cpu(output, cb),
-                });
-            }
+            task::sleep(&self.sim, backoff).await;
+            attempt += 1;
         }
     }
 
-    /// Charges SQL-layer CPU for a completed statement, then responds.
-    fn finish_with_cpu(
-        self: &Rc<Self>,
-        output: QueryOutput,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
+    /// `BEGIN`: opens the session's transaction.
+    fn begin(&self, session: u64, deadline: Deadline) -> Result<QueryOutput, SqlError> {
+        let mut sessions = self.sessions.borrow_mut();
+        let s = sessions.get_mut(&session).ok_or(SqlError::State("no such session".into()))?;
+        if s.txn.as_ref().is_some_and(|t| t.is_pending()) {
+            return Err(SqlError::State("transaction already open".into()));
+        }
+        s.txn = Some(Txn::begin_with_deadline(&self.client, deadline));
+        Ok(QueryOutput::default())
+    }
+
+    /// Charges SQL-layer CPU for a completed statement; its output once
+    /// the CPU has done the work.
+    async fn charge_cpu(&self, output: QueryOutput) -> QueryOutput {
         let stats = output.stats;
         let mut cost = self.config.cpu_per_statement
             + stats.rows_read as f64 * self.config.cpu_per_row
@@ -681,102 +590,50 @@ impl SqlNode {
         cost += stats.bytes_read as f64 * self.config.cpu_marshal_per_byte
             + stats.rows_read as f64 * self.config.cpu_marshal_per_row;
         let span = trace::child("sql.cpu");
-        self.cpu.submit(self.tenant, cost, move || {
-            span.end();
-            cb(Ok(output))
-        });
+        self.run_on_cpu(cost).await;
+        span.end();
+        output
     }
 
-    fn persist_descriptor(
+    /// `CREATE INDEX`: scans the whole primary index and writes its
+    /// entries and the new descriptor in one transaction, so the index is
+    /// listed exactly when its entries exist.
+    async fn backfill_index(
         &self,
-        desc: &TableDescriptor,
-        cb: Box<dyn FnOnce(Result<(), SqlError>)>,
-    ) {
-        self.client.put(
-            crdb_kv::keys::make_key(self.tenant, &desc_key(desc.id)),
-            desc.encode(),
-            move |r| cb(r.map_err(SqlError::Kv)),
-        );
-    }
-
-    fn backfill_index(
-        self: &Rc<Self>,
         table: TableDescriptor,
         index: crate::schema::IndexDescriptor,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        // Scan the whole primary index and write its entries and the new
-        // descriptor in one transaction: the index is listed exactly when
-        // its entries exist.
+    ) -> Result<QueryOutput, SqlError> {
         let txn = Txn::begin(&self.client);
         let start = rowcodec::index_prefix(table.id, crate::schema::PRIMARY_INDEX_ID).freeze();
         let end = rowcodec::index_prefix_end(table.id, crate::schema::PRIMARY_INDEX_ID);
-        let node = Rc::clone(self);
-        let txn2 = txn.clone();
-        txn.scan(start, end, usize::MAX, move |pairs| {
-            let pairs = match pairs {
-                Ok(p) => p,
-                Err(e) => {
-                    cb(Err(e));
-                    return;
-                }
-            };
-            let mut n = 0u64;
-            for (k, v) in pairs {
-                if let Some(row) = rowcodec::decode_row(&table, &k, &v) {
-                    txn2.put(
-                        rowcodec::index_entry_key(&table, index.id, &index.columns, &row),
-                        Bytes::new(),
-                    );
-                    n += 1;
-                }
+        let mut n = 0u64;
+        for (k, v) in txn.scan(start, end, usize::MAX).await? {
+            if let Some(row) = rowcodec::decode_row(&table, &k, &v) {
+                let entry = rowcodec::index_entry_key(&table, index.id, &index.columns, &row);
+                txn.put(entry, Bytes::new());
+                n += 1;
             }
-            txn2.put(desc_key(table.id), table.encode());
-            txn2.commit(move |r| match r {
-                Err(e) => cb(Err(e)),
-                Ok(()) => {
-                    node.catalog.borrow_mut().install(table);
-                    cb(Ok(QueryOutput { rows_affected: n, ..Default::default() }));
-                }
-            });
-        });
+        }
+        txn.put(desc_key(table.id), table.encode());
+        txn.commit().await?;
+        self.catalog.borrow_mut().install(table);
+        Ok(QueryOutput { rows_affected: n, ..Default::default() })
     }
 
-    fn drop_table(
-        self: &Rc<Self>,
-        desc: TableDescriptor,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        // Delete every key of the table (all indexes), then the descriptor.
+    /// `DROP TABLE`: deletes every key of the table (all indexes), its
+    /// descriptor and its statistics in one transaction.
+    async fn drop_table(&self, desc: TableDescriptor) -> Result<QueryOutput, SqlError> {
         let txn = Txn::begin(&self.client);
         let start = rowcodec::index_prefix(desc.id, 0).freeze();
         let end = rowcodec::index_prefix_end(desc.id, u32::MAX as u64);
-        let node = Rc::clone(self);
-        let txn2 = txn.clone();
-        txn.scan(start, end, usize::MAX, move |pairs| {
-            let pairs = match pairs {
-                Ok(p) => p,
-                Err(e) => {
-                    cb(Err(e));
-                    return;
-                }
-            };
-            for (k, _) in pairs {
-                txn2.delete(k);
-            }
-            txn2.delete(desc_key(desc.id));
-            // Any persisted statistics go with the table.
-            txn2.delete(rowcodec::stats_key(desc.id));
-            let name = desc.name.clone();
-            let node2 = Rc::clone(&node);
-            txn2.commit(move |r| match r {
-                Err(e) => cb(Err(e)),
-                Ok(()) => {
-                    node2.catalog.borrow_mut().remove(&name);
-                    cb(Ok(QueryOutput::default()));
-                }
-            });
-        });
+        for (k, _) in txn.scan(start, end, usize::MAX).await? {
+            txn.delete(k);
+        }
+        txn.delete(desc_key(desc.id));
+        txn.delete(rowcodec::stats_key(desc.id));
+        txn.commit().await?;
+        self.catalog.borrow_mut().remove(&desc.name);
+        Ok(QueryOutput::default())
     }
 
     /// `ANALYZE <table>`: streams the primary index in chunks through one
@@ -785,14 +642,10 @@ impl SqlNode {
     /// distinct-prefix counts. Then persists the result under
     /// `tstat/<table_id>` and installs it in the catalog for the
     /// cost-based planner.
-    fn analyze_table(
-        self: &Rc<Self>,
-        table: TableDescriptor,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        let start = rowcodec::index_prefix(table.id, crate::schema::PRIMARY_INDEX_ID).freeze();
+    async fn analyze_table(&self, table: TableDescriptor) -> Result<QueryOutput, SqlError> {
+        let mut start = rowcodec::index_prefix(table.id, crate::schema::PRIMARY_INDEX_ID).freeze();
         let end = rowcodec::index_prefix_end(table.id, crate::schema::PRIMARY_INDEX_ID);
-        let acc = Rc::new(RefCell::new(AnalyzeAcc {
+        let mut acc = AnalyzeAcc {
             row_count: 0,
             key_bytes: 0,
             value_bytes: 0,
@@ -800,102 +653,74 @@ impl SqlNode {
             last_key: None,
             distinct: BTreeMap::new(),
             row: Vec::new(),
-        }));
-        self.analyze_chunk(Txn::begin(&self.client), table, start, end, acc, cb);
-    }
-
-    /// One ANALYZE scan chunk of `snapshot`; recurses until the span is
-    /// exhausted.
-    fn analyze_chunk(
-        self: &Rc<Self>,
-        snapshot: Txn,
-        table: TableDescriptor,
-        start: Bytes,
-        end: Bytes,
-        acc: Rc<RefCell<AnalyzeAcc>>,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        let node = Rc::clone(self);
-        let txn = snapshot.clone();
-        snapshot.scan(start, end.clone(), ANALYZE_CHUNK, move |pairs| {
-            let pairs = match pairs {
-                Ok(p) => p,
-                Err(e) => {
-                    cb(Err(e));
-                    return;
+        };
+        // Only secondary-index columns are decoded: their prefixes are
+        // re-encoded below, the primary's are cut from the key.
+        let mut indexed = vec![false; table.columns.len()];
+        for &c in table.indexes.iter().flat_map(|idx| &idx.columns) {
+            if let Some(slot) = indexed.get_mut(c) {
+                *slot = true;
+            }
+        }
+        let snapshot = Txn::begin(&self.client);
+        loop {
+            let pairs = snapshot.scan(start, end.clone(), ANALYZE_CHUNK).await?;
+            let a = &mut acc;
+            for (k, v) in &pairs {
+                if !rowcodec::decode_row_into(&table, k, v, Some(&indexed), &mut a.row) {
+                    continue;
                 }
-            };
-            let done = pairs.len() < ANALYZE_CHUNK;
-            let mut next_start = None;
-            {
-                let mut a = acc.borrow_mut();
-                let a = &mut *a;
-                // Only secondary-index columns are decoded: their prefixes
-                // are re-encoded below, the primary's are cut from the key.
-                let mut indexed = vec![false; table.columns.len()];
-                for &c in table.indexes.iter().flat_map(|idx| &idx.columns) {
-                    if let Some(slot) = indexed.get_mut(c) {
-                        *slot = true;
+                a.row_count += 1;
+                a.key_bytes += k.len() as u64;
+                a.value_bytes += v.len() as u64;
+                let prefix_ends = rowcodec::primary_key_prefix_ends(&table, k);
+                for (runs, end) in a.primary_runs.iter_mut().zip(prefix_ends) {
+                    let prefix = k.get(..end);
+                    if a.last_key.as_ref().is_none_or(|last| last.get(..end) != prefix) {
+                        *runs += 1;
                     }
                 }
-                for (k, v) in &pairs {
-                    if !rowcodec::decode_row_into(&table, k, v, Some(&indexed), &mut a.row) {
-                        continue;
+                a.last_key = Some(k.clone());
+                for idx in &table.indexes {
+                    for plen in 1..=idx.columns.len() {
+                        let datums: Vec<crate::value::Datum> = idx
+                            .columns
+                            .iter()
+                            .take(plen)
+                            .map(|&c| rowcodec::column(&a.row, c).clone())
+                            .collect();
+                        let prefix = rowcodec::key_with_prefix(&table, idx.id, &datums);
+                        a.distinct.entry((idx.id, plen as u64)).or_default().insert(prefix);
                     }
-                    a.row_count += 1;
-                    a.key_bytes += k.len() as u64;
-                    a.value_bytes += v.len() as u64;
-                    let prefix_ends = rowcodec::primary_key_prefix_ends(&table, k);
-                    for (runs, end) in a.primary_runs.iter_mut().zip(prefix_ends) {
-                        let prefix = k.get(..end);
-                        if a.last_key.as_ref().is_none_or(|last| last.get(..end) != prefix) {
-                            *runs += 1;
-                        }
-                    }
-                    a.last_key = Some(k.clone());
-                    for idx in &table.indexes {
-                        for plen in 1..=idx.columns.len() {
-                            let datums: Vec<crate::value::Datum> = idx
-                                .columns
-                                .iter()
-                                .take(plen)
-                                .map(|&c| rowcodec::column(&a.row, c).clone())
-                                .collect();
-                            let prefix = rowcodec::key_with_prefix(&table, idx.id, &datums);
-                            a.distinct.entry((idx.id, plen as u64)).or_default().insert(prefix);
-                        }
-                    }
-                }
-                if let Some((k, _)) = pairs.last() {
-                    // Resume strictly after the last key seen.
-                    let mut nk = BytesMut::with_capacity(k.len() + 1);
-                    nk.put_slice(k);
-                    nk.put_u8(0);
-                    next_start = Some(nk.freeze());
                 }
             }
-            match next_start {
-                Some(ns) if !done => node.analyze_chunk(txn, table, ns, end, acc, cb),
-                _ => node.finish_analyze(table, acc, cb),
+            match pairs.last() {
+                // Resume strictly after the last key seen.
+                Some((k, _)) if pairs.len() >= ANALYZE_CHUNK => {
+                    let mut next = BytesMut::with_capacity(k.len() + 1);
+                    next.put_slice(k);
+                    next.put_u8(0);
+                    start = next.freeze();
+                }
+                _ => break,
             }
-        });
+        }
+        self.finish_analyze(table, acc).await
     }
 
     /// Builds, persists and installs the statistics once the scan is done.
-    fn finish_analyze(
-        self: &Rc<Self>,
+    async fn finish_analyze(
+        &self,
         table: TableDescriptor,
-        acc: Rc<RefCell<AnalyzeAcc>>,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        let a = acc.borrow();
+        a: AnalyzeAcc,
+    ) -> Result<QueryOutput, SqlError> {
         let row_count = a.row_count;
         // (index, plen) keys iterate in plen order per index, so pushing
         // yields distinct counts indexed by prefix length - 1. An empty
         // table has no entry for any index, the primary included.
         let mut distinct_prefixes: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         if row_count > 0 {
-            distinct_prefixes.insert(crate::schema::PRIMARY_INDEX_ID, a.primary_runs.clone());
+            distinct_prefixes.insert(crate::schema::PRIMARY_INDEX_ID, a.primary_runs);
         }
         for ((index_id, _plen), set) in a.distinct.iter() {
             distinct_prefixes.entry(*index_id).or_default().push(set.len() as u64);
@@ -908,20 +733,10 @@ impl SqlNode {
             distinct_prefixes,
             created_at_nanos: self.sim.now().as_nanos(),
         };
-        drop(a);
-        let node = Rc::clone(self);
-        let stats2 = stats.clone();
-        self.client.put(
-            crdb_kv::keys::make_key(self.tenant, &rowcodec::stats_key(table.id)),
-            Bytes::from(stats.encode()),
-            move |r| match r {
-                Err(e) => cb(Err(SqlError::Kv(e))),
-                Ok(()) => {
-                    node.catalog.borrow_mut().install_stats(stats2);
-                    cb(Ok(QueryOutput { rows_affected: row_count, ..Default::default() }));
-                }
-            },
-        );
+        let key = crdb_kv::keys::make_key(self.tenant, &rowcodec::stats_key(table.id));
+        self.client.put(key, Bytes::from(stats.encode())).await.map_err(SqlError::Kv)?;
+        self.catalog.borrow_mut().install_stats(stats);
+        Ok(QueryOutput { rows_affected: row_count, ..Default::default() })
     }
 
     /// Serializes an idle session for migration (§4.2.4).

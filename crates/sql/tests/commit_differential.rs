@@ -34,7 +34,7 @@ use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
 use crdb_kv::client::{make_txn_meta, KvClient};
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::{keys, mvcc, timing, Timestamp};
-use crdb_sim::{Location, Sim, Topology};
+use crdb_sim::{task, Location, Sim, Topology};
 use crdb_sql::coord::{SqlError, Txn};
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::{SqlNode, SqlNodeConfig};
@@ -106,7 +106,7 @@ fn setup(seed: u64, topology: Topology, client_at: Location) -> (Sim, KvCluster,
     for i in 0..COUNTERS {
         txn.put(ctr(i), val(0));
     }
-    txn.commit(|r| r.expect("load"));
+    task::spawn(&sim, async move { txn.commit().await.expect("load") });
     sim.run_for(dur::secs(2));
     // Collected history is evidence lost: a version a follower never got
     // looks, once a newer one covers it, like one its GC took. Nothing
@@ -197,12 +197,19 @@ impl Worker {
             let b = (a + rng.gen_range(1..ACCOUNTS)) % ACCOUNTS;
             (rng.gen_range(0..kinds), a, b, rng.gen_range(1..20i64))
         };
-        match kind {
-            0..=3 => self.increment(a % COUNTERS),
-            4..=8 => self.transfer(a, b, amount),
-            9 => self.audit(),
-            _ => self.insert(Bytes::from(format!("ins/{}-{:03}", self.id, self.budget.get()))),
-        }
+        let this = Rc::clone(self);
+        task::spawn(&self.sim, async move {
+            match kind {
+                0..=3 => this.increment(a % COUNTERS).await,
+                4..=8 => this.transfer(a, b, amount).await,
+                9 => this.audit().await,
+                _ => {
+                    this.insert(Bytes::from(format!("ins/{}-{:03}", this.id, this.budget.get())))
+                        .await
+                }
+            }
+            this.done();
+        });
     }
 
     fn done(self: &Rc<Self>) {
@@ -214,80 +221,58 @@ impl Worker {
     }
 
     /// `ctr = ctr + 1`, retried until it commits or may have.
-    fn increment(self: &Rc<Self>, c: usize) {
-        let txn = Txn::begin(&self.client);
-        let this = Rc::clone(self);
-        let txn2 = txn.clone();
-        txn.read_many(vec![ctr(c)], move |r| {
-            let Ok(v) = r else { return this.increment(c) };
-            txn2.put(ctr(c), val(num(&v[0]) + 1));
-            let this2 = Rc::clone(&this);
-            txn2.commit(move |r| {
-                let acked = match r {
-                    Ok(()) => true,
-                    Err(e) if ambiguous(&e, "increment") => false,
-                    Err(_) => return this2.increment(c),
-                };
-                let t = &this2.tally;
-                t.increments.borrow_mut().entry(c).or_default().count(acked);
-                t.one_range.count(acked);
-                this2.done();
-            });
-        });
+    async fn increment(&self, c: usize) {
+        let acked = loop {
+            let txn = Txn::begin(&self.client);
+            let Ok(v) = txn.read_many(&[ctr(c)]).await else { continue };
+            txn.put(ctr(c), val(num(&v[0]) + 1));
+            match txn.commit().await {
+                Ok(()) => break true,
+                Err(e) if ambiguous(&e, "increment") => break false,
+                Err(_) => continue,
+            }
+        };
+        let t = &self.tally;
+        t.increments.borrow_mut().entry(c).or_default().count(acked);
+        t.one_range.count(acked);
     }
 
     /// Moves `amount` from account `a` to account `b`, retried until it
     /// commits or may have.
-    fn transfer(self: &Rc<Self>, a: usize, b: usize, amount: i64) {
+    async fn transfer(&self, a: usize, b: usize, amount: i64) {
         let one_range = self.same_range(&acct(a), &acct(b));
-        let txn = Txn::begin(&self.client);
-        let this = Rc::clone(self);
-        let txn2 = txn.clone();
-        txn.read_many(vec![acct(a), acct(b)], move |r| {
-            let Ok(vs) = r else { return this.transfer(a, b, amount) };
-            txn2.put(acct(a), val(num(&vs[0]) - amount));
-            txn2.put(acct(b), val(num(&vs[1]) + amount));
-            let this2 = Rc::clone(&this);
-            txn2.commit(move |r| {
-                let t = &this2.tally;
-                let acked = match r {
-                    Ok(()) => true,
-                    Err(e) if ambiguous(&e, "transfer") => false,
-                    Err(_) => {
-                        if !one_range {
-                            t.aborted_cross_range.set(t.aborted_cross_range.get() + 1);
-                        }
-                        return this2.transfer(a, b, amount);
-                    }
-                };
-                (if one_range { &t.one_range } else { &t.cross_range }).count(acked);
-                this2.done();
-            });
-        });
+        let t = &self.tally;
+        let acked = loop {
+            let txn = Txn::begin(&self.client);
+            let Ok(vs) = txn.read_many(&[acct(a), acct(b)]).await else { continue };
+            txn.put(acct(a), val(num(&vs[0]) - amount));
+            txn.put(acct(b), val(num(&vs[1]) + amount));
+            match txn.commit().await {
+                Ok(()) => break true,
+                Err(e) if ambiguous(&e, "transfer") => break false,
+                Err(_) if !one_range => {
+                    t.aborted_cross_range.set(t.aborted_cross_range.get() + 1);
+                }
+                Err(_) => {}
+            }
+        };
+        (if one_range { &t.one_range } else { &t.cross_range }).count(acked);
     }
 
     /// Reads every account in one snapshot: a reader must never see half
     /// of a transfer, whichever protocol committed it.
-    fn audit(self: &Rc<Self>) {
-        let txn = Txn::begin(&self.client);
-        let this = Rc::clone(self);
-        txn.scan(
-            Bytes::from_static(b"acct/"),
-            Bytes::from_static(b"acct0"),
-            usize::MAX,
-            move |r| {
-                let Ok(rows) = r else { return this.audit() };
-                assert_eq!(rows.len(), ACCOUNTS);
-                let sum: i64 = rows.iter().map(|(_, v)| num(&Some(v.clone()))).sum();
-                assert_eq!(
-                    sum,
-                    ACCOUNTS as i64 * OPENING_BALANCE,
-                    "a snapshot saw a partial commit"
-                );
-                this.tally.audits.set(this.tally.audits.get() + 1);
-                this.done();
-            },
-        );
+    async fn audit(&self) {
+        let rows = loop {
+            let txn = Txn::begin(&self.client);
+            let (start, end) = (Bytes::from_static(b"acct/"), Bytes::from_static(b"acct0"));
+            if let Ok(rows) = txn.scan(start, end, usize::MAX).await {
+                break rows;
+            }
+        };
+        assert_eq!(rows.len(), ACCOUNTS);
+        let sum: i64 = rows.iter().map(|(_, v)| num(&Some(v.clone()))).sum();
+        assert_eq!(sum, ACCOUNTS as i64 * OPENING_BALANCE, "a snapshot saw a partial commit");
+        self.tally.audits.set(self.tally.audits.get() + 1);
     }
 
     /// Scans the insert span and adds row `key` holding how many rows the
@@ -296,27 +281,22 @@ impl Worker {
     /// snapshot of the span holds exactly the numbers below its size: a
     /// scan that missed a row committed before it — a row that landed
     /// beneath the scan — shows up as a number taken twice.
-    fn insert(self: &Rc<Self>, key: Bytes) {
-        let txn = Txn::begin(&self.client);
-        let this = Rc::clone(self);
-        let txn2 = txn.clone();
+    async fn insert(&self, key: Bytes) {
         let (start, end) = INSERTED;
-        txn.scan(Bytes::from_static(start), Bytes::from_static(end), usize::MAX, move |r| {
-            let Ok(rows) = r else { return this.insert(key) };
+        let acked = loop {
+            let txn = Txn::begin(&self.client);
+            let scan = txn.scan(Bytes::from_static(start), Bytes::from_static(end), usize::MAX);
+            let Ok(rows) = scan.await else { continue };
             assert_serial(&rows);
-            txn2.put(key.clone(), val(rows.len() as i64));
-            let this2 = Rc::clone(&this);
-            txn2.commit(move |r| {
-                let acked = match r {
-                    Ok(()) => true,
-                    Err(e) if ambiguous(&e, "insert") => false,
-                    Err(_) => return this2.insert(key),
-                };
-                this2.tally.inserts.count(acked);
-                this2.tally.one_range.count(acked);
-                this2.done();
-            });
-        });
+            txn.put(key.clone(), val(rows.len() as i64));
+            match txn.commit().await {
+                Ok(()) => break true,
+                Err(e) if ambiguous(&e, "insert") => break false,
+                Err(_) => continue,
+            }
+        };
+        self.tally.inserts.count(acked);
+        self.tally.one_range.count(acked);
     }
 }
 
@@ -389,8 +369,11 @@ fn flap_replies(sim: &Sim, cluster: &KvCluster, to: RegionId, seed: u64, on: &Rc
 fn read_now(sim: &Sim, client: &KvClient, key: &Bytes) -> i64 {
     let out = Rc::new(RefCell::new(None));
     let o = Rc::clone(&out);
-    let read = move |r: Result<Vec<_>, _>| *o.borrow_mut() = Some(r.expect("read"));
-    Txn::begin(client).read_many(vec![key.clone()], read);
+    let (txn, key) = (Txn::begin(client), key.clone());
+    task::spawn(
+        sim,
+        async move { *o.borrow_mut() = Some(txn.read_many(&[key]).await.expect("read")) },
+    );
     sim.run_for(dur::secs(5));
     let v = out.borrow_mut().take().expect("read finished");
     num(&v[0])
@@ -401,8 +384,10 @@ fn scan_now(sim: &Sim, client: &KvClient, (start, end): (&[u8], &[u8])) -> Vec<(
     let out = Rc::new(RefCell::new(None));
     let o = Rc::clone(&out);
     let (start, end) = (Bytes::copy_from_slice(start), Bytes::copy_from_slice(end));
-    let scan = move |r: Result<Vec<_>, _>| *o.borrow_mut() = Some(r.expect("scan"));
-    Txn::begin(client).scan(start, end, usize::MAX, scan);
+    let txn = Txn::begin(client);
+    task::spawn(sim, async move {
+        *o.borrow_mut() = Some(txn.scan(start, end, usize::MAX).await.expect("scan"));
+    });
     sim.run_for(dur::secs(5));
     let rows = out.borrow_mut().take();
     rows.expect("scan finished")
@@ -584,12 +569,13 @@ fn aborted_multi_range_commit_cleans_up_its_intents() {
     let b = Txn::begin(&clients[1]);
     let b_read = Rc::new(Cell::new(false));
     let flag = Rc::clone(&b_read);
-    b.read_many(vec![left.clone()], move |r| flag.set(r.is_ok()));
+    let (reader, read) = (b.clone(), left.clone());
+    task::spawn(&sim, async move { flag.set(reader.read_many(&[read]).await.is_ok()) });
     sim.run_for(dur::secs(1));
     assert!(b_read.get());
     let a = Txn::begin(&clients[0]);
     a.put(left.clone(), val(1));
-    a.commit(|r| r.expect("a commits"));
+    task::spawn(&sim, async move { a.commit().await.expect("a commits") });
     sim.run_for(dur::secs(1));
 
     let two_phase = cluster.degrade().commits_two_phase.get();
@@ -597,7 +583,7 @@ fn aborted_multi_range_commit_cleans_up_its_intents() {
     b.put(right.clone(), val(2));
     let outcome = Rc::new(RefCell::new(None));
     let o = Rc::clone(&outcome);
-    b.commit(move |r| *o.borrow_mut() = Some(r));
+    task::spawn(&sim, async move { *o.borrow_mut() = Some(b.commit().await) });
     sim.run_for(dur::secs(5));
     assert_eq!(*outcome.borrow(), Some(Err(SqlError::Retry("write too old".into()))));
     assert_eq!(cluster.degrade().commits_two_phase.get(), two_phase, "nothing committed");
@@ -628,12 +614,14 @@ struct LostReply {
 fn commit_and_lose_the_reply(seed: u64, keys: &[Bytes], outage: std::time::Duration) -> LostReply {
     let run = LostReply::new(seed, keys);
     let txn = Txn::begin(&run.clients[0]);
-    let (txn2, keys2, run2) = (txn.clone(), keys.to_vec(), run.clone());
-    txn.read_many(keys.to_vec(), move |r| {
-        for (key, v) in keys2.into_iter().zip(r.expect("read")) {
-            txn2.put(key, val(num(&v) + 1));
+    let (keys, run2) = (keys.to_vec(), run.clone());
+    task::spawn(&run.sim, async move {
+        let read = txn.read_many(&keys).await.expect("read");
+        for (key, v) in keys.into_iter().zip(read) {
+            txn.put(key, val(num(&v) + 1));
         }
-        txn2.commit(run2.sent(outage));
+        let acked = run2.sent(outage);
+        acked(txn.commit().await);
     });
     run.lost()
 }
@@ -644,7 +632,8 @@ fn put_and_lose_the_reply(seed: u64, key: &Bytes, outage: std::time::Duration) -
     let run = LostReply::new(seed, std::slice::from_ref(key));
     let acked = run.sent(outage);
     let value = val(run.before[0] + 1);
-    run.clients[0].put(keys::make_key(TENANT, key), value, move |r| acked(r.map_err(SqlError::Kv)));
+    let (client, key) = (run.clients[0].clone(), keys::make_key(TENANT, key));
+    task::spawn(&run.sim, async move { acked(client.put(key, value).await.map_err(SqlError::Kv)) });
     run.lost()
 }
 
@@ -880,7 +869,7 @@ fn batch_addressed_across_a_range_boundary_is_rejected_whole() {
     let txn = Txn::begin(&clients[0]);
     txn.put(left.clone(), val(-1));
     txn.put(right.clone(), val(-1));
-    txn.commit(|r| r.expect("the staged commit"));
+    task::spawn(&sim, async move { txn.commit().await.expect("the staged commit") });
     sim.run_for(dur::secs(1));
     assert_eq!(read_now(&sim, &clients[0], &left), -1);
     assert_eq!(read_now(&sim, &clients[0], &right), -1);

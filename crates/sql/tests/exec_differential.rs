@@ -23,7 +23,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
-use crdb_sim::{Location, Sim, Topology};
+use crdb_sim::{task, Location, Sim, Topology};
 use crdb_sql::coord::Txn;
 use crdb_sql::exec::{self, ExecStats, QueryOutput};
 use crdb_sql::node::{SqlNode, SqlNodeConfig};
@@ -94,7 +94,10 @@ impl Harness {
         let slot = Rc::new(RefCell::new(None));
         let s = Rc::clone(&slot);
         let (start, end) = (Bytes::from_static(b"tbl/"), Bytes::from_static(b"tbl0"));
-        Txn::begin(&self.client).scan(start, end, usize::MAX, move |r| *s.borrow_mut() = Some(r));
+        let txn = Txn::begin(&self.client);
+        task::spawn(&self.sim, async move {
+            *s.borrow_mut() = Some(txn.scan(start, end, usize::MAX).await);
+        });
         let pairs = wait_for(&self.sim, &slot, "scan of every table").expect("scan");
         pairs.into_iter().collect()
     }
@@ -107,7 +110,10 @@ impl Harness {
         let want = model.execute(&plan, params);
         let slot = Rc::new(RefCell::new(None));
         let s = Rc::clone(&slot);
-        exec::execute(txn, plan, params.to_vec(), move |r| *s.borrow_mut() = Some(r));
+        let (txn, params) = (txn.clone(), params.to_vec());
+        task::spawn(&self.sim, async move {
+            *s.borrow_mut() = Some(exec::execute(&txn, plan, params).await);
+        });
         let got = wait_for(&self.sim, &slot, sql);
         match (&got, &want) {
             (Ok(got), Ok(want)) => {
@@ -353,7 +359,8 @@ fn streaming_executor_matches_the_materialising_model() {
 
         let done = Rc::new(RefCell::new(None));
         let d = Rc::clone(&done);
-        txn.commit(move |r| *d.borrow_mut() = Some(r));
+        let committing = txn.clone();
+        task::spawn(&h.sim, async move { *d.borrow_mut() = Some(committing.commit().await) });
         wait_for(&h.sim, &done, "commit").expect("nothing else writes: the commit goes through");
         assert_eq!(h.stored(), model.after_commit(), "seed {seed}: what the commit left in KV");
         seen.extend(h.seen.take());

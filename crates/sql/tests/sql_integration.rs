@@ -432,3 +432,40 @@ fn sql_cpu_charged_per_statement() {
     let after = f.node.sql_cpu_seconds();
     assert!(after > before, "SQL CPU consumed: {before} -> {after}");
 }
+
+/// Runs `sql` and steps the simulator only until it answers: the number
+/// of events the statement took.
+fn events_of(f: &Fixture, sql: &str) -> u64 {
+    let out = Rc::new(RefCell::new(None));
+    let o = Rc::clone(&out);
+    let before = f.sim.events_executed();
+    f.node.execute(f.session, sql, vec![], move |r| *o.borrow_mut() = Some(r));
+    let answered = || out.borrow().is_some();
+    while !answered() && f.sim.step() {}
+    let r = out.borrow_mut().take();
+    r.unwrap_or_else(|| panic!("{sql}: did not complete")).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let took = f.sim.events_executed() - before;
+    // What the statement left running (replication, a WAL sync) settles
+    // outside the next statement's count.
+    f.sim.run_for(dur::secs(1));
+    took
+}
+
+/// Pins the simulator events one statement takes on a ready single-range
+/// node. A poll of a woken task is no event of its own: a wake polls its
+/// task inline, so an executor that scheduled each poll would add one
+/// event per wake to every count here.
+#[test]
+fn each_statement_takes_a_fixed_number_of_events() {
+    let f = setup(17);
+    exec(&f, "CREATE TABLE kv (id INT PRIMARY KEY, v INT)");
+    exec(&f, "INSERT INTO kv VALUES (1, 10), (2, 20)");
+    f.sim.run_for(dur::secs(1));
+    let select = events_of(&f, "SELECT v FROM kv WHERE id = 1");
+    let update = events_of(&f, "UPDATE kv SET v = v + 1 WHERE id = 2");
+    let in_txn: Vec<u64> = ["BEGIN", "SELECT v FROM kv WHERE id = 2", "COMMIT"]
+        .iter()
+        .map(|s| events_of(&f, s))
+        .collect();
+    assert_eq!((select, update, in_txn), (7, 12, vec![0, 4, 0]));
+}
