@@ -27,9 +27,13 @@
 //! not [`KvError::Unavailable`]: the copy may have been applied.
 //!
 //! The router is `async fn`s on the simulator's clock ([`crdb_sim::task`]):
-//! a batch runs in its caller's task (a SQL statement's), and an RPC's
-//! timer and reply race to fill one [`Completion`]. A span opened after an
-//! `.await` names its parent, the batch's `kv.send` span, explicitly.
+//! a batch runs in its caller's task (a SQL statement's). An RPC is a
+//! round trip: where the outbound hop lands, the server's work
+//! ([`KvNode::serve`](crate::node::KvNode::serve), or a META read) runs
+//! as a task of its own inside the RPC's span, and the hop back with its
+//! output races the RPC's timer to fill one [`Completion`]. A span opened
+//! after an `.await` names its parent, the batch's `kv.send` span,
+//! explicitly.
 //!
 //! A batch that carries `EndTxn` next to other requests asks for a
 //! one-phase commit, which only a single leaseholder can evaluate: when
@@ -39,6 +43,8 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::future::Future;
+use std::pin::pin;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -290,12 +296,10 @@ impl Batch {
         let nearest =
             cluster.nearest_node(self.client.inner.location).ok_or(KvError::Unavailable)?;
         let span = self.span.child("meta.lookup");
-        let read = self.round_trip(nearest.location, move |answer| {
-            // Read as of now: a stale entry just causes a redirect.
-            let entry = cluster.inner.borrow().directory.lookup(&key).map(RangeInfo::from);
-            answer.send(entry);
-        });
-        let Some(entry) = read.await else {
+        // Read as of now: a stale entry just causes a redirect.
+        let read =
+            async move { cluster.inner.borrow().directory.lookup(&key).map(RangeInfo::from) };
+        let Some(entry) = self.round_trip(nearest.location, &span, read).await else {
             span.tag("timeout", true);
             span.end();
             return Err(KvError::NodeUnavailable);
@@ -349,13 +353,8 @@ impl Batch {
                 deadline: self.template.deadline,
                 requests: pieces.iter().map(|p| p.req.clone()).collect(),
             };
-            let (cert, serving) = (client.cert.clone(), rpc.clone());
-            let resp = self
-                .round_trip(node.location, move |answer| {
-                    let _g = serving.enter();
-                    node.receive(&cert, sub, move |resp| answer.send(resp));
-                })
-                .await;
+            let resp =
+                self.round_trip(node.location, &rpc, node.serve(client.cert.clone(), sub)).await;
             // Any reply, even an error, proves the path and node live.
             self.breaker_record(target, resp.is_some());
             if resp.is_none() {
@@ -403,22 +402,36 @@ impl Batch {
         }
     }
 
-    /// One round trip to the node at `there`: `serve` runs there a hop
-    /// later, and a hop back its answer fills the reply. That races the
-    /// RPC timeout, as a partition may drop a hop: `None` when it wins.
-    async fn round_trip<T: 'static>(
+    /// One round trip to the node at `there`, sent when called: a hop
+    /// later `serve` runs there as a task of its own, inside `span`, and a
+    /// hop back its output fills the reply. That races the RPC timeout, as
+    /// a partition may drop a hop: `None` when it wins. Losing the race
+    /// cancels nothing: the task runs to its end, and its reply is
+    /// dropped. `serve` moves into the hop at once, so the caller's future
+    /// does not hold it.
+    fn round_trip<T: 'static>(
         &self,
         there: Location,
-        serve: impl FnOnce(Answer<T>) + 'static,
-    ) -> Option<T> {
+        span: &trace::MaybeSpan,
+        serve: impl Future<Output = T> + 'static,
+    ) -> impl Future<Output = Option<T>> {
         let (cluster, here) = (&self.client.inner.cluster, self.client.inner.location);
         let reply = Completion::default();
         // Waiting past the batch deadline would be wasted.
         let timeout = RPC_TIMEOUT.min(self.template.deadline.remaining(cluster.sim.now()));
-        let _timeout = reply.fill_after(&cluster.sim, timeout, None);
-        let answer = Answer { cluster: cluster.clone(), hop: (there, here), reply: reply.clone() };
-        cluster.topology().send(&cluster.sim, here, there, move || serve(answer));
-        reply.await
+        let timeout = reply.fill_after(&cluster.sim, timeout, None);
+        let (back, span, there_cluster) = (reply.clone(), span.clone(), cluster.clone());
+        let served = async move {
+            let answer = trace::within(&span, pin!(serve)).await;
+            let (sim, topology) = (&there_cluster.sim, there_cluster.topology());
+            topology.send(sim, there, here, move || back.fill(Some(answer)));
+        };
+        let sim = cluster.sim.clone();
+        cluster.topology().send(&cluster.sim, here, there, move || task::spawn(&sim, served));
+        async move {
+            let _timeout = timeout;
+            reply.await
+        }
     }
 
     /// Records an RPC outcome against `node`'s breaker; counts a trip.
@@ -482,21 +495,6 @@ impl Batch {
         } else {
             KvError::Unavailable
         }
-    }
-}
-
-/// The way back of a round trip: a hop from the server to the caller,
-/// whose reply it fills.
-struct Answer<T> {
-    cluster: KvCluster,
-    hop: (Location, Location),
-    reply: Completion<Option<T>>,
-}
-
-impl<T: 'static> Answer<T> {
-    fn send(self, answer: T) {
-        let (reply, (from, to)) = (self.reply, self.hop);
-        self.cluster.topology().send(&self.cluster.sim, from, to, move || reply.fill(Some(answer)));
     }
 }
 

@@ -98,53 +98,46 @@ fn versions_end(key: &[u8]) -> Bytes {
     b.freeze()
 }
 
-/// Where a walk over the versions of the user keys in `[start, end)`
-/// ends: `'v' + end + 0xff…`, past every version of every key below
-/// `end` except those [`prefix_versions`] names.
-fn versions_walk_end(end: &[u8]) -> Bytes {
-    let mut b = BytesMut::with_capacity(end.len() + 15);
-    b.put_u8(VERSION_TAG);
-    b.put_slice(end);
-    b.put_slice(&[0xff; 14]);
-    b.freeze()
-}
-
-/// The versions a walk of `[start, end)` ending at `walk_end`
-/// ([`versions_walk_end`]) cannot reach. A key of the span that `end`
-/// extends through a 0x00 byte (`end = key + 0x00 + rest`) has versions,
-/// `'v' + key + 0x00 + ts`, that sort past the walk's end wherever the
-/// timestamp bytes sort past `rest`. For each such key, this is the part
-/// past `walk_end` of `window(key)`: the storage span of the versions
-/// the caller wants. SQL's self-delimiting keys never extend one another,
-/// so there these spans hold nothing.
-fn prefix_versions(
+/// The storage spans of the versions of `[start, end)` that `window`
+/// picks, in the order [`visit_versions`] walks them. The last is the walk
+/// from `'v' + start` to `'v' + end`: it reaches every version of every
+/// key below `end` and none of `end`'s own, nor of a key extending `end`.
+/// But a key of the span that `end` extends through a 0x00 byte
+/// (`end = key + 0x00 + rest`) has versions, `'v' + key + 0x00 + ts`,
+/// that sort past `'v' + end` wherever the timestamp bytes sort past
+/// `rest`. For each such key, the part of `window(key)` past the walk
+/// comes first. SQL's self-delimiting keys never extend one another, so
+/// there those spans hold nothing.
+fn version_spans(
     start: &[u8],
     end: &[u8],
-    walk_end: &Bytes,
     window: impl Fn(&[u8]) -> (Bytes, Bytes),
 ) -> Vec<(Bytes, Bytes)> {
+    let walk_end = version_prefix(end);
     let keys =
         end.iter().enumerate().filter(|&(_, &b)| b == 0x00).filter_map(|(at, _)| end.get(..at));
-    keys.filter(|key| *key >= start)
+    let mut spans: Vec<_> = keys
+        .filter(|key| *key >= start)
         .filter_map(|key| {
             let (lo, hi) = window(key);
             let lo = lo.max(walk_end.clone());
             (lo < hi).then_some((lo, hi))
         })
-        .collect()
+        .collect();
+    spans.push((version_prefix(start), walk_end));
+    spans
 }
 
 /// Visits in one counted scan the versions of `[start, end)` that `window`
-/// picks past `walk_end` ([`prefix_versions`]), then the walk up to it,
-/// which also meets keys outside the span: `visit` passes over those.
+/// picks ([`version_spans`]). The walk also meets keys outside the span:
+/// `visit` passes over those.
 fn visit_versions(
     engine: &Engine,
-    (start, end, walk_end): (&[u8], &[u8], Bytes),
+    (start, end): (&[u8], &[u8]),
     window: impl Fn(&[u8]) -> (Bytes, Bytes),
     visit: impl FnMut(&Bytes, &Bytes) -> bool,
 ) {
-    let mut spans = prefix_versions(start, end, &walk_end, window);
-    spans.push((version_prefix(start), walk_end));
+    let spans = version_spans(start, end, window);
     let spans: Vec<_> = spans.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect();
     engine.scan_visit_spans(&spans, visit);
 }
@@ -314,10 +307,8 @@ pub(crate) fn ingest_versions(engine: &Engine, table: &SsTable) {
 /// keys extend one another through a 0x00 byte, as in [`refresh_span`].
 pub fn span_is_empty(engine: &Engine, start: &[u8], end: &[u8], until: Timestamp) -> bool {
     let mut empty = true;
-    // To `'v' + end`, not past it as `scan` walks: that would pull the
-    // versions of `end` itself, and of every key extending it.
     let window = |key: &[u8]| (version_key(key, until), versions_end(key));
-    visit_versions(engine, (start, end, version_prefix(end)), window, |k, _| {
+    visit_versions(engine, (start, end), window, |k, _| {
         empty = !decode_version_key(k).is_some_and(|(user, _)| (start..end).contains(&user));
         empty
     });
@@ -342,10 +333,7 @@ pub fn readable_user_keys(
     until: Timestamp,
     limit: usize,
 ) -> Vec<Bytes> {
-    let walk_end = version_prefix(end);
-    let mut spans =
-        prefix_versions(start, end, &walk_end, |key| (version_key(key, until), versions_end(key)));
-    spans.push((version_prefix(start), walk_end));
+    let mut spans = version_spans(start, end, |key| (version_key(key, until), versions_end(key)));
     spans.sort();
     let spans: Vec<_> = spans.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect();
     let mut unreadable = compaction_gc(horizon);
@@ -480,15 +468,14 @@ pub fn scan(
     // The walk streams out of the LSM's merge iterator and stops pulling
     // as soon as `limit` live pairs exist — a limit-10 scan over a hot
     // key's version chain no longer pays for the whole span. The
-    // versions only `prefix_versions` reaches are walked first, in the
-    // same scan, and each key's newest there waits in `probed` unless
+    // versions past `'v' + end` (`version_spans`) are walked first, in
+    // the same scan, and each key's newest there waits in `probed` unless
     // the main walk finds a newer one.
-    let walk_end = versions_walk_end(end);
     let window = |key: &[u8]| (version_key(key, ts), versions_end(key));
     let mut probed: Vec<(Bytes, Option<Bytes>)> = Vec::new();
     let mut out: Vec<(Bytes, Bytes)> = Vec::new();
     let mut current: Option<Bytes> = None;
-    visit_versions(engine, (start, end, walk_end.clone()), window, |k, raw| {
+    visit_versions(engine, (start, end), window, |k, raw| {
         let Some((user, vts)) = decode_version_key(k) else { return out.len() < limit };
         // Past the limit only a key an emitted one extends through a 0x00
         // byte can still make the cut: its versions sort after that key's.
@@ -498,7 +485,8 @@ pub fn scan(
         if user < start || user >= end {
             return true;
         }
-        if k.as_ref() >= walk_end.as_ref() {
+        // Past `'v' + end`: a version only a probe reaches.
+        if k.get(1..).is_some_and(|rest| rest >= end) {
             if vts <= ts && probed.iter().all(|(u, _)| u.as_ref() != user) {
                 probed.push((user_key_slice(k, user), decode_value(raw)));
             }
@@ -750,7 +738,7 @@ fn find_version(
 ) -> Option<Timestamp> {
     let window = |key: &[u8]| (version_key(key, until), version_key(key, after));
     let mut found = None;
-    visit_versions(engine, (start, end, versions_walk_end(end)), window, |k, _| {
+    visit_versions(engine, (start, end), window, |k, _| {
         if let Some((user, vts)) = decode_version_key(k) {
             if user >= start && user < end && vts > after && vts <= until {
                 found = Some(vts);
@@ -992,6 +980,35 @@ mod tests {
         assert_eq!(sample(b"a", b"z", ts(0), 3), vec![b("a")]);
         // Span bounds are on user keys.
         assert_eq!(sample(b"b", b"c", ts(35), 9), vec![b("b")]);
+    }
+
+    #[test]
+    fn a_walk_pulls_nothing_of_the_history_of_its_end_key() {
+        let e = engine();
+        put_version(&e, b"a", ts(10), Some(&b("v")));
+        // `b` is where the span ends, and `b\x01` extends it: neither has
+        // a version that the span could return.
+        for t in 1..=50 {
+            put_version(&e, b"b", ts(t), Some(&b("w")));
+            put_version(&e, b"b\x01", ts(t), Some(&b("w")));
+        }
+        let pulled = |read: &dyn Fn()| {
+            let before = e.metrics().scan_entries_pulled;
+            read();
+            e.metrics().scan_entries_pulled - before
+        };
+        let scanned = pulled(&|| {
+            let (pairs, _) = scan(&e, b"a", b"b", ts(60), 10, None);
+            assert_eq!(pairs, vec![(b("a"), b("v"))]);
+        });
+        assert_eq!(scanned, 1, "a scan short of its limit pulls `a`'s one version");
+        let refreshed =
+            pulled(&|| assert_eq!(refresh_span(&e, b"a", b"b", ts(5), ts(60), None), Err(ts(10))));
+        assert_eq!(refreshed, 1, "a refresh stops at its hit");
+        let checked = pulled(&|| assert!(!snapshot_collected(&e, b"a", b"b", ts(10), ts(60))));
+        assert_eq!(checked, 1, "a snapshot check with nothing to find");
+        let empty = pulled(&|| assert!(!span_is_empty(&e, b"a", b"b", ts(60))));
+        assert_eq!(empty, 1);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! KV nodes are shared across tenants: one process serves reads and writes
 //! for every tenant whose range leases it holds. Each node owns an LSM
-//! engine, a simulated CPU, a simulated disk, and an admission controller;
-//! batches flow `network → auth → addressing check → admission → CPU →
-//! execute → (replicate) → respond`.
+//! engine, a simulated CPU, a simulated disk, and an admission controller.
+//! A batch is served as one task, [`KvNode::serve`]: auth → addressing
+//! check → admission → CPU → execute → quorum → group commit → response.
+//! The checks and the MVCC work run synchronously; the four waits are
+//! `.await`s on completions that the admission pump, the CPU, a timer and
+//! the fsync fill. The caller's network hop carries the response back.
 //!
 //! A batch is addressed to one range: the one holding its first key,
 //! whose lease this node must hold, and *every* request of the batch must
@@ -29,6 +32,7 @@ use crdb_admission::{AdmissionController, Priority, WorkClass};
 use crdb_obs::trace;
 use crdb_sim::cpu::CpuScheduler;
 use crdb_sim::resource::RateResource;
+use crdb_sim::task::{self, Completion};
 use crdb_sim::{Location, Sim};
 use crdb_storage::{Engine, LsmConfig};
 use crdb_util::time::{dur, SimTime};
@@ -67,16 +71,29 @@ const COMPACTION_SLOTS: usize = 2;
 /// looks.
 const BATCH_RATE_WINDOW: Duration = Duration::from_secs(5);
 
-/// An operation queued in admission: the batch plus its response path.
+/// An operation queued in admission: the batch, and the completion its
+/// `serve` task awaits.
 pub(crate) struct PendingOp {
     pub batch: BatchRequest,
-    pub respond: Box<dyn FnOnce(BatchResponse)>,
     /// The request's `kv.serve` span, carried through the admission queue
     /// and the CPU scheduler so server-side phases attach to the caller's
     /// trace.
     pub span: trace::MaybeSpan,
     /// Child of `span` covering time spent queued in admission.
     pub queue_span: trace::MaybeSpan,
+    /// Filled once the batch has had its CPU, or with the error that ends
+    /// it in the queue.
+    pub admitted: Completion<Result<Granted, KvError>>,
+}
+
+/// A batch back from admission and the CPU, with what admission is told
+/// when it completes.
+pub(crate) struct Granted {
+    batch: BatchRequest,
+    span: trace::MaybeSpan,
+    class: WorkClass,
+    cpu_cost: f64,
+    bytes: f64,
 }
 
 /// The addressing check: the range holding the batch's first key must be
@@ -135,9 +152,9 @@ pub struct KvNode {
     /// timestamps over the spans this node served reads of, which writes
     /// must land above.
     ts_cache: RefCell<TsCache>,
-    /// Acks of writes whose quorum answered before the group commit that
-    /// covers their append, in arrival order.
-    commit_acks: RefCell<Vec<Box<dyn FnOnce()>>>,
+    /// Writes whose quorum answered before the group commit that covers
+    /// their append, in arrival order: each task awaits its completion.
+    commit_acks: RefCell<Vec<Completion<()>>>,
     /// Whether a group-commit fsync is already scheduled.
     commit_timer_armed: Cell<bool>,
 }
@@ -250,11 +267,9 @@ impl KvNode {
     /// a WAL append whose data survives in the engine, so releasing it
     /// never loses a commit.
     fn fire_group_commit(self: &Rc<Self>) {
-        let acks: Vec<Box<dyn FnOnce()>> = self.commit_acks.borrow_mut().drain(..).collect();
+        let acks = std::mem::take(&mut *self.commit_acks.borrow_mut());
         self.engine.group_commit();
-        for ack in acks {
-            ack();
-        }
+        acks.iter().for_each(|ack| ack.fill(()));
         self.maintain_storage();
     }
 
@@ -311,10 +326,14 @@ impl KvNode {
         self.alive.get()
     }
 
-    /// Marks the node down (in-flight work is abandoned) or back up. A
-    /// node that comes back has lost its timestamp cache with the rest of
-    /// its memory, so it must assume anything was read up to the instant
-    /// it restarted: that becomes the new cache's floor.
+    /// Marks the node down or back up. A node that is down refuses new
+    /// batches, but what it had already admitted is not abandoned: a batch
+    /// received before the crash is still evaluated and answered after it,
+    /// and its group commit still fires (ROADMAP item 7 has a crash drop
+    /// the node's `serve` tasks instead). A node that comes back has lost
+    /// its timestamp cache with the rest of its memory, so it must assume
+    /// anything was read up to the instant it restarted: that becomes the
+    /// new cache's floor.
     pub fn set_alive(&self, alive: bool) {
         if alive && !self.alive.get() {
             let now = self.sim.now();
@@ -333,51 +352,72 @@ impl KvNode {
         self.ts_cache.borrow_mut().record_span(self.sim.now(), start, end, lease_start);
     }
 
-    /// Receives a batch from the network. `cert` authenticates the sender;
-    /// `respond` receives the response (the caller layers return-network
-    /// latency on top).
-    pub fn receive(
+    /// Serves a batch from the network, `cert` authenticating its sender:
+    /// the response, once the batch has waited out admission, its CPU,
+    /// its quorum and the group commit that makes its write durable. The
+    /// checks on receipt and the evaluation run synchronously; only those
+    /// four waits are `.await`s. The caller carries the response back.
+    pub async fn serve(self: Rc<Self>, cert: TenantCert, batch: BatchRequest) -> BatchResponse {
+        let admitted = match self.admit(&cert, batch) {
+            Ok(admitted) => admitted,
+            Err(e) => return BatchResponse::err(e),
+        };
+        let (response, span, quorum, durable_at) = match admitted.await {
+            Ok(granted) => self.execute(granted),
+            Err(e) => return BatchResponse::err(e),
+        };
+        // Replication: respond only after a quorum would have acked.
+        if !quorum.is_zero() {
+            let repl_span = span.child("replication.quorum");
+            task::sleep(&self.sim, quorum).await;
+            repl_span.end();
+        }
+        // A successful write must also be durable: it responds at once if
+        // the engine's durability mark already covers its append — the
+        // usual case, the sync having run during the quorum wait — else
+        // when the group commit armed at its append fires.
+        // `wal.group_commit` spans only that residual wait, so `kv.serve`'s
+        // children never overlap.
+        if durable_at.is_some_and(|seq| self.engine.wal_synced_seq() < seq) {
+            let commit_span = span.child("wal.group_commit");
+            let synced = Completion::default();
+            self.commit_acks.borrow_mut().push(synced.clone());
+            // Already armed by the append (no fsync can have fired since,
+            // or the mark would cover it); a queued ack never lacks a timer.
+            self.arm_group_commit();
+            synced.await;
+            commit_span.end();
+        }
+        span.end();
+        response
+    }
+
+    /// The checks on receipt — liveness, authentication (§3.2.3),
+    /// addressing and the batch's deadline — then the admission queue
+    /// (§5.1): reads through the CQ, writes through WQ + CQ. Returns the
+    /// completion the batch's grant fills.
+    fn admit(
         self: &Rc<Self>,
         cert: &TenantCert,
         batch: BatchRequest,
-        respond: impl FnOnce(BatchResponse) + 'static,
-    ) {
+    ) -> Result<Completion<Result<Granted, KvError>>, KvError> {
         if !self.alive.get() {
-            respond(BatchResponse::err(KvError::NodeUnavailable));
-            return;
+            return Err(KvError::NodeUnavailable);
         }
-        let cluster = match self.cluster.upgrade() {
-            Some(c) => c,
-            None => {
-                respond(BatchResponse::err(KvError::NodeUnavailable));
-                return;
-            }
-        };
-        // Security boundary (§3.2.3).
+        let cluster = self.cluster.upgrade().ok_or(KvError::NodeUnavailable)?;
         {
             let inner = cluster.borrow();
-            if let Err(e) = crate::auth::authorize(&inner.ca, cert, &batch) {
-                respond(BatchResponse::err(e));
-                return;
-            }
+            crate::auth::authorize(&inner.ca, cert, &batch)?;
+            addressed_range(self.id, &inner.directory, &batch)?;
         }
-        let addressed = addressed_range(self.id, &cluster.borrow().directory, &batch).map(|_| ());
-        if let Err(e) = addressed {
-            respond(BatchResponse::err(e));
-            return;
-        }
-        // Admission (§5.1): reads through the CQ, writes through WQ + CQ.
         let now = self.sim.now();
         // Propagated deadline: a batch that is already past it fails
         // typed without queuing, and the admission deadline is clamped
         // to it — the node never works on a request its caller has
         // already abandoned.
         if batch.deadline.expired(now) {
-            if let Some(c) = self.cluster.upgrade() {
-                c.borrow().degrade.bump_deadline_exceeded();
-            }
-            respond(BatchResponse::err(KvError::DeadlineExceeded));
-            return;
+            cluster.borrow().degrade.bump_deadline_exceeded();
+            return Err(KvError::DeadlineExceeded);
         }
         let tenant = batch.tenant;
         let txn_start = batch.txn.start_ts.to_sim_time();
@@ -389,7 +429,8 @@ impl KvNode {
         span.tag("node", self.id);
         span.tag("tenant", tenant);
         let queue_span = span.child("admission.queue");
-        let op = PendingOp { batch, respond: Box::new(respond), span, queue_span };
+        let admitted = Completion::default();
+        let op = PendingOp { batch, span, queue_span, admitted: admitted.clone() };
         {
             let mut adm = self.admission.borrow_mut();
             if is_write {
@@ -399,6 +440,7 @@ impl KvNode {
             }
         }
         self.pump();
+        Ok(admitted)
     }
 
     /// The key whose range the batch is addressed to: its first request's.
@@ -406,23 +448,32 @@ impl KvNode {
         batch.requests.first().map(|r| batch.routing_span(r).0)
     }
 
-    /// Drains admission grants into CPU tasks. Re-schedules itself when a
-    /// deferred write-token grant is pending.
+    /// Drains admission grants into CPU tasks, and answers each operation
+    /// whose admission deadline passed while it was queued:
+    /// `DeadlineExceeded` if the batch's own deadline has passed,
+    /// `AdmissionTimeout` if only the node's queueing cap has. A task's
+    /// completion is filled after its CPU, which then pumps again: the
+    /// task has answered, or armed its quorum timer, by then.
+    /// Re-schedules itself when a deferred write-token grant is pending.
     pub(crate) fn pump(self: &Rc<Self>) {
         let now = self.sim.now();
         let (grants, expired) = {
             let mut adm = self.admission.borrow_mut();
             (adm.poll(now), adm.take_expired())
         };
-        for op in expired {
-            Self::answer_expired(now, op);
+        for PendingOp { batch, span, queue_span, admitted } in expired {
+            queue_span.end();
+            span.end();
+            admitted.fill(Err(if batch.deadline.expired(now) {
+                KvError::DeadlineExceeded
+            } else {
+                KvError::AdmissionTimeout
+            }));
         }
         for grant in grants {
             let node = Rc::clone(self);
-            let tenant = grant.tenant;
-            let class = grant.class;
-            let bytes = grant.bytes;
-            let op = grant.payload;
+            let (tenant, class, bytes) = (grant.tenant, grant.class, grant.bytes);
+            let PendingOp { batch, span, queue_span, admitted } = grant.payload;
             // Ground-truth CPU cost, shaped by the recent batch rate.
             let rate = {
                 let mut arrivals = self.batch_arrivals.borrow_mut();
@@ -432,19 +483,20 @@ impl KvNode {
                 }
                 arrivals.len() as f64 / BATCH_RATE_WINDOW.as_secs_f64()
             };
-            let cost = {
+            let cpu_cost = {
                 let cluster = match self.cluster.upgrade() {
                     Some(c) => c,
                     None => continue,
                 };
                 let inner = cluster.borrow();
-                inner.cost_model.batch_cpu_seconds(&op.batch, rate)
+                inner.cost_model.batch_cpu_seconds(&batch, rate)
             };
-            op.queue_span.end();
-            let cpu_span = op.span.child("kv.cpu");
-            self.cpu.submit(tenant, cost, move || {
+            queue_span.end();
+            let cpu_span = span.child("kv.cpu");
+            self.cpu.submit(tenant, cpu_cost, move || {
                 cpu_span.end();
-                node.execute(op, class, cost, bytes);
+                admitted.fill(Ok(Granted { batch, span, class, cpu_cost, bytes }));
+                node.pump();
             });
         }
         // Deferred token grants need a wake-up.
@@ -462,28 +514,17 @@ impl KvNode {
         }
     }
 
-    /// Answers an operation whose admission deadline passed while it was
-    /// queued: `DeadlineExceeded` if the batch's own deadline has passed,
-    /// `AdmissionTimeout` if only the node's queueing cap has.
-    fn answer_expired(now: SimTime, op: PendingOp) {
-        let PendingOp { batch, respond, span, queue_span } = op;
-        let error = if batch.deadline.expired(now) {
-            KvError::DeadlineExceeded
-        } else {
-            KvError::AdmissionTimeout
-        };
-        queue_span.end();
-        span.end();
-        respond(BatchResponse::err(error));
-    }
-
-    /// Executes an admitted batch after its CPU service completes.
-    fn execute(self: &Rc<Self>, op: PendingOp, class: WorkClass, cpu_cost: f64, bytes: f64) {
+    /// Executes a batch whose CPU service completed: its response, its
+    /// `kv.serve` span, the quorum delay to wait out before responding,
+    /// and the WAL sequence number a successful write must be durable at.
+    fn execute(
+        self: &Rc<Self>,
+        granted: Granted,
+    ) -> (BatchResponse, trace::MaybeSpan, Duration, Option<u64>) {
         let now = self.sim.now();
-        let PendingOp { batch, respond, span, .. } = op;
-        let cluster = match self.cluster.upgrade() {
-            Some(c) => c,
-            None => return,
+        let Granted { batch, span, class, cpu_cost, bytes } = granted;
+        let Some(cluster) = self.cluster.upgrade() else {
+            return (BatchResponse::err(KvError::NodeUnavailable), span, Duration::ZERO, None);
         };
 
         // Evaluation gate. The lease may have moved or the range split
@@ -523,10 +564,7 @@ impl KvNode {
                     bytes,
                     None,
                 );
-                span.end();
-                respond(BatchResponse::err(e));
-                self.pump();
-                return;
+                return (BatchResponse::err(e), span, Duration::ZERO, None);
             }
         };
 
@@ -595,10 +633,9 @@ impl KvNode {
             actual_bytes,
         );
 
-        // Replication: respond only after a quorum would have acked.
-        // Only *live* followers can ack — with a domain down, the commit
-        // waits for the surviving (possibly slower) replicas instead of
-        // crediting acks from dead ones.
+        // The quorum a write waits for. Only *live* followers can ack —
+        // with a domain down, the commit waits for the surviving (possibly
+        // slower) replicas instead of crediting acks from dead ones.
         let repl_delay = if write_payload > 0 {
             let inner = cluster.borrow();
             // Charge follower CPUs for the apply.
@@ -615,51 +652,8 @@ impl KvNode {
         } else {
             Duration::ZERO
         };
-
         let durable_at = (write_payload > 0).then_some(wal_seq);
-        let delay = stall_delay + repl_delay;
-        if delay.is_zero() {
-            self.deliver_response(durable_at, span, response, respond);
-        } else {
-            let repl_span = span.child("replication.quorum");
-            let node = Rc::clone(self);
-            self.sim.schedule_after(delay, move || {
-                repl_span.end();
-                node.deliver_response(durable_at, span, response, respond);
-            });
-        }
-        self.pump();
-    }
-
-    /// Delivers a batch response once its quorum has answered. A
-    /// successful write must also be durable here: `durable_at` is the WAL
-    /// sequence number its append was given, and it responds at once if
-    /// the engine's durability mark already covers that — the usual case,
-    /// the sync having run during the quorum wait — else when the group
-    /// commit armed at its append fires. Reads and errors respond
-    /// immediately. `wal.group_commit` spans only that residual wait, so
-    /// `kv.serve`'s children never overlap.
-    fn deliver_response(
-        self: &Rc<Self>,
-        durable_at: Option<u64>,
-        span: trace::MaybeSpan,
-        response: BatchResponse,
-        respond: Box<dyn FnOnce(BatchResponse)>,
-    ) {
-        if durable_at.is_some_and(|seq| self.engine.wal_synced_seq() < seq) {
-            let commit_span = span.child("wal.group_commit");
-            self.commit_acks.borrow_mut().push(Box::new(move || {
-                commit_span.end();
-                span.end();
-                respond(response);
-            }));
-            // Already armed by the append (no fsync can have fired since,
-            // or the mark would cover it); a queued ack never lacks a timer.
-            self.arm_group_commit();
-        } else {
-            span.end();
-            respond(response);
-        }
+        (response, span, stall_delay + repl_delay, durable_at)
     }
 
     /// Runs the MVCC work of a batch: evaluates it against this node's

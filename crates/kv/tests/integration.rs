@@ -3,7 +3,7 @@
 //! control, CPU service, MVCC execution, quorum replication — against a
 //! real multi-node cluster on the discrete-event simulator.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ use crdb_kv::keys;
 use crdb_kv::mvcc::{self, ReadResult};
 use crdb_kv::node::{KvNode, FSYNC_INTERVAL};
 use crdb_kv::range::Placement;
-use crdb_kv::timing::TXN_STATUS_RETENTION;
+use crdb_kv::timing::{RPC_TIMEOUT, TXN_STATUS_RETENTION};
 use crdb_kv::txn::TxnMeta;
 use crdb_kv::Timestamp;
 use crdb_obs::trace::SpanView;
@@ -1329,7 +1329,7 @@ fn put_at_leaseholder(
         sim.schedule_after(gap * i as u32, move || {
             let batch = commit_of(&make_txn_meta(&cluster, key.clone()), &key, &[b'x'; 128]);
             let _in_trace = root.enter();
-            node.receive(&cert, batch, move |resp| {
+            receive(&cluster.sim, &node, &cert, batch, move |resp| {
                 assert!(resp.is_ok(), "put {i}: {:?}", resp.error);
                 acks.borrow_mut()[i] = Some((sim2.now(), engine.wal_synced_seq()));
             });
@@ -1500,14 +1500,14 @@ fn batch_that_expires_in_the_admission_queue_gets_one_typed_reply() {
     let served = Rc::new(RefCell::new(0));
     for _ in 0..400 {
         let served = Rc::clone(&served);
-        node.receive(&cert, read(Deadline::NONE), move |resp| {
+        receive(&sim, &node, &cert, read(Deadline::NONE), move |resp| {
             assert!(resp.is_ok(), "{:?}", resp.error);
             *served.borrow_mut() += 1;
         });
     }
     let replies = Rc::new(RefCell::new(Vec::new()));
     let r = Rc::clone(&replies);
-    node.receive(&cert, read(Deadline::at(sim.now() + dur::ms(1))), move |resp| {
+    receive(&sim, &node, &cert, read(Deadline::at(sim.now() + dur::ms(1))), move |resp| {
         r.borrow_mut().push(resp.error);
     });
     sim.run_for(dur::secs(2));
@@ -1518,12 +1518,26 @@ fn batch_that_expires_in_the_admission_queue_gets_one_typed_reply() {
 // ---- The timestamp cache: a commit stamped before a read it cannot
 // ---- see lands above that read, wherever the read was served.
 
+/// Hands `batch` straight to `node`, serving it in a task of its own with
+/// no network on either side: `cb` gets the response the instant the node
+/// answers.
+fn receive(
+    sim: &Sim,
+    node: &Rc<KvNode>,
+    cert: &TenantCert,
+    batch: BatchRequest,
+    cb: impl FnOnce(BatchResponse) + 'static,
+) {
+    let serve = Rc::clone(node).serve(cert.clone(), batch);
+    task::spawn(sim, async move { cb(serve.await) });
+}
+
 /// Hands `batch` straight to `node` and runs the simulation until it
 /// answers (a quorum round trip inside one region is well under 100 ms).
 fn serve(sim: &Sim, node: &Rc<KvNode>, cert: &TenantCert, batch: BatchRequest) -> BatchResponse {
     let out = Rc::new(RefCell::new(None));
     let o = Rc::clone(&out);
-    node.receive(cert, batch, move |resp| *o.borrow_mut() = Some(resp));
+    receive(sim, node, cert, batch, move |resp| *o.borrow_mut() = Some(resp));
     sim.run_for(dur::ms(100));
     let answered = out.borrow_mut().take();
     answered.expect("the node answered")
@@ -1774,4 +1788,141 @@ fn ts_cache_pushed_commit_refreshes_its_reads_and_counts_the_conflict() {
     let committed = degrade.commits_one_phase.get() - one_phase;
     assert_eq!((committed, degrade.commits_pushed.get()), (0, 0));
     assert_eq!(mvcc::get(&node.engine, &written, Timestamp::MAX, None), ReadResult::Value(None));
+}
+
+// ---- A batch's cost in simulator events, and the tasks it leaves.
+
+/// Starts a batch with `start`, which sets the flag it is handed once the
+/// batch is answered, and steps `sim` until then: the events the batch
+/// took. What it left running (follower applies, a WAL sync) settles
+/// outside the count.
+fn events_of(sim: &Sim, start: impl FnOnce(Rc<Cell<bool>>)) -> u64 {
+    let done = Rc::new(Cell::new(false));
+    let before = sim.events_executed();
+    start(Rc::clone(&done));
+    while !done.get() {
+        assert!(sim.step(), "the batch was never answered");
+    }
+    let took = sim.events_executed() - before;
+    sim.run_for(dur::secs(1));
+    took
+}
+
+/// Pins the simulator events one KV batch takes from the client to a
+/// range's leaseholder and back, its route cached and its quorum live. A
+/// wake polls its task inline, so serving a batch adds no event of its
+/// own: an executor that scheduled each poll would add one per wake to
+/// every count here.
+#[test]
+fn each_kv_batch_takes_a_fixed_number_of_events() {
+    let (sim, cluster) = setup(23);
+    let client = client_for(&cluster, TenantId(2));
+    let key = k(2, "e");
+    let value = Bytes::from_static(b"v");
+    put(&client, key.clone(), value.clone(), |r| r.expect("warm-up put"));
+    sim.run_for(dur::secs(1));
+    let read = |done: Rc<Cell<bool>>| {
+        let value = value.clone();
+        get(&client, key.clone(), move |r| {
+            assert_eq!(r, Ok(Some(value)));
+            done.set(true);
+        })
+    };
+    let get_events = events_of(&sim, read);
+    let put_events = events_of(&sim, |done| {
+        put(&client, key.clone(), value.clone(), move |r| {
+            r.expect("put");
+            done.set(true);
+        })
+    });
+    // The lease moves under the client's cached route: the batch is
+    // redirected, and rerouted to the new holder.
+    let replicas = cluster.range_of(&key).expect("range").desc.replicas;
+    let old = cluster.leaseholder_of(&key).expect("leaseholder");
+    let to = replicas.into_iter().find(|&n| n != old).expect("another replica");
+    assert!(cluster.transfer_lease(&key, to));
+    let redirects = cluster.degrade().redirects.get();
+    let redirected_events = events_of(&sim, read);
+    assert_eq!(cluster.degrade().redirects.get(), redirects + 1);
+    // A read is its two hops and its CPU slot; the redirect adds a round
+    // trip. A write also waits out its quorum and its group commit, and
+    // the follower applies and the disk write it started land meanwhile.
+    assert_eq!((get_events, put_events, redirected_events), (3, 8, 5));
+}
+
+/// Every task a batch runs in ends with it, whether the batch succeeds,
+/// loses its reply to a one-way partition, expires in the admission queue
+/// or is in flight on a node that dies: a task parked on a wake that
+/// nothing will send stays in the executor for good.
+#[test]
+fn no_task_outlives_its_batch() {
+    let sim = Sim::new(19);
+    let config = KvClusterConfig { nodes_per_region: 1, ..Default::default() };
+    let cluster = KvCluster::new(&sim, Topology::three_region(), config);
+    let cert = cluster.create_tenant(TenantId(2));
+    sim.run_for(dur::secs(1));
+    let key = k(2, "t");
+    let holder = cluster.leaseholder_of(&key).expect("range");
+    let node = cluster.node(holder).expect("leaseholder exists");
+    let home = cluster.node_location(holder).expect("placed").region;
+    let near = KvClient::new(cluster.clone(), cert.clone(), Location::new(home, 0));
+    let answered: Rc<RefCell<Vec<&str>>> = Rc::default();
+    let answer = |name: &'static str| {
+        let answered = Rc::clone(&answered);
+        move |error: Option<KvError>| {
+            answered.borrow_mut().push(name);
+            error
+        }
+    };
+
+    // Succeeds.
+    let ok = answer("ok");
+    put(&near, key.clone(), Bytes::from_static(b"v"), move |r| assert_eq!(ok(r.err()), None));
+    sim.run_for(dur::secs(1));
+
+    // Served, but its reply never gets back: the client times out.
+    let far_region = RegionId((home.raw() + 1) % 3);
+    let far = KvClient::new(cluster.clone(), cert.clone(), Location::new(far_region, 0));
+    cluster.topology().partition_one_way(home, far_region);
+    let txn = make_txn_meta(&cluster, key.clone());
+    let lost = BatchRequest {
+        deadline: Deadline::at(sim.now() + dur::secs(12)),
+        ..txn_batch(&txn, vec![RequestKind::Get { key: key.clone() }])
+    };
+    let served = node.batches_served.get();
+    let timed_out = answer("timed out");
+    send(&far, lost, move |resp| assert!(timed_out(resp.error).is_some()));
+    sim.run_for(dur::secs(15));
+    assert!(node.batches_served.get() > served, "the node served the batch");
+    cluster.topology().heal_all();
+
+    // Expires in the admission queue, behind older transactions' reads.
+    let read = |deadline| BatchRequest {
+        deadline,
+        ..txn_batch(
+            &make_txn_meta(&cluster, key.clone()),
+            vec![RequestKind::Get { key: key.clone() }],
+        )
+    };
+    for _ in 0..400 {
+        receive(&sim, &node, &cert, read(Deadline::NONE), |resp| assert!(resp.is_ok()));
+    }
+    let expired = answer("expired");
+    receive(&sim, &node, &cert, read(Deadline::at(sim.now() + dur::ms(1))), move |resp| {
+        assert_eq!(expired(resp.error), Some(KvError::DeadlineExceeded))
+    });
+    sim.run_for(dur::secs(2));
+
+    // In flight (its quorum out) when its leaseholder dies.
+    let dying = answer("node died");
+    put(&near, key.clone(), Bytes::from_static(b"w"), move |r| drop(dying(r.err())));
+    let served = node.batches_served.get();
+    while node.batches_served.get() == served {
+        assert!(sim.step(), "the put reached the node");
+    }
+    cluster.set_node_alive(holder, false);
+
+    sim.run_for(RPC_TIMEOUT * 6);
+    assert_eq!(sim.live_tasks(), 0, "a task outlived its batch");
+    assert_eq!(*answered.borrow(), ["ok", "timed out", "expired", "node died"]);
 }

@@ -167,6 +167,12 @@ impl Sim {
     pub fn events_executed(&self) -> u64 {
         self.core.borrow().executed
     }
+
+    /// Number of tasks spawned and not yet finished: each is parked on a
+    /// wake, so one that nothing will wake again is a leak.
+    pub fn live_tasks(&self) -> usize {
+        self.tasks.borrow().map.len()
+    }
 }
 
 #[cfg(test)]

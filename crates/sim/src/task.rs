@@ -26,7 +26,7 @@ type Slot = (Option<BoxFuture<()>>, bool, Waker);
 
 #[derive(Default)]
 pub(crate) struct Tasks {
-    map: BTreeMap<u64, Slot>,
+    pub(crate) map: BTreeMap<u64, Slot>,
     next_id: u64,
     /// Tasks detached during the polls in progress, innermost poll's last.
     detached: Vec<u64>,
@@ -95,7 +95,6 @@ fn poll(ex: &Executor, id: u64) {
     detached.into_iter().for_each(|id| poll(ex, id));
 }
 
-#[derive(Default)]
 struct Fill<T> {
     value: Option<T>,
     /// The awaiting task's waker, and the executor that polls it.
@@ -104,8 +103,13 @@ struct Fill<T> {
 
 /// A value one callback fills once and one task awaits; later fills are
 /// dropped. Clones share the value.
-#[derive(Default)]
 pub struct Completion<T>(Rc<RefCell<Fill<T>>>);
+
+impl<T> Default for Completion<T> {
+    fn default() -> Self {
+        Completion(Rc::new(RefCell::new(Fill { value: None, waker: None })))
+    }
+}
 
 impl<T> Clone for Completion<T> {
     fn clone(&self) -> Self {

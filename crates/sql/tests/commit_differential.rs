@@ -852,7 +852,8 @@ fn batch_addressed_across_a_range_boundary_is_rejected_whole() {
     let response = Rc::new(RefCell::new(None));
     let r = Rc::clone(&response);
     let node = cluster.node(holder).unwrap();
-    node.receive(clients[0].cert(), batch, move |resp| *r.borrow_mut() = Some(resp));
+    let serve = node.serve(clients[0].cert().clone(), batch);
+    task::spawn(&sim, async move { *r.borrow_mut() = Some(serve.await) });
     sim.run_for(dur::secs(1));
     let response = response.borrow_mut().take().expect("answered");
     match response.error {
