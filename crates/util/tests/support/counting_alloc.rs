@@ -25,6 +25,7 @@ thread_local! {
 /// Bytes this thread has requested and not yet freed, by requested size
 /// (no allocator rounding), which makes the figure a property of the
 /// program alone.
+#[allow(dead_code, reason = "each including test reads the tallies it asserts on")]
 pub fn live_bytes() -> usize {
     LIVE_BYTES.get()
 }
