@@ -1,7 +1,8 @@
 //! The discrete-event engine.
 //!
-//! A [`Sim`] owns an ordered map of scheduled closures keyed by
-//! `(firing time, schedule sequence)` and a [`ManualClock`] shared (via the
+//! A [`Sim`] owns an ordered map of scheduled events keyed by
+//! `(firing time, schedule sequence)`: closures, and the wakes of tasks
+//! parked on a [`crate::task::sleep`]. It also owns a [`ManualClock`] shared (via the
 //! [`Clock`] trait) with every component. Execution is single-threaded and
 //! deterministic: ties in firing time are broken by schedule order, and
 //! all randomness flows from one seeded RNG. Cancellation removes the
@@ -11,6 +12,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::Duration;
 
 use crdb_util::clock::ManualClock;
@@ -26,10 +28,16 @@ use rand::SeedableRng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(SimTime, u64);
 
-type Callback = Box<dyn FnOnce()>;
+/// What an event does when it fires.
+enum Event {
+    /// Runs a scheduled closure.
+    Call(Box<dyn FnOnce()>),
+    /// Wakes the task parked on a sleep.
+    Wake(Waker),
+}
 
 struct Core {
-    queue: BTreeMap<EventId, Callback>,
+    queue: BTreeMap<EventId, Event>,
     next_seq: u64,
     executed: u64,
 }
@@ -75,13 +83,35 @@ impl Sim {
     /// Schedules `callback` to run at absolute time `at` (clamped to now if
     /// in the past). Returns an id usable with [`Sim::cancel`].
     pub fn schedule_at(&self, at: SimTime, callback: impl FnOnce() + 'static) -> EventId {
+        self.insert(at, Event::Call(Box::new(callback)))
+    }
+
+    fn insert(&self, at: SimTime, event: Event) -> EventId {
         let mut core = self.core.borrow_mut();
         let at = at.max(self.clock.now());
         let seq = core.next_seq;
         core.next_seq += 1;
         let id = EventId(at, seq);
-        core.queue.insert(id, Box::new(callback));
+        core.queue.insert(id, event);
         id
+    }
+
+    /// Schedules an event that wakes `waker`'s task after `delay`.
+    pub(crate) fn schedule_wake(&self, delay: Duration, waker: Waker) -> EventId {
+        self.insert(self.now() + delay, Event::Wake(waker))
+    }
+
+    /// Whether event `id` is still to fire; if it is a wake, it now wakes
+    /// `waker`'s task (a future can move to another task between polls).
+    pub(crate) fn rewake(&self, id: EventId, waker: &Waker) -> bool {
+        let mut core = self.core.borrow_mut();
+        let Some(event) = core.queue.get_mut(&id) else { return false };
+        if let Event::Wake(parked) = event {
+            if !parked.will_wake(waker) {
+                parked.clone_from(waker);
+            }
+        }
+        true
     }
 
     /// Schedules `callback` to run after `delay`.
@@ -114,18 +144,21 @@ impl Sim {
     /// Executes the next event, advancing the clock to its firing time.
     /// Returns `false` when the queue is empty.
     pub fn step(&self) -> bool {
-        let (at, callback) = {
+        let (at, event) = {
             let mut core = self.core.borrow_mut();
             match core.queue.pop_first() {
                 None => return false,
-                Some((EventId(at, _), callback)) => {
+                Some((EventId(at, _), event)) => {
                     core.executed += 1;
-                    (at, callback)
+                    (at, event)
                 }
             }
         };
         self.clock.advance_to(at);
-        callback();
+        match event {
+            Event::Call(callback) => callback(),
+            Event::Wake(waker) => crate::task::wake(&self.tasks, waker),
+        }
         true
     }
 

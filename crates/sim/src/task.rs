@@ -4,7 +4,9 @@
 //! it (a wake during its own poll re-polls it once that poll returns), so
 //! an `.await` resumes where its callback ran in `(at, seq)` order and
 //! polling adds no event. No executor borrow is held across a poll: a
-//! callback fired in one task's poll may spawn and drive another.
+//! callback fired in one task's poll may spawn and drive another. A
+//! finished task's waker, once nothing else holds it, serves the next task
+//! spawned.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -21,8 +23,8 @@ use crate::engine::{EventId, Sim};
 pub type BoxFuture<T> = Pin<Box<dyn Future<Output = T>>>;
 
 /// A task: its future (taken while it is polled), whether it was woken
-/// since its poll began, and its waker, made once.
-type Slot = (Option<BoxFuture<()>>, bool, Waker);
+/// since its poll began, and its waker.
+type Slot = (Option<BoxFuture<()>>, bool, Arc<TaskWaker>);
 
 #[derive(Default)]
 pub(crate) struct Tasks {
@@ -30,6 +32,8 @@ pub(crate) struct Tasks {
     next_id: u64,
     /// Tasks detached during the polls in progress, innermost poll's last.
     detached: Vec<u64>,
+    /// Finished tasks' wakers that no clone outlived, for the next tasks.
+    spare: Vec<Arc<TaskWaker>>,
 }
 
 pub(crate) type Executor = Rc<RefCell<Tasks>>;
@@ -46,12 +50,21 @@ fn within(ex: &Executor, f: impl FnOnce()) {
     POLLING.set(outer);
 }
 
-struct TaskWaker(u64);
+/// Wakes `waker`'s task of `ex` from an event: polls it inline.
+pub(crate) fn wake(ex: &Executor, waker: Waker) {
+    within(ex, || waker.wake());
+}
+
+pub(crate) struct TaskWaker(u64);
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
+        let id = self.0;
+        // Let go of it first: a task that finishes in this poll can then
+        // hand its waker on.
+        drop(self);
         if let Some(ex) = POLLING.with_borrow(Clone::clone) {
-            poll(&ex, self.0);
+            poll(&ex, id);
         }
     }
 }
@@ -60,7 +73,12 @@ fn insert(ex: &Executor, future: BoxFuture<()>) -> u64 {
     let mut tasks = ex.borrow_mut();
     tasks.next_id += 1;
     let id = tasks.next_id;
-    tasks.map.insert(id, (Some(future), false, Waker::from(Arc::new(TaskWaker(id)))));
+    let mut waker = tasks.spare.pop().unwrap_or_else(|| Arc::new(TaskWaker(id)));
+    match Arc::get_mut(&mut waker) {
+        Some(spare) => spare.0 = id,
+        None => waker = Arc::new(TaskWaker(id)),
+    }
+    tasks.map.insert(id, (Some(future), false, waker));
     id
 }
 
@@ -75,7 +93,7 @@ fn poll(ex: &Executor, id: u64) {
     let mark = ex.borrow().detached.len();
     let taken = ex.borrow_mut().map.get_mut(&id).and_then(|(future, woken, waker)| {
         *woken = future.is_none();
-        Some((future.take()?, waker.clone()))
+        Some((future.take()?, Waker::from(Arc::clone(waker))))
     });
     let Some((mut future, waker)) = taken else { return };
     within(ex, || {
@@ -87,9 +105,14 @@ fn poll(ex: &Executor, id: u64) {
                 return;
             }
         }
-        ex.borrow_mut().map.remove(&id);
+        let finished = ex.borrow_mut().map.remove(&id);
         // Dropped outside the executor's borrow.
-        drop(future);
+        drop((future, waker));
+        if let Some((_, _, mut waker)) = finished {
+            if Arc::get_mut(&mut waker).is_some() {
+                ex.borrow_mut().spare.push(waker);
+            }
+        }
     });
     let detached: Vec<u64> = ex.borrow_mut().detached.drain(mark..).collect();
     detached.into_iter().for_each(|id| poll(ex, id));
@@ -165,11 +188,44 @@ impl Drop for Timer {
     }
 }
 
-/// Resolves `delay` after its first poll; dropping it cancels its event.
-pub async fn sleep(sim: &Sim, delay: Duration) {
-    let done = Completion::default();
-    let _timer = done.fill_after(sim, delay, ());
-    done.await
+/// Resolves `delay` after its first poll: the event scheduled then wakes
+/// the task, and the sleep is over once that event has fired. It holds
+/// only the event's id, so it allocates nothing; dropping it cancels the
+/// event.
+pub fn sleep(sim: &Sim, delay: Duration) -> Sleep<'_> {
+    Sleep { sim, delay, event: None }
+}
+
+/// A delay on the simulator's clock; see [`sleep`].
+#[must_use = "a sleep does nothing unless awaited"]
+pub struct Sleep<'a> {
+    sim: &'a Sim,
+    delay: Duration,
+    /// The event that ends it, scheduled at its first poll.
+    event: Option<EventId>,
+}
+
+impl Future for Sleep<'_> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        match self.event {
+            None => {
+                self.event = Some(self.sim.schedule_wake(self.delay, cx.waker().clone()));
+                Poll::Pending
+            }
+            Some(id) if self.sim.rewake(id, cx.waker()) => Poll::Pending,
+            Some(_) => Poll::Ready(()),
+        }
+    }
+}
+
+impl Drop for Sleep<'_> {
+    fn drop(&mut self) {
+        if let Some(id) = self.event {
+            self.sim.cancel(id);
+        }
+    }
 }
 
 /// Runs `futures` concurrently in the awaiting task, polling them in order;
@@ -284,6 +340,29 @@ mod tests {
         sim.run_to_completion();
         assert!(woke.get());
         assert_eq!(sim.now().as_nanos(), 10_000_000);
+    }
+
+    #[test]
+    fn a_sleep_moved_to_another_task_wakes_that_task() {
+        let sim = Sim::new(1);
+        let log = Log::default();
+        let futures: Vec<BoxFuture<Result<(), &str>>> = vec![
+            Box::pin({
+                let (sim, log) = (sim.clone(), Rc::clone(&log));
+                async move {
+                    sleep(&sim, dur::ms(5)).await;
+                    note(&log, "slept");
+                    Ok(())
+                }
+            }),
+            Box::pin(async { Err("failed") }),
+        ];
+        // The failure detaches the sleeping future into a task of its own,
+        // which polls it again with another waker.
+        spawn(&sim, async move { assert_eq!(try_join_all(futures).await, Err("failed")) });
+        sim.run_to_completion();
+        assert_eq!(*log.borrow(), ["slept"]);
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]
