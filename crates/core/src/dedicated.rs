@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
-use crdb_sim::{Sim, Topology};
+use crdb_sim::{task, Sim, Topology};
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::{NodeState, SqlNode, SqlNodeConfig};
@@ -59,7 +59,8 @@ impl DedicatedCluster {
             let mut cfg = sql_config.clone();
             cfg.location = location;
             let node = SqlNode::new(sim, SqlInstanceId(i as u64 + 1), client, cfg);
-            node.start(&system_db, || {});
+            let (starting, system_db) = (Rc::clone(&node), system_db.clone());
+            task::spawn(sim, async move { starting.start(&system_db).await });
             sql_nodes.push(node);
         }
         sim.run_for(dur::secs(10));
@@ -180,7 +181,10 @@ mod tests {
             dedicated.kv_client().location(),
         );
         let serverless = SqlNode::new(&sim, SqlInstanceId(100), client, sql.clone());
-        serverless.start(&SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]), || {});
+        let starting = Rc::clone(&serverless);
+        task::spawn(&sim, async move {
+            starting.start(&SystemDatabase::optimized(RegionId(0), vec![RegionId(0)])).await
+        });
         sim.run_for(dur::secs(10));
         let serverless_session = serverless.open_session("root").expect("session");
 

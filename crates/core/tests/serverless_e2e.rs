@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use crdb_core::{ServerlessCluster, ServerlessConfig};
 use crdb_serverless::proxy::Connection;
-use crdb_sim::Sim;
+use crdb_sim::{task, Sim};
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
 use crdb_util::RegionId;
@@ -203,8 +203,9 @@ fn auth_failures_throttle_source() {
         Rc::new(RefCell::new(Vec::new()));
     // Two immediate failed attempts: the second hits the throttle.
     for _ in 0..2 {
-        let e = Rc::clone(&errs);
-        cluster.proxy.connect(tenant, "5.5.5.5", "app", false, move |r| {
+        let (proxy, e) = (Rc::clone(&cluster.proxy), Rc::clone(&errs));
+        task::spawn(&sim, async move {
+            let r = proxy.connect(tenant, "5.5.5.5", "app", false).await;
             e.borrow_mut().push(r.err().unwrap());
         });
         sim.run_for(dur::ms(100));

@@ -15,19 +15,18 @@
 //! 1. A component that does work on behalf of the current request calls
 //!    [`child`] (or [`current`]) — both return a no-op [`MaybeSpan`] when no
 //!    trace is active, so instrumentation costs nothing on untraced paths.
-//! 2. In `async fn` code (on `crdb_sim::task`: the SQL node, its
-//!    transactions, the KV client), a span covers a future through
-//!    [`within`], which enters it for each poll: it is the current span of
-//!    everything the future does, across its `.await`s, and of nothing
-//!    another task does while it waits. Never hold a [`ScopeGuard`] across
-//!    an `.await` (clippy refuses one). Code that runs after an `.await`
-//!    outside any `within` names its parent explicitly.
-//! 3. In callback code (the proxy, the pool, the KV node), capture the
-//!    context before scheduling a callback (a sim event, a CPU grant, a
-//!    network hop): `let span = trace::current();`, moved into the closure,
-//!    and re-install it inside for the callback's duration:
-//!    `let _g = span.enter();`. Guards are strictly LIFO; hold them in a
-//!    local and let scope end pop them.
+//! 2. In `async fn` code (on `crdb_sim::task`: the proxy, the warm pool,
+//!    the SQL node, its transactions, the KV client and node), a span
+//!    covers a future through [`within`], which enters it for each poll:
+//!    it is the current span of everything the future does, across its
+//!    `.await`s, and of nothing another task does while it waits. A task
+//!    spawned to carry on the current request runs [`in_current_span`].
+//!    Never hold a [`ScopeGuard`] across an `.await` (clippy refuses one).
+//!    Code that runs after an `.await` outside any `within` names its
+//!    parent explicitly.
+//! 3. A client enters its request's span around the call that starts the
+//!    work (`let _g = span.enter();`). Guards are strictly LIFO; hold them
+//!    in a local and let scope end pop them.
 //! 4. End spans explicitly ([`MaybeSpan::end`]) when the logical operation
 //!    completes, which is usually after an `.await` or inside a later
 //!    callback than the one that created them. Ending twice is a no-op (the
@@ -41,7 +40,7 @@
 
 use std::cell::RefCell;
 use std::future::Future;
-use std::pin::Pin;
+use std::pin::{pin, Pin};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -339,6 +338,13 @@ pub async fn within<F: Future>(span: &MaybeSpan, mut future: Pin<&mut F>) -> F::
         future.as_mut().poll(cx)
     })
     .await
+}
+
+/// Runs `future` within the span current where this is called: for a
+/// task that carries its spawner's request on past an `.await`.
+pub fn in_current_span<F: Future>(future: F) -> impl Future<Output = F::Output> {
+    let span = current();
+    async move { within(&span, pin!(future)).await }
 }
 
 #[expect(

@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use crdb_sim::Sim;
+use crdb_sim::{task, Sim};
 use crdb_sql::node::{NodeState, NODE_VCPUS};
 use crdb_util::time::dur;
 use crdb_util::TenantId;
@@ -197,11 +197,11 @@ impl Autoscaler {
                 continue;
             }
             // Otherwise pull from the warm pool.
-            let registry = self.registry.clone();
-            let pool = Rc::clone(&self.pool);
+            let (registry, pool) = (self.registry.clone(), Rc::clone(&self.pool));
             self.scale_ups.set(self.scale_ups.get() + 1);
-            let sdb = (self.system_db)(tenant);
-            pool.acquire_and_start(&registry.clone(), &sdb, tenant, move |node| {
+            let system_db = (self.system_db)(tenant);
+            task::spawn(&self.sim, async move {
+                let node = pool.acquire_and_start(&registry, &system_db, tenant).await;
                 registry.with_tenant(tenant, |e| {
                     if !e.suspended {
                         e.nodes.push(node);

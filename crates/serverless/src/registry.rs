@@ -54,6 +54,13 @@ impl TenantEntry {
     pub fn ready_nodes(&self) -> Vec<Rc<SqlNode>> {
         self.nodes.iter().filter(|n| n.state() == NodeState::Ready).cloned().collect()
     }
+
+    /// The ready node with the fewest sessions, the earliest of a tie: the
+    /// proxy's least-connections pick.
+    pub fn least_connected(&self) -> Option<Rc<SqlNode>> {
+        let ready = self.nodes.iter().filter(|n| n.state() == NodeState::Ready);
+        ready.min_by_key(|n| n.session_count()).cloned()
+    }
 }
 
 struct Inner {

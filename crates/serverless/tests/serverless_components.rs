@@ -3,7 +3,7 @@
 //! where possible, and proxy behaviours that the end-to-end suites don't
 //! pin down.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use crdb_kv::client::KvClient;
@@ -11,9 +11,9 @@ use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_serverless::autoscaler::{Autoscaler, AutoscalerConfig};
 use crdb_serverless::metrics::{MetricsPipeline, PipelineConfig};
 use crdb_serverless::pool::WarmPool;
-use crdb_serverless::proxy::{Proxy, ProxyConfig};
+use crdb_serverless::proxy::{Connection, Proxy, ProxyConfig};
 use crdb_serverless::registry::Registry;
-use crdb_sim::{Location, Sim, Topology};
+use crdb_sim::{task, Location, Sim, Topology};
 use crdb_sql::node::{NodeState, SqlNode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_util::time::dur;
@@ -25,6 +25,22 @@ struct Fixture {
     pool: Rc<WarmPool>,
     proxy: Rc<Proxy>,
     autoscaler: Rc<Autoscaler>,
+}
+
+/// Where a connect's connection lands once it is open.
+type Slot = Rc<RefCell<Option<Rc<Connection>>>>;
+
+impl Fixture {
+    /// Spawns a connect to tenant 2 from `ip`, which must succeed.
+    fn connect(&self, ip: &str) -> Slot {
+        let slot = Slot::default();
+        let (proxy, ip, s) = (Rc::clone(&self.proxy), ip.to_string(), Rc::clone(&slot));
+        task::spawn(&self.sim, async move {
+            let conn = proxy.connect(TenantId(2), &ip, "u", true).await.expect("connect");
+            *s.borrow_mut() = Some(conn);
+        });
+        slot
+    }
 }
 
 fn fixture(seed: u64, pipeline: PipelineConfig) -> Fixture {
@@ -80,16 +96,10 @@ fn fixture_opts(seed: u64, pipeline: PipelineConfig, with_autoscaler: bool) -> F
 #[test]
 fn concurrent_connects_share_one_resume() {
     let f = fixture(1, PipelineConfig::direct());
-    let connected = Rc::new(Cell::new(0u32));
-    for i in 0..5 {
-        let c = Rc::clone(&connected);
-        f.proxy.connect(TenantId(2), &format!("10.0.0.{i}"), "u", true, move |r| {
-            r.expect("connect");
-            c.set(c.get() + 1);
-        });
-    }
+    let slots: Vec<Slot> = (0..5).map(|i| f.connect(&format!("10.0.0.{i}"))).collect();
     f.sim.run_for(dur::secs(10));
-    assert_eq!(connected.get(), 5, "all five connects succeeded");
+    let connected = slots.iter().filter(|s| s.borrow().is_some()).count();
+    assert_eq!(connected, 5, "all five connects succeeded");
     assert_eq!(f.proxy.cold_starts.get(), 1, "one cold start served them all");
     assert_eq!(f.registry.node_count(TenantId(2)), 1);
     assert_eq!(*f.pool.acquired.borrow(), 1);
@@ -101,19 +111,13 @@ fn least_connections_balances_across_nodes() {
     let f = fixture_opts(2, PipelineConfig::direct(), false);
     // Bring up the first node via a connect, then add a second node
     // manually (as a scale-up would).
-    let first = Rc::new(Cell::new(false));
-    {
-        let fl = Rc::clone(&first);
-        f.proxy.connect(TenantId(2), "10.1.1.1", "u", true, move |r| {
-            r.expect("connect");
-            fl.set(true);
-        });
-    }
+    let first = f.connect("10.1.1.1");
     f.sim.run_for(dur::secs(5));
-    assert!(first.get());
+    assert!(first.borrow().is_some());
     let sdb = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
-    let registry = f.registry.clone();
-    f.pool.acquire_and_start(&f.registry, &sdb, TenantId(2), move |node| {
+    let (pool, registry) = (Rc::clone(&f.pool), f.registry.clone());
+    task::spawn(&f.sim, async move {
+        let node = pool.acquire_and_start(&registry, &sdb, TenantId(2)).await;
         registry.with_tenant(TenantId(2), |e| e.nodes.push(node));
     });
     f.sim.run_for(dur::secs(5));
@@ -121,9 +125,7 @@ fn least_connections_balances_across_nodes() {
 
     // Ten more connections must spread across both nodes.
     for i in 0..10 {
-        f.proxy.connect(TenantId(2), &format!("10.1.2.{i}"), "u", true, |r| {
-            r.expect("connect");
-        });
+        drop(f.connect(&format!("10.1.2.{i}")));
         f.sim.run_for(dur::ms(300));
     }
     let counts = f
@@ -145,16 +147,9 @@ fn prometheus_pipeline_reacts_slower_than_direct() {
     {
         let f = fixture(3, cfg);
         // Bring up a node and burn CPU on it.
-        let ready = Rc::new(Cell::new(false));
-        {
-            let r2 = Rc::clone(&ready);
-            f.proxy.connect(TenantId(2), "10.2.2.2", "u", true, move |r| {
-                r.expect("connect");
-                r2.set(true);
-            });
-        }
+        let ready = f.connect("10.2.2.2");
         f.sim.run_for(dur::secs(6));
-        assert!(ready.get());
+        assert!(ready.borrow().is_some());
         let node = f.registry.with_tenant(TenantId(2), |e| e.nodes[0].clone()).unwrap();
         assert_eq!(node.state(), NodeState::Ready);
         let step_at = f.sim.now();
@@ -186,13 +181,7 @@ fn prometheus_pipeline_reacts_slower_than_direct() {
 #[test]
 fn autoscaler_suspends_and_pool_replenishes() {
     let f = fixture(4, PipelineConfig::direct());
-    let conn = Rc::new(std::cell::RefCell::new(None));
-    {
-        let c = Rc::clone(&conn);
-        f.proxy.connect(TenantId(2), "10.3.3.3", "u", true, move |r| {
-            *c.borrow_mut() = Some(r.expect("connect"));
-        });
-    }
+    let conn = f.connect("10.3.3.3");
     f.sim.run_for(dur::secs(5));
     let pool_after_acquire = f.pool.available();
     let conn = conn.borrow().clone().unwrap();

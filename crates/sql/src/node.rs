@@ -31,7 +31,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::pin::pin;
 use std::rc::Rc;
-use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crdb_kv::batch::KvError;
@@ -253,24 +252,15 @@ impl SqlNode {
 
     /// Runs the cold-start sequence (§4.3.1 / §3.2.5): process init CPU,
     /// blocking system-database accesses with locality-modeled latency,
-    /// real catalog load, and instance registration. `on_ready` fires when
-    /// the node can accept queries.
-    pub fn start(self: &Rc<Self>, system_db: &SystemDatabase, on_ready: impl FnOnce() + 'static) {
+    /// real catalog load, and instance registration. Returns once the node
+    /// can accept queries.
+    pub async fn start(self: &Rc<Self>, system_db: &SystemDatabase) {
         assert_eq!(self.state.get(), NodeState::Created, "start() on fresh nodes only");
         self.state.set(NodeState::Starting);
         let topology = self.client.cluster().topology();
         // Total modeled latency of the blocking system-table accesses.
         let sys_latency = system_db.cold_start_latency(&topology, self.config.location);
         let partitioned = system_db.instance_partitions().contains(&self.config.location.region);
-        let node = Rc::clone(self);
-        task::spawn(&self.sim, async move {
-            node.cold_start(sys_latency, partitioned).await;
-            on_ready();
-        });
-    }
-
-    /// The cold-start sequence [`SqlNode::start`] runs.
-    async fn cold_start(self: &Rc<Self>, sys_latency: Duration, partitioned: bool) {
         let started_at = self.sim.now();
         let span = trace::child("sql.node.start");
         span.tag("instance", self.instance_id);
@@ -403,7 +393,8 @@ impl SqlNode {
         Ok(())
     }
 
-    /// Executes a prepared statement by name.
+    /// Executes a prepared statement by name, as a task of its own; `cb`
+    /// gets its result.
     pub fn execute_prepared(
         self: &Rc<Self>,
         session: u64,
@@ -424,7 +415,8 @@ impl SqlNode {
         self.execute(session, &sql, params, cb);
     }
 
-    /// Parses, plans and executes one statement in the given session.
+    /// Parses, plans and executes one statement in the given session, as a
+    /// task of its own; `cb` gets its result.
     pub fn execute(
         self: &Rc<Self>,
         session: u64,
@@ -432,47 +424,39 @@ impl SqlNode {
         params: Vec<crate::value::Datum>,
         cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
     ) {
-        self.execute_with_deadline(session, sql, params, Deadline::NONE, cb)
+        let (node, sql) = (Rc::clone(self), sql.to_string());
+        task::spawn(&self.sim, async move {
+            cb(node.execute_with_deadline(session, &sql, params, Deadline::NONE).await)
+        });
     }
 
-    /// Like [`SqlNode::execute`], but every KV batch the statement issues
-    /// carries `deadline`, and no statement-level retry is scheduled past
-    /// it. This is how the proxy's per-statement deadline propagates into
-    /// the SQL layer. Internal maintenance work (catalog refresh, index
-    /// backfill, intent cleanup) stays unbounded. The statement runs as a
-    /// task of its own; `cb` gets its result.
-    pub fn execute_with_deadline(
+    /// Parses, plans and executes one statement in the given session.
+    /// Every KV batch the statement issues carries `deadline`, and no
+    /// statement-level retry is scheduled past it. This is how the proxy's
+    /// per-statement deadline propagates into the SQL layer. Internal
+    /// maintenance work (catalog refresh, index backfill, intent cleanup)
+    /// stays unbounded.
+    pub async fn execute_with_deadline(
         self: &Rc<Self>,
         session: u64,
         sql: &str,
         params: Vec<crate::value::Datum>,
         deadline: Deadline,
-        cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
-    ) {
+    ) -> Result<QueryOutput, SqlError> {
         if !matches!(self.state.get(), NodeState::Ready | NodeState::Draining) {
-            cb(Err(SqlError::State(format!("node is {:?}", self.state.get()))));
-            return;
+            return Err(SqlError::State(format!("node is {:?}", self.state.get())));
         }
-        let stmt = match parse(sql) {
-            Ok(s) => s,
-            Err(e) => {
-                cb(Err(SqlError::Parse(e)));
-                return;
-            }
-        };
+        let stmt = parse(sql).map_err(SqlError::Parse)?;
         let span = trace::child("sql.execute");
         span.tag("session", session);
         span.tag("tenant", self.tenant);
-        let node = Rc::clone(self);
-        task::spawn(&self.sim, async move {
-            let run = pin!(node.execute_statement(session, stmt, params, deadline));
-            let result = trace::within(&span, run).await;
-            if result.is_err() {
-                span.tag("error", true);
-            }
-            span.end();
-            cb(result);
-        });
+        let run = pin!(self.execute_statement(session, stmt, params, deadline));
+        let result = trace::within(&span, run).await;
+        if result.is_err() {
+            span.tag("error", true);
+        }
+        span.end();
+        result
     }
 
     /// Runs one statement. One that meets `UnknownTable` refreshes the

@@ -789,7 +789,10 @@ fn ambiguous_commit_is_reported_and_not_rerun_by_the_autocommit_retry() {
     let client = KvClient::new(cluster.clone(), cert, location);
     let config = SqlNodeConfig { location, ..Default::default() };
     let node = SqlNode::new(&sim, SqlInstanceId(1), client, config);
-    node.start(&SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]), || {});
+    let starting = Rc::clone(&node);
+    task::spawn(&sim, async move {
+        starting.start(&SystemDatabase::optimized(RegionId(0), vec![RegionId(0)])).await
+    });
     sim.run_for(dur::secs(5));
     let session = node.open_session("app").expect("node is ready");
     let exec = |sql: &str, secs: u64| -> Result<QueryOutput, SqlError> {

@@ -68,7 +68,8 @@ impl Harness {
         let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(0), 0));
         let node = SqlNode::new(&sim, SqlInstanceId(1), client.clone(), SqlNodeConfig::default());
         let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
-        node.start(&system_db, || {});
+        let starting = Rc::clone(&node);
+        task::spawn(&sim, async move { starting.start(&system_db).await });
         sim.run_for(dur::secs(5));
         let session = node.open_session("diff_user").expect("node is ready");
         Harness { sim, node, session, client, seen: RefCell::default() }

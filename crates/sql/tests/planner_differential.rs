@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
-use crdb_sim::{Location, Sim, Topology};
+use crdb_sim::{task, Location, Sim, Topology};
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::{NodeState, SqlNode, SqlNodeConfig};
@@ -37,8 +37,11 @@ fn setup(seed: u64) -> Fixture {
     let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
     let ready = Rc::new(RefCell::new(false));
     {
-        let r = Rc::clone(&ready);
-        node.start(&system_db, move || *r.borrow_mut() = true);
+        let (r, starting) = (Rc::clone(&ready), Rc::clone(&node));
+        task::spawn(&sim, async move {
+            starting.start(&system_db).await;
+            *r.borrow_mut() = true;
+        });
     }
     sim.run_for(dur::secs(5));
     assert!(*ready.borrow(), "node became ready");

@@ -13,7 +13,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
-use crdb_sim::{Location, Sim, Topology};
+use crdb_sim::{task, Location, Sim, Topology};
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::{SqlNode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
@@ -75,7 +75,8 @@ fn loaded(seed: u64) -> Fixture {
     let client = KvClient::new(cluster.clone(), cert, Location::new(RegionId(0), 0));
     let node = SqlNode::new(&sim, SqlInstanceId(1), client, SqlNodeConfig::default());
     let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
-    node.start(&system_db, || {});
+    let starting = Rc::clone(&node);
+    task::spawn(&sim, async move { starting.start(&system_db).await });
     sim.run_for(dur::secs(5));
     let session = node.open_session("footprint").expect("node is ready");
     let f = Fixture { sim, node, session };

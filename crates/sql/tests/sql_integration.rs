@@ -9,7 +9,7 @@ use bytes::Bytes;
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_kv::{keys, mvcc, Timestamp};
-use crdb_sim::{Location, Sim, Topology};
+use crdb_sim::{task, Location, Sim, Topology};
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::{NodeState, SqlNode, SqlNodeConfig};
@@ -37,8 +37,11 @@ fn setup(seed: u64) -> Fixture {
     let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
     let ready = Rc::new(RefCell::new(false));
     {
-        let r = Rc::clone(&ready);
-        node.start(&system_db, move || *r.borrow_mut() = true);
+        let (r, starting) = (Rc::clone(&ready), Rc::clone(&node));
+        task::spawn(&sim, async move {
+            starting.start(&system_db).await;
+            *r.borrow_mut() = true;
+        });
     }
     sim.run_for(dur::secs(5));
     assert!(*ready.borrow(), "node became ready");
@@ -319,8 +322,11 @@ fn session_migration_between_nodes() {
     let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
     let ready = Rc::new(RefCell::new(false));
     {
-        let r = Rc::clone(&ready);
-        node2.start(&system_db, move || *r.borrow_mut() = true);
+        let (r, starting) = (Rc::clone(&ready), Rc::clone(&node2));
+        task::spawn(&f.sim, async move {
+            starting.start(&system_db).await;
+            *r.borrow_mut() = true;
+        });
     }
     f.sim.run_for(dur::secs(5));
     assert!(*ready.borrow());
@@ -351,7 +357,8 @@ fn second_node(f: &Fixture) -> Fixture {
     let client = KvClient::new(f.cluster.clone(), cert, Location::new(RegionId(0), 0));
     let node = SqlNode::new(&f.sim, SqlInstanceId(2), client, SqlNodeConfig::default());
     let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
-    node.start(&system_db, || {});
+    let starting = Rc::clone(&node);
+    task::spawn(&f.sim, async move { starting.start(&system_db).await });
     f.sim.run_for(dur::secs(5));
     assert_eq!(node.state(), NodeState::Ready);
     let session = node.open_session("u").unwrap();
