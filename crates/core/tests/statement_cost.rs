@@ -1,5 +1,6 @@
 //! What a proxied statement costs the simulator and the host: the events
-//! it takes from the client's call to its answer, and the allocations.
+//! it takes from the client's call to its answer, and the allocations;
+//! and what a deployment costs in events while nothing happens.
 //!
 //! Everything here runs through `ServerlessCluster` (proxy → SQL node →
 //! KV client → KV node), on one seed, after the deployment's periodic
@@ -88,7 +89,7 @@ fn a_proxied_statement_takes_fixed_events_and_at_most_its_allocations() {
     // A cold connect: pool assignment and certificate delivery, the SQL
     // node's start (its KV reads and its registration), then the hop to
     // open the session. Its allocations depend on what the start reads.
-    assert_eq!(cold.events, 56, "cold connect");
+    assert_eq!(cold.events, 38, "cold connect");
     // A warm connect is the one hop that opens the session.
     assert_eq!(warm.events, 1, "warm connect");
     assert!(warm.allocations <= WARM_CONNECT_ALLOCATIONS, "warm connect: {warm:?}");
@@ -101,4 +102,36 @@ fn a_proxied_statement_takes_fixed_events_and_at_most_its_allocations() {
     // The simulator is single-threaded and seeded: the same seed
     // allocates exactly as often.
     assert_eq!(costs(11), measured, "same seed, different costs");
+}
+
+/// Events an idle deployment takes in one simulated minute, after the
+/// warm-up: two tenants, each used once and suspended since.
+fn idle_minute(seed: u64) -> u64 {
+    let sim = Sim::new(seed);
+    let config = ServerlessConfig::default();
+    let suspend_after = config.autoscaler.suspend_after;
+    let cluster = ServerlessCluster::new(&sim, config);
+    sim.run_for(dur::secs(30));
+    let tenants = [0, 1].map(|_| cluster.create_tenant(vec![RegionId(0)], None));
+    for tenant in tenants {
+        let (conn, _) = connect(&sim, &cluster, tenant);
+        execute(&sim, &cluster, &conn, "CREATE TABLE kv (k INT PRIMARY KEY, v INT)");
+        execute(&sim, &cluster, &conn, "INSERT INTO kv VALUES (1, 10)");
+        cluster.close(&conn);
+    }
+    sim.run_for(suspend_after + dur::secs(30));
+    assert!(tenants.iter().all(|&t| cluster.is_suspended(t)), "both tenants suspended");
+    let before = sim.events_executed();
+    sim.run_for(dur::mins(1));
+    sim.events_executed() - before
+}
+
+#[test]
+fn an_idle_deployment_takes_fixed_events() {
+    // What still ticks with nothing to do: each KV node's admission-slot
+    // controller (every 50 ms) and write-capacity estimator, and the
+    // cluster's control loops. No storage work runs without a write.
+    let events = idle_minute(11);
+    assert_eq!(events, 3_894, "idle minute");
+    assert_eq!(idle_minute(11), events, "same seed, different idle cost");
 }

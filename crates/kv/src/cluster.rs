@@ -675,6 +675,9 @@ impl KvCluster {
             for n in &replicas {
                 if let Some(node) = inner.nodes.get(n) {
                     mvcc::ingest_versions(&node.engine, &table);
+                    // A table landing in L0 may make a compaction due, and
+                    // a refused one was written through the WAL instead.
+                    node.settle_write();
                 }
             }
         }

@@ -230,20 +230,6 @@ impl KvNode {
             node.admission.borrow_mut().estimate_write_capacity(now, metrics, l0);
             true
         });
-        // Storage sweeper: a follower's replays land in its engine
-        // without going through `execute`, so a coarse tick commits any
-        // straggling WAL group (an empty one costs no fsync) and starts
-        // background jobs their rotation produced. Leader-driven writes
-        // don't wait for this — they arm the group-commit timer at their
-        // append and kick maintenance directly.
-        let node = Rc::clone(self);
-        self.sim.schedule_periodic(dur::ms(50), move || {
-            if !node.commit_timer_armed.get() {
-                node.engine.group_commit();
-            }
-            node.maintain_storage();
-            true
-        });
     }
 
     /// Arms the group-commit timer unless a window is already open: the
@@ -270,6 +256,15 @@ impl KvNode {
         let acks = std::mem::take(&mut *self.commit_acks.borrow_mut());
         self.engine.group_commit();
         acks.iter().for_each(|ack| ack.fill(()));
+    }
+
+    /// Settles a change to the engine that this node did not evaluate (a
+    /// replay, an ingest) in its own event: syncs the WAL unless a window
+    /// is open, whose fsync covers it, and starts the work it made due.
+    pub(crate) fn settle_write(self: &Rc<Self>) {
+        if !self.commit_timer_armed.get() {
+            self.engine.group_commit();
+        }
         self.maintain_storage();
     }
 
@@ -591,7 +586,8 @@ impl KvNode {
         // Raft lets a leader write its disk in parallel with AppendEntries.
         // `wal_seq` is the highest sequence number the batch was given.
         let wal_seq = self.engine.wal_appended_seq();
-        if wal_seq > appended_before {
+        let appended = wal_seq > appended_before;
+        if appended {
             self.arm_group_commit();
         }
         let (response, write_payload) = match result {
@@ -613,17 +609,16 @@ impl KvNode {
 
         // Admission completion: actual CPU and actual physical write bytes
         // (raft log + state machine, the §5.1.4 linear model's target).
-        let actual_bytes = if write_payload > 0 {
+        let actual_bytes = (write_payload > 0).then(|| {
             let physical = 2.0 * write_payload as f64 + 96.0;
             self.disk.submit(physical, || {});
-            // Rotation may have produced a frozen memtable; start its
-            // flush (and any compaction now due) immediately rather than
-            // waiting for the sweeper tick.
+            physical
+        });
+        // The append may have rotated the memtable: start its flush (and
+        // any compaction now due) in this event.
+        if appended {
             self.maintain_storage();
-            Some(physical)
-        } else {
-            None
-        };
+        }
         self.admission.borrow_mut().complete(
             now,
             batch.tenant,
@@ -669,8 +664,9 @@ impl KvNode {
     ) -> Result<(Vec<ResponseKind>, usize), KvError> {
         let mut log = Vec::new();
         let result = self.evaluate(cluster, batch, &mut log);
-        for follower in followers {
+        for follower in followers.iter().filter(|_| !log.is_empty()) {
             log.iter().for_each(|applied| applied.replay(&follower.engine));
+            follower.settle_write();
         }
         result
     }
