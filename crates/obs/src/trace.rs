@@ -282,8 +282,7 @@ impl Span {
     /// Pushes this span onto the ambient current-span stack. The returned
     /// guard pops it on drop; guards must be dropped in LIFO order.
     pub fn enter(&self) -> ScopeGuard {
-        CURRENT.with(|c| c.borrow_mut().push(self.clone()));
-        ScopeGuard { pushed: true, _not_send: std::marker::PhantomData }
+        push(Some(self.clone()))
     }
 }
 
@@ -301,8 +300,29 @@ fn _span_unused(parent: &Span) {
     let span = parent.child("unused");
 }
 
+/// The current-span stack. Entering an inert handle pushes an inert
+/// entry: under it nothing is traced, whatever was entered before it.
+/// Inert entries below the first live one are only counted, so an
+/// untraced run never allocates the stack.
+struct Stack {
+    inert_below: usize,
+    entries: Vec<Option<Span>>,
+}
+
 thread_local! {
-    static CURRENT: RefCell<Vec<Span>> = const { RefCell::new(Vec::new()) };
+    static CURRENT: RefCell<Stack> =
+        const { RefCell::new(Stack { inert_below: 0, entries: Vec::new() }) };
+}
+
+fn push(span: Option<Span>) -> ScopeGuard {
+    CURRENT.with(|c| {
+        let mut stack = c.borrow_mut();
+        match span {
+            None if stack.entries.is_empty() => stack.inert_below += 1,
+            span => stack.entries.push(span),
+        }
+    });
+    ScopeGuard { _not_send: std::marker::PhantomData }
 }
 
 /// Pops the ambient stack on drop. See [`Span::enter`]. Held across an
@@ -311,18 +331,17 @@ thread_local! {
 /// `await-holding-invalid-types`, and [`within`] is the way to carry a
 /// span across one.
 pub struct ScopeGuard {
-    /// False for an inert span's guard, which pops nothing.
-    pushed: bool,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        if self.pushed {
-            CURRENT.with(|c| {
-                c.borrow_mut().pop();
-            });
-        }
+        CURRENT.with(|c| {
+            let mut stack = c.borrow_mut();
+            if stack.entries.pop().is_none() {
+                stack.inert_below = stack.inert_below.saturating_sub(1);
+            }
+        });
     }
 }
 
@@ -358,7 +377,7 @@ async fn _scope_held(span: &Span) {
 
 /// The ambient current span, or an inert handle if no trace is active.
 pub fn current() -> MaybeSpan {
-    MaybeSpan(CURRENT.with(|c| c.borrow().last().cloned()))
+    MaybeSpan(CURRENT.with(|c| c.borrow().entries.last().cloned().flatten()))
 }
 
 /// Opens a child of the ambient current span, or returns an inert handle if
@@ -417,12 +436,10 @@ impl MaybeSpan {
     }
 
     /// Re-installs this span as the ambient current span for the guard's
-    /// lifetime; an inert handle installs nothing.
+    /// lifetime. An inert handle installs an inert entry: work done
+    /// under it is untraced, not attributed to a span entered before it.
     pub fn enter(&self) -> ScopeGuard {
-        match &self.0 {
-            Some(s) => s.enter(),
-            None => ScopeGuard { pushed: false, _not_send: std::marker::PhantomData },
-        }
+        push(self.0.clone())
     }
 }
 
@@ -516,10 +533,27 @@ mod tests {
         assert!(!current().is_active(), "nothing stays entered while the future waits");
         assert!(future.as_mut().poll(cx).is_ready());
         assert_eq!(trace.paths(), ["req", "req/inner", "req/inner/step", "req/inner/step"]);
-        // An inert span's guard pops nothing it did not push.
+        // An inert span's guard pops only what it pushed.
         let _outer = root.enter();
         drop(MaybeSpan::none().enter());
         assert!(current().is_active());
+    }
+
+    #[test]
+    fn an_inert_span_hides_the_span_entered_before_it() {
+        let clock = ManualClock::new();
+        let (trace, root) = Trace::start("req", clock.clone());
+        let _outer = root.enter();
+        {
+            // Another task, untraced, polled inline during this request.
+            let _inert = MaybeSpan::none().enter();
+            assert!(!current().is_active());
+            let orphan = child("sql.cpu");
+            assert!(!orphan.is_active());
+            orphan.end();
+        }
+        assert!(current().is_active());
+        assert_eq!(trace.paths(), ["req"]);
     }
 
     #[test]
