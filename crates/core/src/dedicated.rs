@@ -8,17 +8,13 @@
 //! baseline for the efficiency comparison (Fig. 6) and the "actual CPU"
 //! reference for the estimated-CPU accuracy experiment (Fig. 11).
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use crdb_kv::client::KvClient;
 use crdb_kv::cluster::{KvCluster, KvClusterConfig};
 use crdb_sim::{task, Sim, Topology};
-use crdb_sql::coord::SqlError;
-use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::{NodeState, SqlNode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
-use crdb_sql::value::Datum;
 use crdb_util::time::dur;
 use crdb_util::{RegionId, SqlInstanceId, TenantId};
 
@@ -32,7 +28,6 @@ pub struct DedicatedCluster {
     pub sql_nodes: Vec<Rc<SqlNode>>,
     /// The single tenant.
     pub tenant: TenantId,
-    sessions: RefCell<Vec<u64>>,
 }
 
 impl DedicatedCluster {
@@ -52,7 +47,6 @@ impl DedicatedCluster {
         let system_db = SystemDatabase::optimized(RegionId(0), vec![RegionId(0)]);
 
         let mut sql_nodes = Vec::new();
-        let mut sessions = Vec::new();
         for (i, kv_node_id) in kv.node_ids().into_iter().enumerate() {
             let Some(location) = kv.node_location(kv_node_id) else { continue };
             let client = KvClient::new(kv.clone(), cert.clone(), location);
@@ -66,32 +60,8 @@ impl DedicatedCluster {
         sim.run_for(dur::secs(10));
         for node in &sql_nodes {
             assert_eq!(node.state(), NodeState::Ready, "dedicated SQL engine ready");
-            // A Ready node always opens a session.
-            sessions.extend(node.open_session("root"));
         }
-        Rc::new(DedicatedCluster {
-            sim: sim.clone(),
-            kv,
-            sql_nodes,
-            tenant,
-            sessions: RefCell::new(sessions),
-        })
-    }
-
-    /// Executes a statement on the `i`-th VM's SQL engine.
-    pub fn execute_on(
-        &self,
-        i: usize,
-        sql: &str,
-        params: Vec<Datum>,
-        cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
-    ) {
-        let vm = i % self.sql_nodes.len();
-        let session = self.sessions.borrow().get(vm).copied();
-        match (self.sql_nodes.get(vm), session) {
-            (Some(node), Some(session)) => node.execute(session, sql, params, cb),
-            _ => cb(Err(SqlError::State(format!("no SQL engine on VM {vm}")))),
-        }
+        Rc::new(DedicatedCluster { sim: sim.clone(), kv, sql_nodes, tenant })
     }
 
     /// Total CPU-seconds consumed across the cluster (SQL engines + KV
@@ -112,7 +82,25 @@ impl DedicatedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell as StdRefCell;
+    use crdb_sql::exec::QueryOutput;
+    use crdb_sql::value::Datum;
+    use crdb_util::Deadline;
+    use std::cell::RefCell;
+
+    /// Runs `sql` on `node` as a task to completion and returns its output
+    /// and the SQL CPU-seconds it cost.
+    fn run(sim: &Sim, node: &Rc<SqlNode>, session: u64, sql: &str) -> (QueryOutput, f64) {
+        let before = node.sql_cpu_seconds();
+        let out = Rc::new(RefCell::new(None));
+        let (o, n, text) = (Rc::clone(&out), Rc::clone(node), sql.to_string());
+        task::spawn(sim, async move {
+            let r = n.execute_with_deadline(session, &text, vec![], Deadline::NONE).await;
+            *o.borrow_mut() = Some(r.unwrap_or_else(|e| panic!("{text}: {e}")));
+        });
+        sim.run_for(dur::secs(5));
+        let output = out.borrow_mut().take().expect("statement finished");
+        (output, node.sql_cpu_seconds() - before)
+    }
 
     #[test]
     fn dedicated_cluster_serves_sql() {
@@ -124,41 +112,17 @@ mod tests {
             SqlNodeConfig::default(),
         );
         assert_eq!(cluster.sql_nodes.len(), 3);
-        let done = Rc::new(StdRefCell::new(false));
-        {
-            let d = Rc::clone(&done);
-            let c2 = Rc::clone(&cluster);
-            cluster.execute_on(0, "CREATE TABLE t (id INT PRIMARY KEY, v INT)", vec![], move |r| {
-                r.unwrap();
-                let d2 = Rc::clone(&d);
-                let c3 = Rc::clone(&c2);
-                c2.execute_on(0, "INSERT INTO t VALUES (1, 10)", vec![], move |r| {
-                    r.unwrap();
-                    // A different VM's engine sees the same data.
-                    c3.execute_on(1, "SELECT v FROM t WHERE id = 1", vec![], move |r| {
-                        let out = r.unwrap();
-                        assert_eq!(out.rows[0][0], Datum::Int(10));
-                        *d2.borrow_mut() = true;
-                    });
-                });
-            });
-        }
-        sim.run_for(dur::secs(30));
-        assert!(*done.borrow(), "query chain completed");
+        let vm = |i: usize| {
+            let node = &cluster.sql_nodes[i];
+            (node, node.open_session("root").expect("session"))
+        };
+        let ((first, s0), (second, s1)) = (vm(0), vm(1));
+        run(&sim, first, s0, "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+        run(&sim, first, s0, "INSERT INTO t VALUES (1, 10)");
+        // A different VM's engine sees the same data.
+        let (out, _) = run(&sim, second, s1, "SELECT v FROM t WHERE id = 1");
+        assert_eq!(out.rows[0][0], Datum::Int(10));
         assert!(cluster.total_cpu_seconds() > 0.0);
-    }
-
-    /// Runs `sql` on `node` to completion and returns its output and the
-    /// SQL CPU-seconds it cost.
-    fn run(sim: &Sim, node: &Rc<SqlNode>, session: u64, sql: &str) -> (QueryOutput, f64) {
-        let before = node.sql_cpu_seconds();
-        let out = Rc::new(StdRefCell::new(None));
-        let o = Rc::clone(&out);
-        let text = sql.to_string();
-        node.execute(session, sql, vec![], move |r| *o.borrow_mut() = Some(r.expect(&text)));
-        sim.run_for(dur::secs(5));
-        let output = out.borrow_mut().take().expect("statement finished");
-        (output, node.sql_cpu_seconds() - before)
     }
 
     #[test]
@@ -172,7 +136,7 @@ mod tests {
             sql.clone(),
         );
         let dedicated = Rc::clone(&cluster.sql_nodes[0]);
-        let dedicated_session = cluster.sessions.borrow()[0];
+        let dedicated_session = dedicated.open_session("root").expect("session");
         // A serverless-configured SQL node in its own process, serving a
         // second tenant of the same KV cluster.
         let client = KvClient::new(

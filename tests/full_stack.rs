@@ -12,8 +12,8 @@ use crdb_sql::node::SqlNodeConfig;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
 use crdb_util::RegionId;
-use crdb_workload::driver::{Driver, DriverConfig};
-use crdb_workload::executors::load_tenant;
+use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
+use crdb_workload::executors::{load_tenant, DedicatedExecutor};
 use crdb_workload::tpcc;
 
 fn sql(
@@ -154,10 +154,11 @@ fn dedicated_and_serverless_agree_on_results() {
         KvClusterConfig::default(),
         SqlNodeConfig::default(),
     );
+    let executor = DedicatedExecutor::new(dedicated);
     let run = |text: &str| {
         let out = Rc::new(RefCell::new(None));
         let o = Rc::clone(&out);
-        dedicated.execute_on(0, text, vec![], move |r| *o.borrow_mut() = Some(r));
+        executor.exec(0, text.to_string(), vec![], Box::new(move |r| *o.borrow_mut() = Some(r)));
         sim.run_for(dur::secs(30));
         let r = out.borrow_mut().take();
         r.unwrap().unwrap()
