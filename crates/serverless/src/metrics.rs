@@ -31,31 +31,24 @@ pub struct PipelineConfig {
     /// Additional propagation delay before a generated sample is visible
     /// to the autoscaler (scrape + query stages).
     pub propagation_delay: Duration,
-    /// Samples older than this (relative to the current time) are evicted.
-    /// Readers querying windows up to `horizon - propagation_delay` are
-    /// guaranteed never to observe a gap from eviction.
-    pub horizon: Duration,
 }
+
+/// Samples older than this (relative to the current time) are evicted.
+/// Readers querying windows up to `HORIZON - propagation_delay` are
+/// guaranteed never to observe a gap from eviction.
+pub const HORIZON: Duration = Duration::from_secs(600);
 
 impl PipelineConfig {
     /// The original Prometheus pipeline: 10 s generation, and samples
     /// visible only after the scrape (10 s) and query (10 s) stages.
     pub fn prometheus() -> Self {
-        PipelineConfig {
-            generation_interval: dur::secs(10),
-            propagation_delay: dur::secs(20),
-            horizon: dur::secs(600),
-        }
+        PipelineConfig { generation_interval: dur::secs(10), propagation_delay: dur::secs(20) }
     }
 
     /// The revamped direct scrape: 3 s just-in-time sampling, effectively
     /// no extra propagation.
     pub fn direct() -> Self {
-        PipelineConfig {
-            generation_interval: dur::secs(3),
-            propagation_delay: Duration::ZERO,
-            horizon: dur::secs(600),
-        }
+        PipelineConfig { generation_interval: dur::secs(3), propagation_delay: Duration::ZERO }
     }
 }
 
@@ -122,13 +115,13 @@ impl MetricsPipeline {
                 let used = ((cpu_total - entry.last_cpu_total) / dt).max(0.0);
                 entry.last_cpu_total = cpu_total;
                 entry.samples.push((now, used));
-                // Bound memory with the configured time horizon. Eviction
-                // must never outrun visibility: the newest sample that has
-                // cleared propagation (what `visible_usage` returns) is
-                // always retained, even under a pathologically short
-                // horizon.
+                // Bound memory with the time horizon. Eviction must never
+                // outrun visibility: the newest sample that has cleared
+                // propagation (what `visible_usage` returns) is always
+                // retained, even behind a propagation delay longer than
+                // the horizon, which `propagation_delay` stays free to set.
                 let mut first_keep =
-                    entry.samples.partition_point(|(t, _)| now.duration_since(*t) > config.horizon);
+                    entry.samples.partition_point(|(t, _)| now.duration_since(*t) > HORIZON);
                 if let Some(newest_visible) =
                     entry.samples.iter().rposition(|(t, _)| *t + config.propagation_delay <= now)
                 {
@@ -246,11 +239,8 @@ mod tests {
         let r = registry();
         r.add_tenant(TenantId(2), sim.now());
         r.with_tenant(TenantId(2), |e| e.suspended = false);
-        let cfg = PipelineConfig {
-            generation_interval: dur::ms(10),
-            propagation_delay: Duration::ZERO,
-            horizon: dur::secs(600),
-        };
+        let cfg =
+            PipelineConfig { generation_interval: dur::ms(10), propagation_delay: Duration::ZERO };
         let p = MetricsPipeline::start(&sim, r, cfg);
         sim.run_for(dur::secs(30));
         // 10 ms generation over 30 s => ~3000 samples, all inside a 60 s
@@ -260,27 +250,31 @@ mod tests {
         assert!(samples >= 2900, "visible samples were evicted: {samples}");
     }
 
-    /// The horizon really evicts — and even when it is shorter than the
-    /// propagation delay allows, the newest visible sample survives.
+    /// The horizon really evicts — and even behind a propagation delay
+    /// longer than the horizon, the newest visible sample survives.
     #[test]
     fn horizon_evicts_but_keeps_newest_visible() {
-        let sim = Sim::new(1);
-        let r = registry();
-        r.add_tenant(TenantId(2), sim.now());
-        r.with_tenant(TenantId(2), |e| e.suspended = false);
-        let cfg = PipelineConfig {
-            generation_interval: dur::secs(10),
-            propagation_delay: dur::secs(20),
-            horizon: dur::secs(30),
+        let run = |propagation_delay: Duration| {
+            let sim = Sim::new(1);
+            let r = registry();
+            r.add_tenant(TenantId(2), sim.now());
+            r.with_tenant(TenantId(2), |e| e.suspended = false);
+            let cfg = PipelineConfig { generation_interval: dur::secs(100), propagation_delay };
+            let p = MetricsPipeline::start(&sim, r, cfg);
+            sim.run_for(HORIZON + dur::secs(400));
+            (sim.now(), p)
         };
-        let p = MetricsPipeline::start(&sim, r, cfg);
-        sim.run_for(dur::secs(600));
-        // 60 samples generated; only ~the last 30 s retained.
+        // Samples at 100 s, 200 s, … 1,000 s: those older than the
+        // horizon (100 s to 300 s) are gone.
+        let (now, p) = run(Duration::ZERO);
         let retained =
-            p.visible_window(TenantId(2), sim.now(), dur::secs(600)).map_or(0, |w| w.samples);
-        assert!(retained <= 4, "horizon did not evict: {retained}");
-        let (t, _) = p.visible_usage(TenantId(2), sim.now()).expect("newest visible kept");
-        assert!(sim.now().duration_since(t) >= dur::secs(20));
+            p.visible_window(TenantId(2), now, dur::secs(1_000)).map_or(0, |w| w.samples);
+        assert_eq!(retained, 7, "the horizon evicts exactly what it is past");
+        // Behind a 700 s delay only samples up to 300 s are visible; the
+        // newest of them, 700 s old, outlives the horizon.
+        let (now, p) = run(dur::secs(700));
+        let (t, _) = p.visible_usage(TenantId(2), now).expect("newest visible kept");
+        assert_eq!(now.duration_since(t), dur::secs(700));
     }
 
     #[test]

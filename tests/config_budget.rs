@@ -11,7 +11,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The most `pub` fields all `*Config` structs may have together.
-const FIELD_BUDGET: usize = 60;
+const FIELD_BUDGET: usize = 59;
 
 /// Paths (relative to the repository root, `/`-separated) not counted.
 const EXCLUDED: &str = "crates/bench/src/bin/perf";
