@@ -223,9 +223,9 @@ impl<T> AdmissionController<T> {
     }
 
     /// AIMD feedback step for the CPU slot pool; call on the sampling
-    /// interval with runnable/utilization observations.
-    pub fn tick_slots(&mut self, avg_runnable: f64, utilization: f64, vcpus: f64) {
-        self.slots.tick(avg_runnable, utilization, vcpus);
+    /// interval with the interval's average runnable-queue length.
+    pub fn tick_slots(&mut self, avg_runnable: f64, vcpus: f64) {
+        self.slots.tick(avg_runnable, vcpus);
     }
 
     /// Re-estimates write capacity; call every ~15 s with fresh storage
@@ -416,8 +416,8 @@ mod tests {
             read_req(&mut c, 0.0, 2, "op");
         }
         c.poll(t(0.0));
-        // Saturated; AIMD tick with idle CPU grows the pool.
-        c.tick_slots(0.0, 0.2, 8.0);
+        // Saturated; an AIMD tick with no runnable queue grows the pool.
+        c.tick_slots(0.0, 8.0);
         assert!(c.slot_total() > INITIAL_SLOTS);
     }
 }

@@ -10,13 +10,12 @@
 //! Under simulation the runnable queue is available as an exact
 //! time-weighted average (see `crdb_sim::cpu`), which the embedder feeds to
 //! [`SlotController::tick`] on each adjustment interval; the controller
-//! applies additive increase when the CPU has headroom and the slots are
-//! saturated, and additive decrease when runnable threads are queueing.
+//! applies additive decrease when runnable threads are queueing, and
+//! otherwise additive increase when all slots were in use at some point in
+//! the interval.
 
 /// Runnable threads per vCPU above which the controller sheds concurrency.
 const RUNNABLE_HIGH_PER_VCPU: f64 = 1.0;
-/// Utilization below which saturated slots justify a full increase step.
-const UTIL_TARGET: f64 = 0.9;
 /// Additive increase step.
 const INC_STEP: usize = 1;
 /// Additive decrease step.
@@ -81,20 +80,17 @@ impl SlotController {
     }
 
     /// One feedback-loop step. `avg_runnable` is the average runnable-queue
-    /// length over the interval, `utilization` the average CPU utilization
-    /// in `[0, 1]`, and `vcpus` the node's CPU count.
-    pub fn tick(&mut self, avg_runnable: f64, utilization: f64, vcpus: f64) {
+    /// length over the interval and `vcpus` the node's CPU count.
+    pub fn tick(&mut self, avg_runnable: f64, vcpus: f64) {
         let runnable_per_vcpu = avg_runnable / vcpus.max(1.0);
         if runnable_per_vcpu > RUNNABLE_HIGH_PER_VCPU {
             // Threads are queueing in the OS scheduler: decrease.
             self.slots = self.slots.saturating_sub(DEC_STEP).max(MIN_SLOTS);
-        } else if self.saturated_since_tick && utilization < UTIL_TARGET {
-            // Slots are the bottleneck but CPU has headroom: increase.
-            self.slots = (self.slots + INC_STEP).min(MAX_SLOTS);
         } else if self.saturated_since_tick {
-            // Saturated at target utilization: small probe upward keeps the
-            // system work-conserving without overshooting.
-            self.slots = (self.slots + 1).min(MAX_SLOTS);
+            // Slots are the bottleneck and the CPU keeps up: increase, one
+            // step at a time, so the system stays work-conserving without
+            // overshooting.
+            self.slots = (self.slots + INC_STEP).min(MAX_SLOTS);
         }
         self.saturated_since_tick = false;
     }
@@ -104,11 +100,11 @@ impl SlotController {
 mod tests {
     use super::*;
 
-    /// Saturates every slot, ticks with `utilization` and no queueing,
-    /// then releases what it took.
-    fn saturated_tick(c: &mut SlotController, utilization: f64) {
+    /// Saturates every slot, ticks with no queueing, then releases what it
+    /// took.
+    fn saturated_tick(c: &mut SlotController) {
         while c.try_acquire() {}
-        c.tick(0.0, utilization, 8.0);
+        c.tick(0.0, 8.0);
         for _ in 0..c.used() {
             c.release();
         }
@@ -131,7 +127,7 @@ mod tests {
     fn decrease_when_runnable_queue_builds() {
         let mut c = SlotController::new(100);
         for _ in 0..10 {
-            c.tick(64.0, 1.0, 8.0); // 8 runnable per vCPU: overloaded
+            c.tick(64.0, 8.0); // 8 runnable per vCPU: overloaded
         }
         assert!(c.total() < 100, "slots shed: {}", c.total());
         assert!(c.total() >= MIN_SLOTS);
@@ -141,7 +137,7 @@ mod tests {
     fn increase_when_saturated_with_headroom() {
         let mut c = SlotController::new(4);
         for _ in 0..20 {
-            saturated_tick(&mut c, 0.5); // no queueing, CPU half idle
+            saturated_tick(&mut c); // no queueing
         }
         assert!(c.total() > 4, "slots grew: {}", c.total());
     }
@@ -150,7 +146,7 @@ mod tests {
     fn stable_when_not_saturated() {
         let mut c = SlotController::new(16);
         for _ in 0..10 {
-            c.tick(0.0, 0.3, 8.0); // idle, never saturated
+            c.tick(0.0, 8.0); // idle, never saturated
         }
         assert_eq!(c.total(), 16);
     }
@@ -160,15 +156,15 @@ mod tests {
         assert_eq!(SlotController::new(0).total(), MIN_SLOTS, "clamped to min at construction");
         let mut c = SlotController::new(MAX_SLOTS + 100);
         assert_eq!(c.total(), MAX_SLOTS, "clamped to max at construction");
-        saturated_tick(&mut c, 0.1);
+        saturated_tick(&mut c);
         assert_eq!(c.total(), MAX_SLOTS, "never above max");
         for _ in 0..MAX_SLOTS {
-            c.tick(100.0, 1.0, 1.0);
+            c.tick(100.0, 1.0);
         }
         assert_eq!(c.total(), MIN_SLOTS, "never below min");
         let mut c = SlotController::new(MAX_SLOTS - 1);
         for _ in 0..3 {
-            saturated_tick(&mut c, 0.1);
+            saturated_tick(&mut c);
         }
         assert_eq!(c.total(), MAX_SLOTS, "growth stops at max");
     }
@@ -182,13 +178,13 @@ mod tests {
         for round in 0..100 {
             if round % 2 == 0 {
                 let before = c.total();
-                c.tick(50.0, 1.0, 4.0);
+                c.tick(50.0, 4.0);
                 assert!(c.total() <= before);
                 after_overload = c.total();
             } else {
                 while c.try_acquire() {}
                 let before = c.total();
-                c.tick(0.0, 0.5, 4.0);
+                c.tick(0.0, 4.0);
                 assert!(c.total() >= before);
                 for _ in 0..c.used() {
                     c.release();

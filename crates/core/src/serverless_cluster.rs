@@ -344,9 +344,11 @@ impl ServerlessCluster {
 
     fn start_accounting_loop(self: &Rc<Self>) {
         let this = Rc::clone(self);
-        self.sim.schedule_periodic(ACCOUNTING_INTERVAL, move || {
-            this.run_accounting_step(ACCOUNTING_INTERVAL);
-            true
+        task::spawn(&self.sim, async move {
+            loop {
+                task::sleep(&this.sim, ACCOUNTING_INTERVAL).await;
+                this.run_accounting_step(ACCOUNTING_INTERVAL);
+            }
         });
     }
 

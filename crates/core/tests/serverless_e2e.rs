@@ -280,3 +280,31 @@ fn autoscaler_pass_before_the_session_opens_keeps_the_fresh_node() {
     assert_eq!(cluster.sql_node_count(tenant), 1);
     assert!(!cluster.is_suspended(tenant));
 }
+
+/// Each control loop of a deployment is one task for its whole life, and a
+/// SQL pod's 1 s loop is a task that ends with the pod.
+#[test]
+fn each_control_loop_is_one_task_and_a_stopped_pod_ends_its_own() {
+    let sim = Sim::new(5);
+    let mut config = ServerlessConfig::default();
+    config.autoscaler.suspend_after = dur::secs(30);
+    let cluster = ServerlessCluster::new(&sim, config);
+    sim.run_for(dur::secs(1));
+    // Per KV node: the AIMD tick, write-token estimation and heartbeats.
+    // Then the KV cluster's rebalancer, txn GC, lease and split checks,
+    // and the metrics generator, proxy rebalance, autoscaler and accounting.
+    let loops = 3 * cluster.kv.node_ids().len() + 4 + 4;
+    assert_eq!(sim.live_tasks(), loops);
+
+    let tenant = cluster.create_tenant(vec![RegionId(0)], None);
+    let slot = connect(&cluster, tenant);
+    sim.run_for(dur::secs(10));
+    let conn = slot.borrow().clone().expect("connected");
+    assert_eq!(cluster.sql_node_count(tenant), 1);
+    assert_eq!(sim.live_tasks(), loops + 1, "the pod's loop is a task");
+
+    cluster.close(&conn);
+    sim.run_for(dur::secs(120));
+    assert!(cluster.is_suspended(tenant), "idle tenant scaled to zero");
+    assert_eq!(sim.live_tasks(), loops, "stopping the pod ended its loop");
+}

@@ -22,11 +22,12 @@ mod counting_alloc;
 #[global_allocator]
 static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
-/// Allocation ceilings: what each operation took while the proxy and the
-/// pool were callback code. They may only fall.
+/// Allocation ceilings: what each operation took once the CPU, the disk
+/// and the network hops were awaited and every control loop was a task.
+/// They may only fall.
 const WARM_CONNECT_ALLOCATIONS: usize = 12;
-const SELECT_ALLOCATIONS: usize = 140;
-const UPDATE_ALLOCATIONS: usize = 234;
+const SELECT_ALLOCATIONS: usize = 131;
+const UPDATE_ALLOCATIONS: usize = 219;
 
 /// Events and allocations one operation took.
 #[derive(Debug, Clone, Copy, PartialEq)]

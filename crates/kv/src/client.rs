@@ -402,13 +402,12 @@ impl Batch {
         }
     }
 
-    /// One round trip to the node at `there`, sent when called: a hop
-    /// later `serve` runs there as a task of its own, inside `span`, and a
-    /// hop back its output fills the reply. That races the RPC timeout, as
-    /// a partition may drop a hop: `None` when it wins. Losing the race
-    /// cancels nothing: the task runs to its end, and its reply is
-    /// dropped. `serve` moves into the hop at once, so the caller's future
-    /// does not hold it.
+    /// One round trip to the node at `there`, sent when called: a task of
+    /// its own hops there, runs `serve` inside `span`, and hops back to fill
+    /// the reply. That races the RPC timeout, as a partition may drop a
+    /// hop: `None` when it wins. Losing the race cancels nothing: the task
+    /// runs to its end, and its reply is dropped. `serve` moves into the
+    /// task at once, so the caller's future does not hold it.
     fn round_trip<T: 'static>(
         &self,
         there: Location,
@@ -421,13 +420,16 @@ impl Batch {
         let timeout = RPC_TIMEOUT.min(self.template.deadline.remaining(cluster.sim.now()));
         let timeout = reply.fill_after(&cluster.sim, timeout, None);
         let (back, span, there_cluster) = (reply.clone(), span.clone(), cluster.clone());
-        let served = async move {
-            let answer = trace::within(&span, pin!(serve)).await;
+        task::spawn(&cluster.sim, async move {
             let (sim, topology) = (&there_cluster.sim, there_cluster.topology());
-            topology.send(sim, there, here, move || back.fill(Some(answer)));
-        };
-        let sim = cluster.sim.clone();
-        cluster.topology().send(&cluster.sim, here, there, move || task::spawn(&sim, served));
+            if !topology.hop(sim, here, there).await {
+                return;
+            }
+            let answer = trace::within(&span, pin!(serve)).await;
+            if topology.hop(sim, there, here).await {
+                back.fill(Some(answer));
+            }
+        });
         async move {
             let _timeout = timeout;
             reply.await

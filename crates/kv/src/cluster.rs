@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use crdb_sim::task;
 use crdb_sim::{Location, Sim, Topology};
 use crdb_util::time::{dur, SimTime};
 use crdb_util::{NodeId, RangeId, RegionId, TenantId};
@@ -382,46 +383,52 @@ impl KvCluster {
     /// §4.2.5) to even out a count.
     fn start_rebalancer(&self) {
         let cluster = self.clone();
-        let sim = self.sim.clone();
-        self.sim.schedule_periodic(dur::secs(10), move || {
-            let now = sim.now();
-            let mut inner = cluster.inner.borrow_mut();
-            let inner = &mut *inner;
-            let live = inner.liveness.live_nodes(now);
-            if live.len() < 2 {
-                return true;
+        task::spawn(&self.sim, async move {
+            loop {
+                task::sleep(&cluster.sim, dur::secs(10)).await;
+                cluster.rebalance_leases();
             }
-            let regions: Vec<RegionId> = inner.topology.regions().collect();
-            for region in regions {
-                // In node-id order: ties for most/fewest leases must break
-                // the same way every run for determinism.
-                let counts: Vec<(NodeId, usize)> = live
-                    .iter()
-                    .filter(|n| inner.nodes.get(n).is_some_and(|n| n.location.region == region))
-                    .map(|&n| (n, inner.directory.lease_count(n)))
-                    .collect();
-                let most = counts.iter().max_by_key(|&&(_, c)| c);
-                let fewest = counts.iter().min_by_key(|&&(_, c)| c);
-                let (Some(&(max_node, max_count)), Some(&(min_node, min_count))) = (most, fewest)
-                else {
-                    continue;
-                };
-                if max_count <= min_count + 3 {
-                    continue;
-                }
-                // Move one of the crowded node's leases to the quiet node,
-                // provided it holds a replica there.
-                let movable = inner
-                    .directory
-                    .led_by(max_node)
-                    .find(|r| r.desc.replicas.contains(&min_node))
-                    .map(|r| r.desc.id);
-                if let Some(id) = movable {
-                    inner.grant_lease(id, min_node);
-                }
-            }
-            true
         });
+    }
+
+    /// One pass of the lease rebalancer.
+    fn rebalance_leases(&self) {
+        let now = self.sim.now();
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let live = inner.liveness.live_nodes(now);
+        if live.len() < 2 {
+            return;
+        }
+        let regions: Vec<RegionId> = inner.topology.regions().collect();
+        for region in regions {
+            // In node-id order: ties for most/fewest leases must break
+            // the same way every run for determinism.
+            let counts: Vec<(NodeId, usize)> = live
+                .iter()
+                .filter(|n| inner.nodes.get(n).is_some_and(|n| n.location.region == region))
+                .map(|&n| (n, inner.directory.lease_count(n)))
+                .collect();
+            let most = counts.iter().max_by_key(|&&(_, c)| c);
+            let fewest = counts.iter().min_by_key(|&&(_, c)| c);
+            let (Some(&(max_node, max_count)), Some(&(min_node, min_count))) = (most, fewest)
+            else {
+                continue;
+            };
+            if max_count <= min_count + 3 {
+                continue;
+            }
+            // Move one of the crowded node's leases to the quiet node,
+            // provided it holds a replica there.
+            let movable = inner
+                .directory
+                .led_by(max_node)
+                .find(|r| r.desc.replicas.contains(&min_node))
+                .map(|r| r.desc.id);
+            if let Some(id) = movable {
+                inner.grant_lease(id, min_node);
+            }
+        }
     }
 
     /// Periodically drops finalized transaction-status entries older than
@@ -429,19 +436,21 @@ impl KvCluster {
     /// transaction ever run.
     fn start_txn_gc(&self) {
         let cluster = self.clone();
-        let sim = self.sim.clone();
-        self.sim.schedule_periodic(dur::secs(30), move || {
-            let now = sim.now();
-            let finalized = &mut cluster.inner.borrow_mut().txn_finalized;
-            finalized.retain(|_, &mut (_, at)| now.duration_since(at) <= TXN_STATUS_RETENTION);
-            true
+        task::spawn(&self.sim, async move {
+            loop {
+                task::sleep(&cluster.sim, dur::secs(30)).await;
+                let now = cluster.sim.now();
+                let finalized = &mut cluster.inner.borrow_mut().txn_finalized;
+                finalized.retain(|_, &mut (_, at)| now.duration_since(at) <= TXN_STATUS_RETENTION);
+            }
         });
     }
 
     /// Starts per-node heartbeat loops. A heartbeat is a CPU task on the
     /// node itself: if the node's CPU is swamped (no admission control and
     /// noisy neighbors), the task finishes late and the node's epoch
-    /// lapses — exactly the §6.6 failure mode.
+    /// lapses — exactly the §6.6 failure mode. Each beat is a task of its
+    /// own, so a late one never delays the loop's next.
     fn start_heartbeats(&self) {
         let node_ids: Vec<NodeId> = self.inner.borrow().nodes.keys().copied().collect();
         let (interval, ttl, hb_cpu) = {
@@ -454,25 +463,24 @@ impl KvCluster {
         };
         for id in node_ids {
             let cluster = self.clone();
-            let sim = self.sim.clone();
-            self.sim.schedule_periodic(interval, move || {
-                // Bind before matching: the guard must not outlive this
-                // statement (heartbeat work below re-borrows `inner`).
-                let node = cluster.inner.borrow().nodes.get(&id).map(Rc::clone);
-                let node = match node {
-                    Some(n) => n,
-                    None => return false,
-                };
-                if !node.is_alive() {
-                    return true;
+            task::spawn(&self.sim, async move {
+                loop {
+                    task::sleep(&cluster.sim, interval).await;
+                    // Bind before matching: the guard must not outlive this
+                    // statement (the beat below re-borrows `inner`).
+                    let node = cluster.inner.borrow().nodes.get(&id).map(Rc::clone);
+                    let Some(node) = node else { return };
+                    if !node.is_alive() {
+                        continue;
+                    }
+                    let beat = node.cpu.run(TenantId::SYSTEM, hb_cpu);
+                    let cluster = cluster.clone();
+                    task::spawn(&node.sim, async move {
+                        beat.await;
+                        let now = cluster.sim.now();
+                        cluster.inner.borrow_mut().liveness.heartbeat(id, now, ttl);
+                    });
                 }
-                let cluster2 = cluster.clone();
-                let sim2 = sim.clone();
-                node.cpu.submit(TenantId::SYSTEM, hb_cpu, move || {
-                    let now = sim2.now();
-                    cluster2.inner.borrow_mut().liveness.heartbeat(id, now, ttl);
-                });
-                true
             });
         }
     }
@@ -484,40 +492,48 @@ impl KvCluster {
     /// healthy cluster touches no range.
     fn start_lease_checks(&self) {
         let cluster = self.clone();
-        let sim = self.sim.clone();
-        self.sim.schedule_periodic(dur::secs(2), move || {
-            let now = sim.now();
-            let mut inner = cluster.inner.borrow_mut();
-            let inner = &mut *inner;
-            let suspects = inner.liveness.lease_suspects(now);
-            let mut moves: Vec<(RangeId, NodeId)> = Vec::new();
-            for &node in &suspects {
-                for range in inner.directory.led_by(node) {
-                    if inner.liveness.lease_valid(node, range.lease.epoch, now) {
-                        continue;
-                    }
-                    // Find a live replica to take the lease.
-                    let candidate =
-                        range.desc.replicas.iter().find(|&&n| inner.liveness.is_live(n, now));
-                    if let Some(&new_holder) = candidate {
-                        moves.push((range.desc.id, new_holder));
-                    }
+        task::spawn(&self.sim, async move {
+            loop {
+                task::sleep(&cluster.sim, dur::secs(2)).await;
+                cluster.check_leases();
+            }
+        });
+    }
+
+    /// One pass of the lease checks.
+    fn check_leases(&self) {
+        let now = self.sim.now();
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let suspects = inner.liveness.lease_suspects(now);
+        let mut moves: Vec<(RangeId, NodeId)> = Vec::new();
+        for &node in &suspects {
+            for range in inner.directory.led_by(node) {
+                if inner.liveness.lease_valid(node, range.lease.epoch, now) {
+                    continue;
+                }
+                // Find a live replica to take the lease.
+                let candidate =
+                    range.desc.replicas.iter().find(|&&n| inner.liveness.is_live(n, now));
+                if let Some(&new_holder) = candidate {
+                    moves.push((range.desc.id, new_holder));
                 }
             }
-            inner.lease_transfers += moves.len() as u64;
-            for (id, new_holder) in moves {
-                inner.grant_lease(id, new_holder);
-            }
-            true
-        });
+        }
+        inner.lease_transfers += moves.len() as u64;
+        for (id, new_holder) in moves {
+            inner.grant_lease(id, new_holder);
+        }
     }
 
     /// Periodically splits oversized ranges at their middle key.
     fn start_split_checks(&self) {
         let cluster = self.clone();
-        self.sim.schedule_periodic(dur::secs(1), move || {
-            cluster.run_split_check();
-            true
+        task::spawn(&self.sim, async move {
+            loop {
+                task::sleep(&cluster.sim, dur::secs(1)).await;
+                cluster.run_split_check();
+            }
         });
     }
 

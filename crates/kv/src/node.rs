@@ -146,8 +146,8 @@ pub struct KvNode {
     pub batches_served: Cell<u64>,
     /// Scheduled admission re-poll, if any.
     pending_pump: Cell<Option<crdb_sim::EventId>>,
-    /// Runnable/busy integrals at the last AIMD tick.
-    last_tick: Cell<(f64, f64, SimTime)>,
+    /// The runnable integral at the last AIMD tick, and its instant.
+    last_tick: Cell<(f64, SimTime)>,
     /// The timestamp cache (§"tscache"): high-water marks of read
     /// timestamps over the spans this node served reads of, which writes
     /// must land above.
@@ -185,7 +185,7 @@ impl KvNode {
             batch_arrivals: RefCell::new(VecDeque::new()),
             batches_served: Cell::new(0),
             pending_pump: Cell::new(None),
-            last_tick: Cell::new((0.0, 0.0, sim.now())),
+            last_tick: Cell::new((0.0, sim.now())),
             ts_cache: RefCell::new(TsCache::new(sim.now(), Timestamp::ZERO)),
             commit_acks: RefCell::new(Vec::new()),
             commit_timer_armed: Cell::new(false),
@@ -201,34 +201,36 @@ impl KvNode {
         // integral is exact, so we tick the controller at 50 ms with the
         // exact interval average (DESIGN.md substitution).
         let node = Rc::clone(self);
-        self.sim.schedule_periodic(dur::ms(50), move || {
-            if !node.alive.get() {
-                return true;
+        task::spawn(&self.sim, async move {
+            loop {
+                task::sleep(&node.sim, dur::ms(50)).await;
+                if !node.alive.get() {
+                    continue;
+                }
+                let now = node.sim.now();
+                let (last_runnable, last_at) = node.last_tick.get();
+                let runnable = node.cpu.cumulative_runnable();
+                let dt = now.duration_since(last_at).as_secs_f64();
+                if dt > 0.0 {
+                    let avg_runnable = (runnable - last_runnable) / dt;
+                    node.admission.borrow_mut().tick_slots(avg_runnable, node.cpu.vcpus());
+                }
+                node.last_tick.set((runnable, now));
             }
-            let now = node.sim.now();
-            let (last_runnable, last_busy, last_at) = node.last_tick.get();
-            let runnable = node.cpu.cumulative_runnable();
-            let busy = node.cpu.cumulative_busy();
-            let dt = now.duration_since(last_at).as_secs_f64();
-            if dt > 0.0 {
-                let avg_runnable = (runnable - last_runnable) / dt;
-                let util = (busy - last_busy) / (dt * node.cpu.vcpus());
-                node.admission.borrow_mut().tick_slots(avg_runnable, util, node.cpu.vcpus());
-            }
-            node.last_tick.set((runnable, busy, now));
-            true
         });
         // Write capacity estimation from LSM instrumentation.
         let node = Rc::clone(self);
-        self.sim.schedule_periodic(crdb_admission::write::ESTIMATION_INTERVAL, move || {
-            if !node.alive.get() {
-                return true;
+        task::spawn(&self.sim, async move {
+            loop {
+                task::sleep(&node.sim, crdb_admission::write::ESTIMATION_INTERVAL).await;
+                if !node.alive.get() {
+                    continue;
+                }
+                let now = node.sim.now();
+                let metrics = node.engine.metrics();
+                let l0 = node.engine.with_lsm(|lsm| lsm.l0_file_count());
+                node.admission.borrow_mut().estimate_write_capacity(now, metrics, l0);
             }
-            let now = node.sim.now();
-            let metrics = node.engine.metrics();
-            let l0 = node.engine.with_lsm(|lsm| lsm.l0_file_count());
-            node.admission.borrow_mut().estimate_write_capacity(now, metrics, l0);
-            true
         });
     }
 
@@ -284,9 +286,10 @@ impl KvNode {
         let started = self.sim.now();
         let gc_horizon = mvcc::gc_horizon(Timestamp::at(started));
         if let Some(job) = self.engine.with_lsm(|lsm| lsm.begin_flush()) {
-            let node = Rc::clone(self);
-            let bytes = job.bytes_estimate().max(1) as f64;
-            self.disk.submit(bytes, move || {
+            let (node, io) =
+                (Rc::clone(self), self.disk.transfer(job.bytes_estimate().max(1) as f64));
+            task::spawn(&self.sim, async move {
+                io.await;
                 let ran_for = node.sim.now().duration_since(started);
                 node.engine.with_lsm(|lsm| {
                     lsm.finish_flush(job);
@@ -300,10 +303,10 @@ impl KvNode {
                 .engine
                 .with_lsm(|lsm| lsm.pick_compaction().map(|pick| lsm.begin_compaction(&pick)));
             let Some(job) = job else { break };
-            let node = Rc::clone(self);
-            let bytes = job.bytes_in().max(1) as f64;
+            let (node, io) = (Rc::clone(self), self.disk.transfer(job.bytes_in().max(1) as f64));
             let from_l0 = job.level() == 0;
-            self.disk.submit(bytes, move || {
+            task::spawn(&self.sim, async move {
+                io.await;
                 let ran_for = node.sim.now().duration_since(started);
                 node.engine.with_lsm(|lsm| {
                     lsm.finish_compaction(job, Some(&mut mvcc::compaction_gc(gc_horizon)));
@@ -446,9 +449,10 @@ impl KvNode {
     /// Drains admission grants into CPU tasks, and answers each operation
     /// whose admission deadline passed while it was queued:
     /// `DeadlineExceeded` if the batch's own deadline has passed,
-    /// `AdmissionTimeout` if only the node's queueing cap has. A task's
-    /// completion is filled after its CPU, which then pumps again: the
-    /// task has answered, or armed its quorum timer, by then.
+    /// `AdmissionTimeout` if only the node's queueing cap has. Each grant
+    /// is a small task that awaits its CPU, then fills the batch's
+    /// completion and pumps again: the `serve` task has answered, or armed
+    /// its quorum timer, by then.
     /// Re-schedules itself when a deferred write-token grant is pending.
     pub(crate) fn pump(self: &Rc<Self>) {
         let now = self.sim.now();
@@ -466,7 +470,6 @@ impl KvNode {
             }));
         }
         for grant in grants {
-            let node = Rc::clone(self);
             let (tenant, class, bytes) = (grant.tenant, grant.class, grant.bytes);
             let PendingOp { batch, span, queue_span, admitted } = grant.payload;
             // Ground-truth CPU cost, shaped by the recent batch rate.
@@ -488,7 +491,9 @@ impl KvNode {
             };
             queue_span.end();
             let cpu_span = span.child("kv.cpu");
-            self.cpu.submit(tenant, cpu_cost, move || {
+            let (node, cpu) = (Rc::clone(self), self.cpu.run(tenant, cpu_cost));
+            task::spawn(&self.sim, async move {
+                cpu.await;
                 cpu_span.end();
                 admitted.fill(Ok(Granted { batch, span, class, cpu_cost, bytes }));
                 node.pump();
@@ -611,7 +616,7 @@ impl KvNode {
         // (raft log + state machine, the §5.1.4 linear model's target).
         let actual_bytes = (write_payload > 0).then(|| {
             let physical = 2.0 * write_payload as f64 + 96.0;
-            self.disk.submit(physical, || {});
+            self.disk.charge(physical);
             physical
         });
         // The append may have rotated the memtable: start its flush (and
@@ -636,7 +641,7 @@ impl KvNode {
             // Charge follower CPUs for the apply.
             let follower_cost = inner.cost_model.follower_apply_cpu_seconds(cpu_cost);
             for f in followers.iter().filter(|f| f.is_alive()) {
-                f.cpu.submit(batch.tenant, follower_cost, || {});
+                f.cpu.charge(batch.tenant, follower_cost);
             }
             let acks: Vec<(Location, bool)> =
                 followers.iter().map(|f| (f.location, f.is_alive())).collect();

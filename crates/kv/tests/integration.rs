@@ -1853,7 +1853,9 @@ fn each_kv_batch_takes_a_fixed_number_of_events() {
 /// Every task a batch runs in ends with it, whether the batch succeeds,
 /// loses its reply to a one-way partition, expires in the admission queue
 /// or is in flight on a node that dies: a task parked on a wake that
-/// nothing will send stays in the executor for good.
+/// nothing will send stays in the executor for good. The cluster's control
+/// loops are tasks too, so the count to come back to is the one before any
+/// batch is sent.
 #[test]
 fn no_task_outlives_its_batch() {
     let sim = Sim::new(19);
@@ -1861,6 +1863,7 @@ fn no_task_outlives_its_batch() {
     let cluster = KvCluster::new(&sim, Topology::three_region(), config);
     let cert = cluster.create_tenant(TenantId(2));
     sim.run_for(dur::secs(1));
+    let loops = sim.live_tasks();
     let key = k(2, "t");
     let holder = cluster.leaseholder_of(&key).expect("range");
     let node = cluster.node(holder).expect("leaseholder exists");
@@ -1923,6 +1926,6 @@ fn no_task_outlives_its_batch() {
     cluster.set_node_alive(holder, false);
 
     sim.run_for(RPC_TIMEOUT * 6);
-    assert_eq!(sim.live_tasks(), 0, "a task outlived its batch");
+    assert_eq!(sim.live_tasks(), loops, "a task outlived its batch");
     assert_eq!(*answered.borrow(), ["ok", "timed out", "expired", "node died"]);
 }

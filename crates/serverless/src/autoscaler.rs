@@ -110,9 +110,11 @@ impl Autoscaler {
             suspensions: Cell::new(0),
         });
         let s = Rc::clone(&scaler);
-        sim.schedule_periodic(config.reconcile_interval, move || {
-            s.reconcile();
-            true
+        task::spawn(sim, async move {
+            loop {
+                task::sleep(&s.sim, s.config.reconcile_interval).await;
+                s.reconcile();
+            }
         });
         scaler
     }

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use crdb_sim::Sim;
+use crdb_sim::{task, Sim};
 use crdb_util::time::{dur, SimTime};
 use crdb_util::TenantId;
 
@@ -87,49 +87,53 @@ impl MetricsPipeline {
         let series = Rc::clone(&pipeline.series);
         let sim2 = sim.clone();
         let mut last_at = sim.now();
-        sim.schedule_periodic(config.generation_interval, move || {
-            let now = sim2.now();
-            let dt = now.duration_since(last_at).as_secs_f64();
-            last_at = now;
-            if dt <= 0.0 {
-                return true;
-            }
-            let mut all = series.borrow_mut();
-            // Only active tenants are scraped: a generation tick costs
-            // O(running tenants), not O(registered). Suspended tenants'
-            // series are dropped at suspension (`forget_tenant`), so a
-            // resume starts a fresh window.
-            for tenant in registry.active_tenant_ids() {
-                let cpu_total: f64 = registry
-                    .with_tenant(tenant, |e| {
-                        e.nodes
-                            .iter()
-                            .map(|n| n.sql_cpu_seconds())
-                            .chain(e.draining.iter().map(|(n, _)| n.sql_cpu_seconds()))
-                            .sum()
-                    })
-                    .unwrap_or(0.0);
-                let entry = all
-                    .entry(tenant)
-                    .or_insert(TenantSeries { samples: Vec::new(), last_cpu_total: cpu_total });
-                let used = ((cpu_total - entry.last_cpu_total) / dt).max(0.0);
-                entry.last_cpu_total = cpu_total;
-                entry.samples.push((now, used));
-                // Bound memory with the time horizon. Eviction must never
-                // outrun visibility: the newest sample that has cleared
-                // propagation (what `visible_usage` returns) is always
-                // retained, even behind a propagation delay longer than
-                // the horizon, which `propagation_delay` stays free to set.
-                let mut first_keep =
-                    entry.samples.partition_point(|(t, _)| now.duration_since(*t) > HORIZON);
-                if let Some(newest_visible) =
-                    entry.samples.iter().rposition(|(t, _)| *t + config.propagation_delay <= now)
-                {
-                    first_keep = first_keep.min(newest_visible);
+        task::spawn(sim, async move {
+            loop {
+                task::sleep(&sim2, config.generation_interval).await;
+                let now = sim2.now();
+                let dt = now.duration_since(last_at).as_secs_f64();
+                last_at = now;
+                if dt <= 0.0 {
+                    continue;
                 }
-                entry.samples.drain(..first_keep);
+                let mut all = series.borrow_mut();
+                // Only active tenants are scraped: a generation tick costs
+                // O(running tenants), not O(registered). Suspended tenants'
+                // series are dropped at suspension (`forget_tenant`), so a
+                // resume starts a fresh window.
+                for tenant in registry.active_tenant_ids() {
+                    let cpu_total: f64 = registry
+                        .with_tenant(tenant, |e| {
+                            e.nodes
+                                .iter()
+                                .map(|n| n.sql_cpu_seconds())
+                                .chain(e.draining.iter().map(|(n, _)| n.sql_cpu_seconds()))
+                                .sum()
+                        })
+                        .unwrap_or(0.0);
+                    let entry = all
+                        .entry(tenant)
+                        .or_insert(TenantSeries { samples: Vec::new(), last_cpu_total: cpu_total });
+                    let used = ((cpu_total - entry.last_cpu_total) / dt).max(0.0);
+                    entry.last_cpu_total = cpu_total;
+                    entry.samples.push((now, used));
+                    // Bound memory with the time horizon. Eviction must never
+                    // outrun visibility: the newest sample that has cleared
+                    // propagation (what `visible_usage` returns) is always
+                    // retained, even behind a propagation delay longer than
+                    // the horizon, which `propagation_delay` stays free to set.
+                    let mut first_keep =
+                        entry.samples.partition_point(|(t, _)| now.duration_since(*t) > HORIZON);
+                    if let Some(newest_visible) = entry
+                        .samples
+                        .iter()
+                        .rposition(|(t, _)| *t + config.propagation_delay <= now)
+                    {
+                        first_keep = first_keep.min(newest_visible);
+                    }
+                    entry.samples.drain(..first_keep);
+                }
             }
-            true
         });
         pipeline
     }

@@ -182,10 +182,12 @@ impl Proxy {
             shed_statements: Cell::new(0),
             statement_deadline: Cell::new(config.statement_deadline),
         });
-        let p = Rc::clone(&proxy);
-        sim.schedule_periodic(config.rebalance_interval, move || {
-            p.rebalance();
-            true
+        let (p, interval) = (Rc::clone(&proxy), config.rebalance_interval);
+        task::spawn(sim, async move {
+            loop {
+                task::sleep(&p.sim, interval).await;
+                p.rebalance();
+            }
         });
         proxy
     }

@@ -156,7 +156,7 @@ fn prometheus_pipeline_reacts_slower_than_direct() {
         // A sustained CPU step: 2 vCPUs' worth of work every second.
         let cpu = node.cpu.clone();
         f.sim.schedule_periodic(dur::secs(1), move || {
-            cpu.submit(TenantId(2), 2.0, || {});
+            cpu.charge(TenantId(2), 2.0);
             true
         });
         // Watch for the autoscaler's view to cross a threshold.

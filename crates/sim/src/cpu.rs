@@ -3,7 +3,10 @@
 //! Each simulated node owns a [`CpuScheduler`] with a fixed number of
 //! vCPUs. Work is submitted as *tasks* that need a known amount of CPU
 //! time; while `n` tasks are active on `c` vCPUs, each progresses at rate
-//! `min(1, c/n)` — the behaviour of a fair OS scheduler under load.
+//! `min(1, c/n)` — the behaviour of a fair OS scheduler under load. A task
+//! is either awaited ([`CpuScheduler::run`]: its completion is filled once
+//! the work is done, which polls the awaiting task inline) or only charged
+//! ([`CpuScheduler::charge`]: work nobody waits for still takes its share).
 //!
 //! The model exposes exactly the signals the paper's systems consume:
 //!
@@ -23,6 +26,7 @@ use crdb_util::time::SimTime;
 use crdb_util::TenantId;
 
 use crate::engine::{EventId, Sim};
+use crate::task::Completion;
 
 const EPS: f64 = 1e-12;
 /// Work below this many CPU-seconds is sub-resolution (the virtual clock
@@ -32,7 +36,8 @@ const DONE_THRESHOLD: f64 = 2e-9;
 struct Task {
     remaining: f64,
     tenant: TenantId,
-    on_complete: Box<dyn FnOnce()>,
+    /// Filled once the task has had its CPU; `None` for a charge.
+    on_complete: Option<Completion<()>>,
 }
 
 struct Inner {
@@ -134,19 +139,29 @@ impl CpuScheduler {
         self.inner.borrow().vcpus
     }
 
-    /// Submits a task needing `cpu_seconds` of CPU, attributed to `tenant`.
-    /// `on_complete` fires when the task has received its full CPU time.
-    pub fn submit(&self, tenant: TenantId, cpu_seconds: f64, on_complete: impl FnOnce() + 'static) {
+    /// Runs `cpu_seconds` of work attributed to `tenant`: the completion
+    /// resolves once the task has received its full CPU time. The work is
+    /// queued at the call, and stays queued if the completion is dropped.
+    #[must_use = "the work is queued anyway; `charge` is for work nobody awaits"]
+    pub fn run(&self, tenant: TenantId, cpu_seconds: f64) -> Completion<()> {
+        let done = Completion::default();
+        self.enqueue(tenant, cpu_seconds, Some(done.clone()));
+        done
+    }
+
+    /// Charges `cpu_seconds` of work attributed to `tenant` that nobody
+    /// waits for: it competes for the CPU like any other task.
+    pub fn charge(&self, tenant: TenantId, cpu_seconds: f64) {
+        self.enqueue(tenant, cpu_seconds, None);
+    }
+
+    fn enqueue(&self, tenant: TenantId, cpu_seconds: f64, on_complete: Option<Completion<()>>) {
         assert!(cpu_seconds >= 0.0, "negative cpu cost");
         let now = self.sim.now();
         {
             let mut inner = self.inner.borrow_mut();
             inner.advance(now);
-            inner.tasks.push(Task {
-                remaining: cpu_seconds.max(EPS),
-                tenant,
-                on_complete: Box::new(on_complete),
-            });
+            inner.tasks.push(Task { remaining: cpu_seconds.max(EPS), tenant, on_complete });
         }
         self.reschedule();
     }
@@ -170,7 +185,7 @@ impl CpuScheduler {
 
     fn on_completion(&self) {
         let now = self.sim.now();
-        let finished: Vec<Box<dyn FnOnce()>> = {
+        let finished: Vec<Completion<()>> = {
             let mut inner = self.inner.borrow_mut();
             inner.completion = None;
             inner.advance(now);
@@ -178,7 +193,7 @@ impl CpuScheduler {
             let mut i = 0;
             while let Some(task) = inner.tasks.get(i) {
                 if task.remaining <= DONE_THRESHOLD {
-                    done.push(inner.tasks.swap_remove(i).on_complete);
+                    done.extend(inner.tasks.swap_remove(i).on_complete);
                 } else {
                     i += 1;
                 }
@@ -186,9 +201,10 @@ impl CpuScheduler {
             done
         };
         self.reschedule();
-        // Run callbacks with no borrow held: they may submit new tasks.
-        for cb in finished {
-            cb();
+        // Wake the waiters with no borrow held: they may submit new tasks.
+        // Tasks that finish together wake in the order found above.
+        for done in finished {
+            done.fill(());
         }
     }
 
@@ -238,19 +254,30 @@ impl CpuScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task;
     use crdb_util::time::dur;
     use std::cell::Cell;
+
+    /// Spawns a task that awaits `work`; the cell records when it resumed.
+    fn resumed_at(sim: &Sim, work: Completion<()>) -> Rc<Cell<Option<f64>>> {
+        let at = Rc::new(Cell::new(None));
+        task::spawn(sim, {
+            let (sim, at) = (sim.clone(), Rc::clone(&at));
+            async move {
+                work.await;
+                at.set(Some(sim.now().as_secs_f64()));
+            }
+        });
+        at
+    }
 
     #[test]
     fn single_task_runs_at_full_speed() {
         let sim = Sim::new(1);
         let cpu = CpuScheduler::new(sim.clone(), 4.0);
-        let done = Rc::new(Cell::new(None));
-        let d = Rc::clone(&done);
-        let s = sim.clone();
-        cpu.submit(TenantId(2), 0.5, move || d.set(Some(s.now())));
+        let done = resumed_at(&sim, cpu.run(TenantId(2), 0.5));
         sim.run_to_completion();
-        let at = done.get().expect("completed").as_secs_f64();
+        let at = done.get().expect("completed");
         assert!((at - 0.5).abs() < 1e-9, "{at}");
     }
 
@@ -258,25 +285,22 @@ mod tests {
     fn oversubscription_slows_tasks() {
         let sim = Sim::new(1);
         let cpu = CpuScheduler::new(sim.clone(), 1.0);
-        let done = Rc::new(Cell::new(0u32));
-        for _ in 0..4 {
-            let d = Rc::clone(&done);
-            cpu.submit(TenantId(2), 1.0, move || d.set(d.get() + 1));
-        }
+        let done: Vec<_> = (0..4).map(|_| resumed_at(&sim, cpu.run(TenantId(2), 1.0))).collect();
+        let finished = || done.iter().filter(|d| d.get().is_some()).count();
         // 4 tasks of 1 cpu-second on 1 vCPU: each runs at 1/4 speed and all
         // finish together at t=4.
         sim.run_until(SimTime::from_secs_f64(3.9));
-        assert_eq!(done.get(), 0);
+        assert_eq!(finished(), 0);
         sim.run_until(SimTime::from_secs_f64(4.1));
-        assert_eq!(done.get(), 4);
+        assert_eq!(finished(), 4);
     }
 
     #[test]
     fn usage_attribution_per_tenant() {
         let sim = Sim::new(1);
         let cpu = CpuScheduler::new(sim.clone(), 2.0);
-        cpu.submit(TenantId(2), 1.0, || {});
-        cpu.submit(TenantId(3), 2.0, || {});
+        cpu.charge(TenantId(2), 1.0);
+        cpu.charge(TenantId(3), 2.0);
         sim.run_to_completion();
         assert!((cpu.cumulative_usage(TenantId(2)) - 1.0).abs() < 1e-9);
         assert!((cpu.cumulative_usage(TenantId(3)) - 2.0).abs() < 1e-9);
@@ -288,7 +312,7 @@ mod tests {
         let sim = Sim::new(1);
         let cpu = CpuScheduler::new(sim.clone(), 2.0);
         for _ in 0..6 {
-            cpu.submit(TenantId(2), 1.0, || {});
+            cpu.charge(TenantId(2), 1.0);
         }
         assert_eq!(cpu.runnable_len(), 4.0);
         // 6 tasks × 1s work on 2 vCPUs -> all complete at t=3; runnable
@@ -302,22 +326,16 @@ mod tests {
     fn staggered_arrivals() {
         let sim = Sim::new(1);
         let cpu = CpuScheduler::new(sim.clone(), 1.0);
-        let t_first = Rc::new(Cell::new(None));
+        let t_first = resumed_at(&sim, cpu.run(TenantId(2), 1.0));
         let t_second = Rc::new(Cell::new(None));
-        {
-            let tf = Rc::clone(&t_first);
-            let s = sim.clone();
-            cpu.submit(TenantId(2), 1.0, move || tf.set(Some(s.now().as_secs_f64())));
-        }
-        {
-            let cpu2 = cpu.clone();
-            let ts = Rc::clone(&t_second);
-            let s = sim.clone();
-            sim.schedule_after(dur::ms(500), move || {
-                let s2 = s.clone();
-                cpu2.submit(TenantId(3), 0.25, move || ts.set(Some(s2.now().as_secs_f64())));
-            });
-        }
+        task::spawn(&sim, {
+            let (sim, cpu, at) = (sim.clone(), cpu.clone(), Rc::clone(&t_second));
+            async move {
+                task::sleep(&sim, dur::ms(500)).await;
+                cpu.run(TenantId(3), 0.25).await;
+                at.set(Some(sim.now().as_secs_f64()));
+            }
+        });
         sim.run_to_completion();
         // Task1 runs alone 0..0.5 (0.5 done), shares 0.5.. at 1/2 rate.
         // Task2 (0.25 work at 1/2 rate) finishes at t=1.0; task1 then has
@@ -331,19 +349,49 @@ mod tests {
         let sim = Sim::new(1);
         let cpu = CpuScheduler::new(sim.clone(), 1.0);
         let count = Rc::new(Cell::new(0));
-        fn chain(cpu: CpuScheduler, count: Rc<Cell<u32>>, depth: u32) {
-            if depth == 0 {
-                return;
+        task::spawn(&sim, {
+            let count = Rc::clone(&count);
+            async move {
+                for _ in 0..5 {
+                    cpu.run(TenantId(2), 0.1).await;
+                    count.set(count.get() + 1);
+                }
             }
-            let cpu2 = cpu.clone();
-            cpu.submit(TenantId(2), 0.1, move || {
-                count.set(count.get() + 1);
-                chain(cpu2.clone(), count, depth - 1);
-            });
-        }
-        chain(cpu, Rc::clone(&count), 5);
+        });
         sim.run_to_completion();
         assert_eq!(count.get(), 5);
         assert!((sim.now().as_secs_f64() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn same_instant_completions_wake_in_submission_order() {
+        let sim = Sim::new(1);
+        let cpu = CpuScheduler::new(sim.clone(), 2.0);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for label in ["first", "second"] {
+            let (work, log) = (cpu.run(TenantId(2), 0.25), Rc::clone(&log));
+            task::spawn(&sim, async move {
+                work.await;
+                log.borrow_mut().push(label);
+            });
+        }
+        sim.run_to_completion();
+        // Two finish in submission order; past two, the scan's swap-removal
+        // moves the last task up, as it did when callbacks ran here.
+        assert_eq!(*log.borrow(), ["first", "second"]);
+        assert_eq!(sim.events_executed(), 1, "both woke inside the one completion event");
+    }
+
+    #[test]
+    fn a_charge_accrues_usage_with_no_waiter() {
+        let sim = Sim::new(1);
+        let cpu = CpuScheduler::new(sim.clone(), 1.0);
+        cpu.charge(TenantId(2), 0.5);
+        let run = resumed_at(&sim, cpu.run(TenantId(3), 0.5));
+        sim.run_to_completion();
+        // Sharing the one vCPU with the charge, the awaited task ends at 1 s.
+        assert!((run.get().expect("completed") - 1.0).abs() < 1e-9);
+        assert!((cpu.cumulative_usage(TenantId(2)) - 0.5).abs() < 1e-9);
+        assert_eq!(sim.live_tasks(), 0);
     }
 }

@@ -204,7 +204,7 @@ impl Sim {
     /// Number of tasks spawned and not yet finished: each is parked on a
     /// wake, so one that nothing will wake again is a leak.
     pub fn live_tasks(&self) -> usize {
-        self.tasks.borrow().map.len()
+        self.tasks.borrow().live()
     }
 }
 

@@ -5,22 +5,24 @@
 //! replacement (see DESIGN.md §1): a single-threaded, deterministic
 //! discrete-event engine on which the whole serverless cluster runs.
 //!
-//! - [`engine::Sim`] — the event loop and virtual clock. Components
-//!   schedule closures at future instants; runs are reproducible given a
-//!   seed.
+//! - [`engine::Sim`] — the event loop and virtual clock. Events are
+//!   closures and task wakes at future instants; runs are reproducible
+//!   given a seed.
 //! - [`topology`] — regions, zones and the inter-region latency matrix that
 //!   stands in for the real network (asia-southeast1 / europe-west1 /
-//!   us-central1 round-trip times).
+//!   us-central1 round-trip times); a task awaits a message's hop.
 //! - [`fault`] — deterministic, seeded fault injection (node crashes,
 //!   pod-start failures, partitions, latency spikes) replayed against the
 //!   virtual clock with a byte-reproducible event log.
 //! - [`cpu`] — a processor-sharing CPU model per node. It produces the two
 //!   signals admission control needs (per-task CPU time and the runnable
 //!   queue length the 1000 Hz sampler would observe, §5.1.3) plus
-//!   per-tenant CPU attribution for the figures.
+//!   per-tenant CPU attribution for the figures. Work is awaited or
+//!   charged.
 //! - [`resource`] — a FIFO rate-limited resource modelling disk flush /
-//!   compaction bandwidth.
-//! - [`task`] — `async fn` on the virtual clock, polled inline in the waking event.
+//!   compaction bandwidth; a transfer is awaited or charged.
+//! - [`task`] — `async fn` on the virtual clock, polled inline in the
+//!   waking event: statements, RPCs and every product control loop.
 //! - [`timeseries`] — sampled time series used to regenerate the paper's
 //!   time-series figures (Figs. 8, 9, 12, 13).
 //!

@@ -1,15 +1,20 @@
 //! `async fn` on the simulator's clock. Each [`Sim`] owns its tasks:
-//! boxed futures in a `BTreeMap` keyed by task id, whose [`Waker`] carries
-//! only the id. A wake polls the task inline, inside the event that woke
-//! it (a wake during its own poll re-polls it once that poll returns), so
-//! an `.await` resumes where its callback ran in `(at, seq)` order and
-//! polling adds no event. No executor borrow is held across a poll: a
-//! callback fired in one task's poll may spawn and drive another. A
-//! finished task's waker, once nothing else holds it, serves the next task
-//! spawned.
+//! boxed futures in a slab, whose [`Waker`] carries only the task's slot
+//! and id. A wake polls the task inline, inside the event that woke it (a
+//! wake during its own poll re-polls it once that poll returns), so an
+//! `.await` resumes where its callback ran in `(at, seq)` order and polling
+//! adds no event. No executor borrow is held across a poll: a callback
+//! fired in one task's poll may spawn and drive another. A finished task's
+//! slot, and its waker once nothing else holds it, serve the next task
+//! spawned, so a spawn allocates only its future.
+//!
+//! The simulator's resources are awaited through [`Completion`]s: the CPU
+//! ([`crate::cpu::CpuScheduler::run`]), the disk
+//! ([`crate::resource::RateResource::transfer`]) and the network
+//! ([`crate::topology::Topology::hop`], a [`sleep`]). A control loop is a
+//! task too: `loop { sleep(..).await; … }`.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
@@ -26,14 +31,40 @@ pub type BoxFuture<T> = Pin<Box<dyn Future<Output = T>>>;
 /// since its poll began, and its waker.
 type Slot = (Option<BoxFuture<()>>, bool, Arc<TaskWaker>);
 
+/// Names a task: its slot, and its id, which no other task ever has.
+type Key = (usize, u64);
+
 #[derive(Default)]
 pub(crate) struct Tasks {
-    pub(crate) map: BTreeMap<u64, Slot>,
+    /// Live tasks by slot; `None` in a slot whose task finished.
+    slots: Vec<Option<Slot>>,
+    /// Slots whose task finished, for the next tasks.
+    free: Vec<usize>,
     next_id: u64,
     /// Tasks detached during the polls in progress, innermost poll's last.
-    detached: Vec<u64>,
+    detached: Vec<Key>,
     /// Finished tasks' wakers that no clone outlived, for the next tasks.
     spare: Vec<Arc<TaskWaker>>,
+}
+
+impl Tasks {
+    /// The live task `key` names: none once it finished, even if its slot
+    /// serves another task since.
+    fn get_mut(&mut self, (slot, id): Key) -> Option<&mut Slot> {
+        self.slots.get_mut(slot)?.as_mut().filter(|(_, _, waker)| waker.key.1 == id)
+    }
+
+    /// Takes task `key` out, freeing its slot.
+    fn remove(&mut self, key: Key) -> Option<Slot> {
+        self.get_mut(key)?;
+        self.free.push(key.0);
+        self.slots.get_mut(key.0)?.take()
+    }
+
+    /// Tasks spawned and not yet finished.
+    pub(crate) fn live(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
 }
 
 pub(crate) type Executor = Rc<RefCell<Tasks>>;
@@ -55,31 +86,37 @@ pub(crate) fn wake(ex: &Executor, waker: Waker) {
     within(ex, || waker.wake());
 }
 
-pub(crate) struct TaskWaker(u64);
+pub(crate) struct TaskWaker {
+    key: Key,
+}
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        let id = self.0;
+        let key = self.key;
         // Let go of it first: a task that finishes in this poll can then
         // hand its waker on.
         drop(self);
         if let Some(ex) = POLLING.with_borrow(Clone::clone) {
-            poll(&ex, id);
+            poll(&ex, key);
         }
     }
 }
 
-fn insert(ex: &Executor, future: BoxFuture<()>) -> u64 {
+fn insert(ex: &Executor, future: BoxFuture<()>) -> Key {
     let mut tasks = ex.borrow_mut();
     tasks.next_id += 1;
-    let id = tasks.next_id;
-    let mut waker = tasks.spare.pop().unwrap_or_else(|| Arc::new(TaskWaker(id)));
+    let key = (tasks.free.pop().unwrap_or(tasks.slots.len()), tasks.next_id);
+    let mut waker = tasks.spare.pop().unwrap_or_else(|| Arc::new(TaskWaker { key }));
     match Arc::get_mut(&mut waker) {
-        Some(spare) => spare.0 = id,
-        None => waker = Arc::new(TaskWaker(id)),
+        Some(spare) => spare.key = key,
+        None => waker = Arc::new(TaskWaker { key }),
     }
-    tasks.map.insert(id, (Some(future), false, waker));
-    id
+    let task = Some((Some(future), false, waker));
+    match tasks.slots.get_mut(key.0) {
+        Some(free) => *free = task,
+        None => tasks.slots.push(task),
+    }
+    key
 }
 
 /// Spawns `future` as a task of `sim` and polls it at once.
@@ -87,11 +124,11 @@ pub fn spawn(sim: &Sim, future: impl Future<Output = ()> + 'static) {
     poll(&sim.tasks, insert(&sim.tasks, Box::pin(future)));
 }
 
-/// Polls task `id` (again while woken during its poll), then the tasks it
+/// Polls task `key` (again while woken during its poll), then the tasks it
 /// detached. A task being polled is marked woken instead.
-fn poll(ex: &Executor, id: u64) {
+fn poll(ex: &Executor, key: Key) {
     let mark = ex.borrow().detached.len();
-    let taken = ex.borrow_mut().map.get_mut(&id).and_then(|(future, woken, waker)| {
+    let taken = ex.borrow_mut().get_mut(key).and_then(|(future, woken, waker)| {
         *woken = future.is_none();
         Some((future.take()?, Waker::from(Arc::clone(waker))))
     });
@@ -99,13 +136,13 @@ fn poll(ex: &Executor, id: u64) {
     within(ex, || {
         while future.as_mut().poll(&mut Context::from_waker(&waker)).is_pending() {
             let mut tasks = ex.borrow_mut();
-            let Some((slot, woken, _)) = tasks.map.get_mut(&id) else { return };
+            let Some((slot, woken, _)) = tasks.get_mut(key) else { return };
             if !std::mem::take(woken) {
                 *slot = Some(future);
                 return;
             }
         }
-        let finished = ex.borrow_mut().map.remove(&id);
+        let finished = ex.borrow_mut().remove(key);
         // Dropped outside the executor's borrow.
         drop((future, waker));
         if let Some((_, _, mut waker)) = finished {
@@ -114,8 +151,8 @@ fn poll(ex: &Executor, id: u64) {
             }
         }
     });
-    let detached: Vec<u64> = ex.borrow_mut().detached.drain(mark..).collect();
-    detached.into_iter().for_each(|id| poll(ex, id));
+    let detached: Vec<Key> = ex.borrow_mut().detached.drain(mark..).collect();
+    detached.into_iter().for_each(|key| poll(ex, key));
 }
 
 struct Fill<T> {
@@ -250,8 +287,8 @@ pub async fn try_join_all<T: 'static, E: 'static>(
                         return Poll::Ready(Err(e));
                     };
                     for future in running.drain(..).filter_map(|(future, _)| future) {
-                        let id = insert(&ex, Box::pin(async move { drop(future.await) }));
-                        ex.borrow_mut().detached.push(id);
+                        let key = insert(&ex, Box::pin(async move { drop(future.await) }));
+                        ex.borrow_mut().detached.push(key);
                     }
                     return Poll::Ready(Err(e));
                 }

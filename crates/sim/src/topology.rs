@@ -2,8 +2,8 @@
 //!
 //! Stands in for the production multi-region network (§4.2.5, §6.5.2). A
 //! [`Topology`] names the regions of the host cluster and holds a one-way
-//! latency matrix; [`Topology::send`] delivers a message (a closure) after
-//! the appropriate latency plus jitter. The default three-region topology
+//! latency matrix; awaiting [`Topology::hop`] carries a task's message
+//! there after the appropriate latency plus jitter. The default three-region topology
 //! mirrors the paper's evaluation: `us-central1`, `europe-west1`,
 //! `asia-southeast1`, with public inter-region round-trip times.
 //!
@@ -23,6 +23,7 @@ use crdb_util::RegionId;
 use rand::Rng;
 
 use crate::engine::Sim;
+use crate::task;
 
 /// Where a process runs: a region and a zone within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,18 +167,19 @@ impl Topology {
         Duration::from_secs_f64(base.as_secs_f64() * jitter * spike)
     }
 
-    /// Delivers `message` (a closure) after the simulated one-way network
-    /// latency from `from` to `to`. Messages across an active partition
-    /// are silently dropped — exactly how a real partition looks to the
-    /// sender, which is why the layers above must fail fast on
-    /// unreachable peers instead of waiting for a reply.
-    pub fn send(&self, sim: &Sim, from: Location, to: Location, message: impl FnOnce() + 'static) {
+    /// Carries a message from `from` to `to`: resolves to `true` once the
+    /// one-way latency, sampled at the first poll, has passed. Across an
+    /// active partition the message is dropped: `false` at once, with no
+    /// event. Whoever waits for a reply hears nothing — exactly how a real
+    /// partition looks to the sender, which is why the layers above must
+    /// fail fast on unreachable peers instead of waiting for a reply.
+    pub async fn hop(&self, sim: &Sim, from: Location, to: Location) -> bool {
         if !self.is_reachable(from, to) {
             self.faults.borrow_mut().dropped += 1;
-            return;
+            return false;
         }
-        let latency = self.sample_latency(sim, from, to);
-        sim.schedule_after(latency, message);
+        task::sleep(sim, self.sample_latency(sim, from, to)).await;
+        true
     }
 
     /// True when no partition or outage separates `from` and `to`.
@@ -340,19 +342,35 @@ mod tests {
         assert_eq!(t.regions().count(), 3);
     }
 
+    /// Spawns a task that hops `from → to`; returns whether and when it
+    /// arrived.
+    fn hop(
+        sim: &Sim,
+        t: &Topology,
+        from: Location,
+        to: Location,
+    ) -> Rc<RefCell<Option<(bool, f64)>>> {
+        let arrived = Rc::new(RefCell::new(None));
+        task::spawn(sim, {
+            let (sim, t, arrived) = (sim.clone(), t.clone(), Rc::clone(&arrived));
+            async move {
+                let delivered = t.hop(&sim, from, to).await;
+                *arrived.borrow_mut() = Some((delivered, sim.now().as_secs_f64()));
+            }
+        });
+        arrived
+    }
+
     #[test]
     fn send_delivers_after_latency() {
         let sim = Sim::new(7);
         let t = Topology::three_region();
         let us = Location::new(RegionId(0), 0);
         let asia = Location::new(RegionId(2), 0);
-        let arrived = Rc::new(RefCell::new(None));
-        let a = Rc::clone(&arrived);
-        let s = sim.clone();
-        t.send(&sim, us, asia, move || *a.borrow_mut() = Some(s.now()));
+        let arrived = hop(&sim, &t, us, asia);
         sim.run_to_completion();
-        let at = arrived.borrow().expect("delivered");
-        let secs = at.as_secs_f64();
+        let (delivered, secs) = arrived.borrow().expect("resolved");
+        assert!(delivered);
         // 90ms one-way + up to 5% jitter.
         assert!((0.090..0.095).contains(&secs), "{secs}");
     }
@@ -368,18 +386,16 @@ mod tests {
         clone.partition(RegionId(0), RegionId(1));
         assert!(!t.is_reachable(us, eu));
         assert!(!t.is_reachable(eu, us));
-        let delivered = Rc::new(RefCell::new(0u32));
-        let d = Rc::clone(&delivered);
-        t.send(&sim, us, eu, move || *d.borrow_mut() += 1);
-        sim.run_to_completion();
-        assert_eq!(*delivered.borrow(), 0, "partitioned message dropped");
+        let dropped = hop(&sim, &t, us, eu);
+        assert_eq!(*dropped.borrow(), Some((false, 0.0)), "partitioned hop fails at once");
+        assert!(!sim.step(), "and schedules nothing");
         assert_eq!(t.dropped_messages(), 1);
         t.heal(RegionId(0), RegionId(1));
         assert!(t.is_reachable(us, eu));
-        let d = Rc::clone(&delivered);
-        t.send(&sim, us, eu, move || *d.borrow_mut() += 1);
+        let delivered = hop(&sim, &t, us, eu);
         sim.run_to_completion();
-        assert_eq!(*delivered.borrow(), 1, "healed link delivers");
+        assert!(delivered.borrow().is_some_and(|(delivered, _)| delivered), "healed link delivers");
+        assert_eq!(t.dropped_messages(), 1);
         // Same-region traffic is never partitioned.
         clone.partition(RegionId(0), RegionId(0));
         assert!(t.is_reachable(us, Location::new(RegionId(0), 1)));

@@ -37,7 +37,7 @@ use crdb_kv::batch::KvError;
 use crdb_kv::client::KvClient;
 use crdb_obs::trace;
 use crdb_sim::cpu::CpuScheduler;
-use crdb_sim::task::{self, Completion};
+use crdb_sim::task;
 use crdb_sim::{Location, Sim};
 use crdb_util::time::{dur, SimTime};
 use crdb_util::{Deadline, RegionId, RetryPolicy, SqlInstanceId, TenantId};
@@ -266,7 +266,7 @@ impl SqlNode {
         span.tag("instance", self.instance_id);
         span.tag("tenant", self.tenant);
         let init_span = span.child("process.init");
-        self.run_on_cpu(STARTUP_CPU).await;
+        self.cpu.run(self.tenant, STARTUP_CPU).await;
         init_span.end();
         let sys_span = span.child("systemdb.access");
         task::sleep(&self.sim, sys_latency).await;
@@ -288,14 +288,6 @@ impl SqlNode {
         self.start_background_loop();
     }
 
-    /// Runs `cpu_seconds` of work on the node's CPU.
-    async fn run_on_cpu(&self, cpu_seconds: f64) {
-        let done = Completion::default();
-        let fill = done.clone();
-        self.cpu.submit(self.tenant, cpu_seconds, move || fill.fill(()));
-        done.await
-    }
-
     /// Background CPU burn while the node runs (§6.2's idle 0.15 CPU-s/s):
     /// keepalives, metrics, GC.
     fn start_background_loop(self: &Rc<Self>) {
@@ -303,12 +295,14 @@ impl SqlNode {
             return;
         }
         let node = Rc::clone(self);
-        self.sim.schedule_periodic(dur::secs(1), move || {
-            if node.state.get() == NodeState::Stopped {
-                return false;
+        task::spawn(&self.sim, async move {
+            loop {
+                task::sleep(&node.sim, dur::secs(1)).await;
+                if node.state.get() == NodeState::Stopped {
+                    return;
+                }
+                node.cpu.charge(node.tenant, node.config.idle_cpu_per_second);
             }
-            node.cpu.submit(node.tenant, node.config.idle_cpu_per_second, || {});
-            true
         });
     }
 
@@ -574,7 +568,7 @@ impl SqlNode {
         cost += stats.bytes_read as f64 * self.config.cpu_marshal_per_byte
             + stats.rows_read as f64 * self.config.cpu_marshal_per_row;
         let span = trace::child("sql.cpu");
-        self.run_on_cpu(cost).await;
+        self.cpu.run(self.tenant, cost).await;
         span.end();
         output
     }
