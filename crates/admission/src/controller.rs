@@ -222,10 +222,10 @@ impl<T> AdmissionController<T> {
         }
     }
 
-    /// AIMD feedback step for the CPU slot pool; call on the sampling
-    /// interval with the interval's average runnable-queue length.
-    pub fn tick_slots(&mut self, avg_runnable: f64, vcpus: f64) {
-        self.slots.tick(avg_runnable, vcpus);
+    /// AIMD feedback step for the CPU slot pool, [`SlotController::tick`]:
+    /// call on the sampling interval with its average runnable-queue length.
+    pub fn tick_slots(&mut self, avg_runnable: f64, vcpus: f64) -> bool {
+        self.slots.tick(avg_runnable, vcpus)
     }
 
     /// Re-estimates write capacity; call every ~15 s with fresh storage

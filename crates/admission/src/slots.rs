@@ -80,10 +80,13 @@ impl SlotController {
     }
 
     /// One feedback-loop step. `avg_runnable` is the average runnable-queue
-    /// length over the interval and `vcpus` the node's CPU count.
-    pub fn tick(&mut self, avg_runnable: f64, vcpus: f64) {
-        let runnable_per_vcpu = avg_runnable / vcpus.max(1.0);
-        if runnable_per_vcpu > RUNNABLE_HIGH_PER_VCPU {
+    /// length over the interval and `vcpus` the node's CPU count. Returns
+    /// whether the pool is at rest (no queueing, no saturation, no slot held):
+    /// then no tick changes anything until a slot is taken again.
+    pub fn tick(&mut self, avg_runnable: f64, vcpus: f64) -> bool {
+        let queueing = avg_runnable / vcpus.max(1.0) > RUNNABLE_HIGH_PER_VCPU;
+        let at_rest = !queueing && !self.saturated_since_tick && self.used == 0;
+        if queueing {
             // Threads are queueing in the OS scheduler: decrease.
             self.slots = self.slots.saturating_sub(DEC_STEP).max(MIN_SLOTS);
         } else if self.saturated_since_tick {
@@ -93,6 +96,7 @@ impl SlotController {
             self.slots = (self.slots + INC_STEP).min(MAX_SLOTS);
         }
         self.saturated_since_tick = false;
+        at_rest
     }
 }
 

@@ -90,7 +90,7 @@ fn a_proxied_statement_takes_fixed_events_and_at_most_its_allocations() {
     // A cold connect: pool assignment and certificate delivery, the SQL
     // node's start (its KV reads and its registration), then the hop to
     // open the session. Its allocations depend on what the start reads.
-    assert_eq!(cold.events, 38, "cold connect");
+    assert_eq!(cold.events, 20, "cold connect");
     // A warm connect is the one hop that opens the session.
     assert_eq!(warm.events, 1, "warm connect");
     assert!(warm.allocations <= WARM_CONNECT_ALLOCATIONS, "warm connect: {warm:?}");
@@ -129,10 +129,11 @@ fn idle_minute(seed: u64) -> u64 {
 
 #[test]
 fn an_idle_deployment_takes_fixed_events() {
-    // What still ticks with nothing to do: each KV node's admission-slot
-    // controller (every 50 ms) and write-capacity estimator, and the
-    // cluster's control loops. No storage work runs without a write.
+    // What still ticks with nothing to do: each KV node's write-capacity
+    // estimator and heartbeat, and the cluster's control loops. A node's
+    // admission-slot controller parks on its empty CPU and ticks only
+    // around a heartbeat. No storage work runs without a write.
     let events = idle_minute(11);
-    assert_eq!(events, 3_894, "idle minute");
+    assert_eq!(events, 372, "idle minute");
     assert_eq!(idle_minute(11), events, "same seed, different idle cost");
 }

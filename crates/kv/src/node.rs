@@ -148,6 +148,8 @@ pub struct KvNode {
     pending_pump: Cell<Option<crdb_sim::EventId>>,
     /// The runnable integral at the last AIMD tick, and its instant.
     last_tick: Cell<(f64, SimTime)>,
+    /// Wakes the parked AIMD loop: a task entering the empty CPU, a crash.
+    park: Completion<()>,
     /// The timestamp cache (§"tscache"): high-water marks of read
     /// timestamps over the spans this node served reads of, which writes
     /// must land above.
@@ -186,6 +188,7 @@ impl KvNode {
             batches_served: Cell::new(0),
             pending_pump: Cell::new(None),
             last_tick: Cell::new((0.0, sim.now())),
+            park: Completion::default(),
             ts_cache: RefCell::new(TsCache::new(sim.now(), Timestamp::ZERO)),
             commit_acks: RefCell::new(Vec::new()),
             commit_timer_armed: Cell::new(false),
@@ -199,11 +202,17 @@ impl KvNode {
         // AIMD slot adjustment: the paper samples the runnable queue at
         // 1000 Hz and adjusts via AIMD; under simulation the runnable queue
         // integral is exact, so we tick the controller at 50 ms with the
-        // exact interval average (DESIGN.md substitution).
-        let node = Rc::clone(self);
+        // exact interval average (DESIGN.md substitution). A tick finding
+        // the pool at rest on an empty CPU parks the loop, as later ticks
+        // would move only `last_tick`'s instant until a task enters the CPU.
+        // Woken, it holds what an unparked loop would: the same integral at
+        // the last grid instant before the wake.
+        self.cpu.fill_when_busy(self.park.clone());
+        let (node, tick) = (Rc::clone(self), dur::ms(50));
         task::spawn(&self.sim, async move {
+            let mut wait = tick;
             loop {
-                task::sleep(&node.sim, dur::ms(50)).await;
+                task::sleep(&node.sim, std::mem::replace(&mut wait, tick)).await;
                 if !node.alive.get() {
                     continue;
                 }
@@ -211,11 +220,21 @@ impl KvNode {
                 let (last_runnable, last_at) = node.last_tick.get();
                 let runnable = node.cpu.cumulative_runnable();
                 let dt = now.duration_since(last_at).as_secs_f64();
-                if dt > 0.0 {
+                let at_rest = dt > 0.0 && {
                     let avg_runnable = (runnable - last_runnable) / dt;
-                    node.admission.borrow_mut().tick_slots(avg_runnable, node.cpu.vcpus());
-                }
+                    node.admission.borrow_mut().tick_slots(avg_runnable, node.cpu.vcpus())
+                };
                 node.last_tick.set((runnable, now));
+                if at_rest {
+                    while node.alive.get() && node.cpu.is_idle() {
+                        node.park.clone().await;
+                    }
+                    let woke = node.sim.now();
+                    let skipped = (woke - now).as_nanos().saturating_sub(1) / tick.as_nanos();
+                    let resumed = now + tick * skipped as u32;
+                    node.last_tick.set((runnable, resumed));
+                    wait = (resumed + tick).duration_since(woke);
+                }
             }
         });
         // Write capacity estimation from LSM instrumentation.
@@ -340,6 +359,7 @@ impl KvNode {
             *self.ts_cache.borrow_mut() = TsCache::new(now, floor);
         }
         self.alive.set(alive);
+        self.park.fill(()); // Wakes a parked AIMD loop: a down node skips its ticks.
     }
 
     /// Marks `[start, end)` read at `lease_start`: the node has just been
@@ -1127,5 +1147,161 @@ impl KvNode {
     /// work, so zero on an idle node however many tenants it has served.
     pub fn admission_tenant_heaps(&self) -> usize {
         self.admission.borrow().tenant_heaps()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{KvCluster, KvClusterConfig};
+    use crate::liveness::LivenessConfig;
+    use crdb_admission::SlotController;
+    use crdb_sim::Topology;
+
+    /// The slot loop's interval.
+    const TICK: Duration = Duration::from_millis(50);
+
+    /// A three-node cluster whose first heartbeat falls after every test's
+    /// window, so nothing enters an idle node's CPU unless a test puts it
+    /// there.
+    fn cluster() -> (Sim, KvCluster) {
+        let sim = Sim::new(7);
+        let liveness = LivenessConfig { ttl: dur::mins(20), heartbeat_interval: dur::mins(10) };
+        let config = KvClusterConfig { liveness, ..Default::default() };
+        let cluster = KvCluster::new(&sim, Topology::single_region("us-east1", 3), config);
+        (sim, cluster)
+    }
+
+    fn nodes(cluster: &KvCluster) -> Vec<Rc<KvNode>> {
+        cluster.node_ids().into_iter().filter_map(|id| cluster.node(id)).collect()
+    }
+
+    /// What a slot loop that never parks would hold: the same tick on the
+    /// same grid, skipped while the node is down.
+    struct Unparked {
+        last_tick: Cell<(f64, SimTime)>,
+        slots: RefCell<SlotController>,
+    }
+
+    /// Starts an [`Unparked`] loop beside `node`'s own; call it when the
+    /// node is created, so the two share a grid. Its reads of the CPU fall
+    /// on the instants the node's loop reads it at, or on an empty CPU, so
+    /// they change nothing the node's loop sees.
+    fn unparked(node: &Rc<KvNode>) -> Rc<Unparked> {
+        let slots = SlotController::new(node.admission.borrow().slot_total());
+        let unparked = Rc::new(Unparked {
+            last_tick: Cell::new(node.last_tick.get()),
+            slots: RefCell::new(slots),
+        });
+        let (node, held, sim) = (Rc::clone(node), Rc::clone(&unparked), node.sim.clone());
+        task::spawn(&sim, async move {
+            loop {
+                task::sleep(&node.sim, TICK).await;
+                if !node.is_alive() {
+                    continue;
+                }
+                let (now, (last_runnable, last_at)) = (node.sim.now(), held.last_tick.get());
+                let runnable = node.cpu.cumulative_runnable();
+                let avg_runnable =
+                    (runnable - last_runnable) / now.duration_since(last_at).as_secs_f64();
+                held.slots.borrow_mut().tick(avg_runnable, node.cpu.vcpus());
+                held.last_tick.set((runnable, now));
+            }
+        });
+        unparked
+    }
+
+    /// 24 tasks of 0.2 CPU-seconds on the node's 8 vCPUs: 16 runnable for
+    /// 0.6 s, which a 50 ms average reads as queueing and a 1 s one does
+    /// not.
+    fn burst(node: &KvNode) {
+        for _ in 0..24 {
+            node.cpu.charge(TenantId::SYSTEM, 0.2);
+        }
+    }
+
+    /// Steps `strides` times 50 ms, off the grid, checking after each that
+    /// the node's loop holds what the unparked one does, on the grid. A
+    /// [`burst`] and the tick after it, where the loop parks again, take
+    /// 13 strides.
+    fn follows(sim: &Sim, node: &KvNode, unparked: &Unparked, strides: usize) {
+        for _ in 0..strides {
+            sim.run_for(TICK);
+            assert_eq!(node.last_tick.get(), unparked.last_tick.get(), "at {}", sim.now());
+            assert_eq!(node.admission.borrow().slot_total(), unparked.slots.borrow().total());
+            let on_grid =
+                u128::from(node.last_tick.get().1.as_nanos()).is_multiple_of(TICK.as_nanos());
+            assert!(on_grid, "ticked off the grid at {}", sim.now());
+        }
+    }
+
+    #[test]
+    fn an_idle_cluster_takes_no_slot_tick_for_a_minute() {
+        let (sim, cluster) = cluster();
+        let nodes = nodes(&cluster);
+        assert_eq!(nodes.len(), 3);
+        sim.run_for(dur::secs(1));
+        let parked: Vec<_> = nodes.iter().map(|n| n.last_tick.get()).collect();
+        assert!(parked.iter().all(|&(_, at)| at == SimTime::ZERO + TICK), "{parked:?}");
+        let tasks = sim.live_tasks();
+        sim.run_for(dur::mins(1));
+        // Every tick of a live node moves `last_tick` to its instant.
+        let held: Vec<_> = nodes.iter().map(|n| n.last_tick.get()).collect();
+        assert_eq!(held, parked, "a parked loop ticked");
+        assert_eq!(sim.live_tasks(), tasks, "a parked loop is still a task");
+    }
+
+    #[test]
+    fn a_woken_loop_ticks_on_its_grid_as_an_unparked_one() {
+        let (sim, cluster) = cluster();
+        let node = nodes(&cluster).remove(0);
+        let unparked = unparked(&node);
+        sim.run_for(dur::secs(1) + dur::us(7_300));
+        assert_eq!(node.last_tick.get().1, SimTime::ZERO + TICK, "parked at its first tick");
+        // Woken at 1.0073 s, the loop holds the unchanged integral at 1 s:
+        // its tick at 1.05 s averages over 50 ms and sheds slots.
+        burst(&node);
+        follows(&sim, &node, &unparked, 13);
+        assert!(node.admission.borrow().slot_total() < 16, "the burst shed slots");
+        let parked = node.last_tick.get();
+        sim.run_for(dur::secs(1));
+        assert_eq!(node.last_tick.get(), parked, "parked again once the burst ended");
+    }
+
+    #[test]
+    fn a_crash_while_parked_skips_ticks_as_an_unparked_loop_does() {
+        let (sim, cluster) = cluster();
+        let node = nodes(&cluster).remove(0);
+        let unparked = unparked(&node);
+        sim.run_for(dur::secs(1) + dur::us(7_300));
+        node.set_alive(false);
+        // The crash wakes the loop onto the tick an unparked loop took last.
+        assert_eq!(node.last_tick.get(), (0.0, SimTime::from_secs_f64(1.0)));
+        sim.run_for(dur::secs(1));
+        assert_eq!(node.last_tick.get(), (0.0, SimTime::from_secs_f64(1.0)), "a down node ticks");
+        // Revived at 2.0073 s, the first tick (2.05 s) averages the burst
+        // over 1.05 s, back to the last tick before the crash, and keeps
+        // every slot, as an unparked loop does.
+        node.set_alive(true);
+        burst(&node);
+        sim.run_for(TICK);
+        assert_eq!(node.last_tick.get().1, SimTime::from_secs_f64(2.05));
+        assert_eq!(node.admission.borrow().slot_total(), 16, "averaged over 1.05 s");
+        follows(&sim, &node, &unparked, 12);
+    }
+
+    #[test]
+    fn a_crash_at_a_grid_instant_skips_that_tick_as_an_unparked_loop_does() {
+        let (sim, cluster) = cluster();
+        let node = nodes(&cluster).remove(0);
+        let unparked = unparked(&node);
+        // Scheduled before the tick at 1 s was, the crash comes first at
+        // that instant: the unparked loop skips the tick, and the woken
+        // one resumes at the grid instant before it.
+        let crashing = Rc::clone(&node);
+        sim.schedule_at(SimTime::from_secs_f64(1.0), move || crashing.set_alive(false));
+        sim.run_for(dur::secs(2));
+        assert_eq!(node.last_tick.get(), (0.0, SimTime::from_secs_f64(0.95)));
+        assert_eq!(node.last_tick.get(), unparked.last_tick.get());
     }
 }

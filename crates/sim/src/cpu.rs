@@ -53,6 +53,8 @@ struct Inner {
     /// switching, cache pressure, GC — the superlinear collapse real
     /// overloaded nodes exhibit). Zero by default.
     contention_overhead: f64,
+    /// Filled each time a task enters the CPU while it holds none.
+    on_busy: Option<Completion<()>>,
 }
 
 impl Inner {
@@ -118,6 +120,7 @@ impl CpuScheduler {
                 busy_integral: 0.0,
                 runnable_integral: 0.0,
                 contention_overhead: 0.0,
+                on_busy: None,
             })),
         }
     }
@@ -155,15 +158,26 @@ impl CpuScheduler {
         self.enqueue(tenant, cpu_seconds, None);
     }
 
+    /// Fills `woken` each time a task enters the empty CPU. A fill nobody
+    /// awaits is kept, so a task parked on it re-checks [`Self::is_idle`].
+    pub fn fill_when_busy(&self, woken: Completion<()>) {
+        self.inner.borrow_mut().on_busy = Some(woken);
+    }
+
     fn enqueue(&self, tenant: TenantId, cpu_seconds: f64, on_complete: Option<Completion<()>>) {
         assert!(cpu_seconds >= 0.0, "negative cpu cost");
         let now = self.sim.now();
-        {
+        let woken = {
             let mut inner = self.inner.borrow_mut();
             inner.advance(now);
+            let was_idle = inner.tasks.is_empty();
             inner.tasks.push(Task { remaining: cpu_seconds.max(EPS), tenant, on_complete });
-        }
+            inner.on_busy.as_ref().filter(|_| was_idle).cloned()
+        };
         self.reschedule();
+        if let Some(woken) = woken {
+            woken.fill(());
+        }
     }
 
     fn reschedule(&self) {
@@ -208,13 +222,21 @@ impl CpuScheduler {
         }
     }
 
+    /// Whether the CPU holds no task.
+    pub fn is_idle(&self) -> bool {
+        self.inner.borrow().tasks.is_empty()
+    }
+
     /// Instantaneous runnable-queue length: tasks beyond the vCPU count.
     pub fn runnable_len(&self) -> f64 {
         let inner = self.inner.borrow();
         (inner.tasks.len() as f64 - inner.vcpus).max(0.0)
     }
 
-    /// Cumulative CPU-seconds of capacity used since construction.
+    /// Cumulative CPU-seconds of capacity used since construction. Each
+    /// `cumulative_*` read advances the model, splitting every running
+    /// task's float integration at now: skipping a read can move completion
+    /// times by rounding, so a loop reading one parks only on an idle CPU.
     pub fn cumulative_busy(&self) -> f64 {
         let mut inner = self.inner.borrow_mut();
         let now = self.sim.now();
@@ -224,7 +246,7 @@ impl CpuScheduler {
 
     /// Cumulative time-weighted integral of the runnable queue length.
     /// The AIMD controller differentiates this to get the average runnable
-    /// length over its sampling interval.
+    /// length over its sampling interval. A read advances the model.
     pub fn cumulative_runnable(&self) -> f64 {
         let mut inner = self.inner.borrow_mut();
         let now = self.sim.now();
@@ -232,7 +254,7 @@ impl CpuScheduler {
         inner.runnable_integral
     }
 
-    /// Cumulative CPU-seconds consumed by `tenant`.
+    /// Cumulative CPU-seconds consumed by `tenant`; a read advances the model.
     pub fn cumulative_usage(&self, tenant: TenantId) -> f64 {
         let mut inner = self.inner.borrow_mut();
         let now = self.sim.now();
@@ -240,7 +262,7 @@ impl CpuScheduler {
         inner.usage.get(&tenant).copied().unwrap_or(0.0)
     }
 
-    /// Cumulative CPU-seconds consumed across all tenants.
+    /// Cumulative CPU-seconds consumed across all tenants; a read advances it.
     pub fn cumulative_usage_total(&self) -> f64 {
         let mut inner = self.inner.borrow_mut();
         let now = self.sim.now();
