@@ -119,8 +119,6 @@ pub struct Proxy {
     next_conn: Cell<u64>,
     /// Keyed by source IP; BTreeMap so any future iteration is ordered.
     throttle: RefCell<BTreeMap<String, ThrottleState>>,
-    /// Per-tenant allowlist (None = all allowed).
-    allowlist: RefCell<BTreeMap<TenantId, Vec<String>>>,
     /// Per-tenant denylist (co-specified by intrusion detection, §4.2.2).
     denylist: RefCell<BTreeMap<TenantId, Vec<String>>>,
     /// Tenants with a resume in flight, and a completion per connect (or
@@ -169,7 +167,6 @@ impl Proxy {
             conns: RefCell::new(BTreeMap::new()),
             next_conn: Cell::new(1),
             throttle: RefCell::new(BTreeMap::new()),
-            allowlist: RefCell::new(BTreeMap::new()),
             denylist: RefCell::new(BTreeMap::new()),
             resuming: RefCell::new(BTreeMap::new()),
             connects: Cell::new(0),
@@ -192,38 +189,15 @@ impl Proxy {
         proxy
     }
 
-    /// Sets a tenant's IP allowlist (`None` clears it).
-    pub fn set_allowlist(&self, tenant: TenantId, ips: Option<Vec<String>>) {
-        match ips {
-            Some(v) => {
-                self.allowlist.borrow_mut().insert(tenant, v);
-            }
-            None => {
-                self.allowlist.borrow_mut().remove(&tenant);
-            }
-        }
-    }
-
     /// Adds to a tenant's denylist.
     pub fn deny_ip(&self, tenant: TenantId, ip: &str) {
         self.denylist.borrow_mut().entry(tenant).or_default().push(ip.to_string());
     }
 
+    /// Whether `ip` may connect to `tenant`: it is not on the tenant's
+    /// denylist.
     fn check_ip(&self, tenant: TenantId, ip: &str) -> bool {
-        // Guards are bound to locals (not scrutinees) so neither list's
-        // borrow is held across the other lookup or any caller re-entry.
-        let denylist = self.denylist.borrow();
-        if let Some(denied) = denylist.get(&tenant) {
-            if denied.iter().any(|d| d == ip) {
-                return false;
-            }
-        }
-        drop(denylist);
-        let allowlist = self.allowlist.borrow();
-        if let Some(allowed) = allowlist.get(&tenant) {
-            return allowed.iter().any(|a| a == ip);
-        }
-        true
+        self.denylist.borrow().get(&tenant).is_none_or(|denied| denied.iter().all(|d| d != ip))
     }
 
     fn check_throttle(&self, ip: &str) -> bool {
