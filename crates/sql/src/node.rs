@@ -387,41 +387,17 @@ impl SqlNode {
         Ok(())
     }
 
-    /// Executes a prepared statement by name, as a task of its own; `cb`
-    /// gets its result.
-    pub fn execute_prepared(
+    /// Executes a prepared statement by name, with no deadline.
+    pub async fn execute_prepared(
         self: &Rc<Self>,
         session: u64,
         name: &str,
         params: Vec<crate::value::Datum>,
-        cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
-    ) {
-        let sql = {
-            let sessions = self.sessions.borrow();
-            match sessions.get(&session).and_then(|s| s.prepared.get(name)) {
-                Some(s) => s.clone(),
-                None => {
-                    cb(Err(SqlError::State(format!("unknown prepared statement {name}"))));
-                    return;
-                }
-            }
-        };
-        self.execute(session, &sql, params, cb);
-    }
-
-    /// Parses, plans and executes one statement in the given session, as a
-    /// task of its own; `cb` gets its result.
-    pub fn execute(
-        self: &Rc<Self>,
-        session: u64,
-        sql: &str,
-        params: Vec<crate::value::Datum>,
-        cb: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
-    ) {
-        let (node, sql) = (Rc::clone(self), sql.to_string());
-        task::spawn(&self.sim, async move {
-            cb(node.execute_with_deadline(session, &sql, params, Deadline::NONE).await)
-        });
+    ) -> Result<QueryOutput, SqlError> {
+        let sql = self.sessions.borrow().get(&session).and_then(|s| s.prepared.get(name)).cloned();
+        let sql =
+            sql.ok_or_else(|| SqlError::State(format!("unknown prepared statement {name}")))?;
+        self.execute_with_deadline(session, &sql, params, Deadline::NONE).await
     }
 
     /// Parses, plans and executes one statement in the given session.

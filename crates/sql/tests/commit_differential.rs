@@ -797,8 +797,11 @@ fn ambiguous_commit_is_reported_and_not_rerun_by_the_autocommit_retry() {
     let session = node.open_session("app").expect("node is ready");
     let exec = |sql: &str, secs: u64| -> Result<QueryOutput, SqlError> {
         let out = Rc::new(RefCell::new(None));
-        let o = Rc::clone(&out);
-        node.execute(session, sql, vec![], move |r| *o.borrow_mut() = Some(r));
+        let (o, node, text) = (Rc::clone(&out), Rc::clone(&node), sql.to_string());
+        task::spawn(&sim, async move {
+            *o.borrow_mut() =
+                Some(node.execute_with_deadline(session, &text, vec![], Deadline::NONE).await)
+        });
         sim.run_for(dur::secs(secs));
         let done = out.borrow_mut().take();
         done.unwrap_or_else(|| panic!("{sql}: did not complete"))

@@ -33,7 +33,7 @@ use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_sql::{parser, rowcodec};
 use crdb_util::time::dur;
-use crdb_util::{RegionId, SqlInstanceId, TenantId};
+use crdb_util::{Deadline, RegionId, SqlInstanceId, TenantId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use support::exec_model::Model;
@@ -78,8 +78,12 @@ impl Harness {
     /// An autocommitted statement through the node (DDL, load, ANALYZE).
     fn sql(&self, sql: &str) -> QueryOutput {
         let slot = Rc::new(RefCell::new(None));
-        let s = Rc::clone(&slot);
-        self.node.execute(self.session, sql, vec![], move |r| *s.borrow_mut() = Some(r));
+        let (s, node, session, text) =
+            (Rc::clone(&slot), Rc::clone(&self.node), self.session, sql.to_string());
+        task::spawn(&self.sim, async move {
+            *s.borrow_mut() =
+                Some(node.execute_with_deadline(session, &text, vec![], Deadline::NONE).await)
+        });
         wait_for(&self.sim, &slot, sql).unwrap_or_else(|e| panic!("{sql}: {e}"))
     }
 

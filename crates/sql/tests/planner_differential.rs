@@ -17,7 +17,7 @@ use crdb_sql::node::{NodeState, SqlNode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
-use crdb_util::{RegionId, SqlInstanceId, TenantId};
+use crdb_util::{Deadline, RegionId, SqlInstanceId, TenantId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,6 +50,20 @@ fn setup(seed: u64) -> Fixture {
     Fixture { sim, node, session }
 }
 
+/// Runs `sql` in `session` as a task of its own; `done` gets its result.
+fn spawn_exec(
+    f: &Fixture,
+    session: u64,
+    sql: &str,
+    params: Vec<Datum>,
+    done: impl FnOnce(Result<QueryOutput, SqlError>) + 'static,
+) {
+    let (node, sql) = (Rc::clone(&f.node), sql.to_string());
+    task::spawn(&f.sim, async move {
+        done(node.execute_with_deadline(session, &sql, params, Deadline::NONE).await)
+    });
+}
+
 fn exec(f: &Fixture, sql: &str) -> QueryOutput {
     exec_params(f, sql, vec![]).unwrap_or_else(|e| panic!("{sql}: {e}"))
 }
@@ -57,7 +71,7 @@ fn exec(f: &Fixture, sql: &str) -> QueryOutput {
 fn exec_params(f: &Fixture, sql: &str, params: Vec<Datum>) -> Result<QueryOutput, SqlError> {
     let out = Rc::new(RefCell::new(None));
     let o = Rc::clone(&out);
-    f.node.execute(f.session, sql, params, move |r| *o.borrow_mut() = Some(r));
+    spawn_exec(f, f.session, sql, params, move |r| *o.borrow_mut() = Some(r));
     f.sim.run_for(dur::secs(60));
     let r = out.borrow_mut().take();
     r.unwrap_or_else(|| panic!("{sql}: did not complete"))
@@ -379,14 +393,14 @@ fn analyze_describes_one_snapshot_under_concurrent_inserts() {
     let finished = Rc::new(RefCell::new(Vec::new()));
     let analyzed = Rc::new(RefCell::new(None));
     let (done, out) = (Rc::clone(&finished), Rc::clone(&analyzed));
-    f.node.execute(f.session, "ANALYZE t", vec![], move |r| {
+    spawn_exec(&f, f.session, "ANALYZE t", vec![], move |r| {
         done.borrow_mut().push("analyze");
         *out.borrow_mut() = Some(r);
     });
     // Begun after ANALYZE took its snapshot, past its first chunk.
     let done = Rc::clone(&finished);
     let insert = "INSERT INTO t VALUES (5000, 0), (5001, 0), (5002, 0)";
-    f.node.execute(writer, insert, vec![], move |r| {
+    spawn_exec(&f, writer, insert, vec![], move |r| {
         r.expect("insert");
         done.borrow_mut().push("insert");
     });

@@ -19,7 +19,7 @@ use crdb_sql::node::{SqlNode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
-use crdb_util::{RegionId, SqlInstanceId, TenantId};
+use crdb_util::{Deadline, RegionId, SqlInstanceId, TenantId};
 
 #[path = "../../util/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -52,8 +52,12 @@ struct Fixture {
 
 fn exec(f: &Fixture, sql: &str, params: Vec<Datum>) -> QueryOutput {
     let out = Rc::new(RefCell::new(None));
-    let o = Rc::clone(&out);
-    f.node.execute(f.session, sql, params, move |r| *o.borrow_mut() = Some(r));
+    let (o, node, session, text) =
+        (Rc::clone(&out), Rc::clone(&f.node), f.session, sql.to_string());
+    task::spawn(&f.sim, async move {
+        *o.borrow_mut() =
+            Some(node.execute_with_deadline(session, &text, params, Deadline::NONE).await)
+    });
     // Step, rather than run for a fixed time: the tallies below should be
     // the statement's, not a minute of heartbeats'.
     loop {

@@ -18,7 +18,7 @@ use crdb_sql::schema::TableDescriptor;
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
-use crdb_util::{RegionId, SqlInstanceId, TenantId};
+use crdb_util::{Deadline, RegionId, SqlInstanceId, TenantId};
 
 struct Fixture {
     sim: Sim,
@@ -55,14 +55,28 @@ fn exec(f: &Fixture, sql: &str) -> QueryOutput {
     try_exec(f, sql).unwrap_or_else(|e| panic!("{sql}: {e}"))
 }
 
+/// A statement's result, once it has one.
+type Slot = Rc<RefCell<Option<Result<QueryOutput, SqlError>>>>;
+
+/// Runs `sql` in the fixture's session as a task of its own; the slot
+/// gets its result.
+fn spawn_exec(f: &Fixture, sql: &str, params: Vec<Datum>) -> Slot {
+    let (out, node, session, sql) =
+        (Slot::default(), Rc::clone(&f.node), f.session, sql.to_string());
+    let o = Rc::clone(&out);
+    task::spawn(&f.sim, async move {
+        *o.borrow_mut() =
+            Some(node.execute_with_deadline(session, &sql, params, Deadline::NONE).await)
+    });
+    out
+}
+
 fn try_exec(f: &Fixture, sql: &str) -> Result<QueryOutput, SqlError> {
     exec_params(f, sql, vec![])
 }
 
 fn exec_params(f: &Fixture, sql: &str, params: Vec<Datum>) -> Result<QueryOutput, SqlError> {
-    let out = Rc::new(RefCell::new(None));
-    let o = Rc::clone(&out);
-    f.node.execute(f.session, sql, params, move |r| *o.borrow_mut() = Some(r));
+    let out = spawn_exec(f, sql, params);
     f.sim.run_for(dur::secs(60));
     let r = out.borrow_mut().take();
     r.unwrap_or_else(|| panic!("{sql}: did not complete"))
@@ -282,20 +296,18 @@ fn prepared_statements_with_params() {
     f.node.prepare(f.session, "get", "SELECT v FROM t WHERE id = $1").unwrap();
     let out = Rc::new(RefCell::new(None));
     {
-        let o = Rc::clone(&out);
-        f.node.execute_prepared(
-            f.session,
-            "ins",
-            vec![Datum::Int(7), Datum::Str("seven".into())],
-            move |r| *o.borrow_mut() = Some(r),
-        );
+        let (o, node, session) = (Rc::clone(&out), Rc::clone(&f.node), f.session);
+        task::spawn(&f.sim, async move {
+            let params = vec![Datum::Int(7), Datum::Str("seven".into())];
+            *o.borrow_mut() = Some(node.execute_prepared(session, "ins", params).await)
+        });
     }
     f.sim.run_for(dur::secs(10));
     assert!(out.borrow_mut().take().unwrap().is_ok());
     {
-        let o = Rc::clone(&out);
-        f.node.execute_prepared(f.session, "get", vec![Datum::Int(7)], move |r| {
-            *o.borrow_mut() = Some(r)
+        let (o, node, session) = (Rc::clone(&out), Rc::clone(&f.node), f.session);
+        task::spawn(&f.sim, async move {
+            *o.borrow_mut() = Some(node.execute_prepared(session, "get", vec![Datum::Int(7)]).await)
         });
     }
     f.sim.run_for(dur::secs(10));
@@ -335,8 +347,10 @@ fn session_migration_between_nodes() {
     // The restored session keeps settings and prepared statements.
     let out = Rc::new(RefCell::new(None));
     {
-        let o = Rc::clone(&out);
-        node2.execute_prepared(new_session, "q", vec![], move |r| *o.borrow_mut() = Some(r));
+        let (o, node2) = (Rc::clone(&out), Rc::clone(&node2));
+        task::spawn(&f.sim, async move {
+            *o.borrow_mut() = Some(node2.execute_prepared(new_session, "q", vec![]).await)
+        });
     }
     f.sim.run_for(dur::secs(10));
     let got = out.borrow_mut().take().unwrap().unwrap();
@@ -443,10 +457,8 @@ fn sql_cpu_charged_per_statement() {
 /// Runs `sql` and steps the simulator only until it answers: the number
 /// of events the statement took.
 fn events_of(f: &Fixture, sql: &str) -> u64 {
-    let out = Rc::new(RefCell::new(None));
-    let o = Rc::clone(&out);
     let before = f.sim.events_executed();
-    f.node.execute(f.session, sql, vec![], move |r| *o.borrow_mut() = Some(r));
+    let out = spawn_exec(f, sql, vec![]);
     let answered = || out.borrow().is_some();
     while !answered() && f.sim.step() {}
     let r = out.borrow_mut().take();

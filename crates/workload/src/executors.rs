@@ -8,12 +8,13 @@ use std::rc::Rc;
 
 use crdb_core::{DedicatedCluster, ServerlessCluster};
 use crdb_serverless::proxy::Connection;
+use crdb_sim::task;
 use crdb_sql::coord::SqlError;
 use crdb_sql::exec::QueryOutput;
 use crdb_sql::node::SqlNode;
 use crdb_sql::value::Datum;
 use crdb_util::time::dur;
-use crdb_util::{RegionId, TenantId};
+use crdb_util::{Deadline, RegionId, TenantId};
 
 use crate::driver::SqlExecutor;
 
@@ -130,7 +131,9 @@ impl SqlExecutor for DedicatedExecutor {
         cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
     ) {
         match self.session_for(worker) {
-            Ok((node, session)) => node.execute(session, &sql, params, cb),
+            Ok((node, session)) => task::spawn(&self.cluster.sim, async move {
+                cb(node.execute_with_deadline(session, &sql, params, Deadline::NONE).await)
+            }),
             Err(e) => cb(Err(e)),
         }
     }

@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crdb_serverless_repro::core::{ServerlessCluster, ServerlessConfig};
-use crdb_sim::Sim;
+use crdb_sim::{task, Sim};
 use crdb_util::time::dur;
 use crdb_util::RegionId;
 
@@ -76,9 +76,10 @@ fn main() {
     // The prepared statement traveled with the session.
     let out = Rc::new(RefCell::new(None));
     {
-        let o = Rc::clone(&out);
-        node_after
-            .execute_prepared(conn.session(), "bump", vec![], move |r| *o.borrow_mut() = Some(r));
+        let (o, node, session) = (Rc::clone(&out), Rc::clone(&node_after), conn.session());
+        task::spawn(&sim, async move {
+            *o.borrow_mut() = Some(node.execute_prepared(session, "bump", vec![]).await)
+        });
     }
     sim.run_for(dur::secs(10));
     out.borrow_mut().take().unwrap().expect("prepared statement survived migration");
