@@ -23,8 +23,12 @@ mod counting_alloc;
 static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 /// Allocation ceilings: what each operation took once the CPU, the disk
-/// and the network hops were awaited and every control loop was a task.
-/// They may only fall.
+/// and the network hops were awaited and every control loop was a task,
+/// and (the cold connect's) once a SQL pod's idle burn ran no task. They
+/// may only fall. The first cold connect also grows the executor's task
+/// table to its high-water mark; it takes one allocation more in a debug
+/// build than in release.
+const COLD_CONNECT_ALLOCATIONS: usize = 239;
 const WARM_CONNECT_ALLOCATIONS: usize = 12;
 const SELECT_ALLOCATIONS: usize = 131;
 const UPDATE_ALLOCATIONS: usize = 219;
@@ -89,8 +93,9 @@ fn a_proxied_statement_takes_fixed_events_and_at_most_its_allocations() {
     println!("cold connect {cold:?}, warm connect {warm:?}, SELECT {select:?}, UPDATE {update:?}");
     // A cold connect: pool assignment and certificate delivery, the SQL
     // node's start (its KV reads and its registration), then the hop to
-    // open the session. Its allocations depend on what the start reads.
+    // open the session.
     assert_eq!(cold.events, 20, "cold connect");
+    assert!(cold.allocations <= COLD_CONNECT_ALLOCATIONS, "cold connect: {cold:?}");
     // A warm connect is the one hop that opens the session.
     assert_eq!(warm.events, 1, "warm connect");
     assert!(warm.allocations <= WARM_CONNECT_ALLOCATIONS, "warm connect: {warm:?}");
@@ -136,4 +141,32 @@ fn an_idle_deployment_takes_fixed_events() {
     let events = idle_minute(11);
     assert_eq!(events, 372, "idle minute");
     assert_eq!(idle_minute(11), events, "same seed, different idle cost");
+}
+
+/// Events a deployment takes in one simulated minute while one tenant
+/// holds `connections` open, idle connections, once its pods are up.
+fn open_idle_minute(seed: u64, connections: usize) -> u64 {
+    let sim = Sim::new(seed);
+    let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
+    sim.run_for(dur::secs(30));
+    let tenant = cluster.create_tenant(vec![RegionId(0)], None);
+    let conns: Vec<Rc<Connection>> =
+        (0..connections).map(|_| connect(&sim, &cluster, tenant).0).collect();
+    sim.run_for(dur::secs(30));
+    let before = sim.events_executed();
+    sim.run_for(dur::mins(1));
+    assert!(!cluster.is_suspended(tenant), "open connections keep the tenant up");
+    drop(conns);
+    sim.events_executed() - before
+}
+
+#[test]
+fn an_idle_connection_takes_no_events() {
+    // A pod's idle CPU burn accrues as a rate, so a Ready pod and the open
+    // connections it holds cost the simulator nothing while they send
+    // nothing: the minute ticks only what the idle deployment ticks.
+    let one = open_idle_minute(11, 1);
+    assert_eq!(one, 372, "idle minute, one open connection");
+    assert_eq!(open_idle_minute(11, 10), one, "ten idle connections against one");
+    assert_eq!(open_idle_minute(11, 1), one, "same seed, different idle cost");
 }

@@ -110,7 +110,9 @@ pub struct SqlNodeConfig {
     pub cpu_marshal_per_row: f64,
     /// Background CPU of a running SQL node (connection keepalives,
     /// metrics emission, GC) in CPU-seconds per second; §6.2 measures
-    /// 0.15 for an idle node with one connection.
+    /// 0.15 for an idle node with one connection. It accrues from Ready
+    /// until the node stops and is billed through
+    /// [`SqlNode::sql_cpu_seconds`]; it takes no share of the node's vCPUs.
     pub idle_cpu_per_second: f64,
 }
 
@@ -202,9 +204,10 @@ pub struct SqlNode {
     /// Retired nodes (e.g. pending a version upgrade) drain but are never
     /// reclaimed by the autoscaler.
     retired: Cell<bool>,
-    /// Set when the node dies abruptly (fault injection) rather than by
-    /// orderly shutdown.
-    crashed: Cell<bool>,
+    /// When the node became Ready, and when it stopped: the span its idle
+    /// CPU burn accrues over.
+    ready_at: Cell<Option<SimTime>>,
+    stopped_at: Cell<Option<SimTime>>,
 }
 
 impl SqlNode {
@@ -231,7 +234,8 @@ impl SqlNode {
             cold_start: Cell::new(None),
             revival_secret: 0x5eed_0000 ^ tenant.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15),
             retired: Cell::new(false),
-            crashed: Cell::new(false),
+            ready_at: Cell::new(None),
+            stopped_at: Cell::new(None),
         })
     }
 
@@ -245,9 +249,14 @@ impl SqlNode {
         IDLE_MEMORY_BYTES + self.sessions.borrow().len() as u64 * MEMORY_PER_SESSION
     }
 
-    /// Cumulative SQL CPU-seconds consumed by this node.
+    /// Cumulative SQL CPU-seconds consumed by this node: what its CPU ran,
+    /// plus the idle burn accrued since it became Ready (until it stopped).
     pub fn sql_cpu_seconds(&self) -> f64 {
-        self.cpu.cumulative_usage_total()
+        let up = self.ready_at.get().map_or(0.0, |ready| {
+            let until = self.stopped_at.get().unwrap_or_else(|| self.sim.now());
+            until.duration_since(ready).as_secs_f64()
+        });
+        self.cpu.cumulative_usage_total() + self.config.idle_cpu_per_second * up
     }
 
     /// Runs the cold-start sequence (§4.3.1 / §3.2.5): process init CPU,
@@ -284,26 +293,8 @@ impl SqlNode {
         reg_span.end();
         span.end();
         self.state.set(NodeState::Ready);
+        self.ready_at.set(Some(self.sim.now()));
         self.cold_start.set(Some(self.sim.now().duration_since(started_at)));
-        self.start_background_loop();
-    }
-
-    /// Background CPU burn while the node runs (§6.2's idle 0.15 CPU-s/s):
-    /// keepalives, metrics, GC.
-    fn start_background_loop(self: &Rc<Self>) {
-        if self.config.idle_cpu_per_second <= 0.0 {
-            return;
-        }
-        let node = Rc::clone(self);
-        task::spawn(&self.sim, async move {
-            loop {
-                task::sleep(&node.sim, dur::secs(1)).await;
-                if node.state.get() == NodeState::Stopped {
-                    return;
-                }
-                node.cpu.charge(node.tenant, node.config.idle_cpu_per_second);
-            }
-        });
     }
 
     /// Loads the persisted table descriptors and statistics (which feed
@@ -748,8 +739,7 @@ impl SqlNode {
 
     /// Stops the node.
     pub fn shutdown(&self) {
-        self.state.set(NodeState::Stopped);
-        self.sessions.borrow_mut().clear();
+        self.stop();
     }
 
     /// Abrupt process death (fault injection). Unlike an orderly
@@ -757,7 +747,15 @@ impl SqlNode {
     /// on the spot, and the proxy must detect the dead backend and revive
     /// its sessions on another node from cached snapshots (§4.2.4).
     pub fn crash(&self) {
-        self.crashed.set(true);
+        self.stop();
+    }
+
+    /// Stops the node and its idle burn (at the first stop), and drops its
+    /// sessions.
+    fn stop(&self) {
+        if self.stopped_at.get().is_none() {
+            self.stopped_at.set(Some(self.sim.now()));
+        }
         self.state.set(NodeState::Stopped);
         self.sessions.borrow_mut().clear();
     }
