@@ -150,13 +150,7 @@ pub fn kv_cpu_total(cluster: &ServerlessCluster) -> f64 {
 pub fn sql_cpu_total(cluster: &ServerlessCluster, tenant: TenantId) -> f64 {
     cluster
         .registry
-        .with_tenant(tenant, |e| {
-            e.nodes
-                .iter()
-                .map(|n| n.sql_cpu_seconds())
-                .chain(e.draining.iter().map(|(n, _)| n.sql_cpu_seconds()))
-                .sum()
-        })
+        .with_tenant(tenant, |e| e.pods().map(|n| n.sql_cpu_seconds()).sum())
         .unwrap_or(0.0)
 }
 

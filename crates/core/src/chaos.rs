@@ -169,7 +169,7 @@ fn crash_sql_pods_in(cluster: &ServerlessCluster, region: RegionId, zone: Option
     let mut pods: Vec<Rc<SqlNode>> = Vec::new();
     for tenant in cluster.registry.tenant_ids() {
         cluster.registry.with_tenant(tenant, |e| {
-            for n in e.nodes.iter().chain(e.draining.iter().map(|(n, _)| n)) {
+            for n in e.pods() {
                 let loc = n.config.location;
                 if loc.region == region
                     && zone.is_none_or(|z| loc.zone == z)
@@ -228,7 +228,7 @@ fn pick_sql_pod(cluster: &ServerlessCluster, pick: u64) -> Option<(TenantId, Rc<
     let mut pods: Vec<(TenantId, Rc<SqlNode>)> = Vec::new();
     for tenant in cluster.registry.tenant_ids() {
         cluster.registry.with_tenant(tenant, |e| {
-            for n in e.nodes.iter().chain(e.draining.iter().map(|(n, _)| n)) {
+            for n in e.pods() {
                 if matches!(n.state(), NodeState::Ready | NodeState::Draining) {
                     pods.push((tenant, Rc::clone(n)));
                 }

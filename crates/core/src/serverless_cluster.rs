@@ -392,13 +392,7 @@ impl ServerlessCluster {
             // Per-node SQL CPU deltas.
             let nodes: Vec<Rc<crdb_sql::node::SqlNode>> = self
                 .registry
-                .with_tenant(*tenant, |e| {
-                    e.nodes
-                        .iter()
-                        .cloned()
-                        .chain(e.draining.iter().map(|(n, _)| Rc::clone(n)))
-                        .collect()
-                })
+                .with_tenant(*tenant, |e| e.pods().cloned().collect())
                 .unwrap_or_default();
             let mut usage: Vec<(SqlInstanceId, f64)> = Vec::new();
             let mut total_sql = 0.0;

@@ -103,13 +103,7 @@ impl MetricsPipeline {
                 // resume starts a fresh window.
                 for tenant in registry.active_tenant_ids() {
                     let cpu_total: f64 = registry
-                        .with_tenant(tenant, |e| {
-                            e.nodes
-                                .iter()
-                                .map(|n| n.sql_cpu_seconds())
-                                .chain(e.draining.iter().map(|(n, _)| n.sql_cpu_seconds()))
-                                .sum()
-                        })
+                        .with_tenant(tenant, |e| e.pods().map(|n| n.sql_cpu_seconds()).sum())
                         .unwrap_or(0.0);
                     let entry = all
                         .entry(tenant)

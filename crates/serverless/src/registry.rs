@@ -50,6 +50,11 @@ impl TenantEntry {
         }
     }
 
+    /// The tenant's running pods: `nodes`, then `draining`.
+    pub fn pods(&self) -> impl Iterator<Item = &Rc<SqlNode>> {
+        self.nodes.iter().chain(self.draining.iter().map(|(n, _)| n))
+    }
+
     /// Nodes currently able to serve new connections.
     pub fn ready_nodes(&self) -> Vec<Rc<SqlNode>> {
         self.nodes.iter().filter(|n| n.state() == NodeState::Ready).cloned().collect()
