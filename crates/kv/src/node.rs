@@ -260,7 +260,8 @@ impl KvNode {
     fn arm_group_commit(self: &Rc<Self>) {
         if !self.commit_timer_armed.replace(true) {
             let node = Rc::clone(self);
-            self.sim.schedule_after(FSYNC_INTERVAL, move || {
+            task::spawn(&self.sim, async move {
+                task::sleep(&node.sim, FSYNC_INTERVAL).await;
                 node.commit_timer_armed.set(false);
                 node.fire_group_commit();
             });

@@ -127,7 +127,8 @@ impl WarmPool {
             }
         } else if self.dark.borrow_mut().remove(&region) {
             let pool = Rc::clone(self);
-            self.sim.schedule_after(REPLENISH_DELAY, move || {
+            task::spawn(&self.sim, async move {
+                task::sleep(&pool.sim, REPLENISH_DELAY).await;
                 if pool.dark.borrow().contains(&region) {
                     return; // went dark again before the refill landed
                 }
@@ -238,7 +239,8 @@ impl WarmPool {
                 span.tag("pool_hit", "true");
                 // Schedule replenishment of the region we drew from.
                 let pool = Rc::clone(self);
-                self.sim.schedule_after(REPLENISH_DELAY, move || {
+                task::spawn(&self.sim, async move {
+                    task::sleep(&pool.sim, REPLENISH_DELAY).await;
                     if pool.dark.borrow().contains(&region) {
                         return; // the region died meanwhile; recovery refills it
                     }
