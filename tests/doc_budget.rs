@@ -14,7 +14,7 @@ const FIRST_BUDGETED_PR: u32 = 31;
 
 /// The most bytes `DESIGN.md` may take: its size when the cap was set.
 /// Lower it whenever the document shrinks.
-const DESIGN_BUDGET_BYTES: usize = 87_687;
+const DESIGN_BUDGET_BYTES: usize = 87_683;
 
 /// `(pr, bytes)` of every `- PR N:` entry of `log`. An entry runs from its
 /// bullet to the next line that is neither indented nor blank; each line
